@@ -2,13 +2,14 @@
 //!
 //! Times the three hot learner operations — `observe` (the full stage
 //! update: decay, rank-1 column update, Q-row, probability rule),
-//! `select_action` (inverse-CDF sample), and `max_regret` (the `O(m²)`
-//! proxy scan) — for the **scalar** per-peer layout
-//! (`rths_core::RthsState`, one heap `Matrix` per learner) against the
-//! **slab** layout (`rths_core::LearnerSlab`, column-major arena +
-//! `rths_math::kernels`), at m ∈ {16, 64, 256} actions. Both paths
-//! compute bit-identical results (pinned by the slab oracle tests), so
-//! the ratio is pure layout/vectorization effect.
+//! `select_action` (inverse-CDF sample), and `max_regret` (the proxy
+//! scan) — for the **scalar** per-peer layout
+//! (`rths_core::RthsState`, one heap `Matrix` per learner, all `m²`
+//! entries read) against the **slab** layout (`rths_core::LearnerSlab`,
+//! column-major arena + `rths_math::kernels`, played columns only), at
+//! m ∈ {16, 64, 256} actions. Both paths compute bit-identical results
+//! (pinned by the slab oracle tests), so the ratio is layout,
+//! vectorization and played-mask sparsity.
 //!
 //! Run with: `cargo run --release -p rths_bench --bin bench_kernel`
 //!
@@ -100,7 +101,7 @@ fn run_slab(m: usize, stages: usize) -> Timing {
         }
         select_ns += t0.elapsed().as_nanos() as f64;
         let t1 = Instant::now();
-        // The store's batched form: one decay sweep, then predecayed
+        // The store's batched form: one lazy-decay pass, then predecayed
         // per-slot updates (bit-identical to inline decay).
         cols.decay(keep);
         for (i, &choice) in choices.iter().enumerate() {

@@ -13,7 +13,12 @@
 //! action and the worst-regret metric are derived from `T` on demand with
 //! exactly the float operations (and operation order) the old learner
 //! used when materialising `Q`, so trajectories are **bit-for-bit
-//! identical** to the pre-split implementation.
+//! identical** to the wrapped learner's.
+//!
+//! The exponential decay of `T` is **lazy** ([`crate::lazy`]): the state
+//! stores `S` and a scalar `scale` with `T = scale · S`, in lock-step with
+//! [`LearnerSlab`](crate::LearnerSlab) — same float expressions in the
+//! same order, which is what keeps this type the slab's bitwise oracle.
 //!
 //! The sharded peer stores (`rths_sim`) hold one `RthsState` per peer and
 //! one config per channel; [`RthsLearner`] wraps a single state + config
@@ -23,6 +28,7 @@ use rand::RngCore;
 use rths_math::Matrix;
 
 use crate::config::{RecencyMode, RthsConfig};
+use crate::lazy::{self, Decay};
 use crate::policy;
 
 /// The per-peer mutable state of the recursive R2HS learner (Algorithm 2):
@@ -30,9 +36,13 @@ use crate::policy;
 /// or derivable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RthsState {
-    /// Proxy matrix `T` (Eq. 3-4): entry `(j, k)` accumulates importance-
-    /// weighted utilities of stages where `k` was played.
+    /// Stored proxy matrix `S`; the proxy matrix of Eq. 3-4 is
+    /// `T = scale · S`. Entry `(j, k)` accumulates importance-weighted
+    /// utilities of stages where `k` was played.
     t: Matrix,
+    /// Lazy decay factor (see [`crate::lazy`]); 1 outside
+    /// `RecencyMode::Exponential`.
+    scale: f64,
     /// Current mixed strategy `pⁿ`.
     probs: Vec<f64>,
     /// Recency-weighted empirical play frequency per action (same
@@ -51,6 +61,7 @@ impl RthsState {
         let m = config.num_actions();
         Self {
             t: Matrix::zeros(m, m),
+            scale: 1.0,
             probs: vec![1.0 / m as f64; m],
             freq: vec![1.0 / m as f64; m],
             stage: 0,
@@ -83,9 +94,9 @@ impl RthsState {
         self.pending.map(|a| a as usize)
     }
 
-    /// The proxy matrix `Tⁿ`.
-    pub fn proxy_matrix(&self) -> &Matrix {
-        &self.t
+    /// The proxy matrix `Tⁿ = scale · S`, materialised.
+    pub fn proxy_matrix(&self) -> Matrix {
+        self.t.scaled(self.scale)
     }
 
     /// The averaging factor turning proxy differences into regrets: `ε`
@@ -107,19 +118,19 @@ impl RthsState {
         if j == k {
             return 0.0;
         }
-        (self.factor(config) * (self.t[(j, k)] - self.t[(j, j)])).max(0.0)
+        (self.factor(config) * self.scale * (self.t[(j, k)] - self.t[(j, j)])).max(0.0)
     }
 
     /// Largest entry of the derived regret matrix — scans `T` in the same
     /// row-major order the old learner's materialised `Q` was scanned in.
     pub fn max_regret(&self, config: &RthsConfig) -> f64 {
         let m = self.probs.len();
-        let factor = self.factor(config);
+        let factor = self.factor(config) * self.scale;
         let mut max = f64::NEG_INFINITY;
         for j in 0..m {
-            let t_jj = self.t[(j, j)];
+            let s_jj = self.t[(j, j)];
             for k in 0..m {
-                let q = if j == k { 0.0 } else { (factor * (self.t[(j, k)] - t_jj)).max(0.0) };
+                let q = if j == k { 0.0 } else { (factor * (self.t[(j, k)] - s_jj)).max(0.0) };
                 max = max.max(q);
             }
         }
@@ -164,16 +175,25 @@ impl RthsState {
         let j = self.pending.take().expect("observe called without a pending action") as usize;
         self.stage += 1;
 
-        // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ.
+        // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ — with
+        // T = scale · S the decay goes into `scale` and the rank-1
+        // coefficient is divided by it.
         if config.recency() == RecencyMode::Exponential {
-            self.t.scale(1.0 - config.epsilon());
+            match lazy::decay(&mut self.scale, 1.0 - config.epsilon()) {
+                Decay::Keep => {}
+                Decay::Renormalise => {
+                    self.t.scale(lazy::RENORM_BELOW);
+                    self.t.map_inplace(lazy::flush_subnormal);
+                }
+                Decay::Wipe => self.t.fill(0.0),
+            }
         }
         let p_j = self.probs[j];
         debug_assert!(p_j > 0.0, "played action had zero probability");
-        let scale = utility / p_j;
+        let coef = utility / p_j / self.scale;
         let m = config.num_actions();
         for r in 0..m {
-            self.t[(r, j)] += scale * self.probs[r];
+            self.t[(r, j)] += coef * self.probs[r];
         }
 
         // Play-frequency average (same weighting scheme as T).
@@ -197,14 +217,14 @@ impl RthsState {
         // Eq. (3-6) for the played row only — derived straight from T
         // instead of materialising the full Q matrix first; same values,
         // same operation order as the old update_regrets + row copy.
-        let factor = self.factor(config);
-        let t_jj = self.t[(j, j)];
+        let factor = self.factor(config) * self.scale;
+        let s_jj = self.t[(j, j)];
         row_scratch.clear();
         for k in 0..m {
             row_scratch.push(if j == k {
                 0.0
             } else {
-                (factor * (self.t[(j, k)] - t_jj)).max(0.0)
+                (factor * (self.t[(j, k)] - s_jj)).max(0.0)
             });
         }
         if config.conditional() {
@@ -234,6 +254,7 @@ impl RthsState {
         assert!(self.pending.is_none(), "cannot reset actions with an observation pending");
         assert!(num_actions > 0, "reset_actions requires at least one action");
         self.t = Matrix::zeros(num_actions, num_actions);
+        self.scale = 1.0;
         self.probs = vec![1.0 / num_actions as f64; num_actions];
         self.freq = vec![1.0 / num_actions as f64; num_actions];
         // Restart the stage clock so Uniform-mode averaging matches a

@@ -68,6 +68,7 @@ pub mod config;
 pub mod driver;
 pub mod exp3;
 pub mod history;
+pub mod lazy;
 pub mod learner;
 pub mod matching;
 pub mod metrics;

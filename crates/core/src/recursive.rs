@@ -87,8 +87,9 @@ impl RthsLearner {
         q
     }
 
-    /// The proxy matrix `Tⁿ`.
-    pub fn proxy_matrix(&self) -> &Matrix {
+    /// The proxy matrix `Tⁿ`, materialised from the lazily-decayed
+    /// stored form.
+    pub fn proxy_matrix(&self) -> Matrix {
         self.state.proxy_matrix()
     }
 

@@ -1,4 +1,4 @@
-//! Arena slabs of learner state + batched column-major T-matrix kernels.
+//! Arena slabs of learner state: played-sparse, lazily-decayed T-matrices.
 //!
 //! At 10⁵+ peers the per-peer [`RthsState`](crate::RthsState) layout is
 //! allocator-bound: every peer carries its own `Matrix::zeros(m, m)` heap
@@ -10,32 +10,58 @@
 //! ```text
 //!            slot 0                    slot 1                 …
 //!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]      stride s²
-//!           └─ T(r,k) at k·s + r  (column-major per slot)
+//!           └─ S(r,k) at k·s + r  (column-major per slot)
 //!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]                stride s
 //!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]                stride s
 //!   played:[ column bitmask ]      [ column bitmask ]         ⌈s/64⌉ words
-//!   arity / stage / pending: one scalar per slot
+//!   arity / stage / pending / scale: one scalar per slot
 //! ```
 //!
-//! The layout is chosen so every hot loop of the learner update runs over
-//! a **contiguous** slice that LLVM autovectorizes (`rths_math::kernels`):
-//! the rank-1 update touches exactly column `j`, the exponential decay
-//! walks whole columns, and `max_regret` scans column-against-diagonal.
-//! The played-column bitmask makes the decay *provably sparse*: a column
-//! `k` is only ever written by the decay itself (a bitwise no-op on an
-//! all-zero column, since `+0.0 · (1−ε) = +0.0`) and by the rank-1 update
-//! when `k` was the played action — so never-played columns are exactly
-//! `+0.0` everywhere and skipping their decay is bit-identical. That both
-//! cuts the `O(m²)`-per-observe decay down to `O(played · m)` and leaves
-//! the untouched columns' pages unwritten (one big lazily-mapped zero
-//! allocation instead of 10⁵ eagerly-zeroed ones), which is where the
-//! construction-time and peak-RSS wins at the 10⁵-actor point come from.
+//! One stage of the learner (Eq. 3-5/3-6) decays `T`, adds a rank-1
+//! update to **one** column and reads **one** row. At 10⁴+ slots of
+//! m = 64 the slab lives in DRAM and an observe costs cache lines, not
+//! flops, so every operation touches the **played** columns of its slot
+//! only:
+//!
+//! * **`T = scale · S`** ([`crate::lazy`]). The `t` column stores `S`;
+//!   the exponential decay is `scale *= 1 − ε`, an `O(1)` write that
+//!   loads no column. The rank-1 update divides its coefficient by
+//!   `scale`, reads multiply by it. When `scale` falls below 2⁻²⁵⁶ the
+//!   played columns are multiplied by 2⁻²⁵⁶ and `scale` by 2²⁵⁶ — exact
+//!   powers of two, so no later float depends on *when* that happened
+//!   (entries the downscale would make subnormal stand for a `T` entry
+//!   below 2⁻¹⁰²² and are flushed to zero). It happens once every
+//!   `256·ln 2 / ε` stages per slot.
+//! * **The `played` bitmask.** A column `k` is written only by the rank-1
+//!   update of a stage that played `k` (which sets bit `k`), and by
+//!   renormalisation and wipes, which map `+0.0` to `+0.0`. So a column
+//!   whose bit is clear is exactly `+0.0` everywhere — the slab invariant
+//!   — and nothing ever needs to load one: renormalisation, wipes,
+//!   clones and compaction moves walk the mask, and never-written pages
+//!   of the one big lazily-mapped zero allocation are never committed
+//!   (the construction-time and peak-RSS win at the 10⁵-actor point).
+//! * **Mask-driven row gather.** The played row `S(j, ·)` is one element
+//!   of every column — a cache line each. All never-played columns share
+//!   the regret entry `(factor · (0 − S(j,j)))⁺`, computed once; the mask
+//!   walk loads the played ones. At a stride of at most 8 a column *is*
+//!   one cache line and the walk has nothing to skip, so the gather reads
+//!   all `m` densely — chosen by the slab's fixed geometry, not a
+//!   setting.
+//! * **Mask-driven `max_regret`.** The diagonal is gathered and
+//!   `shifted_regret_max` scanned over played columns only; the all-zero
+//!   column is evaluated against the diagonal once for all never-played
+//!   ones (`System` runs this scan for every peer every epoch).
+//!
+//! The contiguous per-column loops (rank-1 `axpy`, renormalising `scale`,
+//! `shifted_regret_max`) are the autovectorized `rths_math::kernels`.
 //!
 //! Every operation performs the **exact float expressions in the exact
-//! order** of the scalar oracle ([`RthsState`](crate::RthsState)), so
+//! order** of the scalar oracle ([`RthsState`](crate::RthsState), which
+//! keeps the same `scale · S` form densely, without masks), so
 //! slab-backed learners replay the scalar path bit-for-bit — proven by
-//! the oracle tests below and the proptest sweep in
-//! `tests/properties.rs`.
+//! the oracle tests below and the proptest sweeps in
+//! `tests/properties.rs`. The unit tests also hold the lazy form to an
+//! eager-decay reference over 10⁶ stages.
 //!
 //! Two usage modes (per instance — they must not be mixed):
 //!
@@ -55,6 +81,7 @@ use rths_math::kernels;
 use rths_par::{ShardCols, Strided};
 
 use crate::config::{RecencyMode, RthsConfig};
+use crate::lazy::{self, Decay};
 use crate::learner::Learner;
 use crate::policy;
 
@@ -71,30 +98,94 @@ fn factor_for(config: &RthsConfig, stage: u64) -> f64 {
     }
 }
 
-/// Applies `T[:, k] *= keep` to every column flagged in the played
-/// bitmask. Unflagged columns are exactly `+0.0` (slab invariant), for
-/// which the decay is a bitwise no-op — skipping them changes nothing
-/// and keeps their pages unwritten.
-fn decay_columns(t: &mut [f64], played: &[u64], stride: usize, keep: f64) {
+/// A column of `f64`s this long or shorter is one cache line, so a slot's
+/// whole `S` is at most `stride` lines and a mask walk has nothing to
+/// skip: the played-row gather then reads all `m` columns densely.
+const DENSE_GATHER_MAX_STRIDE: usize = 8;
+
+/// Calls `f(k)` for every set bit `k` of a played-column bitmask, in
+/// ascending order.
+#[inline]
+fn for_each_played(played: &[u64], mut f: impl FnMut(usize)) {
     for (w, &word) in played.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            let k = w * 64 + bits.trailing_zeros() as usize;
+            f(w * 64 + bits.trailing_zeros() as usize);
             bits &= bits - 1;
-            kernels::scale(&mut t[k * stride..(k + 1) * stride], keep);
         }
     }
 }
 
+/// Zeroes one slot's played `S` columns and clears its bitmask; returns
+/// the number of columns written.
+fn wipe_columns(t: &mut [f64], played: &mut [u64], stride: usize) -> u64 {
+    let mut written = 0;
+    for_each_played(played, |k| {
+        t[k * stride..(k + 1) * stride].fill(0.0);
+        written += 1;
+    });
+    played.fill(0);
+    written
+}
+
+/// The stored-entry half of a renormalisation: multiplies one slot's
+/// played `S` columns by the exact power of two [`lazy::RENORM_BELOW`]
+/// and flushes what that made subnormal; returns the number of columns
+/// written.
+fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
+    let mut written = 0;
+    for_each_played(played, |k| {
+        let col = &mut t[k * stride..(k + 1) * stride];
+        kernels::scale(col, lazy::RENORM_BELOW);
+        for x in col {
+            *x = lazy::flush_subnormal(*x);
+        }
+        written += 1;
+    });
+    written
+}
+
+/// Does to one slot's stored columns what a [`lazy::decay`] of its
+/// `scale` asked for — nothing, unless `scale` crossed its renormalisation
+/// threshold (or `keep` was zero). Unflagged columns are exactly `+0.0`
+/// (slab invariant), which a rescale and a wipe both leave bit-identical,
+/// so they are skipped and their pages stay unwritten. Returns the number
+/// of columns written.
+fn apply_decay(step: Decay, t: &mut [f64], played: &mut [u64], stride: usize) -> u64 {
+    match step {
+        Decay::Keep => 0,
+        Decay::Renormalise => renormalise_columns(t, played, stride),
+        Decay::Wipe => wipe_columns(t, played, stride),
+    }
+}
+
 /// Max derived regret over one slot's `m × m` submatrix — the same value
-/// multiset (and therefore the same max) as the scalar row-major scan.
-fn max_regret_in(t: &[f64], stride: usize, m: usize, factor: f64, diag: &mut Vec<f64>) -> f64 {
+/// set (and therefore the same max) as the scalar row-major scan, from
+/// the played columns only: `factor` already carries the slot's `scale`,
+/// a never-played column is all `+0.0` (so is its diagonal entry), and
+/// every never-played column therefore contributes the same maximum,
+/// evaluated once against the gathered diagonal without loading any.
+fn max_regret_in(
+    t: &[f64],
+    played: &[u64],
+    stride: usize,
+    m: usize,
+    factor: f64,
+    diag: &mut Vec<f64>,
+) -> f64 {
     diag.clear();
-    diag.extend((0..m).map(|j| t[j * stride + j]));
+    diag.resize(m, 0.0);
+    for_each_played(played, |k| diag[k] = t[k * stride + k]);
     let mut max = f64::NEG_INFINITY;
-    for k in 0..m {
+    for_each_played(played, |k| {
         max =
             max.max(kernels::shifted_regret_max(&t[k * stride..k * stride + m], diag, factor));
+    });
+    let played_columns: u32 = played.iter().map(|w| w.count_ones()).sum();
+    if (played_columns as usize) < m {
+        for &d in diag.iter() {
+            max = max.max((factor * (0.0 - d)).max(0.0));
+        }
     }
     if max.is_finite() {
         max.max(0.0)
@@ -119,6 +210,10 @@ pub struct LearnerSlab {
     arity: Vec<u32>,
     stage: Vec<u64>,
     pending: Vec<u32>,
+    /// Lazy decay factor per slot: the proxy matrix is `scale · t`
+    /// (see [`crate::lazy`]). Meaningless on a free-listed slot (a
+    /// batched decay does not skip those); `alloc` restarts it at 1.
+    scale: Vec<f64>,
     free: Vec<u32>,
     /// Slots handed out by [`alloc`](Self::alloc) from the free list
     /// instead of fresh storage (observability: free-list reuse means
@@ -156,6 +251,7 @@ impl LearnerSlab {
             arity: Vec::with_capacity(slots),
             stage: Vec::with_capacity(slots),
             pending: Vec::with_capacity(slots),
+            scale: Vec::with_capacity(slots),
             free: Vec::new(),
             reuses: 0,
         }
@@ -185,6 +281,7 @@ impl LearnerSlab {
         self.arity.reserve(target - self.arity.len());
         self.stage.reserve(target - self.stage.len());
         self.pending.reserve(target - self.pending.len());
+        self.scale.reserve(target - self.scale.len());
     }
 
     /// The fixed per-slot stride (maximum hostable arity).
@@ -237,14 +334,17 @@ impl LearnerSlab {
                 self.arity.push(0);
                 self.stage.push(0);
                 self.pending.push(NO_PENDING);
+                self.scale.push(1.0);
                 s
             }
         };
         // Freed slots were wiped on release and fresh slots are zero, so
-        // T and the bitmask need no work; only the uniform prefix does.
+        // T and the bitmask need no work; only the uniform prefix and
+        // the lazy scale do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
+        self.scale[slot] = 1.0;
         let base = slot * self.stride;
         let p = 1.0 / num_actions as f64;
         self.probs[base..base + num_actions].fill(p);
@@ -280,21 +380,7 @@ impl LearnerSlab {
         let m = self.arity[s] as usize;
         assert!(m > 0, "cannot clone a freed slot");
         let dst = self.alloc(m) as usize;
-        let stride = self.stride;
-        for w in 0..self.words {
-            let mut bits = self.played[s * self.words + w];
-            self.played[dst * self.words + w] = bits;
-            while bits != 0 {
-                let k = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let from = (s * stride + k) * stride;
-                self.t.copy_within(from..from + stride, (dst * stride + k) * stride);
-            }
-        }
-        self.probs.copy_within(s * stride..(s + 1) * stride, dst * stride);
-        self.freq.copy_within(s * stride..(s + 1) * stride, dst * stride);
-        self.stage[dst] = self.stage[s];
-        self.pending[dst] = self.pending[s];
+        self.copy_slot(s, dst);
         dst as u32
     }
 
@@ -316,8 +402,6 @@ impl LearnerSlab {
         assert!(sorted.windows(2).all(|w| w[0] < w[1]), "slots must be sorted and unique");
         let n = self.arity.len();
         assert!((sorted[sorted.len() - 1] as usize) < n, "slot out of range");
-        let stride = self.stride;
-        let words = self.words;
         let mut next = 0usize;
         let mut write = 0usize;
         for read in 0..n {
@@ -330,21 +414,7 @@ impl LearnerSlab {
                 // already moved further down): wipe its played columns,
                 // then pull the survivor's played columns down.
                 self.wipe_t(write);
-                for w in 0..words {
-                    let mut bits = self.played[read * words + w];
-                    self.played[write * words + w] = bits;
-                    while bits != 0 {
-                        let k = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let from = (read * stride + k) * stride;
-                        self.t.copy_within(from..from + stride, (write * stride + k) * stride);
-                    }
-                }
-                self.probs.copy_within(read * stride..(read + 1) * stride, write * stride);
-                self.freq.copy_within(read * stride..(read + 1) * stride, write * stride);
-                self.arity[write] = self.arity[read];
-                self.stage[write] = self.stage[read];
-                self.pending[write] = self.pending[read];
+                self.copy_slot(read, write);
             }
             write += 1;
         }
@@ -360,6 +430,7 @@ impl LearnerSlab {
         self.arity.truncate(write);
         self.stage.truncate(write);
         self.pending.truncate(write);
+        self.scale.truncate(write);
     }
 
     /// Reinitialises a slot for a new action count (channel switch) —
@@ -374,6 +445,7 @@ impl LearnerSlab {
         self.wipe_t(slot);
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
+        self.scale[slot] = 1.0;
         let base = slot * self.stride;
         let p = 1.0 / num_actions as f64;
         self.probs[base..base + num_actions].fill(p);
@@ -382,18 +454,30 @@ impl LearnerSlab {
 
     /// Zeroes the slot's played T columns and clears its bitmask.
     fn wipe_t(&mut self, slot: usize) {
-        let stride = self.stride;
-        let w_base = slot * self.words;
-        for w in 0..self.words {
-            let mut bits = self.played[w_base + w];
-            self.played[w_base + w] = 0;
-            while bits != 0 {
-                let k = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let from = (slot * stride + k) * stride;
-                self.t[from..from + stride].fill(0.0);
-            }
-        }
+        let area = self.stride * self.stride;
+        wipe_columns(
+            &mut self.t[slot * area..(slot + 1) * area],
+            &mut self.played[slot * self.words..(slot + 1) * self.words],
+            self.stride,
+        );
+    }
+
+    /// Overwrites slot `dst` — whose T columns must be all zero — with an
+    /// exact copy of slot `src`'s state, moving played columns only
+    /// (`O(played · stride)`, not `O(stride²)`).
+    fn copy_slot(&mut self, src: usize, dst: usize) {
+        let (stride, words) = (self.stride, self.words);
+        self.played.copy_within(src * words..(src + 1) * words, dst * words);
+        for_each_played(&self.played[dst * words..(dst + 1) * words], |k| {
+            let from = (src * stride + k) * stride;
+            self.t.copy_within(from..from + stride, (dst * stride + k) * stride);
+        });
+        self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        self.arity[dst] = self.arity[src];
+        self.stage[dst] = self.stage[src];
+        self.pending[dst] = self.pending[src];
+        self.scale[dst] = self.scale[src];
     }
 
     /// The slot's action count.
@@ -428,7 +512,7 @@ impl LearnerSlab {
     pub fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "proxy index out of range");
-        self.t[(slot * self.stride + k) * self.stride + j]
+        self.scale[slot] * self.t[(slot * self.stride + k) * self.stride + j]
     }
 
     /// Borrows every column as a [`SlabCols`] bundle for a sharded
@@ -449,6 +533,7 @@ impl LearnerSlab {
             arity: &mut self.arity,
             stage: &mut self.stage,
             pending: &mut self.pending,
+            scale: &mut self.scale,
         }
     }
 
@@ -469,10 +554,10 @@ impl LearnerSlab {
         self.split().observe(slot, config, utility, row_scratch);
     }
 
-    /// Decays every slot's played T columns by `keep = 1 − ε` once —
-    /// the batched counterpart of the per-observe decay, for callers
-    /// that then use [`SlabCols::observe_predecayed`]. Returns the
-    /// number of T columns touched (observability; ignorable).
+    /// Decays every slot by `keep = 1 − ε` once — the batched
+    /// counterpart of the per-observe decay, for callers that then use
+    /// [`SlabCols::observe_predecayed`]. Returns the number of T columns
+    /// renormalised (observability; ignorable).
     pub fn decay_all(&mut self, keep: f64) -> u64 {
         self.split().decay(keep)
     }
@@ -483,10 +568,11 @@ impl LearnerSlab {
     pub fn max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
         let m = self.arity[slot] as usize;
         let base = slot * self.stride * self.stride;
-        let factor = factor_for(config, self.stage[slot]);
+        let factor = factor_for(config, self.stage[slot]) * self.scale[slot];
         let mut diag = Vec::with_capacity(m);
         max_regret_in(
             &self.t[base..base + self.stride * self.stride],
+            &self.played[slot * self.words..(slot + 1) * self.words],
             self.stride,
             m,
             factor,
@@ -511,6 +597,7 @@ pub struct SlabCols<'a> {
     arity: &'a mut [u32],
     stage: &'a mut [u64],
     pending: &'a mut [u32],
+    scale: &'a mut [f64],
 }
 
 impl ShardCols for SlabCols<'_> {
@@ -522,6 +609,7 @@ impl ShardCols for SlabCols<'_> {
         let (a0, a1) = self.arity.split_at_mut(mid);
         let (s0, s1) = self.stage.split_at_mut(mid);
         let (g0, g1) = self.pending.split_at_mut(mid);
+        let (c0, c1) = self.scale.split_at_mut(mid);
         (
             SlabCols {
                 stride: self.stride,
@@ -532,6 +620,7 @@ impl ShardCols for SlabCols<'_> {
                 arity: a0,
                 stage: s0,
                 pending: g0,
+                scale: c0,
             },
             SlabCols {
                 stride: self.stride,
@@ -542,6 +631,7 @@ impl ShardCols for SlabCols<'_> {
                 arity: a1,
                 stage: s1,
                 pending: g1,
+                scale: c1,
             },
         )
     }
@@ -558,25 +648,27 @@ impl SlabCols<'_> {
         self.arity.is_empty()
     }
 
-    /// Decays every slot's played T columns by `keep` once. Valid as a
-    /// hoisted batch before a round of [`observe_predecayed`]
-    /// (`Self::observe_predecayed`) calls exactly when each slot observes
-    /// exactly once in the round: the decay commutes bitwise with every
-    /// other slot's update (disjoint state) and with this slot's own
-    /// select (which reads only `probs`), so hoisting it to the top of
-    /// the round leaves each slot's decay→rank-1 order intact.
+    /// Decays every slot by `keep` once: `scale *= keep` per slot, no T
+    /// column read or written unless a slot's `scale` crossed its
+    /// renormalisation threshold. Valid as a hoisted batch before a round
+    /// of [`observe_predecayed`](Self::observe_predecayed) calls exactly
+    /// when each slot observes exactly once in the round: the decay
+    /// commutes bitwise with every other slot's update (disjoint state)
+    /// and with this slot's own select (which reads only `probs`), so
+    /// hoisting it to the top of the round leaves each slot's
+    /// decay→rank-1 order intact.
     ///
-    /// Returns the number of T columns touched (the popcount of the
-    /// played bitmasks) — the per-shard `slab_columns_touched`
-    /// observability counter. The count is derived state, never an
-    /// input: ignoring it changes nothing.
+    /// Returns the number of T columns renormalised (or wiped, at
+    /// `keep = 0`) — the per-shard `slab_columns_touched` observability
+    /// counter; zero on all but one round in `256·ln 2 / ε`. The count is
+    /// derived state, never an input: ignoring it changes nothing.
     pub fn decay(&mut self, keep: f64) -> u64 {
         let mut touched = 0u64;
         for i in 0..self.arity.len() {
-            let t = self.t.row(i);
-            let played = self.played.row(i);
-            touched += played.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-            decay_columns(t, played, self.stride, keep);
+            let step = lazy::decay(&mut self.scale[i], keep);
+            if step != Decay::Keep {
+                touched += apply_decay(step, self.t.row(i), self.played.row(i), self.stride);
+            }
         }
         touched
     }
@@ -658,14 +750,18 @@ impl SlabCols<'_> {
         let freq = self.freq.row(i);
         let played = self.played.row(i);
 
-        // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ.
+        let scale = &mut self.scale[i];
+
+        // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ — with
+        // T = scale · S the decay goes into `scale` and the rank-1
+        // coefficient is divided by it.
         if !predecayed && config.recency() == RecencyMode::Exponential {
-            decay_columns(t, played, stride, 1.0 - config.epsilon());
+            apply_decay(lazy::decay(scale, 1.0 - config.epsilon()), t, played, stride);
         }
         let p_j = probs[j];
         debug_assert!(p_j > 0.0, "played action had zero probability");
-        let scale = utility / p_j;
-        kernels::axpy(&mut t[j * stride..j * stride + m], scale, &probs[..m]);
+        let coef = utility / p_j / *scale;
+        kernels::axpy(&mut t[j * stride..j * stride + m], coef, &probs[..m]);
         played[j / 64] |= 1 << (j % 64);
 
         // Play-frequency average (same weighting scheme as T).
@@ -686,18 +782,21 @@ impl SlabCols<'_> {
         }
 
         // Eq. (3-6) for the played row: element j of each column — a
-        // strided gather in this layout, same values and visit order as
-        // the scalar row walk.
-        let factor = factor_for(config, stage);
-        let t_jj = t[j * stride + j];
+        // strided gather in this layout, same values as the scalar row
+        // walk. A never-played column holds `+0.0` there, so all of them
+        // share one entry computed without loading any; only the played
+        // columns are read (unless a column is a single cache line).
+        let factor = factor_for(config, stage) * *scale;
+        let s_jj = t[j * stride + j];
+        let entry = |s_jk: f64| (factor * (s_jk - s_jj)).max(0.0);
         row_scratch.clear();
-        for k in 0..m {
-            row_scratch.push(if j == k {
-                0.0
-            } else {
-                (factor * (t[k * stride + j] - t_jj)).max(0.0)
-            });
+        if stride <= DENSE_GATHER_MAX_STRIDE {
+            row_scratch.extend((0..m).map(|k| entry(t[k * stride + j])));
+        } else {
+            row_scratch.resize(m, entry(0.0));
+            for_each_played(played, |k| row_scratch[k] = entry(t[k * stride + j]));
         }
+        row_scratch[j] = 0.0;
         if config.conditional() {
             let floor = policy::exploration_floor(m, config.delta());
             let f_j = freq[j].max(floor);
@@ -718,9 +817,9 @@ impl SlabCols<'_> {
     /// diagonal scratch so steady-state phases allocate nothing.
     pub fn max_regret(&mut self, i: usize, config: &RthsConfig, diag: &mut Vec<f64>) -> f64 {
         let m = self.arity[i] as usize;
-        let factor = factor_for(config, self.stage[i]);
+        let factor = factor_for(config, self.stage[i]) * self.scale[i];
         let stride = self.stride;
-        max_regret_in(self.t.row(i), stride, m, factor, diag)
+        max_regret_in(self.t.row(i), self.played.row(i), stride, m, factor, diag)
     }
 
     /// Slot `i`'s current mixed strategy.
@@ -855,14 +954,147 @@ mod tests {
     use rand::SeedableRng;
 
     fn config(m: usize, recency: RecencyMode, conditional: bool) -> RthsConfig {
+        config_eps(m, 0.05, recency, conditional)
+    }
+
+    fn config_eps(m: usize, eps: f64, recency: RecencyMode, conditional: bool) -> RthsConfig {
         RthsConfig::builder(m)
-            .epsilon(0.05)
+            .epsilon(eps)
             .delta(0.1)
             .mu(150.0)
             .recency(recency)
             .conditional(conditional)
             .build()
             .unwrap()
+    }
+
+    /// `keep = 1/2`: the lazy scale reaches 2⁻²⁵⁶ at stage 256 and is
+    /// renormalised at stage 257, so a few hundred stages cover it.
+    const FAST_EPS: f64 = 0.5;
+
+    /// Asserts that `slot` ran long enough that its lazy scale has left 1
+    /// and been renormalised at least once.
+    fn assert_renormalised(slab: &LearnerSlab, slot: usize, cfg: &RthsConfig) {
+        let unrenormalised = (1.0 - cfg.epsilon()).powi(slab.stage(slot) as i32);
+        assert!(unrenormalised < lazy::RENORM_BELOW, "slot {slot} ran too few stages");
+        let scale = slab.scale[slot];
+        assert!(scale != 1.0 && scale >= lazy::RENORM_BELOW, "slot {slot} scale {scale}");
+    }
+
+    fn assert_bitwise(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {k} ({x} vs {y})");
+        }
+    }
+
+    /// `|a − b| ≤ 1e-9 · max(|a|, |b|, 1)`: relative for the magnitudes
+    /// the learner works at (probabilities ≥ δ/m, regrets in kbps) without
+    /// blowing up on a regret that is clamped to zero on one side only.
+    fn assert_close(a: f64, b: f64, what: &str) {
+        let tol = 1e-9 * a.abs().max(b.abs()).max(1.0);
+        assert!((a - b).abs() <= tol, "{what}: {a} vs {b}");
+    }
+
+    impl LearnerSlab {
+        /// Test hook: renormalises `slot` now, whatever its `scale` —
+        /// the production path only does so below the threshold.
+        fn force_renormalise(&mut self, slot: usize) {
+            let area = self.stride * self.stride;
+            renormalise_columns(
+                &mut self.t[slot * area..(slot + 1) * area],
+                &self.played[slot * self.words..(slot + 1) * self.words],
+                self.stride,
+            );
+            self.scale[slot] *= lazy::RENORM_UP;
+        }
+
+        /// Slot `slot`'s stored `S` entries (all `stride²` of them).
+        fn stored(&self, slot: usize) -> &[f64] {
+            let area = self.stride * self.stride;
+            &self.t[slot * area..(slot + 1) * area]
+        }
+    }
+
+    /// Drives slab slots `0..mirrors.len()` and their scalar mirrors
+    /// through `stages` select/observe rounds (one RNG stream per peer,
+    /// replayed for the mirror), asserting both sample the same actions.
+    fn drive_with_mirrors(
+        slab: &mut LearnerSlab,
+        mirrors: &mut [RthsState],
+        rngs: &mut [rand::rngs::StdRng],
+        cfg: &RthsConfig,
+        stages: u64,
+    ) {
+        let mut scratch = Vec::new();
+        for s in 0..stages {
+            for (i, mirror) in mirrors.iter_mut().enumerate() {
+                let mut replay = rngs[i].clone();
+                let a = slab.select_action(i, &mut rngs[i]);
+                assert_eq!(a, mirror.select_action(&mut replay), "slot {i} stage {s}");
+                let u = ((a + s as usize) % 9) as f64 * 7.0;
+                slab.observe(i, cfg, u, &mut scratch);
+                mirror.observe(cfg, u, &mut scratch);
+            }
+        }
+    }
+
+    /// Test-only reference: the `RecencyMode::Exponential` update with the
+    /// decay applied **eagerly** to every entry of `T` each stage — the
+    /// semantics the lazy `T = scale · S` form must reproduce up to
+    /// rounding. Column-major `m × m`, no laziness, no masks.
+    struct EagerRef {
+        m: usize,
+        t: Vec<f64>,
+        probs: Vec<f64>,
+        freq: Vec<f64>,
+    }
+
+    impl EagerRef {
+        fn new(m: usize) -> Self {
+            Self {
+                m,
+                t: vec![0.0; m * m],
+                probs: vec![1.0 / m as f64; m],
+                freq: vec![1.0 / m as f64; m],
+            }
+        }
+
+        fn observe(&mut self, cfg: &RthsConfig, j: usize, utility: f64) {
+            let (m, eps) = (self.m, cfg.epsilon());
+            for x in &mut self.t {
+                *x *= 1.0 - eps;
+            }
+            let coef = utility / self.probs[j];
+            for r in 0..m {
+                self.t[j * m + r] += coef * self.probs[r];
+            }
+            for (a, f) in self.freq.iter_mut().enumerate() {
+                *f = (1.0 - eps) * *f + if a == j { eps } else { 0.0 };
+            }
+            let t_jj = self.t[j * m + j];
+            let mut row: Vec<f64> = (0..m)
+                .map(|k| if k == j { 0.0 } else { (eps * (self.t[k * m + j] - t_jj)).max(0.0) })
+                .collect();
+            if cfg.conditional() {
+                let f_j = self.freq[j].max(policy::exploration_floor(m, cfg.delta()));
+                for r in &mut row {
+                    *r /= f_j;
+                }
+            }
+            policy::update_probabilities(&mut self.probs, j, &row, cfg.delta(), cfg.mu());
+        }
+
+        fn max_regret(&self, cfg: &RthsConfig) -> f64 {
+            let m = self.m;
+            let mut max = 0.0f64;
+            for j in 0..m {
+                for k in (0..m).filter(|&k| k != j) {
+                    max = max.max(cfg.epsilon() * (self.t[k * m + j] - self.t[j * m + j]));
+                }
+            }
+            max
+        }
     }
 
     /// The slab must replay the scalar oracle bit-for-bit in every
@@ -965,46 +1197,22 @@ mod tests {
 
     /// Free-list churn: releasing a slot and allocating again reuses it,
     /// and survivors replay their scalar mirrors bit-for-bit across the
-    /// churn (the `departure_does_not_perturb_survivors` pinning style).
+    /// churn (the `departure_does_not_perturb_survivors` pinning style) —
+    /// run long enough that every lazy scale has been renormalised, so a
+    /// scale leaking from the freed slot into its reuse would show.
     #[test]
     fn release_reuses_slot_without_perturbing_survivors() {
-        let cfg = config(3, RecencyMode::Exponential, false);
+        let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
         let mut slab = LearnerSlab::new(3);
         let slots: Vec<u32> = (0..4).map(|_| slab.alloc(3)).collect();
         assert_eq!(slots, vec![0, 1, 2, 3]);
         let mut mirrors: Vec<RthsState> = (0..4).map(|_| RthsState::new(&cfg)).collect();
         let mut rngs: Vec<_> =
             (0..4).map(|p| rand::rngs::StdRng::seed_from_u64(100 + p)).collect();
-        let mut mirror_rngs: Vec<_> =
-            (0..4).map(|p| rand::rngs::StdRng::seed_from_u64(100 + p)).collect();
-        let mut scratch = Vec::new();
-        let drive = |slab: &mut LearnerSlab,
-                     mirrors: &mut Vec<RthsState>,
-                     rngs: &mut Vec<rand::rngs::StdRng>,
-                     mirror_rngs: &mut Vec<rand::rngs::StdRng>,
-                     scratch: &mut Vec<f64>,
-                     live: &[usize],
-                     stages: u64| {
-            for s in 0..stages {
-                for &i in live {
-                    let a = slab.select_action(i, &mut rngs[i]);
-                    let b = mirrors[i].select_action(&mut mirror_rngs[i]);
-                    assert_eq!(a, b);
-                    let u = ((a + s as usize * i.max(1)) % 5) as f64 * 11.0;
-                    slab.observe(i, &cfg, u, scratch);
-                    mirrors[i].observe(&cfg, u, scratch);
-                }
-            }
-        };
-        drive(
-            &mut slab,
-            &mut mirrors,
-            &mut rngs,
-            &mut mirror_rngs,
-            &mut scratch,
-            &[0, 1, 2, 3],
-            40,
-        );
+        drive_with_mirrors(&mut slab, &mut mirrors, &mut rngs, &cfg, 300);
+        for i in 0..4 {
+            assert_renormalised(&slab, i, &cfg);
+        }
 
         slab.release(2);
         assert_eq!(slab.free_slots(), 1);
@@ -1014,32 +1222,38 @@ mod tests {
         // The reused slot is a fresh uniform learner.
         assert_eq!(slab.probabilities(2), &[1.0 / 3.0; 3]);
         assert_eq!(slab.stage(2), 0);
+        assert_eq!(slab.scale[2], 1.0);
         mirrors[2] = RthsState::new(&cfg);
         rngs[2] = rand::rngs::StdRng::seed_from_u64(777);
-        mirror_rngs[2] = rand::rngs::StdRng::seed_from_u64(777);
 
         // Survivors and the reused slot all keep replaying their mirrors.
-        drive(
-            &mut slab,
-            &mut mirrors,
-            &mut rngs,
-            &mut mirror_rngs,
-            &mut scratch,
-            &[0, 1, 2, 3],
-            40,
-        );
+        drive_with_mirrors(&mut slab, &mut mirrors, &mut rngs, &cfg, 300);
         for (i, mirror) in mirrors.iter().enumerate() {
-            for (x, y) in slab.probabilities(i).iter().zip(mirror.probabilities()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "slot {i} diverged after churn");
-            }
+            assert_renormalised(&slab, i, &cfg);
+            assert_bitwise(slab.probabilities(i), mirror.probabilities(), "after churn");
+            assert_eq!(slab.max_regret(i, &cfg).to_bits(), mirror.max_regret(&cfg).to_bits());
         }
     }
 
-    /// Order-preserving compaction: survivors keep their exact state and
-    /// continue bit-for-bit, mirroring the store's `remove_slots`.
+    /// A batched decay runs over free-listed slots too; `alloc` must
+    /// still hand the slot out with a fresh scale.
+    #[test]
+    fn batched_decay_does_not_leak_into_a_reused_slot() {
+        let mut slab = LearnerSlab::new(2);
+        let slot = slab.alloc(2);
+        slab.release(slot);
+        slab.decay_all(0.5);
+        assert_eq!(slab.alloc(2), slot);
+        assert_eq!(slab.scale[slot as usize], 1.0);
+    }
+
+    /// Order-preserving compaction: survivors keep their exact state
+    /// (lazy scale included — every slot has been renormalised by then)
+    /// and continue bit-for-bit, mirroring the store's `remove_slots`;
+    /// a slot allocated into the wiped tail is a fresh learner.
     #[test]
     fn remove_slots_compacts_without_perturbing_survivors() {
-        let cfg = config(4, RecencyMode::Exponential, true);
+        let cfg = config_eps(4, FAST_EPS, RecencyMode::Exponential, true);
         let mut slab = LearnerSlab::new(4);
         for _ in 0..5 {
             slab.alloc(4);
@@ -1047,77 +1261,94 @@ mod tests {
         let mut mirrors: Vec<RthsState> = (0..5).map(|_| RthsState::new(&cfg)).collect();
         let mut rngs: Vec<_> =
             (0..5).map(|p| rand::rngs::StdRng::seed_from_u64(500 + p)).collect();
-        let mut mirror_rngs: Vec<_> =
-            (0..5).map(|p| rand::rngs::StdRng::seed_from_u64(500 + p)).collect();
-        let mut scratch = Vec::new();
-        for s in 0..60u64 {
-            for i in 0..5usize {
-                let a = slab.select_action(i, &mut rngs[i]);
-                let b = mirrors[i].select_action(&mut mirror_rngs[i]);
-                assert_eq!(a, b);
-                let u = ((a + s as usize) % 9) as f64 * 7.0;
-                slab.observe(i, &cfg, u, &mut scratch);
-                mirrors[i].observe(&cfg, u, &mut scratch);
-            }
+        drive_with_mirrors(&mut slab, &mut mirrors, &mut rngs, &cfg, 300);
+        for i in 0..5 {
+            assert_renormalised(&slab, i, &cfg);
         }
-        let survivors = [0usize, 2, 4];
-        let before: Vec<Vec<u64>> = survivors
-            .iter()
-            .map(|&i| slab.probabilities(i).iter().map(|p| p.to_bits()).collect())
-            .collect();
         slab.remove_slots(&[1, 3]);
         assert_eq!(slab.num_slots(), 3);
-        for (new_slot, (&old_slot, bits)) in survivors.iter().zip(&before).enumerate() {
-            let after: Vec<u64> =
-                slab.probabilities(new_slot).iter().map(|p| p.to_bits()).collect();
-            assert_eq!(&after, bits, "slot {old_slot}→{new_slot} state changed");
-            assert_eq!(slab.stage(new_slot), mirrors[old_slot].stage());
+        // Survivors 0, 2, 4 now sit in slots 0, 1, 2.
+        mirrors.remove(3);
+        mirrors.remove(1);
+        rngs.remove(3);
+        rngs.remove(1);
+        for (slot, mirror) in mirrors.iter().enumerate() {
+            assert_bitwise(slab.probabilities(slot), mirror.probabilities(), "compacted");
+            assert_eq!(slab.stage(slot), mirror.stage());
             assert_eq!(
-                slab.max_regret(new_slot, &cfg).to_bits(),
-                mirrors[old_slot].max_regret(&cfg).to_bits()
+                slab.max_regret(slot, &cfg).to_bits(),
+                mirror.max_regret(&cfg).to_bits()
+            );
+        }
+        // The wiped tail hands out a fresh learner (scale back at 1).
+        assert_eq!(slab.alloc(4), 3);
+        assert_eq!(slab.scale[3], 1.0);
+        mirrors.push(RthsState::new(&cfg));
+        rngs.push(rand::rngs::StdRng::seed_from_u64(777));
+        drive_with_mirrors(&mut slab, &mut mirrors, &mut rngs, &cfg, 300);
+        for (slot, mirror) in mirrors.iter().enumerate() {
+            assert_bitwise(slab.probabilities(slot), mirror.probabilities(), "continued");
+            assert_eq!(
+                slab.max_regret(slot, &cfg).to_bits(),
+                mirror.max_regret(&cfg).to_bits()
             );
         }
     }
 
+    /// A clone carries the source's lazy scale (renormalised by then)
+    /// along with its columns, and evolves identically afterwards.
     #[test]
     fn clone_slot_copies_state_exactly() {
-        let cfg = config(3, RecencyMode::Uniform, false);
+        let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
         let mut slab = LearnerSlab::new(3);
         let a = slab.alloc(3) as usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let mut scratch = Vec::new();
-        for s in 0..30u64 {
+        for s in 0..300u64 {
             let act = slab.select_action(a, &mut rng);
             slab.observe(a, &cfg, ((act + s as usize) % 4) as f64 * 5.0, &mut scratch);
         }
+        assert_renormalised(&slab, a, &cfg);
         let b = slab.clone_slot(a as u32) as usize;
         assert_ne!(a, b);
-        assert_eq!(slab.stage(a), slab.stage(b));
-        for (x, y) in slab.probabilities(a).iter().zip(slab.probabilities(b)) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for j in 0..3 {
-            for k in 0..3 {
-                assert_eq!(slab.proxy(a, j, k).to_bits(), slab.proxy(b, j, k).to_bits());
+        let mut rng_b = rng.clone();
+        for s in 0..50u64 {
+            assert_eq!(slab.stage(a), slab.stage(b));
+            assert_eq!(slab.scale[a].to_bits(), slab.scale[b].to_bits());
+            let (pa, pb) = (slab.probabilities(a).to_vec(), slab.probabilities(b).to_vec());
+            assert_bitwise(&pa, &pb, "clone strategy");
+            for j in 0..3 {
+                for k in 0..3 {
+                    assert_eq!(slab.proxy(a, j, k).to_bits(), slab.proxy(b, j, k).to_bits());
+                }
             }
+            assert_eq!(slab.max_regret(a, &cfg).to_bits(), slab.max_regret(b, &cfg).to_bits());
+            let act = slab.select_action(a, &mut rng);
+            assert_eq!(act, slab.select_action(b, &mut rng_b));
+            let u = ((act + s as usize) % 4) as f64 * 5.0;
+            slab.observe(a, &cfg, u, &mut scratch);
+            slab.observe(b, &cfg, u, &mut scratch);
         }
-        assert_eq!(slab.max_regret(a, &cfg).to_bits(), slab.max_regret(b, &cfg).to_bits());
     }
 
+    /// A reset slot — its scale had left 1 and been renormalised — is a
+    /// fresh learner of the new arity, scale included.
     #[test]
     fn reset_matches_fresh_slot() {
-        let cfg = config(3, RecencyMode::Exponential, false);
+        let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
         let mut slab = LearnerSlab::new(5);
         let slot = slab.alloc(3) as usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut scratch = Vec::new();
-        for _ in 0..10 {
+        for _ in 0..300 {
             let _ = slab.select_action(slot, &mut rng);
             slab.observe(slot, &cfg, 5.0, &mut scratch);
         }
+        assert_renormalised(&slab, slot, &cfg);
         slab.reset_actions(slot, 5);
         assert_eq!(slab.num_actions(slot), 5);
         assert_eq!(slab.stage(slot), 0);
+        assert_eq!(slab.scale[slot], 1.0);
         assert_eq!(slab.probabilities(slot), &[0.2; 5]);
         assert_eq!(slab.play_frequencies(slot), &[0.2; 5]);
         for j in 0..5 {
@@ -1125,6 +1356,10 @@ mod tests {
                 assert_eq!(slab.proxy(slot, j, k), 0.0);
             }
         }
+        let big = config_eps(5, FAST_EPS, RecencyMode::Exponential, false);
+        let mut fresh = [RthsState::new(&big)];
+        drive_with_mirrors(&mut slab, &mut fresh, &mut [rng], &big, 50);
+        assert_bitwise(slab.probabilities(slot), fresh[0].probabilities(), "after reset");
     }
 
     #[test]
@@ -1208,5 +1443,175 @@ mod tests {
         let _ = b.select_action(&mut rng);
         b.observe(99.0);
         assert_ne!(a.stage(), b.stage(), "clone shares state with the original");
+    }
+    /// Slab, oracle and the eager reference on one action/utility stream
+    /// (the slab samples; the other two are fed its action). Returns after
+    /// `stages` stages, having called `check(stage, &slab, &oracle, &eager)`
+    /// after each.
+    fn run_against_eager(
+        cfg: &RthsConfig,
+        stride: usize,
+        stages: u64,
+        utility: impl Fn(u64, usize) -> f64,
+        mut check: impl FnMut(u64, &LearnerSlab, &RthsState, &EagerRef),
+    ) {
+        let m = cfg.num_actions();
+        let mut slab = LearnerSlab::new(stride);
+        let slot = slab.alloc(m) as usize;
+        let mut oracle = RthsState::new(cfg);
+        let mut eager = EagerRef::new(m);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
+        let mut scratch = Vec::new();
+        for s in 0..stages {
+            let mut replay = rng.clone();
+            let j = slab.select_action(slot, &mut rng);
+            assert_eq!(j, oracle.select_action(&mut replay), "stage {s}");
+            let u = utility(s, j);
+            slab.observe(slot, cfg, u, &mut scratch);
+            oracle.observe(cfg, u, &mut scratch);
+            eager.observe(cfg, j, u);
+            check(s, &slab, &oracle, &eager);
+        }
+    }
+
+    /// `RthsConfig` admits ε = 1 (`keep = 0`): the lazy form defines it as
+    /// "forget everything, scale stays 1" — exactly the eager result,
+    /// where `T` is then the latest rank-1 column alone. Just below 1 the
+    /// scale renormalises every ~26 stages and still tracks eager decay.
+    #[test]
+    fn epsilon_at_and_near_one_matches_eager_decay() {
+        for eps in [1.0, 0.999] {
+            let cfg = config_eps(4, eps, RecencyMode::Exponential, true);
+            let utility = |s: u64, j: usize| ((j * 37 + s as usize) % 11) as f64 * 13.0;
+            run_against_eager(&cfg, 9, 2000, utility, |s, slab, oracle, eager| {
+                assert_bitwise(slab.probabilities(0), oracle.probabilities(), "oracle");
+                assert_eq!(
+                    slab.max_regret(0, &cfg).to_bits(),
+                    oracle.max_regret(&cfg).to_bits()
+                );
+                let scale = slab.scale[0];
+                if eps == 1.0 {
+                    assert_eq!(scale, 1.0, "stage {s}");
+                    assert_eq!(slab.probabilities(0), &eager.probs[..], "stage {s}");
+                    assert_eq!(slab.max_regret(0, &cfg), eager.max_regret(&cfg), "stage {s}");
+                } else {
+                    assert!(scale.is_normal() && scale >= lazy::RENORM_BELOW, "stage {s}");
+                    for (x, y) in slab.probabilities(0).iter().zip(&eager.probs) {
+                        assert_close(*x, *y, "strategy");
+                    }
+                    assert_close(slab.max_regret(0, &cfg), eager.max_regret(&cfg), "regret");
+                }
+            });
+        }
+    }
+
+    /// 10⁶ stages of one slot against eager decay (ROADMAP item 5): no
+    /// drift beyond 1e-9, `scale` inside its renormalisation band, and
+    /// `S` never non-finite or subnormal. The stream has zero-utility
+    /// stages (lost payloads) and a payoff reversal every 50 000 stages.
+    fn soak(eps: f64) {
+        let cfg = config_eps(6, eps, RecencyMode::Exponential, true);
+        let utility = |s: u64, j: usize| {
+            let best = (s / 50_000) as usize % 6;
+            match (s + j as u64) % 5 {
+                0 => 0.0,
+                _ if j == best => 400.0,
+                r => 35.5 * r as f64,
+            }
+        };
+        run_against_eager(&cfg, 9, 1_000_000, utility, |s, slab, _, eager| {
+            let scale = slab.scale[0];
+            assert!((lazy::RENORM_BELOW..=1.0).contains(&scale), "stage {s}: scale {scale}");
+            for &x in slab.stored(0) {
+                assert!(x == 0.0 || x.is_normal(), "stage {s}: S holds {x:e}");
+            }
+            for (x, y) in slab.probabilities(0).iter().zip(&eager.probs) {
+                assert_close(*x, *y, "strategy");
+            }
+            if s % 997 == 0 {
+                assert_close(slab.max_regret(0, &cfg), eager.max_regret(&cfg), "regret");
+            }
+        });
+    }
+
+    #[test]
+    fn soak_million_stages_eps_0_01() {
+        soak(0.01);
+    }
+
+    #[test]
+    fn soak_million_stages_eps_0_05() {
+        soak(0.05);
+    }
+
+    #[test]
+    fn soak_million_stages_eps_0_5() {
+        soak(0.5);
+    }
+
+    /// Renormalisation multiplies by exact powers of two, so *when* it
+    /// runs is invisible: forcing it at arbitrary stages (which also
+    /// shifts every later natural one) leaves strategies, regrets and the
+    /// materialised proxy entries `to_bits`-identical. The forced stages
+    /// are ≥ 256 apart at `keep = 1/2`, so `scale` stays below 2²⁵⁶ and
+    /// no live entry of `S` comes near the subnormal flush.
+    #[test]
+    fn renormalisation_timing_is_invisible() {
+        let cfg = config_eps(4, FAST_EPS, RecencyMode::Exponential, true);
+        let mut natural = LearnerSlab::new(9);
+        let mut forced = LearnerSlab::new(9);
+        assert_eq!((natural.alloc(4), forced.alloc(4)), (0, 0));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut scratch = Vec::new();
+        let mut split_stages = 0;
+        for s in 0..2000u64 {
+            if [3, 300, 700, 1111, 1500].contains(&s) {
+                forced.force_renormalise(0);
+            }
+            let mut replay = rng.clone();
+            let j = natural.select_action(0, &mut rng);
+            assert_eq!(j, forced.select_action(0, &mut replay), "stage {s}");
+            let u = 20.0 + ((j * 31 + s as usize) % 13) as f64 * 9.0;
+            natural.observe(0, &cfg, u, &mut scratch);
+            forced.observe(0, &cfg, u, &mut scratch);
+            split_stages += u64::from(natural.scale[0] != forced.scale[0]);
+            assert_bitwise(natural.probabilities(0), forced.probabilities(0), "strategy");
+            assert_eq!(
+                natural.max_regret(0, &cfg).to_bits(),
+                forced.max_regret(0, &cfg).to_bits(),
+                "stage {s}"
+            );
+            for j in 0..4 {
+                for k in 0..4 {
+                    assert_eq!(
+                        natural.proxy(0, j, k).to_bits(),
+                        forced.proxy(0, j, k).to_bits(),
+                        "stage {s}: T({j},{k})"
+                    );
+                }
+            }
+        }
+        assert!(split_stages > 500, "T was split differently on {split_stages} stages only");
+    }
+
+    /// Entries a renormalisation would leave subnormal are flushed to zero
+    /// — identically in slab and oracle: action 0 pays 1e-300 ≈ 2⁻⁹⁹⁷, so
+    /// its column is below 2⁻⁷⁶⁶ at a renormalisation unless it was played
+    /// in the ~25 stages before (when `scale < 2⁻²³¹`).
+    #[test]
+    fn tiny_utilities_flush_identically_in_slab_and_oracle() {
+        let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
+        let utility = |_: u64, j: usize| if j == 0 { 1e-300 } else { 100.0 };
+        let mut flushed = false;
+        run_against_eager(&cfg, 3, 3000, utility, |s, slab, oracle, _| {
+            assert_bitwise(slab.probabilities(0), oracle.probabilities(), "oracle");
+            assert_eq!(slab.max_regret(0, &cfg).to_bits(), oracle.max_regret(&cfg).to_bits());
+            for &x in slab.stored(0) {
+                assert!(x == 0.0 || x.is_normal(), "stage {s}: S holds {x:e}");
+            }
+            // Column 0 is played (its bit is set) yet reads all-zero.
+            flushed |= slab.played[0] & 1 == 1 && slab.stored(0)[..3] == [0.0; 3];
+        });
+        assert!(flushed, "no renormalisation ever flushed column 0");
     }
 }

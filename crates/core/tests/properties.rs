@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rths_core::{
     HistoryRths, Learner, LearnerSlab, RecencyMode, RegretMatchingLearner, RthsConfig,
-    RthsLearner, SlabLearner,
+    RthsLearner, RthsState, SlabLearner,
 };
 
 fn arb_config() -> impl Strategy<Value = RthsConfig> {
@@ -21,23 +21,51 @@ fn arb_config() -> impl Strategy<Value = RthsConfig> {
 /// and the conditional-regret flag — the full mode matrix the slab must
 /// replay bit-for-bit.
 fn arb_config_all_modes() -> impl Strategy<Value = RthsConfig> {
-    (2usize..6, 0.005..0.5f64, 0.02..0.5f64, 10.0..10000.0f64, 0usize..3, 0usize..2).prop_map(
-        |(m, eps, delta, mu, mode, cond)| {
-            let recency = match mode {
-                0 => RecencyMode::Exponential,
-                1 => RecencyMode::PaperLiteral,
-                _ => RecencyMode::Uniform,
-            };
-            RthsConfig::builder(m)
-                .epsilon(eps)
-                .delta(delta)
-                .mu(mu)
-                .recency(recency)
-                .conditional(cond == 1)
-                .build()
-                .unwrap()
-        },
+    (2usize..6, 0.005..0.5f64, 0.02..0.5f64, 10.0..10000.0f64, 0usize..3, 0usize..2)
+        .prop_map(all_modes_config)
+}
+
+fn all_modes_config(
+    (m, eps, delta, mu, mode, cond): (usize, f64, f64, f64, usize, usize),
+) -> RthsConfig {
+    let recency = match mode {
+        0 => RecencyMode::Exponential,
+        1 => RecencyMode::PaperLiteral,
+        _ => RecencyMode::Uniform,
+    };
+    RthsConfig::builder(m)
+        .epsilon(eps)
+        .delta(delta)
+        .mu(mu)
+        .recency(recency)
+        .conditional(cond == 1)
+        .build()
+        .unwrap()
+}
+
+/// `(arity, stride)` pairs for the played-mask walks: one and two bitmask
+/// words, `stride == arity` and `stride > arity`, and both row-gather
+/// forms (a stride of at most 8 gathers densely, see `slab.rs`).
+const MASK_GEOMETRIES: [(usize, usize); 7] =
+    [(3, 5), (8, 8), (8, 11), (64, 64), (64, 67), (70, 70), (70, 75)];
+
+/// [`arb_config_all_modes`] at the arities of [`MASK_GEOMETRIES`], with ε
+/// up to 0.95 so that the lazy decay renormalises within a short run
+/// (every 60 stages at the top of the range). Yields the config and the
+/// slab stride to host it in.
+fn arb_mask_geometry_config() -> impl Strategy<Value = (RthsConfig, usize)> {
+    (
+        0..MASK_GEOMETRIES.len(),
+        0.005..0.95f64,
+        0.02..0.5f64,
+        10.0..10000.0f64,
+        0usize..3,
+        0usize..2,
     )
+        .prop_map(|(g, eps, delta, mu, mode, cond)| {
+            let (m, stride) = MASK_GEOMETRIES[g];
+            (all_modes_config((m, eps, delta, mu, mode, cond)), stride)
+        })
 }
 
 proptest! {
@@ -221,6 +249,48 @@ proptest! {
                 slabbed.max_regret().to_bits(),
                 "max_regret diverged at stage {}",
                 s
+            );
+        }
+    }
+
+    #[test]
+    fn slab_mask_walks_replay_oracle_bitwise_on_sparse_played_sets(
+        (cfg, stride) in arb_mask_geometry_config(),
+        seed in any::<u64>(),
+        utilities in prop::collection::vec(-250.0..750.0f64, 40..160),
+    ) {
+        // The slab reads only played columns (row gather and regret
+        // scan); the oracle reads all m². At m = 64/70 a run this short
+        // leaves most columns never played; at m = 3 all of them fill.
+        // Negative utilities make diagonal entries negative, which is
+        // when a never-played (all-zero) column carries the regret max.
+        // Slot 1 of 2, so the mask and column offsets are not slot 0's.
+        let m = cfg.num_actions();
+        let mut slab = LearnerSlab::new(stride);
+        slab.alloc(m);
+        let slot = slab.alloc(m) as usize;
+        let mut oracle = RthsState::new(&cfg);
+        let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut scratch = Vec::new();
+        for (s, &u) in utilities.iter().enumerate() {
+            let a = slab.select_action(slot, &mut rng_a);
+            let b = oracle.select_action(&mut rng_b);
+            prop_assert_eq!(a, b, "m={} action diverged at stage {}", m, s);
+            // Every third stage pays nothing (a lost payload).
+            let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
+            slab.observe(slot, &cfg, u, &mut scratch);
+            oracle.observe(&cfg, u, &mut scratch);
+            for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
+                prop_assert_eq!(
+                    x.to_bits(), y.to_bits(),
+                    "m={} stride={} probs diverged at stage {}", m, stride, s
+                );
+            }
+            prop_assert_eq!(
+                slab.max_regret(slot, &cfg).to_bits(),
+                oracle.max_regret(&cfg).to_bits(),
+                "m={} stride={} max_regret diverged at stage {}", m, stride, s
             );
         }
     }

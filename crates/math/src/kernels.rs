@@ -11,7 +11,7 @@
 /// In-place scale: `xs[i] *= factor` for every entry.
 ///
 /// The batched form of `Matrix::scale` restricted to one column — the
-/// exponential decay `T ← (1−ε)·T` applied column-contiguously.
+/// slab's power-of-two renormalisation of a lazily-decayed T column.
 #[inline]
 pub fn scale(xs: &mut [f64], factor: f64) {
     for x in xs {

@@ -20,7 +20,8 @@ pub enum Counter {
     MessagesDelivered,
     /// Mailbox-ring reallocations (a batch exceeded ring capacity).
     RingGrowEvents,
-    /// Learner-slab columns touched by batched decay/observe kernels.
+    /// Learner-slab T columns rewritten by the batched lazy decay: the
+    /// played columns of the slots it renormalised (zero on most epochs).
     SlabColumnsTouched,
     /// Learner-slab rows recycled from the free list instead of grown.
     FreeListReuse,

@@ -25,7 +25,7 @@ pub enum Phase {
     RateAlloc,
     /// The learners' observe/update phase (includes the regret record).
     Observe,
-    /// Batched learner-slab decay sweep.
+    /// Batched learner-slab lazy decay (one `scale` multiply per slot).
     SlabDecay,
     /// Per-shard learner observe sweep (slab observe kernels plus the
     /// per-peer regret record).

@@ -474,7 +474,7 @@ impl PeerStore {
     /// values — order-insensitive, so bit-identical at any shard count).
     ///
     /// `track_estimate` controls the first element: deriving a learner's
-    /// internal regret estimate is an `O(m²)` scan of its proxy matrix
+    /// internal regret estimate is an `O(played · m)` scan of its proxy matrix
     /// per peer per epoch, so callers that do not record the series (the
     /// multi-channel engine) pass `false` and receive `0.0`.
     #[allow(clippy::too_many_arguments)]
@@ -495,8 +495,10 @@ impl PeerStore {
         Self::prepare_scratch(scratch, shards, 0);
         // With the default algorithm in exponential-recency mode, every
         // slab slot observes exactly once per phase, so the per-observe
-        // T-decay hoists into one batched column sweep per shard
-        // (bit-identical — pinned by the slab's oracle tests).
+        // T-decay hoists into one batched pass per shard (bit-identical —
+        // pinned by the slab's oracle tests). The decay is lazy: the pass
+        // multiplies one `scale` per slot and touches T columns only for
+        // the slots it renormalises (once in 256·ln 2 / ε epochs each).
         let batch_decay = matches!(self.spec.algorithm, Algorithm::Rths)
             && self.configs[0].recency() == RecencyMode::Exponential;
         let keep = 1.0 - self.configs[0].epsilon();
