@@ -65,7 +65,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fault;
 pub mod machines;
 pub mod message;
 pub mod multiproc;
@@ -74,7 +73,6 @@ pub mod runtime;
 pub mod tracker;
 pub mod wire;
 
-pub use fault::FaultPlan;
 pub use message::{CoordMsg, HelperMsg, PeerMsg};
 pub use multiproc::{run_multiproc, run_multiproc_with_span, MultiprocReport};
 // Re-exported so `with_impairments` callers don't need an `rths_sim`

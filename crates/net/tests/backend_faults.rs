@@ -8,10 +8,10 @@
 //! level (lossy reactor runs reproduce lossy threaded runs bit-for-bit),
 //! and at the boundary (full loss starves everyone on both backends).
 //!
-//! Loss plans are built with `ImpairmentPlan::builder` directly; the
-//! uniform-loss model replicates the legacy `FaultPlan` hash stream
-//! bit-for-bit (asserted by `rths_sim::impairment`'s compatibility
-//! tests), so these runs reproduce the pre-migration ones exactly.
+//! Loss plans are built with `ImpairmentPlan::builder`; the uniform-loss
+//! model keeps the hash stream of the fault plan this crate used to
+//! carry (pinned by golden vectors in `rths_sim::impairment`'s tests), so
+//! these runs reproduce the pre-migration ones exactly.
 
 use rths_core::Learner;
 use rths_net::machines::{HelperMachine, PeerMachine};

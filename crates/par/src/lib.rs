@@ -23,11 +23,9 @@
 //! Unset, unparsable, or `1` means **inline sequential execution on the
 //! calling thread** — no threads are spawned at all, which keeps CI and
 //! the golden tests on the exact code path the paper reproduction was
-//! pinned on.
-//! For the fine-grained primitives, inputs smaller than
-//! [`MIN_PARALLEL_ITEMS`] also run inline: below that, spawn overhead
-//! dwarfs the work and single-channel test systems with a handful of
-//! peers would pay for threads they cannot use.
+//! pinned on. Callers with fine-grained per-entity items also keep small
+//! inputs inline by capping their shard request with
+//! [`MIN_ITEMS_PER_WORKER`].
 //!
 //! Regions **nest without multiplying**: a primitive called from inside a
 //! worker runs inline on that worker, so when the bench harness already
@@ -50,14 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod env;
-
-/// For the fine-grained per-entity primitives ([`par_chunks_mut`],
-/// [`par_zip_mut`]), inputs with fewer items than this run inline even
-/// when `RTHS_THREADS` asks for parallelism: thread spawn costs tens of
-/// microseconds, which only pays off once each worker has a meaningful
-/// slice of work. [`par_map`] is the coarse-task primitive (whole
-/// simulation runs, one per seed) and has no such cutoff.
-pub const MIN_PARALLEL_ITEMS: usize = 64;
 
 /// Advisory sequential cutoff for *sharded per-entity phases*: spawning
 /// a worker only pays off once its contiguous shard holds at least this
@@ -175,14 +165,6 @@ fn region_threads() -> usize {
     }
 }
 
-/// Workers to actually use for `len` items (respects the inline cutoffs).
-fn workers_for(len: usize) -> usize {
-    if len < MIN_PARALLEL_ITEMS {
-        return 1;
-    }
-    region_threads().min(len).max(1)
-}
-
 /// Balanced contiguous `(start, end)` ranges covering `0..len` in order.
 fn chunk_ranges(len: usize, parts: usize) -> Vec<(usize, usize)> {
     let base = len / parts;
@@ -220,7 +202,7 @@ fn join_all<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
 ///
 /// This is the **coarse-task** primitive — each item is assumed to carry
 /// substantial work (e.g. one full simulation run per seed), so it
-/// parallelizes even tiny inputs; [`MIN_PARALLEL_ITEMS`] does not apply.
+/// parallelizes even tiny inputs.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -256,106 +238,6 @@ where
         }
     });
     out
-}
-
-/// Runs `f(offset, chunk)` on disjoint contiguous chunks of `items`, one
-/// chunk per worker. `offset` is the index of `chunk[0]` within `items`.
-///
-/// Sequential fallback calls `f(0, items)` once (and not at all on empty
-/// input), so `f` must not depend on *how* the slice is partitioned —
-/// only on which absolute indices it receives, which are always `0..len`
-/// exactly once.
-pub fn par_chunks_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    let workers = workers_for(items.len());
-    if workers <= 1 {
-        f(0, items);
-        return;
-    }
-    let ranges = chunk_ranges(items.len(), workers);
-    let (first, mut rest) = items.split_at_mut(ranges[0].1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len() - 1);
-        for &(start, end) in &ranges[1..] {
-            let (chunk, tail) = rest.split_at_mut(end - start);
-            rest = tail;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let _guard = WorkerGuard::enter();
-                f(start, chunk)
-            }));
-        }
-        // The calling thread works chunk 0 itself instead of parking.
-        {
-            let _guard = WorkerGuard::enter();
-            f(0, first);
-        }
-        join_all(handles);
-    });
-}
-
-/// Runs `f(index, &mut a[index], &mut b[index])` for every index, with
-/// both slices partitioned at the same contiguous boundaries.
-///
-/// This is the simulator's workhorse: `a` holds the entities (peers), `b`
-/// an index-aligned scratch output slot per entity, so a parallel phase
-/// can mutate each entity and record its per-entity result without any
-/// shared accumulator — order-sensitive reductions then happen
-/// sequentially over `b` in index order.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn par_zip_mut<A, B, F>(a: &mut [A], b: &mut [B], f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut A, &mut B) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "par_zip_mut slices must be index-aligned");
-    if a.is_empty() {
-        return;
-    }
-    let workers = workers_for(a.len());
-    if workers <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-        return;
-    }
-    let ranges = chunk_ranges(a.len(), workers);
-    let (first_a, mut rest_a) = a.split_at_mut(ranges[0].1);
-    let (first_b, mut rest_b) = b.split_at_mut(ranges[0].1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len() - 1);
-        for &(start, end) in &ranges[1..] {
-            let (chunk_a, tail_a) = rest_a.split_at_mut(end - start);
-            let (chunk_b, tail_b) = rest_b.split_at_mut(end - start);
-            rest_a = tail_a;
-            rest_b = tail_b;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let _guard = WorkerGuard::enter();
-                for (i, (x, y)) in chunk_a.iter_mut().zip(chunk_b.iter_mut()).enumerate() {
-                    f(start + i, x, y);
-                }
-            }));
-        }
-        // The calling thread works chunk 0 itself instead of parking.
-        {
-            let _guard = WorkerGuard::enter();
-            for (i, (x, y)) in first_a.iter_mut().zip(first_b.iter_mut()).enumerate() {
-                f(i, x, y);
-            }
-        }
-        join_all(handles);
-    });
 }
 
 /// A bundle of mutable columns that can be split at the same item
@@ -616,70 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_run_inline_for_fine_grained_primitives() {
-        // Below MIN_PARALLEL_ITEMS the calling thread does all the work,
-        // so a thread-identity probe sees only one thread.
-        let mut items = vec![0u8; MIN_PARALLEL_ITEMS - 1];
-        let mut ids = vec![None; MIN_PARALLEL_ITEMS - 1];
-        with_threads(8, || {
-            par_zip_mut(&mut items, &mut ids, |_, _, id| {
-                *id = Some(std::thread::current().id());
-            });
-        });
-        assert!(ids.iter().all(|&id| id == Some(std::thread::current().id())));
-    }
-
-    #[test]
     fn par_map_parallelizes_small_inputs() {
         // Coarse tasks fan out even when there are only a few of them
-        // (e.g. ten seeds): no MIN_PARALLEL_ITEMS cutoff.
+        // (e.g. ten seeds): no small-input cutoff.
         let items = [0u8; 4];
         let ids = with_threads(4, || par_map(&items, |_, _| std::thread::current().id()));
         assert!(ids.iter().any(|&id| id != std::thread::current().id()));
-    }
-
-    #[test]
-    fn par_chunks_mut_visits_every_index_once() {
-        let mut data = vec![0u32; 500];
-        with_threads(4, || {
-            par_chunks_mut(&mut data, |offset, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot += (offset + i) as u32;
-                }
-            });
-        });
-        let expected: Vec<u32> = (0..500).collect();
-        assert_eq!(data, expected);
-    }
-
-    #[test]
-    fn par_chunks_mut_empty_input() {
-        let mut data: Vec<u32> = Vec::new();
-        with_threads(4, || par_chunks_mut(&mut data, |_, _| panic!("must not be called")));
-    }
-
-    #[test]
-    fn par_zip_mut_aligns_slices() {
-        let mut a: Vec<u64> = (0..777).collect();
-        let mut b = vec![0u64; 777];
-        with_threads(3, || {
-            par_zip_mut(&mut a, &mut b, |i, x, y| {
-                *x += 1;
-                *y = *x + i as u64;
-            });
-        });
-        for (i, (&x, &y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x, i as u64 + 1);
-            assert_eq!(y, 2 * i as u64 + 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "index-aligned")]
-    fn par_zip_mut_rejects_length_mismatch() {
-        let mut a = [1u8, 2];
-        let mut b = [1u8];
-        par_zip_mut(&mut a, &mut b, |_, _, _| {});
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Multi-channel systems (PPLive, UUSee — the paper's motivating
 //! deployments) stream many live channels simultaneously; peers watch one
 //! channel at a time and channel popularity is Zipf-distributed. The
-//! single-channel evaluation of §IV uses one implicit channel; the
-//! multi-channel extension ([`crate::multichannel`]) uses these
-//! descriptors.
+//! single-channel evaluation of §IV uses one implicit channel; K-channel
+//! deployments ([`crate::multichannel`]) use these descriptors.
 
 /// A live video channel.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,7 +8,8 @@
 //! [`ImpairmentPlan`] describes those effects declaratively:
 //!
 //! * [`LossModel`] — data-plane payload loss, either the legacy uniform
-//!   model (bit-compatible with `rths_net`'s `FaultPlan`) or a per-link
+//!   model (the hash stream of the fault plan `rths_net` used to carry,
+//!   pinned by literal vectors in this module's tests) or a per-link
 //!   **Gilbert–Elliott** two-state burst process;
 //! * [`TokenBucketSpec`] — a per-peer token bucket shaping delivered
 //!   rates (an ISP-style rate limiter: bursts pass, sustained overuse is
@@ -114,7 +115,7 @@ pub enum LossModel {
     /// No loss. **Default.**
     #[default]
     None,
-    /// Uniform per-(peer, epoch) loss — the legacy `FaultPlan` model,
+    /// Uniform per-(peer, epoch) loss — the legacy fault-plan model,
     /// bit-compatible with its hash stream (the link's helper does not
     /// enter the draw).
     Uniform {
@@ -194,7 +195,7 @@ pub struct ImpairmentPlanBuilder {
 }
 
 impl ImpairmentPlanBuilder {
-    /// Uniform (legacy `FaultPlan`-compatible) loss with probability
+    /// Uniform (legacy fault-plan-compatible) loss with probability
     /// `loss`.
     #[must_use]
     pub fn uniform_loss(mut self, loss: f64) -> Self {
@@ -460,7 +461,7 @@ impl ImpairmentPlan {
     }
 
     /// Adds uniform timing jitter up to `jitter_us` µs per message
-    /// (infallible: mirrors `FaultPlan::with_jitter`).
+    /// (infallible).
     #[must_use]
     pub fn with_jitter(mut self, jitter_us: u64) -> Self {
         self.jitter_us = jitter_us;
@@ -469,7 +470,7 @@ impl ImpairmentPlan {
 
     /// Whether the payload on link `(peer, helper)` is lost at `epoch`.
     /// Pure in `(seed, peer, helper, epoch)`. The uniform model ignores
-    /// `helper` — it reproduces the legacy `FaultPlan` hash stream
+    /// `helper` — it reproduces the legacy fault-plan hash stream
     /// bit-for-bit.
     pub fn is_lost(&self, peer: u64, helper: usize, epoch: u64) -> bool {
         match self.loss {
@@ -521,7 +522,7 @@ impl ImpairmentPlan {
     }
 
     /// The deterministic delivery delay for `(actor, epoch)`: the legacy
-    /// uniform jitter draw (bit-compatible with `FaultPlan`) plus the
+    /// uniform jitter draw (the legacy fault-plan stream) plus the
     /// Markov-modulated latency level. The threaded backend sleeps this
     /// many µs before processing a tick; the reactor delays the tick's
     /// delivery by the same number of logical ticks. Either way the
@@ -633,8 +634,8 @@ mod tests {
 
     #[test]
     fn uniform_loss_matches_legacy_fault_hash() {
-        // The legacy FaultPlan formula, replicated literally: migrating
-        // with_faults → with_impairments must not change a single drop.
+        // The legacy fault-plan formula, replicated literally: configs
+        // migrated from it must not change a single drop.
         let seed = 42u64;
         let loss = 0.3;
         let plan = ImpairmentPlan::builder(seed).uniform_loss(loss).build().unwrap();
@@ -656,6 +657,32 @@ mod tests {
             let h = derive_seed(9 ^ 0xDEAD_BEEF, derive_seed(actor, 5));
             assert_eq!(plan.jitter_ticks(actor, 5), h % 200);
         }
+    }
+
+    #[test]
+    fn legacy_fault_plan_golden_vectors() {
+        // `(peer, epoch) → (lost, jitter ticks)` recorded from
+        // `rths_net::FaultPlan::with_loss(0.35, 99).with_jitter(250)`
+        // before that module was deleted: lossy configs written against
+        // it keep reproducing their runs bit-for-bit.
+        let plan =
+            ImpairmentPlan::builder(99).uniform_loss(0.35).build().unwrap().with_jitter(250);
+        for (peer, epoch, lost, jitter) in [
+            (0u64, 0u64, false, 153u64),
+            (2, 1, true, 177),
+            (7, 13, false, 157),
+            (3, 5, true, 66),
+            (11, 64, false, 180),
+            (42, 999, false, 80),
+            (5000, 123_456, true, 132),
+            (u64::MAX, 2, false, 18),
+        ] {
+            assert_eq!(plan.is_lost(peer, 0, epoch), lost, "loss at ({peer}, {epoch})");
+            assert_eq!(plan.jitter_ticks(peer, epoch), jitter, "jitter at ({peer}, {epoch})");
+        }
+        // The boundary probabilities never consult the hash.
+        let always = ImpairmentPlan::builder(7).uniform_loss(1.0).build().unwrap();
+        assert!(always.is_lost(3, 0, 9));
     }
 
     #[test]

@@ -1,26 +1,38 @@
 //! Discrete-time simulator of a helper-assisted P2P live-streaming system.
 //!
 //! This crate is the evaluation substrate for the RTHS reproduction: it
-//! models the full system of paper §IV — streaming **server**, **helpers**
-//! with Markov-modulated upload bandwidth, **peers** running decentralized
-//! learners with only local information, per-peer streaming **demand**,
-//! peer **churn**, and (as the paper's future-work extension) multiple
-//! **channels** with per-helper bandwidth allocation.
+//! models the paper's system — streaming **server**, **helpers** with
+//! Markov-modulated upload bandwidth balanced across the **channels**
+//! they serve, **peers** running decentralized learners with only local
+//! information, per-viewer streaming **demand**, and peer **churn**.
+//!
+//! There is **one engine, K channels**: [`System`] runs the epoch
+//! pipeline below for any number of channels. [`System::new`] builds the
+//! K = 1 configuration from a [`SimConfig`] (the single-channel
+//! evaluation of §IV); [`MultiChannelSystem::new`] builds a K-channel
+//! deployment from a [`MultiChannelConfig`] and reports it per channel.
+//! Helper-level *learned* allocation ([`AllocationPolicy::Learned`]) is
+//! the one piece that goes beyond the paper — its stated future work.
 //!
 //! Per epoch the engine:
 //!
 //! 1. advances every helper's bandwidth process (the paper's slowly
 //!    changing `[700, 800, 900]` chain by default);
 //! 2. applies churn (Poisson joins, geometric departures);
-//! 3. lets every peer select a helper by sampling its learner's mixed
-//!    strategy — peers never see other peers' actions or payoffs;
-//! 4. splits each helper's capacity evenly over its connected peers and
-//!    delivers `min(demand, share)` to each;
-//! 5. feeds realized rates back to the learners (bandit feedback);
-//! 6. routes every peer's residual demand to the streaming server
+//! 3. lets every peer select a helper of its channel by sampling its
+//!    learner's mixed strategy — peers never see other peers' actions or
+//!    payoffs;
+//! 4. splits each helper's capacity over the channels it serves (the
+//!    [`AllocationPolicy`]; with one channel, all of it), then each
+//!    channel budget evenly over the connected viewers;
+//! 5. shapes the offered rates through the link impairments, if any
+//!    (loss, link caps, token buckets);
+//! 6. delivers `min(demand, share)` and feeds the realized rates back to
+//!    the learners (bandit feedback);
+//! 7. routes every peer's residual demand to the streaming server
 //!    (`server load = Σ_i max(0, d_i − r_i)`, Fig. 5);
-//! 7. records metrics (regret, welfare, loads, fairness, server load,
-//!    helper-switch counts).
+//! 8. records metrics (regret, welfare, loads, fairness, server load,
+//!    helper-switch counts) into one [`SimMetrics`].
 //!
 //! # Example
 //!

@@ -1,31 +1,36 @@
-//! Multi-channel extension (the paper's stated future work).
+//! Multi-channel policy: what a K > 1 deployment adds to the engine.
 //!
-//! §V: "Our future work is to extend the RTHS to the problem of joint
-//! bandwidth allocation in the helper level to the video channels and
-//! helper selection in the peer level." This module implements exactly
-//! that two-level system:
+//! The paper's setting is a multi-channel system — every helper serves a
+//! subset of channels and balances its (stochastic) upload capacity
+//! across them, while every viewer runs an RTHS learner over the helpers
+//! serving *its* channel with bandit feedback. [`crate::System`] runs
+//! that two-level pipeline for any K; this module holds only what is
+//! genuinely multi-channel *policy*:
 //!
-//! * **Helper level** — each helper serves a subset of channels and
-//!   splits its (stochastic) capacity across them per an
-//!   [`AllocationPolicy`];
-//! * **Peer level** — every viewer runs an RTHS learner whose action set
-//!   is the helpers serving *its* channel, with bandit feedback, exactly
-//!   as in the single-channel system.
-//!
-//! Channel popularity is Zipf-distributed by default
-//! ([`MultiChannelConfig::zipf_population`]), matching measurements of
-//! deployed multi-channel systems.
+//! * [`AllocationPolicy`] — how a helper splits capacity over the
+//!   channels it serves. The three informed/static policies are the
+//!   paper's setting; [`AllocationPolicy::Learned`] (per-helper RTHS
+//!   learners over split templates, [`HelperAllocator`]) is the one
+//!   future-work extension of §V: "extend the RTHS to the problem of
+//!   joint bandwidth allocation in the helper level to the video channels
+//!   and helper selection in the peer level";
+//! * [`MultiChannelConfig`] — channels, the helper → channels map and the
+//!   initial audience (Zipf-distributed by default,
+//!   [`MultiChannelConfig::zipf_population`], matching measurements of
+//!   deployed systems);
+//! * [`MultiChannelSystem`] — the constructor from that configuration
+//!   plus the per-channel [`MultiChannelOutcome`] view over the engine.
 
 use rths_core::{ConvergenceSeries, Learner};
-use rths_obs::{self as obs, Phase};
-use rths_stoch::rng::{entity_rng, seeded_rng};
+use rths_stoch::process::ChurnProcess;
+use rths_stoch::rng::entity_rng;
 use rths_stoch::Zipf;
 
 use crate::channel::Channel;
 use crate::config::{BandwidthSpec, LearnerSpec};
-use crate::helper::{Helper, HelperId};
-use crate::server::StreamingServer;
-use crate::store::{PeerStore, ShardScratch};
+use crate::helper::Helper;
+use crate::impairment::ImpairmentPlan;
+use crate::system::{Blueprint, System};
 
 /// How a helper divides its upload capacity among the channels it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,7 +70,7 @@ impl AllocationPolicy {
     /// # Panics
     ///
     /// Panics for [`AllocationPolicy::Learned`], whose splits are chosen
-    /// by per-helper learners inside [`MultiChannelSystem`].
+    /// by per-helper learners inside the engine.
     pub fn split(&self, cap: f64, loads: &[usize], bitrates: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(loads.len());
         self.split_into(cap, loads, bitrates, &mut out);
@@ -74,7 +79,7 @@ impl AllocationPolicy {
 
     /// Allocation-free variant of [`split`](Self::split): appends the
     /// per-channel bandwidths to `out` (cleared first), reusing its
-    /// capacity — the per-epoch path of [`MultiChannelSystem`].
+    /// capacity — the engine's per-epoch path.
     ///
     /// # Panics
     ///
@@ -88,7 +93,7 @@ impl AllocationPolicy {
         }
         match self {
             AllocationPolicy::Learned => {
-                panic!("learned allocation is resolved by MultiChannelSystem, not split()")
+                panic!("learned allocation is resolved by the engine, not split()")
             }
             AllocationPolicy::EvenSplit => out.resize(k, cap / k as f64),
             AllocationPolicy::LoadProportional => {
@@ -241,7 +246,7 @@ fn mean_helper_capacity(helpers: &[Helper]) -> f64 {
 /// (classic two-timescale learning for coupled games). Feedback is the
 /// helper's own mean delivered throughput over the window.
 #[derive(Debug)]
-struct HelperAllocator {
+pub(crate) struct HelperAllocator {
     learner: crate::config::AnyLearner,
     templates: Vec<Vec<f64>>,
     rng: rand::rngs::StdRng,
@@ -253,9 +258,40 @@ struct HelperAllocator {
 }
 
 impl HelperAllocator {
+    /// One allocator per helper over the split templates of the channels
+    /// it serves. `spec` overrides the default learner, which is tuned
+    /// for the helper's utility scale (`μ` = mean helper capacity). RNG
+    /// stream ids sit between the viewers' and the helpers' own.
+    pub(crate) fn for_helpers(
+        helpers: &[Helper],
+        helper_channels: &[Vec<usize>],
+        spec: Option<&LearnerSpec>,
+        seed: u64,
+    ) -> Vec<Self> {
+        let mean_capacity = mean_helper_capacity(helpers);
+        let spec = spec.cloned().unwrap_or(LearnerSpec {
+            epsilon: 0.05,
+            delta: 0.1,
+            mu: Some(mean_capacity),
+            ..LearnerSpec::default()
+        });
+        helper_channels
+            .iter()
+            .enumerate()
+            .map(|(j, served)| {
+                let templates = split_templates(served.len());
+                let learner = spec
+                    .instantiate(templates.len(), mean_capacity)
+                    .expect("validated learner spec");
+                let rng = entity_rng(seed, crate::helper::HELPER_STREAM_BASE / 2 + j as u64);
+                Self { learner, templates, rng, window: 100, current: 0, acc: 0.0, count: 0 }
+            })
+            .collect()
+    }
+
     /// The template weights to use this epoch (advances the learner at
     /// window boundaries).
-    fn weights(&mut self) -> &[f64] {
+    pub(crate) fn weights(&mut self) -> &[f64] {
         if self.count == 0 {
             self.current = self.learner.select_action(&mut self.rng);
         }
@@ -264,7 +300,7 @@ impl HelperAllocator {
 
     /// Records this epoch's delivered throughput; closes the window when
     /// due.
-    fn record(&mut self, delivered: f64) {
+    pub(crate) fn record(&mut self, delivered: f64) {
         self.acc += delivered;
         self.count += 1;
         if self.count >= self.window {
@@ -300,73 +336,12 @@ fn split_templates(channels: usize) -> Vec<Vec<f64>> {
     out
 }
 
-/// Reusable per-epoch buffers, hoisted out of
-/// [`MultiChannelSystem::step_epoch`] so steady-state epochs allocate
-/// nothing. Matrices over (helper, channel) are stored flattened row-major
-/// (`index = helper * num_channels + channel`).
-#[derive(Debug, Default)]
-struct McScratch {
-    /// Local action (index into the channel's helper list) per peer.
-    locals: Vec<u32>,
-    /// Global helper index per peer.
-    globals: Vec<u32>,
-    /// Viewers of channel `c` connected to helper `j`, flattened (merged
-    /// from the per-shard histograms in shard order).
-    loads: Vec<usize>,
-    /// Bandwidth helper `j` assigns to channel `c`, flattened.
-    bandwidth: Vec<f64>,
-    /// Per-helper split inputs/outputs (reused across helpers).
-    served_loads: Vec<usize>,
-    served_rates: Vec<f64>,
-    split: Vec<f64>,
-    /// Counterfactual join rates, grouped per channel: channel `c`'s
-    /// rates live at `join_rates[join_offsets[c]..join_offsets[c + 1]]`.
-    join_offsets: Vec<usize>,
-    join_rates: Vec<f64>,
-    /// Delivered rate per peer.
-    delivered: Vec<f64>,
-    /// Unmet demand per peer.
-    residuals: Vec<f64>,
-    /// Throughput delivered via each helper.
-    helper_delivered: Vec<f64>,
-    /// Per-shard thread-affine scratch.
-    shards: Vec<ShardScratch>,
-}
-
-/// The two-level multi-channel system.
+/// A K-channel deployment: the engine built from a
+/// [`MultiChannelConfig`], reported per channel. It owns nothing but the
+/// [`System`] and derefs to it — every epoch is [`System::step_epoch`].
+#[derive(Debug)]
 pub struct MultiChannelSystem {
-    config: MultiChannelConfig,
-    /// Per-channel bitrates, cached from `config.channels` (channels are
-    /// immutable for the lifetime of a system).
-    bitrates: Vec<f64>,
-    helpers: Vec<Helper>,
-    /// Per-helper allocation learners (only for
-    /// [`AllocationPolicy::Learned`]).
-    helper_learners: Vec<Option<HelperAllocator>>,
-    /// Viewers in the sharded SoA store, grouped by channel at
-    /// construction (learner action = index into the channel's helper
-    /// list).
-    peers: PeerStore,
-    /// `channel_helpers[c]` — global helper indices serving channel `c`.
-    channel_helpers: Vec<Vec<usize>>,
-    server: StreamingServer,
-    epoch: u64,
-    welfare: ConvergenceSeries,
-    server_load: ConvergenceSeries,
-    worst_empirical_regret: ConvergenceSeries,
-    channel_rate_sums: Vec<f64>,
-    scratch: McScratch,
-}
-
-impl std::fmt::Debug for MultiChannelSystem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiChannelSystem")
-            .field("epoch", &self.epoch)
-            .field("channels", &self.config.channels.len())
-            .field("helpers", &self.helpers.len())
-            .field("viewers", &self.peers.len())
-            .finish()
-    }
+    engine: System,
 }
 
 impl MultiChannelSystem {
@@ -378,376 +353,95 @@ impl MultiChannelSystem {
     /// [`MultiChannelConfig`] invariants).
     pub fn new(config: MultiChannelConfig) -> Self {
         config.validate();
-        let mut master_rng = seeded_rng(config.seed);
-        let helpers: Vec<Helper> = config
-            .helpers
-            .iter()
-            .enumerate()
-            .map(|(j, spec)| {
-                Helper::with_seed(
-                    HelperId(j as u32),
-                    spec.instantiate(&mut master_rng),
-                    config.seed,
-                )
-            })
-            .collect();
-        let k = config.channels.len();
-        let mut channel_helpers = vec![Vec::new(); k];
-        for (j, chans) in config.helper_channels.iter().enumerate() {
-            for &c in chans {
-                channel_helpers[c].push(j);
-            }
-        }
         // Rate scale for μ derivation: the system-wide fair share,
         // capped by the smallest channel bitrate.
-        let total_cap: f64 = helpers.iter().map(|h| h.mean_capacity().unwrap_or(800.0)).sum();
         let total_viewers: usize = config.viewers.iter().sum();
         let min_bitrate =
             config.channels.iter().map(Channel::bitrate).fold(f64::INFINITY, f64::min);
-        let rate_scale = (total_cap / total_viewers.max(1) as f64).min(min_bitrate);
-        let actions_per_channel: Vec<usize> =
-            channel_helpers.iter().map(|chans| chans.len()).collect();
-        let mut peers = PeerStore::new(
-            config.seed,
-            config.learner.clone(),
-            rate_scale,
-            &actions_per_channel,
-        );
-        peers.reserve(total_viewers);
-        for (c, &count) in config.viewers.iter().enumerate() {
-            for _ in 0..count {
-                peers.spawn(c, 0);
-            }
-        }
-        let channel_rate_sums = vec![0.0; k];
-        // Helper-level allocation learners (future-work extension): one
-        // RTHS learner per helper over its split templates, fed by its own
-        // delivered throughput. Stream ids continue after the viewers'.
-        let helper_learners = if config.allocation == AllocationPolicy::Learned {
-            config
-                .helper_channels
-                .iter()
-                .enumerate()
-                .map(|(j, served)| {
-                    let templates = split_templates(served.len());
-                    let spec = config.helper_learner.clone().unwrap_or(LearnerSpec {
-                        epsilon: 0.05,
-                        delta: 0.1,
-                        mu: Some(mean_helper_capacity(&helpers)),
-                        ..LearnerSpec::default()
-                    });
-                    let learner = spec
-                        .instantiate(templates.len(), mean_helper_capacity(&helpers))
-                        .expect("validated learner spec");
-                    let rng = entity_rng(
-                        config.seed,
-                        crate::helper::HELPER_STREAM_BASE / 2 + j as u64,
-                    );
-                    Some(HelperAllocator {
-                        learner,
-                        templates,
-                        rng,
-                        window: 100,
-                        current: 0,
-                        acc: 0.0,
-                        count: 0,
-                    })
-                })
-                .collect()
-        } else {
-            (0..helpers.len()).map(|_| None).collect()
+        let rate_scale = |helpers: &[Helper]| {
+            let total_cap: f64 =
+                helpers.iter().map(|h| h.mean_capacity().unwrap_or(800.0)).sum();
+            (total_cap / total_viewers.max(1) as f64).min(min_bitrate)
         };
-        Self {
-            helper_learners,
-            bitrates: config.channels.iter().map(Channel::bitrate).collect(),
-            config,
-            helpers,
-            peers,
-            channel_helpers,
-            server: StreamingServer::new(),
-            epoch: 0,
-            welfare: ConvergenceSeries::new("welfare"),
-            server_load: ConvergenceSeries::new("server_load"),
-            worst_empirical_regret: ConvergenceSeries::new("worst_empirical_regret"),
-            channel_rate_sums,
-            scratch: McScratch::default(),
-        }
+        let engine = System::assemble(
+            Blueprint {
+                seed: config.seed,
+                helpers: config.helpers,
+                helper_channels: config.helper_channels,
+                demands: config.channels.iter().map(|c| Some(c.bitrate())).collect(),
+                viewers: config.viewers,
+                allocation: config.allocation,
+                learner: config.learner,
+                helper_learner: config.helper_learner,
+                churn: ChurnProcess::none(),
+                impairment: ImpairmentPlan::none(),
+                diagnostics: false,
+                record_joint_from: 0,
+                record_peer_rates: false,
+            },
+            rate_scale,
+        );
+        Self { engine }
     }
 
-    /// Viewers currently online.
-    pub fn num_viewers(&self) -> usize {
-        self.peers.len()
-    }
-
-    /// The sharded SoA peer store (stable ids, per-peer accounting).
-    pub fn peers(&self) -> &PeerStore {
-        &self.peers
-    }
-
-    /// Pins the peer-store shard count (tests/benches); `None` restores
-    /// the default derived from [`rths_par::threads`]. Results are
-    /// bit-identical at any setting.
-    pub fn set_shards(&mut self, shards: Option<usize>) {
-        self.peers.set_shards(shards);
-    }
-
-    /// Current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Moves `count` viewers from one channel to another (popularity
-    /// shift). Viewers keep their identity but restart their learners on
-    /// the new channel's helper set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either channel id is unknown.
-    pub fn migrate_viewers(&mut self, from: usize, to: usize, count: usize) {
-        let k = self.config.channels.len();
-        assert!(from < k && to < k, "unknown channel");
-        let mut moved = 0;
-        for slot in 0..self.peers.len() {
-            if moved == count {
-                break;
-            }
-            if self.peers.channel(slot) == from {
-                self.peers.set_channel(slot, to);
-                moved += 1;
-            }
-        }
+    /// Unwraps the engine, e.g. to drive it through
+    /// [`WorkloadPhase`](crate::WorkloadPhase)s.
+    pub fn into_engine(self) -> System {
+        self.engine
     }
 
     /// Runs `epochs` epochs, returning cumulative results.
     pub fn run(&mut self, epochs: u64) -> MultiChannelOutcome {
         for _ in 0..epochs {
-            self.step_epoch();
+            self.engine.step_epoch();
         }
         self.outcome()
     }
 
-    fn step_epoch(&mut self) {
-        let h = self.helpers.len();
-        let k = self.config.channels.len();
-        // Observability (bit-exact neutral — see `rths_obs` docs): tag
-        // the epoch and span the pipeline phases.
-        let ep = self.epoch;
-        if obs::enabled() {
-            obs::set_epoch(ep);
-        }
-        let t_epoch = obs::span_start();
-        let t = obs::span_start();
-        for helper in &mut self.helpers {
-            helper.step();
-        }
-        if let Some(t) = t {
-            obs::span_end(Phase::HelperDynamics, ep, t);
-        }
-
-        let n = self.peers.len();
-        let bitrates = &self.bitrates;
-        let channel_helpers = &self.channel_helpers;
-        let McScratch {
-            locals,
-            globals,
-            loads,
-            bandwidth,
-            served_loads,
-            served_rates,
-            split,
-            join_offsets,
-            join_rates,
-            delivered,
-            residuals,
-            helper_delivered,
-            shards,
-        } = &mut self.scratch;
-
-        // Peer-level helper selection (local action index into the
-        // channel's helper list), shard-parallel over the peer store:
-        // each peer samples from its own RNG stream, so the profile is
-        // independent of the shard partition. Each shard accumulates its
-        // own loads[j*k + c] histogram (viewers of channel c connected to
-        // helper j) and resolves the global helper index into `globals`;
-        // the histograms merge in shard order (integer counts).
-        // resize without clear: the phase writes every slot of both
-        // columns, so no per-epoch memset is needed.
-        locals.resize(n, 0);
-        globals.resize(n, 0);
-        let t = obs::span_start();
-        self.peers.choose_phase(
-            locals,
-            globals,
-            loads,
-            h * k,
-            shards,
-            |_, local, c, global_slot, loads| {
-                let global = channel_helpers[c as usize][local as usize];
-                *global_slot = global as u32;
-                loads[global * k + c as usize] += 1;
-            },
-        );
-        if let Some(t) = t {
-            obs::span_end(Phase::Choose, ep, t);
-        }
-
-        // Helper-level bandwidth allocation across channels.
-        let t = obs::span_start();
-        bandwidth.clear();
-        bandwidth.resize(h * k, 0.0);
-        for j in 0..h {
-            let served = &self.config.helper_channels[j];
-            match &mut self.helper_learners[j] {
-                Some(alloc) => {
-                    // RTHS at the helper level, on a slower timescale:
-                    // the current template is held for a window of epochs
-                    // before being scored (see HelperAllocator).
-                    let cap = self.helpers[j].capacity();
-                    split.clear();
-                    split.extend(alloc.weights().iter().map(|w| w * cap));
-                }
-                None => {
-                    served_loads.clear();
-                    served_loads.extend(served.iter().map(|&c| loads[j * k + c]));
-                    served_rates.clear();
-                    served_rates.extend(served.iter().map(|&c| bitrates[c]));
-                    self.config.allocation.split_into(
-                        self.helpers[j].capacity(),
-                        served_loads,
-                        served_rates,
-                        split,
-                    );
-                }
-            }
-            for (idx, &c) in served.iter().enumerate() {
-                bandwidth[j * k + c] = split[idx];
-            }
-        }
-
-        // Counterfactual join rates, grouped per channel: they depend
-        // only on the channel (loads count the incumbent peers), so one
-        // evaluation serves every viewer of the channel — the sequential
-        // engine used to rebuild this vector per peer, per epoch.
-        join_offsets.clear();
-        join_rates.clear();
-        join_offsets.push(0);
-        for c in 0..k {
-            let d = bitrates[c];
-            join_rates.extend(self.channel_helpers[c].iter().map(|&jj| {
-                let n_joined = loads[jj * k + c] + 1;
-                (bandwidth[jj * k + c] / n_joined as f64).min(d)
-            }));
-            join_offsets.push(join_rates.len());
-        }
-        if let Some(t) = t {
-            obs::span_end(Phase::RateAlloc, ep, t);
-        }
-
-        // Delivery and bandit feedback (shard-parallel). Each peer's rate
-        // lands in an index-aligned slot; every order-sensitive float
-        // reduction happens below in peer order, so results are
-        // bit-identical at any shard count.
-        delivered.resize(n, 0.0);
-        let t = obs::span_start();
-        let (_, worst_emp) = {
-            let globals = &*globals;
-            let loads = &*loads;
-            let bandwidth = &*bandwidth;
-            self.peers.observe_phase(
-                locals,
-                delivered,
-                join_offsets,
-                join_rates,
-                shards,
-                // This engine never recorded the learners' internal
-                // regret estimates — skip the O(m²) per-peer scan.
-                false,
-                move |i, _, c| {
-                    let c = c as usize;
-                    let d = bitrates[c];
-                    let global = globals[i] as usize;
-                    let n_c = loads[global * k + c];
-                    let share =
-                        if n_c == 0 { 0.0 } else { bandwidth[global * k + c] / n_c as f64 };
-                    let rate = share.min(d);
-                    (rate, rate >= d - 1e-9)
-                },
-            )
-        };
-        if let Some(t) = t {
-            obs::span_end(Phase::Observe, ep, t);
-        }
-        let mut welfare = 0.0;
-        helper_delivered.clear();
-        helper_delivered.resize(h, 0.0);
-        residuals.clear();
-        for (i, &rate) in delivered.iter().enumerate() {
-            let c = self.peers.channel(i);
-            helper_delivered[globals[i] as usize] += rate;
-            welfare += rate;
-            self.channel_rate_sums[c] += rate;
-            residuals.push((bitrates[c] - rate).max(0.0));
-        }
-        // Helper-level bandit feedback: each learning helper accumulates
-        // its own delivered throughput — purely local information.
-        for (slot, &dlv) in self.helper_learners.iter_mut().zip(helper_delivered.iter()) {
-            if let Some(alloc) = slot {
-                alloc.record(dlv);
-            }
-        }
-        let t = obs::span_start();
-        let total_demand: f64 =
-            (0..self.peers.len()).map(|i| bitrates[self.peers.channel(i)]).sum();
-        let helper_min: f64 = self.helpers.iter().map(Helper::min_capacity).sum();
-        let helper_now: f64 = self.helpers.iter().map(Helper::capacity).sum();
-        let epoch_result =
-            self.server.settle_epoch(residuals, total_demand, helper_min, helper_now);
-        if let Some(t) = t {
-            obs::span_end(Phase::Settle, ep, t);
-        }
-
-        let t = obs::span_start();
-        self.welfare.push(welfare);
-        self.server_load.push(epoch_result.load);
-        self.worst_empirical_regret.push(worst_emp);
-        if let Some(t) = t {
-            obs::span_end(Phase::Metrics, ep, t);
-        }
-        if let Some(t) = t_epoch {
-            obs::span_end(Phase::Epoch, ep, t);
-        }
-        self.epoch += 1;
-    }
-
-    /// Snapshot of cumulative results.
+    /// Snapshot of cumulative results: the per-channel view of the engine.
     pub fn outcome(&self) -> MultiChannelOutcome {
-        let k = self.config.channels.len();
-        let denom = self.epoch.max(1) as f64;
-        let mean_channel_rates: Vec<f64> =
-            self.channel_rate_sums.iter().map(|s| s / denom).collect();
+        let k = self.num_channels();
+        let peers = self.peers();
+        let denom = self.epoch().max(1) as f64;
         let mut continuity_sums = vec![0.0; k];
         let mut continuity_counts = vec![0usize; k];
-        let mut viewer_rates = Vec::with_capacity(self.peers.len());
-        for slot in 0..self.peers.len() {
-            let c = self.peers.channel(slot);
-            continuity_sums[c] += self.peers.continuity(slot);
+        let mut viewer_rates = Vec::with_capacity(peers.len());
+        for slot in 0..peers.len() {
+            let c = peers.channel(slot);
+            continuity_sums[c] += peers.continuity(slot);
             continuity_counts[c] += 1;
-            viewer_rates.push(self.peers.mean_rate(slot));
+            viewer_rates.push(peers.mean_rate(slot));
         }
-        let channel_continuity: Vec<f64> = continuity_sums
-            .iter()
-            .zip(&continuity_counts)
-            .map(|(&s, &c)| if c == 0 { 1.0 } else { s / c as f64 })
-            .collect();
+        let metrics = self.metrics();
         MultiChannelOutcome {
-            epochs: self.epoch,
-            welfare: self.welfare.clone(),
-            server_load: self.server_load.clone(),
-            mean_channel_rates,
-            channel_continuity,
+            epochs: self.epoch(),
+            welfare: metrics.welfare.clone(),
+            server_load: metrics.server_load.clone(),
+            mean_channel_rates: self.channel_rate_sums().iter().map(|s| s / denom).collect(),
+            channel_continuity: continuity_sums
+                .iter()
+                .zip(&continuity_counts)
+                .map(|(&s, &c)| if c == 0 { 1.0 } else { s / c as f64 })
+                .collect(),
             viewer_fairness: rths_math::stats::jain_index(&viewer_rates),
-            worst_empirical_regret: self.worst_empirical_regret.clone(),
+            worst_empirical_regret: metrics.worst_empirical_regret.clone(),
         }
+    }
+}
+
+/// Everything but the outcome view is the engine's own API
+/// (`step_epoch`, `migrate_viewers`, `set_shards`, `epoch`, `peers`, …).
+impl std::ops::Deref for MultiChannelSystem {
+    type Target = System;
+
+    fn deref(&self) -> &System {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for MultiChannelSystem {
+    fn deref_mut(&mut self) -> &mut System {
+        &mut self.engine
     }
 }
 
@@ -806,7 +500,7 @@ mod tests {
         assert_eq!(out.mean_channel_rates.len(), 4);
         assert_eq!(out.channel_continuity.len(), 4);
         assert!(out.viewer_fairness > 0.0 && out.viewer_fairness <= 1.0);
-        assert_eq!(sys.num_viewers(), 80);
+        assert_eq!(sys.num_peers(), 80);
     }
 
     #[test]
@@ -883,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "resolved by MultiChannelSystem")]
+    #[should_panic(expected = "resolved by the engine")]
     fn split_panics_for_learned() {
         let _ = AllocationPolicy::Learned.split(800.0, &[1, 2], &[300.0, 300.0]);
     }
@@ -892,7 +586,7 @@ mod tests {
     fn migration_moves_viewers() {
         let mut sys = standard(AllocationPolicy::WaterFilling, 4);
         let on_channel = |sys: &MultiChannelSystem, c| {
-            (0..sys.peers.len()).filter(|&i| sys.peers.channel(i) == c).count()
+            (0..sys.num_peers()).filter(|&i| sys.peers().channel(i) == c).count()
         };
         let before = on_channel(&sys, 0);
         sys.migrate_viewers(0, 3, 5);

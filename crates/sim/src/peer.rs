@@ -1,8 +1,8 @@
 //! Viewer peers.
 //!
 //! [`Peer`] is the standalone per-peer view: one struct owning its
-//! learner, RNG stream and accounting. The simulation engines hold their
-//! populations in the sharded SoA [`crate::store::PeerStore`] instead;
+//! learner, RNG stream and accounting. The simulation engine holds its
+//! population in the sharded SoA [`crate::store::PeerStore`] instead;
 //! this type remains the unit the `rths_net` protocol machines host one
 //! actor at a time (`PeerMachine`), where a self-contained struct is the
 //! right shape.

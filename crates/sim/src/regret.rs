@@ -1,6 +1,6 @@
 //! Stretch-folded true-regret accounting.
 //!
-//! Both engines (and `rths_net`'s coordinator machine) report the
+//! The engine (and `rths_net`'s coordinator machine) reports the
 //! paper's Fig. 1 series: the worst peer's time-averaged **true regret**
 //! against every fixed alternative helper,
 //!
@@ -193,8 +193,7 @@ impl ShardCols for LedgerCols<'_> {
 
 impl RegretLedger {
     /// Creates an empty ledger for peers learning over
-    /// `actions_per_channel` helper sets (raw arities; single-channel
-    /// engines pass one entry).
+    /// `actions_per_channel` helper sets (raw arities, one per channel).
     pub fn new(actions_per_channel: &[usize]) -> Self {
         assert!(!actions_per_channel.is_empty(), "need at least one channel");
         let mut offsets = Vec::with_capacity(actions_per_channel.len() + 1);
@@ -438,7 +437,7 @@ impl RegretLedger {
 /// to the shard's column chunk**; `channel` selects the join-rate slice;
 /// `played`/`rate` are the peer's arm and observed (demand-capped) rate.
 ///
-/// This is the one function both engines and the net coordinator call —
+/// This is the one function the engine and the net coordinator call —
 /// the cross-engine bit-equality of the regret series is structural, not
 /// coincidental.
 #[inline]

@@ -3,7 +3,7 @@
 //!
 //! A [`ScenarioSpec`] composes the four axes that were previously spread
 //! over [`crate::Scenario`] factory methods, free-function workloads,
-//! `FaultPlan`, and ad-hoc bench configs:
+//! fault plans, and ad-hoc bench configs:
 //!
 //! 1. **Population** — either a single-channel swarm (peer count, helper
 //!    bandwidth groups, demand, churn, learner) or a multi-channel
@@ -165,8 +165,8 @@ pub struct SingleSpec {
     pub learner: LearnerSpec,
 }
 
-/// A multi-channel deployment (the paper's future-work extension),
-/// mapping onto [`MultiChannelConfig::standard`].
+/// A multi-channel deployment (the paper's setting), mapping onto
+/// [`MultiChannelConfig::standard`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiSpec {
     /// Number of channels.
@@ -185,12 +185,13 @@ pub struct MultiSpec {
     pub allocation: AllocationPolicy,
 }
 
-/// Which engine a scenario drives.
+/// Which configuration of the engine a scenario drives.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PopulationSpec {
-    /// One channel, [`System`].
+    /// One channel: [`System::new`] over a [`SimConfig`].
     Single(SingleSpec),
-    /// Many channels, [`MultiChannelSystem`].
+    /// Many channels: [`MultiChannelSystem::new`] over a
+    /// [`MultiChannelConfig`].
     Multi(MultiSpec),
 }
 
@@ -340,28 +341,9 @@ impl ScenarioSpec {
         if obs::enabled() {
             obs::begin_run(&self.name);
         }
-        match &self.population {
-            PopulationSpec::Single(single) => {
-                let mut system = System::new(self.sim_config(single));
-                for phase in &self.phases {
-                    phase.run_single(&mut system);
-                }
-                let out = system.outcome();
-                ScenarioReport {
-                    name: self.name.clone(),
-                    epochs: out.epochs,
-                    welfare: out.metrics.welfare.values().to_vec(),
-                    server_load: out.metrics.server_load.values().to_vec(),
-                    worst_empirical_regret: out
-                        .metrics
-                        .worst_empirical_regret
-                        .values()
-                        .to_vec(),
-                    worst_regret_estimate: out.metrics.worst_regret_estimate.values().to_vec(),
-                    population: out.metrics.population.values().to_vec(),
-                    final_population: out.final_population,
-                }
-            }
+        let (mut system, zipf_s) = match &self.population {
+            // No phase that reads `zipf_s` validates on a single population.
+            PopulationSpec::Single(single) => (System::new(self.sim_config(single)), 0.0),
             PopulationSpec::Multi(multi) => {
                 let config = MultiChannelConfig::standard(
                     multi.channels,
@@ -373,23 +355,23 @@ impl ScenarioSpec {
                     multi.allocation,
                     self.seed,
                 );
-                let mut system = MultiChannelSystem::new(config);
-                let mut surf_rng = seeded_rng(derive_seed(self.seed, SURF_STREAM));
-                for phase in &self.phases {
-                    phase.run_multi(&mut system, multi.channels, multi.zipf_s, &mut surf_rng);
-                }
-                let out = system.outcome();
-                ScenarioReport {
-                    name: self.name.clone(),
-                    epochs: out.epochs,
-                    welfare: out.welfare.values().to_vec(),
-                    server_load: out.server_load.values().to_vec(),
-                    worst_empirical_regret: out.worst_empirical_regret.values().to_vec(),
-                    worst_regret_estimate: Vec::new(),
-                    population: Vec::new(),
-                    final_population: multi.viewers,
-                }
+                (MultiChannelSystem::new(config).into_engine(), multi.zipf_s)
             }
+        };
+        let mut surf_rng = seeded_rng(derive_seed(self.seed, SURF_STREAM));
+        for phase in &self.phases {
+            phase.run(&mut system, zipf_s, &mut surf_rng);
+        }
+        let metrics = system.metrics();
+        ScenarioReport {
+            name: self.name.clone(),
+            epochs: system.epoch(),
+            welfare: metrics.welfare.values().to_vec(),
+            server_load: metrics.server_load.values().to_vec(),
+            worst_empirical_regret: metrics.worst_empirical_regret.values().to_vec(),
+            worst_regret_estimate: metrics.worst_regret_estimate.values().to_vec(),
+            population: metrics.population.values().to_vec(),
+            final_population: system.num_peers(),
         }
     }
 
@@ -512,7 +494,7 @@ pub struct ScenarioReport {
     /// Worst internal regret estimate per epoch (empty for
     /// multi-channel runs, which don't track the estimator).
     pub worst_regret_estimate: Vec<f64>,
-    /// Online population per epoch (empty for multi-channel runs).
+    /// Online population per epoch.
     pub population: Vec<f64>,
     /// Peers/viewers at the end.
     pub final_population: usize,

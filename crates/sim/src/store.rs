@@ -1,7 +1,7 @@
 //! The sharded structure-of-arrays peer store.
 //!
-//! Both engines ([`crate::System`] and [`crate::MultiChannelSystem`])
-//! keep their peer population here instead of a `Vec<Peer>`. The store
+//! The engine ([`crate::System`]) keeps its peer population here instead
+//! of a `Vec<Peer>`. The store
 //! holds one flat column per field — stable `u64` ids, `u32` channel and
 //! helper indices, the per-entity RNG streams, slab-backed learner state
 //! (shared [`RthsConfig`] per channel + one slot of the store's
@@ -24,7 +24,7 @@
 //! reductions stay index-ordered — either sequentially after the phase or
 //! by merging per-shard accumulators that are order-insensitive (integer
 //! histograms, `max` folds over non-negative values) in shard order — so
-//! the engines are **bit-for-bit identical at any shard count and any
+//! the engine is **bit-for-bit identical at any shard count and any
 //! `RTHS_THREADS`**.
 //!
 //! # Stable identity under churn
@@ -96,10 +96,9 @@ impl LearnerRef<'_> {
 /// of a phase and reused across epochs (capacity is retained).
 #[derive(Debug, Default)]
 pub struct ShardScratch {
-    /// The shard's private load histogram (indexing is engine-defined:
-    /// `helper` for the single-channel engine, `helper·k + channel` for
-    /// the multi-channel engine). Integer counts, so the post-phase merge
-    /// in shard order is order-insensitive.
+    /// The shard's private load histogram (indexing is caller-defined;
+    /// the engine uses `helper·k + channel`). Integer counts, so the
+    /// post-phase merge in shard order is order-insensitive.
     pub loads: Vec<usize>,
     /// Regret-row scratch shared by the shard's compact learners.
     row: Vec<f64>,
@@ -124,7 +123,7 @@ pub struct PeerStore {
     spec: LearnerSpec,
     rate_scale: f64,
     /// Learner action count per channel (`max(1)`-floored, matching the
-    /// engines' historical instantiation).
+    /// engine's historical instantiation).
     actions: Vec<u32>,
     /// Shared learner config per channel, used by the compact RTHS cells.
     configs: Vec<RthsConfig>,
@@ -164,8 +163,7 @@ pub struct PeerStore {
 
 impl PeerStore {
     /// Creates an empty store for peers learning over `actions_per_channel`
-    /// helper sets (one entry per channel; single-channel engines pass one
-    /// entry).
+    /// helper sets (one entry per channel).
     ///
     /// # Panics
     ///
@@ -383,8 +381,7 @@ impl PeerStore {
     fn shards_for(&self, len: usize) -> usize {
         match self.shard_override {
             Some(n) => n.min(len).max(1),
-            // Populations below MIN_ITEMS_PER_WORKER (which subsumes the
-            // old MIN_PARALLEL_ITEMS cutoff) collapse to one shard.
+            // Populations below MIN_ITEMS_PER_WORKER collapse to one shard.
             None => rths_par::threads().min(len / rths_par::MIN_ITEMS_PER_WORKER).max(1),
         }
     }
@@ -408,8 +405,8 @@ impl PeerStore {
     /// updated; `profile[i]` receives the choice (a learner-local action
     /// index). `account` runs once per peer inside its shard with
     /// `(index, choice, channel, aux_slot, shard_loads)` and accumulates
-    /// the shard-affine load histogram (and, for the multi-channel
-    /// engine, the global helper index in `aux`). After the phase the
+    /// the shard-affine load histogram (and resolves the global helper
+    /// index into `aux`). After the phase the
     /// per-shard histograms are summed into `loads` in shard order.
     pub fn choose_phase(
         &mut self,
@@ -475,8 +472,8 @@ impl PeerStore {
     ///
     /// `track_estimate` controls the first element: deriving a learner's
     /// internal regret estimate is an `O(played · m)` scan of its proxy matrix
-    /// per peer per epoch, so callers that do not record the series (the
-    /// multi-channel engine) pass `false` and receive `0.0`.
+    /// per peer per epoch, so callers that do not record the series
+    /// (multi-channel deployments) pass `false` and receive `0.0`.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
@@ -768,7 +765,7 @@ mod tests {
         let mut aux = vec![0u32; 1];
         let (mut loads, mut scratch, mut delivered) = (Vec::new(), Vec::new(), vec![0.0; 1]);
         // Full per-channel join layout every epoch (channels [2, 2, 4]
-        // → offsets [0, 2, 4, 8]), as the engines emit it; channels
+        // → offsets [0, 2, 4, 8]), as the engine emits it; channels
         // without viewers carry zero join rates.
         let offs = [0usize, 2, 4, 8];
         let mut step = |s: &mut PeerStore, join: &[f64]| {

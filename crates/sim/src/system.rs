@@ -1,4 +1,15 @@
-//! The single-channel simulation engine.
+//! The simulation engine: one epoch pipeline over K channels.
+//!
+//! The paper's system is multi-channel — helpers balance their upload
+//! bandwidth across channel overlays while every viewer picks a helper of
+//! *its* channel — and a lone channel is the K = 1 special case. So there
+//! is one engine, [`System`], with two constructors: [`System::new`]
+//! builds the K = 1 topology from a [`SimConfig`], and
+//! [`MultiChannelSystem::new`](crate::MultiChannelSystem::new) builds K
+//! channels from a [`MultiChannelConfig`](crate::MultiChannelConfig) and
+//! adds a per-channel outcome view. Both hand a [`Blueprint`] to the one
+//! instantiation path ([`System::assemble`]) and step the one
+//! [`System::step_epoch`].
 //!
 //! Peers live in the sharded structure-of-arrays [`PeerStore`]; the
 //! per-peer choose/observe phases run shard-parallel with index-ordered
@@ -8,12 +19,14 @@
 use rand::rngs::StdRng;
 use rths_game::JointDistribution;
 use rths_obs::{self as obs, Phase};
+use rths_stoch::process::ChurnProcess;
 use rths_stoch::rng::seeded_rng;
 
-use crate::config::SimConfig;
+use crate::config::{BandwidthSpec, LearnerSpec, SimConfig};
 use crate::helper::{Helper, HelperId};
-use crate::impairment::LinkShaper;
+use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::metrics::SimMetrics;
+use crate::multichannel::{AllocationPolicy, HelperAllocator};
 use crate::server::StreamingServer;
 use crate::store::{PeerStore, ShardScratch};
 
@@ -38,28 +51,71 @@ pub struct Outcome {
     pub final_capacities: Vec<f64>,
 }
 
+/// What a constructor hands to [`System::assemble`], and the engine keeps:
+/// the topology and the behaviours the public configuration switches on.
+/// Crate private — none of it is a knob beyond what [`SimConfig`] and
+/// [`MultiChannelConfig`](crate::MultiChannelConfig) already expose.
+pub(crate) struct Blueprint {
+    pub seed: u64,
+    /// One bandwidth process per helper.
+    pub helpers: Vec<BandwidthSpec>,
+    /// `helper_channels[j]` — channels helper `j` serves.
+    pub helper_channels: Vec<Vec<usize>>,
+    /// Per-viewer demand of each channel (kbps); `None` = uncapped.
+    pub demands: Vec<Option<f64>>,
+    /// Initial viewers per channel.
+    pub viewers: Vec<usize>,
+    /// How a helper splits its capacity over the channels it serves.
+    pub allocation: AllocationPolicy,
+    pub learner: LearnerSpec,
+    /// Helper-level learner override ([`AllocationPolicy::Learned`]).
+    pub helper_learner: Option<LearnerSpec>,
+    pub churn: ChurnProcess,
+    pub impairment: ImpairmentPlan,
+    /// Record what only [`Outcome`] reports: the joint action
+    /// distribution (churn-free runs) and the learners' internal regret
+    /// estimate — an `O(played · m)` scan per peer per epoch that the
+    /// per-channel [`MultiChannelOutcome`](crate::MultiChannelOutcome)
+    /// view never shows.
+    pub diagnostics: bool,
+    pub record_joint_from: u64,
+    pub record_peer_rates: bool,
+}
+
 /// Reusable per-epoch buffers, hoisted out of [`System::step_epoch`] so
 /// steady-state epochs allocate nothing: each buffer is cleared and
 /// refilled in place every epoch (capacity is retained across epochs).
+/// Tables over (helper, channel) are flattened row-major
+/// (`index = helper * num_channels + channel`).
 #[derive(Debug, Default)]
 struct EpochScratch {
-    /// Chosen helper per peer (u32 — helper sets stay far below 2³²).
+    /// Chosen action per peer: an index into its channel's helper list
+    /// (u32 — helper sets stay far below 2³²).
     profile: Vec<u32>,
-    /// Unused auxiliary choice column (the multi-channel engine maps
-    /// local→global helper indices here; kept for the shared phase API).
-    aux: Vec<u32>,
-    /// Peers per helper (merged from the per-shard histograms).
+    /// Global helper index per peer.
+    globals: Vec<u32>,
+    /// Viewers of channel `c` connected to helper `j`, flattened (merged
+    /// from the per-shard histograms in shard order).
     loads: Vec<usize>,
-    /// Realized per-connection share per helper.
+    /// Bandwidth helper `j` assigns to channel `c`, flattened.
+    bandwidth: Vec<f64>,
+    /// Realized per-connection share on (helper `j`, channel `c`),
+    /// flattened.
     shares: Vec<f64>,
-    /// Counterfactual join rate per helper.
-    join_rates: Vec<f64>,
-    /// `[0, h]` — the single channel's window into `join_rates`.
+    /// Per-helper split inputs/outputs (reused across helpers).
+    served_loads: Vec<usize>,
+    served_rates: Vec<f64>,
+    split: Vec<f64>,
+    /// Counterfactual join rates, grouped per channel: channel `c`'s
+    /// rates live at `join_rates[join_offsets[c]..join_offsets[c + 1]]`.
     join_offsets: Vec<usize>,
+    join_rates: Vec<f64>,
     /// Unmet demand per peer.
     residuals: Vec<f64>,
     /// Delivered rate per peer.
     delivered: Vec<f64>,
+    /// Throughput delivered via each helper (learned allocation only).
+    helper_delivered: Vec<f64>,
     /// Per-shard thread-affine scratch.
     shards: Vec<ShardScratch>,
     /// Churn: mirror of the historical swap-remove draw sequence.
@@ -74,15 +130,26 @@ struct EpochScratch {
     shaped: Vec<f64>,
 }
 
-/// The single-channel helper-assisted streaming system.
+/// The helper-assisted streaming system over K channels (K = 1 when built
+/// by [`System::new`]). See the [module docs](self).
 pub struct System {
-    config: SimConfig,
+    plan: Blueprint,
+    /// `channel_helpers[c]` — global helper indices serving channel `c`
+    /// (a viewer's learner action indexes this list).
+    channel_helpers: Vec<Vec<usize>>,
+    /// Per-helper allocation learners; empty unless the policy is
+    /// [`AllocationPolicy::Learned`].
+    allocators: Vec<HelperAllocator>,
     helpers: Vec<Helper>,
     peers: PeerStore,
     server: StreamingServer,
     metrics: SimMetrics,
     joint: Option<JointDistribution>,
     peer_rate_series: Option<Vec<Vec<f64>>>,
+    /// Delivered rate per channel, summed over epochs.
+    channel_rate_sums: Vec<f64>,
+    /// Sum of the `switches` series so far (integer counts, kept exact).
+    switches_recorded: u64,
     epoch: u64,
     master_rng: StdRng,
     scratch: EpochScratch,
@@ -96,6 +163,7 @@ impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
             .field("epoch", &self.epoch)
+            .field("channels", &self.channel_helpers.len())
             .field("peers", &self.peers.len())
             .field("helpers", &self.helpers.len())
             .finish()
@@ -103,12 +171,53 @@ impl std::fmt::Debug for System {
 }
 
 impl System {
-    /// Builds the system from a configuration: instantiates helper
-    /// bandwidth processes and the initial peer population, all seeded
-    /// deterministically from `config.seed`.
+    /// Builds the single-channel system — the K = 1 configuration of the
+    /// engine: every helper serves channel 0 and gives it its whole
+    /// capacity (the even split over one channel, `cap / 1`), all peers
+    /// watch it, and `config.demand` is the channel's per-viewer demand.
+    /// Everything is seeded deterministically from `config.seed`.
     pub fn new(config: SimConfig) -> Self {
-        let mut master_rng = seeded_rng(config.seed);
-        let helpers: Vec<Helper> = config
+        let rate_scale = config.rate_scale();
+        let num_helpers = config.helpers.len();
+        Self::assemble(
+            Blueprint {
+                seed: config.seed,
+                helpers: config.helpers,
+                helper_channels: vec![vec![0]; num_helpers],
+                demands: vec![config.demand],
+                viewers: vec![config.num_peers],
+                allocation: AllocationPolicy::EvenSplit,
+                learner: config.learner,
+                helper_learner: None,
+                churn: config.churn,
+                impairment: config.impairment,
+                diagnostics: true,
+                record_joint_from: config.record_joint_from,
+                record_peer_rates: config.record_peer_rates,
+            },
+            |_| rate_scale,
+        )
+    }
+
+    /// The one instantiation path: helper bandwidth processes (drawing
+    /// their initial states from the master stream in helper order), the
+    /// channel → helpers map, the peer store with one learner action set
+    /// per channel, and the initial population channel by channel.
+    /// `rate_scale` maps the live helpers to the typical per-peer rate
+    /// that calibrates the learners' `μ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an uncapped channel meets
+    /// [`AllocationPolicy::WaterFilling`], which splits by demand.
+    pub(crate) fn assemble(plan: Blueprint, rate_scale: impl FnOnce(&[Helper]) -> f64) -> Self {
+        assert!(
+            plan.allocation != AllocationPolicy::WaterFilling
+                || plan.demands.iter().all(Option::is_some),
+            "water-filling needs a finite demand on every channel"
+        );
+        let mut master_rng = seeded_rng(plan.seed);
+        let helpers: Vec<Helper> = plan
             .helpers
             .iter()
             .enumerate()
@@ -116,32 +225,54 @@ impl System {
                 Helper::with_seed(
                     HelperId(j as u32),
                     spec.instantiate(&mut master_rng),
-                    config.seed,
+                    plan.seed,
                 )
             })
             .collect();
-        let mut peers = PeerStore::new(
-            config.seed,
-            config.learner.clone(),
-            config.rate_scale(),
-            &[helpers.len()],
-        );
-        peers.reserve(config.num_peers);
-        for _ in 0..config.num_peers {
-            peers.spawn(0, 0);
+        let mut channel_helpers = vec![Vec::new(); plan.demands.len()];
+        for (j, served) in plan.helper_channels.iter().enumerate() {
+            for &c in served {
+                channel_helpers[c].push(j);
+            }
         }
-        let metrics = SimMetrics::new(helpers.len());
-        let track_joint =
-            config.churn.arrival_rate() == 0.0 && config.churn.departure_prob() == 0.0;
-        let track_rates = track_joint && config.record_peer_rates;
+        let actions_per_channel: Vec<usize> = channel_helpers.iter().map(Vec::len).collect();
+        let mut peers = PeerStore::new(
+            plan.seed,
+            plan.learner.clone(),
+            rate_scale(&helpers),
+            &actions_per_channel,
+        );
+        peers.reserve(plan.viewers.iter().sum());
+        for (c, &count) in plan.viewers.iter().enumerate() {
+            for _ in 0..count {
+                peers.spawn(c, 0);
+            }
+        }
+        let allocators = if plan.allocation == AllocationPolicy::Learned {
+            HelperAllocator::for_helpers(
+                &helpers,
+                &plan.helper_channels,
+                plan.helper_learner.as_ref(),
+                plan.seed,
+            )
+        } else {
+            Vec::new()
+        };
+        let churn_free = plan.churn.arrival_rate() == 0.0 && plan.churn.departure_prob() == 0.0;
+        let track_joint = plan.diagnostics && churn_free;
+        let track_rates = churn_free && plan.record_peer_rates;
         Self {
+            channel_rate_sums: vec![0.0; plan.demands.len()],
+            plan,
+            channel_helpers,
+            allocators,
+            metrics: SimMetrics::new(helpers.len()),
             joint: track_joint.then(JointDistribution::new),
-            peer_rate_series: track_rates.then(|| vec![Vec::new(); config.num_peers]),
-            config,
+            peer_rate_series: track_rates.then(|| vec![Vec::new(); peers.len()]),
             helpers,
             peers,
             server: StreamingServer::new(),
-            metrics,
+            switches_recorded: 0,
             epoch: 0,
             master_rng,
             scratch: EpochScratch::default(),
@@ -159,6 +290,11 @@ impl System {
         self.peers.len()
     }
 
+    /// Number of channels (1 for a [`System::new`] system).
+    pub fn num_channels(&self) -> usize {
+        self.channel_helpers.len()
+    }
+
     /// The helpers (e.g. for failure injection via
     /// [`set_helper_online`](Self::set_helper_online)).
     pub fn helpers(&self) -> &[Helper] {
@@ -168,6 +304,17 @@ impl System {
     /// The sharded SoA peer store (stable ids, per-peer accounting).
     pub fn peers(&self) -> &PeerStore {
         &self.peers
+    }
+
+    /// The per-epoch series recorded so far (the summary fields are
+    /// filled in by [`outcome`](Self::outcome) only).
+    pub fn metrics(&self) -> &SimMetrics {
+        &self.metrics
+    }
+
+    /// Delivered rate per channel, summed over all epochs so far.
+    pub fn channel_rate_sums(&self) -> &[f64] {
+        &self.channel_rate_sums
     }
 
     /// Pins the peer-store shard count (tests/benches); `None` restores
@@ -196,11 +343,14 @@ impl System {
     /// The configured baseline churn arrival rate (used by workload
     /// generators to scale surges).
     pub fn config_arrival_rate(&self) -> f64 {
-        self.config.churn.arrival_rate()
+        self.plan.churn.arrival_rate()
     }
 
     /// Adds `Poisson(lambda)` extra peers immediately (flash-crowd /
     /// diurnal workload injection, on top of the configured churn).
+    /// Arrivals — these and the churn process's — join channel 0: churn
+    /// and surges are configured through [`SimConfig`] only, where it is
+    /// the one channel.
     pub fn inject_arrivals(&mut self, lambda: f64) {
         let extra = rths_stoch::process::sample_poisson(&mut self.master_rng, lambda);
         for _ in 0..extra {
@@ -225,6 +375,28 @@ impl System {
         }
     }
 
+    /// Moves `count` viewers from one channel to another (popularity
+    /// shift), lowest slots first. Viewers keep their identity but
+    /// restart their learners on the new channel's helper set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either channel id is unknown.
+    pub fn migrate_viewers(&mut self, from: usize, to: usize, count: usize) {
+        let k = self.num_channels();
+        assert!(from < k && to < k, "unknown channel");
+        let mut moved = 0;
+        for slot in 0..self.peers.len() {
+            if moved == count {
+                break;
+            }
+            if self.peers.channel(slot) == from {
+                self.peers.set_channel(slot, to);
+                moved += 1;
+            }
+        }
+    }
+
     /// Runs `epochs` additional epochs and returns the cumulative outcome.
     pub fn run(&mut self, epochs: u64) -> Outcome {
         for _ in 0..epochs {
@@ -236,6 +408,7 @@ impl System {
     /// Executes exactly one epoch.
     pub fn step_epoch(&mut self) {
         let h = self.helpers.len();
+        let k = self.channel_helpers.len();
         // Observability: tag the epoch for layers below the epoch
         // protocol and open the whole-epoch span. Spans only read the
         // monotonic clock into side buffers, so traced trajectories are
@@ -260,7 +433,7 @@ impl System {
         // stream is unchanged), then removed in one order-preserving
         // compaction: survivors keep their slot order and identity.
         let t = obs::span_start();
-        let events = self.config.churn.sample_epoch(&mut self.master_rng, self.peers.len());
+        let events = self.plan.churn.sample_epoch(&mut self.master_rng, self.peers.len());
         if events.departures > 0 {
             let EpochScratch { alive, removing, .. } = &mut self.scratch;
             alive.clear();
@@ -279,62 +452,113 @@ impl System {
             obs::span_end(Phase::Churn, ep, t);
         }
 
-        // 3. Decentralized helper selection: shard-parallel over the peer
-        // store; each peer samples from its own RNG stream, so the choice
-        // profile is independent of the shard partition. Loads accumulate
-        // into per-shard histograms merged in shard order (integer counts
-        // — order-insensitive).
+        // 3. Decentralized helper selection (a local action index into
+        // the channel's helper list), shard-parallel over the peer store:
+        // each peer samples from its own RNG stream, so the choice
+        // profile is independent of the shard partition. Each shard
+        // resolves the global helper index into `globals` and accumulates
+        // its own loads[j*k + c] histogram; the histograms merge in shard
+        // order (integer counts — order-insensitive).
         let n = self.peers.len();
-        let demand = self.config.demand;
+        let Blueprint { demands, helper_channels, allocation, impairment, .. } = &self.plan;
+        let channel_helpers = &self.channel_helpers;
         let EpochScratch {
             profile,
-            aux,
+            globals,
             loads,
+            bandwidth,
             shares,
-            join_rates,
+            served_loads,
+            served_rates,
+            split,
             join_offsets,
+            join_rates,
             residuals,
             delivered,
+            helper_delivered,
             shards,
             profile_usize,
             shaped,
             ..
         } = &mut self.scratch;
-        // resize without clear: choose_phase writes every slot (aux is
-        // write-only here), so no per-epoch memset is needed.
+        // resize without clear: choose_phase writes every slot of both
+        // columns, so no per-epoch memset is needed.
         profile.resize(n, 0);
-        aux.resize(n, 0);
+        globals.resize(n, 0);
         let t = obs::span_start();
-        self.peers.choose_phase(profile, aux, loads, h, shards, |_, choice, _, _, loads| {
-            loads[choice as usize] += 1;
-        });
+        self.peers.choose_phase(
+            profile,
+            globals,
+            loads,
+            h * k,
+            shards,
+            |_, local, c, global_slot, loads| {
+                let global = channel_helpers[c as usize][local as usize];
+                *global_slot = global as u32;
+                loads[global * k + c as usize] += 1;
+            },
+        );
         if let Some(t) = t {
             obs::span_end(Phase::Choose, ep, t);
         }
 
-        // 4-5. Rate allocation and bandit feedback. The per-peer phase
-        // records each peer's rate into an index-aligned slot; all
-        // order-sensitive float reductions happen afterwards in peer
-        // order, so results are bit-identical at any shard count.
+        // 4. Helper-level bandwidth allocation across channels, then the
+        // even split of each (helper, channel) budget over its viewers.
         let t = obs::span_start();
+        bandwidth.clear();
+        bandwidth.resize(h * k, 0.0);
         shares.clear();
-        shares.extend(self.helpers.iter().zip(loads.iter()).map(|(hp, &l)| hp.share(l)));
-        join_rates.clear();
-        join_rates.extend(self.helpers.iter().zip(loads.iter()).map(|(hp, &l)| {
-            let raw = hp.share(l + 1);
-            match demand {
-                Some(d) => raw.min(d),
-                None => raw,
+        shares.resize(h * k, 0.0);
+        for j in 0..h {
+            let served = &helper_channels[j];
+            let cap = self.helpers[j].capacity();
+            match self.allocators.get_mut(j) {
+                // RTHS at the helper level, on a slower timescale: the
+                // current template is held for a window of epochs before
+                // being scored (see HelperAllocator).
+                Some(alloc) => {
+                    split.clear();
+                    split.extend(alloc.weights().iter().map(|w| w * cap));
+                }
+                None => {
+                    served_loads.clear();
+                    served_loads.extend(served.iter().map(|&c| loads[j * k + c]));
+                    // An uncapped channel never meets water-filling (see
+                    // `assemble`); the other policies ignore demand.
+                    served_rates.clear();
+                    served_rates
+                        .extend(served.iter().map(|&c| demands[c].unwrap_or(f64::INFINITY)));
+                    allocation.split_into(cap, served_loads, served_rates, split);
+                }
             }
-        }));
+            for (&c, &b) in served.iter().zip(split.iter()) {
+                let viewers = loads[j * k + c];
+                bandwidth[j * k + c] = b;
+                shares[j * k + c] = if viewers == 0 { 0.0 } else { b / viewers as f64 };
+            }
+        }
+
+        // 5. Counterfactual join rates, grouped per channel: they depend
+        // only on the channel (loads count the incumbent peers), so one
+        // evaluation serves every viewer of the channel.
         join_offsets.clear();
-        join_offsets.extend([0, h]);
-        delivered.resize(n, 0.0);
+        join_rates.clear();
+        join_offsets.push(0);
+        for (c, &demand) in demands.iter().enumerate() {
+            join_rates.extend(channel_helpers[c].iter().map(|&j| {
+                let raw = bandwidth[j * k + c] / (loads[j * k + c] + 1) as f64;
+                match demand {
+                    Some(d) => raw.min(d),
+                    None => raw,
+                }
+            }));
+            join_offsets.push(join_rates.len());
+        }
         if let Some(t) = t {
             obs::span_end(Phase::RateAlloc, ep, t);
         }
 
-        // Link impairments (loss, per-link bandwidth caps, token-bucket
+        // 6. Link impairments (loss, per-link bandwidth caps, token-bucket
         // shaping) are applied between the helper's even split and the
         // demand cap — the same pipeline order as the `rths_net`
         // machines, so trajectories stay bit-identical across backends.
@@ -342,8 +566,7 @@ impl System {
         // sequentially here (the observe phase's rate closure runs
         // shard-parallel and must stay pure).
         let t = obs::span_start();
-        let shaped_rates: Option<&[f64]> = if self.config.impairment.affects_rates() {
-            let plan = &self.config.impairment;
+        let shaped_rates: Option<&[f64]> = if impairment.affects_rates() {
             let ids = self.peers.ids();
             // Sync shaper slots with the population: survivors keep
             // their bucket state (the store preserves ascending-id slot
@@ -355,11 +578,16 @@ impl System {
             }
             shaped.clear();
             for slot in 0..n {
-                let choice = profile[slot] as usize;
+                let helper = globals[slot] as usize;
                 let id = ids[slot];
-                let offered =
-                    if plan.is_lost(id, choice, self.epoch) { 0.0 } else { shares[choice] };
-                shaped.push(self.links[slot].1.shape(plan, id, choice, self.epoch, offered));
+                let offered = if impairment.is_lost(id, helper, self.epoch) {
+                    0.0
+                } else {
+                    shares[helper * k + self.peers.channel(slot)]
+                };
+                shaped.push(
+                    self.links[slot].1.shape(impairment, id, helper, self.epoch, offered),
+                );
             }
             Some(&**shaped)
         } else {
@@ -369,8 +597,14 @@ impl System {
             obs::span_end(Phase::Impairment, ep, t);
         }
 
+        // 7. Delivery and bandit feedback (shard-parallel). Each peer's
+        // rate lands in an index-aligned slot; every order-sensitive
+        // float reduction happens below in peer order, so results are
+        // bit-identical at any shard count.
+        delivered.resize(n, 0.0);
         let t = obs::span_start();
         let (worst_est, worst_emp) = {
+            let globals = &*globals;
             let shares = &*shares;
             self.peers.observe_phase(
                 profile,
@@ -378,14 +612,14 @@ impl System {
                 join_offsets,
                 join_rates,
                 shards,
-                // The single-channel engine records worst_regret_estimate.
-                true,
-                move |slot, choice, _| {
+                self.plan.diagnostics,
+                move |slot, _, c| {
+                    let c = c as usize;
                     let rate = match shaped_rates {
                         Some(s) => s[slot],
-                        None => shares[choice as usize],
+                        None => shares[globals[slot] as usize * k + c],
                     };
-                    match demand {
+                    match demands[c] {
                         Some(d) => {
                             let r = rate.min(d);
                             (r, r >= d - 1e-9)
@@ -400,9 +634,11 @@ impl System {
         }
         let mut welfare = 0.0;
         residuals.clear();
-        for &rate in delivered.iter() {
+        for (slot, &rate) in delivered.iter().enumerate() {
+            let c = self.peers.channel(slot);
             welfare += rate;
-            residuals.push(match demand {
+            self.channel_rate_sums[c] += rate;
+            residuals.push(match demands[c] {
                 Some(d) => (d - rate).max(0.0),
                 None => 0.0,
             });
@@ -412,10 +648,30 @@ impl System {
                 s.push(r);
             }
         }
+        // Helper-level bandit feedback: each learning helper accumulates
+        // its own delivered throughput — purely local information.
+        if !self.allocators.is_empty() {
+            helper_delivered.clear();
+            helper_delivered.resize(h, 0.0);
+            for (&j, &rate) in globals.iter().zip(delivered.iter()) {
+                helper_delivered[j as usize] += rate;
+            }
+            for (alloc, &dlv) in self.allocators.iter_mut().zip(helper_delivered.iter()) {
+                alloc.record(dlv);
+            }
+        }
 
-        // 6. Server settles residual demand.
+        // 8. Server settles residual demand.
         let t = obs::span_start();
-        let total_demand = demand.unwrap_or(0.0) * self.peers.len() as f64;
+        let total_demand: f64 = demands
+            .iter()
+            .zip(channel_helpers)
+            .enumerate()
+            .map(|(c, (d, serving))| {
+                let viewers: usize = serving.iter().map(|&j| loads[j * k + c]).sum();
+                d.unwrap_or(0.0) * viewers as f64
+            })
+            .sum();
         let helper_min: f64 = self.helpers.iter().map(Helper::min_capacity).sum();
         let helper_now: f64 = self.helpers.iter().map(Helper::capacity).sum();
         let server_epoch =
@@ -424,26 +680,31 @@ impl System {
             obs::span_end(Phase::Settle, ep, t);
         }
 
-        // 7. Metrics.
+        // 9. Metrics.
         let t = obs::span_start();
         self.metrics.welfare.push(welfare);
         self.metrics.server_load.push(server_epoch.load);
         self.metrics.min_deficit.push(server_epoch.min_deficit);
         self.metrics.current_deficit.push(server_epoch.current_deficit);
-        self.metrics.population.push(self.peers.len() as f64);
+        self.metrics.population.push(n as f64);
         self.metrics.jain.push(rths_math::stats::jain_index(delivered));
-        self.metrics.worst_regret_estimate.push(worst_est);
+        if self.plan.diagnostics {
+            self.metrics.worst_regret_estimate.push(worst_est);
+        }
         self.metrics.worst_empirical_regret.push(worst_emp);
-        // Per-epoch switches = difference of cumulative counts.
-        let total_switches = self.peers.total_switches();
-        let prev_total = self.metrics.switches.values().iter().sum::<f64>();
-        self.metrics.switches.push((total_switches as f64 - prev_total).max(0.0));
-        for (series, &l) in self.metrics.helper_loads.iter_mut().zip(loads.iter()) {
-            series.push(l as f64);
+        // Per-epoch switches = growth of the population's cumulative
+        // count past what the series already holds (departures take their
+        // counts with them, so the total can dip; the series never does).
+        let new_switches = self.peers.total_switches().saturating_sub(self.switches_recorded);
+        self.switches_recorded += new_switches;
+        self.metrics.switches.push(new_switches as f64);
+        for (j, series) in self.metrics.helper_loads.iter_mut().enumerate() {
+            let load: usize = helper_channels[j].iter().map(|&c| loads[j * k + c]).sum();
+            series.push(load as f64);
         }
 
         if let Some(joint) = &mut self.joint {
-            if self.epoch >= self.config.record_joint_from {
+            if self.epoch >= self.plan.record_joint_from {
                 profile_usize.clear();
                 profile_usize.extend(profile.iter().map(|&a| a as usize));
                 joint.record(profile_usize);

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rths_stoch::process::FlashCrowd;
 use rths_stoch::zipf::Zipf;
 
-use crate::multichannel::MultiChannelSystem;
+use crate::multichannel::{MultiChannelOutcome, MultiChannelSystem};
 use crate::system::{Outcome, System};
 
 /// One declarative stage of a scenario's timeline. Time fields (`start`,
@@ -102,8 +102,7 @@ impl WorkloadPhase {
         }
     }
 
-    /// Whether the phase only makes sense on a
-    /// [`MultiChannelSystem`].
+    /// Whether the phase only makes sense on a K > 1 population.
     pub fn is_multichannel(&self) -> bool {
         matches!(
             self,
@@ -111,19 +110,27 @@ impl WorkloadPhase {
         )
     }
 
-    /// Advances a single-channel [`System`] through this phase.
+    /// Advances `system` through this phase. `zipf_s` (the popularity
+    /// exponent) and `rng` (a dedicated stream, so the system's own
+    /// streams stay untouched) drive `ChannelSurf`'s event sampling; the
+    /// other phases ignore them.
+    ///
+    /// Which phases make sense on which population is the scenario
+    /// validator's call ([`crate::spec`]); the engine itself only insists
+    /// on valid indices.
     ///
     /// # Panics
     ///
-    /// Panics on multi-channel phases ([`Self::is_multichannel`]) or on
-    /// out-of-range helper indices in `HelperFailure`.
-    pub fn run_single(&self, system: &mut System) {
-        match self {
-            WorkloadPhase::Steady { epochs } => {
-                for _ in 0..*epochs {
-                    system.step_epoch();
-                }
+    /// Panics on out-of-range helper or channel indices, a zero `period`
+    /// or a negative `amplitude`.
+    pub fn run(&self, system: &mut System, zipf_s: f64, rng: &mut StdRng) {
+        let steady = |system: &mut System, epochs: u64| {
+            for _ in 0..epochs {
+                system.step_epoch();
             }
+        };
+        match self {
+            WorkloadPhase::Steady { epochs } => steady(system, *epochs),
             WorkloadPhase::FlashCrowd { epochs, start, end, surge } => {
                 let base = system.epoch();
                 let crowd = FlashCrowd::new(base + start, base + end, *surge);
@@ -156,50 +163,23 @@ impl WorkloadPhase {
                 for &j in helpers {
                     system.set_helper_online(j, *online);
                 }
-                for _ in 0..*epochs {
-                    system.step_epoch();
-                }
-            }
-            WorkloadPhase::PopularityShift { .. } | WorkloadPhase::ChannelSurf { .. } => {
-                panic!("phase {self:?} requires a multi-channel system")
-            }
-        }
-    }
-
-    /// Advances a [`MultiChannelSystem`] through this phase. `channels`
-    /// is the system's channel count and `zipf_s` the popularity
-    /// exponent for `ChannelSurf`; `rng` drives surf-event sampling (a
-    /// dedicated stream, so the system's own streams stay untouched).
-    ///
-    /// # Panics
-    ///
-    /// Panics on single-channel-only phases (anything that injects
-    /// arrivals or flips helpers).
-    pub fn run_multi(
-        &self,
-        system: &mut MultiChannelSystem,
-        channels: usize,
-        zipf_s: f64,
-        rng: &mut StdRng,
-    ) {
-        match self {
-            WorkloadPhase::Steady { epochs } => {
-                let _ = system.run(*epochs);
+                steady(system, *epochs);
             }
             WorkloadPhase::PopularityShift { epochs, at, from, to, count } => {
                 let at = (*at).min(*epochs);
-                let _ = system.run(at);
+                steady(system, at);
                 system.migrate_viewers(*from, *to, *count);
-                let _ = system.run(epochs - at);
+                steady(system, epochs - at);
             }
             WorkloadPhase::ChannelSurf { epochs, period, moves } => {
                 assert!(*period > 0, "period must be positive");
+                let channels = system.num_channels();
                 let zipf = Zipf::new(channels, zipf_s);
                 let mut t = 0u64;
                 let mut event = 0u64;
                 while t < *epochs {
                     let chunk = (*period).min(epochs - t);
-                    let _ = system.run(chunk);
+                    steady(system, chunk);
                     t += chunk;
                     if t >= *epochs {
                         break;
@@ -218,9 +198,14 @@ impl WorkloadPhase {
                     }
                 }
             }
-            _ => panic!("phase {self:?} requires a single-channel system"),
         }
     }
+}
+
+/// Runs a phase that samples nothing of its own (every kind but
+/// `ChannelSurf`).
+fn run_unsampled(phase: &WorkloadPhase, system: &mut System) {
+    phase.run(system, 0.0, &mut rths_stoch::rng::seeded_rng(0));
 }
 
 /// Runs `system` through a flash crowd: during `[crowd.start, crowd.end)`
@@ -231,15 +216,15 @@ impl WorkloadPhase {
 /// cumulative outcome after `epochs` epochs.
 pub fn run_flash_crowd(system: &mut System, epochs: u64, crowd: FlashCrowd) -> Outcome {
     let base = system.epoch();
-    WorkloadPhase::FlashCrowd {
+    let phase = WorkloadPhase::FlashCrowd {
         epochs,
         // The legacy API takes absolute surge epochs; the phase is
         // relative to its own start.
         start: crowd.start.saturating_sub(base),
         end: crowd.end.saturating_sub(base),
         surge: crowd.surge_factor,
-    }
-    .run_single(system);
+    };
+    run_unsampled(&phase, system);
     system.outcome()
 }
 
@@ -250,7 +235,7 @@ pub fn run_flash_crowd(system: &mut System, epochs: u64, crowd: FlashCrowd) -> O
 ///
 /// Panics if `period == 0` or `amplitude < 0`.
 pub fn run_diurnal(system: &mut System, epochs: u64, period: u64, amplitude: f64) -> Outcome {
-    WorkloadPhase::Diurnal { epochs, period, amplitude }.run_single(system);
+    run_unsampled(&WorkloadPhase::Diurnal { epochs, period, amplitude }, system);
     system.outcome()
 }
 
@@ -273,7 +258,7 @@ pub fn run_with_shifts(
     system: &mut MultiChannelSystem,
     epochs: u64,
     shifts: &[PopularityShift],
-) -> crate::multichannel::MultiChannelOutcome {
+) -> MultiChannelOutcome {
     let end = system.epoch() + epochs;
     let mut pending: Vec<&PopularityShift> =
         shifts.iter().filter(|s| s.epoch >= system.epoch() && s.epoch < end).collect();
@@ -285,8 +270,7 @@ pub fn run_with_shifts(
             system.migrate_viewers(s.from, s.to, s.count);
             next += 1;
         }
-        let out = system.run(1);
-        debug_assert!(out.epochs == system.epoch());
+        system.step_epoch();
     }
     system.outcome()
 }
@@ -326,8 +310,10 @@ mod tests {
         let mut via_wrapper = churny_system(7);
         let out_w = run_flash_crowd(&mut via_wrapper, 300, FlashCrowd::new(50, 120, 8.0));
         let mut via_phase = churny_system(7);
-        WorkloadPhase::FlashCrowd { epochs: 300, start: 50, end: 120, surge: 8.0 }
-            .run_single(&mut via_phase);
+        run_unsampled(
+            &WorkloadPhase::FlashCrowd { epochs: 300, start: 50, end: 120, surge: 8.0 },
+            &mut via_phase,
+        );
         let out_p = via_phase.outcome();
         let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(out_w.metrics.welfare.values()), bits(out_p.metrics.welfare.values()));
@@ -351,14 +337,18 @@ mod tests {
     #[test]
     fn helper_failure_phase_flips_and_runs() {
         let mut sys = churny_system(3);
-        WorkloadPhase::HelperFailure { epochs: 20, helpers: vec![0, 2], online: false }
-            .run_single(&mut sys);
+        run_unsampled(
+            &WorkloadPhase::HelperFailure { epochs: 20, helpers: vec![0, 2], online: false },
+            &mut sys,
+        );
         assert_eq!(sys.epoch(), 20);
         assert_eq!(sys.capacities()[0], 0.0);
         assert_eq!(sys.capacities()[2], 0.0);
         assert!(sys.capacities()[1] > 0.0);
-        WorkloadPhase::HelperFailure { epochs: 10, helpers: vec![0], online: true }
-            .run_single(&mut sys);
+        run_unsampled(
+            &WorkloadPhase::HelperFailure { epochs: 10, helpers: vec![0], online: true },
+            &mut sys,
+        );
         assert!(sys.capacities()[0] > 0.0);
     }
 
@@ -396,7 +386,7 @@ mod tests {
         ));
         let mut rng = seeded_rng(99);
         WorkloadPhase::ChannelSurf { epochs: 120, period: 20, moves: 4 }
-            .run_multi(&mut sys, 3, 1.2, &mut rng);
+            .run(&mut sys, 1.2, &mut rng);
         let out = sys.outcome();
         assert_eq!(out.epochs, 120);
         assert!(out.welfare.tail_mean(30) > 0.0);
@@ -407,12 +397,5 @@ mod tests {
     fn zero_period_rejected() {
         let mut sys = churny_system(4);
         let _ = run_diurnal(&mut sys, 10, 0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a multi-channel system")]
-    fn multichannel_phase_rejected_on_single() {
-        let mut sys = churny_system(5);
-        WorkloadPhase::ChannelSurf { epochs: 10, period: 5, moves: 1 }.run_single(&mut sys);
     }
 }

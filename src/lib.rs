@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use rths_game::{HelperSelectionGame, JointDistribution};
     pub use rths_mdp::MdpBenchmark;
-    pub use rths_net::{Backend, FaultPlan, NetConfig, NetRuntime, ReactorRuntime};
+    pub use rths_net::{Backend, NetConfig, NetRuntime, ReactorRuntime};
     pub use rths_sim::{
         Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
         MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,

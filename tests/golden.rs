@@ -7,7 +7,10 @@
 //! *intentional* (e.g. a new learner default), update the constants and
 //! say so in the commit message.
 
-use rths_sim::{BandwidthSpec, Scenario, SimConfig, System};
+use rths_sim::{
+    AllocationPolicy, BandwidthSpec, MultiChannelConfig, MultiChannelSystem, Scenario,
+    SimConfig, System,
+};
 
 #[test]
 fn golden_small_run_welfare_prefix() {
@@ -54,4 +57,53 @@ fn golden_fingerprint_is_stable_across_runs() {
         out.metrics.welfare.values().iter().sum::<f64>()
     };
     assert_eq!(run(), run());
+}
+
+/// `to_bits` of (welfare sum, worst-empirical-regret sum, viewer
+/// fairness) for the standard 4-channel deployment: 120 epochs, five
+/// viewers migrate from channel 0 to channel 3, 120 more — long enough to
+/// cross a `Learned` 100-epoch template window and to exercise the
+/// `set_channel` / regret-ledger migration path.
+fn multichannel_signature(policy: AllocationPolicy) -> [u64; 3] {
+    let mut system = MultiChannelSystem::new(MultiChannelConfig::standard(
+        4, 400.0, 8, 2, 80, 1.2, policy, 42,
+    ));
+    let _ = system.run(120);
+    system.migrate_viewers(0, 3, 5);
+    let out = system.run(120);
+    [
+        out.welfare.values().iter().sum::<f64>().to_bits(),
+        out.worst_empirical_regret.values().iter().sum::<f64>().to_bits(),
+        out.viewer_fairness.to_bits(),
+    ]
+}
+
+/// K > 1 trajectories, pinned to the bit under every allocation policy.
+/// The constants were recorded with two separate engines in the tree
+/// (`System` and a self-contained `MultiChannelSystem`); the single
+/// K-channel engine that replaced them must reproduce them unchanged.
+#[test]
+fn golden_multichannel_signatures() {
+    let pinned = [
+        (
+            AllocationPolicy::EvenSplit,
+            [0x4136a2ba00000000u64, 0x40cd211d4e281863, 0x3fe899498504b612],
+        ),
+        (
+            AllocationPolicy::LoadProportional,
+            [0x4137305400000000, 0x40cfda371c35d0b9, 0x3fedef02733d6f9d],
+        ),
+        (
+            AllocationPolicy::WaterFilling,
+            [0x4137305400000000, 0x40cbcc462c233b1e, 0x3fedef02733d6f9d],
+        ),
+        (
+            AllocationPolicy::Learned,
+            [0x4136e85b00000000, 0x40e266539cc715da, 0x3feccd94506c5f6e],
+        ),
+    ];
+    for (policy, expected) in pinned {
+        let got = multichannel_signature(policy);
+        assert_eq!(got, expected, "{policy:?} trajectory drifted: {got:#018x?}");
+    }
 }

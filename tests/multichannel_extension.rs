@@ -91,3 +91,44 @@ fn unpopular_channels_not_starved() {
     let r = &out.mean_channel_rates;
     assert!(r[0] >= r[3], "popular channel outdelivered by tail channel: {r:?}");
 }
+
+/// The claim the one-engine design rests on: a single channel is the
+/// K = 1 configuration of the multi-channel system. With one channel the
+/// demand-blind policies hand a helper's whole capacity to it (`cap / 1`),
+/// so the K = 1 deployment and the demand-capped single-channel
+/// `SimConfig` must produce the same trajectory to the bit — both
+/// constructors feed the same epoch pipeline, and this guards against
+/// them drifting apart.
+#[test]
+fn k1_multichannel_is_the_single_channel_system() {
+    use rths_sim::{BandwidthSpec, SimConfig, System};
+    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let single = System::new(
+        SimConfig::builder(30, vec![BandwidthSpec::Paper { stay: 0.98 }; 6])
+            .demand(400.0)
+            .seed(42)
+            .build(),
+    )
+    .run(300);
+    for policy in [AllocationPolicy::EvenSplit, AllocationPolicy::LoadProportional] {
+        let multi = MultiChannelSystem::new(MultiChannelConfig::standard(
+            1, 400.0, 6, 1, 30, 1.0, policy, 42,
+        ))
+        .run(300);
+        assert_eq!(
+            bits(multi.welfare.values()),
+            bits(single.metrics.welfare.values()),
+            "{policy:?}: welfare"
+        );
+        assert_eq!(
+            bits(multi.server_load.values()),
+            bits(single.metrics.server_load.values()),
+            "{policy:?}: server load"
+        );
+        assert_eq!(
+            bits(multi.worst_empirical_regret.values()),
+            bits(single.metrics.worst_empirical_regret.values()),
+            "{policy:?}: worst empirical regret"
+        );
+    }
+}

@@ -9,9 +9,10 @@
 //! (thread-local, so no racy `std::env::set_var`); the `RTHS_THREADS`
 //! environment variable stays the outermost default.
 //!
-//! Populations are kept above `rths_par::MIN_PARALLEL_ITEMS` so the
-//! multi-worker runs genuinely exercise the pool rather than the inline
-//! fallback.
+//! The thread sweeps run populations below
+//! `rths_par::MIN_ITEMS_PER_WORKER`, where the stores fold to one shard
+//! by default; the pinned-shard sweep (`set_shards`, which that cutoff
+//! does not cap) is what drives the multi-shard fork/join path.
 
 use rths_suite::par::with_threads;
 use rths_suite::sim::{

@@ -169,9 +169,8 @@ fn equivalent_with_heterogeneous_processes() {
 
 #[test]
 fn equivalent_on_a_reactor_scale_population() {
-    // Big enough that the reactor actually shards rounds across workers
-    // (above rths_par's MIN_PARALLEL_ITEMS) while staying CI-cheap for
-    // the thread-per-actor backend.
+    // A hundred-actor mesh: the largest the gate runs, while staying
+    // CI-cheap for the thread-per-actor backend.
     let config =
         SimConfig::builder(96, vec![BandwidthSpec::Paper { stay: 0.95 }; 6]).seed(1234).build();
     assert_equivalent(config, 60);
