@@ -85,4 +85,6 @@ pub use learner::Learner;
 pub use matching::RegretMatchingLearner;
 pub use metrics::ConvergenceSeries;
 pub use recursive::RthsLearner;
-pub use slab::{LearnerSlab, SharedSlab, SlabCols, SlabLearner};
+pub use slab::{
+    for_each_survivor_move, LearnerSlab, SharedSlab, SlabCols, SlabLearner, StrategyCols,
+};

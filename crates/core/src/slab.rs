@@ -9,13 +9,28 @@
 //!
 //! ```text
 //!            slot 0                    slot 1                 …
-//!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]      stride s²
-//!           └─ S(r,k) at k·s + r  (column-major per slot)
 //!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]                stride s
 //!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]                stride s
 //!   played:[ column bitmask ]      [ column bitmask ]         ⌈s/64⌉ words
-//!   arity / stage / pending / scale: one scalar per slot
+//!   arity / stage / pending / scale / block: one scalar per slot
+//!                                     │
+//!            ┌────────────────────────┘  block[slot] = b
+//!            ▼
+//!            block b                   block b+1              …
+//!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]      stride s²
+//!           └─ S(r,k) at k·s + r  (column-major per block)
 //! ```
+//!
+//! The per-slot columns are **slot-addressed**; the T arena is
+//! **block-addressed**: slot `i`'s `S` lives in block `block[i]` of `t`,
+//! wherever slot `i` itself sits. A block is handed to a slot when the
+//! slot is created and follows it for life, so moving a slot moves a
+//! 4-byte handle, never `s²` floats. Per-slot calls look the handle up;
+//! a sharded phase ([`LearnerSlab::split`]) reads all of them once and
+//! hands each shard the blocks its slots own — the arena prefix as it
+//! stands while every handle still equals its slot, a vector of per-slot
+//! block views gathered through the handles once churn has permuted
+//! them (`chunks_exact_mut` proves the views disjoint; no `unsafe`).
 //!
 //! One stage of the learner (Eq. 3-5/3-6) decays `T`, adds a rank-1
 //! update to **one** column and reads **one** row. At 10⁴+ slots of
@@ -36,10 +51,11 @@
 //!   update of a stage that played `k` (which sets bit `k`), and by
 //!   renormalisation and wipes, which map `+0.0` to `+0.0`. So a column
 //!   whose bit is clear is exactly `+0.0` everywhere — the slab invariant
-//!   — and nothing ever needs to load one: renormalisation, wipes,
-//!   clones and compaction moves walk the mask, and never-written pages
-//!   of the one big lazily-mapped zero allocation are never committed
-//!   (the construction-time and peak-RSS win at the 10⁵-actor point).
+//!   — and nothing ever needs to load one: renormalisation, wipes and
+//!   clones walk the mask (compaction moves no column at all — see the
+//!   block handles above), and never-written pages of the one big
+//!   lazily-mapped zero allocation are never committed (the
+//!   construction-time and peak-RSS win at the 10⁵-actor point).
 //! * **Mask-driven row gather.** The played row `S(j, ·)` is one element
 //!   of every column — a cache line each. All never-played columns share
 //!   the regret entry `(factor · (0 − S(j,j)))⁺`, computed once; the mask
@@ -67,12 +83,21 @@
 //!
 //! * **slot-aligned mode** (`rths_sim`'s `PeerStore`): slab slot ==
 //!   store slot; departures go through [`LearnerSlab::remove_slots`]'s
-//!   order-preserving compaction (mirroring the store's column
-//!   compaction), and the free list stays empty.
+//!   order-preserving compaction of the *per-slot* columns (mirroring the
+//!   store's column compaction). Compaction moves handles, not T columns:
+//!   a departed slot's block is wiped and pushed on the block free list,
+//!   which [`alloc`](LearnerSlab::alloc) pops before it touches fresh
+//!   arena, and no survivor's T data moves — churn costs
+//!   `O(departed · played · s + population)`, not `O(population · s²)`,
+//!   and the arena never outgrows the peak population. After churn the
+//!   handles are a non-identity permutation; nothing depends on which
+//!   block a slot holds.
 //! * **free-list mode** (the reactor backend, one slab per mailbox
 //!   shard): [`alloc`](LearnerSlab::alloc) / [`release`](LearnerSlab::release)
-//!   with stable slots; [`SlabLearner`] wraps one slot behind the
-//!   [`Learner`] trait for actors that own their learner.
+//!   with stable slots; a released slot keeps its (wiped) block, so the
+//!   handle stays the identity. [`SlabLearner`] wraps one slot behind the
+//!   [`Learner`] trait for actors that own their learner; its per-slot
+//!   calls index `block[slot]` directly and are `O(1)` in the slab size.
 
 use std::sync::{Arc, Mutex};
 
@@ -194,15 +219,47 @@ fn max_regret_in(
     }
 }
 
+/// Calls `mv(read, write)` for every surviving slot of `0..n` that an
+/// **order-preserving** removal of the `sorted` slots (strictly
+/// increasing, all `< n` — callers validate) relocates, in ascending
+/// order, and returns the survivor count. Survivors keep their relative
+/// order, so `write < read` always and each `mv` may overwrite `write`
+/// freely: whatever lived there has already moved or departed. This is
+/// the one write-cursor walk behind every slot-aligned column compaction
+/// (the slab's per-slot columns, `PeerStore`'s, the regret ledger's).
+pub fn for_each_survivor_move(
+    n: usize,
+    sorted: &[u32],
+    mut mv: impl FnMut(usize, usize),
+) -> usize {
+    // Slots before the first departure stay where they are.
+    let Some(&first) = sorted.first() else { return n };
+    let first = first as usize;
+    let mut next = 0;
+    let mut write = first;
+    for read in first..n {
+        if next < sorted.len() && sorted[next] as usize == read {
+            next += 1;
+            continue;
+        }
+        mv(read, write);
+        write += 1;
+    }
+    write
+}
+
 /// An arena of learner slots sharing flat columns (see the module docs
 /// for the layout and the two usage modes).
 #[derive(Debug, Clone)]
 pub struct LearnerSlab {
-    /// Scalars per probs/freq row; columns per T submatrix. Fixed at
+    /// Scalars per probs/freq row; columns per T block. Fixed at
     /// construction to the largest arity the slab must host.
     stride: usize,
     /// Bitmask words per slot (`⌈stride / 64⌉`).
     words: usize,
+    /// The T arena, `stride²` scalars per block. Blocks
+    /// `..block.len() + free_blocks.len()` have been handed out; the
+    /// rest is untouched zeroed backing.
     t: Vec<f64>,
     probs: Vec<f64>,
     freq: Vec<f64>,
@@ -210,14 +267,22 @@ pub struct LearnerSlab {
     arity: Vec<u32>,
     stage: Vec<u64>,
     pending: Vec<u32>,
-    /// Lazy decay factor per slot: the proxy matrix is `scale · t`
+    /// Lazy decay factor per slot: the proxy matrix is `scale · S`
     /// (see [`crate::lazy`]). Meaningless on a free-listed slot (a
     /// batched decay does not skip those); `alloc` restarts it at 1.
     scale: Vec<f64>,
+    /// Block handle per slot: the slot's `S` is block `block[slot]` of
+    /// `t`. Every handed-out block is owned by exactly one slot or sits
+    /// on `free_blocks` — no two slots ever share one.
+    block: Vec<u32>,
+    /// Released slots (free-list mode); each keeps its wiped block.
     free: Vec<u32>,
-    /// Slots handed out by [`alloc`](Self::alloc) from the free list
-    /// instead of fresh storage (observability: free-list reuse means
-    /// churn is not costing allocator traffic).
+    /// Wiped blocks of slots compacted away by
+    /// [`remove_slots`](Self::remove_slots) (slot-aligned mode).
+    free_blocks: Vec<u32>,
+    /// [`alloc`](Self::alloc) calls served from a departed learner's
+    /// block — either free list — instead of fresh arena (observability:
+    /// churn is not costing allocator traffic or new pages).
     reuses: u64,
 }
 
@@ -252,7 +317,9 @@ impl LearnerSlab {
             stage: Vec::with_capacity(slots),
             pending: Vec::with_capacity(slots),
             scale: Vec::with_capacity(slots),
+            block: Vec::with_capacity(slots),
             free: Vec::new(),
+            free_blocks: Vec::new(),
             reuses: 0,
         }
     }
@@ -267,7 +334,7 @@ impl LearnerSlab {
         if target * self.stride * self.stride <= self.t.len() {
             return;
         }
-        if self.arity.is_empty() && self.free.is_empty() {
+        if self.arity.is_empty() {
             self.t = vec![0.0; target * self.stride * self.stride];
             self.probs = vec![0.0; target * self.stride];
             self.freq = vec![0.0; target * self.stride];
@@ -282,6 +349,7 @@ impl LearnerSlab {
         self.stage.reserve(target - self.stage.len());
         self.pending.reserve(target - self.pending.len());
         self.scale.reserve(target - self.scale.len());
+        self.block.reserve(target - self.block.len());
     }
 
     /// The fixed per-slot stride (maximum hostable arity).
@@ -299,15 +367,19 @@ impl LearnerSlab {
         self.free.len()
     }
 
-    /// Cumulative count of [`alloc`](Self::alloc) calls satisfied from
-    /// the free list (no fresh storage touched).
+    /// Cumulative count of [`alloc`](Self::alloc) calls served from a
+    /// departed learner's T block — a released slot's (free-list mode)
+    /// or a compacted-away slot's (slot-aligned mode) — so no fresh
+    /// arena was touched.
     pub fn free_list_reuses(&self) -> u64 {
         self.reuses
     }
 
     /// Allocates a slot initialised to the uniform fresh-learner state
-    /// (`T = 0`, `p = f = 1/m`, stage 0, nothing pending), reusing the
-    /// most recently freed slot if one exists.
+    /// (`T = 0`, `p = f = 1/m`, stage 0, nothing pending). Reuses the
+    /// most recently released slot if one exists; otherwise appends a
+    /// slot, giving it the most recently freed block before any fresh
+    /// arena — so the arena's high-water mark is the peak population.
     ///
     /// # Panics
     ///
@@ -322,25 +394,39 @@ impl LearnerSlab {
             }
             None => {
                 let s = self.arity.len();
-                // Grow the backing columns only past the pre-zeroed
-                // region ([`with_capacity`]/[`reserve`]); inside it the
-                // slot's storage already exists, untouched and zero.
-                if (s + 1) * self.stride * self.stride > self.t.len() {
-                    self.t.resize((s + 1) * self.stride * self.stride, 0.0);
-                    self.probs.resize((s + 1) * self.stride, 0.0);
-                    self.freq.resize((s + 1) * self.stride, 0.0);
-                    self.played.resize((s + 1) * self.words, 0);
-                }
+                let block = match self.free_blocks.pop() {
+                    Some(b) => {
+                        self.reuses += 1;
+                        b
+                    }
+                    None => {
+                        // Every block handed out so far belongs to one
+                        // of the `s` slots, so block `s` is the first
+                        // untouched one. Grow the backing columns only
+                        // past the pre-zeroed region
+                        // ([`with_capacity`]/[`reserve`]); inside it the
+                        // storage already exists, untouched and zero.
+                        if (s + 1) * self.stride * self.stride > self.t.len() {
+                            self.t.resize((s + 1) * self.stride * self.stride, 0.0);
+                            self.probs.resize((s + 1) * self.stride, 0.0);
+                            self.freq.resize((s + 1) * self.stride, 0.0);
+                            self.played.resize((s + 1) * self.words, 0);
+                        }
+                        s as u32
+                    }
+                };
                 self.arity.push(0);
                 self.stage.push(0);
                 self.pending.push(NO_PENDING);
                 self.scale.push(1.0);
+                self.block.push(block);
                 s
             }
         };
-        // Freed slots were wiped on release and fresh slots are zero, so
-        // T and the bitmask need no work; only the uniform prefix and
-        // the lazy scale do.
+        // Freed blocks were wiped when their slot departed and fresh
+        // ones are zero, and the slot's bitmask row is clear (wiped on
+        // release, cleared behind a compaction), so T and the mask need
+        // no work; only the uniform prefix and the lazy scale do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
@@ -353,7 +439,8 @@ impl LearnerSlab {
     }
 
     /// Returns a slot to the free list, restoring the all-zero T /
-    /// cleared-bitmask invariant `alloc` relies on.
+    /// cleared-bitmask invariant `alloc` relies on. The slot keeps its
+    /// block.
     ///
     /// # Panics
     ///
@@ -369,31 +456,45 @@ impl LearnerSlab {
         self.free.push(slot);
     }
 
-    /// Allocates a new slot carrying an exact copy of `src`'s state.
+    /// Allocates a new slot carrying an exact copy of `src`'s state,
+    /// copying played T columns only (`O(played · stride)`, not
+    /// `O(stride²)`).
     ///
     /// # Panics
     ///
     /// Panics if `src` is out of range or free.
     pub fn clone_slot(&mut self, src: u32) -> u32 {
-        let s = src as usize;
-        assert!(s < self.arity.len(), "slot out of range");
-        let m = self.arity[s] as usize;
+        let src = src as usize;
+        assert!(src < self.arity.len(), "slot out of range");
+        let m = self.arity[src] as usize;
         assert!(m > 0, "cannot clone a freed slot");
         let dst = self.alloc(m) as usize;
-        self.copy_slot(s, dst);
+        let (stride, words) = (self.stride, self.words);
+        let (from, to) = (self.block_range(src).start, self.block_range(dst).start);
+        self.played.copy_within(src * words..(src + 1) * words, dst * words);
+        for_each_played(&self.played[dst * words..(dst + 1) * words], |k| {
+            self.t.copy_within(from + k * stride..from + (k + 1) * stride, to + k * stride);
+        });
+        self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        self.stage[dst] = self.stage[src];
+        self.pending[dst] = self.pending[src];
+        self.scale[dst] = self.scale[src];
         dst as u32
     }
 
-    /// Removes the given slots with an **order-preserving compaction**,
-    /// mirroring `PeerStore::remove_slots` so slab slots stay aligned
-    /// with store slots. Survivor data is copied by played columns only
-    /// (`O(played · stride)` per move, not `O(stride²)`).
+    /// Removes the given slots with an **order-preserving compaction**
+    /// of the per-slot columns, mirroring `PeerStore::remove_slots` so
+    /// slab slots stay aligned with store slots. No T data moves: each
+    /// survivor carries its block handle down with it, and each departed
+    /// slot's block is wiped (played columns only) and pushed on the
+    /// block free list for [`alloc`](Self::alloc) to reuse.
     ///
     /// # Panics
     ///
     /// Panics if `sorted` is not strictly increasing, any slot is out of
-    /// range, or the slab has free-listed slots (compaction and the free
-    /// list are the two mutually exclusive usage modes).
+    /// range, or the slab has free-listed slots (compaction and the slot
+    /// free list are the two mutually exclusive usage modes).
     pub fn remove_slots(&mut self, sorted: &[u32]) {
         if sorted.is_empty() {
             return;
@@ -402,39 +503,37 @@ impl LearnerSlab {
         assert!(sorted.windows(2).all(|w| w[0] < w[1]), "slots must be sorted and unique");
         let n = self.arity.len();
         assert!((sorted[sorted.len() - 1] as usize) < n, "slot out of range");
-        let mut next = 0usize;
-        let mut write = 0usize;
-        for read in 0..n {
-            if next < sorted.len() && sorted[next] as usize == read {
-                next += 1;
-                continue;
-            }
-            if write != read {
-                // The write slot holds stale data (its live copy, if any,
-                // already moved further down): wipe its played columns,
-                // then pull the survivor's played columns down.
-                self.wipe_t(write);
-                self.copy_slot(read, write);
-            }
-            write += 1;
+        for &slot in sorted {
+            self.wipe_t(slot as usize);
+            self.free_blocks.push(self.block[slot as usize]);
         }
-        // The tail slots `[write..n)` hold stale copies of removed or
-        // relocated state. Wipe their played columns so the retained
-        // backing region returns to the all-zero state `alloc` relies
-        // on (probs/freq slack needs no wipe — `alloc` refills the
-        // prefix it hands out). The flat columns keep their length: the
-        // zeroed tail is reusable backing, not live slots.
-        for s in write..n {
-            self.wipe_t(s);
-        }
-        self.arity.truncate(write);
-        self.stage.truncate(write);
-        self.pending.truncate(write);
-        self.scale.truncate(write);
+        let (stride, words) = (self.stride, self.words);
+        let Self { probs, freq, played, arity, stage, pending, scale, block, .. } = self;
+        let kept = for_each_survivor_move(n, sorted, |read, write| {
+            probs.copy_within(read * stride..(read + 1) * stride, write * stride);
+            freq.copy_within(read * stride..(read + 1) * stride, write * stride);
+            played.copy_within(read * words..(read + 1) * words, write * words);
+            arity[write] = arity[read];
+            stage[write] = stage[read];
+            pending[write] = pending[read];
+            scale[write] = scale[read];
+            block[write] = block[read];
+        });
+        // The rows past `kept` are reusable backing, not live slots:
+        // the bitmask rows go back to the all-clear state `alloc` relies
+        // on; probs/freq may keep stale copies — `alloc` refills the
+        // prefix it hands out.
+        played[kept * words..n * words].fill(0);
+        arity.truncate(kept);
+        stage.truncate(kept);
+        pending.truncate(kept);
+        scale.truncate(kept);
+        block.truncate(kept);
     }
 
     /// Reinitialises a slot for a new action count (channel switch) —
-    /// same semantics (and panics) as `RthsState::reset_actions`.
+    /// same semantics (and panics) as `RthsState::reset_actions`. The
+    /// slot keeps its block, wiped in place.
     pub fn reset_actions(&mut self, slot: usize, num_actions: usize) {
         assert!(
             self.pending[slot] == NO_PENDING,
@@ -452,32 +551,47 @@ impl LearnerSlab {
         self.freq[base..base + num_actions].fill(p);
     }
 
-    /// Zeroes the slot's played T columns and clears its bitmask.
-    fn wipe_t(&mut self, slot: usize) {
+    /// Where slot `slot`'s T block lies in the arena.
+    fn block_range(&self, slot: usize) -> std::ops::Range<usize> {
         let area = self.stride * self.stride;
+        let start = self.block[slot] as usize * area;
+        start..start + area
+    }
+
+    /// Zeroes the played columns of the slot's T block and clears its
+    /// bitmask.
+    fn wipe_t(&mut self, slot: usize) {
+        let block = self.block_range(slot);
         wipe_columns(
-            &mut self.t[slot * area..(slot + 1) * area],
+            &mut self.t[block],
             &mut self.played[slot * self.words..(slot + 1) * self.words],
             self.stride,
         );
     }
 
-    /// Overwrites slot `dst` — whose T columns must be all zero — with an
-    /// exact copy of slot `src`'s state, moving played columns only
-    /// (`O(played · stride)`, not `O(stride²)`).
-    fn copy_slot(&mut self, src: usize, dst: usize) {
+    /// Borrows one slot as a single-slot [`SlabCols`] chunk (the slot is
+    /// index 0 of it), through its block handle — `O(1)` whatever the
+    /// slab's size, so per-slot callers share the sharded phases' update
+    /// without gathering anything.
+    fn slot_cols(&mut self, slot: usize) -> SlabCols<'_> {
+        let block = self.block_range(slot);
         let (stride, words) = (self.stride, self.words);
-        self.played.copy_within(src * words..(src + 1) * words, dst * words);
-        for_each_played(&self.played[dst * words..(dst + 1) * words], |k| {
-            let from = (src * stride + k) * stride;
-            self.t.copy_within(from..from + stride, (dst * stride + k) * stride);
-        });
-        self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
-        self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
-        self.arity[dst] = self.arity[src];
-        self.stage[dst] = self.stage[src];
-        self.pending[dst] = self.pending[src];
-        self.scale[dst] = self.scale[src];
+        SlabCols {
+            stride,
+            t: Blocks::Aligned(Strided::new(stride * stride, &mut self.t[block])),
+            freq: Strided::new(stride, &mut self.freq[slot * stride..(slot + 1) * stride]),
+            played: Strided::new(words, &mut self.played[slot * words..(slot + 1) * words]),
+            stage: &mut self.stage[slot..=slot],
+            scale: &mut self.scale[slot..=slot],
+            strategy: StrategyCols {
+                probs: Strided::new(
+                    stride,
+                    &mut self.probs[slot * stride..(slot + 1) * stride],
+                ),
+                arity: &mut self.arity[slot..=slot],
+                pending: &mut self.pending[slot..=slot],
+            },
+        }
     }
 
     /// The slot's action count.
@@ -512,38 +626,82 @@ impl LearnerSlab {
     pub fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "proxy index out of range");
-        self.scale[slot] * self.t[(slot * self.stride + k) * self.stride + j]
+        self.scale[slot] * self.t[self.block_range(slot).start + k * self.stride + j]
     }
 
     /// Borrows every column as a [`SlabCols`] bundle for a sharded
-    /// parallel phase.
+    /// parallel phase. `O(slots)`: the handles are read to find each
+    /// slot's T block, so that a shard can be given the blocks of its
+    /// slot range wherever they lie in the arena. Per-slot callers use
+    /// the methods on the slab itself, which look up one handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two slots share a block (a broken slab invariant).
     pub fn split(&mut self) -> SlabCols<'_> {
         // Only the live-slot prefix is handed out — the flat columns may
         // carry extra pre-zeroed backing beyond `num_slots()`.
         let n = self.arity.len();
+        let area = self.stride * self.stride;
+        let t = if self.block.iter().enumerate().all(|(slot, &b)| b as usize == slot) {
+            Blocks::Aligned(Strided::new(area, &mut self.t[..n * area]))
+        } else {
+            // `chunks_exact_mut` proves the blocks disjoint; `take` moves
+            // each one out to the slot that owns it, at most once.
+            let mut arena: Vec<Option<&mut [f64]>> = self.t
+                [..(n + self.free_blocks.len()) * area]
+                .chunks_exact_mut(area)
+                .map(Some)
+                .collect();
+            Blocks::Gathered(
+                self.block
+                    .iter()
+                    .map(|&b| arena[b as usize].take().expect("two slab slots share a T block"))
+                    .collect(),
+            )
+        };
         SlabCols {
             stride: self.stride,
-            t: Strided::new(
-                self.stride * self.stride,
-                &mut self.t[..n * self.stride * self.stride],
-            ),
-            probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
+            t,
             freq: Strided::new(self.stride, &mut self.freq[..n * self.stride]),
             played: Strided::new(self.words, &mut self.played[..n * self.words]),
-            arity: &mut self.arity,
             stage: &mut self.stage,
-            pending: &mut self.pending,
             scale: &mut self.scale,
+            strategy: StrategyCols {
+                probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
+                arity: &mut self.arity,
+                pending: &mut self.pending,
+            },
+        }
+    }
+
+    /// Borrows only the columns sampling an action touches, for a
+    /// sharded phase that selects but never updates: no T views are
+    /// gathered.
+    pub fn split_strategy(&mut self) -> StrategyCols<'_> {
+        let n = self.arity.len();
+        StrategyCols {
+            probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
+            arity: &mut self.arity,
+            pending: &mut self.pending,
         }
     }
 
     /// Samples an action for a slot (see `RthsState::select_action`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observation is already pending.
     pub fn select_action(&mut self, slot: usize, rng: &mut dyn RngCore) -> usize {
-        self.split().select_action(slot, rng)
+        self.slot_cols(slot).select_action(0, rng)
     }
 
     /// Feeds a slot's pending utility through the full update (see
     /// `RthsState::observe`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no action is pending or `utility` is not finite.
     pub fn observe(
         &mut self,
         slot: usize,
@@ -551,7 +709,7 @@ impl LearnerSlab {
         utility: f64,
         row_scratch: &mut Vec<f64>,
     ) {
-        self.split().observe(slot, config, utility, row_scratch);
+        self.slot_cols(slot).observe(0, config, utility, row_scratch);
     }
 
     /// Decays every slot by `keep = 1 − ε` once — the batched
@@ -567,11 +725,10 @@ impl LearnerSlab {
     /// [`SlabCols::max_regret`] with a reusable buffer instead).
     pub fn max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
         let m = self.arity[slot] as usize;
-        let base = slot * self.stride * self.stride;
         let factor = factor_for(config, self.stage[slot]) * self.scale[slot];
         let mut diag = Vec::with_capacity(m);
         max_regret_in(
-            &self.t[base..base + self.stride * self.stride],
+            &self.t[self.block_range(slot)],
             &self.played[slot * self.words..(slot + 1) * self.words],
             self.stride,
             m,
@@ -581,63 +738,30 @@ impl LearnerSlab {
     }
 }
 
-/// All of a [`LearnerSlab`]'s columns borrowed as a splittable bundle:
-/// the [`ShardCols`] implementation hands each parallel shard a disjoint
-/// contiguous slot range of **every** column, so the store's phases can
-/// run slab-backed learners with the same zero-sharing contract as the
-/// rest of the SoA columns. Slot indices on the methods are **relative
-/// to the chunk** (shard-local), like `Strided::row`.
+/// The columns sampling an action reads and writes — a slot's strategy,
+/// arity and pending action — borrowed as a splittable bundle
+/// ([`LearnerSlab::split_strategy`]). Slot indices are **relative to the
+/// chunk**, like `Strided::row`.
 #[derive(Debug)]
-pub struct SlabCols<'a> {
-    stride: usize,
-    t: Strided<'a, f64>,
+pub struct StrategyCols<'a> {
     probs: Strided<'a, f64>,
-    freq: Strided<'a, f64>,
-    played: Strided<'a, u64>,
     arity: &'a mut [u32],
-    stage: &'a mut [u64],
     pending: &'a mut [u32],
-    scale: &'a mut [f64],
 }
 
-impl ShardCols for SlabCols<'_> {
+impl ShardCols for StrategyCols<'_> {
     fn shard_split(self, mid: usize) -> (Self, Self) {
-        let (t0, t1) = self.t.shard_split(mid);
         let (p0, p1) = self.probs.shard_split(mid);
-        let (f0, f1) = self.freq.shard_split(mid);
-        let (w0, w1) = self.played.shard_split(mid);
         let (a0, a1) = self.arity.split_at_mut(mid);
-        let (s0, s1) = self.stage.split_at_mut(mid);
         let (g0, g1) = self.pending.split_at_mut(mid);
-        let (c0, c1) = self.scale.split_at_mut(mid);
         (
-            SlabCols {
-                stride: self.stride,
-                t: t0,
-                probs: p0,
-                freq: f0,
-                played: w0,
-                arity: a0,
-                stage: s0,
-                pending: g0,
-                scale: c0,
-            },
-            SlabCols {
-                stride: self.stride,
-                t: t1,
-                probs: p1,
-                freq: f1,
-                played: w1,
-                arity: a1,
-                stage: s1,
-                pending: g1,
-                scale: c1,
-            },
+            StrategyCols { probs: p0, arity: a0, pending: g0 },
+            StrategyCols { probs: p1, arity: a1, pending: g1 },
         )
     }
 }
 
-impl SlabCols<'_> {
+impl StrategyCols<'_> {
     /// Slots in this chunk.
     pub fn len(&self) -> usize {
         self.arity.len()
@@ -646,31 +770,6 @@ impl SlabCols<'_> {
     /// Whether the chunk is empty.
     pub fn is_empty(&self) -> bool {
         self.arity.is_empty()
-    }
-
-    /// Decays every slot by `keep` once: `scale *= keep` per slot, no T
-    /// column read or written unless a slot's `scale` crossed its
-    /// renormalisation threshold. Valid as a hoisted batch before a round
-    /// of [`observe_predecayed`](Self::observe_predecayed) calls exactly
-    /// when each slot observes exactly once in the round: the decay
-    /// commutes bitwise with every other slot's update (disjoint state)
-    /// and with this slot's own select (which reads only `probs`), so
-    /// hoisting it to the top of the round leaves each slot's
-    /// decay→rank-1 order intact.
-    ///
-    /// Returns the number of T columns renormalised (or wiped, at
-    /// `keep = 0`) — the per-shard `slab_columns_touched` observability
-    /// counter; zero on all but one round in `256·ln 2 / ε`. The count is
-    /// derived state, never an input: ignoring it changes nothing.
-    pub fn decay(&mut self, keep: f64) -> u64 {
-        let mut touched = 0u64;
-        for i in 0..self.arity.len() {
-            let step = lazy::decay(&mut self.scale[i], keep);
-            if step != Decay::Keep {
-                touched += apply_decay(step, self.t.row(i), self.played.row(i), self.stride);
-            }
-        }
-        touched
     }
 
     /// Samples an action from slot `i`'s strategy, recording it pending —
@@ -698,6 +797,147 @@ impl SlabCols<'_> {
         }
         self.pending[i] = chosen as u32;
         chosen
+    }
+
+    /// Slot `i`'s current mixed strategy.
+    pub fn probabilities(&mut self, i: usize) -> &[f64] {
+        let m = self.arity[i] as usize;
+        &self.probs.row(i)[..m]
+    }
+}
+
+/// The T blocks of a [`SlabCols`] chunk, one per slot in slot order.
+/// Which form a phase gets follows from the handles alone: a population
+/// that has only grown still has `block[slot] == slot`, and a store
+/// that churns has paid for one departure already.
+#[derive(Debug)]
+enum Blocks<'a> {
+    /// Every slot holds the block of its own index: the arena prefix
+    /// itself, strided — nothing gathered, nothing allocated.
+    Aligned(Strided<'a, f64>),
+    /// Compaction has permuted the handles: one view per slot of the
+    /// block it owns, wherever that lies in the arena.
+    Gathered(Vec<&'a mut [f64]>),
+}
+
+impl Blocks<'_> {
+    /// The block of slot `i` **relative to this chunk**.
+    fn of(&mut self, i: usize) -> &mut [f64] {
+        match self {
+            Blocks::Aligned(arena) => arena.row(i),
+            Blocks::Gathered(views) => views[i],
+        }
+    }
+}
+
+impl ShardCols for Blocks<'_> {
+    fn shard_split(self, mid: usize) -> (Self, Self) {
+        match self {
+            Blocks::Aligned(arena) => {
+                let (head, tail) = arena.shard_split(mid);
+                (Blocks::Aligned(head), Blocks::Aligned(tail))
+            }
+            Blocks::Gathered(mut views) => {
+                let tail = views.split_off(mid);
+                (Blocks::Gathered(views), Blocks::Gathered(tail))
+            }
+        }
+    }
+}
+
+/// All of a [`LearnerSlab`]'s columns borrowed as a splittable bundle:
+/// the [`ShardCols`] implementation hands each parallel shard a disjoint
+/// contiguous slot range of **every** per-slot column and the T blocks
+/// those slots own, so the store's phases can run slab-backed learners
+/// with the same zero-sharing contract as the rest of the SoA columns.
+/// Slot indices on the methods are **relative to the chunk**
+/// (shard-local), like `Strided::row`.
+#[derive(Debug)]
+pub struct SlabCols<'a> {
+    stride: usize,
+    t: Blocks<'a>,
+    freq: Strided<'a, f64>,
+    played: Strided<'a, u64>,
+    stage: &'a mut [u64],
+    scale: &'a mut [f64],
+    strategy: StrategyCols<'a>,
+}
+
+impl ShardCols for SlabCols<'_> {
+    fn shard_split(self, mid: usize) -> (Self, Self) {
+        let (t0, t1) = self.t.shard_split(mid);
+        let (f0, f1) = self.freq.shard_split(mid);
+        let (w0, w1) = self.played.shard_split(mid);
+        let (s0, s1) = self.stage.split_at_mut(mid);
+        let (c0, c1) = self.scale.split_at_mut(mid);
+        let (y0, y1) = self.strategy.shard_split(mid);
+        (
+            SlabCols {
+                stride: self.stride,
+                t: t0,
+                freq: f0,
+                played: w0,
+                stage: s0,
+                scale: c0,
+                strategy: y0,
+            },
+            SlabCols {
+                stride: self.stride,
+                t: t1,
+                freq: f1,
+                played: w1,
+                stage: s1,
+                scale: c1,
+                strategy: y1,
+            },
+        )
+    }
+}
+
+impl SlabCols<'_> {
+    /// Slots in this chunk.
+    pub fn len(&self) -> usize {
+        self.strategy.len()
+    }
+
+    /// Whether the chunk is empty.
+    pub fn is_empty(&self) -> bool {
+        self.strategy.is_empty()
+    }
+
+    /// Decays every slot by `keep` once: `scale *= keep` per slot, no T
+    /// column read or written unless a slot's `scale` crossed its
+    /// renormalisation threshold. Valid as a hoisted batch before a round
+    /// of [`observe_predecayed`](Self::observe_predecayed) calls exactly
+    /// when each slot observes exactly once in the round: the decay
+    /// commutes bitwise with every other slot's update (disjoint state)
+    /// and with this slot's own select (which reads only `probs`), so
+    /// hoisting it to the top of the round leaves each slot's
+    /// decay→rank-1 order intact.
+    ///
+    /// Returns the number of T columns renormalised (or wiped, at
+    /// `keep = 0`) — the per-shard `slab_columns_touched` observability
+    /// counter; zero on all but one round in `256·ln 2 / ε`. The count is
+    /// derived state, never an input: ignoring it changes nothing.
+    pub fn decay(&mut self, keep: f64) -> u64 {
+        let mut touched = 0u64;
+        for i in 0..self.scale.len() {
+            let step = lazy::decay(&mut self.scale[i], keep);
+            if step != Decay::Keep {
+                touched += apply_decay(step, self.t.of(i), self.played.row(i), self.stride);
+            }
+        }
+        touched
+    }
+
+    /// Samples an action from slot `i`'s strategy, recording it pending —
+    /// float-identical to `RthsState::select_action`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an observation is already pending.
+    pub fn select_action(&mut self, i: usize, rng: &mut dyn RngCore) -> usize {
+        self.strategy.select_action(i, rng)
     }
 
     /// Full observe for slot `i` — the slab counterpart of
@@ -737,16 +977,17 @@ impl SlabCols<'_> {
         predecayed: bool,
     ) {
         assert!(utility.is_finite(), "utility must be finite, got {utility}");
-        assert!(self.pending[i] != NO_PENDING, "observe called without a pending action");
-        let j = self.pending[i] as usize;
-        self.pending[i] = NO_PENDING;
+        let StrategyCols { probs, arity, pending } = &mut self.strategy;
+        assert!(pending[i] != NO_PENDING, "observe called without a pending action");
+        let j = pending[i] as usize;
+        pending[i] = NO_PENDING;
         self.stage[i] += 1;
         let stage = self.stage[i];
-        let m = self.arity[i] as usize;
+        let m = arity[i] as usize;
         debug_assert_eq!(m, config.num_actions(), "slot arity and config disagree");
         let stride = self.stride;
-        let t = self.t.row(i);
-        let probs = self.probs.row(i);
+        let t = self.t.of(i);
+        let probs = probs.row(i);
         let freq = self.freq.row(i);
         let played = self.played.row(i);
 
@@ -816,16 +1057,14 @@ impl SlabCols<'_> {
     /// Largest derived regret of slot `i`, with a caller-provided
     /// diagonal scratch so steady-state phases allocate nothing.
     pub fn max_regret(&mut self, i: usize, config: &RthsConfig, diag: &mut Vec<f64>) -> f64 {
-        let m = self.arity[i] as usize;
+        let m = self.strategy.arity[i] as usize;
         let factor = factor_for(config, self.stage[i]) * self.scale[i];
-        let stride = self.stride;
-        max_regret_in(self.t.row(i), self.played.row(i), stride, m, factor, diag)
+        max_regret_in(self.t.of(i), self.played.row(i), self.stride, m, factor, diag)
     }
 
     /// Slot `i`'s current mixed strategy.
     pub fn probabilities(&mut self, i: usize) -> &[f64] {
-        let m = self.arity[i] as usize;
-        &self.probs.row(i)[..m]
+        self.strategy.probabilities(i)
     }
 }
 
@@ -1000,9 +1239,9 @@ mod tests {
         /// Test hook: renormalises `slot` now, whatever its `scale` —
         /// the production path only does so below the threshold.
         fn force_renormalise(&mut self, slot: usize) {
-            let area = self.stride * self.stride;
+            let block = self.block_range(slot);
             renormalise_columns(
-                &mut self.t[slot * area..(slot + 1) * area],
+                &mut self.t[block],
                 &self.played[slot * self.words..(slot + 1) * self.words],
                 self.stride,
             );
@@ -1011,8 +1250,7 @@ mod tests {
 
         /// Slot `slot`'s stored `S` entries (all `stride²` of them).
         fn stored(&self, slot: usize) -> &[f64] {
-            let area = self.stride * self.stride;
-            &self.t[slot * area..(slot + 1) * area]
+            &self.t[self.block_range(slot)]
         }
     }
 
@@ -1247,6 +1485,32 @@ mod tests {
         assert_eq!(slab.scale[slot as usize], 1.0);
     }
 
+    /// The same through the block free list: a slot compacted away while
+    /// a batched decay runs hands its block — played columns wiped, mask
+    /// cleared, `scale` back at 1 — to the next arrival.
+    #[test]
+    fn batched_decay_does_not_leak_into_a_reused_block() {
+        let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
+        let mut slab = LearnerSlab::new(3);
+        for _ in 0..3 {
+            slab.alloc(3);
+        }
+        let mut mirrors: Vec<RthsState> = (0..3).map(|_| RthsState::new(&cfg)).collect();
+        let mut rngs: Vec<_> =
+            (0..3).map(|p| rand::rngs::StdRng::seed_from_u64(60 + p)).collect();
+        drive_with_mirrors(&mut slab, &mut mirrors, &mut rngs, &cfg, 40);
+        assert!(slab.stored(1).iter().any(|&x| x != 0.0) && slab.scale[1] != 1.0);
+        let departed = slab.block[1];
+        slab.remove_slots(&[1]);
+        slab.decay_all(0.5);
+        let slot = slab.alloc(3) as usize;
+        assert_eq!((slot, slab.block[slot]), (2, departed), "the departed block is reused");
+        assert_eq!(slab.free_list_reuses(), 1);
+        assert!(slab.stored(slot).iter().all(|&x| x.to_bits() == 0), "block not wiped");
+        assert_eq!(slab.played[slot * slab.words..(slot + 1) * slab.words], [0]);
+        assert_eq!(slab.scale[slot], 1.0);
+    }
+
     /// Order-preserving compaction: survivors keep their exact state
     /// (lazy scale included — every slot has been renormalised by then)
     /// and continue bit-for-bit, mirroring the store's `remove_slots`;
@@ -1293,6 +1557,242 @@ mod tests {
                 mirror.max_regret(&cfg).to_bits()
             );
         }
+    }
+
+    impl LearnerSlab {
+        /// Test hook: every handed-out block is owned by exactly one slot
+        /// or free — no two live slots share one.
+        fn assert_blocks_disjoint(&self) {
+            let mut seen: Vec<u32> =
+                self.block.iter().chain(&self.free_blocks).copied().collect();
+            seen.sort_unstable();
+            let handed_out = self.block.len() + self.free_blocks.len();
+            assert_eq!(
+                seen,
+                (0..handed_out as u32).collect::<Vec<_>>(),
+                "blocks shared or lost"
+            );
+            assert!(handed_out * self.stride * self.stride <= self.t.len());
+        }
+    }
+
+    /// One peer of the churn tests below: its scalar oracle, RNG stream
+    /// and current config, kept in slab slot order and keyed by a stable
+    /// id so state can be followed across compactions.
+    struct OraclePeer {
+        id: u64,
+        cfg: RthsConfig,
+        state: RthsState,
+        rng: rand::rngs::StdRng,
+    }
+
+    impl OraclePeer {
+        fn new(id: u64, cfg: &RthsConfig) -> Self {
+            Self {
+                id,
+                cfg: cfg.clone(),
+                state: RthsState::new(cfg),
+                rng: rand::rngs::StdRng::seed_from_u64(9000 + id),
+            }
+        }
+    }
+
+    /// One select/observe round over every slot against the per-id
+    /// oracles — through the per-slot calls on even rounds and through a
+    /// two-shard `split()` with the batched decay on odd ones, so both
+    /// ways of reaching a block through its handle are exercised.
+    fn churn_round(slab: &mut LearnerSlab, peers: &mut [OraclePeer], round: u64) {
+        let mut scratch = Vec::new();
+        let utility = |id: u64, a: usize| ((a as u64 * 5 + id + round) % 9) as f64 * 7.0;
+        let mut picks = Vec::with_capacity(peers.len());
+        for (slot, peer) in peers.iter_mut().enumerate() {
+            let mut replay = peer.rng.clone();
+            let a = slab.select_action(slot, &mut peer.rng);
+            assert_eq!(
+                a,
+                peer.state.select_action(&mut replay),
+                "id {} round {round}",
+                peer.id
+            );
+            picks.push(a);
+        }
+        if round.is_multiple_of(2) {
+            for (slot, peer) in peers.iter().enumerate() {
+                slab.observe(slot, &peer.cfg, utility(peer.id, picks[slot]), &mut scratch);
+            }
+        } else {
+            let mid = peers.len() / 2;
+            let (mut head, mut tail) = slab.split().shard_split(mid);
+            head.decay(1.0 - FAST_EPS);
+            tail.decay(1.0 - FAST_EPS);
+            for (slot, peer) in peers.iter().enumerate() {
+                let (cols, i) =
+                    if slot < mid { (&mut head, slot) } else { (&mut tail, slot - mid) };
+                cols.observe_predecayed(
+                    i,
+                    &peer.cfg,
+                    utility(peer.id, picks[slot]),
+                    &mut scratch,
+                );
+            }
+        }
+        for (slot, peer) in peers.iter_mut().enumerate() {
+            peer.state.observe(&peer.cfg, utility(peer.id, picks[slot]), &mut scratch);
+            let what = format!("id {} round {round}", peer.id);
+            assert_bitwise(slab.probabilities(slot), peer.state.probabilities(), &what);
+            assert_eq!(
+                slab.max_regret(slot, &peer.cfg).to_bits(),
+                peer.state.max_regret(&peer.cfg).to_bits(),
+                "{what}"
+            );
+        }
+    }
+
+    /// Arrivals, order-preserving departures and channel switches
+    /// interleaved with play at ε = 0.5 (every long-lived `scale ≠ 1`,
+    /// renormalised once 257 stages old): block handles become a
+    /// non-identity permutation, arrivals inherit departed peers' blocks,
+    /// and every peer keeps replaying its own scalar oracle
+    /// `to_bits`-exactly — strategies, regrets and the materialised `T`.
+    #[test]
+    fn interleaved_churn_replays_per_id_oracles_bitwise() {
+        use rand::Rng;
+        let base = config_eps(4, FAST_EPS, RecencyMode::Exponential, true);
+        let mut slab = LearnerSlab::new(5);
+        let mut next_id = 0u64;
+        let mut peers: Vec<OraclePeer> = Vec::new();
+        let mut spawn = |slab: &mut LearnerSlab, peers: &mut Vec<OraclePeer>| {
+            let reused = !slab.free_blocks.is_empty();
+            let slot = slab.alloc(4) as usize;
+            assert_eq!(slot, peers.len(), "slots stay aligned");
+            // Fresh or inherited, the block reads as a new learner's.
+            assert!(slab.stored(slot).iter().all(|&x| x.to_bits() == 0), "dirty block");
+            assert_eq!(slab.played[slot], 0);
+            assert_eq!(slab.scale[slot], 1.0);
+            peers.push(OraclePeer::new(next_id, &base));
+            next_id += 1;
+            reused
+        };
+        for _ in 0..12 {
+            spawn(&mut slab, &mut peers);
+        }
+        let mut script = rand::rngs::StdRng::seed_from_u64(4242);
+        let mut inherited = 0;
+        for round in 0..700u64 {
+            if round % 7 == 3 {
+                // Ids 0 and 1 never leave or switch, so two slots outlive
+                // many renormalisations while everything around them moves.
+                let mut gone: Vec<u32> =
+                    (2..peers.len() as u32).filter(|_| script.gen_range(0..4) == 0).collect();
+                gone.truncate(3);
+                slab.remove_slots(&gone);
+                for &slot in gone.iter().rev() {
+                    peers.remove(slot as usize);
+                }
+            }
+            if round % 5 == 1 {
+                for _ in 0..script.gen_range(0..3) {
+                    inherited += usize::from(spawn(&mut slab, &mut peers));
+                }
+            }
+            if round % 11 == 6 && peers.len() > 2 {
+                let slot = script.gen_range(2..peers.len());
+                let m = script.gen_range(3..=5);
+                slab.reset_actions(slot, m);
+                let peer = &mut peers[slot];
+                peer.cfg = base.with_num_actions(m).unwrap();
+                peer.state.reset_actions(m);
+            }
+            slab.assert_blocks_disjoint();
+            churn_round(&mut slab, &mut peers, round);
+            if round % 50 == 49 {
+                for (slot, peer) in peers.iter().enumerate() {
+                    let t = peer.state.proxy_matrix();
+                    let m = peer.cfg.num_actions();
+                    for (j, k) in (0..m).flat_map(|j| (0..m).map(move |k| (j, k))) {
+                        assert_eq!(slab.proxy(slot, j, k).to_bits(), t[(j, k)].to_bits());
+                    }
+                }
+            }
+        }
+        assert!(inherited > 50, "only {inherited} arrivals inherited a departed block");
+        assert_eq!(slab.free_list_reuses(), inherited as u64);
+        assert!(
+            slab.block.iter().enumerate().any(|(slot, &b)| b as usize != slot),
+            "handles are still the identity"
+        );
+        for (slot, peer) in peers.iter().enumerate().take(2) {
+            assert_eq!(peer.id, slot as u64);
+            assert_renormalised(&slab, slot, &peer.cfg);
+        }
+    }
+
+    /// 2,000 epochs of balanced churn (departures, then as many
+    /// arrivals, as `System::step_epoch` orders them): departed blocks are
+    /// reused before any fresh arena, so the arena stays at the length
+    /// the first population gave it; and a compaction moves no T data —
+    /// every survivor still holds the block it held before.
+    #[test]
+    fn balanced_churn_neither_grows_the_arena_nor_moves_t() {
+        use rand::Rng;
+        let cfg = config_eps(4, FAST_EPS, RecencyMode::Exponential, false);
+        let mut slab = LearnerSlab::new(4);
+        let mut peers: Vec<OraclePeer> = Vec::new();
+        for id in 0..50 {
+            slab.alloc(4);
+            peers.push(OraclePeer::new(id, &cfg));
+        }
+        let arena = slab.t.len();
+        assert_eq!(arena, 50 * 16);
+        let mut script = rand::rngs::StdRng::seed_from_u64(77);
+        let mut next_id = 50;
+        for epoch in 0..2000u64 {
+            let mut gone: Vec<u32> = Vec::new();
+            for _ in 0..script.gen_range(0..4) {
+                let slot = script.gen_range(0..50);
+                if !gone.contains(&slot) {
+                    gone.push(slot);
+                }
+            }
+            gone.sort_unstable();
+            let held: Vec<(u64, u32)> = peers
+                .iter()
+                .enumerate()
+                .filter(|(slot, _)| !gone.contains(&(*slot as u32)))
+                .map(|(slot, peer)| (peer.id, slab.block[slot]))
+                .collect();
+            slab.remove_slots(&gone);
+            for &slot in gone.iter().rev() {
+                peers.remove(slot as usize);
+            }
+            let now: Vec<(u64, u32)> =
+                peers.iter().enumerate().map(|(slot, p)| (p.id, slab.block[slot])).collect();
+            assert_eq!(now, held, "epoch {epoch}: a survivor's T block moved");
+            for _ in 0..gone.len() {
+                slab.alloc(4);
+                peers.push(OraclePeer::new(next_id, &cfg));
+                next_id += 1;
+            }
+            assert_eq!(slab.t.len(), arena, "epoch {epoch}: the arena grew");
+            assert!(slab.free_blocks.is_empty());
+            churn_round(&mut slab, &mut peers, epoch);
+        }
+        slab.assert_blocks_disjoint();
+        assert_eq!(slab.free_list_reuses(), next_id - 50, "every arrival reused a block");
+    }
+
+    #[test]
+    fn survivor_walk_visits_exactly_the_relocated_slots() {
+        let walk = |n, sorted: &[u32]| {
+            let mut moves = Vec::new();
+            let kept =
+                for_each_survivor_move(n, sorted, |read, write| moves.push((read, write)));
+            (kept, moves)
+        };
+        assert_eq!(walk(5, &[]), (5, vec![]));
+        assert_eq!(walk(5, &[4]), (4, vec![]));
+        assert_eq!(walk(6, &[1, 2, 4]), (3, vec![(3, 1), (5, 2)]));
+        assert_eq!(walk(3, &[0, 1, 2]), (0, vec![]));
     }
 
     /// A clone carries the source's lazy scale (renormalised by then)

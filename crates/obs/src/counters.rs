@@ -23,7 +23,9 @@ pub enum Counter {
     /// Learner-slab T columns rewritten by the batched lazy decay: the
     /// played columns of the slots it renormalised (zero on most epochs).
     SlabColumnsTouched,
-    /// Learner-slab rows recycled from the free list instead of grown.
+    /// Learner-slab allocations served from a departed learner's T block
+    /// (a released slot's or a compacted-away slot's) instead of fresh
+    /// arena.
     FreeListReuse,
     /// Regret-ledger stretch closes (arm switches, window folds,
     /// migrations).

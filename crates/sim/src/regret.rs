@@ -79,6 +79,7 @@
 //! survivors' open stretches stay valid verbatim, and a departed peer's
 //! stretch needs no fold — its row leaves the population with it.
 
+use rths_core::for_each_survivor_move;
 use rths_par::{par_sharded, Shard, ShardCols, Strided};
 
 /// Sentinel arm index: no open stretch.
@@ -262,36 +263,24 @@ impl RegretLedger {
     /// order-preservingly. Survivors' open stretches stay valid: the
     /// ledger's global state is slot-independent, so no fold is needed.
     pub fn remove_slots(&mut self, slots: &[u32]) {
-        if slots.is_empty() {
-            return;
-        }
-        let n = self.len();
         let stride = self.stride;
-        let mut next = 0usize;
-        let mut write = 0usize;
-        for read in 0..n {
-            if next < slots.len() && slots[next] as usize == read {
-                next += 1;
-                continue;
-            }
-            if write != read {
-                self.arm.swap(write, read);
-                self.entry.swap(write, read);
-                self.tr_entry.swap(write, read);
-                self.tr.swap(write, read);
-                self.stages.swap(write, read);
-                self.arity.swap(write, read);
-                self.rows.copy_within(read * stride..(read + 1) * stride, write * stride);
-            }
-            write += 1;
-        }
-        self.arm.truncate(write);
-        self.entry.truncate(write);
-        self.tr_entry.truncate(write);
-        self.tr.truncate(write);
-        self.stages.truncate(write);
-        self.arity.truncate(write);
-        self.rows.truncate(write * stride);
+        let Self { arm, entry, tr_entry, tr, stages, arity, rows, .. } = self;
+        let kept = for_each_survivor_move(arm.len(), slots, |read, write| {
+            arm.swap(write, read);
+            entry.swap(write, read);
+            tr_entry.swap(write, read);
+            tr.swap(write, read);
+            stages.swap(write, read);
+            arity.swap(write, read);
+            rows.copy_within(read * stride..(read + 1) * stride, write * stride);
+        });
+        arm.truncate(kept);
+        entry.truncate(kept);
+        tr_entry.truncate(kept);
+        tr.truncate(kept);
+        stages.truncate(kept);
+        arity.truncate(kept);
+        rows.truncate(kept * stride);
     }
 
     /// Channel migration hook: folds peer `slot`'s open stretch against
@@ -558,28 +547,16 @@ impl DenseRegret {
 
     /// Mirrors [`RegretLedger::remove_slots`].
     pub fn remove_slots(&mut self, slots: &[u32]) {
-        if slots.is_empty() {
-            return;
-        }
-        let n = self.stages.len();
         let stride = self.stride;
-        let mut next = 0usize;
-        let mut write = 0usize;
-        for read in 0..n {
-            if next < slots.len() && slots[next] as usize == read {
-                next += 1;
-                continue;
-            }
-            if write != read {
-                self.stages.swap(write, read);
-                self.arity.swap(write, read);
-                self.rows.copy_within(read * stride..(read + 1) * stride, write * stride);
-            }
-            write += 1;
-        }
-        self.stages.truncate(write);
-        self.arity.truncate(write);
-        self.rows.truncate(write * stride);
+        let Self { stages, arity, rows, .. } = self;
+        let kept = for_each_survivor_move(stages.len(), slots, |read, write| {
+            stages.swap(write, read);
+            arity.swap(write, read);
+            rows.copy_within(read * stride..(read + 1) * stride, write * stride);
+        });
+        stages.truncate(kept);
+        arity.truncate(kept);
+        rows.truncate(kept * stride);
     }
 
     /// Records one peer-epoch densely and returns the peer's updated

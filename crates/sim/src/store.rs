@@ -38,10 +38,19 @@
 //! column store would have turned into silent state corruption; the
 //! departure-stability test in `tests/churn_and_failures.rs` pins the
 //! fixed behaviour.
+//!
+//! What a departure moves is small: each survivor's row of the columns
+//! here and, in the learner slab, its `O(m)` strategy rows and a 4-byte
+//! block handle. The `m²` T-matrix stays where it is —
+//! the slab addresses it through the handle, wipes the departed peers'
+//! blocks and hands them to the next arrivals — so churn costs
+//! `O(departed · m² + population · m)` per epoch, not
+//! `O(population · m²)`, and slot order, ids and every float reduction
+//! order are what they would be had the matrices moved.
 
 use rand::rngs::StdRng;
 
-use rths_core::{Learner, LearnerSlab, RecencyMode, RthsConfig};
+use rths_core::{for_each_survivor_move, Learner, LearnerSlab, RecencyMode, RthsConfig};
 use rths_obs::{self as obs, Counter, Gauge, ObsScratch, Phase};
 use rths_par::par_sharded;
 use rths_stoch::rng::entity_rng;
@@ -139,12 +148,13 @@ pub struct PeerStore {
     /// Arena of slab-backed learner state in **slot-aligned mode**: slab
     /// slot `i` is peer slot `i` (every spawn allocates a slab slot even
     /// for boxed algorithms so the alignment never drifts), and
-    /// departures run the slab's order-preserving compaction alongside
-    /// the column compaction below.
+    /// departures run the slab's order-preserving compaction of its
+    /// per-slot columns alongside the column compaction below (T blocks
+    /// are reached through per-slot handles and never move).
     slab: LearnerSlab,
-    /// Slab free-list reuses already mirrored into the observability
-    /// registry (the slab's counter is cumulative; the registry wants
-    /// per-run deltas).
+    /// T-block reuses (arrivals served from a departed peer's block)
+    /// already mirrored into the observability registry (the slab's
+    /// counter is cumulative; the registry wants per-run deltas).
     reuses_reported: u64,
     // === index-aligned SoA columns ===
     ids: Vec<u64>,
@@ -309,41 +319,47 @@ impl PeerStore {
         assert!((slots[slots.len() - 1] as usize) < n, "slot out of range");
         assert!(slots.windows(2).all(|w| w[0] != w[1]), "duplicate slot");
 
-        let mut next = 0usize;
-        let mut write = 0usize;
-        for read in 0..n {
-            if next < slots.len() && slots[next] as usize == read {
-                next += 1;
-                continue;
-            }
-            if write != read {
-                self.ids.swap(write, read);
-                self.channels.swap(write, read);
-                self.joined_at.swap(write, read);
-                self.rngs.swap(write, read);
-                self.learners.swap(write, read);
-                self.total_rate.swap(write, read);
-                self.epochs_online.swap(write, read);
-                self.epochs_served.swap(write, read);
-                self.satisfied_epochs.swap(write, read);
-                self.last_helper.swap(write, read);
-                self.switches.swap(write, read);
-            }
-            write += 1;
-        }
-        self.ids.truncate(write);
-        self.channels.truncate(write);
-        self.joined_at.truncate(write);
-        self.rngs.truncate(write);
-        self.learners.truncate(write);
-        self.total_rate.truncate(write);
-        self.epochs_online.truncate(write);
-        self.epochs_served.truncate(write);
-        self.satisfied_epochs.truncate(write);
-        self.last_helper.truncate(write);
-        self.switches.truncate(write);
-        // The slab mirrors the column compaction (same order-preserving
-        // write-cursor walk), keeping slab slots == store slots.
+        let PeerStore {
+            ids,
+            channels,
+            joined_at,
+            rngs,
+            learners,
+            total_rate,
+            epochs_online,
+            epochs_served,
+            satisfied_epochs,
+            last_helper,
+            switches,
+            ..
+        } = self;
+        let kept = for_each_survivor_move(n, slots, |read, write| {
+            ids.swap(write, read);
+            channels.swap(write, read);
+            joined_at.swap(write, read);
+            rngs.swap(write, read);
+            learners.swap(write, read);
+            total_rate.swap(write, read);
+            epochs_online.swap(write, read);
+            epochs_served.swap(write, read);
+            satisfied_epochs.swap(write, read);
+            last_helper.swap(write, read);
+            switches.swap(write, read);
+        });
+        ids.truncate(kept);
+        channels.truncate(kept);
+        joined_at.truncate(kept);
+        rngs.truncate(kept);
+        learners.truncate(kept);
+        total_rate.truncate(kept);
+        epochs_online.truncate(kept);
+        epochs_served.truncate(kept);
+        satisfied_epochs.truncate(kept);
+        last_helper.truncate(kept);
+        switches.truncate(kept);
+        // The slab mirrors the column compaction on its per-slot columns
+        // (same order-preserving walk), keeping slab slots == store
+        // slots; T blocks stay where they are and follow their handles.
         self.slab.remove_slots(slots);
         // The ledger compacts its own columns (open stretches fold into
         // nothing for departed peers and stay valid for survivors — the
@@ -431,7 +447,8 @@ impl PeerStore {
                 (&mut learners[..], &mut rngs[..]),
                 (&mut last_helper[..], &mut switches[..]),
                 (profile, aux),
-                slab.split(),
+                // Sampling reads strategies only: no T views gathered.
+                slab.split_strategy(),
             ),
             &mut scratch[..],
             |shard, ((learners, rngs), (last, switches), (profile, aux), mut slab), s| {
@@ -809,58 +826,80 @@ mod tests {
         assert_eq!(s.regret_stages(0), 1, "arity change must restart the stage clock");
     }
 
+    /// A miniature epoch loop driven straight against the store; with
+    /// `churn`, peers leave and join between epochs, so the slab's block
+    /// handles are a non-identity permutation of the slots each shard
+    /// is handed. Returns everything an epoch computes, as bits.
+    fn drive_phases(shards: usize, churn: bool) -> (Vec<(u64, u64)>, Vec<u64>, Vec<u64>) {
+        let mut s = store(&[3]);
+        for _ in 0..40 {
+            s.spawn(0, 0);
+        }
+        s.set_shards(Some(shards));
+        let (mut profile, mut aux, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
+        let mut loads = Vec::new();
+        let mut scratch = Vec::new();
+        let mut stats = Vec::new();
+        for epoch in 0..30u32 {
+            if churn && epoch % 3 == 1 {
+                let n = s.len() as u32;
+                let mut gone = vec![0, (epoch * 7) % n, (epoch * 5 + 11) % n, n - 1];
+                gone.sort_unstable();
+                gone.dedup();
+                s.remove_slots(&mut gone);
+                for _ in 0..epoch % 7 {
+                    s.spawn(0, u64::from(epoch));
+                }
+            }
+            profile.resize(s.len(), 0);
+            aux.resize(s.len(), 0);
+            delivered.resize(s.len(), 0.0);
+            s.choose_phase(
+                &mut profile,
+                &mut aux,
+                &mut loads,
+                3,
+                &mut scratch,
+                |_, choice, _, _, loads| loads[choice as usize] += 1,
+            );
+            let shares: Vec<f64> =
+                loads.iter().map(|&l| if l == 0 { 0.0 } else { 900.0 / l as f64 }).collect();
+            let join: Vec<f64> = loads.iter().map(|&l| 900.0 / (l + 1) as f64).collect();
+            let shares_ref = &shares;
+            let (est, emp) = s.observe_phase(
+                &profile,
+                &mut delivered,
+                &[0, 3],
+                &join,
+                &mut scratch,
+                true,
+                |_, a, _| (shares_ref[a as usize], true),
+            );
+            stats.push((est.to_bits(), emp.to_bits()));
+        }
+        let probs: Vec<u64> = (0..s.len())
+            .flat_map(|i| s.learner(i).probabilities().to_vec())
+            .map(f64::to_bits)
+            .collect();
+        (stats, probs, delivered.iter().map(|r| r.to_bits()).collect())
+    }
+
     #[test]
     fn phases_run_identically_at_any_shard_count() {
-        // A miniature epoch loop driven straight against the store: the
-        // choose/observe trajectories must be bit-identical at 1, 2, 4
-        // and 7 shards (the engine-level sweep lives in tests/).
-        let run = |shards: usize| {
-            let mut s = store(&[3]);
-            for _ in 0..40 {
-                s.spawn(0, 0);
-            }
-            s.set_shards(Some(shards));
-            let mut profile = vec![0u32; 40];
-            let mut aux = vec![0u32; 40];
-            let mut loads = Vec::new();
-            let mut scratch = Vec::new();
-            let mut delivered = vec![0.0; 40];
-            let mut stats = Vec::new();
-            for _ in 0..30 {
-                s.choose_phase(
-                    &mut profile,
-                    &mut aux,
-                    &mut loads,
-                    3,
-                    &mut scratch,
-                    |_, choice, _, _, loads| loads[choice as usize] += 1,
-                );
-                let shares: Vec<f64> = loads
-                    .iter()
-                    .map(|&l| if l == 0 { 0.0 } else { 900.0 / l as f64 })
-                    .collect();
-                let join: Vec<f64> = loads.iter().map(|&l| 900.0 / (l + 1) as f64).collect();
-                let shares_ref = &shares;
-                let (est, emp) = s.observe_phase(
-                    &profile,
-                    &mut delivered,
-                    &[0, 3],
-                    &join,
-                    &mut scratch,
-                    true,
-                    |_, a, _| (shares_ref[a as usize], true),
-                );
-                stats.push((est.to_bits(), emp.to_bits()));
-            }
-            let probs: Vec<u64> = (0..40)
-                .flat_map(|i| s.learner(i).probabilities().to_vec())
-                .map(f64::to_bits)
-                .collect();
-            (stats, probs, delivered.iter().map(|r| r.to_bits()).collect::<Vec<_>>())
-        };
-        let base = run(1);
+        // The choose/observe trajectories must be bit-identical at 1, 2,
+        // 4 and 7 shards (the engine-level sweep lives in tests/).
+        let base = drive_phases(1, false);
         for shards in [2usize, 4, 7] {
-            assert_eq!(run(shards), base, "diverged at {shards} shards");
+            assert_eq!(drive_phases(shards, false), base, "diverged at {shards} shards");
+        }
+    }
+
+    #[test]
+    fn phases_run_identically_at_any_shard_count_under_churn() {
+        let base = drive_phases(1, true);
+        assert_ne!(base, drive_phases(1, false), "the churn script changed nothing");
+        for shards in [2usize, 4, 7] {
+            assert_eq!(drive_phases(shards, true), base, "diverged at {shards} shards");
         }
     }
 }

@@ -571,8 +571,15 @@ impl System {
             // Sync shaper slots with the population: survivors keep
             // their bucket state (the store preserves ascending-id slot
             // order through churn; arrivals always get larger ids, so
-            // the retained prefix stays slot-aligned).
-            self.links.retain(|&(id, _)| ids.binary_search(&id).is_ok());
+            // the retained prefix stays slot-aligned). Both sequences
+            // ascend by id, so one cursor over `ids` follows the walk.
+            let mut live = 0;
+            self.links.retain(|&(id, _)| {
+                while live < ids.len() && ids[live] < id {
+                    live += 1;
+                }
+                live < ids.len() && ids[live] == id
+            });
             for &id in &ids[self.links.len()..] {
                 self.links.push((id, LinkShaper::new()));
             }

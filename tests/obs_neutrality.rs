@@ -77,6 +77,52 @@ fn sim_system_is_bit_neutral_under_tracing() {
     }
 }
 
+/// Churn under tracing: still bit-neutral, and `free_list_reuse` counts
+/// what it names — the arrivals served from a departed peer's T block.
+/// Departures and arrivals are scripted between epochs, so the expected
+/// count follows from the population alone: an arrival reuses a block
+/// exactly when a departed one is still free.
+#[test]
+fn churned_system_is_bit_neutral_and_counts_block_reuses() {
+    with_threads(2, || {
+        let run = || {
+            let mut system = System::new(Scenario::paper_small().seed(45).build());
+            let (mut free, mut reused, mut arrived) = (0u64, 0u64, 0u64);
+            for _ in 0..12 {
+                let _ = system.run(5);
+                let ids = system.peers().ids().to_vec();
+                for &id in ids.iter().step_by(4).take(2) {
+                    free += u64::from(system.depart_peer(id));
+                }
+                let before = system.peers().len();
+                system.inject_arrivals(2.0);
+                let arrivals = (system.peers().len() - before) as u64;
+                let served = arrivals.min(free);
+                free -= served;
+                reused += served;
+                arrived += arrivals;
+            }
+            (system.run(5), reused, arrived)
+        };
+        let (plain, ..) = run();
+        let _on = obs::scoped_enable(true);
+        let (shadow, reused, arrived) = run();
+        let report = obs::take_report();
+        assert_eq!(
+            bits(plain.metrics.welfare.values()),
+            bits(shadow.metrics.welfare.values()),
+            "welfare diverged under tracing with churn"
+        );
+        assert_eq!(plain.final_population, shadow.final_population);
+        assert!(reused > 0 && reused <= arrived, "script reused {reused} of {arrived}");
+        assert_eq!(
+            report.counters[obs::Counter::FreeListReuse.index()],
+            reused,
+            "free_list_reuse must count arrivals served from a departed peer's block"
+        );
+    });
+}
+
 #[test]
 fn multichannel_system_is_bit_neutral_under_tracing() {
     for threads in [1usize, 2] {
