@@ -11,7 +11,7 @@
 
 use rand::SeedableRng;
 use rths_bench::write_csv;
-use rths_core::{RepeatedGameDriver, RthsConfig, RthsLearner};
+use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
 use rths_game::{best_response, HelperSelectionGame};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
 
     // RTHS on the same instance.
     let cfg = RthsConfig::builder(2).epsilon(0.01).delta(0.1).mu(4.0 * 80.0).build().unwrap();
-    let learners: Vec<RthsLearner> = (0..n).map(|_| RthsLearner::new(cfg.clone())).collect();
+    let learners = SlabLearner::population(n, &cfg);
     let mut driver = RepeatedGameDriver::new(learners, caps);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let result = driver.run(stages as u64, &mut rng);

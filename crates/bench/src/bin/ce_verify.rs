@@ -6,7 +6,7 @@
 
 use rand::SeedableRng;
 use rths_bench::write_csv;
-use rths_core::{RepeatedGameDriver, RthsConfig, RthsLearner};
+use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
 use rths_game::equilibrium::{cce_residual_congestion, ce_residual_congestion, max_welfare_ce};
 use rths_game::HelperSelectionGame;
 
@@ -22,7 +22,7 @@ fn main() {
     // Learned play, discarding the transient.
     let cfg =
         RthsConfig::builder(3).epsilon(0.01).delta(0.1).mu(4.0 * 2200.0 / 5.0).build().unwrap();
-    let learners: Vec<RthsLearner> = (0..5).map(|_| RthsLearner::new(cfg.clone())).collect();
+    let learners = SlabLearner::population(5, &cfg);
     let mut driver = RepeatedGameDriver::new(learners, caps.clone()).record_joint_from(2000);
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let result = driver.run(10_000, &mut rng);

@@ -1,28 +1,27 @@
-//! Compact per-peer learner state, split out of [`RthsLearner`].
+//! The scalar oracle of the RTHS update: one peer, one dense matrix.
 //!
-//! A million-peer simulation cannot afford the original learner layout:
-//! every peer carried its own [`RthsConfig`] copy, the proxy matrix `T`,
-//! **and** a fully materialised regret matrix `Q` plus a private row
-//! scratch buffer — although `Q` is a pure function of `T` (Eq. 3-6) and
-//! the config is identical for every peer of a channel.
+//! [`RthsState`] is Algorithm 2 (Eqs. 3-4…3-6) written the plain way — a
+//! dense `m × m` [`Matrix`] per peer, every entry visited, no masks, no
+//! shared arena — and exists to be compared against. The production
+//! learner is [`LearnerSlab`](crate::LearnerSlab) (behind the `Learner`
+//! trait: [`SlabLearner`](crate::SlabLearner)), which packs a population
+//! into flat columns and touches played columns only; its unit tests and
+//! the proptest sweeps in `tests/properties.rs` replay this type
+//! **bit-for-bit** in every recency × conditional mode, and
+//! `bench_kernel` prices the two layouts against each other. Nothing in
+//! the simulator or the net runtimes holds an `RthsState`.
 //!
-//! [`RthsState`] keeps only what is genuinely per-peer — `T`, the mixed
+//! The state keeps only what is genuinely per-peer — `T`, the mixed
 //! strategy, the play-frequency average, the stage counter and the
 //! pending action — and takes the shared [`RthsConfig`] plus a reusable
 //! row scratch as arguments on every step. The regret row of the played
-//! action and the worst-regret metric are derived from `T` on demand with
-//! exactly the float operations (and operation order) the old learner
-//! used when materialising `Q`, so trajectories are **bit-for-bit
-//! identical** to the wrapped learner's.
+//! action and the worst-regret metric are derived from `T` on demand
+//! (`Q` is a pure function of `T`, Eq. 3-6, and never materialised).
 //!
 //! The exponential decay of `T` is **lazy** ([`crate::lazy`]): the state
 //! stores `S` and a scalar `scale` with `T = scale · S`, in lock-step with
-//! [`LearnerSlab`](crate::LearnerSlab) — same float expressions in the
-//! same order, which is what keeps this type the slab's bitwise oracle.
-//!
-//! The sharded peer stores (`rths_sim`) hold one `RthsState` per peer and
-//! one config per channel; [`RthsLearner`] wraps a single state + config
-//! pair to keep the original standalone API.
+//! the slab — same float expressions in the same order, which is what
+//! keeps this type its bitwise oracle.
 
 use rand::RngCore;
 use rths_math::Matrix;
@@ -31,9 +30,9 @@ use crate::config::{RecencyMode, RthsConfig};
 use crate::lazy::{self, Decay};
 use crate::policy;
 
-/// The per-peer mutable state of the recursive R2HS learner (Algorithm 2):
-/// everything [`RthsLearner`](crate::RthsLearner) owns that is not shared
-/// or derivable.
+/// The per-peer mutable state of the recursive R2HS learner (Algorithm 2)
+/// in scalar form — the test-side oracle of
+/// [`LearnerSlab`](crate::LearnerSlab), see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RthsState {
     /// Stored proxy matrix `S`; the proxy matrix of Eq. 3-4 is
@@ -69,29 +68,14 @@ impl RthsState {
         }
     }
 
-    /// Number of actions this state was built for.
-    pub fn num_actions(&self) -> usize {
-        self.probs.len()
-    }
-
     /// The current mixed strategy.
     pub fn probabilities(&self) -> &[f64] {
         &self.probs
     }
 
-    /// Recency-weighted empirical play frequencies (one per action).
-    pub fn play_frequencies(&self) -> &[f64] {
-        &self.freq
-    }
-
     /// Stages observed so far.
     pub fn stage(&self) -> u64 {
         self.stage
-    }
-
-    /// The action awaiting its observation, if any.
-    pub fn pending_action(&self) -> Option<usize> {
-        self.pending.map(|a| a as usize)
     }
 
     /// The proxy matrix `Tⁿ = scale · S`, materialised.
@@ -121,8 +105,7 @@ impl RthsState {
         (self.factor(config) * self.scale * (self.t[(j, k)] - self.t[(j, j)])).max(0.0)
     }
 
-    /// Largest entry of the derived regret matrix — scans `T` in the same
-    /// row-major order the old learner's materialised `Q` was scanned in.
+    /// Largest entry of the derived regret matrix (row-major scan of `T`).
     pub fn max_regret(&self, config: &RthsConfig) -> f64 {
         let m = self.probs.len();
         let factor = self.factor(config) * self.scale;
@@ -214,9 +197,7 @@ impl RthsState {
             }
         }
 
-        // Eq. (3-6) for the played row only — derived straight from T
-        // instead of materialising the full Q matrix first; same values,
-        // same operation order as the old update_regrets + row copy.
+        // Eq. (3-6) for the played row only, derived straight from T.
         let factor = self.factor(config) * self.scale;
         let s_jj = self.t[(j, j)];
         row_scratch.clear();
@@ -266,8 +247,6 @@ impl RthsState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learner::Learner;
-    use crate::recursive::RthsLearner;
     use rand::SeedableRng;
 
     fn config(m: usize, recency: RecencyMode, conditional: bool) -> RthsConfig {
@@ -279,47 +258,6 @@ mod tests {
             .conditional(conditional)
             .build()
             .unwrap()
-    }
-
-    /// The split state must replay the wrapped learner bit-for-bit in
-    /// every averaging mode — this is the property the sharded SoA peer
-    /// stores rely on.
-    #[test]
-    fn state_matches_wrapped_learner_bitwise() {
-        for recency in
-            [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform]
-        {
-            for conditional in [false, true] {
-                let cfg = config(4, recency, conditional);
-                let mut learner = RthsLearner::new(cfg.clone());
-                let mut state = RthsState::new(&cfg);
-                let mut rng_a = rand::rngs::StdRng::seed_from_u64(9);
-                let mut rng_b = rand::rngs::StdRng::seed_from_u64(9);
-                let mut scratch = Vec::new();
-                for s in 0..400u64 {
-                    let a = learner.select_action(&mut rng_a);
-                    let b = state.select_action(&mut rng_b);
-                    assert_eq!(a, b, "{recency:?} action diverged at stage {s}");
-                    let u = ((a * 37 + s as usize) % 11) as f64 * 13.0;
-                    learner.observe(u);
-                    state.observe(&cfg, u, &mut scratch);
-                    let lp = learner.probabilities();
-                    let sp = state.probabilities();
-                    for (k, (x, y)) in lp.iter().zip(sp).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{recency:?}/cond={conditional} probs[{k}] diverged at stage {s}"
-                        );
-                    }
-                    assert_eq!(
-                        learner.max_regret().to_bits(),
-                        state.max_regret(&cfg).to_bits(),
-                        "{recency:?} max_regret diverged at stage {s}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

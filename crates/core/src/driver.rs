@@ -202,12 +202,12 @@ impl<L: Learner> RepeatedGameDriver<L> {
 mod tests {
     use super::*;
     use crate::config::RthsConfig;
-    use crate::recursive::RthsLearner;
+    use crate::slab::SlabLearner;
     use rand::SeedableRng;
 
-    fn population(n: usize, h: usize, mu: f64) -> Vec<RthsLearner> {
+    fn population(n: usize, h: usize, mu: f64) -> Vec<SlabLearner> {
         let cfg = RthsConfig::builder(h).epsilon(0.05).delta(0.08).mu(mu).build().unwrap();
-        (0..n).map(|_| RthsLearner::new(cfg.clone())).collect()
+        SlabLearner::population(n, &cfg)
     }
 
     #[test]

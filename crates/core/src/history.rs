@@ -5,7 +5,7 @@
 //! from the full private history `h_i^n = (a⁰, u⁰, …, aⁿ⁻¹, uⁿ⁻¹)` (plus
 //! the play probabilities at each stage, needed for the importance
 //! weights). Per-stage cost is `O(n·m²)`, versus `O(m²)` for the recursive
-//! [`RthsLearner`](crate::RthsLearner); the paper introduces R2HS exactly
+//! [`SlabLearner`](crate::SlabLearner); the paper introduces R2HS exactly
 //! because "it will consume too much resource to compute the estimated
 //! average regret directly".
 //!
@@ -66,7 +66,7 @@ impl HistoryRths {
     }
 
     /// Empirical play frequency of `action`, weighted by the configured
-    /// averaging mode (matching [`RthsLearner`](crate::RthsLearner)'s
+    /// averaging mode (matching [`SlabLearner`](crate::SlabLearner)'s
     /// recursive frequency tracker, including its uniform initial prior).
     fn play_frequency(&self, action: usize) -> f64 {
         let n = self.history.len();
@@ -209,7 +209,7 @@ impl Learner for HistoryRths {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recursive::RthsLearner;
+    use crate::slab::SlabLearner;
     use rand::SeedableRng;
 
     fn config(m: usize, recency: RecencyMode) -> RthsConfig {
@@ -231,7 +231,7 @@ mod tests {
         for seed in [1u64, 7, 42] {
             let cfg = config(3, RecencyMode::Exponential);
             let mut hist = HistoryRths::new(cfg.clone());
-            let mut rec = RthsLearner::new(cfg);
+            let mut rec = SlabLearner::standalone(cfg);
             let mut rng_h = rand::rngs::StdRng::seed_from_u64(seed);
             let mut rng_r = rand::rngs::StdRng::seed_from_u64(seed);
             for s in 0..300 {
@@ -265,7 +265,7 @@ mod tests {
     fn uniform_mode_matches_recursive_uniform() {
         let cfg = config(3, RecencyMode::Uniform);
         let mut hist = HistoryRths::new(cfg.clone());
-        let mut rec = RthsLearner::new(cfg);
+        let mut rec = SlabLearner::standalone(cfg);
         let mut rng_h = rand::rngs::StdRng::seed_from_u64(9);
         let mut rng_r = rand::rngs::StdRng::seed_from_u64(9);
         for s in 0..200 {
@@ -287,7 +287,7 @@ mod tests {
     fn paper_literal_mode_matches_recursive_literal() {
         let cfg = config(2, RecencyMode::PaperLiteral);
         let mut hist = HistoryRths::new(cfg.clone());
-        let mut rec = RthsLearner::new(cfg);
+        let mut rec = SlabLearner::standalone(cfg);
         let mut rng_h = rand::rngs::StdRng::seed_from_u64(33);
         let mut rng_r = rand::rngs::StdRng::seed_from_u64(33);
         for _ in 0..150 {
@@ -315,7 +315,7 @@ mod tests {
             .build()
             .unwrap();
         let mut hist = HistoryRths::new(cfg.clone());
-        let mut rec = RthsLearner::new(cfg);
+        let mut rec = SlabLearner::standalone(cfg);
         let mut rng_h = rand::rngs::StdRng::seed_from_u64(44);
         let mut rng_r = rand::rngs::StdRng::seed_from_u64(44);
         for s in 0..250 {

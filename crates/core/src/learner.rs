@@ -48,7 +48,10 @@ pub trait Learner {
     ///
     /// # Panics
     ///
-    /// Panics if `num_actions == 0` or if an observation is pending.
+    /// Panics if `num_actions == 0` or if an observation is pending. A
+    /// [`SlabLearner`](crate::SlabLearner) that shares its slab with
+    /// other learners also panics if `num_actions` exceeds the slab's
+    /// stride (alone in its slab, it grows).
     fn reset_actions(&mut self, num_actions: usize);
 }
 

@@ -8,19 +8,28 @@
 //! play converges to (and tracks, under non-stationary helper bandwidth)
 //! the set of **correlated equilibria** of the helper-selection game.
 //!
-//! Three learners are provided:
+//! One update rule, one implementation, one oracle:
 //!
-//! * [`RthsLearner`] — the recursive R2HS form (paper Algorithm 2,
-//!   Eqs. 3-4…3-6): `O(|H|)` state and `O(|H|²)` work per stage. This is
-//!   the implementation to use.
+//! * [`LearnerSlab`] — the recursive R2HS form (paper Algorithm 2,
+//!   Eqs. 3-4…3-6): `O(|H|²)` state and `O(played · |H|)` work per stage,
+//!   a population's state packed into flat columns. [`SlabLearner`] is
+//!   one slot of it behind the [`Learner`] trait. This is the
+//!   implementation every simulator and runtime in the workspace runs.
+//!   With [`RecencyMode::Uniform`] it is the classic Hart & Mas-Colell
+//!   *regret-matching* baseline (uniform `1/n` averaging) — a
+//!   configuration, not a type; the tracking-vs-matching ablation shows
+//!   why the paper replaces uniform with recency-weighted averaging in
+//!   non-stationary environments.
+//! * [`RthsState`] — the same update as a dense scalar matrix per peer:
+//!   the test-side oracle the slab is held to bit-for-bit.
+//!
+//! Two other learners exist to be compared with it:
+//!
 //! * [`HistoryRths`] — the literal Algorithm 1 statement that recomputes
 //!   the exponentially weighted sums (Eqs. 3-2/3-3) from explicit history
 //!   each stage. It exists for fidelity and is asserted trajectory-
-//!   identical to [`RthsLearner`] in tests.
-//! * [`RegretMatchingLearner`] — the classic Hart & Mas-Colell
-//!   *regret-matching* baseline with uniform `1/n` averaging. The
-//!   tracking-vs-matching ablation shows why the paper replaces uniform
-//!   with recency-weighted averaging in non-stationary environments.
+//!   identical to [`SlabLearner`] in tests.
+//! * [`Exp3Learner`] — the EXP3 external-regret bandit baseline.
 //!
 //! # The algorithm in five lines
 //!
@@ -41,13 +50,12 @@
 //! # Example
 //!
 //! ```
-//! use rths_core::{RepeatedGameDriver, RthsConfig, RthsLearner};
+//! use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
 //! use rand::SeedableRng;
 //!
-//! // 6 peers learn over two 800 kbps helpers.
+//! // 6 peers learn over two 800 kbps helpers, their state in one slab.
 //! let config = RthsConfig::builder(2).mu(3200.0).build()?;
-//! let peers: Vec<RthsLearner> =
-//!     (0..6).map(|_| RthsLearner::new(config.clone())).collect();
+//! let peers = SlabLearner::population(6, &config);
 //! let mut driver = RepeatedGameDriver::new(peers, vec![800.0, 800.0]);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let result = driver.run(3000, &mut rng);
@@ -70,10 +78,12 @@ pub mod exp3;
 pub mod history;
 pub mod lazy;
 pub mod learner;
-pub mod matching;
+#[cfg(test)]
+mod matching;
 pub mod metrics;
 pub mod policy;
-pub mod recursive;
+#[cfg(test)]
+mod recursive;
 pub mod slab;
 
 pub use compact::RthsState;
@@ -82,9 +92,7 @@ pub use driver::{RepeatedGameDriver, RunResult};
 pub use exp3::{Exp3Config, Exp3Learner};
 pub use history::HistoryRths;
 pub use learner::Learner;
-pub use matching::RegretMatchingLearner;
 pub use metrics::ConvergenceSeries;
-pub use recursive::RthsLearner;
 pub use slab::{
     for_each_survivor_move, LearnerSlab, SharedSlab, SlabCols, SlabLearner, StrategyCols,
 };

@@ -1,121 +1,33 @@
-//! Regret-matching baseline (uniform averaging).
-//!
-//! Hart & Mas-Colell's original procedure averages over *all* history with
-//! equal weight. §II explains why that fails here: "the upload bandwidth
+//! Behaviour of the regret-matching baseline: Hart & Mas-Colell's
+//! original procedure averages over *all* history with equal weight —
+//! here [`RecencyMode::Uniform`] on the one RTHS learner, not a type.
+//! §II explains why that fails in this setting: "the upload bandwidth
 //! state of helpers … evolve\[s\] over time", so a peer whose estimates
 //! are anchored to stale observations "would have no recourse but to
-//! forget all the past and start anew". This learner exists to demonstrate
-//! that failure mode in the tracking-vs-matching ablation; it shares every
-//! mechanism with [`crate::RthsLearner`] except the averaging, isolating
-//! the paper's contribution.
+//! forget all the past and start anew". These tests hold the baseline to
+//! that failure mode (and to working in a stationary world); it shares
+//! every mechanism with regret tracking except the averaging, isolating
+//! the paper's contribution. Test-only.
 
-use rand::RngCore;
-
-use crate::config::{ConfigError, RecencyMode, RthsConfig};
-use crate::learner::Learner;
-use crate::recursive::RthsLearner;
-
-/// Regret matching with uniform `1/n` averaging and bandit (proxy-regret)
-/// feedback — the non-tracking baseline.
-///
-/// # Example
-///
-/// ```
-/// use rths_core::{Learner, RegretMatchingLearner, RthsConfig};
-/// use rand::SeedableRng;
-///
-/// let mut learner = RegretMatchingLearner::new(RthsConfig::builder(3).build()?)?;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let a = learner.select_action(&mut rng);
-/// learner.observe(500.0);
-/// assert!(a < 3);
-/// # Ok::<(), rths_core::ConfigError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct RegretMatchingLearner {
-    inner: RthsLearner,
-}
-
-impl RegretMatchingLearner {
-    /// Creates the baseline learner from `config`, overriding its recency
-    /// mode to [`RecencyMode::Uniform`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the remaining parameters are invalid.
-    pub fn new(config: RthsConfig) -> Result<Self, ConfigError> {
-        let uniform = RthsConfig::builder(config.num_actions())
-            .epsilon(config.epsilon())
-            .delta(config.delta())
-            .mu(config.mu())
-            .recency(RecencyMode::Uniform)
-            .build()?;
-        Ok(Self { inner: RthsLearner::new(uniform) })
-    }
-
-    /// Regret `Qⁿ(j,k)` under uniform averaging.
-    pub fn regret(&self, j: usize, k: usize) -> f64 {
-        self.inner.regret(j, k)
-    }
-}
-
-impl Learner for RegretMatchingLearner {
-    fn num_actions(&self) -> usize {
-        self.inner.num_actions()
-    }
-
-    fn probabilities(&self) -> &[f64] {
-        self.inner.probabilities()
-    }
-
-    fn select_action(&mut self, rng: &mut dyn RngCore) -> usize {
-        self.inner.select_action(rng)
-    }
-
-    fn observe(&mut self, utility: f64) {
-        self.inner.observe(utility);
-    }
-
-    fn max_regret(&self) -> f64 {
-        self.inner.max_regret()
-    }
-
-    fn stage(&self) -> u64 {
-        self.inner.stage()
-    }
-
-    fn pending_action(&self) -> Option<usize> {
-        self.inner.pending_action()
-    }
-
-    fn reset_actions(&mut self, num_actions: usize) {
-        self.inner.reset_actions(num_actions);
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::{RecencyMode, RthsConfig, RthsConfigBuilder};
+    use crate::learner::Learner;
+    use crate::slab::SlabLearner;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(seed)
     }
 
-    #[test]
-    fn constructor_forces_uniform_mode() {
-        let cfg = RthsConfig::builder(3).recency(RecencyMode::Exponential).build().unwrap();
-        let l = RegretMatchingLearner::new(cfg).unwrap();
-        // Behaviourally verified below; structurally the inner learner
-        // must report Uniform.
-        assert_eq!(l.inner.config().recency(), RecencyMode::Uniform);
+    /// `epsilon/delta/mu` as given, averaging uniform.
+    fn uniform(builder: RthsConfigBuilder) -> SlabLearner {
+        SlabLearner::standalone(builder.recency(RecencyMode::Uniform).build().unwrap())
     }
 
     #[test]
     fn concentrates_on_dominant_action_in_stationary_world() {
         // In a stationary environment uniform averaging works fine.
-        let cfg = RthsConfig::builder(2).epsilon(0.1).delta(0.1).mu(100.0).build().unwrap();
-        let mut l = RegretMatchingLearner::new(cfg).unwrap();
+        let mut l = uniform(RthsConfig::builder(2).epsilon(0.1).delta(0.1).mu(100.0));
         // Trajectory-pinned seed (vendored StdRng stream, see vendor/rand):
         // the strategy is metastable around the lock, so the stage-3000
         // snapshot depends on the seed; this one lands concentrated.
@@ -131,9 +43,9 @@ mod tests {
     fn adapts_slower_than_tracking_after_reversal() {
         // The ablation in miniature: flip the best action mid-run and
         // compare post-flip concentration on the newly best action.
-        let cfg = RthsConfig::builder(2).epsilon(0.05).delta(0.1).mu(100.0).build().unwrap();
-        let mut matching = RegretMatchingLearner::new(cfg.clone()).unwrap();
-        let mut tracking = crate::recursive::RthsLearner::new(cfg);
+        let cfg = RthsConfig::builder(2).epsilon(0.05).delta(0.1).mu(100.0);
+        let mut tracking = SlabLearner::standalone(cfg.clone().build().unwrap());
+        let mut matching = uniform(cfg);
         let mut rm = rng(2);
         let mut rt = rng(2);
 
@@ -161,8 +73,7 @@ mod tests {
 
     #[test]
     fn probabilities_remain_valid() {
-        let cfg = RthsConfig::builder(4).delta(0.08).mu(50.0).build().unwrap();
-        let mut l = RegretMatchingLearner::new(cfg).unwrap();
+        let mut l = uniform(RthsConfig::builder(4).delta(0.08).mu(50.0));
         let mut r = rng(3);
         for s in 0..500 {
             let a = l.select_action(&mut r);

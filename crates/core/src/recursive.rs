@@ -1,162 +1,15 @@
-//! R2HS — the recursive regret-tracking learner (paper Algorithm 2).
+//! Behaviour of the recursive regret-tracking learner (paper Algorithm 2)
+//! on its production layout, [`SlabLearner`](crate::SlabLearner): what the
+//! update rule must *do* — concentrate, track a reversal, keep the
+//! exploration floor — as opposed to the bit-for-bit oracle replays in
+//! `slab.rs`. Test-only.
 
-use rand::RngCore;
-use rths_math::Matrix;
-
-use crate::compact::RthsState;
-use crate::config::RthsConfig;
-use crate::learner::Learner;
-
-/// The Recursive Regret-Tracking Helper Selection learner.
-///
-/// Maintains the proxy matrix `Tⁿ` of Eq. (3-4) via the rank-one update of
-/// Eq. (3-5) and derives regrets with Eq. (3-6), so per-stage work is
-/// `O(m²)` with no history kept. See the crate docs for the full update
-/// equations and [`RecencyMode`](crate::RecencyMode) for the averaging
-/// variants.
-///
-/// This type is a standalone wrapper over the compact split state
-/// ([`RthsState`]) plus its own config and row scratch; population-scale
-/// consumers (the sharded peer stores in `rths_sim`) hold one `RthsState`
-/// per peer and share the config and scratch instead.
-///
-/// # Example
-///
-/// ```
-/// use rths_core::{Learner, RthsConfig, RthsLearner};
-/// use rand::SeedableRng;
-///
-/// let mut learner = RthsLearner::new(RthsConfig::builder(3).build()?);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let a = learner.select_action(&mut rng);
-/// assert!(a < 3);
-/// learner.observe(640.0);
-/// assert_eq!(learner.stage(), 1);
-/// # Ok::<(), rths_core::ConfigError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct RthsLearner {
-    config: RthsConfig,
-    state: RthsState,
-    /// Scratch copy of the played regret row, reused across stages so the
-    /// per-stage probability update allocates nothing.
-    row_scratch: Vec<f64>,
-}
-
-impl RthsLearner {
-    /// Creates a learner with the uniform initial strategy and zero
-    /// regrets (`Q⁰ = 0`, Algorithm 2 initialisation).
-    pub fn new(config: RthsConfig) -> Self {
-        let m = config.num_actions();
-        Self { state: RthsState::new(&config), row_scratch: Vec::with_capacity(m), config }
-    }
-
-    /// Wraps an existing split state (e.g. one extracted from a sharded
-    /// peer store) with its shared config.
-    pub fn from_parts(config: RthsConfig, state: RthsState) -> Self {
-        let m = config.num_actions();
-        Self { config, state, row_scratch: Vec::with_capacity(m) }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RthsConfig {
-        &self.config
-    }
-
-    /// The compact per-peer state.
-    pub fn state(&self) -> &RthsState {
-        &self.state
-    }
-
-    /// Consumes the learner, returning its split state.
-    pub fn into_state(self) -> RthsState {
-        self.state
-    }
-
-    /// The regret matrix `Qⁿ` (diagonal is zero by definition),
-    /// materialised from the proxy matrix on demand — the learner no
-    /// longer stores it.
-    pub fn regret_matrix(&self) -> Matrix {
-        let m = self.config.num_actions();
-        let mut q = Matrix::zeros(m, m);
-        for j in 0..m {
-            for k in 0..m {
-                q[(j, k)] = self.state.regret(&self.config, j, k);
-            }
-        }
-        q
-    }
-
-    /// The proxy matrix `Tⁿ`, materialised from the lazily-decayed
-    /// stored form.
-    pub fn proxy_matrix(&self) -> Matrix {
-        self.state.proxy_matrix()
-    }
-
-    /// Regret `Qⁿ(j, k)` for not having played `k` instead of `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn regret(&self, j: usize, k: usize) -> f64 {
-        self.state.regret(&self.config, j, k)
-    }
-
-    /// Recency-weighted empirical play frequencies (one per action).
-    pub fn play_frequencies(&self) -> &[f64] {
-        self.state.play_frequencies()
-    }
-}
-
-impl Default for RthsLearner {
-    fn default() -> Self {
-        Self::new(RthsConfig::builder(2).build().expect("default config is valid"))
-    }
-}
-
-impl Learner for RthsLearner {
-    fn num_actions(&self) -> usize {
-        self.config.num_actions()
-    }
-
-    fn probabilities(&self) -> &[f64] {
-        self.state.probabilities()
-    }
-
-    fn select_action(&mut self, rng: &mut dyn RngCore) -> usize {
-        self.state.select_action(rng)
-    }
-
-    fn observe(&mut self, utility: f64) {
-        self.state.observe(&self.config, utility, &mut self.row_scratch);
-    }
-
-    fn max_regret(&self) -> f64 {
-        self.state.max_regret(&self.config)
-    }
-
-    fn stage(&self) -> u64 {
-        self.state.stage()
-    }
-
-    fn pending_action(&self) -> Option<usize> {
-        self.state.pending_action()
-    }
-
-    fn reset_actions(&mut self, num_actions: usize) {
-        let config = self
-            .config
-            .with_num_actions(num_actions)
-            .expect("reset_actions requires at least one action");
-        self.config = config;
-        self.state.reset_actions(num_actions);
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::RecencyMode;
+    use std::sync::{Arc, Mutex};
+
+    use crate::config::{RecencyMode, RthsConfig};
+    use crate::learner::Learner;
+    use crate::slab::{LearnerSlab, SlabLearner};
     use rand::SeedableRng;
     use rths_math::vector::is_distribution;
 
@@ -170,7 +23,7 @@ mod tests {
 
     #[test]
     fn initial_strategy_is_uniform_with_zero_regret() {
-        let l = RthsLearner::new(config(4));
+        let l = SlabLearner::standalone(config(4));
         assert_eq!(l.probabilities(), &[0.25; 4]);
         assert_eq!(l.max_regret(), 0.0);
         assert_eq!(l.stage(), 0);
@@ -179,7 +32,7 @@ mod tests {
 
     #[test]
     fn protocol_select_then_observe() {
-        let mut l = RthsLearner::new(config(3));
+        let mut l = SlabLearner::standalone(config(3));
         let mut r = rng(1);
         let a = l.select_action(&mut r);
         assert_eq!(l.pending_action(), Some(a));
@@ -191,7 +44,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "observation pending")]
     fn double_select_panics() {
-        let mut l = RthsLearner::new(config(2));
+        let mut l = SlabLearner::standalone(config(2));
         let mut r = rng(2);
         l.select_action(&mut r);
         l.select_action(&mut r);
@@ -200,14 +53,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "without a pending action")]
     fn observe_without_select_panics() {
-        let mut l = RthsLearner::new(config(2));
+        let mut l = SlabLearner::standalone(config(2));
         l.observe(1.0);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn non_finite_utility_panics() {
-        let mut l = RthsLearner::new(config(2));
+        let mut l = SlabLearner::standalone(config(2));
         let mut r = rng(3);
         l.select_action(&mut r);
         l.observe(f64::NAN);
@@ -215,7 +68,7 @@ mod tests {
 
     #[test]
     fn probabilities_remain_distribution_with_floor() {
-        let mut l = RthsLearner::new(config(5));
+        let mut l = SlabLearner::standalone(config(5));
         let mut r = rng(4);
         let floor = crate::policy::exploration_floor(5, 0.1);
         for s in 0..500 {
@@ -232,7 +85,7 @@ mod tests {
     #[test]
     fn learner_concentrates_on_dominant_action() {
         // Action 1 always pays 10x more; the learner should favour it.
-        let mut l = RthsLearner::new(config(2));
+        let mut l = SlabLearner::standalone(config(2));
         let mut r = rng(5);
         for _ in 0..2000 {
             let a = l.select_action(&mut r);
@@ -249,7 +102,7 @@ mod tests {
     fn tracks_reward_reversal() {
         // The defining feature versus uniform averaging: after the best
         // action flips, the exponential learner re-concentrates.
-        let mut l = RthsLearner::new(config(2));
+        let mut l = SlabLearner::standalone(config(2));
         let mut r = rng(6);
         for _ in 0..1500 {
             let a = l.select_action(&mut r);
@@ -265,7 +118,7 @@ mod tests {
 
     #[test]
     fn regret_matrix_diagonal_is_zero() {
-        let mut l = RthsLearner::new(config(3));
+        let mut l = SlabLearner::standalone(config(3));
         let mut r = rng(7);
         for _ in 0..50 {
             let a = l.select_action(&mut r);
@@ -278,16 +131,20 @@ mod tests {
 
     #[test]
     fn regrets_are_nonnegative() {
-        let mut l = RthsLearner::new(config(4));
+        let mut l = SlabLearner::standalone(config(4));
         let mut r = rng(8);
         for s in 0..300 {
             let a = l.select_action(&mut r);
             l.observe((a + s % 3) as f64);
+            // The mask-driven scan and the entrywise read agree.
+            let mut max = 0.0f64;
             for j in 0..4 {
                 for k in 0..4 {
                     assert!(l.regret(j, k) >= 0.0);
+                    max = max.max(l.regret(j, k));
                 }
             }
+            assert_eq!(max.to_bits(), l.max_regret().to_bits(), "stage {s}");
         }
     }
 
@@ -296,7 +153,8 @@ mod tests {
         // With decay, ε·T stays within the utility scale; boundedness is
         // what the PaperLiteral mode loses.
         let cfg = RthsConfig::builder(3).epsilon(0.1).delta(0.1).mu(100.0).build().unwrap();
-        let mut l = RthsLearner::new(cfg);
+        let slab = Arc::new(Mutex::new(LearnerSlab::new(3)));
+        let mut l = SlabLearner::new(Arc::clone(&slab), cfg);
         let mut r = rng(9);
         let u_max = 100.0;
         for _ in 0..3000 {
@@ -305,7 +163,11 @@ mod tests {
         }
         // Bound: |T| ≤ u_max · max_importance / ε where importance ≤ m/δ.
         let bound = u_max * (3.0 / 0.1) / 0.1;
-        assert!(l.proxy_matrix().max() <= bound, "T = {}", l.proxy_matrix().max());
+        let slab = slab.lock().unwrap();
+        for (j, k) in (0..3).flat_map(|j| (0..3).map(move |k| (j, k))) {
+            let t = slab.proxy(l.slot() as usize, j, k);
+            assert!(t <= bound, "T({j},{k}) = {t}");
+        }
     }
 
     #[test]
@@ -319,7 +181,7 @@ mod tests {
             .recency(RecencyMode::PaperLiteral)
             .build()
             .unwrap();
-        let mut l = RthsLearner::new(cfg);
+        let mut l = SlabLearner::standalone(cfg);
         let mut r = rng(10);
         let mut mid = 0.0;
         for s in 0..4000 {
@@ -338,23 +200,27 @@ mod tests {
 
     #[test]
     fn reset_actions_reinitialises() {
-        let mut l = RthsLearner::new(config(3));
+        let mut l = SlabLearner::standalone(config(3));
         let mut r = rng(11);
         for _ in 0..20 {
             let _ = l.select_action(&mut r);
             l.observe(5.0);
         }
+        // Beyond the stride of its one-slot slab: the arena is replaced.
         l.reset_actions(5);
         assert_eq!(l.num_actions(), 5);
         assert_eq!(l.probabilities(), &[0.2; 5]);
         assert_eq!(l.max_regret(), 0.0);
         assert_eq!(l.stage(), 0);
+        let _ = l.select_action(&mut r);
+        l.observe(5.0);
+        assert_eq!(l.stage(), 1);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let run = |seed: u64| {
-            let mut l = RthsLearner::new(config(3));
+            let mut l = SlabLearner::standalone(config(3));
             let mut r = rng(seed);
             let mut actions = Vec::with_capacity(100);
             for _ in 0..100 {
@@ -370,7 +236,8 @@ mod tests {
 
     #[test]
     fn play_frequencies_track_play() {
-        let mut l = RthsLearner::new(config(2));
+        let slab = Arc::new(Mutex::new(LearnerSlab::new(2)));
+        let mut l = SlabLearner::new(Arc::clone(&slab), config(2));
         // Trajectory-pinned seed (vendored StdRng stream, see vendor/rand):
         // the ~10-stage EWMA play frequency is noisy around the lock, so
         // the stage-800 snapshot depends on the seed; this one lands
@@ -381,7 +248,8 @@ mod tests {
             // Action 1 pays far more -> learner concentrates on it.
             l.observe(if a == 1 { 100.0 } else { 1.0 });
         }
-        let f = l.play_frequencies();
+        let slab = slab.lock().unwrap();
+        let f = slab.play_frequencies(l.slot() as usize);
         assert!(f[1] > 0.6, "frequencies did not follow play: {f:?}");
         assert!((f[0] + f[1] - 1.0).abs() < 1e-6, "frequencies not normalised: {f:?}");
     }
@@ -399,7 +267,7 @@ mod tests {
                 .conditional(conditional)
                 .build()
                 .unwrap();
-            let mut l = RthsLearner::new(cfg);
+            let mut l = SlabLearner::standalone(cfg);
             let mut r = rng(21);
             for _ in 0..1500 {
                 let a = l.select_action(&mut r);
@@ -421,14 +289,5 @@ mod tests {
             conditional < plain,
             "conditional ({conditional}) should evacuate faster than plain ({plain})"
         );
-    }
-
-    #[test]
-    fn default_is_usable() {
-        let mut l = RthsLearner::default();
-        let mut r = rng(12);
-        let a = l.select_action(&mut r);
-        l.observe(1.0);
-        assert!(a < 2);
     }
 }

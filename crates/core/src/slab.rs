@@ -629,6 +629,19 @@ impl LearnerSlab {
         self.scale[slot] * self.t[self.block_range(slot).start + k * self.stride + j]
     }
 
+    /// Regret `Qⁿ(j, k)` of a slot (Eq. 3-6; tests/diagnostics) — the
+    /// expression of `RthsState::regret`.
+    pub fn regret(&self, slot: usize, config: &RthsConfig, j: usize, k: usize) -> f64 {
+        if j == k {
+            return 0.0;
+        }
+        let m = self.arity[slot] as usize;
+        assert!(j < m && k < m, "regret index out of range");
+        let s = &self.t[self.block_range(slot)];
+        let factor = factor_for(config, self.stage[slot]) * self.scale[slot];
+        (factor * (s[k * self.stride + j] - s[j * self.stride + j])).max(0.0)
+    }
+
     /// Borrows every column as a [`SlabCols`] bundle for a sharded
     /// parallel phase. `O(slots)`: the handles are read to find each
     /// slot's T block, so that a shard can be given the blocks of its
@@ -1072,13 +1085,31 @@ impl SlabCols<'_> {
 /// learner by value (the reactor's peer actors).
 pub type SharedSlab = Arc<Mutex<LearnerSlab>>;
 
-/// One slab slot behind the [`Learner`] trait: the reactor backend packs
-/// all same-mailbox-shard peers' state into one [`SharedSlab`] (same-
-/// shard actors run sequentially on one worker, so the mutex is
-/// uncontended) and hands each `Peer` a `SlabLearner`. The strategy is
-/// mirrored into a local cache after every update so
-/// [`probabilities`](Learner::probabilities) can return a borrow without
-/// holding the lock.
+/// The recursive regret-tracking learner (paper Algorithm 2; regret
+/// *matching* under [`RecencyMode::Uniform`]) behind the [`Learner`]
+/// trait: one slab slot. The reactor backend packs all same-mailbox-shard
+/// peers' state into one [`SharedSlab`] (same-shard actors run
+/// sequentially on one worker, so the mutex is uncontended) and hands
+/// each `Peer` a `SlabLearner`; [`population`](Self::population) builds
+/// that layout for a repeated game, [`standalone`](Self::standalone) a
+/// learner with a slab to itself. The strategy is mirrored into a local
+/// cache after every update so [`probabilities`](Learner::probabilities)
+/// can return a borrow without holding the lock.
+///
+/// # Example
+///
+/// ```
+/// use rths_core::{Learner, RthsConfig, SlabLearner};
+/// use rand::SeedableRng;
+///
+/// let mut learner = SlabLearner::standalone(RthsConfig::builder(3).build()?);
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let a = learner.select_action(&mut rng);
+/// assert!(a < 3);
+/// learner.observe(640.0);
+/// assert_eq!(learner.stage(), 1);
+/// # Ok::<(), rths_core::ConfigError>(())
+/// ```
 #[derive(Debug)]
 pub struct SlabLearner {
     slab: SharedSlab,
@@ -1097,6 +1128,21 @@ impl SlabLearner {
         Self { slab, slot, config, probs: vec![1.0 / m as f64; m], scratch: Vec::new() }
     }
 
+    /// `n` fresh learners sharing one slab sized for exactly them — the
+    /// reactor's per-shard layout, for a population driven from one
+    /// thread.
+    pub fn population(n: usize, config: &RthsConfig) -> Vec<Self> {
+        let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(config.num_actions(), n)));
+        (0..n).map(|_| Self::new(Arc::clone(&slab), config.clone())).collect()
+    }
+
+    /// A fresh learner on a one-slot slab of its own, for owners with no
+    /// shard to share: a learner per OS thread (a shared mutex would
+    /// serialise them) or one of a kind.
+    pub fn standalone(config: RthsConfig) -> Self {
+        Self::population(1, &config).pop().expect("a population of one")
+    }
+
     /// The slab slot this learner owns.
     pub fn slot(&self) -> u32 {
         self.slot
@@ -1105,6 +1151,20 @@ impl SlabLearner {
     /// The learner's configuration.
     pub fn config(&self) -> &RthsConfig {
         &self.config
+    }
+
+    /// Regret `Qⁿ(j, k)` for not having played `k` instead of `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    pub fn regret(&self, j: usize, k: usize) -> f64 {
+        self.slab.lock().expect("learner slab mutex poisoned").regret(
+            self.slot as usize,
+            &self.config,
+            j,
+            k,
+        )
     }
 }
 
@@ -1177,10 +1237,25 @@ impl Learner for SlabLearner {
             .with_num_actions(num_actions)
             .expect("reset_actions requires at least one action");
         let mut slab = self.slab.lock().expect("learner slab mutex poisoned");
-        // The slot keeps its stride, so a reset only works up to the
-        // slab's stride — same restriction as the arity the slab was
-        // sized for.
-        slab.reset_actions(self.slot as usize, num_actions);
+        if num_actions > slab.stride() {
+            // Outgrowing the stride means a new arena. A slab this
+            // learner has to itself is simply replaced; with neighbours,
+            // their columns would have to move too — the slab is sized
+            // once for the largest action set its shard hosts.
+            assert!(
+                slab.pending_action(self.slot as usize).is_none(),
+                "cannot reset actions with an observation pending"
+            );
+            assert!(
+                slab.num_slots() - slab.free_slots() == 1,
+                "action count {num_actions} exceeds the shared slab's stride {}",
+                slab.stride()
+            );
+            *slab = LearnerSlab::with_capacity(num_actions, 1);
+            self.slot = slab.alloc(num_actions);
+        } else {
+            slab.reset_actions(self.slot as usize, num_actions);
+        }
         self.probs = vec![1.0 / num_actions as f64; num_actions];
     }
 }
@@ -1189,7 +1264,6 @@ impl Learner for SlabLearner {
 mod tests {
     use super::*;
     use crate::compact::RthsState;
-    use crate::recursive::RthsLearner;
     use rand::SeedableRng;
 
     fn config(m: usize, recency: RecencyMode, conditional: bool) -> RthsConfig {
@@ -1383,6 +1457,13 @@ mod tests {
                             "{recency:?} max_regret diverged at stage {s} slot {p}"
                         );
                     }
+                }
+                for (j, k) in (0..4).flat_map(|j| (0..4).map(move |k| (j, k))) {
+                    assert_eq!(
+                        slab.regret(2, &cfg, j, k).to_bits(),
+                        oracles[2].regret(&cfg, j, k).to_bits(),
+                        "{recency:?}/cond={conditional} Q({j},{k})"
+                    );
                 }
             }
         }
@@ -1891,39 +1972,50 @@ mod tests {
         slab.remove_slots(&[1]);
     }
 
-    /// The trait wrapper must behave exactly like the standalone learner,
-    /// including across a reset.
+    /// The trait wrapper must replay the scalar oracle exactly, including
+    /// across a reset.
     #[test]
     fn slab_learner_replays_wrapped_learner_bitwise() {
-        let cfg = config(4, RecencyMode::Exponential, false);
+        let mut cfg = config(4, RecencyMode::Exponential, false);
         let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(6)));
-        let mut wrapped = RthsLearner::new(cfg.clone());
-        let mut learner = SlabLearner::new(Arc::clone(&slab), cfg);
+        let mut oracle = RthsState::new(&cfg);
+        let mut learner = SlabLearner::new(Arc::clone(&slab), cfg.clone());
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(42);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(42);
+        let mut scratch = Vec::new();
         for phase in 0..2 {
             for s in 0..120u64 {
-                let a = wrapped.select_action(&mut rng_a);
+                let a = oracle.select_action(&mut rng_a);
                 let b = learner.select_action(&mut rng_b);
                 assert_eq!(a, b, "phase {phase} stage {s}");
                 assert_eq!(learner.pending_action(), Some(b));
                 let u = ((a * 31 + s as usize) % 13) as f64 * 3.0;
-                wrapped.observe(u);
+                oracle.observe(&cfg, u, &mut scratch);
                 learner.observe(u);
-                for (x, y) in wrapped.probabilities().iter().zip(learner.probabilities()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "phase {phase} stage {s}");
-                }
-                assert_eq!(wrapped.max_regret().to_bits(), learner.max_regret().to_bits());
-                assert_eq!(wrapped.stage(), learner.stage());
+                assert_bitwise(learner.probabilities(), oracle.probabilities(), "strategy");
+                assert_eq!(oracle.max_regret(&cfg).to_bits(), learner.max_regret().to_bits());
+                assert_eq!(oracle.stage(), learner.stage());
             }
             // Channel switch mid-life: both sides reset to 6 actions.
-            wrapped.reset_actions(6);
+            cfg = cfg.with_num_actions(6).unwrap();
+            oracle.reset_actions(6);
             learner.reset_actions(6);
             assert_eq!(learner.num_actions(), 6);
         }
         // Dropping the learner returns its slot to the free list.
         drop(learner);
         assert_eq!(slab.lock().unwrap().free_slots(), 1);
+    }
+
+    /// Alone in its slab a learner may outgrow the stride (see
+    /// `recursive::tests::reset_actions_reinitialises`); with neighbours
+    /// it may not.
+    #[test]
+    #[should_panic(expected = "exceeds the shared slab's stride 3")]
+    fn reset_beyond_the_stride_of_a_shared_slab_panics() {
+        let cfg = config(3, RecencyMode::Exponential, false);
+        let mut population = SlabLearner::population(2, &cfg);
+        population[0].reset_actions(5);
     }
 
     /// Cloning a `SlabLearner` allocates an independent slot.

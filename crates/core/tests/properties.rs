@@ -5,8 +5,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rths_core::{
-    HistoryRths, Learner, LearnerSlab, RecencyMode, RegretMatchingLearner, RthsConfig,
-    RthsLearner, RthsState, SlabLearner,
+    HistoryRths, Learner, LearnerSlab, RecencyMode, RthsConfig, RthsState, SlabLearner,
 };
 
 fn arb_config() -> impl Strategy<Value = RthsConfig> {
@@ -79,7 +78,7 @@ proptest! {
     ) {
         let m = cfg.num_actions();
         let floor = cfg.delta() / m as f64;
-        let mut l = RthsLearner::new(cfg);
+        let mut l = SlabLearner::standalone(cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for &u in &utilities {
             let _ = l.select_action(&mut rng);
@@ -98,7 +97,7 @@ proptest! {
         utilities in prop::collection::vec(0.0..1000.0f64, 30..100),
     ) {
         let m = cfg.num_actions();
-        let mut l = RthsLearner::new(cfg);
+        let mut l = SlabLearner::standalone(cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for &u in &utilities {
             let _ = l.select_action(&mut rng);
@@ -120,7 +119,7 @@ proptest! {
         utilities in prop::collection::vec(0.0..100.0f64, 20..60),
     ) {
         let mut hist = HistoryRths::new(cfg.clone());
-        let mut rec = RthsLearner::new(cfg);
+        let mut rec = SlabLearner::standalone(cfg);
         let mut rng_h = rand::rngs::StdRng::seed_from_u64(seed);
         let mut rng_r = rand::rngs::StdRng::seed_from_u64(seed);
         for &u in &utilities {
@@ -140,7 +139,7 @@ proptest! {
     #[test]
     fn deterministic_trajectories(cfg in arb_config(), seed in any::<u64>()) {
         let run = |cfg: RthsConfig, seed: u64| {
-            let mut l = RthsLearner::new(cfg);
+            let mut l = SlabLearner::standalone(cfg);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut actions = Vec::new();
             for s in 0..40 {
@@ -164,7 +163,7 @@ proptest! {
         // single action. (Importance-weighting noise allows transient
         // tilt, so the assertion is deliberately loose.)
         let m = cfg.num_actions();
-        let mut l = RthsLearner::new(cfg);
+        let mut l = SlabLearner::standalone(cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut sum_entropyish = 0.0;
         let stages = 400;
@@ -186,8 +185,14 @@ proptest! {
         seed in any::<u64>(),
         utilities in prop::collection::vec(0.0..100.0f64, 20..80),
     ) {
-        let cfg = RthsConfig::builder(3).epsilon(0.05).delta(0.1).mu(100.0).build().unwrap();
-        let mut l = RegretMatchingLearner::new(cfg).unwrap();
+        let cfg = RthsConfig::builder(3)
+            .epsilon(0.05)
+            .delta(0.1)
+            .mu(100.0)
+            .recency(RecencyMode::Uniform)
+            .build()
+            .unwrap();
+        let mut l = SlabLearner::standalone(cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for &u in &utilities {
             let _ = l.select_action(&mut rng);
@@ -203,7 +208,7 @@ proptest! {
         seed in any::<u64>(),
         new_m in 1usize..7,
     ) {
-        let mut l = RthsLearner::new(cfg);
+        let mut l = SlabLearner::standalone(cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         for _ in 0..10 {
             let _ = l.select_action(&mut rng);
@@ -225,27 +230,28 @@ proptest! {
         seed in any::<u64>(),
         utilities in prop::collection::vec(0.0..1000.0f64, 40..120),
     ) {
-        // Slab-backed learners must replay the scalar wrapped learner
-        // bit-for-bit over randomized trajectories in every recency ×
-        // conditional mode. Two slots share the slab so the strided
-        // layout (not just a lone slot) is exercised.
+        // Slab-backed learners must replay the scalar oracle bit-for-bit
+        // over randomized trajectories in every recency × conditional
+        // mode. Two slots share the slab so the strided layout (not just
+        // a lone slot) is exercised.
         let slab = Arc::new(Mutex::new(LearnerSlab::new(cfg.num_actions())));
         let _neighbor = SlabLearner::new(Arc::clone(&slab), cfg.clone());
         let mut slabbed = SlabLearner::new(Arc::clone(&slab), cfg.clone());
-        let mut wrapped = RthsLearner::new(cfg);
+        let mut oracle = RthsState::new(&cfg);
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut scratch = Vec::new();
         for (s, &u) in utilities.iter().enumerate() {
-            let a = wrapped.select_action(&mut rng_a);
+            let a = oracle.select_action(&mut rng_a);
             let b = slabbed.select_action(&mut rng_b);
             prop_assert_eq!(a, b, "action diverged at stage {}", s);
-            wrapped.observe(u);
+            oracle.observe(&cfg, u, &mut scratch);
             slabbed.observe(u);
-            for (x, y) in wrapped.probabilities().iter().zip(slabbed.probabilities()) {
+            for (x, y) in oracle.probabilities().iter().zip(slabbed.probabilities()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits(), "probs diverged at stage {}", s);
             }
             prop_assert_eq!(
-                wrapped.max_regret().to_bits(),
+                oracle.max_regret(&cfg).to_bits(),
                 slabbed.max_regret().to_bits(),
                 "max_regret diverged at stage {}",
                 s
@@ -310,7 +316,7 @@ proptest! {
             .recency(RecencyMode::Uniform)
             .build()
             .unwrap();
-        let mut l = RthsLearner::new(cfg);
+        let mut l = SlabLearner::standalone(cfg);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let max_u = utilities.iter().copied().fold(0.0f64, f64::max);
         for &u in &utilities {

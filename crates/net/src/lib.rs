@@ -20,13 +20,13 @@
 //! The protocol state machines live in [`machines`]; two interchangeable
 //! [`Backend`]s host them:
 //!
+//! * [`Backend::Reactor`] ([`reactor_backend::ReactorRuntime`], the
+//!   default) — every actor as a poll-driven state machine on an
+//!   `rths_reactor` event loop: thousands of actors per thread,
+//!   impairment jitter mapped to timer-wheel delays;
 //! * [`Backend::Threaded`] ([`runtime::NetRuntime`]) — one OS thread per
 //!   actor over real channels: the deployment-shaped proof, practical to
-//!   a few hundred actors;
-//! * [`Backend::Reactor`] ([`reactor_backend::ReactorRuntime`]) — every
-//!   actor as a poll-driven state machine on an `rths_reactor` event
-//!   loop: thousands of actors per thread, impairment jitter mapped to
-//!   timer-wheel delays.
+//!   a few hundred actors.
 //!
 //! Because the epoch protocol is a barrier and every actor owns a
 //! deterministic RNG stream, a fault-free run reproduces
@@ -53,9 +53,9 @@
 //! use rths_sim::Scenario;
 //!
 //! let sim = Scenario::paper_small().seed(11).build();
-//! let threaded = rths_net::run(NetConfig::from_sim(sim.clone()), 50);
-//! let reactor =
-//!     rths_net::run(NetConfig::from_sim(sim).with_backend(Backend::Reactor), 50);
+//! let reactor = rths_net::run(NetConfig::from_sim(sim.clone()), 50);
+//! let threaded =
+//!     rths_net::run(NetConfig::from_sim(sim).with_backend(Backend::Threaded), 50);
 //! assert_eq!(threaded.epochs, 50);
 //! assert_eq!(
 //!     threaded.metrics.welfare.values(),

@@ -10,6 +10,7 @@
 //! bit-for-bit equivalence test across backends structural rather than
 //! coincidental.
 
+use rths_core::SharedSlab;
 use rths_sim::helper::{Helper, HelperId};
 use rths_sim::peer::{Peer, PeerId};
 use rths_sim::regret::RegretLedger;
@@ -38,16 +39,6 @@ pub fn instantiate_helpers(sim: &SimConfig) -> (Vec<Helper>, f64) {
         })
         .collect();
     (helpers, min_total)
-}
-
-/// Instantiates peer `id` exactly as `rths_sim::System::new` does (same
-/// learner spec, same per-entity RNG stream).
-pub fn instantiate_peer(sim: &SimConfig, id: u64, num_helpers: usize) -> Peer {
-    let learner = sim
-        .learner
-        .instantiate(num_helpers, sim.rate_scale())
-        .expect("learner spec validated by construction");
-    Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0)
 }
 
 /// What a peer decided this epoch.
@@ -80,14 +71,23 @@ impl PeerMachine {
         Self { peer, demand, impairments, shaper: LinkShaper::new(), inflight: None }
     }
 
-    /// Builds the peer for `id` from the simulation config.
+    /// Builds peer `id` exactly as `rths_sim::System::new` does (same
+    /// learner spec, same per-entity RNG stream). A slab-hosted learner
+    /// takes a slot of `slab` (the reactor's per-mailbox-shard arena),
+    /// or a one-slot slab of its own when none is given.
     pub fn from_config(
         sim: &SimConfig,
         id: u64,
         num_helpers: usize,
         impairments: ImpairmentPlan,
+        slab: Option<&SharedSlab>,
     ) -> Self {
-        Self::new(instantiate_peer(sim, id, num_helpers), sim.demand, impairments)
+        let learner = sim
+            .learner
+            .instantiate(num_helpers, sim.rate_scale(), slab)
+            .expect("learner spec validated by construction");
+        let peer = Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0);
+        Self::new(peer, sim.demand, impairments)
     }
 
     /// Stable peer id.
@@ -467,7 +467,7 @@ mod tests {
             .demand(300.0)
             .seed(1)
             .build();
-        let mut m = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none());
+        let mut m = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none(), None);
         let sel = m.on_tick(0);
         assert!(sel.helper < 2);
         assert!(!sel.lost);
@@ -488,6 +488,7 @@ mod tests {
             1,
             2,
             ImpairmentPlan::builder(9).uniform_loss(1.0).build().unwrap(),
+            None,
         );
         assert!(m.on_tick(0).lost);
     }
@@ -503,7 +504,7 @@ mod tests {
             .build()
             .unwrap();
         let sim = small_sim();
-        let mut m = PeerMachine::from_config(&sim, 0, 2, plan.clone());
+        let mut m = PeerMachine::from_config(&sim, 0, 2, plan.clone(), None);
         let mut reference = LinkShaper::new();
         for epoch in 0..40 {
             let sel = m.on_tick(epoch);

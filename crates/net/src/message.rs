@@ -2,9 +2,10 @@
 //!
 //! Control-plane messages (ticks, requests, settles) are reliable and
 //! FIFO per channel — the guarantee a TCP connection gives a real overlay.
-//! Data-plane loss is modelled by the `lost` flag on a request (see
-//! [`crate::fault`]): the connection exists but the stream payload never
-//! arrives, so the peer observes rate 0 for the epoch.
+//! Data-plane loss is modelled by the `lost` flag on a request (drawn
+//! from [`rths_sim::ImpairmentPlan::is_lost`]): the connection exists but
+//! the stream payload never arrives, so the peer observes rate 0 for the
+//! epoch.
 
 use crossbeam::channel::Sender;
 

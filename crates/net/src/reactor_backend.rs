@@ -25,12 +25,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use rths_core::{LearnerSlab, SlabLearner};
+use rths_core::LearnerSlab;
 use rths_obs as obs;
 use rths_reactor::{Actor, ActorId, Ctx, Reactor, ReactorStats, SHARD_SPAN};
-use rths_sim::peer::{Peer, PeerId};
-use rths_sim::{Algorithm, AnyLearner, ImpairmentPlan};
-use rths_stoch::rng::entity_rng;
+use rths_sim::ImpairmentPlan;
 
 use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
@@ -487,54 +485,36 @@ pub(crate) fn populate_mesh(
     if p_start >= p_end {
         return;
     }
-    if matches!(sim.learner.algorithm, Algorithm::Rths) {
-        // Default-algorithm fast path: instead of 10⁵ per-peer
-        // `Matrix::zeros` heap blocks, each mailbox shard's peers
-        // share one pre-sized `LearnerSlab` (column-major arena,
-        // lazily mapped zero pages — see `rths_core::slab`). A shard
-        // is processed by exactly one worker per round, so the slab
-        // mutex is uncontended; learners replay the scalar path
-        // bit-for-bit, keeping the three-way equivalence intact. The
-        // per-channel config is derived once, not once per peer.
-        let learner_config = sim
-            .learner
-            .rths_config(h, sim.rate_scale())
-            .expect("learner spec validated by construction");
-        let mut start = p_start;
-        while start < p_end {
-            // Peers sharing a mailbox shard: actor ids
-            // `peer_base + start ..` up to the next shard edge.
-            let shard_end = ((peer_base + start) / span + 1) * span;
-            let slab_end = p_end.min(shard_end - peer_base);
-            let slab =
-                Arc::new(Mutex::new(LearnerSlab::with_capacity(h.max(1), slab_end - start)));
-            for id in start..slab_end {
-                let learner = AnyLearner::SlabRths(SlabLearner::new(
-                    Arc::clone(&slab),
-                    learner_config.clone(),
-                ));
-                let id = id as u64;
-                let peer = Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0);
-                reactor.add_actor(NetActor::Peer(PeerNode {
-                    machine: PeerMachine::new(peer, sim.demand, impairments.clone()),
-                    coordinator,
-                    helper_base: None,
-                    track_estimate: config.track_estimate,
-                    control: 0,
-                }));
-            }
-            start = slab_end;
-        }
-    } else {
-        for id in p_start as u64..p_end as u64 {
+    // Instead of 10⁵ per-peer heap blocks, each mailbox shard's peers
+    // share one pre-sized `LearnerSlab` (column-major arena, lazily
+    // mapped zero pages — see `rths_core::slab`), in which every
+    // slab-hosted learner takes a slot; the other algorithms leave the
+    // reservation untouched. A shard is processed by exactly one worker
+    // per round, so the slab mutex is uncontended; learners replay the
+    // scalar oracle bit-for-bit, keeping the four-way equivalence intact.
+    let mut start = p_start;
+    while start < p_end {
+        // Peers sharing a mailbox shard: actor ids
+        // `peer_base + start ..` up to the next shard edge.
+        let shard_end = ((peer_base + start) / span + 1) * span;
+        let slab_end = p_end.min(shard_end - peer_base);
+        let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(h.max(1), slab_end - start)));
+        for id in start..slab_end {
             reactor.add_actor(NetActor::Peer(PeerNode {
-                machine: PeerMachine::from_config(sim, id, h, impairments.clone()),
+                machine: PeerMachine::from_config(
+                    sim,
+                    id as u64,
+                    h,
+                    impairments.clone(),
+                    Some(&slab),
+                ),
                 coordinator,
                 helper_base: None,
                 track_estimate: config.track_estimate,
                 control: 0,
             }));
         }
+        start = slab_end;
     }
 }
 

@@ -39,13 +39,13 @@ use crate::tracker::Tracker;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// One OS thread per actor ([`NetRuntime`]) — the deployment-shaped
-    /// proof, capped at a few hundred actors. **Default.**
-    #[default]
+    /// proof, capped at a few hundred actors.
     Threaded,
     /// The event-loop runtime
     /// ([`ReactorRuntime`](crate::reactor_backend::ReactorRuntime)):
     /// thousands of poll-driven actors per thread, bit-equivalent to both
-    /// the threaded backend and the simulator.
+    /// the threaded backend and the simulator. **Default.**
+    #[default]
     Reactor,
     /// The multi-process reactor ([`crate::multiproc`]): the mesh
     /// sharded across OS processes over Unix-domain sockets, each
@@ -270,8 +270,15 @@ impl NetRuntime {
         let mut peer_handles = Vec::new();
         let track_estimate = config.track_estimate;
         for id in 0..sim.num_peers as u64 {
-            let machine =
-                PeerMachine::from_config(sim, id, tracker.num_helpers(), impairments.clone());
+            // A slab of its own per peer: one shared across OS threads
+            // would serialise them on its mutex.
+            let machine = PeerMachine::from_config(
+                sim,
+                id,
+                tracker.num_helpers(),
+                impairments.clone(),
+                None,
+            );
             let (tx, rx) = unbounded::<PeerMsg>();
             peer_endpoints.push(tx.clone());
             let helpers = tracker.bootstrap();
@@ -608,7 +615,8 @@ mod tests {
     #[test]
     fn backend_dispatcher_routes_both_ways() {
         let sim = Scenario::paper_small().seed(21).build();
-        let threaded = run(NetConfig::from_sim(sim.clone()), 40);
+        let threaded =
+            run(NetConfig::from_sim(sim.clone()).with_backend(Backend::Threaded), 40);
         let reactor = run(NetConfig::from_sim(sim).with_backend(Backend::Reactor), 40);
         assert_eq!(threaded.epochs, reactor.epochs);
         assert_eq!(

@@ -42,8 +42,8 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
     // helper that drops its payload, the other observes an explicit 0.0.
     // Their learner states must end bit-identical.
     let sim = Scenario::paper_small().seed(31).build();
-    let mut dropped = PeerMachine::from_config(&sim, 4, 2, uniform_loss(1.0, 1));
-    let mut explicit = PeerMachine::from_config(&sim, 4, 2, ImpairmentPlan::none());
+    let mut dropped = PeerMachine::from_config(&sim, 4, 2, uniform_loss(1.0, 1), None);
+    let mut explicit = PeerMachine::from_config(&sim, 4, 2, ImpairmentPlan::none(), None);
     let mut helper: HelperMachine<()> = HelperMachine::new(Helper::with_seed(
         HelperId(0),
         Box::new(ConstantBandwidth::new(800.0)),
@@ -78,7 +78,8 @@ fn lossy_reactor_reproduces_lossy_threaded_run() {
     // epoch), so the reactor and threaded backends must drop the same
     // payloads and end in identical learner/metric states.
     for loss in [0.15, 0.5] {
-        let threaded = rths_net::run(lossy_config(77, loss), 120);
+        let threaded =
+            rths_net::run(lossy_config(77, loss).with_backend(Backend::Threaded), 120);
         let reactor = rths_net::run(lossy_config(77, loss).with_backend(Backend::Reactor), 120);
         assert_eq!(
             bits(threaded.metrics.welfare.values()),

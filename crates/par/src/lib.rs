@@ -351,7 +351,7 @@ impl Shard {
 /// of the store ([`ShardCols`]), each shard receives the same contiguous
 /// item range of all of them plus **its own** scratch slot, so a phase
 /// can mutate per-entity state and thread-affine accumulators without any
-/// sharing. Shard boundaries are the deterministic [`chunk_ranges`]
+/// sharing. Shard boundaries are the deterministic `chunk_ranges`
 /// partition; as long as the caller keeps order-sensitive reductions
 /// index-ordered (sequentially, or by merging per-shard accumulators in
 /// shard order when the merge is order-insensitive), results are

@@ -30,7 +30,7 @@
 //! each actor's span in place. Per-actor memory is two `u32` cursors
 //! instead of a `VecDeque` handle plus a private heap block, which is
 //! what keeps 10⁵-actor meshes cache- and allocator-friendly. See
-//! [`reactor`](mod@crate::reactor)'s module docs for the layout.
+//! `reactor.rs`'s module docs for the layout.
 //!
 //! # Determinism contract
 //!

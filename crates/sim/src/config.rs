@@ -1,8 +1,8 @@
 //! Simulation configuration.
 
 use rths_core::{
-    ConfigError, Exp3Config, Exp3Learner, HistoryRths, Learner, RecencyMode,
-    RegretMatchingLearner, RthsConfig, RthsLearner, SlabLearner,
+    ConfigError, Exp3Config, Exp3Learner, HistoryRths, Learner, RecencyMode, RthsConfig,
+    SharedSlab, SlabLearner,
 };
 use rths_stoch::bandwidth::{
     BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RandomWalkBandwidth,
@@ -185,17 +185,24 @@ impl Default for LearnerSpec {
     }
 }
 
+impl Algorithm {
+    /// Whether the algorithm is the recursive RTHS update (regret
+    /// tracking, or regret matching — the same update under
+    /// [`RecencyMode::Uniform`]), whose state lives in a
+    /// [`LearnerSlab`](rths_core::LearnerSlab) slot. The other two keep
+    /// their state in the learner value itself.
+    pub fn slab_hosted(self) -> bool {
+        matches!(self, Algorithm::Rths | Algorithm::RegretMatching)
+    }
+}
+
 /// A peer-side learner of any supported algorithm.
 #[derive(Debug, Clone)]
 pub enum AnyLearner {
-    /// Recursive RTHS (Algorithm 2).
-    Rths(RthsLearner),
-    /// Recursive RTHS whose state lives in a shared
-    /// [`LearnerSlab`](rths_core::LearnerSlab) slot — the batched
-    /// arena layout the reactor backend hands its actors.
+    /// Recursive RTHS (Algorithm 2) or, under uniform averaging, the
+    /// regret-matching baseline: one slot of a
+    /// [`LearnerSlab`](rths_core::LearnerSlab).
     SlabRths(SlabLearner),
-    /// Regret-matching baseline.
-    Matching(RegretMatchingLearner),
     /// History-based RTHS (Algorithm 1).
     History(HistoryRths),
     /// EXP3 baseline.
@@ -205,9 +212,7 @@ pub enum AnyLearner {
 impl Learner for AnyLearner {
     fn num_actions(&self) -> usize {
         match self {
-            AnyLearner::Rths(l) => l.num_actions(),
             AnyLearner::SlabRths(l) => l.num_actions(),
-            AnyLearner::Matching(l) => l.num_actions(),
             AnyLearner::History(l) => l.num_actions(),
             AnyLearner::Exp3(l) => l.num_actions(),
         }
@@ -215,9 +220,7 @@ impl Learner for AnyLearner {
 
     fn probabilities(&self) -> &[f64] {
         match self {
-            AnyLearner::Rths(l) => l.probabilities(),
             AnyLearner::SlabRths(l) => l.probabilities(),
-            AnyLearner::Matching(l) => l.probabilities(),
             AnyLearner::History(l) => l.probabilities(),
             AnyLearner::Exp3(l) => l.probabilities(),
         }
@@ -225,9 +228,7 @@ impl Learner for AnyLearner {
 
     fn select_action(&mut self, rng: &mut dyn rand::RngCore) -> usize {
         match self {
-            AnyLearner::Rths(l) => l.select_action(rng),
             AnyLearner::SlabRths(l) => l.select_action(rng),
-            AnyLearner::Matching(l) => l.select_action(rng),
             AnyLearner::History(l) => l.select_action(rng),
             AnyLearner::Exp3(l) => l.select_action(rng),
         }
@@ -235,9 +236,7 @@ impl Learner for AnyLearner {
 
     fn observe(&mut self, utility: f64) {
         match self {
-            AnyLearner::Rths(l) => l.observe(utility),
             AnyLearner::SlabRths(l) => l.observe(utility),
-            AnyLearner::Matching(l) => l.observe(utility),
             AnyLearner::History(l) => l.observe(utility),
             AnyLearner::Exp3(l) => l.observe(utility),
         }
@@ -245,9 +244,7 @@ impl Learner for AnyLearner {
 
     fn max_regret(&self) -> f64 {
         match self {
-            AnyLearner::Rths(l) => l.max_regret(),
             AnyLearner::SlabRths(l) => l.max_regret(),
-            AnyLearner::Matching(l) => l.max_regret(),
             AnyLearner::History(l) => l.max_regret(),
             AnyLearner::Exp3(l) => l.max_regret(),
         }
@@ -255,9 +252,7 @@ impl Learner for AnyLearner {
 
     fn stage(&self) -> u64 {
         match self {
-            AnyLearner::Rths(l) => l.stage(),
             AnyLearner::SlabRths(l) => l.stage(),
-            AnyLearner::Matching(l) => l.stage(),
             AnyLearner::History(l) => l.stage(),
             AnyLearner::Exp3(l) => l.stage(),
         }
@@ -265,9 +260,7 @@ impl Learner for AnyLearner {
 
     fn pending_action(&self) -> Option<usize> {
         match self {
-            AnyLearner::Rths(l) => l.pending_action(),
             AnyLearner::SlabRths(l) => l.pending_action(),
-            AnyLearner::Matching(l) => l.pending_action(),
             AnyLearner::History(l) => l.pending_action(),
             AnyLearner::Exp3(l) => l.pending_action(),
         }
@@ -275,9 +268,7 @@ impl Learner for AnyLearner {
 
     fn reset_actions(&mut self, num_actions: usize) {
         match self {
-            AnyLearner::Rths(l) => l.reset_actions(num_actions),
             AnyLearner::SlabRths(l) => l.reset_actions(num_actions),
-            AnyLearner::Matching(l) => l.reset_actions(num_actions),
             AnyLearner::History(l) => l.reset_actions(num_actions),
             AnyLearner::Exp3(l) => l.reset_actions(num_actions),
         }
@@ -286,9 +277,9 @@ impl Learner for AnyLearner {
 
 impl LearnerSpec {
     /// The shared [`RthsConfig`] learners of this spec run against for
-    /// `num_actions` actions, deriving `μ` from `rate_scale` when unset.
-    /// The sharded peer stores build this **once per channel** and keep
-    /// only the compact per-peer state per peer.
+    /// `num_actions` actions, deriving `μ` from `rate_scale` when unset
+    /// ([`RecencyMode::Uniform`] for regret matching). The sharded peer
+    /// stores build this **once per channel**.
     ///
     /// # Errors
     ///
@@ -314,7 +305,11 @@ impl LearnerSpec {
 
     /// Builds a live learner over `num_actions` actions, deriving `μ`
     /// from `rate_scale` — the typical per-peer received rate (fair
-    /// share, possibly demand-capped) — when `mu` is unset.
+    /// share, possibly demand-capped) — when `mu` is unset. A
+    /// [slab-hosted](Algorithm::slab_hosted) learner takes a slot of
+    /// `slab` when one is given — it must be sized for `num_actions` —
+    /// and a one-slot slab of its own otherwise; the other algorithms
+    /// ignore it.
     ///
     /// # Errors
     ///
@@ -323,13 +318,14 @@ impl LearnerSpec {
         &self,
         num_actions: usize,
         rate_scale: f64,
+        slab: Option<&SharedSlab>,
     ) -> Result<AnyLearner, ConfigError> {
         let config = self.rths_config(num_actions, rate_scale)?;
         Ok(match self.algorithm {
-            Algorithm::Rths => AnyLearner::Rths(RthsLearner::new(config)),
-            Algorithm::RegretMatching => {
-                AnyLearner::Matching(RegretMatchingLearner::new(config)?)
-            }
+            Algorithm::Rths | Algorithm::RegretMatching => AnyLearner::SlabRths(match slab {
+                Some(slab) => SlabLearner::new(SharedSlab::clone(slab), config),
+                None => SlabLearner::standalone(config),
+            }),
             Algorithm::HistoryRths => AnyLearner::History(HistoryRths::new(config)),
             Algorithm::Exp3 => AnyLearner::Exp3(Exp3Learner::new(Exp3Config {
                 num_actions,
@@ -542,20 +538,55 @@ mod tests {
             Algorithm::Exp3,
         ] {
             let spec = LearnerSpec { algorithm: alg, ..LearnerSpec::default() };
-            let l = spec.instantiate(4, 800.0).unwrap();
-            assert_eq!(rths_core::Learner::num_actions(&l), 4);
+            let l = spec.instantiate(4, 800.0, None).unwrap();
+            assert_eq!(l.num_actions(), 4);
+            assert_eq!(matches!(l, AnyLearner::SlabRths(_)), alg.slab_hosted());
         }
     }
 
     #[test]
     fn learner_spec_derives_mu() {
         let spec = LearnerSpec::default();
-        let l = spec.instantiate(2, 800.0).unwrap();
-        if let AnyLearner::Rths(inner) = &l {
+        let l = spec.instantiate(2, 800.0, None).unwrap();
+        if let AnyLearner::SlabRths(inner) = &l {
             assert_eq!(inner.config().mu(), 3200.0);
         } else {
             panic!("expected RTHS learner");
         }
+    }
+
+    /// 300 stages of a regret-matching learner built from a spec, held
+    /// to the oracle of the spec's own config; returns the final strategy.
+    fn matching_trajectory(conditional: bool) -> Vec<u64> {
+        let spec = LearnerSpec {
+            algorithm: Algorithm::RegretMatching,
+            conditional,
+            ..LearnerSpec::default()
+        };
+        let config = spec.rths_config(3, 100.0).unwrap();
+        assert_eq!(config.recency(), RecencyMode::Uniform);
+        let mut learner = spec.instantiate(3, 100.0, None).unwrap();
+        let mut oracle = rths_core::RthsState::new(&config);
+        let mut rng = seeded_rng(5);
+        let mut replay = seeded_rng(5);
+        let mut scratch = Vec::new();
+        for s in 0..300 {
+            let a = learner.select_action(&mut rng);
+            assert_eq!(a, oracle.select_action(&mut replay), "stage {s}");
+            let u = if a == 0 { 120.0 } else { 30.0 + (s % 5) as f64 };
+            learner.observe(u);
+            oracle.observe(&config, u, &mut scratch);
+        }
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(learner.probabilities()), bits(oracle.probabilities()));
+        bits(learner.probabilities())
+    }
+
+    /// `algorithm = "regret_matching"` with `conditional = true` reaches
+    /// the learner as exactly that config — not as unconditional matching.
+    #[test]
+    fn conditional_regret_matching_is_honoured() {
+        assert_ne!(matching_trajectory(true), matching_trajectory(false));
     }
 
     #[test]

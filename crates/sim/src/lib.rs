@@ -79,6 +79,6 @@ pub use multichannel::{
 pub use playback::{PlaybackBuffer, PlaybackStats};
 pub use scenario::Scenario;
 pub use spec::{ScenarioError, ScenarioReport, ScenarioSpec};
-pub use store::{LearnerCell, LearnerRef, PeerStore};
+pub use store::{LearnerRef, PeerStore};
 pub use system::{Outcome, System};
 pub use workload::WorkloadPhase;

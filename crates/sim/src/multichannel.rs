@@ -10,7 +10,7 @@
 //! * [`AllocationPolicy`] — how a helper splits capacity over the
 //!   channels it serves. The three informed/static policies are the
 //!   paper's setting; [`AllocationPolicy::Learned`] (per-helper RTHS
-//!   learners over split templates, [`HelperAllocator`]) is the one
+//!   learners over split templates, `HelperAllocator`) is the one
 //!   future-work extension of §V: "extend the RTHS to the problem of
 //!   joint bandwidth allocation in the helper level to the video channels
 //!   and helper selection in the peer level";
@@ -281,7 +281,7 @@ impl HelperAllocator {
             .map(|(j, served)| {
                 let templates = split_templates(served.len());
                 let learner = spec
-                    .instantiate(templates.len(), mean_capacity)
+                    .instantiate(templates.len(), mean_capacity, None)
                     .expect("validated learner spec");
                 let rng = entity_rng(seed, crate::helper::HELPER_STREAM_BASE / 2 + j as u64);
                 Self { learner, templates, rng, window: 100, current: 0, acc: 0.0, count: 0 }

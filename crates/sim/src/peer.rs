@@ -169,7 +169,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn peer(seed: u64) -> Peer {
-        let learner = LearnerSpec::default().instantiate(3, 800.0).unwrap();
+        let learner = LearnerSpec::default().instantiate(3, 800.0, None).unwrap();
         Peer::new(PeerId(7), learner, StdRng::seed_from_u64(seed), 0, 5)
     }
 

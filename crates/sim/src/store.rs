@@ -3,10 +3,11 @@
 //! The engine ([`crate::System`]) keeps its peer population here instead
 //! of a `Vec<Peer>`. The store
 //! holds one flat column per field — stable `u64` ids, `u32` channel and
-//! helper indices, the per-entity RNG streams, slab-backed learner state
-//! (shared [`RthsConfig`] per channel + one slot of the store's
-//! [`LearnerSlab`] per peer, see `rths_core::slab` for the column-major
-//! arena layout and its batched kernels), the accounting scalars, and the
+//! helper indices, the per-entity RNG streams, the learners (for the
+//! slab-hosted algorithms a shared [`RthsConfig`] per channel + one slot
+//! of the store's [`LearnerSlab`] per peer, see `rths_core::slab` for the
+//! column-major arena layout and its batched kernels; for the others a
+//! column of self-contained learners), the accounting scalars, and the
 //! stretch-folded
 //! true-regret ledger (one `O(m)` folded row per peer plus a global
 //! join-rate prefix, see [`crate::regret`]) — so a million-peer
@@ -52,51 +53,76 @@ use rand::rngs::StdRng;
 
 use rths_core::{for_each_survivor_move, Learner, LearnerSlab, RecencyMode, RthsConfig};
 use rths_obs::{self as obs, Counter, Gauge, ObsScratch, Phase};
-use rths_par::par_sharded;
+use rths_par::{par_sharded, ShardCols};
 use rths_stoch::rng::entity_rng;
 
-use crate::config::{Algorithm, AnyLearner, LearnerSpec};
+use crate::config::{AnyLearner, LearnerSpec};
 use crate::regret::{self, RegretLedger};
 
 /// Sentinel for "no helper chosen yet" in the `last_helper` column.
 pub const NO_HELPER: u32 = u32::MAX;
 
-/// One peer's learner in the store: the default RTHS algorithm keeps its
-/// whole state in the store's [`LearnerSlab`] at the peer's slot (the
-/// shared per-channel [`RthsConfig`] lives once on the store), so the
-/// common case's cell is a unit tag; other algorithms stay self-contained
-/// and are boxed.
-#[derive(Debug, Clone)]
-pub enum LearnerCell {
-    /// Slab-backed recursive-RTHS state (the default algorithm); the
-    /// state lives at the same slot of the store's learner slab.
-    Rths,
-    /// Any other algorithm, boxed.
-    Boxed(Box<AnyLearner>),
+/// Where a store's learners live — one fact for the whole population,
+/// fixed by the spec's algorithm at construction.
+// One value per store, so the variants' size difference costs nothing.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Learners {
+    /// A [slab-hosted](crate::Algorithm::slab_hosted) algorithm: the
+    /// arena in **slot-aligned mode** — slab slot `i` is peer slot `i`,
+    /// and departures run the slab's order-preserving compaction of its
+    /// per-slot columns alongside the store's (T blocks are reached
+    /// through per-slot handles and never move). The shared per-channel
+    /// [`RthsConfig`] lives once on the store.
+    Slab(LearnerSlab),
+    /// Any other algorithm: one self-contained learner per peer, in slot
+    /// order.
+    PerPeer(Vec<AnyLearner>),
 }
 
-/// Read-only view of one peer's learner, dispatching between the slab
-/// column and a boxed cell (final reporting, tests).
+/// A shard's view of the learners for one phase: the slab columns the
+/// phase needs (`S`), or the matching range of the per-peer column.
+enum LearnerCols<'a, S> {
+    Slab(S),
+    PerPeer(&'a mut [AnyLearner]),
+}
+
+impl<S: ShardCols> ShardCols for LearnerCols<'_, S> {
+    fn shard_split(self, mid: usize) -> (Self, Self) {
+        match self {
+            LearnerCols::Slab(cols) => {
+                let (head, tail) = cols.shard_split(mid);
+                (LearnerCols::Slab(head), LearnerCols::Slab(tail))
+            }
+            LearnerCols::PerPeer(learners) => {
+                let (head, tail) = learners.split_at_mut(mid);
+                (LearnerCols::PerPeer(head), LearnerCols::PerPeer(tail))
+            }
+        }
+    }
+}
+
+/// Read-only view of one peer's learner (final reporting, tests).
 #[derive(Debug, Clone, Copy)]
 pub struct LearnerRef<'a> {
-    store: &'a PeerStore,
+    learners: &'a Learners,
     slot: usize,
 }
 
 impl LearnerRef<'_> {
     /// The current mixed strategy.
     pub fn probabilities(&self) -> &[f64] {
-        match &self.store.learners[self.slot] {
-            LearnerCell::Rths => self.store.slab.probabilities(self.slot),
-            LearnerCell::Boxed(learner) => learner.probabilities(),
+        match self.learners {
+            Learners::Slab(slab) => slab.probabilities(self.slot),
+            Learners::PerPeer(learners) => learners[self.slot].probabilities(),
         }
     }
 
     /// Stages observed so far.
     pub fn stage(&self) -> u64 {
-        match &self.store.learners[self.slot] {
-            LearnerCell::Rths => self.store.slab.stage(self.slot),
-            LearnerCell::Boxed(learner) => learner.stage(),
+        match self.learners {
+            Learners::Slab(slab) => slab.stage(self.slot),
+            Learners::PerPeer(learners) => learners[self.slot].stage(),
         }
     }
 }
@@ -109,7 +135,7 @@ pub struct ShardScratch {
     /// the engine uses `helper·k + channel`). Integer counts, so the
     /// post-phase merge in shard order is order-insensitive.
     pub loads: Vec<usize>,
-    /// Regret-row scratch shared by the shard's compact learners.
+    /// Regret-row scratch shared by the shard's slab learners.
     row: Vec<f64>,
     /// Diagonal scratch for the shard's slab `max_regret` scans.
     diag: Vec<f64>,
@@ -134,7 +160,8 @@ pub struct PeerStore {
     /// Learner action count per channel (`max(1)`-floored, matching the
     /// engine's historical instantiation).
     actions: Vec<u32>,
-    /// Shared learner config per channel, used by the compact RTHS cells.
+    /// Shared learner config per channel, used by the slab-hosted
+    /// algorithms.
     configs: Vec<RthsConfig>,
     /// Stretch-folded true-regret accounting (slot-aligned columns plus
     /// the global per-channel join-rate prefix and snapshot ring) — see
@@ -145,13 +172,7 @@ pub struct PeerStore {
     /// [`rths_par::threads`] per phase.
     shard_override: Option<usize>,
     next_id: u64,
-    /// Arena of slab-backed learner state in **slot-aligned mode**: slab
-    /// slot `i` is peer slot `i` (every spawn allocates a slab slot even
-    /// for boxed algorithms so the alignment never drifts), and
-    /// departures run the slab's order-preserving compaction of its
-    /// per-slot columns alongside the column compaction below (T blocks
-    /// are reached through per-slot handles and never move).
-    slab: LearnerSlab,
+    learners: Learners,
     /// T-block reuses (arrivals served from a departed peer's block)
     /// already mirrored into the observability registry (the slab's
     /// counter is cumulative; the registry wants per-run deltas).
@@ -161,7 +182,6 @@ pub struct PeerStore {
     channels: Vec<u32>,
     joined_at: Vec<u64>,
     rngs: Vec<StdRng>,
-    learners: Vec<LearnerCell>,
     total_rate: Vec<f64>,
     epochs_online: Vec<u64>,
     epochs_served: Vec<u64>,
@@ -193,7 +213,12 @@ impl PeerStore {
                     .expect("learner spec validated by construction")
             })
             .collect();
-        let stride = actions.iter().copied().max().unwrap_or(1) as usize;
+        let learners = if spec.algorithm.slab_hosted() {
+            let stride = actions.iter().copied().max().unwrap_or(1) as usize;
+            Learners::Slab(LearnerSlab::new(stride))
+        } else {
+            Learners::PerPeer(Vec::new())
+        };
         Self {
             seed,
             spec,
@@ -203,13 +228,12 @@ impl PeerStore {
             regret: RegretLedger::new(actions_per_channel),
             shard_override: None,
             next_id: 0,
-            slab: LearnerSlab::new(stride),
+            learners,
             reuses_reported: 0,
             ids: Vec::new(),
             channels: Vec::new(),
             joined_at: Vec::new(),
             rngs: Vec::new(),
-            learners: Vec::new(),
             total_rate: Vec::new(),
             epochs_online: Vec::new(),
             epochs_served: Vec::new(),
@@ -226,12 +250,14 @@ impl PeerStore {
     /// so constructing 10⁵ peers is a handful of large allocations
     /// instead of a per-peer allocation storm.
     pub fn reserve(&mut self, additional: usize) {
-        self.slab.reserve(additional);
+        match &mut self.learners {
+            Learners::Slab(slab) => slab.reserve(additional),
+            Learners::PerPeer(learners) => learners.reserve(additional),
+        }
         self.ids.reserve(additional);
         self.channels.reserve(additional);
         self.joined_at.reserve(additional);
         self.rngs.reserve(additional);
-        self.learners.reserve(additional);
         self.total_rate.reserve(additional);
         self.epochs_online.reserve(additional);
         self.epochs_served.reserve(additional);
@@ -275,22 +301,21 @@ impl PeerStore {
         let id = self.next_id;
         self.next_id += 1;
         let m = self.actions[channel] as usize;
-        // Always claim the matching slab slot (even for boxed learners)
-        // so slab slots and store slots stay index-aligned.
-        let slab_slot = self.slab.alloc(m);
-        debug_assert_eq!(slab_slot as usize, self.ids.len(), "slab slot misaligned");
+        match &mut self.learners {
+            Learners::Slab(slab) => {
+                let slab_slot = slab.alloc(m);
+                debug_assert_eq!(slab_slot as usize, self.ids.len(), "slab slot misaligned");
+            }
+            Learners::PerPeer(learners) => learners.push(
+                self.spec
+                    .instantiate(m, self.rate_scale, None)
+                    .expect("learner spec validated by construction"),
+            ),
+        }
         self.ids.push(id);
         self.channels.push(channel as u32);
         self.joined_at.push(epoch);
         self.rngs.push(entity_rng(self.seed, id));
-        self.learners.push(match self.spec.algorithm {
-            Algorithm::Rths => LearnerCell::Rths,
-            _ => LearnerCell::Boxed(Box::new(
-                self.spec
-                    .instantiate(m, self.rate_scale)
-                    .expect("learner spec validated by construction"),
-            )),
-        });
         self.total_rate.push(0.0);
         self.epochs_online.push(0);
         self.epochs_served.push(0);
@@ -324,7 +349,6 @@ impl PeerStore {
             channels,
             joined_at,
             rngs,
-            learners,
             total_rate,
             epochs_online,
             epochs_served,
@@ -338,7 +362,6 @@ impl PeerStore {
             channels.swap(write, read);
             joined_at.swap(write, read);
             rngs.swap(write, read);
-            learners.swap(write, read);
             total_rate.swap(write, read);
             epochs_online.swap(write, read);
             epochs_served.swap(write, read);
@@ -350,17 +373,23 @@ impl PeerStore {
         channels.truncate(kept);
         joined_at.truncate(kept);
         rngs.truncate(kept);
-        learners.truncate(kept);
         total_rate.truncate(kept);
         epochs_online.truncate(kept);
         epochs_served.truncate(kept);
         satisfied_epochs.truncate(kept);
         last_helper.truncate(kept);
         switches.truncate(kept);
-        // The slab mirrors the column compaction on its per-slot columns
-        // (same order-preserving walk), keeping slab slots == store
-        // slots; T blocks stay where they are and follow their handles.
-        self.slab.remove_slots(slots);
+        match &mut self.learners {
+            // The slab mirrors the column compaction on its per-slot
+            // columns (same order-preserving walk), keeping slab slots ==
+            // store slots; T blocks stay where they are and follow their
+            // handles.
+            Learners::Slab(slab) => slab.remove_slots(slots),
+            Learners::PerPeer(learners) => {
+                for_each_survivor_move(n, slots, |read, write| learners.swap(write, read));
+                learners.truncate(kept);
+            }
+        }
         // The ledger compacts its own columns (open stretches fold into
         // nothing for departed peers and stay valid for survivors — the
         // ledger's global prefix/ring state is slot-independent).
@@ -380,9 +409,9 @@ impl PeerStore {
         // prefix before the move — the stretch was accumulated there.
         self.regret.migrate(slot, self.channels[slot] as usize);
         self.channels[slot] = channel as u32;
-        match &mut self.learners[slot] {
-            LearnerCell::Rths => self.slab.reset_actions(slot, new_m),
-            LearnerCell::Boxed(learner) => learner.reset_actions(new_m),
+        match &mut self.learners {
+            Learners::Slab(slab) => slab.reset_actions(slot, new_m),
+            Learners::PerPeer(learners) => learners[slot].reset_actions(new_m),
         }
         self.last_helper[slot] = NO_HELPER;
     }
@@ -438,24 +467,27 @@ impl PeerStore {
         assert_eq!(aux.len(), n, "aux column must be index-aligned");
         let shards = self.shards_for(n);
         Self::prepare_scratch(scratch, shards, loads_len);
-        let PeerStore { learners, rngs, last_helper, switches, channels, slab, .. } = self;
+        let PeerStore { learners, rngs, last_helper, switches, channels, .. } = self;
         let channels = &*channels;
+        let learners = match learners {
+            // Sampling reads strategies only: no T views gathered.
+            Learners::Slab(slab) => LearnerCols::Slab(slab.split_strategy()),
+            Learners::PerPeer(learners) => LearnerCols::PerPeer(learners),
+        };
         par_sharded(
             n,
             shards,
             (
-                (&mut learners[..], &mut rngs[..]),
+                (learners, &mut rngs[..]),
                 (&mut last_helper[..], &mut switches[..]),
                 (profile, aux),
-                // Sampling reads strategies only: no T views gathered.
-                slab.split_strategy(),
             ),
             &mut scratch[..],
-            |shard, ((learners, rngs), (last, switches), (profile, aux), mut slab), s| {
+            |shard, ((mut learners, rngs), (last, switches), (profile, aux)), s| {
                 for i in 0..shard.len() {
-                    let choice = match &mut learners[i] {
-                        LearnerCell::Rths => slab.select_action(i, &mut rngs[i]),
-                        LearnerCell::Boxed(l) => l.select_action(&mut rngs[i]),
+                    let choice = match &mut learners {
+                        LearnerCols::Slab(slab) => slab.select_action(i, &mut rngs[i]),
+                        LearnerCols::PerPeer(l) => l[i].select_action(&mut rngs[i]),
                     } as u32;
                     if last[i] != NO_HELPER && last[i] != choice {
                         switches[i] += 1;
@@ -507,14 +539,14 @@ impl PeerStore {
         assert_eq!(delivered.len(), n, "delivered column must be index-aligned");
         let shards = self.shards_for(n);
         Self::prepare_scratch(scratch, shards, 0);
-        // With the default algorithm in exponential-recency mode, every
-        // slab slot observes exactly once per phase, so the per-observe
-        // T-decay hoists into one batched pass per shard (bit-identical —
-        // pinned by the slab's oracle tests). The decay is lazy: the pass
-        // multiplies one `scale` per slot and touches T columns only for
-        // the slots it renormalises (once in 256·ln 2 / ε epochs each).
-        let batch_decay = matches!(self.spec.algorithm, Algorithm::Rths)
-            && self.configs[0].recency() == RecencyMode::Exponential;
+        // In exponential-recency mode (regret tracking, not matching)
+        // every slab slot observes exactly once per phase, so the
+        // per-observe T-decay hoists into one batched pass per shard
+        // (bit-identical — pinned by the slab's oracle tests). The decay
+        // is lazy: the pass multiplies one `scale` per slot and touches T
+        // columns only for the slots it renormalises (once in
+        // 256·ln 2 / ε epochs each).
+        let batch_decay = self.configs[0].recency() == RecencyMode::Exponential;
         let keep = 1.0 - self.configs[0].epsilon();
         let PeerStore {
             learners,
@@ -525,11 +557,14 @@ impl PeerStore {
             regret,
             channels,
             configs,
-            slab,
             ..
         } = self;
         let channels = &*channels;
         let configs = &*configs;
+        let learner_cols = match learners {
+            Learners::Slab(slab) => LearnerCols::Slab(slab.split()),
+            Learners::PerPeer(learners) => LearnerCols::PerPeer(learners),
+        };
         // One global prefix update for the whole population, then the
         // per-peer record is O(1) amortized (an O(m) row write only when
         // a stretch closes — arm switch or window fold).
@@ -544,16 +579,13 @@ impl PeerStore {
             n,
             shards,
             (
-                (&mut learners[..], &mut total_rate[..], &mut epochs_online[..]),
+                (learner_cols, &mut total_rate[..], &mut epochs_online[..]),
                 (&mut epochs_served[..], &mut satisfied_epochs[..], delivered),
                 ledger_cols,
-                slab.split(),
             ),
             &mut scratch[..],
-            |shard,
-             ((learners, total, online), (served, sat, out), mut ledger, mut slab),
-             s| {
-                if batch_decay {
+            |shard, ((mut learners, total, online), (served, sat, out), mut ledger), s| {
+                if let (true, LearnerCols::Slab(slab)) = (batch_decay, &mut learners) {
                     let t_decay = obs::span_start();
                     let touched = slab.decay(keep);
                     if tracing {
@@ -571,12 +603,12 @@ impl PeerStore {
                     let config = &configs[channel as usize];
                     let (rate, satisfied) = rate_of(abs, profile[abs], channel);
                     // Bandit feedback + accounting (Peer::deliver order).
-                    match &mut learners[i] {
-                        LearnerCell::Rths if batch_decay => {
+                    match &mut learners {
+                        LearnerCols::Slab(slab) if batch_decay => {
                             slab.observe_predecayed(i, config, rate, &mut s.row)
                         }
-                        LearnerCell::Rths => slab.observe(i, config, rate, &mut s.row),
-                        LearnerCell::Boxed(l) => l.observe(rate),
+                        LearnerCols::Slab(slab) => slab.observe(i, config, rate, &mut s.row),
+                        LearnerCols::PerPeer(l) => l[i].observe(rate),
                     }
                     total[i] += rate;
                     online[i] += 1;
@@ -600,9 +632,9 @@ impl PeerStore {
                     );
                     // Shard-affine metric folds (non-negative maxima).
                     if track_estimate {
-                        let estimate = match &mut learners[i] {
-                            LearnerCell::Rths => slab.max_regret(i, config, &mut s.diag),
-                            LearnerCell::Boxed(l) => l.max_regret(),
+                        let estimate = match &mut learners {
+                            LearnerCols::Slab(slab) => slab.max_regret(i, config, &mut s.diag),
+                            LearnerCols::PerPeer(l) => l[i].max_regret(),
                         };
                         s.worst_estimate = s.worst_estimate.max(estimate);
                     }
@@ -624,10 +656,12 @@ impl PeerStore {
             for (i, s) in scratch.iter_mut().enumerate().take(shards) {
                 obs::absorb_scratch(i as u32 + 1, epoch, &mut s.obs);
             }
-            let reuses = self.slab.free_list_reuses();
-            obs::counter_add(Counter::FreeListReuse, reuses - self.reuses_reported);
-            self.reuses_reported = reuses;
-            obs::gauge_max(Gauge::SlabRowsHwm, n as u64);
+            if let Learners::Slab(slab) = &self.learners {
+                let reuses = slab.free_list_reuses();
+                obs::counter_add(Counter::FreeListReuse, reuses - self.reuses_reported);
+                self.reuses_reported = reuses;
+                obs::gauge_max(Gauge::SlabRowsHwm, n as u64);
+            }
         }
         let mut worst_estimate = 0.0f64;
         let mut worst_empirical = 0.0f64;
@@ -709,15 +743,15 @@ impl PeerStore {
 
     /// The learner of the peer in `slot`.
     pub fn learner(&self, slot: usize) -> LearnerRef<'_> {
-        assert!(slot < self.learners.len(), "slot out of range");
-        LearnerRef { store: self, slot }
+        assert!(slot < self.len(), "slot out of range");
+        LearnerRef { learners: &self.learners, slot }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LearnerSpec;
+    use crate::config::{Algorithm, LearnerSpec};
 
     fn store(channels: &[usize]) -> PeerStore {
         PeerStore::new(7, LearnerSpec::default(), 400.0, channels)
@@ -830,8 +864,13 @@ mod tests {
     /// `churn`, peers leave and join between epochs, so the slab's block
     /// handles are a non-identity permutation of the slots each shard
     /// is handed. Returns everything an epoch computes, as bits.
-    fn drive_phases(shards: usize, churn: bool) -> (Vec<(u64, u64)>, Vec<u64>, Vec<u64>) {
-        let mut s = store(&[3]);
+    fn drive_phases(
+        algorithm: Algorithm,
+        shards: usize,
+        churn: bool,
+    ) -> (Vec<(u64, u64)>, Vec<u64>, Vec<u64>) {
+        let spec = LearnerSpec { algorithm, ..LearnerSpec::default() };
+        let mut s = PeerStore::new(7, spec, 400.0, &[3]);
         for _ in 0..40 {
             s.spawn(0, 0);
         }
@@ -888,18 +927,27 @@ mod tests {
     fn phases_run_identically_at_any_shard_count() {
         // The choose/observe trajectories must be bit-identical at 1, 2,
         // 4 and 7 shards (the engine-level sweep lives in tests/).
-        let base = drive_phases(1, false);
+        let base = drive_phases(Algorithm::Rths, 1, false);
         for shards in [2usize, 4, 7] {
-            assert_eq!(drive_phases(shards, false), base, "diverged at {shards} shards");
+            let got = drive_phases(Algorithm::Rths, shards, false);
+            assert_eq!(got, base, "diverged at {shards} shards");
         }
     }
 
+    /// Under churn too, wherever the store hosts the algorithm: tracking
+    /// and matching in the slab (batch-decayed and inline), EXP3 in the
+    /// per-peer column, which compacts alongside the others.
     #[test]
     fn phases_run_identically_at_any_shard_count_under_churn() {
-        let base = drive_phases(1, true);
-        assert_ne!(base, drive_phases(1, false), "the churn script changed nothing");
-        for shards in [2usize, 4, 7] {
-            assert_eq!(drive_phases(shards, true), base, "diverged at {shards} shards");
+        let mut seen = vec![drive_phases(Algorithm::Rths, 1, false)];
+        for algorithm in [Algorithm::Rths, Algorithm::RegretMatching, Algorithm::Exp3] {
+            let base = drive_phases(algorithm, 1, true);
+            assert!(!seen.contains(&base), "{algorithm:?} replayed another script");
+            for shards in [2usize, 4, 7] {
+                let got = drive_phases(algorithm, shards, true);
+                assert_eq!(got, base, "{algorithm:?} diverged at {shards} shards");
+            }
+            seen.push(base);
         }
     }
 }

@@ -7,8 +7,8 @@
 //! builds the K = 1 topology from a [`SimConfig`], and
 //! [`MultiChannelSystem::new`](crate::MultiChannelSystem::new) builds K
 //! channels from a [`MultiChannelConfig`](crate::MultiChannelConfig) and
-//! adds a per-channel outcome view. Both hand a [`Blueprint`] to the one
-//! instantiation path ([`System::assemble`]) and step the one
+//! adds a per-channel outcome view. Both hand a `Blueprint` to the one
+//! instantiation path (`System::assemble`) and step the one
 //! [`System::step_epoch`].
 //!
 //! Peers live in the sharded structure-of-arrays [`PeerStore`]; the

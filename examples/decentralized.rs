@@ -1,7 +1,8 @@
 //! The fully distributed deployment: every peer and every helper is an
-//! OS thread; the only communication is message passing (bootstrap via a
-//! tracker, per-epoch requests and rate replies). An impairment plan
-//! injects data-plane loss and timing jitter.
+//! OS thread (`Backend::Threaded`, named explicitly — the default backend
+//! is the reactor); the only communication is message passing (bootstrap
+//! via a tracker, per-epoch requests and rate replies). An impairment
+//! plan injects data-plane loss and timing jitter.
 //!
 //! A fault-free threaded run reproduces the single-threaded simulator
 //! bit-for-bit — checked live at the end.
@@ -16,14 +17,13 @@ fn main() {
     let sim_config = Scenario::paper_small().seed(3).build();
 
     println!("spawning 10 peer threads + 4 helper threads + tracker…\n");
-    let clean = NetRuntime::new(NetConfig::from_sim(sim_config.clone())).run(epochs);
+    let config = || NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Threaded);
+    let clean = rths_suite::net::run(config(), epochs);
     println!("clean run      welfare {}", sparkline(clean.metrics.welfare.values(), 56));
 
     let lossy_plan =
         ImpairmentPlan::builder(77).uniform_loss(0.2).build().unwrap().with_jitter(50);
-    let lossy =
-        NetRuntime::new(NetConfig::from_sim(sim_config.clone()).with_impairments(lossy_plan))
-            .run(epochs);
+    let lossy = rths_suite::net::run(config().with_impairments(lossy_plan), epochs);
     println!("20% loss+jitter welfare {}", sparkline(lossy.metrics.welfare.values(), 56));
 
     println!(

@@ -3,7 +3,8 @@
 //! Re-exports the workspace's public API so examples and downstream users
 //! can depend on a single crate. See the individual crates for details:
 //!
-//! * [`rths_core`] — the RTHS/R2HS learners (the paper's contribution);
+//! * [`rths_core`] — the RTHS/R2HS learner (the paper's contribution), its
+//!   scalar oracle and the baselines it is compared with;
 //! * [`rths_game`] — the helper-selection game and equilibrium tooling;
 //! * [`rths_sim`] — the streaming-system simulator (evaluation substrate);
 //! * [`rths_net`] — the decentralized message-passing runtimes
@@ -59,10 +60,7 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use rths_core::{
-        Learner, RecencyMode, RegretMatchingLearner, RepeatedGameDriver, RthsConfig,
-        RthsLearner,
-    };
+    pub use rths_core::{Learner, RecencyMode, RepeatedGameDriver, RthsConfig, SlabLearner};
     pub use rths_game::{HelperSelectionGame, JointDistribution};
     pub use rths_mdp::MdpBenchmark;
     pub use rths_net::{Backend, NetConfig, NetRuntime, ReactorRuntime};

@@ -1,14 +1,15 @@
 //! Cross-crate equilibrium tests: learned play lands in the CE set and
 //! beats myopic baselines.
 
-use rths_core::{RepeatedGameDriver, RthsConfig, RthsLearner};
+use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
 use rths_game::equilibrium::{ce_residual_congestion, max_welfare_ce, nash_loads};
 use rths_game::{best_response, Game, HelperSelectionGame};
 use rths_stoch::rng::seeded_rng;
 
-fn learners(n: usize, h: usize, mu: f64) -> Vec<RthsLearner> {
+/// `n` learners in one shared slab — the reactor's production layout.
+fn learners(n: usize, h: usize, mu: f64) -> Vec<SlabLearner> {
     let cfg = RthsConfig::builder(h).epsilon(0.01).delta(0.1).mu(mu).build().unwrap();
-    (0..n).map(|_| RthsLearner::new(cfg.clone())).collect()
+    SlabLearner::population(n, &cfg)
 }
 
 /// The paper's central claim: the empirical joint play of RTHS peers

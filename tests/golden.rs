@@ -7,9 +7,10 @@
 //! *intentional* (e.g. a new learner default), update the constants and
 //! say so in the commit message.
 
+use rths_net::{Backend, NetConfig};
 use rths_sim::{
-    AllocationPolicy, BandwidthSpec, MultiChannelConfig, MultiChannelSystem, Scenario,
-    SimConfig, System,
+    Algorithm, AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelConfig,
+    MultiChannelSystem, Scenario, SimConfig, System,
 };
 
 #[test]
@@ -106,4 +107,63 @@ fn golden_multichannel_signatures() {
         let got = multichannel_signature(policy);
         assert_eq!(got, expected, "{policy:?} trajectory drifted: {got:#018x?}");
     }
+}
+
+/// FNV-1a over the `to_bits` of every value of every series, in order:
+/// one number that moves if any float of any epoch does.
+fn fold_bits(series: &[&[f64]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for value in series.iter().flat_map(|s| s.iter()) {
+        for byte in value.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The three configurations whose learners were scalar `Matrix`-backed
+/// until the slab became the only production RTHS layout — a
+/// regret-matching population in the store, the `Learned` allocation
+/// policy's per-helper learners, and the threaded backend's peers.
+/// Every float of every epoch, recorded on the scalar path; the slab
+/// must reproduce them unchanged.
+#[test]
+fn golden_slab_hosted_trajectories() {
+    let matching =
+        LearnerSpec { algorithm: Algorithm::RegretMatching, ..LearnerSpec::default() };
+    let out = System::new(Scenario::paper_small().learner(matching).seed(42).build()).run(400);
+    let m = &out.metrics;
+    let matching = fold_bits(&[
+        m.welfare.values(),
+        m.worst_regret_estimate.values(),
+        m.worst_empirical_regret.values(),
+    ]);
+
+    // 450 epochs: four 100-epoch template windows of the helper learners.
+    let out = MultiChannelSystem::new(MultiChannelConfig::standard(
+        4,
+        400.0,
+        8,
+        2,
+        80,
+        1.2,
+        AllocationPolicy::Learned,
+        7,
+    ))
+    .run(450);
+    let learned = fold_bits(&[out.welfare.values(), out.worst_empirical_regret.values()]);
+
+    let sim = Scenario::paper_server_load().seed(7).build();
+    let out = rths_net::run(NetConfig::from_sim(sim).with_backend(Backend::Threaded), 150);
+    let m = &out.metrics;
+    let threaded = fold_bits(&[
+        m.welfare.values(),
+        m.worst_regret_estimate.values(),
+        m.worst_empirical_regret.values(),
+        &out.peer_mean_rates,
+    ]);
+
+    let got = [matching, learned, threaded];
+    let pinned = [0x58f5da83309794ad, 0x32ab45c89db2a82a, 0x51b92dc910837838];
+    assert_eq!(got, pinned, "slab-hosted trajectory drifted: {got:#018x?}");
 }

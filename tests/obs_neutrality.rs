@@ -161,11 +161,12 @@ fn threaded_backend_is_bit_neutral_under_tracing() {
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let sim = Scenario::paper_small().seed(43).build();
-            let plain = rths_net::run(NetConfig::from_sim(sim.clone()), 40);
+            let config = || NetConfig::from_sim(sim.clone()).with_backend(Backend::Threaded);
+            let plain = rths_net::run(config(), 40);
             // The `with_trace` config knob (rather than ambient enable)
             // exercises the runtime's own scoped guard.
             let shadow = traced(&format!("threaded RTHS_THREADS={threads}"), || {
-                rths_net::run(NetConfig::from_sim(sim.clone()).with_trace(true), 40)
+                rths_net::run(config().with_trace(true), 40)
             });
             assert_eq!(
                 bits(plain.metrics.welfare.values()),

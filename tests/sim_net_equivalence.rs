@@ -74,7 +74,7 @@ fn assert_outcome_matches_sim(
     );
     // The estimate series is learner-derived on both sides (the peers
     // attach their virtual-play Q maxima to observations; the simulator
-    // scans the same compact state) — it must agree bit-for-bit too.
+    // scans the same slab state) — it must agree bit-for-bit too.
     assert_eq!(
         bits(sim_out.metrics.worst_regret_estimate.values()),
         bits(net_out.metrics.worst_regret_estimate.values()),
@@ -106,7 +106,10 @@ fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
         with_threads(threads, || {
             let mut sim = System::new(sim_config.clone());
             let sim_out = sim.run(epochs);
-            let threaded = rths_net::run(NetConfig::from_sim(sim_config.clone()), epochs);
+            let threaded = rths_net::run(
+                NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Threaded),
+                epochs,
+            );
             let reactor = rths_net::run(
                 NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Reactor),
                 epochs,
@@ -182,7 +185,8 @@ fn jitter_does_not_change_results() {
     // delays tick delivery through the timer wheel (reactor backend);
     // the barrier protocol must absorb it completely on both.
     let config = Scenario::paper_small().seed(5).build();
-    let clean = rths_net::run(NetConfig::from_sim(config.clone()), 60);
+    let clean =
+        rths_net::run(NetConfig::from_sim(config.clone()).with_backend(Backend::Threaded), 60);
     let jitter_plan =
         ImpairmentPlan::builder(0).build().expect("empty plan is valid").with_jitter(200);
     for backend in [Backend::Threaded, Backend::Reactor] {
