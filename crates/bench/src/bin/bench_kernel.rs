@@ -3,7 +3,8 @@
 //! Times the three hot learner operations — `observe` (the full stage
 //! update: decay, rank-1 column update, Q-row, probability rule),
 //! `select_action` (inverse-CDF sample), and `max_regret` (the proxy
-//! scan) — for the **scalar** per-peer layout
+//! scan; for the slab also the `O(m)` read of its maintained row maxima,
+//! `max_regret_kept_ns`) — for the **scalar** per-peer layout
 //! (`rths_core::RthsState`, one heap `Matrix` per learner, all `m²`
 //! entries read) against the **slab** layout (`rths_core::LearnerSlab`,
 //! column-major arena + `rths_math::kernels`, played columns only), at
@@ -36,6 +37,9 @@ struct Timing {
     observe_ns: f64,
     select_ns: f64,
     max_regret_ns: f64,
+    /// The slab's estimate once it maintains its row maxima (`None` for
+    /// the scalar layout, which has only the scan).
+    max_regret_kept_ns: Option<f64>,
     checksum: f64,
 }
 
@@ -74,7 +78,13 @@ fn run_scalar(m: usize, stages: usize) -> Timing {
     let max_regret_ns = t2.elapsed().as_nanos() as f64 / SLOTS as f64;
     checksum += learners.iter().map(|l| l.probabilities()[0]).sum::<f64>();
     let ops = (stages * SLOTS) as f64;
-    Timing { observe_ns: observe_ns / ops, select_ns: select_ns / ops, max_regret_ns, checksum }
+    Timing {
+        observe_ns: observe_ns / ops,
+        select_ns: select_ns / ops,
+        max_regret_ns,
+        max_regret_kept_ns: None,
+        checksum,
+    }
 }
 
 /// Same trajectory on one shared slab (identical seeds → identical float
@@ -116,9 +126,30 @@ fn run_slab(m: usize, stages: usize) -> Timing {
         checksum += cols.max_regret(i, &cfg, &mut diag);
     }
     let max_regret_ns = t2.elapsed().as_nanos() as f64 / SLOTS as f64;
+    // The same sweep from the maintained row maxima (built here, outside
+    // the timing): the diagonal gather plus m loads per slot.
+    slab.track_estimates();
+    let t3 = Instant::now();
+    let mut kept = 0.0f64;
+    let mut cols = slab.split();
+    for i in 0..SLOTS {
+        kept += cols.max_regret(i, &cfg, &mut diag);
+    }
+    let max_regret_kept_ns = t3.elapsed().as_nanos() as f64 / SLOTS as f64;
+    assert_eq!(
+        kept.to_bits(),
+        checksum.to_bits(),
+        "maintained and scanned estimates diverged at m={m}"
+    );
     checksum += (0..SLOTS).map(|i| slab.probabilities(i)[0]).sum::<f64>();
     let ops = (stages * SLOTS) as f64;
-    Timing { observe_ns: observe_ns / ops, select_ns: select_ns / ops, max_regret_ns, checksum }
+    Timing {
+        observe_ns: observe_ns / ops,
+        select_ns: select_ns / ops,
+        max_regret_ns,
+        max_regret_kept_ns: Some(max_regret_kept_ns),
+        checksum,
+    }
 }
 
 fn main() {
@@ -163,15 +194,21 @@ fn main() {
             "{:>5} {:>8} | {:>12.0} {:>12.0} {:>14.0} | {speedup:>8.2}x",
             "", "slab", slab.observe_ns, slab.select_ns, slab.max_regret_ns
         );
+        if let Some(kept) = slab.max_regret_kept_ns {
+            println!("{:>5} {:>8} | {:>12} {:>12} {kept:>14.0} |", "", "+ rows", "", "");
+        }
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"m\": {m},");
         let _ = writeln!(json, "      \"observe_speedup\": {speedup:.3},");
         let _ = writeln!(json, "      \"runs\": [");
         for (ri, (layout, t)) in [("scalar", &scalar), ("slab", &slab)].iter().enumerate() {
+            let kept = t
+                .max_regret_kept_ns
+                .map_or(String::new(), |ns| format!(", \"max_regret_kept_ns\": {ns:.1}"));
             let _ = writeln!(
                 json,
                 "        {{\"layout\": \"{layout}\", \"observe_ns\": {:.1}, \
-                 \"select_ns\": {:.1}, \"max_regret_ns\": {:.1}}}{}",
+                 \"select_ns\": {:.1}, \"max_regret_ns\": {:.1}{kept}}}{}",
                 t.observe_ns,
                 t.select_ns,
                 t.max_regret_ns,

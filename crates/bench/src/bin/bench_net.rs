@@ -43,8 +43,8 @@
 //! * Output lands in `results/BENCH_net.json` (see `RTHS_RESULTS_DIR`).
 //!
 //! Learner-estimate tracking (`NetConfig::track_estimate`) is disabled:
-//! the `O(m²)` per-peer scan is a metrics feature, not protocol work,
-//! and the committed baselines predate it.
+//! the per-peer estimate is a metrics feature, not protocol work, and
+//! the committed baselines predate it.
 
 use std::fmt::Write as _;
 use std::io::Write as _;

@@ -11,6 +11,7 @@
 //!            slot 0                    slot 1                 …
 //!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]                stride s
 //!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]                stride s
+//!   best:  [ b₀ … bₛ ]             [ b₀ … bₛ ]                stride s, on demand
 //!   played:[ column bitmask ]      [ column bitmask ]         ⌈s/64⌉ words
 //!   arity / stage / pending / scale / block: one scalar per slot
 //!                                     │
@@ -63,13 +64,37 @@
 //!   one cache line and the walk has nothing to skip, so the gather reads
 //!   all `m` densely — chosen by the slab's fixed geometry, not a
 //!   setting.
-//! * **Mask-driven `max_regret`.** The diagonal is gathered and
-//!   `shifted_regret_max` scanned over played columns only; the all-zero
-//!   column is evaluated against the diagonal once for all never-played
-//!   ones (`System` runs this scan for every peer every epoch).
+//! * **`max_regret` from maintained row maxima.** The estimate is
+//!   `max(0, max_{r,k} fl(f · fl(S(r,k) − S(r,r))))`, `f ≥ 0` being the
+//!   averaging factor times `scale`. Rounding to nearest is monotone, so
+//!   for a fixed row `r` the maps `x ↦ fl(x − S(r,r))`, `y ↦ fl(f · y)`
+//!   and the clamp at zero are each non-decreasing, and the max over `k`
+//!   commutes with all three: it is the same expression evaluated once,
+//!   at `best[r] = max_k S(r,k)` (a never-played column counting as the
+//!   `+0.0` it holds). A slab that is asked for estimates keeps `best` —
+//!   `m` scalars per slot, slot-addressed like `probs` — exact wherever
+//!   `S` changes. The rank-1 update with a coefficient `≥ 0` only raises
+//!   column `j`, so `best[r] = max(best[r], S(r,j))` right after it; a
+//!   negative coefficient (legal through the `Learner` API, never
+//!   produced by a rate) rebuilds the slot's row by a scan;
+//!   renormalisation applies its exact 2⁻²⁵⁶ scale and subnormal flush
+//!   (monotone too) to the row; a wipe, a reset and `alloc` zero it; a
+//!   clone copies it; compaction moves it with the slot's other rows. The
+//!   query gathers the played diagonal and runs one
+//!   `shifted_regret_max(best, diag, f)` — `O(m)` loads where the scan of
+//!   the played columns takes `O(played · m)`, and `System` asks it of
+//!   every peer every epoch. **Demand-driven, not a setting:** the column
+//!   does not exist until the first estimate request
+//!   ([`LearnerSlab::track_estimates`]; [`LearnerSlab::max_regret`] and
+//!   the store's observe phase make it), which builds every row once by
+//!   the scan. A slab nobody asks never allocates it and pays one
+//!   predictable branch per observe. The scan stays: it builds and
+//!   rebuilds rows, answers for a slab that never turned them on, and is
+//!   the tests' oracle beside `RthsState::max_regret`.
 //!
-//! The contiguous per-column loops (rank-1 `axpy`, renormalising `scale`,
-//! `shifted_regret_max`) are the autovectorized `rths_math::kernels`.
+//! The contiguous loops (rank-1 `axpy`, renormalising `scale`,
+//! `shifted_regret_max`, the row maxima's `max_assign`) are the
+//! autovectorized `rths_math::kernels`.
 //!
 //! Every operation performs the **exact float expressions in the exact
 //! order** of the scalar oracle ([`RthsState`](crate::RthsState), which
@@ -153,18 +178,21 @@ fn wipe_columns(t: &mut [f64], played: &mut [u64], stride: usize) -> u64 {
     written
 }
 
-/// The stored-entry half of a renormalisation: multiplies one slot's
-/// played `S` columns by the exact power of two [`lazy::RENORM_BELOW`]
-/// and flushes what that made subnormal; returns the number of columns
-/// written.
+/// Multiplies stored entries by the exact power of two
+/// [`lazy::RENORM_BELOW`] and flushes what that made subnormal.
+fn renormalise(xs: &mut [f64]) {
+    kernels::scale(xs, lazy::RENORM_BELOW);
+    for x in xs {
+        *x = lazy::flush_subnormal(*x);
+    }
+}
+
+/// The stored-entry half of a renormalisation: [`renormalise`]s one
+/// slot's played `S` columns; returns the number of columns written.
 fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
     let mut written = 0;
     for_each_played(played, |k| {
-        let col = &mut t[k * stride..(k + 1) * stride];
-        kernels::scale(col, lazy::RENORM_BELOW);
-        for x in col {
-            *x = lazy::flush_subnormal(*x);
-        }
+        renormalise(&mut t[k * stride..(k + 1) * stride]);
         written += 1;
     });
     written
@@ -174,13 +202,54 @@ fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
 /// `scale` asked for — nothing, unless `scale` crossed its renormalisation
 /// threshold (or `keep` was zero). Unflagged columns are exactly `+0.0`
 /// (slab invariant), which a rescale and a wipe both leave bit-identical,
-/// so they are skipped and their pages stay unwritten. Returns the number
-/// of columns written.
-fn apply_decay(step: Decay, t: &mut [f64], played: &mut [u64], stride: usize) -> u64 {
+/// so they are skipped and their pages stay unwritten. The slot's
+/// maintained row maxima (`best`, when the slab keeps them) get the same
+/// map, which is monotone and so commutes with the max. Returns the
+/// number of columns written.
+fn apply_decay(
+    step: Decay,
+    t: &mut [f64],
+    played: &mut [u64],
+    stride: usize,
+    best: Option<&mut [f64]>,
+) -> u64 {
     match step {
         Decay::Keep => 0,
-        Decay::Renormalise => renormalise_columns(t, played, stride),
-        Decay::Wipe => wipe_columns(t, played, stride),
+        Decay::Renormalise => {
+            if let Some(best) = best {
+                renormalise(best);
+            }
+            renormalise_columns(t, played, stride)
+        }
+        Decay::Wipe => {
+            if let Some(best) = best {
+                best.fill(0.0);
+            }
+            wipe_columns(t, played, stride)
+        }
+    }
+}
+
+/// Gathers one slot's diagonal `S(r, r)`, `r < m`, into `diag`: the played
+/// entries are loaded, a never-played column's is the `+0.0` it holds.
+fn gather_diagonal(t: &[f64], played: &[u64], stride: usize, m: usize, diag: &mut Vec<f64>) {
+    diag.clear();
+    diag.resize(m, 0.0);
+    for_each_played(played, |k| diag[k] = t[k * stride + k]);
+}
+
+/// Whether every one of a slot's `m` columns has been played.
+fn all_played(played: &[u64], m: usize) -> bool {
+    played.iter().map(|w| w.count_ones()).sum::<u32>() as usize >= m
+}
+
+/// The tail every `max_regret` shares: the fold's result clamped at zero,
+/// and `0.0` when a non-finite entry made it non-finite.
+fn finite_regret(max: f64) -> f64 {
+    if max.is_finite() {
+        max.max(0.0)
+    } else {
+        0.0
     }
 }
 
@@ -190,6 +259,9 @@ fn apply_decay(step: Decay, t: &mut [f64], played: &mut [u64], stride: usize) ->
 /// a never-played column is all `+0.0` (so is its diagonal entry), and
 /// every never-played column therefore contributes the same maximum,
 /// evaluated once against the gathered diagonal without loading any.
+///
+/// This is the `O(played · m)` scan: the query of a slab that keeps no
+/// row maxima, and the oracle the maintained form is tested against.
 fn max_regret_in(
     t: &[f64],
     played: &[u64],
@@ -198,25 +270,27 @@ fn max_regret_in(
     factor: f64,
     diag: &mut Vec<f64>,
 ) -> f64 {
-    diag.clear();
-    diag.resize(m, 0.0);
-    for_each_played(played, |k| diag[k] = t[k * stride + k]);
+    gather_diagonal(t, played, stride, m, diag);
     let mut max = f64::NEG_INFINITY;
     for_each_played(played, |k| {
         max =
             max.max(kernels::shifted_regret_max(&t[k * stride..k * stride + m], diag, factor));
     });
-    let played_columns: u32 = played.iter().map(|w| w.count_ones()).sum();
-    if (played_columns as usize) < m {
+    if !all_played(played, m) {
         for &d in diag.iter() {
             max = max.max((factor * (0.0 - d)).max(0.0));
         }
     }
-    if max.is_finite() {
-        max.max(0.0)
-    } else {
-        0.0
-    }
+    finite_regret(max)
+}
+
+/// Builds one slot's row maxima from nothing: `best[r] = max_k S(r, k)`
+/// over its `m = best.len()` columns, by a scan of the played ones; the
+/// never-played ones count as the `+0.0` they hold.
+fn rebuild_row_maxima(t: &[f64], played: &[u64], stride: usize, best: &mut [f64]) {
+    let m = best.len();
+    best.fill(if all_played(played, m) { f64::NEG_INFINITY } else { 0.0 });
+    for_each_played(played, |k| kernels::max_assign(best, &t[k * stride..k * stride + m]));
 }
 
 /// Calls `mv(read, write)` for every surviving slot of `0..n` that an
@@ -284,6 +358,13 @@ pub struct LearnerSlab {
     /// block — either free list — instead of fresh arena (observability:
     /// churn is not costing allocator traffic or new pages).
     reuses: u64,
+    /// Maintained row maxima, `best[r] = max_k S(r, k)` of every live
+    /// slot: `stride` scalars per slot, slot-addressed and sized like
+    /// `probs`. `None` until someone asks for a regret estimate
+    /// ([`track_estimates`](Self::track_estimates)).
+    best: Option<Vec<f64>>,
+    /// Diagonal scratch of the per-slot [`max_regret`](Self::max_regret).
+    diag: Vec<f64>,
 }
 
 impl LearnerSlab {
@@ -321,6 +402,8 @@ impl LearnerSlab {
             free: Vec::new(),
             free_blocks: Vec::new(),
             reuses: 0,
+            best: None,
+            diag: Vec::new(),
         }
     }
 
@@ -339,11 +422,17 @@ impl LearnerSlab {
             self.probs = vec![0.0; target * self.stride];
             self.freq = vec![0.0; target * self.stride];
             self.played = vec![0; target * self.words];
+            if let Some(best) = &mut self.best {
+                *best = vec![0.0; target * self.stride];
+            }
         } else {
             self.t.resize(target * self.stride * self.stride, 0.0);
             self.probs.resize(target * self.stride, 0.0);
             self.freq.resize(target * self.stride, 0.0);
             self.played.resize(target * self.words, 0);
+            if let Some(best) = &mut self.best {
+                best.resize(target * self.stride, 0.0);
+            }
         }
         self.arity.reserve(target - self.arity.len());
         self.stage.reserve(target - self.stage.len());
@@ -411,6 +500,9 @@ impl LearnerSlab {
                             self.probs.resize((s + 1) * self.stride, 0.0);
                             self.freq.resize((s + 1) * self.stride, 0.0);
                             self.played.resize((s + 1) * self.words, 0);
+                            if let Some(best) = &mut self.best {
+                                best.resize((s + 1) * self.stride, 0.0);
+                            }
                         }
                         s as u32
                     }
@@ -426,7 +518,8 @@ impl LearnerSlab {
         // Freed blocks were wiped when their slot departed and fresh
         // ones are zero, and the slot's bitmask row is clear (wiped on
         // release, cleared behind a compaction), so T and the mask need
-        // no work; only the uniform prefix and the lazy scale do.
+        // no work; only the uniform prefix, the lazy scale and the row
+        // maxima (a departed learner's may linger in the row) do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
@@ -435,6 +528,9 @@ impl LearnerSlab {
         let p = 1.0 / num_actions as f64;
         self.probs[base..base + num_actions].fill(p);
         self.freq[base..base + num_actions].fill(p);
+        if let Some(best) = &mut self.best {
+            best[base..base + self.stride].fill(0.0);
+        }
         slot as u32
     }
 
@@ -477,6 +573,9 @@ impl LearnerSlab {
         });
         self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
         self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        if let Some(best) = &mut self.best {
+            best.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        }
         self.stage[dst] = self.stage[src];
         self.pending[dst] = self.pending[src];
         self.scale[dst] = self.scale[src];
@@ -508,10 +607,13 @@ impl LearnerSlab {
             self.free_blocks.push(self.block[slot as usize]);
         }
         let (stride, words) = (self.stride, self.words);
-        let Self { probs, freq, played, arity, stage, pending, scale, block, .. } = self;
+        let Self { probs, freq, played, arity, stage, pending, scale, block, best, .. } = self;
         let kept = for_each_survivor_move(n, sorted, |read, write| {
             probs.copy_within(read * stride..(read + 1) * stride, write * stride);
             freq.copy_within(read * stride..(read + 1) * stride, write * stride);
+            if let Some(best) = best {
+                best.copy_within(read * stride..(read + 1) * stride, write * stride);
+            }
             played.copy_within(read * words..(read + 1) * words, write * words);
             arity[write] = arity[read];
             stage[write] = stage[read];
@@ -521,8 +623,8 @@ impl LearnerSlab {
         });
         // The rows past `kept` are reusable backing, not live slots:
         // the bitmask rows go back to the all-clear state `alloc` relies
-        // on; probs/freq may keep stale copies — `alloc` refills the
-        // prefix it hands out.
+        // on; probs/freq/best may keep stale copies — `alloc` refills
+        // what it hands out.
         played[kept * words..n * words].fill(0);
         arity.truncate(kept);
         stage.truncate(kept);
@@ -549,6 +651,35 @@ impl LearnerSlab {
         let p = 1.0 / num_actions as f64;
         self.probs[base..base + num_actions].fill(p);
         self.freq[base..base + num_actions].fill(p);
+        if let Some(best) = &mut self.best {
+            best[base..base + self.stride].fill(0.0);
+        }
+    }
+
+    /// Starts maintaining every slot's row maxima (see the module docs),
+    /// so that [`max_regret`](Self::max_regret) and
+    /// [`SlabCols::max_regret`] read `O(m)` instead of scanning the played
+    /// columns. The rows are built once, by that scan; from then on every
+    /// operation that writes `S` keeps them exact. Idempotent and free
+    /// when already on. There is no way back: a slab somebody asks for
+    /// estimates keeps being asked.
+    pub fn track_estimates(&mut self) {
+        if self.best.is_some() {
+            return;
+        }
+        let (stride, words) = (self.stride, self.words);
+        let mut best = vec![0.0; self.probs.len()];
+        for slot in 0..self.arity.len() {
+            // A free-listed slot has arity 0: an empty row, nothing built.
+            let m = self.arity[slot] as usize;
+            rebuild_row_maxima(
+                &self.t[self.block_range(slot)],
+                &self.played[slot * words..(slot + 1) * words],
+                stride,
+                &mut best[slot * stride..slot * stride + m],
+            );
+        }
+        self.best = Some(best);
     }
 
     /// Where slot `slot`'s T block lies in the arena.
@@ -583,6 +714,9 @@ impl LearnerSlab {
             played: Strided::new(words, &mut self.played[slot * words..(slot + 1) * words]),
             stage: &mut self.stage[slot..=slot],
             scale: &mut self.scale[slot..=slot],
+            best: self.best.as_mut().map(|best| {
+                Strided::new(stride, &mut best[slot * stride..(slot + 1) * stride])
+            }),
             strategy: StrategyCols {
                 probs: Strided::new(
                     stride,
@@ -680,6 +814,10 @@ impl LearnerSlab {
             played: Strided::new(self.words, &mut self.played[..n * self.words]),
             stage: &mut self.stage,
             scale: &mut self.scale,
+            best: self
+                .best
+                .as_mut()
+                .map(|best| Strided::new(self.stride, &mut best[..n * self.stride])),
             strategy: StrategyCols {
                 probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
                 arity: &mut self.arity,
@@ -706,7 +844,8 @@ impl LearnerSlab {
     ///
     /// Panics if an observation is already pending.
     pub fn select_action(&mut self, slot: usize, rng: &mut dyn RngCore) -> usize {
-        self.slot_cols(slot).select_action(0, rng)
+        // Sampling reads the strategy columns only: no T view is formed.
+        self.split_strategy().select_action(slot, rng)
     }
 
     /// Feeds a slot's pending utility through the full update (see
@@ -733,21 +872,15 @@ impl LearnerSlab {
         self.split().decay(keep)
     }
 
-    /// Largest derived regret of a slot (metrics path; allocates a small
-    /// diagonal scratch — the sharded phases use
-    /// [`SlabCols::max_regret`] with a reusable buffer instead).
-    pub fn max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
-        let m = self.arity[slot] as usize;
-        let factor = factor_for(config, self.stage[slot]) * self.scale[slot];
-        let mut diag = Vec::with_capacity(m);
-        max_regret_in(
-            &self.t[self.block_range(slot)],
-            &self.played[slot * self.words..(slot + 1) * self.words],
-            self.stride,
-            m,
-            factor,
-            &mut diag,
-        )
+    /// Largest derived regret of a slot, read from the maintained row
+    /// maxima — which this first request turns on
+    /// ([`track_estimates`](Self::track_estimates)).
+    pub fn max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
+        self.track_estimates();
+        let mut diag = std::mem::take(&mut self.diag);
+        let max = self.slot_cols(slot).max_regret(0, config, &mut diag);
+        self.diag = diag;
+        max
     }
 }
 
@@ -873,6 +1006,8 @@ pub struct SlabCols<'a> {
     played: Strided<'a, u64>,
     stage: &'a mut [u64],
     scale: &'a mut [f64],
+    /// The maintained row maxima, when the slab keeps them.
+    best: Option<Strided<'a, f64>>,
     strategy: StrategyCols<'a>,
 }
 
@@ -883,6 +1018,7 @@ impl ShardCols for SlabCols<'_> {
         let (w0, w1) = self.played.shard_split(mid);
         let (s0, s1) = self.stage.split_at_mut(mid);
         let (c0, c1) = self.scale.split_at_mut(mid);
+        let (b0, b1) = self.best.map(|best| best.shard_split(mid)).unzip();
         let (y0, y1) = self.strategy.shard_split(mid);
         (
             SlabCols {
@@ -892,6 +1028,7 @@ impl ShardCols for SlabCols<'_> {
                 played: w0,
                 stage: s0,
                 scale: c0,
+                best: b0,
                 strategy: y0,
             },
             SlabCols {
@@ -901,6 +1038,7 @@ impl ShardCols for SlabCols<'_> {
                 played: w1,
                 stage: s1,
                 scale: c1,
+                best: b1,
                 strategy: y1,
             },
         )
@@ -937,7 +1075,9 @@ impl SlabCols<'_> {
         for i in 0..self.scale.len() {
             let step = lazy::decay(&mut self.scale[i], keep);
             if step != Decay::Keep {
-                touched += apply_decay(step, self.t.of(i), self.played.row(i), self.stride);
+                let best = self.best.as_mut().map(|best| best.row(i));
+                touched +=
+                    apply_decay(step, self.t.of(i), self.played.row(i), self.stride, best);
             }
         }
         touched
@@ -1003,20 +1143,34 @@ impl SlabCols<'_> {
         let probs = probs.row(i);
         let freq = self.freq.row(i);
         let played = self.played.row(i);
-
         let scale = &mut self.scale[i];
 
         // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ — with
         // T = scale · S the decay goes into `scale` and the rank-1
         // coefficient is divided by it.
         if !predecayed && config.recency() == RecencyMode::Exponential {
-            apply_decay(lazy::decay(scale, 1.0 - config.epsilon()), t, played, stride);
+            let step = lazy::decay(scale, 1.0 - config.epsilon());
+            if step != Decay::Keep {
+                let best = self.best.as_mut().map(|best| best.row(i));
+                apply_decay(step, t, played, stride, best);
+            }
         }
         let p_j = probs[j];
         debug_assert!(p_j > 0.0, "played action had zero probability");
         let coef = utility / p_j / *scale;
         kernels::axpy(&mut t[j * stride..j * stride + m], coef, &probs[..m]);
         played[j / 64] |= 1 << (j % 64);
+        if let Some(best) = &mut self.best {
+            let best = &mut best.row(i)[..m];
+            if coef >= 0.0 {
+                // `coef ≥ 0` lowers no entry of column j (probabilities
+                // are positive), so each row's maximum is its old one or
+                // the new entry.
+                kernels::max_assign(best, &t[j * stride..j * stride + m]);
+            } else {
+                rebuild_row_maxima(t, played, stride, best);
+            }
+        }
 
         // Play-frequency average (same weighting scheme as T).
         match config.recency() {
@@ -1068,11 +1222,19 @@ impl SlabCols<'_> {
     }
 
     /// Largest derived regret of slot `i`, with a caller-provided
-    /// diagonal scratch so steady-state phases allocate nothing.
+    /// diagonal scratch so steady-state phases allocate nothing. On a
+    /// slab that [tracks estimates](LearnerSlab::track_estimates) this
+    /// gathers the diagonal and reads the slot's `m` row maxima; on any
+    /// other it scans the played columns — same bits either way.
     pub fn max_regret(&mut self, i: usize, config: &RthsConfig, diag: &mut Vec<f64>) -> f64 {
         let m = self.strategy.arity[i] as usize;
         let factor = factor_for(config, self.stage[i]) * self.scale[i];
-        max_regret_in(self.t.of(i), self.played.row(i), self.stride, m, factor, diag)
+        let (t, played) = (self.t.of(i), self.played.row(i));
+        let Some(best) = &mut self.best else {
+            return max_regret_in(t, played, self.stride, m, factor, diag);
+        };
+        gather_diagonal(t, played, self.stride, m, diag);
+        finite_regret(kernels::shifted_regret_max(&best.row(i)[..m], diag, factor))
     }
 
     /// Slot `i`'s current mixed strategy.
@@ -1313,13 +1475,53 @@ mod tests {
         /// Test hook: renormalises `slot` now, whatever its `scale` —
         /// the production path only does so below the threshold.
         fn force_renormalise(&mut self, slot: usize) {
-            let block = self.block_range(slot);
-            renormalise_columns(
-                &mut self.t[block],
-                &self.played[slot * self.words..(slot + 1) * self.words],
-                self.stride,
+            let mut cols = self.slot_cols(slot);
+            let best = cols.best.as_mut().map(|best| best.row(0));
+            apply_decay(
+                Decay::Renormalise,
+                cols.t.of(0),
+                cols.played.row(0),
+                cols.stride,
+                best,
             );
             self.scale[slot] *= lazy::RENORM_UP;
+        }
+
+        /// Test hook: the slot's estimate by the `O(played · m)` scan,
+        /// whatever the slab maintains.
+        fn scan_max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
+            max_regret_in(
+                &self.t[self.block_range(slot)],
+                &self.played[slot * self.words..(slot + 1) * self.words],
+                self.stride,
+                self.arity[slot] as usize,
+                factor_for(config, self.stage[slot]) * self.scale[slot],
+                &mut Vec::new(),
+            )
+        }
+
+        /// Test hook: the slot's estimate from the maintained rows (turned
+        /// on by this call if they were not), after checking that it is
+        /// the scan's value and that the slot's row is what a rebuild from
+        /// nothing gives — all `to_bits`.
+        fn checked_max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
+            let kept = self.max_regret(slot, config);
+            assert_eq!(
+                kept.to_bits(),
+                self.scan_max_regret(slot, config).to_bits(),
+                "slot {slot}: maintained estimate left the scan's"
+            );
+            let (stride, m) = (self.stride, self.arity[slot] as usize);
+            let mut rebuilt = vec![0.0; m];
+            rebuild_row_maxima(
+                &self.t[self.block_range(slot)],
+                &self.played[slot * self.words..(slot + 1) * self.words],
+                stride,
+                &mut rebuilt,
+            );
+            let best = self.best.as_ref().expect("max_regret turns the rows on");
+            assert_bitwise(&best[slot * stride..slot * stride + m], &rebuilt, "row maxima");
+            kept
         }
 
         /// Slot `slot`'s stored `S` entries (all `stride²` of them).
@@ -1330,7 +1532,9 @@ mod tests {
 
     /// Drives slab slots `0..mirrors.len()` and their scalar mirrors
     /// through `stages` select/observe rounds (one RNG stream per peer,
-    /// replayed for the mirror), asserting both sample the same actions.
+    /// replayed for the mirror), asserting both sample the same actions
+    /// and, after every stage, derive the same estimate — by the scan, and
+    /// from the maintained rows once the slab keeps them.
     fn drive_with_mirrors(
         slab: &mut LearnerSlab,
         mirrors: &mut [RthsState],
@@ -1347,6 +1551,11 @@ mod tests {
                 let u = ((a + s as usize) % 9) as f64 * 7.0;
                 slab.observe(i, cfg, u, &mut scratch);
                 mirror.observe(cfg, u, &mut scratch);
+                let want = mirror.max_regret(cfg).to_bits();
+                assert_eq!(slab.scan_max_regret(i, cfg).to_bits(), want, "slot {i} stage {s}");
+                if slab.best.is_some() {
+                    assert_eq!(slab.checked_max_regret(i, cfg).to_bits(), want);
+                }
             }
         }
     }
@@ -1452,7 +1661,7 @@ mod tests {
                             );
                         }
                         assert_eq!(
-                            slab.max_regret(slot as usize, &cfg).to_bits(),
+                            slab.checked_max_regret(slot as usize, &cfg).to_bits(),
                             oracles[p].max_regret(&cfg).to_bits(),
                             "{recency:?} max_regret diverged at stage {s} slot {p}"
                         );
@@ -1533,6 +1742,10 @@ mod tests {
             assert_renormalised(&slab, i, &cfg);
         }
 
+        // The departing learner leaves row maxima behind; its slot's next
+        // owner must not read them.
+        slab.track_estimates();
+        assert!(slab.checked_max_regret(2, &cfg) > 0.0);
         slab.release(2);
         assert_eq!(slab.free_slots(), 1);
         let reused = slab.alloc(3);
@@ -1542,6 +1755,7 @@ mod tests {
         assert_eq!(slab.probabilities(2), &[1.0 / 3.0; 3]);
         assert_eq!(slab.stage(2), 0);
         assert_eq!(slab.scale[2], 1.0);
+        assert_eq!(slab.checked_max_regret(2, &cfg).to_bits(), 0);
         mirrors[2] = RthsState::new(&cfg);
         rngs[2] = rand::rngs::StdRng::seed_from_u64(777);
 
@@ -1550,7 +1764,10 @@ mod tests {
         for (i, mirror) in mirrors.iter().enumerate() {
             assert_renormalised(&slab, i, &cfg);
             assert_bitwise(slab.probabilities(i), mirror.probabilities(), "after churn");
-            assert_eq!(slab.max_regret(i, &cfg).to_bits(), mirror.max_regret(&cfg).to_bits());
+            assert_eq!(
+                slab.checked_max_regret(i, &cfg).to_bits(),
+                mirror.max_regret(&cfg).to_bits()
+            );
         }
     }
 
@@ -1610,6 +1827,7 @@ mod tests {
         for i in 0..5 {
             assert_renormalised(&slab, i, &cfg);
         }
+        slab.track_estimates();
         slab.remove_slots(&[1, 3]);
         assert_eq!(slab.num_slots(), 3);
         // Survivors 0, 2, 4 now sit in slots 0, 1, 2.
@@ -1621,7 +1839,7 @@ mod tests {
             assert_bitwise(slab.probabilities(slot), mirror.probabilities(), "compacted");
             assert_eq!(slab.stage(slot), mirror.stage());
             assert_eq!(
-                slab.max_regret(slot, &cfg).to_bits(),
+                slab.checked_max_regret(slot, &cfg).to_bits(),
                 mirror.max_regret(&cfg).to_bits()
             );
         }
@@ -1634,7 +1852,7 @@ mod tests {
         for (slot, mirror) in mirrors.iter().enumerate() {
             assert_bitwise(slab.probabilities(slot), mirror.probabilities(), "continued");
             assert_eq!(
-                slab.max_regret(slot, &cfg).to_bits(),
+                slab.checked_max_regret(slot, &cfg).to_bits(),
                 mirror.max_regret(&cfg).to_bits()
             );
         }
@@ -1681,9 +1899,12 @@ mod tests {
     /// One select/observe round over every slot against the per-id
     /// oracles — through the per-slot calls on even rounds and through a
     /// two-shard `split()` with the batched decay on odd ones, so both
-    /// ways of reaching a block through its handle are exercised.
+    /// ways of reaching a block through its handle are exercised. Every
+    /// slot's estimate is read by the scan, from the maintained rows if the
+    /// slab keeps them, and on odd rounds as a shard reads it.
     fn churn_round(slab: &mut LearnerSlab, peers: &mut [OraclePeer], round: u64) {
         let mut scratch = Vec::new();
+        let mut sharded = Vec::new();
         let utility = |id: u64, a: usize| ((a as u64 * 5 + id + round) % 9) as f64 * 7.0;
         let mut picks = Vec::with_capacity(peers.len());
         for (slot, peer) in peers.iter_mut().enumerate() {
@@ -1715,17 +1936,21 @@ mod tests {
                     utility(peer.id, picks[slot]),
                     &mut scratch,
                 );
+                sharded.push(cols.max_regret(i, &peer.cfg, &mut Vec::new()).to_bits());
             }
         }
         for (slot, peer) in peers.iter_mut().enumerate() {
             peer.state.observe(&peer.cfg, utility(peer.id, picks[slot]), &mut scratch);
             let what = format!("id {} round {round}", peer.id);
             assert_bitwise(slab.probabilities(slot), peer.state.probabilities(), &what);
-            assert_eq!(
-                slab.max_regret(slot, &peer.cfg).to_bits(),
-                peer.state.max_regret(&peer.cfg).to_bits(),
-                "{what}"
-            );
+            let want = peer.state.max_regret(&peer.cfg).to_bits();
+            assert_eq!(slab.scan_max_regret(slot, &peer.cfg).to_bits(), want, "{what}");
+            if slab.best.is_some() {
+                assert_eq!(slab.checked_max_regret(slot, &peer.cfg).to_bits(), want, "{what}");
+            }
+            if let Some(&got) = sharded.get(slot) {
+                assert_eq!(got, want, "{what} (sharded)");
+            }
         }
     }
 
@@ -1735,8 +1960,16 @@ mod tests {
     /// non-identity permutation, arrivals inherit departed peers' blocks,
     /// and every peer keeps replaying its own scalar oracle
     /// `to_bits`-exactly — strategies, regrets and the materialised `T`.
+    /// The row maxima are turned on before the first round, and in a
+    /// second run only once churn has permuted the handles and freed
+    /// blocks have been reused.
     #[test]
     fn interleaved_churn_replays_per_id_oracles_bitwise() {
+        interleaved_churn(0);
+        interleaved_churn(350);
+    }
+
+    fn interleaved_churn(track_estimates_from: u64) {
         use rand::Rng;
         let base = config_eps(4, FAST_EPS, RecencyMode::Exponential, true);
         let mut slab = LearnerSlab::new(5);
@@ -1785,6 +2018,13 @@ mod tests {
                 peer.state.reset_actions(m);
             }
             slab.assert_blocks_disjoint();
+            if round == track_estimates_from {
+                let permuted =
+                    slab.block.iter().enumerate().any(|(slot, &b)| b as usize != slot);
+                assert_eq!(permuted, round > 0);
+                slab.track_estimates();
+            }
+            assert_eq!(slab.best.is_some(), round >= track_estimates_from);
             churn_round(&mut slab, &mut peers, round);
             if round % 50 == 49 {
                 for (slot, peer) in peers.iter().enumerate() {
@@ -1823,6 +2063,7 @@ mod tests {
             slab.alloc(4);
             peers.push(OraclePeer::new(id, &cfg));
         }
+        slab.track_estimates();
         let arena = slab.t.len();
         assert_eq!(arena, 50 * 16);
         let mut script = rand::rngs::StdRng::seed_from_u64(77);
@@ -1862,6 +2103,101 @@ mod tests {
         assert_eq!(slab.free_list_reuses(), next_id - 50, "every arrival reused a block");
     }
 
+    /// The maintained estimate against the scan and the scalar oracle after
+    /// **every** stage: every recency mode × conditional, the rows turned
+    /// on before the first stage and mid-run, arity below and at the
+    /// stride, ε = 0.5 so the tracking runs cross a renormalisation, and
+    /// utilities of both signs — a negative one lowers its column, which
+    /// is the arm that rebuilds the slot's rows by a scan.
+    #[test]
+    fn maintained_estimate_matches_scan_and_oracle_at_every_stage() {
+        let modes = [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform];
+        for (recency, conditional) in modes.into_iter().flat_map(|r| [(r, false), (r, true)]) {
+            for ((m, stride), track_from) in
+                [(4, 7), (5, 5)].into_iter().flat_map(|g| [(g, 0u64), (g, 130)])
+            {
+                let cfg = config_eps(m, FAST_EPS, recency, conditional);
+                let mut slab = LearnerSlab::new(stride);
+                // A neighbour in slot 0, so the rows read are not the
+                // column's first.
+                slab.alloc(m);
+                let slot = slab.alloc(m) as usize;
+                let mut oracle = RthsState::new(&cfg);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+                let mut scratch = Vec::new();
+                let mut lowered = 0;
+                for s in 0..400u64 {
+                    let mut replay = rng.clone();
+                    let j = slab.select_action(slot, &mut rng);
+                    assert_eq!(j, oracle.select_action(&mut replay), "stage {s}");
+                    let u = ((j * 37 + s as usize) % 11) as f64 * 13.0 - 40.0;
+                    lowered += u64::from(u < 0.0 && s >= track_from);
+                    slab.observe(slot, &cfg, u, &mut scratch);
+                    oracle.observe(&cfg, u, &mut scratch);
+                    let what = format!("{recency:?}/{conditional} m={m} stage {s}");
+                    let want = oracle.max_regret(&cfg).to_bits();
+                    assert_eq!(slab.scan_max_regret(slot, &cfg).to_bits(), want, "{what}");
+                    if s >= track_from {
+                        assert_eq!(
+                            slab.checked_max_regret(slot, &cfg).to_bits(),
+                            want,
+                            "{what}"
+                        );
+                    } else {
+                        assert!(slab.best.is_none(), "{what}: nobody asked yet");
+                    }
+                }
+                assert!(lowered > 50, "only {lowered} stages took the rebuild arm");
+                if recency == RecencyMode::Exponential {
+                    assert_renormalised(&slab, slot, &cfg);
+                }
+            }
+        }
+    }
+
+    /// A utility large enough that its rank-1 coefficient overflows leaves
+    /// `+∞` in a column, and the opposite one then turns that into `NaN`:
+    /// the maintained rows read both as the scan and the oracle do — an
+    /// estimate of `0.0` while an infinity is in play, `NaN` entries
+    /// ignored.
+    #[test]
+    fn non_finite_entries_read_like_the_scan() {
+        let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
+        let mut slab = LearnerSlab::new(4);
+        let slot = slab.alloc(3) as usize;
+        slab.track_estimates();
+        let mut oracle = RthsState::new(&cfg);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let mut scratch = Vec::new();
+        let mut poisoned = None;
+        for s in 0..400u64 {
+            let mut replay = rng.clone();
+            let j = slab.select_action(slot, &mut rng);
+            assert_eq!(j, oracle.select_action(&mut replay), "stage {s}");
+            // By stage 200 `scale` is 2⁻²⁰⁰, so ±1e308 / scale overflows.
+            let u = match (s, poisoned) {
+                (200, _) => {
+                    poisoned = Some(j);
+                    1e308
+                }
+                (201.., Some(col)) if col == j => {
+                    poisoned = None;
+                    -1e308
+                }
+                _ => 50.0 + 10.0 * j as f64,
+            };
+            slab.observe(slot, &cfg, u, &mut scratch);
+            oracle.observe(&cfg, u, &mut scratch);
+            let got = slab.checked_max_regret(slot, &cfg);
+            assert_eq!(got.to_bits(), oracle.max_regret(&cfg).to_bits(), "stage {s}");
+            if slab.stored(slot).contains(&f64::INFINITY) {
+                assert_eq!(got.to_bits(), 0, "stage {s}");
+            }
+        }
+        assert!(slab.stored(slot).iter().any(|x| x.is_nan()), "no NaN was ever stored");
+        assert!(slab.checked_max_regret(slot, &cfg) > 0.0, "NaN entries hid the others");
+    }
+
     #[test]
     fn survivor_walk_visits_exactly_the_relocated_slots() {
         let walk = |n, sorted: &[u32]| {
@@ -1890,6 +2226,7 @@ mod tests {
             slab.observe(a, &cfg, ((act + s as usize) % 4) as f64 * 5.0, &mut scratch);
         }
         assert_renormalised(&slab, a, &cfg);
+        slab.track_estimates();
         let b = slab.clone_slot(a as u32) as usize;
         assert_ne!(a, b);
         let mut rng_b = rng.clone();
@@ -1903,7 +2240,10 @@ mod tests {
                     assert_eq!(slab.proxy(a, j, k).to_bits(), slab.proxy(b, j, k).to_bits());
                 }
             }
-            assert_eq!(slab.max_regret(a, &cfg).to_bits(), slab.max_regret(b, &cfg).to_bits());
+            assert_eq!(
+                slab.checked_max_regret(a, &cfg).to_bits(),
+                slab.checked_max_regret(b, &cfg).to_bits()
+            );
             let act = slab.select_action(a, &mut rng);
             assert_eq!(act, slab.select_action(b, &mut rng_b));
             let u = ((act + s as usize) % 4) as f64 * 5.0;
@@ -1926,6 +2266,7 @@ mod tests {
             slab.observe(slot, &cfg, 5.0, &mut scratch);
         }
         assert_renormalised(&slab, slot, &cfg);
+        assert!(slab.checked_max_regret(slot, &cfg) > 0.0);
         slab.reset_actions(slot, 5);
         assert_eq!(slab.num_actions(slot), 5);
         assert_eq!(slab.stage(slot), 0);
@@ -1938,6 +2279,7 @@ mod tests {
             }
         }
         let big = config_eps(5, FAST_EPS, RecencyMode::Exponential, false);
+        assert_eq!(slab.checked_max_regret(slot, &big).to_bits(), 0);
         let mut fresh = [RthsState::new(&big)];
         drive_with_mirrors(&mut slab, &mut fresh, &mut [rng], &big, 50);
         assert_bitwise(slab.probabilities(slot), fresh[0].probabilities(), "after reset");
@@ -2045,7 +2387,7 @@ mod tests {
         stride: usize,
         stages: u64,
         utility: impl Fn(u64, usize) -> f64,
-        mut check: impl FnMut(u64, &LearnerSlab, &RthsState, &EagerRef),
+        mut check: impl FnMut(u64, &mut LearnerSlab, &RthsState, &EagerRef),
     ) {
         let m = cfg.num_actions();
         let mut slab = LearnerSlab::new(stride);
@@ -2062,7 +2404,7 @@ mod tests {
             slab.observe(slot, cfg, u, &mut scratch);
             oracle.observe(cfg, u, &mut scratch);
             eager.observe(cfg, j, u);
-            check(s, &slab, &oracle, &eager);
+            check(s, &mut slab, &oracle, &eager);
         }
     }
 
@@ -2078,20 +2420,28 @@ mod tests {
             run_against_eager(&cfg, 9, 2000, utility, |s, slab, oracle, eager| {
                 assert_bitwise(slab.probabilities(0), oracle.probabilities(), "oracle");
                 assert_eq!(
-                    slab.max_regret(0, &cfg).to_bits(),
+                    slab.checked_max_regret(0, &cfg).to_bits(),
                     oracle.max_regret(&cfg).to_bits()
                 );
                 let scale = slab.scale[0];
                 if eps == 1.0 {
                     assert_eq!(scale, 1.0, "stage {s}");
                     assert_eq!(slab.probabilities(0), &eager.probs[..], "stage {s}");
-                    assert_eq!(slab.max_regret(0, &cfg), eager.max_regret(&cfg), "stage {s}");
+                    assert_eq!(
+                        slab.checked_max_regret(0, &cfg),
+                        eager.max_regret(&cfg),
+                        "stage {s}"
+                    );
                 } else {
                     assert!(scale.is_normal() && scale >= lazy::RENORM_BELOW, "stage {s}");
                     for (x, y) in slab.probabilities(0).iter().zip(&eager.probs) {
                         assert_close(*x, *y, "strategy");
                     }
-                    assert_close(slab.max_regret(0, &cfg), eager.max_regret(&cfg), "regret");
+                    assert_close(
+                        slab.checked_max_regret(0, &cfg),
+                        eager.max_regret(&cfg),
+                        "regret",
+                    );
                 }
             });
         }
@@ -2121,7 +2471,11 @@ mod tests {
                 assert_close(*x, *y, "strategy");
             }
             if s % 997 == 0 {
-                assert_close(slab.max_regret(0, &cfg), eager.max_regret(&cfg), "regret");
+                assert_close(
+                    slab.checked_max_regret(0, &cfg),
+                    eager.max_regret(&cfg),
+                    "regret",
+                );
             }
         });
     }
@@ -2169,8 +2523,8 @@ mod tests {
             split_stages += u64::from(natural.scale[0] != forced.scale[0]);
             assert_bitwise(natural.probabilities(0), forced.probabilities(0), "strategy");
             assert_eq!(
-                natural.max_regret(0, &cfg).to_bits(),
-                forced.max_regret(0, &cfg).to_bits(),
+                natural.checked_max_regret(0, &cfg).to_bits(),
+                forced.checked_max_regret(0, &cfg).to_bits(),
                 "stage {s}"
             );
             for j in 0..4 {
@@ -2197,7 +2551,10 @@ mod tests {
         let mut flushed = false;
         run_against_eager(&cfg, 3, 3000, utility, |s, slab, oracle, _| {
             assert_bitwise(slab.probabilities(0), oracle.probabilities(), "oracle");
-            assert_eq!(slab.max_regret(0, &cfg).to_bits(), oracle.max_regret(&cfg).to_bits());
+            assert_eq!(
+                slab.checked_max_regret(0, &cfg).to_bits(),
+                oracle.max_regret(&cfg).to_bits()
+            );
             for &x in slab.stored(0) {
                 assert!(x == 0.0 || x.is_normal(), "stage {s}: S holds {x:e}");
             }

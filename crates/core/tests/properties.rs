@@ -264,28 +264,39 @@ proptest! {
         (cfg, stride) in arb_mask_geometry_config(),
         seed in any::<u64>(),
         utilities in prop::collection::vec(-250.0..750.0f64, 40..160),
+        track_from in 0usize..80,
     ) {
         // The slab reads only played columns (row gather and regret
         // scan); the oracle reads all m². At m = 64/70 a run this short
         // leaves most columns never played; at m = 3 all of them fill.
         // Negative utilities make diagonal entries negative, which is
-        // when a never-played (all-zero) column carries the regret max.
+        // when a never-played (all-zero) column carries the regret max —
+        // and they lower a column, which is when the maintained row
+        // maxima are rebuilt instead of raised.
         // Slot 1 of 2, so the mask and column offsets are not slot 0's.
+        // Two slabs take the one trajectory: `scanned` is never asked
+        // through `LearnerSlab::max_regret`, so its shard view answers by
+        // the scan; `slab` is first asked at stage `track_from` and reads
+        // its maintained rows from then on.
         let m = cfg.num_actions();
         let mut slab = LearnerSlab::new(stride);
         slab.alloc(m);
         let slot = slab.alloc(m) as usize;
+        let mut scanned = slab.clone();
         let mut oracle = RthsState::new(&cfg);
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
         let mut scratch = Vec::new();
         for (s, &u) in utilities.iter().enumerate() {
+            let mut replay = rng_a.clone();
             let a = slab.select_action(slot, &mut rng_a);
             let b = oracle.select_action(&mut rng_b);
             prop_assert_eq!(a, b, "m={} action diverged at stage {}", m, s);
+            prop_assert_eq!(a, scanned.select_action(slot, &mut replay));
             // Every third stage pays nothing (a lost payload).
             let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
             slab.observe(slot, &cfg, u, &mut scratch);
+            scanned.observe(slot, &cfg, u, &mut scratch);
             oracle.observe(&cfg, u, &mut scratch);
             for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
                 prop_assert_eq!(
@@ -293,11 +304,19 @@ proptest! {
                     "m={} stride={} probs diverged at stage {}", m, stride, s
                 );
             }
+            let want = oracle.max_regret(&cfg).to_bits();
             prop_assert_eq!(
-                slab.max_regret(slot, &cfg).to_bits(),
-                oracle.max_regret(&cfg).to_bits(),
-                "m={} stride={} max_regret diverged at stage {}", m, stride, s
+                scanned.split().max_regret(slot, &cfg, &mut scratch).to_bits(),
+                want,
+                "m={} stride={} scanned max_regret diverged at stage {}", m, stride, s
             );
+            if s >= track_from {
+                prop_assert_eq!(
+                    slab.max_regret(slot, &cfg).to_bits(),
+                    want,
+                    "m={} stride={} maintained max_regret diverged at stage {}", m, stride, s
+                );
+            }
         }
     }
 

@@ -36,6 +36,24 @@ pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
+/// In-place elementwise maximum: `acc[i] = acc[i].max(xs[i])`.
+///
+/// Folds one column of `S` into the slab's maintained row maxima.
+/// `f64::max` returns the other operand when one is `NaN`, so a `NaN`
+/// entry never becomes (or displaces) a maximum — the same entries the
+/// regret scan's per-term `.max(0.0)` clamp ignores.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn max_assign(acc: &mut [f64], xs: &[f64]) {
+    assert_eq!(acc.len(), xs.len(), "max_assign slices must be index-aligned");
+    for (a, &x) in acc.iter_mut().zip(xs) {
+        *a = a.max(x);
+    }
+}
+
 /// Max of the clamped shifted differences: the largest
 /// `(factor * (col[i] - diag[i])).max(0.0)` over the slice.
 ///
@@ -100,6 +118,14 @@ mod tests {
     #[should_panic(expected = "index-aligned")]
     fn axpy_rejects_length_mismatch() {
         axpy(&mut [0.0, 0.0], 1.0, &[1.0]);
+    }
+
+    #[test]
+    fn max_assign_keeps_the_larger_entry_and_ignores_nan() {
+        let mut acc = [1.0, -3.0, f64::NAN, 2.0, f64::NEG_INFINITY];
+        max_assign(&mut acc, &[0.5, -1.0, 4.0, f64::NAN, f64::NAN]);
+        assert_eq!(acc[..4], [1.0, -1.0, 4.0, 2.0]);
+        assert_eq!(acc[4], f64::NEG_INFINITY);
     }
 
     #[test]

@@ -58,7 +58,11 @@ pub struct PeerMachine {
     peer: Peer,
     demand: Option<f64>,
     impairments: ImpairmentPlan,
-    shaper: LinkShaper,
+    /// The peer's link state — token bucket, where its link's loss and
+    /// bandwidth chains stand. Exists only under a plan that
+    /// [affects rates](ImpairmentPlan::affects_rates): the clean-link
+    /// swarms (10⁵ peers a process) carry a pointer's worth, not the state.
+    shaper: Option<Box<LinkShaper>>,
     /// The `(helper, epoch)` of the in-flight request, consumed by the
     /// rate delivery — shaping decisions are per-link, so the peer must
     /// remember which link the reply rides.
@@ -68,7 +72,8 @@ pub struct PeerMachine {
 impl PeerMachine {
     /// Wraps a live peer under the given impairment plan.
     pub fn new(peer: Peer, demand: Option<f64>, impairments: ImpairmentPlan) -> Self {
-        Self { peer, demand, impairments, shaper: LinkShaper::new(), inflight: None }
+        let shaper = impairments.affects_rates().then(Box::default);
+        Self { peer, demand, impairments, shaper, inflight: None }
     }
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same
@@ -104,7 +109,11 @@ impl PeerMachine {
     /// payload is lost (deterministic per `(peer, helper, epoch)` link).
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
         let helper = self.peer.choose_helper();
-        let lost = self.impairments.is_lost(self.peer.id().0, helper, epoch);
+        let lost = match &mut self.shaper {
+            Some(shaper) => shaper.is_lost(&self.impairments, self.peer.id().0, helper, epoch),
+            // A plan that affects no rate loses nothing.
+            None => false,
+        };
         self.inflight = Some((helper, epoch));
         Selection { helper, lost }
     }
@@ -116,9 +125,9 @@ impl PeerMachine {
     /// `rths_sim::System::step_epoch`, which is what keeps impaired runs
     /// bit-identical across backends.
     pub fn on_rate(&mut self, kbps: f64) -> f64 {
-        let kbps = match self.inflight.take() {
-            Some((helper, epoch)) if self.impairments.affects_rates() => {
-                self.shaper.shape(&self.impairments, self.peer.id().0, helper, epoch, kbps)
+        let kbps = match (self.inflight.take(), &mut self.shaper) {
+            (Some((helper, epoch)), Some(shaper)) => {
+                shaper.shape(&self.impairments, self.peer.id().0, helper, epoch, kbps)
             }
             _ => kbps,
         };

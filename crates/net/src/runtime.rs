@@ -70,10 +70,12 @@ pub struct NetConfig {
     /// Hosting runtime.
     pub backend: Backend,
     /// Whether peers attach their learner's internal regret estimate to
-    /// every observation (the `worst_regret_estimate` series). Deriving
-    /// it is an `O(m²)` scan of the proxy matrix per peer per epoch —
-    /// the same cost trade the simulator's `track_estimate` flag
-    /// controls — so throughput benches disable it. **Default: on.**
+    /// every observation (the `worst_regret_estimate` series). The first
+    /// estimate a shard's learner slab is asked for makes it maintain its
+    /// row maxima (`m` more scalars per peer; see `rths_core::slab`), and
+    /// deriving one is then an `O(m)` read per peer per epoch — the same
+    /// trade the simulator's `track_estimate` flag controls. Off, neither
+    /// is paid; the throughput baselines run that way. **Default: on.**
     pub track_estimate: bool,
     /// Enables `rths_obs` tracing for the duration of the run (epoch
     /// spans, coordinator phase spans, message-volume counters). Tracing

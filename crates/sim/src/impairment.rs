@@ -39,9 +39,22 @@
 //! bit-for-bit at any `RTHS_THREADS`, and lets churn add or remove peers
 //! without perturbing any other link's stream.
 //!
-//! The only stateful piece is the token bucket ([`LinkShaper`]): its
-//! level depends only on the owning peer's own delivered-rate sequence,
-//! which is itself identical across backends, so the state path is too.
+//! The seek — [`ImpairmentPlan::is_lost`], [`ImpairmentPlan::link_cap_kbps`]
+//! — is the definition, and the oracle of this module's tests. An engine
+//! does not ask at random, though: a peer asks about its link every
+//! epoch, and the link moved one transition since. The per-peer
+//! [`LinkShaper`] therefore remembers where the link it was last asked
+//! about stands and *steps*: the same helper one epoch on, off a
+//! regeneration boundary, costs the one hash the seek's loop would draw
+//! for that transition; anything else — a helper switch, a gap, a
+//! boundary, a fresh shaper — is a seek. Same hashes in the same order,
+//! so the answers are the seek's by construction, and what a shaper was
+//! asked before can change only what the next answer costs.
+//!
+//! The only state that is part of the model is the token bucket (also
+//! [`LinkShaper`]): its level depends only on the owning peer's own
+//! delivered-rate sequence, which is itself identical across backends,
+//! so the state path is too.
 //!
 //! # Example
 //!
@@ -335,6 +348,18 @@ fn link_seed(seed: u64, peer: u64, helper: usize) -> u64 {
     derive_seed(derive_seed(seed ^ SALT_LINK, peer), helper as u64)
 }
 
+/// One Gilbert–Elliott transition: the state at epoch `t + 1` given the
+/// state `bad` at epoch `t`. The seek loop and the stepping
+/// [`LinkShaper`] share it, so they draw the same hash for the same move.
+fn ge_step(seed: u64, p_enter_bad: f64, p_exit_bad: f64, bad: bool, t: u64) -> bool {
+    let u = unit(seed ^ SALT_GE_STEP, t);
+    if bad {
+        u >= p_exit_bad
+    } else {
+        u < p_enter_bad
+    }
+}
+
 /// Seekable Gilbert–Elliott state: regenerate from the stationary
 /// distribution at the enclosing block boundary, then iterate hashed
 /// transitions to `epoch`. Pure in `(seed, epoch)`.
@@ -344,10 +369,44 @@ fn ge_bad_at(seed: u64, p_enter_bad: f64, p_exit_bad: f64, epoch: u64) -> bool {
     let denom = p_enter_bad + p_exit_bad;
     let mut bad = denom > 0.0 && unit(seed ^ SALT_GE_INIT, block) < p_enter_bad / denom;
     for t in start..epoch {
-        let u = unit(seed ^ SALT_GE_STEP, t);
-        bad = if bad { u >= p_exit_bad } else { u < p_enter_bad };
+        bad = ge_step(seed, p_enter_bad, p_exit_bad, bad, t);
     }
     bad
+}
+
+/// Whether a Gilbert–Elliott link in state `bad` drops its payload at
+/// `epoch`: the state's drop probability against the link's drop stream
+/// (the boundary probabilities never consult the hash).
+fn ge_drops(seed: u64, bad: bool, bad_loss: f64, good_loss: f64, epoch: u64) -> bool {
+    let p = if bad { bad_loss } else { good_loss };
+    if p <= 0.0 {
+        return false;
+    }
+    if p >= 1.0 {
+        return true;
+    }
+    unit(seed ^ SALT_GE_DROP, epoch) < p
+}
+
+/// One sticky birth–death transition over `n ≥ 2` levels: the state at
+/// epoch `t + 1` given `state` at epoch `t` (shared by the seek loop and
+/// the stepping [`LinkShaper`], like [`ge_step`]).
+fn ladder_step(seed: u64, step_salt: u64, stay: f64, n: usize, state: usize, t: u64) -> usize {
+    debug_assert!(n >= 2, "a one-level ladder has no transitions");
+    let u = unit(seed ^ step_salt, t);
+    if u < stay {
+        return state;
+    }
+    let v = (u - stay) / (1.0 - stay);
+    if state == 0 {
+        1
+    } else if state == n - 1 {
+        n - 2
+    } else if v < 0.5 {
+        state - 1
+    } else {
+        state + 1
+    }
 }
 
 /// Seekable sticky birth–death ladder state over `n` levels (stationary
@@ -381,20 +440,7 @@ fn ladder_state_at(
     }
     // Transition steps to the queried epoch.
     for t in start..epoch {
-        let u = unit(seed ^ step_salt, t);
-        if u < stay {
-            continue;
-        }
-        let v = (u - stay) / (1.0 - stay);
-        state = if state == 0 {
-            1
-        } else if state == n - 1 {
-            n - 2
-        } else if v < 0.5 {
-            state - 1
-        } else {
-            state + 1
-        };
+        state = ladder_step(seed, step_salt, stay, n, state, t);
     }
     state
 }
@@ -487,18 +533,8 @@ impl ImpairmentPlan {
             }
             LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
                 let ls = link_seed(self.seed, peer, helper);
-                let p = if ge_bad_at(ls, p_enter_bad, p_exit_bad, epoch) {
-                    bad_loss
-                } else {
-                    good_loss
-                };
-                if p <= 0.0 {
-                    return false;
-                }
-                if p >= 1.0 {
-                    return true;
-                }
-                unit(ls ^ SALT_GE_DROP, epoch) < p
+                let bad = ge_bad_at(ls, p_enter_bad, p_exit_bad, epoch);
+                ge_drops(ls, bad, bad_loss, good_loss, epoch)
             }
         }
     }
@@ -558,14 +594,68 @@ impl ImpairmentPlan {
     }
 }
 
-/// Per-peer shaping state: the token-bucket level. The only stateful
-/// impairment — but its path depends solely on the peer's own
-/// delivered-rate sequence, which is identical across backends, so the
-/// state is too. Call [`shape`](Self::shape) **exactly once per epoch**.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// The state at `epoch` of a seekable chain last evaluated at `pos`
+/// (`(epoch, state)`), which is moved there: the remembered state when
+/// asked again, one `step(state, t)` on from it when `epoch` is the next
+/// epoch and no regeneration boundary lies between, a `seek` from the
+/// block boundary after any other jump. The step draws the very hash the
+/// seek's loop would draw for that transition, so all three agree.
+fn follow<S: Copy>(
+    pos: &mut Option<(u64, S)>,
+    epoch: u64,
+    step: impl FnOnce(S, u64) -> S,
+    seek: impl FnOnce() -> S,
+) -> S {
+    let state = match *pos {
+        Some((at, state)) if at == epoch => state,
+        Some((at, state))
+            if epoch.checked_sub(1) == Some(at) && !epoch.is_multiple_of(REGEN_BLOCK) =>
+        {
+            step(state, at)
+        }
+        _ => seek(),
+    };
+    *pos = Some((epoch, state));
+    state
+}
+
+/// Where a [`LinkShaper`] last left the chains of one link. Derived
+/// state only: dropping it changes no answer, only what the next one
+/// costs.
+#[derive(Debug, Clone, Copy)]
+struct LinkMemo {
+    /// What names the link: the plan's seed, the peer and the helper.
+    key: (u64, u64, usize),
+    /// The link's decision-stream seed ([`link_seed`] of `key`).
+    seed: u64,
+    /// The Gilbert–Elliott chain: `(epoch, in the bad state)`.
+    ge: Option<(u64, bool)>,
+    /// The bandwidth ladder: `(epoch, level)`.
+    ladder: Option<(u64, usize)>,
+}
+
+/// Per-peer link state: the token-bucket level, and a memo of where the
+/// peer's current link stands in its loss and bandwidth chains.
+///
+/// The bucket is the only impairment whose *state* is part of the model —
+/// its path depends solely on the peer's own delivered-rate sequence,
+/// which is identical across backends, so the state is too. Call
+/// [`shape`](Self::shape) **exactly once per epoch**.
+///
+/// The memo is a cache over the pure [`ImpairmentPlan::is_lost`] and
+/// [`ImpairmentPlan::link_cap_kbps`]: [`is_lost`](Self::is_lost) and
+/// `shape` return exactly what those return, whatever was asked before,
+/// and asking about the same link one epoch on costs one hashed
+/// transition instead of a walk from the regeneration boundary. It
+/// follows one link under one plan at a time (a helper switch, like an
+/// epoch gap, falls back to the seek). It is not part of the link's state
+/// — two shapers with equal buckets are the same link whatever each was
+/// last asked — which is why the type offers no `==` that could see it.
+#[derive(Debug, Clone, Default)]
 pub struct LinkShaper {
     tokens: f64,
     primed: bool,
+    memo: Option<LinkMemo>,
 }
 
 impl LinkShaper {
@@ -579,10 +669,54 @@ impl LinkShaper {
         self.tokens
     }
 
+    /// The memo of link `(peer, helper)` under `plan`, started afresh if
+    /// the shaper was following another link.
+    fn link(&mut self, plan: &ImpairmentPlan, peer: u64, helper: usize) -> &mut LinkMemo {
+        let key = (plan.seed, peer, helper);
+        if self.memo.is_some_and(|memo| memo.key != key) {
+            self.memo = None;
+        }
+        self.memo.get_or_insert_with(|| LinkMemo {
+            key,
+            seed: link_seed(plan.seed, peer, helper),
+            ge: None,
+            ladder: None,
+        })
+    }
+
+    /// Whether the payload on link `(peer, helper)` is lost at `epoch`:
+    /// [`ImpairmentPlan::is_lost`], stepping the link's Gilbert–Elliott
+    /// chain from where this shaper last left it when it can.
+    pub fn is_lost(
+        &mut self,
+        plan: &ImpairmentPlan,
+        peer: u64,
+        helper: usize,
+        epoch: u64,
+    ) -> bool {
+        let LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } =
+            plan.loss
+        else {
+            // The other models keep no state between epochs.
+            return plan.is_lost(peer, helper, epoch);
+        };
+        let link = self.link(plan, peer, helper);
+        let seed = link.seed;
+        let bad = follow(
+            &mut link.ge,
+            epoch,
+            |bad, t| ge_step(seed, p_enter_bad, p_exit_bad, bad, t),
+            || ge_bad_at(seed, p_enter_bad, p_exit_bad, epoch),
+        );
+        ge_drops(seed, bad, bad_loss, good_loss, epoch)
+    }
+
     /// Applies the plan's shaping pipeline to one epoch's offered rate:
-    /// first the link-bandwidth cap (memoryless), then the token bucket
-    /// (refill, then spend). Returns the shaped rate. With neither
-    /// configured the offered rate passes through bit-identically.
+    /// first the link-bandwidth cap ([`ImpairmentPlan::link_cap_kbps`],
+    /// its ladder stepped from where this shaper last left it when it can
+    /// be), then the token bucket (refill, then spend). Returns the shaped
+    /// rate. With neither configured the offered rate passes through
+    /// bit-identically.
     pub fn shape(
         &mut self,
         plan: &ImpairmentPlan,
@@ -592,8 +726,21 @@ impl LinkShaper {
         offered_kbps: f64,
     ) -> f64 {
         let mut rate = offered_kbps;
-        if let Some(cap) = plan.link_cap_kbps(peer, helper, epoch) {
-            rate = rate.min(cap);
+        if let Some(bw) = &plan.link_bandwidth {
+            let n = bw.levels.len();
+            let level = if n <= 1 {
+                0
+            } else {
+                let link = self.link(plan, peer, helper);
+                let seed = link.seed;
+                follow(
+                    &mut link.ladder,
+                    epoch,
+                    |level, t| ladder_step(seed, SALT_BW_STEP, bw.stay, n, level, t),
+                    || ladder_state_at(seed, SALT_BW_INIT, SALT_BW_STEP, bw.stay, n, epoch),
+                )
+            };
+            rate = rate.min(bw.levels[level]);
         }
         if let Some(tb) = plan.token_bucket() {
             if self.primed {
@@ -839,6 +986,121 @@ mod tests {
         let mut shaper = LinkShaper::new();
         // The 200 kbps link cap binds before the generous bucket.
         assert_eq!(shaper.shape(&plan, 0, 0, 0, 800.0), 200.0);
+    }
+
+    /// Drives one shaper through a random walk of queries — mostly the
+    /// next epoch on the same link, interleaved with helper switches,
+    /// another peer's link, forward gaps, jumps back, repeated epochs and
+    /// a fresh shaper, asking for the loss, the shaping, or both — and
+    /// holds every answer to the seek: `ImpairmentPlan::is_lost`, and
+    /// `ImpairmentPlan::link_cap_kbps` fed through a memo-free shaper that
+    /// carries the plan's bucket alone.
+    fn assert_shaper_answers_like_the_seek(plan: &ImpairmentPlan, script_seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut script = rand::rngs::StdRng::seed_from_u64(script_seed);
+        let bucket_only = match plan.token_bucket() {
+            Some(tb) => ImpairmentPlan::builder(plan.seed())
+                .token_bucket(tb.rate_kbps, tb.burst_kbits)
+                .build()
+                .unwrap(),
+            None => ImpairmentPlan::none(),
+        };
+        let (mut shaper, mut bucket) = (LinkShaper::new(), LinkShaper::new());
+        let (mut peer, mut helper, mut epoch) = (0u64, 0usize, 0u64);
+        let (mut stepped, mut boundaries) = (0, 0);
+        for query in 0..30_000 {
+            match script.gen_range(0..16) {
+                0 => helper = script.gen_range(0..3),
+                1 => peer = script.gen_range(0..3),
+                2 => epoch += script.gen_range(2..3 * REGEN_BLOCK),
+                3 => epoch = epoch.saturating_sub(script.gen_range(1..2 * REGEN_BLOCK)),
+                4 => {}
+                5 => (shaper, bucket) = (LinkShaper::new(), LinkShaper::new()),
+                _ => {
+                    epoch += 1;
+                    stepped += 1;
+                    boundaries += u64::from(epoch.is_multiple_of(REGEN_BLOCK));
+                }
+            }
+            let what = format!("query {query}: link ({peer}, {helper}) at epoch {epoch}");
+            let ask = script.gen_range(0..3);
+            if ask != 0 {
+                let lost = shaper.is_lost(plan, peer, helper, epoch);
+                assert_eq!(lost, plan.is_lost(peer, helper, epoch), "{what}");
+            }
+            if ask != 1 {
+                let offered = 100.0 * script.gen_range(0..12) as f64;
+                let capped = match plan.link_cap_kbps(peer, helper, epoch) {
+                    Some(cap) => offered.min(cap),
+                    None => offered,
+                };
+                let want = bucket.shape(&bucket_only, peer, helper, epoch, capped);
+                let got = shaper.shape(plan, peer, helper, epoch, offered);
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+                assert_eq!(shaper.tokens().to_bits(), bucket.tokens().to_bits(), "{what}");
+            }
+        }
+        assert!(
+            stepped > 15_000 && boundaries > 100,
+            "{stepped} steps, {boundaries} boundaries"
+        );
+    }
+
+    #[test]
+    fn stepping_shaper_answers_like_the_seek() {
+        let plans = [
+            // The benchmark's shape: burst loss, a ladder and a bucket.
+            ImpairmentPlan::builder(99)
+                .gilbert_loss(0.04, 0.3, 0.8, 0.01)
+                .link_bandwidth(vec![200.0, 500.0, 900.0], 0.9)
+                .token_bucket(600.0, 1200.0),
+            // A chain that flips often, a long ladder, no bucket.
+            ImpairmentPlan::builder(5)
+                .gilbert_loss(0.45, 0.5, 1.0, 0.0)
+                .link_bandwidth(vec![50.0, 100.0, 200.0, 400.0, 800.0, 1600.0], 0.3),
+            // Memoryless loss and a one-level ladder: nothing to step.
+            ImpairmentPlan::builder(42).uniform_loss(0.3).link_bandwidth(vec![300.0], 0.5),
+            // Burst loss alone; shaping passes through.
+            ImpairmentPlan::builder(7).gilbert_loss(0.05, 0.25, 0.8, 0.02),
+            // A two-level ladder alone (both ends are reflecting).
+            ImpairmentPlan::builder(8).link_bandwidth(vec![100.0, 700.0], 0.6),
+        ];
+        for (i, plan) in plans.into_iter().enumerate() {
+            assert_shaper_answers_like_the_seek(&plan.build().unwrap(), 1000 + i as u64);
+        }
+    }
+
+    /// What a stepping answer costs: the engine's access pattern — one
+    /// link, every epoch — keeps the memo's chains one transition behind
+    /// the query except at a regeneration boundary or after a switch.
+    #[test]
+    fn shaper_follows_one_link_and_forgets_it_on_a_switch() {
+        let plan = ImpairmentPlan::builder(3)
+            .gilbert_loss(0.05, 0.25, 0.8, 0.02)
+            .link_bandwidth(vec![100.0, 500.0, 900.0], 0.9)
+            .build()
+            .unwrap();
+        let mut shaper = LinkShaper::new();
+        for epoch in 0..10 {
+            shaper.is_lost(&plan, 4, 1, epoch);
+            shaper.shape(&plan, 4, 1, epoch, 640.0);
+        }
+        let memo = shaper.memo.expect("a Markov plan is remembered");
+        assert_eq!(memo.key, (3, 4, 1));
+        assert_eq!(memo.seed, link_seed(3, 4, 1));
+        assert_eq!(memo.ge.map(|(at, _)| at), Some(9));
+        assert_eq!(memo.ladder.map(|(at, _)| at), Some(9));
+        // Another helper is another link: both chains start over.
+        shaper.is_lost(&plan, 4, 2, 10);
+        let memo = shaper.memo.expect("still a Markov plan");
+        assert_eq!((memo.key, memo.ladder), ((3, 4, 2), None));
+        // A plan without chains leaves no memo at all.
+        let mut plain = LinkShaper::new();
+        let bucket = ImpairmentPlan::builder(1).uniform_loss(0.2).token_bucket(300.0, 900.0);
+        let bucket = bucket.build().unwrap();
+        plain.is_lost(&bucket, 0, 0, 0);
+        plain.shape(&bucket, 0, 0, 0, 640.0);
+        assert!(plain.memo.is_none());
     }
 
     // One rejection test per out-of-range field.

@@ -137,7 +137,7 @@ pub struct ShardScratch {
     pub loads: Vec<usize>,
     /// Regret-row scratch shared by the shard's slab learners.
     row: Vec<f64>,
-    /// Diagonal scratch for the shard's slab `max_regret` scans.
+    /// Diagonal scratch for the shard's slab `max_regret` reads.
     diag: Vec<f64>,
     /// Shard-local maximum of the learners' internal regret estimates.
     worst_estimate: f64,
@@ -148,6 +148,15 @@ pub struct ShardScratch {
     /// join. Only touched when tracing is enabled, so the disabled path
     /// stays byte-identical to the pre-observability store.
     obs: ObsScratch,
+}
+
+/// Reduces the first `shards` scratches' spans and counter deltas into the
+/// global registry, in shard order (worker 0 is the orchestrating thread).
+fn absorb_shard_obs(scratch: &mut [ShardScratch], shards: usize) {
+    let epoch = obs::current_epoch();
+    for (i, s) in scratch.iter_mut().enumerate().take(shards) {
+        obs::absorb_scratch(i as u32 + 1, epoch, &mut s.obs);
+    }
 }
 
 /// The sharded SoA peer population. See the module docs for layout and
@@ -484,6 +493,10 @@ impl PeerStore {
             ),
             &mut scratch[..],
             |shard, ((mut learners, rngs), (last, switches), (profile, aux)), s| {
+                // The shard's own span, so that a trace charges the
+                // sampling to `choose` and only the fork/join around it
+                // to `par_dispatch`.
+                let t_choose = obs::span_start();
                 for i in 0..shard.len() {
                     let choice = match &mut learners {
                         LearnerCols::Slab(slab) => slab.select_action(i, &mut rngs[i]),
@@ -497,8 +510,14 @@ impl PeerStore {
                     let abs = shard.start + i;
                     account(abs, choice, channels[abs], &mut aux[i], &mut s.loads);
                 }
+                if let Some(t) = t_choose {
+                    s.obs.spans.record(Phase::Choose, t);
+                }
             },
         );
+        if obs::enabled() {
+            absorb_shard_obs(scratch, shards);
+        }
         loads.clear();
         loads.resize(loads_len, 0);
         for s in scratch.iter().take(shards) {
@@ -519,10 +538,13 @@ impl PeerStore {
     /// folded per-shard and merged in shard order (max over non-negative
     /// values — order-insensitive, so bit-identical at any shard count).
     ///
-    /// `track_estimate` controls the first element: deriving a learner's
-    /// internal regret estimate is an `O(played · m)` scan of its proxy matrix
-    /// per peer per epoch, so callers that do not record the series
-    /// (multi-channel deployments) pass `false` and receive `0.0`.
+    /// `track_estimate` controls the first element; callers that do not
+    /// record the series (multi-channel deployments) pass `false` and
+    /// receive `0.0`. The first call that passes `true` makes the learner
+    /// slab maintain its row maxima
+    /// ([`LearnerSlab::track_estimates`]: one scan of every T block,
+    /// `m` more scalars per peer); from then on an estimate is an `O(m)`
+    /// read per peer per epoch. A store never asked pays neither.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
@@ -562,7 +584,12 @@ impl PeerStore {
         let channels = &*channels;
         let configs = &*configs;
         let learner_cols = match learners {
-            Learners::Slab(slab) => LearnerCols::Slab(slab.split()),
+            Learners::Slab(slab) => {
+                if track_estimate {
+                    slab.track_estimates();
+                }
+                LearnerCols::Slab(slab.split())
+            }
             Learners::PerPeer(learners) => LearnerCols::PerPeer(learners),
         };
         // One global prefix update for the whole population, then the
@@ -652,10 +679,7 @@ impl PeerStore {
             },
         );
         if tracing {
-            let epoch = obs::current_epoch();
-            for (i, s) in scratch.iter_mut().enumerate().take(shards) {
-                obs::absorb_scratch(i as u32 + 1, epoch, &mut s.obs);
-            }
+            absorb_shard_obs(scratch, shards);
             if let Learners::Slab(slab) = &self.learners {
                 let reuses = slab.free_list_reuses();
                 obs::counter_add(Counter::FreeListReuse, reuses - self.reuses_reported);
@@ -863,11 +887,14 @@ mod tests {
     /// A miniature epoch loop driven straight against the store; with
     /// `churn`, peers leave and join between epochs, so the slab's block
     /// handles are a non-identity permutation of the slots each shard
-    /// is handed. Returns everything an epoch computes, as bits.
+    /// is handed. The regret estimate is asked for from epoch
+    /// `track_from` on (which is when a slab starts maintaining its row
+    /// maxima). Returns everything an epoch computes, as bits.
     fn drive_phases(
         algorithm: Algorithm,
         shards: usize,
         churn: bool,
+        track_from: u32,
     ) -> (Vec<(u64, u64)>, Vec<u64>, Vec<u64>) {
         let spec = LearnerSpec { algorithm, ..LearnerSpec::default() };
         let mut s = PeerStore::new(7, spec, 400.0, &[3]);
@@ -911,7 +938,7 @@ mod tests {
                 &[0, 3],
                 &join,
                 &mut scratch,
-                true,
+                epoch >= track_from,
                 |_, a, _| (shares_ref[a as usize], true),
             );
             stats.push((est.to_bits(), emp.to_bits()));
@@ -927,26 +954,41 @@ mod tests {
     fn phases_run_identically_at_any_shard_count() {
         // The choose/observe trajectories must be bit-identical at 1, 2,
         // 4 and 7 shards (the engine-level sweep lives in tests/).
-        let base = drive_phases(Algorithm::Rths, 1, false);
+        let base = drive_phases(Algorithm::Rths, 1, false, 0);
         for shards in [2usize, 4, 7] {
-            let got = drive_phases(Algorithm::Rths, shards, false);
+            let got = drive_phases(Algorithm::Rths, shards, false, 0);
             assert_eq!(got, base, "diverged at {shards} shards");
         }
     }
 
     /// Under churn too, wherever the store hosts the algorithm: tracking
     /// and matching in the slab (batch-decayed and inline), EXP3 in the
-    /// per-peer column, which compacts alongside the others.
+    /// per-peer column, which compacts alongside the others. The estimate
+    /// series comes from the slab's maintained row maxima; asking for it
+    /// only once churn has permuted the block handles (and arrivals have
+    /// reused departed peers' blocks) yields the same bits from there on.
     #[test]
     fn phases_run_identically_at_any_shard_count_under_churn() {
-        let mut seen = vec![drive_phases(Algorithm::Rths, 1, false)];
+        let mut seen = vec![drive_phases(Algorithm::Rths, 1, false, 0)];
         for algorithm in [Algorithm::Rths, Algorithm::RegretMatching, Algorithm::Exp3] {
-            let base = drive_phases(algorithm, 1, true);
+            let base = drive_phases(algorithm, 1, true, 0);
             assert!(!seen.contains(&base), "{algorithm:?} replayed another script");
             for shards in [2usize, 4, 7] {
-                let got = drive_phases(algorithm, shards, true);
+                let got = drive_phases(algorithm, shards, true, 0);
                 assert_eq!(got, base, "{algorithm:?} diverged at {shards} shards");
             }
+            const LATE: usize = 14;
+            let late = drive_phases(algorithm, 4, true, LATE as u32);
+            assert!(late.0[..LATE].iter().all(|&(est, _)| est == 0), "asked too early");
+            assert!(
+                base.0[LATE..].iter().all(|&(est, _)| est != 0),
+                "{algorithm:?}: no estimate"
+            );
+            assert_eq!(late.0[LATE..], base.0[LATE..], "{algorithm:?} late estimates");
+            let empirical =
+                |stats: &[(u64, u64)]| stats.iter().map(|s| s.1).collect::<Vec<_>>();
+            assert_eq!(empirical(&late.0[..LATE]), empirical(&base.0[..LATE]));
+            assert_eq!((&late.1, &late.2), (&base.1, &base.2));
             seen.push(base);
         }
     }

@@ -74,9 +74,10 @@ pub(crate) struct Blueprint {
     pub impairment: ImpairmentPlan,
     /// Record what only [`Outcome`] reports: the joint action
     /// distribution (churn-free runs) and the learners' internal regret
-    /// estimate — an `O(played · m)` scan per peer per epoch that the
-    /// per-channel [`MultiChannelOutcome`](crate::MultiChannelOutcome)
-    /// view never shows.
+    /// estimate — `m` more scalars and an `O(m)` read per peer per epoch
+    /// that the per-channel
+    /// [`MultiChannelOutcome`](crate::MultiChannelOutcome) view never
+    /// shows.
     pub diagnostics: bool,
     pub record_joint_from: u64,
     pub record_peer_rates: bool,
@@ -153,9 +154,10 @@ pub struct System {
     epoch: u64,
     master_rng: StdRng,
     scratch: EpochScratch,
-    /// Per-peer token-bucket state, slot-aligned with the peer store and
-    /// keyed by stable id so churn can evict departed peers without
-    /// touching survivors. Empty unless the impairment plan shapes rates.
+    /// Per-peer link state (token bucket, memoised link chains),
+    /// slot-aligned with the peer store and keyed by stable id so churn
+    /// can evict departed peers without touching survivors. Empty unless
+    /// the impairment plan affects rates.
     links: Vec<(u64, LinkShaper)>,
 }
 
@@ -587,14 +589,16 @@ impl System {
             for slot in 0..n {
                 let helper = globals[slot] as usize;
                 let id = ids[slot];
-                let offered = if impairment.is_lost(id, helper, self.epoch) {
+                // The shaper steps the link's loss and bandwidth chains
+                // from last epoch's state while the peer stays with its
+                // helper (see `impairment`).
+                let link = &mut self.links[slot].1;
+                let offered = if link.is_lost(impairment, id, helper, self.epoch) {
                     0.0
                 } else {
                     shares[helper * k + self.peers.channel(slot)]
                 };
-                shaped.push(
-                    self.links[slot].1.shape(impairment, id, helper, self.epoch, offered),
-                );
+                shaped.push(link.shape(impairment, id, helper, self.epoch, offered));
             }
             Some(&**shaped)
         } else {
