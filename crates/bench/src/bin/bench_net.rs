@@ -1,24 +1,19 @@
 //! Decentralized-runtime throughput: emits `BENCH_net.json`.
 //!
-//! Runs a peers×helpers grid through **both net backends** — the
-//! thread-per-actor runtime and the reactor event loop — and records
+//! Runs a peers×helpers grid through the reactor event loop and records
 //! wall-clock **actors/sec** (actor-epochs processed per second: every
-//! actor takes part in every epoch) plus a welfare checksum per run. The
-//! checksum pins the headline property: both backends produce bit-for-bit
-//! identical trajectories, so the reactor's ~order-of-magnitude scaling
-//! headroom is free of behaviour drift.
+//! actor takes part in every epoch) plus a welfare checksum per run.
 //!
-//! The top comparable grid point hosts **5,000 actors** — far beyond
-//! what thread-per-actor can sensibly run in CI, which is exactly the gap
-//! the reactor closes — and the grid then pushes the reactor alone to
-//! **20,000 actors** in one process (thread-per-actor would need 20k OS
-//! threads, so that point records no threaded run) and, with
-//! `RTHS_BENCH_LARGE=1`, to **100,000 actors** at a fixed epoch count.
-//! At the ≥2×10⁴-actor points the grid also times the **multi-process
-//! reactor** (`rths_net::run_multiproc`) at 2 and 4 OS processes —
-//! recorded as backends `multiproc2`/`multiproc4` with per-process peak
-//! RSS aggregated as `rss_total_kb` (sum) and `rss_max_kb`, since the
-//! workers' high-water marks never show up in the parent's `VmHWM`.
+//! The grid starts at **20,000 actors** in one process and, with
+//! `RTHS_BENCH_LARGE=1`, goes to **100,000 actors** at a fixed epoch
+//! count. Every point also times the **multi-process reactor**
+//! (`rths_net::run_multiproc`) at 2 and 4 OS processes — recorded as
+//! backends `multiproc2`/`multiproc4` with per-process peak RSS
+//! aggregated as `rss_total_kb` (sum) and `rss_max_kb`, since the
+//! workers' high-water marks never show up in the parent's `VmHWM` —
+//! and the checksum pins the headline property: however the mesh is
+//! partitioned, the trajectory is bit-for-bit the same.
+//!
 //! The per-shard learner slabs (`rths_core::slab`) plus the
 //! stretch-folded `O(n·h)` regret ledger (`rths_sim::regret`) and the
 //! reactor's per-shard mailbox rings are what keep 10⁵ `PeerMachine`s
@@ -28,9 +23,8 @@
 //! throughput (`construct_secs` / `construct_actors_per_sec`).
 //! Run with: `cargo run --release -p rths_bench --bin bench_net`
 //!
-//! * `RTHS_BENCH_QUICK=1` shrinks epochs and caps the threaded backend at
-//!   [`QUICK_THREADED_ACTOR_CAP`] actors (CI smoke).
-//! * `RTHS_BENCH_LARGE=1` appends the 10⁵-actor reactor-only point at a
+//! * `RTHS_BENCH_QUICK=1` shrinks epochs (CI smoke).
+//! * `RTHS_BENCH_LARGE=1` appends the 10⁵-actor point at a
 //!   **fixed** epoch count ([`LARGE_EPOCHS`]), identical in quick and
 //!   full mode so `perf_gate`'s per-scenario epoch matching can compare
 //!   a CI run against the committed full-grid baseline.
@@ -51,19 +45,9 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use rths_bench::{export_trace, peak_rss_kb, results_dir};
-use rths_net::{Backend, NetConfig, NetOutcome};
+use rths_net::{NetConfig, ReactorRuntime};
 use rths_obs as obs;
 use rths_sim::{BandwidthSpec, SimConfig};
-
-/// In quick (CI) mode, skip the threaded backend above this actor count:
-/// thousands of OS threads on a shared runner is exactly the pathology
-/// the reactor exists to avoid.
-const QUICK_THREADED_ACTOR_CAP: usize = 1_200;
-
-/// Even in full mode the threaded backend stops here — the grid points
-/// beyond it exist to demonstrate the reactor's ceiling, and spawning
-/// tens of thousands of OS threads proves nothing but the pathology.
-const THREADED_ACTOR_CAP: usize = 5_000;
 
 /// Fixed epoch count of the `RTHS_BENCH_LARGE` 10⁵-actor point — the
 /// same in quick and full mode, so the CI smoke run is epoch-comparable
@@ -87,7 +71,7 @@ impl Scenario {
 struct Run {
     backend: String,
     threads: usize,
-    /// OS processes hosting the mesh (1 for the in-process backends).
+    /// OS processes hosting the mesh (1 for the in-process reactor).
     processes: usize,
     /// `(secs, actors/sec)` of mesh construction. `None` for the
     /// multi-process backend, where spawning workers, the config
@@ -108,15 +92,7 @@ struct Run {
 
 fn grid(quick: bool, large: bool) -> Vec<Scenario> {
     let scale = if quick { 4 } else { 1 };
-    let mut grid = vec![
-        Scenario { peers: 152, helpers: 8, epochs: 200 / scale },
-        Scenario { peers: 960, helpers: 40, epochs: 60 / scale },
-        // The headline comparison point: 5,000 actors in one process.
-        Scenario { peers: 4_950, helpers: 50, epochs: (50 / scale).max(10) },
-        // The reactor's demonstrated ceiling per OS process before this
-        // PR: 20,000 actors (reactor only — see THREADED_ACTOR_CAP).
-        Scenario { peers: 19_936, helpers: 64, epochs: (40 / scale).max(10) },
-    ];
+    let mut grid = vec![Scenario { peers: 19_936, helpers: 64, epochs: (40 / scale).max(10) }];
     if large {
         // 10⁵ actors at the same 64-helper density as the 2×10⁴ point:
         // the O(n·h) regret ledger + mailbox rings keep it in memory
@@ -137,40 +113,28 @@ fn config(s: &Scenario) -> NetConfig {
 /// Times mesh construction and epoch processing (run + result
 /// aggregation) separately: construction is allocation-bound (the learner
 /// slabs), epochs are protocol-bound, and `perf_gate` gates both.
-fn time_backend(s: &Scenario, backend: Backend) -> (f64, f64, NetOutcome) {
-    // One-shot local; the size skew between runtimes is irrelevant here.
-    #[allow(clippy::large_enum_variant)]
-    enum Built {
-        Threaded(rths_net::NetRuntime),
-        Reactor(rths_net::ReactorRuntime),
-    }
-    let cfg = config(s).with_backend(backend);
+fn time_reactor(s: &Scenario) -> Run {
     let t0 = Instant::now();
-    let rt = match backend {
-        Backend::Threaded => Built::Threaded(rths_net::NetRuntime::new(cfg)),
-        Backend::Reactor => Built::Reactor(rths_net::ReactorRuntime::new(cfg)),
-        // Multi-process runs go through `time_multiproc`: construction
-        // overlaps the worker handshake, so the split timing here does
-        // not apply.
-        Backend::Multiproc { .. } => unreachable!("multiproc is timed by time_multiproc"),
-    };
-    let build_secs = t0.elapsed().as_secs_f64();
+    let rt = ReactorRuntime::new(config(s));
+    let construct_secs = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let out = match rt {
-        Built::Threaded(rt) => rt.run(s.epochs),
-        Built::Reactor(rt) => rt.run(s.epochs),
-    };
+    let out = rt.run(s.epochs);
     let secs = t1.elapsed().as_secs_f64();
-    (build_secs, secs, out)
+    Run {
+        backend: "reactor".to_string(),
+        threads: rths_par::threads(),
+        processes: 1,
+        construct: Some((construct_secs, s.actors() as f64 / construct_secs.max(1e-12))),
+        secs,
+        actors_per_sec: (s.actors() as u64 * s.epochs) as f64 / secs.max(1e-12),
+        rss_kb: None,
+        welfare_checksum: out.metrics.welfare.values().iter().sum(),
+    }
 }
 
-/// Process counts measured for the multi-process reactor at the grid
-/// points large enough to shard meaningfully (≥ [`MULTIPROC_MIN_ACTORS`]
-/// actors — tens of shards at the default span).
+/// Process counts measured for the multi-process reactor (every grid
+/// point is tens of shards at the default span, enough to partition).
 const MULTIPROC_PROCESSES: [usize; 2] = [2, 4];
-
-/// Smallest grid point that gets multi-process runs.
-const MULTIPROC_MIN_ACTORS: usize = 20_000;
 
 fn time_multiproc(s: &Scenario, processes: usize) -> Run {
     let t0 = Instant::now();
@@ -228,52 +192,9 @@ fn main() {
     let _ = writeln!(json, "  \"scenarios\": [");
 
     for (si, s) in scenarios.iter().enumerate() {
-        let mut runs: Vec<Run> = Vec::new();
-        let threaded_ok = s.actors() <= THREADED_ACTOR_CAP
-            && (!quick || s.actors() <= QUICK_THREADED_ACTOR_CAP);
-        if threaded_ok {
-            let (construct_secs, secs, out) = time_backend(s, Backend::Threaded);
-            runs.push(Run {
-                backend: "threaded".to_string(),
-                threads: 1, // one coordinator thread drives; actors are their own threads
-                processes: 1,
-                construct: Some((
-                    construct_secs,
-                    s.actors() as f64 / construct_secs.max(1e-12),
-                )),
-                secs,
-                actors_per_sec: (s.actors() as u64 * s.epochs) as f64 / secs.max(1e-12),
-                rss_kb: None,
-                welfare_checksum: out.metrics.welfare.values().iter().sum(),
-            });
-        } else {
-            let reason =
-                if s.actors() > THREADED_ACTOR_CAP { "above cap" } else { "quick mode" };
-            println!(
-                "{:<6} {:>8} {:>7} {:>7} | {:>9} (skipped, {reason}: {} OS threads)",
-                s.peers,
-                s.helpers,
-                s.actors(),
-                s.epochs,
-                "threaded",
-                s.actors()
-            );
-        }
-        let (construct_secs, secs, out) = time_backend(s, Backend::Reactor);
-        runs.push(Run {
-            backend: "reactor".to_string(),
-            threads,
-            processes: 1,
-            construct: Some((construct_secs, s.actors() as f64 / construct_secs.max(1e-12))),
-            secs,
-            actors_per_sec: (s.actors() as u64 * s.epochs) as f64 / secs.max(1e-12),
-            rss_kb: None,
-            welfare_checksum: out.metrics.welfare.values().iter().sum(),
-        });
-        if s.actors() >= MULTIPROC_MIN_ACTORS {
-            for processes in MULTIPROC_PROCESSES {
-                runs.push(time_multiproc(s, processes));
-            }
+        let mut runs = vec![time_reactor(s)];
+        for processes in MULTIPROC_PROCESSES {
+            runs.push(time_multiproc(s, processes));
         }
 
         // Peak RSS right after the scenario's runs. VmHWM is a process
@@ -299,13 +220,11 @@ fn main() {
             );
             if let Some((total, max)) = r.rss_kb {
                 // Summed over the worker processes (max per process in
-                // parentheses) — the scenario-level VmHWM below only
-                // sees the parent.
+                // parentheses) — the scenario-level VmHWM only sees the
+                // parent.
                 println!(" {:>8.0}Σ ({:.0})", total as f64 / 1024.0, max as f64 / 1024.0);
-            } else if ri + 1 == runs.len() {
-                println!(" {:>12.0}", rss_kb as f64 / 1024.0);
             } else {
-                println!();
+                println!(" {:>12.0}", rss_kb as f64 / 1024.0);
             }
         }
         assert!(identical, "backends diverged at {} actors", s.actors());

@@ -410,7 +410,7 @@ pub struct BenchNetScenario {
 /// One timed run of a [`BenchNetScenario`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchNetRun {
-    /// Backend name (`threaded` / `reactor` / `multiprocN`).
+    /// Backend name (`reactor` / `multiprocN`).
     pub backend: String,
     /// Worker threads the run used.
     pub threads: usize,

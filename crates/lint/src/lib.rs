@@ -1,7 +1,7 @@
 //! `rths_lint` — the workspace determinism lint.
 //!
 //! The cardinal invariant of this repository is that the simulator, the
-//! threaded actor runtime, and the reactor produce `f64::to_bits`-
+//! reactor, and the multi-process reactor produce `f64::to_bits`-
 //! identical trajectories at any `RTHS_THREADS`. That contract was
 //! enforced only *dynamically* (equivalence suites, obs-neutrality),
 //! which means a nondeterminism hazard merges silently until some test

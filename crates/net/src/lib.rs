@@ -7,8 +7,9 @@
 //! fashion" (§IV) — by running every **peer** and every **helper** as its
 //! own actor, communicating *only* through messages:
 //!
-//! * peers learn which helpers exist from a [`tracker`] (the only
-//!   bootstrap service real systems have);
+//! * peers learn which helpers exist from a tracker actor (the only
+//!   bootstrap service real systems have): a directory, never a
+//!   controller;
 //! * each epoch, a peer samples its RTHS strategy, sends a `Request` to
 //!   exactly one helper and receives back a `Rate` — its only feedback;
 //! * helpers split their (locally stepped) stochastic capacity over the
@@ -17,67 +18,57 @@
 //!   *observes* but never *instructs*: no assignment decision flows
 //!   downward.
 //!
-//! The protocol state machines live in [`machines`]; two interchangeable
+//! The protocol state machines live in [`machines`], once; two
 //! [`Backend`]s host them:
 //!
 //! * [`Backend::Reactor`] ([`reactor_backend::ReactorRuntime`], the
 //!   default) — every actor as a poll-driven state machine on an
 //!   `rths_reactor` event loop: thousands of actors per thread,
 //!   impairment jitter mapped to timer-wheel delays;
-//! * [`Backend::Threaded`] ([`runtime::NetRuntime`]) — one OS thread per
-//!   actor over real channels: the deployment-shaped proof, practical to
-//!   a few hundred actors.
+//! * [`Backend::Multiproc`] ([`multiproc`]) — the same mesh sharded
+//!   across OS processes: the [`wire`] codec serializes the reactor's
+//!   per-shard send buffers into length-prefixed frames, and a star of
+//!   Unix-domain sockets replays the in-process bridge protocol
+//!   verbatim.
 //!
 //! Because the epoch protocol is a barrier and every actor owns a
-//! deterministic RNG stream, a fault-free run reproduces
-//! `rths_sim::System` **bit-for-bit on both backends** (asserted by the
-//! `sim_net_equivalence` integration test at several `RTHS_THREADS`
-//! settings). Link impairments come from `rths_sim`'s shared
+//! deterministic RNG stream, a run reproduces `rths_sim::System`
+//! **bit-for-bit on both backends**, at any `RTHS_THREADS` and any
+//! process count (asserted by the `sim_net_equivalence` integration
+//! test). Link impairments come from `rths_sim`'s shared
 //! `ImpairmentPlan` (Gilbert-Elliott bursty loss, token-bucket policing,
 //! Markov link bandwidth/latency, timing jitter), attached via
 //! [`NetConfig::with_impairments`] or inherited from the sim config;
 //! every impairment decision is a pure function of `(plan seed, link,
-//! epoch)`, so impaired runs stay bit-identical across backends too.
-//!
-//! A third backend, [`Backend::Multiproc`] ([`multiproc`]), shards the
-//! reactor mesh across OS processes: the [`wire`] codec serializes the
-//! reactor's per-shard send buffers into length-prefixed frames, and a
-//! star of Unix-domain sockets replays the in-process bridge protocol
-//! verbatim — so an N-process run is `f64::to_bits`-identical to the
-//! single-process reactor (and therefore to the sim).
+//! epoch)`, so impaired runs stay bit-identical too. Jitter and latency
+//! delay each actor's tick through the timer wheel by a seeded draw —
+//! the same test sweeps plan seeds and bounds to show that no delivery
+//! schedule can move a bit of the outcome.
 //!
 //! # Example
 //!
 //! ```
-//! use rths_net::{Backend, NetConfig};
-//! use rths_sim::Scenario;
+//! use rths_net::NetConfig;
+//! use rths_sim::{Scenario, System};
 //!
 //! let sim = Scenario::paper_small().seed(11).build();
-//! let reactor = rths_net::run(NetConfig::from_sim(sim.clone()), 50);
-//! let threaded =
-//!     rths_net::run(NetConfig::from_sim(sim).with_backend(Backend::Threaded), 50);
-//! assert_eq!(threaded.epochs, 50);
-//! assert_eq!(
-//!     threaded.metrics.welfare.values(),
-//!     reactor.metrics.welfare.values(),
-//! );
+//! let net = rths_net::run(NetConfig::from_sim(sim.clone()), 50);
+//! let reference = System::new(sim).run(50);
+//! assert_eq!(net.epochs, 50);
+//! assert_eq!(net.metrics.welfare.values(), reference.metrics.welfare.values());
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod machines;
-pub mod message;
 pub mod multiproc;
 pub mod reactor_backend;
 pub mod runtime;
-pub mod tracker;
 pub mod wire;
 
-pub use message::{CoordMsg, HelperMsg, PeerMsg};
 pub use multiproc::{run_multiproc, run_multiproc_with_span, MultiprocReport};
 // Re-exported so `with_impairments` callers don't need an `rths_sim`
 // dependency just for the plan type.
 pub use reactor_backend::{NetActor, NetMsg, ReactorRuntime};
 pub use rths_sim::ImpairmentPlan;
-pub use runtime::{run, Backend, MessageTotals, NetConfig, NetOutcome, NetRuntime};
-pub use tracker::Tracker;
+pub use runtime::{run, Backend, MessageTotals, NetConfig, NetOutcome};

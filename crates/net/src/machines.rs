@@ -1,14 +1,16 @@
 //! Transport-agnostic protocol state machines.
 //!
-//! The epoch protocol — tick, select, settle, observe — is one algorithm
-//! with two transports: the thread-per-actor runtime ([`crate::runtime`])
-//! and the reactor backend ([`crate::reactor_backend`]). Everything that
-//! determines *results* lives here, once: helper capacity dynamics, peer
-//! learning, demand capping, and the coordinator's metric arithmetic.
-//! The backends are thin shells that move these machines' inputs and
-//! outputs over channels or mailboxes, which is what makes the
-//! bit-for-bit equivalence test across backends structural rather than
-//! coincidental.
+//! The epoch protocol — tick, select, settle, observe — is one algorithm,
+//! written here once. Everything that determines *results* lives in this
+//! module: helper capacity dynamics, peer learning, demand capping, and
+//! the coordinator's metric arithmetic. The hosts — the reactor
+//! ([`crate::reactor_backend`]), in one process or sharded over several
+//! ([`crate::multiproc`]) — are thin shells that move these machines'
+//! inputs and outputs through mailboxes and sockets, which is what makes
+//! the bit-for-bit equivalence with the simulator structural rather than
+//! coincidental. No result may depend on the order in which an epoch's
+//! messages reach a machine; `tests/properties.rs` feeds them seeded
+//! permutations to hold that.
 
 use rths_core::SharedSlab;
 use rths_sim::helper::{Helper, HelperId};
@@ -100,11 +102,6 @@ impl PeerMachine {
         self.peer.id().0
     }
 
-    /// The impairment plan driving this peer's loss/shaping/jitter.
-    pub fn impairments(&self) -> &ImpairmentPlan {
-        &self.impairments
-    }
-
     /// Epoch start: samples the learner and decides whether this epoch's
     /// payload is lost (deterministic per `(peer, helper, epoch)` link).
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
@@ -164,8 +161,8 @@ pub struct Settlement {
 
 /// The helper-side state machine: a bandwidth process plus the even-split
 /// allocation over whatever requests arrived. Generic over a per-request
-/// attachment `T` so transports can stash a reply route (a channel sender
-/// for threads, nothing for the reactor, which addresses by peer id).
+/// attachment `T` handed back with the reply: the reactor addresses by
+/// peer id and attaches nothing, tests attach an arrival tag.
 #[derive(Debug)]
 pub struct HelperMachine<T = ()> {
     helper: Helper,
@@ -424,16 +421,10 @@ impl CoordinatorMachine {
         self.epoch += 1;
     }
 
-    /// Final summaries from the peers' own accounting, producing the same
-    /// metric bundle the simulator returns.
-    pub fn finalize(self, peers: &[Peer]) -> (SimMetrics, Vec<f64>, Vec<f64>) {
-        self.finalize_summaries(peers.iter().map(|p| (p.mean_rate(), p.continuity())))
-    }
-
-    /// Like [`finalize`](Self::finalize), but from pre-extracted per-peer
-    /// `(mean_rate, continuity)` pairs in ascending peer-id order — the
-    /// form the multi-process runtime ships across process boundaries,
-    /// where the `Peer` values themselves live in worker processes.
+    /// Final summaries from the peers' own accounting — per-peer
+    /// `(mean_rate, continuity)` pairs in ascending peer-id order, the
+    /// form the multi-process runtime ships across process boundaries —
+    /// producing the same metric bundle the simulator returns.
     pub fn finalize_summaries(
         mut self,
         peers: impl IntoIterator<Item = (f64, f64)>,
@@ -563,7 +554,7 @@ mod tests {
         assert!(c.epoch_complete());
         c.finish_epoch();
         assert_eq!(c.epochs_done(), 1);
-        let (metrics, rates, continuity) = c.finalize(&[]);
+        let (metrics, rates, continuity) = c.finalize_summaries([]);
         assert_eq!(metrics.welfare.values(), &[1600.0]);
         assert_eq!(metrics.helper_loads[0].values(), &[2.0]);
         // The estimate series is the max of the peers' reported internal

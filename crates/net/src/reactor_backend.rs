@@ -1,27 +1,30 @@
 //! The event-loop backend: the whole actor mesh on one `rths_reactor`.
 //!
-//! Every peer, helper, the tracker, and the coordinator from the threaded
-//! runtime becomes a poll-driven [`Actor`] hosted by a single
-//! [`Reactor`], so one process (indeed, one thread — plus optional
-//! `RTHS_THREADS` workers the reactor shards rounds across) hosts
-//! thousands of actors instead of a thousand OS threads.
+//! Every peer, every helper, the tracker and the coordinator is a
+//! poll-driven [`Actor`] hosted by a single [`Reactor`], so one process
+//! (indeed, one thread — plus optional `RTHS_THREADS` workers the reactor
+//! shards rounds across) hosts thousands of actors.
 //!
 //! The protocol and all result-bearing arithmetic are the shared
 //! [`crate::machines`]; this module only adds addressing:
 //!
 //! * actor 0 is the coordinator, actor 1 the tracker, then `h` helpers,
 //!   then `n` peers (ids dense, in that order);
-//! * peers learn the helper address range from the tracker during a
-//!   bootstrap handshake — the same directory-not-controller role the
-//!   threaded [`crate::tracker::Tracker`] plays;
-//! * [`ImpairmentPlan`] drops ride the `lost` request flag exactly as in
-//!   the threaded backend, rate shaping happens inside the shared
-//!   [`PeerMachine`], and jitter/latency become *timer-wheel delivery
-//!   delays* (same per-`(actor, epoch)` draw) instead of thread sleeps.
+//! * peers learn the helper address range from the tracker
+//!   ([`TrackerNode`]) during a bootstrap handshake — a directory, not a
+//!   controller: it never sees a payoff and never assigns a peer;
+//! * [`ImpairmentPlan`] drops ride the `lost` flag of the request, rate
+//!   shaping happens inside the shared [`PeerMachine`], and
+//!   jitter/latency are *timer-wheel delivery delays*: each actor's
+//!   `Tick` is delayed by the plan's seeded per-`(actor, epoch)` draw.
 //!
-//! With equal seeds the backend reproduces the simulator and the threaded
-//! runtime bit-for-bit at any `RTHS_THREADS`; the workspace-level
-//! `sim_net_equivalence` test pins that three-way equality.
+//! Timers fire only when the mesh is otherwise quiescent, so delayed
+//! ticks land in delay order: the plan seed permutes the order in which
+//! requests reach a helper and selections reach the coordinator, and
+//! decides which helpers see `Settle` overtake their `Tick`. None of it
+//! may show in the outcome. With equal seeds the backend reproduces the
+//! simulator bit-for-bit at any `RTHS_THREADS` and under any such
+//! schedule; the workspace-level `sim_net_equivalence` test pins both.
 
 use std::sync::{Arc, Mutex};
 
@@ -33,9 +36,9 @@ use rths_sim::ImpairmentPlan;
 use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
 
-/// Jitter stream offset for helper actors — matches the threaded
-/// backend's `0x4000_0000 + index` convention so faulty runs draw the
-/// same delays on both backends.
+/// Jitter stream offset for helper actors: helper `j` draws its delays as
+/// actor `HELPER_JITTER_BASE + j`, disjoint from the peers' (peer id)
+/// streams.
 const HELPER_JITTER_BASE: u64 = 0x4000_0000;
 
 /// Wire messages of the reactor mesh (one enum multiplexing every role).
@@ -189,12 +192,11 @@ pub struct TrackerNode {
 /// A helper actor wrapping the shared [`HelperMachine`].
 ///
 /// Jitter can delay an epoch's `Tick` through the timer wheel until
-/// *after* the coordinator's `Settle` arrives (timers do not preserve the
-/// per-channel FIFO order a thread's inbox gives the threaded backend).
-/// The helper therefore tolerates the reordering: a `Settle` that
-/// overtakes its epoch's `Tick` is parked in `pending_settle` and
-/// replayed the moment the tick lands, so capacity always steps before
-/// allocation — on every backend, in every interleaving.
+/// *after* the coordinator's `Settle` arrives (timers do not preserve
+/// per-sender FIFO order). The helper therefore tolerates the
+/// reordering: a `Settle` that overtakes its epoch's `Tick` is parked in
+/// `pending_settle` and replayed the moment the tick lands, so capacity
+/// always steps before allocation, in every interleaving.
 #[derive(Debug)]
 pub struct HelperNode {
     machine: HelperMachine<()>,
@@ -380,9 +382,9 @@ impl Actor for NetActor {
 
 /// The event-loop runtime: hosts the whole mesh on one [`Reactor`].
 ///
-/// Unlike [`NetRuntime`](crate::runtime::NetRuntime) it spawns **no OS
-/// threads of its own** — rounds run on the calling thread, sharded
-/// across at most `RTHS_THREADS` scoped `rths_par` workers.
+/// It spawns **no OS threads of its own** — rounds run on the calling
+/// thread, sharded across at most `RTHS_THREADS` scoped `rths_par`
+/// workers.
 pub struct ReactorRuntime {
     reactor: Reactor<NetActor>,
     coordinator: ActorId,
@@ -491,7 +493,7 @@ pub(crate) fn populate_mesh(
     // slab-hosted learner takes a slot; the other algorithms leave the
     // reservation untouched. A shard is processed by exactly one worker
     // per round, so the slab mutex is uncontended; learners replay the
-    // scalar oracle bit-for-bit, keeping the four-way equivalence intact.
+    // scalar oracle bit-for-bit, keeping the sim ↔ net equivalence intact.
     let mut start = p_start;
     while start < p_end {
         // Peers sharing a mailbox shard: actor ids
@@ -561,7 +563,7 @@ pub(crate) fn harvest_partition(reactor: Reactor<NetActor>) -> PartitionHarvest 
 
 impl ReactorRuntime {
     /// Builds the actor mesh described by `config` (same RNG derivation
-    /// order as the simulator and the threaded backend).
+    /// order as the simulator).
     pub fn new(config: NetConfig) -> Self {
         let h = config.sim.helpers.len();
         let n = config.sim.num_peers;
@@ -579,7 +581,7 @@ impl ReactorRuntime {
     }
 
     /// Takes a helper offline/online (failure injection); takes effect
-    /// before the next epoch's tick, as in the threaded backend.
+    /// before the next epoch's tick.
     ///
     /// # Panics
     ///
@@ -617,10 +619,9 @@ impl ReactorRuntime {
         }
     }
 
-    /// Runs `epochs` epochs and returns the outcome (consuming the
-    /// runtime, mirroring `NetRuntime::run`). The reactor's own rounds
-    /// record the mailbox spans and message counters, so — unlike the
-    /// threaded backend — no protocol-level totals are mirrored here.
+    /// Runs `epochs` epochs and returns the outcome, consuming the
+    /// runtime. When tracing, the reactor's own rounds record the mailbox
+    /// spans and message counters.
     pub fn run(mut self, epochs: u64) -> NetOutcome {
         let _trace_guard = self.trace.then(|| obs::scoped_enable(true));
         if obs::enabled() {
@@ -677,6 +678,23 @@ mod tests {
         let whole = ReactorRuntime::new(NetConfig::from_sim(sim)).run(60);
         assert_eq!(split.epochs, 60);
         assert_eq!(split.metrics.welfare.values(), whole.metrics.welfare.values());
+    }
+
+    #[test]
+    fn message_overhead_is_constant_per_peer() {
+        // Per epoch and peer: 1 Tick + 1 Request + 1 Selected + 1
+        // Observed control messages (+ per-helper Tick/Settle/Report
+        // amortised), and exactly 1 data (Rate) message. The paper's
+        // low-overhead claim, quantified.
+        let sim = Scenario::paper_small().seed(12).build();
+        let out = ReactorRuntime::new(NetConfig::from_sim(sim)).run(100);
+        assert_eq!(out.messages.data, 10 * 100);
+        // Per peer: Tick + Request + Selected + Observed (4); per
+        // helper: Tick + Settle + HelperReport (3).
+        let expected_control = (10 * 4 + 4 * 3) * 100;
+        assert_eq!(out.messages.control, expected_control as u64);
+        let per_peer = out.messages.per_peer_per_epoch(10, 100);
+        assert!(per_peer < 7.0, "overhead {per_peer} messages/peer/epoch");
     }
 
     #[test]

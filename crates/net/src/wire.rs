@@ -22,10 +22,10 @@
 //! * **Versioned header.** The first body byte is [`WIRE_VERSION`]; a
 //!   mixed-version mesh fails loudly at the first frame rather than
 //!   producing subtly different trajectories.
-//! * The thread-backend's `reply: Sender<PeerMsg>` channel handle does
-//!   not exist here: the reactor mesh already routes replies by the
-//!   sender's stable actor id (`NetMsg::Request { peer, .. }`), which is
-//!   a plain `u64` on the wire.
+//! * **No handles.** The reactor mesh routes replies by the sender's
+//!   stable actor id (`NetMsg::Request { peer, .. }`), a plain `u64` on
+//!   the wire; no message carries a channel or pointer that would need
+//!   translating between processes.
 //!
 //! The codec is hand-rolled over `std` only — the workspace vendors its
 //! few dependencies and the wire format must not grow one.

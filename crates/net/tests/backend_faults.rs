@@ -1,12 +1,13 @@
 //! Loss-impairment coverage on the reactor backend.
 //!
-//! The fault model must be backend-invariant: a dropped data-plane
+//! The fault model must be engine-invariant: a dropped data-plane
 //! payload ("the connection exists but the stream never arrives") reaches
-//! the peer's learner as a **zero-rate observation**, whichever runtime
-//! hosts the actors. These tests pin that three ways: at the machine
-//! level (a lost reply is bit-identical to `observe(0.0)`), at the system
-//! level (lossy reactor runs reproduce lossy threaded runs bit-for-bit),
-//! and at the boundary (full loss starves everyone on both backends).
+//! the peer's learner as a **zero-rate observation**, in the message-
+//! passing runtime as in the simulator. These tests pin that three ways:
+//! at the machine level (a lost reply is bit-identical to
+//! `observe(0.0)`), at the system level (lossy reactor runs reproduce
+//! lossy simulator runs bit-for-bit), and at the boundary (full loss
+//! starves everyone).
 //!
 //! Loss plans are built with `ImpairmentPlan::builder`; the uniform-loss
 //! model keeps the hash stream of the fault plan this crate used to
@@ -17,7 +18,7 @@ use rths_core::Learner;
 use rths_net::machines::{HelperMachine, PeerMachine};
 use rths_net::{Backend, ImpairmentPlan, NetConfig};
 use rths_sim::helper::{Helper, HelperId};
-use rths_sim::{BandwidthSpec, Scenario, SimConfig};
+use rths_sim::{BandwidthSpec, Scenario, SimConfig, System};
 use rths_stoch::bandwidth::ConstantBandwidth;
 
 fn bits(series: &[f64]) -> Vec<u64> {
@@ -28,12 +29,16 @@ fn uniform_loss(loss: f64, seed: u64) -> ImpairmentPlan {
     ImpairmentPlan::builder(seed).uniform_loss(loss).build().unwrap()
 }
 
-fn lossy_config(seed: u64, loss: f64) -> NetConfig {
-    let sim = SimConfig::builder(12, vec![BandwidthSpec::Paper { stay: 0.95 }; 3])
+fn lossy_sim(seed: u64, loss: f64) -> SimConfig {
+    SimConfig::builder(12, vec![BandwidthSpec::Paper { stay: 0.95 }; 3])
         .demand(350.0)
         .seed(seed)
-        .build();
-    NetConfig::from_sim(sim).with_impairments(uniform_loss(loss, seed ^ 0xF00D))
+        .impairment(uniform_loss(loss, seed ^ 0xF00D))
+        .build()
+}
+
+fn lossy_config(seed: u64, loss: f64) -> NetConfig {
+    NetConfig::from_sim(lossy_sim(seed, loss))
 }
 
 #[test]
@@ -73,35 +78,41 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
 }
 
 #[test]
-fn lossy_reactor_reproduces_lossy_threaded_run() {
+fn lossy_reactor_reproduces_lossy_sim_run() {
     // Partial loss: the fault draw is a pure function of (seed, peer,
-    // epoch), so the reactor and threaded backends must drop the same
+    // epoch), so the reactor and the simulator must drop the same
     // payloads and end in identical learner/metric states.
     for loss in [0.15, 0.5] {
-        let threaded =
-            rths_net::run(lossy_config(77, loss).with_backend(Backend::Threaded), 120);
+        let sim = System::new(lossy_sim(77, loss)).run(120);
         let reactor = rths_net::run(lossy_config(77, loss).with_backend(Backend::Reactor), 120);
         assert_eq!(
-            bits(threaded.metrics.welfare.values()),
+            bits(sim.metrics.welfare.values()),
             bits(reactor.metrics.welfare.values()),
             "loss={loss}: welfare diverged"
         );
         assert_eq!(
-            bits(threaded.metrics.server_load.values()),
+            bits(sim.metrics.server_load.values()),
             bits(reactor.metrics.server_load.values()),
             "loss={loss}: server load diverged"
         );
         assert_eq!(
-            bits(&threaded.peer_mean_rates),
+            bits(&sim.metrics.mean_peer_rates),
             bits(&reactor.peer_mean_rates),
             "loss={loss}: per-peer mean rates diverged"
         );
         assert_eq!(
-            bits(&threaded.peer_continuity),
+            bits(&sim.metrics.peer_continuity),
             bits(&reactor.peer_continuity),
             "loss={loss}: continuity diverged"
         );
-        assert_eq!(threaded.messages, reactor.messages, "loss={loss}: accounting diverged");
+        // A lost payload is still a (zero-rate) reply: loss moves no
+        // message count.
+        assert_eq!(reactor.messages.data, 12 * 120, "loss={loss}: data accounting");
+        assert_eq!(
+            reactor.messages.control,
+            (4 * 12 + 3 * 3) * 120,
+            "loss={loss}: control accounting"
+        );
     }
 }
 

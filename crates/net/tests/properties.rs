@@ -1,8 +1,15 @@
 //! Property-based tests for the decentralized runtime.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
-use rths_net::{NetConfig, NetRuntime};
-use rths_sim::{BandwidthSpec, ImpairmentPlan, SimConfig};
+use rths_core::LearnerSlab;
+use rths_net::machines::{
+    instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine, Settlement,
+};
+use rths_net::NetConfig;
+use rths_sim::{BandwidthSpec, ImpairmentPlan, SimConfig, SimMetrics, System};
+use rths_stoch::rng::derive_seed;
 
 fn config(n: usize, h: usize, seed: u64, demand: Option<f64>) -> SimConfig {
     let mut b = SimConfig::builder(n, vec![BandwidthSpec::Paper { stay: 0.95 }; h]).seed(seed);
@@ -21,7 +28,7 @@ proptest! {
         h in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let run = || NetRuntime::new(NetConfig::from_sim(config(n, h, seed, None))).run(30);
+        let run = || rths_net::run(NetConfig::from_sim(config(n, h, seed, None)), 30);
         let a = run();
         let b = run();
         prop_assert_eq!(a.metrics.welfare.values(), b.metrics.welfare.values());
@@ -40,7 +47,7 @@ proptest! {
                 .expect("loss is a probability");
             let cfg = NetConfig::from_sim(config(6, 2, seed, Some(300.0)))
                 .with_impairments(plan);
-            NetRuntime::new(cfg).run(40)
+            rths_net::run(cfg, 40)
         };
         let a = run();
         let b = run();
@@ -59,7 +66,7 @@ proptest! {
                 .build()
                 .expect("loss is a probability");
             let cfg = NetConfig::from_sim(config(8, 2, seed, None)).with_impairments(plan);
-            let out = NetRuntime::new(cfg).run(150);
+            let out = rths_net::run(cfg, 150);
             out.metrics.welfare.tail_mean(100)
         };
         let clean = run(0.0);
@@ -73,13 +80,158 @@ proptest! {
         n in 2usize..10,
         seed in any::<u64>(),
     ) {
-        let out =
-            NetRuntime::new(NetConfig::from_sim(config(n, 3, seed, Some(350.0)))).run(40);
+        let out = rths_net::run(NetConfig::from_sim(config(n, 3, seed, Some(350.0))), 40);
         for e in 0..40 {
             let w = out.metrics.welfare.values()[e];
             let s = out.metrics.server_load.values()[e];
             prop_assert!((w + s - 350.0 * n as f64).abs() < 1e-6,
                 "delivered {w} + server {s} != demand");
         }
+    }
+}
+
+/// `0..n` in index order (`None`) or shuffled by a seeded Fisher–Yates.
+fn arrival_order(n: usize, seed: Option<u64>) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    if let Some(seed) = seed {
+        for i in (1..n).rev() {
+            order.swap(i, (derive_seed(seed, i as u64) % (i as u64 + 1)) as usize);
+        }
+    }
+    order
+}
+
+/// Everything a run of the machines produces, as bit patterns.
+#[derive(Debug, PartialEq)]
+struct MachineTrace {
+    /// `(load, capacity)` per epoch and helper.
+    settlements: Vec<(usize, u64)>,
+    /// Delivered kbps per epoch and peer (peer order).
+    delivered: Vec<u64>,
+    /// Every metric series and summary, flattened.
+    metrics: Vec<Vec<u64>>,
+}
+
+fn metric_bits(m: &SimMetrics) -> Vec<Vec<u64>> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut out = vec![
+        bits(m.worst_regret_estimate.values()),
+        bits(m.worst_empirical_regret.values()),
+        bits(m.welfare.values()),
+        bits(m.server_load.values()),
+        bits(m.min_deficit.values()),
+        bits(m.current_deficit.values()),
+        bits(m.switches.values()),
+        bits(m.jain.values()),
+        bits(m.population.values()),
+        bits(&m.mean_helper_loads),
+        bits(&m.mean_peer_rates),
+        bits(&m.peer_continuity),
+    ];
+    out.extend(m.helper_loads.iter().map(|s| bits(s.values())));
+    out
+}
+
+/// Drives the protocol machines by hand for `epochs` epochs. Each epoch's
+/// requests, `Selected`s, and the coordinator's settle-phase events
+/// (`HelperReport`s and `Observed`s interleaved) arrive in index order
+/// (`schedule = None`) or each in a permutation of its own drawn from
+/// `schedule`. Only what the protocol itself orders is kept: a helper
+/// settles after its requests, a peer observes after its helper settled.
+fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> MachineTrace {
+    let n = sim.num_peers;
+    let (helpers, helper_min_total) = instantiate_helpers(sim);
+    let h = helpers.len();
+    // The arrival position rides along as the request's attachment.
+    let mut helpers: Vec<HelperMachine<usize>> =
+        helpers.into_iter().map(HelperMachine::new).collect();
+    let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(h, n)));
+    let mut peers: Vec<PeerMachine> = (0..n as u64)
+        .map(|id| PeerMachine::from_config(sim, id, h, sim.impairment.clone(), Some(&slab)))
+        .collect();
+    let mut coord = CoordinatorMachine::new(sim, helper_min_total);
+    let mut settlements = Vec::new();
+    let mut delivered = Vec::new();
+
+    for epoch in 0..epochs {
+        let stream = |phase: u64| schedule.map(|s| derive_seed(s, epoch * 3 + phase));
+        coord.begin_epoch();
+        helpers.iter_mut().for_each(HelperMachine::on_tick);
+        let selections: Vec<_> = peers.iter_mut().map(|p| p.on_tick(epoch)).collect();
+
+        for (position, &i) in arrival_order(n, stream(0)).iter().enumerate() {
+            helpers[selections[i].helper].on_request(i as u64, selections[i].lost, position);
+        }
+        for &i in &arrival_order(n, stream(1)) {
+            coord.on_selected(i as u64, selections[i].helper);
+        }
+        assert!(coord.settle_ready());
+
+        // Settle-phase events in arrival order: helper reports and the
+        // observations their replies trigger.
+        enum Event {
+            Report(usize, Settlement),
+            Observed(u64, f64, f64),
+        }
+        let mut events = Vec::with_capacity(n + h);
+        let mut kbps_bits = vec![0u64; n];
+        for (j, helper) in helpers.iter_mut().enumerate() {
+            let mut last_position = None;
+            let settlement = helper.on_settle(|peer, kbps, position| {
+                assert!(last_position < Some(position), "replies left arrival order");
+                last_position = Some(position);
+                kbps_bits[peer as usize] = kbps.to_bits();
+                let machine = &mut peers[peer as usize];
+                let rate = machine.on_rate(kbps);
+                events.push(Event::Observed(peer, rate, machine.peer().max_regret()));
+            });
+            settlements.push((settlement.load, settlement.capacity.to_bits()));
+            events.push(Event::Report(j, settlement));
+        }
+        delivered.extend(kbps_bits);
+        for &k in &arrival_order(n + h, stream(2)) {
+            match events[k] {
+                Event::Report(j, s) => coord.on_helper_report(j, s.load, s.capacity),
+                Event::Observed(peer, rate, estimate) => {
+                    coord.on_observed(peer, rate, estimate)
+                }
+            }
+        }
+        coord.finish_epoch();
+    }
+
+    let summaries = peers.iter().map(|p| (p.peer().mean_rate(), p.peer().continuity()));
+    let (metrics, _, _) = coord.finalize_summaries(summaries);
+    MachineTrace { settlements, delivered, metrics: metric_bits(&metrics) }
+}
+
+/// No result may depend on the order in which an epoch's messages reach a
+/// helper or the coordinator — including orders only free-running OS
+/// threads could produce and the reactor's timer wheel cannot. Checked
+/// seed by seed against index order, not left to scheduler luck.
+#[test]
+fn machines_are_arrival_order_independent() {
+    const EPOCHS: u64 = 30;
+    const PERMUTATIONS: u64 = 32;
+    let plan = ImpairmentPlan::builder(21)
+        .gilbert_loss(0.05, 0.35, 0.85, 0.1)
+        .token_bucket(400.0, 900.0)
+        .build()
+        .expect("valid impairment plan");
+    let sim = SimConfig::builder(12, vec![BandwidthSpec::Paper { stay: 0.9 }; 3])
+        .demand(350.0)
+        .seed(17)
+        .impairment(plan)
+        .build();
+    let reference = drive_machines(&sim, EPOCHS, None);
+    // The hand-driven harness is a faithful host: in index order it is
+    // the simulator, bit for bit.
+    assert_eq!(reference.metrics, metric_bits(&System::new(sim.clone()).run(EPOCHS).metrics));
+    for schedule in 0..PERMUTATIONS {
+        assert_eq!(
+            drive_machines(&sim, EPOCHS, Some(schedule)),
+            reference,
+            "arrival schedule {schedule} changed a result"
+        );
     }
 }

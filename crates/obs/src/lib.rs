@@ -7,8 +7,9 @@
 //!
 //! Observability is **bit-exact neutral**: a traced run's welfare,
 //! regret, and message trajectories are `f64::to_bits`-identical to an
-//! untraced run's (the `obs_neutrality` integration suite pins this
-//! across all three backends). The contract has two halves:
+//! untraced run's (the `obs_neutrality` integration suite pins this on
+//! the simulator and on the reactor backend). The contract has two
+//! halves:
 //!
 //! 1. **Timing never flows back into the computation.** Spans read the
 //!    monotonic clock and write into side buffers; no timer value ever

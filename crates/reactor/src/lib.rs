@@ -41,8 +41,8 @@
 //! workers (via [`rths_par::par_sharded`]) cannot reorder anything —
 //! a run is **bit-for-bit identical at any worker count and any shard
 //! span**, which is what lets `rths_net`'s reactor backend reproduce
-//! both the simulator and the thread-per-actor backend exactly (see
-//! `tests/sim_net_equivalence.rs` in the workspace root).
+//! the simulator exactly (see `tests/sim_net_equivalence.rs` in the
+//! workspace root).
 //!
 //! # Multi-process partitions
 //!

@@ -365,7 +365,7 @@ pub struct SimConfig {
     /// Link impairments (loss, rate limiting, bandwidth/latency
     /// processes); [`ImpairmentPlan::none`] by default. Shared with the
     /// `rths_net` runtimes: `NetConfig::from_sim` inherits this plan, and
-    /// all three backends apply it bit-identically.
+    /// the simulator and both net backends apply it bit-identically.
     pub impairment: ImpairmentPlan,
 }
 

@@ -5,8 +5,8 @@ use rths_stoch::bandwidth::BandwidthProcess;
 
 /// Derivation offset for per-helper RNG streams (see
 /// [`rths_stoch::rng::entity_rng`]); keeps helper randomness disjoint
-/// from peer streams so the threaded runtime (`rths-net`) reproduces the
-/// simulator bit-for-bit.
+/// from peer streams so the message-passing runtimes (`rths-net`)
+/// reproduce the simulator bit-for-bit.
 pub const HELPER_STREAM_BASE: u64 = 0x8000_0000_0000_0000;
 
 /// Stable identifier of a helper within a simulation.

@@ -1,5 +1,5 @@
 //! Per-link impairments: bursty loss, rate limiting, and time-varying
-//! link bandwidth/latency — shared by the simulator and both `rths_net`
+//! link bandwidth/latency — shared by the simulator and the `rths_net`
 //! backends.
 //!
 //! The paper's evaluation assumes clean links; the deployments motivating
@@ -35,7 +35,7 @@
 //! block the process has exactly the chain's transition dynamics (bursts
 //! survive), across blocks it is stationary, and any epoch's state costs
 //! `O(REGEN_BLOCK)` to evaluate from nothing. That is what lets the
-//! simulator, the thread-per-actor runtime, and the reactor agree
+//! simulator and the reactor (in one process or several) agree
 //! bit-for-bit at any `RTHS_THREADS`, and lets churn add or remove peers
 //! without perturbing any other link's stream.
 //!
@@ -175,12 +175,12 @@ pub struct LinkBandwidthSpec {
     pub stay: f64,
 }
 
-/// Markov-modulated extra delivery delay per actor (logical ticks on the
-/// reactor's timer wheel, microseconds of sleep on the threaded
-/// backend). Latency, like jitter, is absorbed by the epoch barrier.
+/// Markov-modulated extra delivery delay per actor, in logical ticks on
+/// the reactor's timer wheel. Latency, like jitter, is absorbed by the
+/// epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencySpec {
-    /// Delay levels (ticks/µs), ordered low→high.
+    /// Delay levels (ticks), ordered low→high.
     pub ticks: Vec<u64>,
     /// Probability of staying at the current level each epoch,
     /// in `[0, 1)`.
@@ -230,7 +230,9 @@ impl ImpairmentPlanBuilder {
         self
     }
 
-    /// Uniform timing jitter up to `jitter_us` µs per message.
+    /// Uniform timing jitter: a delay in `0..jitter_us` logical ticks of
+    /// the reactor's timer wheel per tick message. (The name is the
+    /// scenario files' `jitter_us` key; the wheel has no wall clock.)
     #[must_use]
     pub fn jitter_us(mut self, jitter_us: u64) -> Self {
         self.plan.jitter_us = jitter_us;
@@ -486,7 +488,8 @@ impl ImpairmentPlan {
         &self.loss
     }
 
-    /// Maximum uniform per-message jitter (µs; 0 = disabled).
+    /// Exclusive upper bound of the uniform per-message jitter (logical
+    /// ticks; 0 = disabled).
     pub fn jitter_us(&self) -> u64 {
         self.jitter_us
     }
@@ -506,8 +509,8 @@ impl ImpairmentPlan {
         self.link_bandwidth.as_ref()
     }
 
-    /// Adds uniform timing jitter up to `jitter_us` µs per message
-    /// (infallible).
+    /// Adds uniform timing jitter of `0..jitter_us` logical ticks per
+    /// message (infallible).
     #[must_use]
     pub fn with_jitter(mut self, jitter_us: u64) -> Self {
         self.jitter_us = jitter_us;
@@ -559,9 +562,9 @@ impl ImpairmentPlan {
 
     /// The deterministic delivery delay for `(actor, epoch)`: the legacy
     /// uniform jitter draw (the legacy fault-plan stream) plus the
-    /// Markov-modulated latency level. The threaded backend sleeps this
-    /// many µs before processing a tick; the reactor delays the tick's
-    /// delivery by the same number of logical ticks. Either way the
+    /// Markov-modulated latency level. The reactor delays the actor's
+    /// tick through its timer wheel by this many logical ticks, so the
+    /// plan seed decides the order in which an epoch's ticks land. The
     /// epoch barrier absorbs it: delays must never change results.
     pub fn jitter_ticks(&self, actor: u64, epoch: u64) -> u64 {
         let mut total = 0;
@@ -582,15 +585,6 @@ impl ImpairmentPlan {
             total += lat.ticks[state];
         }
         total
-    }
-
-    /// Sleeps the deterministic delay for `(actor, epoch)` (no-op when
-    /// timing impairments are disabled).
-    pub fn apply_jitter(&self, actor: u64, epoch: u64) {
-        let us = self.jitter_ticks(actor, epoch);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
     }
 }
 

@@ -1,11 +1,12 @@
 //! The fully distributed deployment: every peer and every helper is an
-//! OS thread (`Backend::Threaded`, named explicitly — the default backend
-//! is the reactor); the only communication is message passing (bootstrap
-//! via a tracker, per-epoch requests and rate replies). An impairment
-//! plan injects data-plane loss and timing jitter.
+//! actor of its own on the event-loop runtime (the default backend), and
+//! the only communication is message passing — bootstrap via a tracker,
+//! per-epoch requests and rate replies. An impairment plan injects
+//! data-plane loss and timing jitter (seeded delivery delays through the
+//! timer wheel).
 //!
-//! A fault-free threaded run reproduces the single-threaded simulator
-//! bit-for-bit — checked live at the end.
+//! A fault-free run reproduces the monolithic simulator bit-for-bit —
+//! checked live at the end.
 //!
 //! Run with: `cargo run --release --example decentralized`
 
@@ -16,8 +17,8 @@ fn main() {
     let epochs = 800;
     let sim_config = Scenario::paper_small().seed(3).build();
 
-    println!("spawning 10 peer threads + 4 helper threads + tracker…\n");
-    let config = || NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Threaded);
+    println!("10 peer actors + 4 helper actors + tracker + coordinator…\n");
+    let config = || NetConfig::from_sim(sim_config.clone());
     let clean = rths_suite::net::run(config(), epochs);
     println!("clean run      welfare {}", sparkline(clean.metrics.welfare.values(), 56));
 
@@ -48,7 +49,7 @@ fn main() {
         .zip(clean.metrics.welfare.values())
         .all(|(a, b)| a == b);
     println!(
-        "\nthreaded runtime vs simulator, same seed: {}",
+        "\nmessage-passing runtime vs simulator, same seed: {}",
         if identical { "bit-for-bit IDENTICAL" } else { "DIVERGED (bug!)" }
     );
     assert!(identical);

@@ -1,6 +1,6 @@
 //! A reactor-hosted swarm: 2,000 peers and 40 helpers in one process.
 //!
-//! The thread-per-actor runtime would need 2,040 OS threads for this
+//! One OS thread per actor would mean 2,040 threads for this
 //! population; the reactor backend hosts every actor as a poll-driven
 //! state machine and needs none beyond the calling thread (plus at most
 //! `RTHS_THREADS − 1` scoped workers while a round is being sharded).

@@ -7,8 +7,8 @@
 //!   scalar oracle and the baselines it is compared with;
 //! * [`rths_game`] — the helper-selection game and equilibrium tooling;
 //! * [`rths_sim`] — the streaming-system simulator (evaluation substrate);
-//! * [`rths_net`] — the decentralized message-passing runtimes
-//!   (thread-per-actor and reactor backends);
+//! * [`rths_net`] — the decentralized message-passing runtimes (the
+//!   reactor backend, in one process or sharded across several);
 //! * [`rths_reactor`] — the deterministic event-loop actor runtime;
 //! * [`rths_mdp`] — the centralized MDP benchmark;
 //! * [`rths_par`] — the deterministic data-parallel runtime;
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use rths_core::{Learner, RecencyMode, RepeatedGameDriver, RthsConfig, SlabLearner};
     pub use rths_game::{HelperSelectionGame, JointDistribution};
     pub use rths_mdp::MdpBenchmark;
-    pub use rths_net::{Backend, NetConfig, NetRuntime, ReactorRuntime};
+    pub use rths_net::{Backend, NetConfig, ReactorRuntime};
     pub use rths_sim::{
         Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
         MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,

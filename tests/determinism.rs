@@ -3,13 +3,13 @@
 //! The golden tests in `tests/golden.rs` pin exact values, but a pin only
 //! catches drift *between* commits. These tests catch nondeterminism
 //! *within* one binary: every seeded subsystem — the single-channel
-//! simulator, the threaded actor runtime, and the multi-channel engine —
+//! simulator, the message-passing runtime, and the multi-channel engine —
 //! is run twice from identical configs and must agree exactly, per epoch,
 //! not just in aggregate. Any use of unseeded entropy, iteration-order
 //! dependence (e.g. hashing), or cross-thread ordering leaks fails here
 //! long before a golden constant needs re-pinning.
 
-use rths_net::{NetConfig, NetRuntime};
+use rths_net::NetConfig;
 use rths_sim::{
     AllocationPolicy, BandwidthSpec, MultiChannelConfig, MultiChannelSystem, Scenario,
     SimConfig, System,
@@ -46,13 +46,11 @@ fn simulator_is_deterministic_across_configs_built_twice() {
 }
 
 #[test]
-fn threaded_runtime_is_deterministic_per_epoch() {
-    // The actor runtime multiplexes real OS threads; the epoch barrier must
-    // make scheduling order unobservable.
+fn net_runtime_is_deterministic_per_epoch() {
     let run = || {
         let sim =
             SimConfig::builder(6, vec![BandwidthSpec::Paper { stay: 0.9 }; 2]).seed(11).build();
-        NetRuntime::new(NetConfig::from_sim(sim)).run(30)
+        rths_net::run(NetConfig::from_sim(sim), 30)
     };
     let (a, b) = (run(), run());
     assert_eq!(a.metrics.welfare.values(), b.metrics.welfare.values());

@@ -7,7 +7,7 @@
 //! *intentional* (e.g. a new learner default), update the constants and
 //! say so in the commit message.
 
-use rths_net::{Backend, NetConfig};
+use rths_net::NetConfig;
 use rths_sim::{
     Algorithm, AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelConfig,
     MultiChannelSystem, Scenario, SimConfig, System,
@@ -124,7 +124,7 @@ fn fold_bits(series: &[&[f64]]) -> u64 {
 /// The three configurations whose learners were scalar `Matrix`-backed
 /// until the slab became the only production RTHS layout — a
 /// regret-matching population in the store, the `Learned` allocation
-/// policy's per-helper learners, and the threaded backend's peers.
+/// policy's per-helper learners, and the net runtime's peers.
 /// Every float of every epoch, recorded on the scalar path; the slab
 /// must reproduce them unchanged.
 #[test]
@@ -154,16 +154,16 @@ fn golden_slab_hosted_trajectories() {
     let learned = fold_bits(&[out.welfare.values(), out.worst_empirical_regret.values()]);
 
     let sim = Scenario::paper_server_load().seed(7).build();
-    let out = rths_net::run(NetConfig::from_sim(sim).with_backend(Backend::Threaded), 150);
+    let out = rths_net::run(NetConfig::from_sim(sim), 150);
     let m = &out.metrics;
-    let threaded = fold_bits(&[
+    let net = fold_bits(&[
         m.welfare.values(),
         m.worst_regret_estimate.values(),
         m.worst_empirical_regret.values(),
         &out.peer_mean_rates,
     ]);
 
-    let got = [matching, learned, threaded];
+    let got = [matching, learned, net];
     let pinned = [0x58f5da83309794ad, 0x32ab45c89db2a82a, 0x51b92dc910837838];
     assert_eq!(got, pinned, "slab-hosted trajectory drifted: {got:#018x?}");
 }

@@ -157,37 +157,14 @@ fn multichannel_system_is_bit_neutral_under_tracing() {
 }
 
 #[test]
-fn threaded_backend_is_bit_neutral_under_tracing() {
-    for threads in [1usize, 2] {
-        with_threads(threads, || {
-            let sim = Scenario::paper_small().seed(43).build();
-            let config = || NetConfig::from_sim(sim.clone()).with_backend(Backend::Threaded);
-            let plain = rths_net::run(config(), 40);
-            // The `with_trace` config knob (rather than ambient enable)
-            // exercises the runtime's own scoped guard.
-            let shadow = traced(&format!("threaded RTHS_THREADS={threads}"), || {
-                rths_net::run(config().with_trace(true), 40)
-            });
-            assert_eq!(
-                bits(plain.metrics.welfare.values()),
-                bits(shadow.metrics.welfare.values()),
-                "threaded welfare diverged under tracing at RTHS_THREADS={threads}"
-            );
-            assert_eq!(
-                plain.messages, shadow.messages,
-                "threaded message totals diverged under tracing at RTHS_THREADS={threads}"
-            );
-        });
-    }
-}
-
-#[test]
 fn reactor_backend_is_bit_neutral_under_tracing() {
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let sim = Scenario::paper_small().seed(44).build();
             let config = || NetConfig::from_sim(sim.clone()).with_backend(Backend::Reactor);
             let plain = rths_net::run(config(), 40);
+            // The `with_trace` config knob (rather than ambient enable)
+            // exercises the runtime's own scoped guard.
             let shadow = traced(&format!("reactor RTHS_THREADS={threads}"), || {
                 rths_net::run(config().with_trace(true), 40)
             });

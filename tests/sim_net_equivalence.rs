@@ -1,23 +1,32 @@
-//! The simulator, the threaded actor runtime, the reactor event-loop
-//! runtime, and the multi-process reactor implement the *same system*:
-//! with identical seeds and no faults all four must agree
-//! **bit-for-bit**, because every actor owns the same deterministic RNG
-//! stream in every implementation and the epoch protocol is a barrier.
-//! The comparison is `f64::to_bits` equality — not approximate — and is
-//! repeated at `RTHS_THREADS=1` and `2`, since neither the simulator's
-//! fork/join parallelism nor the reactor's sharded mailbox draining may
-//! perturb a single bit. The multi-process runs split the mesh across 2
-//! and 4 OS processes (at a small shard span so these CI-sized meshes
-//! actually cross process boundaries); shard-span invariance is pinned
-//! separately by `rths_reactor`'s tests, so the comparison against the
-//! default-span engines is exact, not incidental.
+//! The simulator, the reactor event-loop runtime, and the multi-process
+//! reactor implement the *same system*: with identical seeds all three
+//! must agree **bit-for-bit**, because every actor owns the same
+//! deterministic RNG stream in every implementation and the epoch
+//! protocol is a barrier. The comparison is `f64::to_bits` equality — not
+//! approximate — and is repeated at `RTHS_THREADS=1` and `2`, since
+//! neither the simulator's fork/join parallelism nor the reactor's
+//! sharded mailbox draining may perturb a single bit. The multi-process
+//! runs split the mesh across 2 and 4 OS processes (at a small shard span
+//! so these CI-sized meshes actually cross process boundaries);
+//! shard-span invariance is pinned separately by `rths_reactor`'s tests,
+//! so the comparison against the default-span engines is exact, not
+//! incidental.
+//!
+//! The protocol must also be independent of the *order* in which an
+//! epoch's messages are delivered. The reactor has a seeded scheduler on
+//! its production path — an impairment plan's jitter and latency delay
+//! every actor's tick through the timer wheel — and
+//! [`jitter_does_not_change_results`] sweeps it over plan seeds and
+//! bounds, holding every schedule to the simulator's trajectory.
 //!
 //! This is the strongest cross-implementation test in the workspace: any
 //! divergence in learner updates, rate allocation, or metric arithmetic
-//! between `rths-sim`, `rths-net`'s threaded backend, its reactor
-//! backend, or the socket-bridged multi-process reactor fails it.
+//! between `rths-sim`, `rths-net`'s reactor backend, or the
+//! socket-bridged multi-process reactor fails it.
 
-use rths_net::{Backend, NetConfig, NetOutcome};
+use std::collections::BTreeSet;
+
+use rths_net::{NetConfig, NetOutcome, ReactorRuntime};
 use rths_sim::{BandwidthSpec, ImpairmentPlan, Scenario, SimConfig, System};
 
 /// Pins `RTHS_THREADS` for the duration of `f` via the workspace's one
@@ -98,30 +107,16 @@ fn assert_outcome_matches_sim(
 /// into genuinely separate processes.
 const MULTIPROC_SPAN: usize = 4;
 
-/// The acceptance gate: sim, threaded net, reactor net, and the
-/// multi-process reactor (2 and 4 processes) must produce identical
-/// trajectories at every tested worker count.
+/// The acceptance gate: sim, reactor net, and the multi-process reactor
+/// (2 and 4 processes) must produce identical trajectories at every
+/// tested worker count.
 fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let mut sim = System::new(sim_config.clone());
             let sim_out = sim.run(epochs);
-            let threaded = rths_net::run(
-                NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Threaded),
-                epochs,
-            );
-            let reactor = rths_net::run(
-                NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Reactor),
-                epochs,
-            );
-            assert_outcome_matches_sim("threaded", threads, &sim_out, &threaded);
+            let reactor = rths_net::run(NetConfig::from_sim(sim_config.clone()), epochs);
             assert_outcome_matches_sim("reactor", threads, &sim_out, &reactor);
-            // The two net backends also agree on message accounting —
-            // same protocol, different transport.
-            assert_eq!(
-                threaded.messages, reactor.messages,
-                "RTHS_THREADS={threads}: message accounting diverged between backends"
-            );
             for processes in [2usize, 4] {
                 let report = rths_net::run_multiproc_with_span(
                     NetConfig::from_sim(sim_config.clone()),
@@ -135,6 +130,8 @@ fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
                     &sim_out,
                     &report.outcome,
                 );
+                // The net hosts also agree on message accounting — same
+                // protocol, different transport.
                 assert_eq!(
                     reactor.messages, report.outcome.messages,
                     "RTHS_THREADS={threads}, {processes} processes: \
@@ -172,36 +169,77 @@ fn equivalent_with_heterogeneous_processes() {
 
 #[test]
 fn equivalent_on_a_reactor_scale_population() {
-    // A hundred-actor mesh: the largest the gate runs, while staying
-    // CI-cheap for the thread-per-actor backend.
-    let config =
-        SimConfig::builder(96, vec![BandwidthSpec::Paper { stay: 0.95 }; 6]).seed(1234).build();
-    assert_equivalent(config, 60);
+    // Large enough to shard everywhere at `RTHS_THREADS=2`: more than
+    // 2 × `rths_par::MIN_ITEMS_PER_WORKER` peers, so the simulator's store
+    // phases and the coordinator's regret record split in two, and five
+    // default-span mailbox shards, so a reactor round is multi-shard.
+    let config = SimConfig::builder(4_200, vec![BandwidthSpec::Paper { stay: 0.95 }; 8])
+        .seed(1234)
+        .build();
+    assert_equivalent(config, 12);
 }
 
 #[test]
 fn jitter_does_not_change_results() {
-    // Timing jitter reorders thread interleavings (threaded backend) or
-    // delays tick delivery through the timer wheel (reactor backend);
-    // the barrier protocol must absorb it completely on both.
-    let config = Scenario::paper_small().seed(5).build();
-    let clean =
-        rths_net::run(NetConfig::from_sim(config.clone()).with_backend(Backend::Threaded), 60);
-    let jitter_plan =
-        ImpairmentPlan::builder(0).build().expect("empty plan is valid").with_jitter(200);
-    for backend in [Backend::Threaded, Backend::Reactor] {
-        let jittery = rths_net::run(
-            NetConfig::from_sim(config.clone())
-                .with_backend(backend)
-                .with_impairments(jitter_plan.clone()),
-            60,
-        );
-        assert_eq!(
-            bits(clean.metrics.welfare.values()),
-            bits(jittery.metrics.welfare.values()),
-            "jitter changed outcomes on {backend:?} — barrier protocol is leaky"
-        );
+    // The seeded delivery-schedule sweep. Every actor's tick is delayed
+    // by a hash of (plan seed, actor, epoch), and timers fire only once
+    // the mesh is quiescent, so delayed ticks land in delay order: the
+    // plan seed permutes the order in which requests reach each helper
+    // and selections reach the coordinator, and picks the helpers whose
+    // `Settle` overtakes their `Tick` (they park it and settle rounds
+    // later, so their rates, observations and report arrive late). The
+    // barrier protocol must absorb every such schedule: each run is held
+    // to the simulator under the same plan, every series and both
+    // per-peer summaries.
+    const PLAN_SEEDS: u64 = 16;
+    const JITTER_BOUNDS: [u64; 5] = [0, 2, 5, 17, 200];
+    const EPOCHS: u64 = 30;
+    let clean = |seed| ImpairmentPlan::builder(seed).build().expect("empty plan is valid");
+    // The full rate-affecting stack, plus a latency ladder whose level 0
+    // keeps some actors undelayed while others are not.
+    let impaired = |seed| {
+        ImpairmentPlan::builder(seed)
+            .gilbert_loss(0.05, 0.3, 0.85, 0.05)
+            .token_bucket(450.0, 1000.0)
+            .link_bandwidth(vec![250.0, 500.0, 900.0], 0.9)
+            .latency(vec![0, 1, 4, 9], 0.7)
+            .build()
+            .expect("valid impairment plan")
+    };
+    let mut cases = 0usize;
+    let mut schedules = BTreeSet::new();
+    for seed in 0..PLAN_SEEDS {
+        for bound in JITTER_BOUNDS {
+            for (variant, plan) in [("clean", clean(seed)), ("impaired", impaired(seed))] {
+                let config =
+                    SimConfig::builder(24, vec![BandwidthSpec::Paper { stay: 0.9 }; 3])
+                        .demand(400.0)
+                        .seed(5)
+                        .impairment(plan.with_jitter(bound))
+                        .build();
+                let sim_out = System::new(config.clone()).run(EPOCHS);
+                let mut reactor = ReactorRuntime::new(NetConfig::from_sim(config));
+                reactor.run_epochs(EPOCHS);
+                schedules.insert(reactor.stats().protocol());
+                assert_outcome_matches_sim(
+                    &format!("reactor, {variant} plan seed {seed}, jitter bound {bound}"),
+                    rths_par::threads(),
+                    &sim_out,
+                    &reactor.finish(),
+                );
+                cases += 1;
+            }
+        }
     }
+    // Not vacuous: the sweep really did run many different schedules
+    // (`(rounds, messages, timers_fired)` differs between them). Only
+    // the clean plan at bound 0 delays nothing, whatever its seed.
+    assert!(cases >= 160, "sweep shrank to {cases} cases");
+    assert!(
+        schedules.len() * 2 >= cases,
+        "only {} distinct delivery schedules in {cases} cases",
+        schedules.len()
+    );
 }
 
 #[test]
@@ -230,7 +268,7 @@ fn equivalent_under_full_impairment_stack() {
     // Everything at once: bursty loss, a link-bandwidth Markov chain,
     // token-bucket policing, latency, and jitter. Latency and jitter are
     // absorbed by the epoch barrier; the rest must shape rates
-    // identically in the sequential simulator and both net runtimes.
+    // identically in the sequential simulator and both net backends.
     let plan = ImpairmentPlan::builder(77)
         .gilbert_loss(0.02, 0.25, 0.9, 0.15)
         .token_bucket(500.0, 1200.0)
