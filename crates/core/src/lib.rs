@@ -95,4 +95,5 @@ pub use learner::Learner;
 pub use metrics::ConvergenceSeries;
 pub use slab::{
     for_each_survivor_move, LearnerSlab, SharedSlab, SlabCols, SlabLearner, StrategyCols,
+    OBSERVE_BATCH,
 };

@@ -91,6 +91,38 @@
 //!   predictable branch per observe. The scan stays: it builds and
 //!   rebuilds rows, answers for a slab that never turned them on, and is
 //!   the tests' oracle beside `RthsState::max_regret`.
+//! * **Observes in batches behind one pass of loads.** What is left of an
+//!   observe at m = 64 is some 70 cache misses that the update meets one
+//!   at a time, each between a few dozen µops of arithmetic: ≈ 250 ns of
+//!   work spread over ≈ 1 µs. Splitting the update into per-stage passes
+//!   over several slots does not change that — every stage is still
+//!   load → arithmetic → store, and the reorder window holds few slots'
+//!   worth. A pass of *nothing but loads* does: for each of
+//!   [`OBSERVE_BATCH`] slots about to observe, one scalar from each line
+//!   of the pending column and the pending row's element of every played
+//!   column — the lines the rank-1 update and the row gather are about to
+//!   touch — ≈ 100 independent loads in flight together, after which the
+//!   eight updates find their T lines in cache (`probs`, `freq` and `best`
+//!   rows are slot-addressed and stream). The loaded bits are folded into
+//!   a word that goes to [`std::hint::black_box`] and nowhere else, and
+//!   nothing is stored: no float of any trajectory can depend on the
+//!   pass, on the batch size or on whether it ran. Slots share no state
+//!   and each still sees its own select → observe → select, so an observe
+//!   deferred behind up to seven neighbours' is the observe it would have
+//!   been. The store's observe sweep calls [`SlabCols::touch`] on each
+//!   block of a shard. The reactor's peers observe one at a time, so
+//!   [`SlabLearner::observe`] *queues* `(slot, utility, config)` on its
+//!   slab — after the protocol checks, which still fail at the call — and
+//!   the queue runs (pass, then updates in arrival order) when it is full
+//!   and before anything reads or reshapes a slot: every `&mut self`
+//!   method of [`LearnerSlab`] that does either flushes first,
+//!   `SlabLearner` flushes before it calls a `&self` reader, and those
+//!   readers refuse a slab with observes queued. A reader that follows
+//!   every observe (the reactor with regret estimates on) gets batches of
+//!   one: correct, no overlap. **Geometry gate, not a setting:** at a
+//!   stride of at most 8 a block is eight consecutive lines, which the
+//!   hardware already streams; the pass measured slower than no pass
+//!   there, and neither it nor the queue runs.
 //!
 //! The contiguous loops (rank-1 `axpy`, renormalising `scale`,
 //! `shifted_regret_max`, the row maxima's `max_assign`) are the
@@ -124,7 +156,8 @@
 //!   [`Learner`] trait for actors that own their learner; its per-slot
 //!   calls index `block[slot]` directly and are `O(1)` in the slab size.
 
-use std::sync::{Arc, Mutex};
+use std::cell::OnceCell;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::RngCore;
 use rths_math::kernels;
@@ -148,10 +181,39 @@ fn factor_for(config: &RthsConfig, stage: u64) -> f64 {
     }
 }
 
+/// `f64`s per cache line.
+const LINE: usize = 8;
+
 /// A column of `f64`s this long or shorter is one cache line, so a slot's
 /// whole `S` is at most `stride` lines and a mask walk has nothing to
 /// skip: the played-row gather then reads all `m` columns densely.
-const DENSE_GATHER_MAX_STRIDE: usize = 8;
+const DENSE_GATHER_MAX_STRIDE: usize = LINE;
+
+/// Observes that run behind one pass of loads (see the module docs): the
+/// block size of the store's observe sweep and the length of a
+/// [`LearnerSlab`]'s observe queue.
+pub const OBSERVE_BATCH: usize = 8;
+
+/// The load pass for one slot about to observe action `j`: reads one
+/// scalar from each cache line of column `j`'s first `m` entries (what the
+/// rank-1 update reads and writes) and element `j` of every played column
+/// (what the Eq. 3-6 row gather reads), and returns their bits folded
+/// together. The loads are independent of one another and of any
+/// arithmetic, so a batch of slots has all of them in flight at once and
+/// the updates that follow find their lines in cache.
+///
+/// Nothing is stored, and the caller hands the fold to
+/// [`std::hint::black_box`] and drops it: no float of any trajectory can
+/// depend on this routine or on whether it ran.
+#[inline]
+fn touch(t: &[f64], played: &[u64], stride: usize, m: usize, j: usize) -> u64 {
+    let mut fold = 0;
+    for r in (0..m).step_by(LINE) {
+        fold ^= t[j * stride + r].to_bits();
+    }
+    for_each_played(played, |k| fold ^= t[k * stride + j].to_bits());
+    fold
+}
 
 /// Calls `f(k)` for every set bit `k` of a played-column bitmask, in
 /// ascending order.
@@ -322,6 +384,14 @@ pub fn for_each_survivor_move(
     write
 }
 
+/// One [`SlabLearner::observe`] waiting in its slab's queue.
+#[derive(Debug, Clone)]
+struct QueuedObserve {
+    slot: u32,
+    utility: f64,
+    config: RthsConfig,
+}
+
 /// An arena of learner slots sharing flat columns (see the module docs
 /// for the layout and the two usage modes).
 #[derive(Debug, Clone)]
@@ -365,6 +435,14 @@ pub struct LearnerSlab {
     best: Option<Vec<f64>>,
     /// Diagonal scratch of the per-slot [`max_regret`](Self::max_regret).
     diag: Vec<f64>,
+    /// Regret-row scratch of the observes the slab runs for its
+    /// [`SlabLearner`]s.
+    row: Vec<f64>,
+    /// Observes handed in by [`SlabLearner`]s that have not run yet (see
+    /// the module docs): at most [`OBSERVE_BATCH`], of distinct slots, in
+    /// arrival order. Empty whenever anything but `SlabLearner::observe`
+    /// looks, and always at a stride the geometry gate excludes.
+    queue: Vec<QueuedObserve>,
 }
 
 impl LearnerSlab {
@@ -404,6 +482,8 @@ impl LearnerSlab {
             reuses: 0,
             best: None,
             diag: Vec::new(),
+            row: Vec::new(),
+            queue: Vec::new(),
         }
     }
 
@@ -542,6 +622,7 @@ impl LearnerSlab {
     ///
     /// Panics if the slot is out of range or already free.
     pub fn release(&mut self, slot: u32) {
+        self.flush();
         let s = slot as usize;
         assert!(s < self.arity.len(), "slot out of range");
         assert!(self.arity[s] != 0, "slot released twice");
@@ -560,6 +641,7 @@ impl LearnerSlab {
     ///
     /// Panics if `src` is out of range or free.
     pub fn clone_slot(&mut self, src: u32) -> u32 {
+        self.flush();
         let src = src as usize;
         assert!(src < self.arity.len(), "slot out of range");
         let m = self.arity[src] as usize;
@@ -598,6 +680,7 @@ impl LearnerSlab {
         if sorted.is_empty() {
             return;
         }
+        self.flush();
         assert!(self.free.is_empty(), "cannot compact a slab with free-listed slots");
         assert!(sorted.windows(2).all(|w| w[0] < w[1]), "slots must be sorted and unique");
         let n = self.arity.len();
@@ -637,6 +720,7 @@ impl LearnerSlab {
     /// same semantics (and panics) as `RthsState::reset_actions`. The
     /// slot keeps its block, wiped in place.
     pub fn reset_actions(&mut self, slot: usize, num_actions: usize) {
+        self.flush();
         assert!(
             self.pending[slot] == NO_PENDING,
             "cannot reset actions with an observation pending"
@@ -664,6 +748,7 @@ impl LearnerSlab {
     /// when already on. There is no way back: a slab somebody asks for
     /// estimates keeps being asked.
     pub fn track_estimates(&mut self) {
+        self.flush();
         if self.best.is_some() {
             return;
         }
@@ -728,36 +813,109 @@ impl LearnerSlab {
         }
     }
 
+    /// Takes in one [`SlabLearner::observe`]: checks it as
+    /// [`observe`](Self::observe) would, then queues it behind the load
+    /// pass (module docs) — or, at a stride the geometry gate excludes,
+    /// runs it. A full queue is flushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no action is pending or `utility` is not finite.
+    fn enqueue_observe(&mut self, slot: usize, config: &RthsConfig, utility: f64) {
+        if self.stride <= DENSE_GATHER_MAX_STRIDE {
+            let mut row = std::mem::take(&mut self.row);
+            self.slot_cols(slot).observe(0, config, utility, &mut row);
+            self.row = row;
+            return;
+        }
+        assert!(utility.is_finite(), "utility must be finite, got {utility}");
+        // A slot is queued at most once: its first observe runs now, so
+        // that a second one without a select in between fails here.
+        if self.queue.iter().any(|queued| queued.slot as usize == slot) {
+            self.flush();
+        }
+        assert!(self.pending[slot] != NO_PENDING, "observe called without a pending action");
+        self.queue.push(QueuedObserve { slot: slot as u32, utility, config: config.clone() });
+        if self.queue.len() == OBSERVE_BATCH {
+            self.flush();
+        }
+    }
+
+    /// Runs the queued observes: one load pass over all their slots, then
+    /// the update of each in arrival order. Everything that reads or
+    /// reshapes slot state through `&mut self` starts with this.
+    fn flush(&mut self) {
+        if self.queue.is_empty() {
+            return;
+        }
+        let mut queue = std::mem::take(&mut self.queue);
+        let mut row = std::mem::take(&mut self.row);
+        let mut fold = 0;
+        for queued in &queue {
+            let slot = queued.slot as usize;
+            fold ^= touch(
+                &self.t[self.block_range(slot)],
+                &self.played[slot * self.words..(slot + 1) * self.words],
+                self.stride,
+                self.arity[slot] as usize,
+                self.pending[slot] as usize,
+            );
+        }
+        std::hint::black_box(fold);
+        for queued in queue.drain(..) {
+            self.slot_cols(queued.slot as usize).observe(
+                0,
+                &queued.config,
+                queued.utility,
+                &mut row,
+            );
+        }
+        self.row = row;
+        self.queue = queue;
+    }
+
+    /// The `&self` readers cannot flush, and need not: only
+    /// [`SlabLearner`] queues, and it flushes before it reads.
+    fn assert_flushed(&self) {
+        assert!(self.queue.is_empty(), "slab slot read with observes still queued");
+    }
+
     /// The slot's action count.
     pub fn num_actions(&self, slot: usize) -> usize {
+        self.assert_flushed();
         self.arity[slot] as usize
     }
 
     /// The slot's current mixed strategy.
     pub fn probabilities(&self, slot: usize) -> &[f64] {
+        self.assert_flushed();
         let base = slot * self.stride;
         &self.probs[base..base + self.arity[slot] as usize]
     }
 
     /// The slot's recency-weighted play frequencies.
     pub fn play_frequencies(&self, slot: usize) -> &[f64] {
+        self.assert_flushed();
         let base = slot * self.stride;
         &self.freq[base..base + self.arity[slot] as usize]
     }
 
     /// Stages the slot has observed.
     pub fn stage(&self, slot: usize) -> u64 {
+        self.assert_flushed();
         self.stage[slot]
     }
 
     /// The slot's action awaiting observation, if any.
     pub fn pending_action(&self, slot: usize) -> Option<usize> {
+        self.assert_flushed();
         let p = self.pending[slot];
         (p != NO_PENDING).then_some(p as usize)
     }
 
     /// Proxy-matrix entry `T(j, k)` of a slot (tests/diagnostics).
     pub fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
+        self.assert_flushed();
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "proxy index out of range");
         self.scale[slot] * self.t[self.block_range(slot).start + k * self.stride + j]
@@ -766,6 +924,7 @@ impl LearnerSlab {
     /// Regret `Qⁿ(j, k)` of a slot (Eq. 3-6; tests/diagnostics) — the
     /// expression of `RthsState::regret`.
     pub fn regret(&self, slot: usize, config: &RthsConfig, j: usize, k: usize) -> f64 {
+        self.assert_flushed();
         if j == k {
             return 0.0;
         }
@@ -786,6 +945,7 @@ impl LearnerSlab {
     ///
     /// Panics if two slots share a block (a broken slab invariant).
     pub fn split(&mut self) -> SlabCols<'_> {
+        self.flush();
         // Only the live-slot prefix is handed out — the flat columns may
         // carry extra pre-zeroed backing beyond `num_slots()`.
         let n = self.arity.len();
@@ -830,6 +990,7 @@ impl LearnerSlab {
     /// sharded phase that selects but never updates: no T views are
     /// gathered.
     pub fn split_strategy(&mut self) -> StrategyCols<'_> {
+        self.flush();
         let n = self.arity.len();
         StrategyCols {
             probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
@@ -849,7 +1010,8 @@ impl LearnerSlab {
     }
 
     /// Feeds a slot's pending utility through the full update (see
-    /// `RthsState::observe`).
+    /// `RthsState::observe`) at once — only [`SlabLearner::observe`] goes
+    /// through the observe queue.
     ///
     /// # Panics
     ///
@@ -1093,6 +1255,26 @@ impl SlabCols<'_> {
         self.strategy.select_action(i, rng)
     }
 
+    /// The load pass (module docs) for the slots of `slots` that have an
+    /// action pending: call it on a block of up to [`OBSERVE_BATCH`] slots
+    /// right before observing them in turn. Changes nothing, so calling it
+    /// or not is invisible to every float; at a stride whose blocks the
+    /// hardware already streams it does nothing.
+    pub fn touch(&mut self, slots: std::ops::Range<usize>) {
+        if self.stride <= DENSE_GATHER_MAX_STRIDE {
+            return;
+        }
+        let mut fold = 0;
+        for i in slots {
+            let j = self.strategy.pending[i];
+            if j != NO_PENDING {
+                let m = self.strategy.arity[i] as usize;
+                fold ^= touch(self.t.of(i), self.played.row(i), self.stride, m, j as usize);
+            }
+        }
+        std::hint::black_box(fold);
+    }
+
     /// Full observe for slot `i` — the slab counterpart of
     /// `RthsState::observe`, bit-for-bit.
     ///
@@ -1254,9 +1436,17 @@ pub type SharedSlab = Arc<Mutex<LearnerSlab>>;
 /// sequentially on one worker, so the mutex is uncontended) and hands
 /// each `Peer` a `SlabLearner`; [`population`](Self::population) builds
 /// that layout for a repeated game, [`standalone`](Self::standalone) a
-/// learner with a slab to itself. The strategy is mirrored into a local
-/// cache after every update so [`probabilities`](Learner::probabilities)
-/// can return a borrow without holding the lock.
+/// learner with a slab to itself.
+///
+/// The learner holds no state of its own beside its slot and config.
+/// [`observe`](Learner::observe) hands the utility to the slab's observe
+/// queue, which runs it — behind one pass of loads shared with up to
+/// [`OBSERVE_BATCH`]` − 1` neighbours — before anything reads or reshapes a
+/// slot, so every method here sees the update applied.
+/// [`probabilities`](Learner::probabilities) has to return a borrow
+/// without holding the lock: it copies the strategy out on the first read
+/// after an observe and serves that copy until the next one (the reactor's
+/// peers never read it, and never pay for it).
 ///
 /// # Example
 ///
@@ -1277,17 +1467,17 @@ pub struct SlabLearner {
     slab: SharedSlab,
     slot: u32,
     config: RthsConfig,
-    probs: Vec<f64>,
-    scratch: Vec<f64>,
+    /// The strategy as of the last update, once somebody has asked.
+    strategy: OnceCell<Vec<f64>>,
 }
 
 impl SlabLearner {
     /// Allocates a fresh uniform slot in `slab` for `config`'s action
     /// count.
     pub fn new(slab: SharedSlab, config: RthsConfig) -> Self {
-        let m = config.num_actions();
-        let slot = slab.lock().expect("learner slab mutex poisoned").alloc(m);
-        Self { slab, slot, config, probs: vec![1.0 / m as f64; m], scratch: Vec::new() }
+        let slot =
+            slab.lock().expect("learner slab mutex poisoned").alloc(config.num_actions());
+        Self { slab, slot, config, strategy: OnceCell::new() }
     }
 
     /// `n` fresh learners sharing one slab sized for exactly them — the
@@ -1321,12 +1511,16 @@ impl SlabLearner {
     ///
     /// Panics if either index is out of range.
     pub fn regret(&self, j: usize, k: usize) -> f64 {
-        self.slab.lock().expect("learner slab mutex poisoned").regret(
-            self.slot as usize,
-            &self.config,
-            j,
-            k,
-        )
+        self.lock_flushed().regret(self.slot as usize, &self.config, j, k)
+    }
+
+    /// Locks the slab with every queued observe applied, for the `&self`
+    /// readers of [`LearnerSlab`] (its `&mut self` methods flush
+    /// themselves).
+    fn lock_flushed(&self) -> MutexGuard<'_, LearnerSlab> {
+        let mut slab = self.slab.lock().expect("learner slab mutex poisoned");
+        slab.flush();
+        slab
     }
 }
 
@@ -1337,8 +1531,7 @@ impl Clone for SlabLearner {
             slab: Arc::clone(&self.slab),
             slot,
             config: self.config.clone(),
-            probs: self.probs.clone(),
-            scratch: Vec::new(),
+            strategy: OnceCell::new(),
         }
     }
 }
@@ -1355,11 +1548,12 @@ impl Drop for SlabLearner {
 
 impl Learner for SlabLearner {
     fn num_actions(&self) -> usize {
-        self.probs.len()
+        self.config.num_actions()
     }
 
     fn probabilities(&self) -> &[f64] {
-        &self.probs
+        self.strategy
+            .get_or_init(|| self.lock_flushed().probabilities(self.slot as usize).to_vec())
     }
 
     fn select_action(&mut self, rng: &mut dyn RngCore) -> usize {
@@ -1370,9 +1564,12 @@ impl Learner for SlabLearner {
     }
 
     fn observe(&mut self, utility: f64) {
-        let mut slab = self.slab.lock().expect("learner slab mutex poisoned");
-        slab.observe(self.slot as usize, &self.config, utility, &mut self.scratch);
-        self.probs.copy_from_slice(slab.probabilities(self.slot as usize));
+        self.slab.lock().expect("learner slab mutex poisoned").enqueue_observe(
+            self.slot as usize,
+            &self.config,
+            utility,
+        );
+        self.strategy.take();
     }
 
     fn max_regret(&self) -> f64 {
@@ -1383,14 +1580,11 @@ impl Learner for SlabLearner {
     }
 
     fn stage(&self) -> u64 {
-        self.slab.lock().expect("learner slab mutex poisoned").stage(self.slot as usize)
+        self.lock_flushed().stage(self.slot as usize)
     }
 
     fn pending_action(&self) -> Option<usize> {
-        self.slab
-            .lock()
-            .expect("learner slab mutex poisoned")
-            .pending_action(self.slot as usize)
+        self.lock_flushed().pending_action(self.slot as usize)
     }
 
     fn reset_actions(&mut self, num_actions: usize) {
@@ -1398,8 +1592,10 @@ impl Learner for SlabLearner {
             .config
             .with_num_actions(num_actions)
             .expect("reset_actions requires at least one action");
+        self.strategy.take();
         let mut slab = self.slab.lock().expect("learner slab mutex poisoned");
         if num_actions > slab.stride() {
+            slab.flush();
             // Outgrowing the stride means a new arena. A slab this
             // learner has to itself is simply replaced; with neighbours,
             // their columns would have to move too — the slab is sized
@@ -1418,7 +1614,6 @@ impl Learner for SlabLearner {
         } else {
             slab.reset_actions(self.slot as usize, num_actions);
         }
-        self.probs = vec![1.0 / num_actions as f64; num_actions];
     }
 }
 
@@ -2378,6 +2573,322 @@ mod tests {
         b.observe(99.0);
         assert_ne!(a.stage(), b.stage(), "clone shares state with the original");
     }
+
+    /// A [`SlabLearner`] beside the scalar oracle it must replay: every
+    /// operation goes to both, every read is compared `to_bits`.
+    struct Mirrored {
+        learner: SlabLearner,
+        cfg: RthsConfig,
+        oracle: RthsState,
+        rng: rand::rngs::StdRng,
+        pending: Option<usize>,
+    }
+
+    impl Mirrored {
+        fn new(slab: &SharedSlab, cfg: &RthsConfig, seed: u64) -> Self {
+            Self {
+                learner: SlabLearner::new(Arc::clone(slab), cfg.clone()),
+                cfg: cfg.clone(),
+                oracle: RthsState::new(cfg),
+                rng: rand::rngs::StdRng::seed_from_u64(7000 + seed),
+                pending: None,
+            }
+        }
+
+        fn select(&mut self) -> usize {
+            let mut replay = self.rng.clone();
+            let a = self.learner.select_action(&mut self.rng);
+            assert_eq!(a, self.oracle.select_action(&mut replay), "sampled action");
+            self.pending = Some(a);
+            a
+        }
+
+        fn observe(&mut self, utility: f64) {
+            self.learner.observe(utility);
+            self.oracle.observe(&self.cfg, utility, &mut Vec::new());
+            self.pending = None;
+        }
+
+        fn reset(&mut self, num_actions: usize) {
+            self.learner.reset_actions(num_actions);
+            self.oracle.reset_actions(num_actions);
+            self.cfg = self.cfg.with_num_actions(num_actions).unwrap();
+        }
+
+        /// An independent copy of learner and oracle, on its own stream.
+        fn duplicate(&self, seed: u64) -> Self {
+            Self {
+                learner: self.learner.clone(),
+                cfg: self.cfg.clone(),
+                oracle: self.oracle.clone(),
+                rng: rand::rngs::StdRng::seed_from_u64(7000 + seed),
+                pending: self.pending,
+            }
+        }
+
+        /// Every read the learner offers, against the oracle.
+        fn check(&self, what: &str) {
+            let (learner, oracle, cfg) = (&self.learner, &self.oracle, &self.cfg);
+            let m = cfg.num_actions();
+            assert_eq!(learner.num_actions(), m, "{what}: arity");
+            assert_bitwise(learner.probabilities(), oracle.probabilities(), what);
+            assert_eq!(
+                learner.max_regret().to_bits(),
+                oracle.max_regret(cfg).to_bits(),
+                "{what}: estimate"
+            );
+            assert_eq!(learner.stage(), oracle.stage(), "{what}: stage");
+            assert_eq!(learner.pending_action(), self.pending, "{what}: pending action");
+            for (j, k) in (0..m).flat_map(|j| [(j, (j + 1) % m), (j, (3 * j + 2) % m)]) {
+                assert_eq!(
+                    learner.regret(j, k).to_bits(),
+                    oracle.regret(cfg, j, k).to_bits(),
+                    "{what}: Q({j},{k})"
+                );
+            }
+        }
+    }
+
+    fn queued(slab: &SharedSlab) -> usize {
+        slab.lock().unwrap().queue.len()
+    }
+
+    /// A population of `SlabLearner`s on one slab — two configs among
+    /// them — replays its oracles through everything that must run the
+    /// queued observes first: a full queue, each reading method, `clone`,
+    /// a channel switch, a departure whose slot is handed out again, and
+    /// the next round's selects. Every round leaves the last three
+    /// learners' observes queued and then pulls one trigger; at a stride
+    /// the geometry gate excludes nothing is ever queued.
+    #[test]
+    fn slab_learners_replay_oracles_through_every_flush_trigger() {
+        let modes = [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform];
+        for stride in [8, 10, 64] {
+            for (recency, conditional) in
+                modes.into_iter().flat_map(|r| [(r, false), (r, true)])
+            {
+                flush_triggers(stride, recency, conditional);
+            }
+        }
+    }
+
+    fn flush_triggers(stride: usize, recency: RecencyMode, conditional: bool) {
+        const POPULATION: usize = OBSERVE_BATCH + 3;
+        const LAST: usize = POPULATION - 1;
+        let gated = stride <= DENSE_GATHER_MAX_STRIDE;
+        let cfgs = [
+            config(stride, recency, conditional),
+            config_eps(stride - 3, 0.2, recency, conditional),
+        ];
+        let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(stride)));
+        let mut peers: Vec<Mirrored> =
+            (0..POPULATION).map(|p| Mirrored::new(&slab, &cfgs[p % 2], p as u64)).collect();
+        let mut next_seed = POPULATION as u64;
+        for round in 0..90u64 {
+            let what = format!("stride {stride} {recency:?}/{conditional} round {round}");
+            for peer in &mut peers {
+                // On the round after an untriggered one, the first of
+                // these runs what that round left queued.
+                peer.select();
+                assert_eq!(queued(&slab), 0, "{what}");
+            }
+            for (p, peer) in peers.iter_mut().enumerate() {
+                let a = peer.pending.unwrap();
+                peer.observe(((a * 5 + p + round as usize) % 9) as f64 * 7.0);
+                let expected = if gated { 0 } else { (p + 1) % OBSERVE_BATCH };
+                assert_eq!(queued(&slab), expected, "{what}: after observe {p}");
+            }
+            let last = &mut peers[LAST];
+            match round % 9 {
+                0 => assert_bitwise(
+                    last.learner.probabilities(),
+                    last.oracle.probabilities(),
+                    &what,
+                ),
+                1 => assert_eq!(
+                    last.learner.max_regret().to_bits(),
+                    last.oracle.max_regret(&last.cfg).to_bits(),
+                    "{what}"
+                ),
+                2 => assert_eq!(last.learner.stage(), last.oracle.stage(), "{what}"),
+                3 => assert_eq!(last.learner.pending_action(), None, "{what}"),
+                4 => assert_eq!(
+                    last.learner.regret(0, 1).to_bits(),
+                    last.oracle.regret(&last.cfg, 0, 1).to_bits(),
+                    "{what}"
+                ),
+                5 => {
+                    // The copy carries the queued update; the learner it
+                    // replaces leaves.
+                    peers[0] = last.duplicate(next_seed);
+                    next_seed += 1;
+                }
+                6 => {
+                    let m = last.cfg.num_actions();
+                    last.reset(if m == stride { stride - 2 } else { stride });
+                }
+                7 => {
+                    // A departure with its own observe queued: the slot's
+                    // next owner starts from nothing.
+                    let departed = peers.pop().unwrap();
+                    let slot = departed.learner.slot();
+                    drop(departed);
+                    peers.push(Mirrored::new(&slab, &cfgs[round as usize % 2], next_seed));
+                    next_seed += 1;
+                    assert_eq!(peers[LAST].learner.slot(), slot, "{what}: slot not reused");
+                }
+                _ => {
+                    assert_eq!(queued(&slab), if gated { 0 } else { 3 }, "{what}");
+                    continue;
+                }
+            }
+            assert_eq!(queued(&slab), 0, "{what}: trigger left observes queued");
+            for (p, peer) in peers.iter().enumerate() {
+                peer.check(&format!("{what} peer {p}"));
+            }
+        }
+    }
+
+    /// Alone in its slab a learner outgrows the stride by replacing the
+    /// slab — after its queued observe has run.
+    #[test]
+    fn reset_beyond_the_stride_runs_the_queued_observe_first() {
+        let cfg = config(10, RecencyMode::Exponential, true);
+        let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(10)));
+        let mut peer = Mirrored::new(&slab, &cfg, 0);
+        for s in 0..20 {
+            let a = peer.select();
+            peer.observe(((a + s) % 5) as f64 * 11.0);
+        }
+        assert_eq!(queued(&slab), 1);
+        peer.reset(12);
+        assert_eq!((queued(&slab), slab.lock().unwrap().stride()), (0, 12));
+        for s in 0..20 {
+            peer.check(&format!("stage {s} after the reset"));
+            let a = peer.select();
+            peer.observe(((a + s) % 5) as f64 * 11.0);
+        }
+        peer.check("at the end");
+    }
+
+    fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<&str>()
+            .map(|msg| msg.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// Deferring the update does not defer the protocol checks: a second
+    /// observe of a queued slot and a non-finite utility both fail inside
+    /// the `observe` call that made them, not at a later flush.
+    #[test]
+    fn queued_observes_are_checked_at_the_call() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cfg = config(10, RecencyMode::Exponential, false);
+        for (utility, expected) in
+            [(2.0, "observe called without a pending action"), (f64::NAN, "must be finite")]
+        {
+            let mut population = SlabLearner::population(3, &cfg);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            for learner in &mut population {
+                let _ = learner.select_action(&mut rng);
+            }
+            population[0].observe(1.0);
+            population[1].observe(1.0);
+            let culprit = if utility.is_nan() { 2 } else { 1 };
+            let err = catch_unwind(AssertUnwindSafe(|| population[culprit].observe(utility)))
+                .expect_err("the observe went through");
+            assert!(panic_message(err).contains(expected));
+        }
+    }
+
+    /// Only `SlabLearner` queues, and it flushes before it reads; a
+    /// `&self` reader that found observes queued would return stale state,
+    /// so it refuses.
+    #[test]
+    fn shared_readers_refuse_a_slab_with_observes_queued() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cfg = config(10, RecencyMode::Exponential, false);
+        let mut slab = LearnerSlab::new(10);
+        let slot = slab.alloc(10) as usize;
+        let _ = slab.select_action(slot, &mut rand::rngs::StdRng::seed_from_u64(1));
+        slab.enqueue_observe(slot, &cfg, 5.0);
+        assert_eq!(slab.queue.len(), 1);
+        type Reader<'a> = (&'a str, &'a dyn Fn(&LearnerSlab) -> f64);
+        let readers: [Reader<'_>; 7] = [
+            ("num_actions", &|s| s.num_actions(0) as f64),
+            ("probabilities", &|s| s.probabilities(0)[0]),
+            ("play_frequencies", &|s| s.play_frequencies(0)[0]),
+            ("stage", &|s| s.stage(0) as f64),
+            ("pending_action", &|s| s.pending_action(0).map_or(-1.0, |a| a as f64)),
+            ("proxy", &|s| s.proxy(0, 1, 2)),
+            ("regret", &|s| s.regret(0, &config(10, RecencyMode::Uniform, false), 1, 2)),
+        ];
+        for (name, read) in readers {
+            let err = catch_unwind(AssertUnwindSafe(|| read(&slab))).expect_err(name);
+            assert!(panic_message(err).contains("observes still queued"), "{name}");
+        }
+        slab.flush();
+        for (_, read) in readers {
+            read(&slab);
+        }
+        assert_eq!((slab.stage(slot), slab.pending_action(slot)), (1, None));
+    }
+
+    /// `split` and `remove_slots` are out of a `SlabLearner`'s reach but
+    /// not of its slab's owner: they too run what is queued before they
+    /// hand out or renumber slots.
+    #[test]
+    fn split_and_compaction_run_the_queued_observes_first() {
+        let cfg = config(10, RecencyMode::Exponential, true);
+        let mut slab = LearnerSlab::new(10);
+        let mut peers: Vec<OraclePeer> = (0..5)
+            .map(|id| {
+                slab.alloc(10);
+                OraclePeer::new(id, &cfg)
+            })
+            .collect();
+        for round in 0..60u64 {
+            let mut picks = Vec::new();
+            for (slot, peer) in peers.iter_mut().enumerate() {
+                let mut replay = peer.rng.clone();
+                picks.push(slab.select_action(slot, &mut peer.rng));
+                assert_eq!(picks[slot], peer.state.select_action(&mut replay), "round {round}");
+            }
+            for (slot, peer) in peers.iter_mut().enumerate() {
+                let u = ((picks[slot] as u64 * 3 + peer.id + round) % 7) as f64 * 9.0;
+                slab.enqueue_observe(slot, &cfg, u);
+                peer.state.observe(&cfg, u, &mut Vec::new());
+            }
+            assert_eq!(slab.queue.len(), 5);
+            if round % 2 == 0 {
+                let mut cols = slab.split();
+                for (slot, peer) in peers.iter().enumerate() {
+                    assert_bitwise(
+                        cols.probabilities(slot),
+                        peer.state.probabilities(),
+                        "split",
+                    );
+                }
+            } else {
+                // Slot 4's observe is queued under a number that slot 3
+                // is about to take.
+                slab.remove_slots(&[1]);
+                peers.remove(1);
+                for (slot, peer) in peers.iter().enumerate() {
+                    assert_bitwise(
+                        slab.probabilities(slot),
+                        peer.state.probabilities(),
+                        "compacted",
+                    );
+                }
+                slab.alloc(10);
+                peers.push(OraclePeer::new(100 + round, &cfg));
+            }
+            assert!(slab.queue.is_empty(), "round {round}");
+        }
+    }
+
     /// Slab, oracle and the eager reference on one action/utility stream
     /// (the slab samples; the other two are fed its action). Returns after
     /// `stages` stages, having called `check(stage, &slab, &oracle, &eager)`

@@ -67,6 +67,71 @@ fn arb_mask_geometry_config() -> impl Strategy<Value = (RthsConfig, usize)> {
         })
 }
 
+/// Learners sharing the slab of
+/// `interleaved_slab_learners_replay_their_oracles_bitwise`: more than an
+/// observe queue holds, so it both fills and is left partly filled.
+const REPLAYED: usize = 11;
+
+/// One of them: a [`SlabLearner`] beside the scalar oracle it must replay.
+struct Replayed {
+    learner: SlabLearner,
+    oracle: RthsState,
+    rng: rand::rngs::StdRng,
+    pending: bool,
+}
+
+impl Replayed {
+    fn new(slab: &Arc<Mutex<LearnerSlab>>, cfg: &RthsConfig, stream: u64) -> Self {
+        Self {
+            learner: SlabLearner::new(Arc::clone(slab), cfg.clone()),
+            oracle: RthsState::new(cfg),
+            rng: rand::rngs::StdRng::seed_from_u64(stream),
+            pending: false,
+        }
+    }
+
+    /// An independent copy of learner and oracle, on its own stream.
+    fn duplicate(&self, stream: u64) -> Self {
+        Self {
+            learner: self.learner.clone(),
+            oracle: self.oracle.clone(),
+            rng: rand::rngs::StdRng::seed_from_u64(stream),
+            pending: self.pending,
+        }
+    }
+
+    /// The next move of the stage protocol: select, or observe `utility`.
+    fn step(&mut self, cfg: &RthsConfig, utility: f64) {
+        if self.pending {
+            self.learner.observe(utility);
+            self.oracle.observe(cfg, utility, &mut Vec::new());
+        } else {
+            let mut replay = self.rng.clone();
+            let a = self.learner.select_action(&mut self.rng);
+            assert_eq!(a, self.oracle.select_action(&mut replay), "sampled action");
+        }
+        self.pending = !self.pending;
+    }
+
+    fn check_strategy(&self) {
+        let (got, want) = (self.learner.probabilities(), self.oracle.probabilities());
+        assert_eq!(got.len(), want.len());
+        for (x, y) in got.iter().zip(want) {
+            assert_eq!(x.to_bits(), y.to_bits(), "strategy");
+        }
+    }
+
+    fn check_scalars(&self, cfg: &RthsConfig) {
+        assert_eq!(
+            self.learner.max_regret().to_bits(),
+            self.oracle.max_regret(cfg).to_bits(),
+            "estimate"
+        );
+        assert_eq!(self.learner.stage(), self.oracle.stage(), "stage");
+        assert_eq!(self.learner.pending_action().is_some(), self.pending, "pending action");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -317,6 +382,51 @@ proptest! {
                     "m={} stride={} maintained max_regret diverged at stage {}", m, stride, s
                 );
             }
+        }
+    }
+
+    #[test]
+    fn interleaved_slab_learners_replay_their_oracles_bitwise(
+        cfg in arb_config_all_modes(),
+        wide in 0usize..3,
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0usize..10, 0usize..REPLAYED, 0.0..1000.0f64), 80..240),
+    ) {
+        // A shard's learners share one slab, whose observe queue defers
+        // each update until something reads or reshapes a slot (or eight
+        // are waiting). Whatever the interleaving of steps, reads, clones
+        // and departures, every learner replays its own oracle — single
+        // steps, and the reactor's own pattern of everybody selecting and
+        // then everybody observing, which fills the queue. At the config's
+        // own arity (≤ 5) the slab never queues; the two wider strides do.
+        let stride = [cfg.num_actions(), 9, 16][wide];
+        let slab = Arc::new(Mutex::new(LearnerSlab::new(stride)));
+        let mut peers: Vec<Replayed> =
+            (0..REPLAYED as u64).map(|p| Replayed::new(&slab, &cfg, seed ^ p)).collect();
+        for (n, &(op, p, u)) in ops.iter().enumerate() {
+            let stream = seed ^ ((n as u64 + 1) << 8);
+            match op {
+                // Half of all operations advance one learner.
+                0..=3 => peers[p].step(&cfg, u),
+                4 => peers[p].check_strategy(),
+                5 => peers[p].check_scalars(&cfg),
+                6 => {
+                    // The neighbour leaves; a copy of this learner, on a
+                    // stream of its own, takes its place.
+                    peers[(p + 1) % REPLAYED] = peers[p].duplicate(stream);
+                }
+                7 => peers[p] = Replayed::new(&slab, &cfg, stream),
+                _ => {
+                    let observing = op == 9;
+                    for peer in peers.iter_mut().filter(|peer| peer.pending == observing) {
+                        peer.step(&cfg, u);
+                    }
+                }
+            }
+        }
+        for peer in &peers {
+            peer.check_strategy();
+            peer.check_scalars(&cfg);
         }
     }
 

@@ -59,12 +59,13 @@ pub struct Selection {
 pub struct PeerMachine {
     peer: Peer,
     demand: Option<f64>,
-    impairments: ImpairmentPlan,
-    /// The peer's link state — token bucket, where its link's loss and
-    /// bandwidth chains stand. Exists only under a plan that
-    /// [affects rates](ImpairmentPlan::affects_rates): the clean-link
-    /// swarms (10⁵ peers a process) carry a pointer's worth, not the state.
-    shaper: Option<Box<LinkShaper>>,
+    /// The impairment plan and the peer's link state under it — token
+    /// bucket, where its link's loss and bandwidth chains stand. Exists
+    /// only under a plan that
+    /// [affects rates](ImpairmentPlan::affects_rates), the one case that
+    /// reads either: the clean-link swarms (10⁵ peers a process) carry a
+    /// pointer's worth, not the plan and the state.
+    link: Option<Box<(ImpairmentPlan, LinkShaper)>>,
     /// The `(helper, epoch)` of the in-flight request, consumed by the
     /// rate delivery — shaping decisions are per-link, so the peer must
     /// remember which link the reply rides.
@@ -74,8 +75,9 @@ pub struct PeerMachine {
 impl PeerMachine {
     /// Wraps a live peer under the given impairment plan.
     pub fn new(peer: Peer, demand: Option<f64>, impairments: ImpairmentPlan) -> Self {
-        let shaper = impairments.affects_rates().then(Box::default);
-        Self { peer, demand, impairments, shaper, inflight: None }
+        let link =
+            impairments.affects_rates().then(|| Box::new((impairments, LinkShaper::new())));
+        Self { peer, demand, link, inflight: None }
     }
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same
@@ -106,8 +108,8 @@ impl PeerMachine {
     /// payload is lost (deterministic per `(peer, helper, epoch)` link).
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
         let helper = self.peer.choose_helper();
-        let lost = match &mut self.shaper {
-            Some(shaper) => shaper.is_lost(&self.impairments, self.peer.id().0, helper, epoch),
+        let lost = match self.link.as_deref_mut() {
+            Some((plan, shaper)) => shaper.is_lost(plan, self.peer.id().0, helper, epoch),
             // A plan that affects no rate loses nothing.
             None => false,
         };
@@ -122,9 +124,9 @@ impl PeerMachine {
     /// `rths_sim::System::step_epoch`, which is what keeps impaired runs
     /// bit-identical across backends.
     pub fn on_rate(&mut self, kbps: f64) -> f64 {
-        let kbps = match (self.inflight.take(), &mut self.shaper) {
-            (Some((helper, epoch)), Some(shaper)) => {
-                shaper.shape(&self.impairments, self.peer.id().0, helper, epoch, kbps)
+        let kbps = match (self.inflight.take(), self.link.as_deref_mut()) {
+            (Some((helper, epoch)), Some((plan, shaper))) => {
+                shaper.shape(plan, self.peer.id().0, helper, epoch, kbps)
             }
             _ => kbps,
         };
@@ -491,6 +493,20 @@ mod tests {
             None,
         );
         assert!(m.on_tick(0).lost);
+    }
+
+    /// Plan and link state are read together or not at all, so a peer
+    /// whose plan shapes no rate — none, or delivery delays only — holds
+    /// neither.
+    #[test]
+    fn clean_links_hold_neither_plan_nor_link_state() {
+        let sim = small_sim();
+        let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
+        for plan in [ImpairmentPlan::none(), delays.with_jitter(5)] {
+            assert!(PeerMachine::from_config(&sim, 0, 2, plan, None).link.is_none());
+        }
+        let lossy = ImpairmentPlan::builder(9).uniform_loss(0.1).build().unwrap();
+        assert!(PeerMachine::from_config(&sim, 0, 2, lossy, None).link.is_some());
     }
 
     #[test]

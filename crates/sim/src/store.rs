@@ -51,7 +51,9 @@
 
 use rand::rngs::StdRng;
 
-use rths_core::{for_each_survivor_move, Learner, LearnerSlab, RecencyMode, RthsConfig};
+use rths_core::{
+    for_each_survivor_move, Learner, LearnerSlab, RecencyMode, RthsConfig, OBSERVE_BATCH,
+};
 use rths_obs::{self as obs, Counter, Gauge, ObsScratch, Phase};
 use rths_par::{par_sharded, ShardCols};
 use rths_stoch::rng::entity_rng;
@@ -545,6 +547,15 @@ impl PeerStore {
     /// ([`LearnerSlab::track_estimates`]: one scan of every T block,
     /// `m` more scalars per peer); from then on an estimate is an `O(m)`
     /// read per peer per epoch. A store never asked pays neither.
+    ///
+    /// Slab-hosted learners update in blocks of [`OBSERVE_BATCH`] peers:
+    /// before a block, one pass loads the T cache lines its updates are
+    /// about to read ([`SlabCols::touch`](rths_core::SlabCols::touch);
+    /// every peer's action has been pending since the choose phase), so
+    /// the misses of eight updates overlap instead of each update waiting
+    /// on its own. The pass stores nothing and the per-peer body runs in
+    /// the same order as without it, so no result depends on it; a slab
+    /// whose learners span at most 8 actions skips it.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
@@ -625,6 +636,11 @@ impl PeerStore {
                 let t_observe = obs::span_start();
                 let mut folds = 0u64;
                 for i in 0..shard.len() {
+                    // Each block of slab updates runs behind one pass of
+                    // loads over the T lines they are about to read.
+                    if let (0, LearnerCols::Slab(slab)) = (i % OBSERVE_BATCH, &mut learners) {
+                        slab.touch(i..(i + OBSERVE_BATCH).min(shard.len()));
+                    }
                     let abs = shard.start + i;
                     let channel = channels[abs];
                     let config = &configs[channel as usize];
@@ -884,20 +900,22 @@ mod tests {
         assert_eq!(s.regret_stages(0), 1, "arity change must restart the stage clock");
     }
 
-    /// A miniature epoch loop driven straight against the store; with
-    /// `churn`, peers leave and join between epochs, so the slab's block
-    /// handles are a non-identity permutation of the slots each shard
-    /// is handed. The regret estimate is asked for from epoch
-    /// `track_from` on (which is when a slab starts maintaining its row
-    /// maxima). Returns everything an epoch computes, as bits.
+    /// A miniature epoch loop driven straight against the store, its
+    /// peers learning over `actions` helpers; with `churn`, peers leave
+    /// and join between epochs, so the slab's block handles are a
+    /// non-identity permutation of the slots each shard is handed. The
+    /// regret estimate is asked for from epoch `track_from` on (which is
+    /// when a slab starts maintaining its row maxima). Returns everything
+    /// an epoch computes, as bits.
     fn drive_phases(
         algorithm: Algorithm,
+        actions: usize,
         shards: usize,
         churn: bool,
         track_from: u32,
     ) -> (Vec<(u64, u64)>, Vec<u64>, Vec<u64>) {
         let spec = LearnerSpec { algorithm, ..LearnerSpec::default() };
-        let mut s = PeerStore::new(7, spec, 400.0, &[3]);
+        let mut s = PeerStore::new(7, spec, 400.0, &[actions]);
         for _ in 0..40 {
             s.spawn(0, 0);
         }
@@ -924,7 +942,7 @@ mod tests {
                 &mut profile,
                 &mut aux,
                 &mut loads,
-                3,
+                actions,
                 &mut scratch,
                 |_, choice, _, _, loads| loads[choice as usize] += 1,
             );
@@ -935,7 +953,7 @@ mod tests {
             let (est, emp) = s.observe_phase(
                 &profile,
                 &mut delivered,
-                &[0, 3],
+                &[0, actions],
                 &join,
                 &mut scratch,
                 epoch >= track_from,
@@ -950,46 +968,65 @@ mod tests {
         (stats, probs, delivered.iter().map(|r| r.to_bits()).collect())
     }
 
+    /// Learner arities on either side of the slab's geometry gate: at 3
+    /// the observe sweep calls each update directly, at 12 it runs them in
+    /// blocks of [`OBSERVE_BATCH`] behind the load pass.
+    const ARITIES: [usize; 2] = [3, 12];
+
+    /// Shard counts that leave a 40-peer store's shards (of 20, 14 + 13,
+    /// 10, 7 + 6, 6 + 5, 4 + 3 and 2 + 1 peers) ending in observe blocks of
+    /// every length 1…7.
+    const SHARDS: [usize; 7] = [2, 3, 4, 6, 7, 13, 23];
+
     #[test]
     fn phases_run_identically_at_any_shard_count() {
-        // The choose/observe trajectories must be bit-identical at 1, 2,
-        // 4 and 7 shards (the engine-level sweep lives in tests/).
-        let base = drive_phases(Algorithm::Rths, 1, false, 0);
-        for shards in [2usize, 4, 7] {
-            let got = drive_phases(Algorithm::Rths, shards, false, 0);
-            assert_eq!(got, base, "diverged at {shards} shards");
+        // The choose/observe trajectories must be bit-identical at any
+        // shard count (the engine-level sweep lives in tests/).
+        for actions in ARITIES {
+            let base = drive_phases(Algorithm::Rths, actions, 1, false, 0);
+            for shards in SHARDS {
+                let got = drive_phases(Algorithm::Rths, actions, shards, false, 0);
+                assert_eq!(got, base, "{actions} actions diverged at {shards} shards");
+            }
         }
     }
 
     /// Under churn too, wherever the store hosts the algorithm: tracking
-    /// and matching in the slab (batch-decayed and inline), EXP3 in the
-    /// per-peer column, which compacts alongside the others. The estimate
-    /// series comes from the slab's maintained row maxima; asking for it
-    /// only once churn has permuted the block handles (and arrivals have
-    /// reused departed peers' blocks) yields the same bits from there on.
+    /// and matching in the slab (batch-decayed and inline; the observe
+    /// blocks then reach their T lines through gathered block views), EXP3
+    /// in the per-peer column, which compacts alongside the others. The
+    /// estimate series comes from the slab's maintained row maxima; asking
+    /// for it only once churn has permuted the block handles (and arrivals
+    /// have reused departed peers' blocks) yields the same bits from there
+    /// on.
     #[test]
     fn phases_run_identically_at_any_shard_count_under_churn() {
-        let mut seen = vec![drive_phases(Algorithm::Rths, 1, false, 0)];
-        for algorithm in [Algorithm::Rths, Algorithm::RegretMatching, Algorithm::Exp3] {
-            let base = drive_phases(algorithm, 1, true, 0);
-            assert!(!seen.contains(&base), "{algorithm:?} replayed another script");
-            for shards in [2usize, 4, 7] {
-                let got = drive_phases(algorithm, shards, true, 0);
-                assert_eq!(got, base, "{algorithm:?} diverged at {shards} shards");
+        for actions in ARITIES {
+            let mut seen = vec![drive_phases(Algorithm::Rths, actions, 1, false, 0)];
+            for algorithm in [Algorithm::Rths, Algorithm::RegretMatching, Algorithm::Exp3] {
+                let base = drive_phases(algorithm, actions, 1, true, 0);
+                assert!(!seen.contains(&base), "{algorithm:?} replayed another script");
+                for shards in SHARDS {
+                    let got = drive_phases(algorithm, actions, shards, true, 0);
+                    assert_eq!(
+                        got, base,
+                        "{algorithm:?}/{actions} diverged at {shards} shards"
+                    );
+                }
+                const LATE: usize = 14;
+                let late = drive_phases(algorithm, actions, 4, true, LATE as u32);
+                assert!(late.0[..LATE].iter().all(|&(est, _)| est == 0), "asked too early");
+                assert!(
+                    base.0[LATE..].iter().all(|&(est, _)| est != 0),
+                    "{algorithm:?}: no estimate"
+                );
+                assert_eq!(late.0[LATE..], base.0[LATE..], "{algorithm:?} late estimates");
+                let empirical =
+                    |stats: &[(u64, u64)]| stats.iter().map(|s| s.1).collect::<Vec<_>>();
+                assert_eq!(empirical(&late.0[..LATE]), empirical(&base.0[..LATE]));
+                assert_eq!((&late.1, &late.2), (&base.1, &base.2));
+                seen.push(base);
             }
-            const LATE: usize = 14;
-            let late = drive_phases(algorithm, 4, true, LATE as u32);
-            assert!(late.0[..LATE].iter().all(|&(est, _)| est == 0), "asked too early");
-            assert!(
-                base.0[LATE..].iter().all(|&(est, _)| est != 0),
-                "{algorithm:?}: no estimate"
-            );
-            assert_eq!(late.0[LATE..], base.0[LATE..], "{algorithm:?} late estimates");
-            let empirical =
-                |stats: &[(u64, u64)]| stats.iter().map(|s| s.1).collect::<Vec<_>>();
-            assert_eq!(empirical(&late.0[..LATE]), empirical(&base.0[..LATE]));
-            assert_eq!((&late.1, &late.2), (&base.1, &base.2));
-            seen.push(base);
         }
     }
 }

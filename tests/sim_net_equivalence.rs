@@ -49,6 +49,7 @@ fn assert_outcome_matches_sim(
     threads: usize,
     sim_out: &rths_sim::Outcome,
     net_out: &NetOutcome,
+    estimates: bool,
 ) {
     let tag = format!("{backend} backend, RTHS_THREADS={threads}");
     assert_eq!(sim_out.epochs, net_out.epochs, "{tag}: epoch counts diverged");
@@ -83,9 +84,15 @@ fn assert_outcome_matches_sim(
     );
     // The estimate series is learner-derived on both sides (the peers
     // attach their virtual-play Q maxima to observations; the simulator
-    // scans the same slab state) — it must agree bit-for-bit too.
+    // scans the same slab state) — it must agree bit-for-bit too. A net
+    // run told not to track it reports `+0.0` every epoch.
+    let expected = if estimates {
+        bits(sim_out.metrics.worst_regret_estimate.values())
+    } else {
+        vec![0; sim_out.epochs as usize]
+    };
     assert_eq!(
-        bits(sim_out.metrics.worst_regret_estimate.values()),
+        expected,
         bits(net_out.metrics.worst_regret_estimate.values()),
         "{tag}: regret estimate series diverged"
     );
@@ -116,7 +123,7 @@ fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
             let mut sim = System::new(sim_config.clone());
             let sim_out = sim.run(epochs);
             let reactor = rths_net::run(NetConfig::from_sim(sim_config.clone()), epochs);
-            assert_outcome_matches_sim("reactor", threads, &sim_out, &reactor);
+            assert_outcome_matches_sim("reactor", threads, &sim_out, &reactor, true);
             for processes in [2usize, 4] {
                 let report = rths_net::run_multiproc_with_span(
                     NetConfig::from_sim(sim_config.clone()),
@@ -129,6 +136,7 @@ fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
                     threads,
                     &sim_out,
                     &report.outcome,
+                    true,
                 );
                 // The net hosts also agree on message accounting — same
                 // protocol, different transport.
@@ -226,6 +234,7 @@ fn jitter_does_not_change_results() {
                     rths_par::threads(),
                     &sim_out,
                     &reactor.finish(),
+                    true,
                 );
                 cases += 1;
             }
@@ -283,4 +292,72 @@ fn equivalent_under_full_impairment_stack() {
         .impairment(plan)
         .build();
     assert_equivalent(config, 90);
+}
+
+/// The configuration the throughput workloads run — peers attach no
+/// regret estimate — on both net backends. Nothing then reads a learner
+/// between its observe and the next epoch's select, so a shard's observes
+/// sit in their slab's queue and run in batches (`rths_core::slab`); with
+/// estimates on, each is flushed by the read that follows it. At 8 helpers
+/// the slab's geometry gate runs every observe directly instead. Every
+/// series and both per-peer summaries still equal the simulator's, which
+/// never queues.
+fn assert_equivalent_without_estimates(sim_config: SimConfig, epochs: u64) {
+    for threads in [1usize, 2] {
+        with_threads(threads, || {
+            let sim_out = System::new(sim_config.clone()).run(epochs);
+            assert!(sim_out.metrics.worst_regret_estimate.values().iter().all(|&e| e > 0.0));
+            let config = NetConfig::from_sim(sim_config.clone()).with_track_estimate(false);
+            let reactor = rths_net::run(config.clone(), epochs);
+            assert_outcome_matches_sim(
+                "reactor, no estimates",
+                threads,
+                &sim_out,
+                &reactor,
+                false,
+            );
+            let report = rths_net::run_multiproc_with_span(config, epochs, 2, 32);
+            assert_outcome_matches_sim(
+                "multiproc(2), no estimates",
+                threads,
+                &sim_out,
+                &report.outcome,
+                false,
+            );
+            assert_eq!(reactor.messages, report.outcome.messages);
+        });
+    }
+}
+
+/// 45 peers over `helpers` helpers, clean and under the full impairment
+/// stack. The reactor hosts all 45 learners in one slab (five full observe
+/// batches and one of five); at a shard span of 32 each of the two
+/// processes holds one shard and its slab — 14 and 31 learners at 16
+/// helpers, so one and three full batches and partial ones of 6 and 7.
+fn without_estimates(helpers: usize) {
+    let plan = ImpairmentPlan::builder(77)
+        .gilbert_loss(0.02, 0.25, 0.9, 0.15)
+        .token_bucket(500.0, 1200.0)
+        .link_bandwidth(vec![250.0, 500.0, 900.0], 0.9)
+        .latency(vec![1, 3], 0.8)
+        .build()
+        .expect("valid impairment plan")
+        .with_jitter(150);
+    let config = || {
+        SimConfig::builder(45, vec![BandwidthSpec::Paper { stay: 0.9 }; helpers])
+            .demand(400.0)
+            .seed(31)
+    };
+    assert_equivalent_without_estimates(config().build(), 40);
+    assert_equivalent_without_estimates(config().impairment(plan).build(), 40);
+}
+
+#[test]
+fn equivalent_without_estimates_on_the_direct_path() {
+    without_estimates(8);
+}
+
+#[test]
+fn equivalent_without_estimates_on_the_queued_path() {
+    without_estimates(16);
 }
