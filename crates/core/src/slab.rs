@@ -11,7 +11,7 @@
 //!            slot 0                    slot 1                 …
 //!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]                stride s
 //!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]                stride s
-//!   best:  [ b₀ … bₛ ]             [ b₀ … bₛ ]                stride s, on demand
+//!   best:  [ b₀ … bₛ | d₀ … dₛ ]   [ b₀ … bₛ | d₀ … dₛ ]      stride 2s, on demand
 //!   played:[ column bitmask ]      [ column bitmask ]         ⌈s/64⌉ words
 //!   arity / stage / pending / scale / block: one scalar per slot
 //!                                     │
@@ -71,19 +71,23 @@
 //!   and the clamp at zero are each non-decreasing, and the max over `k`
 //!   commutes with all three: it is the same expression evaluated once,
 //!   at `best[r] = max_k S(r,k)` (a never-played column counting as the
-//!   `+0.0` it holds). A slab that is asked for estimates keeps `best` —
-//!   `m` scalars per slot, slot-addressed like `probs` — exact wherever
-//!   `S` changes. The rank-1 update with a coefficient `≥ 0` only raises
-//!   column `j`, so `best[r] = max(best[r], S(r,j))` right after it; a
-//!   negative coefficient (legal through the `Learner` API, never
-//!   produced by a rate) rebuilds the slot's row by a scan;
-//!   renormalisation applies its exact 2⁻²⁵⁶ scale and subnormal flush
-//!   (monotone too) to the row; a wipe, a reset and `alloc` zero it; a
-//!   clone copies it; compaction moves it with the slot's other rows. The
-//!   query gathers the played diagonal and runs one
-//!   `shifted_regret_max(best, diag, f)` — `O(m)` loads where the scan of
-//!   the played columns takes `O(played · m)`, and `System` asks it of
-//!   every peer every epoch. **Demand-driven, not a setting:** the column
+//!   `+0.0` it holds). A slab that is asked for estimates keeps `best`
+//!   and, beside it in the same slot-addressed row, the diagonal
+//!   `diag[r] = S(r,r)` — `2m` scalars per slot, laid out like `probs` at
+//!   twice the stride — exact wherever `S` changes. The rank-1 update
+//!   with a coefficient `≥ 0` only raises column `j`, so `best[r] =
+//!   max(best[r], S(r,j))` right after it; a negative coefficient (legal
+//!   through the `Learner` API, never produced by a rate) rebuilds the
+//!   slot's maxima by a scan; either way `diag[j]` is copied from the
+//!   one diagonal entry the update wrote. Renormalisation applies its
+//!   exact 2⁻²⁵⁶ scale and subnormal flush (monotone too) to the whole
+//!   row, as it does to the `S` entries the row mirrors; a wipe, a reset
+//!   and `alloc` zero it; a clone copies it; compaction moves it with the
+//!   slot's other rows. The query is one `shifted_regret_max(best, diag,
+//!   f)` over two slot-addressed rows — it never touches T, where the scan
+//!   of the played columns loads `O(played · m)` scattered lines and even
+//!   the diagonal alone is one line per played column, and `System` asks
+//!   it of every peer every epoch. **Demand-driven, not a setting:** the column
 //!   does not exist until the first estimate request
 //!   ([`LearnerSlab::track_estimates`]; [`LearnerSlab::max_regret`] and
 //!   the store's observe phase make it), which builds every row once by
@@ -265,9 +269,10 @@ fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
 /// threshold (or `keep` was zero). Unflagged columns are exactly `+0.0`
 /// (slab invariant), which a rescale and a wipe both leave bit-identical,
 /// so they are skipped and their pages stay unwritten. The slot's
-/// maintained row maxima (`best`, when the slab keeps them) get the same
-/// map, which is monotone and so commutes with the max. Returns the
-/// number of columns written.
+/// maintained estimate row (`best` and `diag`, when the slab keeps them)
+/// gets the same map: the diagonal copies stored entries, and the map is
+/// monotone, so it commutes with the maxima. Returns the number of
+/// columns written.
 fn apply_decay(
     step: Decay,
     t: &mut [f64],
@@ -292,11 +297,11 @@ fn apply_decay(
     }
 }
 
-/// Gathers one slot's diagonal `S(r, r)`, `r < m`, into `diag`: the played
-/// entries are loaded, a never-played column's is the `+0.0` it holds.
-fn gather_diagonal(t: &[f64], played: &[u64], stride: usize, m: usize, diag: &mut Vec<f64>) {
-    diag.clear();
-    diag.resize(m, 0.0);
+/// Gathers one slot's diagonal `S(r, r)`, `r < diag.len()`, into `diag`:
+/// the played entries are loaded, a never-played column's is the `+0.0`
+/// it holds.
+fn gather_diagonal(t: &[f64], played: &[u64], stride: usize, diag: &mut [f64]) {
+    diag.fill(0.0);
     for_each_played(played, |k| diag[k] = t[k * stride + k]);
 }
 
@@ -332,7 +337,9 @@ fn max_regret_in(
     factor: f64,
     diag: &mut Vec<f64>,
 ) -> f64 {
-    gather_diagonal(t, played, stride, m, diag);
+    diag.clear();
+    diag.resize(m, 0.0);
+    gather_diagonal(t, played, stride, diag);
     let mut max = f64::NEG_INFINITY;
     for_each_played(played, |k| {
         max =
@@ -428,13 +435,12 @@ pub struct LearnerSlab {
     /// block — either free list — instead of fresh arena (observability:
     /// churn is not costing allocator traffic or new pages).
     reuses: u64,
-    /// Maintained row maxima, `best[r] = max_k S(r, k)` of every live
-    /// slot: `stride` scalars per slot, slot-addressed and sized like
-    /// `probs`. `None` until someone asks for a regret estimate
+    /// Maintained estimate rows of every live slot, `2 · stride` scalars
+    /// each, slot-addressed: the row maxima `best[r] = max_k S(r, k)`,
+    /// then the diagonal `diag[r] = S(r, r)` at offset `stride`. `None`
+    /// until someone asks for a regret estimate
     /// ([`track_estimates`](Self::track_estimates)).
     best: Option<Vec<f64>>,
-    /// Diagonal scratch of the per-slot [`max_regret`](Self::max_regret).
-    diag: Vec<f64>,
     /// Regret-row scratch of the observes the slab runs for its
     /// [`SlabLearner`]s.
     row: Vec<f64>,
@@ -481,7 +487,6 @@ impl LearnerSlab {
             free_blocks: Vec::new(),
             reuses: 0,
             best: None,
-            diag: Vec::new(),
             row: Vec::new(),
             queue: Vec::new(),
         }
@@ -503,7 +508,7 @@ impl LearnerSlab {
             self.freq = vec![0.0; target * self.stride];
             self.played = vec![0; target * self.words];
             if let Some(best) = &mut self.best {
-                *best = vec![0.0; target * self.stride];
+                *best = vec![0.0; target * 2 * self.stride];
             }
         } else {
             self.t.resize(target * self.stride * self.stride, 0.0);
@@ -511,7 +516,7 @@ impl LearnerSlab {
             self.freq.resize(target * self.stride, 0.0);
             self.played.resize(target * self.words, 0);
             if let Some(best) = &mut self.best {
-                best.resize(target * self.stride, 0.0);
+                best.resize(target * 2 * self.stride, 0.0);
             }
         }
         self.arity.reserve(target - self.arity.len());
@@ -581,7 +586,7 @@ impl LearnerSlab {
                             self.freq.resize((s + 1) * self.stride, 0.0);
                             self.played.resize((s + 1) * self.words, 0);
                             if let Some(best) = &mut self.best {
-                                best.resize((s + 1) * self.stride, 0.0);
+                                best.resize((s + 1) * 2 * self.stride, 0.0);
                             }
                         }
                         s as u32
@@ -598,8 +603,8 @@ impl LearnerSlab {
         // Freed blocks were wiped when their slot departed and fresh
         // ones are zero, and the slot's bitmask row is clear (wiped on
         // release, cleared behind a compaction), so T and the mask need
-        // no work; only the uniform prefix, the lazy scale and the row
-        // maxima (a departed learner's may linger in the row) do.
+        // no work; only the uniform prefix, the lazy scale and the
+        // estimate row (a departed learner's may linger in it) do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
@@ -609,7 +614,7 @@ impl LearnerSlab {
         self.probs[base..base + num_actions].fill(p);
         self.freq[base..base + num_actions].fill(p);
         if let Some(best) = &mut self.best {
-            best[base..base + self.stride].fill(0.0);
+            best[2 * base..2 * (base + self.stride)].fill(0.0);
         }
         slot as u32
     }
@@ -656,7 +661,7 @@ impl LearnerSlab {
         self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
         self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
         if let Some(best) = &mut self.best {
-            best.copy_within(src * stride..(src + 1) * stride, dst * stride);
+            best.copy_within(2 * src * stride..2 * (src + 1) * stride, 2 * dst * stride);
         }
         self.stage[dst] = self.stage[src];
         self.pending[dst] = self.pending[src];
@@ -695,7 +700,10 @@ impl LearnerSlab {
             probs.copy_within(read * stride..(read + 1) * stride, write * stride);
             freq.copy_within(read * stride..(read + 1) * stride, write * stride);
             if let Some(best) = best {
-                best.copy_within(read * stride..(read + 1) * stride, write * stride);
+                best.copy_within(
+                    2 * read * stride..2 * (read + 1) * stride,
+                    2 * write * stride,
+                );
             }
             played.copy_within(read * words..(read + 1) * words, write * words);
             arity[write] = arity[read];
@@ -736,33 +744,34 @@ impl LearnerSlab {
         self.probs[base..base + num_actions].fill(p);
         self.freq[base..base + num_actions].fill(p);
         if let Some(best) = &mut self.best {
-            best[base..base + self.stride].fill(0.0);
+            best[2 * base..2 * (base + self.stride)].fill(0.0);
         }
     }
 
-    /// Starts maintaining every slot's row maxima (see the module docs),
-    /// so that [`max_regret`](Self::max_regret) and
-    /// [`SlabCols::max_regret`] read `O(m)` instead of scanning the played
-    /// columns. The rows are built once, by that scan; from then on every
-    /// operation that writes `S` keeps them exact. Idempotent and free
-    /// when already on. There is no way back: a slab somebody asks for
-    /// estimates keeps being asked.
+    /// Starts maintaining every slot's row maxima and diagonal (see the
+    /// module docs), so that [`max_regret`](Self::max_regret) and
+    /// [`SlabCols::max_regret`] read two `O(m)` rows instead of scanning
+    /// the played columns. The rows are built once, by that scan and a
+    /// diagonal gather; from then on every operation that writes `S`
+    /// keeps them exact. Idempotent and free when already on. There is no
+    /// way back: a slab somebody asks for estimates keeps being asked.
     pub fn track_estimates(&mut self) {
         self.flush();
         if self.best.is_some() {
             return;
         }
         let (stride, words) = (self.stride, self.words);
-        let mut best = vec![0.0; self.probs.len()];
+        let mut best = vec![0.0; 2 * self.probs.len()];
         for slot in 0..self.arity.len() {
             // A free-listed slot has arity 0: an empty row, nothing built.
             let m = self.arity[slot] as usize;
-            rebuild_row_maxima(
+            let (t, played) = (
                 &self.t[self.block_range(slot)],
                 &self.played[slot * words..(slot + 1) * words],
-                stride,
-                &mut best[slot * stride..slot * stride + m],
             );
+            let (maxima, diag) = best[2 * slot * stride..].split_at_mut(stride);
+            rebuild_row_maxima(t, played, stride, &mut maxima[..m]);
+            gather_diagonal(t, played, stride, &mut diag[..m]);
         }
         self.best = Some(best);
     }
@@ -800,7 +809,7 @@ impl LearnerSlab {
             stage: &mut self.stage[slot..=slot],
             scale: &mut self.scale[slot..=slot],
             best: self.best.as_mut().map(|best| {
-                Strided::new(stride, &mut best[slot * stride..(slot + 1) * stride])
+                Strided::new(2 * stride, &mut best[2 * slot * stride..2 * (slot + 1) * stride])
             }),
             strategy: StrategyCols {
                 probs: Strided::new(
@@ -977,7 +986,7 @@ impl LearnerSlab {
             best: self
                 .best
                 .as_mut()
-                .map(|best| Strided::new(self.stride, &mut best[..n * self.stride])),
+                .map(|best| Strided::new(2 * self.stride, &mut best[..2 * n * self.stride])),
             strategy: StrategyCols {
                 probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
                 arity: &mut self.arity,
@@ -1035,14 +1044,11 @@ impl LearnerSlab {
     }
 
     /// Largest derived regret of a slot, read from the maintained row
-    /// maxima — which this first request turns on
+    /// maxima and diagonal — which this first request turns on
     /// ([`track_estimates`](Self::track_estimates)).
     pub fn max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
         self.track_estimates();
-        let mut diag = std::mem::take(&mut self.diag);
-        let max = self.slot_cols(slot).max_regret(0, config, &mut diag);
-        self.diag = diag;
-        max
+        self.slot_cols(slot).max_regret(0, config, &mut Vec::new())
     }
 }
 
@@ -1168,7 +1174,8 @@ pub struct SlabCols<'a> {
     played: Strided<'a, u64>,
     stage: &'a mut [u64],
     scale: &'a mut [f64],
-    /// The maintained row maxima, when the slab keeps them.
+    /// The maintained estimate rows (row maxima, then diagonal), when the
+    /// slab keeps them.
     best: Option<Strided<'a, f64>>,
     strategy: StrategyCols<'a>,
 }
@@ -1343,15 +1350,17 @@ impl SlabCols<'_> {
         kernels::axpy(&mut t[j * stride..j * stride + m], coef, &probs[..m]);
         played[j / 64] |= 1 << (j % 64);
         if let Some(best) = &mut self.best {
-            let best = &mut best.row(i)[..m];
+            let (best, diag) = best.row(i).split_at_mut(stride);
             if coef >= 0.0 {
                 // `coef ≥ 0` lowers no entry of column j (probabilities
                 // are positive), so each row's maximum is its old one or
                 // the new entry.
-                kernels::max_assign(best, &t[j * stride..j * stride + m]);
+                kernels::max_assign(&mut best[..m], &t[j * stride..j * stride + m]);
             } else {
-                rebuild_row_maxima(t, played, stride, best);
+                rebuild_row_maxima(t, played, stride, &mut best[..m]);
             }
+            // The one diagonal entry the update wrote.
+            diag[j] = t[j * stride + j];
         }
 
         // Play-frequency average (same weighting scheme as T).
@@ -1403,20 +1412,21 @@ impl SlabCols<'_> {
         );
     }
 
-    /// Largest derived regret of slot `i`, with a caller-provided
-    /// diagonal scratch so steady-state phases allocate nothing. On a
-    /// slab that [tracks estimates](LearnerSlab::track_estimates) this
-    /// gathers the diagonal and reads the slot's `m` row maxima; on any
-    /// other it scans the played columns — same bits either way.
+    /// Largest derived regret of slot `i`. On a slab that [tracks
+    /// estimates](LearnerSlab::track_estimates) this reads the slot's `m`
+    /// row maxima and `m` diagonal entries and no T line; on any other it
+    /// scans the played columns, gathering the diagonal into the
+    /// caller-provided scratch so steady-state phases allocate nothing —
+    /// same bits either way.
     pub fn max_regret(&mut self, i: usize, config: &RthsConfig, diag: &mut Vec<f64>) -> f64 {
         let m = self.strategy.arity[i] as usize;
         let factor = factor_for(config, self.stage[i]) * self.scale[i];
-        let (t, played) = (self.t.of(i), self.played.row(i));
         let Some(best) = &mut self.best else {
+            let (t, played) = (self.t.of(i), self.played.row(i));
             return max_regret_in(t, played, self.stride, m, factor, diag);
         };
-        gather_diagonal(t, played, self.stride, m, diag);
-        finite_regret(kernels::shifted_regret_max(&best.row(i)[..m], diag, factor))
+        let (best, diag) = best.row(i).split_at(self.stride);
+        finite_regret(kernels::shifted_regret_max(&best[..m], &diag[..m], factor))
     }
 
     /// Slot `i`'s current mixed strategy.
@@ -1697,8 +1707,9 @@ mod tests {
 
         /// Test hook: the slot's estimate from the maintained rows (turned
         /// on by this call if they were not), after checking that it is
-        /// the scan's value and that the slot's row is what a rebuild from
-        /// nothing gives — all `to_bits`.
+        /// the scan's value, that the slot's row maxima are what a rebuild
+        /// from nothing gives and that its diagonal is what a gather from T
+        /// gives — all `to_bits`.
         fn checked_max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
             let kept = self.max_regret(slot, config);
             assert_eq!(
@@ -1714,8 +1725,17 @@ mod tests {
                 stride,
                 &mut rebuilt,
             );
+            let mut gathered = vec![0.0; m];
+            gather_diagonal(
+                &self.t[self.block_range(slot)],
+                &self.played[slot * self.words..(slot + 1) * self.words],
+                stride,
+                &mut gathered,
+            );
             let best = self.best.as_ref().expect("max_regret turns the rows on");
-            assert_bitwise(&best[slot * stride..slot * stride + m], &rebuilt, "row maxima");
+            let row = &best[2 * slot * stride..2 * (slot + 1) * stride];
+            assert_bitwise(&row[..m], &rebuilt, "row maxima");
+            assert_bitwise(&row[stride..stride + m], &gathered, "diagonal");
             kept
         }
 
@@ -2298,30 +2318,36 @@ mod tests {
         assert_eq!(slab.free_list_reuses(), next_id - 50, "every arrival reused a block");
     }
 
-    /// The maintained estimate against the scan and the scalar oracle after
-    /// **every** stage: every recency mode × conditional, the rows turned
-    /// on before the first stage and mid-run, arity below and at the
-    /// stride, ε = 0.5 so the tracking runs cross a renormalisation, and
-    /// utilities of both signs — a negative one lowers its column, which
-    /// is the arm that rebuilds the slot's rows by a scan.
+    /// The maintained estimate — row maxima and diagonal — against the
+    /// scan and the scalar oracle after **every** stage: every recency mode
+    /// × conditional, the rows turned on before the first stage and
+    /// mid-run, arity below and at the stride, ε = 0.5 so the tracking
+    /// runs cross a renormalisation and ε = 1 so they wipe every stage, a
+    /// clone that carries on in the original's place, and utilities of
+    /// both signs — a negative one lowers its column, which is the arm
+    /// that rebuilds the slot's maxima by a scan.
     #[test]
     fn maintained_estimate_matches_scan_and_oracle_at_every_stage() {
         let modes = [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform];
-        for (recency, conditional) in modes.into_iter().flat_map(|r| [(r, false), (r, true)]) {
+        let runs = modes.into_iter().flat_map(|r| [(r, false), (r, true)]);
+        for ((recency, conditional), eps) in runs.flat_map(|r| [(r, FAST_EPS), (r, 1.0)]) {
             for ((m, stride), track_from) in
                 [(4, 7), (5, 5)].into_iter().flat_map(|g| [(g, 0u64), (g, 130)])
             {
-                let cfg = config_eps(m, FAST_EPS, recency, conditional);
+                let cfg = config_eps(m, eps, recency, conditional);
                 let mut slab = LearnerSlab::new(stride);
                 // A neighbour in slot 0, so the rows read are not the
                 // column's first.
                 slab.alloc(m);
-                let slot = slab.alloc(m) as usize;
+                let mut slot = slab.alloc(m) as usize;
                 let mut oracle = RthsState::new(&cfg);
                 let mut rng = rand::rngs::StdRng::seed_from_u64(77);
                 let mut scratch = Vec::new();
                 let mut lowered = 0;
                 for s in 0..400u64 {
+                    if s == 250 {
+                        slot = slab.clone_slot(slot as u32) as usize;
+                    }
                     let mut replay = rng.clone();
                     let j = slab.select_action(slot, &mut rng);
                     assert_eq!(j, oracle.select_action(&mut replay), "stage {s}");
@@ -2329,7 +2355,7 @@ mod tests {
                     lowered += u64::from(u < 0.0 && s >= track_from);
                     slab.observe(slot, &cfg, u, &mut scratch);
                     oracle.observe(&cfg, u, &mut scratch);
-                    let what = format!("{recency:?}/{conditional} m={m} stage {s}");
+                    let what = format!("{recency:?}/{conditional} ε={eps} m={m} stage {s}");
                     let want = oracle.max_regret(&cfg).to_bits();
                     assert_eq!(slab.scan_max_regret(slot, &cfg).to_bits(), want, "{what}");
                     if s >= track_from {
@@ -2343,8 +2369,12 @@ mod tests {
                     }
                 }
                 assert!(lowered > 50, "only {lowered} stages took the rebuild arm");
-                if recency == RecencyMode::Exponential {
-                    assert_renormalised(&slab, slot, &cfg);
+                match (recency, eps == 1.0) {
+                    (RecencyMode::Exponential, false) => assert_renormalised(&slab, slot, &cfg),
+                    // Forgetting everything leaves `scale` at 1: a wipe
+                    // every stage instead.
+                    (RecencyMode::Exponential, true) => assert_eq!(slab.scale[slot], 1.0),
+                    _ => {}
                 }
             }
         }

@@ -45,9 +45,10 @@ pub struct NetConfig {
     /// Whether peers attach their learner's internal regret estimate to
     /// every observation (the `worst_regret_estimate` series). The first
     /// estimate a shard's learner slab is asked for makes it maintain its
-    /// row maxima (`m` more scalars per peer; see `rths_core::slab`), and
-    /// deriving one is then an `O(m)` read per peer per epoch — the same
-    /// trade the simulator's `track_estimate` flag controls. Off, neither
+    /// row maxima and diagonal (`2m` more scalars per peer; see
+    /// `rths_core::slab`), and deriving one is then a read of two `O(m)`
+    /// slot-addressed rows per peer per epoch that touches no T line —
+    /// the same trade the simulator's `track_estimate` flag controls. Off, neither
     /// is paid, and nothing reads a learner between its observe and the
     /// next epoch's select, so a shard's observes run in batches whose
     /// cache misses overlap (the slab's observe queue); on, the estimate

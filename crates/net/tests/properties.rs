@@ -8,6 +8,7 @@ use rths_net::machines::{
     instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine, Settlement,
 };
 use rths_net::NetConfig;
+use rths_sim::regret::{DenseRegret, SNAPSHOT_SLOTS};
 use rths_sim::{BandwidthSpec, ImpairmentPlan, SimConfig, SimMetrics, System};
 use rths_stoch::rng::derive_seed;
 
@@ -232,6 +233,69 @@ fn machines_are_arrival_order_independent() {
             drive_machines(&sim, EPOCHS, Some(schedule)),
             reference,
             "arrival schedule {schedule} changed a result"
+        );
+    }
+}
+
+/// The reactor's Fig. 1 series against the dense oracle: the coordinator's
+/// `worst_empirical_regret` — stretch-folded, sharded, and read only where
+/// a peer's bound exceeds the running max — must be, every epoch and
+/// `to_bits`, the max over peers of `DenseRegret::record` fed the same
+/// seeded selections (a quarter of the peers switching each epoch),
+/// integral rates and integral helper reports, for more than
+/// `SNAPSHOT_SLOTS` epochs so window folds and ring wrap run. 4,200 peers
+/// shard the record at `RTHS_THREADS=2`.
+#[test]
+fn coordinator_regret_series_matches_dense_oracle() {
+    const EPOCHS: u64 = 2 * SNAPSHOT_SLOTS as u64 + 44;
+    let (n, h) = (4200, 6);
+    let mut coord = CoordinatorMachine::new(&config(n, h, 5, None), 0.0);
+    let mut dense = DenseRegret::new(&[h]);
+    (0..n).for_each(|_| dense.add_peer());
+    let mut draw = {
+        let mut counter = 0u64;
+        move |below: u64| {
+            counter += 1;
+            derive_seed(2014, counter) % below
+        }
+    };
+    let mut chosen: Vec<usize> = (0..n).map(|p| p % h).collect();
+    let mut want = Vec::new();
+    for _ in 0..EPOCHS {
+        coord.begin_epoch();
+        for (p, helper) in chosen.iter_mut().enumerate() {
+            if draw(4) == 0 {
+                *helper = draw(h as u64) as usize;
+            }
+            coord.on_selected(p as u64, *helper);
+        }
+        // A report of `load` and `(load + 1) · j` gives join rate `j`
+        // exactly.
+        let join: Vec<f64> = (0..h).map(|_| draw(600) as f64).collect();
+        for (j, &rate) in join.iter().enumerate() {
+            let load = draw(n as u64) as usize;
+            coord.on_helper_report(j, load, rate * (load + 1) as f64);
+        }
+        let mut worst = 0.0f64;
+        for (p, &helper) in chosen.iter().enumerate() {
+            let rate = draw(800) as f64;
+            coord.on_observed(p as u64, rate, 0.0);
+            worst = worst.max(dense.record(p, 0, helper, rate, &join));
+        }
+        want.push(worst.to_bits());
+        coord.finish_epoch();
+    }
+    let (metrics, _, _) = coord.finalize_summaries([]);
+    let got: Vec<u64> =
+        metrics.worst_empirical_regret.values().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got.len(), want.len());
+    for (e, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "epoch {e}: ledger {} vs dense {}",
+            f64::from_bits(*got),
+            f64::from_bits(*want)
         );
     }
 }

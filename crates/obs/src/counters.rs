@@ -30,6 +30,10 @@ pub enum Counter {
     /// Regret-ledger stretch closes (arm switches, window folds,
     /// migrations).
     StretchFolds,
+    /// Peer-epochs whose regret row the epoch's worst-peer fold had to
+    /// read because the peer's `O(1)` bound exceeded the running max
+    /// (`rths_sim::regret::record_max`); every other peer-epoch skipped it.
+    RegretExactReads,
 }
 
 impl Counter {
@@ -41,10 +45,11 @@ impl Counter {
         Counter::SlabColumnsTouched,
         Counter::FreeListReuse,
         Counter::StretchFolds,
+        Counter::RegretExactReads,
     ];
 
     /// Number of counters.
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 7;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -55,6 +60,7 @@ impl Counter {
             Counter::SlabColumnsTouched => "slab_columns_touched",
             Counter::FreeListReuse => "free_list_reuse",
             Counter::StretchFolds => "stretch_folds",
+            Counter::RegretExactReads => "regret_exact_reads",
         }
     }
 

@@ -71,6 +71,46 @@
 //! [`record`] function with the same inputs at the same epochs (the
 //! `sim_net_equivalence` suite pins that bit-for-bit).
 //!
+//! # The epoch's worst peer: bound, then read
+//!
+//! Fig. 1 keeps only the epoch's **maximum** over peers, but a peer's
+//! value is an `O(m)` read: every entry `k ≠ played` of its row plus the
+//! open stretch's prefix difference, `v_k = fl(fl(r_k + d_k) − dtr)` with
+//! `d_k = fl(g[k] − snap_entry[k])`, then `max(+0, v_0 … v_{m−1}) /
+//! stages`. [`record_max`] first evaluates an `O(1)` upper bound,
+//!
+//! ```text
+//! ub = max(+0, rowmax, fl(fl(rowmax + dmax[entry][c]) − dtr)) / stages
+//! ```
+//!
+//! from two maintained quantities — `rowmax`, the max of the peer's
+//! `row[..arity]` (kept where the row is written: the stretch close,
+//! [`RegretLedger::migrate`], the lazy arity reset, `add_peer` and
+//! `remove_slots`), and `dmax[s][c] = max_k fl(g[k] − ring[s][k])`, which
+//! [`RegretLedger::advance_epoch`] computes for channel `c` and each of
+//! the ≤ [`STRETCH_WINDOW`] entry epochs `s` an open stretch can reference
+//! — and reads the row only when `ub` exceeds the running max. That is
+//! rare: the worst peer is found early and rarely changes.
+//!
+//! The pruned fold is **bit-identical** to the exact one:
+//!
+//! * *Monotonicity.* Round-to-nearest `fl(a + b)` and `fl(x − c)` are
+//!   non-decreasing in each argument, and so is division by `stages > 0`.
+//!   `r_k ≤ rowmax` and `d_k ≤ dmax` therefore give every `v_k ≤ ub·stages`
+//!   exactly, and the played entry `r_played ≤ rowmax` too; the peer's
+//!   value is `≤ ub`.
+//! * *No `−0`.* Rows, `g`, the ring and `tr` start at `+0.0` and only gain
+//!   sums of non-negative rates, and `x − x = +0`; so a value equal to the
+//!   running max has its bits, and skipping a peer with `ub ≤ worst`
+//!   leaves the `max` fold exactly where reading it would have.
+//! * *NaN.* `f64::max` drops a NaN operand, so the exact fold ignores NaN
+//!   entries; a NaN bound is kept rather than dropped, fails the `≤`
+//!   test and takes the exact read.
+//!
+//! Each shard folds its own running max, so the result stays the same at
+//! any shard count. [`record_counted`] (and [`record`]) always read: they
+//! return the peer's own value, which the oracle tests compare.
+//!
 //! # Churn
 //!
 //! Per-peer state is slot-aligned with the owning store's columns and
@@ -80,6 +120,7 @@
 //! stretch needs no fold — its row leaves the population with it.
 
 use rths_core::for_each_survivor_move;
+use rths_obs::{self as obs, Counter};
 use rths_par::{par_sharded, Shard, ShardCols, Strided};
 
 /// Sentinel arm index: no open stretch.
@@ -114,6 +155,10 @@ pub struct RegretLedger {
     /// Snapshot ring: slot `e & 127` holds the *exclusive* prefix of
     /// epoch `e` (i.e. `G_{e−1}`), laid out like `g`.
     ring: Vec<f64>,
+    /// Open-stretch bound table: `dmax[(s mod STRETCH_WINDOW)·K + c]` is
+    /// `max_k fl(g[k] − ring[s][k])` over channel `c`'s `k`, for every
+    /// entry epoch `s` an open stretch can reference (`K` channels).
+    dmax: Vec<f64>,
     // === per-peer columns (slot-aligned with the owning store) ===
     /// Open-stretch arm ([`NO_ARM`] when none).
     arm: Vec<u32>,
@@ -131,17 +176,21 @@ pub struct RegretLedger {
     /// channel migration back to the original arity keeps its
     /// accumulated regret history.
     arity: Vec<u32>,
+    /// Max of `rows[..arity]` per peer (`+0.0` before the first record).
+    rowmax: Vec<f64>,
     /// Folded rows, `stride` scalars per peer (trailing slack is zero).
     rows: Vec<f64>,
 }
 
 /// The shared (read-only during a phase) half of a split ledger: global
-/// prefix, snapshot ring, layout, and the epoch records target.
+/// prefix, snapshot ring, bound table, layout, and the epoch records
+/// target.
 #[derive(Debug, Clone, Copy)]
 pub struct LedgerCtx<'a> {
     offsets: &'a [usize],
     g: &'a [f64],
     ring: &'a [f64],
+    dmax: &'a [f64],
     /// The epoch being recorded (`epochs − 1`).
     epoch: u64,
 }
@@ -157,6 +206,7 @@ pub struct LedgerCols<'a> {
     tr: &'a mut [f64],
     stages: &'a mut [u64],
     arity: &'a mut [u32],
+    rowmax: &'a mut [f64],
     rows: Strided<'a, f64>,
 }
 
@@ -168,6 +218,7 @@ impl ShardCols for LedgerCols<'_> {
         let (tr_a, tr_b) = self.tr.split_at_mut(mid);
         let (st_a, st_b) = self.stages.split_at_mut(mid);
         let (ar_a, ar_b) = self.arity.split_at_mut(mid);
+        let (rm_a, rm_b) = self.rowmax.split_at_mut(mid);
         let (rows_a, rows_b) = self.rows.shard_split(mid);
         (
             LedgerCols {
@@ -177,6 +228,7 @@ impl ShardCols for LedgerCols<'_> {
                 tr: tr_a,
                 stages: st_a,
                 arity: ar_a,
+                rowmax: rm_a,
                 rows: rows_a,
             },
             LedgerCols {
@@ -186,10 +238,30 @@ impl ShardCols for LedgerCols<'_> {
                 tr: tr_b,
                 stages: st_b,
                 arity: ar_b,
+                rowmax: rm_b,
                 rows: rows_b,
             },
         )
     }
+}
+
+/// Channel `channel`'s offset into `g` and its arity.
+fn channel_span(offsets: &[usize], channel: usize) -> (usize, usize) {
+    (offsets[channel], offsets[channel + 1] - offsets[channel])
+}
+
+/// The exact `O(m)` read: the worst entry of a peer's `row` (its channel's
+/// `m` entries), with the open stretch on arm `open` recovered as the
+/// prefix difference `gnow − snap_entry` minus the stretch's rate sum
+/// `dtr`, clamped at `+0` — the peer's value before the time average.
+#[inline]
+fn row_max(row: &[f64], open: usize, gnow: &[f64], snap_entry: &[f64], dtr: f64) -> f64 {
+    let mut max = 0.0f64;
+    for (k, ((&r, &g), &s)) in row.iter().zip(gnow).zip(snap_entry).enumerate() {
+        let v = if k == open { r } else { r + (g - s) - dtr };
+        max = max.max(v);
+    }
+    max
 }
 
 impl RegretLedger {
@@ -211,12 +283,14 @@ impl RegretLedger {
             epochs: 0,
             g: vec![0.0; total],
             ring: vec![0.0; SNAPSHOT_SLOTS * total],
+            dmax: vec![0.0; STRETCH_WINDOW as usize * actions_per_channel.len()],
             arm: Vec::new(),
             entry: Vec::new(),
             tr_entry: Vec::new(),
             tr: Vec::new(),
             stages: Vec::new(),
             arity: Vec::new(),
+            rowmax: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -245,6 +319,7 @@ impl RegretLedger {
         self.tr.push(0.0);
         self.stages.push(0);
         self.arity.push(0);
+        self.rowmax.push(0.0);
         self.rows.extend(std::iter::repeat_n(0.0, self.stride));
     }
 
@@ -264,7 +339,7 @@ impl RegretLedger {
     /// ledger's global state is slot-independent, so no fold is needed.
     pub fn remove_slots(&mut self, slots: &[u32]) {
         let stride = self.stride;
-        let Self { arm, entry, tr_entry, tr, stages, arity, rows, .. } = self;
+        let Self { arm, entry, tr_entry, tr, stages, arity, rowmax, rows, .. } = self;
         let kept = for_each_survivor_move(arm.len(), slots, |read, write| {
             arm.swap(write, read);
             entry.swap(write, read);
@@ -272,6 +347,7 @@ impl RegretLedger {
             tr.swap(write, read);
             stages.swap(write, read);
             arity.swap(write, read);
+            rowmax.swap(write, read);
             rows.copy_within(read * stride..(read + 1) * stride, write * stride);
         });
         arm.truncate(kept);
@@ -280,6 +356,7 @@ impl RegretLedger {
         tr.truncate(kept);
         stages.truncate(kept);
         arity.truncate(kept);
+        rowmax.truncate(kept);
         rows.truncate(kept * stride);
     }
 
@@ -293,8 +370,11 @@ impl RegretLedger {
         if arm == NO_ARM {
             return;
         }
-        let off = self.offsets[old_channel];
-        let m = self.offsets[old_channel + 1] - off;
+        let (off, m) = channel_span(&self.offsets, old_channel);
+        debug_assert_eq!(
+            self.arity[slot] as usize, m,
+            "migrating from a channel never recorded"
+        );
         let entry = self.entry[slot];
         // The stretch covers every recorded epoch up to `epochs − 1`,
         // whose inclusive prefix is the live `g` itself.
@@ -302,17 +382,22 @@ impl RegretLedger {
         let snap_entry = &self.ring[ring_off + off..ring_off + off + m];
         let dtr = self.tr[slot] - self.tr_entry[slot];
         let row = &mut self.rows[slot * self.stride..slot * self.stride + m];
+        let mut top = f64::NEG_INFINITY;
         for (k, r) in row.iter_mut().enumerate() {
             if k != arm as usize {
                 *r += (self.g[off + k] - snap_entry[k]) - dtr;
             }
+            top = top.max(*r);
         }
+        self.rowmax[slot] = top;
         self.arm[slot] = NO_ARM;
     }
 
-    /// Starts an epoch: snapshots the exclusive prefix into the ring and
-    /// adds this epoch's join rates to `g`. Must be called exactly once
-    /// per epoch, before any [`record`] for it.
+    /// Starts an epoch: snapshots the exclusive prefix into the ring,
+    /// adds this epoch's join rates to `g`, and refreshes the bound table
+    /// for every entry epoch an open stretch can reference (`STRETCH_WINDOW
+    /// · Σm` subtractions). Must be called exactly once per epoch, before
+    /// any [`record`] for it.
     ///
     /// # Panics
     ///
@@ -326,7 +411,21 @@ impl RegretLedger {
         for (gk, &jr) in self.g.iter_mut().zip(join_rates) {
             *gk += jr;
         }
+        let e = self.epochs;
         self.epochs += 1;
+        // A record at `e` leaves its stretch entered at `e − 63 ..= e`.
+        let channels = self.offsets.len() - 1;
+        for s in e.saturating_sub(STRETCH_WINDOW - 1)..=e {
+            let snap = &self.ring[(s & SLOT_MASK) as usize * glen..][..glen];
+            let bounds = &mut self.dmax[(s % STRETCH_WINDOW) as usize * channels..][..channels];
+            for (c, bound) in bounds.iter_mut().enumerate() {
+                let (lo, hi) = (self.offsets[c], self.offsets[c + 1]);
+                *bound = self.g[lo..hi]
+                    .iter()
+                    .zip(&snap[lo..hi])
+                    .fold(f64::NEG_INFINITY, |max, (g, snap)| max.max(g - snap));
+            }
+        }
     }
 
     /// Splits the ledger into its shared context and mutable per-peer
@@ -344,12 +443,14 @@ impl RegretLedger {
             tr: &mut self.tr,
             stages: &mut self.stages,
             arity: &mut self.arity,
+            rowmax: &mut self.rowmax,
             rows: Strided::new(self.stride, &mut self.rows),
         };
         let ctx = LedgerCtx {
             offsets: &self.offsets,
             g: &self.g,
             ring: &self.ring,
+            dmax: &self.dmax,
             epoch: self.epochs - 1,
         };
         (cols, ctx)
@@ -361,28 +462,22 @@ impl RegretLedger {
         if self.stages[slot] == 0 {
             return 0.0;
         }
-        let row = &self.rows[slot * self.stride..(slot + 1) * self.stride];
         let arm = self.arm[slot];
-        let mut max = 0.0f64;
-        if arm == NO_ARM {
-            for &v in row {
-                max = max.max(v);
-            }
+        let max = if arm == NO_ARM {
+            // No stretch open (a migration closed it): the row alone,
+            // whose slack past the arity is zero.
+            self.rowmax[slot].max(0.0)
         } else {
-            let off = self.offsets[channel];
-            let m = self.offsets[channel + 1] - off;
-            let ring_off = (self.entry[slot] & SLOT_MASK) as usize * self.g.len();
-            let snap_entry = &self.ring[ring_off + off..ring_off + off + m];
-            let dtr = self.tr[slot] - self.tr_entry[slot];
-            for (k, &r) in row[..m].iter().enumerate() {
-                let v = if k == arm as usize {
-                    r
-                } else {
-                    r + (self.g[off + k] - snap_entry[k]) - dtr
-                };
-                max = max.max(v);
-            }
-        }
+            let (off, m) = channel_span(&self.offsets, channel);
+            let ring_off = (self.entry[slot] & SLOT_MASK) as usize * self.g.len() + off;
+            row_max(
+                &self.rows[slot * self.stride..][..m],
+                arm as usize,
+                &self.g[off..off + m],
+                &self.ring[ring_off..ring_off + m],
+                self.tr[slot] - self.tr_entry[slot],
+            )
+        };
         max / self.stages[slot] as f64
     }
 
@@ -392,7 +487,9 @@ impl RegretLedger {
     /// contiguous ranges with a shard-ordered max reduction. Returns the
     /// epoch's worst time-averaged regret — bit-identical at any shard
     /// count (per-peer values are independent, and the merge is a max
-    /// over non-negatives).
+    /// over non-negatives). Each shard reads only the rows its running
+    /// max cannot bound ([`record_max`]); when tracing, their number goes
+    /// to [`Counter::RegretExactReads`].
     pub fn record_all_max(
         &mut self,
         chosen: &[usize],
@@ -409,12 +506,25 @@ impl RegretLedger {
         let used = shards.clamp(1, n);
         shard_max.clear();
         shard_max.resize(used, 0.0);
+        let tracing = obs::enabled();
         let (cols, ctx) = self.split();
         par_sharded(n, used, cols, &mut shard_max[..], |shard: Shard, mut cols, max| {
+            let (mut folds, mut reads) = (0u64, 0u64);
             for i in 0..shard.len() {
                 let abs = shard.start + i;
-                let v = record(&mut cols, &ctx, i, 0, chosen[abs], rates[abs]);
-                *max = max.max(v);
+                reads += u64::from(record_max(
+                    &mut cols,
+                    &ctx,
+                    i,
+                    0,
+                    chosen[abs],
+                    rates[abs],
+                    &mut folds,
+                    max,
+                ));
+            }
+            if tracing {
+                obs::counter_add(Counter::RegretExactReads, reads);
             }
         });
         shard_max.iter().copied().fold(0.0f64, f64::max)
@@ -457,8 +567,56 @@ pub fn record_counted(
     rate: f64,
     folds: &mut u64,
 ) -> f64 {
-    let off = ctx.offsets[channel];
-    let m = ctx.offsets[channel + 1] - off;
+    let (off, m) = update(cols, ctx, i, channel, played, rate, folds);
+    read(cols, ctx, i, off, m)
+}
+
+/// [`record_counted`] for a caller that keeps only the epoch's maximum:
+/// folds peer `i`'s value into `worst` (`*worst = worst.max(value)`),
+/// reading the peer's row only when the `O(1)` bound of the module docs
+/// exceeds `worst`. Returns whether it read. `worst` ends bit-identical
+/// to folding every [`record_counted`] value into it, and the ledger
+/// ends in the same state.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn record_max(
+    cols: &mut LedgerCols<'_>,
+    ctx: &LedgerCtx<'_>,
+    i: usize,
+    channel: usize,
+    played: usize,
+    rate: f64,
+    folds: &mut u64,
+    worst: &mut f64,
+) -> bool {
+    let (off, m) = update(cols, ctx, i, channel, played, rate, folds);
+    let rowmax = cols.rowmax[i];
+    let channels = ctx.offsets.len() - 1;
+    let dmax = ctx.dmax[(cols.entry[i] % STRETCH_WINDOW) as usize * channels + channel];
+    let open = rowmax + dmax - (cols.tr[i] - cols.tr_entry[i]);
+    // `f64::max` would drop a NaN `open`; keep it, so it fails the test.
+    let ub = if open.is_nan() { open } else { open.max(rowmax).max(0.0) };
+    if ub / cols.stages[i] as f64 <= *worst {
+        return false;
+    }
+    *worst = worst.max(read(cols, ctx, i, off, m));
+    true
+}
+
+/// The stretch bookkeeping of one record — lazy arity reset, stretch
+/// close, rate sums — keeping the peer's `rowmax` wherever its row is
+/// written. Returns the channel's offset and arity.
+#[inline]
+fn update(
+    cols: &mut LedgerCols<'_>,
+    ctx: &LedgerCtx<'_>,
+    i: usize,
+    channel: usize,
+    played: usize,
+    rate: f64,
+    folds: &mut u64,
+) -> (usize, usize) {
+    let (off, m) = channel_span(ctx.offsets, channel);
     let glen = ctx.g.len();
     let row = cols.rows.row(i);
     // Lazy arity reset (historical semantics: an arity change discards
@@ -466,6 +624,7 @@ pub fn record_counted(
     if cols.arity[i] != m as u32 {
         if cols.arity[i] != 0 {
             row.fill(0.0);
+            cols.rowmax[i] = 0.0;
             cols.stages[i] = 0;
             cols.tr[i] = 0.0;
             cols.tr_entry[i] = 0.0;
@@ -485,11 +644,14 @@ pub fn record_counted(
             let snap_entry = &ctx.ring[entry_off..entry_off + m];
             let snap_now = &ctx.ring[now_off..now_off + m];
             let dtr = cols.tr[i] - cols.tr_entry[i];
+            let mut top = f64::NEG_INFINITY;
             for (k, r) in row[..m].iter_mut().enumerate() {
                 if k != arm {
                     *r += (snap_now[k] - snap_entry[k]) - dtr;
                 }
+                top = top.max(*r);
             }
+            cols.rowmax[i] = top;
         }
         cols.arm[i] = played as u32;
         cols.entry[i] = e;
@@ -497,17 +659,22 @@ pub fn record_counted(
     }
     cols.tr[i] += rate;
     cols.stages[i] += 1;
-    // The epoch's worst entry: the open stretch recovered as a prefix
-    // difference on the fly, everything else straight from the row.
-    let entry_off = (cols.entry[i] & SLOT_MASK) as usize * glen + off;
-    let snap_entry = &ctx.ring[entry_off..entry_off + m];
-    let gnow = &ctx.g[off..off + m];
-    let dtr = cols.tr[i] - cols.tr_entry[i];
-    let mut max = 0.0f64;
-    for (k, &r) in row[..m].iter().enumerate() {
-        let v = if k == played { r } else { r + (gnow[k] - snap_entry[k]) - dtr };
-        max = max.max(v);
-    }
+    (off, m)
+}
+
+/// Peer `i`'s time-averaged value after its [`update`]: the open stretch
+/// recovered as a prefix difference on the fly, everything else straight
+/// from the row.
+#[inline]
+fn read(cols: &mut LedgerCols<'_>, ctx: &LedgerCtx<'_>, i: usize, off: usize, m: usize) -> f64 {
+    let entry_off = (cols.entry[i] & SLOT_MASK) as usize * ctx.g.len() + off;
+    let max = row_max(
+        &cols.rows.row(i)[..m],
+        cols.arm[i] as usize,
+        &ctx.g[off..off + m],
+        &ctx.ring[entry_off..entry_off + m],
+        cols.tr[i] - cols.tr_entry[i],
+    );
     max / cols.stages[i] as f64
 }
 
@@ -745,6 +912,256 @@ mod tests {
             let f = record(&mut cols, &ctx, 0, 0, 1, ((e * 5) % 9) as f64);
             let d = dense.record(0, 0, 1, ((e * 5) % 9) as f64, &join);
             assert_eq!(f.to_bits(), d.to_bits(), "diverged at epoch {e}");
+        }
+    }
+
+    impl RegretLedger {
+        /// Test hook: `rowmax` and the live bound table are what a
+        /// recompute from the rows, `g` and the ring gives — `to_bits`.
+        fn assert_maintained(&self, what: &str) {
+            for slot in 0..self.len() {
+                let row = &self.rows[slot * self.stride..][..self.arity[slot] as usize];
+                let want = if row.is_empty() {
+                    0.0
+                } else {
+                    row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+                };
+                assert_eq!(
+                    self.rowmax[slot].to_bits(),
+                    want.to_bits(),
+                    "{what}: rowmax {slot}"
+                );
+            }
+            let Some(e) = self.epochs.checked_sub(1) else { return };
+            let (channels, glen) = (self.offsets.len() - 1, self.g.len());
+            for s in e.saturating_sub(STRETCH_WINDOW - 1)..=e {
+                let snap = &self.ring[(s & SLOT_MASK) as usize * glen..];
+                for c in 0..channels {
+                    let want = (self.offsets[c]..self.offsets[c + 1])
+                        .map(|k| self.g[k] - snap[k])
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    let got = self.dmax[(s % STRETCH_WINDOW) as usize * channels + c];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}: dmax[{s}][{c}]");
+                }
+            }
+        }
+    }
+
+    /// How [`pruned_drive`] picks its population's moves.
+    #[derive(Clone, Copy, Default)]
+    struct Script {
+        /// Integral join rates and rates (else arbitrary fractions).
+        integral: bool,
+        /// Every peer plays and observes the same as peer 0.
+        identical: bool,
+        /// Odd peers copy their even neighbour: every max is a tie.
+        twins: bool,
+        /// Arrivals and departures between epochs.
+        churn: bool,
+        /// Channel migrations between epochs.
+        migrate: bool,
+        /// Departures and migrations pick the epoch's worst peer.
+        hunt_worst: bool,
+    }
+
+    /// The pruned epoch max at `shards` shards through [`record_max`], and
+    /// how many rows it read.
+    fn pruned_max(
+        ledger: &mut RegretLedger,
+        moves: &[(usize, usize, f64)],
+        shards: usize,
+    ) -> (f64, u64) {
+        let n = ledger.len();
+        let mut acc = vec![(0.0f64, 0u64); shards.clamp(1, n.max(1))];
+        let (cols, ctx) = ledger.split();
+        par_sharded(n, acc.len(), cols, &mut acc[..], |shard, mut cols, acc| {
+            let mut folds = 0;
+            for i in 0..shard.len() {
+                let (c, played, rate) = moves[shard.start + i];
+                let read =
+                    record_max(&mut cols, &ctx, i, c, played, rate, &mut folds, &mut acc.0);
+                acc.1 += u64::from(read);
+            }
+        });
+        (acc.iter().fold(0.0f64, |max, a| max.max(a.0)), acc.iter().map(|a| a.1).sum())
+    }
+
+    /// Drives one ledger through [`record_counted`] and, in lockstep, one
+    /// per shard count through the pruned fold (plus one through
+    /// [`RegretLedger::record_all_max`] on single-channel runs): every
+    /// epoch's pruned max must be the max of the exact per-peer values, the
+    /// ledgers must stay equal peer by peer, and `rowmax`/`dmax` must equal
+    /// a recompute after every operation. Returns `(reads, records)`.
+    fn pruned_drive(
+        seed: u64,
+        peers: usize,
+        arities: &[usize],
+        epochs: u64,
+        s: Script,
+    ) -> (u64, u64) {
+        const SHARDS: [usize; 4] = [1, 2, 3, 7];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut exact = RegretLedger::new(arities);
+        let mut channels: Vec<usize> = Vec::new();
+        for _ in 0..peers {
+            exact.add_peer();
+            channels.push(if s.identical { 0 } else { rng.gen_range(0..arities.len()) });
+        }
+        let mut pruned = vec![exact.clone(); SHARDS.len()];
+        let mut all = (arities.len() == 1).then(|| exact.clone());
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(arities.iter().scan(0, |t, &m| {
+                *t += m;
+                Some(*t)
+            }))
+            .collect();
+        let total = offsets[arities.len()];
+        let draw = |rng: &mut rand::rngs::StdRng, hi: f64| {
+            if s.integral {
+                rng.gen_range(0..hi as u64) as f64
+            } else {
+                rng.gen::<f64>() * hi
+            }
+        };
+        let (mut reads, mut records) = (0u64, 0u64);
+        for e in 0..epochs {
+            if s.twins {
+                // A twin sits on its neighbour's channel too.
+                for i in (1..channels.len()).step_by(2) {
+                    channels[i] = channels[i - 1];
+                }
+            }
+            let join: Vec<f64> = (0..total).map(|_| draw(&mut rng, 900.0)).collect();
+            let mut moves: Vec<(usize, usize, f64)> = Vec::with_capacity(channels.len());
+            for (i, &c) in channels.iter().enumerate() {
+                let mv = if (s.identical && i > 0) || (s.twins && i % 2 == 1) {
+                    moves[i - 1]
+                } else {
+                    let played = rng.gen_range(0..arities[c]);
+                    // A fifth of the epochs are lost: rate zero.
+                    let rate =
+                        if rng.gen_range(0..5) == 0 { 0.0 } else { draw(&mut rng, 800.0) };
+                    (c, played, rate)
+                };
+                moves.push(mv);
+            }
+            exact.advance_epoch(&offsets, &join);
+            let (mut cols, ctx) = exact.split();
+            let mut folds = 0;
+            let values: Vec<f64> = moves
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, p, r))| record_counted(&mut cols, &ctx, i, c, p, r, &mut folds))
+                .collect();
+            let want = values.iter().copied().fold(0.0f64, f64::max);
+            for (ledger, shards) in pruned.iter_mut().zip(SHARDS) {
+                ledger.advance_epoch(&offsets, &join);
+                let (got, read) = pruned_max(ledger, &moves, shards);
+                assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}, {shards} shards");
+                if shards == 1 {
+                    reads += read;
+                    records += moves.len() as u64;
+                }
+            }
+            if let Some(ledger) = &mut all {
+                ledger.advance_epoch(&offsets, &join);
+                let (chosen, rates): (Vec<usize>, Vec<f64>) =
+                    moves.iter().map(|&(_, p, r)| (p, r)).unzip();
+                let shards = SHARDS[e as usize % SHARDS.len()];
+                let got = ledger.record_all_max(&chosen, &rates, shards, &mut Vec::new());
+                assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}, record_all_max");
+            }
+            let mut others: Vec<&mut RegretLedger> =
+                pruned.iter_mut().chain(&mut all).collect();
+            check(&exact, &others, &channels, &format!("epoch {e}"));
+            let worst = values
+                .iter()
+                .enumerate()
+                .fold(
+                    (0, f64::NEG_INFINITY),
+                    |best, (i, &v)| if v > best.1 { (i, v) } else { best },
+                )
+                .0;
+            let pick = |rng: &mut rand::rngs::StdRng, n: usize| {
+                if s.hunt_worst {
+                    worst
+                } else {
+                    rng.gen_range(0..n)
+                }
+            };
+            if s.migrate && !channels.is_empty() && rng.gen_range(0..3) == 0 {
+                let slot = pick(&mut rng, channels.len());
+                let to = rng.gen_range(0..arities.len());
+                exact.migrate(slot, channels[slot]);
+                for ledger in others.iter_mut() {
+                    ledger.migrate(slot, channels[slot]);
+                }
+                channels[slot] = to;
+            }
+            if s.churn && rng.gen_range(0..3) == 0 {
+                if channels.len() > 2 && rng.gen_bool(0.5) {
+                    let slot = pick(&mut rng, channels.len()) as u32;
+                    exact.remove_slots(&[slot]);
+                    for ledger in others.iter_mut() {
+                        ledger.remove_slots(&[slot]);
+                    }
+                    channels.remove(slot as usize);
+                } else {
+                    exact.add_peer();
+                    for ledger in others.iter_mut() {
+                        ledger.add_peer();
+                    }
+                    channels.push(rng.gen_range(0..arities.len()));
+                }
+            }
+            check(&exact, &others, &channels, &format!("after epoch {e}"));
+        }
+        (reads, records)
+    }
+
+    /// Every ledger of `others` keeps its bound state exact and agrees
+    /// with `exact` on every peer's value.
+    fn check(
+        exact: &RegretLedger,
+        others: &[&mut RegretLedger],
+        channels: &[usize],
+        what: &str,
+    ) {
+        for ledger in others {
+            ledger.assert_maintained(what);
+            for (i, &c) in channels.iter().enumerate() {
+                assert_eq!(
+                    ledger.peer_max(i, c).to_bits(),
+                    exact.peer_max(i, c).to_bits(),
+                    "{what}: peer {i}"
+                );
+            }
+        }
+    }
+
+    /// The pruned fold (bound, then read) against the exact one, `to_bits`,
+    /// at shard counts 1/2/3/7: integral and fractional rates, lost
+    /// epochs, 1–3 channels of mixed arity, migrations, churn, and more
+    /// than `SNAPSHOT_SLOTS` epochs so window folds and ring wrap run.
+    /// Adversarial populations too: all peers identical, the worst peer
+    /// departing or migrating, and ties at the max.
+    #[test]
+    fn pruned_epoch_max_equals_exact_max() {
+        let base = Script::default();
+        let churned = Script { churn: true, migrate: true, ..base };
+        for integral in [true, false] {
+            let run = |seed, peers, arities: &[usize], s: Script| {
+                pruned_drive(seed, peers, arities, 200, Script { integral, ..s })
+            };
+            let (reads, records) = run(1, 40, &[6], base);
+            assert!(reads > 0 && reads < records / 2, "{reads} of {records} read");
+            run(2, 30, &[3, 5, 2], churned);
+            run(3, 25, &[4, 4], churned);
+            run(4, 20, &[1, 7], churned);
+            run(5, 12, &[5], Script { identical: true, ..base });
+            run(6, 24, &[3, 6], Script { hunt_worst: true, ..churned });
+            run(7, 24, &[5], Script { twins: true, ..base });
+            run(8, 16, &[4, 2, 5], Script { twins: true, hunt_worst: true, ..churned });
         }
     }
 

@@ -139,8 +139,6 @@ pub struct ShardScratch {
     pub loads: Vec<usize>,
     /// Regret-row scratch shared by the shard's slab learners.
     row: Vec<f64>,
-    /// Diagonal scratch for the shard's slab `max_regret` reads.
-    diag: Vec<f64>,
     /// Shard-local maximum of the learners' internal regret estimates.
     worst_estimate: f64,
     /// Shard-local maximum of the peers' empirical regrets.
@@ -539,14 +537,20 @@ impl PeerStore {
     /// the epoch's `(worst_regret_estimate, worst_empirical_regret)`,
     /// folded per-shard and merged in shard order (max over non-negative
     /// values — order-insensitive, so bit-identical at any shard count).
+    /// The empirical fold reads a peer's regret row only when the peer's
+    /// `O(1)` bound exceeds the shard's running max
+    /// ([`regret::record_max`]) — same bits as reading every row; when
+    /// tracing, the shard counts the rows it read
+    /// (`Counter::RegretExactReads`).
     ///
     /// `track_estimate` controls the first element; callers that do not
     /// record the series (multi-channel deployments) pass `false` and
     /// receive `0.0`. The first call that passes `true` makes the learner
-    /// slab maintain its row maxima
+    /// slab maintain its row maxima and diagonal
     /// ([`LearnerSlab::track_estimates`]: one scan of every T block,
-    /// `m` more scalars per peer); from then on an estimate is an `O(m)`
-    /// read per peer per epoch. A store never asked pays neither.
+    /// `2m` more scalars per peer); from then on an estimate reads two
+    /// `O(m)` slot-addressed rows per peer per epoch and no T line. A
+    /// store never asked pays neither.
     ///
     /// Slab-hosted learners update in blocks of [`OBSERVE_BATCH`] peers:
     /// before a block, one pass loads the T cache lines its updates are
@@ -634,7 +638,7 @@ impl PeerStore {
                     }
                 }
                 let t_observe = obs::span_start();
-                let mut folds = 0u64;
+                let (mut folds, mut reads) = (0u64, 0u64);
                 for i in 0..shard.len() {
                     // Each block of slab updates runs behind one pass of
                     // loads over the T lines they are about to read.
@@ -663,8 +667,10 @@ impl PeerStore {
                     }
                     // Stretch-folded true regret against the channel's
                     // counterfactual join rates (lazy arity reset on
-                    // channel migration — the historical semantics).
-                    let worst = regret::record_counted(
+                    // channel migration — the historical semantics),
+                    // folded into the shard's running max; the row is
+                    // read only when the peer's bound exceeds it.
+                    reads += u64::from(regret::record_max(
                         &mut ledger,
                         &ledger_ctx,
                         i,
@@ -672,25 +678,26 @@ impl PeerStore {
                         profile[abs] as usize,
                         rate,
                         &mut folds,
-                    );
-                    // Shard-affine metric folds (non-negative maxima).
+                        &mut s.worst_empirical,
+                    ));
+                    // Shard-affine metric fold (non-negative maxima).
                     if track_estimate {
                         let estimate = match &mut learners {
-                            LearnerCols::Slab(slab) => slab.max_regret(i, config, &mut s.diag),
+                            LearnerCols::Slab(slab) => {
+                                slab.max_regret(i, config, &mut Vec::new())
+                            }
                             LearnerCols::PerPeer(l) => l[i].max_regret(),
                         };
                         s.worst_estimate = s.worst_estimate.max(estimate);
                     }
-                    s.worst_empirical = s.worst_empirical.max(worst);
                     out[i] = rate;
                 }
                 if tracing {
                     if let Some(t) = t_observe {
                         s.obs.spans.record(Phase::SlabObserve, t);
                     }
-                    if folds > 0 {
-                        s.obs.add(Counter::StretchFolds, folds);
-                    }
+                    s.obs.add(Counter::StretchFolds, folds);
+                    s.obs.add(Counter::RegretExactReads, reads);
                 }
             },
         );

@@ -81,7 +81,9 @@ fn sim_system_is_bit_neutral_under_tracing() {
 /// what it names — the arrivals served from a departed peer's T block.
 /// Departures and arrivals are scripted between epochs, so the expected
 /// count follows from the population alone: an arrival reuses a block
-/// exactly when a departed one is still free.
+/// exactly when a departed one is still free. `regret_exact_reads`
+/// counts the peer-epochs whose regret row the epoch's worst-peer fold
+/// read: at least one, and fewer than all of them.
 #[test]
 fn churned_system_is_bit_neutral_and_counts_block_reuses() {
     with_threads(2, || {
@@ -113,7 +115,18 @@ fn churned_system_is_bit_neutral_and_counts_block_reuses() {
             bits(shadow.metrics.welfare.values()),
             "welfare diverged under tracing with churn"
         );
+        assert_eq!(
+            bits(plain.metrics.worst_empirical_regret.values()),
+            bits(shadow.metrics.worst_empirical_regret.values()),
+            "regret diverged under tracing with churn"
+        );
         assert_eq!(plain.final_population, shadow.final_population);
+        let peer_epochs: f64 = shadow.metrics.population.values().iter().sum();
+        let reads = report.counters[obs::Counter::RegretExactReads.index()];
+        assert!(
+            reads > 0 && (reads as f64) < peer_epochs,
+            "{reads} exact regret reads in {peer_epochs} peer-epochs"
+        );
         assert!(reused > 0 && reused <= arrived, "script reused {reused} of {arrived}");
         assert_eq!(
             report.counters[obs::Counter::FreeListReuse.index()],
