@@ -2,8 +2,10 @@
 //!
 //! The epoch protocol — tick, select, settle, observe — is one algorithm,
 //! written here once. Everything that determines *results* lives in this
-//! module: helper capacity dynamics, peer learning, demand capping, and
-//! the coordinator's metric arithmetic. The hosts — the reactor
+//! module or in the simulator code it calls: helper capacity dynamics,
+//! peer learning and demand capping here; the coordinator's metrics are
+//! the simulator's own [`EpochMetrics`] and regret record, fed what its
+//! messages report. The hosts — the reactor
 //! ([`crate::reactor_backend`]), in one process or sharded over several
 //! ([`crate::multiproc`]) — are thin shells that move these machines'
 //! inputs and outputs through mailboxes and sockets, which is what makes
@@ -13,11 +15,11 @@
 //! permutations to hold that.
 
 use rths_core::SharedSlab;
+use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{Helper, HelperId};
 use rths_sim::peer::{Peer, PeerId};
 use rths_sim::regret::RegretLedger;
-use rths_sim::server::StreamingServer;
-use rths_sim::{ImpairmentPlan, LinkShaper, SimConfig, SimMetrics};
+use rths_sim::{EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics};
 use rths_stoch::rng::entity_rng;
 
 /// Instantiates the helper set exactly as `rths_sim::System::new` does:
@@ -130,13 +132,7 @@ impl PeerMachine {
             }
             _ => kbps,
         };
-        let (rate, satisfied) = match self.demand {
-            Some(d) => {
-                let r = kbps.min(d);
-                (r, r >= d - 1e-9)
-            }
-            None => (kbps, true),
-        };
+        let (rate, satisfied) = cap_to_demand(kbps, self.demand);
         self.peer.deliver(rate, satisfied);
         rate
     }
@@ -205,9 +201,8 @@ impl<T> HelperMachine<T> {
     }
 }
 
-/// Reusable per-epoch coordinator buffers — cleared and refilled in place
-/// so steady-state epochs allocate nothing (the same discipline
-/// `rths_sim::System` adopted for its engines).
+/// The columns the coordinator's messages fill each epoch — cleared and
+/// refilled in place so steady-state epochs allocate nothing.
 #[derive(Debug, Default)]
 struct CoordScratch {
     /// Chosen helper per peer.
@@ -218,25 +213,20 @@ struct CoordScratch {
     capacities: Vec<f64>,
     /// Observed (demand-capped) rate per peer.
     rates: Vec<f64>,
-    /// Counterfactual join rate per helper.
-    join_rates: Vec<f64>,
-    /// Unmet demand per peer.
-    residuals: Vec<f64>,
 }
 
-/// The coordinator's state machine: an epoch-progress tracker plus the
-/// metric arithmetic of `rths_sim::System::step_epoch`, fed purely by
-/// observability-plane messages. It observes but never instructs — no
-/// assignment decision flows through it.
+/// The coordinator's state machine: an epoch-progress tracker that
+/// gathers, purely from observability-plane messages, what the simulator
+/// knows of an epoch, and records it through the simulator's own
+/// [`EpochMetrics`]. It observes but never instructs — no assignment
+/// decision flows through it.
 #[derive(Debug)]
 pub struct CoordinatorMachine {
     num_peers: usize,
     num_helpers: usize,
-    demand: Option<f64>,
-    helper_min_total: f64,
-    epoch: u64,
-    metrics: SimMetrics,
-    server: StreamingServer,
+    /// The metric half of every epoch, over one channel that every helper
+    /// serves with its whole capacity.
+    metrics: EpochMetrics,
     /// Stretch-folded true-regret accounting — `O(n·h)` memory instead
     /// of the historical dense `n·h²` table (~650 MB at 2×10⁴ peers ×
     /// 64 helpers, ~3.3 GB at 10⁵), sharing the exact record arithmetic
@@ -256,7 +246,7 @@ pub struct CoordinatorMachine {
 
 impl CoordinatorMachine {
     /// Creates the coordinator for a fixed population.
-    pub fn new(sim: &SimConfig, helper_min_total: f64) -> Self {
+    pub fn new(sim: &SimConfig, helper_min: f64) -> Self {
         let n = sim.num_peers;
         let h = sim.helpers.len();
         let mut regret = RegretLedger::new(&[h]);
@@ -266,11 +256,7 @@ impl CoordinatorMachine {
         Self {
             num_peers: n,
             num_helpers: h,
-            demand: sim.demand,
-            helper_min_total,
-            epoch: 0,
-            metrics: SimMetrics::new(h),
-            server: StreamingServer::new(),
+            metrics: EpochMetrics::new(h, helper_min, vec![sim.demand], vec![(0..h).collect()]),
             regret,
             shard_max: Vec::new(),
             worst_estimate: 0.0,
@@ -282,21 +268,15 @@ impl CoordinatorMachine {
         }
     }
 
-    /// Epoch about to run (0-based).
+    /// Epochs completed so far: the index of the epoch in flight.
     pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Epochs completed so far.
-    pub fn epochs_done(&self) -> u64 {
-        self.epoch
+        self.metrics.series().epochs() as u64
     }
 
     /// Resets per-epoch progress and scratch (no allocation in steady
     /// state: buffers retain their capacity across epochs).
     pub fn begin_epoch(&mut self) {
-        let CoordScratch { chosen, loads, capacities, rates, join_rates, residuals } =
-            &mut self.scratch;
+        let CoordScratch { chosen, loads, capacities, rates } = &mut self.scratch;
         chosen.clear();
         chosen.resize(self.num_peers, 0);
         loads.clear();
@@ -305,8 +285,6 @@ impl CoordinatorMachine {
         capacities.resize(self.num_helpers, 0.0);
         rates.clear();
         rates.resize(self.num_peers, 0.0);
-        join_rates.clear();
-        residuals.clear();
         self.selected = 0;
         self.reports = 0;
         self.observed = 0;
@@ -347,67 +325,29 @@ impl CoordinatorMachine {
         self.reports == self.num_helpers && self.observed == self.num_peers
     }
 
-    /// Records the epoch's metrics — mirroring
-    /// `rths_sim::System::step_epoch` arithmetic exactly, in the same
-    /// index-ordered float reduction order (and the exact same
-    /// stretch-folded regret record function, see `rths_sim::regret`).
+    /// Records the epoch: the stretch-folded regret record (the function
+    /// the simulator's observe phase calls, see `rths_sim::regret`), then
+    /// [`EpochMetrics`] fed what the messages reported. With one channel
+    /// the per-helper columns are the (helper, channel) tables, and a
+    /// helper's reported capacity is its channel's bandwidth.
     ///
     /// # Panics
     ///
     /// Panics if the epoch is not [`complete`](Self::epoch_complete).
     pub fn finish_epoch(&mut self) {
         assert!(self.epoch_complete(), "finish_epoch before all reports arrived");
-        let n = self.num_peers;
-        let h = self.num_helpers;
-        let demand = self.demand;
-        let CoordScratch { chosen, loads, capacities, rates, join_rates, residuals } =
-            &mut self.scratch;
-
-        join_rates.extend((0..h).map(|j| {
-            let raw = capacities[j] / (loads[j] + 1) as f64;
-            match demand {
-                Some(d) => raw.min(d),
-                None => raw,
-            }
-        }));
-        let mut welfare = 0.0;
-        for &rate in rates.iter() {
-            welfare += rate;
-            residuals.push(match demand {
-                Some(d) => (d - rate).max(0.0),
-                None => 0.0,
-            });
-        }
-        // Stretch-folded true regret, sharded over contiguous peer
-        // ranges with a shard-ordered max reduction. The worker count is
-        // capped so each shard amortizes its spawn
-        // (`rths_par::MIN_ITEMS_PER_WORKER`); the result is bit-identical
-        // at any shard count.
-        self.regret.advance_epoch(&[0, h], join_rates);
-        let shards = rths_par::threads().min(n / rths_par::MIN_ITEMS_PER_WORKER).max(1);
+        let CoordScratch { chosen, loads, capacities, rates } = &self.scratch;
+        let (offsets, join_rates) = self.metrics.allocation(loads, capacities);
+        self.regret.advance_epoch(offsets, join_rates);
+        // The record is sharded over contiguous peer ranges with a
+        // shard-ordered max reduction. The worker count is capped so each
+        // shard amortizes its spawn (`rths_par::MIN_ITEMS_PER_WORKER`);
+        // the result is bit-identical at any shard count.
+        let shards =
+            rths_par::threads().min(self.num_peers / rths_par::MIN_ITEMS_PER_WORKER).max(1);
         let emp = self.regret.record_all_max(chosen, rates, shards, &mut self.shard_max);
-        let total_demand = demand.unwrap_or(0.0) * n as f64;
-        let helper_now: f64 = capacities.iter().sum();
-        let server_epoch = self.server.settle_epoch(
-            residuals,
-            total_demand,
-            self.helper_min_total,
-            helper_now,
-        );
-
-        self.metrics.welfare.push(welfare);
-        self.metrics.server_load.push(server_epoch.load);
-        self.metrics.min_deficit.push(server_epoch.min_deficit);
-        self.metrics.current_deficit.push(server_epoch.current_deficit);
-        self.metrics.population.push(n as f64);
-        self.metrics.jain.push(rths_math::stats::jain_index(rates));
-        self.metrics.worst_empirical_regret.push(emp);
-        // The estimate series is the learner-reported virtual-play `Q`
-        // maxima the peers attach to their observations — the same
-        // derivation the simulator's observe phase uses, not a copy of
-        // the empirical series (the two agree only in the limit).
-        self.metrics.worst_regret_estimate.push(self.worst_estimate);
-        let mut switched = 0usize;
+        self.metrics.settle(rates, |_| 0, capacities.iter().sum());
+        let mut switched = 0;
         for (last, &now) in self.last_helper.iter_mut().zip(chosen.iter()) {
             if let Some(prev) = *last {
                 if prev != now {
@@ -416,32 +356,22 @@ impl CoordinatorMachine {
             }
             *last = Some(now);
         }
-        self.metrics.switches.push(switched as f64);
-        for (series, &l) in self.metrics.helper_loads.iter_mut().zip(loads.iter()) {
-            series.push(l as f64);
-        }
-        self.epoch += 1;
+        // The estimate series is the learner-reported virtual-play `Q`
+        // maxima the peers attach to their observations — the same
+        // derivation the simulator's observe phase uses, not a copy of
+        // the empirical series (the two agree only in the limit).
+        self.metrics.record(emp, Some(self.worst_estimate), switched);
     }
 
-    /// Final summaries from the peers' own accounting — per-peer
-    /// `(mean_rate, continuity)` pairs in ascending peer-id order, the
-    /// form the multi-process runtime ships across process boundaries —
-    /// producing the same metric bundle the simulator returns.
+    /// The metric bundle the simulator returns: the recorded series plus
+    /// the end-of-run summaries over the peers' own accounting, per-peer
+    /// `(mean_rate, continuity)` pairs in ascending peer-id order (the
+    /// form the multi-process runtime ships across process boundaries).
     pub fn finalize_summaries(
-        mut self,
+        &self,
         peers: impl IntoIterator<Item = (f64, f64)>,
-    ) -> (SimMetrics, Vec<f64>, Vec<f64>) {
-        let denom = self.epoch.max(1) as f64;
-        self.metrics.mean_helper_loads = self
-            .metrics
-            .helper_loads
-            .iter()
-            .map(|s| s.values().iter().sum::<f64>() / denom)
-            .collect();
-        let (rates, continuity): (Vec<f64>, Vec<f64>) = peers.into_iter().unzip();
-        self.metrics.mean_peer_rates = rates.clone();
-        self.metrics.peer_continuity = continuity.clone();
-        (self.metrics, rates, continuity)
+    ) -> SimMetrics {
+        self.metrics.summary(peers)
     }
 }
 
@@ -569,8 +499,8 @@ mod tests {
         }
         assert!(c.epoch_complete());
         c.finish_epoch();
-        assert_eq!(c.epochs_done(), 1);
-        let (metrics, rates, continuity) = c.finalize_summaries([]);
+        assert_eq!(c.epoch(), 1);
+        let metrics = c.finalize_summaries([]);
         assert_eq!(metrics.welfare.values(), &[1600.0]);
         assert_eq!(metrics.helper_loads[0].values(), &[2.0]);
         // The estimate series is the max of the peers' reported internal
@@ -581,7 +511,7 @@ mod tests {
             metrics.worst_empirical_regret.values()[0],
             "estimate must be learner-derived, not the empirical value"
         );
-        assert!(rates.is_empty() && continuity.is_empty());
+        assert!(metrics.mean_peer_rates.is_empty() && metrics.peer_continuity.is_empty());
     }
 
     #[test]

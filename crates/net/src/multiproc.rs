@@ -194,7 +194,9 @@ pub fn run_multiproc(config: NetConfig, epochs: u64, processes: usize) -> Multip
 /// # Panics
 ///
 /// Panics if `processes` is zero, the worker executable cannot be
-/// spawned, or a worker dies mid-run.
+/// spawned, or a worker dies mid-run. Every worker spawned by then is
+/// killed and reaped, and the socket file unlinked, before the panic
+/// leaves this function.
 pub fn run_multiproc_with_span(
     config: NetConfig,
     epochs: u64,
@@ -212,17 +214,17 @@ pub fn run_multiproc_with_span(
 
     // Launch workers first so they build their partitions while the
     // parent builds its own.
-    let mut children: Vec<Child> = Vec::new();
+    let mut launch = Launch { children: Vec::new(), path: socket_path() };
     let mut links: Vec<Option<FrameLink>> = (1..processes).map(|_| None).collect();
-    let path = socket_path();
     if processes > 1 {
-        let listener = UnixListener::bind(&path)
-            .unwrap_or_else(|e| panic!("bind {}: {e}", path.display()));
+        let path = &launch.path;
+        let listener =
+            UnixListener::bind(path).unwrap_or_else(|e| panic!("bind {}: {e}", path.display()));
         let exe = worker_exe();
         for rank in 1..processes {
-            children.push(
+            launch.children.push(
                 Command::new(&exe)
-                    .env(SOCKET_ENV, &path)
+                    .env(SOCKET_ENV, path)
                     .env(RANK_ENV, rank.to_string())
                     .spawn()
                     .unwrap_or_else(|e| {
@@ -263,43 +265,46 @@ pub fn run_multiproc_with_span(
 
     // Collection: local harvest plus one Summary frame per worker.
     let mut harvest = harvest_partition(local);
-    let coord = harvest.coordinator.take().expect("rank 0 owns the coordinator");
-    let mut messages = harvest.messages;
-    let mut peers = harvest.peers;
     let mut rss_kb = vec![peak_rss_kb()];
     for link in &mut links {
         match link.recv() {
             Frame::Summary(summary) => {
-                messages.control += summary.control;
-                messages.data += summary.data;
+                harvest.messages.control += summary.control;
+                harvest.messages.data += summary.data;
                 rss_kb.push(summary.rss_kb);
                 // Ranks own ascending actor ranges, so rank-major
                 // concatenation is ascending peer-id order.
-                peers.extend(summary.peers);
+                harvest.peers.extend(summary.peers);
             }
             other => panic!("expected Summary, got {other:?}"),
         }
     }
     drop(links);
-    for child in &mut children {
+    for child in &mut launch.children {
         let status = child.wait().expect("waiting on worker");
         assert!(status.success(), "worker exited with {status}");
     }
-    if processes > 1 {
-        let _ = std::fs::remove_file(&path);
-    }
+    MultiprocReport { outcome: harvest.into_outcome(), rss_kb }
+}
 
-    let epochs_done = coord.epochs_done();
-    let (metrics, peer_mean_rates, peer_continuity) = coord.finalize_summaries(peers);
-    MultiprocReport {
-        outcome: NetOutcome {
-            epochs: epochs_done,
-            metrics,
-            peer_mean_rates,
-            peer_continuity,
-            messages,
-        },
-        rss_kb,
+/// The worker processes of a run and the socket they connect to. Dropping
+/// it — when the run returns, or while a panic unwinds out of it — kills
+/// and reaps every child still running and unlinks the socket file, so a
+/// failed launch leaves neither behind.
+struct Launch {
+    children: Vec<Child>,
+    path: PathBuf,
+}
+
+impl Drop for Launch {
+    fn drop(&mut self) {
+        // A child already reaped ignores the kill and returns its cached
+        // status; the socket exists only once bound.
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 

@@ -561,6 +561,23 @@ pub(crate) fn harvest_partition(reactor: Reactor<NetActor>) -> PartitionHarvest 
     harvest
 }
 
+impl PartitionHarvest {
+    /// The run's outcome, once this harvest holds every partition's
+    /// messages and peers: the coordinator's metrics summarised over the
+    /// peers.
+    pub fn into_outcome(self) -> NetOutcome {
+        let coord = self.coordinator.expect("the harvest holds the coordinator");
+        let metrics = coord.finalize_summaries(self.peers);
+        NetOutcome {
+            epochs: coord.epoch(),
+            peer_mean_rates: metrics.mean_peer_rates.clone(),
+            peer_continuity: metrics.peer_continuity.clone(),
+            metrics,
+            messages: self.messages,
+        }
+    }
+}
+
 impl ReactorRuntime {
     /// Builds the actor mesh described by `config` (same RNG derivation
     /// order as the simulator).
@@ -605,18 +622,7 @@ impl ReactorRuntime {
 
     /// Finishes the run: consumes the mesh and aggregates the outcome.
     pub fn finish(self) -> NetOutcome {
-        let harvest = harvest_partition(self.reactor);
-        let coord = harvest.coordinator.expect("coordinator actor present");
-        let epochs = coord.epochs_done();
-        let (metrics, peer_mean_rates, peer_continuity) =
-            coord.finalize_summaries(harvest.peers);
-        NetOutcome {
-            epochs,
-            metrics,
-            peer_mean_rates,
-            peer_continuity,
-            messages: harvest.messages,
-        }
+        harvest_partition(self.reactor).into_outcome()
     }
 
     /// Runs `epochs` epochs and returns the outcome, consuming the

@@ -202,7 +202,7 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
     }
 
     let summaries = peers.iter().map(|p| (p.peer().mean_rate(), p.peer().continuity()));
-    let (metrics, _, _) = coord.finalize_summaries(summaries);
+    let metrics = coord.finalize_summaries(summaries);
     MachineTrace { settlements, delivered, metrics: metric_bits(&metrics) }
 }
 
@@ -285,7 +285,7 @@ fn coordinator_regret_series_matches_dense_oracle() {
         want.push(worst.to_bits());
         coord.finish_epoch();
     }
-    let (metrics, _, _) = coord.finalize_summaries([]);
+    let metrics = coord.finalize_summaries([]);
     let got: Vec<u64> =
         metrics.worst_empirical_regret.values().iter().map(|v| v.to_bits()).collect();
     assert_eq!(got.len(), want.len());

@@ -32,7 +32,8 @@
 //! 7. routes every peer's residual demand to the streaming server
 //!    (`server load = Σ_i max(0, d_i − r_i)`, Fig. 5);
 //! 8. records metrics (regret, welfare, loads, fairness, server load,
-//!    helper-switch counts) into one [`SimMetrics`].
+//!    helper-switch counts) into one [`SimMetrics`] — steps 7 and 8 are
+//!    [`EpochMetrics`], which `rths_net`'s coordinator records through too.
 //!
 //! # Example
 //!
@@ -53,6 +54,7 @@
 pub mod channel;
 pub mod churn;
 pub mod config;
+pub mod epoch_metrics;
 pub mod helper;
 pub mod impairment;
 pub mod metrics;
@@ -71,6 +73,7 @@ pub mod workload;
 pub use config::{
     Algorithm, AnyLearner, BandwidthSpec, LearnerSpec, SimConfig, SimConfigBuilder,
 };
+pub use epoch_metrics::EpochMetrics;
 pub use impairment::{ImpairmentError, ImpairmentPlan, LinkShaper, LossModel};
 pub use metrics::SimMetrics;
 pub use multichannel::{

@@ -11,6 +11,10 @@
 //! instantiation path (`System::assemble`) and step the one
 //! [`System::step_epoch`].
 //!
+//! The epoch's metric half — join rates, welfare, the server's
+//! settlement, fairness, switches, helper loads — is [`EpochMetrics`],
+//! which the decentralized runtime's coordinator records through too.
+//!
 //! Peers live in the sharded structure-of-arrays [`PeerStore`]; the
 //! per-peer choose/observe phases run shard-parallel with index-ordered
 //! reductions, so results are bit-for-bit identical at any shard count
@@ -23,11 +27,11 @@ use rths_stoch::process::ChurnProcess;
 use rths_stoch::rng::seeded_rng;
 
 use crate::config::{BandwidthSpec, LearnerSpec, SimConfig};
+use crate::epoch_metrics::{cap_to_demand, EpochMetrics};
 use crate::helper::{Helper, HelperId};
 use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::metrics::SimMetrics;
 use crate::multichannel::{AllocationPolicy, HelperAllocator};
-use crate::server::StreamingServer;
 use crate::store::{PeerStore, ShardScratch};
 
 /// Result of (so far) running a [`System`].
@@ -107,12 +111,6 @@ struct EpochScratch {
     served_loads: Vec<usize>,
     served_rates: Vec<f64>,
     split: Vec<f64>,
-    /// Counterfactual join rates, grouped per channel: channel `c`'s
-    /// rates live at `join_rates[join_offsets[c]..join_offsets[c + 1]]`.
-    join_offsets: Vec<usize>,
-    join_rates: Vec<f64>,
-    /// Unmet demand per peer.
-    residuals: Vec<f64>,
     /// Delivered rate per peer.
     delivered: Vec<f64>,
     /// Throughput delivered via each helper (learned allocation only).
@@ -135,20 +133,16 @@ struct EpochScratch {
 /// by [`System::new`]). See the [module docs](self).
 pub struct System {
     plan: Blueprint,
-    /// `channel_helpers[c]` — global helper indices serving channel `c`
-    /// (a viewer's learner action indexes this list).
-    channel_helpers: Vec<Vec<usize>>,
     /// Per-helper allocation learners; empty unless the policy is
     /// [`AllocationPolicy::Learned`].
     allocators: Vec<HelperAllocator>,
     helpers: Vec<Helper>,
     peers: PeerStore,
-    server: StreamingServer,
-    metrics: SimMetrics,
+    /// The metric half of every epoch, and the channel → helpers layout
+    /// (a viewer's learner action indexes its channel's list).
+    metrics: EpochMetrics,
     joint: Option<JointDistribution>,
     peer_rate_series: Option<Vec<Vec<f64>>>,
-    /// Delivered rate per channel, summed over epochs.
-    channel_rate_sums: Vec<f64>,
     /// Sum of the `switches` series so far (integer counts, kept exact).
     switches_recorded: u64,
     epoch: u64,
@@ -165,7 +159,7 @@ impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
             .field("epoch", &self.epoch)
-            .field("channels", &self.channel_helpers.len())
+            .field("channels", &self.num_channels())
             .field("peers", &self.peers.len())
             .field("helpers", &self.helpers.len())
             .finish()
@@ -264,16 +258,18 @@ impl System {
         let track_joint = plan.diagnostics && churn_free;
         let track_rates = churn_free && plan.record_peer_rates;
         Self {
-            channel_rate_sums: vec![0.0; plan.demands.len()],
+            metrics: EpochMetrics::new(
+                helpers.len(),
+                helpers.iter().map(Helper::min_capacity).sum(),
+                plan.demands.clone(),
+                channel_helpers,
+            ),
             plan,
-            channel_helpers,
             allocators,
-            metrics: SimMetrics::new(helpers.len()),
             joint: track_joint.then(JointDistribution::new),
             peer_rate_series: track_rates.then(|| vec![Vec::new(); peers.len()]),
             helpers,
             peers,
-            server: StreamingServer::new(),
             switches_recorded: 0,
             epoch: 0,
             master_rng,
@@ -294,7 +290,7 @@ impl System {
 
     /// Number of channels (1 for a [`System::new`] system).
     pub fn num_channels(&self) -> usize {
-        self.channel_helpers.len()
+        self.metrics.channel_helpers().len()
     }
 
     /// The helpers (e.g. for failure injection via
@@ -311,12 +307,12 @@ impl System {
     /// The per-epoch series recorded so far (the summary fields are
     /// filled in by [`outcome`](Self::outcome) only).
     pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
+        self.metrics.series()
     }
 
     /// Delivered rate per channel, summed over all epochs so far.
     pub fn channel_rate_sums(&self) -> &[f64] {
-        &self.channel_rate_sums
+        self.metrics.channel_rate_sums()
     }
 
     /// Pins the peer-store shard count (tests/benches); `None` restores
@@ -410,7 +406,7 @@ impl System {
     /// Executes exactly one epoch.
     pub fn step_epoch(&mut self) {
         let h = self.helpers.len();
-        let k = self.channel_helpers.len();
+        let k = self.num_channels();
         // Observability: tag the epoch for layers below the epoch
         // protocol and open the whole-epoch span. Spans only read the
         // monotonic clock into side buffers, so traced trajectories are
@@ -463,7 +459,7 @@ impl System {
         // order (integer counts — order-insensitive).
         let n = self.peers.len();
         let Blueprint { demands, helper_channels, allocation, impairment, .. } = &self.plan;
-        let channel_helpers = &self.channel_helpers;
+        let channel_helpers = self.metrics.channel_helpers();
         let EpochScratch {
             profile,
             globals,
@@ -473,9 +469,6 @@ impl System {
             served_loads,
             served_rates,
             split,
-            join_offsets,
-            join_rates,
-            residuals,
             delivered,
             helper_delivered,
             shards,
@@ -540,22 +533,11 @@ impl System {
             }
         }
 
-        // 5. Counterfactual join rates, grouped per channel: they depend
-        // only on the channel (loads count the incumbent peers), so one
-        // evaluation serves every viewer of the channel.
-        join_offsets.clear();
-        join_rates.clear();
-        join_offsets.push(0);
-        for (c, &demand) in demands.iter().enumerate() {
-            join_rates.extend(channel_helpers[c].iter().map(|&j| {
-                let raw = bandwidth[j * k + c] / (loads[j * k + c] + 1) as f64;
-                match demand {
-                    Some(d) => raw.min(d),
-                    None => raw,
-                }
-            }));
-            join_offsets.push(join_rates.len());
-        }
+        // 5. Helper loads, total demand and the counterfactual join rates,
+        // grouped per channel: they depend only on the channel (loads
+        // count the incumbent peers), so one evaluation serves every
+        // viewer of the channel.
+        let (join_offsets, join_rates) = self.metrics.allocation(loads, bandwidth);
         if let Some(t) = t {
             obs::span_end(Phase::RateAlloc, ep, t);
         }
@@ -630,29 +612,12 @@ impl System {
                         Some(s) => s[slot],
                         None => shares[globals[slot] as usize * k + c],
                     };
-                    match demands[c] {
-                        Some(d) => {
-                            let r = rate.min(d);
-                            (r, r >= d - 1e-9)
-                        }
-                        None => (rate, true),
-                    }
+                    cap_to_demand(rate, demands[c])
                 },
             )
         };
         if let Some(t) = t {
             obs::span_end(Phase::Observe, ep, t);
-        }
-        let mut welfare = 0.0;
-        residuals.clear();
-        for (slot, &rate) in delivered.iter().enumerate() {
-            let c = self.peers.channel(slot);
-            welfare += rate;
-            self.channel_rate_sums[c] += rate;
-            residuals.push(match demands[c] {
-                Some(d) => (d - rate).max(0.0),
-                None => 0.0,
-            });
         }
         if let Some(series) = &mut self.peer_rate_series {
             for (s, &r) in series.iter_mut().zip(delivered.iter()) {
@@ -672,48 +637,24 @@ impl System {
             }
         }
 
-        // 8. Server settles residual demand.
+        // 8. Welfare, and the server settles residual demand.
         let t = obs::span_start();
-        let total_demand: f64 = demands
-            .iter()
-            .zip(channel_helpers)
-            .enumerate()
-            .map(|(c, (d, serving))| {
-                let viewers: usize = serving.iter().map(|&j| loads[j * k + c]).sum();
-                d.unwrap_or(0.0) * viewers as f64
-            })
-            .sum();
-        let helper_min: f64 = self.helpers.iter().map(Helper::min_capacity).sum();
         let helper_now: f64 = self.helpers.iter().map(Helper::capacity).sum();
-        let server_epoch =
-            self.server.settle_epoch(residuals, total_demand, helper_min, helper_now);
+        let peers = &self.peers;
+        self.metrics.settle(delivered, |i| peers.channel(i), helper_now);
         if let Some(t) = t {
             obs::span_end(Phase::Settle, ep, t);
         }
 
-        // 9. Metrics.
+        // 9. Metrics. Per-epoch switches = growth of the population's
+        // cumulative count past what the series already holds (departures
+        // take their counts with them, so the total can dip; the series
+        // never does).
         let t = obs::span_start();
-        self.metrics.welfare.push(welfare);
-        self.metrics.server_load.push(server_epoch.load);
-        self.metrics.min_deficit.push(server_epoch.min_deficit);
-        self.metrics.current_deficit.push(server_epoch.current_deficit);
-        self.metrics.population.push(n as f64);
-        self.metrics.jain.push(rths_math::stats::jain_index(delivered));
-        if self.plan.diagnostics {
-            self.metrics.worst_regret_estimate.push(worst_est);
-        }
-        self.metrics.worst_empirical_regret.push(worst_emp);
-        // Per-epoch switches = growth of the population's cumulative
-        // count past what the series already holds (departures take their
-        // counts with them, so the total can dip; the series never does).
         let new_switches = self.peers.total_switches().saturating_sub(self.switches_recorded);
         self.switches_recorded += new_switches;
-        self.metrics.switches.push(new_switches as f64);
-        for (j, series) in self.metrics.helper_loads.iter_mut().enumerate() {
-            let load: usize = helper_channels[j].iter().map(|&c| loads[j * k + c]).sum();
-            series.push(load as f64);
-        }
-
+        let estimate = self.plan.diagnostics.then_some(worst_est);
+        self.metrics.record(worst_emp, estimate, new_switches);
         if let Some(joint) = &mut self.joint {
             if self.epoch >= self.plan.record_joint_from {
                 profile_usize.clear();
@@ -732,30 +673,17 @@ impl System {
 
     /// Snapshot of cumulative results.
     pub fn outcome(&self) -> Outcome {
-        let mut metrics = self.metrics.clone();
-        let denom = self.epoch.max(1) as f64;
-        metrics.mean_helper_loads = metrics
-            .helper_loads
-            .iter()
-            .map(|s| s.values().iter().sum::<f64>() / denom)
-            .collect();
-        metrics.mean_peer_rates =
-            (0..self.peers.len()).map(|i| self.peers.mean_rate(i)).collect();
-        metrics.peer_continuity =
-            (0..self.peers.len()).map(|i| self.peers.continuity(i)).collect();
+        let peers = &self.peers;
         Outcome {
             epochs: self.epoch,
-            metrics,
+            metrics: self
+                .metrics
+                .summary((0..peers.len()).map(|i| (peers.mean_rate(i), peers.continuity(i)))),
             final_population: self.peers.len(),
             joint: self.joint.clone(),
             peer_rate_series: self.peer_rate_series.clone(),
             final_capacities: self.capacities(),
         }
-    }
-
-    /// Mean server load so far (convenience for Fig. 5 summaries).
-    pub fn mean_server_load(&self) -> f64 {
-        self.server.mean_load()
     }
 }
 
@@ -829,7 +757,7 @@ mod tests {
             let bound = out.metrics.current_deficit.values()[e];
             assert!(load >= bound - 1e-6, "epoch {e}: load {load} below deficit bound {bound}");
         }
-        assert!(sys.mean_server_load() > 0.0);
+        assert!(out.metrics.server_load.tail_mean(200) > 0.0);
     }
 
     #[test]

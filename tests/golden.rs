@@ -9,9 +9,10 @@
 
 use rths_net::NetConfig;
 use rths_sim::{
-    Algorithm, AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelConfig,
-    MultiChannelSystem, Scenario, SimConfig, System,
+    Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
+    MultiChannelConfig, MultiChannelSystem, Scenario, SimConfig, SimMetrics, System,
 };
+use rths_stoch::process::ChurnProcess;
 
 #[test]
 fn golden_small_run_welfare_prefix() {
@@ -166,4 +167,79 @@ fn golden_slab_hosted_trajectories() {
     let got = [matching, learned, net];
     let pinned = [0x58f5da83309794ad, 0x32ab45c89db2a82a, 0x51b92dc910837838];
     assert_eq!(got, pinned, "slab-hosted trajectory drifted: {got:#018x?}");
+}
+
+/// [`fold_bits`] over every series of `m` — the nine per-epoch series,
+/// each helper's load series — and its three end-of-run summaries.
+fn fold_metrics(m: &SimMetrics, extra: &[f64]) -> u64 {
+    let mut series = vec![
+        m.worst_regret_estimate.values(),
+        m.worst_empirical_regret.values(),
+        m.welfare.values(),
+        m.server_load.values(),
+        m.min_deficit.values(),
+        m.current_deficit.values(),
+        m.population.values(),
+        m.jain.values(),
+        m.switches.values(),
+    ];
+    series.extend(m.helper_loads.iter().map(|s| s.values()));
+    series.extend([&m.mean_helper_loads[..], &m.mean_peer_rates, &m.peer_continuity, extra]);
+    fold_bits(&series)
+}
+
+/// A demand-capped K = 1 run over a Gilbert–Elliott lossy link, with or
+/// without churn.
+fn impaired_k1(churn: bool) -> SimConfig {
+    let plan = ImpairmentPlan::builder(21)
+        .gilbert_loss(0.05, 0.35, 0.85, 0.1)
+        .build()
+        .expect("valid impairment plan");
+    let mut b = SimConfig::builder(12, vec![BandwidthSpec::Paper { stay: 0.9 }; 3])
+        .demand(350.0)
+        .seed(23)
+        .impairment(plan);
+    if churn {
+        b = b.churn(ChurnProcess::new(0.3, 0.02));
+    }
+    b.build()
+}
+
+/// Every metric series the engine and the net coordinator record, to the
+/// bit: server load against both deficit bounds, Jain, switches and
+/// helper loads as well as welfare and the regret series — on `System` at
+/// K = 1 (demand cap, churn, Gilbert–Elliott loss, a helper taken offline
+/// halfway), on the K = 4 water-filling deployment across a viewer
+/// migration (with its per-channel rate sums), and on the reactor. Both
+/// sides compute these through one routine, so the cross-backend
+/// equivalence gate alone would not see a slip that moves them together.
+#[test]
+fn golden_every_metric_series() {
+    let mut system = System::new(impaired_k1(true));
+    let _ = system.run(60);
+    system.set_helper_online(1, false);
+    let out = system.run(60);
+    let k1 = fold_metrics(&out.metrics, system.channel_rate_sums());
+
+    let mut system = MultiChannelSystem::new(MultiChannelConfig::standard(
+        4,
+        400.0,
+        8,
+        2,
+        80,
+        1.2,
+        AllocationPolicy::WaterFilling,
+        42,
+    ));
+    let _ = system.run(60);
+    system.migrate_viewers(0, 3, 5);
+    let _ = system.run(60);
+    let k4 = fold_metrics(&System::outcome(&system).metrics, system.channel_rate_sums());
+
+    let out = rths_net::run(NetConfig::from_sim(impaired_k1(false)), 120);
+    let net = fold_metrics(&out.metrics, &[]);
+
+    let got = [k1, k4, net];
+    let pinned = [0x84f85841d38967b3, 0x3886fb9e85aab7f3, 0xe8109a7791ecd597];
+    assert_eq!(got, pinned, "a metric series drifted: {got:#018x?}");
 }
