@@ -1477,8 +1477,9 @@ pub struct SlabLearner {
     slab: SharedSlab,
     slot: u32,
     config: RthsConfig,
-    /// The strategy as of the last update, once somebody has asked.
-    strategy: OnceCell<Vec<f64>>,
+    /// The strategy as of the last update, once somebody has asked (a
+    /// boxed slice: one word less than a `Vec` in every peer).
+    strategy: OnceCell<Box<[f64]>>,
 }
 
 impl SlabLearner {
@@ -1563,7 +1564,7 @@ impl Learner for SlabLearner {
 
     fn probabilities(&self) -> &[f64] {
         self.strategy
-            .get_or_init(|| self.lock_flushed().probabilities(self.slot as usize).to_vec())
+            .get_or_init(|| self.lock_flushed().probabilities(self.slot as usize).into())
     }
 
     fn select_action(&mut self, rng: &mut dyn RngCore) -> usize {

@@ -16,7 +16,8 @@
 //!   requests they happen to receive;
 //! * a coordinator drives the epoch barrier and records metrics — it
 //!   *observes* but never *instructs*: no assignment decision flows
-//!   downward.
+//!   downward, and it is on no peer's path — peers report their epoch
+//!   to it in one batch per mailbox shard, after the fact.
 //!
 //! The protocol state machines live in [`machines`], once; two
 //! [`Backend`]s host them:

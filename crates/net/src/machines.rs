@@ -4,8 +4,13 @@
 //! written here once. Everything that determines *results* lives in this
 //! module or in the simulator code it calls: helper capacity dynamics,
 //! peer learning and demand capping here; the coordinator's metrics are
-//! the simulator's own [`EpochMetrics`] and regret record, fed what its
-//! messages report. The hosts — the reactor
+//! the simulator's own [`EpochMetrics`] and regret record, fed the
+//! helpers' settlements and the peers' `(chosen, rate, estimate)`
+//! columns, which a host reports one contiguous block of peers at a time
+//! ([`CoordinatorMachine::on_shard_report`]). The coordinator never sits
+//! on a peer's path: it sends a peer nothing but its tick, and the
+//! helpers settle without waiting on any peer's report. The hosts — the
+//! reactor
 //! ([`crate::reactor_backend`]), in one process or sharded over several
 //! ([`crate::multiproc`]) — are thin shells that move these machines'
 //! inputs and outputs through mailboxes and sockets, which is what makes
@@ -19,6 +24,7 @@ use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{Helper, HelperId};
 use rths_sim::peer::{Peer, PeerId};
 use rths_sim::regret::RegretLedger;
+use rths_sim::store::NO_HELPER;
 use rths_sim::{EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics};
 use rths_stoch::rng::entity_rng;
 
@@ -61,25 +67,32 @@ pub struct Selection {
 pub struct PeerMachine {
     peer: Peer,
     demand: Option<f64>,
-    /// The impairment plan and the peer's link state under it — token
-    /// bucket, where its link's loss and bandwidth chains stand. Exists
-    /// only under a plan that
+    /// The peer's end of its links. Exists only under a plan that
     /// [affects rates](ImpairmentPlan::affects_rates), the one case that
-    /// reads either: the clean-link swarms (10⁵ peers a process) carry a
+    /// reads it: the clean-link swarms (10⁵ peers a process) carry a
     /// pointer's worth, not the plan and the state.
-    link: Option<Box<(ImpairmentPlan, LinkShaper)>>,
-    /// The `(helper, epoch)` of the in-flight request, consumed by the
-    /// rate delivery — shaping decisions are per-link, so the peer must
-    /// remember which link the reply rides.
-    inflight: Option<(usize, u64)>,
+    link: Option<Box<Link>>,
+}
+
+/// The impairment plan, the peer's link state under it — token bucket,
+/// where its link's loss and bandwidth chains stand — and the
+/// `(helper, epoch)` of the in-flight request, which the rate delivery
+/// consumes: shaping decisions are per-link, so the peer must remember
+/// which link the reply rides.
+#[derive(Debug)]
+struct Link {
+    plan: ImpairmentPlan,
+    shaper: LinkShaper,
+    inflight: Option<(u32, u64)>,
 }
 
 impl PeerMachine {
     /// Wraps a live peer under the given impairment plan.
     pub fn new(peer: Peer, demand: Option<f64>, impairments: ImpairmentPlan) -> Self {
-        let link =
-            impairments.affects_rates().then(|| Box::new((impairments, LinkShaper::new())));
-        Self { peer, demand, link, inflight: None }
+        let link = impairments.affects_rates().then(|| {
+            Box::new(Link { plan: impairments, shaper: LinkShaper::new(), inflight: None })
+        });
+        Self { peer, demand, link }
     }
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same
@@ -111,11 +124,13 @@ impl PeerMachine {
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
         let helper = self.peer.choose_helper();
         let lost = match self.link.as_deref_mut() {
-            Some((plan, shaper)) => shaper.is_lost(plan, self.peer.id().0, helper, epoch),
+            Some(Link { plan, shaper, inflight }) => {
+                *inflight = Some((helper as u32, epoch));
+                shaper.is_lost(plan, self.peer.id().0, helper, epoch)
+            }
             // A plan that affects no rate loses nothing.
             None => false,
         };
-        self.inflight = Some((helper, epoch));
         Selection { helper, lost }
     }
 
@@ -126,11 +141,14 @@ impl PeerMachine {
     /// `rths_sim::System::step_epoch`, which is what keeps impaired runs
     /// bit-identical across backends.
     pub fn on_rate(&mut self, kbps: f64) -> f64 {
-        let kbps = match (self.inflight.take(), self.link.as_deref_mut()) {
-            (Some((helper, epoch)), Some((plan, shaper))) => {
-                shaper.shape(plan, self.peer.id().0, helper, epoch, kbps)
-            }
-            _ => kbps,
+        let kbps = match self.link.as_deref_mut() {
+            Some(Link { plan, shaper, inflight }) => match inflight.take() {
+                Some((helper, epoch)) => {
+                    shaper.shape(plan, self.peer.id().0, helper as usize, epoch, kbps)
+                }
+                None => kbps,
+            },
+            None => kbps,
         };
         let (rate, satisfied) = cap_to_demand(kbps, self.demand);
         self.peer.deliver(rate, satisfied);
@@ -206,7 +224,7 @@ impl<T> HelperMachine<T> {
 #[derive(Debug, Default)]
 struct CoordScratch {
     /// Chosen helper per peer.
-    chosen: Vec<usize>,
+    chosen: Vec<u32>,
     /// Reported load per helper.
     loads: Vec<usize>,
     /// Reported capacity per helper.
@@ -216,10 +234,13 @@ struct CoordScratch {
 }
 
 /// The coordinator's state machine: an epoch-progress tracker that
-/// gathers, purely from observability-plane messages, what the simulator
+/// gathers, purely from observability-plane reports, what the simulator
 /// knows of an epoch, and records it through the simulator's own
 /// [`EpochMetrics`]. It observes but never instructs — no assignment
-/// decision flows through it.
+/// decision flows through it. Peers report in contiguous blocks
+/// ([`on_shard_report`](Self::on_shard_report)) into index-addressed
+/// columns, so the record sees the same inputs in the same order however
+/// the blocks are cut and in whatever order they arrive.
 #[derive(Debug)]
 pub struct CoordinatorMachine {
     num_peers: usize,
@@ -237,11 +258,13 @@ pub struct CoordinatorMachine {
     /// Epoch fold of the learner-reported internal regret estimates
     /// (order-insensitive max over non-negatives).
     worst_estimate: f64,
-    last_helper: Vec<Option<usize>>,
+    /// Each peer's helper of the previous epoch ([`NO_HELPER`] before
+    /// its first).
+    last_helper: Vec<u32>,
     scratch: CoordScratch,
-    selected: usize,
     reports: usize,
-    observed: usize,
+    /// Peers whose `(chosen, rate, estimate)` is in for this epoch.
+    reported: usize,
 }
 
 impl CoordinatorMachine {
@@ -260,11 +283,10 @@ impl CoordinatorMachine {
             regret,
             shard_max: Vec::new(),
             worst_estimate: 0.0,
-            last_helper: vec![None; n],
+            last_helper: vec![NO_HELPER; n],
             scratch: CoordScratch::default(),
-            selected: 0,
             reports: 0,
-            observed: 0,
+            reported: 0,
         }
     }
 
@@ -285,21 +307,18 @@ impl CoordinatorMachine {
         capacities.resize(self.num_helpers, 0.0);
         rates.clear();
         rates.resize(self.num_peers, 0.0);
-        self.selected = 0;
         self.reports = 0;
-        self.observed = 0;
+        self.reported = 0;
         self.worst_estimate = 0.0;
     }
 
-    /// A peer committed to a helper.
+    /// A peer committed to a helper. The mesh reports the choice with the
+    /// realized rate instead ([`on_shard_report`](Self::on_shard_report));
+    /// this per-peer entry stays for the benchmark's coordinator probe,
+    /// which prices one message per peer. The peer counts as reported
+    /// once its [`on_observed`](Self::on_observed) arrives.
     pub fn on_selected(&mut self, peer: u64, helper: usize) {
-        self.scratch.chosen[peer as usize] = helper;
-        self.selected += 1;
-    }
-
-    /// All peers have committed — helpers may settle.
-    pub fn settle_ready(&self) -> bool {
-        self.selected == self.num_peers
+        self.scratch.chosen[peer as usize] = helper as u32;
     }
 
     /// A helper settled the epoch.
@@ -314,15 +333,53 @@ impl CoordinatorMachine {
     /// maximum; `0.0` when estimate tracking is disabled) — folded into
     /// the epoch's `worst_regret_estimate` with an order-insensitive max
     /// over non-negatives, so arrival order cannot perturb the series.
+    /// Like [`on_selected`](Self::on_selected), the mesh no longer sends
+    /// it: it stays for the benchmark's coordinator probe.
     pub fn on_observed(&mut self, peer: u64, rate: f64, estimate: f64) {
         self.scratch.rates[peer as usize] = rate;
         self.worst_estimate = self.worst_estimate.max(estimate);
-        self.observed += 1;
+        self.reported += 1;
     }
 
-    /// Every report and observation for the epoch is in.
+    /// Peers `first .. first + chosen.len()` report their epoch at once:
+    /// peer `first + k` chose helper `chosen[k]` and realized `rates[k]`,
+    /// and `estimate` is the largest internal regret estimate among them
+    /// — the fold [`on_observed`](Self::on_observed) applies per peer,
+    /// so any cut of the population into blocks, arriving in any order,
+    /// records the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length or the block runs past the
+    /// population.
+    pub fn on_shard_report(
+        &mut self,
+        first: usize,
+        chosen: &[u32],
+        rates: &[f64],
+        estimate: f64,
+    ) {
+        assert_eq!(chosen.len(), rates.len(), "a block reports both columns");
+        let block = first..first + chosen.len();
+        self.scratch.chosen[block.clone()].copy_from_slice(chosen);
+        self.scratch.rates[block].copy_from_slice(rates);
+        self.worst_estimate = self.worst_estimate.max(estimate);
+        self.reported += chosen.len();
+    }
+
+    /// The epoch's columns as ingested — chosen helper and realized rate
+    /// per peer, reported load and capacity per helper — for the
+    /// allocation invariant tests. Between epochs they hold the last
+    /// finished one.
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> (&[u32], &[f64], &[usize], &[f64]) {
+        let CoordScratch { chosen, loads, capacities, rates } = &self.scratch;
+        (chosen, rates, loads, capacities)
+    }
+
+    /// Every helper report and every peer's epoch is in.
     pub fn epoch_complete(&self) -> bool {
-        self.reports == self.num_helpers && self.observed == self.num_peers
+        self.reports == self.num_helpers && self.reported == self.num_peers
     }
 
     /// Records the epoch: the stretch-folded regret record (the function
@@ -349,15 +406,13 @@ impl CoordinatorMachine {
         self.metrics.settle(rates, |_| 0, capacities.iter().sum());
         let mut switched = 0;
         for (last, &now) in self.last_helper.iter_mut().zip(chosen.iter()) {
-            if let Some(prev) = *last {
-                if prev != now {
-                    switched += 1;
-                }
+            if *last != NO_HELPER && *last != now {
+                switched += 1;
             }
-            *last = Some(now);
+            *last = now;
         }
         // The estimate series is the learner-reported virtual-play `Q`
-        // maxima the peers attach to their observations — the same
+        // maxima the peers attach to their reports — the same
         // derivation the simulator's observe phase uses, not a copy of
         // the empirical series (the two agree only in the limit).
         self.metrics.record(emp, Some(self.worst_estimate), switched);
@@ -486,11 +541,9 @@ mod tests {
         let sim = small_sim();
         let mut c = CoordinatorMachine::new(&sim, 1600.0);
         c.begin_epoch();
-        assert!(!c.settle_ready());
         for p in 0..4 {
             c.on_selected(p, (p % 2) as usize);
         }
-        assert!(c.settle_ready());
         assert!(!c.epoch_complete());
         c.on_helper_report(0, 2, 800.0);
         c.on_helper_report(1, 2, 800.0);

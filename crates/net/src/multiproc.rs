@@ -8,8 +8,10 @@
 //! the coordinator and tracker — actors 0 and 1), spawns `N - 1` worker
 //! processes, and drives every partition in lockstep through
 //! [`rths_reactor::bridge`]. Workers connect back over a Unix-domain
-//! socket, announce their rank (`Hello`), receive the full run
-//! configuration (`Config`), rebuild *their* partition of the mesh —
+//! socket, announce their rank and wire version (`Hello`; a worker built
+//! from another version is refused before anything else is sent),
+//! receive the full run configuration (`Config`), rebuild *their*
+//! partition of the mesh —
 //! every rank replays the same master-RNG helper instantiation so RNG
 //! streams stay global — and then follow the step protocol:
 //!
@@ -26,10 +28,11 @@
 //! sender shard; the receiving partition merges remote batches
 //! interleaved with local ones in ascending global sender-shard order —
 //! exactly the order a single reactor would have used, which is the
-//! whole determinism argument. The epoch barrier needs no new machinery:
-//! the coordinator's `NextEpoch` timer rides rank 0's wheel, and the
-//! fence each worker sends after its merge doubles as the
-//! `Settle`-style barrier frame (one per remote process per round).
+//! whole determinism argument. The epoch barriers need no new machinery:
+//! the coordinator's `Settle` and `NextEpoch` timers ride rank 0's wheel,
+//! which fires only once every rank has fenced with nothing pending. Per
+//! epoch, a rank ships the coordinator one `ShardReport` per mailbox
+//! shard it hosts, not a message per peer.
 //!
 //! Frames are encoded by [`crate::wire`]; floats travel as
 //! `f64::to_bits`, so the N-process trajectory is `to_bits`-identical to
@@ -59,7 +62,7 @@ use rths_reactor::{ActorId, Reactor, SHARD_SPAN};
 
 use crate::reactor_backend::{harvest_partition, mesh_total, populate_mesh, NetMsg};
 use crate::runtime::{NetConfig, NetOutcome};
-use crate::wire::{read_frame, write_frame, Frame, WorkerConfig, WorkerSummary};
+use crate::wire::{read_frame, write_frame, Frame, WorkerConfig, WorkerSummary, WIRE_VERSION};
 
 /// Environment variable carrying the controller's socket path to a
 /// worker (set per-child via `Command::env`).
@@ -237,7 +240,10 @@ pub fn run_multiproc_with_span(
             let (stream, _) = listener.accept().expect("worker connection");
             let mut link = FrameLink::new(stream).expect("socket handle clone");
             match link.recv() {
-                Frame::Hello { rank } => {
+                Frame::Hello { rank, version } => {
+                    if let Err(skew) = check_version(rank, version) {
+                        panic!("{skew}");
+                    }
                     assert!(
                         (1..processes).contains(&rank),
                         "worker announced bogus rank {rank}"
@@ -287,6 +293,19 @@ pub fn run_multiproc_with_span(
     MultiprocReport { outcome: harvest.into_outcome(), rss_kb }
 }
 
+/// Admits a worker only if it speaks this build's wire format. A stale
+/// `rths_mp_worker` left beside a rebuilt controller would otherwise take
+/// its `Config` and die mid-run on the first message it cannot decode.
+fn check_version(rank: usize, version: u8) -> Result<(), String> {
+    if version == WIRE_VERSION {
+        return Ok(());
+    }
+    Err(format!(
+        "worker rank {rank} speaks wire version {version}, this controller speaks \
+         {WIRE_VERSION}: rebuild rths_mp_worker with this tree"
+    ))
+}
+
 /// The worker processes of a run and the socket they connect to. Dropping
 /// it — when the run returns, or while a panic unwinds out of it — kills
 /// and reaps every child still running and unlinks the socket file, so a
@@ -327,7 +346,7 @@ pub fn worker_main() {
     assert!(rank >= 1, "rank 0 is the controller itself");
     let stream = UnixStream::connect(&path).unwrap_or_else(|e| panic!("connect {path}: {e}"));
     let mut link = FrameLink::new(stream).expect("socket handle clone");
-    link.send(&Frame::Hello { rank });
+    link.send(&Frame::Hello { rank, version: WIRE_VERSION });
     let wc = match link.recv() {
         Frame::Config(wc) => *wc,
         other => panic!("expected Config, got {other:?}"),
@@ -366,6 +385,15 @@ mod tests {
         assert_eq!(bits(&a.peer_mean_rates), bits(&b.peer_mean_rates));
         assert_eq!(bits(&a.peer_continuity), bits(&b.peer_continuity));
         assert_eq!(a.messages, b.messages);
+    }
+
+    #[test]
+    fn workers_of_another_wire_version_are_refused() {
+        assert!(check_version(1, WIRE_VERSION).is_ok());
+        let skew = check_version(3, WIRE_VERSION - 1).expect_err("a stale worker is refused");
+        assert!(skew.contains("rank 3"), "{skew}");
+        assert!(skew.contains(&format!("version {}", WIRE_VERSION - 1)), "{skew}");
+        assert!(skew.contains(&format!("speaks {WIRE_VERSION}")), "{skew}");
     }
 
     #[test]

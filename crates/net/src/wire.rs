@@ -21,7 +21,10 @@
 //!   or truncated frame is rejected instead of half-applied.
 //! * **Versioned header.** The first body byte is [`WIRE_VERSION`]; a
 //!   mixed-version mesh fails loudly at the first frame rather than
-//!   producing subtly different trajectories.
+//!   producing subtly different trajectories. [`Frame::Hello`] alone
+//!   keeps one layout in every version and decodes whatever its version
+//!   byte says, so the controller can refuse a stale worker by name,
+//!   before any other frame.
 //! * **No handles.** The reactor mesh routes replies by the sender's
 //!   stable actor id (`NetMsg::Request { peer, .. }`), a plain `u64` on
 //!   the wire; no message carries a channel or pointer that would need
@@ -37,11 +40,11 @@ use rths_reactor::{ActorId, RemoteBatch};
 use rths_sim::impairment::LossModel;
 use rths_sim::{BandwidthSpec, ImpairmentPlan, LearnerSpec, SimConfig};
 
-use crate::reactor_backend::NetMsg;
+use crate::reactor_backend::{NetMsg, ShardReport};
 use crate::runtime::NetConfig;
 
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on a frame body (bytes). A drain batch for a 10⁵-actor
 /// mesh is a few megabytes; anything near this cap is corruption.
@@ -126,6 +129,11 @@ impl WireWriter {
     /// Raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Little-endian u32.
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Little-endian u64.
@@ -230,6 +238,16 @@ impl<'a> WireReader<'a> {
     /// [`WireError::Truncated`] at end of frame.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Little-endian u32.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] at end of frame.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        let bytes = self.take(4)?;
+        Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
     }
 
     /// Little-endian u64.
@@ -370,7 +388,30 @@ fn put_net_msg(w: &mut WireWriter, msg: &NetMsg) {
             w.u8(12);
             w.bool(*online);
         }
+        NetMsg::ShardReport(report) => {
+            assert_eq!(report.chosen.len(), report.rates.len(), "ragged shard report");
+            w.u8(13);
+            w.u64(report.epoch);
+            w.u64(report.first);
+            w.seq(report.chosen.len());
+            for &helper in &report.chosen {
+                w.u32(helper);
+            }
+            for &rate in &report.rates {
+                w.f64(rate);
+            }
+            w.f64(report.estimate);
+        }
     }
+}
+
+fn get_shard_report(r: &mut WireReader<'_>) -> Result<ShardReport, WireError> {
+    let epoch = r.u64()?;
+    let first = r.u64()?;
+    let n = r.seq()?;
+    let chosen = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
+    let rates = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
+    Ok(ShardReport { epoch, first, chosen, rates, estimate: r.f64()? })
 }
 
 fn get_net_msg(r: &mut WireReader<'_>) -> Result<NetMsg, WireError> {
@@ -398,6 +439,7 @@ fn get_net_msg(r: &mut WireReader<'_>) -> Result<NetMsg, WireError> {
             estimate: r.f64()?,
         },
         12 => NetMsg::SetOnline(r.bool()?),
+        13 => NetMsg::ShardReport(Box::new(get_shard_report(r)?)),
         tag => return Err(WireError::BadTag("NetMsg", tag)),
     })
 }
@@ -723,10 +765,14 @@ pub struct WorkerSummary {
 /// Every frame of the multi-process protocol.
 #[derive(Debug)]
 pub enum Frame {
-    /// Worker → controller, first frame on connect.
+    /// Worker → controller, first frame on connect. Its layout is the
+    /// same in every wire version: `version` travels as the header's
+    /// version byte, and decoding accepts any.
     Hello {
         /// The worker's rank (from `RTHS_MP_RANK`).
         rank: usize,
+        /// The wire version the worker was built with.
+        version: u8,
     },
     /// Controller → worker: build your partition.
     Config(Box<WorkerConfig>),
@@ -753,8 +799,8 @@ const TAG_SUMMARY: u8 = 9;
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut w;
     match frame {
-        Frame::Hello { rank } => {
-            w = WireWriter::new(TAG_HELLO);
+        Frame::Hello { rank, version } => {
+            w = WireWriter { buf: vec![*version, TAG_HELLO] };
             w.usize(*rank);
         }
         Frame::Config(wc) => {
@@ -816,9 +862,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 ///
 /// Any [`WireError`] when the body is not an exact encoding.
 pub fn decode_frame(body: &[u8]) -> Result<Frame, WireError> {
+    if let [version, TAG_HELLO, ..] = *body {
+        let mut r = WireReader { buf: body, pos: 2 };
+        let frame = Frame::Hello { rank: r.usize()?, version };
+        r.close()?;
+        return Ok(frame);
+    }
     let (tag, mut r) = WireReader::open(body)?;
     let frame = match tag {
-        TAG_HELLO => Frame::Hello { rank: r.usize()? },
         TAG_CONFIG => Frame::Config(Box::new(get_worker_config(&mut r)?)),
         TAG_DRAIN => Frame::Step(Step::Drain { staged: get_addressed(&mut r)? }),
         TAG_MERGE => Frame::Step(Step::Merge { batches: get_batches(&mut r)? }),
@@ -894,11 +945,30 @@ mod tests {
 
     #[test]
     fn hello_and_shutdown_roundtrip() {
-        match roundtrip(&Frame::Hello { rank: 7 }) {
-            Frame::Hello { rank } => assert_eq!(rank, 7),
+        match roundtrip(&Frame::Hello { rank: 7, version: WIRE_VERSION }) {
+            Frame::Hello { rank, version } => assert_eq!((rank, version), (7, WIRE_VERSION)),
             other => panic!("decoded {other:?}"),
         }
         assert!(matches!(roundtrip(&Frame::Step(Step::Shutdown)), Frame::Step(Step::Shutdown)));
+    }
+
+    /// A `Hello` decodes under any version byte, so the controller learns
+    /// which version a stale worker speaks: the first frame of version 1,
+    /// byte for byte, names its rank and version 1.
+    #[test]
+    fn hello_names_any_version() {
+        let mut v1 = vec![1, TAG_HELLO];
+        v1.extend_from_slice(&3u64.to_le_bytes());
+        match decode_frame(&v1).expect("a version-1 Hello decodes") {
+            Frame::Hello { rank, version } => assert_eq!((rank, version), (3, 1)),
+            other => panic!("decoded {other:?}"),
+        }
+        for version in [0, WIRE_VERSION + 1, u8::MAX] {
+            match roundtrip(&Frame::Hello { rank: 2, version }) {
+                Frame::Hello { rank, version: got } => assert_eq!((rank, got), (2, version)),
+                other => panic!("decoded {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -952,7 +1022,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut body = encode_frame(&Frame::Hello { rank: 1 });
+        let mut body = encode_frame(&Frame::Hello { rank: 1, version: WIRE_VERSION });
         body.push(0);
         assert!(matches!(
             decode_frame(&body).expect_err("trailing must fail"),
@@ -962,7 +1032,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut body = encode_frame(&Frame::Hello { rank: 1 });
+        let mut body = encode_frame(&Frame::Step(Step::Timers { deadline: 9 }));
         body[0] = WIRE_VERSION + 1;
         assert!(matches!(
             decode_frame(&body).expect_err("version must fail"),

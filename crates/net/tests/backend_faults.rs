@@ -106,11 +106,12 @@ fn lossy_reactor_reproduces_lossy_sim_run() {
             "loss={loss}: continuity diverged"
         );
         // A lost payload is still a (zero-rate) reply: loss moves no
-        // message count.
+        // message count. Control is (2n + 3h)·E: a Tick and a Request
+        // per peer, a Tick, a Settle and a report per helper.
         assert_eq!(reactor.messages.data, 12 * 120, "loss={loss}: data accounting");
         assert_eq!(
             reactor.messages.control,
-            (4 * 12 + 3 * 3) * 120,
+            (2 * 12 + 3 * 3) * 120,
             "loss={loss}: control accounting"
         );
     }

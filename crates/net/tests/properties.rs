@@ -134,11 +134,14 @@ fn metric_bits(m: &SimMetrics) -> Vec<Vec<u64>> {
 }
 
 /// Drives the protocol machines by hand for `epochs` epochs. Each epoch's
-/// requests, `Selected`s, and the coordinator's settle-phase events
-/// (`HelperReport`s and `Observed`s interleaved) arrive in index order
+/// requests and the coordinator's settle-phase events (`HelperReport`s
+/// and the peers' report blocks interleaved) arrive in index order
 /// (`schedule = None`) or each in a permutation of its own drawn from
-/// `schedule`. Only what the protocol itself orders is kept: a helper
-/// settles after its requests, a peer observes after its helper settled.
+/// `schedule`. The peers report in one block in index order and in
+/// blocks of 1 to 5 peers under a schedule, as mailbox shards of any
+/// span would. Only what the protocol itself orders is kept: a helper
+/// settles after its requests, a peer observes after its helper settled,
+/// and a block is reported once all of its peers have observed.
 fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> MachineTrace {
     let n = sim.num_peers;
     let (helpers, helper_min_total) = instantiate_helpers(sim);
@@ -151,6 +154,7 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
         .map(|id| PeerMachine::from_config(sim, id, h, sim.impairment.clone(), Some(&slab)))
         .collect();
     let mut coord = CoordinatorMachine::new(sim, helper_min_total);
+    let block = schedule.map_or(n, |s| 1 + (s % 5) as usize);
     let mut settlements = Vec::new();
     let mut delivered = Vec::new();
 
@@ -163,38 +167,44 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
         for (position, &i) in arrival_order(n, stream(0)).iter().enumerate() {
             helpers[selections[i].helper].on_request(i as u64, selections[i].lost, position);
         }
-        for &i in &arrival_order(n, stream(1)) {
-            coord.on_selected(i as u64, selections[i].helper);
-        }
-        assert!(coord.settle_ready());
 
-        // Settle-phase events in arrival order: helper reports and the
-        // observations their replies trigger.
+        // Settle-phase events in arrival order: helper reports, and the
+        // peer blocks whose columns the helpers' replies fill.
         enum Event {
             Report(usize, Settlement),
-            Observed(u64, f64, f64),
+            Block(usize),
         }
-        let mut events = Vec::with_capacity(n + h);
+        let mut events: Vec<Event> = (0..n.div_ceil(block)).map(Event::Block).collect();
         let mut kbps_bits = vec![0u64; n];
+        let mut rates = vec![0.0; n];
+        let mut estimates = vec![0.0f64; n];
         for (j, helper) in helpers.iter_mut().enumerate() {
             let mut last_position = None;
             let settlement = helper.on_settle(|peer, kbps, position| {
                 assert!(last_position < Some(position), "replies left arrival order");
                 last_position = Some(position);
-                kbps_bits[peer as usize] = kbps.to_bits();
-                let machine = &mut peers[peer as usize];
-                let rate = machine.on_rate(kbps);
-                events.push(Event::Observed(peer, rate, machine.peer().max_regret()));
+                let i = peer as usize;
+                kbps_bits[i] = kbps.to_bits();
+                rates[i] = peers[i].on_rate(kbps);
+                estimates[i] = peers[i].peer().max_regret();
             });
             settlements.push((settlement.load, settlement.capacity.to_bits()));
             events.push(Event::Report(j, settlement));
         }
         delivered.extend(kbps_bits);
-        for &k in &arrival_order(n + h, stream(2)) {
+        let chosen: Vec<u32> = selections.iter().map(|s| s.helper as u32).collect();
+        for &k in &arrival_order(events.len(), stream(2)) {
             match events[k] {
                 Event::Report(j, s) => coord.on_helper_report(j, s.load, s.capacity),
-                Event::Observed(peer, rate, estimate) => {
-                    coord.on_observed(peer, rate, estimate)
+                Event::Block(b) => {
+                    let peers = b * block..n.min((b + 1) * block);
+                    let estimate = estimates[peers.clone()].iter().copied().fold(0.0, f64::max);
+                    coord.on_shard_report(
+                        peers.start,
+                        &chosen[peers.clone()],
+                        &rates[peers],
+                        estimate,
+                    );
                 }
             }
         }

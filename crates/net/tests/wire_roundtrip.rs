@@ -17,14 +17,15 @@
 //! table.
 
 use proptest::prelude::*;
-use rths_net::wire::{decode_frame, encode_frame, Frame, WorkerSummary};
+use rths_net::reactor_backend::ShardReport;
+use rths_net::wire::{decode_frame, encode_frame, Frame, WireError, WorkerSummary};
 use rths_net::NetMsg;
 use rths_reactor::bridge::{Reply, Step};
 use rths_reactor::{ActorId, RemoteBatch};
 
 /// One message, any variant, fields drawn from the raw pool.
 fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
-    (0u8..13, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+    (0u8..14, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
         |(tag, a, b, c, d, flag)| match tag {
             0 => NetMsg::Run { epochs: a },
             1 => NetMsg::Publish,
@@ -48,9 +49,49 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
                 rate: f64::from_bits(c),
                 estimate: f64::from_bits(d),
             },
-            _ => NetMsg::SetOnline(flag),
+            12 => NetMsg::SetOnline(flag),
+            _ => NetMsg::ShardReport(Box::new(ShardReport {
+                epoch: a,
+                first: b,
+                chosen: vec![c as u32, (c >> 32) as u32],
+                rates: vec![f64::from_bits(c), f64::from_bits(d)],
+                estimate: f64::from_bits(d),
+            })),
         },
     )
+}
+
+/// The rates a shard report must carry bit for bit: signed zeros, the
+/// smallest and largest subnormals, and NaNs with a payload.
+const AWKWARD_RATES: [u64; 6] = [
+    0x8000_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x000F_FFFF_FFFF_FFFF,
+    0x7FF8_DEAD_BEEF_CAFE,
+    0xFFF0_0000_0000_0001,
+    0x0000_0000_0000_0000,
+];
+
+/// A shard report of any block size, its rates drawn from the whole bit
+/// domain with the awkward patterns mixed in.
+fn arb_shard_report() -> impl Strategy<Value = ShardReport> {
+    (any::<u64>(), any::<u64>(), prop::collection::vec((any::<u32>(), any::<u64>()), 0..300))
+        .prop_map(|(epoch, first, slots)| {
+            let (chosen, rates) = slots
+                .iter()
+                .enumerate()
+                .map(|(k, &(helper, bits))| {
+                    let bits = if k % 3 == 0 { AWKWARD_RATES[k / 3 % 6] } else { bits };
+                    (helper, f64::from_bits(bits))
+                })
+                .unzip();
+            let estimate = f64::from_bits(AWKWARD_RATES[(epoch % 6) as usize]);
+            ShardReport { epoch, first, chosen, rates, estimate }
+        })
+}
+
+fn drain_of(msg: NetMsg) -> Frame {
+    Frame::Step(Step::Drain { staged: vec![(ActorId(0), msg)] })
 }
 
 fn arb_addressed() -> impl Strategy<Value = Vec<(ActorId, NetMsg)>> {
@@ -86,7 +127,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 .map(|(x, y)| (f64::from_bits(x), f64::from_bits(y)))
                 .collect();
             match tag {
-                0 => Frame::Hello { rank: a as usize },
+                0 => Frame::Hello { rank: a as usize, version: b as u8 },
                 1 => Frame::Step(Step::Drain { staged: addressed }),
                 2 => Frame::Step(Step::Merge { batches }),
                 3 => Frame::Step(Step::Timers { deadline: a }),
@@ -150,5 +191,63 @@ proptest! {
         let mut body = encode_frame(&frame);
         body.push(junk);
         prop_assert!(decode_frame(&body).is_err());
+    }
+
+    /// A shard report of any block size comes back field for field, every
+    /// rate and the estimate by their bits.
+    #[test]
+    fn shard_report_survives_bitwise(report in arb_shard_report()) {
+        let body = encode_frame(&drain_of(NetMsg::ShardReport(Box::new(report.clone()))));
+        let Frame::Step(Step::Drain { staged }) = decode_frame(&body).expect("decodes") else {
+            panic!("decoded another frame kind");
+        };
+        let [(to, NetMsg::ShardReport(got))] = &staged[..] else {
+            panic!("decoded {staged:?}");
+        };
+        prop_assert_eq!(to.0, 0);
+        prop_assert_eq!((got.epoch, got.first), (report.epoch, report.first));
+        prop_assert_eq!(&got.chosen, &report.chosen);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got.rates), bits(&report.rates));
+        prop_assert_eq!(got.estimate.to_bits(), report.estimate.to_bits());
+    }
+
+    /// A shard report cut anywhere short of its end is an error, never a
+    /// panic or a shorter report.
+    #[test]
+    fn truncated_shard_report_is_an_error(report in arb_shard_report()) {
+        let body = encode_frame(&drain_of(NetMsg::ShardReport(Box::new(report))));
+        for cut in 0..body.len() {
+            prop_assert!(decode_frame(&body[..cut]).is_err(), "prefix of length {} decoded", cut);
+        }
+    }
+}
+
+/// A block count larger than the frame can hold is refused before
+/// anything is allocated for it; one that fits the frame but not the
+/// bytes after it runs out of frame. Both are a `WireError`.
+#[test]
+fn oversized_shard_report_count_is_an_error() {
+    let report = ShardReport {
+        epoch: 3,
+        first: 8,
+        chosen: vec![1; 4],
+        rates: vec![0.5; 4],
+        estimate: 0.0,
+    };
+    let body = encode_frame(&drain_of(NetMsg::ShardReport(Box::new(report))));
+    // Header, Drain's count and address, the NetMsg tag, epoch and first:
+    // the block count follows.
+    let at = 2 + 8 + 8 + 1 + 8 + 8;
+    assert_eq!(body[at..at + 8], 4u64.to_le_bytes());
+    for (count, oversize) in [(u64::MAX, true), (1 << 40, true), (5, false)] {
+        let mut bad = body.clone();
+        bad[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        let err = decode_frame(&bad).expect_err("a count past the block must fail");
+        if oversize {
+            assert!(matches!(err, WireError::Oversize(_)), "count {count}: {err:?}");
+        } else {
+            assert!(matches!(err, WireError::Truncated), "count {count}: {err:?}");
+        }
     }
 }

@@ -197,6 +197,10 @@ impl Algorithm {
 }
 
 /// A peer-side learner of any supported algorithm.
+///
+/// Every peer pays for the largest variant, and nearly every peer is a
+/// slab slot, so the two baselines that keep their state by value are
+/// boxed: the enum is the size of a [`SlabLearner`].
 #[derive(Debug, Clone)]
 pub enum AnyLearner {
     /// Recursive RTHS (Algorithm 2) or, under uniform averaging, the
@@ -204,9 +208,9 @@ pub enum AnyLearner {
     /// [`LearnerSlab`](rths_core::LearnerSlab).
     SlabRths(SlabLearner),
     /// History-based RTHS (Algorithm 1).
-    History(HistoryRths),
+    History(Box<HistoryRths>),
     /// EXP3 baseline.
-    Exp3(Exp3Learner),
+    Exp3(Box<Exp3Learner>),
 }
 
 impl Learner for AnyLearner {
@@ -326,14 +330,14 @@ impl LearnerSpec {
                 Some(slab) => SlabLearner::new(SharedSlab::clone(slab), config),
                 None => SlabLearner::standalone(config),
             }),
-            Algorithm::HistoryRths => AnyLearner::History(HistoryRths::new(config)),
-            Algorithm::Exp3 => AnyLearner::Exp3(Exp3Learner::new(Exp3Config {
+            Algorithm::HistoryRths => AnyLearner::History(Box::new(HistoryRths::new(config))),
+            Algorithm::Exp3 => AnyLearner::Exp3(Box::new(Exp3Learner::new(Exp3Config {
                 num_actions,
                 gamma: self.delta.max(0.01),
                 // Rewards are rates; scale by a few fair shares.
                 reward_scale: 4.0 * rate_scale,
                 forgetting: self.epsilon,
-            })),
+            }))),
         })
     }
 }

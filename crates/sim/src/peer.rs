@@ -28,18 +28,22 @@ impl std::fmt::Display for PeerId {
 /// A viewing peer: owns its decentralized learner and its private RNG
 /// stream (so churn never perturbs other peers' randomness), plus
 /// accumulators for per-peer reporting (Fig. 4).
+///
+/// Channel and helper indices are stored as `u32`, as in the store's
+/// columns: a reactor hosts 10⁵ of these, and every byte is paid per
+/// peer.
 #[derive(Debug)]
 pub struct Peer {
     id: PeerId,
     learner: AnyLearner,
     rng: StdRng,
-    channel: usize,
+    channel: u32,
     joined_at: u64,
     total_rate: f64,
     epochs_served: u64,
     epochs_online: u64,
     satisfied_epochs: u64,
-    last_helper: Option<usize>,
+    last_helper: Option<u32>,
     switches: u64,
 }
 
@@ -56,7 +60,7 @@ impl Peer {
             id,
             learner,
             rng,
-            channel,
+            channel: channel as u32,
             joined_at,
             total_rate: 0.0,
             epochs_served: 0,
@@ -74,13 +78,13 @@ impl Peer {
 
     /// The channel this peer watches (0 in single-channel systems).
     pub fn channel(&self) -> usize {
-        self.channel
+        self.channel as usize
     }
 
     /// Switches the peer to another channel, resetting its learner for
     /// the new action set.
     pub fn set_channel(&mut self, channel: usize, num_actions: usize) {
-        self.channel = channel;
+        self.channel = channel as u32;
         self.learner.reset_actions(num_actions);
         self.last_helper = None;
     }
@@ -103,13 +107,20 @@ impl Peer {
     /// Samples this epoch's helper choice from the learner.
     pub fn choose_helper(&mut self) -> usize {
         let choice = self.learner.select_action(&mut self.rng);
+        let stored = choice as u32;
         if let Some(prev) = self.last_helper {
-            if prev != choice {
+            if prev != stored {
                 self.switches += 1;
             }
         }
-        self.last_helper = Some(choice);
+        self.last_helper = Some(stored);
         choice
+    }
+
+    /// The helper chosen by the latest [`choose_helper`](Self::choose_helper)
+    /// (`None` before the first choice and after a channel switch).
+    pub fn last_helper(&self) -> Option<usize> {
+        self.last_helper.map(|h| h as usize)
     }
 
     /// Delivers this epoch's realized rate to the learner and updates the

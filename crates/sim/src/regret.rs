@@ -492,7 +492,7 @@ impl RegretLedger {
     /// to [`Counter::RegretExactReads`].
     pub fn record_all_max(
         &mut self,
-        chosen: &[usize],
+        chosen: &[u32],
         rates: &[f64],
         shards: usize,
         shard_max: &mut Vec<f64>,
@@ -517,7 +517,7 @@ impl RegretLedger {
                     &ctx,
                     i,
                     0,
-                    chosen[abs],
+                    chosen[abs] as usize,
                     rates[abs],
                     &mut folds,
                     max,
@@ -881,7 +881,8 @@ mod tests {
             let mut out = Vec::new();
             for _ in 0..120 {
                 let join: Vec<f64> = (0..5).map(|_| rng.gen_range(0..900) as f64).collect();
-                let chosen: Vec<usize> = (0..90).map(|_| rng.gen_range(0..5)).collect();
+                let chosen: Vec<u32> =
+                    (0..90).map(|_| rng.gen_range(0..5usize) as u32).collect();
                 let rates: Vec<f64> = (0..90).map(|_| rng.gen_range(0..800) as f64).collect();
                 ledger.advance_epoch(&[0, 5], &join);
                 out.push(
@@ -1065,8 +1066,8 @@ mod tests {
             }
             if let Some(ledger) = &mut all {
                 ledger.advance_epoch(&offsets, &join);
-                let (chosen, rates): (Vec<usize>, Vec<f64>) =
-                    moves.iter().map(|&(_, p, r)| (p, r)).unzip();
+                let (chosen, rates): (Vec<u32>, Vec<f64>) =
+                    moves.iter().map(|&(_, p, r)| (p as u32, r)).unzip();
                 let shards = SHARDS[e as usize % SHARDS.len()];
                 let got = ledger.record_all_max(&chosen, &rates, shards, &mut Vec::new());
                 assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}, record_all_max");

@@ -192,12 +192,11 @@ fn jitter_does_not_change_results() {
     // The seeded delivery-schedule sweep. Every actor's tick is delayed
     // by a hash of (plan seed, actor, epoch), and timers fire only once
     // the mesh is quiescent, so delayed ticks land in delay order: the
-    // plan seed permutes the order in which requests reach each helper
-    // and selections reach the coordinator, and picks the helpers whose
-    // `Settle` overtakes their `Tick` (they park it and settle rounds
-    // later, so their rates, observations and report arrive late). The
-    // barrier protocol must absorb every such schedule: each run is held
-    // to the simulator under the same plan, every series and both
+    // plan seed permutes the order in which requests reach each helper,
+    // and how many rounds and timer steps the epoch takes before the
+    // helpers' `Settle` timers fire, one tick after the latest `Tick`.
+    // The barrier protocol must absorb every such schedule: each run is
+    // held to the simulator under the same plan, every series and both
     // per-peer summaries.
     const PLAN_SEEDS: u64 = 16;
     const JITTER_BOUNDS: [u64; 5] = [0, 2, 5, 17, 200];
