@@ -1,7 +1,7 @@
 //! Ablation abl-churn: helper outage/recovery under static and churning
 //! populations, with and without the conditional-regret extension.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ablation_churn`
+//! Run with: `cargo run --release -p rths_bench --bin ablation_churn`
 
 use rths_bench::write_csv;
 use rths_sim::churn::FailureSchedule;

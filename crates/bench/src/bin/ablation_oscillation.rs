@@ -7,7 +7,7 @@
 //! flapping under synchronous best response and show RTHS converging to
 //! a stable split on the same instance.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ablation_oscillation`
+//! Run with: `cargo run --release -p rths_bench --bin ablation_oscillation`
 
 use rand::SeedableRng;
 use rths_bench::write_csv;

@@ -1,7 +1,7 @@
 //! Ablation abl-param: sensitivity of convergence to ε (step size),
 //! δ (exploration) and μ (normalisation).
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ablation_params`
+//! Run with: `cargo run --release -p rths_bench --bin ablation_params`
 
 use rths_bench::write_csv;
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};

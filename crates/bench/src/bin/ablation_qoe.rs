@@ -5,7 +5,7 @@
 //! playback-buffer model shows what that means for actual viewing:
 //! stalls per minute and rebuffer ratio.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ablation_qoe`
+//! Run with: `cargo run --release -p rths_bench --bin ablation_qoe`
 
 use rths_bench::write_csv;
 use rths_game::{best_response, HelperSelectionGame};

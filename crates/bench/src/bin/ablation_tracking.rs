@@ -1,7 +1,7 @@
 //! Ablation abl-track: regret *tracking* vs regret *matching* under a
 //! mid-run capacity collapse (the design choice §II motivates).
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ablation_tracking`
+//! Run with: `cargo run --release -p rths_bench --bin ablation_tracking`
 
 use rths_bench::write_csv;
 use rths_sim::{Algorithm, LearnerSpec, Scenario, System};

@@ -1,7 +1,7 @@
 //! Runs every figure/ablation binary's workload in-process and writes all
 //! CSVs — the one-shot reproduction entry point.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin all_figures`
+//! Run with: `cargo run --release -p rths_bench --bin all_figures`
 
 use std::process::Command;
 
@@ -32,7 +32,7 @@ fn main() {
         } else {
             // Fallback: go through cargo when run via `cargo run`.
             Command::new("cargo")
-                .args(["run", "--release", "-p", "rths-bench", "--bin", target])
+                .args(["run", "--release", "-p", "rths_bench", "--bin", target])
                 .status()
         };
         match status {
@@ -48,7 +48,7 @@ fn main() {
         Command::new(&path).status()
     } else {
         Command::new("cargo")
-            .args(["run", "--release", "-p", "rths-bench", "--bin", "ce_verify"])
+            .args(["run", "--release", "-p", "rths_bench", "--bin", "ce_verify"])
             .status()
     };
     if !matches!(status, Ok(s) if s.success()) {

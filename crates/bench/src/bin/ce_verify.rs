@@ -2,7 +2,7 @@
 //! an approximate correlated equilibrium, compared against the exact CE
 //! polytope computed by LP on a small instance.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ce_verify`
+//! Run with: `cargo run --release -p rths_bench --bin ce_verify`
 
 use rand::SeedableRng;
 use rths_bench::write_csv;

@@ -1,7 +1,7 @@
 //! Extension ext-mc: the multi-channel future-work system — joint
 //! helper-level bandwidth allocation × peer-level helper selection.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin ext_multichannel`
+//! Run with: `cargo run --release -p rths_bench --bin ext_multichannel`
 
 use rths_bench::write_csv;
 use rths_sim::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};

@@ -6,7 +6,7 @@
 //! regret (the quantity Hart & Mas-Colell's theorem controls), averaged
 //! over 5 seeds, plus the learners' internal estimates for reference.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin fig1`
+//! Run with: `cargo run --release -p rths_bench --bin fig1`
 
 use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
 use rths_sim::{Scenario, System};

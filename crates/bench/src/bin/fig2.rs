@@ -5,7 +5,7 @@
 //! welfare (smoothed) against the exact occupation-measure optimum
 //! `Σ_y π(y)·W*(y)` computed by `rths-mdp`.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin fig2`
+//! Run with: `cargo run --release -p rths_bench --bin fig2`
 
 use rand::SeedableRng;
 use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};

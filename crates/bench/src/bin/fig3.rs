@@ -4,7 +4,7 @@
 //! We report the time-averaged number of peers per helper (with the
 //! across-seed spread) and the load-balance coefficient of variation.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin fig3`
+//! Run with: `cargo run --release -p rths_bench --bin fig3`
 
 use rths_bench::{per_seed, write_csv, SEEDS};
 use rths_sim::{Scenario, System};

@@ -4,7 +4,7 @@
 //! We report each peer's lifetime mean received rate and Jain's fairness
 //! index over those rates.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin fig4`
+//! Run with: `cargo run --release -p rths_bench --bin fig4`
 
 use rths_bench::{per_seed, write_csv, SEEDS};
 use rths_sim::{Scenario, System};

@@ -7,7 +7,7 @@
 //! stays close to that lower bound, i.e. helpers are utilized nearly
 //! fully.
 //!
-//! Run with: `cargo run --release -p rths-bench --bin fig5`
+//! Run with: `cargo run --release -p rths_bench --bin fig5`
 
 use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
 use rths_sim::{Scenario, System};

@@ -7,9 +7,9 @@
 //! trait: [`SlabLearner`](crate::SlabLearner)), which packs a population
 //! into flat columns and touches played columns only; its unit tests and
 //! the proptest sweeps in `tests/properties.rs` replay this type
-//! **bit-for-bit** in every recency × conditional mode, and
-//! `bench_kernel` prices the two layouts against each other. Nothing in
-//! the simulator or the net runtimes holds an `RthsState`.
+//! **bit-for-bit** in every recency × conditional mode, at arities up to
+//! 256. Nothing in the simulator or the net runtimes holds an
+//! `RthsState`.
 //!
 //! The state keeps only what is genuinely per-peer — `T`, the mixed
 //! strategy, the play-frequency average, the stage counter and the

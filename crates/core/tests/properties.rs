@@ -42,11 +42,12 @@ fn all_modes_config(
         .unwrap()
 }
 
-/// `(arity, stride)` pairs for the played-mask walks: one and two bitmask
-/// words, `stride == arity` and `stride > arity`, and both row-gather
-/// forms (a stride of at most 8 gathers densely, see `slab.rs`).
-const MASK_GEOMETRIES: [(usize, usize); 7] =
-    [(3, 5), (8, 8), (8, 11), (64, 64), (64, 67), (70, 70), (70, 75)];
+/// `(arity, stride)` pairs for the played-mask walks: one, two, four
+/// (last one partial) and four full bitmask words, `stride == arity` and
+/// `stride > arity`, and both row-gather forms (a stride of at most 8
+/// gathers densely, see `slab.rs`).
+const MASK_GEOMETRIES: [(usize, usize); 9] =
+    [(3, 5), (8, 8), (8, 11), (64, 64), (64, 67), (70, 70), (70, 75), (200, 203), (256, 256)];
 
 /// [`arb_config_all_modes`] at the arities of [`MASK_GEOMETRIES`], with ε
 /// up to 0.95 so that the lazy decay renormalises within a short run

@@ -13,8 +13,8 @@
 //!   hash-order into state. Banned in state-feeding crates; the harness
 //!   crates (`bench`, `obs`) and this linter are exempt.
 //! * **R3 `wall-clock`** — `Instant::now`/`SystemTime` outside the
-//!   observability/bench allowlist violates the timing-is-read-never-
-//!   fed-back contract the obs layer is built on.
+//!   observability layer violates the timing-is-read-never-fed-back
+//!   contract that layer is built on.
 //! * **R4 `entropy-rng`** — `thread_rng`/`from_entropy`/`OsRng` seed
 //!   from the OS; every RNG stream in the workspace must derive from
 //!   the run seed or replays are impossible. Banned everywhere.
@@ -87,7 +87,7 @@ impl Rule {
                 "no HashMap/HashSet in state-feeding crates (nondeterministic iteration order)"
             }
             Rule::WallClock => {
-                "no Instant::now/SystemTime outside crates/obs and crates/bench (timing is read, never fed back)"
+                "no Instant::now/SystemTime outside crates/obs (timing is read, never fed back)"
             }
             Rule::EntropyRng => {
                 "no entropy-seeded RNG (thread_rng/from_entropy/OsRng); streams derive from the run seed"
@@ -111,11 +111,9 @@ impl Rule {
                     && !rel.starts_with("crates/obs/")
                     && !rel.starts_with("crates/lint/")
             }
-            // The observability layer exists to read the clock, and the
-            // bench harness times runs; neither feeds results back.
-            Rule::WallClock => {
-                !rel.starts_with("crates/obs/") && !rel.starts_with("crates/bench/")
-            }
+            // The observability layer exists to read the clock and never
+            // feeds what it reads back.
+            Rule::WallClock => !rel.starts_with("crates/obs/"),
             Rule::EntropyRng | Rule::UnsafeSafety => true,
         }
     }
@@ -292,7 +290,7 @@ fn scan_rule(rule: Rule, rel: &str, lexed: &Lexed, out: &mut Vec<(Rule, u32, Str
                     Some("SystemTime") => out.push((
                         rule,
                         token.line,
-                        "`SystemTime` outside the obs/bench allowlist: wall-clock time must \
+                        "`SystemTime` outside crates/obs: wall-clock time must \
                          never reach simulation state"
                             .to_string(),
                     )),
@@ -304,7 +302,7 @@ fn scan_rule(rule: Rule, rel: &str, lexed: &Lexed, out: &mut Vec<(Rule, u32, Str
                         out.push((
                             rule,
                             token.line,
-                            "`Instant::now` outside the obs/bench allowlist: timing is \
+                            "`Instant::now` outside crates/obs: timing is \
                              read-only observability and must never feed back"
                                 .to_string(),
                         ));
@@ -398,11 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_scope_allowlists_obs_and_bench() {
+    fn wall_clock_scope_allowlists_obs_only() {
         let src = "fn t() -> std::time::Instant { std::time::Instant::now() }";
         assert_eq!(check_file(IN_SCOPE, src).violations.len(), 1);
         assert!(check_file("crates/obs/src/span.rs", src).is_clean());
-        assert!(check_file("crates/bench/src/bin/bench_x.rs", src).is_clean());
+        assert_eq!(check_file("crates/bench/src/bin/fig1.rs", src).violations.len(), 1);
         // The bare `Instant` type (no ::now) is fine anywhere: passing
         // an origin around is not reading the clock.
         let ty_only = "fn keep(t: std::time::Instant) -> std::time::Instant { t }";

@@ -76,10 +76,11 @@ fn wall_clock_positive_negative_allow() {
 }
 
 #[test]
-fn wall_clock_fixture_is_exempt_under_obs_and_bench_paths() {
+fn wall_clock_fixture_is_exempt_under_obs_paths_only() {
     let source = include_str!("fixtures/wall_clock_fire.rs");
     assert!(lint_source("crates/obs/src/fixture.rs", source).is_clean());
-    assert!(lint_source("crates/bench/src/bin/fixture.rs", source).is_clean());
+    let in_bench = lint_source("crates/bench/src/bin/fixture.rs", source);
+    assert_eq!(rules_of(&in_bench), ["wall-clock"; 3]);
 }
 
 #[test]

@@ -48,11 +48,12 @@
 //! env-mutation rule holds; tests that need to override the lookup use
 //! the sanctioned `rths_par::env` guard).
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use rths_obs as obs;
 use rths_reactor::bridge::{
@@ -165,18 +166,6 @@ pub struct MultiprocReport {
     pub rss_kb: Vec<u64>,
 }
 
-impl MultiprocReport {
-    /// Summed peak RSS over all ranks (the headline memory figure).
-    pub fn total_rss_kb(&self) -> u64 {
-        self.rss_kb.iter().sum()
-    }
-
-    /// Largest single-process peak RSS.
-    pub fn max_rss_kb(&self) -> u64 {
-        self.rss_kb.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// Runs `epochs` epochs with the mesh sharded across `processes` OS
 /// processes at the default [`SHARD_SPAN`] mailbox span. See
 /// [`run_multiproc_with_span`].
@@ -197,9 +186,9 @@ pub fn run_multiproc(config: NetConfig, epochs: u64, processes: usize) -> Multip
 /// # Panics
 ///
 /// Panics if `processes` is zero, the worker executable cannot be
-/// spawned, or a worker dies mid-run. Every worker spawned by then is
-/// killed and reaped, and the socket file unlinked, before the panic
-/// leaves this function.
+/// spawned, a worker exits before connecting, or a worker dies mid-run.
+/// Every worker spawned by then is killed and reaped, and the socket
+/// file unlinked, before the panic leaves this function.
 pub fn run_multiproc_with_span(
     config: NetConfig,
     epochs: u64,
@@ -223,6 +212,7 @@ pub fn run_multiproc_with_span(
         let path = &launch.path;
         let listener =
             UnixListener::bind(path).unwrap_or_else(|e| panic!("bind {}: {e}", path.display()));
+        listener.set_nonblocking(true).expect("non-blocking listener");
         let exe = worker_exe();
         for rank in 1..processes {
             launch.children.push(
@@ -237,7 +227,7 @@ pub fn run_multiproc_with_span(
         }
         let wc = WorkerConfig { config: config.clone(), span, processes };
         for _ in 1..processes {
-            let (stream, _) = listener.accept().expect("worker connection");
+            let stream = accept_worker(&listener, &mut launch.children);
             let mut link = FrameLink::new(stream).expect("socket handle clone");
             match link.recv() {
                 Frame::Hello { rank, version } => {
@@ -291,6 +281,32 @@ pub fn run_multiproc_with_span(
         assert!(status.success(), "worker exited with {status}");
     }
     MultiprocReport { outcome: harvest.into_outcome(), rss_kb }
+}
+
+/// Accepts the next worker connection on the non-blocking `listener`.
+/// While none is pending it polls every spawned child: a worker that has
+/// exited will never connect, so the launch panics naming its rank and
+/// exit status instead of waiting forever. The returned stream blocks.
+fn accept_worker(listener: &UnixListener, children: &mut [Child]) -> UnixStream {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false).expect("blocking worker stream");
+                return stream;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            Err(e) => panic!("accepting a worker connection: {e}"),
+        }
+        for (i, child) in children.iter_mut().enumerate() {
+            if let Some(status) = child.try_wait().expect("polling a worker") {
+                panic!(
+                    "worker rank {} exited with {status} before the launch completed",
+                    i + 1
+                );
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Admits a worker only if it speaks this build's wire format. A stale
@@ -414,7 +430,6 @@ mod tests {
         assert_outcomes_identical(&multi.outcome, &single);
         assert_eq!(multi.rss_kb.len(), 2);
         assert!(multi.rss_kb.iter().all(|&kb| kb > 0), "rss {:?}", multi.rss_kb);
-        assert!(multi.total_rss_kb() >= multi.max_rss_kb());
     }
 
     #[test]

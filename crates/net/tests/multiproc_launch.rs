@@ -1,32 +1,71 @@
 //! A multi-process launch that fails cleans up after itself.
 //!
-//! A test binary of its own: it points `RTHS_MP_WORKER` at a missing
-//! executable, and no other test in this process may read that variable
-//! meanwhile (see the race note in `rths_par::env`).
+//! A test binary of its own: it points `RTHS_MP_WORKER` at a missing or
+//! useless executable, and no other test in this process may read that
+//! variable meanwhile (see the race note in `rths_par::env`). Each test
+//! looks for leftover sockets inside its guarded region, so the other
+//! test's launch cannot be mid-flight while it looks.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use rths_net::multiproc::{run_multiproc_with_span, WORKER_ENV};
 use rths_net::NetConfig;
 use rths_sim::Scenario;
+
+/// This process's `rths-mp-<pid>-*.sock` files in the temp dir.
+fn sockets_left() -> Vec<String> {
+    let prefix = format!("rths-mp-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir readable")
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&prefix) && name.ends_with(".sock"))
+        .collect()
+}
+
+/// Launches two processes over `worker` and returns the launch's panic
+/// message (`None` if it succeeded) and the sockets left behind.
+fn launch_with_worker(worker: Option<&str>) -> (Option<String>, Vec<String>) {
+    let config = NetConfig::from_sim(Scenario::paper_small().seed(1).build());
+    rths_par::env::with_var(WORKER_ENV, worker, || {
+        let result =
+            panic::catch_unwind(AssertUnwindSafe(|| run_multiproc_with_span(config, 4, 2, 4)));
+        let message = result.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        });
+        (message, sockets_left())
+    })
+}
 
 /// The socket is bound before the worker binary is looked up and
 /// spawned; when the spawn panics, no `rths-mp-<pid>-*.sock` may be left
 /// in the temp dir.
 #[test]
 fn failed_multiproc_launch_leaves_no_socket() {
-    let dir = std::env::temp_dir();
-    let missing = dir.join(format!("rths-missing-worker-{}", std::process::id()));
-    let config = NetConfig::from_sim(Scenario::paper_small().seed(1).build());
-    let result = rths_par::env::with_var(WORKER_ENV, missing.to_str(), || {
-        panic::catch_unwind(AssertUnwindSafe(|| run_multiproc_with_span(config, 4, 2, 4)))
-    });
-    assert!(result.is_err(), "a launch without its worker binary must fail");
-    let prefix = format!("rths-mp-{}-", std::process::id());
-    let left: Vec<_> = std::fs::read_dir(&dir)
-        .expect("temp dir readable")
-        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-        .filter(|name| name.starts_with(&prefix) && name.ends_with(".sock"))
-        .collect();
-    assert!(left.is_empty(), "sockets left behind in {}: {left:?}", dir.display());
+    let missing =
+        std::env::temp_dir().join(format!("rths-missing-worker-{}", std::process::id()));
+    let (message, left) = launch_with_worker(missing.to_str());
+    assert!(message.is_some(), "a launch without its worker binary must fail");
+    assert!(left.is_empty(), "sockets left behind: {left:?}");
+}
+
+/// A worker that exits without ever connecting fails the launch, naming
+/// its rank, instead of leaving the parent blocked in `accept`. The
+/// launch runs on its own thread so that a hang fails this test after a
+/// minute instead of blocking it forever.
+#[test]
+fn worker_exit_before_connecting_fails_the_multiproc_launch() {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || tx.send(launch_with_worker(Some("/bin/true"))));
+    let (message, left) =
+        rx.recv_timeout(Duration::from_secs(60)).expect("the launch hung in accept");
+    let message = message.expect("a launch whose worker exits must fail");
+    assert!(message.contains("rank 1"), "{message}");
+    assert!(left.is_empty(), "sockets left behind: {left:?}");
 }

@@ -53,10 +53,9 @@ pub mod env;
 /// a worker only pays off once its contiguous shard holds at least this
 /// many fine-grained items (one peer's choose/observe step is ~0.1–2 µs;
 /// a scoped spawn plus join costs tens of µs, so a worker needs a couple
-/// thousand items to amortize it). The committed `BENCH_sim.json`
-/// demonstrated the pathology this guards against: 2- and 4-thread runs
-/// were *slower* than sequential for every population ≤ 4×10³ (e.g.
-/// 2 861 → 2 122 epochs/s at n = 200, threads 4).
+/// thousand items to amortize it). Without the cap, 2- and 4-thread
+/// simulator runs were *slower* than sequential for every population
+/// ≤ 4×10³.
 ///
 /// [`par_sharded`] itself cannot apply the cutoff — it does not know the
 /// weight of an item (the reactor passes a handful of whole mailbox

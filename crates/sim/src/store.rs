@@ -429,9 +429,9 @@ impl PeerStore {
     /// the small-input inline cutoff, workers are capped so each shard
     /// keeps at least [`rths_par::MIN_ITEMS_PER_WORKER`] peers — below
     /// that, spawn overhead exceeds the per-peer phase work and
-    /// `BENCH_sim.json` showed multi-thread runs *slower* than
-    /// sequential for every population ≤ 4×10³. Results are bit-identical
-    /// at any shard count, so the cap is pure scheduling.
+    /// multi-thread runs were *slower* than sequential for every
+    /// population ≤ 4×10³. Results are bit-identical at any shard count,
+    /// so the cap is pure scheduling.
     fn shards_for(&self, len: usize) -> usize {
         match self.shard_override {
             Some(n) => n.min(len).max(1),

@@ -1,7 +1,7 @@
 //! End-to-end convergence tests mirroring the paper's five figures.
 //!
 //! Each test asserts the *shape* the corresponding figure reports; the
-//! bench binaries in `rths-bench` regenerate the full series.
+//! bench binaries in `rths_bench` regenerate the full series.
 
 use rand::SeedableRng;
 use rths_mdp::MdpBenchmark;
