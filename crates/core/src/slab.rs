@@ -19,7 +19,10 @@
 //!            ▼
 //!            block b                   block b+1              …
 //!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]      stride s²
-//!           └─ S(r,k) at k·s + r  (column-major per block)
+//!           └─ S(r,k) at c(k)·s + r  (column-major per block)
+//!
+//!   c(k) = k                              s² · 8 B ≤ 4 KB (unpacked)
+//!   c(k) = #{played actions below k}      s² · 8 B > 4 KB (packed)
 //! ```
 //!
 //! The per-slot columns are **slot-addressed**; the T arena is
@@ -50,13 +53,34 @@
 //!   `256·ln 2 / ε` stages per slot.
 //! * **The `played` bitmask.** A column `k` is written only by the rank-1
 //!   update of a stage that played `k` (which sets bit `k`), and by
-//!   renormalisation and wipes, which map `+0.0` to `+0.0`. So a column
-//!   whose bit is clear is exactly `+0.0` everywhere — the slab invariant
-//!   — and nothing ever needs to load one: renormalisation, wipes and
-//!   clones walk the mask (compaction moves no column at all — see the
-//!   block handles above), and never-written pages of the one big
+//!   renormalisation and wipes, which map `+0.0` to `+0.0`. So a
+//!   never-played action's column is exactly `+0.0` everywhere, and
+//!   nothing ever needs to load one: renormalisation, wipes and clones
+//!   walk the mask (compaction moves no column at all — see the block
+//!   handles above), and never-written pages of the one big
 //!   lazily-mapped zero allocation are never committed (the
 //!   construction-time and peak-RSS win at the 10⁵-actor point).
+//! * **Played columns first.** In a block larger than one 4 KB page the
+//!   played columns are stored **packed** at its front in ascending action
+//!   order: action `k`'s column sits at position `rank(k)`, the number of
+//!   played actions below `k`, read off the bitmask. The slab invariant is
+//!   then that every position at or past the played count is `+0.0` (in an
+//!   unpacked block: every never-played action's column). Under regret
+//!   tracking a slot settles on a few of its `m` actions, and column-`k`
+//!   addressing would commit a page for every distinct `k / 8` at m = 64;
+//!   packed, a slot commits `⌈played · s · 8 B / 4 KB⌉` pages. The first
+//!   play of `j` opens its column: the stored columns at positions
+//!   `≥ rank(j)` shift up one inside the block, the opened one is zeroed,
+//!   and the rank-1 update runs on it as on any other. Only the address of
+//!   `S(·, k)` changes, never a float expression or its order. Mask walks
+//!   still visit played actions in ascending `k`, so the `n`-th one is at
+//!   position `n`; `best`, `diag` and the regret row stay
+//!   action-indexed; wipes and renormalisation cover one `played · s`
+//!   prefix. **Geometry gate, not a setting:** a block of at most a page
+//!   (stride ≤ 22) shares its pages with its neighbours, all of which are
+//!   committed within the first epochs, so packing would buy nothing there
+//!   and cost the rank arithmetic and the shifts; such a slab addresses
+//!   column `k` at `k · s`.
 //! * **Mask-driven row gather.** The played row `S(j, ·)` is one element
 //!   of every column — a cache line each. All never-played columns share
 //!   the regret entry `(factor · (0 − S(j,j)))⁺`, computed once; the mask
@@ -188,10 +212,53 @@ fn factor_for(config: &RthsConfig, stage: u64) -> f64 {
 /// `f64`s per cache line.
 const LINE: usize = 8;
 
+/// `f64`s per 4 KB page.
+const PAGE: usize = 512;
+
 /// A column of `f64`s this long or shorter is one cache line, so a slot's
 /// whole `S` is at most `stride` lines and a mask walk has nothing to
 /// skip: the played-row gather then reads all `m` columns densely.
 const DENSE_GATHER_MAX_STRIDE: usize = LINE;
+
+/// Whether a slab of this stride keeps each block's played columns packed
+/// at its front (see the module docs): only a block larger than a page
+/// has pages of its own to leave uncommitted.
+#[inline]
+fn packs(stride: usize) -> bool {
+    stride * stride > PAGE
+}
+
+/// How many actions below `k` a played-column bitmask has set: the
+/// position of column `k` in a packed block.
+#[inline]
+fn rank(played: &[u64], k: usize) -> usize {
+    let below: u32 = played[..k / 64].iter().map(|w| w.count_ones()).sum();
+    (below + (played[k / 64] & ((1 << (k % 64)) - 1)).count_ones()) as usize
+}
+
+/// Where action `k`'s column starts in one slot's block — or, if `k` has
+/// never been played, where opening it would put it.
+#[inline(always)]
+fn column_start(played: &[u64], stride: usize, k: usize) -> usize {
+    (if packs(stride) { rank(played, k) } else { k }) * stride
+}
+
+/// Opens action `j`'s column for a rank-1 update and returns where it
+/// starts, and whether this opened a packed column. The first play of `j`
+/// sets its bit; in a packed block it also shifts the stored columns at
+/// positions `≥ rank(j)` up one and zeroes the column at `rank(j)`.
+fn open_column(t: &mut [f64], played: &mut [u64], stride: usize, j: usize) -> (usize, bool) {
+    let bit = 1 << (j % 64);
+    let opened = played[j / 64] & bit == 0 && packs(stride);
+    played[j / 64] |= bit;
+    let at = column_start(played, stride, j);
+    if opened {
+        let stored = played_count(played) * stride - stride;
+        t.copy_within(at..stored, at + stride);
+        t[at..at + stride].fill(0.0);
+    }
+    (at, opened)
+}
 
 /// Observes that run behind one pass of loads (see the module docs): the
 /// block size of the store's observe sweep and the length of a
@@ -209,13 +276,20 @@ pub const OBSERVE_BATCH: usize = 8;
 /// Nothing is stored, and the caller hands the fold to
 /// [`std::hint::black_box`] and drops it: no float of any trajectory can
 /// depend on this routine or on whether it ran.
-#[inline]
+///
+/// Forced inline, with the two addressing helpers it calls: left to the
+/// inliner, it made a slab sweep at m = 10 (unpacked blocks) ≈ 5 % slower
+/// per observe on a 2-vCPU x86-64 host.
+#[inline(always)]
 fn touch(t: &[f64], played: &[u64], stride: usize, m: usize, j: usize) -> u64 {
+    // Before a first play of `j` in a packed block, the lines at `rank(j)`
+    // are the ones the shift and the update are about to rewrite.
+    let at = column_start(played, stride, j);
     let mut fold = 0;
     for r in (0..m).step_by(LINE) {
-        fold ^= t[j * stride + r].to_bits();
+        fold ^= t[at + r].to_bits();
     }
-    for_each_played(played, |k| fold ^= t[k * stride + j].to_bits());
+    for_each_column(played, stride, |_, c| fold ^= t[c + j].to_bits());
     fold
 }
 
@@ -232,12 +306,34 @@ fn for_each_played(played: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// Zeroes one slot's played `S` columns and clears its bitmask; returns
-/// the number of columns written.
+/// Calls `f(k, c)` for every played action `k` of one slot, in ascending
+/// order, with `c` where its column starts in the slot's block: `k ·
+/// stride` in an unpacked block, the next position in a packed one.
+#[inline(always)]
+fn for_each_column(played: &[u64], stride: usize, mut f: impl FnMut(usize, usize)) {
+    if packs(stride) {
+        let mut c = 0;
+        for_each_played(played, |k| {
+            f(k, c);
+            c += stride;
+        });
+    } else {
+        for_each_played(played, |k| f(k, k * stride));
+    }
+}
+
+/// The number of actions a slot has played.
+fn played_count(played: &[u64]) -> usize {
+    played.iter().map(|w| w.count_ones()).sum::<u32>() as usize
+}
+
+/// Zeroes one slot's played `S` columns — in a packed block, the prefix
+/// they fill — and clears its bitmask; returns the number of columns
+/// written.
 fn wipe_columns(t: &mut [f64], played: &mut [u64], stride: usize) -> u64 {
     let mut written = 0;
-    for_each_played(played, |k| {
-        t[k * stride..(k + 1) * stride].fill(0.0);
+    for_each_column(played, stride, |_, c| {
+        t[c..c + stride].fill(0.0);
         written += 1;
     });
     played.fill(0);
@@ -257,8 +353,8 @@ fn renormalise(xs: &mut [f64]) {
 /// slot's played `S` columns; returns the number of columns written.
 fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
     let mut written = 0;
-    for_each_played(played, |k| {
-        renormalise(&mut t[k * stride..(k + 1) * stride]);
+    for_each_column(played, stride, |_, c| {
+        renormalise(&mut t[c..c + stride]);
         written += 1;
     });
     written
@@ -302,12 +398,12 @@ fn apply_decay(
 /// it holds.
 fn gather_diagonal(t: &[f64], played: &[u64], stride: usize, diag: &mut [f64]) {
     diag.fill(0.0);
-    for_each_played(played, |k| diag[k] = t[k * stride + k]);
+    for_each_column(played, stride, |k, c| diag[k] = t[c + k]);
 }
 
 /// Whether every one of a slot's `m` columns has been played.
 fn all_played(played: &[u64], m: usize) -> bool {
-    played.iter().map(|w| w.count_ones()).sum::<u32>() as usize >= m
+    played_count(played) >= m
 }
 
 /// The tail every `max_regret` shares: the fold's result clamped at zero,
@@ -341,9 +437,8 @@ fn max_regret_in(
     diag.resize(m, 0.0);
     gather_diagonal(t, played, stride, diag);
     let mut max = f64::NEG_INFINITY;
-    for_each_played(played, |k| {
-        max =
-            max.max(kernels::shifted_regret_max(&t[k * stride..k * stride + m], diag, factor));
+    for_each_column(played, stride, |_, c| {
+        max = max.max(kernels::shifted_regret_max(&t[c..c + m], diag, factor));
     });
     if !all_played(played, m) {
         for &d in diag.iter() {
@@ -359,7 +454,7 @@ fn max_regret_in(
 fn rebuild_row_maxima(t: &[f64], played: &[u64], stride: usize, best: &mut [f64]) {
     let m = best.len();
     best.fill(if all_played(played, m) { f64::NEG_INFINITY } else { 0.0 });
-    for_each_played(played, |k| kernels::max_assign(best, &t[k * stride..k * stride + m]));
+    for_each_column(played, stride, |_, c| kernels::max_assign(best, &t[c..c + m]));
 }
 
 /// Calls `mv(read, write)` for every surviving slot of `0..n` that an
@@ -655,8 +750,8 @@ impl LearnerSlab {
         let (stride, words) = (self.stride, self.words);
         let (from, to) = (self.block_range(src).start, self.block_range(dst).start);
         self.played.copy_within(src * words..(src + 1) * words, dst * words);
-        for_each_played(&self.played[dst * words..(dst + 1) * words], |k| {
-            self.t.copy_within(from + k * stride..from + (k + 1) * stride, to + k * stride);
+        for_each_column(&self.played[dst * words..(dst + 1) * words], stride, |_, c| {
+            self.t.copy_within(from + c..from + c + stride, to + c);
         });
         self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
         self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
@@ -922,12 +1017,21 @@ impl LearnerSlab {
         (p != NO_PENDING).then_some(p as usize)
     }
 
+    /// Stored entry `S(j, k)` of a slot: `+0.0` in a never-played column.
+    fn stored_entry(&self, slot: usize, j: usize, k: usize) -> f64 {
+        let played = &self.played[slot * self.words..(slot + 1) * self.words];
+        if played[k / 64] >> (k % 64) & 1 == 0 {
+            return 0.0;
+        }
+        self.t[self.block_range(slot).start + column_start(played, self.stride, k) + j]
+    }
+
     /// Proxy-matrix entry `T(j, k)` of a slot (tests/diagnostics).
     pub fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
         self.assert_flushed();
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "proxy index out of range");
-        self.scale[slot] * self.t[self.block_range(slot).start + k * self.stride + j]
+        self.scale[slot] * self.stored_entry(slot, j, k)
     }
 
     /// Regret `Qⁿ(j, k)` of a slot (Eq. 3-6; tests/diagnostics) — the
@@ -939,9 +1043,8 @@ impl LearnerSlab {
         }
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "regret index out of range");
-        let s = &self.t[self.block_range(slot)];
         let factor = factor_for(config, self.stage[slot]) * self.scale[slot];
-        (factor * (s[k * self.stride + j] - s[j * self.stride + j])).max(0.0)
+        (factor * (self.stored_entry(slot, j, k) - self.stored_entry(slot, j, j))).max(0.0)
     }
 
     /// Borrows every column as a [`SlabCols`] bundle for a sharded
@@ -1020,7 +1123,8 @@ impl LearnerSlab {
 
     /// Feeds a slot's pending utility through the full update (see
     /// `RthsState::observe`) at once — only [`SlabLearner::observe`] goes
-    /// through the observe queue.
+    /// through the observe queue. Returns whether it opened a packed
+    /// column (see [`SlabCols::observe`]).
     ///
     /// # Panics
     ///
@@ -1031,8 +1135,8 @@ impl LearnerSlab {
         config: &RthsConfig,
         utility: f64,
         row_scratch: &mut Vec<f64>,
-    ) {
-        self.slot_cols(slot).observe(0, config, utility, row_scratch);
+    ) -> bool {
+        self.slot_cols(slot).observe(0, config, utility, row_scratch)
     }
 
     /// Decays every slot by `keep = 1 − ε` once — the batched
@@ -1285,6 +1389,12 @@ impl SlabCols<'_> {
     /// Full observe for slot `i` — the slab counterpart of
     /// `RthsState::observe`, bit-for-bit.
     ///
+    /// Returns whether it opened a packed column: the first play of an
+    /// action in a slab whose blocks are packed (module docs), which
+    /// shifts the slot's later columns up one — the per-shard
+    /// `slab_columns_opened` observability counter. The flag is derived
+    /// state, never an input: ignoring it changes nothing.
+    ///
     /// # Panics
     ///
     /// Panics if no action is pending or `utility` is not finite.
@@ -1294,20 +1404,21 @@ impl SlabCols<'_> {
         config: &RthsConfig,
         utility: f64,
         row_scratch: &mut Vec<f64>,
-    ) {
-        self.observe_inner(i, config, utility, row_scratch, false);
+    ) -> bool {
+        self.observe_inner(i, config, utility, row_scratch, false)
     }
 
     /// Observe for a slot whose exponential decay was already applied by
-    /// a batched [`decay`](Self::decay) this round.
+    /// a batched [`decay`](Self::decay) this round; returns what
+    /// [`observe`](Self::observe) does.
     pub fn observe_predecayed(
         &mut self,
         i: usize,
         config: &RthsConfig,
         utility: f64,
         row_scratch: &mut Vec<f64>,
-    ) {
-        self.observe_inner(i, config, utility, row_scratch, true);
+    ) -> bool {
+        self.observe_inner(i, config, utility, row_scratch, true)
     }
 
     fn observe_inner(
@@ -1317,7 +1428,7 @@ impl SlabCols<'_> {
         utility: f64,
         row_scratch: &mut Vec<f64>,
         predecayed: bool,
-    ) {
+    ) -> bool {
         assert!(utility.is_finite(), "utility must be finite, got {utility}");
         let StrategyCols { probs, arity, pending } = &mut self.strategy;
         assert!(pending[i] != NO_PENDING, "observe called without a pending action");
@@ -1347,20 +1458,20 @@ impl SlabCols<'_> {
         let p_j = probs[j];
         debug_assert!(p_j > 0.0, "played action had zero probability");
         let coef = utility / p_j / *scale;
-        kernels::axpy(&mut t[j * stride..j * stride + m], coef, &probs[..m]);
-        played[j / 64] |= 1 << (j % 64);
+        let (cj, opened) = open_column(t, played, stride, j);
+        kernels::axpy(&mut t[cj..cj + m], coef, &probs[..m]);
         if let Some(best) = &mut self.best {
             let (best, diag) = best.row(i).split_at_mut(stride);
             if coef >= 0.0 {
                 // `coef ≥ 0` lowers no entry of column j (probabilities
                 // are positive), so each row's maximum is its old one or
                 // the new entry.
-                kernels::max_assign(&mut best[..m], &t[j * stride..j * stride + m]);
+                kernels::max_assign(&mut best[..m], &t[cj..cj + m]);
             } else {
                 rebuild_row_maxima(t, played, stride, &mut best[..m]);
             }
             // The one diagonal entry the update wrote.
-            diag[j] = t[j * stride + j];
+            diag[j] = t[cj + j];
         }
 
         // Play-frequency average (same weighting scheme as T).
@@ -1386,14 +1497,14 @@ impl SlabCols<'_> {
         // share one entry computed without loading any; only the played
         // columns are read (unless a column is a single cache line).
         let factor = factor_for(config, stage) * *scale;
-        let s_jj = t[j * stride + j];
+        let s_jj = t[cj + j];
         let entry = |s_jk: f64| (factor * (s_jk - s_jj)).max(0.0);
         row_scratch.clear();
         if stride <= DENSE_GATHER_MAX_STRIDE {
             row_scratch.extend((0..m).map(|k| entry(t[k * stride + j])));
         } else {
             row_scratch.resize(m, entry(0.0));
-            for_each_played(played, |k| row_scratch[k] = entry(t[k * stride + j]));
+            for_each_column(played, stride, |k, c| row_scratch[k] = entry(t[c + j]));
         }
         row_scratch[j] = 0.0;
         if config.conditional() {
@@ -1410,6 +1521,7 @@ impl SlabCols<'_> {
             config.delta(),
             config.mu(),
         );
+        opened
     }
 
     /// Largest derived regret of slot `i`. On a slab that [tracks
@@ -2476,6 +2588,75 @@ mod tests {
             slab.observe(a, &cfg, u, &mut scratch);
             slab.observe(b, &cfg, u, &mut scratch);
         }
+    }
+
+    /// Plays `actions` in order on `slot`, pending each directly.
+    fn play(slab: &mut LearnerSlab, slot: usize, cfg: &RthsConfig, actions: &[usize]) {
+        for &a in actions {
+            slab.pending[slot] = a as u32;
+            slab.observe(slot, cfg, 10.0 + a as f64, &mut Vec::new());
+        }
+    }
+
+    /// Asserts that `slot` has played `n` actions and that its block holds
+    /// them packed: each of the first `n` columns is non-zero and no
+    /// float past them is.
+    fn assert_packed(slab: &LearnerSlab, slot: usize, n: usize) {
+        let words = &slab.played[slot * slab.words..(slot + 1) * slab.words];
+        assert_eq!(played_count(words), n, "slot {slot}: played count");
+        let (front, rest) = slab.stored(slot).split_at(n * slab.stride);
+        for (c, col) in front.chunks_exact(slab.stride).enumerate() {
+            assert!(col.iter().any(|&x| x != 0.0), "slot {slot}: column {c} empty");
+        }
+        assert!(rest.iter().all(|&x| x.to_bits() == 0), "slot {slot}: a float past the front");
+    }
+
+    /// At stride 64 a block is 8 pages and packs: 8 distinct actions fill
+    /// its first `8 · 64` floats and nothing past them, through a
+    /// renormalisation and a clone; every wipe (release, compaction,
+    /// reset) leaves the block all zero, and its next owner packs again.
+    #[test]
+    fn packed_block_keeps_played_columns_at_its_front() {
+        const STRIDE: usize = 64;
+        assert!(packs(STRIDE) && !packs(22) && packs(23));
+        let cfg = config(STRIDE, RecencyMode::Exponential, false);
+        let mut slab = LearnerSlab::new(STRIDE);
+        for _ in 0..3 {
+            slab.alloc(STRIDE);
+        }
+        play(&mut slab, 1, &cfg, &[40, 3, 63, 17, 8, 0, 52, 29, 3, 40, 63]);
+        assert_packed(&slab, 1, 8);
+        slab.force_renormalise(1);
+        assert_packed(&slab, 1, 8);
+        let copy = slab.clone_slot(1) as usize;
+        assert_packed(&slab, copy, 8);
+        for (j, k) in (0..STRIDE).flat_map(|j| (0..STRIDE).map(move |k| (j, k))) {
+            assert_eq!(slab.proxy(copy, j, k).to_bits(), slab.proxy(1, j, k).to_bits());
+        }
+        assert_eq!(slab.proxy(1, 5, 6), 0.0, "a never-played column reads +0.0");
+
+        slab.release(copy as u32);
+        assert_packed(&slab, copy, 0);
+        assert_eq!(slab.alloc(STRIDE) as usize, copy);
+        play(&mut slab, copy, &cfg, &[9, 2]);
+        assert_packed(&slab, copy, 2);
+
+        let departed = slab.block[1] as usize;
+        slab.remove_slots(&[1]);
+        let area = STRIDE * STRIDE;
+        let wiped = &slab.t[departed * area..(departed + 1) * area];
+        assert!(wiped.iter().all(|&x| x.to_bits() == 0), "departed block not wiped");
+        let arrival = slab.alloc(STRIDE) as usize;
+        assert_eq!(slab.block[arrival] as usize, departed);
+        play(&mut slab, arrival, &cfg, &[33, 1, 62]);
+        assert_packed(&slab, arrival, 3);
+
+        play(&mut slab, 0, &cfg, &[7, 6, 5, 4, 3]);
+        assert_packed(&slab, 0, 5);
+        slab.reset_actions(0, STRIDE);
+        assert_packed(&slab, 0, 0);
+        play(&mut slab, 0, &cfg, &[50, 10, 30, 20]);
+        assert_packed(&slab, 0, 4);
     }
 
     /// A reset slot — its scale had left 1 and been renormalised — is a

@@ -44,10 +44,58 @@ fn all_modes_config(
 
 /// `(arity, stride)` pairs for the played-mask walks: one, two, four
 /// (last one partial) and four full bitmask words, `stride == arity` and
-/// `stride > arity`, and both row-gather forms (a stride of at most 8
-/// gathers densely, see `slab.rs`).
-const MASK_GEOMETRIES: [(usize, usize); 9] =
-    [(3, 5), (8, 8), (8, 11), (64, 64), (64, 67), (70, 70), (70, 75), (200, 203), (256, 256)];
+/// `stride > arity`, both row-gather forms (a stride of at most 8 gathers
+/// densely, see `slab.rs`) and both block layouts — strides 22 and 23 sit
+/// on either side of the page that packs a block's played columns, and
+/// `(8, 23)` packs a few columns into a wide block.
+const MASK_GEOMETRIES: [(usize, usize); 12] = [
+    (3, 5),
+    (8, 8),
+    (8, 11),
+    (22, 22),
+    (23, 23),
+    (8, 23),
+    (64, 64),
+    (64, 67),
+    (70, 70),
+    (70, 75),
+    (200, 203),
+    (256, 256),
+];
+
+/// Whether a slab of this stride packs its blocks' played columns: a
+/// block larger than a 4 KB page does.
+fn packs(stride: usize) -> bool {
+    stride * stride * 8 > 4096
+}
+
+/// A one-draw RNG that makes `select_action` pick a chosen action: its
+/// `f64` draw (the top 53 bits of one `next_u64` in the vendored `rand`)
+/// is the middle of the action's bin. A draw that lands anywhere else
+/// shows up as a different sampled action, which the callers assert.
+struct Picks(u64);
+
+impl Picks {
+    /// The draw that samples action `a` from `probs`, whose bins are
+    /// summed in `select_action`'s order.
+    fn action(probs: &[f64], a: usize) -> Self {
+        let below = probs[..a].iter().fold(0.0, |acc, p| acc + p);
+        let u = below + probs[a] / 2.0;
+        Self(((u * (1u64 << 53) as f64) as u64) << 11)
+    }
+}
+
+impl rand::RngCore for Picks {
+    fn next_u32(&mut self) -> u32 {
+        unreachable!("select_action draws one f64")
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+    fn fill_bytes(&mut self, _: &mut [u8]) {
+        unreachable!("select_action draws one f64")
+    }
+}
 
 /// [`arb_config_all_modes`] at the arities of [`MASK_GEOMETRIES`], with ε
 /// up to 0.95 so that the lazy decay renormalises within a short run
@@ -383,6 +431,68 @@ proptest! {
                     "m={} stride={} maintained max_regret diverged at stage {}", m, stride, s
                 );
             }
+        }
+    }
+
+    #[test]
+    fn descending_first_plays_replay_oracle_bitwise(
+        (cfg, stride) in arb_mask_geometry_config(),
+        steps in prop::collection::vec((-250.0..750.0f64, any::<bool>(), any::<usize>()), 40..160),
+        track_from in 0usize..80,
+    ) {
+        // Each action's first play comes below every action played before
+        // it, so in a packed block every first play opens its column at
+        // position 0 and shifts all the stored ones up — the order that
+        // shifts the most. The other stages replay an action already
+        // played. Slot 1 of 2, so the block is not the arena's first; the
+        // estimate is read by the scan until stage `track_from` and from
+        // the maintained rows after it.
+        let m = cfg.num_actions();
+        let mut slab = LearnerSlab::new(stride);
+        slab.alloc(m);
+        let slot = slab.alloc(m) as usize;
+        let mut oracle = RthsState::new(&cfg);
+        let mut played: Vec<usize> = Vec::new();
+        let (mut opened, mut scratch) = (0, Vec::new());
+        for (s, &(u, first, pick)) in steps.iter().enumerate() {
+            let lowest = played.last().copied().unwrap_or(m);
+            let a = if played.is_empty() || (first && lowest > 0) {
+                played.push(pick % lowest);
+                played[played.len() - 1]
+            } else {
+                played[pick % played.len()]
+            };
+            let b = slab.select_action(slot, &mut Picks::action(oracle.probabilities(), a));
+            prop_assert_eq!(b, a, "m={} stride={} stage {}: scripted draw missed", m, stride, s);
+            prop_assert_eq!(oracle.select_action(&mut Picks::action(oracle.probabilities(), a)), a);
+            let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
+            opened += usize::from(slab.observe(slot, &cfg, u, &mut scratch));
+            oracle.observe(&cfg, u, &mut scratch);
+            for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
+                prop_assert_eq!(
+                    x.to_bits(), y.to_bits(),
+                    "m={} stride={} probs diverged at stage {}", m, stride, s
+                );
+            }
+            let want = oracle.max_regret(&cfg).to_bits();
+            let got = if s < track_from {
+                slab.split().max_regret(slot, &cfg, &mut scratch)
+            } else {
+                slab.max_regret(slot, &cfg)
+            };
+            prop_assert_eq!(
+                got.to_bits(), want,
+                "m={} stride={} max_regret diverged at stage {}", m, stride, s
+            );
+        }
+        prop_assert_eq!(opened, if packs(stride) { played.len() } else { 0 });
+        let t = oracle.proxy_matrix();
+        for (j, k) in (0..m).flat_map(|j| (0..m).map(move |k| (j, k))) {
+            prop_assert_eq!(slab.proxy(slot, j, k).to_bits(), t[(j, k)].to_bits());
+            prop_assert_eq!(
+                slab.regret(slot, &cfg, j, k).to_bits(),
+                oracle.regret(&cfg, j, k).to_bits()
+            );
         }
     }
 

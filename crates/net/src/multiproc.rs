@@ -73,6 +73,14 @@ pub const RANK_ENV: &str = "RTHS_MP_RANK";
 /// Optional override for the worker executable path.
 pub const WORKER_ENV: &str = "RTHS_MP_WORKER";
 
+/// How long a launch waits for all its workers to connect before it fails.
+/// Counted in 1 ms polls, not read off a clock.
+pub const CONNECT_DEADLINE: Duration = Duration::from_secs(5);
+/// The pause between two polls of the connect phase.
+const CONNECT_POLL: Duration = Duration::from_millis(1);
+/// [`CONNECT_DEADLINE`] in polls.
+const CONNECT_POLLS: u128 = CONNECT_DEADLINE.as_millis() / CONNECT_POLL.as_millis();
+
 /// Distinguishes concurrently-running controllers' sockets without
 /// consulting the wall clock (pid + process-local sequence number).
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -186,7 +194,8 @@ pub fn run_multiproc(config: NetConfig, epochs: u64, processes: usize) -> Multip
 /// # Panics
 ///
 /// Panics if `processes` is zero, the worker executable cannot be
-/// spawned, a worker exits before connecting, or a worker dies mid-run.
+/// spawned, a worker exits before connecting, the workers have not all
+/// connected within [`CONNECT_DEADLINE`], or a worker dies mid-run.
 /// Every worker spawned by then is killed and reaped, and the socket
 /// file unlinked, before the panic leaves this function.
 pub fn run_multiproc_with_span(
@@ -226,8 +235,11 @@ pub fn run_multiproc_with_span(
             );
         }
         let wc = WorkerConfig { config: config.clone(), span, processes };
+        let mut polls = 0;
         for _ in 1..processes {
-            let stream = accept_worker(&listener, &mut launch.children);
+            let waiting: Vec<usize> =
+                (1..processes).filter(|r| links[r - 1].is_none()).collect();
+            let stream = accept_worker(&listener, &mut launch.children, &mut polls, &waiting);
             let mut link = FrameLink::new(stream).expect("socket handle clone");
             match link.recv() {
                 Frame::Hello { rank, version } => {
@@ -286,8 +298,16 @@ pub fn run_multiproc_with_span(
 /// Accepts the next worker connection on the non-blocking `listener`.
 /// While none is pending it polls every spawned child: a worker that has
 /// exited will never connect, so the launch panics naming its rank and
-/// exit status instead of waiting forever. The returned stream blocks.
-fn accept_worker(listener: &UnixListener, children: &mut [Child]) -> UnixStream {
+/// exit status instead of waiting forever. `polls` counts the connect
+/// phase's polls so far; once they add up to [`CONNECT_DEADLINE`], the
+/// launch panics naming the ranks still `waiting` — a worker can stay
+/// alive without ever connecting. The returned stream blocks.
+fn accept_worker(
+    listener: &UnixListener,
+    children: &mut [Child],
+    polls: &mut u128,
+    waiting: &[usize],
+) -> UnixStream {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -305,7 +325,12 @@ fn accept_worker(listener: &UnixListener, children: &mut [Child]) -> UnixStream 
                 );
             }
         }
-        std::thread::sleep(Duration::from_millis(1));
+        if *polls == CONNECT_POLLS {
+            let ranks: Vec<String> = waiting.iter().map(|r| format!("rank {r}")).collect();
+            panic!("worker {} did not connect within {CONNECT_DEADLINE:?}", ranks.join(", "));
+        }
+        *polls += 1;
+        std::thread::sleep(CONNECT_POLL);
     }
 }
 

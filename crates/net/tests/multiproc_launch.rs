@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use rths_net::multiproc::{run_multiproc_with_span, WORKER_ENV};
+use rths_net::multiproc::{run_multiproc_with_span, CONNECT_DEADLINE, WORKER_ENV};
 use rths_net::NetConfig;
 use rths_sim::Scenario;
 
@@ -68,4 +68,41 @@ fn worker_exit_before_connecting_fails_the_multiproc_launch() {
     let message = message.expect("a launch whose worker exits must fail");
     assert!(message.contains("rank 1"), "{message}");
     assert!(left.is_empty(), "sockets left behind: {left:?}");
+}
+
+/// Pids of this process's children running `sleep`.
+fn sleeping_children() -> Vec<u32> {
+    let me = std::process::id().to_string();
+    std::fs::read_dir("/proc")
+        .expect("procfs readable")
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok()?.parse::<u32>().ok())
+        .filter(|pid| {
+            // `pid (comm) state ppid …`; `comm` holds no space here.
+            let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap_or_default();
+            let fields: Vec<&str> = stat.split_whitespace().collect();
+            fields.get(1) == Some(&"(sleep)") && fields.get(3) == Some(&me.as_str())
+        })
+        .collect()
+}
+
+/// A worker that stays alive but never connects fails the launch once
+/// `CONNECT_DEADLINE` has passed, naming its rank; the launch kills and
+/// reaps it and unlinks the socket on the way out.
+#[test]
+fn worker_that_never_connects_fails_the_multiproc_launch() {
+    let worker =
+        std::env::temp_dir().join(format!("rths-silent-worker-{}", std::process::id()));
+    std::fs::write(&worker, "#!/bin/sh\nexec sleep 600\n").expect("worker script written");
+    std::fs::set_permissions(&worker, std::os::unix::fs::PermissionsExt::from_mode(0o755))
+        .expect("worker script made executable");
+    let (tx, rx) = mpsc::channel();
+    let path = worker.clone();
+    thread::spawn(move || tx.send(launch_with_worker(path.to_str())));
+    let outcome = rx.recv_timeout(CONNECT_DEADLINE + Duration::from_secs(20));
+    let _ = std::fs::remove_file(&worker);
+    let (message, left) = outcome.expect("the launch hung waiting for a connection");
+    let message = message.expect("a launch whose worker never connects must fail");
+    assert!(message.contains("rank 1"), "{message}");
+    assert!(left.is_empty(), "sockets left behind: {left:?}");
+    assert_eq!(sleeping_children(), Vec::<u32>::new(), "the silent worker outlived the launch");
 }

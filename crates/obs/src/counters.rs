@@ -27,6 +27,10 @@ pub enum Counter {
     /// (a released slot's or a compacted-away slot's) instead of fresh
     /// arena.
     FreeListReuse,
+    /// Learner-slab columns opened in a packed T block: first plays of an
+    /// action, each of which shifted the slot's later columns up one
+    /// (`rths_core::SlabCols::observe`).
+    SlabColumnsOpened,
     /// Regret-ledger stretch closes (arm switches, window folds,
     /// migrations).
     StretchFolds,
@@ -44,12 +48,13 @@ impl Counter {
         Counter::RingGrowEvents,
         Counter::SlabColumnsTouched,
         Counter::FreeListReuse,
+        Counter::SlabColumnsOpened,
         Counter::StretchFolds,
         Counter::RegretExactReads,
     ];
 
     /// Number of counters.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 8;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -59,6 +64,7 @@ impl Counter {
             Counter::RingGrowEvents => "ring_grow_events",
             Counter::SlabColumnsTouched => "slab_columns_touched",
             Counter::FreeListReuse => "free_list_reuse",
+            Counter::SlabColumnsOpened => "slab_columns_opened",
             Counter::StretchFolds => "stretch_folds",
             Counter::RegretExactReads => "regret_exact_reads",
         }

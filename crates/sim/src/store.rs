@@ -559,7 +559,9 @@ impl PeerStore {
     /// the misses of eight updates overlap instead of each update waiting
     /// on its own. The pass stores nothing and the per-peer body runs in
     /// the same order as without it, so no result depends on it; a slab
-    /// whose learners span at most 8 actions skips it.
+    /// whose learners span at most 8 actions skips it. When tracing, the
+    /// shard also counts the packed T columns its observes opened
+    /// (`Counter::SlabColumnsOpened`).
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
@@ -638,7 +640,7 @@ impl PeerStore {
                     }
                 }
                 let t_observe = obs::span_start();
-                let (mut folds, mut reads) = (0u64, 0u64);
+                let (mut folds, mut reads, mut opened) = (0u64, 0u64, 0u64);
                 for i in 0..shard.len() {
                     // Each block of slab updates runs behind one pass of
                     // loads over the T lines they are about to read.
@@ -650,13 +652,16 @@ impl PeerStore {
                     let config = &configs[channel as usize];
                     let (rate, satisfied) = rate_of(abs, profile[abs], channel);
                     // Bandit feedback + accounting (Peer::deliver order).
-                    match &mut learners {
+                    opened += u64::from(match &mut learners {
                         LearnerCols::Slab(slab) if batch_decay => {
                             slab.observe_predecayed(i, config, rate, &mut s.row)
                         }
                         LearnerCols::Slab(slab) => slab.observe(i, config, rate, &mut s.row),
-                        LearnerCols::PerPeer(l) => l[i].observe(rate),
-                    }
+                        LearnerCols::PerPeer(l) => {
+                            l[i].observe(rate);
+                            false
+                        }
+                    });
                     total[i] += rate;
                     online[i] += 1;
                     if rate > 0.0 {
@@ -698,6 +703,7 @@ impl PeerStore {
                     }
                     s.obs.add(Counter::StretchFolds, folds);
                     s.obs.add(Counter::RegretExactReads, reads);
+                    s.obs.add(Counter::SlabColumnsOpened, opened);
                 }
             },
         );
