@@ -22,11 +22,6 @@ pub struct BestResponseTrace {
 }
 
 impl BestResponseTrace {
-    /// The final profile.
-    pub fn last(&self) -> &[usize] {
-        self.profiles.last().expect("trace always has the initial profile")
-    }
-
     /// Total helper switches over the whole run — the paper's proxy for
     /// streaming interruptions.
     pub fn total_switches(&self) -> usize {
@@ -150,9 +145,9 @@ mod tests {
         let game = HelperSelectionGame::new(vec![800.0, 800.0]);
         let trace = sequential(&game, &[0; 8], 100);
         assert!(trace.converged);
-        assert!(game.is_pure_nash(trace.last(), 1e-9));
+        assert!(game.is_pure_nash(trace.profiles.last().unwrap(), 1e-9));
         // Balanced 4-4 split.
-        let loads = game.loads(trace.last());
+        let loads = game.loads(trace.profiles.last().unwrap());
         assert_eq!(loads, vec![4, 4]);
     }
 
@@ -163,8 +158,8 @@ mod tests {
         let game = HelperSelectionGame::new(vec![900.0, 300.0]);
         let trace = sequential(&game, &[1; 8], 100);
         assert!(trace.converged);
-        assert!(game.is_pure_nash(trace.last(), 1e-9));
-        let loads = game.loads(trace.last());
+        assert!(game.is_pure_nash(trace.profiles.last().unwrap(), 1e-9));
+        let loads = game.loads(trace.profiles.last().unwrap());
         assert_eq!(loads, vec![6, 2]);
     }
 

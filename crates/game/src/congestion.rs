@@ -63,19 +63,9 @@ impl HelperSelectionGame {
         self
     }
 
-    /// Helper capacities.
-    pub fn capacities(&self) -> &[f64] {
-        &self.capacities
-    }
-
     /// Number of helpers.
     pub fn num_helpers(&self) -> usize {
         self.capacities.len()
-    }
-
-    /// The demand cap, if any.
-    pub fn demand_cap(&self) -> Option<f64> {
-        self.demand_cap
     }
 
     /// Load vector (peers per helper) induced by `profile`.
@@ -104,12 +94,6 @@ impl HelperSelectionGame {
             Some(d) => raw.min(d),
             None => raw,
         }
-    }
-
-    /// Utility of a peer that would join helper `helper` given the loads of
-    /// *other* peers (`other_loads[helper]` excludes the peer itself).
-    pub fn rate_if_joining(&self, helper: usize, other_load: usize) -> f64 {
-        self.rate(helper, other_load + 1)
     }
 
     /// Rosenthal potential `Φ = Σ_j Σ_{k=1}^{n_j} C_j/k` of a load vector.
@@ -147,13 +131,6 @@ impl HelperSelectionGame {
             }
         }
         true
-    }
-
-    /// Social welfare of a load vector: each helper with `n_j > 0` peers
-    /// delivers `n_j · rate(j, n_j)` total (equal to `C_j` uncapped, or
-    /// `min(C_j, n_j·demand)` when capped).
-    pub fn welfare_of_loads(&self, loads: &[usize]) -> f64 {
-        loads.iter().enumerate().map(|(j, &n)| n as f64 * self.rate(j, n)).sum()
     }
 }
 
@@ -242,29 +219,6 @@ mod tests {
         // 4 peers all on one of two equal helpers: moving yields 800 > 200.
         let g = HelperSelectionGame::new(vec![800.0, 800.0]);
         assert!(!g.is_pure_nash(&[0, 0, 0, 0], 1e-9));
-    }
-
-    #[test]
-    fn welfare_of_loads_uncapped_is_sum_of_busy_capacities() {
-        let g = HelperSelectionGame::new(vec![900.0, 700.0, 500.0]);
-        assert_eq!(g.welfare_of_loads(&[3, 1, 0]), 1600.0);
-        assert_eq!(g.welfare_of_loads(&[1, 1, 1]), 2100.0);
-    }
-
-    #[test]
-    fn welfare_of_loads_capped() {
-        let g = HelperSelectionGame::new(vec![900.0]).with_demand_cap(200.0);
-        // 2 peers: each gets min(200, 450) = 200 -> welfare 400.
-        assert_eq!(g.welfare_of_loads(&[2]), 400.0);
-        // 6 peers: each gets min(200, 150) = 150 -> welfare 900.
-        assert_eq!(g.welfare_of_loads(&[6]), 900.0);
-    }
-
-    #[test]
-    fn rate_if_joining_accounts_for_self() {
-        let g = HelperSelectionGame::new(vec![600.0]);
-        assert_eq!(g.rate_if_joining(0, 0), 600.0);
-        assert_eq!(g.rate_if_joining(0, 2), 200.0);
     }
 
     #[test]

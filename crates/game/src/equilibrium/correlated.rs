@@ -10,9 +10,9 @@
 //!
 //! The CE set is a non-empty convex polytope containing all Nash
 //! equilibria; the paper argues its convexity "allows for better fairness
-//! between the peers". This module computes CEs of small games exactly by
-//! optimising a linear objective (social welfare, or nothing) over that
-//! polytope with the `rths-lp` simplex solver.
+//! between the peers". This module computes the welfare-maximising CE of
+//! a small game exactly, by optimising social welfare over that polytope
+//! with the `rths-lp` simplex solver.
 
 use rths_lp::{LinearProgram, LpError, Relation};
 
@@ -28,17 +28,6 @@ pub struct CorrelatedEquilibrium {
 }
 
 impl CorrelatedEquilibrium {
-    /// The supported profiles in lexicographic order (all profiles of the
-    /// game, including zero-probability ones).
-    pub fn profiles(&self) -> &[Vec<usize>] {
-        &self.profiles
-    }
-
-    /// Probability of the `idx`-th profile.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
     /// Expected social welfare under the equilibrium.
     pub fn welfare(&self) -> f64 {
         self.welfare
@@ -63,35 +52,13 @@ impl CorrelatedEquilibrium {
 /// equilibrium, and a mixed NE always exists); seeing it indicates a
 /// malformed game (e.g. zero actions).
 pub fn max_welfare_ce<G: Game + ?Sized>(game: &G) -> Result<CorrelatedEquilibrium, LpError> {
-    solve_ce(game, true)
-}
-
-/// Computes *some* CE (feasibility objective). Useful when only membership
-/// in the CE polytope matters.
-///
-/// # Errors
-///
-/// Propagates [`LpError`] from the solver (see [`max_welfare_ce`]).
-pub fn uniform_ce<G: Game + ?Sized>(game: &G) -> Result<CorrelatedEquilibrium, LpError> {
-    solve_ce(game, false)
-}
-
-fn solve_ce<G: Game + ?Sized>(
-    game: &G,
-    maximize_welfare: bool,
-) -> Result<CorrelatedEquilibrium, LpError> {
     let mut profiles: Vec<Vec<usize>> = Vec::new();
     for_each_profile(game, |p| profiles.push(p.to_vec()));
     let num_z = profiles.len();
     assert!(num_z > 0, "game has no profiles");
 
-    let costs: Vec<f64> = if maximize_welfare {
-        profiles.iter().map(|p| game.social_welfare(p)).collect()
-    } else {
-        vec![0.0; num_z]
-    };
-
-    let mut lp = LinearProgram::maximize(costs);
+    let mut lp =
+        LinearProgram::maximize(profiles.iter().map(|p| game.social_welfare(p)).collect());
 
     // CE incentive constraints: one per (player, j, k≠j).
     let mut scratch: Vec<usize>;
@@ -171,18 +138,10 @@ mod tests {
             TableGame::two_player(&[&[3.0, 0.0], &[5.0, 1.0]], &[&[3.0, 5.0], &[0.0, 1.0]]);
         // Defection strictly dominates, so the unique CE is (D, D).
         let ce = max_welfare_ce(&pd).unwrap();
-        let dd_index = 3; // lexicographic: (1,1)
-        assert!((ce.probs()[dd_index] - 1.0).abs() < 1e-6, "probs {:?}", ce.probs());
+        let support: Vec<_> = ce.support().collect();
+        assert!(support.iter().all(|&(p, _)| p == [1, 1]), "support {support:?}");
+        assert!((support[0].1 - 1.0).abs() < 1e-6, "support {support:?}");
         assert!((ce.welfare() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn uniform_ce_is_feasible_ce() {
-        let g = chicken();
-        let ce = uniform_ce(&g).unwrap();
-        let total: f64 = ce.probs().iter().sum();
-        assert!((total - 1.0).abs() < 1e-6);
-        assert!(ce.probs().iter().all(|&p| p >= -1e-9));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! * [`nash`] — pure Nash enumeration (small games) and equilibrium load
 //!   vectors for the helper-selection game.
-//! * [`correlated`] — exact correlated equilibria via the LP
-//!   characterisation, solved with `rths-lp`.
+//! * [`correlated`] — the exact welfare-maximising correlated
+//!   equilibrium via the LP characterisation, solved with `rths-lp`.
 //! * [`verify`] — *empirical* CE verification: given the joint play
 //!   frequencies produced by a learning run, measure how far they are from
 //!   the CE polytope. This is the tool that checks the paper's headline
@@ -13,6 +13,6 @@ pub mod correlated;
 pub mod nash;
 pub mod verify;
 
-pub use correlated::{max_welfare_ce, uniform_ce, CorrelatedEquilibrium};
+pub use correlated::{max_welfare_ce, CorrelatedEquilibrium};
 pub use nash::{enumerate_pure_nash, nash_loads};
 pub use verify::{cce_residual_congestion, ce_residual, ce_residual_congestion, CeReport};

@@ -40,11 +40,6 @@ impl CeReport {
             self.max_residual / self.mean_utility.abs()
         }
     }
-
-    /// True if the distribution is an ε-correlated equilibrium.
-    pub fn is_approximate_ce(&self, epsilon: f64) -> bool {
-        self.max_residual <= epsilon
-    }
 }
 
 /// Generic CE residual for any finite [`Game`].
@@ -239,7 +234,7 @@ mod tests {
             }
         }
         let report = ce_residual(&g, &dist);
-        assert!(report.is_approximate_ce(1e-9), "residual {}", report.max_residual);
+        assert!(report.max_residual <= 1e-9, "residual {}", report.max_residual);
     }
 
     #[test]
@@ -284,7 +279,7 @@ mod tests {
             dist.record(&[1, 1, 0, 0]);
         }
         let report = ce_residual_congestion(&game, &dist);
-        assert!(report.is_approximate_ce(1e-9), "residual {}", report.max_residual);
+        assert!(report.max_residual <= 1e-9, "residual {}", report.max_residual);
         assert!(report.mean_utility > 0.0);
     }
 

@@ -14,10 +14,12 @@
 //! * [`best_response`] — synchronous and sequential best-response
 //!   dynamics. Synchronous dynamics reproduce the §III.B oscillation
 //!   counter-example that motivates learning instead of myopic switching.
-//! * [`equilibrium`] — pure Nash enumeration, exact correlated equilibria
-//!   via linear programming, and *empirical* CE verification used to check
-//!   that learned play converges to the CE set (the paper's central
-//!   claim).
+//! * [`JointDistribution`] — the empirical joint distribution of play
+//!   that a learning run records.
+//! * [`equilibrium`] — pure Nash enumeration, the exact welfare-maximising
+//!   correlated equilibrium via linear programming, and *empirical* CE
+//!   verification of a [`JointDistribution`], used to check that learned
+//!   play converges to the CE set (the paper's central claim).
 //!
 //! # Example: the oscillation example from §III.B
 //!
@@ -44,4 +46,4 @@ pub mod strategy;
 
 pub use congestion::HelperSelectionGame;
 pub use normal_form::{Game, TableGame};
-pub use strategy::{JointDistribution, MixedStrategy};
+pub use strategy::JointDistribution;

@@ -27,11 +27,6 @@ pub trait Game {
     fn social_welfare(&self, profile: &[usize]) -> f64 {
         (0..self.num_players()).map(|i| self.utility(i, profile)).sum()
     }
-
-    /// Total number of pure profiles `Π_i |A_i|`; `None` on overflow.
-    fn num_profiles(&self) -> Option<usize> {
-        (0..self.num_players()).try_fold(1usize, |acc, p| acc.checked_mul(self.num_actions(p)))
-    }
 }
 
 /// Iterates over every pure profile of `game` in lexicographic order,
@@ -216,7 +211,6 @@ mod tests {
         assert_eq!(g.utility(0, &[0, 1]), -1.0);
         assert_eq!(g.num_players(), 2);
         assert_eq!(g.num_actions(0), 2);
-        assert_eq!(g.num_profiles(), Some(4));
     }
 
     #[test]
@@ -244,7 +238,7 @@ mod tests {
         let g = TableGame::from_fn(vec![2, 2, 2], |p, prof| prof[p] as f64 + 10.0 * p as f64);
         assert_eq!(g.utility(2, &[0, 1, 1]), 21.0);
         assert_eq!(g.utility(0, &[1, 0, 0]), 1.0);
-        assert_eq!(g.num_profiles(), Some(8));
+        assert_eq!(g.num_players(), 3);
     }
 
     #[test]

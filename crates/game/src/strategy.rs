@@ -1,115 +1,6 @@
-//! Mixed strategies and joint (correlated) distributions.
+//! Joint (correlated) distributions of play.
 
 use std::collections::BTreeMap;
-
-use rand::Rng;
-
-/// A probability distribution over one player's actions
-/// (the paper's `x_i ∈ χ_i := Δ(A_i)`).
-///
-/// # Example
-///
-/// ```
-/// use rths_game::MixedStrategy;
-///
-/// let s = MixedStrategy::uniform(4);
-/// assert_eq!(s.probs(), &[0.25; 4]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MixedStrategy {
-    probs: Vec<f64>,
-}
-
-impl MixedStrategy {
-    /// Creates a strategy from raw probabilities, validating they form a
-    /// distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probs` is not a probability distribution (tolerance
-    /// `1e-9`).
-    pub fn new(probs: Vec<f64>) -> Self {
-        assert!(
-            rths_math::vector::is_distribution(&probs, 1e-9),
-            "probabilities must form a distribution: {probs:?}"
-        );
-        Self { probs }
-    }
-
-    /// The uniform strategy over `n` actions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0, "need at least one action");
-        Self { probs: vec![1.0 / n as f64; n] }
-    }
-
-    /// A pure (deterministic) strategy playing `action`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `action >= n` or `n == 0`.
-    pub fn pure(n: usize, action: usize) -> Self {
-        assert!(action < n, "action out of range");
-        let mut probs = vec![0.0; n];
-        probs[action] = 1.0;
-        Self { probs }
-    }
-
-    /// The probabilities.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Number of actions.
-    pub fn len(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// Always `false` (constructors reject empty strategies).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Probability of `action`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `action` is out of range.
-    pub fn prob(&self, action: usize) -> f64 {
-        self.probs[action]
-    }
-
-    /// Samples an action.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (a, &p) in self.probs.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return a;
-            }
-        }
-        self.probs.len() - 1
-    }
-
-    /// Entropy in nats — 0 for pure strategies, `ln n` for uniform.
-    pub fn entropy(&self) -> f64 {
-        -self.probs.iter().filter(|&&p| p > 0.0).map(|&p| p * p.ln()).sum::<f64>()
-    }
-
-    /// Total variation distance to another strategy of the same size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sizes differ.
-    pub fn tv_distance(&self, other: &Self) -> f64 {
-        assert_eq!(self.len(), other.len(), "strategy sizes differ");
-        0.5 * self.probs.iter().zip(&other.probs).map(|(a, b)| (a - b).abs()).sum::<f64>()
-    }
-}
 
 /// An empirical distribution over *joint* action profiles — the object
 /// that converges to a correlated equilibrium under regret-based learning
@@ -118,12 +9,12 @@ impl MixedStrategy {
 /// Stored sparsely: only observed profiles are kept, which is what makes
 /// CE verification tractable for hundreds of players.
 ///
-/// The support is a `BTreeMap` so [`iter`](Self::iter) and
-/// [`marginal`](Self::marginal) walk profiles in lexicographic order —
-/// any float reduction folded over the support is therefore independent
-/// of the insertion history (a `HashMap` here fed hash-order, i.e.
-/// nondeterminism, into downstream sums; the workspace determinism lint
-/// now bans hash collections from state-feeding crates outright).
+/// The support is a `BTreeMap` so [`iter`](Self::iter) walks profiles in
+/// lexicographic order — any float reduction folded over the support is
+/// therefore independent of the insertion history (a `HashMap` here fed
+/// hash-order, i.e. nondeterminism, into downstream sums; the workspace
+/// determinism lint now bans hash collections from state-feeding crates
+/// outright).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JointDistribution {
     counts: BTreeMap<Vec<usize>, u64>,
@@ -152,101 +43,23 @@ impl JointDistribution {
         self.counts.len()
     }
 
-    /// Empirical probability of `profile`.
-    pub fn prob(&self, profile: &[usize]) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        *self.counts.get(profile).unwrap_or(&0) as f64 / self.total as f64
-    }
-
     /// Iterates over `(profile, probability)` pairs of the support.
     pub fn iter(&self) -> impl Iterator<Item = (&[usize], f64)> + '_ {
         let total = self.total.max(1) as f64;
         self.counts.iter().map(move |(p, &c)| (p.as_slice(), c as f64 / total))
-    }
-
-    /// Marginal distribution of `player`'s action, given that player has
-    /// `num_actions` actions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a recorded profile is too short or has an out-of-range
-    /// action for `player`.
-    pub fn marginal(&self, player: usize, num_actions: usize) -> MixedStrategy {
-        let mut probs = vec![0.0; num_actions];
-        if self.total == 0 {
-            return MixedStrategy::uniform(num_actions.max(1));
-        }
-        for (profile, &count) in &self.counts {
-            probs[profile[player]] += count as f64;
-        }
-        rths_math::vector::normalize(&mut probs);
-        MixedStrategy::new(probs)
-    }
-}
-
-impl FromIterator<Vec<usize>> for JointDistribution {
-    fn from_iter<I: IntoIterator<Item = Vec<usize>>>(iter: I) -> Self {
-        let mut d = Self::new();
-        for p in iter {
-            d.record(&p);
-        }
-        d
-    }
-}
-
-impl Extend<Vec<usize>> for JointDistribution {
-    fn extend<I: IntoIterator<Item = Vec<usize>>>(&mut self, iter: I) {
-        for p in iter {
-            self.record(&p);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    #[test]
-    fn uniform_strategy_properties() {
-        let s = MixedStrategy::uniform(5);
-        assert_eq!(s.len(), 5);
-        assert!((s.entropy() - (5.0f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pure_strategy_has_zero_entropy() {
-        let s = MixedStrategy::pure(3, 1);
-        assert_eq!(s.prob(1), 1.0);
-        assert_eq!(s.entropy(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "distribution")]
-    fn invalid_probs_rejected() {
-        let _ = MixedStrategy::new(vec![0.5, 0.6]);
-    }
-
-    #[test]
-    fn sampling_respects_probabilities() {
-        let s = MixedStrategy::new(vec![0.8, 0.2]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let n = 100_000;
-        let zeros = (0..n).filter(|_| s.sample(&mut rng) == 0).count();
-        let freq = zeros as f64 / n as f64;
-        assert!((freq - 0.8).abs() < 0.01, "freq {freq}");
-    }
-
-    #[test]
-    fn tv_distance_properties() {
-        let a = MixedStrategy::pure(2, 0);
-        let b = MixedStrategy::pure(2, 1);
-        assert_eq!(a.tv_distance(&b), 1.0);
-        assert_eq!(a.tv_distance(&a), 0.0);
-        let u = MixedStrategy::uniform(2);
-        assert!((a.tv_distance(&u) - 0.5).abs() < 1e-12);
+    fn recorded<'a>(profiles: impl Iterator<Item = &'a Vec<usize>>) -> JointDistribution {
+        let mut d = JointDistribution::new();
+        for p in profiles {
+            d.record(p);
+        }
+        d
     }
 
     #[test]
@@ -257,27 +70,16 @@ mod tests {
         d.record(&[1, 0]);
         assert_eq!(d.total(), 3);
         assert_eq!(d.support_size(), 2);
-        assert!((d.prob(&[0, 1]) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(d.prob(&[1, 1]), 0.0);
-    }
-
-    #[test]
-    fn marginal_extraction() {
-        let d: JointDistribution =
-            vec![vec![0, 1], vec![0, 0], vec![1, 1], vec![0, 1]].into_iter().collect();
-        let m0 = d.marginal(0, 2);
-        assert!((m0.prob(0) - 0.75).abs() < 1e-12);
-        let m1 = d.marginal(1, 2);
-        assert!((m1.prob(1) - 0.75).abs() < 1e-12);
+        let support: Vec<(Vec<usize>, f64)> = d.iter().map(|(p, z)| (p.to_vec(), z)).collect();
+        assert_eq!(support, vec![(vec![0, 1], 2.0 / 3.0), (vec![1, 0], 1.0 / 3.0)]);
     }
 
     #[test]
     fn empty_distribution_is_safe() {
         let d = JointDistribution::new();
         assert_eq!(d.total(), 0);
-        assert_eq!(d.prob(&[0]), 0.0);
-        let m = d.marginal(0, 3);
-        assert_eq!(m.probs(), &[1.0 / 3.0; 3]);
+        assert_eq!(d.support_size(), 0);
+        assert_eq!(d.iter().count(), 0);
     }
 
     #[test]
@@ -286,8 +88,8 @@ mod tests {
         // expose the identical (sorted) support sequence: iteration
         // order is a function of the *profiles*, never of history.
         let profiles = [vec![2, 0], vec![0, 1], vec![1, 1], vec![0, 0], vec![1, 0], vec![0, 1]];
-        let forward: JointDistribution = profiles.iter().cloned().collect();
-        let backward: JointDistribution = profiles.iter().rev().cloned().collect();
+        let forward = recorded(profiles.iter());
+        let backward = recorded(profiles.iter().rev());
         let order: Vec<Vec<usize>> = forward.iter().map(|(p, _)| p.to_vec()).collect();
         let mut sorted = order.clone();
         sorted.sort();
@@ -299,13 +101,5 @@ mod tests {
         let probs: Vec<u64> = forward.iter().map(|(_, p)| p.to_bits()).collect();
         let backward_probs: Vec<u64> = backward.iter().map(|(_, p)| p.to_bits()).collect();
         assert_eq!(probs, backward_probs);
-    }
-
-    #[test]
-    fn extend_accumulates() {
-        let mut d = JointDistribution::new();
-        d.extend(vec![vec![0], vec![0], vec![1]]);
-        assert_eq!(d.total(), 3);
-        assert!((d.prob(&[0]) - 2.0 / 3.0).abs() < 1e-12);
     }
 }

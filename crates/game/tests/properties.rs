@@ -25,7 +25,7 @@ proptest! {
             (0..n_peers).map(|i| ((start_seed as usize).wrapping_add(i * 7)) % h).collect();
         let trace = best_response::sequential(&game, &initial, 1000);
         prop_assert!(trace.converged, "sequential BR did not converge");
-        prop_assert!(game.is_pure_nash(trace.last(), 1e-9));
+        prop_assert!(game.is_pure_nash(trace.profiles.last().unwrap(), 1e-9));
     }
 
     #[test]
@@ -131,7 +131,7 @@ proptest! {
 
     #[test]
     fn table_game_round_trips_profiles(counts in prop::collection::vec(1usize..4, 1..4)) {
-        let counts_clone = counts.clone();
+        let num_profiles: usize = counts.iter().product();
         let g = TableGame::from_fn(counts, move |p, prof| {
             // Distinct value per (player, profile) pair.
             prof.iter().enumerate().map(|(i, &a)| (a + 1) * (i + 2)).sum::<usize>() as f64
@@ -146,7 +146,6 @@ proptest! {
             }
             checked += 1;
         });
-        prop_assert_eq!(Some(checked), g.num_profiles());
-        let _ = counts_clone;
+        prop_assert_eq!(checked, num_profiles);
     }
 }

@@ -35,4 +35,4 @@ mod simplex;
 mod solution;
 
 pub use problem::{LinearProgram, Objective, Relation};
-pub use solution::{LpError, Solution, SolveStatus};
+pub use solution::{LpError, Solution};

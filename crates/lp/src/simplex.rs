@@ -67,7 +67,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
         if costs.iter().any(|&c| c > EPS) {
             return Err(LpError::Unbounded);
         }
-        return Ok(Solution::new(0.0, vec![0.0; n], 0));
+        return Ok(Solution::new(0.0, vec![0.0; n]));
     }
 
     let mut tableau = Matrix::zeros(m, total_cols);
@@ -204,7 +204,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
         }
     }
     let objective = rths_math::vector::dot(&costs, &x) * sign;
-    Ok(Solution::new(objective, x, iterations))
+    Ok(Solution::new(objective, x))
 }
 
 /// Reduced cost vector `c_j - c_B · B⁻¹ A_j` for every non-basic column.

@@ -2,24 +2,16 @@
 
 use std::fmt;
 
-/// Terminal status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolveStatus {
-    /// An optimal basic feasible solution was found.
-    Optimal,
-}
-
 /// An optimal solution to a [`LinearProgram`](crate::LinearProgram).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     objective: f64,
     x: Vec<f64>,
-    iterations: usize,
 }
 
 impl Solution {
-    pub(crate) fn new(objective: f64, x: Vec<f64>, iterations: usize) -> Self {
-        Self { objective, x, iterations }
+    pub(crate) fn new(objective: f64, x: Vec<f64>) -> Self {
+        Self { objective, x }
     }
 
     /// Optimal objective value (in the original problem's direction).
@@ -30,11 +22,6 @@ impl Solution {
     /// Optimal point (one value per decision variable).
     pub fn x(&self) -> &[f64] {
         &self.x
-    }
-
-    /// Simplex pivots performed across both phases.
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 }
 
@@ -95,10 +82,9 @@ mod tests {
 
     #[test]
     fn solution_accessors() {
-        let s = Solution::new(5.0, vec![1.0, 2.0], 7);
+        let s = Solution::new(5.0, vec![1.0, 2.0]);
         assert_eq!(s.objective(), 5.0);
         assert_eq!(s.x(), &[1.0, 2.0]);
-        assert_eq!(s.iterations(), 7);
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub fn helper_welfare(cap: f64, load: usize, demand: Option<f64>) -> f64 {
 ///
 /// Optimal for concave per-helper welfare (validated against
 /// [`optimal_loads_dp`] by property tests). Ties break toward the lowest
-/// helper index, making results deterministic.
+/// helper index, making results deterministic. Once no helper gains from
+/// another peer, the remaining peers are placed in one step.
 ///
 /// # Panics
 ///
@@ -54,22 +55,35 @@ pub fn optimal_loads(capacities: &[f64], num_peers: usize, demand: Option<f64>) 
     if let Some(d) = demand {
         assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
     }
+    let gain = |j: usize, load: usize| {
+        helper_welfare(capacities[j], load + 1, demand)
+            - helper_welfare(capacities[j], load, demand)
+    };
     let h = capacities.len();
     let mut loads = vec![0usize; h];
+    // Marginal gain of one more peer per helper; only the chosen helper's
+    // changes in a step.
+    let mut gains: Vec<f64> = (0..h).map(|j| gain(j, 0)).collect();
     let mut welfare = 0.0;
-    for _ in 0..num_peers {
+    for placed in 0..num_peers {
         let mut best = 0usize;
         let mut best_gain = f64::NEG_INFINITY;
-        for j in 0..h {
-            let gain = helper_welfare(capacities[j], loads[j] + 1, demand)
-                - helper_welfare(capacities[j], loads[j], demand);
-            if gain > best_gain + 1e-12 {
-                best_gain = gain;
+        for (j, &g) in gains.iter().enumerate() {
+            if g > best_gain + 1e-12 {
+                best_gain = g;
                 best = j;
             }
         }
+        if best_gain == 0.0 {
+            // Gains are non-negative, so helper 0's is zero and no other
+            // beat it; concavity keeps it zero and the others unchanged,
+            // so every remaining peer would land on helper 0 one by one.
+            loads[0] += num_peers - placed;
+            break;
+        }
         loads[best] += 1;
-        welfare += best_gain.max(0.0);
+        gains[best] = gain(best, loads[best]);
+        welfare += best_gain;
     }
     // Recompute welfare from scratch to avoid accumulation drift.
     let welfare_exact: f64 =

@@ -25,17 +25,13 @@ impl MdpBenchmark {
     ///
     /// # Panics
     ///
-    /// Panics if `helpers` is empty or a helper's chain has no stationary
-    /// distribution (reducible chain), or `demand` is non-positive.
+    /// Panics if a helper's chain has no stationary distribution
+    /// (reducible chain), or as [`from_parts`](Self::from_parts) does.
     pub fn from_processes(
         helpers: &[MarkovBandwidth],
         num_peers: usize,
         demand: Option<f64>,
     ) -> Self {
-        assert!(!helpers.is_empty(), "need at least one helper");
-        if let Some(d) = demand {
-            assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
-        }
         let levels: Vec<Vec<f64>> = helpers.iter().map(|h| h.levels().to_vec()).collect();
         let stationary: Vec<Vec<f64>> = helpers
             .iter()
@@ -45,38 +41,32 @@ impl MdpBenchmark {
                     .expect("helper bandwidth chain must be irreducible")
             })
             .collect();
-        Self { levels, stationary, num_peers, demand }
+        Self::from_parts(levels, stationary, num_peers, demand)
     }
 
     /// Builds the benchmark from explicit ladders and stationary vectors.
+    /// Both computation paths of [`optimal_welfare`](Self::optimal_welfare)
+    /// rely on this one validation.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatch (validated downstream).
+    /// Panics if there is no helper, a helper's stationary vector is not a
+    /// distribution as long as its ladder, or `demand` is non-positive.
     pub fn from_parts(
         levels: Vec<Vec<f64>>,
         stationary: Vec<Vec<f64>>,
         num_peers: usize,
         demand: Option<f64>,
     ) -> Self {
-        assert_eq!(levels.len(), stationary.len(), "one stationary dist per helper");
+        welfare::validate(&levels, &stationary, demand);
         Self { levels, stationary, num_peers, demand }
     }
 
-    /// Number of peers in the instance.
-    pub fn num_peers(&self) -> usize {
-        self.num_peers
-    }
-
-    /// Size of the joint helper state space `|Y|`.
-    pub fn num_states(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).product()
-    }
-
     /// The optimal expected social welfare (`R(s*)` in §IV.A): exact when
-    /// `|Y|` is small, Monte Carlo (100k samples) otherwise.
+    /// `|Y|` is small, Monte Carlo (100k samples) otherwise. A `|Y|` that
+    /// overflows `usize` is not small.
     pub fn optimal_welfare<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.num_states() <= EXACT_STATE_LIMIT {
+        if welfare::joint_states(&self.levels).is_some_and(|n| n <= EXACT_STATE_LIMIT) {
             welfare::expected_optimal_welfare_exact(
                 &self.levels,
                 &self.stationary,
@@ -95,26 +85,12 @@ impl MdpBenchmark {
             )
         }
     }
-
-    /// Per-peer fair share of the optimum — the benchmark line for the
-    /// per-peer utility comparison (Fig. 2 normalised per peer).
-    pub fn optimal_per_peer<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.num_peers == 0 {
-            return 0.0;
-        }
-        self.optimal_welfare(rng) / self.num_peers as f64
-    }
-
-    /// Optimal loads for a *specific* capacity realisation — the
-    /// state-wise policy the LP would prescribe.
-    pub fn optimal_loads_for(&self, capacities: &[f64]) -> crate::assignment::Allocation {
-        crate::assignment::optimal_loads(capacities, self.num_peers, self.demand)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::welfare::joint_states;
     use rand::SeedableRng;
     use rths_stoch::rng::seeded_rng;
 
@@ -125,12 +101,11 @@ mod tests {
         let helpers: Vec<MarkovBandwidth> =
             (0..4).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
         let bench = MdpBenchmark::from_processes(&helpers, 10, None);
-        assert_eq!(bench.num_states(), 81);
+        assert_eq!(joint_states(&bench.levels), Some(81));
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(2);
         let w = bench.optimal_welfare(&mut rng2);
         // Uncapped + covered: Σ_j E[C_j] = 4 × 800.
         assert!((w - 3200.0).abs() < 1e-6, "welfare {w}");
-        assert!((bench.optimal_per_peer(&mut rng2) - 320.0).abs() < 1e-6);
     }
 
     #[test]
@@ -139,12 +114,46 @@ mod tests {
         let helpers: Vec<MarkovBandwidth> =
             (0..12).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
         let bench = MdpBenchmark::from_processes(&helpers, 60, None);
-        assert!(bench.num_states() > EXACT_STATE_LIMIT);
+        assert!(joint_states(&bench.levels).unwrap() > EXACT_STATE_LIMIT);
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(4);
         let w = bench.optimal_welfare(&mut rng2);
         // Covered & uncapped: expectation is 12 × 800 exactly; MC noise
         // only.
         assert!((w - 9600.0).abs() < 30.0, "welfare {w}");
+    }
+
+    /// `reactor_dense`'s 64 helpers: `3^64` overflows `usize`, which must
+    /// read as "not small" (Monte Carlo), not wrap or panic.
+    #[test]
+    fn sixty_four_helpers_take_the_monte_carlo_path() {
+        let mut rng = seeded_rng(5);
+        let helpers: Vec<MarkovBandwidth> =
+            (0..64).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
+        let mut rng2 = rand::rngs::StdRng::seed_from_u64(6);
+        let w = MdpBenchmark::from_processes(&helpers, 640, None).optimal_welfare(&mut rng2);
+        // Covered & uncapped: 64 × 800 in expectation.
+        assert!((w - 51_200.0).abs() < 512.0, "welfare {w}");
+    }
+
+    /// Above the exact limit, a malformed instance fails as it does below.
+    #[test]
+    #[should_panic(expected = "helper 11: levels/stationary length mismatch")]
+    fn wrong_length_stationary_rejected_above_the_limit() {
+        let mut stationary = vec![vec![0.25, 0.5, 0.25]; 12];
+        stationary[11] = vec![0.5, 0.5];
+        let bench =
+            MdpBenchmark::from_parts(vec![vec![700.0, 800.0, 900.0]; 12], stationary, 60, None);
+        let _ = bench.optimal_welfare(&mut rand::rngs::StdRng::seed_from_u64(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "helper 0: stationary vector is not a distribution")]
+    fn non_distribution_stationary_rejected_above_the_limit() {
+        let mut stationary = vec![vec![0.25, 0.5, 0.25]; 12];
+        stationary[0] = vec![0.25, 0.5, 0.0];
+        let bench =
+            MdpBenchmark::from_parts(vec![vec![700.0, 800.0, 900.0]; 12], stationary, 60, None);
+        let _ = bench.optimal_welfare(&mut rand::rngs::StdRng::seed_from_u64(8));
     }
 
     #[test]
@@ -160,19 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn optimal_loads_for_state_covers_helpers() {
-        let bench = MdpBenchmark::from_parts(vec![vec![800.0]; 3], vec![vec![1.0]; 3], 7, None);
-        let alloc = bench.optimal_loads_for(&[700.0, 900.0, 800.0]);
-        assert_eq!(alloc.loads.iter().sum::<usize>(), 7);
-        assert!(alloc.loads.iter().all(|&l| l > 0));
-        assert_eq!(alloc.welfare, 2400.0);
-    }
-
-    #[test]
     fn zero_peers_edge_case() {
         let bench = MdpBenchmark::from_parts(vec![vec![800.0]], vec![vec![1.0]], 0, None);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         assert_eq!(bench.optimal_welfare(&mut rng), 0.0);
-        assert_eq!(bench.optimal_per_peer(&mut rng), 0.0);
     }
 }

@@ -15,17 +15,18 @@
 //! Because helper-state dynamics are uncontrolled (the chains evolve
 //! independently of assignments), the LP decomposes per state: the optimal
 //! policy plays a welfare-maximising assignment in every state, and the
-//! optimal value is `Σ_y π(y)·W*(y)`. This crate provides all three
-//! computation paths, which cross-validate each other in tests:
+//! optimal value is `Σ_y π(y)·W*(y)`. [`MdpBenchmark`] computes that value
+//! (Fig. 2's reference line); the other modules are its computation paths
+//! and the references they are tested against:
 //!
-//! 1. [`occupation`] — the literal LP, solved exactly with `rths-lp`
-//!    (exponential in peers/helpers; used at toy scale as ground truth);
+//! 1. [`welfare`] — the expected optimum `Σ_y π(y)·W*(y)`, computed by
+//!    exact enumeration of the joint state space when it is small and by
+//!    stationary Monte Carlo otherwise;
 //! 2. [`assignment`] — exact per-state optimal load vectors via greedy
 //!    marginal allocation (optimal because per-helper welfare is concave
 //!    in load), cross-checked against an `O(H·N²)` dynamic program;
-//! 3. [`welfare`] — the expected optimum `Σ_y π(y)·W*(y)`, computed by
-//!    exact enumeration of the joint state space when it is small and by
-//!    stationary Monte Carlo otherwise.
+//! 3. [`occupation`] — the literal LP, solved exactly with `rths-lp`
+//!    (exponential in peers/helpers; the ground truth at toy scale).
 //!
 //! # Example
 //!
@@ -43,11 +44,7 @@
 
 pub mod assignment;
 pub mod benchmark;
-pub mod finite;
 pub mod occupation;
 pub mod welfare;
 
-pub use assignment::{optimal_loads, Allocation};
 pub use benchmark::MdpBenchmark;
-pub use finite::{helper_selection_mdp, FiniteMdp};
-pub use occupation::OccupationLp;

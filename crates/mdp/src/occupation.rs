@@ -4,7 +4,8 @@
 //! of per-helper bandwidth levels) and every assignment `x ∈ X = H^N`.
 //! The LP is exponential in both `N` and `H`, so this path is reserved
 //! for toy instances where it serves as ground truth for the decomposed
-//! solvers ([`crate::assignment`], [`crate::welfare`]).
+//! optimum `Σ_y π(y)·W*(y)` that [`crate::welfare`] computes state by
+//! state with [`crate::assignment`]'s greedy.
 
 use rths_lp::{LinearProgram, LpError, Relation};
 
@@ -20,15 +21,6 @@ pub struct OccupationLp {
     demand: Option<f64>,
 }
 
-/// Result of solving the occupation LP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OccupationSolution {
-    /// Optimal expected social welfare (the paper's `R(s*)`).
-    pub welfare: f64,
-    /// Number of LP variables (`|Y|·|X|`), for reporting.
-    pub num_variables: usize,
-}
-
 impl OccupationLp {
     /// Creates the LP description.
     ///
@@ -42,19 +34,7 @@ impl OccupationLp {
         num_peers: usize,
         demand: Option<f64>,
     ) -> Self {
-        assert_eq!(levels.len(), stationary.len(), "one stationary dist per helper");
-        assert!(!levels.is_empty(), "need at least one helper");
-        for (j, (l, pi)) in levels.iter().zip(&stationary).enumerate() {
-            assert_eq!(l.len(), pi.len(), "helper {j}: levels/stationary length mismatch");
-            assert!(!l.is_empty(), "helper {j} has no states");
-            assert!(
-                rths_math::vector::is_distribution(pi, 1e-9),
-                "helper {j}: stationary vector is not a distribution"
-            );
-        }
-        if let Some(d) = demand {
-            assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
-        }
+        crate::welfare::validate(&levels, &stationary, demand);
         Self { levels, stationary, num_peers, demand }
     }
 
@@ -68,7 +48,8 @@ impl OccupationLp {
         self.levels.len().pow(self.num_peers as u32)
     }
 
-    /// Solves the LP exactly.
+    /// Solves the LP exactly, returning the optimal expected social
+    /// welfare (the paper's `R(s*)`).
     ///
     /// # Errors
     ///
@@ -79,7 +60,7 @@ impl OccupationLp {
     ///
     /// Panics if the instance exceeds 200_000 variables — use the
     /// decomposed solvers instead.
-    pub fn solve(&self) -> Result<OccupationSolution, LpError> {
+    pub fn solve(&self) -> Result<f64, LpError> {
         let h = self.levels.len();
         let num_y = self.num_states();
         let num_x = self.num_assignments();
@@ -135,38 +116,25 @@ impl OccupationLp {
             }
             lp.add_constraint(row, Relation::Eq, pi_y[y])?;
         }
-        let sol = lp.solve()?;
-        Ok(OccupationSolution { welfare: sol.objective(), num_variables: num_vars })
-    }
-
-    /// The decomposed optimum `Σ_y π(y)·W*(y)` computed state-by-state
-    /// with the greedy assignment solver — mathematically equal to the LP
-    /// optimum (asserted in tests), but polynomial-time.
-    pub fn decomposed_welfare(&self) -> f64 {
-        let h = self.levels.len();
-        let num_y = self.num_states();
-        let mut total = 0.0;
-        for y in 0..num_y {
-            let mut prob = 1.0;
-            let mut caps = Vec::with_capacity(h);
-            let mut rem = y;
-            for j in (0..h).rev() {
-                let s = rem % self.levels[j].len();
-                rem /= self.levels[j].len();
-                prob *= self.stationary[j][s];
-                caps.push(self.levels[j][s]);
-            }
-            caps.reverse();
-            let alloc = crate::assignment::optimal_loads(&caps, self.num_peers, self.demand);
-            total += prob * alloc.welfare;
-        }
-        total
+        Ok(lp.solve()?.objective())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::welfare::expected_optimal_welfare_exact;
+
+    /// The decomposed optimum of the same instance.
+    fn decomposed(lp: &OccupationLp) -> f64 {
+        expected_optimal_welfare_exact(
+            &lp.levels,
+            &lp.stationary,
+            lp.num_peers,
+            lp.demand,
+            1000,
+        )
+    }
 
     fn two_helper_instance(num_peers: usize, demand: Option<f64>) -> OccupationLp {
         OccupationLp::new(
@@ -187,26 +155,26 @@ mod tests {
     #[test]
     fn lp_matches_decomposed_uncapped() {
         let lp = two_helper_instance(3, None);
-        let sol = lp.solve().unwrap();
-        let dec = lp.decomposed_welfare();
-        assert!((sol.welfare - dec).abs() < 1e-6, "lp {} vs decomposed {dec}", sol.welfare);
+        let lp_welfare = lp.solve().unwrap();
+        let dec = decomposed(&lp);
+        assert!((lp_welfare - dec).abs() < 1e-6, "lp {lp_welfare} vs decomposed {dec}");
         // By hand: E[C1] = 800, C2 = 800; with 3 peers both always covered:
         // E[W*] = E[C1] + C2 = 1600.
-        assert!((sol.welfare - 1600.0).abs() < 1e-6);
+        assert!((lp_welfare - 1600.0).abs() < 1e-6);
     }
 
     #[test]
     fn lp_matches_decomposed_capped() {
         let lp = two_helper_instance(3, Some(400.0));
-        let sol = lp.solve().unwrap();
-        let dec = lp.decomposed_welfare();
-        assert!((sol.welfare - dec).abs() < 1e-6, "lp {} vs decomposed {dec}", sol.welfare);
+        let lp_welfare = lp.solve().unwrap();
+        let dec = decomposed(&lp);
+        assert!((lp_welfare - dec).abs() < 1e-6, "lp {lp_welfare} vs decomposed {dec}");
         // By hand, per state: caps (700,800): best 3-peer split is 1/2 or
         // 2/1: w = min(400,700)+min(800,800)=400+800=1200 for (1,2);
         // (2,1): min(800,700)+400=1100. So 1200. caps (900,800):
         // (1,2)=400+800=1200, (2,1)=800+400=1200 -> 1200.
         // E[W*] = 1200.
-        assert!((sol.welfare - 1200.0).abs() < 1e-6);
+        assert!((lp_welfare - 1200.0).abs() < 1e-6);
     }
 
     #[test]
@@ -217,9 +185,9 @@ mod tests {
             1,
             None,
         );
-        let sol = lp.solve().unwrap();
+        let lp_welfare = lp.solve().unwrap();
         // Per state: max(700,850)=850; max(900,850)=900 -> E = 875.
-        assert!((sol.welfare - 875.0).abs() < 1e-6);
+        assert!((lp_welfare - 875.0).abs() < 1e-6);
     }
 
     #[test]
@@ -232,8 +200,8 @@ mod tests {
             2,
             None,
         );
-        let sol = lp.solve().unwrap();
-        assert!((sol.welfare - 800.0).abs() < 1e-6, "welfare {}", sol.welfare);
+        let lp_welfare = lp.solve().unwrap();
+        assert!((lp_welfare - 800.0).abs() < 1e-6, "welfare {lp_welfare}");
     }
 
     #[test]

@@ -9,23 +9,22 @@ use rand::Rng;
 
 use crate::assignment::optimal_loads;
 
-/// Exact expected optimum by full enumeration of the joint state space.
+/// The joint state space size `|Y| = Π_j L_j`, or `None` when it
+/// overflows `usize` (three-level ladders do from 41 helpers on).
+pub(crate) fn joint_states(levels: &[Vec<f64>]) -> Option<usize> {
+    levels.iter().try_fold(1usize, |acc, l| acc.checked_mul(l.len()))
+}
+
+/// The input contract of every path: at least one helper; per helper a
+/// stationary vector as long as its ladder that is a distribution; a
+/// positive, finite demand if any.
 ///
 /// # Panics
 ///
-/// Panics if shapes are inconsistent, a stationary vector is not a
-/// distribution, or `|Y|` exceeds `limit`.
-pub fn expected_optimal_welfare_exact(
-    levels: &[Vec<f64>],
-    stationary: &[Vec<f64>],
-    num_peers: usize,
-    demand: Option<f64>,
-    limit: usize,
-) -> f64 {
+/// Panics with the violated clause.
+pub(crate) fn validate(levels: &[Vec<f64>], stationary: &[Vec<f64>], demand: Option<f64>) {
     assert_eq!(levels.len(), stationary.len(), "one stationary dist per helper");
     assert!(!levels.is_empty(), "need at least one helper");
-    let num_y: usize = levels.iter().map(|l| l.len()).product();
-    assert!(num_y <= limit, "joint state space {num_y} exceeds limit {limit}");
     for (j, (l, pi)) in levels.iter().zip(stationary).enumerate() {
         assert_eq!(l.len(), pi.len(), "helper {j}: levels/stationary length mismatch");
         assert!(
@@ -33,6 +32,28 @@ pub fn expected_optimal_welfare_exact(
             "helper {j}: stationary vector is not a distribution"
         );
     }
+    if let Some(d) = demand {
+        assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
+    }
+}
+
+/// Exact expected optimum by full enumeration of the joint state space.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent, a stationary vector is not a
+/// distribution, `demand` is non-positive, or `|Y|` exceeds `limit`.
+pub fn expected_optimal_welfare_exact(
+    levels: &[Vec<f64>],
+    stationary: &[Vec<f64>],
+    num_peers: usize,
+    demand: Option<f64>,
+    limit: usize,
+) -> f64 {
+    validate(levels, stationary, demand);
+    let num_y = joint_states(levels)
+        .filter(|&n| n <= limit)
+        .unwrap_or_else(|| panic!("joint state space exceeds limit {limit}"));
     let h = levels.len();
     let mut total = 0.0;
     let mut caps = vec![0.0; h];
@@ -65,8 +86,7 @@ pub fn expected_optimal_welfare_mc<R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> f64 {
-    assert_eq!(levels.len(), stationary.len(), "one stationary dist per helper");
-    assert!(!levels.is_empty(), "need at least one helper");
+    validate(levels, stationary, demand);
     assert!(samples > 0, "need at least one sample");
     let h = levels.len();
     let mut caps = vec![0.0; h];

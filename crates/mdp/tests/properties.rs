@@ -1,4 +1,4 @@
-//! Property tests: the three MDP solution paths agree.
+//! Property tests: the MDP solution paths agree with their references.
 
 use proptest::prelude::*;
 use rths_mdp::assignment::{optimal_loads, optimal_loads_dp};
@@ -53,16 +53,12 @@ proptest! {
         n in 1usize..4,
     ) {
         let uniform = |k: usize| vec![1.0 / k as f64; k];
-        let lp = OccupationLp::new(
-            vec![l1.clone(), l2.clone()],
-            vec![uniform(l1.len()), uniform(l2.len())],
-            n,
-            None,
-        );
-        let sol = lp.solve().unwrap();
-        let dec = lp.decomposed_welfare();
-        prop_assert!((sol.welfare - dec).abs() < 1e-6,
-            "lp {} vs decomposed {dec}", sol.welfare);
+        let levels = vec![l1.clone(), l2.clone()];
+        let pi = vec![uniform(l1.len()), uniform(l2.len())];
+        let lp_welfare = OccupationLp::new(levels.clone(), pi.clone(), n, None).solve().unwrap();
+        let dec = expected_optimal_welfare_exact(&levels, &pi, n, None, 1000);
+        prop_assert!((lp_welfare - dec).abs() < 1e-6,
+            "lp {lp_welfare} vs decomposed {dec}");
     }
 
     #[test]

@@ -691,10 +691,108 @@ impl System {
 mod tests {
     use super::*;
     use crate::config::{BandwidthSpec, SimConfig};
+    use crate::multichannel::{MultiChannelConfig, MultiChannelSystem};
     use rths_stoch::process::ChurnProcess;
 
     fn small_config(seed: u64) -> SimConfig {
         SimConfig::builder(10, vec![BandwidthSpec::Paper { stay: 0.98 }; 4]).seed(seed).build()
+    }
+
+    /// The capacity invariant of the epoch `sys` just stepped, read from
+    /// its scratch: every peer is in the loads once, helper `j`'s choosers
+    /// are the loads of its channels, and the rates they realized sum to
+    /// at most its capacity `c` — `c·(1 + L·ε)` for `L` choosers, the
+    /// rounding of `L` shares of a split of `c`.
+    fn assert_within_helper_capacity(sys: &System, at: &str) {
+        let k = sys.num_channels();
+        let EpochScratch { globals, delivered, loads, .. } = &sys.scratch;
+        assert_eq!(loads.iter().sum::<usize>(), sys.num_peers(), "{at}: loads");
+        for (j, capacity) in sys.capacities().into_iter().enumerate() {
+            let load: usize = loads[j * k..(j + 1) * k].iter().sum();
+            let mut choosers = 0;
+            let mut realized = 0.0;
+            for (&helper, &rate) in globals.iter().zip(delivered) {
+                if helper as usize == j {
+                    choosers += 1;
+                    realized += rate;
+                }
+            }
+            assert_eq!(choosers, load, "{at}: helper {j}'s choosers");
+            let slack = capacity * load as f64 * f64::EPSILON;
+            assert!(
+                realized <= capacity + slack,
+                "{at}: helper {j} realized {realized} of {capacity}"
+            );
+        }
+    }
+
+    /// K = 1 under churn, Gilbert–Elliott loss, a token bucket and a demand
+    /// cap that binds on the lighter-loaded helpers.
+    #[test]
+    fn every_epoch_allocates_within_helper_capacity() {
+        for threads in [1, 2] {
+            rths_par::with_threads(threads, || {
+                for seed in 0..8 {
+                    let plan = ImpairmentPlan::builder(seed)
+                        .gilbert_loss(0.1, 0.3, 0.8, 0.05)
+                        .token_bucket(300.0, 700.0)
+                        .build()
+                        .expect("valid impairment plan");
+                    let config =
+                        SimConfig::builder(24, vec![BandwidthSpec::Paper { stay: 0.9 }; 3])
+                            .demand(120.0)
+                            .churn(ChurnProcess::new(1.0, 0.05))
+                            .impairment(plan)
+                            .seed(seed)
+                            .build();
+                    let mut sys = System::new(config);
+                    for epoch in 0..30 {
+                        sys.step_epoch();
+                        let at = format!("threads {threads}, seed {seed}, epoch {epoch}");
+                        assert_within_helper_capacity(&sys, &at);
+                    }
+                }
+            });
+        }
+    }
+
+    /// K = 3, each helper serving two channels, under every allocation
+    /// policy, with departures, arrivals and channel migrations between
+    /// epochs. Demand far exceeds capacity, so no demand cap hides a
+    /// helper that hands out more than it has.
+    #[test]
+    fn every_epoch_allocates_within_helper_capacity_across_channels() {
+        for threads in [1, 2] {
+            rths_par::with_threads(threads, || {
+                for policy in [
+                    AllocationPolicy::EvenSplit,
+                    AllocationPolicy::LoadProportional,
+                    AllocationPolicy::WaterFilling,
+                    AllocationPolicy::Learned,
+                ] {
+                    for seed in 0..8 {
+                        let config =
+                            MultiChannelConfig::standard(3, 400.0, 4, 2, 36, 1.0, policy, seed);
+                        let mut sys = MultiChannelSystem::new(config).into_engine();
+                        for epoch in 0..30 {
+                            match epoch % 3 {
+                                0 => {
+                                    let id = sys.peers().ids()[epoch % sys.num_peers()];
+                                    assert!(sys.depart_peer(id));
+                                }
+                                1 => sys.inject_arrivals(1.5),
+                                _ => sys.migrate_viewers(epoch / 3 % 3, (epoch / 3 + 1) % 3, 2),
+                            }
+                            sys.step_epoch();
+                            let at = format!(
+                                "threads {threads}, {policy:?}, seed {seed}, epoch {epoch}"
+                            );
+                            assert_within_helper_capacity(&sys, &at);
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]
