@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release -p rths_bench --bin ablation_churn`
 
 use rths_bench::write_csv;
-use rths_sim::churn::FailureSchedule;
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 use rths_stoch::process::ChurnProcess;
 
@@ -25,8 +24,11 @@ fn run(churn: bool, conditional: bool) -> Row {
         .seed(77)
         .build();
     let mut system = System::new(config);
-    let schedule = FailureSchedule::new().fail_at(2000, 0).recover_at(3500, 0);
-    let out = schedule.run(&mut system, 5000);
+    let _ = system.run(2000);
+    system.set_helper_online(0, false);
+    let _ = system.run(1500);
+    system.set_helper_online(0, true);
+    let out = system.run(1500);
 
     let dead = out.metrics.helper_loads[0].values();
     let pop = out.metrics.population.values();

@@ -15,7 +15,6 @@ use std::fmt;
 
 /// How past utilities are averaged into regret estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RecencyMode {
     /// Exponentially recency-weighted averaging with step `ε`
     /// (Eqs. 3-2/3-3): the *tracking* behaviour that adapts to
@@ -34,7 +33,6 @@ pub enum RecencyMode {
 
 /// Configuration shared by all learners in this crate.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RthsConfig {
     num_actions: usize,
     epsilon: f64,

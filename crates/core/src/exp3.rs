@@ -20,7 +20,6 @@ use crate::learner::Learner;
 
 /// Configuration for [`Exp3Learner`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Exp3Config {
     /// Number of actions `K`.
     pub num_actions: usize,

@@ -8,7 +8,6 @@
 
 /// A named per-stage scalar series.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvergenceSeries {
     name: String,
     values: Vec<f64>,

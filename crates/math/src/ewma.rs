@@ -26,7 +26,6 @@
 /// assert_eq!(avg.value(), 12.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ewma {
     epsilon: f64,
     value: f64,

@@ -20,7 +20,6 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 /// assert_eq!(&m * &identity, m);
 /// ```
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

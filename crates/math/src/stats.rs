@@ -118,7 +118,6 @@ pub fn range(v: &[f64]) -> f64 {
 /// assert_eq!(acc.count(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Accumulator {
     count: u64,
     mean: f64,

@@ -38,10 +38,10 @@
 //! process count (asserted by the `sim_net_equivalence` integration
 //! test). Link impairments come from `rths_sim`'s shared
 //! `ImpairmentPlan` (Gilbert-Elliott bursty loss, token-bucket policing,
-//! Markov link bandwidth/latency, timing jitter), attached via
-//! [`NetConfig::with_impairments`] or inherited from the sim config;
-//! every impairment decision is a pure function of `(plan seed, link,
-//! epoch)`, so impaired runs stay bit-identical too. Jitter and latency
+//! Markov link bandwidth/latency, timing jitter), set on the
+//! [`SimConfig`](rths_sim::SimConfig) the run wraps; every impairment
+//! decision is a pure function of `(plan seed, link, epoch)`, so
+//! impaired runs stay bit-identical too. Jitter and latency
 //! delay each actor's tick through the timer wheel by a seeded draw —
 //! the same test sweeps plan seeds and bounds to show that no delivery
 //! schedule can move a bit of the outcome.
@@ -68,8 +68,5 @@ pub mod runtime;
 pub mod wire;
 
 pub use multiproc::{run_multiproc, run_multiproc_with_span, MultiprocReport};
-// Re-exported so `with_impairments` callers don't need an `rths_sim`
-// dependency just for the plan type.
 pub use reactor_backend::{NetActor, NetMsg, ReactorRuntime};
-pub use rths_sim::ImpairmentPlan;
 pub use runtime::{run, Backend, MessageTotals, NetConfig, NetOutcome};

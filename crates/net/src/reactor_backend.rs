@@ -509,7 +509,7 @@ pub(crate) fn populate_mesh(
     len: usize,
 ) {
     let sim = &config.sim;
-    let impairments = &config.impairments;
+    let impairments = &sim.impairment;
     let h = sim.helpers.len();
     let n = sim.num_peers;
     let helper_base = 2;
@@ -728,6 +728,7 @@ impl ReactorRuntime {
 mod tests {
     use super::*;
     use crate::runtime::NetConfig;
+    use rths_core::Learner;
     use rths_sim::{BandwidthSpec, Scenario, SimConfig};
 
     #[test]
@@ -835,6 +836,7 @@ mod tests {
                     .seed(seed)
                     .impairment(plan)
                     .build();
+                    let delta = sim.learner.delta;
                     let mut rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
                     for epoch in 0..EPOCHS {
                         rt.run_epochs(1);
@@ -860,6 +862,20 @@ mod tests {
                                 delivered <= capacity + slack,
                                 "{at}: helper {j} delivered {delivered} of {capacity}"
                             );
+                        }
+                        // Every peer's strategy is a distribution with the
+                        // exploration floor δ/m (see `update_probabilities`).
+                        for actor in rt.reactor.actors() {
+                            let NetActor::Peer(node) = actor else { continue };
+                            let row = node.machine.peer().learner().probabilities();
+                            let m = row.len() as f64;
+                            let sum: f64 = row.iter().sum();
+                            assert!(
+                                (sum - 1.0).abs() <= m * f64::EPSILON,
+                                "{at}: row sums to {sum}"
+                            );
+                            let floor = delta / m - 1e-12;
+                            assert!(row.iter().all(|&p| p >= floor), "{at}: {row:?} < δ/m");
                         }
                     }
                 }

@@ -7,7 +7,6 @@
 //! `rths_sim::System` bit-for-bit (see the `sim_net_equivalence`
 //! integration test).
 
-use rths_sim::ImpairmentPlan;
 use rths_sim::SimConfig;
 use rths_sim::SimMetrics;
 
@@ -34,12 +33,11 @@ pub enum Backend {
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// The underlying system configuration (must be churn-free: actor
-    /// population is fixed at startup).
+    /// population is fixed at startup). Its
+    /// [`impairment`](SimConfig::impairment) plan (loss, shaping,
+    /// jitter/latency) is the run's: one plan for the simulator and both
+    /// backends, so impaired runs stay bit-identical across all three.
     pub sim: SimConfig,
-    /// Link-impairment plan (loss, shaping, jitter/latency) — shared
-    /// with the simulator, so impaired runs stay bit-identical across
-    /// the simulator and both backends.
-    pub impairments: ImpairmentPlan,
     /// Hosting runtime.
     pub backend: Backend,
     /// Whether peers attach their learner's internal regret estimate to
@@ -65,8 +63,7 @@ pub struct NetConfig {
 
 impl NetConfig {
     /// Wraps a simulator configuration on the default backend
-    /// ([`Backend::Reactor`]), inheriting the config's own
-    /// [`SimConfig::impairment`] plan (none by default).
+    /// ([`Backend::Reactor`]).
     ///
     /// # Panics
     ///
@@ -78,22 +75,7 @@ impl NetConfig {
             sim.churn.arrival_rate() == 0.0 && sim.churn.departure_prob() == 0.0,
             "the decentralized runtimes require a churn-free configuration"
         );
-        let impairments = sim.impairment.clone();
-        Self {
-            sim,
-            impairments,
-            backend: Backend::default(),
-            track_estimate: true,
-            trace: false,
-        }
-    }
-
-    /// Sets the link-impairment plan (loss models, token-bucket shaping,
-    /// link bandwidth caps, jitter/latency).
-    #[must_use]
-    pub fn with_impairments(mut self, impairments: ImpairmentPlan) -> Self {
-        self.impairments = impairments;
-        self
+        Self { sim, backend: Backend::default(), track_estimate: true, trace: false }
     }
 
     /// Enables/disables per-peer internal regret estimates (see
@@ -175,16 +157,17 @@ pub struct NetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rths_sim::{BandwidthSpec, Scenario};
+    use rths_sim::{BandwidthSpec, ImpairmentPlan, Scenario};
 
     #[test]
     fn partial_loss_reduces_welfare() {
         let build = |loss| {
+            let plan = ImpairmentPlan::builder(5).uniform_loss(loss).build().unwrap();
             let sim = rths_sim::SimConfig::builder(8, vec![BandwidthSpec::Constant(800.0); 2])
                 .seed(4)
+                .impairment(plan)
                 .build();
-            let plan = ImpairmentPlan::builder(5).uniform_loss(loss).build().unwrap();
-            run(NetConfig::from_sim(sim).with_impairments(plan), 300)
+            run(NetConfig::from_sim(sim), 300)
         };
         let clean = build(0.0);
         let lossy = build(0.3);

@@ -44,7 +44,7 @@ use crate::reactor_backend::{NetMsg, ShardReport};
 use crate::runtime::NetConfig;
 
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame body (bytes). A drain batch for a 10⁵-actor
 /// mesh is a few megabytes; anything near this cap is corruption.
@@ -707,7 +707,6 @@ fn put_worker_config(w: &mut WireWriter, wc: &WorkerConfig) {
     w.u64(sim.record_joint_from);
     w.bool(sim.record_peer_rates);
     put_impairments(w, &sim.impairment);
-    put_impairments(w, &wc.config.impairments);
 }
 
 fn get_worker_config(r: &mut WireReader<'_>) -> Result<WorkerConfig, WireError> {
@@ -728,20 +727,17 @@ fn get_worker_config(r: &mut WireReader<'_>) -> Result<WorkerConfig, WireError> 
     let seed = r.u64()?;
     let record_joint_from = r.u64()?;
     let record_peer_rates = r.bool()?;
-    let sim_impairment = get_impairments(r)?;
-    let net_impairments = get_impairments(r)?;
+    let impairment = get_impairments(r)?;
     let mut builder = SimConfig::builder(num_peers, helpers)
         .learner(learner)
         .seed(seed)
         .record_joint_from(record_joint_from)
         .record_peer_rates(record_peer_rates)
-        .impairment(sim_impairment);
+        .impairment(impairment);
     if let Some(demand) = demand {
         builder = builder.demand(demand);
     }
-    let config = NetConfig::from_sim(builder.build())
-        .with_impairments(net_impairments)
-        .with_track_estimate(track_estimate);
+    let config = NetConfig::from_sim(builder.build()).with_track_estimate(track_estimate);
     Ok(WorkerConfig { config, span, processes })
 }
 
@@ -1109,16 +1105,15 @@ mod tests {
         .seed(42)
         .record_joint_from(5)
         .record_peer_rates(true)
-        .impairment(plan.clone())
+        .impairment(plan)
         .build();
-        let config = NetConfig::from_sim(sim).with_impairments(plan).with_track_estimate(false);
+        let config = NetConfig::from_sim(sim).with_track_estimate(false);
         let wc = WorkerConfig { config, span: 8, processes: 4 };
         match roundtrip(&Frame::Config(Box::new(wc.clone()))) {
             Frame::Config(got) => {
                 assert_eq!(got.span, 8);
                 assert_eq!(got.processes, 4);
                 assert_eq!(got.config.sim, wc.config.sim);
-                assert_eq!(got.config.impairments, wc.config.impairments);
                 assert!(!got.config.track_estimate);
             }
             other => panic!("decoded {other:?}"),

@@ -16,9 +16,9 @@
 
 use rths_core::Learner;
 use rths_net::machines::{HelperMachine, PeerMachine};
-use rths_net::{Backend, ImpairmentPlan, NetConfig};
+use rths_net::{Backend, NetConfig};
 use rths_sim::helper::{Helper, HelperId};
-use rths_sim::{BandwidthSpec, Scenario, SimConfig, System};
+use rths_sim::{BandwidthSpec, ImpairmentPlan, Scenario, SimConfig, System};
 use rths_stoch::bandwidth::ConstantBandwidth;
 
 fn bits(series: &[f64]) -> Vec<u64> {
@@ -134,12 +134,9 @@ fn loss_and_jitter_compose_on_the_reactor() {
     // payloads. Jitter must still change nothing, even combined with
     // loss.
     let plain = rths_net::run(lossy_config(5, 0.3).with_backend(Backend::Reactor), 80);
-    let config = lossy_config(5, 0.3);
-    let jittery_plan = config.impairments.with_jitter(150);
-    let jittery = rths_net::run(
-        lossy_config(5, 0.3).with_backend(Backend::Reactor).with_impairments(jittery_plan),
-        80,
-    );
+    let mut jittery_config = lossy_config(5, 0.3).with_backend(Backend::Reactor);
+    jittery_config.sim.impairment = jittery_config.sim.impairment.with_jitter(150);
+    let jittery = rths_net::run(jittery_config, 80);
     assert_eq!(
         bits(plain.metrics.welfare.values()),
         bits(jittery.metrics.welfare.values()),

@@ -46,8 +46,10 @@ proptest! {
                 .uniform_loss(loss)
                 .build()
                 .expect("loss is a probability");
-            let cfg = NetConfig::from_sim(config(6, 2, seed, Some(300.0)))
-                .with_impairments(plan);
+            let cfg = NetConfig::from_sim(SimConfig {
+                impairment: plan,
+                ..config(6, 2, seed, Some(300.0))
+            });
             rths_net::run(cfg, 40)
         };
         let a = run();
@@ -66,7 +68,8 @@ proptest! {
                 .uniform_loss(loss)
                 .build()
                 .expect("loss is a probability");
-            let cfg = NetConfig::from_sim(config(8, 2, seed, None)).with_impairments(plan);
+            let cfg =
+                NetConfig::from_sim(SimConfig { impairment: plan, ..config(8, 2, seed, None) });
             let out = rths_net::run(cfg, 150);
             out.metrics.welfare.tail_mean(100)
         };

@@ -8,7 +8,6 @@
 
 /// A live video channel.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Channel {
     id: usize,
     bitrate: f64,

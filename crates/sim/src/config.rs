@@ -16,7 +16,6 @@ use crate::impairment::ImpairmentPlan;
 /// Declarative description of one helper's bandwidth process, turned into
 /// a live process per helper at system construction.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BandwidthSpec {
     /// The paper's `[700, 800, 900]` sticky Markov chain with the given
     /// stay probability (0.98 reproduces "slowly changing").
@@ -98,6 +97,59 @@ impl BandwidthSpec {
         }
     }
 
+    /// Checks what [`instantiate`](Self::instantiate)'s constructors
+    /// assert, so that a scenario file is refused at load instead of
+    /// panicking at run time. On failure returns the offending field, by
+    /// its scenario-file key, and what it requires.
+    pub(crate) fn check(&self) -> Result<(), (&'static str, &'static str)> {
+        let level = |x: f64| x.is_finite() && x >= 0.0;
+        let prob = |p: f64| (0.0..=1.0).contains(&p);
+        let stay = |s: f64| (0.0..1.0).contains(&s);
+        const LEVEL: &str = "must be finite and ≥ 0";
+        const PROB: &str = "must be in [0, 1]";
+        const STAY: &str = "must be in [0, 1)";
+        match self {
+            BandwidthSpec::Paper { stay: s } if !stay(*s) => Err(("stay", STAY)),
+            BandwidthSpec::Ladder { levels, .. } if levels.is_empty() => {
+                Err(("levels", "needs at least one level"))
+            }
+            BandwidthSpec::Ladder { levels, .. } if !levels.iter().all(|&l| level(l)) => {
+                Err(("levels", "every level must be finite and ≥ 0"))
+            }
+            BandwidthSpec::Ladder { stay: s, .. } if !stay(*s) => Err(("stay", STAY)),
+            BandwidthSpec::Constant(l) if !level(*l) => Err(("level", LEVEL)),
+            BandwidthSpec::RandomWalk { min, max, .. } if (*min..=*max).is_empty() => {
+                Err(("min", "must not exceed max"))
+            }
+            BandwidthSpec::RandomWalk { initial, min, max, .. }
+                if !(*min..=*max).contains(initial) =>
+            {
+                Err(("initial", "must lie in [min, max]"))
+            }
+            BandwidthSpec::RandomWalk { step, .. } if step.is_nan() || *step <= 0.0 => {
+                Err(("step", "must be positive"))
+            }
+            BandwidthSpec::RandomWalk { move_prob, .. } if !prob(*move_prob) => {
+                Err(("move_prob", PROB))
+            }
+            BandwidthSpec::GilbertElliott { good, .. } if !level(*good) => Err(("good", LEVEL)),
+            BandwidthSpec::GilbertElliott { bad, .. } if !level(*bad) => Err(("bad", LEVEL)),
+            BandwidthSpec::GilbertElliott { p_gb, .. } if !prob(*p_gb) => Err(("p_gb", PROB)),
+            BandwidthSpec::GilbertElliott { p_bg, .. } if !prob(*p_bg) => Err(("p_bg", PROB)),
+            BandwidthSpec::RegimeShift { before, .. } if !level(*before) => {
+                Err(("before", LEVEL))
+            }
+            BandwidthSpec::RegimeShift { after, .. } if !level(*after) => Err(("after", LEVEL)),
+            BandwidthSpec::Trace(samples) if samples.is_empty() => {
+                Err(("samples", "needs at least one sample"))
+            }
+            BandwidthSpec::Trace(samples) if !samples.iter().all(|&s| level(s)) => {
+                Err(("samples", "every sample must be finite and ≥ 0"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Long-run mean capacity if analytically known (calibrates `μ`).
     pub fn mean_level(&self) -> Option<f64> {
         match self {
@@ -141,7 +193,6 @@ impl BandwidthSpec {
 
 /// Which learning algorithm peers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Algorithm {
     /// Recursive regret tracking (paper Algorithm 2). **Default.**
     #[default]
@@ -157,7 +208,6 @@ pub enum Algorithm {
 
 /// Learner parameters for the peer population.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LearnerSpec {
     /// Algorithm choice.
     pub algorithm: Algorithm,

@@ -11,7 +11,6 @@ pub const HELPER_STREAM_BASE: u64 = 0x8000_0000_0000_0000;
 
 /// Stable identifier of a helper within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HelperId(pub u32);
 
 impl std::fmt::Display for HelperId {

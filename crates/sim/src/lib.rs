@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod channel;
-pub mod churn;
 pub mod config;
 pub mod epoch_metrics;
 pub mod helper;

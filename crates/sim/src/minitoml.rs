@@ -1,4 +1,4 @@
-//! A minimal TOML reader/writer for [`crate::spec::ScenarioSpec`].
+//! A minimal TOML reader for [`crate::spec::ScenarioSpec`].
 //!
 //! The workspace is dependency-free by policy, so scenario files are
 //! parsed by this hand-rolled subset of TOML instead of a `toml` crate.
@@ -14,9 +14,7 @@
 //!
 //! Not supported (and not used by any scenario file): multi-line
 //! strings/arrays, inline `{...}` tables, dotted keys in assignments,
-//! datetimes. The serializer emits only this subset, and emits floats
-//! via Rust's shortest-roundtrip `{:?}` so `parse → serialize → parse`
-//! is lossless bit-for-bit.
+//! datetimes.
 
 use std::collections::BTreeMap;
 
@@ -33,7 +31,7 @@ pub enum Value {
     Bool(bool),
     /// A single-line array.
     Array(Vec<Value>),
-    /// A (sub)table; `BTreeMap` so serialization order is deterministic.
+    /// A (sub)table; `BTreeMap` so key order is deterministic.
     Table(BTreeMap<String, Value>),
 }
 
@@ -325,99 +323,6 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, TomlError> {
     Ok(root)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn write_scalar(out: &mut String, value: &Value) {
-    match value {
-        Value::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        Value::Int(i) => out.push_str(&i.to_string()),
-        // `{:?}` is Rust's shortest round-trip float formatting and
-        // always includes a `.` or exponent, so it re-parses as Float.
-        Value::Float(f) => out.push_str(&format!("{f:?}")),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_scalar(out, item);
-            }
-            out.push(']');
-        }
-        Value::Table(_) => unreachable!("tables are serialized via headers"),
-    }
-}
-
-fn is_table_array(value: &Value) -> bool {
-    matches!(value, Value::Array(items)
-        if !items.is_empty() && items.iter().all(|v| matches!(v, Value::Table(_))))
-}
-
-fn write_table(out: &mut String, path: &[String], table: &BTreeMap<String, Value>) {
-    // Scalars and plain arrays first (they belong to this header)...
-    for (key, value) in table {
-        if matches!(value, Value::Table(_)) || is_table_array(value) {
-            continue;
-        }
-        out.push_str(key);
-        out.push_str(" = ");
-        write_scalar(out, value);
-        out.push('\n');
-    }
-    // ...then arrays-of-tables, then subtables.
-    for (key, value) in table {
-        if let Value::Array(items) = value {
-            if !is_table_array(value) {
-                continue;
-            }
-            let mut child_path = path.to_vec();
-            child_path.push(key.clone());
-            for item in items {
-                if let Value::Table(t) = item {
-                    out.push('\n');
-                    out.push_str(&format!("[[{}]]\n", child_path.join(".")));
-                    write_table(out, &child_path, t);
-                }
-            }
-        }
-    }
-    for (key, value) in table {
-        if let Value::Table(t) = value {
-            let mut child_path = path.to_vec();
-            child_path.push(key.clone());
-            out.push('\n');
-            out.push_str(&format!("[{}]\n", child_path.join(".")));
-            write_table(out, &child_path, t);
-        }
-    }
-}
-
-/// Serializes a root table back to TOML text (the subset [`parse`]
-/// accepts; `parse(serialize(t)) == t`).
-pub fn serialize(root: &BTreeMap<String, Value>) -> String {
-    let mut out = String::new();
-    write_table(&mut out, &[], root);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,44 +412,5 @@ mod tests {
     fn scalar_path_collision_is_an_error() {
         let e = parse("x = 1\n[x]\ny = 2\n").unwrap_err();
         assert!(e.message.contains("not a table"), "{e}");
-    }
-
-    #[test]
-    fn round_trips_exactly() {
-        let doc = parse(
-            r#"
-            version = 1
-            name = "zoo"
-            ratio = 0.30000000000000004
-            big = 1e300
-            [a]
-            x = [1, 2.5, "three", true]
-            [[b]]
-            y = -7
-            [[b]]
-            y = 8
-            [a.inner]
-            z = false
-            "#,
-        )
-        .unwrap();
-        let text = serialize(&doc);
-        let reparsed = parse(&text).unwrap();
-        assert_eq!(doc, reparsed, "serialize/parse not a fixed point:\n{text}");
-        // And serialization itself is a fixed point after one cycle.
-        assert_eq!(text, serialize(&reparsed));
-    }
-
-    #[test]
-    fn float_formatting_reparses_as_float() {
-        // `{:?}` floats must never look like integers.
-        for f in [1.0f64, -0.0, 2e10, 0.1, f64::MAX, f64::MIN_POSITIVE] {
-            let mut out = String::new();
-            write_scalar(&mut out, &Value::Float(f));
-            match parse_value(&out, 1).unwrap() {
-                Value::Float(g) => assert_eq!(f.to_bits(), g.to_bits(), "{out}"),
-                other => panic!("{out} parsed as {other:?}"),
-            }
-        }
     }
 }

@@ -34,7 +34,6 @@ use crate::system::{Blueprint, System};
 
 /// How a helper divides its upload capacity among the channels it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AllocationPolicy {
     /// Equal share per served channel regardless of viewership — the
     /// naive static split.

@@ -16,7 +16,6 @@ use crate::config::AnyLearner;
 /// Stable identifier of a peer within a simulation (never reused, even
 /// across churn).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeerId(pub u64);
 
 impl std::fmt::Display for PeerId {

@@ -15,7 +15,6 @@
 
 /// Fluid playback-buffer simulator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlaybackBuffer {
     /// Stream bitrate (kbps): 1 second of content = `bitrate` kbits.
     bitrate: f64,
@@ -29,7 +28,6 @@ pub struct PlaybackBuffer {
 
 /// QoE summary of one playback session.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PlaybackStats {
     /// Seconds before playback first started (∞ if it never did —
     /// reported as the full session length).

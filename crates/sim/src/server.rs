@@ -10,7 +10,6 @@
 
 /// Per-epoch server accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServerEpoch {
     /// Actual server load: `Σ_i max(0, d_i − r_i)` (kbps).
     pub load: f64,

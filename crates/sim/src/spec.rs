@@ -1,28 +1,28 @@
-//! Declarative scenario specifications: one versioned, validated,
-//! TOML-loadable description of an entire experiment.
+//! Declarative scenario specifications: one versioned, validated
+//! description of an entire experiment, read from TOML.
 //!
-//! A [`ScenarioSpec`] composes the four axes that were previously spread
-//! over [`crate::Scenario`] factory methods, free-function workloads,
-//! fault plans, and ad-hoc bench configs:
+//! A [`ScenarioSpec`] composes four axes:
 //!
-//! 1. **Population** — either a single-channel swarm (peer count, helper
-//!    bandwidth groups, demand, churn, learner) or a multi-channel
-//!    deployment (channels, bitrate, viewers, Zipf popularity,
-//!    allocation policy);
-//! 2. **Impairment** — an [`ImpairmentPlan`] (bursty loss, token-bucket
-//!    shaping, link bandwidth caps, jitter/latency);
+//! 1. **Population** — either a single-channel swarm (`[population]`:
+//!    peer count, `[[population.helpers]]` bandwidth groups, demand,
+//!    `[population.churn]`, `[population.learner]`) or a multi-channel
+//!    deployment (`[multichannel]`: channels, bitrate, viewers, Zipf
+//!    popularity, allocation policy);
+//! 2. **Impairment** — an [`ImpairmentPlan`] (`[impairment]` with
+//!    `loss`, `token_bucket`, `link_bandwidth` and `latency` sub-tables,
+//!    plus `jitter_us`);
 //! 3. **Workload phases** — an ordered list of [`WorkloadPhase`]s
-//!    (steady, flash crowd, diurnal, helper failure, popularity shift,
-//!    channel surfing);
+//!    (`[[phase]]`: steady, flash crowd, diurnal, helper failure,
+//!    popularity shift, channel surfing);
 //! 4. **Determinism** — a single root seed; running the same spec twice
 //!    yields bit-identical trajectories.
 //!
-//! Specs are constructed either programmatically
-//! ([`ScenarioSpec::builder`]) or from TOML ([`ScenarioSpec::from_toml_str`],
-//! [`ScenarioSpec::load`]); both paths run the same validation and
-//! surface [`ScenarioError`]s instead of panicking. Serialization
-//! ([`ScenarioSpec::to_toml_string`]) round-trips exactly:
-//! `from_toml_str(to_toml_string(s)) == s`.
+//! A spec is read from TOML ([`ScenarioSpec::from_toml_str`],
+//! [`ScenarioSpec::load`]) and validated on the way in: an unknown key,
+//! a missing one, or a value that would make a run panic or silently do
+//! nothing is a [`ScenarioError`] naming its dotted field path
+//! (`population.helpers[0].stay`, `phase[1].kind`). The parse functions
+//! below are the grammar.
 //!
 //! ```
 //! use rths_sim::ScenarioSpec;
@@ -49,9 +49,10 @@
 //! assert_eq!(report.epochs, 50);
 //! ```
 //!
-//! The on-disk catalog lives in `scenarios/*.toml` at the repository
-//! root (the "scenario zoo"); `cargo run --release -p rths_bench --bin
-//! run_scenario -- <file>` executes one and writes welfare/regret CSVs.
+//! The files in `scenarios/*.toml` at the repository root (the
+//! "scenario zoo") are the only description of each scenario; `cargo
+//! run --release -p rths_bench --bin run_scenario -- <file>` executes one
+//! and writes welfare/regret CSVs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -62,14 +63,14 @@ use rths_stoch::process::ChurnProcess;
 use rths_stoch::rng::{derive_seed, seeded_rng};
 
 use crate::config::{Algorithm, BandwidthSpec, LearnerSpec, SimConfig};
-use crate::impairment::{ImpairmentError, ImpairmentPlan, LossModel};
+use crate::impairment::{ImpairmentError, ImpairmentPlan};
 use crate::minitoml::{self, TomlError, Value};
 use crate::multichannel::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
 use crate::system::System;
 use crate::workload::WorkloadPhase;
 
-/// The scenario format version this build reads and writes.
-pub const SCENARIO_SPEC_VERSION: i64 = 1;
+/// The scenario format version this build reads.
+const SCENARIO_SPEC_VERSION: i64 = 1;
 
 /// Stream id deriving the channel-surf RNG from the root seed.
 const SURF_STREAM: u64 = 0x5355_5246; // "SURF"
@@ -134,60 +135,60 @@ fn invalid(path: impl Into<String>, message: impl Into<String>) -> ScenarioError
 /// Peer churn as an arrival/departure pair (a declarative
 /// [`ChurnProcess`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnSpec {
+struct ChurnSpec {
     /// Expected Poisson arrivals per epoch.
-    pub arrival: f64,
+    arrival: f64,
     /// Per-peer departure probability per epoch.
-    pub departure: f64,
+    departure: f64,
 }
 
 /// A group of identical helpers.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HelperGroup {
+struct HelperGroup {
     /// How many helpers share this bandwidth process.
-    pub count: usize,
+    count: usize,
     /// The bandwidth process each runs.
-    pub bandwidth: BandwidthSpec,
+    bandwidth: BandwidthSpec,
 }
 
 /// A single-channel population (the paper's §IV system).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SingleSpec {
+struct SingleSpec {
     /// Initial peer count.
-    pub peers: usize,
+    peers: usize,
     /// Helper groups, flattened in order into the helper list.
-    pub helpers: Vec<HelperGroup>,
+    helpers: Vec<HelperGroup>,
     /// Per-peer streaming demand (kbps); `None` = unbounded.
-    pub demand: Option<f64>,
+    demand: Option<f64>,
     /// Churn; `None` = a fixed population.
-    pub churn: Option<ChurnSpec>,
+    churn: Option<ChurnSpec>,
     /// Learner configuration for every peer.
-    pub learner: LearnerSpec,
+    learner: LearnerSpec,
 }
 
 /// A multi-channel deployment (the paper's setting), mapping onto
 /// [`MultiChannelConfig::standard`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct MultiSpec {
+struct MultiSpec {
     /// Number of channels.
-    pub channels: usize,
+    channels: usize,
     /// Per-channel bitrate (kbps).
-    pub bitrate: f64,
+    bitrate: f64,
     /// Helper count.
-    pub helpers: usize,
+    helpers: usize,
     /// Channels served per helper (staggered assignment).
-    pub channels_per_helper: usize,
+    channels_per_helper: usize,
     /// Total viewers, split over channels by Zipf popularity.
-    pub viewers: usize,
+    viewers: usize,
     /// Zipf popularity exponent.
-    pub zipf_s: f64,
+    zipf_s: f64,
     /// How helpers split capacity across their channels.
-    pub allocation: AllocationPolicy,
+    allocation: AllocationPolicy,
 }
 
 /// Which configuration of the engine a scenario drives.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PopulationSpec {
+enum PopulationSpec {
     /// One channel: [`System::new`] over a [`SimConfig`].
     Single(SingleSpec),
     /// Many channels: [`MultiChannelSystem::new`] over a
@@ -196,10 +197,9 @@ pub enum PopulationSpec {
 }
 
 /// A complete, validated scenario description. See the [module
-/// docs](self) for the TOML schema and construction paths.
+/// docs](self) for the TOML schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    version: i64,
     name: String,
     description: String,
     seed: u64,
@@ -212,19 +212,6 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Starts a programmatic spec with the given name.
-    pub fn builder(name: impl Into<String>) -> ScenarioSpecBuilder {
-        ScenarioSpecBuilder {
-            name: name.into(),
-            description: String::new(),
-            seed: 0,
-            population: None,
-            impairment: ImpairmentPlan::none(),
-            phases: Vec::new(),
-            trace: false,
-        }
-    }
-
     /// Scenario name (also the CSV file-name stem).
     pub fn name(&self) -> &str {
         &self.name
@@ -238,26 +225,6 @@ impl ScenarioSpec {
     /// Root seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Format version (always [`SCENARIO_SPEC_VERSION`] once validated).
-    pub fn version(&self) -> i64 {
-        self.version
-    }
-
-    /// The population / engine choice.
-    pub fn population(&self) -> &PopulationSpec {
-        &self.population
-    }
-
-    /// The link-impairment plan.
-    pub fn impairment(&self) -> &ImpairmentPlan {
-        &self.impairment
-    }
-
-    /// The ordered workload phases.
-    pub fn phases(&self) -> &[WorkloadPhase] {
-        &self.phases
     }
 
     /// Whether [`Self::run`] enables `rths_obs` tracing (the TOML
@@ -317,13 +284,6 @@ impl ScenarioSpec {
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ScenarioError> {
         let text = std::fs::read_to_string(path).map_err(ScenarioError::Io)?;
         Self::from_toml_str(&text)
-    }
-
-    /// Serializes the spec to TOML. Round-trips exactly:
-    /// `from_toml_str(to_toml_string(s))` reproduces `s` bit-for-bit
-    /// (floats use shortest-round-trip formatting).
-    pub fn to_toml_string(&self) -> String {
-        minitoml::serialize(&self.value_tree())
     }
 
     // -- Execution ------------------------------------------------------
@@ -398,15 +358,6 @@ impl ScenarioSpec {
     // -- Validation -----------------------------------------------------
 
     fn validate(&self) -> Result<(), ScenarioError> {
-        if self.version != SCENARIO_SPEC_VERSION {
-            return Err(invalid(
-                "version",
-                format!(
-                    "unsupported version {} (this build reads {SCENARIO_SPEC_VERSION})",
-                    self.version
-                ),
-            ));
-        }
         if self.name.is_empty()
             || !self
                 .name
@@ -417,9 +368,6 @@ impl ScenarioSpec {
                 "name",
                 "must be non-empty [a-z0-9_-] (it names output files)",
             ));
-        }
-        if self.seed > i64::MAX as u64 {
-            return Err(invalid("seed", "must fit a TOML integer (≤ 2^63 − 1)"));
         }
         if self.phases.is_empty() {
             return Err(invalid("phase", "at least one [[phase]] is required"));
@@ -436,44 +384,10 @@ impl ScenarioSpec {
                 }
             }
         }
-        validate_impairment_serializable(&self.impairment)?;
         for (i, phase) in self.phases.iter().enumerate() {
             validate_phase(phase, i, &self.population)?;
         }
         Ok(())
-    }
-
-    // -- Serialization tree ---------------------------------------------
-
-    fn value_tree(&self) -> BTreeMap<String, Value> {
-        let mut root = BTreeMap::new();
-        root.insert("version".into(), Value::Int(self.version));
-        root.insert("name".into(), Value::Str(self.name.clone()));
-        if !self.description.is_empty() {
-            root.insert("description".into(), Value::Str(self.description.clone()));
-        }
-        root.insert("seed".into(), Value::Int(self.seed as i64));
-        match &self.population {
-            PopulationSpec::Single(s) => {
-                root.insert("population".into(), Value::Table(single_tree(s)));
-            }
-            PopulationSpec::Multi(m) => {
-                root.insert("multichannel".into(), Value::Table(multi_tree(m)));
-            }
-        }
-        // Compared against the default plan, not `is_none()`: an inert
-        // plan with a non-zero seed must keep that seed through a round
-        // trip even though it decides nothing.
-        if self.impairment != ImpairmentPlan::none() {
-            root.insert("impairment".into(), Value::Table(impairment_tree(&self.impairment)));
-        }
-        if self.trace {
-            root.insert("trace".into(), Value::Bool(true));
-        }
-        let phases: Vec<Value> =
-            self.phases.iter().map(|p| Value::Table(phase_tree(p))).collect();
-        root.insert("phase".into(), Value::Array(phases));
-        root
     }
 }
 
@@ -501,162 +415,6 @@ pub struct ScenarioReport {
 }
 
 // ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-/// Programmatic [`ScenarioSpec`] construction; finish with
-/// [`build`](ScenarioSpecBuilder::build).
-#[derive(Debug, Clone)]
-pub struct ScenarioSpecBuilder {
-    name: String,
-    description: String,
-    seed: u64,
-    population: Option<PopulationSpec>,
-    impairment: ImpairmentPlan,
-    phases: Vec<WorkloadPhase>,
-    trace: bool,
-}
-
-impl ScenarioSpecBuilder {
-    /// Sets the free-form description.
-    #[must_use]
-    pub fn description(mut self, description: impl Into<String>) -> Self {
-        self.description = description.into();
-        self
-    }
-
-    /// Sets the root seed (default 0).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Declares a single-channel population of `peers` peers and the
-    /// given `(count, bandwidth)` helper groups.
-    #[must_use]
-    pub fn single(mut self, peers: usize, helpers: Vec<(usize, BandwidthSpec)>) -> Self {
-        self.population = Some(PopulationSpec::Single(SingleSpec {
-            peers,
-            helpers: helpers
-                .into_iter()
-                .map(|(count, bandwidth)| HelperGroup { count, bandwidth })
-                .collect(),
-            demand: None,
-            churn: None,
-            learner: LearnerSpec::default(),
-        }));
-        self
-    }
-
-    /// Declares a multi-channel population (see [`MultiSpec`]).
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn multichannel(
-        mut self,
-        channels: usize,
-        bitrate: f64,
-        helpers: usize,
-        channels_per_helper: usize,
-        viewers: usize,
-        zipf_s: f64,
-    ) -> Self {
-        self.population = Some(PopulationSpec::Multi(MultiSpec {
-            channels,
-            bitrate,
-            helpers,
-            channels_per_helper,
-            viewers,
-            zipf_s,
-            allocation: AllocationPolicy::default(),
-        }));
-        self
-    }
-
-    /// Sets per-peer demand (single-channel; call after [`Self::single`]).
-    #[must_use]
-    pub fn demand(mut self, demand: f64) -> Self {
-        if let Some(PopulationSpec::Single(s)) = &mut self.population {
-            s.demand = Some(demand);
-        }
-        self
-    }
-
-    /// Sets churn (single-channel; call after [`Self::single`]).
-    #[must_use]
-    pub fn churn(mut self, arrival: f64, departure: f64) -> Self {
-        if let Some(PopulationSpec::Single(s)) = &mut self.population {
-            s.churn = Some(ChurnSpec { arrival, departure });
-        }
-        self
-    }
-
-    /// Sets the learner spec (single-channel; call after [`Self::single`]).
-    #[must_use]
-    pub fn learner(mut self, learner: LearnerSpec) -> Self {
-        if let Some(PopulationSpec::Single(s)) = &mut self.population {
-            s.learner = learner;
-        }
-        self
-    }
-
-    /// Sets the allocation policy (multi-channel; call after
-    /// [`Self::multichannel`]).
-    #[must_use]
-    pub fn allocation(mut self, allocation: AllocationPolicy) -> Self {
-        if let Some(PopulationSpec::Multi(m)) = &mut self.population {
-            m.allocation = allocation;
-        }
-        self
-    }
-
-    /// Sets the link-impairment plan (default none).
-    #[must_use]
-    pub fn impairment(mut self, plan: ImpairmentPlan) -> Self {
-        self.impairment = plan;
-        self
-    }
-
-    /// Appends a workload phase.
-    #[must_use]
-    pub fn phase(mut self, phase: WorkloadPhase) -> Self {
-        self.phases.push(phase);
-        self
-    }
-
-    /// Enables `rths_obs` tracing for [`ScenarioSpec::run`] (default
-    /// off). Tracing is bit-exact neutral.
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Validates and returns the spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] naming the first invalid field.
-    pub fn build(self) -> Result<ScenarioSpec, ScenarioError> {
-        let population = self
-            .population
-            .ok_or_else(|| invalid("population", "declare single() or multichannel()"))?;
-        let spec = ScenarioSpec {
-            version: SCENARIO_SPEC_VERSION,
-            name: self.name,
-            description: self.description,
-            seed: self.seed,
-            population,
-            impairment: self.impairment,
-            phases: self.phases,
-            trace: self.trace,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Validation helpers
 // ---------------------------------------------------------------------------
 
@@ -671,6 +429,9 @@ fn validate_single(s: &SingleSpec) -> Result<(), ScenarioError> {
         if group.count == 0 {
             return Err(invalid(format!("population.helpers[{i}].count"), "must be ≥ 1"));
         }
+        group.bandwidth.check().map_err(|(field, message)| {
+            invalid(format!("population.helpers[{i}].{field}"), message)
+        })?;
     }
     if let Some(demand) = s.demand {
         if !(demand.is_finite() && demand > 0.0) {
@@ -722,26 +483,6 @@ fn validate_multi(m: &MultiSpec) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// TOML integers are i64; reject plans whose u64 fields would not
-/// survive a serialize→parse cycle.
-fn validate_impairment_serializable(plan: &ImpairmentPlan) -> Result<(), ScenarioError> {
-    if plan.seed() > i64::MAX as u64 {
-        return Err(invalid("impairment.seed", "must fit a TOML integer (≤ 2^63 − 1)"));
-    }
-    if plan.jitter_us() > i64::MAX as u64 {
-        return Err(invalid("impairment.jitter_us", "must fit a TOML integer (≤ 2^63 − 1)"));
-    }
-    if let Some(latency) = plan.latency() {
-        if latency.ticks.iter().any(|&t| t > i64::MAX as u64) {
-            return Err(invalid(
-                "impairment.latency.ticks",
-                "every tick must fit a TOML integer (≤ 2^63 − 1)",
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn validate_phase(
     phase: &WorkloadPhase,
     index: usize,
@@ -757,6 +498,14 @@ fn validate_phase(
                 return Err(invalid(
                     at("kind"),
                     "multi-channel phase in a single-channel scenario",
+                ));
+            }
+            let arrival = s.churn.map_or(0.0, |c| c.arrival);
+            if matches!(phase, WorkloadPhase::FlashCrowd { .. }) && arrival == 0.0 {
+                return Err(invalid(
+                    at("kind"),
+                    "a flash crowd multiplies the churn arrival rate, which is 0 here \
+                     (set [population.churn] arrival > 0)",
                 ));
             }
             if let WorkloadPhase::HelperFailure { helpers, .. } = phase {
@@ -952,6 +701,12 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
     let version = req(root, "", "version")?
         .as_int()
         .ok_or_else(|| invalid("version", "expected an integer"))?;
+    if version != SCENARIO_SPEC_VERSION {
+        return Err(invalid(
+            "version",
+            format!("unsupported version {version} (this build reads {SCENARIO_SPEC_VERSION})"),
+        ));
+    }
     let name = req_str(root, "", "name")?;
     let description = match root.get("description") {
         Some(v) => as_str(v, "description")?,
@@ -1001,7 +756,7 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         None => Vec::new(),
     };
 
-    Ok(ScenarioSpec { version, name, description, seed, population, impairment, phases, trace })
+    Ok(ScenarioSpec { name, description, seed, population, impairment, phases, trace })
 }
 
 fn parse_single(tbl: &Tbl) -> Result<SingleSpec, ScenarioError> {
@@ -1326,283 +1081,366 @@ fn parse_phase(tbl: &Tbl, path: &str) -> Result<WorkloadPhase, ScenarioError> {
     Ok(phase)
 }
 
-// ---------------------------------------------------------------------------
-// TOML serialization
-// ---------------------------------------------------------------------------
-
-fn single_tree(s: &SingleSpec) -> Tbl {
-    let mut tbl = BTreeMap::new();
-    tbl.insert("peers".into(), Value::Int(s.peers as i64));
-    if let Some(demand) = s.demand {
-        tbl.insert("demand".into(), Value::Float(demand));
-    }
-    let groups: Vec<Value> =
-        s.helpers.iter().map(|g| Value::Table(helper_group_tree(g))).collect();
-    tbl.insert("helpers".into(), Value::Array(groups));
-    if let Some(churn) = s.churn {
-        let mut ctbl = BTreeMap::new();
-        ctbl.insert("arrival".into(), Value::Float(churn.arrival));
-        ctbl.insert("departure".into(), Value::Float(churn.departure));
-        tbl.insert("churn".into(), Value::Table(ctbl));
-    }
-    if s.learner != LearnerSpec::default() {
-        tbl.insert("learner".into(), Value::Table(learner_tree(&s.learner)));
-    }
-    tbl
-}
-
-fn helper_group_tree(g: &HelperGroup) -> Tbl {
-    let mut tbl = BTreeMap::new();
-    tbl.insert("count".into(), Value::Int(g.count as i64));
-    let kind = |k: &str| Value::Str(k.to_owned());
-    match &g.bandwidth {
-        BandwidthSpec::Paper { stay } => {
-            tbl.insert("kind".into(), kind("paper"));
-            tbl.insert("stay".into(), Value::Float(*stay));
-        }
-        BandwidthSpec::Ladder { levels, stay } => {
-            tbl.insert("kind".into(), kind("ladder"));
-            tbl.insert("levels".into(), float_array(levels));
-            tbl.insert("stay".into(), Value::Float(*stay));
-        }
-        BandwidthSpec::Constant(level) => {
-            tbl.insert("kind".into(), kind("constant"));
-            tbl.insert("level".into(), Value::Float(*level));
-        }
-        BandwidthSpec::RandomWalk { initial, min, max, step, move_prob } => {
-            tbl.insert("kind".into(), kind("random_walk"));
-            tbl.insert("initial".into(), Value::Float(*initial));
-            tbl.insert("min".into(), Value::Float(*min));
-            tbl.insert("max".into(), Value::Float(*max));
-            tbl.insert("step".into(), Value::Float(*step));
-            tbl.insert("move_prob".into(), Value::Float(*move_prob));
-        }
-        BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
-            tbl.insert("kind".into(), kind("gilbert_elliott"));
-            tbl.insert("good".into(), Value::Float(*good));
-            tbl.insert("bad".into(), Value::Float(*bad));
-            tbl.insert("p_gb".into(), Value::Float(*p_gb));
-            tbl.insert("p_bg".into(), Value::Float(*p_bg));
-        }
-        BandwidthSpec::RegimeShift { before, after, at } => {
-            tbl.insert("kind".into(), kind("regime_shift"));
-            tbl.insert("before".into(), Value::Float(*before));
-            tbl.insert("after".into(), Value::Float(*after));
-            tbl.insert("at".into(), Value::Int(*at as i64));
-        }
-        BandwidthSpec::Trace(samples) => {
-            tbl.insert("kind".into(), kind("trace"));
-            tbl.insert("samples".into(), float_array(samples));
-        }
-    }
-    tbl
-}
-
-fn learner_tree(l: &LearnerSpec) -> Tbl {
-    let mut tbl = BTreeMap::new();
-    let algorithm = match l.algorithm {
-        Algorithm::Rths => "rths",
-        Algorithm::RegretMatching => "regret_matching",
-        Algorithm::HistoryRths => "history_rths",
-        Algorithm::Exp3 => "exp3",
-    };
-    tbl.insert("algorithm".into(), Value::Str(algorithm.to_owned()));
-    tbl.insert("epsilon".into(), Value::Float(l.epsilon));
-    tbl.insert("delta".into(), Value::Float(l.delta));
-    if let Some(mu) = l.mu {
-        tbl.insert("mu".into(), Value::Float(mu));
-    }
-    tbl.insert("conditional".into(), Value::Bool(l.conditional));
-    tbl
-}
-
-fn multi_tree(m: &MultiSpec) -> Tbl {
-    let mut tbl = BTreeMap::new();
-    tbl.insert("channels".into(), Value::Int(m.channels as i64));
-    tbl.insert("bitrate".into(), Value::Float(m.bitrate));
-    tbl.insert("helpers".into(), Value::Int(m.helpers as i64));
-    tbl.insert("channels_per_helper".into(), Value::Int(m.channels_per_helper as i64));
-    tbl.insert("viewers".into(), Value::Int(m.viewers as i64));
-    tbl.insert("zipf_s".into(), Value::Float(m.zipf_s));
-    let allocation = match m.allocation {
-        AllocationPolicy::EvenSplit => "even_split",
-        AllocationPolicy::LoadProportional => "load_proportional",
-        AllocationPolicy::WaterFilling => "water_filling",
-        AllocationPolicy::Learned => "learned",
-    };
-    tbl.insert("allocation".into(), Value::Str(allocation.to_owned()));
-    tbl
-}
-
-fn impairment_tree(plan: &ImpairmentPlan) -> Tbl {
-    let mut tbl = BTreeMap::new();
-    tbl.insert("seed".into(), Value::Int(plan.seed() as i64));
-    if plan.jitter_us() > 0 {
-        tbl.insert("jitter_us".into(), Value::Int(plan.jitter_us() as i64));
-    }
-    match plan.loss() {
-        LossModel::None => {}
-        LossModel::Uniform { loss } => {
-            let mut ltbl = BTreeMap::new();
-            ltbl.insert("kind".into(), Value::Str("uniform".into()));
-            ltbl.insert("loss".into(), Value::Float(*loss));
-            tbl.insert("loss".into(), Value::Table(ltbl));
-        }
-        LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
-            let mut ltbl = BTreeMap::new();
-            ltbl.insert("kind".into(), Value::Str("gilbert_elliott".into()));
-            ltbl.insert("p_enter_bad".into(), Value::Float(*p_enter_bad));
-            ltbl.insert("p_exit_bad".into(), Value::Float(*p_exit_bad));
-            ltbl.insert("bad_loss".into(), Value::Float(*bad_loss));
-            ltbl.insert("good_loss".into(), Value::Float(*good_loss));
-            tbl.insert("loss".into(), Value::Table(ltbl));
-        }
-    }
-    if let Some(bucket) = plan.token_bucket() {
-        let mut btbl = BTreeMap::new();
-        btbl.insert("rate_kbps".into(), Value::Float(bucket.rate_kbps));
-        btbl.insert("burst_kbits".into(), Value::Float(bucket.burst_kbits));
-        tbl.insert("token_bucket".into(), Value::Table(btbl));
-    }
-    if let Some(link) = plan.link_bandwidth() {
-        let mut btbl = BTreeMap::new();
-        btbl.insert("levels".into(), float_array(&link.levels));
-        btbl.insert("stay".into(), Value::Float(link.stay));
-        tbl.insert("link_bandwidth".into(), Value::Table(btbl));
-    }
-    if let Some(latency) = plan.latency() {
-        let mut ltbl = BTreeMap::new();
-        ltbl.insert(
-            "ticks".into(),
-            Value::Array(latency.ticks.iter().map(|&t| Value::Int(t as i64)).collect()),
-        );
-        ltbl.insert("stay".into(), Value::Float(latency.stay));
-        tbl.insert("latency".into(), Value::Table(ltbl));
-    }
-    tbl
-}
-
-fn phase_tree(phase: &WorkloadPhase) -> Tbl {
-    let mut tbl = BTreeMap::new();
-    let kind = |k: &str| Value::Str(k.to_owned());
-    match phase {
-        WorkloadPhase::Steady { epochs } => {
-            tbl.insert("kind".into(), kind("steady"));
-            tbl.insert("epochs".into(), Value::Int(*epochs as i64));
-        }
-        WorkloadPhase::FlashCrowd { epochs, start, end, surge } => {
-            tbl.insert("kind".into(), kind("flash_crowd"));
-            tbl.insert("epochs".into(), Value::Int(*epochs as i64));
-            tbl.insert("start".into(), Value::Int(*start as i64));
-            tbl.insert("end".into(), Value::Int(*end as i64));
-            tbl.insert("surge".into(), Value::Float(*surge));
-        }
-        WorkloadPhase::Diurnal { epochs, period, amplitude } => {
-            tbl.insert("kind".into(), kind("diurnal"));
-            tbl.insert("epochs".into(), Value::Int(*epochs as i64));
-            tbl.insert("period".into(), Value::Int(*period as i64));
-            tbl.insert("amplitude".into(), Value::Float(*amplitude));
-        }
-        WorkloadPhase::HelperFailure { epochs, helpers, online } => {
-            tbl.insert("kind".into(), kind("helper_failure"));
-            tbl.insert("epochs".into(), Value::Int(*epochs as i64));
-            tbl.insert(
-                "helpers".into(),
-                Value::Array(helpers.iter().map(|&h| Value::Int(h as i64)).collect()),
-            );
-            tbl.insert("online".into(), Value::Bool(*online));
-        }
-        WorkloadPhase::PopularityShift { epochs, at, from, to, count } => {
-            tbl.insert("kind".into(), kind("popularity_shift"));
-            tbl.insert("epochs".into(), Value::Int(*epochs as i64));
-            tbl.insert("at".into(), Value::Int(*at as i64));
-            tbl.insert("from".into(), Value::Int(*from as i64));
-            tbl.insert("to".into(), Value::Int(*to as i64));
-            tbl.insert("count".into(), Value::Int(*count as i64));
-        }
-        WorkloadPhase::ChannelSurf { epochs, period, moves } => {
-            tbl.insert("kind".into(), kind("channel_surf"));
-            tbl.insert("epochs".into(), Value::Int(*epochs as i64));
-            tbl.insert("period".into(), Value::Int(*period as i64));
-            tbl.insert("moves".into(), Value::Int(*moves as i64));
-        }
-    }
-    tbl
-}
-
-fn float_array(values: &[f64]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Float(v)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::impairment::LinkShaper;
+    use crate::impairment::{LinkShaper, LossModel};
+
+    /// One paper helper group and one steady phase: the smallest valid
+    /// single-channel body.
+    const SMALL: &str = "[population]\npeers = 4\n\
+                         [[population.helpers]]\ncount = 1\nkind = \"paper\"\nstay = 0.9\n\
+                         [[phase]]\nkind = \"steady\"\nepochs = 5\n";
+
+    /// Parses `body` under a `version = 1`, `name = "x"` header.
+    fn parse(body: &str) -> Result<ScenarioSpec, ScenarioError> {
+        ScenarioSpec::from_toml_str(&format!("version = 1\nname = \"x\"\n{body}"))
+    }
+
+    /// The `(path, message)` of the field error `body` must produce.
+    fn field_error(body: &str) -> (String, String) {
+        match parse(body) {
+            Err(ScenarioError::Invalid { path, message }) => (path, message),
+            other => panic!("expected a field error, got {other:?}"),
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A bandwidth spec as its kind and every parameter's bits.
+    fn bandwidth_bits(spec: &BandwidthSpec) -> (&'static str, Vec<u64>) {
+        match spec {
+            BandwidthSpec::Paper { stay } => ("paper", bits(&[*stay])),
+            BandwidthSpec::Ladder { levels, stay } => {
+                ("ladder", bits(&[levels.as_slice(), &[*stay]].concat()))
+            }
+            BandwidthSpec::Constant(level) => ("constant", bits(&[*level])),
+            BandwidthSpec::RandomWalk { initial, min, max, step, move_prob } => {
+                ("random_walk", bits(&[*initial, *min, *max, *step, *move_prob]))
+            }
+            BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
+                ("gilbert_elliott", bits(&[*good, *bad, *p_gb, *p_bg]))
+            }
+            BandwidthSpec::RegimeShift { before, after, at } => {
+                ("regime_shift", [bits(&[*before, *after]), vec![*at]].concat())
+            }
+            BandwidthSpec::Trace(samples) => ("trace", bits(samples)),
+        }
+    }
 
     fn zoo_like_spec() -> ScenarioSpec {
-        ScenarioSpec::builder("unit_zoo")
-            .description("builder-made spec")
-            .seed(9)
-            .single(
-                12,
-                vec![
-                    (3, BandwidthSpec::Paper { stay: 0.98 }),
-                    (1, BandwidthSpec::Ladder { levels: vec![400.0, 650.0], stay: 0.9 }),
-                ],
-            )
-            .demand(380.0)
-            .churn(1.5, 0.02)
-            .impairment(
-                ImpairmentPlan::builder(4)
-                    .gilbert_loss(0.05, 0.4, 0.8, 0.01)
-                    .token_bucket(500.0, 900.0)
-                    .build()
-                    .unwrap(),
-            )
-            .phase(WorkloadPhase::Steady { epochs: 40 })
-            .phase(WorkloadPhase::FlashCrowd { epochs: 60, start: 10, end: 30, surge: 4.0 })
-            .build()
-            .unwrap()
+        parse(
+            r#"
+            description = "a spec written as TOML"
+            seed = 9
+
+            [population]
+            peers = 12
+            demand = 380.0
+
+            [[population.helpers]]
+            count = 3
+            kind = "paper"
+            stay = 0.98
+
+            [[population.helpers]]
+            count = 1
+            kind = "ladder"
+            levels = [400.0, 650.0]
+            stay = 0.9
+
+            [population.churn]
+            arrival = 1.5
+            departure = 0.02
+
+            [impairment]
+            seed = 4
+
+            [impairment.loss]
+            kind = "gilbert_elliott"
+            p_enter_bad = 0.05
+            p_exit_bad = 0.4
+            bad_loss = 0.8
+            good_loss = 0.01
+
+            [impairment.token_bucket]
+            rate_kbps = 500.0
+            burst_kbits = 900.0
+
+            [[phase]]
+            kind = "steady"
+            epochs = 40
+
+            [[phase]]
+            kind = "flash_crowd"
+            epochs = 60
+            start = 10
+            end = 30
+            surge = 4.0
+            "#,
+        )
+        .unwrap()
     }
 
     #[test]
-    fn builder_and_toml_agree() {
-        let spec = zoo_like_spec();
-        let text = spec.to_toml_string();
-        let reparsed = ScenarioSpec::from_toml_str(&text).unwrap();
-        assert_eq!(spec, reparsed, "round-trip mismatch:\n{text}");
+    fn every_single_channel_field_parses_exactly() {
+        let spec = parse(
+            r#"
+            seed = 17
+            description = "every field"
+            trace = true
+
+            [population]
+            peers = 6
+            demand = 375.5
+
+            [[population.helpers]]
+            count = 1
+            kind = "paper"
+            stay = 0.97
+
+            [[population.helpers]]
+            count = 2
+            kind = "ladder"
+            levels = [300.0, 650.5]
+            stay = 0.9
+
+            [[population.helpers]]
+            count = 1
+            kind = "constant"
+            level = 720.25
+
+            [[population.helpers]]
+            count = 1
+            kind = "random_walk"
+            initial = 500.0
+            min = 200.0
+            max = 800.0
+            step = 25.5
+            move_prob = 0.3
+
+            [[population.helpers]]
+            count = 1
+            kind = "gilbert_elliott"
+            good = 900.0
+            bad = 150.0
+            p_gb = 0.05
+            p_bg = 0.4
+
+            [[population.helpers]]
+            count = 1
+            kind = "regime_shift"
+            before = 850.0
+            after = 400.0
+            at = 30
+
+            [[population.helpers]]
+            count = 1
+            kind = "trace"
+            samples = [700.0, 810.5, 640.0]
+
+            [population.churn]
+            arrival = 0.75
+            departure = 0.015
+
+            [population.learner]
+            algorithm = "regret_matching"
+            epsilon = 0.02
+            delta = 0.15
+            mu = 1280.0
+            conditional = true
+
+            [impairment]
+            seed = 23
+            jitter_us = 120
+
+            [impairment.loss]
+            kind = "gilbert_elliott"
+            p_enter_bad = 0.04
+            p_exit_bad = 0.3
+            bad_loss = 0.8
+            good_loss = 0.01
+
+            [impairment.token_bucket]
+            rate_kbps = 500.0
+            burst_kbits = 1000.0
+
+            [impairment.link_bandwidth]
+            levels = [300.0, 600.0, 900.0]
+            stay = 0.92
+
+            [impairment.latency]
+            ticks = [1, 2, 4]
+            stay = 0.85
+
+            [[phase]]
+            kind = "steady"
+            epochs = 10
+
+            [[phase]]
+            kind = "flash_crowd"
+            epochs = 20
+            start = 5
+            end = 15
+            surge = 3.5
+
+            [[phase]]
+            kind = "diurnal"
+            epochs = 30
+            period = 12
+            amplitude = 1.25
+
+            [[phase]]
+            kind = "helper_failure"
+            epochs = 8
+            helpers = [0, 6]
+            online = false
+            "#,
+        )
+        .unwrap();
+        assert_eq!(
+            (spec.name(), spec.description(), spec.seed(), spec.trace()),
+            ("x", "every field", 17, true)
+        );
+
+        let PopulationSpec::Single(single) = &spec.population else {
+            panic!("expected a single-channel population");
+        };
+        assert_eq!(single.peers, 6);
+        assert_eq!(single.demand.map(f64::to_bits), Some(375.5f64.to_bits()));
+        let groups: Vec<_> =
+            single.helpers.iter().map(|g| (g.count, bandwidth_bits(&g.bandwidth))).collect();
+        assert_eq!(
+            groups,
+            [
+                (1, ("paper", bits(&[0.97]))),
+                (2, ("ladder", bits(&[300.0, 650.5, 0.9]))),
+                (1, ("constant", bits(&[720.25]))),
+                (1, ("random_walk", bits(&[500.0, 200.0, 800.0, 25.5, 0.3]))),
+                (1, ("gilbert_elliott", bits(&[900.0, 150.0, 0.05, 0.4]))),
+                (1, ("regime_shift", [bits(&[850.0, 400.0]), vec![30]].concat())),
+                (1, ("trace", bits(&[700.0, 810.5, 640.0]))),
+            ]
+        );
+        let churn = single.churn.expect("churn parsed");
+        assert_eq!(bits(&[churn.arrival, churn.departure]), bits(&[0.75, 0.015]));
+        let learner = &single.learner;
+        assert_eq!((learner.algorithm, learner.conditional), (Algorithm::RegretMatching, true));
+        assert_eq!(bits(&[learner.epsilon, learner.delta]), bits(&[0.02, 0.15]));
+        assert_eq!(learner.mu.map(f64::to_bits), Some(1280f64.to_bits()));
+
+        let plan = &spec.impairment;
+        assert_eq!((plan.seed(), plan.jitter_us()), (23, 120));
+        match plan.loss() {
+            LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
+                assert_eq!(
+                    bits(&[*p_enter_bad, *p_exit_bad, *bad_loss, *good_loss]),
+                    bits(&[0.04, 0.3, 0.8, 0.01])
+                );
+            }
+            other => panic!("expected Gilbert–Elliott loss, got {other:?}"),
+        }
+        let bucket = plan.token_bucket().expect("token bucket parsed");
+        assert_eq!(bits(&[bucket.rate_kbps, bucket.burst_kbits]), bits(&[500.0, 1000.0]));
+        let link = plan.link_bandwidth().expect("link bandwidth parsed");
+        assert_eq!(bits(&link.levels), bits(&[300.0, 600.0, 900.0]));
+        assert_eq!(link.stay.to_bits(), 0.92f64.to_bits());
+        let latency = plan.latency().expect("latency parsed");
+        assert_eq!(latency.ticks, [1, 2, 4]);
+        assert_eq!(latency.stay.to_bits(), 0.85f64.to_bits());
+
+        assert_eq!(
+            spec.phases,
+            [
+                WorkloadPhase::Steady { epochs: 10 },
+                WorkloadPhase::FlashCrowd { epochs: 20, start: 5, end: 15, surge: 3.5 },
+                WorkloadPhase::Diurnal { epochs: 30, period: 12, amplitude: 1.25 },
+                WorkloadPhase::HelperFailure { epochs: 8, helpers: vec![0, 6], online: false },
+            ]
+        );
+        let WorkloadPhase::FlashCrowd { surge, .. } = spec.phases[1] else { unreachable!() };
+        let WorkloadPhase::Diurnal { amplitude, .. } = spec.phases[2] else { unreachable!() };
+        assert_eq!(bits(&[surge, amplitude]), bits(&[3.5, 1.25]));
     }
 
     #[test]
-    fn multichannel_round_trips() {
-        let spec = ScenarioSpec::builder("surf")
-            .seed(3)
-            .multichannel(4, 350.0, 8, 2, 60, 1.1)
-            .allocation(AllocationPolicy::LoadProportional)
-            .phase(WorkloadPhase::ChannelSurf { epochs: 30, period: 5, moves: 3 })
-            .phase(WorkloadPhase::PopularityShift {
-                epochs: 20,
-                at: 10,
-                from: 0,
-                to: 3,
-                count: 5,
-            })
-            .build()
+    fn every_multichannel_field_parses_exactly() {
+        for (keyword, allocation) in [
+            ("even_split", AllocationPolicy::EvenSplit),
+            ("load_proportional", AllocationPolicy::LoadProportional),
+            ("water_filling", AllocationPolicy::WaterFilling),
+            ("learned", AllocationPolicy::Learned),
+        ] {
+            let spec = parse(&format!(
+                "seed = 3\n\
+                 [multichannel]\nchannels = 4\nbitrate = 350.5\nhelpers = 8\n\
+                 channels_per_helper = 2\nviewers = 60\nzipf_s = 1.1\n\
+                 allocation = \"{keyword}\"\n\
+                 [[phase]]\nkind = \"channel_surf\"\nepochs = 30\nperiod = 5\nmoves = 3\n\
+                 [[phase]]\nkind = \"popularity_shift\"\nepochs = 20\nat = 10\n\
+                 from = 0\nto = 3\ncount = 5\n"
+            ))
             .unwrap();
-        let reparsed = ScenarioSpec::from_toml_str(&spec.to_toml_string()).unwrap();
-        assert_eq!(spec, reparsed);
+            let PopulationSpec::Multi(multi) = &spec.population else {
+                panic!("expected a multi-channel population");
+            };
+            assert_eq!(
+                (multi.channels, multi.helpers, multi.channels_per_helper, multi.viewers),
+                (4, 8, 2, 60)
+            );
+            assert_eq!(bits(&[multi.bitrate, multi.zipf_s]), bits(&[350.5, 1.1]));
+            assert_eq!(multi.allocation, allocation, "{keyword}");
+            assert_eq!(
+                spec.phases,
+                [
+                    WorkloadPhase::ChannelSurf { epochs: 30, period: 5, moves: 3 },
+                    WorkloadPhase::PopularityShift {
+                        epochs: 20,
+                        at: 10,
+                        from: 0,
+                        to: 3,
+                        count: 5
+                    },
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn every_learner_and_loss_keyword_parses() {
+        for (keyword, algorithm) in [
+            ("rths", Algorithm::Rths),
+            ("regret_matching", Algorithm::RegretMatching),
+            ("history_rths", Algorithm::HistoryRths),
+            ("exp3", Algorithm::Exp3),
+        ] {
+            let spec =
+                parse(&format!("{SMALL}[population.learner]\nalgorithm = \"{keyword}\"\n"))
+                    .unwrap();
+            let PopulationSpec::Single(single) = &spec.population else { unreachable!() };
+            assert_eq!(single.learner.algorithm, algorithm, "{keyword}");
+        }
+        let spec = parse(&format!(
+            "{SMALL}[impairment]\nseed = 2\n[impairment.loss]\nkind = \"uniform\"\nloss = 0.25\n"
+        ))
+        .unwrap();
+        match spec.impairment.loss() {
+            LossModel::Uniform { loss } => assert_eq!(loss.to_bits(), 0.25f64.to_bits()),
+            other => panic!("expected uniform loss, got {other:?}"),
+        }
     }
 
     #[test]
     fn run_matches_direct_system() {
         // A ScenarioSpec run is exactly the equivalent System run.
-        let spec = ScenarioSpec::builder("direct")
-            .seed(11)
-            .single(10, vec![(4, BandwidthSpec::Paper { stay: 0.98 })])
-            .demand(380.0)
-            .phase(WorkloadPhase::Steady { epochs: 80 })
-            .build()
-            .unwrap();
+        let spec = parse(
+            "seed = 11\n[population]\npeers = 10\ndemand = 380.0\n\
+             [[population.helpers]]\ncount = 4\nkind = \"paper\"\nstay = 0.98\n\
+             [[phase]]\nkind = \"steady\"\nepochs = 80\n",
+        )
+        .unwrap();
         let report = spec.run();
         let config = SimConfig::builder(10, vec![BandwidthSpec::Paper { stay: 0.98 }; 4])
             .seed(11)
@@ -1616,23 +1454,19 @@ mod tests {
 
     #[test]
     fn impairment_changes_the_run() {
-        let base = ScenarioSpec::builder("clean")
-            .seed(5)
-            .single(10, vec![(4, BandwidthSpec::Paper { stay: 0.98 })])
-            .demand(380.0)
-            .phase(WorkloadPhase::Steady { epochs: 60 })
-            .build()
-            .unwrap();
-        let impaired = ScenarioSpec::builder("lossy")
-            .seed(5)
-            .single(10, vec![(4, BandwidthSpec::Paper { stay: 0.98 })])
-            .demand(380.0)
-            .impairment(
-                ImpairmentPlan::builder(2).gilbert_loss(0.2, 0.3, 0.9, 0.0).build().unwrap(),
+        let body = |impairment: &str| {
+            format!(
+                "seed = 5\n[population]\npeers = 10\ndemand = 380.0\n\
+                 [[population.helpers]]\ncount = 4\nkind = \"paper\"\nstay = 0.98\n\
+                 {impairment}[[phase]]\nkind = \"steady\"\nepochs = 60\n"
             )
-            .phase(WorkloadPhase::Steady { epochs: 60 })
-            .build()
-            .unwrap();
+        };
+        let base = parse(&body("")).unwrap();
+        let impaired = parse(&body(
+            "[impairment]\nseed = 2\n[impairment.loss]\nkind = \"gilbert_elliott\"\n\
+             p_enter_bad = 0.2\np_exit_bad = 0.3\nbad_loss = 0.9\ngood_loss = 0.0\n",
+        ))
+        .unwrap();
         let clean_welfare: f64 = base.run().welfare.iter().sum();
         let lossy_welfare: f64 = impaired.run().welfare.iter().sum();
         assert!(
@@ -1646,8 +1480,8 @@ mod tests {
         let spec = zoo_like_spec().with_epoch_cap(50);
         assert_eq!(spec.total_epochs(), 50);
         assert_eq!(
-            spec.phases(),
-            &[
+            spec.phases,
+            [
                 WorkloadPhase::Steady { epochs: 40 },
                 WorkloadPhase::FlashCrowd { epochs: 10, start: 10, end: 10, surge: 4.0 },
             ]
@@ -1658,47 +1492,27 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_rejected() {
-        let err = ScenarioSpec::from_toml_str(
-            "version = 1\nname = \"x\"\n[population]\npeers = 4\npeeers = 4\n\
-             [[population.helpers]]\ncount = 1\nkind = \"paper\"\nstay = 0.9\n\
-             [[phase]]\nkind = \"steady\"\nepochs = 5\n",
-        )
-        .unwrap_err();
-        match err {
-            ScenarioError::Invalid { path, .. } => assert_eq!(path, "population.peeers"),
-            other => panic!("expected unknown-key error, got {other}"),
-        }
+        let (path, _) = field_error(&SMALL.replace("peers = 4\n", "peers = 4\npeeers = 4\n"));
+        assert_eq!(path, "population.peeers");
     }
 
     #[test]
     fn version_and_cross_engine_phases_are_rejected() {
         assert!(matches!(
-            ScenarioSpec::from_toml_str(
-                "version = 2\nname = \"x\"\n[population]\npeers = 4\n\
-                 [[population.helpers]]\ncount = 1\nkind = \"paper\"\nstay = 0.9\n\
-                 [[phase]]\nkind = \"steady\"\nepochs = 5\n",
-            ),
-            Err(ScenarioError::Invalid { .. })
+            ScenarioSpec::from_toml_str(&format!("version = 2\nname = \"x\"\n{SMALL}")),
+            Err(ScenarioError::Invalid { path, .. }) if path == "version"
         ));
-        let err = ScenarioSpec::builder("x")
-            .single(4, vec![(1, BandwidthSpec::Paper { stay: 0.9 })])
-            .phase(WorkloadPhase::ChannelSurf { epochs: 10, period: 2, moves: 1 })
-            .build()
-            .unwrap_err();
-        match err {
-            ScenarioError::Invalid { path, .. } => assert_eq!(path, "phase[0].kind"),
-            other => panic!("expected phase-kind error, got {other}"),
-        }
+        let surf = "[[phase]]\nkind = \"channel_surf\"\nepochs = 10\nperiod = 2\nmoves = 1\n";
+        let (path, _) =
+            field_error(&SMALL.replace("[[phase]]\nkind = \"steady\"\nepochs = 5\n", surf));
+        assert_eq!(path, "phase[0].kind");
     }
 
     #[test]
     fn impairment_errors_surface_with_field_names() {
-        let err = ScenarioSpec::from_toml_str(
-            "version = 1\nname = \"x\"\n[population]\npeers = 4\n\
-             [[population.helpers]]\ncount = 1\nkind = \"paper\"\nstay = 0.9\n\
-             [impairment]\nseed = 1\n[impairment.loss]\nkind = \"uniform\"\nloss = 1.5\n\
-             [[phase]]\nkind = \"steady\"\nepochs = 5\n",
-        )
+        let err = parse(&format!(
+            "{SMALL}[impairment]\nseed = 1\n[impairment.loss]\nkind = \"uniform\"\nloss = 1.5\n"
+        ))
         .unwrap_err();
         match err {
             ScenarioError::Impairment(e) => assert_eq!(e.field(), "loss"),
@@ -1708,17 +1522,49 @@ mod tests {
 
     #[test]
     fn helper_failure_index_bounds_are_checked() {
-        let err = ScenarioSpec::builder("x")
-            .single(4, vec![(2, BandwidthSpec::Paper { stay: 0.9 })])
-            .phase(WorkloadPhase::HelperFailure { epochs: 10, helpers: vec![2], online: false })
-            .build()
-            .unwrap_err();
-        match err {
-            ScenarioError::Invalid { path, message } => {
-                assert_eq!(path, "phase[0].helpers");
-                assert!(message.contains("out of range"), "{message}");
-            }
-            other => panic!("expected index error, got {other}"),
+        let (path, message) = field_error(
+            "[population]\npeers = 4\n\
+             [[population.helpers]]\ncount = 2\nkind = \"paper\"\nstay = 0.9\n\
+             [[phase]]\nkind = \"helper_failure\"\nepochs = 10\nhelpers = [2]\nonline = false\n",
+        );
+        assert_eq!(path, "phase[0].helpers");
+        assert!(message.contains("out of range"), "{message}");
+    }
+
+    #[test]
+    fn runs_that_would_panic_or_do_nothing_are_refused_at_load() {
+        // Each group loads without complaint if only counts are checked,
+        // then panics in its bandwidth constructor at `run()`.
+        let group = |fields: &str| {
+            format!(
+                "[population]\npeers = 4\n[[population.helpers]]\ncount = 1\n{fields}\n\
+                 [[phase]]\nkind = \"steady\"\nepochs = 5\n"
+            )
+        };
+        for (fields, field) in [
+            ("kind = \"paper\"\nstay = 1.0", "stay"),
+            ("kind = \"ladder\"\nlevels = []\nstay = 0.9", "levels"),
+            ("kind = \"trace\"\nsamples = []", "samples"),
+            (
+                "kind = \"random_walk\"\ninitial = 500.0\nmin = 900.0\nmax = 100.0\n\
+                 step = 10.0\nmove_prob = 0.5",
+                "min",
+            ),
+            (
+                "kind = \"gilbert_elliott\"\ngood = 900.0\nbad = 100.0\np_gb = 1.5\np_bg = 0.5",
+                "p_gb",
+            ),
+        ] {
+            let (path, _) = field_error(&group(fields));
+            assert_eq!(path, format!("population.helpers[0].{field}"), "{fields}");
+        }
+        // A flash crowd multiplies the churn arrival rate: without churn,
+        // or with no arrivals, it would run as a steady phase.
+        let crowd = "[[phase]]\nkind = \"flash_crowd\"\nepochs = 20\nstart = 5\nend = 10\n\
+                     surge = 4.0\n";
+        for churn in ["", "[population.churn]\narrival = 0.0\ndeparture = 0.1\n"] {
+            let (path, _) = field_error(&format!("{SMALL}{crowd}{churn}"));
+            assert_eq!(path, "phase[1].kind", "{churn:?}");
         }
     }
 

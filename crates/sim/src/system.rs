@@ -726,6 +726,26 @@ mod tests {
         }
     }
 
+    /// Every peer's strategy after the epoch `sys` just stepped is a
+    /// distribution with the exploration floor: its `m` entries sum to 1
+    /// within `m·ε`, and none is below `δ/m` (less the `1e-12` that
+    /// `update_probabilities`' own check allows).
+    fn assert_rows_are_distributions(sys: &System, delta: f64, at: &str) {
+        let peers = sys.peers();
+        for slot in 0..peers.len() {
+            let learner = peers.learner(slot);
+            let row = learner.probabilities();
+            let m = row.len() as f64;
+            let sum: f64 = row.iter().sum();
+            assert!(
+                (sum - 1.0).abs() <= m * f64::EPSILON,
+                "{at}: slot {slot}'s row sums to {sum}"
+            );
+            let floor = delta / m - 1e-12;
+            assert!(row.iter().all(|&p| p >= floor), "{at}: slot {slot}'s row {row:?} < δ/m");
+        }
+    }
+
     /// K = 1 under churn, Gilbert–Elliott loss, a token bucket and a demand
     /// cap that binds on the lighter-loaded helpers.
     #[test]
@@ -745,11 +765,13 @@ mod tests {
                             .impairment(plan)
                             .seed(seed)
                             .build();
+                    let delta = config.learner.delta;
                     let mut sys = System::new(config);
                     for epoch in 0..30 {
                         sys.step_epoch();
                         let at = format!("threads {threads}, seed {seed}, epoch {epoch}");
                         assert_within_helper_capacity(&sys, &at);
+                        assert_rows_are_distributions(&sys, delta, &at);
                     }
                 }
             });
@@ -773,6 +795,7 @@ mod tests {
                     for seed in 0..8 {
                         let config =
                             MultiChannelConfig::standard(3, 400.0, 4, 2, 36, 1.0, policy, seed);
+                        let delta = config.learner.delta;
                         let mut sys = MultiChannelSystem::new(config).into_engine();
                         for epoch in 0..30 {
                             match epoch % 3 {
@@ -788,6 +811,7 @@ mod tests {
                                 "threads {threads}, {policy:?}, seed {seed}, epoch {epoch}"
                             );
                             assert_within_helper_capacity(&sys, &at);
+                            assert_rows_are_distributions(&sys, delta, &at);
                         }
                     }
                 }

@@ -4,16 +4,17 @@
 //! The intro's motivating deployments (PPLive, UUSee) face "time-varying
 //! popularity of video channels" — audiences that spike when events start
 //! and drain overnight. A [`WorkloadPhase`] describes one such pattern
-//! declaratively; [`crate::spec::ScenarioSpec`] chains phases into full
-//! scenarios, and the historical free functions ([`run_flash_crowd`],
-//! [`run_diurnal`]) remain as thin wrappers over single phases.
+//! declaratively, and [`WorkloadPhase::run`] drives a [`System`] through
+//! it; [`crate::spec::ScenarioSpec`] chains phases into full scenarios.
+//! A one-off scripted event needs no phase: call
+//! [`System::set_helper_online`] or [`System::migrate_viewers`] between
+//! [`System::run`]s.
 
 use rand::rngs::StdRng;
 use rths_stoch::process::FlashCrowd;
 use rths_stoch::zipf::Zipf;
 
-use crate::multichannel::{MultiChannelOutcome, MultiChannelSystem};
-use crate::system::{Outcome, System};
+use crate::system::System;
 
 /// One declarative stage of a scenario's timeline. Time fields (`start`,
 /// `end`, `at`) are **relative to the phase's own start**, so phases
@@ -202,84 +203,11 @@ impl WorkloadPhase {
     }
 }
 
-/// Runs a phase that samples nothing of its own (every kind but
-/// `ChannelSurf`).
-fn run_unsampled(phase: &WorkloadPhase, system: &mut System) {
-    phase.run(system, 0.0, &mut rths_stoch::rng::seeded_rng(0));
-}
-
-/// Runs `system` through a flash crowd: during `[crowd.start, crowd.end)`
-/// (absolute epochs) the configured churn arrivals are multiplied by
-/// `crowd.surge_factor` via direct peer injection.
-///
-/// Thin wrapper over [`WorkloadPhase::FlashCrowd`]; returns the
-/// cumulative outcome after `epochs` epochs.
-pub fn run_flash_crowd(system: &mut System, epochs: u64, crowd: FlashCrowd) -> Outcome {
-    let base = system.epoch();
-    let phase = WorkloadPhase::FlashCrowd {
-        epochs,
-        // The legacy API takes absolute surge epochs; the phase is
-        // relative to its own start.
-        start: crowd.start.saturating_sub(base),
-        end: crowd.end.saturating_sub(base),
-        surge: crowd.surge_factor,
-    };
-    run_unsampled(&phase, system);
-    system.outcome()
-}
-
-/// Sinusoidal diurnal modulation (thin wrapper over
-/// [`WorkloadPhase::Diurnal`]).
-///
-/// # Panics
-///
-/// Panics if `period == 0` or `amplitude < 0`.
-pub fn run_diurnal(system: &mut System, epochs: u64, period: u64, amplitude: f64) -> Outcome {
-    run_unsampled(&WorkloadPhase::Diurnal { epochs, period, amplitude }, system);
-    system.outcome()
-}
-
-/// A scheduled popularity shift for multi-channel systems: at `epoch`,
-/// `count` viewers migrate `from` one channel `to` another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PopularityShift {
-    /// Epoch of the migration.
-    pub epoch: u64,
-    /// Source channel.
-    pub from: usize,
-    /// Destination channel.
-    pub to: usize,
-    /// Number of viewers to move.
-    pub count: usize,
-}
-
-/// Runs a multi-channel system through a sequence of popularity shifts.
-pub fn run_with_shifts(
-    system: &mut MultiChannelSystem,
-    epochs: u64,
-    shifts: &[PopularityShift],
-) -> MultiChannelOutcome {
-    let end = system.epoch() + epochs;
-    let mut pending: Vec<&PopularityShift> =
-        shifts.iter().filter(|s| s.epoch >= system.epoch() && s.epoch < end).collect();
-    pending.sort_by_key(|s| s.epoch);
-    let mut next = 0usize;
-    while system.epoch() < end {
-        while next < pending.len() && pending[next].epoch == system.epoch() {
-            let s = pending[next];
-            system.migrate_viewers(s.from, s.to, s.count);
-            next += 1;
-        }
-        system.step_epoch();
-    }
-    system.outcome()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{BandwidthSpec, SimConfig};
-    use crate::multichannel::{AllocationPolicy, MultiChannelConfig};
+    use crate::multichannel::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
     use rths_stoch::process::ChurnProcess;
     use rths_stoch::rng::seeded_rng;
 
@@ -295,8 +223,12 @@ mod tests {
     #[test]
     fn flash_crowd_grows_population_during_surge() {
         let mut sys = churny_system(1);
-        let crowd = FlashCrowd::new(100, 200, 12.0);
-        let out = run_flash_crowd(&mut sys, 400, crowd);
+        WorkloadPhase::FlashCrowd { epochs: 400, start: 100, end: 200, surge: 12.0 }.run(
+            &mut sys,
+            0.0,
+            &mut seeded_rng(0),
+        );
+        let out = sys.outcome();
         let pops = out.metrics.population.values();
         let before = rths_math::stats::mean(&pops[50..100]);
         let during = rths_math::stats::mean(&pops[150..200]);
@@ -304,29 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn flash_crowd_wrapper_matches_phase() {
-        // The wrapper is a pure re-expression of the phase: identical
-        // trajectories, bit for bit.
-        let mut via_wrapper = churny_system(7);
-        let out_w = run_flash_crowd(&mut via_wrapper, 300, FlashCrowd::new(50, 120, 8.0));
-        let mut via_phase = churny_system(7);
-        run_unsampled(
-            &WorkloadPhase::FlashCrowd { epochs: 300, start: 50, end: 120, surge: 8.0 },
-            &mut via_phase,
-        );
-        let out_p = via_phase.outcome();
-        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(out_w.metrics.welfare.values()), bits(out_p.metrics.welfare.values()));
-        assert_eq!(
-            bits(out_w.metrics.population.values()),
-            bits(out_p.metrics.population.values())
-        );
-    }
-
-    #[test]
     fn diurnal_cycles_population() {
         let mut sys = churny_system(2);
-        let out = run_diurnal(&mut sys, 600, 200, 3.0);
+        WorkloadPhase::Diurnal { epochs: 600, period: 200, amplitude: 3.0 }.run(
+            &mut sys,
+            0.0,
+            &mut seeded_rng(0),
+        );
+        let out = sys.outcome();
         let pops = out.metrics.population.values();
         // Population should vary noticeably over the cycle.
         let min = pops[100..].iter().copied().fold(f64::INFINITY, f64::min);
@@ -337,18 +254,15 @@ mod tests {
     #[test]
     fn helper_failure_phase_flips_and_runs() {
         let mut sys = churny_system(3);
-        run_unsampled(
-            &WorkloadPhase::HelperFailure { epochs: 20, helpers: vec![0, 2], online: false },
-            &mut sys,
-        );
+        let mut rng = seeded_rng(0);
+        WorkloadPhase::HelperFailure { epochs: 20, helpers: vec![0, 2], online: false }
+            .run(&mut sys, 0.0, &mut rng);
         assert_eq!(sys.epoch(), 20);
         assert_eq!(sys.capacities()[0], 0.0);
         assert_eq!(sys.capacities()[2], 0.0);
         assert!(sys.capacities()[1] > 0.0);
-        run_unsampled(
-            &WorkloadPhase::HelperFailure { epochs: 10, helpers: vec![0], online: true },
-            &mut sys,
-        );
+        WorkloadPhase::HelperFailure { epochs: 10, helpers: vec![0], online: true }
+            .run(&mut sys, 0.0, &mut rng);
         assert!(sys.capacities()[0] > 0.0);
     }
 
@@ -364,8 +278,12 @@ mod tests {
             AllocationPolicy::WaterFilling,
             3,
         ));
-        let shifts = [PopularityShift { epoch: 100, from: 0, to: 2, count: 10 }];
-        let out = run_with_shifts(&mut sys, 300, &shifts);
+        WorkloadPhase::PopularityShift { epochs: 300, at: 100, from: 0, to: 2, count: 10 }.run(
+            &mut sys,
+            1.0,
+            &mut seeded_rng(0),
+        );
+        let out = sys.outcome();
         assert_eq!(out.epochs, 300);
         // System keeps serving after the shift.
         let tail = out.welfare.tail_mean(50);
@@ -396,6 +314,10 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
         let mut sys = churny_system(4);
-        let _ = run_diurnal(&mut sys, 10, 0, 1.0);
+        WorkloadPhase::Diurnal { epochs: 10, period: 0, amplitude: 1.0 }.run(
+            &mut sys,
+            0.0,
+            &mut seeded_rng(0),
+        );
     }
 }

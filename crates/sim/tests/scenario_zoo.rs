@@ -1,15 +1,35 @@
 //! The checked-in scenario zoo must stay loadable and runnable: every
-//! `scenarios/*.toml` parses, validates, round-trips through its own
-//! serialization, matches its file name, and runs to completion under a
-//! small epoch cap. This is the in-tree twin of CI's `scenario-smoke`
-//! job (which runs the full specs through the `run_scenario` binary).
+//! `scenarios/*.toml` parses, validates, matches its file name and its
+//! README catalog row, and runs to completion under a small epoch cap.
+//! This is the in-tree twin of CI's `scenario-smoke` job (which runs the
+//! full specs through the `run_scenario` binary).
 
 use std::path::PathBuf;
 
 use rths_sim::ScenarioSpec;
 
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn zoo_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+    repo_root().join("scenarios")
+}
+
+/// The scenario names in the README's catalog: the first cell of each row
+/// of the table under `## Scenario zoo`, sorted.
+fn readme_catalog() -> Vec<String> {
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    let section =
+        readme.split("## Scenario zoo").nth(1).expect("README has a `## Scenario zoo` section");
+    let mut names: Vec<String> = section
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|row| Some(row.strip_prefix("| `")?.split('`').next()?.to_owned()))
+        .collect();
+    names.sort();
+    names
 }
 
 fn zoo() -> Vec<(String, ScenarioSpec)> {
@@ -31,31 +51,16 @@ fn zoo() -> Vec<(String, ScenarioSpec)> {
 #[test]
 fn the_zoo_is_complete_and_names_match_files() {
     let specs = zoo();
-    let names: Vec<&str> = specs.iter().map(|(stem, _)| stem.as_str()).collect();
+    let files: Vec<&str> = specs.iter().map(|(stem, _)| stem.as_str()).collect();
+    assert!(!files.is_empty(), "scenarios/ holds no .toml file");
     assert_eq!(
-        names,
-        [
-            "bursty_loss_stress",
-            "channel_surfing",
-            "diurnal",
-            "flash_crowd_double",
-            "flash_crowd_spike",
-            "helper_cascade",
-        ],
-        "scenario zoo changed — update this list and the README catalog"
+        files,
+        readme_catalog(),
+        "every scenarios/*.toml needs a README catalog row, and every row a file"
     );
     for (stem, spec) in &specs {
         assert_eq!(spec.name(), stem, "spec name must match its file name");
         assert!(!spec.description().is_empty(), "{stem}: zoo entries document themselves");
-    }
-}
-
-#[test]
-fn every_zoo_scenario_round_trips() {
-    for (stem, spec) in zoo() {
-        let reparsed = ScenarioSpec::from_toml_str(&spec.to_toml_string())
-            .unwrap_or_else(|e| panic!("{stem}: reserialized spec failed to parse: {e}"));
-        assert_eq!(reparsed, spec, "{stem}: TOML round trip changed the spec");
     }
 }
 

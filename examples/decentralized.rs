@@ -24,7 +24,8 @@ fn main() {
 
     let lossy_plan =
         ImpairmentPlan::builder(77).uniform_loss(0.2).build().unwrap().with_jitter(50);
-    let lossy = rths_suite::net::run(config().with_impairments(lossy_plan), epochs);
+    let lossy_sim = SimConfig { impairment: lossy_plan, ..sim_config.clone() };
+    let lossy = rths_suite::net::run(NetConfig::from_sim(lossy_sim), epochs);
     println!("20% loss+jitter welfare {}", sparkline(lossy.metrics.welfare.values(), 56));
 
     println!(

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release --example flash_crowd`
 
-use rths_stoch::process::{ChurnProcess, FlashCrowd};
+use rths_stoch::process::ChurnProcess;
+use rths_stoch::rng::seeded_rng;
 use rths_suite::prelude::*;
 use rths_suite::sparkline;
 
@@ -17,9 +18,14 @@ fn main() {
         .build();
     let mut system = System::new(config);
 
-    let crowd = FlashCrowd::new(1000, 1600, 10.0);
     println!("flash crowd: arrivals x10 during epochs [1000, 1600)\n");
-    let outcome = rths_sim::workload::run_flash_crowd(&mut system, 3000, crowd);
+    // The phase draws nothing from its RNG argument: only channel surfing does.
+    WorkloadPhase::FlashCrowd { epochs: 3000, start: 1000, end: 1600, surge: 10.0 }.run(
+        &mut system,
+        0.0,
+        &mut seeded_rng(0),
+    );
+    let outcome = system.outcome();
 
     let m = &outcome.metrics;
     println!("population   {}", sparkline(m.population.values(), 66));

@@ -1,8 +1,7 @@
 //! Robustness under churn, flash crowds and helper failures.
 
-use rths_sim::churn::FailureSchedule;
-use rths_sim::{BandwidthSpec, LearnerSpec, Scenario, SimConfig, System};
-use rths_stoch::process::FlashCrowd;
+use rths_sim::{BandwidthSpec, LearnerSpec, Scenario, SimConfig, System, WorkloadPhase};
+use rths_stoch::rng::seeded_rng;
 
 /// Under stationary churn the system keeps serving: population hovers at
 /// the equilibrium and fairness stays high.
@@ -36,8 +35,12 @@ fn flash_crowd_is_absorbed() {
         .seed(22)
         .build();
     let mut system = System::new(config);
-    let crowd = FlashCrowd::new(800, 1200, 10.0);
-    let out = rths_sim::workload::run_flash_crowd(&mut system, 2400, crowd);
+    WorkloadPhase::FlashCrowd { epochs: 2400, start: 800, end: 1200, surge: 10.0 }.run(
+        &mut system,
+        0.0,
+        &mut seeded_rng(0),
+    );
+    let out = system.outcome();
     let pops = out.metrics.population.values();
     let before = rths_math::stats::mean(&pops[600..800]);
     let during = rths_math::stats::mean(&pops[1000..1200]);
@@ -59,8 +62,11 @@ fn outage_and_recovery_cycle() {
         .seed(23)
         .build();
     let mut system = System::new(config);
-    let schedule = FailureSchedule::new().fail_at(1500, 2).recover_at(3000, 2);
-    let out = schedule.run(&mut system, 4800);
+    let _ = system.run(1500);
+    system.set_helper_online(2, false);
+    let _ = system.run(1500);
+    system.set_helper_online(2, true);
+    let out = system.run(1800);
 
     let loads2 = out.metrics.helper_loads[2].values();
     let healthy = rths_math::stats::mean(&loads2[1200..1500]);
@@ -146,14 +152,17 @@ fn departure_does_not_perturb_survivors() {
 }
 
 /// Determinism survives churn and failures: identical configs and
-/// schedules give identical outcomes.
+/// scripted outages give identical outcomes.
 #[test]
 fn orchestrated_runs_are_deterministic() {
     let build = || {
         let config = Scenario::churn().seed(24).build();
         let mut system = System::new(config);
-        let schedule = FailureSchedule::new().fail_at(200, 0).recover_at(400, 0);
-        schedule.run(&mut system, 600)
+        let _ = system.run(200);
+        system.set_helper_online(0, false);
+        let _ = system.run(200);
+        system.set_helper_online(0, true);
+        system.run(200)
     };
     let a = build();
     let b = build();

@@ -1,6 +1,5 @@
 //! Tests of the multi-channel future-work extension.
 
-use rths_sim::workload::{run_with_shifts, PopularityShift};
 use rths_sim::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
 
 /// A *provisioned* instance: 24 viewers × 300 kbps = 7200 kbps demand
@@ -53,11 +52,9 @@ fn popularity_shift_is_tracked() {
     let mut sys = standard(AllocationPolicy::WaterFilling, 33);
     let pre = sys.run(1200);
     let pre_ch3 = pre.mean_channel_rates[3];
-    let shifts = [
-        PopularityShift { epoch: 1200, from: 0, to: 3, count: 6 },
-        PopularityShift { epoch: 1200, from: 1, to: 3, count: 3 },
-    ];
-    let out = run_with_shifts(&mut sys, 2400, &shifts);
+    sys.migrate_viewers(0, 3, 6);
+    sys.migrate_viewers(1, 3, 3);
+    let out = sys.run(2400);
     assert_eq!(out.epochs, 3600);
     // mean_channel_rates are cumulative time averages; recover the
     // post-shift average from the two snapshots.
