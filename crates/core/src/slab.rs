@@ -134,23 +134,14 @@
 //!   rows are slot-addressed and stream). The loaded bits are folded into
 //!   a word that goes to [`std::hint::black_box`] and nowhere else, and
 //!   nothing is stored: no float of any trajectory can depend on the
-//!   pass, on the batch size or on whether it ran. Slots share no state
-//!   and each still sees its own select → observe → select, so an observe
-//!   deferred behind up to seven neighbours' is the observe it would have
-//!   been. The store's observe sweep calls [`SlabCols::touch`] on each
-//!   block of a shard. The reactor's peers observe one at a time, so
-//!   [`SlabLearner::observe`] *queues* `(slot, utility, config)` on its
-//!   slab — after the protocol checks, which still fail at the call — and
-//!   the queue runs (pass, then updates in arrival order) when it is full
-//!   and before anything reads or reshapes a slot: every `&mut self`
-//!   method of [`LearnerSlab`] that does either flushes first,
-//!   `SlabLearner` flushes before it calls a `&self` reader, and those
-//!   readers refuse a slab with observes queued. A reader that follows
-//!   every observe (the reactor with regret estimates on) gets batches of
-//!   one: correct, no overlap. **Geometry gate, not a setting:** at a
-//!   stride of at most 8 a block is eight consecutive lines, which the
-//!   hardware already streams; the pass measured slower than no pass
-//!   there, and neither it nor the queue runs.
+//!   pass, on the batch size or on whether it ran. The store's observe
+//!   sweep — `rths_sim`'s `PeerStore`, which both the simulator and the
+//!   reactor's mailbox shards drive — calls [`SlabCols::touch`] on each
+//!   block of a shard; every slot's action has been pending since the
+//!   choose phase. A lone [`SlabLearner`] observes at once, with no pass.
+//!   **Geometry gate, not a setting:** at a stride of at most 8 a block
+//!   is eight consecutive lines, which the hardware already streams; the
+//!   pass measured slower than no pass there, and does not run.
 //!
 //! The contiguous loops (rank-1 `axpy`, renormalising `scale`,
 //! `shifted_regret_max`, the row maxima's `max_assign`) are the
@@ -166,7 +157,8 @@
 //!
 //! Two usage modes (per instance — they must not be mixed):
 //!
-//! * **slot-aligned mode** (`rths_sim`'s `PeerStore`): slab slot ==
+//! * **slot-aligned mode** (`rths_sim`'s `PeerStore`, in the simulator
+//!   and in each of the reactor's mailbox shards): slab slot ==
 //!   store slot; departures go through [`LearnerSlab::remove_slots`]'s
 //!   order-preserving compaction of the *per-slot* columns (mirroring the
 //!   store's column compaction). Compaction moves handles, not T columns:
@@ -177,12 +169,12 @@
 //!   and the arena never outgrows the peak population. After churn the
 //!   handles are a non-identity permutation; nothing depends on which
 //!   block a slot holds.
-//! * **free-list mode** (the reactor backend, one slab per mailbox
-//!   shard): [`alloc`](LearnerSlab::alloc) / [`release`](LearnerSlab::release)
-//!   with stable slots; a released slot keeps its (wiped) block, so the
-//!   handle stays the identity. [`SlabLearner`] wraps one slot behind the
-//!   [`Learner`] trait for actors that own their learner; its per-slot
-//!   calls index `block[slot]` directly and are `O(1)` in the slab size.
+//! * **free-list mode** ([`SlabLearner`]s): [`alloc`](LearnerSlab::alloc)
+//!   / [`release`](LearnerSlab::release) with stable slots; a released
+//!   slot keeps its (wiped) block, so the handle stays the identity. A
+//!   `SlabLearner` wraps one slot behind the [`Learner`] trait for owners
+//!   that hold their learner by value; its per-slot calls index
+//!   `block[slot]` directly and are `O(1)` in the slab size.
 
 use std::cell::OnceCell;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -261,8 +253,7 @@ fn open_column(t: &mut [f64], played: &mut [u64], stride: usize, j: usize) -> (u
 }
 
 /// Observes that run behind one pass of loads (see the module docs): the
-/// block size of the store's observe sweep and the length of a
-/// [`LearnerSlab`]'s observe queue.
+/// block size of the store's observe sweep.
 pub const OBSERVE_BATCH: usize = 8;
 
 /// The load pass for one slot about to observe action `j`: reads one
@@ -486,14 +477,6 @@ pub fn for_each_survivor_move(
     write
 }
 
-/// One [`SlabLearner::observe`] waiting in its slab's queue.
-#[derive(Debug, Clone)]
-struct QueuedObserve {
-    slot: u32,
-    utility: f64,
-    config: RthsConfig,
-}
-
 /// An arena of learner slots sharing flat columns (see the module docs
 /// for the layout and the two usage modes).
 #[derive(Debug, Clone)]
@@ -539,11 +522,6 @@ pub struct LearnerSlab {
     /// Regret-row scratch of the observes the slab runs for its
     /// [`SlabLearner`]s.
     row: Vec<f64>,
-    /// Observes handed in by [`SlabLearner`]s that have not run yet (see
-    /// the module docs): at most [`OBSERVE_BATCH`], of distinct slots, in
-    /// arrival order. Empty whenever anything but `SlabLearner::observe`
-    /// looks, and always at a stride the geometry gate excludes.
-    queue: Vec<QueuedObserve>,
 }
 
 impl LearnerSlab {
@@ -583,7 +561,6 @@ impl LearnerSlab {
             reuses: 0,
             best: None,
             row: Vec::new(),
-            queue: Vec::new(),
         }
     }
 
@@ -722,7 +699,6 @@ impl LearnerSlab {
     ///
     /// Panics if the slot is out of range or already free.
     pub fn release(&mut self, slot: u32) {
-        self.flush();
         let s = slot as usize;
         assert!(s < self.arity.len(), "slot out of range");
         assert!(self.arity[s] != 0, "slot released twice");
@@ -741,7 +717,6 @@ impl LearnerSlab {
     ///
     /// Panics if `src` is out of range or free.
     pub fn clone_slot(&mut self, src: u32) -> u32 {
-        self.flush();
         let src = src as usize;
         assert!(src < self.arity.len(), "slot out of range");
         let m = self.arity[src] as usize;
@@ -780,7 +755,6 @@ impl LearnerSlab {
         if sorted.is_empty() {
             return;
         }
-        self.flush();
         assert!(self.free.is_empty(), "cannot compact a slab with free-listed slots");
         assert!(sorted.windows(2).all(|w| w[0] < w[1]), "slots must be sorted and unique");
         let n = self.arity.len();
@@ -823,7 +797,6 @@ impl LearnerSlab {
     /// same semantics (and panics) as `RthsState::reset_actions`. The
     /// slot keeps its block, wiped in place.
     pub fn reset_actions(&mut self, slot: usize, num_actions: usize) {
-        self.flush();
         assert!(
             self.pending[slot] == NO_PENDING,
             "cannot reset actions with an observation pending"
@@ -851,7 +824,6 @@ impl LearnerSlab {
     /// keeps them exact. Idempotent and free when already on. There is no
     /// way back: a slab somebody asks for estimates keeps being asked.
     pub fn track_estimates(&mut self) {
-        self.flush();
         if self.best.is_some() {
             return;
         }
@@ -917,102 +889,38 @@ impl LearnerSlab {
         }
     }
 
-    /// Takes in one [`SlabLearner::observe`]: checks it as
-    /// [`observe`](Self::observe) would, then queues it behind the load
-    /// pass (module docs) — or, at a stride the geometry gate excludes,
-    /// runs it. A full queue is flushed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no action is pending or `utility` is not finite.
-    fn enqueue_observe(&mut self, slot: usize, config: &RthsConfig, utility: f64) {
-        if self.stride <= DENSE_GATHER_MAX_STRIDE {
-            let mut row = std::mem::take(&mut self.row);
-            self.slot_cols(slot).observe(0, config, utility, &mut row);
-            self.row = row;
-            return;
-        }
-        assert!(utility.is_finite(), "utility must be finite, got {utility}");
-        // A slot is queued at most once: its first observe runs now, so
-        // that a second one without a select in between fails here.
-        if self.queue.iter().any(|queued| queued.slot as usize == slot) {
-            self.flush();
-        }
-        assert!(self.pending[slot] != NO_PENDING, "observe called without a pending action");
-        self.queue.push(QueuedObserve { slot: slot as u32, utility, config: config.clone() });
-        if self.queue.len() == OBSERVE_BATCH {
-            self.flush();
-        }
-    }
-
-    /// Runs the queued observes: one load pass over all their slots, then
-    /// the update of each in arrival order. Everything that reads or
-    /// reshapes slot state through `&mut self` starts with this.
-    fn flush(&mut self) {
-        if self.queue.is_empty() {
-            return;
-        }
-        let mut queue = std::mem::take(&mut self.queue);
+    /// [`observe`](Self::observe) with the slab's own row scratch: what a
+    /// [`SlabLearner`] runs.
+    fn observe_own_row(&mut self, slot: usize, config: &RthsConfig, utility: f64) {
         let mut row = std::mem::take(&mut self.row);
-        let mut fold = 0;
-        for queued in &queue {
-            let slot = queued.slot as usize;
-            fold ^= touch(
-                &self.t[self.block_range(slot)],
-                &self.played[slot * self.words..(slot + 1) * self.words],
-                self.stride,
-                self.arity[slot] as usize,
-                self.pending[slot] as usize,
-            );
-        }
-        std::hint::black_box(fold);
-        for queued in queue.drain(..) {
-            self.slot_cols(queued.slot as usize).observe(
-                0,
-                &queued.config,
-                queued.utility,
-                &mut row,
-            );
-        }
+        self.slot_cols(slot).observe(0, config, utility, &mut row);
         self.row = row;
-        self.queue = queue;
-    }
-
-    /// The `&self` readers cannot flush, and need not: only
-    /// [`SlabLearner`] queues, and it flushes before it reads.
-    fn assert_flushed(&self) {
-        assert!(self.queue.is_empty(), "slab slot read with observes still queued");
     }
 
     /// The slot's action count.
     pub fn num_actions(&self, slot: usize) -> usize {
-        self.assert_flushed();
         self.arity[slot] as usize
     }
 
     /// The slot's current mixed strategy.
     pub fn probabilities(&self, slot: usize) -> &[f64] {
-        self.assert_flushed();
         let base = slot * self.stride;
         &self.probs[base..base + self.arity[slot] as usize]
     }
 
     /// The slot's recency-weighted play frequencies.
     pub fn play_frequencies(&self, slot: usize) -> &[f64] {
-        self.assert_flushed();
         let base = slot * self.stride;
         &self.freq[base..base + self.arity[slot] as usize]
     }
 
     /// Stages the slot has observed.
     pub fn stage(&self, slot: usize) -> u64 {
-        self.assert_flushed();
         self.stage[slot]
     }
 
     /// The slot's action awaiting observation, if any.
     pub fn pending_action(&self, slot: usize) -> Option<usize> {
-        self.assert_flushed();
         let p = self.pending[slot];
         (p != NO_PENDING).then_some(p as usize)
     }
@@ -1028,7 +936,6 @@ impl LearnerSlab {
 
     /// Proxy-matrix entry `T(j, k)` of a slot (tests/diagnostics).
     pub fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
-        self.assert_flushed();
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "proxy index out of range");
         self.scale[slot] * self.stored_entry(slot, j, k)
@@ -1037,7 +944,6 @@ impl LearnerSlab {
     /// Regret `Qⁿ(j, k)` of a slot (Eq. 3-6; tests/diagnostics) — the
     /// expression of `RthsState::regret`.
     pub fn regret(&self, slot: usize, config: &RthsConfig, j: usize, k: usize) -> f64 {
-        self.assert_flushed();
         if j == k {
             return 0.0;
         }
@@ -1057,7 +963,6 @@ impl LearnerSlab {
     ///
     /// Panics if two slots share a block (a broken slab invariant).
     pub fn split(&mut self) -> SlabCols<'_> {
-        self.flush();
         // Only the live-slot prefix is handed out — the flat columns may
         // carry extra pre-zeroed backing beyond `num_slots()`.
         let n = self.arity.len();
@@ -1102,7 +1007,6 @@ impl LearnerSlab {
     /// sharded phase that selects but never updates: no T views are
     /// gathered.
     pub fn split_strategy(&mut self) -> StrategyCols<'_> {
-        self.flush();
         let n = self.arity.len();
         StrategyCols {
             probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
@@ -1116,15 +1020,14 @@ impl LearnerSlab {
     /// # Panics
     ///
     /// Panics if an observation is already pending.
-    pub fn select_action(&mut self, slot: usize, rng: &mut dyn RngCore) -> usize {
+    pub fn select_action<R: RngCore + ?Sized>(&mut self, slot: usize, rng: &mut R) -> usize {
         // Sampling reads the strategy columns only: no T view is formed.
         self.split_strategy().select_action(slot, rng)
     }
 
     /// Feeds a slot's pending utility through the full update (see
-    /// `RthsState::observe`) at once — only [`SlabLearner::observe`] goes
-    /// through the observe queue. Returns whether it opened a packed
-    /// column (see [`SlabCols::observe`]).
+    /// `RthsState::observe`). Returns whether it opened a packed column
+    /// (see [`SlabCols::observe`]).
     ///
     /// # Panics
     ///
@@ -1137,14 +1040,6 @@ impl LearnerSlab {
         row_scratch: &mut Vec<f64>,
     ) -> bool {
         self.slot_cols(slot).observe(0, config, utility, row_scratch)
-    }
-
-    /// Decays every slot by `keep = 1 − ε` once — the batched
-    /// counterpart of the per-observe decay, for callers that then use
-    /// [`SlabCols::observe_predecayed`]. Returns the number of T columns
-    /// renormalised (observability; ignorable).
-    pub fn decay_all(&mut self, keep: f64) -> u64 {
-        self.split().decay(keep)
     }
 
     /// Largest derived regret of a slot, read from the maintained row
@@ -1196,7 +1091,7 @@ impl StrategyCols<'_> {
     /// # Panics
     ///
     /// Panics if an observation is already pending.
-    pub fn select_action(&mut self, i: usize, rng: &mut dyn RngCore) -> usize {
+    pub fn select_action<R: RngCore + ?Sized>(&mut self, i: usize, rng: &mut R) -> usize {
         assert!(
             self.pending[i] == NO_PENDING,
             "select_action called with an observation pending"
@@ -1362,7 +1257,7 @@ impl SlabCols<'_> {
     /// # Panics
     ///
     /// Panics if an observation is already pending.
-    pub fn select_action(&mut self, i: usize, rng: &mut dyn RngCore) -> usize {
+    pub fn select_action<R: RngCore + ?Sized>(&mut self, i: usize, rng: &mut R) -> usize {
         self.strategy.select_action(i, rng)
     }
 
@@ -1547,28 +1442,28 @@ impl SlabCols<'_> {
     }
 }
 
-/// A shared, mutex-guarded slab handle for owners that hold their
-/// learner by value (the reactor's peer actors).
+/// A shared, mutex-guarded slab handle for [`SlabLearner`]s that share
+/// one slab ([`SlabLearner::population`]). The engines do not use it —
+/// the simulator's store and the reactor's mailbox shards own their slabs
+/// and reach them by `&mut` — but the benchmark's `net.machines.peer_*`
+/// probes build their learners on one, and keep it until they are
+/// pointed at the store.
 pub type SharedSlab = Arc<Mutex<LearnerSlab>>;
 
 /// The recursive regret-tracking learner (paper Algorithm 2; regret
 /// *matching* under [`RecencyMode::Uniform`]) behind the [`Learner`]
-/// trait: one slab slot. The reactor backend packs all same-mailbox-shard
-/// peers' state into one [`SharedSlab`] (same-shard actors run
-/// sequentially on one worker, so the mutex is uncontended) and hands
-/// each `Peer` a `SlabLearner`; [`population`](Self::population) builds
-/// that layout for a repeated game, [`standalone`](Self::standalone) a
-/// learner with a slab to itself.
+/// trait: one slab slot, for owners that hold one learner by value —
+/// `RepeatedGameDriver`, the baselines' comparisons, one-off peers, the
+/// oracle tests. [`standalone`](Self::standalone) gives a learner a slab
+/// to itself; [`population`](Self::population) and [`new`](Self::new)
+/// put several on one [`SharedSlab`]. A population the engines drive
+/// lives in a slab of its own instead, behind `rths_sim`'s `PeerStore`.
 ///
 /// The learner holds no state of its own beside its slot and config.
-/// [`observe`](Learner::observe) hands the utility to the slab's observe
-/// queue, which runs it — behind one pass of loads shared with up to
-/// [`OBSERVE_BATCH`]` − 1` neighbours — before anything reads or reshapes a
-/// slot, so every method here sees the update applied.
+/// [`observe`](Learner::observe) runs the update at once.
 /// [`probabilities`](Learner::probabilities) has to return a borrow
 /// without holding the lock: it copies the strategy out on the first read
-/// after an observe and serves that copy until the next one (the reactor's
-/// peers never read it, and never pay for it).
+/// after an observe and serves that copy until the next one.
 ///
 /// # Example
 ///
@@ -1603,9 +1498,8 @@ impl SlabLearner {
         Self { slab, slot, config, strategy: OnceCell::new() }
     }
 
-    /// `n` fresh learners sharing one slab sized for exactly them — the
-    /// reactor's per-shard layout, for a population driven from one
-    /// thread.
+    /// `n` fresh learners sharing one slab sized for exactly them, for a
+    /// population driven from one thread.
     pub fn population(n: usize, config: &RthsConfig) -> Vec<Self> {
         let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(config.num_actions(), n)));
         (0..n).map(|_| Self::new(Arc::clone(&slab), config.clone())).collect()
@@ -1634,22 +1528,17 @@ impl SlabLearner {
     ///
     /// Panics if either index is out of range.
     pub fn regret(&self, j: usize, k: usize) -> f64 {
-        self.lock_flushed().regret(self.slot as usize, &self.config, j, k)
+        self.lock().regret(self.slot as usize, &self.config, j, k)
     }
 
-    /// Locks the slab with every queued observe applied, for the `&self`
-    /// readers of [`LearnerSlab`] (its `&mut self` methods flush
-    /// themselves).
-    fn lock_flushed(&self) -> MutexGuard<'_, LearnerSlab> {
-        let mut slab = self.slab.lock().expect("learner slab mutex poisoned");
-        slab.flush();
-        slab
+    fn lock(&self) -> MutexGuard<'_, LearnerSlab> {
+        self.slab.lock().expect("learner slab mutex poisoned")
     }
 }
 
 impl Clone for SlabLearner {
     fn clone(&self) -> Self {
-        let slot = self.slab.lock().expect("learner slab mutex poisoned").clone_slot(self.slot);
+        let slot = self.lock().clone_slot(self.slot);
         Self {
             slab: Arc::clone(&self.slab),
             slot,
@@ -1675,39 +1564,28 @@ impl Learner for SlabLearner {
     }
 
     fn probabilities(&self) -> &[f64] {
-        self.strategy
-            .get_or_init(|| self.lock_flushed().probabilities(self.slot as usize).into())
+        self.strategy.get_or_init(|| self.lock().probabilities(self.slot as usize).into())
     }
 
     fn select_action(&mut self, rng: &mut dyn RngCore) -> usize {
-        self.slab
-            .lock()
-            .expect("learner slab mutex poisoned")
-            .select_action(self.slot as usize, rng)
+        self.lock().select_action(self.slot as usize, rng)
     }
 
     fn observe(&mut self, utility: f64) {
-        self.slab.lock().expect("learner slab mutex poisoned").enqueue_observe(
-            self.slot as usize,
-            &self.config,
-            utility,
-        );
+        self.lock().observe_own_row(self.slot as usize, &self.config, utility);
         self.strategy.take();
     }
 
     fn max_regret(&self) -> f64 {
-        self.slab
-            .lock()
-            .expect("learner slab mutex poisoned")
-            .max_regret(self.slot as usize, &self.config)
+        self.lock().max_regret(self.slot as usize, &self.config)
     }
 
     fn stage(&self) -> u64 {
-        self.lock_flushed().stage(self.slot as usize)
+        self.lock().stage(self.slot as usize)
     }
 
     fn pending_action(&self) -> Option<usize> {
-        self.lock_flushed().pending_action(self.slot as usize)
+        self.lock().pending_action(self.slot as usize)
     }
 
     fn reset_actions(&mut self, num_actions: usize) {
@@ -1718,7 +1596,6 @@ impl Learner for SlabLearner {
         self.strategy.take();
         let mut slab = self.slab.lock().expect("learner slab mutex poisoned");
         if num_actions > slab.stride() {
-            slab.flush();
             // Outgrowing the stride means a new arena. A slab this
             // learner has to itself is simply replaced; with neighbours,
             // their columns would have to move too — the slab is sized
@@ -2106,7 +1983,7 @@ mod tests {
         let mut slab = LearnerSlab::new(2);
         let slot = slab.alloc(2);
         slab.release(slot);
-        slab.decay_all(0.5);
+        slab.split().decay(0.5);
         assert_eq!(slab.alloc(2), slot);
         assert_eq!(slab.scale[slot as usize], 1.0);
     }
@@ -2128,7 +2005,7 @@ mod tests {
         assert!(slab.stored(1).iter().any(|&x| x != 0.0) && slab.scale[1] != 1.0);
         let departed = slab.block[1];
         slab.remove_slots(&[1]);
-        slab.decay_all(0.5);
+        slab.split().decay(0.5);
         let slot = slab.alloc(3) as usize;
         assert_eq!((slot, slab.block[slot]), (2, departed), "the departed block is reused");
         assert_eq!(slab.free_list_reuses(), 1);
@@ -2784,321 +2661,6 @@ mod tests {
         let _ = b.select_action(&mut rng);
         b.observe(99.0);
         assert_ne!(a.stage(), b.stage(), "clone shares state with the original");
-    }
-
-    /// A [`SlabLearner`] beside the scalar oracle it must replay: every
-    /// operation goes to both, every read is compared `to_bits`.
-    struct Mirrored {
-        learner: SlabLearner,
-        cfg: RthsConfig,
-        oracle: RthsState,
-        rng: rand::rngs::StdRng,
-        pending: Option<usize>,
-    }
-
-    impl Mirrored {
-        fn new(slab: &SharedSlab, cfg: &RthsConfig, seed: u64) -> Self {
-            Self {
-                learner: SlabLearner::new(Arc::clone(slab), cfg.clone()),
-                cfg: cfg.clone(),
-                oracle: RthsState::new(cfg),
-                rng: rand::rngs::StdRng::seed_from_u64(7000 + seed),
-                pending: None,
-            }
-        }
-
-        fn select(&mut self) -> usize {
-            let mut replay = self.rng.clone();
-            let a = self.learner.select_action(&mut self.rng);
-            assert_eq!(a, self.oracle.select_action(&mut replay), "sampled action");
-            self.pending = Some(a);
-            a
-        }
-
-        fn observe(&mut self, utility: f64) {
-            self.learner.observe(utility);
-            self.oracle.observe(&self.cfg, utility, &mut Vec::new());
-            self.pending = None;
-        }
-
-        fn reset(&mut self, num_actions: usize) {
-            self.learner.reset_actions(num_actions);
-            self.oracle.reset_actions(num_actions);
-            self.cfg = self.cfg.with_num_actions(num_actions).unwrap();
-        }
-
-        /// An independent copy of learner and oracle, on its own stream.
-        fn duplicate(&self, seed: u64) -> Self {
-            Self {
-                learner: self.learner.clone(),
-                cfg: self.cfg.clone(),
-                oracle: self.oracle.clone(),
-                rng: rand::rngs::StdRng::seed_from_u64(7000 + seed),
-                pending: self.pending,
-            }
-        }
-
-        /// Every read the learner offers, against the oracle.
-        fn check(&self, what: &str) {
-            let (learner, oracle, cfg) = (&self.learner, &self.oracle, &self.cfg);
-            let m = cfg.num_actions();
-            assert_eq!(learner.num_actions(), m, "{what}: arity");
-            assert_bitwise(learner.probabilities(), oracle.probabilities(), what);
-            assert_eq!(
-                learner.max_regret().to_bits(),
-                oracle.max_regret(cfg).to_bits(),
-                "{what}: estimate"
-            );
-            assert_eq!(learner.stage(), oracle.stage(), "{what}: stage");
-            assert_eq!(learner.pending_action(), self.pending, "{what}: pending action");
-            for (j, k) in (0..m).flat_map(|j| [(j, (j + 1) % m), (j, (3 * j + 2) % m)]) {
-                assert_eq!(
-                    learner.regret(j, k).to_bits(),
-                    oracle.regret(cfg, j, k).to_bits(),
-                    "{what}: Q({j},{k})"
-                );
-            }
-        }
-    }
-
-    fn queued(slab: &SharedSlab) -> usize {
-        slab.lock().unwrap().queue.len()
-    }
-
-    /// A population of `SlabLearner`s on one slab — two configs among
-    /// them — replays its oracles through everything that must run the
-    /// queued observes first: a full queue, each reading method, `clone`,
-    /// a channel switch, a departure whose slot is handed out again, and
-    /// the next round's selects. Every round leaves the last three
-    /// learners' observes queued and then pulls one trigger; at a stride
-    /// the geometry gate excludes nothing is ever queued.
-    #[test]
-    fn slab_learners_replay_oracles_through_every_flush_trigger() {
-        let modes = [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform];
-        for stride in [8, 10, 64] {
-            for (recency, conditional) in
-                modes.into_iter().flat_map(|r| [(r, false), (r, true)])
-            {
-                flush_triggers(stride, recency, conditional);
-            }
-        }
-    }
-
-    fn flush_triggers(stride: usize, recency: RecencyMode, conditional: bool) {
-        const POPULATION: usize = OBSERVE_BATCH + 3;
-        const LAST: usize = POPULATION - 1;
-        let gated = stride <= DENSE_GATHER_MAX_STRIDE;
-        let cfgs = [
-            config(stride, recency, conditional),
-            config_eps(stride - 3, 0.2, recency, conditional),
-        ];
-        let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(stride)));
-        let mut peers: Vec<Mirrored> =
-            (0..POPULATION).map(|p| Mirrored::new(&slab, &cfgs[p % 2], p as u64)).collect();
-        let mut next_seed = POPULATION as u64;
-        for round in 0..90u64 {
-            let what = format!("stride {stride} {recency:?}/{conditional} round {round}");
-            for peer in &mut peers {
-                // On the round after an untriggered one, the first of
-                // these runs what that round left queued.
-                peer.select();
-                assert_eq!(queued(&slab), 0, "{what}");
-            }
-            for (p, peer) in peers.iter_mut().enumerate() {
-                let a = peer.pending.unwrap();
-                peer.observe(((a * 5 + p + round as usize) % 9) as f64 * 7.0);
-                let expected = if gated { 0 } else { (p + 1) % OBSERVE_BATCH };
-                assert_eq!(queued(&slab), expected, "{what}: after observe {p}");
-            }
-            let last = &mut peers[LAST];
-            match round % 9 {
-                0 => assert_bitwise(
-                    last.learner.probabilities(),
-                    last.oracle.probabilities(),
-                    &what,
-                ),
-                1 => assert_eq!(
-                    last.learner.max_regret().to_bits(),
-                    last.oracle.max_regret(&last.cfg).to_bits(),
-                    "{what}"
-                ),
-                2 => assert_eq!(last.learner.stage(), last.oracle.stage(), "{what}"),
-                3 => assert_eq!(last.learner.pending_action(), None, "{what}"),
-                4 => assert_eq!(
-                    last.learner.regret(0, 1).to_bits(),
-                    last.oracle.regret(&last.cfg, 0, 1).to_bits(),
-                    "{what}"
-                ),
-                5 => {
-                    // The copy carries the queued update; the learner it
-                    // replaces leaves.
-                    peers[0] = last.duplicate(next_seed);
-                    next_seed += 1;
-                }
-                6 => {
-                    let m = last.cfg.num_actions();
-                    last.reset(if m == stride { stride - 2 } else { stride });
-                }
-                7 => {
-                    // A departure with its own observe queued: the slot's
-                    // next owner starts from nothing.
-                    let departed = peers.pop().unwrap();
-                    let slot = departed.learner.slot();
-                    drop(departed);
-                    peers.push(Mirrored::new(&slab, &cfgs[round as usize % 2], next_seed));
-                    next_seed += 1;
-                    assert_eq!(peers[LAST].learner.slot(), slot, "{what}: slot not reused");
-                }
-                _ => {
-                    assert_eq!(queued(&slab), if gated { 0 } else { 3 }, "{what}");
-                    continue;
-                }
-            }
-            assert_eq!(queued(&slab), 0, "{what}: trigger left observes queued");
-            for (p, peer) in peers.iter().enumerate() {
-                peer.check(&format!("{what} peer {p}"));
-            }
-        }
-    }
-
-    /// Alone in its slab a learner outgrows the stride by replacing the
-    /// slab — after its queued observe has run.
-    #[test]
-    fn reset_beyond_the_stride_runs_the_queued_observe_first() {
-        let cfg = config(10, RecencyMode::Exponential, true);
-        let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(10)));
-        let mut peer = Mirrored::new(&slab, &cfg, 0);
-        for s in 0..20 {
-            let a = peer.select();
-            peer.observe(((a + s) % 5) as f64 * 11.0);
-        }
-        assert_eq!(queued(&slab), 1);
-        peer.reset(12);
-        assert_eq!((queued(&slab), slab.lock().unwrap().stride()), (0, 12));
-        for s in 0..20 {
-            peer.check(&format!("stage {s} after the reset"));
-            let a = peer.select();
-            peer.observe(((a + s) % 5) as f64 * 11.0);
-        }
-        peer.check("at the end");
-    }
-
-    fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
-        err.downcast_ref::<&str>()
-            .map(|msg| msg.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default()
-    }
-
-    /// Deferring the update does not defer the protocol checks: a second
-    /// observe of a queued slot and a non-finite utility both fail inside
-    /// the `observe` call that made them, not at a later flush.
-    #[test]
-    fn queued_observes_are_checked_at_the_call() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let cfg = config(10, RecencyMode::Exponential, false);
-        for (utility, expected) in
-            [(2.0, "observe called without a pending action"), (f64::NAN, "must be finite")]
-        {
-            let mut population = SlabLearner::population(3, &cfg);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-            for learner in &mut population {
-                let _ = learner.select_action(&mut rng);
-            }
-            population[0].observe(1.0);
-            population[1].observe(1.0);
-            let culprit = if utility.is_nan() { 2 } else { 1 };
-            let err = catch_unwind(AssertUnwindSafe(|| population[culprit].observe(utility)))
-                .expect_err("the observe went through");
-            assert!(panic_message(err).contains(expected));
-        }
-    }
-
-    /// Only `SlabLearner` queues, and it flushes before it reads; a
-    /// `&self` reader that found observes queued would return stale state,
-    /// so it refuses.
-    #[test]
-    fn shared_readers_refuse_a_slab_with_observes_queued() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let cfg = config(10, RecencyMode::Exponential, false);
-        let mut slab = LearnerSlab::new(10);
-        let slot = slab.alloc(10) as usize;
-        let _ = slab.select_action(slot, &mut rand::rngs::StdRng::seed_from_u64(1));
-        slab.enqueue_observe(slot, &cfg, 5.0);
-        assert_eq!(slab.queue.len(), 1);
-        type Reader<'a> = (&'a str, &'a dyn Fn(&LearnerSlab) -> f64);
-        let readers: [Reader<'_>; 7] = [
-            ("num_actions", &|s| s.num_actions(0) as f64),
-            ("probabilities", &|s| s.probabilities(0)[0]),
-            ("play_frequencies", &|s| s.play_frequencies(0)[0]),
-            ("stage", &|s| s.stage(0) as f64),
-            ("pending_action", &|s| s.pending_action(0).map_or(-1.0, |a| a as f64)),
-            ("proxy", &|s| s.proxy(0, 1, 2)),
-            ("regret", &|s| s.regret(0, &config(10, RecencyMode::Uniform, false), 1, 2)),
-        ];
-        for (name, read) in readers {
-            let err = catch_unwind(AssertUnwindSafe(|| read(&slab))).expect_err(name);
-            assert!(panic_message(err).contains("observes still queued"), "{name}");
-        }
-        slab.flush();
-        for (_, read) in readers {
-            read(&slab);
-        }
-        assert_eq!((slab.stage(slot), slab.pending_action(slot)), (1, None));
-    }
-
-    /// `split` and `remove_slots` are out of a `SlabLearner`'s reach but
-    /// not of its slab's owner: they too run what is queued before they
-    /// hand out or renumber slots.
-    #[test]
-    fn split_and_compaction_run_the_queued_observes_first() {
-        let cfg = config(10, RecencyMode::Exponential, true);
-        let mut slab = LearnerSlab::new(10);
-        let mut peers: Vec<OraclePeer> = (0..5)
-            .map(|id| {
-                slab.alloc(10);
-                OraclePeer::new(id, &cfg)
-            })
-            .collect();
-        for round in 0..60u64 {
-            let mut picks = Vec::new();
-            for (slot, peer) in peers.iter_mut().enumerate() {
-                let mut replay = peer.rng.clone();
-                picks.push(slab.select_action(slot, &mut peer.rng));
-                assert_eq!(picks[slot], peer.state.select_action(&mut replay), "round {round}");
-            }
-            for (slot, peer) in peers.iter_mut().enumerate() {
-                let u = ((picks[slot] as u64 * 3 + peer.id + round) % 7) as f64 * 9.0;
-                slab.enqueue_observe(slot, &cfg, u);
-                peer.state.observe(&cfg, u, &mut Vec::new());
-            }
-            assert_eq!(slab.queue.len(), 5);
-            if round % 2 == 0 {
-                let mut cols = slab.split();
-                for (slot, peer) in peers.iter().enumerate() {
-                    assert_bitwise(
-                        cols.probabilities(slot),
-                        peer.state.probabilities(),
-                        "split",
-                    );
-                }
-            } else {
-                // Slot 4's observe is queued under a number that slot 3
-                // is about to take.
-                slab.remove_slots(&[1]);
-                peers.remove(1);
-                for (slot, peer) in peers.iter().enumerate() {
-                    assert_bitwise(
-                        slab.probabilities(slot),
-                        peer.state.probabilities(),
-                        "compacted",
-                    );
-                }
-                slab.alloc(10);
-                peers.push(OraclePeer::new(100 + round, &cfg));
-            }
-            assert!(slab.queue.is_empty(), "round {round}");
-        }
     }
 
     /// Slab, oracle and the eager reference on one action/utility stream

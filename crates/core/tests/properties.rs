@@ -117,8 +117,7 @@ fn arb_mask_geometry_config() -> impl Strategy<Value = (RthsConfig, usize)> {
 }
 
 /// Learners sharing the slab of
-/// `interleaved_slab_learners_replay_their_oracles_bitwise`: more than an
-/// observe queue holds, so it both fills and is left partly filled.
+/// `interleaved_slab_learners_replay_their_oracles_bitwise`.
 const REPLAYED: usize = 11;
 
 /// One of them: a [`SlabLearner`] beside the scalar oracle it must replay.
@@ -503,13 +502,11 @@ proptest! {
         seed in any::<u64>(),
         ops in prop::collection::vec((0usize..10, 0usize..REPLAYED, 0.0..1000.0f64), 80..240),
     ) {
-        // A shard's learners share one slab, whose observe queue defers
-        // each update until something reads or reshapes a slot (or eight
-        // are waiting). Whatever the interleaving of steps, reads, clones
-        // and departures, every learner replays its own oracle — single
-        // steps, and the reactor's own pattern of everybody selecting and
-        // then everybody observing, which fills the queue. At the config's
-        // own arity (≤ 5) the slab never queues; the two wider strides do.
+        // Learners sharing one slab: whatever the interleaving of steps,
+        // reads, clones and departures, every learner replays its own
+        // oracle — single steps, and rounds of everybody selecting and
+        // then everybody observing. The slab's stride is the config's own
+        // arity (≤ 5) or one of two wider ones.
         let stride = [cfg.num_actions(), 9, 16][wide];
         let slab = Arc::new(Mutex::new(LearnerSlab::new(stride)));
         let mut peers: Vec<Replayed> =

@@ -19,7 +19,6 @@
 //! messages reach a machine; `tests/properties.rs` feeds them seeded
 //! permutations to hold that.
 
-use rths_core::SharedSlab;
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{Helper, HelperId};
 use rths_sim::peer::{Peer, PeerId};
@@ -60,55 +59,83 @@ pub struct Selection {
     pub lost: bool,
 }
 
-/// The peer-side state machine: owns the learner, its RNG stream, the
-/// demand cap, and the edge end of the impairment layer (its link
-/// shaper). Feedback is strictly local — a rate per epoch.
+/// A peer's end of its links under an impairment plan: the plan, the
+/// link state under it — token bucket, where its link's loss and
+/// bandwidth chains stand — and the `(helper, epoch)` of the in-flight
+/// request, which the rate delivery consumes: shaping decisions are
+/// per-link, so the peer must remember which link the reply rides.
 #[derive(Debug)]
-pub struct PeerMachine {
-    peer: Peer,
-    demand: Option<f64>,
-    /// The peer's end of its links. Exists only under a plan that
-    /// [affects rates](ImpairmentPlan::affects_rates), the one case that
-    /// reads it: the clean-link swarms (10⁵ peers a process) carry a
-    /// pointer's worth, not the plan and the state.
-    link: Option<Box<Link>>,
-}
-
-/// The impairment plan, the peer's link state under it — token bucket,
-/// where its link's loss and bandwidth chains stand — and the
-/// `(helper, epoch)` of the in-flight request, which the rate delivery
-/// consumes: shaping decisions are per-link, so the peer must remember
-/// which link the reply rides.
-#[derive(Debug)]
-struct Link {
+pub(crate) struct Link {
     plan: ImpairmentPlan,
     shaper: LinkShaper,
     inflight: Option<(u32, u64)>,
 }
 
+impl Link {
+    /// A peer's link under `plan` — `None` unless the plan
+    /// [affects rates](ImpairmentPlan::affects_rates), the one case that
+    /// reads it: the clean-link swarms (10⁵ peers a process) carry a
+    /// pointer's worth, not the plan and the state.
+    pub(crate) fn under(plan: &ImpairmentPlan) -> Option<Box<Link>> {
+        plan.affects_rates().then(|| {
+            Box::new(Link { plan: plan.clone(), shaper: LinkShaper::new(), inflight: None })
+        })
+    }
+
+    /// Peer `peer` requests from `helper` in `epoch`: remembers the
+    /// request and returns whether its payload is lost (deterministic per
+    /// `(peer, helper, epoch)` link; the peer's own RNG stream is never
+    /// drawn).
+    pub(crate) fn request(&mut self, peer: u64, helper: usize, epoch: u64) -> bool {
+        self.inflight = Some((helper as u32, epoch));
+        self.shaper.is_lost(&self.plan, peer, helper, epoch)
+    }
+
+    /// Shapes the reply to peer `peer`'s in-flight request through the
+    /// link's impairments (bandwidth cap, token bucket).
+    pub(crate) fn shape(&mut self, peer: u64, kbps: f64) -> f64 {
+        match self.inflight.take() {
+            Some((helper, epoch)) => {
+                self.shaper.shape(&self.plan, peer, helper as usize, epoch, kbps)
+            }
+            None => kbps,
+        }
+    }
+}
+
+/// The peer-side state machine for one peer on its own: owns the learner,
+/// its RNG stream, the demand cap, and the edge end of the impairment
+/// layer (its link). Feedback is strictly local — a rate per epoch.
+///
+/// The reactor does not host its peers this way: each mailbox shard
+/// drives its peers' learners through one `rths_sim::PeerStore` (see
+/// [`crate::reactor_backend`]). The machine stays for the benchmark's
+/// `net.machines.peer_*` probes and for the protocol tests that drive
+/// peers by hand; its pipeline is the reactor's, step for step.
+#[derive(Debug)]
+pub struct PeerMachine {
+    peer: Peer,
+    demand: Option<f64>,
+    link: Option<Box<Link>>,
+}
+
 impl PeerMachine {
     /// Wraps a live peer under the given impairment plan.
     pub fn new(peer: Peer, demand: Option<f64>, impairments: ImpairmentPlan) -> Self {
-        let link = impairments.affects_rates().then(|| {
-            Box::new(Link { plan: impairments, shaper: LinkShaper::new(), inflight: None })
-        });
-        Self { peer, demand, link }
+        Self { peer, demand, link: Link::under(&impairments) }
     }
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same
-    /// learner spec, same per-entity RNG stream). A slab-hosted learner
-    /// takes a slot of `slab` (the reactor's per-mailbox-shard arena),
-    /// or a one-slot slab of its own when none is given.
+    /// learner spec, same per-entity RNG stream).
     pub fn from_config(
         sim: &SimConfig,
         id: u64,
         num_helpers: usize,
         impairments: ImpairmentPlan,
-        slab: Option<&SharedSlab>,
     ) -> Self {
         let learner = sim
             .learner
-            .instantiate(num_helpers, sim.rate_scale(), slab)
+            .instantiate(num_helpers, sim.rate_scale())
             .expect("learner spec validated by construction");
         let peer = Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0);
         Self::new(peer, sim.demand, impairments)
@@ -123,14 +150,9 @@ impl PeerMachine {
     /// payload is lost (deterministic per `(peer, helper, epoch)` link).
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
         let helper = self.peer.choose_helper();
-        let lost = match self.link.as_deref_mut() {
-            Some(Link { plan, shaper, inflight }) => {
-                *inflight = Some((helper as u32, epoch));
-                shaper.is_lost(plan, self.peer.id().0, helper, epoch)
-            }
-            // A plan that affects no rate loses nothing.
-            None => false,
-        };
+        let id = self.peer.id().0;
+        // A plan that affects no rate loses nothing.
+        let lost = self.link.as_deref_mut().is_some_and(|link| link.request(id, helper, epoch));
         Selection { helper, lost }
     }
 
@@ -141,15 +163,8 @@ impl PeerMachine {
     /// `rths_sim::System::step_epoch`, which is what keeps impaired runs
     /// bit-identical across backends.
     pub fn on_rate(&mut self, kbps: f64) -> f64 {
-        let kbps = match self.link.as_deref_mut() {
-            Some(Link { plan, shaper, inflight }) => match inflight.take() {
-                Some((helper, epoch)) => {
-                    shaper.shape(plan, self.peer.id().0, helper as usize, epoch, kbps)
-                }
-                None => kbps,
-            },
-            None => kbps,
-        };
+        let id = self.peer.id().0;
+        let kbps = self.link.as_deref_mut().map_or(kbps, |link| link.shape(id, kbps));
         let (rate, satisfied) = cap_to_demand(kbps, self.demand);
         self.peer.deliver(rate, satisfied);
         rate
@@ -454,7 +469,7 @@ mod tests {
             .demand(300.0)
             .seed(1)
             .build();
-        let mut m = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none(), None);
+        let mut m = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none());
         let sel = m.on_tick(0);
         assert!(sel.helper < 2);
         assert!(!sel.lost);
@@ -475,7 +490,6 @@ mod tests {
             1,
             2,
             ImpairmentPlan::builder(9).uniform_loss(1.0).build().unwrap(),
-            None,
         );
         assert!(m.on_tick(0).lost);
     }
@@ -488,10 +502,10 @@ mod tests {
         let sim = small_sim();
         let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
         for plan in [ImpairmentPlan::none(), delays.with_jitter(5)] {
-            assert!(PeerMachine::from_config(&sim, 0, 2, plan, None).link.is_none());
+            assert!(PeerMachine::from_config(&sim, 0, 2, plan).link.is_none());
         }
         let lossy = ImpairmentPlan::builder(9).uniform_loss(0.1).build().unwrap();
-        assert!(PeerMachine::from_config(&sim, 0, 2, lossy, None).link.is_some());
+        assert!(PeerMachine::from_config(&sim, 0, 2, lossy).link.is_some());
     }
 
     #[test]
@@ -505,7 +519,7 @@ mod tests {
             .build()
             .unwrap();
         let sim = small_sim();
-        let mut m = PeerMachine::from_config(&sim, 0, 2, plan.clone(), None);
+        let mut m = PeerMachine::from_config(&sim, 0, 2, plan.clone());
         let mut reference = LinkShaper::new();
         for epoch in 0..40 {
             let sel = m.on_tick(epoch);

@@ -195,7 +195,8 @@ pub fn run_multiproc(config: NetConfig, epochs: u64, processes: usize) -> Multip
 ///
 /// Panics if `processes` is zero, the worker executable cannot be
 /// spawned, a worker exits before connecting, the workers have not all
-/// connected within [`CONNECT_DEADLINE`], or a worker dies mid-run.
+/// connected and said `Hello` within [`CONNECT_DEADLINE`], or a worker
+/// dies mid-run.
 /// Every worker spawned by then is killed and reaped, and the socket
 /// file unlinked, before the panic leaves this function.
 pub fn run_multiproc_with_span(
@@ -240,8 +241,16 @@ pub fn run_multiproc_with_span(
             let waiting: Vec<usize> =
                 (1..processes).filter(|r| links[r - 1].is_none()).collect();
             let stream = accept_worker(&listener, &mut launch.children, &mut polls, &waiting);
+            // A worker may connect and never speak: its `Hello` gets what
+            // is left of the connect deadline, counted in the polls spent.
+            let left = CONNECT_POLL * (CONNECT_POLLS - polls).max(1) as u32;
+            stream.set_read_timeout(Some(left)).expect("worker stream read timeout");
             let mut link = FrameLink::new(stream).expect("socket handle clone");
-            match link.recv() {
+            let hello = read_frame(&mut link.reader).unwrap_or_else(|e| {
+                panic!("{} sent no Hello within {CONNECT_DEADLINE:?}: {e}", ranks(&waiting))
+            });
+            link.reader.get_ref().set_read_timeout(None).expect("worker stream read timeout");
+            match hello {
                 Frame::Hello { rank, version } => {
                     if let Err(skew) = check_version(rank, version) {
                         panic!("{skew}");
@@ -326,12 +335,17 @@ fn accept_worker(
             }
         }
         if *polls == CONNECT_POLLS {
-            let ranks: Vec<String> = waiting.iter().map(|r| format!("rank {r}")).collect();
-            panic!("worker {} did not connect within {CONNECT_DEADLINE:?}", ranks.join(", "));
+            panic!("{} did not connect within {CONNECT_DEADLINE:?}", ranks(waiting));
         }
         *polls += 1;
         std::thread::sleep(CONNECT_POLL);
     }
+}
+
+/// `worker rank 1, rank 3` — the ranks a failed launch waited for.
+fn ranks(waiting: &[usize]) -> String {
+    let ranks: Vec<String> = waiting.iter().map(|r| format!("rank {r}")).collect();
+    format!("worker {}", ranks.join(", "))
 }
 
 /// Admits a worker only if it speaks this build's wire format. A stale

@@ -6,42 +6,46 @@
 //! shards rounds across) hosts thousands of actors.
 //!
 //! The protocol and all result-bearing arithmetic are the shared
-//! [`crate::machines`]; this module only adds addressing:
+//! [`crate::machines`] and the simulator's own peer store; this module
+//! only adds addressing:
 //!
 //! * actor 0 is the coordinator, actor 1 the tracker, then `h` helpers,
 //!   then `n` peers (ids dense, in that order);
 //! * peers learn the helper address range from the tracker
 //!   ([`TrackerNode`]) during a bootstrap handshake — a directory, not a
 //!   controller: it never sees a payoff and never assigns a peer;
+//! * each mailbox shard's peers are one [`PeerShard`]: their learners,
+//!   RNG streams and accounting are a `rths_sim::PeerStore` block that
+//!   the reactor lends to the handling actor ([`Ctx::shard`]; no lock).
+//!   The shard's first `Tick` of an epoch runs the store's choose phase,
+//!   the `Rate` that fills its last slot the observe phase — the passes
+//!   `rths_sim::System` runs — and sends the coordinator the block as one
+//!   [`NetMsg::ShardReport`]. A peer actor keeps protocol state only;
 //! * [`ImpairmentPlan`] drops ride the `lost` flag of the request, rate
-//!   shaping happens inside the shared [`PeerMachine`], and
+//!   shaping happens on the peer's link before the demand cap, and
 //!   jitter/latency are *timer-wheel delivery delays*: each actor's
-//!   `Tick` is delayed by the plan's seeded per-`(actor, epoch)` draw;
-//! * peers never message the coordinator one by one: each mailbox shard's
-//!   peers write their `(chosen, rate, estimate)` into report columns
-//!   kept beside the shard's learner slab, and the peer that fills the
-//!   last slot sends the coordinator the whole block as one
-//!   [`NetMsg::ShardReport`].
+//!   `Tick` is delayed by the plan's seeded per-`(actor, epoch)` draw.
 //!
 //! A peer-epoch is therefore three messages: `Tick`, `Request`, `Rate`.
-//! Timers fire only when the mesh is otherwise quiescent, so delayed
-//! ticks land in delay order and the plan seed permutes the order in
-//! which requests reach a helper. The settle barrier is a timer as well:
-//! each helper's `Settle` fires one logical tick after the epoch's latest
-//! `Tick`, by which time every request has been delivered. None of the
-//! schedule may show in the outcome. With equal seeds the backend
-//! reproduces the simulator bit-for-bit at any `RTHS_THREADS` and under
-//! any such schedule; the workspace-level `sim_net_equivalence` test pins
-//! both.
+//! Slot-ordered passes give the bits arrival order gave: per-slot updates
+//! are independent, and the coordinator starts epoch `e + 1` only once
+//! every shard has reported `e`. Timers fire only when the mesh is
+//! otherwise quiescent, so delayed ticks land in delay order and the plan
+//! seed permutes the order in which requests reach a helper. The settle
+//! barrier is a timer as well: each helper's `Settle` fires one logical
+//! tick after the epoch's latest `Tick`, by which time every request has
+//! been delivered. None of the schedule may show in the outcome. With
+//! equal seeds the backend reproduces the simulator bit-for-bit at any
+//! `RTHS_THREADS` and under any such schedule; the workspace-level
+//! `sim_net_equivalence` test pins both.
 
-use std::sync::{Arc, Mutex};
-
-use rths_core::LearnerSlab;
-use rths_obs as obs;
+use rths_obs::{self as obs, ObsScratch};
 use rths_reactor::{Actor, ActorId, Ctx, Reactor, ReactorStats, SHARD_SPAN};
+use rths_sim::epoch_metrics::cap_to_demand;
+use rths_sim::store::{PeerStore, ShardScratch};
 use rths_sim::ImpairmentPlan;
 
-use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine};
+use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, Link};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
 
 /// Jitter stream offset for helper actors: helper `j` draws its delays as
@@ -53,8 +57,16 @@ const HELPER_JITTER_BASE: u64 = 0x4000_0000;
 const COORDINATOR: ActorId = ActorId(0);
 
 // The peer actor is what a 10⁵-actor mesh is made of, and every byte of
-// it crosses the cache twice an epoch; the enum is the size of `PeerNode`.
-const _: () = assert!(std::mem::size_of::<NetActor>() <= 256);
+// it crosses the cache twice an epoch: the other roles are boxed, so the
+// enum is the size of `PeerNode`.
+const _: () = assert!(std::mem::size_of::<NetActor>() <= 64);
+
+/// The reactor hosting a (full or partitioned) mesh: [`NetActor`]s, and
+/// a [`PeerShard`] beside every mailbox shard that hosts peers.
+pub(crate) type MeshReactor = Reactor<NetActor, Option<Box<PeerShard>>>;
+
+/// What a mesh actor's handler reaches the reactor through.
+type MeshCtx<'a> = Ctx<'a, NetMsg, Option<Box<PeerShard>>>;
 
 /// Wire messages of the reactor mesh (one enum multiplexing every role).
 #[derive(Debug)]
@@ -166,49 +178,147 @@ pub struct ShardReport {
     pub estimate: f64,
 }
 
-/// The report one mailbox shard's peers fill in each epoch, shared like
-/// the shard's learner slab (a shard runs on one worker per round, so the
-/// mutex is uncontended). Peer `first + k` writes slot `k`.
+/// The peers of one mailbox shard — slot `k` is peer `first + k` — and
+/// how far their epoch has got.
 #[derive(Debug)]
-struct ReportColumns {
-    report: ShardReport,
-    /// Slots written this epoch.
+pub struct PeerShard {
+    /// A single-shard [`PeerStore::into_block`]: the reactor already
+    /// spreads its shards over the `rths_par` workers.
+    store: PeerStore,
+    /// Actor id of slot 0's peer.
+    first_actor: usize,
+    demand: Option<f64>,
+    track_estimate: bool,
+    /// The epoch `chosen` was sampled for.
+    chosen_epoch: Option<u64>,
+    /// The choose phase's columns: helper per slot (the report's), and
+    /// an unused side column (one channel: the action is the helper).
+    chosen: Vec<u32>,
+    aux: Vec<u32>,
+    /// Demand-capped rate per slot and whether it met the demand, as the
+    /// rates arrive; the rates the learners observed (the report's).
+    rates: Vec<f64>,
+    satisfied: Vec<bool>,
+    delivered: Vec<f64>,
+    /// Slots rated this epoch.
     filled: usize,
+    /// The (empty) load histogram and the phases' scratch.
+    loads: Vec<usize>,
+    scratch: Vec<ShardScratch>,
 }
 
-impl ReportColumns {
-    fn new(first: u64, len: usize) -> Self {
-        let (chosen, rates) = (vec![0; len], vec![0.0; len]);
+impl PeerShard {
+    /// Peers `first .. first + len`, the first of them actor
+    /// `first_actor`, built exactly as `rths_sim::System::new` builds
+    /// them (same learner spec, same per-peer RNG streams).
+    fn new(config: &NetConfig, first_actor: usize, first: u64, len: usize) -> Self {
+        let sim = &config.sim;
+        let helpers = [sim.helpers.len()];
+        let mut store =
+            PeerStore::new(sim.seed, sim.learner.clone(), sim.rate_scale(), &helpers)
+                .into_block(first);
+        store.set_shards(Some(1));
+        store.reserve(len);
+        for _ in 0..len {
+            store.spawn(0, 0);
+        }
         Self {
-            report: ShardReport { epoch: 0, first, chosen, rates, estimate: 0.0 },
+            store,
+            first_actor,
+            demand: sim.demand,
+            track_estimate: config.track_estimate,
+            chosen_epoch: None,
+            chosen: vec![0; len],
+            aux: vec![0; len],
+            rates: vec![0.0; len],
+            satisfied: vec![false; len],
+            delivered: vec![0.0; len],
             filled: 0,
+            loads: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
-    /// Writes `peer`'s epoch into its slot. Returns the shard's report
-    /// once every slot is written, and starts the next epoch's.
-    fn fill(
+    /// The slot and peer id of peer actor `actor`.
+    fn slot_of(&self, actor: ActorId) -> (usize, u64) {
+        let slot = actor.0 - self.first_actor;
+        (slot, self.store.id(slot))
+    }
+
+    /// The helper the peer in `slot` requests in `epoch`. The shard's
+    /// first `Tick` of an epoch samples every slot's learner.
+    fn helper_for(&mut self, slot: usize, epoch: u64, obs: &mut ObsScratch) -> usize {
+        if self.chosen_epoch != Some(epoch) {
+            self.choose(epoch, obs);
+        }
+        self.chosen[slot] as usize
+    }
+
+    /// The choose phase over every slot. Kept out of line: one `Tick` in
+    /// a shard's thousand runs it, and the others stay a few instructions.
+    #[inline(never)]
+    fn choose(&mut self, epoch: u64, obs: &mut ObsScratch) {
+        self.chosen_epoch = Some(epoch);
+        self.store.choose_phase(
+            &mut self.chosen,
+            &mut self.aux,
+            &mut self.loads,
+            0,
+            &mut self.scratch,
+            |_, _, _, _, _| {},
+        );
+        self.hand_obs_to(obs);
+    }
+
+    /// The peer in `slot` received `kbps` (shaped by its link) in
+    /// `epoch`; the rate that fills the last slot returns the report.
+    fn rated(
         &mut self,
+        slot: usize,
         epoch: u64,
-        peer: u64,
-        helper: u32,
-        rate: f64,
-        estimate: f64,
+        kbps: f64,
+        obs: &mut ObsScratch,
     ) -> Option<Box<ShardReport>> {
-        let r = &mut self.report;
-        let slot = (peer - r.first) as usize;
-        r.chosen[slot] = helper;
-        r.rates[slot] = rate;
-        r.estimate = r.estimate.max(estimate);
+        (self.rates[slot], self.satisfied[slot]) = cap_to_demand(kbps, self.demand);
         self.filled += 1;
-        if self.filled < r.chosen.len() {
+        if self.filled < self.chosen.len() {
             return None;
         }
+        Some(self.observe(epoch, obs))
+    }
+
+    /// The observe phase over every slot — bandit feedback, accounting,
+    /// the estimate — and the report. Out of line like `choose`.
+    #[inline(never)]
+    fn observe(&mut self, epoch: u64, obs: &mut ObsScratch) -> Box<ShardReport> {
         self.filled = 0;
-        r.epoch = epoch;
-        let full = Box::new(r.clone());
-        r.estimate = 0.0;
-        Some(full)
+        let (rates, satisfied) = (&self.rates, &self.satisfied);
+        let (estimate, _) = self.store.observe_phase(
+            &self.chosen,
+            &mut self.delivered,
+            &[],
+            &[],
+            &mut self.scratch,
+            self.track_estimate,
+            |slot, _, _| (rates[slot], satisfied[slot]),
+        );
+        self.hand_obs_to(obs);
+        Box::new(ShardReport {
+            epoch,
+            first: self.store.id(0),
+            chosen: self.chosen.clone(),
+            rates: self.delivered.clone(),
+            estimate,
+        })
+    }
+
+    /// Moves what the phase traced into the draining worker's scratch.
+    fn hand_obs_to(&mut self, worker: &mut ObsScratch) {
+        if obs::enabled() {
+            for shard in &mut self.scratch {
+                worker.take_from(&mut shard.obs);
+            }
+        }
     }
 }
 
@@ -229,7 +339,7 @@ pub struct CoordNode {
 }
 
 impl CoordNode {
-    fn start_epoch(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+    fn start_epoch(&mut self, ctx: &mut MeshCtx<'_>) {
         self.machine.begin_epoch();
         let epoch = self.machine.epoch();
         if obs::enabled() {
@@ -261,7 +371,7 @@ impl CoordNode {
         }
     }
 
-    fn maybe_finish_epoch(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+    fn maybe_finish_epoch(&mut self, ctx: &mut MeshCtx<'_>) {
         if !self.machine.epoch_complete() {
             return;
         }
@@ -301,7 +411,7 @@ pub struct HelperNode {
 }
 
 impl HelperNode {
-    fn settle(&mut self, epoch: u64, ctx: &mut Ctx<'_, NetMsg>) {
+    fn settle(&mut self, epoch: u64, ctx: &mut MeshCtx<'_>) {
         let HelperNode { machine, peer_base, data, .. } = self;
         let settlement = machine.on_settle(|peer, kbps, ()| {
             *data += 1;
@@ -320,41 +430,36 @@ impl HelperNode {
     }
 }
 
-/// A peer actor wrapping the shared [`PeerMachine`].
+/// A peer actor: protocol state only (its learner is a slot of its
+/// shard's [`PeerShard`]).
 #[derive(Debug)]
 pub struct PeerNode {
-    machine: PeerMachine,
-    /// The report columns of the peer's mailbox shard.
-    report: Arc<Mutex<ReportColumns>>,
+    /// The peer's end of its links (`None` on clean links).
+    link: Option<Box<Link>>,
     /// Actor id of helper 0, learned from the tracker at bootstrap.
     helper_base: Option<u32>,
-    /// Report the learner's internal regret estimate with the rate.
-    track_estimate: bool,
     control: u64,
 }
 
 /// Any actor of the mesh (the reactor hosts one concrete type).
-// Nearly every instance IS the largest variant (peers outnumber the other
-// roles thousands-to-one), so boxing `PeerNode` would buy no memory and
-// cost an indirection on the hot path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum NetActor {
     /// The epoch-driving coordinator (boxed: its metrics dwarf the
     /// per-peer state the enum is sized for).
     Coordinator(Box<CoordNode>),
-    /// The bootstrap directory.
-    Tracker(TrackerNode),
+    /// The bootstrap directory (boxed, like the helpers: one of it per
+    /// mesh, and the enum is sized for peers).
+    Tracker(Box<TrackerNode>),
     /// A helper node.
-    Helper(HelperNode),
+    Helper(Box<HelperNode>),
     /// A viewer peer.
     Peer(PeerNode),
 }
 
-impl Actor for NetActor {
+impl Actor<Option<Box<PeerShard>>> for NetActor {
     type Msg = NetMsg;
 
-    fn on_message(&mut self, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+    fn on_message(&mut self, msg: NetMsg, ctx: &mut MeshCtx<'_>) {
         match self {
             NetActor::Coordinator(node) => match msg {
                 NetMsg::Run { epochs } => {
@@ -429,30 +534,27 @@ impl Actor for NetActor {
                 }
                 NetMsg::Tick { epoch } => {
                     let base = node.helper_base.expect("peer ticked before bootstrap") as usize;
-                    let selection = node.machine.on_tick(epoch);
+                    let me = ctx.me();
+                    let (shard, obs) = ctx.shard();
+                    let shard = shard.as_mut().expect("a peer's shard hosts its block");
+                    let (slot, peer) = shard.slot_of(me);
+                    let helper = shard.helper_for(slot, epoch, obs);
+                    // A plan that affects no rate loses nothing.
+                    let lost = node
+                        .link
+                        .as_deref_mut()
+                        .is_some_and(|link| link.request(peer, helper, epoch));
                     node.control += 1;
-                    ctx.send(
-                        ActorId(base + selection.helper),
-                        NetMsg::Request {
-                            peer: node.machine.id(),
-                            epoch,
-                            lost: selection.lost,
-                        },
-                    );
+                    ctx.send(ActorId(base + helper), NetMsg::Request { peer, epoch, lost });
                 }
                 NetMsg::Rate { epoch, kbps } => {
-                    let rate = node.machine.on_rate(kbps);
-                    let peer = node.machine.peer();
-                    let estimate = if node.track_estimate { peer.max_regret() } else { 0.0 };
-                    let helper = peer.last_helper().expect("a peer is rated after it chose");
-                    let report = node.report.lock().expect("shard report mutex poisoned").fill(
-                        epoch,
-                        peer.id().0,
-                        helper as u32,
-                        rate,
-                        estimate,
-                    );
-                    if let Some(report) = report {
+                    let me = ctx.me();
+                    let (shard, obs) = ctx.shard();
+                    let shard = shard.as_mut().expect("a peer's shard hosts its block");
+                    let (slot, peer) = shard.slot_of(me);
+                    let kbps =
+                        node.link.as_deref_mut().map_or(kbps, |link| link.shape(peer, kbps));
+                    if let Some(report) = shard.rated(slot, epoch, kbps, obs) {
                         ctx.send(COORDINATOR, NetMsg::ShardReport(report));
                     }
                 }
@@ -468,7 +570,7 @@ impl Actor for NetActor {
 /// thread, sharded across at most `RTHS_THREADS` scoped `rths_par`
 /// workers.
 pub struct ReactorRuntime {
-    reactor: Reactor<NetActor>,
+    reactor: MeshReactor,
     coordinator: ActorId,
     helper_base: usize,
     num_helpers: usize,
@@ -496,13 +598,14 @@ pub(crate) fn mesh_total(config: &NetConfig) -> usize {
 /// reproducing the full-mesh construction exactly over that range: every
 /// caller runs the same master-RNG helper instantiation (RNG order is
 /// global state), then keeps only the actors it owns. `span` is the
-/// mailbox shard span, used to group slab learners so a slab never
-/// crosses a shard (hence never a partition) boundary.
+/// mailbox shard span: each shard's peers become one [`PeerShard`],
+/// installed as that shard's state. Partitions are span-aligned, so a
+/// block never crosses a partition boundary.
 ///
 /// The single-process runtime is the `base = 0, len = total` case; the
 /// multi-process workers call this with their partition range.
 pub(crate) fn populate_mesh(
-    reactor: &mut Reactor<NetActor>,
+    reactor: &mut MeshReactor,
     config: &NetConfig,
     span: usize,
     base: usize,
@@ -536,16 +639,16 @@ pub(crate) fn populate_mesh(
                 })));
             }
             1 => {
-                reactor.add_actor(NetActor::Tracker(TrackerNode {
+                reactor.add_actor(NetActor::Tracker(Box::new(TrackerNode {
                     helper_base,
                     num_helpers: h,
                     peer_base,
                     num_peers: n,
-                }));
+                })));
             }
             id => {
                 let index = id - helper_base;
-                reactor.add_actor(NetActor::Helper(HelperNode {
+                reactor.add_actor(NetActor::Helper(Box::new(HelperNode {
                     machine: HelperMachine::new(
                         helpers[index].take().expect("helper built once"),
                     ),
@@ -554,7 +657,7 @@ pub(crate) fn populate_mesh(
                     ticked_epoch: None,
                     control: 0,
                     data: 0,
-                }));
+                })));
             }
         }
     }
@@ -562,42 +665,27 @@ pub(crate) fn populate_mesh(
     // Owned peer index range (peer 0 is actor `peer_base`).
     let p_start = base.saturating_sub(peer_base);
     let p_end = end.saturating_sub(peer_base).min(n);
-    if p_start >= p_end {
-        return;
-    }
-    // Instead of 10⁵ per-peer heap blocks, each mailbox shard's peers
-    // share one pre-sized `LearnerSlab` (column-major arena, lazily
-    // mapped zero pages — see `rths_core::slab`), in which every
-    // slab-hosted learner takes a slot; the other algorithms leave the
-    // reservation untouched. A shard is processed by exactly one worker
-    // per round, so the slab mutex is uncontended; learners replay the
-    // scalar oracle bit-for-bit, keeping the sim ↔ net equivalence intact.
-    // Beside the slab sit the shard's report columns, which its peers
-    // fill and ship to the coordinator as one block an epoch.
     let mut start = p_start;
     while start < p_end {
         // Peers sharing a mailbox shard: actor ids
         // `peer_base + start ..` up to the next shard edge.
         let shard_end = ((peer_base + start) / span + 1) * span;
-        let slab_end = p_end.min(shard_end - peer_base);
-        let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(h.max(1), slab_end - start)));
-        let report = Arc::new(Mutex::new(ReportColumns::new(start as u64, slab_end - start)));
-        for id in start..slab_end {
+        let block_end = p_end.min(shard_end - peer_base);
+        for _ in start..block_end {
             reactor.add_actor(NetActor::Peer(PeerNode {
-                machine: PeerMachine::from_config(
-                    sim,
-                    id as u64,
-                    h,
-                    impairments.clone(),
-                    Some(&slab),
-                ),
-                report: Arc::clone(&report),
+                link: Link::under(impairments),
                 helper_base: None,
-                track_estimate: config.track_estimate,
                 control: 0,
             }));
         }
-        start = slab_end;
+        let first_actor = peer_base + start;
+        *reactor.shard_state_mut(ActorId(first_actor)) = Some(Box::new(PeerShard::new(
+            config,
+            first_actor,
+            start as u64,
+            block_end - start,
+        )));
+        start = block_end;
     }
 }
 
@@ -615,12 +703,19 @@ pub(crate) struct PartitionHarvest {
 
 /// Consumes a (full or partitioned) mesh reactor and extracts its
 /// contribution to the outcome.
-pub(crate) fn harvest_partition(reactor: Reactor<NetActor>) -> PartitionHarvest {
+pub(crate) fn harvest_partition(reactor: MeshReactor) -> PartitionHarvest {
     let mut harvest = PartitionHarvest {
         coordinator: None,
         messages: MessageTotals::default(),
         peers: Vec::new(),
     };
+    // Shards in order, slots in order: ascending peer id.
+    for shard in reactor.shard_states().flatten() {
+        let store = &shard.store;
+        harvest.peers.extend(
+            (0..store.len()).map(|slot| (store.mean_rate(slot), store.continuity(slot))),
+        );
+    }
     for actor in reactor.into_actors() {
         match actor {
             NetActor::Coordinator(node) => {
@@ -632,11 +727,7 @@ pub(crate) fn harvest_partition(reactor: Reactor<NetActor>) -> PartitionHarvest 
                 harvest.messages.control += node.control;
                 harvest.messages.data += node.data;
             }
-            NetActor::Peer(node) => {
-                harvest.messages.control += node.control;
-                let peer = node.machine.into_peer();
-                harvest.peers.push((peer.mean_rate(), peer.continuity()));
-            }
+            NetActor::Peer(node) => harvest.messages.control += node.control,
         }
     }
     harvest
@@ -713,7 +804,8 @@ impl ReactorRuntime {
 
     /// Runs `epochs` epochs and returns the outcome, consuming the
     /// runtime. When tracing, the reactor's own rounds record the mailbox
-    /// spans and message counters.
+    /// spans and message counters, and the shards' learner passes their
+    /// choose, decay and observe spans.
     pub fn run(mut self, epochs: u64) -> NetOutcome {
         let _trace_guard = self.trace.then(|| obs::scoped_enable(true));
         if obs::enabled() {
@@ -728,7 +820,6 @@ impl ReactorRuntime {
 mod tests {
     use super::*;
     use crate::runtime::NetConfig;
-    use rths_core::Learner;
     use rths_sim::{BandwidthSpec, Scenario, SimConfig};
 
     #[test]
@@ -865,17 +956,19 @@ mod tests {
                         }
                         // Every peer's strategy is a distribution with the
                         // exploration floor δ/m (see `update_probabilities`).
-                        for actor in rt.reactor.actors() {
-                            let NetActor::Peer(node) = actor else { continue };
-                            let row = node.machine.peer().learner().probabilities();
-                            let m = row.len() as f64;
-                            let sum: f64 = row.iter().sum();
-                            assert!(
-                                (sum - 1.0).abs() <= m * f64::EPSILON,
-                                "{at}: row sums to {sum}"
-                            );
-                            let floor = delta / m - 1e-12;
-                            assert!(row.iter().all(|&p| p >= floor), "{at}: {row:?} < δ/m");
+                        for shard in rt.reactor.shard_states().flatten() {
+                            for slot in 0..shard.store.len() {
+                                let learner = shard.store.learner(slot);
+                                let row = learner.probabilities();
+                                let m = row.len() as f64;
+                                let sum: f64 = row.iter().sum();
+                                assert!(
+                                    (sum - 1.0).abs() <= m * f64::EPSILON,
+                                    "{at}: row sums to {sum}"
+                                );
+                                let floor = delta / m - 1e-12;
+                                assert!(row.iter().all(|&p| p >= floor), "{at}: {row:?} < δ/m");
+                            }
                         }
                     }
                 }

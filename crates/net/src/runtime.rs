@@ -46,12 +46,9 @@ pub struct NetConfig {
     /// row maxima and diagonal (`2m` more scalars per peer; see
     /// `rths_core::slab`), and deriving one is then a read of two `O(m)`
     /// slot-addressed rows per peer per epoch that touches no T line —
-    /// the same trade the simulator's `track_estimate` flag controls. Off, neither
-    /// is paid, and nothing reads a learner between its observe and the
-    /// next epoch's select, so a shard's observes run in batches whose
-    /// cache misses overlap (the slab's observe queue); on, the estimate
-    /// read that follows each observe runs it at once, alone. The
-    /// throughput baselines run with it off. **Default: on.**
+    /// the same trade the simulator's `track_estimate` flag controls (it
+    /// is the same flag of the same observe phase). Off, neither is paid.
+    /// The throughput baselines run with it off. **Default: on.**
     pub track_estimate: bool,
     /// Enables `rths_obs` tracing for the duration of the run (the
     /// reactor's round spans tagged with the epoch in flight,

@@ -47,8 +47,8 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
     // helper that drops its payload, the other observes an explicit 0.0.
     // Their learner states must end bit-identical.
     let sim = Scenario::paper_small().seed(31).build();
-    let mut dropped = PeerMachine::from_config(&sim, 4, 2, uniform_loss(1.0, 1), None);
-    let mut explicit = PeerMachine::from_config(&sim, 4, 2, ImpairmentPlan::none(), None);
+    let mut dropped = PeerMachine::from_config(&sim, 4, 2, uniform_loss(1.0, 1));
+    let mut explicit = PeerMachine::from_config(&sim, 4, 2, ImpairmentPlan::none());
     let mut helper: HelperMachine<()> = HelperMachine::new(Helper::with_seed(
         HelperId(0),
         Box::new(ConstantBandwidth::new(800.0)),

@@ -1,9 +1,6 @@
 //! Property-based tests for the decentralized runtime.
 
-use std::sync::{Arc, Mutex};
-
 use proptest::prelude::*;
-use rths_core::LearnerSlab;
 use rths_net::machines::{
     instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine, Settlement,
 };
@@ -152,9 +149,8 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
     // The arrival position rides along as the request's attachment.
     let mut helpers: Vec<HelperMachine<usize>> =
         helpers.into_iter().map(HelperMachine::new).collect();
-    let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(h, n)));
     let mut peers: Vec<PeerMachine> = (0..n as u64)
-        .map(|id| PeerMachine::from_config(sim, id, h, sim.impairment.clone(), Some(&slab)))
+        .map(|id| PeerMachine::from_config(sim, id, h, sim.impairment.clone()))
         .collect();
     let mut coord = CoordinatorMachine::new(sim, helper_min_total);
     let block = schedule.map_or(n, |s| 1 + (s % 5) as usize);

@@ -148,6 +148,20 @@ impl ObsScratch {
         }
     }
 
+    /// Moves everything `other` recorded into this scratch (counters
+    /// summed, gauges maxed, spans appended in order) and clears `other`:
+    /// how a phase that keeps scratches of its own hands them to the
+    /// worker it ran on.
+    pub fn take_from(&mut self, other: &mut ObsScratch) {
+        for (total, part) in self.counts.iter_mut().zip(&mut other.counts) {
+            *total += std::mem::take(part);
+        }
+        for (mark, part) in self.gauges.iter_mut().zip(&mut other.gauges) {
+            *mark = (*mark).max(std::mem::take(part));
+        }
+        self.spans.raw.append(&mut other.spans.raw);
+    }
+
     /// Whether nothing has been recorded since the last absorb.
     pub fn is_empty(&self) -> bool {
         self.counts.iter().all(|&v| v == 0)
@@ -190,5 +204,23 @@ mod tests {
         assert!(!s.is_empty());
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn take_from_moves_everything_and_empties_the_source() {
+        let mut worker = ObsScratch::new();
+        worker.add(Counter::MessagesDelivered, 2);
+        worker.raise(Gauge::SlabRowsHwm, 9);
+        worker.spans.record(crate::Phase::MailboxDrain, crate::SpanStart::now());
+        let mut phase = ObsScratch::new();
+        phase.add(Counter::MessagesDelivered, 5);
+        phase.raise(Gauge::SlabRowsHwm, 4);
+        phase.spans.record(crate::Phase::Choose, crate::SpanStart::now());
+        worker.take_from(&mut phase);
+        assert!(phase.is_empty());
+        assert_eq!(worker.counts[Counter::MessagesDelivered.index()], 7);
+        assert_eq!(worker.gauges[Gauge::SlabRowsHwm.index()], 9);
+        let phases: Vec<_> = worker.spans.raw.iter().map(|s| s.phase).collect();
+        assert_eq!(phases, [crate::Phase::MailboxDrain, crate::Phase::Choose]);
     }
 }

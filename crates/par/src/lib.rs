@@ -245,8 +245,9 @@ where
 /// The sharded peer stores keep one flat column per field (ids, learner
 /// state, accounting); a parallel phase needs a disjoint contiguous range
 /// of **every** column per worker. Implementations exist for `&mut [T]`,
-/// tuples of implementors (nest tuples for wider bundles), and
-/// [`Strided`] for flat matrices with a fixed row stride.
+/// tuples of implementors (nest tuples for wider bundles), `Option`s of
+/// implementors, and [`Strided`] for flat matrices with a fixed row
+/// stride.
 pub trait ShardCols: Send + Sized {
     /// Splits the bundle into items `..mid` and `mid..`.
     fn shard_split(self, mid: usize) -> (Self, Self);
@@ -261,6 +262,13 @@ impl<T: Send> ShardCols for &mut [T] {
 impl ShardCols for () {
     fn shard_split(self, _mid: usize) -> (Self, Self) {
         ((), ())
+    }
+}
+
+/// A bundle a phase may or may not carry (`None` splits into two `None`s).
+impl<T: ShardCols> ShardCols for Option<T> {
+    fn shard_split(self, mid: usize) -> (Self, Self) {
+        self.map(|cols| cols.shard_split(mid)).unzip()
     }
 }
 

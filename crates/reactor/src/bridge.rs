@@ -244,11 +244,12 @@ struct FenceState {
 ///
 /// Panics if `local` is not rank 0 of `map`, if a follower replies out
 /// of protocol, or if a message addresses an actor outside the mesh.
-pub fn drive<A: Actor, L: ControllerLink<A::Msg>>(
-    local: &mut Reactor<A>,
-    links: &mut [L],
-    map: &ShardMap,
-) {
+pub fn drive<A, S, L>(local: &mut Reactor<A, S>, links: &mut [L], map: &ShardMap)
+where
+    A: Actor<S>,
+    S: Default + Send,
+    L: ControllerLink<A::Msg>,
+{
     let ranks = map.ranks();
     assert_eq!(links.len() + 1, ranks, "one link per non-zero rank");
     assert_eq!(local.base(), map.start(0), "local reactor is not rank 0");
@@ -333,7 +334,12 @@ pub fn drive<A: Actor, L: ControllerLink<A::Msg>>(
 /// Runs one follower rank's step loop until [`Step::Shutdown`]. Fences
 /// the initial state first, so [`drive`] sees pre-staged work (normally
 /// none — injections happen on the controller).
-pub fn follow<A: Actor, L: FollowerLink<A::Msg>>(reactor: &mut Reactor<A>, link: &mut L) {
+pub fn follow<A, S, L>(reactor: &mut Reactor<A, S>, link: &mut L)
+where
+    A: Actor<S>,
+    S: Default + Send,
+    L: FollowerLink<A::Msg>,
+{
     link.send_reply(Reply::Fence {
         pending: reactor.pending(),
         next_deadline: reactor.next_deadline(),

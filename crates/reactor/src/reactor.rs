@@ -79,35 +79,52 @@ impl std::fmt::Display for ActorId {
 
 /// A poll-driven state machine hosted by a [`Reactor`].
 ///
-/// Actors never block and never share state: all interaction goes through
-/// messages. `Send` is required because the reactor may shard a round's
-/// processing across `rths_par` workers.
-pub trait Actor: Send {
+/// Actors never block and share no state with other shards: all
+/// interaction goes through messages. The actors of one mailbox shard may
+/// share one value `S` of *shard state*, which the reactor lends to
+/// whichever of them is handling a message ([`Ctx::shard`]); `S` is `()`
+/// unless the host installs one ([`Reactor::shard_state_mut`]). `Send` is
+/// required because the reactor may shard a round's processing across
+/// `rths_par` workers.
+pub trait Actor<S = ()>: Send {
     /// The message type this actor exchanges (one type per reactor; use an
     /// enum to multiplex roles).
     type Msg: Send;
 
     /// Handles one delivered message. Outgoing sends and timers go through
     /// `ctx` and take effect after the current round.
-    fn on_message(&mut self, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
+    fn on_message(&mut self, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg, S>);
 }
 
-/// Per-delivery handle an actor uses to send messages and schedule timers.
+/// Per-delivery handle an actor uses to send messages, schedule timers
+/// and reach its shard's state.
 ///
 /// Sends are buffered per shard (actors within a shard run sequentially
 /// in index order) and merged into destination mailboxes in sender-index
 /// order after the round — never delivered re-entrantly — so handling
 /// stays deterministic at any worker count.
 #[derive(Debug)]
-pub struct Ctx<'a, M> {
+pub struct Ctx<'a, M, S = ()> {
     now: u64,
     me: ActorId,
     actors: usize,
     sends: &'a mut Vec<(ActorId, M)>,
     timers: &'a mut Vec<(u64, ActorId, M)>,
+    state: &'a mut S,
+    obs: &'a mut ObsScratch,
 }
 
-impl<M> Ctx<'_, M> {
+impl<M, S> Ctx<'_, M, S> {
+    /// The state of the handling actor's mailbox shard, and the
+    /// observability scratch of the worker draining it. A shard is
+    /// drained by exactly one worker per round, one actor at a time, so
+    /// the borrow is exclusive by construction. Spans and counters
+    /// recorded into the scratch merge into the trace in worker order
+    /// after the round, as the drain's own do.
+    pub fn shard(&mut self) -> (&mut S, &mut ObsScratch) {
+        (self.state, self.obs)
+    }
+
     /// Current logical time (advances only via the timer wheel).
     pub fn now(&self) -> u64 {
         self.now
@@ -145,11 +162,13 @@ impl<M> Ctx<'_, M> {
 }
 
 /// One mailbox shard: a contiguous actor range, their shared message
-/// ring with per-actor cursors, and the shard's per-round outgoing
-/// buffers.
+/// ring with per-actor cursors, the shard's per-round outgoing buffers,
+/// and the state its actors share.
 #[derive(Debug)]
-struct MailShard<A: Actor> {
+struct MailShard<A: Actor<S>, S> {
     actors: Vec<A>,
+    /// Lent to the actor handling a message ([`Ctx::shard`]).
+    state: S,
     /// The shared message ring (power-of-two capacity; `None` = empty
     /// slot). `Option` costs nothing for niche-rich message enums and
     /// lets a drain move messages out without `unsafe`.
@@ -176,10 +195,11 @@ struct MailShard<A: Actor> {
     batch_hwm: usize,
 }
 
-impl<A: Actor> MailShard<A> {
+impl<A: Actor<S>, S: Default> MailShard<A, S> {
     fn new() -> Self {
         Self {
             actors: Vec::new(),
+            state: S::default(),
             ring: Vec::new(),
             tail: 0,
             live: 0,
@@ -267,13 +287,13 @@ impl ReactorStats {
     }
 }
 
-/// The event loop: owns every actor, the sharded mailbox rings, and the
-/// timer wheel.
+/// The event loop: owns every actor, the sharded mailbox rings (each
+/// with its shard state `S`), and the timer wheel.
 ///
 /// See the crate docs for the execution model and determinism contract.
 #[derive(Debug)]
-pub struct Reactor<A: Actor> {
-    shards: Vec<MailShard<A>>,
+pub struct Reactor<A: Actor<S>, S = ()> {
+    shards: Vec<MailShard<A, S>>,
     /// Actors per shard (power of two).
     span: usize,
     span_bits: u32,
@@ -306,13 +326,13 @@ pub struct Reactor<A: Actor> {
     stats: ReactorStats,
 }
 
-impl<A: Actor> Default for Reactor<A> {
+impl<A: Actor<S>, S: Default + Send> Default for Reactor<A, S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A: Actor> Reactor<A> {
+impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     /// Creates an empty reactor at logical time zero with the default
     /// [`SHARD_SPAN`].
     pub fn new() -> Self {
@@ -491,6 +511,21 @@ impl<A: Actor> Reactor<A> {
     /// Iterates actors in id order.
     pub fn actors(&self) -> impl Iterator<Item = &A> {
         self.shards.iter().flat_map(|s| s.actors.iter())
+    }
+
+    /// The state of the mailbox shard hosting `id` (e.g. to install it
+    /// once the shard's actors are added).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn shard_state_mut(&mut self, id: ActorId) -> &mut S {
+        &mut self.shards[(id.0 - self.base) >> self.span_bits].state
+    }
+
+    /// Iterates the shard states in shard (hence actor-id) order.
+    pub fn shard_states(&self) -> impl Iterator<Item = &S> {
+        self.shards.iter().map(|s| &s.state)
     }
 
     /// Consumes the reactor, returning the actors in id order.
@@ -688,13 +723,14 @@ impl<A: Actor> Reactor<A> {
             workers,
             &mut self.shards[..],
             &mut self.round_scratch[..],
-            |range, chunk: &mut [MailShard<A>], scratch: &mut ObsScratch| {
+            |range, chunk: &mut [MailShard<A, S>], obs: &mut ObsScratch| {
                 let t_drain = obs::span_start();
                 let mut drained = 0u64;
                 for (k, shard) in chunk.iter_mut().enumerate() {
                     let base = part_base + ((range.start + k) << span_bits);
                     let MailShard {
                         actors: hosted,
+                        state,
                         ring,
                         live,
                         heads,
@@ -715,8 +751,8 @@ impl<A: Actor> Reactor<A> {
                         cursors[local] = 0;
                         *live -= len;
                         drained += len as u64;
-                        let mut ctx =
-                            Ctx { now, me: ActorId(base + local), actors, sends, timers };
+                        let me = ActorId(base + local);
+                        let mut ctx = Ctx { now, me, actors, sends, timers, state, obs };
                         for k2 in 0..len {
                             let msg = ring[(head + k2) & mask]
                                 .take()
@@ -726,8 +762,8 @@ impl<A: Actor> Reactor<A> {
                     }
                 }
                 if let Some(t) = t_drain {
-                    scratch.spans.record(Phase::MailboxDrain, t);
-                    scratch.add(Counter::MessagesDelivered, drained);
+                    obs.spans.record(Phase::MailboxDrain, t);
+                    obs.add(Counter::MessagesDelivered, drained);
                 }
             },
         );
@@ -1129,6 +1165,52 @@ mod tests {
             .map(|i| (10 + i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
             .collect();
         assert_eq!(reactor.actor(ActorId(3)).log, expect);
+    }
+
+    /// The state a shard's actors share: every handler appends to its
+    /// shard's log, so each log holds exactly its own shard's deliveries,
+    /// in the order the shard handled them — the same at any worker count.
+    #[test]
+    fn shard_state_is_lent_to_the_shards_own_actors_in_order() {
+        type Log = Vec<(usize, u32)>;
+        struct Logger {
+            neighbour: ActorId,
+        }
+        impl Actor<Log> for Logger {
+            type Msg = u32;
+            fn on_message(&mut self, hops: u32, ctx: &mut Ctx<'_, u32, Log>) {
+                let me = ctx.me().0;
+                ctx.shard().0.push((me, hops));
+                if hops > 0 {
+                    ctx.send(self.neighbour, hops - 1);
+                }
+            }
+        }
+        let run = |threads: usize| {
+            with_threads(threads, || {
+                let mut reactor: Reactor<Logger, Log> = Reactor::with_shard_span(4);
+                for i in 0..30usize {
+                    reactor.add_actor(Logger { neighbour: ActorId((i * 7 + 3) % 30) });
+                }
+                reactor.shard_state_mut(ActorId(29)).push((usize::MAX, 0));
+                for i in (0..30).step_by(4) {
+                    reactor.inject(ActorId(i), 12);
+                }
+                reactor.run_until_idle();
+                reactor.shard_states().cloned().collect::<Vec<_>>()
+            })
+        };
+        let logs = run(1);
+        assert_eq!(logs.len(), 8);
+        assert_eq!(logs[7][0], (usize::MAX, 0), "installed state was replaced");
+        for (shard, log) in logs.iter().enumerate() {
+            let own = shard * 4..(shard + 1) * 4;
+            let handled = &log[usize::from(shard == 7)..];
+            assert!(handled.iter().all(|(me, _)| own.contains(me)), "shard {shard}: {log:?}");
+        }
+        assert_eq!(logs.iter().map(Vec::len).sum::<usize>(), 1 + 8 * 13);
+        assert_eq!(run(2), logs, "2 workers diverged");
+        assert_eq!(run(4), logs, "4 workers diverged");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rths_core::{
     ConfigError, Exp3Config, Exp3Learner, HistoryRths, Learner, RecencyMode, RthsConfig,
-    SharedSlab, SlabLearner,
+    SlabLearner,
 };
 use rths_stoch::bandwidth::{
     BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RandomWalkBandwidth,
@@ -360,10 +360,9 @@ impl LearnerSpec {
     /// Builds a live learner over `num_actions` actions, deriving `μ`
     /// from `rate_scale` — the typical per-peer received rate (fair
     /// share, possibly demand-capped) — when `mu` is unset. A
-    /// [slab-hosted](Algorithm::slab_hosted) learner takes a slot of
-    /// `slab` when one is given — it must be sized for `num_actions` —
-    /// and a one-slot slab of its own otherwise; the other algorithms
-    /// ignore it.
+    /// [slab-hosted](Algorithm::slab_hosted) learner gets a one-slot slab
+    /// of its own (a population shares one through
+    /// [`PeerStore`](crate::PeerStore)).
     ///
     /// # Errors
     ///
@@ -372,14 +371,12 @@ impl LearnerSpec {
         &self,
         num_actions: usize,
         rate_scale: f64,
-        slab: Option<&SharedSlab>,
     ) -> Result<AnyLearner, ConfigError> {
         let config = self.rths_config(num_actions, rate_scale)?;
         Ok(match self.algorithm {
-            Algorithm::Rths | Algorithm::RegretMatching => AnyLearner::SlabRths(match slab {
-                Some(slab) => SlabLearner::new(SharedSlab::clone(slab), config),
-                None => SlabLearner::standalone(config),
-            }),
+            Algorithm::Rths | Algorithm::RegretMatching => {
+                AnyLearner::SlabRths(SlabLearner::standalone(config))
+            }
             Algorithm::HistoryRths => AnyLearner::History(Box::new(HistoryRths::new(config))),
             Algorithm::Exp3 => AnyLearner::Exp3(Box::new(Exp3Learner::new(Exp3Config {
                 num_actions,
@@ -592,7 +589,7 @@ mod tests {
             Algorithm::Exp3,
         ] {
             let spec = LearnerSpec { algorithm: alg, ..LearnerSpec::default() };
-            let l = spec.instantiate(4, 800.0, None).unwrap();
+            let l = spec.instantiate(4, 800.0).unwrap();
             assert_eq!(l.num_actions(), 4);
             assert_eq!(matches!(l, AnyLearner::SlabRths(_)), alg.slab_hosted());
         }
@@ -601,7 +598,7 @@ mod tests {
     #[test]
     fn learner_spec_derives_mu() {
         let spec = LearnerSpec::default();
-        let l = spec.instantiate(2, 800.0, None).unwrap();
+        let l = spec.instantiate(2, 800.0).unwrap();
         if let AnyLearner::SlabRths(inner) = &l {
             assert_eq!(inner.config().mu(), 3200.0);
         } else {
@@ -619,7 +616,7 @@ mod tests {
         };
         let config = spec.rths_config(3, 100.0).unwrap();
         assert_eq!(config.recency(), RecencyMode::Uniform);
-        let mut learner = spec.instantiate(3, 100.0, None).unwrap();
+        let mut learner = spec.instantiate(3, 100.0).unwrap();
         let mut oracle = rths_core::RthsState::new(&config);
         let mut rng = seeded_rng(5);
         let mut replay = seeded_rng(5);

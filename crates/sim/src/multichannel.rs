@@ -280,7 +280,7 @@ impl HelperAllocator {
             .map(|(j, served)| {
                 let templates = split_templates(served.len());
                 let learner = spec
-                    .instantiate(templates.len(), mean_capacity, None)
+                    .instantiate(templates.len(), mean_capacity)
                     .expect("validated learner spec");
                 let rng = entity_rng(seed, crate::helper::HELPER_STREAM_BASE / 2 + j as u64);
                 Self { learner, templates, rng, window: 100, current: 0, acc: 0.0, count: 0 }

@@ -3,9 +3,10 @@
 //! [`Peer`] is the standalone per-peer view: one struct owning its
 //! learner, RNG stream and accounting. The simulation engine holds its
 //! population in the sharded SoA [`crate::store::PeerStore`] instead;
-//! this type remains the unit the `rths_net` protocol machines host one
-//! actor at a time (`PeerMachine`), where a self-contained struct is the
-//! right shape.
+//! this type remains the unit `rths_net`'s `PeerMachine` wraps — one peer
+//! on its own, where a self-contained struct is the right shape (the
+//! benchmark's peer probes and the protocol tests drive peers that way;
+//! the reactor's mailbox shards drive a `PeerStore` block each).
 
 use rand::rngs::StdRng;
 
@@ -98,11 +99,6 @@ impl Peer {
         &self.learner
     }
 
-    /// Mutable learner access (used by churn handling).
-    pub fn learner_mut(&mut self) -> &mut AnyLearner {
-        &mut self.learner
-    }
-
     /// Samples this epoch's helper choice from the learner.
     pub fn choose_helper(&mut self) -> usize {
         let choice = self.learner.select_action(&mut self.rng);
@@ -114,12 +110,6 @@ impl Peer {
         }
         self.last_helper = Some(stored);
         choice
-    }
-
-    /// The helper chosen by the latest [`choose_helper`](Self::choose_helper)
-    /// (`None` before the first choice and after a channel switch).
-    pub fn last_helper(&self) -> Option<usize> {
-        self.last_helper.map(|h| h as usize)
     }
 
     /// Delivers this epoch's realized rate to the learner and updates the
@@ -179,7 +169,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn peer(seed: u64) -> Peer {
-        let learner = LearnerSpec::default().instantiate(3, 800.0, None).unwrap();
+        let learner = LearnerSpec::default().instantiate(3, 800.0).unwrap();
         Peer::new(PeerId(7), learner, StdRng::seed_from_u64(seed), 0, 5)
     }
 

@@ -14,6 +14,12 @@
 //! population is a handful of large allocations with unit-stride hot
 //! loops instead of a million scattered structs.
 //!
+//! The reactor backend (`rths_net`) drives its peers through the same
+//! two phases: each mailbox shard owns a block store of its peers
+//! ([`PeerStore::into_block`]: ids from the shard's first peer, no
+//! ledger — the coordinator records true regret for everybody), so the
+//! engines run one learner routine.
+//!
 //! # Sharding
 //!
 //! The per-peer phases of an epoch (choose a helper, observe the realized
@@ -143,18 +149,21 @@ pub struct ShardScratch {
     worst_estimate: f64,
     /// Shard-local maximum of the peers' empirical regrets.
     worst_empirical: f64,
-    /// Shard-affine observability scratch (spans + counter deltas),
-    /// absorbed into the global registry in shard-index order after the
-    /// join. Only touched when tracing is enabled, so the disabled path
-    /// stays byte-identical to the pre-observability store.
-    obs: ObsScratch,
+    /// Shard-affine observability scratch: the spans and counter deltas
+    /// a phase recorded for this shard, which the caller hands on after
+    /// the phase — [`absorb_obs`] on an orchestrating thread, or into the
+    /// scratch of the `rths_par` worker it runs on. Only touched when
+    /// tracing is enabled, so the disabled path stays byte-identical to
+    /// the pre-observability store.
+    pub obs: ObsScratch,
 }
 
-/// Reduces the first `shards` scratches' spans and counter deltas into the
-/// global registry, in shard order (worker 0 is the orchestrating thread).
-fn absorb_shard_obs(scratch: &mut [ShardScratch], shards: usize) {
+/// Reduces every shard scratch's spans and counter deltas into the global
+/// registry, in shard order (worker 0 is the orchestrating thread): what
+/// an orchestrating caller does after each phase.
+pub fn absorb_obs(scratch: &mut [ShardScratch]) {
     let epoch = obs::current_epoch();
-    for (i, s) in scratch.iter_mut().enumerate().take(shards) {
+    for (i, s) in scratch.iter_mut().enumerate() {
         obs::absorb_scratch(i as u32 + 1, epoch, &mut s.obs);
     }
 }
@@ -175,8 +184,10 @@ pub struct PeerStore {
     /// Stretch-folded true-regret accounting (slot-aligned columns plus
     /// the global per-channel join-rate prefix and snapshot ring) — see
     /// [`crate::regret`] for the invariant. Replaces the historical
-    /// dense `O(n·m²)` per-peer regret matrices.
-    regret: RegretLedger,
+    /// dense `O(n·m²)` per-peer regret matrices. `None` in a block store
+    /// ([`into_block`](Self::into_block)), whose population's regret is
+    /// recorded by whoever sees every helper's report.
+    regret: Option<RegretLedger>,
     /// Fixed shard count for tests/benches; `None` derives it from
     /// [`rths_par::threads`] per phase.
     shard_override: Option<usize>,
@@ -234,7 +245,7 @@ impl PeerStore {
             rate_scale,
             actions,
             configs,
-            regret: RegretLedger::new(actions_per_channel),
+            regret: Some(RegretLedger::new(actions_per_channel)),
             shard_override: None,
             next_id: 0,
             learners,
@@ -250,6 +261,24 @@ impl PeerStore {
             last_helper: Vec::new(),
             switches: Vec::new(),
         }
+    }
+
+    /// Makes this empty store the block of a population whose ids start
+    /// at `first_id` — so the peer spawned `k`-th gets id `first_id + k`
+    /// and the RNG stream the whole population's store would give it —
+    /// and whose true regret is recorded elsewhere: the store drops its
+    /// ledger, and [`observe_phase`](Self::observe_phase) then ignores its
+    /// join rates. The reactor backend gives each mailbox shard's peers
+    /// one; its coordinator records regret for everybody.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store already holds peers.
+    pub fn into_block(mut self, first_id: u64) -> Self {
+        assert!(self.is_empty(), "only an empty store becomes a block");
+        self.regret = None;
+        self.next_id = first_id;
+        self
     }
 
     /// Pre-creates zeroed backing storage for `additional` more peers.
@@ -293,16 +322,6 @@ impl PeerStore {
         self.shard_override = shards;
     }
 
-    /// Learner action count on `channel`.
-    pub fn actions_on(&self, channel: usize) -> usize {
-        self.actions[channel] as usize
-    }
-
-    /// The shared learner config of `channel`.
-    pub fn config_of(&self, channel: usize) -> &RthsConfig {
-        &self.configs[channel]
-    }
-
     /// Spawns a peer on `channel` at `epoch`, returning its stable id.
     /// The peer's RNG stream is derived from `(seed, id)`, so it is
     /// independent of slot position and churn history.
@@ -317,7 +336,7 @@ impl PeerStore {
             }
             Learners::PerPeer(learners) => learners.push(
                 self.spec
-                    .instantiate(m, self.rate_scale, None)
+                    .instantiate(m, self.rate_scale)
                     .expect("learner spec validated by construction"),
             ),
         }
@@ -331,7 +350,9 @@ impl PeerStore {
         self.satisfied_epochs.push(0);
         self.last_helper.push(NO_HELPER);
         self.switches.push(0);
-        self.regret.add_peer();
+        if let Some(regret) = &mut self.regret {
+            regret.add_peer();
+        }
         id
     }
 
@@ -402,7 +423,9 @@ impl PeerStore {
         // The ledger compacts its own columns (open stretches fold into
         // nothing for departed peers and stay valid for survivors — the
         // ledger's global prefix/ring state is slot-independent).
-        self.regret.remove_slots(slots);
+        if let Some(regret) = &mut self.regret {
+            regret.remove_slots(slots);
+        }
     }
 
     /// Moves peer `slot` to `channel`, restarting its learner on the new
@@ -416,7 +439,9 @@ impl PeerStore {
         let new_m = self.actions[channel] as usize;
         // Fold the open stretch against the *old* channel's join-rate
         // prefix before the move — the stretch was accumulated there.
-        self.regret.migrate(slot, self.channels[slot] as usize);
+        if let Some(regret) = &mut self.regret {
+            regret.migrate(slot, self.channels[slot] as usize);
+        }
         self.channels[slot] = channel as u32;
         match &mut self.learners {
             Learners::Slab(slab) => slab.reset_actions(slot, new_m),
@@ -462,6 +487,9 @@ impl PeerStore {
     /// the shard-affine load histogram (and resolves the global helper
     /// index into `aux`). After the phase the
     /// per-shard histograms are summed into `loads` in shard order.
+    ///
+    /// When tracing, each shard's `Choose` span stays in its `scratch`
+    /// slot for the caller to hand on ([`ShardScratch::obs`]).
     pub fn choose_phase(
         &mut self,
         profile: &mut [u32],
@@ -515,9 +543,6 @@ impl PeerStore {
                 }
             },
         );
-        if obs::enabled() {
-            absorb_shard_obs(scratch, shards);
-        }
         loads.clear();
         loads.resize(loads_len, 0);
         for s in scratch.iter().take(shards) {
@@ -541,7 +566,10 @@ impl PeerStore {
     /// `O(1)` bound exceeds the shard's running max
     /// ([`regret::record_max`]) — same bits as reading every row; when
     /// tracing, the shard counts the rows it read
-    /// (`Counter::RegretExactReads`).
+    /// (`Counter::RegretExactReads`). A block store
+    /// ([`into_block`](Self::into_block)) has no ledger: it ignores
+    /// `join_offsets` and `join_rates` and returns `0.0` as the empirical
+    /// maximum.
     ///
     /// `track_estimate` controls the first element; callers that do not
     /// record the series (multi-channel deployments) pass `false` and
@@ -561,7 +589,8 @@ impl PeerStore {
     /// the same order as without it, so no result depends on it; a slab
     /// whose learners span at most 8 actions skips it. When tracing, the
     /// shard also counts the packed T columns its observes opened
-    /// (`Counter::SlabColumnsOpened`).
+    /// (`Counter::SlabColumnsOpened`); its spans and counters stay in its
+    /// `scratch` slot for the caller to hand on, as in the choose phase.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
@@ -613,12 +642,18 @@ impl PeerStore {
         // per-peer record is O(1) amortized (an O(m) row write only when
         // a stretch closes — arm switch or window fold).
         let tracing = obs::enabled();
-        let t_fold = obs::span_start();
-        regret.advance_epoch(join_offsets, join_rates);
-        if let Some(t) = t_fold {
-            obs::span_end(Phase::RegretFold, obs::current_epoch(), t);
-        }
-        let (ledger_cols, ledger_ctx) = regret.split();
+        let (ledger_cols, ledger_ctx) = match regret {
+            Some(regret) => {
+                let t_fold = obs::span_start();
+                regret.advance_epoch(join_offsets, join_rates);
+                if let Some(t) = t_fold {
+                    obs::span_end(Phase::RegretFold, obs::current_epoch(), t);
+                }
+                let (cols, ctx) = regret.split();
+                (Some(cols), Some(ctx))
+            }
+            None => (None, None),
+        };
         par_sharded(
             n,
             shards,
@@ -675,16 +710,18 @@ impl PeerStore {
                     // channel migration — the historical semantics),
                     // folded into the shard's running max; the row is
                     // read only when the peer's bound exceeds it.
-                    reads += u64::from(regret::record_max(
-                        &mut ledger,
-                        &ledger_ctx,
-                        i,
-                        channel as usize,
-                        profile[abs] as usize,
-                        rate,
-                        &mut folds,
-                        &mut s.worst_empirical,
-                    ));
+                    if let (Some(ledger), Some(ledger_ctx)) = (&mut ledger, &ledger_ctx) {
+                        reads += u64::from(regret::record_max(
+                            ledger,
+                            ledger_ctx,
+                            i,
+                            channel as usize,
+                            profile[abs] as usize,
+                            rate,
+                            &mut folds,
+                            &mut s.worst_empirical,
+                        ));
+                    }
                     // Shard-affine metric fold (non-negative maxima).
                     if track_estimate {
                         let estimate = match &mut learners {
@@ -707,14 +744,11 @@ impl PeerStore {
                 }
             },
         );
-        if tracing {
-            absorb_shard_obs(scratch, shards);
-            if let Learners::Slab(slab) = &self.learners {
-                let reuses = slab.free_list_reuses();
-                obs::counter_add(Counter::FreeListReuse, reuses - self.reuses_reported);
-                self.reuses_reported = reuses;
-                obs::gauge_max(Gauge::SlabRowsHwm, n as u64);
-            }
+        if let (true, Learners::Slab(slab)) = (tracing, &self.learners) {
+            let reuses = slab.free_list_reuses();
+            scratch[0].obs.add(Counter::FreeListReuse, reuses - self.reuses_reported);
+            self.reuses_reported = reuses;
+            scratch[0].obs.raise(Gauge::SlabRowsHwm, n as u64);
         }
         let mut worst_estimate = 0.0f64;
         let mut worst_empirical = 0.0f64;
@@ -784,14 +818,28 @@ impl PeerStore {
     }
 
     /// Time-averaged worst true regret of the peer in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block store ([`into_block`](Self::into_block)), which
+    /// records none.
     pub fn empirical_regret(&self, slot: usize) -> f64 {
-        self.regret.peer_max(slot, self.channels[slot] as usize)
+        self.ledger().peer_max(slot, self.channels[slot] as usize)
     }
 
     /// Recorded regret epochs of the peer in `slot` (the time-average
     /// divisor; resets when the action-set arity changes).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block store ([`into_block`](Self::into_block)), which
+    /// records none.
     pub fn regret_stages(&self, slot: usize) -> u64 {
-        self.regret.stages(slot)
+        self.ledger().stages(slot)
+    }
+
+    fn ledger(&self) -> &RegretLedger {
+        self.regret.as_ref().expect("a block store records no regret")
     }
 
     /// The learner of the peer in `slot`.
@@ -805,6 +853,8 @@ impl PeerStore {
 mod tests {
     use super::*;
     use crate::config::{Algorithm, LearnerSpec};
+    use crate::regret::{DenseRegret, SNAPSHOT_SLOTS};
+    use rths_stoch::rng::derive_seed;
 
     fn store(channels: &[usize]) -> PeerStore {
         PeerStore::new(7, LearnerSpec::default(), 400.0, channels)
@@ -911,6 +961,102 @@ mod tests {
         step(&mut s, &[0.0, 0.0, 0.0, 0.0, 900.0, 500.0, 100.0, 50.0]);
         // One fresh stage on the new 4-action row.
         assert_eq!(s.regret_stages(0), 1, "arity change must restart the stage clock");
+    }
+
+    /// The production record against the dense oracle, under churn and at
+    /// K > 1: on three channels of arities {3, 5, 8}, for more than
+    /// `2·SNAPSHOT_SLOTS` epochs, at 1 and 2 shards, the observe phase's
+    /// `worst_empirical` must be every epoch, `to_bits`, the largest
+    /// `DenseRegret::record` over the population, and every peer's
+    /// `empirical_regret` its `peer_max` — after the epoch and again
+    /// after the departures (`remove_slots`), arrivals (`spawn`) and
+    /// channel migrations (`set_channel`) between epochs. Rates and join
+    /// rates are integral, where the stretch fold is exact.
+    #[test]
+    fn observed_regret_matches_dense_oracle_under_churn_across_channels() {
+        const ARITIES: [usize; 3] = [3, 5, 8];
+        const OFFSETS: [usize; 4] = [0, 3, 8, 16];
+        const EPOCHS: u64 = 2 * SNAPSHOT_SLOTS as u64 + 24;
+        for shards in [1, 2] {
+            let mut s = PeerStore::new(7, LearnerSpec::default(), 400.0, &ARITIES);
+            s.set_shards(Some(shards));
+            let mut dense = DenseRegret::new(&ARITIES);
+            for p in 0..30 {
+                s.spawn(p % 3, 0);
+                dense.add_peer();
+            }
+            let mut draw = {
+                let mut n = 0u64;
+                move |below: usize| {
+                    n += 1;
+                    (derive_seed(2014, n) % below as u64) as usize
+                }
+            };
+            let (mut profile, mut aux, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut loads, mut scratch) = (Vec::new(), Vec::new());
+            let check = |s: &PeerStore, dense: &DenseRegret, at: &str| {
+                for slot in 0..s.len() {
+                    assert_eq!(
+                        s.empirical_regret(slot).to_bits(),
+                        dense.peer_max(slot).to_bits(),
+                        "{shards} shards, {at}: slot {slot}"
+                    );
+                }
+            };
+            for epoch in 0..EPOCHS {
+                let n = s.len();
+                profile.resize(n, 0);
+                aux.resize(n, 0);
+                delivered.resize(n, 0.0);
+                s.choose_phase(
+                    &mut profile,
+                    &mut aux,
+                    &mut loads,
+                    0,
+                    &mut scratch,
+                    |_, _, _, _, _| {},
+                );
+                let join: Vec<f64> = (0..OFFSETS[3]).map(|_| draw(900) as f64).collect();
+                let rates: Vec<f64> = (0..n).map(|_| draw(800) as f64).collect();
+                let (_, worst) = s.observe_phase(
+                    &profile,
+                    &mut delivered,
+                    &OFFSETS,
+                    &join,
+                    &mut scratch,
+                    false,
+                    |slot, _, _| (rates[slot], true),
+                );
+                let want = (0..n).fold(0.0f64, |max, slot| {
+                    let (c, played) = (s.channel(slot), profile[slot] as usize);
+                    max.max(dense.record(slot, c, played, rates[slot], &join))
+                });
+                let at = format!("epoch {epoch}");
+                assert_eq!(worst.to_bits(), want.to_bits(), "{shards} shards, {at}");
+                check(&s, &dense, &at);
+                match epoch % 3 {
+                    0 => {
+                        let first = draw(n);
+                        let mut gone = [first as u32, ((first + 1 + draw(n - 1)) % n) as u32];
+                        s.remove_slots(&mut gone);
+                        dense.remove_slots(&gone);
+                    }
+                    1 => {
+                        for _ in 0..2 {
+                            s.spawn(draw(3), epoch);
+                            dense.add_peer();
+                        }
+                    }
+                    _ => {
+                        for _ in 0..2 {
+                            let slot = draw(n);
+                            s.set_channel(slot, (s.channel(slot) + 1 + draw(2)) % 3);
+                        }
+                    }
+                }
+                check(&s, &dense, &format!("after {at}'s moves"));
+            }
+        }
     }
 
     /// A miniature epoch loop driven straight against the store, its

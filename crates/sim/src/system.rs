@@ -32,7 +32,7 @@ use crate::helper::{Helper, HelperId};
 use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::metrics::SimMetrics;
 use crate::multichannel::{AllocationPolicy, HelperAllocator};
-use crate::store::{PeerStore, ShardScratch};
+use crate::store::{self, PeerStore, ShardScratch};
 
 /// Result of (so far) running a [`System`].
 #[derive(Debug, Clone)]
@@ -494,6 +494,7 @@ impl System {
             },
         );
         if let Some(t) = t {
+            store::absorb_obs(shards);
             obs::span_end(Phase::Choose, ep, t);
         }
 
@@ -617,6 +618,7 @@ impl System {
             )
         };
         if let Some(t) = t {
+            store::absorb_obs(shards);
             obs::span_end(Phase::Observe, ep, t);
         }
         if let Some(series) = &mut self.peer_rate_series {

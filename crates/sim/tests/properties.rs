@@ -180,7 +180,7 @@ proptest! {
         }
         let config = builder.build();
         prop_assert!(config.rate_scale() > 0.0);
-        let learner = LearnerSpec::default().instantiate(h, config.rate_scale(), None);
+        let learner = LearnerSpec::default().instantiate(h, config.rate_scale());
         prop_assert!(learner.is_ok());
     }
 }

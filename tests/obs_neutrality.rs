@@ -169,6 +169,14 @@ fn multichannel_system_is_bit_neutral_under_tracing() {
     }
 }
 
+/// Total wall time the report's spans of `phase` cover.
+fn phase_ns(report: &obs::TraceReport, phase: obs::Phase) -> u64 {
+    report.spans.iter().filter(|s| s.phase == phase).map(|s| s.dur_ns).sum()
+}
+
+/// The reactor under tracing: bit-neutral, and its mailbox shards'
+/// learner passes show up as `choose` and `slab_observe` time (recorded on
+/// the draining worker, inside its `mailbox_drain`).
 #[test]
 fn reactor_backend_is_bit_neutral_under_tracing() {
     for threads in [1usize, 2] {
@@ -178,9 +186,13 @@ fn reactor_backend_is_bit_neutral_under_tracing() {
             let plain = rths_net::run(config(), 40);
             // The `with_trace` config knob (rather than ambient enable)
             // exercises the runtime's own scoped guard.
-            let shadow = traced(&format!("reactor RTHS_THREADS={threads}"), || {
-                rths_net::run(config().with_trace(true), 40)
-            });
+            let shadow = rths_net::run(config().with_trace(true), 40);
+            let report = obs::take_report();
+            let at = format!("reactor RTHS_THREADS={threads}");
+            assert!(!report.spans.is_empty(), "{at}: traced run recorded no spans");
+            for phase in [obs::Phase::Choose, obs::Phase::SlabObserve] {
+                assert!(phase_ns(&report, phase) > 0, "{at}: no {} time", phase.name());
+            }
             assert_eq!(
                 bits(plain.metrics.welfare.values()),
                 bits(shadow.metrics.welfare.values()),
