@@ -29,7 +29,7 @@ where
 }
 
 /// Directory where CSV outputs land (override with `RTHS_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = std::env::var("RTHS_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
     let path = PathBuf::from(dir);
     fs::create_dir_all(&path).expect("can create results directory");
@@ -99,7 +99,7 @@ pub fn print_series(title: &str, header: (&str, &str), points: &[(usize, f64)]) 
 /// # Panics
 ///
 /// Panics on I/O errors (harness binaries should fail loudly).
-pub fn write_text(name: &str, text: &str) -> PathBuf {
+fn write_text(name: &str, text: &str) -> PathBuf {
     let path = results_dir().join(name);
     fs::write(&path, text).expect("can write results file");
     path
@@ -150,7 +150,7 @@ fn json_balanced(text: &str) -> Result<(), String> {
 /// # Errors
 ///
 /// Returns the first malformed line (or "empty trace").
-pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
+fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
     let mut lines = 0usize;
     for (i, line) in text.lines().enumerate() {
         if line.is_empty() {
@@ -181,7 +181,7 @@ pub fn validate_trace_jsonl(text: &str) -> Result<usize, String> {
 /// # Errors
 ///
 /// Returns a description of the first structural problem.
-pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
+fn validate_chrome_trace(text: &str) -> Result<usize, String> {
     let text = text.trim();
     if !text.starts_with('{') || !text.ends_with('}') {
         return Err("not a JSON object".to_string());

@@ -58,41 +58,6 @@ impl ConvergenceSeries {
         let start = self.values.len().saturating_sub(window.max(1));
         rths_math::stats::mean(&self.values[start..])
     }
-
-    /// First stage index at which the series falls to or below
-    /// `threshold` and stays there for `sustain` consecutive stages.
-    /// `None` if it never does.
-    pub fn convergence_stage(&self, threshold: f64, sustain: usize) -> Option<usize> {
-        let sustain = sustain.max(1);
-        let mut run = 0usize;
-        for (i, &v) in self.values.iter().enumerate() {
-            if v <= threshold {
-                run += 1;
-                if run >= sustain {
-                    return Some(i + 1 - sustain);
-                }
-            } else {
-                run = 0;
-            }
-        }
-        None
-    }
-
-    /// Downsamples to at most `max_points` by stride, preserving the last
-    /// point — keeps figure CSVs small.
-    pub fn downsample(&self, max_points: usize) -> Vec<(usize, f64)> {
-        if self.values.is_empty() || max_points == 0 {
-            return Vec::new();
-        }
-        let stride = self.values.len().div_ceil(max_points).max(1);
-        let mut out: Vec<(usize, f64)> =
-            self.values.iter().enumerate().step_by(stride).map(|(i, &v)| (i, v)).collect();
-        let last_idx = self.values.len() - 1;
-        if out.last().map(|&(i, _)| i) != Some(last_idx) {
-            out.push((last_idx, self.values[last_idx]));
-        }
-        out
-    }
 }
 
 impl Extend<f64> for ConvergenceSeries {
@@ -124,33 +89,5 @@ mod tests {
         assert_eq!(s.tail_mean(2), 3.0);
         assert_eq!(s.tail_mean(100), 6.5);
         assert_eq!(ConvergenceSeries::new("empty").tail_mean(5), 0.0);
-    }
-
-    #[test]
-    fn convergence_stage_requires_sustained_dip() {
-        let mut s = ConvergenceSeries::new("x");
-        s.extend([5.0, 0.5, 6.0, 0.4, 0.3, 0.2, 7.0]);
-        // Single-stage dip at index 1 does not count for sustain=2.
-        assert_eq!(s.convergence_stage(0.5, 2), Some(3));
-        assert_eq!(s.convergence_stage(0.5, 1), Some(1));
-        assert_eq!(s.convergence_stage(0.1, 1), None);
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints() {
-        let mut s = ConvergenceSeries::new("x");
-        s.extend((0..100).map(|i| i as f64));
-        let d = s.downsample(10);
-        assert!(d.len() <= 11);
-        assert_eq!(d[0], (0, 0.0));
-        assert_eq!(*d.last().unwrap(), (99, 99.0));
-        assert!(ConvergenceSeries::new("e").downsample(10).is_empty());
-    }
-
-    #[test]
-    fn downsample_handles_small_series() {
-        let mut s = ConvergenceSeries::new("x");
-        s.extend([1.0, 2.0]);
-        assert_eq!(s.downsample(10), vec![(0, 1.0), (1, 2.0)]);
     }
 }

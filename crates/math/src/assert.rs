@@ -7,24 +7,11 @@
 ///
 /// Two non-finite values compare equal only if they are identical
 /// (`inf == inf`, `-inf == -inf`); NaN never matches.
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     if a == b {
         return true;
     }
     (a - b).abs() <= tol
-}
-
-/// Returns `true` if `a` and `b` agree to relative tolerance `rel`
-/// (falling back to absolute comparison near zero).
-pub fn approx_eq_rel(a: f64, b: f64, rel: f64) -> bool {
-    if a == b {
-        return true;
-    }
-    let scale = a.abs().max(b.abs());
-    if scale < 1e-12 {
-        return (a - b).abs() <= rel;
-    }
-    (a - b).abs() <= rel * scale
 }
 
 /// Asserts element-wise approximate equality of two slices.
@@ -38,26 +25,6 @@ pub fn assert_slices_close(a: &[f64], b: &[f64], tol: f64) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert!(approx_eq(*x, *y, tol), "slices differ at index {i}: {x} vs {y} (tol {tol})");
     }
-}
-
-/// Asserts `a ≈ b` within absolute tolerance `tol`, with a diagnostic.
-///
-/// # Panics
-///
-/// Panics if the values differ by more than `tol`.
-#[macro_export]
-macro_rules! assert_close {
-    ($a:expr, $b:expr, $tol:expr) => {{
-        let (a, b, tol) = ($a, $b, $tol);
-        assert!(
-            $crate::assert::approx_eq(a, b, tol),
-            "assert_close failed: {} vs {} (tol {}, diff {})",
-            a,
-            b,
-            tol,
-            (a - b).abs()
-        );
-    }};
 }
 
 #[cfg(test)]
@@ -80,24 +47,6 @@ mod tests {
     fn tolerance_is_respected() {
         assert!(approx_eq(1.0, 1.05, 0.1));
         assert!(!approx_eq(1.0, 1.2, 0.1));
-    }
-
-    #[test]
-    fn relative_comparison_scales() {
-        assert!(approx_eq_rel(1000.0, 1001.0, 0.01));
-        assert!(!approx_eq_rel(1.0, 1.1, 0.01));
-        assert!(approx_eq_rel(0.0, 1e-13, 1e-9));
-    }
-
-    #[test]
-    fn macro_works_in_function_scope() {
-        assert_close!(2.0, 2.0 + 1e-12, 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "assert_close failed")]
-    fn macro_panics_on_mismatch() {
-        assert_close!(1.0, 2.0, 0.5);
     }
 
     #[test]

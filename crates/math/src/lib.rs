@@ -3,17 +3,16 @@
 //! This crate provides the small numeric toolbox shared by every other crate
 //! in the workspace:
 //!
-//! * [`Matrix`] — a dense, row-major `f64` matrix used for regret matrices
-//!   (`rths-core`), Markov transition kernels (`rths-stoch`), and simplex
-//!   tableaus (`rths-lp`).
-//! * [`stats`] — summary statistics, [Jain's fairness
-//!   index](stats::jain_index), and quantiles used by the evaluation
-//!   harness.
-//! * [`ewma`] — the exponentially recency-weighted averaging scheme that is
-//!   the mathematical heart of regret *tracking* (Sutton & Barto's
-//!   constant-step-size averaging, reference \[15\] in the paper).
-//! * [`assert`](mod@assert) — approximate floating-point comparison
-//!   helpers used across the workspace test suites.
+//! * [`kernels`] — the slice kernels (`scale`, `axpy`, running maxima) the
+//!   learner slab (`rths-core`) runs over its T-matrix columns.
+//! * [`Matrix`] — a dense, row-major `f64` matrix used for the scalar
+//!   learner oracle's regret matrices (`rths-core`), Markov transition
+//!   kernels (`rths-stoch`), and simplex tableaus (`rths-lp`).
+//! * [`vector`] — dot products and probability-vector helpers on slices.
+//! * [`stats`] — means, spread and [Jain's fairness
+//!   index](stats::jain_index) for the metrics and figures.
+//! * [`assert`](mod@assert) — an approximate slice comparison for the
+//!   workspace's test suites.
 //!
 //! # Example
 //!
@@ -22,18 +21,15 @@
 //!
 //! let mut m = Matrix::zeros(2, 2);
 //! m[(0, 1)] = 3.0;
-//! let t = m.transpose();
-//! assert_eq!(t[(1, 0)], 3.0);
+//! assert_eq!(m.row(0), &[0.0, 3.0]);
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod assert;
-pub mod ewma;
 pub mod kernels;
 pub mod matrix;
 pub mod stats;
 pub mod vector;
 
-pub use ewma::Ewma;
 pub use matrix::Matrix;

@@ -15,8 +15,8 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 /// ```
 /// use rths_math::Matrix;
 ///
-/// let identity = Matrix::identity(3);
-/// let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
+/// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// let identity = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
 /// assert_eq!(&m * &identity, m);
 /// ```
 #[derive(Clone, PartialEq)]
@@ -37,25 +37,6 @@ impl Matrix {
         Self { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Creates a `rows × cols` matrix filled with `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
-        Self { rows, cols, data: vec![value; rows * cols] }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Panics
@@ -73,29 +54,13 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// `(rows, cols)` pair.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
@@ -112,36 +77,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable borrow of row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies column `c` into a fresh vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "col index {c} out of bounds ({})", self.cols);
-        (0..self.rows).map(|r| self[(r, c)]).collect()
-    }
-
-    /// Flat row-major view of the underlying data.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Consumes the matrix, returning the flat row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Fills every entry with `value`.
@@ -161,27 +96,6 @@ impl Matrix {
         let mut out = self.clone();
         out.scale(factor);
         out
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        out
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "vector length must equal matrix cols");
-        (0..self.rows).map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum()).collect()
     }
 
     /// Row-vector–matrix product `v * self`.
@@ -206,54 +120,11 @@ impl Matrix {
         out
     }
 
-    /// Maximum entry; `NaN`s are ignored.
-    ///
-    /// Returns `f64::NEG_INFINITY` if all entries are NaN.
-    pub fn max(&self) -> f64 {
-        self.data.iter().copied().filter(|v| !v.is_nan()).fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Minimum entry; `NaN`s are ignored.
-    ///
-    /// Returns `f64::INFINITY` if all entries are NaN.
-    pub fn min(&self) -> f64 {
-        self.data.iter().copied().filter(|v| !v.is_nan()).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Frobenius norm (`sqrt(Σ a_ij²)`).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute difference between two matrices of equal shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Self) -> f64 {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-    }
-
     /// Applies `f` to every entry in place.
     pub fn map_inplace(&mut self, mut f: impl FnMut(f64) -> f64) {
         for v in &mut self.data {
             *v = f(*v);
         }
-    }
-
-    /// Returns `true` if every row sums to 1 (± `tol`) and all entries are
-    /// non-negative — i.e. the matrix is a valid stochastic (Markov) kernel.
-    pub fn is_row_stochastic(&self, tol: f64) -> bool {
-        (0..self.rows).all(|r| {
-            let row = self.row(r);
-            row.iter().all(|&v| v >= -tol) && (row.iter().sum::<f64>() - 1.0).abs() <= tol
-        })
     }
 }
 
@@ -356,7 +227,7 @@ mod tests {
     fn zeros_has_requested_shape() {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.shape(), (3, 4));
-        assert_eq!(m.sum(), 0.0);
+        assert!((0..3).all(|r| m.row(r) == [0.0; 4]));
     }
 
     #[test]
@@ -368,7 +239,7 @@ mod tests {
     #[test]
     fn identity_multiplication_is_noop() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::identity(2);
+        let i = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         assert_eq!(&m * &i, m);
         assert_eq!(&i * &m, m);
     }
@@ -379,31 +250,12 @@ mod tests {
         assert_eq!(m[(0, 2)], 3.0);
         assert_eq!(m[(1, 0)], 4.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 
     #[test]
     #[should_panic(expected = "inconsistent length")]
     fn ragged_rows_panic() {
         let _ = Matrix::from_rows(&[&[1.0, 2.0], &[3.0]]);
-    }
-
-    #[test]
-    fn transpose_swaps_indices() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let t = m.transpose();
-        assert_eq!(t.shape(), (3, 2));
-        for r in 0..2 {
-            for c in 0..3 {
-                assert_eq!(m[(r, c)], t[(c, r)]);
-            }
-        }
-    }
-
-    #[test]
-    fn mul_vec_matches_manual_computation() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(m.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]
@@ -429,7 +281,7 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 1.0], &[-1.0, 2.0]]);
         let sum = &a + &b;
         let back = &sum - &b;
-        assert!(back.max_abs_diff(&a) < 1e-15);
+        assert_eq!(back, a);
     }
 
     #[test]
@@ -438,33 +290,7 @@ mod tests {
         let mut b = a.clone();
         b.scale(2.0);
         assert_eq!(b, a.scaled(2.0));
-        assert_eq!(b.sum(), 20.0);
-    }
-
-    #[test]
-    fn min_max_ignore_nan() {
-        let mut m = Matrix::from_rows(&[&[1.0, f64::NAN], &[3.0, -2.0]]);
-        assert_eq!(m.max(), 3.0);
-        assert_eq!(m.min(), -2.0);
-        m.fill(f64::NAN);
-        assert_eq!(m.max(), f64::NEG_INFINITY);
-        assert_eq!(m.min(), f64::INFINITY);
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        let i = Matrix::identity(4);
-        assert!((i.frobenius_norm() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stochastic_check_accepts_kernel_and_rejects_non_kernel() {
-        let p = Matrix::from_rows(&[&[0.9, 0.1], &[0.3, 0.7]]);
-        assert!(p.is_row_stochastic(1e-12));
-        let q = Matrix::from_rows(&[&[0.9, 0.2], &[0.3, 0.7]]);
-        assert!(!q.is_row_stochastic(1e-12));
-        let neg = Matrix::from_rows(&[&[1.1, -0.1], &[0.3, 0.7]]);
-        assert!(!neg.is_row_stochastic(1e-12));
+        assert_eq!(b.row(1), &[6.0, 8.0]);
     }
 
     #[test]
@@ -478,12 +304,5 @@ mod tests {
     fn debug_format_is_nonempty() {
         let m = Matrix::zeros(1, 1);
         assert!(!format!("{m:?}").is_empty());
-    }
-
-    #[test]
-    fn into_vec_round_trip() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.clone().into_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 }

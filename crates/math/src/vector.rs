@@ -1,10 +1,8 @@
 //! Free functions on `&[f64]` slices.
 //!
 //! These are the vector operations used throughout the workspace where a
-//! full [`Matrix`](crate::Matrix) would be overkill: dot products,
-//! normalisation of probability vectors, and argmax/argmin with
-//! deterministic tie-breaking (lowest index wins), which matters for
-//! reproducible simulations.
+//! full [`Matrix`](crate::Matrix) would be overkill: dot products, and
+//! normalisation and checks of probability vectors.
 
 /// Dot product of two equal-length slices.
 ///
@@ -23,52 +21,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Sum of a slice.
-pub fn sum(v: &[f64]) -> f64 {
+pub(crate) fn sum(v: &[f64]) -> f64 {
     v.iter().sum()
-}
-
-/// Index of the maximum element, ties broken toward the lowest index.
-///
-/// Returns `None` for an empty slice or if every element is NaN.
-pub fn argmax(v: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &x) in v.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bx)) if bx >= x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the minimum element, ties broken toward the lowest index.
-///
-/// Returns `None` for an empty slice or if every element is NaN.
-pub fn argmin(v: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &x) in v.iter().enumerate() {
-        if x.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bx)) if bx <= x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// L1 norm (sum of absolute values).
-pub fn l1_norm(v: &[f64]) -> f64 {
-    v.iter().map(|x| x.abs()).sum()
-}
-
-/// L∞ norm (largest absolute value); 0 for an empty slice.
-pub fn linf_norm(v: &[f64]) -> f64 {
-    v.iter().map(|x| x.abs()).fold(0.0, f64::max)
 }
 
 /// Largest absolute element-wise difference between two slices.
@@ -111,22 +65,6 @@ pub fn is_distribution(v: &[f64], tol: f64) -> bool {
         && (sum(v) - 1.0).abs() <= tol
 }
 
-/// Projects `v` onto the probability simplex by clamping negatives to zero
-/// and renormalising. This is not the Euclidean projection; it is the cheap
-/// repair used after floating-point drift.
-///
-/// # Panics
-///
-/// Panics if `v` is empty.
-pub fn clamp_to_simplex(v: &mut [f64]) {
-    for x in v.iter_mut() {
-        if !x.is_finite() || *x < 0.0 {
-            *x = 0.0;
-        }
-    }
-    normalize(v);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,28 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_breaks_ties_low() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[f64::NAN, 2.0]), Some(1));
-        assert_eq!(argmax(&[f64::NAN]), None);
-    }
-
-    #[test]
-    fn argmin_breaks_ties_low() {
-        assert_eq!(argmin(&[4.0, 1.0, 1.0]), Some(1));
-        assert_eq!(argmin(&[]), None);
-    }
-
-    #[test]
-    fn norms_are_consistent() {
-        let v = [3.0, -4.0];
-        assert_eq!(l1_norm(&v), 7.0);
-        assert_eq!(linf_norm(&v), 4.0);
-        assert_eq!(linf_norm(&[]), 0.0);
-    }
-
-    #[test]
     fn normalize_produces_distribution() {
         let mut v = vec![2.0, 2.0, 4.0];
         normalize(&mut v);
@@ -177,16 +93,6 @@ mod tests {
         let mut v = vec![0.0, 0.0];
         normalize(&mut v);
         assert_eq!(v, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn clamp_to_simplex_fixes_negatives_and_nan() {
-        let mut v = vec![-0.1, f64::NAN, 0.3];
-        clamp_to_simplex(&mut v);
-        assert!(is_distribution(&v, 1e-12));
-        assert_eq!(v[0], 0.0);
-        assert_eq!(v[1], 0.0);
-        assert!((v[2] - 1.0).abs() < 1e-12);
     }
 
     #[test]

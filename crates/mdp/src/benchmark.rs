@@ -99,7 +99,7 @@ mod tests {
         // Fig. 2 configuration: N = 10 peers, H = 4 helpers.
         let mut rng = seeded_rng(1);
         let helpers: Vec<MarkovBandwidth> =
-            (0..4).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
+            (0..4).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
         let bench = MdpBenchmark::from_processes(&helpers, 10, None);
         assert_eq!(joint_states(&bench.levels), Some(81));
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(2);
@@ -112,7 +112,7 @@ mod tests {
     fn large_scale_falls_back_to_monte_carlo() {
         let mut rng = seeded_rng(3);
         let helpers: Vec<MarkovBandwidth> =
-            (0..12).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
+            (0..12).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
         let bench = MdpBenchmark::from_processes(&helpers, 60, None);
         assert!(joint_states(&bench.levels).unwrap() > EXACT_STATE_LIMIT);
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(4);
@@ -128,7 +128,7 @@ mod tests {
     fn sixty_four_helpers_take_the_monte_carlo_path() {
         let mut rng = seeded_rng(5);
         let helpers: Vec<MarkovBandwidth> =
-            (0..64).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
+            (0..64).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(6);
         let w = MdpBenchmark::from_processes(&helpers, 640, None).optimal_welfare(&mut rng2);
         // Covered & uncapped: 64 × 800 in expectation.
@@ -160,7 +160,7 @@ mod tests {
     fn capped_benchmark_bounded_by_total_demand() {
         let mut rng = seeded_rng(5);
         let helpers: Vec<MarkovBandwidth> =
-            (0..4).map(|_| MarkovBandwidth::paper_default(&mut rng)).collect();
+            (0..4).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
         let bench = MdpBenchmark::from_processes(&helpers, 6, Some(400.0));
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(6);
         let w = bench.optimal_welfare(&mut rng2);

@@ -54,7 +54,7 @@ impl Counter {
     ];
 
     /// Number of counters.
-    pub const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 8;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -94,7 +94,7 @@ impl Gauge {
         [Gauge::RingCapacityHwm, Gauge::RingOccupancyHwm, Gauge::SlabRowsHwm];
 
     /// Number of gauges.
-    pub const COUNT: usize = 3;
+    pub(crate) const COUNT: usize = 3;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -120,9 +120,9 @@ impl Gauge {
 #[derive(Debug, Default, Clone)]
 pub struct ObsScratch {
     /// Additive counter deltas since the last absorb.
-    pub counts: [u64; Counter::COUNT],
+    pub(crate) counts: [u64; Counter::COUNT],
     /// Gauge high-water candidates since the last absorb.
-    pub gauges: [u64; Gauge::COUNT],
+    pub(crate) gauges: [u64; Gauge::COUNT],
     /// Spans recorded by this worker since the last absorb.
     pub spans: SpanBuf,
 }
@@ -163,14 +163,14 @@ impl ObsScratch {
     }
 
     /// Whether nothing has been recorded since the last absorb.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counts.iter().all(|&v| v == 0)
             && self.gauges.iter().all(|&v| v == 0)
             && self.spans.is_empty()
     }
 
     /// Zeroes the scratch (spans included).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.counts = [0; Counter::COUNT];
         self.gauges = [0; Gauge::COUNT];
         self.spans.clear();

@@ -3,13 +3,13 @@
 //! Buckets are powers of two of nanoseconds: bucket `i` counts
 //! durations in `[2^i, 2^(i+1))` ns (bucket 0 additionally absorbs 0 ns;
 //! the last bucket saturates). The bucket layout is a compile-time
-//! constant, so merging two histograms is an element-wise sum —
-//! commutative and associative over `u64` counts, hence independent of
-//! merge order by construction.
+//! constant, so every export has the same shape, and a histogram's
+//! counts are sums over `u64`, which do not depend on the order the
+//! spans were recorded in.
 
 /// Number of log₂ buckets. Bucket 31 starts at `2^31` ns ≈ 2.1 s;
 /// anything longer saturates there.
-pub const HIST_BUCKETS: usize = 32;
+pub(crate) const HIST_BUCKETS: usize = 32;
 
 /// A fixed-bucket log₂(ns) histogram with exact count and sum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,21 +22,15 @@ pub struct Hist {
     sum_ns: u64,
 }
 
-impl Default for Hist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Hist {
     /// An empty histogram.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self { buckets: [0; HIST_BUCKETS], count: 0, sum_ns: 0 }
     }
 
     /// The bucket index a duration of `ns` nanoseconds falls into.
     #[inline]
-    pub fn bucket_of(ns: u64) -> usize {
+    fn bucket_of(ns: u64) -> usize {
         if ns == 0 {
             return 0;
         }
@@ -44,7 +38,7 @@ impl Hist {
     }
 
     /// Inclusive lower bound (ns) of bucket `i`.
-    pub fn bucket_floor_ns(i: usize) -> u64 {
+    fn bucket_floor_ns(i: usize) -> u64 {
         if i == 0 {
             0
         } else {
@@ -54,42 +48,27 @@ impl Hist {
 
     /// Records one duration.
     #[inline]
-    pub fn record_ns(&mut self, ns: u64) {
+    pub(crate) fn record_ns(&mut self, ns: u64) {
         self.buckets[Self::bucket_of(ns)] += 1;
         self.count += 1;
         self.sum_ns += ns;
     }
 
-    /// Element-wise merge of `other` into `self`. Order-independent:
-    /// `a.merge(b)` and `b.merge(a)` produce equal histograms.
-    pub fn merge(&mut self, other: &Hist) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-    }
-
     /// Total samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Exact sum of recorded durations, ns.
-    pub fn sum_ns(&self) -> u64 {
+    pub(crate) fn sum_ns(&self) -> u64 {
         self.sum_ns
-    }
-
-    /// The per-bucket counts.
-    pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
-        &self.buckets
     }
 
     /// Floor (ns) of the bucket containing the `q`-quantile sample
     /// (`q` in `[0, 1]`), or 0 when empty. Log-bucketed, so this is a
     /// lower bound with ≤ 2× resolution — enough to spot phase-time
     /// cliffs without storing samples.
-    pub fn quantile_floor_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_floor_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -119,25 +98,6 @@ mod tests {
         assert_eq!(Hist::bucket_of(1023), 9);
         assert_eq!(Hist::bucket_of(1024), 10);
         assert_eq!(Hist::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mut a = Hist::new();
-        let mut b = Hist::new();
-        for ns in [0u64, 5, 17, 900, 4096, 1 << 20] {
-            a.record_ns(ns);
-        }
-        for ns in [3u64, 3, 1 << 33, 250] {
-            b.record_ns(ns);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.count(), 10);
-        assert_eq!(ab.sum_ns(), a.sum_ns() + b.sum_ns());
     }
 
     #[test]

@@ -63,10 +63,10 @@ mod sink;
 mod span;
 
 pub use counters::{Counter, Gauge, ObsScratch};
-pub use hist::{Hist, HIST_BUCKETS};
+pub use hist::Hist;
 pub use phase::Phase;
 pub use sink::TraceReport;
-pub use span::{RawSpan, SpanBuf, SpanRecord, SpanStart};
+pub use span::{SpanBuf, SpanRecord, SpanStart};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -76,12 +76,12 @@ use std::time::Instant;
 // Registry
 // ---------------------------------------------------------------------------
 
-/// A span/counter/histogram collector. The workspace normally uses the
-/// process-global instance through the free functions ([`span_start`],
-/// [`counter_add`], [`take_report`], …); an owned `Registry` exists so
-/// the merge-determinism properties are unit-testable in isolation.
+/// A span/counter/histogram collector: the state behind the
+/// process-global instance the free functions ([`span_start`],
+/// [`counter_add`], [`take_report`], …) use. Owned instances make the
+/// merge-determinism properties unit-testable in isolation.
 #[derive(Debug)]
-pub struct Registry {
+struct Registry {
     name: String,
     origin: Option<Instant>,
     spans: Vec<SpanRecord>,
@@ -90,15 +90,9 @@ pub struct Registry {
     hists: Vec<Hist>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Registry {
     /// An empty registry (const, so it can back a `static`).
-    pub const fn new() -> Self {
+    const fn new() -> Self {
         Self {
             name: String::new(),
             origin: None,
@@ -111,7 +105,7 @@ impl Registry {
 
     /// Clears all recorded state, names the run, and pins the time
     /// origin to now.
-    pub fn begin(&mut self, name: &str) {
+    fn begin(&mut self, name: &str) {
         self.name.clear();
         self.name.push_str(name);
         self.origin = Some(Instant::now());
@@ -133,24 +127,19 @@ impl Registry {
     }
 
     /// Closes `start` as an orchestrator-thread (`worker` 0) span.
-    pub fn push_span(&mut self, phase: Phase, epoch: u64, start: SpanStart) {
-        self.push_span_as(phase, epoch, 0, start);
-    }
-
-    /// Closes `start` as a span attributed to `worker`.
-    pub fn push_span_as(&mut self, phase: Phase, epoch: u64, worker: u32, start: SpanStart) {
+    fn push_span(&mut self, phase: Phase, epoch: u64, start: SpanStart) {
         let dur_ns = u64::try_from(start.0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let origin = self.origin();
         let start_ns =
             u64::try_from(start.0.duration_since(origin).as_nanos()).unwrap_or(u64::MAX);
-        self.spans.push(SpanRecord { phase, epoch, worker, start_ns, dur_ns });
+        self.spans.push(SpanRecord { phase, epoch, worker: 0, start_ns, dur_ns });
         self.hist_mut(phase).record_ns(dur_ns);
     }
 
     /// Drains a worker-owned span buffer, tagging each span with
     /// `epoch` and worker index `worker`. Callers drain buffers in
     /// worker-index order — that order is the merged stream's order.
-    pub fn merge_buf(&mut self, worker: u32, epoch: u64, buf: &mut SpanBuf) {
+    fn merge_buf(&mut self, worker: u32, epoch: u64, buf: &mut SpanBuf) {
         let origin = self.origin();
         if self.hists.is_empty() {
             self.hists.resize(Phase::COUNT, Hist::new());
@@ -170,12 +159,12 @@ impl Registry {
     }
 
     /// Adds `v` to counter `c`.
-    pub fn counter_add(&mut self, c: Counter, v: u64) {
+    fn counter_add(&mut self, c: Counter, v: u64) {
         self.counters[c.index()] += v;
     }
 
     /// Raises gauge `g` to at least `v`.
-    pub fn gauge_max(&mut self, g: Gauge, v: u64) {
+    fn gauge_max(&mut self, g: Gauge, v: u64) {
         let slot = &mut self.gauges[g.index()];
         if v > *slot {
             *slot = v;
@@ -186,7 +175,7 @@ impl Registry {
     /// summed, gauges maxed, spans merged tagged with `worker` and
     /// `epoch`) and clears the scratch. Call once per shard after a
     /// join, in shard-index order.
-    pub fn absorb(&mut self, worker: u32, epoch: u64, scratch: &mut ObsScratch) {
+    fn absorb(&mut self, worker: u32, epoch: u64, scratch: &mut ObsScratch) {
         for (i, v) in scratch.counts.iter().enumerate() {
             self.counters[i] += v;
         }
@@ -204,7 +193,7 @@ impl Registry {
 
     /// Takes everything recorded so far as a [`TraceReport`], leaving
     /// the registry empty (origin and name reset too).
-    pub fn report(&mut self) -> TraceReport {
+    fn report(&mut self) -> TraceReport {
         let mut hists = std::mem::take(&mut self.hists);
         if hists.is_empty() {
             hists.resize(Phase::COUNT, Hist::new());
@@ -243,11 +232,11 @@ pub fn enabled() -> bool {
 }
 
 /// Sets the global enable flag, returning the prior value.
-pub fn set_enabled(on: bool) -> bool {
+fn set_enabled(on: bool) -> bool {
     ENABLED.swap(on, Ordering::Relaxed)
 }
 
-/// RAII restore for [`set_enabled`]: returned by [`scoped_enable`].
+/// RAII restore of the global enable flag: returned by [`scoped_enable`].
 #[derive(Debug)]
 pub struct EnabledGuard {
     prior: bool,
@@ -268,19 +257,14 @@ pub fn scoped_enable(on: bool) -> EnabledGuard {
     EnabledGuard { prior: set_enabled(on) }
 }
 
-/// Whether the `RTHS_TRACE` environment variable requests tracing:
-/// unset, empty, `0`, `off`, or `false` mean no; anything else yes.
-pub fn env_requested() -> bool {
-    match std::env::var("RTHS_TRACE") {
+/// Sets the global flag from the `RTHS_TRACE` environment variable and
+/// returns it: unset, empty, `0`, `off`, or `false` mean disabled;
+/// anything else enabled. Bins call this once at startup.
+pub fn init_from_env() -> bool {
+    let on = match std::env::var("RTHS_TRACE") {
         Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "" | "0" | "off" | "false"),
         Err(_) => false,
-    }
-}
-
-/// Applies [`env_requested`] to the global flag and returns the result.
-/// Bins call this once at startup.
-pub fn init_from_env() -> bool {
-    let on = env_requested();
+    };
     set_enabled(on);
     on
 }
@@ -340,14 +324,6 @@ pub fn counter_add(c: Counter, v: u64) {
 pub fn gauge_max(g: Gauge, v: u64) {
     if enabled() {
         registry().gauge_max(g, v);
-    }
-}
-
-/// Merges one worker's span buffer into the global registry. Call in
-/// worker-index order after a join.
-pub fn merge_worker(worker: u32, epoch: u64, buf: &mut SpanBuf) {
-    if !buf.is_empty() {
-        registry().merge_buf(worker, epoch, buf);
     }
 }
 
@@ -437,7 +413,7 @@ mod tests {
         let run = || {
             let mut reg = Registry::new();
             reg.begin("merge");
-            let mut bufs = [SpanBuf::new(), SpanBuf::new()];
+            let mut bufs = [SpanBuf::default(), SpanBuf::default()];
             for (w, buf) in bufs.iter_mut().enumerate() {
                 for phase in [Phase::SlabDecay, Phase::SlabObserve] {
                     let t = SpanStart::now();
@@ -468,7 +444,7 @@ mod tests {
     fn merge_feeds_histograms() {
         let mut reg = Registry::new();
         reg.begin("hist");
-        let mut buf = SpanBuf::new();
+        let mut buf = SpanBuf::default();
         buf.record(Phase::MailboxDrain, SpanStart::now());
         buf.record(Phase::MailboxDrain, SpanStart::now());
         reg.merge_buf(1, 0, &mut buf);

@@ -16,8 +16,7 @@ use crate::phase::Phase;
 use crate::span::SpanRecord;
 
 /// Everything one traced run recorded. Produced by
-/// [`take_report`](crate::take_report) (global registry) or
-/// [`Registry::report`](crate::Registry::report) (instance).
+/// [`take_report`](crate::take_report).
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Run label (scenario or bench name; file-name friendly).

@@ -23,7 +23,7 @@ impl SpanStart {
     /// Captures the current instant. Prefer
     /// [`span_start`](crate::span_start), which folds in the enabled
     /// check.
-    pub fn now() -> Self {
+    pub(crate) fn now() -> Self {
         SpanStart(Instant::now())
     }
 }
@@ -33,7 +33,7 @@ impl SpanStart {
 /// registry's origin at merge time, and the epoch/worker tags are
 /// applied then too — workers don't need to know either.
 #[derive(Debug, Clone, Copy)]
-pub struct RawSpan {
+pub(crate) struct RawSpan {
     /// The phase this span timed.
     pub phase: Phase,
     /// Phase entry instant.
@@ -60,21 +60,15 @@ pub struct SpanRecord {
 
 /// A worker-owned span buffer: plain owned memory, so recording is
 /// lock-free by construction. The orchestrator drains every worker's
-/// buffer after the join, in worker-index order, via
-/// [`merge_worker`](crate::merge_worker) (or as part of
-/// [`absorb_scratch`](crate::absorb_scratch)) — that fixed order is
-/// what makes the merged span sequence deterministic.
+/// buffer after the join, in worker-index order, as part of
+/// [`absorb_scratch`](crate::absorb_scratch) — that fixed order is what
+/// makes the merged span sequence deterministic.
 #[derive(Debug, Default, Clone)]
 pub struct SpanBuf {
     pub(crate) raw: Vec<RawSpan>,
 }
 
 impl SpanBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Closes `start` as a `phase` span into this buffer.
     #[inline]
     pub fn record(&mut self, phase: Phase, start: SpanStart) {
@@ -82,18 +76,13 @@ impl SpanBuf {
         self.raw.push(RawSpan { phase, start: start.0, dur_ns });
     }
 
-    /// Number of buffered spans.
-    pub fn len(&self) -> usize {
-        self.raw.len()
-    }
-
     /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.raw.is_empty()
     }
 
     /// Drops all buffered spans.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.raw.clear();
     }
 }

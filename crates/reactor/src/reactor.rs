@@ -497,17 +497,6 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
         &self.shards[local >> self.span_bits].actors[local & (self.span - 1)]
     }
 
-    /// Exclusive access to an actor (e.g. for out-of-band state changes
-    /// between runs; prefer messages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut A {
-        let local = id.0 - self.base;
-        &mut self.shards[local >> self.span_bits].actors[local & (self.span - 1)]
-    }
-
     /// Iterates actors in id order.
     pub fn actors(&self) -> impl Iterator<Item = &A> {
         self.shards.iter().flat_map(|s| s.actors.iter())
@@ -1084,9 +1073,9 @@ mod tests {
         // Same fan-in shape as `ring_grows_when_a_batch_exceeds_capacity`
         // but asserting the *stats* view: growth events and high-water
         // marks must be visible in `ReactorStats`.
+        // An injected value below 10 fans out one copy, any other eight.
         struct Fan {
             sink: ActorId,
-            copies: u32,
             log: Vec<u64>,
         }
         impl Actor for Fan {
@@ -1095,8 +1084,9 @@ mod tests {
                 if ctx.me() == self.sink {
                     self.log.push(v);
                 } else {
-                    for c in 0..self.copies {
-                        ctx.send(self.sink, v * 1000 + c as u64);
+                    let copies = if v < 10 { 1 } else { 8 };
+                    for c in 0..copies {
+                        ctx.send(self.sink, v * 1000 + c);
                     }
                 }
             }
@@ -1107,7 +1097,7 @@ mod tests {
         // second burst (8·8 = 64 > 8·1 rounded up to 8) must re-allocate
         // the sink shard's ring.
         for _ in 0..9usize {
-            reactor.add_actor(Fan { sink, copies: 1, log: Vec::new() });
+            reactor.add_actor(Fan { sink, log: Vec::new() });
         }
         for i in 1..9usize {
             reactor.inject(ActorId(i), i as u64);
@@ -1118,7 +1108,6 @@ mod tests {
         assert!(before.ring_capacity_hwm >= 8, "stats missed the ring capacity");
         assert_eq!(before.ring_occupancy_hwm, 8, "stats missed the 8-message batch");
         for i in 1..9usize {
-            reactor.actor_mut(ActorId(i)).copies = 8;
             reactor.inject(ActorId(i), 10 + i as u64);
         }
         reactor.run_until_idle();

@@ -64,7 +64,7 @@ impl<M> TimerWheel<M> {
     /// # Panics
     ///
     /// Panics if `buckets` is zero.
-    pub fn with_buckets(buckets: usize) -> Self {
+    fn with_buckets(buckets: usize) -> Self {
         assert!(buckets > 0, "timer wheel needs at least one bucket");
         Self { buckets: (0..buckets).map(|_| Vec::new()).collect(), pending: 0, seq: 0, now: 0 }
     }

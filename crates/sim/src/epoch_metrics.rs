@@ -6,7 +6,7 @@
 //! per-peer sums run in peer order, per-channel ones in channel order.
 
 use crate::metrics::SimMetrics;
-use crate::server::StreamingServer;
+use crate::server;
 
 /// One run's metric state. Per epoch a host calls
 /// [`allocation`](Self::allocation) before its regret record, then
@@ -29,7 +29,6 @@ pub struct EpochMetrics {
     helper_min: f64,
     /// This epoch's `Σ_i d_i`.
     total_demand: f64,
-    server: StreamingServer,
     series: SimMetrics,
 }
 
@@ -62,7 +61,6 @@ impl EpochMetrics {
             residuals: Vec::new(),
             helper_min,
             total_demand: 0.0,
-            server: StreamingServer::new(),
             series: SimMetrics::new(num_helpers),
         }
     }
@@ -131,7 +129,7 @@ impl EpochMetrics {
                 None => 0.0,
             });
         }
-        let server = self.server.settle_epoch(
+        let server = server::settle_epoch(
             &self.residuals,
             self.total_demand,
             self.helper_min,

@@ -76,19 +76,9 @@ impl Helper {
         self.process.min_level()
     }
 
-    /// Largest possible capacity.
-    pub fn max_capacity(&self) -> f64 {
-        self.process.max_level()
-    }
-
     /// Long-run mean capacity, if the process knows it.
     pub fn mean_capacity(&self) -> Option<f64> {
         self.process.mean_level()
-    }
-
-    /// Whether the helper is currently serving.
-    pub fn is_online(&self) -> bool {
-        self.online
     }
 
     /// Takes the helper offline (failure injection); capacity reads 0.
@@ -138,7 +128,6 @@ mod tests {
         h.set_online(false);
         assert_eq!(h.capacity(), 0.0);
         assert_eq!(h.share(3), 0.0);
-        assert!(!h.is_online());
         h.set_online(true);
         assert_eq!(h.capacity(), 800.0);
     }
@@ -148,7 +137,7 @@ mod tests {
         let mut rng = seeded_rng(1);
         let mut h = Helper::with_seed(
             HelperId(0),
-            Box::new(rths_stoch::bandwidth::MarkovBandwidth::paper_default(&mut rng)),
+            Box::new(rths_stoch::bandwidth::MarkovBandwidth::paper_with_stay(&mut rng, 0.98)),
             7,
         );
         for _ in 0..100 {
@@ -156,7 +145,6 @@ mod tests {
             assert!([700.0, 800.0, 900.0].contains(&h.capacity()));
         }
         assert_eq!(h.min_capacity(), 700.0);
-        assert_eq!(h.max_capacity(), 900.0);
         assert_eq!(h.mean_capacity(), Some(800.0));
     }
 

@@ -63,7 +63,7 @@ pub mod peer;
 pub mod playback;
 pub mod regret;
 pub mod scenario;
-pub mod server;
+mod server;
 pub mod spec;
 pub mod store;
 pub mod system;

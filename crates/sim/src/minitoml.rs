@@ -166,6 +166,9 @@ fn unescape(raw: &str, line: usize) -> Result<String, TomlError> {
     let mut out = String::with_capacity(raw.len());
     let mut chars = raw.chars();
     while let Some(c) = chars.next() {
+        if c == '"' {
+            return Err(err(line, "unescaped `\"` before the closing quote"));
+        }
         if c != '\\' {
             out.push(c);
             continue;
@@ -402,6 +405,9 @@ mod tests {
             ("x = 1\nx = 2", 2),
             ("x = [1, , 2]", 1),
             ("x = wat", 1),
+            ("description = \"spike\" seed = 5 \"", 1),
+            ("x = 1\ny = [\"a\"b\"]", 2),
+            ("\"a\"b\" = 1", 1),
         ] {
             let e = parse(doc).unwrap_err();
             assert_eq!(e.line, expect_line, "{doc:?} -> {e}");

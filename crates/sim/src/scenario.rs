@@ -5,7 +5,7 @@
 //! parameters. Builders return a [`SimConfigBuilder`] so callers can
 //! still override the seed or individual knobs.
 
-use crate::config::{Algorithm, BandwidthSpec, LearnerSpec, SimConfig, SimConfigBuilder};
+use crate::config::{BandwidthSpec, SimConfig, SimConfigBuilder};
 use rths_stoch::process::ChurnProcess;
 
 /// Factory for the workspace's standard experiment configurations.
@@ -54,14 +54,6 @@ impl Scenario {
         SimConfig::builder(60, helpers)
     }
 
-    /// Same scenario with the regret-matching baseline, for the ablation.
-    pub fn regime_shift_matching(shift_epoch: u64) -> SimConfigBuilder {
-        Self::regime_shift(shift_epoch).learner(LearnerSpec {
-            algorithm: Algorithm::RegretMatching,
-            ..LearnerSpec::default()
-        })
-    }
-
     /// Churn ablation: 100 peers with Poisson(2) arrivals and 2% per-epoch
     /// departures (equilibrium population 100), 10 helpers.
     pub fn churn() -> SimConfigBuilder {
@@ -105,17 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn matching_variant_switches_algorithm() {
-        let c = Scenario::regime_shift_matching(500).build();
-        assert_eq!(c.learner.algorithm, Algorithm::RegretMatching);
-    }
-
-    #[test]
     fn churn_scenario_has_positive_rates() {
         let c = Scenario::churn().build();
         assert!(c.churn.arrival_rate() > 0.0);
         assert!(c.churn.departure_prob() > 0.0);
-        assert_eq!(c.churn.equilibrium_population(), Some(100.0));
+        assert_eq!(c.churn.arrival_rate() / c.churn.departure_prob(), 100.0);
     }
 
     #[test]

@@ -9,81 +9,42 @@
 //! `max(0, Σ_i d_i − Σ_j C_j^min)`.
 
 /// Per-epoch server accounting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServerEpoch {
+#[derive(Debug)]
+pub(crate) struct ServerEpoch {
     /// Actual server load: `Σ_i max(0, d_i − r_i)` (kbps).
-    pub load: f64,
+    pub(crate) load: f64,
     /// Minimum bandwidth deficit bound with helpers at their *minimum*
     /// levels: `max(0, Σ d − Σ C_min)`.
-    pub min_deficit: f64,
+    pub(crate) min_deficit: f64,
     /// Deficit bound with the helpers' *current* capacities:
     /// `max(0, Σ d − Σ C(t))` — the tightest achievable load this epoch.
-    pub current_deficit: f64,
+    pub(crate) current_deficit: f64,
 }
 
-/// The streaming server: computes and accumulates deficit loads.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingServer {
-    total_load: f64,
-    epochs: u64,
-    peak_load: f64,
-}
-
-impl StreamingServer {
-    /// Creates an idle server.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Settles one epoch.
-    ///
-    /// * `residuals` — per-peer unmet demand `max(0, d_i − r_i)`.
-    /// * `total_demand` — `Σ_i d_i` this epoch.
-    /// * `helper_min_capacity` — `Σ_j C_j^min`.
-    /// * `helper_current_capacity` — `Σ_j C_j(t)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any residual is negative or non-finite.
-    pub fn settle_epoch(
-        &mut self,
-        residuals: &[f64],
-        total_demand: f64,
-        helper_min_capacity: f64,
-        helper_current_capacity: f64,
-    ) -> ServerEpoch {
-        assert!(
-            residuals.iter().all(|r| r.is_finite() && *r >= 0.0),
-            "residual demands must be finite and non-negative"
-        );
-        let load: f64 = residuals.iter().sum();
-        self.total_load += load;
-        self.epochs += 1;
-        self.peak_load = self.peak_load.max(load);
-        ServerEpoch {
-            load,
-            min_deficit: (total_demand - helper_min_capacity).max(0.0),
-            current_deficit: (total_demand - helper_current_capacity).max(0.0),
-        }
-    }
-
-    /// Mean server load per epoch so far.
-    pub fn mean_load(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.total_load / self.epochs as f64
-        }
-    }
-
-    /// Largest single-epoch load so far.
-    pub fn peak_load(&self) -> f64 {
-        self.peak_load
-    }
-
-    /// Number of settled epochs.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
+/// Settles one epoch at the streaming server.
+///
+/// * `residuals` — per-peer unmet demand `max(0, d_i − r_i)`.
+/// * `total_demand` — `Σ_i d_i` this epoch.
+/// * `helper_min_capacity` — `Σ_j C_j^min`.
+/// * `helper_current_capacity` — `Σ_j C_j(t)`.
+///
+/// # Panics
+///
+/// Panics if any residual is negative or non-finite.
+pub(crate) fn settle_epoch(
+    residuals: &[f64],
+    total_demand: f64,
+    helper_min_capacity: f64,
+    helper_current_capacity: f64,
+) -> ServerEpoch {
+    assert!(
+        residuals.iter().all(|r| r.is_finite() && *r >= 0.0),
+        "residual demands must be finite and non-negative"
+    );
+    ServerEpoch {
+        load: residuals.iter().sum(),
+        min_deficit: (total_demand - helper_min_capacity).max(0.0),
+        current_deficit: (total_demand - helper_current_capacity).max(0.0),
     }
 }
 
@@ -93,49 +54,33 @@ mod tests {
 
     #[test]
     fn settle_accumulates() {
-        let mut s = StreamingServer::new();
-        let e1 = s.settle_epoch(&[100.0, 0.0, 50.0], 1200.0, 1400.0, 1600.0);
+        let e1 = settle_epoch(&[100.0, 0.0, 50.0], 1200.0, 1400.0, 1600.0);
         assert_eq!(e1.load, 150.0);
         assert_eq!(e1.min_deficit, 0.0);
         assert_eq!(e1.current_deficit, 0.0);
-        let e2 = s.settle_epoch(&[300.0], 2000.0, 1400.0, 1600.0);
+        let e2 = settle_epoch(&[300.0], 2000.0, 1400.0, 1600.0);
         assert_eq!(e2.load, 300.0);
         assert_eq!(e2.min_deficit, 600.0);
         assert_eq!(e2.current_deficit, 400.0);
-        assert_eq!(s.mean_load(), 225.0);
-        assert_eq!(s.peak_load(), 300.0);
-        assert_eq!(s.epochs(), 2);
     }
 
     #[test]
     fn empty_epoch_is_free() {
-        let mut s = StreamingServer::new();
-        let e = s.settle_epoch(&[], 0.0, 100.0, 100.0);
+        let e = settle_epoch(&[], 0.0, 100.0, 100.0);
         assert_eq!(e.load, 0.0);
-        assert_eq!(s.mean_load(), 0.0);
     }
 
     #[test]
     fn deficit_bounds_are_ordered() {
         // current capacity >= min capacity, so current deficit <= min
         // deficit always.
-        let mut s = StreamingServer::new();
-        let e = s.settle_epoch(&[10.0], 3000.0, 2100.0, 2400.0);
+        let e = settle_epoch(&[10.0], 3000.0, 2100.0, 2400.0);
         assert!(e.current_deficit <= e.min_deficit);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_residual_panics() {
-        let mut s = StreamingServer::new();
-        let _ = s.settle_epoch(&[-1.0], 0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn idle_server_reports_zero() {
-        let s = StreamingServer::new();
-        assert_eq!(s.mean_load(), 0.0);
-        assert_eq!(s.peak_load(), 0.0);
-        assert_eq!(s.epochs(), 0);
+        let _ = settle_epoch(&[-1.0], 0.0, 0.0, 0.0);
     }
 }

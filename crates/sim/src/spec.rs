@@ -291,7 +291,7 @@ impl ScenarioSpec {
     /// Runs the scenario to completion and reports per-epoch series.
     ///
     /// When the spec's `trace` flag (or an ambient `RTHS_TRACE` /
-    /// [`rths_obs::set_enabled`] state) enables tracing, the global
+    /// [`rths_obs::scoped_enable`] state) enables tracing, the global
     /// `rths_obs` registry is reset and named after the scenario;
     /// collect the spans/counters with [`rths_obs::take_report`] after
     /// this returns. Tracing never changes the trajectories — the

@@ -11,10 +11,7 @@ use rand::Rng;
 use crate::markov::MarkovChain;
 
 /// The paper's bandwidth levels, in kbps (§IV).
-pub const PAPER_LEVELS: [f64; 3] = [700.0, 800.0, 900.0];
-
-/// Default stay-probability making the paper's chain "slowly changing".
-pub const PAPER_STAY_PROBABILITY: f64 = 0.98;
+pub(crate) const PAPER_LEVELS: [f64; 3] = [700.0, 800.0, 900.0];
 
 /// A discrete-time stochastic process describing one helper's upload
 /// capacity.
@@ -68,21 +65,9 @@ impl MarkovBandwidth {
         Self { chain, levels }
     }
 
-    /// The paper's process: sticky birth–death chain over
-    /// `[700, 800, 900]` kbps with stay-probability 0.98, started in a
-    /// uniformly random state.
-    pub fn paper_default<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let initial = rng.gen_range(0..PAPER_LEVELS.len());
-        let chain = MarkovChain::sticky_birth_death(
-            PAPER_LEVELS.len(),
-            PAPER_STAY_PROBABILITY,
-            initial,
-        );
-        Self::new(chain, PAPER_LEVELS.to_vec())
-    }
-
-    /// Like [`paper_default`](Self::paper_default) but with a custom
-    /// stay-probability (mixing speed).
+    /// The paper's process: a sticky birth–death chain over
+    /// `[700, 800, 900]` kbps with stay-probability `stay` (0.98 in every
+    /// scenario that does not set it), started in a uniformly random state.
     ///
     /// # Panics
     ///
@@ -101,11 +86,6 @@ impl MarkovBandwidth {
     /// The capacity ladder.
     pub fn levels(&self) -> &[f64] {
         &self.levels
-    }
-
-    /// Index of the current level in the ladder.
-    pub fn state(&self) -> usize {
-        self.chain.state()
     }
 }
 
@@ -250,11 +230,6 @@ impl GilbertElliott {
         assert!((0.0..=1.0).contains(&p_bad_to_good), "p_bad_to_good not a probability");
         Self { good_level, bad_level, p_good_to_bad, p_bad_to_good, in_good: true }
     }
-
-    /// Whether the process is currently in the good state.
-    pub fn is_good(&self) -> bool {
-        self.in_good
-    }
 }
 
 impl BandwidthProcess for GilbertElliott {
@@ -319,11 +294,6 @@ impl TraceBandwidth {
         );
         Self { samples, cursor: 0 }
     }
-
-    /// The underlying samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 impl BandwidthProcess for TraceBandwidth {
@@ -370,11 +340,6 @@ impl RegimeShiftBandwidth {
         assert!(after.is_finite() && after >= 0.0, "after level invalid");
         Self { before, after, shift_at, epoch: 0 }
     }
-
-    /// Epochs elapsed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 impl BandwidthProcess for RegimeShiftBandwidth {
@@ -407,7 +372,7 @@ mod tests {
     #[test]
     fn paper_default_visits_only_paper_levels() {
         let mut rng = seeded_rng(1);
-        let mut bw = MarkovBandwidth::paper_default(&mut rng);
+        let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
         for _ in 0..1000 {
             assert!(PAPER_LEVELS.contains(&bw.level()));
             bw.step(&mut rng);
@@ -422,7 +387,7 @@ mod tests {
         // stationary distribution [1/4, 1/2, 1/4] (reflecting ends push
         // mass to the middle), so the mean is exactly 800.
         let mut rng = seeded_rng(2);
-        let bw = MarkovBandwidth::paper_default(&mut rng);
+        let bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
         let mean = bw.mean_level().unwrap();
         assert!((mean - 800.0).abs() < 1e-6, "mean = {mean}");
     }
@@ -430,7 +395,7 @@ mod tests {
     #[test]
     fn sticky_chain_changes_rarely() {
         let mut rng = seeded_rng(3);
-        let mut bw = MarkovBandwidth::paper_default(&mut rng);
+        let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
         let mut switches = 0;
         let mut prev = bw.level();
         let steps = 10_000;
@@ -488,7 +453,7 @@ mod tests {
         let mut saw_good = false;
         for _ in 0..500 {
             ge.step(&mut rng);
-            if ge.is_good() {
+            if ge.level() == 1000.0 {
                 saw_good = true;
             } else {
                 saw_bad = true;
@@ -537,7 +502,7 @@ mod tests {
         let mut rng = seeded_rng(8);
         let mut procs: Vec<Box<dyn BandwidthProcess>> = vec![
             Box::new(ConstantBandwidth::new(100.0)),
-            Box::new(MarkovBandwidth::paper_default(&mut rng)),
+            Box::new(MarkovBandwidth::paper_with_stay(&mut rng, 0.98)),
             Box::new(RandomWalkBandwidth::new(500.0, 0.0, 1000.0, 50.0, 0.5)),
             Box::new(GilbertElliott::new(900.0, 100.0, 0.05, 0.2)),
             Box::new(RegimeShiftBandwidth::new(800.0, 400.0, 100)),

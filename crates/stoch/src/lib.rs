@@ -22,7 +22,7 @@
 //!
 //! let mut rng = seeded_rng(42);
 //! // The paper's helper-bandwidth process.
-//! let mut bw = MarkovBandwidth::paper_default(&mut rng);
+//! let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
 //! for _ in 0..10 {
 //!     let level = bw.level();
 //!     assert!([700.0, 800.0, 900.0].contains(&level));

@@ -3,9 +3,9 @@
 //! §IV.A of the paper models each helper's bandwidth state as "an ergodic
 //! finite Markov chain `Y_i(t)`", independent across helpers, and uses the
 //! stationary row vector `π_i` to weight the occupation-measure LP. This
-//! module provides the chain itself, stationary-distribution computation,
-//! and the structural checks (irreducibility, aperiodicity) behind the
-//! "ergodic" assumption.
+//! module provides the chain itself and its stationary distribution, which
+//! exists for every irreducible chain (the power iteration is damped, so
+//! periodic chains converge too).
 
 use rand::Rng;
 use rths_math::Matrix;
@@ -48,14 +48,13 @@ impl std::error::Error for MarkovError {}
 /// # Example
 ///
 /// ```
-/// use rths_math::Matrix;
 /// use rths_stoch::MarkovChain;
 ///
-/// let p = Matrix::from_rows(&[&[0.9, 0.1], &[0.2, 0.8]]);
-/// let chain = MarkovChain::new(p, 0)?;
+/// let chain = MarkovChain::sticky_birth_death(3, 0.9, 0);
 /// let pi = chain.stationary_distribution()?;
-/// // Detailed balance for this 2-state chain: pi = [2/3, 1/3].
-/// assert!((pi[0] - 2.0 / 3.0).abs() < 1e-9);
+/// // Detailed balance: the reflecting ends push mass to the middle,
+/// // pi = [1/4, 1/2, 1/4].
+/// assert!((pi[1] - 0.5).abs() < 1e-9);
 /// # Ok::<(), rths_stoch::markov::MarkovError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +75,7 @@ impl MarkovChain {
     /// # Panics
     ///
     /// Panics if `initial` is out of range.
-    pub fn new(transition: Matrix, initial: usize) -> Result<Self, MarkovError> {
+    pub(crate) fn new(transition: Matrix, initial: usize) -> Result<Self, MarkovError> {
         if !transition.is_square() {
             return Err(MarkovError::NotSquare);
         }
@@ -126,36 +125,14 @@ impl MarkovChain {
         Self::new(p, initial).expect("birth-death kernel is stochastic by construction")
     }
 
-    /// A chain that jumps to a uniformly random state (including itself
-    /// with the same probability) each step — the fastest-mixing kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn uniform(n: usize, initial: usize) -> Self {
-        assert!(n > 0, "need at least one state");
-        let p = Matrix::filled(n, n, 1.0 / n as f64);
-        Self::new(p, initial).expect("uniform kernel is stochastic by construction")
-    }
-
     /// Number of states.
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.transition.rows()
     }
 
     /// Current state.
-    pub fn state(&self) -> usize {
+    pub(crate) fn state(&self) -> usize {
         self.state
-    }
-
-    /// Forces the chain into `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn set_state(&mut self, state: usize) {
-        assert!(state < self.num_states(), "state out of range");
-        self.state = state;
     }
 
     /// The transition kernel.
@@ -164,7 +141,7 @@ impl MarkovChain {
     }
 
     /// Advances one step, returning the new state.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
+    pub(crate) fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
         let row = self.transition.row(self.state);
         let u: f64 = rng.gen();
         let mut acc = 0.0;
@@ -184,7 +161,7 @@ impl MarkovChain {
     // Index loops mirror the Floyd–Warshall formulation; indices are state
     // ids, not mere positions.
     #[allow(clippy::needless_range_loop)]
-    pub fn is_irreducible(&self) -> bool {
+    pub(crate) fn is_irreducible(&self) -> bool {
         let n = self.num_states();
         // Floyd–Warshall style reachability on the support graph.
         let mut reach = vec![vec![false; n]; n];
@@ -206,43 +183,6 @@ impl MarkovChain {
             }
         }
         reach.iter().all(|row| row.iter().all(|&r| r))
-    }
-
-    /// Checks aperiodicity (assuming irreducibility): the gcd of return
-    /// times is 1. Any self-loop makes an irreducible chain aperiodic.
-    #[allow(clippy::needless_range_loop)]
-    pub fn is_aperiodic(&self) -> bool {
-        let n = self.num_states();
-        // Period of an irreducible chain = gcd over of cycle lengths through
-        // any fixed state. Compute via BFS layering from state 0.
-        let mut level = vec![None::<usize>; n];
-        level[0] = Some(0);
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        let mut g: u64 = 0;
-        while let Some(i) = queue.pop_front() {
-            let li = level[i].expect("queued node has level");
-            for j in 0..n {
-                if self.transition[(i, j)] <= 0.0 {
-                    continue;
-                }
-                match level[j] {
-                    None => {
-                        level[j] = Some(li + 1);
-                        queue.push_back(j);
-                    }
-                    Some(lj) => {
-                        let diff = (li as i64 + 1 - lj as i64).unsigned_abs();
-                        g = gcd(g, diff);
-                    }
-                }
-            }
-        }
-        g == 1
-    }
-
-    /// Ergodic = irreducible + aperiodic.
-    pub fn is_ergodic(&self) -> bool {
-        self.is_irreducible() && self.is_aperiodic()
     }
 
     /// Stationary distribution `π` with `π P = π`, by damped power
@@ -287,18 +227,10 @@ impl MarkovChain {
     /// # Panics
     ///
     /// Panics if `values.len() != self.num_states()`.
-    pub fn stationary_mean(&self, values: &[f64]) -> Result<f64, MarkovError> {
+    pub(crate) fn stationary_mean(&self, values: &[f64]) -> Result<f64, MarkovError> {
         assert_eq!(values.len(), self.num_states(), "values length must match state count");
         let pi = self.stationary_distribution()?;
         Ok(rths_math::vector::dot(&pi, values))
-    }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 
@@ -343,8 +275,8 @@ mod tests {
     fn sticky_chain_is_ergodic() {
         let chain = MarkovChain::sticky_birth_death(3, 0.98, 1);
         assert!(chain.is_irreducible());
-        assert!(chain.is_aperiodic());
-        assert!(chain.is_ergodic());
+        // A self-loop on every state makes an irreducible chain aperiodic.
+        assert!((0..3).all(|i| chain.transition()[(i, i)] > 0.0));
     }
 
     #[test]
@@ -353,8 +285,6 @@ mod tests {
         let p = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let chain = MarkovChain::new(p, 0).unwrap();
         assert!(chain.is_irreducible());
-        assert!(!chain.is_aperiodic());
-        assert!(!chain.is_ergodic());
         // Stationary distribution still exists and is uniform.
         let pi = chain.stationary_distribution().unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-9);
@@ -397,7 +327,9 @@ mod tests {
 
     #[test]
     fn uniform_chain_has_uniform_stationary() {
-        let chain = MarkovChain::uniform(4, 0);
+        let row: &[f64] = &[0.25; 4];
+        let p = Matrix::from_rows(&[row; 4]);
+        let chain = MarkovChain::new(p, 0).unwrap();
         let pi = chain.stationary_distribution().unwrap();
         for &p in &pi {
             assert!((p - 0.25).abs() < 1e-9);
@@ -415,15 +347,8 @@ mod tests {
     #[test]
     fn single_state_chain_works() {
         let chain = MarkovChain::sticky_birth_death(1, 0.5, 0);
-        assert!(chain.is_ergodic());
+        assert!(chain.is_irreducible());
         assert_eq!(chain.stationary_distribution().unwrap(), vec![1.0]);
-    }
-
-    #[test]
-    fn set_state_overrides() {
-        let mut chain = two_state();
-        chain.set_state(1);
-        assert_eq!(chain.state(), 1);
     }
 
     #[test]

@@ -39,25 +39,10 @@ pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 }
 
 /// Samples a standard normal via Box–Muller.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Samples a geometric lifetime: number of whole epochs a peer stays
-/// online when it departs with probability `p` per epoch (support `1..`).
-///
-/// # Panics
-///
-/// Panics unless `0 < p <= 1`.
-pub fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    assert!(p > 0.0 && p <= 1.0, "departure probability must be in (0,1]");
-    if p >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
 }
 
 /// Discrete-time churn process: `arrival_rate` expected joins per epoch,
@@ -107,16 +92,6 @@ impl ChurnProcess {
     /// Per-epoch departure probability of each online peer.
     pub fn departure_prob(&self) -> f64 {
         self.departure_prob
-    }
-
-    /// Long-run expected population (`λ/p`), or `None` when departures are
-    /// disabled (population grows without bound if arrivals are positive).
-    pub fn equilibrium_population(&self) -> Option<f64> {
-        if self.departure_prob == 0.0 {
-            None
-        } else {
-            Some(self.arrival_rate / self.departure_prob)
-        }
     }
 
     /// Draws one epoch of churn for a population of `online` peers.
@@ -193,29 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_is_inverse_p() {
-        let mut rng = seeded_rng(12);
-        let p = 0.1;
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| sample_geometric(&mut rng, p)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 10.0).abs() < 0.3, "mean lifetime {mean}");
-    }
-
-    #[test]
-    fn geometric_p_one_always_one() {
-        let mut rng = seeded_rng(13);
-        for _ in 0..10 {
-            assert_eq!(sample_geometric(&mut rng, 1.0), 1);
-        }
-    }
-
-    #[test]
     fn churn_equilibrium_population_matches_simulation() {
         let mut rng = seeded_rng(14);
         let churn = ChurnProcess::new(2.0, 0.02);
-        let expected = churn.equilibrium_population().unwrap();
-        assert_eq!(expected, 100.0);
+        // Long-run population λ/p = 2 / 0.02.
+        let expected = 100.0;
         let mut online: i64 = 100;
         let mut acc = 0.0;
         let epochs = 20_000;
@@ -235,7 +192,6 @@ mod tests {
         let churn = ChurnProcess::none();
         let ev = churn.sample_epoch(&mut rng, 500);
         assert_eq!(ev, ChurnEvents { arrivals: 0, departures: 0 });
-        assert_eq!(churn.equilibrium_population(), None);
     }
 
     #[test]
@@ -263,7 +219,7 @@ mod tests {
         let n = 100_000;
         let samples: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut rng)).collect();
         let mean = rths_math::stats::mean(&samples);
-        let var = rths_math::stats::variance(&samples);
+        let var = rths_math::stats::std_dev(&samples).powi(2);
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "variance {var}");
     }

@@ -29,7 +29,6 @@ use rand::Rng;
 pub struct Zipf {
     cdf: Vec<f64>,
     pmf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -56,22 +55,12 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the end.
         *cdf.last_mut().expect("non-empty") = 1.0;
-        Self { cdf, pmf, exponent: s }
+        Self { cdf, pmf }
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pmf.len()
-    }
-
-    /// Always `false`: the constructor rejects `n == 0`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Probability of rank `k` (0-based; rank 0 is the most popular).
@@ -81,11 +70,6 @@ impl Zipf {
     /// Panics if `k` is out of range.
     pub fn pmf(&self, k: usize) -> f64 {
         self.pmf[k]
-    }
-
-    /// The full probability mass function.
-    pub fn pmf_slice(&self) -> &[f64] {
-        &self.pmf
     }
 
     /// Samples a rank.
@@ -127,7 +111,7 @@ mod tests {
     fn pmf_sums_to_one() {
         for &(n, s) in &[(1usize, 1.0), (5, 0.0), (100, 1.2), (10, 2.5)] {
             let z = Zipf::new(n, s);
-            let total: f64 = z.pmf_slice().iter().sum();
+            let total: f64 = (0..n).map(|k| z.pmf(k)).sum();
             assert!((total - 1.0).abs() < 1e-12, "n={n} s={s}: total {total}");
         }
     }

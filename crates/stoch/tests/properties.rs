@@ -1,33 +1,16 @@
 //! Property-based tests for the stochastic substrate.
 
 use proptest::prelude::*;
-use rths_math::Matrix;
 use rths_stoch::bandwidth::{BandwidthProcess, MarkovBandwidth, RandomWalkBandwidth};
 use rths_stoch::markov::MarkovChain;
-use rths_stoch::process::{sample_geometric, sample_poisson, ChurnProcess};
+use rths_stoch::process::{sample_poisson, ChurnProcess};
 use rths_stoch::rng::{derive_seed, entity_rng, seeded_rng};
 use rths_stoch::zipf::Zipf;
 
-/// Strategy producing a random row-stochastic matrix with strictly positive
-/// entries (hence irreducible and aperiodic).
-fn positive_kernel(n: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(0.05..1.0f64, n * n).prop_map(move |raw| {
-        let mut m = Matrix::from_vec(n, n, raw);
-        for r in 0..n {
-            let s: f64 = m.row(r).iter().sum();
-            for c in 0..n {
-                m[(r, c)] /= s;
-            }
-        }
-        m
-    })
-}
-
 proptest! {
     #[test]
-    fn stationary_distribution_is_invariant(kernel in positive_kernel(4)) {
-        let chain = MarkovChain::new(kernel, 0).unwrap();
-        prop_assert!(chain.is_ergodic());
+    fn stationary_distribution_is_invariant(n in 1usize..12, stay in 0.0..0.999f64) {
+        let chain = MarkovChain::sticky_birth_death(n, stay, 0);
         let pi = chain.stationary_distribution().unwrap();
         prop_assert!(rths_math::vector::is_distribution(&pi, 1e-9));
         let pushed = chain.transition().vec_mul(&pi);
@@ -37,17 +20,21 @@ proptest! {
     #[test]
     fn sticky_birth_death_always_valid(n in 1usize..12, stay in 0.0..0.999f64) {
         let chain = MarkovChain::sticky_birth_death(n, stay, 0);
-        prop_assert!(chain.transition().is_row_stochastic(1e-9));
-        prop_assert!(chain.is_irreducible());
+        for r in 0..n {
+            prop_assert!(rths_math::vector::is_distribution(chain.transition().row(r), 1e-9));
+        }
+        prop_assert!(chain.stationary_distribution().is_ok());
     }
 
     #[test]
-    fn markov_step_stays_in_range(kernel in positive_kernel(5), seed in any::<u64>()) {
-        let mut chain = MarkovChain::new(kernel, 0).unwrap();
+    fn markov_step_stays_in_range(stay in 0.0..0.999f64, seed in any::<u64>()) {
+        let ladder = vec![0.0, 1.0, 2.0, 3.0, 4.0];
+        let chain = MarkovChain::sticky_birth_death(5, stay, 0);
+        let mut bw = MarkovBandwidth::new(chain, ladder.clone());
         let mut rng = seeded_rng(seed);
         for _ in 0..100 {
-            let s = chain.step(&mut rng);
-            prop_assert!(s < 5);
+            bw.step(&mut rng);
+            prop_assert!(ladder.contains(&bw.level()));
         }
     }
 
@@ -71,12 +58,6 @@ proptest! {
         let x = sample_poisson(&mut rng, lambda);
         // Crude tail bound: extremely unlikely to be astronomically large.
         prop_assert!(x < (lambda as u64 + 1) * 20 + 100);
-    }
-
-    #[test]
-    fn geometric_at_least_one(seed in any::<u64>(), p in 0.001..1.0f64) {
-        let mut rng = seeded_rng(seed);
-        prop_assert!(sample_geometric(&mut rng, p) >= 1);
     }
 
     #[test]

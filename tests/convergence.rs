@@ -35,7 +35,7 @@ fn fig2_rths_near_mdp_optimum() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let mut seed_rng = rths_stoch::rng::seeded_rng(999);
     let helpers: Vec<MarkovBandwidth> =
-        (0..4).map(|_| MarkovBandwidth::paper_default(&mut seed_rng)).collect();
+        (0..4).map(|_| MarkovBandwidth::paper_with_stay(&mut seed_rng, 0.98)).collect();
     let bench = MdpBenchmark::from_processes(&helpers, 10, None);
     let optimum = bench.optimal_welfare(&mut rng);
     assert!((optimum - 3200.0).abs() < 1e-6);

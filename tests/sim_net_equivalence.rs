@@ -294,13 +294,17 @@ fn equivalent_under_full_impairment_stack() {
 }
 
 /// The configuration the throughput workloads run — peers attach no
-/// regret estimate — on both net backends. Nothing then reads a learner
-/// between its observe and the next epoch's select, so a shard's observes
-/// sit in their slab's queue and run in batches (`rths_core::slab`); with
-/// estimates on, each is flushed by the read that follows it. At 8 helpers
-/// the slab's geometry gate runs every observe directly instead. Every
-/// series and both per-peer summaries still equal the simulator's, which
-/// never queues.
+/// regret estimate — on both net backends. Each mailbox shard's observe
+/// phase then never maintains its slab's estimate rows, while the
+/// simulator here does; every series but the estimate and both per-peer
+/// summaries must still equal the simulator's. The two tests differ in
+/// the slab's geometry. `…_on_the_direct_path` runs 8 helpers: a T column
+/// is one cache line, so the observe phase's load pass does nothing and
+/// played rows are gathered densely. `…_on_the_queued_path` runs 16: the
+/// load pass runs before each block of `OBSERVE_BATCH` observes and rows
+/// are read through the played mask. The second name is historical (it
+/// dates from the slab's observe queue, since removed) and is kept so the
+/// test keeps its id.
 fn assert_equivalent_without_estimates(sim_config: SimConfig, epochs: u64) {
     for threads in [1usize, 2] {
         with_threads(threads, || {
@@ -329,10 +333,10 @@ fn assert_equivalent_without_estimates(sim_config: SimConfig, epochs: u64) {
 }
 
 /// 45 peers over `helpers` helpers, clean and under the full impairment
-/// stack. The reactor hosts all 45 learners in one slab (five full observe
-/// batches and one of five); at a shard span of 32 each of the two
-/// processes holds one shard and its slab — 14 and 31 learners at 16
-/// helpers, so one and three full batches and partial ones of 6 and 7.
+/// stack. The reactor holds all 45 in one mailbox shard, so its observe
+/// phase runs five full blocks of eight and one of five; at a shard span
+/// of 32 each of the two processes holds one shard — 14 and 31 peers at
+/// 16 helpers, so one and three full blocks and partial ones of 6 and 7.
 fn without_estimates(helpers: usize) {
     let plan = ImpairmentPlan::builder(77)
         .gilbert_loss(0.02, 0.25, 0.9, 0.15)
