@@ -11,8 +11,8 @@
 
 use rand::SeedableRng;
 use rths_bench::write_csv;
-use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
-use rths_game::{best_response, HelperSelectionGame};
+use rths_core::{RthsConfig, SlabLearner};
+use rths_oracle::{best_response, HelperSelectionGame, RepeatedGameDriver};
 
 fn main() {
     let n = 20usize;

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release -p rths_bench --bin ablation_qoe`
 
 use rths_bench::write_csv;
-use rths_game::{best_response, HelperSelectionGame};
+use rths_oracle::{best_response, HelperSelectionGame};
 use rths_sim::{BandwidthSpec, PlaybackBuffer, SimConfig, System};
 
 fn main() {

@@ -6,9 +6,11 @@
 
 use rand::SeedableRng;
 use rths_bench::write_csv;
-use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
-use rths_game::equilibrium::{cce_residual_congestion, ce_residual_congestion, max_welfare_ce};
-use rths_game::HelperSelectionGame;
+use rths_core::{RthsConfig, SlabLearner};
+use rths_oracle::equilibrium::{
+    cce_residual_congestion, ce_residual_congestion, max_welfare_ce,
+};
+use rths_oracle::{HelperSelectionGame, RepeatedGameDriver};
 
 fn main() {
     println!("CE verification — 5 peers, 3 helpers [800, 800, 600] kbps\n");

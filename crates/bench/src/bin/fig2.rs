@@ -9,7 +9,7 @@
 
 use rand::SeedableRng;
 use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
-use rths_mdp::MdpBenchmark;
+use rths_oracle::MdpBenchmark;
 use rths_sim::{Scenario, System};
 
 fn main() {

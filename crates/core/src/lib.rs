@@ -50,30 +50,35 @@
 //! # Example
 //!
 //! ```
-//! use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
 //! use rand::SeedableRng;
+//! use rths_core::{Learner, RthsConfig, SlabLearner};
 //!
-//! // 6 peers learn over two 800 kbps helpers, their state in one slab.
-//! let config = RthsConfig::builder(2).mu(3200.0).build()?;
-//! let peers = SlabLearner::population(6, &config);
-//! let mut driver = RepeatedGameDriver::new(peers, vec![800.0, 800.0]);
+//! // One peer, two helpers: helper 1 gives it 800 kbps, helper 0 only 100.
+//! let config = RthsConfig::builder(2).mu(400.0).build()?;
+//! let mut peer = SlabLearner::standalone(config);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let result = driver.run(3000, &mut rng);
-//!
-//! // The empirical worst-peer regret (Fig. 1's series) has decayed…
-//! let tail = result.worst_empirical_regret.tail_mean(300);
-//! assert!(tail < 30.0, "tail regret {tail}");
-//! // …and play is an approximate correlated equilibrium.
-//! let report = result.ce_report(vec![800.0, 800.0]);
-//! assert!(report.relative_residual() < 0.2);
+//! let mut on_better = 0;
+//! for stage in 0..2000 {
+//!     let helper = peer.select_action(&mut rng);
+//!     peer.observe(if helper == 1 { 800.0 } else { 100.0 });
+//!     if stage >= 1000 && helper == 1 {
+//!         on_better += 1;
+//!     }
+//! }
+//! // From its own rates alone it has learned to play the better helper
+//! // most of the time (the δ floor keeps it exploring the other).
+//! assert!(on_better > 750, "{on_better} of the last 1000 stages");
 //! # Ok::<(), rths_core::ConfigError>(())
 //! ```
+//!
+//! `rths_oracle` runs populations of these learners against the stage game
+//! and checks that their joint play approaches the correlated-equilibrium
+//! set.
 
 #![forbid(unsafe_code)]
 
 pub mod compact;
 pub mod config;
-pub mod driver;
 pub mod exp3;
 pub mod history;
 pub mod lazy;
@@ -88,7 +93,6 @@ pub mod slab;
 
 pub use compact::RthsState;
 pub use config::{ConfigError, RecencyMode, RthsConfig, RthsConfigBuilder};
-pub use driver::{RepeatedGameDriver, RunResult};
 pub use exp3::{Exp3Config, Exp3Learner};
 pub use history::HistoryRths;
 pub use learner::Learner;

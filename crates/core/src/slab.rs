@@ -1453,7 +1453,7 @@ pub type SharedSlab = Arc<Mutex<LearnerSlab>>;
 /// The recursive regret-tracking learner (paper Algorithm 2; regret
 /// *matching* under [`RecencyMode::Uniform`]) behind the [`Learner`]
 /// trait: one slab slot, for owners that hold one learner by value —
-/// `RepeatedGameDriver`, the baselines' comparisons, one-off peers, the
+/// `rths_oracle`'s `RepeatedGameDriver`, the baselines' comparisons, one-off peers, the
 /// oracle tests. [`standalone`](Self::standalone) gives a learner a slab
 /// to itself; [`population`](Self::population) and [`new`](Self::new)
 /// put several on one [`SharedSlab`]. A population the engines drive

@@ -6,7 +6,7 @@
 //! matrices, which this module provides with predictable performance.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -16,8 +16,9 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 /// use rths_math::Matrix;
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let identity = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-/// assert_eq!(&m * &identity, m);
+/// assert_eq!(m[(1, 0)], 3.0);
+/// // Row vector times matrix: the first row, picked out.
+/// assert_eq!(m.vec_mul(&[1.0, 0.0]), vec![1.0, 2.0]);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -57,11 +58,6 @@ impl Matrix {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// `(rows, cols)` pair.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
     }
 
     /// Returns `true` if the matrix is square.
@@ -146,56 +142,6 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "shape mismatch in add");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "shape mismatch in sub");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-}
-
-impl AddAssign<&Matrix> for Matrix {
-    fn add_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "shape mismatch in add_assign");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-}
-
-impl Mul for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions must agree in mul");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] += a * rhs[(k, c)];
-                }
-            }
-        }
-        out
-    }
-}
-
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -226,7 +172,7 @@ mod tests {
     #[test]
     fn zeros_has_requested_shape() {
         let m = Matrix::zeros(3, 4);
-        assert_eq!(m.shape(), (3, 4));
+        assert_eq!(m.rows(), 3);
         assert!((0..3).all(|r| m.row(r) == [0.0; 4]));
     }
 
@@ -234,14 +180,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_dimension_panics() {
         let _ = Matrix::zeros(0, 3);
-    }
-
-    #[test]
-    fn identity_multiplication_is_noop() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let i = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(&m * &i, m);
-        assert_eq!(&i * &m, m);
     }
 
     #[test]
@@ -265,23 +203,6 @@ mod tests {
         let pi = p.vec_mul(&[0.5, 0.5]);
         assert!((pi[0] - 0.5).abs() < 1e-12);
         assert!((pi[1] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_product_matches_known_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = &a * &b;
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn add_sub_are_inverse() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 4.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 1.0], &[-1.0, 2.0]]);
-        let sum = &a + &b;
-        let back = &sum - &b;
-        assert_eq!(back, a);
     }
 
     #[test]

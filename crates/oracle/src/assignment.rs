@@ -35,6 +35,19 @@ pub fn helper_welfare(cap: f64, load: usize, demand: Option<f64>) -> f64 {
     }
 }
 
+/// The demand contract of the assignment optimizers and the expected
+/// optimum: none, or a positive, finite per-peer demand. (A game's demand
+/// cap may be zero; an assignment's may not.)
+///
+/// # Panics
+///
+/// Panics if `demand` is non-positive or non-finite.
+pub(crate) fn check_demand(demand: Option<f64>) {
+    if let Some(d) = demand {
+        assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
+    }
+}
+
 /// Greedy marginal allocation of `num_peers` peers over `capacities`.
 ///
 /// Optimal for concave per-helper welfare (validated against
@@ -47,14 +60,8 @@ pub fn helper_welfare(cap: f64, load: usize, demand: Option<f64>) -> f64 {
 /// Panics if `capacities` is empty or contains negative/non-finite
 /// values, or if `demand` is non-positive.
 pub fn optimal_loads(capacities: &[f64], num_peers: usize, demand: Option<f64>) -> Allocation {
-    assert!(!capacities.is_empty(), "need at least one helper");
-    assert!(
-        capacities.iter().all(|c| c.is_finite() && *c >= 0.0),
-        "capacities must be finite and non-negative"
-    );
-    if let Some(d) = demand {
-        assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
-    }
+    crate::check_capacities(capacities);
+    check_demand(demand);
     let gain = |j: usize, load: usize| {
         helper_welfare(capacities[j], load + 1, demand)
             - helper_welfare(capacities[j], load, demand)
@@ -106,7 +113,8 @@ pub fn optimal_loads_dp(
     num_peers: usize,
     demand: Option<f64>,
 ) -> Allocation {
-    assert!(!capacities.is_empty(), "need at least one helper");
+    crate::check_capacities(capacities);
+    check_demand(demand);
     let h = capacities.len();
     let neg = f64::NEG_INFINITY;
     // dp[n] = best welfare using helpers processed so far with n peers.
@@ -238,6 +246,18 @@ mod tests {
     #[should_panic(expected = "demand must be positive")]
     fn zero_demand_rejected() {
         let _ = optimal_loads(&[800.0], 1, Some(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "capacities must be finite")]
+    fn dp_rejects_nan_capacity() {
+        let _ = optimal_loads_dp(&[800.0, f64::NAN], 3, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand must be positive")]
+    fn dp_rejects_zero_demand() {
+        let _ = optimal_loads_dp(&[800.0], 1, Some(0.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! High-level benchmark facade used by the figure harnesses.
 //!
-//! Wraps the Markov bandwidth models from `rths-stoch` and picks the right
+//! Wraps the Markov bandwidth models from `rths_stoch` and picks the right
 //! computation path (exact enumeration vs Monte Carlo) automatically.
 
 use rand::Rng;

@@ -35,11 +35,7 @@ impl HelperSelectionGame {
     /// Panics if `capacities` is empty or contains negative/non-finite
     /// entries.
     pub fn new(capacities: Vec<f64>) -> Self {
-        assert!(!capacities.is_empty(), "need at least one helper");
-        assert!(
-            capacities.iter().all(|&c| c.is_finite() && c >= 0.0),
-            "capacities must be finite and non-negative"
-        );
+        crate::check_capacities(&capacities);
         Self { capacities, num_peers: 0, demand_cap: None }
     }
 

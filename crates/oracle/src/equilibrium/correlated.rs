@@ -12,11 +12,10 @@
 //! equilibria; the paper argues its convexity "allows for better fairness
 //! between the peers". This module computes the welfare-maximising CE of
 //! a small game exactly, by optimising social welfare over that polytope
-//! with the `rths-lp` simplex solver.
-
-use rths_lp::{LinearProgram, LpError, Relation};
+//! with the crate's simplex solver ([`LinearProgram`]).
 
 use crate::normal_form::{for_each_profile, Game};
+use crate::{LinearProgram, LpError, Relation};
 
 /// A correlated equilibrium of a finite game, as an explicit distribution
 /// over lexicographically ordered profiles.
@@ -100,7 +99,7 @@ mod tests {
     use crate::congestion::HelperSelectionGame;
     use crate::equilibrium::verify::ce_residual;
     use crate::normal_form::TableGame;
-    use crate::strategy::JointDistribution;
+    use rths_sim::JointDistribution;
 
     /// The game of Chicken: the classic example where CE strictly expands
     /// the equilibrium set. Payoffs (row, col):
@@ -168,7 +167,7 @@ mod tests {
         // Regression: this 27-profile instance (3 peers over helpers
         // [800, 700, 600]) cycled forever when the Bland-mode leaving
         // rule broke ratio ties by pivot magnitude instead of smallest
-        // basis index. See rths-lp's simplex::pick_leaving.
+        // basis index. See the simplex's pick_leaving.
         let g = HelperSelectionGame::new(vec![800.0, 700.0, 600.0]).with_peers(3);
         let ce = max_welfare_ce(&g).expect("3x3 CE LP must solve");
         // Full coverage is feasible (3 peers, 3 helpers): welfare 2100.

@@ -3,7 +3,7 @@
 //! * [`nash`] — pure Nash enumeration (small games) and equilibrium load
 //!   vectors for the helper-selection game.
 //! * [`correlated`] — the exact welfare-maximising correlated
-//!   equilibrium via the LP characterisation, solved with `rths-lp`.
+//!   equilibrium via the LP characterisation, solved with the crate's simplex.
 //! * [`verify`] — *empirical* CE verification: given the joint play
 //!   frequencies produced by a learning run, measure how far they are from
 //!   the CE polytope. This is the tool that checks the paper's headline

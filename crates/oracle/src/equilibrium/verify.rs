@@ -16,7 +16,7 @@
 
 use crate::congestion::HelperSelectionGame;
 use crate::normal_form::Game;
-use crate::strategy::JointDistribution;
+use rths_sim::JointDistribution;
 
 /// Result of a CE verification.
 #[derive(Debug, Clone, PartialEq)]

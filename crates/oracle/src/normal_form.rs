@@ -71,7 +71,7 @@ pub fn for_each_profile<G: Game + ?Sized>(game: &G, mut f: impl FnMut(&[usize]))
 /// # Example
 ///
 /// ```
-/// use rths_game::{Game, TableGame};
+/// use rths_oracle::{Game, TableGame};
 ///
 /// // Prisoner's dilemma (actions: 0 = cooperate, 1 = defect).
 /// let pd = TableGame::two_player(

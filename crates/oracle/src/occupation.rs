@@ -7,7 +7,7 @@
 //! optimum `Σ_y π(y)·W*(y)` that [`crate::welfare`] computes state by
 //! state with [`crate::assignment`]'s greedy.
 
-use rths_lp::{LinearProgram, LpError, Relation};
+use crate::{LinearProgram, LpError, Relation};
 
 /// Exact solver for the occupation-measure LP.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ impl OccupationLp {
         let num_vars = num_y * num_x;
         assert!(
             num_vars <= 200_000,
-            "occupation LP with {num_vars} variables is too large; use rths_mdp::welfare"
+            "occupation LP with {num_vars} variables is too large; use rths_oracle::welfare"
         );
 
         // Enumerate joint states with their stationary probabilities.

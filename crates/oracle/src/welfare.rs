@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::assignment::optimal_loads;
+use crate::assignment::{check_demand, optimal_loads};
 
 /// The joint state space size `|Y| = Π_j L_j`, or `None` when it
 /// overflows `usize` (three-level ladders do from 41 helpers on).
@@ -32,9 +32,7 @@ pub(crate) fn validate(levels: &[Vec<f64>], stationary: &[Vec<f64>], demand: Opt
             "helper {j}: stationary vector is not a distribution"
         );
     }
-    if let Some(d) = demand {
-        assert!(d > 0.0 && d.is_finite(), "demand must be positive and finite");
-    }
+    check_demand(demand);
 }
 
 /// Exact expected optimum by full enumeration of the joint state space.

@@ -1,4 +1,5 @@
-//! Joint (correlated) distributions of play.
+//! Joint (correlated) distributions of play: what [`System`](crate::System)
+//! records on a churn-free run for the correlated-equilibrium checks.
 
 use std::collections::BTreeMap;
 

@@ -21,7 +21,6 @@
 //! and any `RTHS_THREADS` (see the store docs for the contract).
 
 use rand::rngs::StdRng;
-use rths_game::JointDistribution;
 use rths_obs::{self as obs, Phase};
 use rths_stoch::process::ChurnProcess;
 use rths_stoch::rng::seeded_rng;
@@ -33,6 +32,7 @@ use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::metrics::SimMetrics;
 use crate::multichannel::{AllocationPolicy, HelperAllocator};
 use crate::store::{self, PeerStore, ShardScratch};
+use crate::strategy::JointDistribution;
 
 /// Result of (so far) running a [`System`].
 #[derive(Debug, Clone)]

@@ -5,23 +5,22 @@
 //!
 //! * [`rths_core`] — the RTHS/R2HS learner (the paper's contribution), its
 //!   scalar oracle and the baselines it is compared with;
-//! * [`rths_game`] — the helper-selection game and equilibrium tooling;
 //! * [`rths_sim`] — the streaming-system simulator (evaluation substrate);
 //! * [`rths_net`] — the decentralized message-passing runtimes (the
 //!   reactor backend, in one process or sharded across several);
 //! * [`rths_reactor`] — the deterministic event-loop actor runtime;
-//! * [`rths_mdp`] — the centralized MDP benchmark;
 //! * [`rths_par`] — the deterministic data-parallel runtime;
-//! * [`rths_stoch`], [`rths_lp`], [`rths_math`] — supporting substrates.
+//! * [`rths_stoch`], [`rths_math`] — supporting substrates;
+//! * [`rths_oracle`] — the reference the rest is checked against: the
+//!   helper-selection game and its equilibria, the centralized MDP
+//!   optimum, the LP solver and the repeated-game driver.
 
 #![forbid(unsafe_code)]
 
 pub use rths_core as core;
-pub use rths_game as game;
-pub use rths_lp as lp;
 pub use rths_math as math;
-pub use rths_mdp as mdp;
 pub use rths_net as net;
+pub use rths_oracle as oracle;
 pub use rths_par as par;
 pub use rths_reactor as reactor;
 pub use rths_sim as sim;
@@ -60,14 +59,13 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 
 /// Convenience prelude: the types most programs need.
 pub mod prelude {
-    pub use rths_core::{Learner, RecencyMode, RepeatedGameDriver, RthsConfig, SlabLearner};
-    pub use rths_game::{HelperSelectionGame, JointDistribution};
-    pub use rths_mdp::MdpBenchmark;
+    pub use rths_core::{Learner, RecencyMode, RthsConfig, SlabLearner};
     pub use rths_net::{Backend, NetConfig, ReactorRuntime};
+    pub use rths_oracle::{HelperSelectionGame, MdpBenchmark, RepeatedGameDriver};
     pub use rths_sim::{
-        Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
-        MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,
-        WorkloadPhase,
+        Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, JointDistribution,
+        LearnerSpec, MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig,
+        System, WorkloadPhase,
     };
 }
 

@@ -4,7 +4,7 @@
 //! bench binaries in `rths_bench` regenerate the full series.
 
 use rand::SeedableRng;
-use rths_mdp::MdpBenchmark;
+use rths_oracle::MdpBenchmark;
 use rths_sim::{Scenario, System};
 use rths_stoch::bandwidth::MarkovBandwidth;
 

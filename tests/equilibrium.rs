@@ -1,9 +1,9 @@
 //! Cross-crate equilibrium tests: learned play lands in the CE set and
 //! beats myopic baselines.
 
-use rths_core::{RepeatedGameDriver, RthsConfig, SlabLearner};
-use rths_game::equilibrium::{ce_residual_congestion, max_welfare_ce, nash_loads};
-use rths_game::{best_response, Game, HelperSelectionGame};
+use rths_core::{RthsConfig, SlabLearner};
+use rths_oracle::equilibrium::{ce_residual_congestion, max_welfare_ce, nash_loads};
+use rths_oracle::{best_response, Game, HelperSelectionGame, RepeatedGameDriver};
 use rths_stoch::rng::seeded_rng;
 
 /// `n` learners in one shared slab — the reactor's production layout.
@@ -21,7 +21,7 @@ fn learned_play_is_approximate_ce() {
         .record_joint_from(2000);
     let mut rng = seeded_rng(11);
     let result = driver.run(8000, &mut rng);
-    let report = result.ce_report(caps);
+    let report = ce_residual_congestion(&HelperSelectionGame::new(caps), &result.joint);
     assert!(
         report.relative_residual() < 0.10,
         "relative CE residual too high: {:.3}",
