@@ -13,6 +13,16 @@
 //! peers one at a time on the helper with the largest marginal welfare
 //! gain. [`optimal_loads`] implements the greedy; [`optimal_loads_dp`] is
 //! an independent `O(H·N²)` dynamic program used to cross-validate it.
+//!
+//! ```
+//! use rths_oracle::assignment::optimal_loads;
+//!
+//! // 10 peers, helpers at 700/800/900 kbps, uncapped demand: any
+//! // covering assignment attains welfare 2400.
+//! let alloc = optimal_loads(&[700.0, 800.0, 900.0], 10, None);
+//! assert_eq!(alloc.welfare, 2400.0);
+//! assert!(alloc.loads.iter().all(|&l| l > 0));
+//! ```
 
 /// An optimal assignment result.
 #[derive(Debug, Clone, PartialEq)]

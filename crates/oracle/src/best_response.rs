@@ -7,6 +7,20 @@
 //! flow". [`synchronous`] reproduces exactly that pathology;
 //! [`sequential`] (one peer updates at a time) converges because the game
 //! has an exact potential. Both serve as baselines against RTHS.
+//!
+//! ```
+//! use rths_oracle::{best_response, HelperSelectionGame};
+//!
+//! // §III.B: n peers, two equal-capacity helpers, everyone starts on
+//! // helper 0.
+//! let game = HelperSelectionGame::new(vec![800.0, 800.0]);
+//! let start = vec![0usize; 10];
+//! let trace = best_response::synchronous(&game, &start, 6);
+//! // All 10 peers flap to helper 1, then back, forever.
+//! assert_eq!(trace.profiles[1], vec![1usize; 10]);
+//! assert_eq!(trace.profiles[2], vec![0usize; 10]);
+//! assert!(!trace.converged);
+//! ```
 
 use crate::congestion::HelperSelectionGame;
 

@@ -30,22 +30,9 @@
 //! * [`driver`] — [`RepeatedGameDriver`], which plays a population of
 //!   learners against the stage game and records that distribution.
 //!
-//! ```
-//! use rths_oracle::{best_response, HelperSelectionGame};
-//!
-//! // §III.B: n peers, two equal-capacity helpers, everyone starts on
-//! // helper 0.
-//! let game = HelperSelectionGame::new(vec![800.0, 800.0]);
-//! let start = vec![0usize; 10];
-//! let trace = best_response::synchronous(&game, &start, 6);
-//! // All 10 peers flap to helper 1, then back, forever.
-//! assert_eq!(trace.profiles[1], vec![1usize; 10]);
-//! assert_eq!(trace.profiles[2], vec![0usize; 10]);
-//! assert!(!trace.converged);
-//! ```
-//!
-//! RTHS peers, each observing only its own rate, do not flap: their joint
-//! play settles into the CE set.
+//! Synchronous best response flaps forever (see [`best_response`]'s
+//! example); RTHS peers, each observing only its own rate, do not flap:
+//! their joint play settles into the CE set.
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -101,37 +88,12 @@
 //!    [`LinearProgram`] (exponential in peers/helpers; the ground truth at
 //!    toy scale).
 //!
-//! ```
-//! use rths_oracle::assignment::optimal_loads;
-//!
-//! // 10 peers, helpers at 700/800/900 kbps, uncapped demand: any
-//! // covering assignment attains welfare 2400.
-//! let alloc = optimal_loads(&[700.0, 800.0, 900.0], 10, None);
-//! assert_eq!(alloc.welfare, 2400.0);
-//! assert!(alloc.loads.iter().all(|&l| l > 0));
-//! ```
-//!
 //! # The LP solver
 //!
 //! [`LinearProgram`] is a classic **two-phase dense primal simplex** with
 //! Bland's anti-cycling rule. It targets correctness on small/medium dense
 //! problems (the occupation-measure LPs here have at most a few thousand
 //! variables), not sparse industrial scale.
-//!
-//! ```
-//! use rths_oracle::{LinearProgram, Relation};
-//!
-//! // maximize 3x + 5y  s.t.  x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18, x,y ≥ 0
-//! let mut lp = LinearProgram::maximize(vec![3.0, 5.0]);
-//! lp.add_constraint(vec![1.0, 0.0], Relation::Le, 4.0)?;
-//! lp.add_constraint(vec![0.0, 2.0], Relation::Le, 12.0)?;
-//! lp.add_constraint(vec![3.0, 2.0], Relation::Le, 18.0)?;
-//! let solution = lp.solve()?;
-//! assert!((solution.objective() - 36.0).abs() < 1e-9);
-//! assert!((solution.x()[0] - 2.0).abs() < 1e-9);
-//! assert!((solution.x()[1] - 6.0).abs() < 1e-9);
-//! # Ok::<(), rths_oracle::LpError>(())
-//! ```
 
 #![forbid(unsafe_code)]
 

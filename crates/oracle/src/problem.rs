@@ -36,6 +36,21 @@ pub(crate) struct Constraint {
 /// the natural domain for occupation measures and mixed strategies — the
 /// two uses in this workspace. Free variables can be modelled as a
 /// difference of two non-negative ones by the caller if ever required.
+///
+/// ```
+/// use rths_oracle::{LinearProgram, Relation};
+///
+/// // maximize 3x + 5y  s.t.  x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18, x,y ≥ 0
+/// let mut lp = LinearProgram::maximize(vec![3.0, 5.0]);
+/// lp.add_constraint(vec![1.0, 0.0], Relation::Le, 4.0)?;
+/// lp.add_constraint(vec![0.0, 2.0], Relation::Le, 12.0)?;
+/// lp.add_constraint(vec![3.0, 2.0], Relation::Le, 18.0)?;
+/// let solution = lp.solve()?;
+/// assert!((solution.objective() - 36.0).abs() < 1e-9);
+/// assert!((solution.x()[0] - 2.0).abs() < 1e-9);
+/// assert!((solution.x()[1] - 6.0).abs() < 1e-9);
+/// # Ok::<(), rths_oracle::LpError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct LinearProgram {
     objective: Objective,
