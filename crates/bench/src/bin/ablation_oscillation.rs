@@ -4,15 +4,14 @@
 //! helper h1. … all peers switch to the helper h2. But this simultaneous
 //! switching makes the helper h2 over-loaded and all peers will switch
 //! back … frequent interruption in the streaming flow." We reproduce the
-//! flapping under synchronous best response and show RTHS converging to
-//! a stable split on the same instance.
+//! flapping under synchronous best response and show RTHS peers on the
+//! simulation engine converging to a stable split on the same instance.
 //!
 //! Run with: `cargo run --release -p rths_bench --bin ablation_oscillation`
 
-use rand::SeedableRng;
 use rths_bench::write_csv;
-use rths_core::{RthsConfig, SlabLearner};
-use rths_oracle::{best_response, HelperSelectionGame, RepeatedGameDriver};
+use rths_oracle::{best_response, HelperSelectionGame};
+use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 
 fn main() {
     let n = 20usize;
@@ -28,12 +27,18 @@ fn main() {
     let br_rate = trace.total_switches() as f64 / (n * trace.switches.len()) as f64;
 
     // RTHS on the same instance.
-    let cfg = RthsConfig::builder(2).epsilon(0.01).delta(0.1).mu(4.0 * 80.0).build().unwrap();
-    let learners = SlabLearner::population(n, &cfg);
-    let mut driver = RepeatedGameDriver::new(learners, caps);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let result = driver.run(stages as u64, &mut rng);
-    let switch_series = result.switches.values();
+    let config =
+        SimConfig::builder(n, caps.iter().map(|&c| BandwidthSpec::Constant(c)).collect())
+            .learner(LearnerSpec {
+                epsilon: 0.01,
+                delta: 0.1,
+                mu: Some(4.0 * 80.0),
+                ..LearnerSpec::default()
+            })
+            .seed(5)
+            .build();
+    let result = System::new(config).run(stages as u64);
+    let switch_series = result.metrics.switches.values();
 
     let rows: Vec<Vec<f64>> = (0..stages)
         .map(|i| {
@@ -53,10 +58,10 @@ fn main() {
     println!("  first profiles: all-h1 -> all-h2 -> all-h1 -> … (period-2 herd)");
 
     let early = rths_math::stats::mean(&switch_series[..200]) / n as f64;
-    let late = result.switches.tail_mean(500) / n as f64;
+    let late = result.metrics.switches.tail_mean(500) / n as f64;
     println!("\nRTHS:");
     println!("  switches per peer per stage: early {early:.3} -> converged {late:.3}");
-    println!("  final mean loads: {:?} (stable near 10/10)", result.mean_loads);
+    println!("  final mean loads: {:?} (stable near 10/10)", result.metrics.mean_helper_loads);
     println!("\ninterruption ratio BR/RTHS at convergence: {:.0}x", br_rate / late.max(1e-6));
     println!("csv: {}", path.display());
 }

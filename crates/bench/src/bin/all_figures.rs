@@ -1,11 +1,12 @@
-//! Runs every figure/ablation binary's workload in-process and writes all
-//! CSVs — the one-shot reproduction entry point.
+//! Runs every figure/ablation binary and the CE check (`ce_verify`), each
+//! as a child process, and writes all CSVs — the one-shot reproduction
+//! entry point. Exits with status 1 if any of them fails.
 //!
 //! Run with: `cargo run --release -p rths_bench --bin all_figures`
 
 use std::process::Command;
 
-const TARGETS: [&str; 11] = [
+const TARGETS: [&str; 12] = [
     "fig1",
     "fig2",
     "fig3",
@@ -17,6 +18,7 @@ const TARGETS: [&str; 11] = [
     "ablation_churn",
     "ablation_qoe",
     "ext_multichannel",
+    "ce_verify",
 ];
 
 fn main() {
@@ -42,19 +44,6 @@ fn main() {
         }
         println!();
     }
-    println!("==================== ce_verify ====================");
-    let path = bin_dir.join("ce_verify");
-    let status = if path.exists() {
-        Command::new(&path).status()
-    } else {
-        Command::new("cargo")
-            .args(["run", "--release", "-p", "rths_bench", "--bin", "ce_verify"])
-            .status()
-    };
-    if !matches!(status, Ok(s) if s.success()) {
-        failures.push("ce_verify failed".into());
-    }
-
     if failures.is_empty() {
         println!("\nall figure harnesses completed; CSVs in ./results/");
     } else {

@@ -1,16 +1,17 @@
-//! Experiment ce-verify: quantitative check that converged RTHS play is
-//! an approximate correlated equilibrium, compared against the exact CE
-//! polytope computed by LP on a small instance.
+//! Experiment ce-verify: quantitative check that converged RTHS play on
+//! the simulation engine (static helpers, no demand cap) is an
+//! approximate correlated equilibrium, compared against the exact CE
+//! polytope computed by LP on a small instance. Exits with status 1 when
+//! the relative residual is not below 0.10.
 //!
 //! Run with: `cargo run --release -p rths_bench --bin ce_verify`
 
-use rand::SeedableRng;
 use rths_bench::write_csv;
-use rths_core::{RthsConfig, SlabLearner};
 use rths_oracle::equilibrium::{
     cce_residual_congestion, ce_residual_congestion, max_welfare_ce,
 };
-use rths_oracle::{HelperSelectionGame, RepeatedGameDriver};
+use rths_oracle::HelperSelectionGame;
+use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 
 fn main() {
     println!("CE verification — 5 peers, 3 helpers [800, 800, 600] kbps\n");
@@ -22,18 +23,26 @@ fn main() {
     println!("exact max-welfare CE (LP, 243 profiles): welfare {:.0} kbps", ce.welfare());
 
     // Learned play, discarding the transient.
-    let cfg =
-        RthsConfig::builder(3).epsilon(0.01).delta(0.1).mu(4.0 * 2200.0 / 5.0).build().unwrap();
-    let learners = SlabLearner::population(5, &cfg);
-    let mut driver = RepeatedGameDriver::new(learners, caps.clone()).record_joint_from(2000);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    let result = driver.run(10_000, &mut rng);
+    let config =
+        SimConfig::builder(5, caps.iter().map(|&c| BandwidthSpec::Constant(c)).collect())
+            .learner(LearnerSpec {
+                epsilon: 0.01,
+                delta: 0.1,
+                mu: Some(4.0 * 2200.0 / 5.0),
+                ..LearnerSpec::default()
+            })
+            .seed(17)
+            .record_joint_from(2000)
+            .build();
+    let result = System::new(config).run(10_000);
+    let joint = result.joint.expect("a churn-free run records its joint play");
 
-    let report = ce_residual_congestion(&game, &result.joint);
-    let cce = cce_residual_congestion(&game, &result.joint);
-    let learned_welfare = result.welfare.tail_mean(2000);
-    println!("\nlearned play over stages [2000, 10000):");
-    println!("  distinct joint profiles observed: {}", result.joint.support_size());
+    let report = ce_residual_congestion(&game, &joint);
+    let cce = cce_residual_congestion(&game, &joint);
+    let learned_welfare = result.metrics.welfare.tail_mean(2000);
+    let converged = report.relative_residual() < 0.1;
+    println!("\nlearned play over epochs [2000, 10000):");
+    println!("  distinct joint profiles observed: {}", joint.support_size());
     println!("  max CE residual:      {:.2} kbps", report.max_residual);
     println!("  max CCE residual:     {:.2} kbps (external regret)", cce.max_residual);
     println!("  mean utility:         {:.1} kbps", report.mean_utility);
@@ -50,11 +59,7 @@ fn main() {
         "\nverdict: play is an ε-CE with ε = {:.1} kbps (relative {:.2}%) — {}",
         report.max_residual,
         100.0 * report.relative_residual(),
-        if report.relative_residual() < 0.1 {
-            "converged to the CE set"
-        } else {
-            "NOT converged"
-        }
+        if converged { "converged to the CE set" } else { "NOT converged" }
     );
 
     let rows = vec![vec![
@@ -76,4 +81,7 @@ fn main() {
         &rows,
     );
     println!("csv: {}", path.display());
+    if !converged {
+        std::process::exit(1);
+    }
 }

@@ -1443,7 +1443,7 @@ impl SlabCols<'_> {
 }
 
 /// A shared, mutex-guarded slab handle for [`SlabLearner`]s that share
-/// one slab ([`SlabLearner::population`]). The engines do not use it —
+/// one slab ([`SlabLearner::new`]). The engines do not use it —
 /// the simulator's store and the reactor's mailbox shards own their slabs
 /// and reach them by `&mut` — but the benchmark's `net.machines.peer_*`
 /// probes build their learners on one, and keep it until they are
@@ -1453,11 +1453,11 @@ pub type SharedSlab = Arc<Mutex<LearnerSlab>>;
 /// The recursive regret-tracking learner (paper Algorithm 2; regret
 /// *matching* under [`RecencyMode::Uniform`]) behind the [`Learner`]
 /// trait: one slab slot, for owners that hold one learner by value —
-/// `rths_oracle`'s `RepeatedGameDriver`, the baselines' comparisons, one-off peers, the
-/// oracle tests. [`standalone`](Self::standalone) gives a learner a slab
-/// to itself; [`population`](Self::population) and [`new`](Self::new)
-/// put several on one [`SharedSlab`]. A population the engines drive
-/// lives in a slab of its own instead, behind `rths_sim`'s `PeerStore`.
+/// `rths_sim`'s `AnyLearner` (the helper-level allocators), one-off
+/// peers, the oracle tests. [`standalone`](Self::standalone) gives a
+/// learner a slab to itself; [`new`](Self::new) puts several on one
+/// [`SharedSlab`]. A population the engines drive lives in a slab of its
+/// own instead, behind `rths_sim`'s `PeerStore`.
 ///
 /// The learner holds no state of its own beside its slot and config.
 /// [`observe`](Learner::observe) runs the update at once.
@@ -1498,18 +1498,12 @@ impl SlabLearner {
         Self { slab, slot, config, strategy: OnceCell::new() }
     }
 
-    /// `n` fresh learners sharing one slab sized for exactly them, for a
-    /// population driven from one thread.
-    pub fn population(n: usize, config: &RthsConfig) -> Vec<Self> {
-        let slab = Arc::new(Mutex::new(LearnerSlab::with_capacity(config.num_actions(), n)));
-        (0..n).map(|_| Self::new(Arc::clone(&slab), config.clone())).collect()
-    }
-
     /// A fresh learner on a one-slot slab of its own, for owners with no
     /// shard to share: a learner per OS thread (a shared mutex would
     /// serialise them) or one of a kind.
     pub fn standalone(config: RthsConfig) -> Self {
-        Self::population(1, &config).pop().expect("a population of one")
+        let slab = LearnerSlab::with_capacity(config.num_actions(), 1);
+        Self::new(Arc::new(Mutex::new(slab)), config)
     }
 
     /// The slab slot this learner owns.
@@ -2640,8 +2634,10 @@ mod tests {
     #[should_panic(expected = "exceeds the shared slab's stride 3")]
     fn reset_beyond_the_stride_of_a_shared_slab_panics() {
         let cfg = config(3, RecencyMode::Exponential, false);
-        let mut population = SlabLearner::population(2, &cfg);
-        population[0].reset_actions(5);
+        let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(3)));
+        let mut first = SlabLearner::new(Arc::clone(&slab), cfg.clone());
+        let _second = SlabLearner::new(slab, cfg);
+        first.reset_actions(5);
     }
 
     /// Cloning a `SlabLearner` allocates an independent slot.

@@ -1,17 +1,20 @@
 //! The reference the RTHS reproduction is checked against: the
 //! helper-selection game and its equilibria (paper §III), the centralized
-//! MDP optimum (§IV.A), the linear-programming solver both rest on, and
-//! the repeated-game driver the equilibrium checks run learners in.
+//! MDP optimum (§IV.A) and the linear-programming solver both rest on.
 //!
 //! This crate depends on the production crates and no production crate
 //! depends on it: `rths_core`, `rths_sim`, `rths_net` and `rths_reactor`
 //! build without it, so no run compiles the reference it is judged by.
+//! The checks run learners on the production engine
+//! ([`System`](rths_sim::System)) and judge what it records here.
 //!
 //! # The game (§III)
 //!
 //! The paper models helper selection as a non-cooperative repeated game
 //! (§III.A): players are peers, actions are helpers, and the stage utility
-//! of a peer is its received streaming rate `C_h / load_h`.
+//! of a peer is its received streaming rate `C_h / load_h` — to the bit,
+//! the rate a [`System`](rths_sim::System) over static helpers with no
+//! demand cap delivers.
 //!
 //! * [`Game`] — the general finite normal-form interface, with
 //!   [`TableGame`] as an explicit-payoff implementation for small games.
@@ -27,34 +30,33 @@
 //!   verification of the [`JointDistribution`](rths_sim::JointDistribution)
 //!   a learning run records, used to check that learned play converges to
 //!   the CE set (the paper's central claim).
-//! * [`driver`] — [`RepeatedGameDriver`], which plays a population of
-//!   learners against the stage game and records that distribution.
 //!
 //! Synchronous best response flaps forever (see [`best_response`]'s
 //! example); RTHS peers, each observing only its own rate, do not flap:
 //! their joint play settles into the CE set.
 //!
 //! ```
-//! use rand::SeedableRng;
-//! use rths_core::{RthsConfig, SlabLearner};
 //! use rths_oracle::equilibrium::ce_residual_congestion;
-//! use rths_oracle::{HelperSelectionGame, RepeatedGameDriver};
+//! use rths_oracle::HelperSelectionGame;
+//! use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 //!
-//! // 6 peers learn over two 800 kbps helpers, their state in one slab.
+//! // 6 peers learn over two static 800 kbps helpers on the engine.
 //! let caps = vec![800.0, 800.0];
-//! let config = RthsConfig::builder(2).mu(3200.0).build()?;
-//! let peers = SlabLearner::population(6, &config);
-//! let mut driver = RepeatedGameDriver::new(peers, caps.clone()).record_joint_from(1000);
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let result = driver.run(3000, &mut rng);
+//! let helpers = caps.iter().map(|&c| BandwidthSpec::Constant(c)).collect();
+//! let config = SimConfig::builder(6, helpers)
+//!     .learner(LearnerSpec { mu: Some(3200.0), ..LearnerSpec::default() })
+//!     .seed(7)
+//!     .record_joint_from(1000)
+//!     .build();
+//! let outcome = System::new(config).run(3000);
+//! let joint = outcome.joint.expect("a churn-free run records its joint play");
 //!
 //! // Play is an approximate correlated equilibrium…
-//! let report = ce_residual_congestion(&HelperSelectionGame::new(caps), &result.joint);
+//! let report = ce_residual_congestion(&HelperSelectionGame::new(caps), &joint);
 //! assert!(report.relative_residual() < 0.2);
-//! // …that keeps both helpers busy almost every stage.
-//! let tail = result.welfare.tail_mean(300);
+//! // …that keeps both helpers busy almost every epoch.
+//! let tail = outcome.metrics.welfare.tail_mean(300);
 //! assert!(tail > 1500.0, "tail welfare {tail}");
-//! # Ok::<(), rths_core::ConfigError>(())
 //! ```
 //!
 //! # The centralized optimum (§IV.A)
@@ -101,7 +103,6 @@ pub mod assignment;
 pub mod benchmark;
 pub mod best_response;
 pub mod congestion;
-pub mod driver;
 pub mod equilibrium;
 pub mod normal_form;
 pub mod occupation;
@@ -112,7 +113,6 @@ pub mod welfare;
 
 pub use benchmark::MdpBenchmark;
 pub use congestion::HelperSelectionGame;
-pub use driver::{RepeatedGameDriver, RunResult};
 pub use normal_form::{Game, TableGame};
 pub use problem::{LinearProgram, Objective, Relation};
 pub use solution::{LpError, Solution};

@@ -129,12 +129,10 @@ pub struct MultiChannelConfig {
     pub viewers: Vec<usize>,
     /// Capacity split policy at helpers.
     pub allocation: AllocationPolicy,
-    /// Learner parameters for viewers.
+    /// Learner parameters for viewers. Helper-level allocation
+    /// ([`AllocationPolicy::Learned`]) runs RTHS with its own fixed
+    /// parameters: `ε = 0.05`, `δ = 0.1`, `μ` = the mean helper capacity.
     pub learner: LearnerSpec,
-    /// Learner parameters for helper-level allocation (only used by
-    /// [`AllocationPolicy::Learned`]); `None` derives a spec tuned for
-    /// the helper's utility scale (`ε=0.02`, `δ=0.05`, `μ = capacity`).
-    pub helper_learner: Option<LearnerSpec>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -173,7 +171,6 @@ impl MultiChannelConfig {
             viewers,
             allocation,
             learner: LearnerSpec::default(),
-            helper_learner: None,
             seed,
         }
     }
@@ -258,22 +255,21 @@ pub(crate) struct HelperAllocator {
 
 impl HelperAllocator {
     /// One allocator per helper over the split templates of the channels
-    /// it serves. `spec` overrides the default learner, which is tuned
-    /// for the helper's utility scale (`μ` = mean helper capacity). RNG
+    /// it serves, each an RTHS learner tuned for the helper's utility
+    /// scale: `ε = 0.05`, `δ = 0.1`, `μ` = the mean helper capacity. RNG
     /// stream ids sit between the viewers' and the helpers' own.
     pub(crate) fn for_helpers(
         helpers: &[Helper],
         helper_channels: &[Vec<usize>],
-        spec: Option<&LearnerSpec>,
         seed: u64,
     ) -> Vec<Self> {
         let mean_capacity = mean_helper_capacity(helpers);
-        let spec = spec.cloned().unwrap_or(LearnerSpec {
+        let spec = LearnerSpec {
             epsilon: 0.05,
             delta: 0.1,
             mu: Some(mean_capacity),
             ..LearnerSpec::default()
-        });
+        };
         helper_channels
             .iter()
             .enumerate()
@@ -371,7 +367,6 @@ impl MultiChannelSystem {
                 viewers: config.viewers,
                 allocation: config.allocation,
                 learner: config.learner,
-                helper_learner: config.helper_learner,
                 churn: ChurnProcess::none(),
                 impairment: ImpairmentPlan::none(),
                 diagnostics: false,

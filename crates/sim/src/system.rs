@@ -51,8 +51,6 @@ pub struct Outcome {
     /// peer, inner = epoch. Feed to [`crate::playback::PlaybackBuffer`]
     /// for QoE analysis.
     pub peer_rate_series: Option<Vec<Vec<f64>>>,
-    /// Helper capacities at the final epoch.
-    pub final_capacities: Vec<f64>,
 }
 
 /// What a constructor hands to [`System::assemble`], and the engine keeps:
@@ -72,8 +70,6 @@ pub(crate) struct Blueprint {
     /// How a helper splits its capacity over the channels it serves.
     pub allocation: AllocationPolicy,
     pub learner: LearnerSpec,
-    /// Helper-level learner override ([`AllocationPolicy::Learned`]).
-    pub helper_learner: Option<LearnerSpec>,
     pub churn: ChurnProcess,
     pub impairment: ImpairmentPlan,
     /// Record what only [`Outcome`] reports: the joint action
@@ -184,7 +180,6 @@ impl System {
                 viewers: vec![config.num_peers],
                 allocation: AllocationPolicy::EvenSplit,
                 learner: config.learner,
-                helper_learner: None,
                 churn: config.churn,
                 impairment: config.impairment,
                 diagnostics: true,
@@ -245,12 +240,7 @@ impl System {
             }
         }
         let allocators = if plan.allocation == AllocationPolicy::Learned {
-            HelperAllocator::for_helpers(
-                &helpers,
-                &plan.helper_channels,
-                plan.helper_learner.as_ref(),
-                plan.seed,
-            )
+            HelperAllocator::for_helpers(&helpers, &plan.helper_channels, plan.seed)
         } else {
             Vec::new()
         };
@@ -684,7 +674,6 @@ impl System {
             final_population: self.peers.len(),
             joint: self.joint.clone(),
             peer_rate_series: self.peer_rate_series.clone(),
-            final_capacities: self.capacities(),
         }
     }
 }

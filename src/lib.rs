@@ -13,7 +13,7 @@
 //! * [`rths_stoch`], [`rths_math`] — supporting substrates;
 //! * [`rths_oracle`] — the reference the rest is checked against: the
 //!   helper-selection game and its equilibria, the centralized MDP
-//!   optimum, the LP solver and the repeated-game driver.
+//!   optimum and the LP solver.
 
 #![forbid(unsafe_code)]
 
@@ -61,7 +61,7 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 pub mod prelude {
     pub use rths_core::{Learner, RecencyMode, RthsConfig, SlabLearner};
     pub use rths_net::{Backend, NetConfig, ReactorRuntime};
-    pub use rths_oracle::{HelperSelectionGame, MdpBenchmark, RepeatedGameDriver};
+    pub use rths_oracle::{HelperSelectionGame, MdpBenchmark};
     pub use rths_sim::{
         Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, JointDistribution,
         LearnerSpec, MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig,

@@ -1,52 +1,109 @@
-//! Cross-crate equilibrium tests: learned play lands in the CE set and
+//! Cross-crate equilibrium tests on the production engine: RTHS peers in
+//! a [`System`] over static helpers (no demand cap, no impairment) play
+//! the helper-selection game, their learned play lands in the CE set and
 //! beats myopic baselines.
+//!
+//! Every learning check runs at five consecutive seeds and must hold at
+//! each of them.
 
-use rths_core::{RthsConfig, SlabLearner};
 use rths_oracle::equilibrium::{ce_residual_congestion, max_welfare_ce, nash_loads};
-use rths_oracle::{best_response, Game, HelperSelectionGame, RepeatedGameDriver};
-use rths_stoch::rng::seeded_rng;
+use rths_oracle::{best_response, Game, HelperSelectionGame};
+use rths_sim::{
+    BandwidthSpec, JointDistribution, LearnerSpec, Outcome, SimConfig, SimConfigBuilder, System,
+};
 
-/// `n` learners in one shared slab — the reactor's production layout.
-fn learners(n: usize, h: usize, mu: f64) -> Vec<SlabLearner> {
-    let cfg = RthsConfig::builder(h).epsilon(0.01).delta(0.1).mu(mu).build().unwrap();
-    SlabLearner::population(n, &cfg)
+/// Seeds per check: the first one and the next four.
+const SEEDS: u64 = 5;
+
+/// `n` RTHS peers (ε = 0.01, δ = 0.1, the given `μ`) over static helpers
+/// of `caps` kbps.
+fn config(caps: &[f64], n: usize, mu: f64, seed: u64) -> SimConfigBuilder {
+    let helpers = caps.iter().map(|&c| BandwidthSpec::Constant(c)).collect();
+    SimConfig::builder(n, helpers)
+        .learner(LearnerSpec {
+            epsilon: 0.01,
+            delta: 0.1,
+            mu: Some(mu),
+            ..LearnerSpec::default()
+        })
+        .seed(seed)
+}
+
+/// Runs `epochs` epochs of `config` with the joint distribution recorded
+/// from epoch `record_from`, and checks that it holds exactly those
+/// epochs: an empty record would pass every CE bound vacuously.
+fn run(
+    config: SimConfigBuilder,
+    record_from: u64,
+    epochs: u64,
+) -> (Outcome, JointDistribution) {
+    let mut out = System::new(config.record_joint_from(record_from).build()).run(epochs);
+    let joint = out.joint.take().expect("a churn-free run records its joint play");
+    assert_eq!(joint.total(), epochs - record_from, "joint records the wrong epochs");
+    (out, joint)
+}
+
+/// The game's stage payoff is what the engine delivers: at static
+/// helpers with no demand cap, each peer's realized rate is
+/// [`HelperSelectionGame`]'s utility of the epoch's profile, and the
+/// epoch's welfare is the profile's social welfare, to the bit.
+#[test]
+fn stage_payoff_is_the_engines_realized_rate() {
+    let caps = [700.0, 500.0, 900.0];
+    let n = 7;
+    let game = HelperSelectionGame::new(caps.to_vec()).with_peers(n);
+    for t in 1..=60u64 {
+        // Recording from epoch t − 1 over t epochs leaves exactly epoch
+        // t − 1's profile in the joint distribution.
+        let builder = config(&caps, n, 4.0 * 2100.0 / n as f64, 21).record_peer_rates(true);
+        let (out, joint) = run(builder, t - 1, t);
+        let (profile, _) = joint.iter().next().expect("one recorded profile");
+        let rates = out.peer_rate_series.as_ref().expect("peer rates recorded");
+        let e = (t - 1) as usize;
+        for (i, series) in rates.iter().enumerate() {
+            let (got, want) = (series[e], game.utility(i, profile));
+            assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}, peer {i}: {got} != {want}");
+        }
+        let (got, want) = (out.metrics.welfare.values()[e], game.social_welfare(profile));
+        assert_eq!(got.to_bits(), want.to_bits(), "epoch {e} welfare: {got} != {want}");
+    }
 }
 
 /// The paper's central claim: the empirical joint play of RTHS peers
 /// converges to the correlated-equilibrium set.
 #[test]
 fn learned_play_is_approximate_ce() {
-    let caps = vec![800.0, 800.0, 600.0];
-    let mut driver = RepeatedGameDriver::new(learners(9, 3, 4.0 * 245.0), caps.clone())
-        .record_joint_from(2000);
-    let mut rng = seeded_rng(11);
-    let result = driver.run(8000, &mut rng);
-    let report = ce_residual_congestion(&HelperSelectionGame::new(caps), &result.joint);
-    assert!(
-        report.relative_residual() < 0.10,
-        "relative CE residual too high: {:.3}",
-        report.relative_residual()
-    );
+    let caps = [800.0, 800.0, 600.0];
+    let game = HelperSelectionGame::new(caps.to_vec());
+    for seed in 11..11 + SEEDS {
+        let (_, joint) = run(config(&caps, 9, 4.0 * 245.0, seed), 2000, 8000);
+        let report = ce_residual_congestion(&game, &joint);
+        assert!(
+            report.relative_residual() < 0.10,
+            "seed {seed}: relative CE residual too high: {:.3}",
+            report.relative_residual()
+        );
+    }
 }
 
 /// The converged welfare is comparable to the best correlated
 /// equilibrium's welfare (computed exactly by LP on a small instance).
 #[test]
 fn learned_welfare_near_best_ce() {
-    let caps = vec![800.0, 600.0];
-    let game = HelperSelectionGame::new(caps.clone()).with_peers(4);
+    let caps = [800.0, 600.0];
+    let game = HelperSelectionGame::new(caps.to_vec()).with_peers(4);
     let ce = max_welfare_ce(&game).unwrap();
     assert!((ce.welfare() - 1400.0).abs() < 1e-6);
 
-    let mut driver = RepeatedGameDriver::new(learners(4, 2, 4.0 * 350.0), caps);
-    let mut rng = seeded_rng(12);
-    let result = driver.run(6000, &mut rng);
-    let tail = result.welfare.tail_mean(800);
-    assert!(
-        tail > 0.9 * ce.welfare(),
-        "welfare {tail:.0} below 90% of best CE {:.0}",
-        ce.welfare()
-    );
+    for seed in 12..12 + SEEDS {
+        let (out, _) = run(config(&caps, 4, 4.0 * 350.0, seed), 0, 6000);
+        let tail = out.metrics.welfare.tail_mean(800);
+        assert!(
+            tail > 0.9 * ce.welfare(),
+            "seed {seed}: welfare {tail:.0} below 90% of best CE {:.0}",
+            ce.welfare()
+        );
+    }
 }
 
 /// §III.B: synchronous best response oscillates forever, RTHS does not.
@@ -54,9 +111,9 @@ fn learned_welfare_near_best_ce() {
 /// streaming-interruption proxy.
 #[test]
 fn rths_avoids_best_response_oscillation() {
-    let caps = vec![800.0, 800.0];
+    let caps = [800.0, 800.0];
     let n = 20usize;
-    let game = HelperSelectionGame::new(caps.clone());
+    let game = HelperSelectionGame::new(caps.to_vec());
 
     // Myopic baseline: everyone flaps every stage.
     let trace = best_response::synchronous(&game, &vec![0usize; n], 200);
@@ -66,15 +123,15 @@ fn rths_avoids_best_response_oscillation() {
     assert!(br_switch_rate > 0.99, "baseline did not oscillate: {br_switch_rate}");
 
     // RTHS: after convergence, switching is rare.
-    let mut driver = RepeatedGameDriver::new(learners(n, 2, 4.0 * 80.0), caps);
-    let mut rng = seeded_rng(13);
-    let result = driver.run(4000, &mut rng);
-    let tail_switches = result.switches.tail_mean(500) / n as f64;
-    assert!(
-        tail_switches < 0.25,
-        "RTHS switch rate too high: {tail_switches:.3} per peer per stage"
-    );
-    assert!(br_switch_rate > 4.0 * tail_switches);
+    for seed in 13..13 + SEEDS {
+        let (out, _) = run(config(&caps, n, 4.0 * 80.0, seed), 0, 4000);
+        let tail_switches = out.metrics.switches.tail_mean(500) / n as f64;
+        assert!(
+            tail_switches < 0.25,
+            "seed {seed}: RTHS switch rate too high: {tail_switches:.3} per peer per stage"
+        );
+        assert!(br_switch_rate > 4.0 * tail_switches, "seed {seed}");
+    }
 }
 
 /// The long-run loads under RTHS lean toward the Nash/CE load split on
@@ -84,38 +141,40 @@ fn rths_avoids_best_response_oscillation() {
 /// directional with a quantitative margin.
 #[test]
 fn loads_track_capacity_ratio() {
-    let caps = vec![900.0, 300.0];
-    let game = HelperSelectionGame::new(caps.clone());
+    let caps = [900.0, 300.0];
+    let game = HelperSelectionGame::new(caps.to_vec());
     let ne_loads = nash_loads(&game, 8);
     assert_eq!(ne_loads, vec![6, 2]);
 
-    let mut driver = RepeatedGameDriver::new(learners(8, 2, 4.0 * 150.0), caps);
-    let mut rng = seeded_rng(14);
-    let result = driver.run(12_000, &mut rng);
-    let big = result.mean_loads[0];
-    let small = result.mean_loads[1];
-    assert!(big > small + 1.2, "no lean toward the big helper: mean loads {big:.2}/{small:.2}");
-    assert!(big > 4.5, "big helper load {big:.2} too low (NE is 6)");
-    assert!(small < 3.5, "small helper load {small:.2} too high (NE is 2)");
+    for seed in 14..14 + SEEDS {
+        let (out, _) = run(config(&caps, 8, 4.0 * 150.0, seed), 0, 12_000);
+        let (big, small) = (out.metrics.mean_helper_loads[0], out.metrics.mean_helper_loads[1]);
+        assert!(
+            big > small + 1.2,
+            "seed {seed}: no lean toward the big helper: mean loads {big:.2}/{small:.2}"
+        );
+        assert!(big > 4.5, "seed {seed}: big helper load {big:.2} too low (NE is 6)");
+        assert!(small < 3.5, "seed {seed}: small helper load {small:.2} too high (NE is 2)");
+    }
 }
 
 /// Sanity: social welfare at any observed profile equals the sum of busy
 /// helpers' capacities — confirming the game wiring between crates.
 #[test]
 fn welfare_identity_via_joint_distribution() {
-    let caps = vec![700.0, 500.0];
-    let game = HelperSelectionGame::new(caps.clone()).with_peers(3);
-    let mut driver = RepeatedGameDriver::new(learners(3, 2, 1600.0), caps.clone());
-    let mut rng = seeded_rng(15);
-    let result = driver.run(500, &mut rng);
-    for (profile, _) in result.joint.iter() {
-        let w = game.social_welfare(profile);
-        let loads = game.loads(profile);
-        let expected: f64 =
-            loads.iter().zip(&caps).map(|(&n, &c)| if n > 0 { c } else { 0.0 }).sum();
-        assert!((w - expected).abs() < 1e-9);
+    let caps = [700.0, 500.0];
+    let game = HelperSelectionGame::new(caps.to_vec()).with_peers(3);
+    for seed in 15..15 + SEEDS {
+        let (_, joint) = run(config(&caps, 3, 1600.0, seed), 0, 500);
+        for (profile, _) in joint.iter() {
+            let w = game.social_welfare(profile);
+            let loads = game.loads(profile);
+            let expected: f64 =
+                loads.iter().zip(&caps).map(|(&n, &c)| if n > 0 { c } else { 0.0 }).sum();
+            assert!((w - expected).abs() < 1e-9, "seed {seed}: {w} != {expected}");
+        }
+        // CE residual machinery agrees between weighted and raw computation.
+        let report = ce_residual_congestion(&game, &joint);
+        assert!(report.max_residual.is_finite(), "seed {seed}");
     }
-    // CE residual machinery agrees between weighted and raw computation.
-    let report = ce_residual_congestion(&game, &result.joint);
-    assert!(report.max_residual.is_finite());
 }

@@ -33,7 +33,8 @@ fn assert_bit_identical(label: &str, threads: usize, a: &[f64], b: &[f64]) {
     }
 }
 
-fn single_channel_outcome() -> Outcome {
+/// The outcome and the helpers' final capacities.
+fn single_channel_outcome() -> (Outcome, Vec<f64>) {
     // Big enough to engage the pool, with demand (residual/server path),
     // churn (population changes across epochs), and the conditional
     // learner extension all exercised.
@@ -43,14 +44,15 @@ fn single_channel_outcome() -> Outcome {
         .learner(LearnerSpec { conditional: true, ..LearnerSpec::default() })
         .seed(4242)
         .build();
-    System::new(config).run(400)
+    let mut system = System::new(config);
+    (system.run(400), system.capacities())
 }
 
 #[test]
 fn system_outcome_is_thread_count_invariant() {
-    let sequential = with_threads(1, single_channel_outcome);
+    let (sequential, sequential_capacities) = with_threads(1, single_channel_outcome);
     for threads in [2usize, 4] {
-        let parallel = with_threads(threads, single_channel_outcome);
+        let (parallel, parallel_capacities) = with_threads(threads, single_channel_outcome);
         assert_eq!(parallel.epochs, sequential.epochs);
         assert_eq!(parallel.final_population, sequential.final_population);
         let pairs: [(&str, &[f64], &[f64]); 7] = [
@@ -76,7 +78,7 @@ fn system_outcome_is_thread_count_invariant() {
                 &parallel.metrics.mean_peer_rates,
                 &sequential.metrics.mean_peer_rates,
             ),
-            ("final_capacities", &parallel.final_capacities, &sequential.final_capacities),
+            ("final_capacities", &parallel_capacities, &sequential_capacities),
         ];
         for (label, par_series, seq_series) in pairs {
             assert_bit_identical(label, threads, par_series, seq_series);
