@@ -1,4 +1,8 @@
-//! The probability update rule of Algorithms 1 & 2.
+//! The probability update rule of Algorithms 1 & 2. The slab's observe
+//! ([`SlabCols::observe`](crate::slab::SlabCols::observe)) mirrors it
+//! expression for expression, fused with its gather of the played row; the
+//! scalar oracles ([`RthsState`](crate::RthsState),
+//! [`HistoryRths`](crate::HistoryRths)) call it.
 //!
 //! Given the regret row `Q(j, ·)` of the *currently played* action `j`,
 //! the next mixed strategy is

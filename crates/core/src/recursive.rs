@@ -236,8 +236,16 @@ mod tests {
 
     #[test]
     fn play_frequencies_track_play() {
+        // Only a conditional learner keeps its play frequencies.
+        let cfg = RthsConfig::builder(2)
+            .epsilon(0.1)
+            .delta(0.1)
+            .mu(100.0)
+            .conditional(true)
+            .build()
+            .unwrap();
         let slab = Arc::new(Mutex::new(LearnerSlab::new(2)));
-        let mut l = SlabLearner::new(Arc::clone(&slab), config(2));
+        let mut l = SlabLearner::new(Arc::clone(&slab), cfg);
         // Trajectory-pinned seed (vendored StdRng stream, see vendor/rand):
         // the ~10-stage EWMA play frequency is noisy around the lock, so
         // the stage-800 snapshot depends on the seed; this one lands

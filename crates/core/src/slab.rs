@@ -81,13 +81,27 @@
 //!   committed within the first epochs, so packing would buy nothing there
 //!   and cost the rank arithmetic and the shifts; such a slab addresses
 //!   column `k` at `k · s`.
-//! * **Mask-driven row gather.** The played row `S(j, ·)` is one element
-//!   of every column — a cache line each. All never-played columns share
-//!   the regret entry `(factor · (0 − S(j,j)))⁺`, computed once; the mask
-//!   walk loads the played ones. At a stride of at most 8 a column *is*
-//!   one cache line and the walk has nothing to skip, so the gather reads
-//!   all `m` densely — chosen by the slab's fixed geometry, not a
-//!   setting.
+//! * **Mask-driven row gather, fused with the strategy update.** The
+//!   played row `S(j, ·)` is one element of every column — a cache line
+//!   each — and each element gives one entry of the next strategy:
+//!   `p(k) = (1 − δ) · min(max(r, 0) / μ, 1/(m − 1)) + δ/m` with
+//!   `r = (factor · (S(j,k) − S(j,j)))⁺`, divided by `max(f_j, δ/m)` first
+//!   when regret is conditional. So the gather writes `p(k)` where it
+//!   reads `S(j, k)`, and no regret row is ever stored. All never-played
+//!   columns hold `+0.0` and share one `p`, computed once and written with
+//!   one `fill`; the mask walk then loads the played ones and writes
+//!   theirs; last, the off-mass is summed over `k ≠ j` in ascending `k`
+//!   and `p(j) = 1 − off`. Every float is the expression, in the order, of
+//!   `policy::update_probabilities`, which the scalar oracle calls. An
+//!   observe at a stride above 8 does `played + 1` divides where the
+//!   unfused form did `m − 1` (conditional: `2 · (played + 1)` where it
+//!   did `2 · (m − 1) + 1`). At a stride of at most 8 a column *is* one
+//!   cache line and the walk has nothing to skip, so the gather reads all
+//!   `m` densely — chosen by the slab's fixed geometry, not a setting.
+//! * **Play frequencies only where they are read.** Conditional
+//!   normalisation (`f_j` above) is the one reader of the `freq` row, so
+//!   only a conditional learner's observe writes it; any other learner's
+//!   stays at the `1/m` that `alloc` and `reset_actions` wrote.
 //! * **`max_regret` from maintained row maxima.** The estimate is
 //!   `max(0, max_{r,k} fl(f · fl(S(r,k) − S(r,r))))`, `f ≥ 0` being the
 //!   averaging factor times `scale`. Rounding to nearest is monotone, so
@@ -120,28 +134,29 @@
 //!   rebuilds rows, answers for a slab that never turned them on, and is
 //!   the tests' oracle beside `RthsState::max_regret`.
 //! * **Observes in batches behind one pass of loads.** What is left of an
-//!   observe at m = 64 is some 70 cache misses that the update meets one
-//!   at a time, each between a few dozen µops of arithmetic: ≈ 250 ns of
-//!   work spread over ≈ 1 µs. Splitting the update into per-stage passes
-//!   over several slots does not change that — every stage is still
-//!   load → arithmetic → store, and the reorder window holds few slots'
-//!   worth. A pass of *nothing but loads* does: for each of
-//!   [`OBSERVE_BATCH`] slots about to observe, one scalar from each line
-//!   of the pending column and the pending row's element of every played
+//!   observe at m = 64 is some 70 cache misses that the update meets one at
+//!   a time, each between a few dozen µops of arithmetic: ≈ 100 ns of work
+//!   when everything is cache-resident (≈ 230 ns before the gather and the
+//!   strategy update were fused), spread over ≈ 1 µs. Splitting the update
+//!   into per-stage passes over several slots does not change that — every
+//!   stage is still load → arithmetic → store, and the reorder window holds
+//!   few slots' worth. A pass of *nothing but loads* does: for each of
+//!   [`OBSERVE_BATCH`] slots about to observe, one scalar from each line of
+//!   the pending column and the pending row's element of every played
 //!   column — the lines the rank-1 update and the row gather are about to
 //!   touch — ≈ 100 independent loads in flight together, after which the
 //!   eight updates find their T lines in cache (`probs`, `freq` and `best`
-//!   rows are slot-addressed and stream). The loaded bits are folded into
-//!   a word that goes to [`std::hint::black_box`] and nowhere else, and
-//!   nothing is stored: no float of any trajectory can depend on the
-//!   pass, on the batch size or on whether it ran. The store's observe
-//!   sweep — `rths_sim`'s `PeerStore`, which both the simulator and the
-//!   reactor's mailbox shards drive — calls [`SlabCols::touch`] on each
-//!   block of a shard; every slot's action has been pending since the
-//!   choose phase. A lone [`SlabLearner`] observes at once, with no pass.
-//!   **Geometry gate, not a setting:** at a stride of at most 8 a block
-//!   is eight consecutive lines, which the hardware already streams; the
-//!   pass measured slower than no pass there, and does not run.
+//!   rows are slot-addressed and stream). The loaded bits are folded into a
+//!   word that goes to [`std::hint::black_box`] and nowhere else, and
+//!   nothing is stored: no float of any trajectory can depend on the pass,
+//!   on the batch size or on whether it ran. The store's observe sweep —
+//!   `rths_sim`'s `PeerStore`, which both the simulator and the reactor's
+//!   mailbox shards drive — calls [`SlabCols::touch`] on each block of a
+//!   shard; every slot's action has been pending since the choose phase. A
+//!   lone [`SlabLearner`] observes at once, with no pass. **Geometry gate,
+//!   not a setting:** at a stride of at most 8 a block is eight consecutive
+//!   lines, which the hardware already streams; the pass measured slower
+//!   than no pass there, and does not run.
 //!
 //! The contiguous loops (rank-1 `axpy`, renormalising `scale`,
 //! `shifted_regret_max`, the row maxima's `max_assign`) are the
@@ -519,9 +534,6 @@ pub struct LearnerSlab {
     /// until someone asks for a regret estimate
     /// ([`track_estimates`](Self::track_estimates)).
     best: Option<Vec<f64>>,
-    /// Regret-row scratch of the observes the slab runs for its
-    /// [`SlabLearner`]s.
-    row: Vec<f64>,
 }
 
 impl LearnerSlab {
@@ -560,7 +572,6 @@ impl LearnerSlab {
             free_blocks: Vec::new(),
             reuses: 0,
             best: None,
-            row: Vec::new(),
         }
     }
 
@@ -889,14 +900,6 @@ impl LearnerSlab {
         }
     }
 
-    /// [`observe`](Self::observe) with the slab's own row scratch: what a
-    /// [`SlabLearner`] runs.
-    fn observe_own_row(&mut self, slot: usize, config: &RthsConfig, utility: f64) {
-        let mut row = std::mem::take(&mut self.row);
-        self.slot_cols(slot).observe(0, config, utility, &mut row);
-        self.row = row;
-    }
-
     /// The slot's action count.
     pub fn num_actions(&self, slot: usize) -> usize {
         self.arity[slot] as usize
@@ -908,7 +911,11 @@ impl LearnerSlab {
         &self.probs[base..base + self.arity[slot] as usize]
     }
 
-    /// The slot's recency-weighted play frequencies.
+    /// The slot's recency-weighted play frequencies. Only a conditional
+    /// learner keeps them: its observe updates them because conditional
+    /// normalisation reads them; any other learner's stay at the uniform
+    /// `1/m` that `alloc` and `reset_actions` wrote.
+    #[cfg(test)]
     pub fn play_frequencies(&self, slot: usize) -> &[f64] {
         let base = slot * self.stride;
         &self.freq[base..base + self.arity[slot] as usize]
@@ -1027,7 +1034,8 @@ impl LearnerSlab {
 
     /// Feeds a slot's pending utility through the full update (see
     /// `RthsState::observe`). Returns whether it opened a packed column
-    /// (see [`SlabCols::observe`]).
+    /// (see [`SlabCols::observe`]). `_row_scratch` is unused, as in
+    /// [`SlabCols::observe`].
     ///
     /// # Panics
     ///
@@ -1037,9 +1045,9 @@ impl LearnerSlab {
         slot: usize,
         config: &RthsConfig,
         utility: f64,
-        row_scratch: &mut Vec<f64>,
+        _row_scratch: &mut Vec<f64>,
     ) -> bool {
-        self.slot_cols(slot).observe(0, config, utility, row_scratch)
+        self.slot_cols(slot).observe_inner(0, config, utility, false)
     }
 
     /// Largest derived regret of a slot, read from the maintained row
@@ -1282,13 +1290,19 @@ impl SlabCols<'_> {
     }
 
     /// Full observe for slot `i` — the slab counterpart of
-    /// `RthsState::observe`, bit-for-bit.
+    /// `RthsState::observe`, bit-for-bit: the rank-1 update, then the
+    /// played row of Eq. (3-6) and the next strategy in one pass over the
+    /// played columns (module docs). The play frequencies are updated only
+    /// for a conditional learner, the one reader of them.
     ///
     /// Returns whether it opened a packed column: the first play of an
     /// action in a slab whose blocks are packed (module docs), which
     /// shifts the slot's later columns up one — the per-shard
     /// `slab_columns_opened` observability counter. The flag is derived
     /// state, never an input: ignoring it changes nothing.
+    ///
+    /// `_row_scratch` is unused: the update needs no row buffer. The
+    /// parameter stays until the benchmark's probes stop passing one.
     ///
     /// # Panics
     ///
@@ -1298,22 +1312,23 @@ impl SlabCols<'_> {
         i: usize,
         config: &RthsConfig,
         utility: f64,
-        row_scratch: &mut Vec<f64>,
+        _row_scratch: &mut Vec<f64>,
     ) -> bool {
-        self.observe_inner(i, config, utility, row_scratch, false)
+        self.observe_inner(i, config, utility, false)
     }
 
     /// Observe for a slot whose exponential decay was already applied by
     /// a batched [`decay`](Self::decay) this round; returns what
-    /// [`observe`](Self::observe) does.
+    /// [`observe`](Self::observe) does, and leaves `_row_scratch` unused
+    /// as it does.
     pub fn observe_predecayed(
         &mut self,
         i: usize,
         config: &RthsConfig,
         utility: f64,
-        row_scratch: &mut Vec<f64>,
+        _row_scratch: &mut Vec<f64>,
     ) -> bool {
-        self.observe_inner(i, config, utility, row_scratch, true)
+        self.observe_inner(i, config, utility, true)
     }
 
     fn observe_inner(
@@ -1321,7 +1336,6 @@ impl SlabCols<'_> {
         i: usize,
         config: &RthsConfig,
         utility: f64,
-        row_scratch: &mut Vec<f64>,
         predecayed: bool,
     ) -> bool {
         assert!(utility.is_finite(), "utility must be finite, got {utility}");
@@ -1369,52 +1383,65 @@ impl SlabCols<'_> {
             diag[j] = t[cj + j];
         }
 
-        // Play-frequency average (same weighting scheme as T).
-        match config.recency() {
-            RecencyMode::Exponential => {
-                let eps = config.epsilon();
-                for (a, f) in freq[..m].iter_mut().enumerate() {
-                    *f = (1.0 - eps) * *f + if a == j { eps } else { 0.0 };
+        // Play-frequency average (same weighting scheme as T). Only
+        // conditional normalisation reads it, so only a conditional
+        // learner keeps it.
+        if config.conditional() {
+            match config.recency() {
+                RecencyMode::Exponential => {
+                    let eps = config.epsilon();
+                    for (a, f) in freq[..m].iter_mut().enumerate() {
+                        *f = (1.0 - eps) * *f + if a == j { eps } else { 0.0 };
+                    }
                 }
-            }
-            RecencyMode::PaperLiteral | RecencyMode::Uniform => {
-                let n = stage as f64;
-                for (a, f) in freq[..m].iter_mut().enumerate() {
-                    let count = *f * (n - 1.0) + if a == j { 1.0 } else { 0.0 };
-                    *f = count / n;
+                RecencyMode::PaperLiteral | RecencyMode::Uniform => {
+                    let n = stage as f64;
+                    for (a, f) in freq[..m].iter_mut().enumerate() {
+                        let count = *f * (n - 1.0) + if a == j { 1.0 } else { 0.0 };
+                        *f = count / n;
+                    }
                 }
             }
         }
 
-        // Eq. (3-6) for the played row: element j of each column — a
-        // strided gather in this layout, same values as the scalar row
-        // walk. A never-played column holds `+0.0` there, so all of them
-        // share one entry computed without loading any; only the played
-        // columns are read (unless a column is a single cache line).
+        // Eq. (3-6) for the played row, fused with the expressions of
+        // `policy::update_probabilities` (module docs): each `p(k)` is
+        // computed where the gather reads `S(j, k)`, one `p` for all the
+        // never-played columns, unless a column is a single cache line.
+        let (delta, mu) = (config.delta(), config.mu());
         let factor = factor_for(config, stage) * *scale;
         let s_jj = t[cj + j];
-        let entry = |s_jk: f64| (factor * (s_jk - s_jj)).max(0.0);
-        row_scratch.clear();
+        let cap = 1.0 / (m as f64 - 1.0);
+        let floor = policy::exploration_floor(m, delta);
+        let f_j = config.conditional().then(|| freq[j].max(floor));
+        let prob = |s_jk: f64| {
+            let mut q = (factor * (s_jk - s_jj)).max(0.0);
+            if let Some(f_j) = f_j {
+                q /= f_j;
+            }
+            (1.0 - delta) * (q.max(0.0) / mu).min(cap) + floor
+        };
+        let probs = &mut probs[..m];
         if stride <= DENSE_GATHER_MAX_STRIDE {
-            row_scratch.extend((0..m).map(|k| entry(t[k * stride + j])));
+            for (k, p) in probs.iter_mut().enumerate() {
+                *p = prob(t[k * stride + j]);
+            }
         } else {
-            row_scratch.resize(m, entry(0.0));
-            for_each_column(played, stride, |k, c| row_scratch[k] = entry(t[c + j]));
+            probs.fill(prob(0.0));
+            for_each_column(played, stride, |k, c| probs[k] = prob(t[c + j]));
         }
-        row_scratch[j] = 0.0;
-        if config.conditional() {
-            let floor = policy::exploration_floor(m, config.delta());
-            let f_j = freq[j].max(floor);
-            for r in row_scratch.iter_mut() {
-                *r /= f_j;
+        // `p(j) = 1 − Σ_{k≠j} p(k)`, summed in ascending `k`; with one
+        // action the sum is empty and `p(j) = 1`.
+        let mut off_mass = 0.0;
+        for (k, &p) in probs.iter().enumerate() {
+            if k != j {
+                off_mass += p;
             }
         }
-        policy::update_probabilities(
-            &mut probs[..m],
-            j,
-            row_scratch,
-            config.delta(),
-            config.mu(),
+        probs[j] = 1.0 - off_mass;
+        debug_assert!(
+            probs[j] >= floor - 1e-12,
+            "played-action probability fell below exploration floor"
         );
         opened
     }
@@ -1566,7 +1593,7 @@ impl Learner for SlabLearner {
     }
 
     fn observe(&mut self, utility: f64) {
-        self.lock().observe_own_row(self.slot as usize, &self.config, utility);
+        self.lock().observe(self.slot as usize, &self.config, utility, &mut Vec::new());
         self.strategy.take();
     }
 
@@ -2590,6 +2617,101 @@ mod tests {
         slab.alloc(2);
         slab.release(0);
         slab.remove_slots(&[1]);
+    }
+
+    /// One- and two-action learners — a channel with one or two helpers —
+    /// replay the scalar oracle bit-for-bit in every mode: through a
+    /// `SlabLearner`, and through a sharded sweep (the store's decay +
+    /// `observe_predecayed`, or `observe` where the recency mode does not
+    /// batch its decay), at stride `m` and at a packed stride, with some
+    /// negative utilities so the rank-1 coefficient changes sign.
+    #[test]
+    fn one_and_two_action_learners_replay_the_oracle_bitwise() {
+        let utility = |a: usize, s: u64| ((a * 7 + s as usize * 3) % 11) as f64 * 9.0 - 30.0;
+        for m in [1, 2] {
+            for stride in [m, 23] {
+                for recency in
+                    [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform]
+                {
+                    for conditional in [false, true] {
+                        let cfg = config(m, recency, conditional);
+                        let what =
+                            format!("m={m} stride={stride} {recency:?} cond={conditional}");
+
+                        let slab: SharedSlab = Arc::new(Mutex::new(LearnerSlab::new(stride)));
+                        let mut learner = SlabLearner::new(slab, cfg.clone());
+                        let mut oracle = RthsState::new(&cfg);
+                        let mut rng_a = rand::rngs::StdRng::seed_from_u64(5);
+                        let mut rng_b = rand::rngs::StdRng::seed_from_u64(5);
+                        let mut scratch = Vec::new();
+                        for s in 0..150u64 {
+                            let a = learner.select_action(&mut rng_a);
+                            assert_eq!(a, oracle.select_action(&mut rng_b), "{what} stage {s}");
+                            learner.observe(utility(a, s));
+                            oracle.observe(&cfg, utility(a, s), &mut scratch);
+                            assert_bitwise(
+                                learner.probabilities(),
+                                oracle.probabilities(),
+                                &what,
+                            );
+                            assert_eq!(
+                                learner.max_regret().to_bits(),
+                                oracle.max_regret(&cfg).to_bits(),
+                                "{what} stage {s}"
+                            );
+                        }
+
+                        let mut slab = LearnerSlab::new(stride);
+                        let mut oracles: Vec<RthsState> =
+                            (0..3).map(|_| RthsState::new(&cfg)).collect();
+                        for _ in &oracles {
+                            slab.alloc(m);
+                        }
+                        let mut rngs_a: Vec<_> =
+                            (0..3).map(|p| rand::rngs::StdRng::seed_from_u64(17 + p)).collect();
+                        let mut rngs_b = rngs_a.clone();
+                        for s in 0..150u64 {
+                            let picks: Vec<usize> =
+                                (0..3).map(|i| slab.select_action(i, &mut rngs_a[i])).collect();
+                            let mut cols = slab.split();
+                            if recency == RecencyMode::Exponential {
+                                cols.decay(1.0 - cfg.epsilon());
+                            }
+                            for (i, &a) in picks.iter().enumerate() {
+                                let u = utility(a, s + i as u64);
+                                if recency == RecencyMode::Exponential {
+                                    cols.observe_predecayed(i, &cfg, u, &mut scratch);
+                                } else {
+                                    cols.observe(i, &cfg, u, &mut scratch);
+                                }
+                            }
+                            for (i, (oracle, &a)) in oracles.iter_mut().zip(&picks).enumerate()
+                            {
+                                assert_eq!(a, oracle.select_action(&mut rngs_b[i]), "{what}");
+                                oracle.observe(&cfg, utility(a, s + i as u64), &mut scratch);
+                                assert_bitwise(
+                                    slab.probabilities(i),
+                                    oracle.probabilities(),
+                                    &what,
+                                );
+                                assert_eq!(
+                                    slab.checked_max_regret(i, &cfg).to_bits(),
+                                    oracle.max_regret(&cfg).to_bits(),
+                                    "{what} slot {i} stage {s}"
+                                );
+                            }
+                        }
+                        for (j, k) in (0..m).flat_map(|j| (0..m).map(move |k| (j, k))) {
+                            assert_eq!(
+                                slab.regret(1, &cfg, j, k).to_bits(),
+                                oracles[1].regret(&cfg, j, k).to_bits(),
+                                "{what} Q({j},{k})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The trait wrapper must replay the scalar oracle exactly, including

@@ -955,7 +955,7 @@ mod tests {
                             );
                         }
                         // Every peer's strategy is a distribution with the
-                        // exploration floor δ/m (see `update_probabilities`).
+                        // exploration floor δ/m (see `SlabCols::observe`).
                         for shard in rt.reactor.shard_states().flatten() {
                             for slot in 0..shard.store.len() {
                                 let learner = shard.store.learner(slot);

@@ -26,7 +26,7 @@
 //! rate) run shard-parallel through [`rths_par::par_sharded`]: peers are
 //! partitioned into contiguous index ranges, each shard gets the matching
 //! range of **every** column plus its own [`ShardScratch`] (thread-affine
-//! load histogram, learner row scratch, metric maxima) and the slice of
+//! load histogram, metric maxima) and the slice of
 //! the per-entity RNG streams its range covers. All order-sensitive float
 //! reductions stay index-ordered — either sequentially after the phase or
 //! by merging per-shard accumulators that are order-insensitive (integer
@@ -143,8 +143,6 @@ pub struct ShardScratch {
     /// the engine uses `helper·k + channel`). Integer counts, so the
     /// post-phase merge in shard order is order-insensitive.
     pub loads: Vec<usize>,
-    /// Regret-row scratch shared by the shard's slab learners.
-    row: Vec<f64>,
     /// Shard-local maximum of the learners' internal regret estimates.
     worst_estimate: f64,
     /// Shard-local maximum of the peers' empirical regrets.
@@ -689,9 +687,11 @@ impl PeerStore {
                     // Bandit feedback + accounting (Peer::deliver order).
                     opened += u64::from(match &mut learners {
                         LearnerCols::Slab(slab) if batch_decay => {
-                            slab.observe_predecayed(i, config, rate, &mut s.row)
+                            slab.observe_predecayed(i, config, rate, &mut Vec::new())
                         }
-                        LearnerCols::Slab(slab) => slab.observe(i, config, rate, &mut s.row),
+                        LearnerCols::Slab(slab) => {
+                            slab.observe(i, config, rate, &mut Vec::new())
+                        }
                         LearnerCols::PerPeer(l) => {
                             l[i].observe(rate);
                             false

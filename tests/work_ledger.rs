@@ -4,14 +4,16 @@
 //! to do the same work (a refactor, a deletion) leaves every number
 //! below alone; a change that moves one says so, and which.
 //!
-//! Two reduced workloads run traced at `RTHS_THREADS` 1 and 2:
+//! Three reduced workloads run traced at `RTHS_THREADS` 1 and 2:
 //! - a `System` under churn and the link-impairment stack, shaped like
 //!   the benchmark's `sim_churn_impaired` (32 helpers, so T blocks are
 //!   packed and first plays open columns);
-//! - a reactor run at 8 helpers, shaped like `reactor_wide`.
+//! - a reactor run at 8 helpers, shaped like `reactor_wide`;
+//! - a reactor run at 64 helpers, shaped like `reactor_dense` (packed
+//!   blocks too).
 //!
 //! Each pins `TraceReport::counters` and `TraceReport::gauges`; the
-//! reactor run pins `NetOutcome::messages` too. At these sizes no count
+//! reactor runs pin `NetOutcome::messages` too. At these sizes no count
 //! depends on the thread count. The obs registry is process-global, so
 //! every run sits inside one `rths_par::env::with_var` window, which
 //! serialises the tests of this binary.
@@ -110,6 +112,42 @@ fn wide_reactor_does_the_pinned_work() {
         assert_eq!(
             messages,
             MessageTotals { control: 40_160, data: 19_840 },
+            "RTHS_THREADS={threads}"
+        );
+    }
+}
+
+/// 1,024 peers × 64 helpers on the reactor, estimates off, as in
+/// `reactor_dense`: T blocks are packed, so first plays open columns.
+#[test]
+fn dense_reactor_does_the_pinned_work() {
+    for threads in [1usize, 2] {
+        let (report, messages) = with_threads(threads, || {
+            let sim = SimConfig::builder(1024, vec![BandwidthSpec::Paper { stay: 0.98 }; 64])
+                .seed(7)
+                .build();
+            let config = NetConfig::from_sim(sim).with_track_estimate(false).with_trace(true);
+            let out = rths_net::run(config, 20);
+            assert_eq!(out.epochs, 20);
+            (obs::take_report(), out.messages)
+        });
+        let expected: [(&str, u64); 11] = [
+            ("messages_enqueued", 66366),
+            ("messages_delivered", 66366),
+            ("ring_grow_events", 1),
+            ("slab_columns_touched", 0),
+            ("free_list_reuse", 0),
+            ("slab_columns_opened", 2948),
+            ("stretch_folds", 0),
+            ("regret_exact_reads", 716),
+            ("ring_capacity_hwm", 1024),
+            ("ring_occupancy_hwm", 1024),
+            ("slab_rows_hwm", 958),
+        ];
+        assert_eq!(ledger(&report), expected, "RTHS_THREADS={threads}");
+        assert_eq!(
+            messages,
+            MessageTotals { control: 44_800, data: 20_480 },
             "RTHS_THREADS={threads}"
         );
     }
