@@ -6,10 +6,9 @@
 //! learner is [`LearnerSlab`](crate::LearnerSlab) (behind the `Learner`
 //! trait: [`SlabLearner`](crate::SlabLearner)), which packs a population
 //! into flat columns and touches played columns only; its unit tests and
-//! the proptest sweeps in `tests/properties.rs` replay this type
-//! **bit-for-bit** in every recency × conditional mode, at arities up to
-//! 256. Nothing in the simulator or the net runtimes holds an
-//! `RthsState`.
+//! the proptest sweeps below replay this type **bit-for-bit** in every
+//! recency × conditional mode, at arities up to 256. The type is compiled
+//! in this crate's test build only.
 //!
 //! The state keeps only what is genuinely per-peer — `T`, the mixed
 //! strategy, the play-frequency average, the stage counter and the
@@ -246,7 +245,12 @@ impl RthsState {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
+    use crate::learner::Learner;
+    use crate::slab::{LearnerSlab, SlabLearner};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn config(m: usize, recency: RecencyMode, conditional: bool) -> RthsConfig {
@@ -309,5 +313,374 @@ mod tests {
         let cfg = config(2, RecencyMode::Exponential, false);
         let mut state = RthsState::new(&cfg);
         state.observe(&cfg, 1.0, &mut Vec::new());
+    }
+
+    /// Random configs (2 to 5 actions, ε, δ, μ) in all three recency modes
+    /// and both conditional-regret settings — the full mode matrix the slab
+    /// must replay bit-for-bit.
+    fn arb_config_all_modes() -> impl Strategy<Value = RthsConfig> {
+        (2usize..6, 0.005..0.5f64, 0.02..0.5f64, 10.0..10000.0f64, 0usize..3, 0usize..2)
+            .prop_map(all_modes_config)
+    }
+
+    fn all_modes_config(
+        (m, eps, delta, mu, mode, cond): (usize, f64, f64, f64, usize, usize),
+    ) -> RthsConfig {
+        let recency = match mode {
+            0 => RecencyMode::Exponential,
+            1 => RecencyMode::PaperLiteral,
+            _ => RecencyMode::Uniform,
+        };
+        RthsConfig::builder(m)
+            .epsilon(eps)
+            .delta(delta)
+            .mu(mu)
+            .recency(recency)
+            .conditional(cond == 1)
+            .build()
+            .unwrap()
+    }
+
+    /// `(arity, stride)` pairs for the played-mask walks: one, two, four
+    /// (last one partial) and four full bitmask words, `stride == arity` and
+    /// `stride > arity`, both row-gather forms (a stride of at most 8 gathers
+    /// densely, see `slab.rs`) and both block layouts — strides 22 and 23 sit
+    /// on either side of the page that packs a block's played columns, and
+    /// `(8, 23)` packs a few columns into a wide block.
+    const MASK_GEOMETRIES: [(usize, usize); 12] = [
+        (3, 5),
+        (8, 8),
+        (8, 11),
+        (22, 22),
+        (23, 23),
+        (8, 23),
+        (64, 64),
+        (64, 67),
+        (70, 70),
+        (70, 75),
+        (200, 203),
+        (256, 256),
+    ];
+
+    /// Whether a slab of this stride packs its blocks' played columns: a
+    /// block larger than a 4 KB page does.
+    fn packs(stride: usize) -> bool {
+        stride * stride * 8 > 4096
+    }
+
+    /// A one-draw RNG that makes `select_action` pick a chosen action: its
+    /// `f64` draw (the top 53 bits of one `next_u64` in the vendored `rand`)
+    /// is the middle of the action's bin. A draw that lands anywhere else
+    /// shows up as a different sampled action, which the callers assert.
+    struct Picks(u64);
+
+    impl Picks {
+        /// The draw that samples action `a` from `probs`, whose bins are
+        /// summed in `select_action`'s order.
+        fn action(probs: &[f64], a: usize) -> Self {
+            let below = probs[..a].iter().fold(0.0, |acc, p| acc + p);
+            let u = below + probs[a] / 2.0;
+            Self(((u * (1u64 << 53) as f64) as u64) << 11)
+        }
+    }
+
+    impl rand::RngCore for Picks {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("select_action draws one f64")
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("select_action draws one f64")
+        }
+    }
+
+    /// [`arb_config_all_modes`] at the arities of [`MASK_GEOMETRIES`], with ε
+    /// up to 0.95 so that the lazy decay renormalises within a short run
+    /// (every 60 stages at the top of the range). Yields the config and the
+    /// slab stride to host it in.
+    fn arb_mask_geometry_config() -> impl Strategy<Value = (RthsConfig, usize)> {
+        (
+            0..MASK_GEOMETRIES.len(),
+            0.005..0.95f64,
+            0.02..0.5f64,
+            10.0..10000.0f64,
+            0usize..3,
+            0usize..2,
+        )
+            .prop_map(|(g, eps, delta, mu, mode, cond)| {
+                let (m, stride) = MASK_GEOMETRIES[g];
+                (all_modes_config((m, eps, delta, mu, mode, cond)), stride)
+            })
+    }
+
+    /// Learners sharing the slab of
+    /// `interleaved_slab_learners_replay_their_oracles_bitwise`.
+    const REPLAYED: usize = 11;
+
+    /// One of them: a [`SlabLearner`] beside the scalar oracle it must replay.
+    struct Replayed {
+        learner: SlabLearner,
+        oracle: RthsState,
+        rng: rand::rngs::StdRng,
+        pending: bool,
+    }
+
+    impl Replayed {
+        fn new(slab: &Arc<Mutex<LearnerSlab>>, cfg: &RthsConfig, stream: u64) -> Self {
+            Self {
+                learner: SlabLearner::new(Arc::clone(slab), cfg.clone()),
+                oracle: RthsState::new(cfg),
+                rng: rand::rngs::StdRng::seed_from_u64(stream),
+                pending: false,
+            }
+        }
+
+        /// An independent copy of learner and oracle, on its own stream.
+        fn duplicate(&self, stream: u64) -> Self {
+            Self {
+                learner: self.learner.clone(),
+                oracle: self.oracle.clone(),
+                rng: rand::rngs::StdRng::seed_from_u64(stream),
+                pending: self.pending,
+            }
+        }
+
+        /// The next move of the stage protocol: select, or observe `utility`.
+        fn step(&mut self, cfg: &RthsConfig, utility: f64) {
+            if self.pending {
+                self.learner.observe(utility);
+                self.oracle.observe(cfg, utility, &mut Vec::new());
+            } else {
+                let mut replay = self.rng.clone();
+                let a = self.learner.select_action(&mut self.rng);
+                assert_eq!(a, self.oracle.select_action(&mut replay), "sampled action");
+            }
+            self.pending = !self.pending;
+        }
+
+        fn check_strategy(&self) {
+            let (got, want) = (self.learner.probabilities(), self.oracle.probabilities());
+            assert_eq!(got.len(), want.len());
+            for (x, y) in got.iter().zip(want) {
+                assert_eq!(x.to_bits(), y.to_bits(), "strategy");
+            }
+        }
+
+        fn check_scalars(&self, cfg: &RthsConfig) {
+            assert_eq!(
+                self.learner.max_regret().to_bits(),
+                self.oracle.max_regret(cfg).to_bits(),
+                "estimate"
+            );
+            assert_eq!(self.learner.stage(), self.oracle.stage(), "stage");
+            assert_eq!(self.learner.pending_action().is_some(), self.pending, "pending action");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn slab_learner_replays_recursive_learner_bitwise(
+            cfg in arb_config_all_modes(),
+            seed in any::<u64>(),
+            utilities in prop::collection::vec(0.0..1000.0f64, 40..120),
+        ) {
+            // Slab-backed learners must replay the scalar oracle bit-for-bit
+            // over randomized trajectories in every recency × conditional
+            // mode. Two slots share the slab so the strided layout (not just
+            // a lone slot) is exercised.
+            let slab = Arc::new(Mutex::new(LearnerSlab::new(cfg.num_actions())));
+            let _neighbor = SlabLearner::new(Arc::clone(&slab), cfg.clone());
+            let mut slabbed = SlabLearner::new(Arc::clone(&slab), cfg.clone());
+            let mut oracle = RthsState::new(&cfg);
+            let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut scratch = Vec::new();
+            for (s, &u) in utilities.iter().enumerate() {
+                let a = oracle.select_action(&mut rng_a);
+                let b = slabbed.select_action(&mut rng_b);
+                prop_assert_eq!(a, b, "action diverged at stage {}", s);
+                oracle.observe(&cfg, u, &mut scratch);
+                slabbed.observe(u);
+                for (x, y) in oracle.probabilities().iter().zip(slabbed.probabilities()) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "probs diverged at stage {}", s);
+                }
+                prop_assert_eq!(
+                    oracle.max_regret(&cfg).to_bits(),
+                    slabbed.max_regret().to_bits(),
+                    "max_regret diverged at stage {}",
+                    s
+                );
+            }
+        }
+
+        #[test]
+        fn slab_mask_walks_replay_oracle_bitwise_on_sparse_played_sets(
+            (cfg, stride) in arb_mask_geometry_config(),
+            seed in any::<u64>(),
+            utilities in prop::collection::vec(-250.0..750.0f64, 40..160),
+            track_from in 0usize..80,
+        ) {
+            // The slab reads only played columns (row gather and regret
+            // scan); the oracle reads all m². At m = 64/70 a run this short
+            // leaves most columns never played; at m = 3 all of them fill.
+            // Negative utilities make diagonal entries negative, which is
+            // when a never-played (all-zero) column carries the regret max —
+            // and they lower a column, which is when the maintained row
+            // maxima are rebuilt instead of raised.
+            // Slot 1 of 2, so the mask and column offsets are not slot 0's.
+            // Two slabs take the one trajectory: `scanned` is never asked
+            // through `LearnerSlab::max_regret`, so its shard view answers by
+            // the scan; `slab` is first asked at stage `track_from` and reads
+            // its maintained rows from then on.
+            let m = cfg.num_actions();
+            let mut slab = LearnerSlab::new(stride);
+            slab.alloc(m);
+            let slot = slab.alloc(m) as usize;
+            let mut scanned = slab.clone();
+            let mut oracle = RthsState::new(&cfg);
+            let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut scratch = Vec::new();
+            for (s, &u) in utilities.iter().enumerate() {
+                let mut replay = rng_a.clone();
+                let a = slab.select_action(slot, &mut rng_a);
+                let b = oracle.select_action(&mut rng_b);
+                prop_assert_eq!(a, b, "m={} action diverged at stage {}", m, s);
+                prop_assert_eq!(a, scanned.select_action(slot, &mut replay));
+                // Every third stage pays nothing (a lost payload).
+                let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
+                slab.observe(slot, &cfg, u, &mut scratch);
+                scanned.observe(slot, &cfg, u, &mut scratch);
+                oracle.observe(&cfg, u, &mut scratch);
+                for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "m={} stride={} probs diverged at stage {}", m, stride, s
+                    );
+                }
+                let want = oracle.max_regret(&cfg).to_bits();
+                prop_assert_eq!(
+                    scanned.split().max_regret(slot, &cfg, &mut scratch).to_bits(),
+                    want,
+                    "m={} stride={} scanned max_regret diverged at stage {}", m, stride, s
+                );
+                if s >= track_from {
+                    prop_assert_eq!(
+                        slab.max_regret(slot, &cfg).to_bits(),
+                        want,
+                        "m={} stride={} maintained max_regret diverged at stage {}", m, stride, s
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn descending_first_plays_replay_oracle_bitwise(
+            (cfg, stride) in arb_mask_geometry_config(),
+            steps in prop::collection::vec((-250.0..750.0f64, any::<bool>(), any::<usize>()), 40..160),
+            track_from in 0usize..80,
+        ) {
+            // Each action's first play comes below every action played before
+            // it, so in a packed block every first play opens its column at
+            // position 0 and shifts all the stored ones up — the order that
+            // shifts the most. The other stages replay an action already
+            // played. Slot 1 of 2, so the block is not the arena's first; the
+            // estimate is read by the scan until stage `track_from` and from
+            // the maintained rows after it.
+            let m = cfg.num_actions();
+            let mut slab = LearnerSlab::new(stride);
+            slab.alloc(m);
+            let slot = slab.alloc(m) as usize;
+            let mut oracle = RthsState::new(&cfg);
+            let mut played: Vec<usize> = Vec::new();
+            let (mut opened, mut scratch) = (0, Vec::new());
+            for (s, &(u, first, pick)) in steps.iter().enumerate() {
+                let lowest = played.last().copied().unwrap_or(m);
+                let a = if played.is_empty() || (first && lowest > 0) {
+                    played.push(pick % lowest);
+                    played[played.len() - 1]
+                } else {
+                    played[pick % played.len()]
+                };
+                let b = slab.select_action(slot, &mut Picks::action(oracle.probabilities(), a));
+                prop_assert_eq!(b, a, "m={} stride={} stage {}: scripted draw missed", m, stride, s);
+                prop_assert_eq!(oracle.select_action(&mut Picks::action(oracle.probabilities(), a)), a);
+                let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
+                opened += usize::from(slab.observe(slot, &cfg, u, &mut scratch));
+                oracle.observe(&cfg, u, &mut scratch);
+                for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
+                    prop_assert_eq!(
+                        x.to_bits(), y.to_bits(),
+                        "m={} stride={} probs diverged at stage {}", m, stride, s
+                    );
+                }
+                let want = oracle.max_regret(&cfg).to_bits();
+                let got = if s < track_from {
+                    slab.split().max_regret(slot, &cfg, &mut scratch)
+                } else {
+                    slab.max_regret(slot, &cfg)
+                };
+                prop_assert_eq!(
+                    got.to_bits(), want,
+                    "m={} stride={} max_regret diverged at stage {}", m, stride, s
+                );
+            }
+            prop_assert_eq!(opened, if packs(stride) { played.len() } else { 0 });
+            let t = oracle.proxy_matrix();
+            for (j, k) in (0..m).flat_map(|j| (0..m).map(move |k| (j, k))) {
+                prop_assert_eq!(slab.proxy(slot, j, k).to_bits(), t[(j, k)].to_bits());
+                prop_assert_eq!(
+                    slab.regret(slot, &cfg, j, k).to_bits(),
+                    oracle.regret(&cfg, j, k).to_bits()
+                );
+            }
+        }
+
+        #[test]
+        fn interleaved_slab_learners_replay_their_oracles_bitwise(
+            cfg in arb_config_all_modes(),
+            wide in 0usize..3,
+            seed in any::<u64>(),
+            ops in prop::collection::vec((0usize..10, 0usize..REPLAYED, 0.0..1000.0f64), 80..240),
+        ) {
+            // Learners sharing one slab: whatever the interleaving of steps,
+            // reads, clones and departures, every learner replays its own
+            // oracle — single steps, and rounds of everybody selecting and
+            // then everybody observing. The slab's stride is the config's own
+            // arity (≤ 5) or one of two wider ones.
+            let stride = [cfg.num_actions(), 9, 16][wide];
+            let slab = Arc::new(Mutex::new(LearnerSlab::new(stride)));
+            let mut peers: Vec<Replayed> =
+                (0..REPLAYED as u64).map(|p| Replayed::new(&slab, &cfg, seed ^ p)).collect();
+            for (n, &(op, p, u)) in ops.iter().enumerate() {
+                let stream = seed ^ ((n as u64 + 1) << 8);
+                match op {
+                    // Half of all operations advance one learner.
+                    0..=3 => peers[p].step(&cfg, u),
+                    4 => peers[p].check_strategy(),
+                    5 => peers[p].check_scalars(&cfg),
+                    6 => {
+                        // The neighbour leaves; a copy of this learner, on a
+                        // stream of its own, takes its place.
+                        peers[(p + 1) % REPLAYED] = peers[p].duplicate(stream);
+                    }
+                    7 => peers[p] = Replayed::new(&slab, &cfg, stream),
+                    _ => {
+                        let observing = op == 9;
+                        for peer in peers.iter_mut().filter(|peer| peer.pending == observing) {
+                            peer.step(&cfg, u);
+                        }
+                    }
+                }
+            }
+            for peer in &peers {
+                peer.check_strategy();
+                peer.check_scalars(&cfg);
+            }
+        }
     }
 }

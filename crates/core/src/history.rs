@@ -9,8 +9,10 @@
 //! because "it will consume too much resource to compute the estimated
 //! average regret directly".
 //!
-//! The two implementations are asserted trajectory-identical in tests,
-//! which validates the recursive re-expression.
+//! The two implementations are asserted trajectory-identical in the tests
+//! below, which validates the recursive re-expression. The type is
+//! compiled in this crate's test build only: it is an oracle, not a
+//! learner any engine runs.
 
 use rand::RngCore;
 
@@ -47,11 +49,6 @@ impl HistoryRths {
             config,
             pending: None,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RthsConfig {
-        &self.config
     }
 
     /// Regret `Qⁿ(j,k)`.
@@ -210,6 +207,7 @@ impl Learner for HistoryRths {
 mod tests {
     use super::*;
     use crate::slab::SlabLearner;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn config(m: usize, recency: RecencyMode) -> RthsConfig {
@@ -361,5 +359,42 @@ mod tests {
         assert_eq!(l.stage(), 0);
         assert_eq!(l.num_actions(), 4);
         assert_eq!(l.max_regret(), 0.0);
+    }
+
+    /// Random exponential-recency configs with 2 to 5 actions.
+    fn arb_config() -> impl Strategy<Value = RthsConfig> {
+        (2usize..6, 0.005..0.5f64, 0.02..0.5f64, 10.0..10000.0f64).prop_map(
+            |(m, eps, delta, mu)| {
+                RthsConfig::builder(m).epsilon(eps).delta(delta).mu(mu).build().unwrap()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn history_equals_recursive_for_any_config(
+            cfg in arb_config(),
+            seed in any::<u64>(),
+            utilities in prop::collection::vec(0.0..100.0f64, 20..60),
+        ) {
+            let mut hist = HistoryRths::new(cfg.clone());
+            let mut rec = SlabLearner::standalone(cfg);
+            let mut rng_h = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rng_r = rand::rngs::StdRng::seed_from_u64(seed);
+            for &u in &utilities {
+                let a_h = hist.select_action(&mut rng_h);
+                let a_r = rec.select_action(&mut rng_r);
+                prop_assert_eq!(a_h, a_r);
+                // Make utility depend on action to surface any divergence.
+                let payoff = u + a_h as f64;
+                hist.observe(payoff);
+                rec.observe(payoff);
+                for (p_h, p_r) in hist.probabilities().iter().zip(rec.probabilities()) {
+                    prop_assert!((p_h - p_r).abs() < 1e-9, "probs diverged: {p_h} vs {p_r}");
+                }
+            }
+        }
     }
 }

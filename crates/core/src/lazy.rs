@@ -2,8 +2,8 @@
 //!
 //! Eq. (3-5) decays every entry of `T` by `keep = 1 − ε` each stage.
 //! Instead of sweeping the stored entries, both learner layouts
-//! ([`RthsState`](crate::RthsState) and [`LearnerSlab`](crate::LearnerSlab))
-//! store `S` and one scalar `scale` per learner:
+//! ([`LearnerSlab`](crate::LearnerSlab) and its test-only scalar oracle
+//! `RthsState`) store `S` and one scalar `scale` per learner:
 //!
 //! * a decay is `scale *= keep` — no entry is touched;
 //! * the rank-1 update adds `(u / p(j)) / scale · p` to column `j` of `S`;

@@ -8,7 +8,7 @@
 //! play converges to (and tracks, under non-stationary helper bandwidth)
 //! the set of **correlated equilibria** of the helper-selection game.
 //!
-//! One update rule, one implementation, one oracle:
+//! One update rule, one implementation:
 //!
 //! * [`LearnerSlab`] — the recursive R2HS form (paper Algorithm 2,
 //!   Eqs. 3-4…3-6): `O(|H|²)` state and `O(played · |H|)` work per stage,
@@ -20,16 +20,17 @@
 //!   configuration, not a type; the tracking-vs-matching ablation shows
 //!   why the paper replaces uniform with recency-weighted averaging in
 //!   non-stationary environments.
-//! * [`RthsState`] — the same update as a dense scalar matrix per peer:
-//!   the test-side oracle the slab is held to bit-for-bit.
+//! * [`Exp3Learner`] — the EXP3 external-regret bandit baseline, the one
+//!   other learner it is compared with.
 //!
-//! Two other learners exist to be compared with it:
+//! Two reference learners exist only in this crate's test build, as the
+//! oracles the slab is held to:
 //!
-//! * [`HistoryRths`] — the literal Algorithm 1 statement that recomputes
+//! * `RthsState` — the same update as a dense scalar matrix per peer,
+//!   which the slab replays bit-for-bit.
+//! * `HistoryRths` — the literal Algorithm 1 statement that recomputes
 //!   the exponentially weighted sums (Eqs. 3-2/3-3) from explicit history
-//!   each stage. It exists for fidelity and is asserted trajectory-
-//!   identical to [`SlabLearner`] in tests.
-//! * [`Exp3Learner`] — the EXP3 external-regret bandit baseline.
+//!   each stage, asserted trajectory-identical to [`SlabLearner`].
 //!
 //! # The algorithm in five lines
 //!
@@ -77,24 +78,24 @@
 
 #![forbid(unsafe_code)]
 
-pub mod compact;
-pub mod config;
-pub mod exp3;
-pub mod history;
-pub mod lazy;
-pub mod learner;
+#[cfg(test)]
+mod compact;
+mod config;
+mod exp3;
+#[cfg(test)]
+mod history;
+mod lazy;
+mod learner;
 #[cfg(test)]
 mod matching;
-pub mod metrics;
-pub mod policy;
+mod metrics;
+mod policy;
 #[cfg(test)]
 mod recursive;
-pub mod slab;
+mod slab;
 
-pub use compact::RthsState;
 pub use config::{ConfigError, RecencyMode, RthsConfig, RthsConfigBuilder};
 pub use exp3::{Exp3Config, Exp3Learner};
-pub use history::HistoryRths;
 pub use learner::Learner;
 pub use metrics::ConvergenceSeries;
 pub use slab::{

@@ -1,8 +1,8 @@
 //! The probability update rule of Algorithms 1 & 2. The slab's observe
-//! ([`SlabCols::observe`](crate::slab::SlabCols::observe)) mirrors it
-//! expression for expression, fused with its gather of the played row; the
-//! scalar oracles ([`RthsState`](crate::RthsState),
-//! [`HistoryRths`](crate::HistoryRths)) call it.
+//! (`SlabCols::observe`) mirrors it expression for expression, fused with
+//! its gather of the played row; the test-only scalar oracles
+//! (`RthsState`, `HistoryRths`) call it, so `update_probabilities` is
+//! compiled in test builds only.
 //!
 //! Given the regret row `Q(j, ·)` of the *currently played* action `j`,
 //! the next mixed strategy is
@@ -34,6 +34,7 @@
 ///
 /// Panics if lengths mismatch, `played` is out of range, or parameters are
 /// outside their domains.
+#[cfg(test)]
 pub fn update_probabilities(
     probs: &mut [f64],
     played: usize,

@@ -1,6 +1,6 @@
 //! Arena slabs of learner state: played-sparse, lazily-decayed T-matrices.
 //!
-//! At 10⁵+ peers the per-peer [`RthsState`](crate::RthsState) layout is
+//! At 10⁵+ peers a per-peer dense layout (the test oracle `RthsState`) is
 //! allocator-bound: every peer carries its own `Matrix::zeros(m, m)` heap
 //! block (32 KB at m = 64), so *constructing* a mesh costs one allocation
 //! storm and the T-matrices dominate peak RSS. [`LearnerSlab`] packs all
@@ -163,11 +163,10 @@
 //! autovectorized `rths_math::kernels`.
 //!
 //! Every operation performs the **exact float expressions in the exact
-//! order** of the scalar oracle ([`RthsState`](crate::RthsState), which
-//! keeps the same `scale · S` form densely, without masks), so
-//! slab-backed learners replay the scalar path bit-for-bit — proven by
-//! the oracle tests below and the proptest sweeps in
-//! `tests/properties.rs`. The unit tests also hold the lazy form to an
+//! order** of the test-only scalar oracle (`RthsState`, which keeps the
+//! same `scale · S` form densely, without masks), so slab-backed learners
+//! replay the scalar path bit-for-bit — proven by the oracle tests below
+//! and the proptest sweeps beside the oracle in `compact.rs`. The unit tests also hold the lazy form to an
 //! eager-decay reference over 10⁶ stages.
 //!
 //! Two usage modes (per instance — they must not be mixed):

@@ -1,12 +1,13 @@
 //! Slice-level f64 kernels for the batched learner hot loops.
 //!
-//! These are the elementwise building blocks `rths_core::slab` runs over
-//! contiguous T-matrix columns: no indexing indirection, no bounds checks
-//! inside the loop after the initial slice formation, so LLVM
+//! These are the elementwise building blocks `rths_core::LearnerSlab` runs
+//! over contiguous T-matrix columns: no indexing indirection, no bounds
+//! checks inside the loop after the initial slice formation, so LLVM
 //! autovectorizes them. Each kernel performs **exactly** the per-entry
-//! expression of the scalar learner path (`rths_core::compact`) — the
-//! float op *order within an entry* is preserved, and entries are
-//! independent, so results are bit-for-bit identical to the scalar loops.
+//! expression of the scalar learner path (`RthsState`, `rths_core`'s
+//! test-only oracle) — the float op *order within an entry* is preserved,
+//! and entries are independent, so results are bit-for-bit identical to
+//! the scalar loops.
 
 /// In-place scale: `xs[i] *= factor` for every entry.
 ///

@@ -568,10 +568,11 @@ fn get_bandwidth_spec(r: &mut WireReader<'_>) -> Result<BandwidthSpec, WireError
 
 fn put_learner_spec(w: &mut WireWriter, spec: &LearnerSpec) {
     use rths_sim::Algorithm;
+    // Tag 2 is retired: never reuse it, so that a stale one decodes to
+    // `BadTag` instead of to another algorithm.
     w.u8(match spec.algorithm {
         Algorithm::Rths => 0,
         Algorithm::RegretMatching => 1,
-        Algorithm::HistoryRths => 2,
         Algorithm::Exp3 => 3,
     });
     w.f64(spec.epsilon);
@@ -585,7 +586,6 @@ fn get_learner_spec(r: &mut WireReader<'_>) -> Result<LearnerSpec, WireError> {
     let algorithm = match r.u8()? {
         0 => Algorithm::Rths,
         1 => Algorithm::RegretMatching,
-        2 => Algorithm::HistoryRths,
         3 => Algorithm::Exp3,
         tag => return Err(WireError::BadTag("Algorithm", tag)),
     };
@@ -1051,6 +1051,16 @@ mod tests {
         assert!(matches!(
             decode_frame(&w.finish()).expect_err("msg tag must fail"),
             WireError::BadTag("NetMsg", 0xAB)
+        ));
+        // The retired learner tag 2.
+        let mut w = WireWriter::new(0);
+        put_learner_spec(&mut w, &LearnerSpec::default());
+        let mut body = w.finish();
+        body[2] = 2;
+        let (_, mut r) = WireReader::open(&body).unwrap();
+        assert!(matches!(
+            get_learner_spec(&mut r).expect_err("algorithm tag must fail"),
+            WireError::BadTag("Algorithm", 2)
         ));
     }
 

@@ -1,8 +1,7 @@
 //! Simulation configuration.
 
 use rths_core::{
-    ConfigError, Exp3Config, Exp3Learner, HistoryRths, Learner, RecencyMode, RthsConfig,
-    SlabLearner,
+    ConfigError, Exp3Config, Exp3Learner, Learner, RecencyMode, RthsConfig, SlabLearner,
 };
 use rths_stoch::bandwidth::{
     BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RandomWalkBandwidth,
@@ -199,8 +198,6 @@ pub enum Algorithm {
     Rths,
     /// Uniform-averaging regret matching (ablation baseline).
     RegretMatching,
-    /// History-based Algorithm 1 (slow; for validation runs).
-    HistoryRths,
     /// EXP3 exponential-weights bandit (external-regret baseline), with
     /// a forgetting factor matched to the RTHS step size.
     Exp3,
@@ -239,8 +236,8 @@ impl Algorithm {
     /// Whether the algorithm is the recursive RTHS update (regret
     /// tracking, or regret matching — the same update under
     /// [`RecencyMode::Uniform`]), whose state lives in a
-    /// [`LearnerSlab`](rths_core::LearnerSlab) slot. The other two keep
-    /// their state in the learner value itself.
+    /// [`LearnerSlab`](rths_core::LearnerSlab) slot. The other one, EXP3,
+    /// keeps its state in the learner value itself.
     pub fn slab_hosted(self) -> bool {
         matches!(self, Algorithm::Rths | Algorithm::RegretMatching)
     }
@@ -249,7 +246,7 @@ impl Algorithm {
 /// A peer-side learner of any supported algorithm.
 ///
 /// Every peer pays for the largest variant, and nearly every peer is a
-/// slab slot, so the two baselines that keep their state by value are
+/// slab slot, so the EXP3 baseline, which keeps its state by value, is
 /// boxed: the enum is the size of a [`SlabLearner`].
 #[derive(Debug, Clone)]
 pub enum AnyLearner {
@@ -257,8 +254,6 @@ pub enum AnyLearner {
     /// regret-matching baseline: one slot of a
     /// [`LearnerSlab`](rths_core::LearnerSlab).
     SlabRths(SlabLearner),
-    /// History-based RTHS (Algorithm 1).
-    History(Box<HistoryRths>),
     /// EXP3 baseline.
     Exp3(Box<Exp3Learner>),
 }
@@ -267,7 +262,6 @@ impl Learner for AnyLearner {
     fn num_actions(&self) -> usize {
         match self {
             AnyLearner::SlabRths(l) => l.num_actions(),
-            AnyLearner::History(l) => l.num_actions(),
             AnyLearner::Exp3(l) => l.num_actions(),
         }
     }
@@ -275,7 +269,6 @@ impl Learner for AnyLearner {
     fn probabilities(&self) -> &[f64] {
         match self {
             AnyLearner::SlabRths(l) => l.probabilities(),
-            AnyLearner::History(l) => l.probabilities(),
             AnyLearner::Exp3(l) => l.probabilities(),
         }
     }
@@ -283,7 +276,6 @@ impl Learner for AnyLearner {
     fn select_action(&mut self, rng: &mut dyn rand::RngCore) -> usize {
         match self {
             AnyLearner::SlabRths(l) => l.select_action(rng),
-            AnyLearner::History(l) => l.select_action(rng),
             AnyLearner::Exp3(l) => l.select_action(rng),
         }
     }
@@ -291,7 +283,6 @@ impl Learner for AnyLearner {
     fn observe(&mut self, utility: f64) {
         match self {
             AnyLearner::SlabRths(l) => l.observe(utility),
-            AnyLearner::History(l) => l.observe(utility),
             AnyLearner::Exp3(l) => l.observe(utility),
         }
     }
@@ -299,7 +290,6 @@ impl Learner for AnyLearner {
     fn max_regret(&self) -> f64 {
         match self {
             AnyLearner::SlabRths(l) => l.max_regret(),
-            AnyLearner::History(l) => l.max_regret(),
             AnyLearner::Exp3(l) => l.max_regret(),
         }
     }
@@ -307,7 +297,6 @@ impl Learner for AnyLearner {
     fn stage(&self) -> u64 {
         match self {
             AnyLearner::SlabRths(l) => l.stage(),
-            AnyLearner::History(l) => l.stage(),
             AnyLearner::Exp3(l) => l.stage(),
         }
     }
@@ -315,7 +304,6 @@ impl Learner for AnyLearner {
     fn pending_action(&self) -> Option<usize> {
         match self {
             AnyLearner::SlabRths(l) => l.pending_action(),
-            AnyLearner::History(l) => l.pending_action(),
             AnyLearner::Exp3(l) => l.pending_action(),
         }
     }
@@ -323,7 +311,6 @@ impl Learner for AnyLearner {
     fn reset_actions(&mut self, num_actions: usize) {
         match self {
             AnyLearner::SlabRths(l) => l.reset_actions(num_actions),
-            AnyLearner::History(l) => l.reset_actions(num_actions),
             AnyLearner::Exp3(l) => l.reset_actions(num_actions),
         }
     }
@@ -377,7 +364,6 @@ impl LearnerSpec {
             Algorithm::Rths | Algorithm::RegretMatching => {
                 AnyLearner::SlabRths(SlabLearner::standalone(config))
             }
-            Algorithm::HistoryRths => AnyLearner::History(Box::new(HistoryRths::new(config))),
             Algorithm::Exp3 => AnyLearner::Exp3(Box::new(Exp3Learner::new(Exp3Config {
                 num_actions,
                 gamma: self.delta.max(0.01),
@@ -582,12 +568,7 @@ mod tests {
 
     #[test]
     fn learner_spec_builds_each_algorithm() {
-        for alg in [
-            Algorithm::Rths,
-            Algorithm::RegretMatching,
-            Algorithm::HistoryRths,
-            Algorithm::Exp3,
-        ] {
+        for alg in [Algorithm::Rths, Algorithm::RegretMatching, Algorithm::Exp3] {
             let spec = LearnerSpec { algorithm: alg, ..LearnerSpec::default() };
             let l = spec.instantiate(4, 800.0).unwrap();
             assert_eq!(l.num_actions(), 4);
@@ -607,7 +588,8 @@ mod tests {
     }
 
     /// 300 stages of a regret-matching learner built from a spec, held
-    /// to the oracle of the spec's own config; returns the final strategy.
+    /// to a standalone slab learner of the spec's own config; returns the
+    /// final strategy.
     fn matching_trajectory(conditional: bool) -> Vec<u64> {
         let spec = LearnerSpec {
             algorithm: Algorithm::RegretMatching,
@@ -617,16 +599,15 @@ mod tests {
         let config = spec.rths_config(3, 100.0).unwrap();
         assert_eq!(config.recency(), RecencyMode::Uniform);
         let mut learner = spec.instantiate(3, 100.0).unwrap();
-        let mut oracle = rths_core::RthsState::new(&config);
+        let mut oracle = SlabLearner::standalone(config);
         let mut rng = seeded_rng(5);
         let mut replay = seeded_rng(5);
-        let mut scratch = Vec::new();
         for s in 0..300 {
             let a = learner.select_action(&mut rng);
             assert_eq!(a, oracle.select_action(&mut replay), "stage {s}");
             let u = if a == 0 { 120.0 } else { 30.0 + (s % 5) as f64 };
             learner.observe(u);
-            oracle.observe(&config, u, &mut scratch);
+            oracle.observe(u);
         }
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(learner.probabilities()), bits(oracle.probabilities()));

@@ -876,14 +876,12 @@ fn parse_learner(tbl: &Tbl) -> Result<LearnerSpec, ScenarioError> {
         Some(v) => match as_str(v, &format!("{path}.algorithm"))?.as_str() {
             "rths" => Algorithm::Rths,
             "regret_matching" => Algorithm::RegretMatching,
-            "history_rths" => Algorithm::HistoryRths,
             "exp3" => Algorithm::Exp3,
             other => {
                 return Err(invalid(
                     format!("{path}.algorithm"),
                     format!(
-                        "unknown algorithm `{other}` (expected rths, regret_matching, \
-                         history_rths, exp3)"
+                        "unknown algorithm `{other}` (expected rths, regret_matching, exp3)"
                     ),
                 ));
             }
@@ -1413,7 +1411,6 @@ mod tests {
         for (keyword, algorithm) in [
             ("rths", Algorithm::Rths),
             ("regret_matching", Algorithm::RegretMatching),
-            ("history_rths", Algorithm::HistoryRths),
             ("exp3", Algorithm::Exp3),
         ] {
             let spec =
@@ -1494,6 +1491,10 @@ mod tests {
     fn unknown_keys_are_rejected() {
         let (path, _) = field_error(&SMALL.replace("peers = 4\n", "peers = 4\npeeers = 4\n"));
         assert_eq!(path, "population.peeers");
+        let (path, _) = field_error(&format!(
+            "{SMALL}[population.learner]\nalgorithm = \"history_rths\"\n"
+        ));
+        assert_eq!(path, "population.learner.algorithm");
     }
 
     #[test]

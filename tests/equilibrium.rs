@@ -4,12 +4,17 @@
 //! beats myopic baselines.
 //!
 //! Every learning check runs at five consecutive seeds and must hold at
-//! each of them.
+//! each of them. Where a check also runs the null policy of [`null`] —
+//! EXP3 with δ = 0.999, which all but ignores what it learns and picks a
+//! helper close to uniformly at random — the null must fail the bound
+//! that RTHS passes, at every seed: a bound that the null can pass does
+//! not test learning.
 
 use rths_oracle::equilibrium::{ce_residual_congestion, max_welfare_ce, nash_loads};
 use rths_oracle::{best_response, Game, HelperSelectionGame};
 use rths_sim::{
-    BandwidthSpec, JointDistribution, LearnerSpec, Outcome, SimConfig, SimConfigBuilder, System,
+    Algorithm, BandwidthSpec, JointDistribution, LearnerSpec, Outcome, SimConfig,
+    SimConfigBuilder, System,
 };
 
 /// Seeds per check: the first one and the next four.
@@ -27,6 +32,18 @@ fn config(caps: &[f64], n: usize, mu: f64, seed: u64) -> SimConfigBuilder {
             ..LearnerSpec::default()
         })
         .seed(seed)
+}
+
+/// [`config`] with the null policy in place of RTHS: EXP3 at the same ε
+/// and μ with δ = 0.999, so that it explores almost uniformly.
+fn null(caps: &[f64], n: usize, mu: f64, seed: u64) -> SimConfigBuilder {
+    config(caps, n, mu, seed).learner(LearnerSpec {
+        algorithm: Algorithm::Exp3,
+        epsilon: 0.01,
+        delta: 0.999,
+        mu: Some(mu),
+        ..LearnerSpec::default()
+    })
 }
 
 /// Runs `epochs` epochs of `config` with the joint distribution recorded
@@ -122,7 +139,8 @@ fn rths_avoids_best_response_oscillation() {
         trace.total_switches() as f64 / (n as f64 * trace.switches.len() as f64);
     assert!(br_switch_rate > 0.99, "baseline did not oscillate: {br_switch_rate}");
 
-    // RTHS: after convergence, switching is rare.
+    // RTHS: after convergence, switching is rare. The null keeps
+    // switching about every other stage and fails both bounds.
     for seed in 13..13 + SEEDS {
         let (out, _) = run(config(&caps, n, 4.0 * 80.0, seed), 0, 4000);
         let tail_switches = out.metrics.switches.tail_mean(500) / n as f64;
@@ -131,6 +149,14 @@ fn rths_avoids_best_response_oscillation() {
             "seed {seed}: RTHS switch rate too high: {tail_switches:.3} per peer per stage"
         );
         assert!(br_switch_rate > 4.0 * tail_switches, "seed {seed}");
+
+        let (out, _) = run(null(&caps, n, 4.0 * 80.0, seed), 0, 4000);
+        let tail_switches = out.metrics.switches.tail_mean(500) / n as f64;
+        assert!(
+            tail_switches >= 0.25,
+            "seed {seed}: the null passes the switch bound: {tail_switches:.3}"
+        );
+        assert!(br_switch_rate <= 4.0 * tail_switches, "seed {seed}: null");
     }
 }
 
@@ -155,6 +181,13 @@ fn loads_track_capacity_ratio() {
         );
         assert!(big > 4.5, "seed {seed}: big helper load {big:.2} too low (NE is 6)");
         assert!(small < 3.5, "seed {seed}: small helper load {small:.2} too high (NE is 2)");
+
+        // The null splits the peers about evenly and fails all three.
+        let (out, _) = run(null(&caps, 8, 4.0 * 150.0, seed), 0, 12_000);
+        let (big, small) = (out.metrics.mean_helper_loads[0], out.metrics.mean_helper_loads[1]);
+        assert!(big <= small + 1.2, "seed {seed}: the null leans: {big:.2}/{small:.2}");
+        assert!(big <= 4.5, "seed {seed}: the null passes the big-load bound: {big:.2}");
+        assert!(small >= 3.5, "seed {seed}: the null passes the small-load bound: {small:.2}");
     }
 }
 
