@@ -41,10 +41,10 @@
 //! Markov link bandwidth/latency, timing jitter), set on the
 //! [`SimConfig`](rths_sim::SimConfig) the run wraps; every impairment
 //! decision is a pure function of `(plan seed, link, epoch)`, so
-//! impaired runs stay bit-identical too. Jitter and latency
-//! delay each actor's tick through the timer wheel by a seeded draw —
-//! the same test sweeps plan seeds and bounds to show that no delivery
-//! schedule can move a bit of the outcome.
+//! impaired runs stay bit-identical too. Jitter and latency delay each
+//! peer's request and each helper's tick through the timer wheel by a
+//! seeded draw — the same test sweeps plan seeds and bounds to show that
+//! no delivery schedule can move a bit of the outcome.
 //!
 //! # Example
 //!

@@ -8,16 +8,15 @@
 //! helpers' settlements and the peers' `(chosen, rate, estimate)`
 //! columns, which a host reports one contiguous block of peers at a time
 //! ([`CoordinatorMachine::on_shard_report`]). The coordinator never sits
-//! on a peer's path: it sends a peer nothing but its tick, and the
-//! helpers settle without waiting on any peer's report. The hosts — the
-//! reactor
-//! ([`crate::reactor_backend`]), in one process or sharded over several
-//! ([`crate::multiproc`]) — are thin shells that move these machines'
-//! inputs and outputs through mailboxes and sockets, which is what makes
-//! the bit-for-bit equivalence with the simulator structural rather than
-//! coincidental. No result may depend on the order in which an epoch's
-//! messages reach a machine; `tests/properties.rs` feeds them seeded
-//! permutations to hold that.
+//! on a peer's path: it sends the peers nothing but one tick per mailbox
+//! shard, and the helpers settle without waiting on any peer's report.
+//! The hosts — the reactor ([`crate::reactor_backend`]), in one process
+//! or sharded over several ([`crate::multiproc`]) — are thin shells that
+//! move these machines' inputs and outputs through mailboxes and
+//! sockets, which is what makes the bit-for-bit equivalence with the
+//! simulator structural rather than coincidental. No result may depend
+//! on the order in which an epoch's messages reach a machine;
+//! `tests/properties.rs` feeds them seeded permutations to hold that.
 
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{Helper, HelperId};
@@ -74,11 +73,13 @@ pub(crate) struct Link {
 impl Link {
     /// A peer's link under `plan` — `None` unless the plan
     /// [affects rates](ImpairmentPlan::affects_rates), the one case that
-    /// reads it: the clean-link swarms (10⁵ peers a process) carry a
-    /// pointer's worth, not the plan and the state.
-    pub(crate) fn under(plan: &ImpairmentPlan) -> Option<Box<Link>> {
-        plan.affects_rates().then(|| {
-            Box::new(Link { plan: plan.clone(), shaper: LinkShaper::new(), inflight: None })
+    /// reads it: the clean-link swarms (10⁵ peers a process) carry
+    /// neither the plan nor the state.
+    pub(crate) fn under(plan: &ImpairmentPlan) -> Option<Link> {
+        plan.affects_rates().then(|| Link {
+            plan: plan.clone(),
+            shaper: LinkShaper::new(),
+            inflight: None,
         })
     }
 
@@ -122,7 +123,7 @@ pub struct PeerMachine {
 impl PeerMachine {
     /// Wraps a live peer under the given impairment plan.
     pub fn new(peer: Peer, demand: Option<f64>, impairments: ImpairmentPlan) -> Self {
-        Self { peer, demand, link: Link::under(&impairments) }
+        Self { peer, demand, link: Link::under(&impairments).map(Box::new) }
     }
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same

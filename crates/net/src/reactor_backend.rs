@@ -14,26 +14,27 @@
 //! * peers learn the helper address range from the tracker
 //!   ([`TrackerNode`]) during a bootstrap handshake — a directory, not a
 //!   controller: it never sees a payoff and never assigns a peer;
-//! * each mailbox shard's peers are one [`PeerShard`]: their learners,
-//!   RNG streams and accounting are a `rths_sim::PeerStore` block that
-//!   the reactor lends to the handling actor ([`Ctx::shard`]; no lock).
-//!   The shard's first `Tick` of an epoch runs the store's choose phase,
-//!   the `Rate` that fills its last slot the observe phase — the passes
+//! * each mailbox shard's peers are one [`PeerShard`] — a
+//!   `rths_sim::PeerStore` block of their learners, RNG streams and
+//!   accounting, and their links — that the reactor lends to the handling
+//!   actor ([`Ctx::shard`]; no lock). The shard's one `Tick` of an epoch
+//!   runs the store's choose phase and sends every `Request`; the `Rate`
+//!   that fills its last slot runs the observe phase — the passes
 //!   `rths_sim::System` runs — and sends the coordinator the block as one
 //!   [`NetMsg::ShardReport`]. A peer actor keeps protocol state only;
 //! * [`ImpairmentPlan`] drops ride the `lost` flag of the request, rate
 //!   shaping happens on the peer's link before the demand cap, and
-//!   jitter/latency are *timer-wheel delivery delays*: each actor's
-//!   `Tick` is delayed by the plan's seeded per-`(actor, epoch)` draw.
+//!   jitter/latency are *timer-wheel delivery delays*: each `Request` and
+//!   helper `Tick` is delayed by the plan's seeded per-`(actor, epoch)` draw.
 //!
-//! A peer-epoch is therefore three messages: `Tick`, `Request`, `Rate`.
-//! Slot-ordered passes give the bits arrival order gave: per-slot updates
-//! are independent, and the coordinator starts epoch `e + 1` only once
-//! every shard has reported `e`. Timers fire only when the mesh is
-//! otherwise quiescent, so delayed ticks land in delay order and the plan
-//! seed permutes the order in which requests reach a helper. The settle
+//! A peer-epoch is therefore two messages, `Request` and `Rate`, plus its
+//! share of the shard's `Tick`. Slot-ordered passes give the bits arrival
+//! order gave: per-slot updates are independent, and the coordinator
+//! starts epoch `e + 1` only once every shard has reported `e`. Timers
+//! fire only when the mesh is otherwise quiescent, so the plan seed
+//! permutes the order in which requests reach a helper. The settle
 //! barrier is a timer as well: each helper's `Settle` fires one logical
-//! tick after the epoch's latest `Tick`, by which time every request has
+//! tick after the plan's largest delay, by which time every request has
 //! been delivered. None of the schedule may show in the outcome. With
 //! equal seeds the backend reproduces the simulator bit-for-bit at any
 //! `RTHS_THREADS` and under any such schedule; the workspace-level
@@ -91,12 +92,12 @@ pub enum NetMsg {
     /// epoch one logical tick later — the epoch barrier lives on the
     /// wheel.
     NextEpoch,
-    /// Coordinator → helper/peer: new epoch.
+    /// Coordinator → helper or mailbox shard (its first peer): new epoch.
     Tick {
         /// Epoch number.
         epoch: u64,
     },
-    /// Peer → helper: one streaming request.
+    /// Peer (sent by its shard's `Tick`) → helper: one streaming request.
     Request {
         /// Requesting peer id.
         peer: u64,
@@ -106,7 +107,7 @@ pub enum NetMsg {
         lost: bool,
     },
     /// Coordinator → helper (via the timer wheel, one tick after the
-    /// epoch's latest `Tick`): all requests are in; allocate and reply.
+    /// plan's largest delay): all requests are in; allocate and reply.
     Settle {
         /// Epoch number.
         epoch: u64,
@@ -189,6 +190,10 @@ pub struct PeerShard {
     first_actor: usize,
     demand: Option<f64>,
     track_estimate: bool,
+    /// The requests' delay plan, and each slot's end of its links (none
+    /// unless the plan affects rates: a clean mesh carries nothing).
+    impairments: ImpairmentPlan,
+    links: Vec<Link>,
     /// The epoch `chosen` was sampled for.
     chosen_epoch: Option<u64>,
     /// The choose phase's columns: helper per slot (the report's), and
@@ -227,6 +232,8 @@ impl PeerShard {
             first_actor,
             demand: sim.demand,
             track_estimate: config.track_estimate,
+            impairments: sim.impairment.clone(),
+            links: (0..len).filter_map(|_| Link::under(&sim.impairment)).collect(),
             chosen_epoch: None,
             chosen: vec![0; len],
             aux: vec![0; len],
@@ -239,26 +246,11 @@ impl PeerShard {
         }
     }
 
-    /// The slot and peer id of peer actor `actor`.
-    fn slot_of(&self, actor: ActorId) -> (usize, u64) {
-        let slot = actor.0 - self.first_actor;
-        (slot, self.store.id(slot))
-    }
-
-    /// The helper the peer in `slot` requests in `epoch`. The shard's
-    /// first `Tick` of an epoch samples every slot's learner.
-    fn helper_for(&mut self, slot: usize, epoch: u64, obs: &mut ObsScratch) -> usize {
-        if self.chosen_epoch != Some(epoch) {
-            self.choose(epoch, obs);
-        }
-        self.chosen[slot] as usize
-    }
-
-    /// The choose phase over every slot. Kept out of line: one `Tick` in
-    /// a shard's thousand runs it, and the others stay a few instructions.
-    #[inline(never)]
-    fn choose(&mut self, epoch: u64, obs: &mut ObsScratch) {
-        self.chosen_epoch = Some(epoch);
+    /// The choose phase over every slot, once an epoch (a second pass
+    /// would draw every learner again and fork the trajectory); returns
+    /// the slot count.
+    fn choose(&mut self, epoch: u64, obs: &mut ObsScratch) -> usize {
+        assert_ne!(self.chosen_epoch.replace(epoch), Some(epoch), "a shard ticked twice");
         self.store.choose_phase(
             &mut self.chosen,
             &mut self.aux,
@@ -268,17 +260,31 @@ impl PeerShard {
             |_, _, _, _, _| {},
         );
         self.hand_obs_to(obs);
+        self.chosen.len()
     }
 
-    /// The peer in `slot` received `kbps` (shaped by its link) in
-    /// `epoch`; the rate that fills the last slot returns the report.
+    /// The request of the peer in `slot` for `epoch`, once chosen: its
+    /// delay, its helper's index and the message.
+    fn request(&mut self, slot: usize, epoch: u64) -> (u64, usize, NetMsg) {
+        let peer = self.store.id(slot);
+        let helper = self.chosen[slot] as usize;
+        let lost = self.links.get_mut(slot).is_some_and(|l| l.request(peer, helper, epoch));
+        let delay = self.impairments.jitter_ticks(peer, epoch);
+        (delay, helper, NetMsg::Request { peer, epoch, lost })
+    }
+
+    /// Peer actor `actor` received `kbps` in `epoch`, which its link
+    /// shapes; the rate that fills the last slot returns the report.
     fn rated(
         &mut self,
-        slot: usize,
+        actor: ActorId,
         epoch: u64,
         kbps: f64,
         obs: &mut ObsScratch,
     ) -> Option<Box<ShardReport>> {
+        let slot = actor.0 - self.first_actor;
+        let peer = self.store.id(slot);
+        let kbps = self.links.get_mut(slot).map_or(kbps, |link| link.shape(peer, kbps));
         (self.rates[slot], self.satisfied[slot]) = cap_to_demand(kbps, self.demand);
         self.filled += 1;
         if self.filled < self.chosen.len() {
@@ -288,7 +294,8 @@ impl PeerShard {
     }
 
     /// The observe phase over every slot — bandit feedback, accounting,
-    /// the estimate — and the report. Out of line like `choose`.
+    /// the estimate — and the report. Kept out of line: one `Rate` in a
+    /// shard's thousand runs it, and the others stay a few instructions.
     #[inline(never)]
     fn observe(&mut self, epoch: u64, obs: &mut ObsScratch) -> Box<ShardReport> {
         self.filled = 0;
@@ -332,8 +339,8 @@ pub struct CoordNode {
     tracker: ActorId,
     helper_base: usize,
     num_helpers: usize,
-    peer_base: usize,
-    num_peers: usize,
+    /// The first peer of each mailbox shard that hosts peers.
+    shards: Vec<ActorId>,
     impairments: ImpairmentPlan,
     control: u64,
 }
@@ -349,22 +356,21 @@ impl CoordNode {
             // boundary carries the previous epoch's tag.
             obs::set_epoch(epoch);
         }
-        let mut latest = 0;
+        let plan = &self.impairments;
         for j in 0..self.num_helpers {
             self.control += 1;
-            let delay = self.impairments.jitter_ticks(HELPER_JITTER_BASE + j as u64, epoch);
-            latest = latest.max(delay);
+            let delay = plan.jitter_ticks(HELPER_JITTER_BASE + j as u64, epoch);
             ctx.send_after(delay, ActorId(self.helper_base + j), NetMsg::Tick { epoch });
         }
-        for i in 0..self.num_peers {
-            self.control += 1;
-            let delay = self.impairments.jitter_ticks(i as u64, epoch);
-            latest = latest.max(delay);
-            ctx.send_after(delay, ActorId(self.peer_base + i), NetMsg::Tick { epoch });
+        // Uncounted like the shards' reports: their number is the span's.
+        for &first in &self.shards {
+            ctx.send(first, NetMsg::Tick { epoch });
         }
-        // The settle barrier: every tick has fired by `latest`, and a
-        // timer fires only once the mesh is quiescent, so one tick later
-        // every request has reached its helper.
+        // The settle barrier: nothing is delayed past the plan's largest
+        // draw, and a timer fires only once the mesh is quiescent, so one
+        // tick later every request has reached its helper.
+        let latest = plan.jitter_us().saturating_sub(1)
+            + plan.latency().map_or(0, |lat| lat.ticks.iter().copied().max().unwrap_or(0));
         for j in 0..self.num_helpers {
             self.control += 1;
             ctx.send_after(latest + 1, ActorId(self.helper_base + j), NetMsg::Settle { epoch });
@@ -396,9 +402,9 @@ pub struct TrackerNode {
 
 /// A helper actor wrapping the shared [`HelperMachine`].
 ///
-/// Its `Settle` is a timer one logical tick after the epoch's latest
-/// (jitter-delayed) `Tick`, so it never overtakes the helper's own tick:
-/// capacity steps before allocation in every schedule.
+/// Its `Settle` is a timer one logical tick after the plan's largest
+/// delay, so it never overtakes the helper's own (delayed) tick: capacity
+/// steps before allocation in every schedule.
 #[derive(Debug)]
 pub struct HelperNode {
     machine: HelperMachine<()>,
@@ -430,12 +436,10 @@ impl HelperNode {
     }
 }
 
-/// A peer actor: protocol state only (its learner is a slot of its
-/// shard's [`PeerShard`]).
+/// A peer actor: protocol state only (its learner and its links are a
+/// slot of its shard's [`PeerShard`]).
 #[derive(Debug)]
 pub struct PeerNode {
-    /// The peer's end of its links (`None` on clean links).
-    link: Option<Box<Link>>,
     /// Actor id of helper 0, learned from the tracker at bootstrap.
     helper_base: Option<u32>,
     control: u64,
@@ -454,6 +458,12 @@ pub enum NetActor {
     Helper(Box<HelperNode>),
     /// A viewer peer.
     Peer(PeerNode),
+}
+
+/// The handling peer's shard, and the draining worker's trace scratch.
+fn peer_shard<'c>(ctx: &'c mut MeshCtx<'_>) -> (&'c mut PeerShard, &'c mut ObsScratch) {
+    let (shard, obs) = ctx.shard();
+    (shard.as_deref_mut().expect("a peer's shard hosts its block"), obs)
 }
 
 impl Actor<Option<Box<PeerShard>>> for NetActor {
@@ -534,27 +544,18 @@ impl Actor<Option<Box<PeerShard>>> for NetActor {
                 }
                 NetMsg::Tick { epoch } => {
                     let base = node.helper_base.expect("peer ticked before bootstrap") as usize;
-                    let me = ctx.me();
-                    let (shard, obs) = ctx.shard();
-                    let shard = shard.as_mut().expect("a peer's shard hosts its block");
-                    let (slot, peer) = shard.slot_of(me);
-                    let helper = shard.helper_for(slot, epoch, obs);
-                    // A plan that affects no rate loses nothing.
-                    let lost = node
-                        .link
-                        .as_deref_mut()
-                        .is_some_and(|link| link.request(peer, helper, epoch));
-                    node.control += 1;
-                    ctx.send(ActorId(base + helper), NetMsg::Request { peer, epoch, lost });
+                    let (shard, obs) = peer_shard(ctx);
+                    let len = shard.choose(epoch, obs);
+                    for slot in 0..len {
+                        let (delay, helper, request) = peer_shard(ctx).0.request(slot, epoch);
+                        ctx.send_after(delay, ActorId(base + helper), request);
+                    }
+                    node.control += len as u64;
                 }
                 NetMsg::Rate { epoch, kbps } => {
                     let me = ctx.me();
-                    let (shard, obs) = ctx.shard();
-                    let shard = shard.as_mut().expect("a peer's shard hosts its block");
-                    let (slot, peer) = shard.slot_of(me);
-                    let kbps =
-                        node.link.as_deref_mut().map_or(kbps, |link| link.shape(peer, kbps));
-                    if let Some(report) = shard.rated(slot, epoch, kbps, obs) {
+                    let (shard, obs) = peer_shard(ctx);
+                    if let Some(report) = shard.rated(me, epoch, kbps, obs) {
                         ctx.send(COORDINATOR, NetMsg::ShardReport(report));
                     }
                 }
@@ -632,8 +633,10 @@ pub(crate) fn populate_mesh(
                     tracker: ActorId(1),
                     helper_base,
                     num_helpers: h,
-                    peer_base,
-                    num_peers: n,
+                    shards: (peer_base..peer_base + n)
+                        .filter(|&a| a == peer_base || a % span == 0)
+                        .map(ActorId)
+                        .collect(),
                     impairments: impairments.clone(),
                     control: 0,
                 })));
@@ -672,11 +675,7 @@ pub(crate) fn populate_mesh(
         let shard_end = ((peer_base + start) / span + 1) * span;
         let block_end = p_end.min(shard_end - peer_base);
         for _ in start..block_end {
-            reactor.add_actor(NetActor::Peer(PeerNode {
-                link: Link::under(impairments),
-                helper_base: None,
-                control: 0,
-            }));
+            reactor.add_actor(NetActor::Peer(PeerNode { helper_base: None, control: 0 }));
         }
         let first_actor = peer_base + start;
         *reactor.shard_state_mut(ActorId(first_actor)) = Some(Box::new(PeerShard::new(
@@ -848,8 +847,8 @@ mod tests {
         let mut rt = ReactorRuntime::new(NetConfig::from_sim(sim));
         rt.run_epochs(epochs);
         // Both barriers are timers: one NextEpoch per epoch after the
-        // first, and one Settle per helper and epoch. No tick is delayed
-        // here, so nothing else rides the wheel.
+        // first, and one Settle per helper and epoch. No tick or request
+        // is delayed here, so nothing else rides the wheel.
         assert_eq!(rt.stats().timers_fired, (epochs - 1) + h * epochs);
         let out = rt.finish();
         assert_eq!(out.epochs, epochs);
@@ -870,27 +869,128 @@ mod tests {
     #[test]
     fn message_overhead_is_constant_per_peer() {
         // The paper's low-overhead claim, quantified. Per epoch and peer:
-        // a Tick and a Request (control) and one Rate (data); per helper:
-        // Tick, Settle and HelperReport (control). So control = (2n + 3h)·E
-        // and data = n·E. The coordinator's one report per mailbox shard
-        // is left out: how many there are depends on the shard span, not
-        // on the protocol.
+        // a Request (control) and one Rate (data); per helper: Tick,
+        // Settle and HelperReport (control). So control = (n + 3h)·E and
+        // data = n·E. The coordinator's one tick and one report per
+        // mailbox shard that hosts peers are left out: how many there are
+        // depends on the shard span, not on the protocol.
+        //
+        // The reactor counts every delivery. With S such shards an epoch
+        // delivers h helper Ticks, S shard Ticks, n Requests, h Settles,
+        // n Rates, h HelperReports and S ShardReports, and every epoch but
+        // the last a NextEpoch; bootstrap delivers the injected Run, a
+        // Publish, n Directories and a Published. So the reactor delivers
+        // (2n + 3h + 2S + 1)·E − 1 + n + 3 messages: ticks are per shard.
         const EPOCHS: u64 = 100;
-        for (sim, n, h) in
+        for (scenario, n, h) in
             [(Scenario::paper_small(), 10, 4), (Scenario::paper_large(), 200, 20)]
         {
-            let out =
-                ReactorRuntime::new(NetConfig::from_sim(sim.seed(12).build())).run(EPOCHS);
-            assert_eq!(out.messages.data, n * EPOCHS, "n = {n}");
-            assert_eq!(out.messages.control, (2 * n + 3 * h) * EPOCHS, "n = {n}");
+            for span in [SHARD_SPAN, 8, 1] {
+                let sim = scenario.clone().seed(12).build();
+                let mut rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), span);
+                rt.run_epochs(EPOCHS);
+                let first = 2 + h as usize;
+                let shards = ((first + n as usize - 1) / span - first / span + 1) as u64;
+                let at = format!("n = {n}, span {span}");
+                let messages = (2 * n + 3 * h + 2 * shards + 1) * EPOCHS + n + 2;
+                assert_eq!(rt.stats().messages, messages, "{at}: reactor deliveries");
+                let out = rt.finish();
+                assert_eq!(out.messages.data, n * EPOCHS, "{at}: data");
+                assert_eq!(out.messages.control, (n + 3 * h) * EPOCHS, "{at}: control");
+            }
         }
-        // Three per peer, plus the helpers' share: 3h/n = 0.3 at 10 peers
+        // Two per peer, plus the helpers' share: 3h/n = 0.3 at 10 peers
         // a helper.
         let out =
             ReactorRuntime::new(NetConfig::from_sim(Scenario::paper_large().seed(12).build()))
                 .run(EPOCHS);
         let per_peer = out.messages.per_peer_per_epoch(200, EPOCHS);
-        assert!(per_peer < 3.5, "overhead {per_peer} messages/peer/epoch");
+        assert!(per_peer < 2.5, "overhead {per_peer} messages/peer/epoch");
+    }
+
+    /// The slab refuses a second choose while the first one's
+    /// observations are pending. The shard also refuses one after them,
+    /// for an epoch it has chosen for: it would redraw every learner and
+    /// fork the trajectory.
+    #[test]
+    #[should_panic(expected = "a shard ticked twice")]
+    fn a_second_tick_in_one_epoch_panics() {
+        let config = NetConfig::from_sim(Scenario::paper_small().seed(1).build());
+        let mut shard = PeerShard::new(&config, 6, 0, 10);
+        let mut obs = ObsScratch::default();
+        shard.choose(0, &mut obs);
+        for actor in 6..16 {
+            let _ = shard.rated(ActorId(actor), 0, 100.0, &mut obs);
+        }
+        shard.choose(0, &mut obs);
+    }
+
+    /// Like `PeerMachine`'s `clean_links_hold_neither_plan_nor_link_state`:
+    /// a plan that shapes no rate — none, or delivery delays only — leaves
+    /// every shard's links column empty; a lossy one gives each slot a link.
+    #[test]
+    fn clean_links_cost_the_shard_nothing() {
+        let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
+        let lossy = ImpairmentPlan::builder(9).uniform_loss(0.1).build().unwrap();
+        for (plan, linked) in
+            [(ImpairmentPlan::none(), false), (delays.with_jitter(5), false), (lossy, true)]
+        {
+            let sim = SimConfig::builder(20, vec![BandwidthSpec::Constant(800.0); 2])
+                .impairment(plan)
+                .build();
+            let rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
+            for shard in rt.reactor.shard_states().flatten() {
+                let links = if linked { shard.store.len() } else { 0 };
+                assert_eq!(shard.links.len(), links, "linked: {linked}");
+            }
+        }
+    }
+
+    /// The coordinator's columns after an epoch — chosen helpers, rates
+    /// (as bits), loads, capacities (as bits) — once every invariant of
+    /// `every_epoch_allocates_within_helper_capacity` holds on them.
+    fn checked_columns(
+        rt: &ReactorRuntime,
+        peers: usize,
+        delta: f64,
+        at: &str,
+    ) -> (Vec<u32>, Vec<u64>, Vec<usize>, Vec<u64>) {
+        let NetActor::Coordinator(coord) = rt.reactor.actor(COORDINATOR) else {
+            unreachable!("actor 0 is the coordinator")
+        };
+        let (chosen, rates, loads, capacities) = coord.machine.columns();
+        assert_eq!(loads.iter().sum::<usize>(), peers, "{at}: loads");
+        for (j, (&load, &capacity)) in loads.iter().zip(capacities).enumerate() {
+            let mut choosers = 0;
+            let mut delivered = 0.0;
+            for (&helper, &rate) in chosen.iter().zip(rates) {
+                if helper as usize == j {
+                    choosers += 1;
+                    delivered += rate;
+                }
+            }
+            assert_eq!(choosers, load, "{at}: helper {j}'s choosers");
+            let slack = capacity * load as f64 * f64::EPSILON;
+            assert!(
+                delivered <= capacity + slack,
+                "{at}: helper {j} delivered {delivered} of {capacity}"
+            );
+        }
+        // Every peer's strategy is a distribution with the exploration
+        // floor δ/m (see `SlabCols::observe`).
+        for shard in rt.reactor.shard_states().flatten() {
+            for slot in 0..shard.store.len() {
+                let learner = shard.store.learner(slot);
+                let row = learner.probabilities();
+                let m = row.len() as f64;
+                let sum: f64 = row.iter().sum();
+                assert!((sum - 1.0).abs() <= m * f64::EPSILON, "{at}: row sums to {sum}");
+                let floor = delta / m - 1e-12;
+                assert!(row.iter().all(|&p| p >= floor), "{at}: {row:?} < δ/m");
+            }
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+        (chosen.to_vec(), bits(rates), loads.to_vec(), bits(capacities))
     }
 
     /// Every epoch, in the columns the coordinator ingested: the loads sum
@@ -902,14 +1002,21 @@ mod tests {
     /// cap), and summing `L` such terms multiplies by at most
     /// `(1 + u)^(L − 1)`. The sum is thus at most `c·(1 + u)^L`, under
     /// `c·(1 + L·ε)` while `L·ε ≪ 1`: a slack of `L` ulps-worth of `c`.
-    /// Shards of 8 actors cut the 45 peers into seven blocks, the first
-    /// and last partial, so a block ingested at the wrong `first` leaves
-    /// slots at their reset value and breaks the chooser counts.
+    ///
+    /// Each plan runs at two shard spans. At span 1 every peer is its own
+    /// shard, so each shard tick sends exactly one request: a tick per
+    /// peer. Shards of 8 actors cut the 45 peers into seven
+    /// blocks, the first and last partial, so a block ingested at the
+    /// wrong `first` leaves slots at their reset value and breaks the
+    /// chooser counts. A latency ladder delays requests past the jitter
+    /// bound, and both spans must hand the coordinator the same columns,
+    /// bit for bit, every epoch.
     #[test]
     fn every_epoch_allocates_within_helper_capacity() {
         const PEERS: usize = 45;
         const HELPERS: usize = 3;
         const EPOCHS: u64 = 12;
+        const SPANS: [usize; 2] = [1, 8];
         for threads in [1, 2] {
             rths_par::with_threads(threads, || {
                 for seed in 0..16 {
@@ -917,6 +1024,7 @@ mod tests {
                         .gilbert_loss(0.1, 0.3, 0.8, 0.05)
                         .token_bucket(300.0, 700.0)
                         .jitter_us(1 + seed % 7)
+                        .latency(vec![0, 3, 9], 0.7)
                         .build()
                         .expect("valid impairment plan");
                     let sim = SimConfig::builder(
@@ -928,48 +1036,19 @@ mod tests {
                     .impairment(plan)
                     .build();
                     let delta = sim.learner.delta;
-                    let mut rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
+                    let mut runtimes = SPANS.map(|span| {
+                        (
+                            span,
+                            ReactorRuntime::with_span(NetConfig::from_sim(sim.clone()), span),
+                        )
+                    });
                     for epoch in 0..EPOCHS {
-                        rt.run_epochs(1);
-                        let NetActor::Coordinator(coord) = rt.reactor.actor(COORDINATOR) else {
-                            unreachable!("actor 0 is the coordinator")
-                        };
-                        let (chosen, rates, loads, capacities) = coord.machine.columns();
                         let at = format!("threads {threads}, plan seed {seed}, epoch {epoch}");
-                        assert_eq!(loads.iter().sum::<usize>(), PEERS, "{at}: loads");
-                        for (j, (&load, &capacity)) in loads.iter().zip(capacities).enumerate()
-                        {
-                            let mut choosers = 0;
-                            let mut delivered = 0.0;
-                            for (&helper, &rate) in chosen.iter().zip(rates) {
-                                if helper as usize == j {
-                                    choosers += 1;
-                                    delivered += rate;
-                                }
-                            }
-                            assert_eq!(choosers, load, "{at}: helper {j}'s choosers");
-                            let slack = capacity * load as f64 * f64::EPSILON;
-                            assert!(
-                                delivered <= capacity + slack,
-                                "{at}: helper {j} delivered {delivered} of {capacity}"
-                            );
-                        }
-                        // Every peer's strategy is a distribution with the
-                        // exploration floor δ/m (see `SlabCols::observe`).
-                        for shard in rt.reactor.shard_states().flatten() {
-                            for slot in 0..shard.store.len() {
-                                let learner = shard.store.learner(slot);
-                                let row = learner.probabilities();
-                                let m = row.len() as f64;
-                                let sum: f64 = row.iter().sum();
-                                assert!(
-                                    (sum - 1.0).abs() <= m * f64::EPSILON,
-                                    "{at}: row sums to {sum}"
-                                );
-                                let floor = delta / m - 1e-12;
-                                assert!(row.iter().all(|&p| p >= floor), "{at}: {row:?} < δ/m");
-                            }
-                        }
+                        let [narrow, wide] = runtimes.each_mut().map(|(span, rt)| {
+                            rt.run_epochs(1);
+                            checked_columns(rt, PEERS, delta, &format!("{at}, span {span}"))
+                        });
+                        assert_eq!(narrow, wide, "{at}: the spans ingested different columns");
                     }
                 }
             });

@@ -106,12 +106,13 @@ fn lossy_reactor_reproduces_lossy_sim_run() {
             "loss={loss}: continuity diverged"
         );
         // A lost payload is still a (zero-rate) reply: loss moves no
-        // message count. Control is (2n + 3h)·E: a Tick and a Request
-        // per peer, a Tick, a Settle and a report per helper.
+        // message count. Control is (n + 3h)·E: a Request per peer, a
+        // Tick, a Settle and a report per helper (the shards' ticks are
+        // not counted).
         assert_eq!(reactor.messages.data, 12 * 120, "loss={loss}: data accounting");
         assert_eq!(
             reactor.messages.control,
-            (2 * 12 + 3 * 3) * 120,
+            (12 + 3 * 3) * 120,
             "loss={loss}: control accounting"
         );
     }

@@ -563,9 +563,10 @@ impl ImpairmentPlan {
     /// The deterministic delivery delay for `(actor, epoch)`: the legacy
     /// uniform jitter draw (the legacy fault-plan stream) plus the
     /// Markov-modulated latency level. The reactor delays the actor's
-    /// tick through its timer wheel by this many logical ticks, so the
-    /// plan seed decides the order in which an epoch's ticks land. The
-    /// epoch barrier absorbs it: delays must never change results.
+    /// message (a peer's request, a helper's tick) through its timer wheel
+    /// by this many logical ticks, so the plan seed decides the order in
+    /// which an epoch's messages land. The epoch barrier absorbs it:
+    /// delays must never change results.
     pub fn jitter_ticks(&self, actor: u64, epoch: u64) -> u64 {
         let mut total = 0;
         if self.jitter_us > 0 {

@@ -15,7 +15,7 @@
 //! The protocol must also be independent of the *order* in which an
 //! epoch's messages are delivered. The reactor has a seeded scheduler on
 //! its production path — an impairment plan's jitter and latency delay
-//! every actor's tick through the timer wheel — and
+//! every request and helper tick through the timer wheel — and
 //! [`jitter_does_not_change_results`] sweeps it over plan seeds and
 //! bounds, holding every schedule to the simulator's trajectory.
 //!
@@ -189,12 +189,13 @@ fn equivalent_on_a_reactor_scale_population() {
 
 #[test]
 fn jitter_does_not_change_results() {
-    // The seeded delivery-schedule sweep. Every actor's tick is delayed
-    // by a hash of (plan seed, actor, epoch), and timers fire only once
-    // the mesh is quiescent, so delayed ticks land in delay order: the
-    // plan seed permutes the order in which requests reach each helper,
-    // and how many rounds and timer steps the epoch takes before the
-    // helpers' `Settle` timers fire, one tick after the latest `Tick`.
+    // The seeded delivery-schedule sweep. Every peer's request and every
+    // helper's tick is delayed by a hash of (plan seed, actor, epoch), and
+    // timers fire only once the mesh is quiescent, so delayed requests
+    // land in delay order: the plan seed permutes the order in which they
+    // reach each helper, and how many rounds and timer steps the epoch
+    // takes before the helpers' `Settle` timers fire, one tick after the
+    // plan's largest possible delay.
     // The barrier protocol must absorb every such schedule: each run is
     // held to the simulator under the same plan, every series and both
     // per-peer summaries.

@@ -4,23 +4,29 @@
 //! to do the same work (a refactor, a deletion) leaves every number
 //! below alone; a change that moves one says so, and which.
 //!
-//! Three reduced workloads run traced at `RTHS_THREADS` 1 and 2:
+//! Four reduced workloads run traced at `RTHS_THREADS` 1 and 2:
 //! - a `System` under churn and the link-impairment stack, shaped like
 //!   the benchmark's `sim_churn_impaired` (32 helpers, so T blocks are
 //!   packed and first plays open columns);
+//! - a K-channel `MultiChannelSystem` with viewer migrations between
+//!   blocks, shaped like `sim_multichannel`;
 //! - a reactor run at 8 helpers, shaped like `reactor_wide`;
 //! - a reactor run at 64 helpers, shaped like `reactor_dense` (packed
 //!   blocks too).
 //!
 //! Each pins `TraceReport::counters` and `TraceReport::gauges`; the
-//! reactor runs pin `NetOutcome::messages` too. At these sizes no count
-//! depends on the thread count. The obs registry is process-global, so
+//! reactor runs pin `NetOutcome::messages` too. At these sizes only one
+//! count depends on the thread count: the multichannel run's
+//! `regret_exact_reads`, whose store phases split in two. The obs registry is process-global, so
 //! every run sits inside one `rths_par::env::with_var` window, which
 //! serialises the tests of this binary.
 
 use rths_net::{MessageTotals, NetConfig};
 use rths_obs::{self as obs, Counter, Gauge, TraceReport};
-use rths_sim::{BandwidthSpec, ImpairmentPlan, LearnerSpec, SimConfig, System};
+use rths_sim::{
+    AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec, MultiChannelConfig,
+    MultiChannelSystem, SimConfig, System,
+};
 use rths_stoch::process::ChurnProcess;
 
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -81,6 +87,57 @@ fn churn_impaired_system_does_the_pinned_work() {
     }
 }
 
+/// 5,000 viewers over 10 channels (Zipf 1.2), 100 helpers with one
+/// channel each, water-filling, as in `sim_multichannel`: three blocks of
+/// eight epochs with 400 viewers moved off channel 0 between blocks. The
+/// population is above `2 × rths_par::MIN_ITEMS_PER_WORKER`, so the store
+/// phases split at two threads.
+#[test]
+fn multichannel_system_does_the_pinned_work() {
+    for threads in [1usize, 2] {
+        let report = with_threads(threads, || {
+            let config = MultiChannelConfig::standard(
+                10,
+                400.0,
+                100,
+                1,
+                5_000,
+                1.2,
+                AllocationPolicy::WaterFilling,
+                7,
+            );
+            let _on = obs::scoped_enable(true);
+            obs::begin_run("ledger_multichannel");
+            let mut sys = MultiChannelSystem::new(config);
+            for block in 0..3 {
+                if block > 0 {
+                    sys.migrate_viewers(0, block, 400);
+                }
+                sys.run(8);
+            }
+            assert_eq!(sys.epoch(), 24);
+            obs::take_report()
+        });
+        // Each worker's shard keeps its own running maximum, so a second
+        // shard reads more rows exactly before its maximum catches up.
+        let exact_reads = if threads == 1 { 2104 } else { 2229 };
+        let expected: [(&str, u64); 11] = [
+            ("messages_enqueued", 0),
+            ("messages_delivered", 0),
+            ("ring_grow_events", 0),
+            ("slab_columns_touched", 0),
+            ("free_list_reuse", 0),
+            ("slab_columns_opened", 0),
+            ("stretch_folds", 10702),
+            ("regret_exact_reads", exact_reads),
+            ("ring_capacity_hwm", 0),
+            ("ring_occupancy_hwm", 0),
+            ("slab_rows_hwm", 5000),
+        ];
+        assert_eq!(ledger(&report), expected, "RTHS_THREADS={threads}");
+    }
+}
+
 /// 992 peers × 8 helpers on the reactor, estimates off, as in
 /// `reactor_wide`.
 #[test]
@@ -96,8 +153,8 @@ fn wide_reactor_does_the_pinned_work() {
             (obs::take_report(), out.messages)
         });
         let expected: [(&str, u64); 11] = [
-            ("messages_enqueued", 61034),
-            ("messages_delivered", 61034),
+            ("messages_enqueued", 41214),
+            ("messages_delivered", 41214),
             ("ring_grow_events", 1),
             ("slab_columns_touched", 0),
             ("free_list_reuse", 0),
@@ -111,7 +168,7 @@ fn wide_reactor_does_the_pinned_work() {
         assert_eq!(ledger(&report), expected, "RTHS_THREADS={threads}");
         assert_eq!(
             messages,
-            MessageTotals { control: 40_160, data: 19_840 },
+            MessageTotals { control: 20_320, data: 19_840 },
             "RTHS_THREADS={threads}"
         );
     }
@@ -132,8 +189,8 @@ fn dense_reactor_does_the_pinned_work() {
             (obs::take_report(), out.messages)
         });
         let expected: [(&str, u64); 11] = [
-            ("messages_enqueued", 66366),
-            ("messages_delivered", 66366),
+            ("messages_enqueued", 45926),
+            ("messages_delivered", 45926),
             ("ring_grow_events", 1),
             ("slab_columns_touched", 0),
             ("free_list_reuse", 0),
@@ -147,7 +204,7 @@ fn dense_reactor_does_the_pinned_work() {
         assert_eq!(ledger(&report), expected, "RTHS_THREADS={threads}");
         assert_eq!(
             messages,
-            MessageTotals { control: 44_800, data: 20_480 },
+            MessageTotals { control: 24_320, data: 20_480 },
             "RTHS_THREADS={threads}"
         );
     }
