@@ -157,6 +157,26 @@
 //!   not a setting:** at a stride of at most 8 a block is eight consecutive
 //!   lines, which the hardware already streams; the pass measured slower
 //!   than no pass there, and does not run.
+//! * **Sampling without a data-dependent exit.** A choose draws one `u`
+//!   and forms the prefix sums `acc_k = acc_{k−1} + p(k)` in ascending
+//!   `k`, as the scalar oracle does; the oracle stops at the first `k`
+//!   with `u < acc_k` (none: `m − 1`). That exit lands at a random `k`
+//!   and mispredicts on most slots, and the core cannot run the next
+//!   slot's scan under a mispredicted one. [`StrategyCols::select_action`]
+//!   counts instead: `c = #{k : acc_k ≤ u}`, and the action is
+//!   `min(c, m − 1)`. Adding an entry `≥ 0` never lowers `acc` (rounding
+//!   is monotone), so the sums at or below `u` are the prefix `0..c` and
+//!   `c` is the first crossing: the same action from the same draw. That
+//!   rests on a **row invariant**: no stored entry is negative or NaN.
+//!   `alloc` and `reset_actions` write `1/m`; the observe writes each
+//!   `p(k)`, `k ≠ j`, through `max`/`min` clamps, which return the number
+//!   when the other operand is NaN, plus `δ/m`, so `p(k) ≥ δ/m > 0`; the
+//!   one entry rounding could take below zero, `p(j) = 1 − off`, is an
+//!   `assert!` per observe (it holds unless `δ/m` is below the rounding
+//!   error of the off-mass sum, ≈ m · 2⁻⁵³). Compaction and clones copy
+//!   whole rows. A per-sample guard, a running-max count and a
+//!   first-crossing bitmask would each not need the invariant, but each
+//!   measured slower than the early exit at m ≥ 32.
 //!
 //! The contiguous loops (rank-1 `axpy`, renormalising `scale`,
 //! `shifted_regret_max`, the row maxima's `max_assign`) are the
@@ -1093,7 +1113,10 @@ impl StrategyCols<'_> {
     }
 
     /// Samples an action from slot `i`'s strategy, recording it pending —
-    /// float-identical to `RthsState::select_action`.
+    /// the action `RthsState::select_action` picks from the same draw: the
+    /// first `k` whose prefix sum exceeds `u`, else `m − 1`. The loop has
+    /// no exit: it counts the prefix sums at or below `u`, which is that
+    /// `k` because the row holds no negative entry (module docs).
     ///
     /// # Panics
     ///
@@ -1107,14 +1130,12 @@ impl StrategyCols<'_> {
         let probs = &self.probs.row(i)[..m];
         let u: f64 = rand::Rng::gen(rng);
         let mut acc = 0.0;
-        let mut chosen = m - 1;
-        for (a, &p) in probs.iter().enumerate() {
+        let mut below = 0;
+        for &p in probs {
             acc += p;
-            if u < acc {
-                chosen = a;
-                break;
-            }
+            below += usize::from(acc <= u);
         }
+        let chosen = below.min(m - 1);
         self.pending[i] = chosen as u32;
         chosen
     }
@@ -1438,10 +1459,9 @@ impl SlabCols<'_> {
             }
         }
         probs[j] = 1.0 - off_mass;
-        debug_assert!(
-            probs[j] >= floor - 1e-12,
-            "played-action probability fell below exploration floor"
-        );
+        // The one entry the row invariant of `select_action` cannot take
+        // from the clamps (module docs): one compare per observe.
+        assert!(probs[j] >= 0.0, "played-action probability {} is below zero", probs[j]);
         opened
     }
 
@@ -2587,6 +2607,126 @@ mod tests {
         let mut fresh = [RthsState::new(&big)];
         drive_with_mirrors(&mut slab, &mut fresh, &mut [rng], &big, 50);
         assert_bitwise(slab.probabilities(slot), fresh[0].probabilities(), "after reset");
+    }
+
+    /// An RNG whose one `f64` draw is `k · 2⁻⁵³` (the top 53 bits of one
+    /// `next_u64` in the vendored `rand`).
+    struct Draw(u64);
+
+    impl rand::RngCore for Draw {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("select_action draws one f64")
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0 << 11
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("select_action draws one f64")
+        }
+    }
+
+    /// What the edge draws of one row covered.
+    #[derive(Default)]
+    struct Edges {
+        /// Draws equal to a prefix sum.
+        exact: usize,
+        /// Rows whose every prefix sum is below the largest draw.
+        short: usize,
+    }
+
+    /// Samples slot `slot` of `slab` and a clone of `oracle`, which must
+    /// hold the same strategy, at the draws that straddle the row's
+    /// edges — `0`, the largest draw `1 − 2⁻⁵³`, and the grid points at
+    /// and next to every prefix sum — and asserts the same action each
+    /// time. Leaves the slot with no action pending.
+    fn assert_edges_sample_like_oracle(
+        slab: &mut LearnerSlab,
+        slot: usize,
+        oracle: &RthsState,
+        what: &str,
+        edges: &mut Edges,
+    ) {
+        let probs = slab.probabilities(slot).to_vec();
+        assert_bitwise(&probs, oracle.probabilities(), what);
+        const TOP: u64 = (1 << 53) - 1;
+        let grid = (1u64 << 53) as f64;
+        let mut draws = vec![0, TOP];
+        let mut acc = 0.0;
+        for &p in &probs {
+            acc += p;
+            let k = (acc * grid).floor().min(TOP as f64) as u64;
+            edges.exact += usize::from(k as f64 == acc * grid);
+            draws.extend([k.saturating_sub(1), k, (k + 1).min(TOP)]);
+        }
+        edges.short += usize::from(acc < TOP as f64 / grid);
+        for k in draws {
+            let a = slab.select_action(slot, &mut Draw(k));
+            slab.pending[slot] = NO_PENDING;
+            let b = oracle.clone().select_action(&mut Draw(k));
+            assert_eq!(a, b, "{what}: draw {k} · 2⁻⁵³ over {probs:?}");
+        }
+    }
+
+    /// The count-based sampler picks the early-exit oracle's action at
+    /// every edge of the rows a learner reaches: uniform rows (at m = 7
+    /// their sum rounds below the largest draw, at m = 8 and 64 every
+    /// prefix sum is a grid point), rows at the exploration floor (one
+    /// positive utility from fresh) and 60 stages of learning after, at
+    /// `m = stride` for strides 8, 10 and 64 and at m = 1.
+    #[test]
+    fn count_sampler_matches_the_early_exit_at_row_edges() {
+        let mut edges = Edges::default();
+        for (m, stride) in [(1, 1), (1, 8), (7, 8), (8, 8), (10, 10), (64, 64)] {
+            for conditional in [false, true] {
+                let cfg = config(m, RecencyMode::Exponential, conditional);
+                let what = format!("m={m} stride={stride} cond={conditional}");
+                let mut slab = LearnerSlab::new(stride);
+                let slot = slab.alloc(m) as usize;
+                let mut oracle = RthsState::new(&cfg);
+                assert_edges_sample_like_oracle(&mut slab, slot, &oracle, &what, &mut edges);
+
+                // One positive utility from fresh (the draw u = 1/2): every
+                // action but the played one sits at δ/m.
+                let j = slab.select_action(slot, &mut Draw(1 << 52));
+                assert_eq!(j, oracle.select_action(&mut Draw(1 << 52)), "{what}");
+                slab.observe(slot, &cfg, 40.0, &mut Vec::new());
+                oracle.observe(&cfg, 40.0, &mut Vec::new());
+                let floor = policy::exploration_floor(m, cfg.delta());
+                let at_floor = slab.probabilities(slot).iter().filter(|&&p| p == floor).count();
+                assert_eq!(at_floor, m - 1, "{what}");
+                assert_edges_sample_like_oracle(&mut slab, slot, &oracle, &what, &mut edges);
+
+                let mut rng_a = rand::rngs::StdRng::seed_from_u64(m as u64);
+                let mut rng_b = rng_a.clone();
+                for s in 0..60u64 {
+                    let a = slab.select_action(slot, &mut rng_a);
+                    assert_eq!(a, oracle.select_action(&mut rng_b), "{what} stage {s}");
+                    let u = ((a * 37 + s as usize * 11) % 13) as f64 * 25.0;
+                    slab.observe(slot, &cfg, u, &mut Vec::new());
+                    oracle.observe(&cfg, u, &mut Vec::new());
+                    assert_edges_sample_like_oracle(
+                        &mut slab, slot, &oracle, &what, &mut edges,
+                    );
+                }
+            }
+        }
+        assert!(edges.exact > 0, "no draw landed on a prefix sum");
+        assert!(edges.short > 0, "no row summed below the largest draw");
+    }
+
+    /// The played entry `1 − off` is the one a rounding can take below
+    /// zero, and the sampler's exactness rests on it not being so: at
+    /// δ = 10⁻³⁰⁰ the floor vanishes, one very negative utility saturates
+    /// every other entry at `1/(m − 1)`, and at m = 10 nine of them sum
+    /// above 1.
+    #[test]
+    #[should_panic(expected = "is below zero")]
+    fn negative_played_probability_panics() {
+        let cfg = RthsConfig::builder(10).delta(1e-300).build().unwrap();
+        let mut slab = LearnerSlab::new(10);
+        let slot = slab.alloc(10) as usize;
+        slab.pending[slot] = 3;
+        slab.observe(slot, &cfg, -1e6, &mut Vec::new());
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub struct EpochMetrics {
     /// Channel `c`'s join rates: `join_rates[join_offsets[c]..join_offsets[c + 1]]`.
     join_offsets: Vec<usize>,
     join_rates: Vec<f64>,
-    /// Unmet demand per peer.
-    residuals: Vec<f64>,
     /// Delivered rate per channel, summed over epochs.
     channel_rate_sums: Vec<f64>,
     /// `Σ_j C_j^min`, the Fig. 5 minimum-deficit reference.
@@ -58,7 +56,6 @@ impl EpochMetrics {
             channel_helpers,
             join_offsets,
             join_rates: Vec::new(),
-            residuals: Vec::new(),
             helper_min,
             total_demand: 0.0,
             series: SimMetrics::new(num_helpers),
@@ -111,37 +108,42 @@ impl EpochMetrics {
     /// The delivery pass: peer `i` got `delivered[i]` on channel
     /// `channel_of(i)`. Pushes welfare; the server load `Σ max(0, d − r)`
     /// and both deficit bounds, `Σ d` against `Σ C_min` and
-    /// `helper_now = Σ C(t)`; population and Jain.
+    /// `helper_now = Σ C(t)`; population and Jain, `welfare² / (n · Σ r²)`.
+    ///
+    /// One pass in peer order folds welfare, the channel sums, the server
+    /// load and `Σ r²` side by side, so no fold waits for another. Welfare
+    /// starts at `0.0`, the load and `Σ r²` at `-0.0` (where an `f64`
+    /// `Iterator::sum` starts), so each has the bits of a separate sum
+    /// over its column: an empty epoch's load is `-0.0`. Jain's own `Σ r`
+    /// would differ from welfare at most in the sign of a zero, which
+    /// squaring drops; an empty or all-zero population has Jain 1.
     pub fn settle(
         &mut self,
         delivered: &[f64],
         channel_of: impl Fn(usize) -> usize,
         helper_now: f64,
     ) {
-        let mut welfare = 0.0;
-        self.residuals.clear();
+        let (mut welfare, mut load, mut squares) = (0.0, -0.0, -0.0);
         for (i, &rate) in delivered.iter().enumerate() {
             let c = channel_of(i);
             welfare += rate;
             self.channel_rate_sums[c] += rate;
-            self.residuals.push(match self.demands[c] {
+            let residual = match self.demands[c] {
                 Some(d) => (d - rate).max(0.0),
                 None => 0.0,
-            });
+            };
+            server::absorb(&mut load, residual);
+            squares += rate * rate;
         }
-        let server = server::settle_epoch(
-            &self.residuals,
-            self.total_demand,
-            self.helper_min,
-            helper_now,
-        );
+        let server = server::settle_epoch(load, self.total_demand, self.helper_min, helper_now);
+        let n = delivered.len() as f64;
         let m = &mut self.series;
         m.welfare.push(welfare);
         m.server_load.push(server.load);
         m.min_deficit.push(server.min_deficit);
         m.current_deficit.push(server.current_deficit);
-        m.population.push(delivered.len() as f64);
-        m.jain.push(rths_math::stats::jain_index(delivered));
+        m.population.push(n);
+        m.jain.push(if squares == 0.0 { 1.0 } else { welfare * welfare / (n * squares) });
     }
 
     /// Pushes the epoch's worst true regret, the worst learner estimate
@@ -186,6 +188,7 @@ pub fn cap_to_demand(rate: f64, demand: Option<f64>) -> (f64, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -213,6 +216,128 @@ mod tests {
         for (j, (got, want)) in m.helper_loads.iter().zip(helper_loads).enumerate() {
             assert_eq!(bits(got.values()), bits(want), "helper {j} load");
         }
+    }
+
+    /// The multi-pass settle the one-pass [`EpochMetrics::settle`]
+    /// replaced, kept as its reference: a residual column, then
+    /// `Iterator::sum` over it, and Jain from `rths_math::stats`. Folds
+    /// the channel sums into `channel_rate_sums` and returns the six
+    /// values the settle pushes, in series order.
+    fn multi_pass_settle(
+        demands: &[Option<f64>],
+        total_demand: f64,
+        helper_min: f64,
+        delivered: &[f64],
+        channels: &[usize],
+        helper_now: f64,
+        channel_rate_sums: &mut [f64],
+    ) -> [f64; 6] {
+        let mut welfare = 0.0;
+        let mut residuals = Vec::new();
+        for (&rate, &c) in delivered.iter().zip(channels) {
+            welfare += rate;
+            channel_rate_sums[c] += rate;
+            residuals.push(match demands[c] {
+                Some(d) => (d - rate).max(0.0),
+                None => 0.0,
+            });
+        }
+        assert!(residuals.iter().all(|r| r.is_finite() && *r >= 0.0));
+        [
+            welfare,
+            residuals.iter().sum(),
+            (total_demand - helper_min).max(0.0),
+            (total_demand - helper_now).max(0.0),
+            delivered.len() as f64,
+            rths_math::stats::jain_index(delivered),
+        ]
+    }
+
+    /// Settles each epoch of `epochs` (viewer `i` on `channels[i]`, one
+    /// helper per channel) through [`EpochMetrics::settle`] and through
+    /// [`multi_pass_settle`], and asserts every pushed value and the
+    /// channel sums equal, `to_bits`. Returns the metrics.
+    fn assert_settles_like_multi_pass(
+        demands: Vec<Option<f64>>,
+        channels: &[usize],
+        epochs: &[&[f64]],
+    ) -> EpochMetrics {
+        let k = demands.len();
+        let mut em =
+            EpochMetrics::new(k, 700.0, demands.clone(), (0..k).map(|c| vec![c]).collect());
+        let mut loads = vec![0; k * k];
+        for &c in channels {
+            loads[c * k + c] += 1;
+        }
+        let mut sums = vec![0.0; k];
+        for (e, delivered) in epochs.iter().enumerate() {
+            let _ = em.allocation(&loads, &vec![400.0; k * k]);
+            let helper_now = 600.0 + 250.0 * e as f64;
+            let want = multi_pass_settle(
+                &demands,
+                em.total_demand,
+                700.0,
+                delivered,
+                channels,
+                helper_now,
+                &mut sums,
+            );
+            em.settle(delivered, |i| channels[i], helper_now);
+            let m = em.series();
+            let got = [
+                &m.welfare,
+                &m.server_load,
+                &m.min_deficit,
+                &m.current_deficit,
+                &m.population,
+                &m.jain,
+            ]
+            .map(|series| series.values()[e]);
+            assert_eq!(bits(&got), bits(&want), "epoch {e}: {got:?} vs {want:?}");
+            assert_eq!(bits(em.channel_rate_sums()), bits(&sums), "epoch {e} channel sums");
+        }
+        em
+    }
+
+    #[test]
+    fn one_pass_settle_matches_the_multi_pass_bitwise() {
+        // Empty population: the load is the empty sum, −0.0, and Jain 1.
+        let em = assert_settles_like_multi_pass(vec![Some(500.0)], &[], &[&[], &[]]);
+        assert_eq!(em.series().server_load.values()[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(em.series().jain.values(), &[1.0, 1.0]);
+
+        // All-zero rates, uncapped (every residual +0.0) and capped.
+        for demand in [None, Some(300.0)] {
+            let em = assert_settles_like_multi_pass(vec![demand], &[0; 4], &[&[0.0; 4]]);
+            assert_eq!(em.series().jain.values(), &[1.0]);
+        }
+
+        // A first rate of −0.0, alone and ahead of positive rates.
+        for demand in [None, Some(300.0)] {
+            assert_settles_like_multi_pass(
+                vec![demand],
+                &[0; 3],
+                &[&[-0.0, -0.0, -0.0], &[-0.0, 120.5, 0.1], &[-0.0, 0.0, -0.0]],
+            );
+        }
+
+        // Capped and uncapped channels, rates that do not sum exactly.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        let mut draw = |n: usize| -> Vec<f64> {
+            (0..n).map(|_| rand::Rng::gen_range(&mut rng, 0.0..900.0)).collect()
+        };
+        let (a, b) = (draw(64), draw(64));
+        let halves: Vec<usize> = (0..64).map(|i| i / 32).collect();
+        assert_settles_like_multi_pass(vec![Some(450.0), None], &halves, &[&a, &b]);
+
+        // K = 3 with interleaved channels: capped, uncapped, capped.
+        let (a, b, c) = (draw(99), draw(99), draw(99));
+        let interleaved: Vec<usize> = (0..99).map(|i| (i * 7) % 3).collect();
+        assert_settles_like_multi_pass(
+            vec![Some(400.0), None, Some(200.0)],
+            &interleaved,
+            &[&a, &b, &c],
+        );
     }
 
     /// K = 1, demand 500, three helpers: helper 1 has no viewer in epoch
