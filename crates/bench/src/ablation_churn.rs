@@ -1,9 +1,7 @@
 //! Ablation abl-churn: helper outage/recovery under static and churning
 //! populations, with and without the conditional-regret extension.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ablation_churn`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 use rths_stoch::process::ChurnProcess;
 
@@ -16,7 +14,7 @@ struct Row {
     jain: f64,
 }
 
-fn run(churn: bool, conditional: bool) -> Row {
+fn outage_run(churn: bool, conditional: bool) -> Row {
     let churn_process = if churn { ChurnProcess::new(2.0, 0.02) } else { ChurnProcess::none() };
     let config = SimConfig::builder(100, vec![BandwidthSpec::Paper { stay: 0.98 }; 10])
         .churn(churn_process)
@@ -45,7 +43,7 @@ fn run(churn: bool, conditional: bool) -> Row {
     }
 }
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     println!("Ablation — helper 0 outage [2000, 3500) then recovery, N≈100, H=10");
     println!("(share of online peers sitting on helper 0; exploration floor δ/H = 1%)\n");
     println!(
@@ -54,7 +52,7 @@ fn main() {
     );
     let combos = [(false, false), (false, true), (true, false), (true, true)];
     let results =
-        rths_par::par_map(&combos, |_, &(churn, conditional)| run(churn, conditional));
+        rths_par::par_map(&combos, |_, &(churn, conditional)| outage_run(churn, conditional));
     let mut rows = Vec::new();
     for r in results {
         println!(
@@ -83,7 +81,8 @@ fn main() {
     println!("\nreading: the paper's literal update keeps peers flipping back to a dead");
     println!("helper (rarely-played rows carry frequency-weighted, near-zero proxy");
     println!("regret, yet inertia parks all residual mass on the last-played action);");
-    println!("conditional normalisation (DESIGN.md §2) cuts the outage share roughly in");
+    println!("conditional normalisation cuts the outage share roughly in");
     println!("half. Churn masks the effect partially because fresh peers start uniform.");
     println!("csv: {}", path.display());
+    Ok(())
 }

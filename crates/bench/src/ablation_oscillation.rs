@@ -6,14 +6,12 @@
 //! back … frequent interruption in the streaming flow." We reproduce the
 //! flapping under synchronous best response and show RTHS peers on the
 //! simulation engine converging to a stable split on the same instance.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ablation_oscillation`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_oracle::{best_response, HelperSelectionGame};
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let n = 20usize;
     let caps = vec![800.0, 800.0];
     let stages = 3000usize;
@@ -64,4 +62,5 @@ fn main() {
     println!("  final mean loads: {:?} (stable near 10/10)", result.metrics.mean_helper_loads);
     println!("\ninterruption ratio BR/RTHS at convergence: {:.0}x", br_rate / late.max(1e-6));
     println!("csv: {}", path.display());
+    Ok(())
 }

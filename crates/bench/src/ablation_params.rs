@@ -1,12 +1,10 @@
 //! Ablation abl-param: sensitivity of convergence to ε (step size),
 //! δ (exploration) and μ (normalisation).
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ablation_params`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 
-fn run(epsilon: f64, delta: f64, mu: Option<f64>) -> (f64, f64, f64) {
+fn sweep_point(epsilon: f64, delta: f64, mu: Option<f64>) -> (f64, f64, f64) {
     let config = SimConfig::builder(50, vec![BandwidthSpec::Paper { stay: 0.98 }; 5])
         .learner(LearnerSpec { epsilon, delta, mu, ..LearnerSpec::default() })
         .seed(31)
@@ -20,7 +18,7 @@ fn run(epsilon: f64, delta: f64, mu: Option<f64>) -> (f64, f64, f64) {
     )
 }
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     println!("Ablation — parameter sensitivity, N=50, H=5 (4000 epochs, tail means)\n");
     println!(
         "{:>8} {:>8} {:>8} | {:>12} {:>12} {:>14}",
@@ -37,7 +35,7 @@ fn main() {
     sweep.extend(eps_values.iter().map(|&eps| (eps, defaults.1, None)));
     sweep.extend(delta_values.iter().map(|&delta| (defaults.0, delta, None)));
     sweep.extend(mu_values.iter().map(|&mu| (defaults.0, defaults.1, Some(mu))));
-    let results = rths_par::par_map(&sweep, |_, &(eps, delta, mu)| run(eps, delta, mu));
+    let results = rths_par::par_map(&sweep, |_, &(eps, delta, mu)| sweep_point(eps, delta, mu));
 
     for (i, (&(eps, delta, mu), &(r, w, s))) in sweep.iter().zip(&results).enumerate() {
         if i == eps_values.len() || i == eps_values.len() + delta_values.len() {
@@ -61,4 +59,5 @@ fn main() {
     println!("tracking; δ trades exploration overhead for estimator stability; μ must sit");
     println!("within an order of magnitude of the per-peer rate scale (here 320 kbps).");
     println!("csv: {}", path.display());
+    Ok(())
 }

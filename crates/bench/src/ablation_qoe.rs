@@ -4,14 +4,12 @@
 //! C/N); RTHS spreads the audience. Feeding both rate traces through the
 //! playback-buffer model shows what that means for actual viewing:
 //! stalls per minute and rebuffer ratio.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ablation_qoe`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_oracle::{best_response, HelperSelectionGame};
 use rths_sim::{BandwidthSpec, PlaybackBuffer, SimConfig, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let n = 20usize;
     let caps = [800.0, 800.0];
     let bitrate = 75.0; // fair share is 80 kbps — feasible, but tight.
@@ -75,4 +73,5 @@ fn main() {
     println!("stalls continuously; RTHS's stable near-even split keeps the stream");
     println!("at ~fair share ≥ bitrate and the buffer almost never drains.");
     println!("csv: {}", path.display());
+    Ok(())
 }

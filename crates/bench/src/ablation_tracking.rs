@@ -1,9 +1,7 @@
 //! Ablation abl-track: regret *tracking* vs regret *matching* under a
 //! mid-run capacity collapse (the design choice §II motivates).
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ablation_tracking`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_sim::{Algorithm, LearnerSpec, Scenario, System};
 
 fn degraded_series(out: &rths_sim::Outcome) -> Vec<f64> {
@@ -12,7 +10,7 @@ fn degraded_series(out: &rths_sim::Outcome) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let shift = 3000u64;
     let epochs = 6000u64;
     println!("Ablation — tracking vs matching; helpers 0/2/4 drop 900->100 kbps at {shift}");
@@ -60,4 +58,5 @@ fn main() {
     let evac_m = mean(&m, s - 300, s) - mean(&m, s + 200, s + 400);
     println!("\npeers evacuated within 300 epochs: tracking {evac_t:.1}, matching {evac_m:.1} ({:.1}x)", evac_t / evac_m.max(0.1));
     println!("csv: {}", path.display());
+    Ok(())
 }

@@ -1,19 +1,17 @@
 //! Experiment ce-verify: quantitative check that converged RTHS play on
 //! the simulation engine (static helpers, no demand cap) is an
 //! approximate correlated equilibrium, compared against the exact CE
-//! polytope computed by LP on a small instance. Exits with status 1 when
+//! polytope computed by LP on a small instance. Fails (exit status 1) when
 //! the relative residual is not below 0.10.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ce_verify`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_oracle::equilibrium::{
     cce_residual_congestion, ce_residual_congestion, max_welfare_ce,
 };
 use rths_oracle::HelperSelectionGame;
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     println!("CE verification — 5 peers, 3 helpers [800, 800, 600] kbps\n");
     let caps = vec![800.0, 800.0, 600.0];
     let game = HelperSelectionGame::new(caps.clone()).with_peers(5);
@@ -81,7 +79,9 @@ fn main() {
         &rows,
     );
     println!("csv: {}", path.display());
-    if !converged {
-        std::process::exit(1);
+    if converged {
+        Ok(())
+    } else {
+        Err(format!("relative CE residual {:.4} is not below 0.10", report.relative_residual()))
     }
 }

@@ -1,12 +1,10 @@
 //! Extension ext-mc: the multi-channel future-work system — joint
 //! helper-level bandwidth allocation × peer-level helper selection.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin ext_multichannel`
 
-use rths_bench::write_csv;
+use crate::harness::write_csv;
 use rths_sim::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     println!("Extension — multi-channel joint allocation: K=4 channels (Zipf 1.5),");
     println!("12 helpers x 2 channels, 240 viewers at 400 kbps, 2500 epochs\n");
     println!(
@@ -65,4 +63,5 @@ fn main() {
         );
     }
     println!("csv: {}", path.display());
+    Ok(())
 }

@@ -5,13 +5,11 @@
 //! algorithm converges". We plot the worst peer's time-averaged true
 //! regret (the quantity Hart & Mas-Colell's theorem controls), averaged
 //! over 5 seeds, plus the learners' internal estimates for reference.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin fig1`
 
-use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
+use crate::harness::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
 use rths_sim::{Scenario, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let epochs = 3000u64;
     let seeds = &SEEDS[..5];
     println!(
@@ -64,4 +62,5 @@ fn main() {
         if late < 0.35 * early { "REPRODUCED" } else { "NOT reproduced" }
     );
     println!("csv: {}", path.display());
+    Ok(())
 }

@@ -3,16 +3,14 @@
 //! The paper: "RTHS algorithm converges to the near-the-optimal solution
 //! for the dynamic helper selection game." We plot per-epoch social
 //! welfare (smoothed) against the exact occupation-measure optimum
-//! `Σ_y π(y)·W*(y)` computed by `rths-mdp`.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin fig2`
+//! `Σ_y π(y)·W*(y)` computed by `rths_oracle::MdpBenchmark`.
 
+use crate::harness::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
 use rand::SeedableRng;
-use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
 use rths_oracle::MdpBenchmark;
 use rths_sim::{Scenario, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let epochs = 6000u64;
     let seeds = &SEEDS[..5];
     println!("Figure 2 — RTHS vs centralized MDP, N=10, H=4, {} seeds", seeds.len());
@@ -65,4 +63,5 @@ fn main() {
         if converged > 0.9 * optimum { "REPRODUCED" } else { "NOT reproduced" }
     );
     println!("csv: {}", path.display());
+    Ok(())
 }

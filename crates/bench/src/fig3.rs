@@ -3,13 +3,11 @@
 //!
 //! We report the time-averaged number of peers per helper (with the
 //! across-seed spread) and the load-balance coefficient of variation.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin fig3`
 
-use rths_bench::{per_seed, write_csv, SEEDS};
+use crate::harness::{per_seed, write_csv, SEEDS};
 use rths_sim::{Scenario, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let epochs = 5000u64;
     let seeds = &SEEDS[..10];
     println!("Figure 3 — load distribution on helpers, N=10, H=4, {} seeds", seeds.len());
@@ -46,4 +44,5 @@ fn main() {
         if mean_cv < 0.1 { "REPRODUCED" } else { "NOT reproduced" }
     );
     println!("csv: {}", path.display());
+    Ok(())
 }

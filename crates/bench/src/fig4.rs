@@ -3,13 +3,11 @@
 //!
 //! We report each peer's lifetime mean received rate and Jain's fairness
 //! index over those rates.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin fig4`
 
-use rths_bench::{per_seed, write_csv, SEEDS};
+use crate::harness::{per_seed, write_csv, SEEDS};
 use rths_sim::{Scenario, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let epochs = 5000u64;
     let seeds = &SEEDS[..10];
     println!("Figure 4 — per-peer bandwidth shares, N=10, H=4, {} seeds", seeds.len());
@@ -46,4 +44,5 @@ fn main() {
         if jain > 0.95 { "REPRODUCED" } else { "NOT reproduced" }
     );
     println!("csv: {}", path.display());
+    Ok(())
 }

@@ -6,13 +6,11 @@
 //! always come from the server. The paper's claim: the real server load
 //! stays close to that lower bound, i.e. helpers are utilized nearly
 //! fully.
-//!
-//! Run with: `cargo run --release -p rths_bench --bin fig5`
 
-use rths_bench::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
+use crate::harness::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
 use rths_sim::{Scenario, System};
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     let epochs = 5000u64;
     let seeds = &SEEDS[..5];
     println!("Figure 5 — server workload vs minimum bandwidth deficit, {} seeds", seeds.len());
@@ -61,4 +59,5 @@ fn main() {
         if tail_load < 1.6 * bound { "REPRODUCED" } else { "NOT reproduced" }
     );
     println!("csv: {}", path.display());
+    Ok(())
 }

@@ -1,26 +1,18 @@
-//! Shared harness utilities for the figure-reproduction binaries.
-//!
-//! Every `src/bin/figN.rs` binary regenerates one of the paper's figures:
-//! it prints the series the figure plots (so the shape can be inspected
-//! in the terminal) and writes a CSV under `results/` for external
-//! plotting. `src/bin/all_figures.rs` runs the full set; EXPERIMENTS.md
-//! records the measured numbers against the paper's claims.
-
-#![forbid(unsafe_code)]
+//! Helpers the figure modules share: seeded repetitions, CSV output
+//! under `results/`, terminal series tables and trace export.
 
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 /// Seeds used when a figure averages across repetitions.
-pub const SEEDS: [u64; 10] = [11, 23, 37, 41, 53, 67, 79, 83, 97, 101];
+pub(crate) const SEEDS: [u64; 10] = [11, 23, 37, 41, 53, 67, 79, 83, 97, 101];
 
 /// Runs `f` once per seed — one seed per worker when `RTHS_THREADS` > 1 —
 /// and returns the results in seed order, so downstream averaging is
-/// identical at any thread count. The figure/ablation binaries route
-/// their repetition loops through this; see `rths_par` for the threading
-/// model.
-pub fn per_seed<R, F>(seeds: &[u64], f: F) -> Vec<R>
+/// identical at any thread count. The figures route their repetition
+/// loops through this; see `rths_par` for the threading model.
+pub(crate) fn per_seed<R, F>(seeds: &[u64], f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(u64) -> R + Sync,
@@ -40,9 +32,9 @@ fn results_dir() -> PathBuf {
 ///
 /// # Panics
 ///
-/// Panics on I/O errors (harness binaries should fail loudly) or if a row
+/// Panics on I/O errors (a figure should fail loudly) or if a row
 /// length does not match the header count.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<f64>]) -> PathBuf {
+pub(crate) fn write_csv(name: &str, headers: &[&str], rows: &[Vec<f64>]) -> PathBuf {
     let path = results_dir().join(format!("{name}.csv"));
     // Buffered: an unbuffered File issues one write syscall per row, which
     // dominates the harness runtime for long per-epoch series.
@@ -59,7 +51,7 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<f64>]) -> PathBuf {
 
 /// Uniformly downsamples `(index, value)` points from a series for
 /// printing — keeps terminal output readable for long runs.
-pub fn sample_points(values: &[f64], max_points: usize) -> Vec<(usize, f64)> {
+pub(crate) fn sample_points(values: &[f64], max_points: usize) -> Vec<(usize, f64)> {
     if values.is_empty() || max_points == 0 {
         return Vec::new();
     }
@@ -78,15 +70,15 @@ pub fn sample_points(values: &[f64], max_points: usize) -> Vec<(usize, f64)> {
 /// # Panics
 ///
 /// Panics if the series are empty or lengths differ.
-pub fn mean_series(series: &[Vec<f64>]) -> Vec<f64> {
+pub(crate) fn mean_series(series: &[Vec<f64>]) -> Vec<f64> {
     assert!(!series.is_empty(), "need at least one series");
     let len = series[0].len();
     assert!(series.iter().all(|s| s.len() == len), "series lengths differ");
     (0..len).map(|i| series.iter().map(|s| s[i]).sum::<f64>() / series.len() as f64).collect()
 }
 
-/// Prints a two-column series table with an optional third column.
-pub fn print_series(title: &str, header: (&str, &str), points: &[(usize, f64)]) {
+/// Prints a two-column series table.
+pub(crate) fn print_series(title: &str, header: (&str, &str), points: &[(usize, f64)]) {
     println!("\n{title}");
     println!("{:>10}  {:>14}", header.0, header.1);
     for (x, y) in points {
@@ -98,7 +90,7 @@ pub fn print_series(title: &str, header: (&str, &str), points: &[(usize, f64)]) 
 ///
 /// # Panics
 ///
-/// Panics on I/O errors (harness binaries should fail loudly).
+/// Panics on I/O errors (a figure should fail loudly).
 fn write_text(name: &str, text: &str) -> PathBuf {
     let path = results_dir().join(name);
     fs::write(&path, text).expect("can write results file");
@@ -207,7 +199,7 @@ fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 /// Panics if the report is empty or either export fails validation —
 /// a harness that asked for a trace and got a malformed one should fail
 /// loudly, which is exactly what the `trace-smoke` CI job checks.
-pub fn export_trace(report: &rths_obs::TraceReport) -> (PathBuf, PathBuf) {
+pub(crate) fn export_trace(report: &rths_obs::TraceReport) -> (PathBuf, PathBuf) {
     assert!(!report.is_empty(), "trace report `{}` is empty", report.name);
     let jsonl = report.to_jsonl();
     validate_trace_jsonl(&jsonl)

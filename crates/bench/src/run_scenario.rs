@@ -1,9 +1,10 @@
 //! Runs one scenario from the zoo (or any `ScenarioSpec` TOML) and
 //! writes its welfare and regret series as CSVs.
 //!
-//! Usage: `cargo run --release -p rths_bench --bin run_scenario -- <spec.toml>...`
+//! Usage: `cargo run --release -p rths_bench -- run_scenario <spec.toml>...`
+//! (exit status 2 on a usage or environment error, 1 on an invalid spec).
 //!
-//! * `RTHS_SCENARIO_MAX_EPOCHS` — optional epoch cap; phases are
+//! * `RTHS_SCENARIO_MAX_EPOCHS` — optional positive epoch cap; phases are
 //!   truncated cumulatively (CI smoke runs set a small budget here).
 //! * `RTHS_RESULTS_DIR` — where `<name>_welfare.csv` and
 //!   `<name>_regret.csv` land (default `results/`).
@@ -17,33 +18,27 @@
 //! order); the columns are zero when tracing is off.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
-use rths_bench::{export_trace, print_series, sample_points, write_csv};
+use crate::harness::{export_trace, print_series, sample_points, write_csv};
 use rths_obs::{self as obs, TraceReport};
 use rths_sim::ScenarioSpec;
 
-fn main() {
+pub(crate) fn run() -> Result<(), String> {
     obs::init_from_env();
-    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let paths: Vec<String> = std::env::args().skip(2).collect();
     if paths.is_empty() {
-        eprintln!("usage: run_scenario <spec.toml>...");
+        eprintln!("usage: rths_bench run_scenario <spec.toml>...");
         std::process::exit(2);
     }
-    let cap = std::env::var("RTHS_SCENARIO_MAX_EPOCHS").ok().map(|v| {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("RTHS_SCENARIO_MAX_EPOCHS must be a positive integer, got `{v}`");
+    let cap = epoch_cap(std::env::var("RTHS_SCENARIO_MAX_EPOCHS").ok().as_deref())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        })
-    });
+        });
 
     for path in &paths {
-        let mut spec = match ScenarioSpec::load(path) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let mut spec = ScenarioSpec::load(path).map_err(|e| format!("{path}: {e}"))?;
         if let Some(cap) = cap {
             spec = spec.with_epoch_cap(cap);
         }
@@ -110,5 +105,33 @@ fn main() {
             println!("  trace: {} | {}", jsonl.display(), chrome.display());
         }
         println!("  csv: {} | {}\n", welfare_csv.display(), regret_csv.display());
+    }
+    Ok(())
+}
+
+/// Parses `RTHS_SCENARIO_MAX_EPOCHS`: unset means no cap, and anything
+/// but a positive integer is an error.
+fn epoch_cap(value: Option<&str>) -> Result<Option<u64>, String> {
+    value
+        .map(|v| {
+            v.parse::<NonZeroU64>().map(u64::from).map_err(|_| {
+                format!("RTHS_SCENARIO_MAX_EPOCHS must be a positive integer, got `{v}`")
+            })
+        })
+        .transpose()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::epoch_cap;
+
+    #[test]
+    fn epoch_cap_accepts_only_positive_integers() {
+        assert_eq!(epoch_cap(None), Ok(None));
+        assert_eq!(epoch_cap(Some("60")), Ok(Some(60)));
+        for bad in ["0", "x"] {
+            let err = epoch_cap(Some(bad)).unwrap_err();
+            assert!(err.contains("must be a positive integer") && err.contains(bad), "{err}");
+        }
     }
 }

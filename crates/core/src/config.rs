@@ -23,8 +23,8 @@ pub enum RecencyMode {
     Exponential,
     /// The paper's Eq. (3-5) taken literally: the proxy matrix `T` is
     /// never discounted. `ε·T` then grows without bound, so regret
-    /// estimates saturate the probability clip. Kept for documentation of
-    /// the typo (see DESIGN.md §2.1) and negative tests.
+    /// estimates saturate the probability clip. Kept to document the
+    /// equation's missing discount and for negative tests.
     PaperLiteral,
     /// Uniform `1/n` averaging — plain regret *matching* (Hart &
     /// Mas-Colell). No tracking; the ablation baseline.
@@ -79,7 +79,8 @@ impl RthsConfig {
     /// orders of magnitude above the rate scale freezes the dynamics into
     /// pure inertia. The `ε`/`δ` pair balances the proxy-regret
     /// estimator's noise (variance scales like `ε·m/δ`) against tracking
-    /// speed (effective memory `1/ε` stages). See DESIGN.md §5.
+    /// speed (effective memory `1/ε` stages). `rths_bench ablation_params`
+    /// sweeps all three.
     ///
     /// # Errors
     ///

@@ -50,7 +50,7 @@ impl ConvergenceSeries {
     }
 
     /// Mean over the final `window` stages (or all, if shorter) — the
-    /// "converged value" estimate used in EXPERIMENTS.md.
+    /// "converged value" estimate the `rths_bench` summaries print.
     pub fn tail_mean(&self, window: usize) -> f64 {
         if self.values.is_empty() {
             return 0.0;

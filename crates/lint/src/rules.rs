@@ -120,10 +120,12 @@ impl Rule {
 }
 
 /// Whether `rel` is a crate root that must carry
-/// `#![forbid(unsafe_code)]` (the umbrella `src/lib.rs` or any
-/// `crates/<name>/src/lib.rs`).
+/// `#![forbid(unsafe_code)]` (the umbrella `src/lib.rs`, or any
+/// `crates/<name>/src/lib.rs` or `crates/<name>/src/main.rs`).
 fn is_crate_root(rel: &str) -> bool {
-    rel == "src/lib.rs" || (rel.starts_with("crates/") && rel.ends_with("/src/lib.rs"))
+    rel == "src/lib.rs"
+        || (rel.starts_with("crates/")
+            && (rel.ends_with("/src/lib.rs") || rel.ends_with("/src/main.rs")))
 }
 
 /// The outcome of linting one file.
@@ -462,6 +464,18 @@ mod tests {
         // Non-root files carry no such obligation.
         assert!(check_file("crates/fake/src/other.rs", bare).is_clean());
         assert!(check_file("src/lib.rs", bare).violations.len() == 1);
+    }
+
+    #[test]
+    fn binary_crate_roots_must_forbid_unsafe_code() {
+        let bare = "fn main() {}";
+        let report = check_file("crates/fake/src/main.rs", bare);
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].rule, "unsafe-safety");
+        let fixed = "#![forbid(unsafe_code)]\nfn main() {}";
+        assert!(check_file("crates/fake/src/main.rs", fixed).is_clean());
+        // A `src/bin/` target is not a package's own crate root.
+        assert!(check_file("crates/fake/src/bin/tool.rs", bare).is_clean());
     }
 
     #[test]

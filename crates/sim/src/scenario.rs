@@ -1,9 +1,9 @@
 //! Canned experiment scenarios.
 //!
 //! Each scenario reproduces a configuration from the paper's evaluation
-//! (or a DESIGN.md ablation) so figures, tests and examples agree on
-//! parameters. Builders return a [`SimConfigBuilder`] so callers can
-//! still override the seed or individual knobs.
+//! (or one of `rths_bench`'s ablations) so figures, tests and examples
+//! agree on parameters. Builders return a [`SimConfigBuilder`] so
+//! callers can still override the seed or individual knobs.
 
 use crate::config::{BandwidthSpec, SimConfig, SimConfigBuilder};
 use rths_stoch::process::ChurnProcess;
@@ -20,7 +20,7 @@ impl Scenario {
     }
 
     /// Fig. 1 configuration: the "large-scale" run. The paper does not
-    /// give exact sizes; DESIGN.md fixes `N = 200`, `|H| = 20`.
+    /// give exact sizes; this reproduction fixes `N = 200`, `|H| = 20`.
     pub fn paper_large() -> SimConfigBuilder {
         SimConfig::builder(200, vec![BandwidthSpec::Paper { stay: 0.98 }; 20])
     }

@@ -51,8 +51,8 @@
 //!
 //! The files in `scenarios/*.toml` at the repository root (the
 //! "scenario zoo") are the only description of each scenario; `cargo
-//! run --release -p rths_bench --bin run_scenario -- <file>` executes one
-//! and writes welfare/regret CSVs.
+//! run --release -p rths_bench -- run_scenario <file>` executes one and
+//! writes welfare/regret CSVs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -391,8 +391,8 @@ impl ScenarioSpec {
     }
 }
 
-/// Per-epoch series a scenario run produces — the CSV payload of the
-/// `run_scenario` bin.
+/// Per-epoch series a scenario run produces — the CSV payload of
+/// `rths_bench run_scenario`.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// Scenario name (CSV file-name stem).

@@ -2,7 +2,7 @@
 //! `scenarios/*.toml` parses, validates, matches its file name and its
 //! README catalog row, and runs to completion under a small epoch cap.
 //! This is the in-tree twin of CI's `scenario-smoke` job (which runs the
-//! full specs through the `run_scenario` binary).
+//! full specs through `rths_bench run_scenario`).
 
 use std::path::PathBuf;
 

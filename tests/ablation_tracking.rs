@@ -1,4 +1,4 @@
-//! Ablation abl-track (DESIGN.md): regret tracking vs regret matching
+//! Ablation abl-track (`rths_bench ablation_tracking`): regret tracking vs regret matching
 //! under a mid-run helper-capacity collapse.
 
 use rths_sim::{Algorithm, LearnerSpec, Scenario, System};

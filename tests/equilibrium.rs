@@ -87,19 +87,22 @@ fn stage_payoff_is_the_engines_realized_rate() {
 }
 
 /// The paper's central claim: the empirical joint play of RTHS peers
-/// converges to the correlated-equilibrium set.
+/// converges to the correlated-equilibrium set. The `0.10` bound is the
+/// one `rths_bench ce_verify` applies; the null reads 0.099–0.108 here,
+/// so the tighter `0.085` is the one that separates the two.
 #[test]
 fn learned_play_is_approximate_ce() {
     let caps = [800.0, 800.0, 600.0];
     let game = HelperSelectionGame::new(caps.to_vec());
     for seed in 11..11 + SEEDS {
         let (_, joint) = run(config(&caps, 9, 4.0 * 245.0, seed), 2000, 8000);
-        let report = ce_residual_congestion(&game, &joint);
-        assert!(
-            report.relative_residual() < 0.10,
-            "seed {seed}: relative CE residual too high: {:.3}",
-            report.relative_residual()
-        );
+        let rths = ce_residual_congestion(&game, &joint).relative_residual();
+        assert!(rths < 0.10, "seed {seed}: relative CE residual too high: {rths:.3}");
+        assert!(rths < 0.085, "seed {seed}: relative CE residual above 0.085: {rths:.4}");
+
+        let (_, joint) = run(null(&caps, 9, 4.0 * 245.0, seed), 2000, 8000);
+        let null = ce_residual_congestion(&game, &joint).relative_residual();
+        assert!(null >= 0.085, "seed {seed}: the null passes the CE bound: {null:.4}");
     }
 }
 
