@@ -1,5 +1,5 @@
-//! Extension ext-mc: the multi-channel future-work system — joint
-//! helper-level bandwidth allocation × peer-level helper selection.
+//! Extension ext-mc: the multi-channel system — helper-level bandwidth
+//! allocation policies × peer-level helper selection.
 
 use crate::harness::write_csv;
 use rths_sim::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
@@ -11,12 +11,10 @@ pub(crate) fn run() -> Result<(), String> {
         "{:<22} {:>11} {:>11} {:>10} {:>9}",
         "allocation policy", "delivered", "server", "fairness", "regret"
     );
-    println!("(learned = the future-work two-sided variant; a documented negative result)");
     let policies = [
         ("even split", AllocationPolicy::EvenSplit),
         ("load proportional", AllocationPolicy::LoadProportional),
         ("water filling", AllocationPolicy::WaterFilling),
-        ("learned (RTHS helpers)", AllocationPolicy::Learned),
     ];
     // One allocation policy per worker.
     let outs = rths_par::par_map(&policies, |_, &(_, policy)| {

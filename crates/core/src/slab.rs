@@ -1499,10 +1499,9 @@ pub type SharedSlab = Arc<Mutex<LearnerSlab>>;
 /// The recursive regret-tracking learner (paper Algorithm 2; regret
 /// *matching* under [`RecencyMode::Uniform`]) behind the [`Learner`]
 /// trait: one slab slot, for owners that hold one learner by value —
-/// `rths_sim`'s `AnyLearner` (the helper-level allocators), one-off
-/// peers, the oracle tests. [`standalone`](Self::standalone) gives a
-/// learner a slab to itself; [`new`](Self::new) puts several on one
-/// [`SharedSlab`]. A population the engines drive lives in a slab of its
+/// `rths_sim`'s `AnyLearner`, one-off peers, the oracle tests.
+/// [`standalone`](Self::standalone) gives a learner a slab to itself;
+/// [`new`](Self::new) puts several on one [`SharedSlab`]. A population the engines drive lives in a slab of its
 /// own instead, behind `rths_sim`'s `PeerStore`.
 ///
 /// The learner holds no state of its own beside its slot and config.

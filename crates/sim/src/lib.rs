@@ -11,8 +11,6 @@
 //! K = 1 configuration from a [`SimConfig`] (the single-channel
 //! evaluation of §IV); [`MultiChannelSystem::new`] builds a K-channel
 //! deployment from a [`MultiChannelConfig`] and reports it per channel.
-//! Helper-level *learned* allocation ([`AllocationPolicy::Learned`]) is
-//! the one piece that goes beyond the paper — its stated future work.
 //!
 //! Per epoch the engine:
 //!

@@ -9,11 +9,7 @@
 //!
 //! * [`AllocationPolicy`] — how a helper splits capacity over the
 //!   channels it serves. The three informed/static policies are the
-//!   paper's setting; [`AllocationPolicy::Learned`] (per-helper RTHS
-//!   learners over split templates, `HelperAllocator`) is the one
-//!   future-work extension of §V: "extend the RTHS to the problem of
-//!   joint bandwidth allocation in the helper level to the video channels
-//!   and helper selection in the peer level";
+//!   paper's setting; demand-aware water-filling is the default;
 //! * [`MultiChannelConfig`] — channels, the helper → channels map and the
 //!   initial audience (Zipf-distributed by default,
 //!   [`MultiChannelConfig::zipf_population`], matching measurements of
@@ -21,9 +17,8 @@
 //! * [`MultiChannelSystem`] — the constructor from that configuration
 //!   plus the per-channel [`MultiChannelOutcome`] view over the engine.
 
-use rths_core::{ConvergenceSeries, Learner};
+use rths_core::ConvergenceSeries;
 use rths_stoch::process::ChurnProcess;
-use rths_stoch::rng::entity_rng;
 use rths_stoch::Zipf;
 
 use crate::channel::Channel;
@@ -46,20 +41,6 @@ pub enum AllocationPolicy {
     /// maximum feasible total. **Default.**
     #[default]
     WaterFilling,
-    /// **Learned** (the paper's future work, attempted faithfully): each
-    /// helper runs its own RTHS learner over discrete split templates,
-    /// scored by its own delivered throughput on a slow timescale (each
-    /// template held ~100 epochs so viewers can adapt to it).
-    ///
-    /// This is a documented **negative result** (see `rths_bench
-    /// ext_multichannel`): selfish throughput feedback under-performs even
-    /// the static even split, because a helper's misallocation cost is
-    /// largely borne by *other* helpers — viewers migrate away and the
-    /// explorer's own throughput barely drops (and under overload every split
-    /// saturates, erasing the gradient entirely). Demand-aware allocation
-    /// needs demand information; the paper's future work is not achievable by
-    /// naively reusing the peer-level machinery at the helper level.
-    Learned,
 }
 
 impl AllocationPolicy {
@@ -68,8 +49,7 @@ impl AllocationPolicy {
     ///
     /// # Panics
     ///
-    /// Panics for [`AllocationPolicy::Learned`], whose splits are chosen
-    /// by per-helper learners inside the engine.
+    /// Panics if `loads` and `bitrates` differ in length.
     pub fn split(&self, cap: f64, loads: &[usize], bitrates: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(loads.len());
         self.split_into(cap, loads, bitrates, &mut out);
@@ -91,9 +71,6 @@ impl AllocationPolicy {
             return;
         }
         match self {
-            AllocationPolicy::Learned => {
-                panic!("learned allocation is resolved by the engine, not split()")
-            }
             AllocationPolicy::EvenSplit => out.resize(k, cap / k as f64),
             AllocationPolicy::LoadProportional => {
                 let total: usize = loads.iter().sum();
@@ -129,9 +106,7 @@ pub struct MultiChannelConfig {
     pub viewers: Vec<usize>,
     /// Capacity split policy at helpers.
     pub allocation: AllocationPolicy,
-    /// Learner parameters for viewers. Helper-level allocation
-    /// ([`AllocationPolicy::Learned`]) runs RTHS with its own fixed
-    /// parameters: `ε = 0.05`, `δ = 0.1`, `μ` = the mean helper capacity.
+    /// Learner parameters for viewers.
     pub learner: LearnerSpec,
     /// RNG seed.
     pub seed: u64,
@@ -224,111 +199,6 @@ pub struct MultiChannelOutcome {
     pub viewer_fairness: f64,
     /// Worst-viewer empirical regret per epoch.
     pub worst_empirical_regret: ConvergenceSeries,
-}
-
-/// Mean long-run capacity across helpers (800 kbps fallback).
-fn mean_helper_capacity(helpers: &[Helper]) -> f64 {
-    if helpers.is_empty() {
-        return 800.0;
-    }
-    helpers.iter().map(|h| h.mean_capacity().unwrap_or(800.0)).sum::<f64>()
-        / helpers.len() as f64
-}
-
-/// A helper's allocation learner (the future-work extension): an RTHS
-/// learner over split templates, run on a slower timescale than the
-/// viewers — each chosen template is **held for a window of epochs** so
-/// the viewer population can adapt to it before the helper scores it
-/// (classic two-timescale learning for coupled games). Feedback is the
-/// helper's own mean delivered throughput over the window.
-#[derive(Debug)]
-pub(crate) struct HelperAllocator {
-    learner: crate::config::AnyLearner,
-    templates: Vec<Vec<f64>>,
-    rng: rand::rngs::StdRng,
-    /// Epochs each template is held before being scored.
-    window: u32,
-    current: usize,
-    acc: f64,
-    count: u32,
-}
-
-impl HelperAllocator {
-    /// One allocator per helper over the split templates of the channels
-    /// it serves, each an RTHS learner tuned for the helper's utility
-    /// scale: `ε = 0.05`, `δ = 0.1`, `μ` = the mean helper capacity. RNG
-    /// stream ids sit between the viewers' and the helpers' own.
-    pub(crate) fn for_helpers(
-        helpers: &[Helper],
-        helper_channels: &[Vec<usize>],
-        seed: u64,
-    ) -> Vec<Self> {
-        let mean_capacity = mean_helper_capacity(helpers);
-        let spec = LearnerSpec {
-            epsilon: 0.05,
-            delta: 0.1,
-            mu: Some(mean_capacity),
-            ..LearnerSpec::default()
-        };
-        helper_channels
-            .iter()
-            .enumerate()
-            .map(|(j, served)| {
-                let templates = split_templates(served.len());
-                let learner = spec
-                    .instantiate(templates.len(), mean_capacity)
-                    .expect("validated learner spec");
-                let rng = entity_rng(seed, crate::helper::HELPER_STREAM_BASE / 2 + j as u64);
-                Self { learner, templates, rng, window: 100, current: 0, acc: 0.0, count: 0 }
-            })
-            .collect()
-    }
-
-    /// The template weights to use this epoch (advances the learner at
-    /// window boundaries).
-    pub(crate) fn weights(&mut self) -> &[f64] {
-        if self.count == 0 {
-            self.current = self.learner.select_action(&mut self.rng);
-        }
-        &self.templates[self.current]
-    }
-
-    /// Records this epoch's delivered throughput; closes the window when
-    /// due.
-    pub(crate) fn record(&mut self, delivered: f64) {
-        self.acc += delivered;
-        self.count += 1;
-        if self.count >= self.window {
-            self.learner.observe(self.acc / self.count as f64);
-            self.acc = 0.0;
-            self.count = 0;
-        }
-    }
-}
-
-/// Weight templates over `c` served channels with grid granularity 4:
-/// all non-negative integer compositions of 4 into `c` parts, scaled to
-/// sum to 1 (e.g. for 2 channels: 100/0, 75/25, 50/50, 25/75, 0/100).
-fn split_templates(channels: usize) -> Vec<Vec<f64>> {
-    const GRID: usize = 4;
-    let mut out = Vec::new();
-    let mut stack = vec![0usize; channels];
-    fn rec(out: &mut Vec<Vec<f64>>, stack: &mut Vec<usize>, j: usize, left: usize) {
-        if j == stack.len() - 1 {
-            stack[j] = left;
-            out.push(stack.iter().map(|&w| w as f64 / 4.0).collect());
-            return;
-        }
-        for take in 0..=left {
-            stack[j] = take;
-            rec(out, stack, j + 1, left - take);
-        }
-    }
-    if channels == 0 {
-        return out;
-    }
-    rec(&mut out, &mut stack, 0, GRID);
-    out
 }
 
 /// A K-channel deployment: the engine built from a
@@ -525,55 +395,6 @@ mod tests {
             tail_wf > tail_even * 1.02,
             "water-filling {tail_wf} not better than even split {tail_even}"
         );
-    }
-
-    #[test]
-    fn learned_allocation_runs_and_stays_sane() {
-        // The negative-result configuration: learned helper allocation is
-        // implemented and stable, but does not beat informed policies (see
-        // the AllocationPolicy::Learned docs). We assert sanity and the
-        // documented band: within [80%, 110%] of the even split.
-        let run = |policy| {
-            let mut sys = MultiChannelSystem::new(MultiChannelConfig::standard(
-                4, 300.0, 12, 2, 24, 1.5, policy, 13,
-            ));
-            sys.run(8000).welfare.tail_mean(1500)
-        };
-        let even = run(AllocationPolicy::EvenSplit);
-        let learned = run(AllocationPolicy::Learned);
-        assert!(
-            learned > 0.8 * even && learned < 1.1 * even,
-            "learned {learned:.0} outside the documented band around even {even:.0}"
-        );
-    }
-
-    #[test]
-    fn split_templates_are_distributions() {
-        for c in 1..5 {
-            let ts = split_templates(c);
-            assert!(!ts.is_empty());
-            for t in &ts {
-                assert_eq!(t.len(), c);
-                let sum: f64 = t.iter().sum();
-                assert!((sum - 1.0).abs() < 1e-12, "template {t:?}");
-                assert!(t.iter().all(|&w| (0.0..=1.0).contains(&w)));
-            }
-            // Compositions of 4 into c parts: C(4+c-1, c-1).
-            let expected = match c {
-                1 => 1,
-                2 => 5,
-                3 => 15,
-                4 => 35,
-                _ => unreachable!(),
-            };
-            assert_eq!(ts.len(), expected);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "resolved by the engine")]
-    fn split_panics_for_learned() {
-        let _ = AllocationPolicy::Learned.split(800.0, &[1, 2], &[300.0, 300.0]);
     }
 
     #[test]

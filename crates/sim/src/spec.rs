@@ -58,6 +58,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
+use rths_core::ConfigError;
 use rths_obs as obs;
 use rths_stoch::process::ChurnProcess;
 use rths_stoch::rng::{derive_seed, seeded_rng};
@@ -373,7 +374,10 @@ impl ScenarioSpec {
             return Err(invalid("phase", "at least one [[phase]] is required"));
         }
         match &self.population {
-            PopulationSpec::Single(s) => validate_single(s)?,
+            PopulationSpec::Single(s) => {
+                validate_single(s)?;
+                validate_learner(&self.sim_config(s))?;
+            }
             PopulationSpec::Multi(m) => {
                 validate_multi(m)?;
                 if !self.impairment.is_none() {
@@ -446,19 +450,32 @@ fn validate_single(s: &SingleSpec) -> Result<(), ScenarioError> {
             return Err(invalid("population.churn.departure", "must be in [0, 1]"));
         }
     }
-    let l = &s.learner;
-    if !(l.epsilon.is_finite() && l.epsilon > 0.0) {
-        return Err(invalid("population.learner.epsilon", "must be positive and finite"));
-    }
-    if !(0.0..=1.0).contains(&l.delta) {
-        return Err(invalid("population.learner.delta", "must be in [0, 1]"));
-    }
-    if let Some(mu) = l.mu {
-        if !(mu.is_finite() && mu > 0.0) {
-            return Err(invalid("population.learner.mu", "must be positive and finite"));
-        }
-    }
     Ok(())
+}
+
+/// Checks the learner with the run's own check: the
+/// [`LearnerSpec::rths_config`] call the peer store makes, on the inputs
+/// it makes it with (`config` is the [`SimConfig`] the run builds).
+fn validate_learner(config: &SimConfig) -> Result<(), ScenarioError> {
+    let learner = &config.learner;
+    let rate_scale = config.rate_scale();
+    let Err(e) = learner.rths_config(config.helpers.len(), rate_scale) else {
+        return Ok(());
+    };
+    let path = match e {
+        ConfigError::NoActions => "population.helpers",
+        ConfigError::BadEpsilon => "population.learner.epsilon",
+        ConfigError::BadDelta => "population.learner.delta",
+        ConfigError::BadMu => "population.learner.mu",
+    };
+    let message = match (e, learner.mu) {
+        (ConfigError::BadMu, None) => format!(
+            "`mu` is unset, and the μ derived from the helpers' fair share \
+             (4 × {rate_scale} kbps) is not positive and finite: `mu` must be given"
+        ),
+        _ => e.to_string(),
+    };
+    Err(invalid(path, message))
 }
 
 fn validate_multi(m: &MultiSpec) -> Result<(), ScenarioError> {
@@ -918,13 +935,12 @@ fn parse_multi(tbl: &Tbl) -> Result<MultiSpec, ScenarioError> {
             "even_split" => AllocationPolicy::EvenSplit,
             "load_proportional" => AllocationPolicy::LoadProportional,
             "water_filling" => AllocationPolicy::WaterFilling,
-            "learned" => AllocationPolicy::Learned,
             other => {
                 return Err(invalid(
                     format!("{path}.allocation"),
                     format!(
                         "unknown allocation `{other}` (expected even_split, load_proportional, \
-                         water_filling, learned)"
+                         water_filling)"
                     ),
                 ));
             }
@@ -1369,7 +1385,6 @@ mod tests {
             ("even_split", AllocationPolicy::EvenSplit),
             ("load_proportional", AllocationPolicy::LoadProportional),
             ("water_filling", AllocationPolicy::WaterFilling),
-            ("learned", AllocationPolicy::Learned),
         ] {
             let spec = parse(&format!(
                 "seed = 3\n\
@@ -1495,6 +1510,12 @@ mod tests {
             "{SMALL}[population.learner]\nalgorithm = \"history_rths\"\n"
         ));
         assert_eq!(path, "population.learner.algorithm");
+        let (path, _) = field_error(
+            "[multichannel]\nchannels = 4\nbitrate = 400.0\nhelpers = 8\n\
+             channels_per_helper = 2\nviewers = 40\nzipf_s = 1.0\nallocation = \"learned\"\n\
+             [[phase]]\nkind = \"steady\"\nepochs = 5\n",
+        );
+        assert_eq!(path, "multichannel.allocation");
     }
 
     #[test]
@@ -1566,6 +1587,94 @@ mod tests {
         for churn in ["", "[population.churn]\narrival = 0.0\ndeparture = 0.1\n"] {
             let (path, _) = field_error(&format!("{SMALL}{crowd}{churn}"));
             assert_eq!(path, "phase[1].kind", "{churn:?}");
+        }
+        // A learner the run's own check refuses is refused at load, at its
+        // field, and never reaches the run.
+        let learner = |helpers: &str, fields: &str| {
+            format!(
+                "[population]\npeers = 8\n[[population.helpers]]\ncount = 2\n{helpers}\n\
+                 [population.learner]\n{fields}\n[[phase]]\nkind = \"steady\"\nepochs = 5\n"
+            )
+        };
+        let paper = "kind = \"paper\"\nstay = 0.9";
+        for (fields, key) in [
+            ("delta = 0.0", "delta"),
+            ("delta = 1.0", "delta"),
+            ("epsilon = 2.0", "epsilon"),
+            ("algorithm = \"exp3\"\ndelta = 1.0", "delta"),
+        ] {
+            let (path, _) = field_error(&learner(paper, fields));
+            assert_eq!(path, format!("population.learner.{key}"), "{fields}");
+        }
+        // With `mu` unset, μ is 4 × the helpers' fair share: here 0 or ∞.
+        for level in ["0.0", "1.7976931348623157e308"] {
+            let constant = format!("kind = \"constant\"\nlevel = {level}");
+            let (path, message) = field_error(&learner(&constant, ""));
+            assert_eq!(path, "population.learner.mu", "{level}");
+            assert!(message.contains("`mu` is unset"), "{message}");
+        }
+    }
+
+    /// The keys that reach the learner, at the edges of `f64`: a value the
+    /// loader accepts runs to completion, a value it refuses is a field
+    /// error at that key's path. Each row pins which values load.
+    #[test]
+    fn learner_inputs_at_float_boundaries_run_or_are_refused_at_their_path() {
+        const VALUES: [&str; 7] =
+            ["0.0", "-0.0", "1.0", "5e-324", "1.7976931348623157e308", "inf", "nan"];
+        fn spec(demand: &str, level: &str, learner: &str) -> String {
+            format!(
+                "[population]\npeers = 4\n{demand}\n\
+                 [[population.helpers]]\ncount = 2\nkind = \"constant\"\nlevel = {level}\n\
+                 [population.learner]\n{learner}\n\
+                 [[phase]]\nkind = \"steady\"\nepochs = 5\n"
+            )
+        }
+        // (key path, the spec with that key at a value, which values load)
+        type Row = (&'static str, fn(&str) -> String, [bool; 7]);
+        let table: [Row; 5] = [
+            (
+                "population.learner.epsilon",
+                |v| spec("", "800.0", &format!("epsilon = {v}")),
+                [false, false, true, true, false, false, false],
+            ),
+            (
+                "population.learner.delta",
+                |v| spec("", "800.0", &format!("delta = {v}")),
+                [false, false, false, true, false, false, false],
+            ),
+            (
+                "population.learner.mu",
+                |v| spec("", "800.0", &format!("mu = {v}")),
+                [false, false, true, true, true, false, false],
+            ),
+            // `mu` unset: the demand caps the fair share it is derived from.
+            (
+                "population.demand",
+                |v| spec(&format!("demand = {v}"), "800.0", ""),
+                [false, false, true, true, true, false, false],
+            ),
+            // `mu` given, so the level alone decides.
+            (
+                "population.helpers[0].level",
+                |v| spec("", v, "mu = 1000.0"),
+                [true, true, true, true, true, false, false],
+            ),
+        ];
+        for (key, body, accepts) in table {
+            for (value, accepted) in VALUES.into_iter().zip(accepts) {
+                match parse(&body(value)) {
+                    Ok(loaded) => {
+                        assert!(accepted, "{key} = {value} loaded");
+                        assert_eq!(loaded.with_epoch_cap(2).run().epochs, 2, "{key} = {value}");
+                    }
+                    Err(ScenarioError::Invalid { path, message }) => {
+                        assert!(!accepted, "{key} = {value} refused: {message}");
+                        assert_eq!(path, key, "{key} = {value}");
+                    }
+                    Err(other) => panic!("{key} = {value}: {other}"),
+                }
+            }
         }
     }
 

@@ -30,7 +30,7 @@ use crate::epoch_metrics::{cap_to_demand, EpochMetrics};
 use crate::helper::{Helper, HelperId};
 use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::metrics::SimMetrics;
-use crate::multichannel::{AllocationPolicy, HelperAllocator};
+use crate::multichannel::AllocationPolicy;
 use crate::store::{self, PeerStore, ShardScratch};
 use crate::strategy::JointDistribution;
 
@@ -109,8 +109,6 @@ struct EpochScratch {
     split: Vec<f64>,
     /// Delivered rate per peer.
     delivered: Vec<f64>,
-    /// Throughput delivered via each helper (learned allocation only).
-    helper_delivered: Vec<f64>,
     /// Per-shard thread-affine scratch.
     shards: Vec<ShardScratch>,
     /// Churn: mirror of the historical swap-remove draw sequence.
@@ -129,9 +127,6 @@ struct EpochScratch {
 /// by [`System::new`]). See the [module docs](self).
 pub struct System {
     plan: Blueprint,
-    /// Per-helper allocation learners; empty unless the policy is
-    /// [`AllocationPolicy::Learned`].
-    allocators: Vec<HelperAllocator>,
     helpers: Vec<Helper>,
     peers: PeerStore,
     /// The metric half of every epoch, and the channel → helpers layout
@@ -239,11 +234,6 @@ impl System {
                 peers.spawn(c, 0);
             }
         }
-        let allocators = if plan.allocation == AllocationPolicy::Learned {
-            HelperAllocator::for_helpers(&helpers, &plan.helper_channels, plan.seed)
-        } else {
-            Vec::new()
-        };
         let churn_free = plan.churn.arrival_rate() == 0.0 && plan.churn.departure_prob() == 0.0;
         let track_joint = plan.diagnostics && churn_free;
         let track_rates = churn_free && plan.record_peer_rates;
@@ -255,7 +245,6 @@ impl System {
                 channel_helpers,
             ),
             plan,
-            allocators,
             joint: track_joint.then(JointDistribution::new),
             peer_rate_series: track_rates.then(|| vec![Vec::new(); peers.len()]),
             helpers,
@@ -460,7 +449,6 @@ impl System {
             served_rates,
             split,
             delivered,
-            helper_delivered,
             shards,
             profile_usize,
             shaped,
@@ -498,25 +486,13 @@ impl System {
         for j in 0..h {
             let served = &helper_channels[j];
             let cap = self.helpers[j].capacity();
-            match self.allocators.get_mut(j) {
-                // RTHS at the helper level, on a slower timescale: the
-                // current template is held for a window of epochs before
-                // being scored (see HelperAllocator).
-                Some(alloc) => {
-                    split.clear();
-                    split.extend(alloc.weights().iter().map(|w| w * cap));
-                }
-                None => {
-                    served_loads.clear();
-                    served_loads.extend(served.iter().map(|&c| loads[j * k + c]));
-                    // An uncapped channel never meets water-filling (see
-                    // `assemble`); the other policies ignore demand.
-                    served_rates.clear();
-                    served_rates
-                        .extend(served.iter().map(|&c| demands[c].unwrap_or(f64::INFINITY)));
-                    allocation.split_into(cap, served_loads, served_rates, split);
-                }
-            }
+            served_loads.clear();
+            served_loads.extend(served.iter().map(|&c| loads[j * k + c]));
+            // An uncapped channel never meets water-filling (see
+            // `assemble`); the other policies ignore demand.
+            served_rates.clear();
+            served_rates.extend(served.iter().map(|&c| demands[c].unwrap_or(f64::INFINITY)));
+            allocation.split_into(cap, served_loads, served_rates, split);
             for (&c, &b) in served.iter().zip(split.iter()) {
                 let viewers = loads[j * k + c];
                 bandwidth[j * k + c] = b;
@@ -616,19 +592,6 @@ impl System {
                 s.push(r);
             }
         }
-        // Helper-level bandit feedback: each learning helper accumulates
-        // its own delivered throughput — purely local information.
-        if !self.allocators.is_empty() {
-            helper_delivered.clear();
-            helper_delivered.resize(h, 0.0);
-            for (&j, &rate) in globals.iter().zip(delivered.iter()) {
-                helper_delivered[j as usize] += rate;
-            }
-            for (alloc, &dlv) in self.allocators.iter_mut().zip(helper_delivered.iter()) {
-                alloc.record(dlv);
-            }
-        }
-
         // 8. Welfare, and the server settles residual demand.
         let t = obs::span_start();
         let helper_now: f64 = self.helpers.iter().map(Helper::capacity).sum();
@@ -781,7 +744,6 @@ mod tests {
                     AllocationPolicy::EvenSplit,
                     AllocationPolicy::LoadProportional,
                     AllocationPolicy::WaterFilling,
-                    AllocationPolicy::Learned,
                 ] {
                     for seed in 0..8 {
                         let config =

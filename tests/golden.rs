@@ -63,8 +63,7 @@ fn golden_fingerprint_is_stable_across_runs() {
 
 /// `to_bits` of (welfare sum, worst-empirical-regret sum, viewer
 /// fairness) for the standard 4-channel deployment: 120 epochs, five
-/// viewers migrate from channel 0 to channel 3, 120 more — long enough to
-/// cross a `Learned` 100-epoch template window and to exercise the
+/// viewers migrate from channel 0 to channel 3, 120 more — exercising the
 /// `set_channel` / regret-ledger migration path.
 fn multichannel_signature(policy: AllocationPolicy) -> [u64; 3] {
     let mut system = MultiChannelSystem::new(MultiChannelConfig::standard(
@@ -99,10 +98,6 @@ fn golden_multichannel_signatures() {
             AllocationPolicy::WaterFilling,
             [0x4137305400000000, 0x40cbcc462c233b1e, 0x3fedef02733d6f9d],
         ),
-        (
-            AllocationPolicy::Learned,
-            [0x4136e85b00000000, 0x40e266539cc715da, 0x3feccd94506c5f6e],
-        ),
     ];
     for (policy, expected) in pinned {
         let got = multichannel_signature(policy);
@@ -122,10 +117,9 @@ fn fold_bits(series: &[&[f64]]) -> u64 {
     h
 }
 
-/// The three configurations whose learners were scalar `Matrix`-backed
+/// The two configurations whose learners were scalar `Matrix`-backed
 /// until the slab became the only production RTHS layout — a
-/// regret-matching population in the store, the `Learned` allocation
-/// policy's per-helper learners, and the net runtime's peers.
+/// regret-matching population in the store and the net runtime's peers.
 /// Every float of every epoch, recorded on the scalar path; the slab
 /// must reproduce them unchanged.
 #[test]
@@ -140,20 +134,6 @@ fn golden_slab_hosted_trajectories() {
         m.worst_empirical_regret.values(),
     ]);
 
-    // 450 epochs: four 100-epoch template windows of the helper learners.
-    let out = MultiChannelSystem::new(MultiChannelConfig::standard(
-        4,
-        400.0,
-        8,
-        2,
-        80,
-        1.2,
-        AllocationPolicy::Learned,
-        7,
-    ))
-    .run(450);
-    let learned = fold_bits(&[out.welfare.values(), out.worst_empirical_regret.values()]);
-
     let sim = Scenario::paper_server_load().seed(7).build();
     let out = rths_net::run(NetConfig::from_sim(sim), 150);
     let m = &out.metrics;
@@ -164,8 +144,8 @@ fn golden_slab_hosted_trajectories() {
         &out.peer_mean_rates,
     ]);
 
-    let got = [matching, learned, net];
-    let pinned = [0x58f5da83309794ad, 0x32ab45c89db2a82a, 0x51b92dc910837838];
+    let got = [matching, net];
+    let pinned = [0x58f5da83309794ad, 0x51b92dc910837838];
     assert_eq!(got, pinned, "slab-hosted trajectory drifted: {got:#018x?}");
 }
 
