@@ -485,30 +485,16 @@ fn get_batches(r: &mut WireReader<'_>) -> Result<Vec<RemoteBatch<NetMsg>>, WireE
 // ---------------------------------------------------------------------
 
 fn put_bandwidth_spec(w: &mut WireWriter, spec: &BandwidthSpec) {
+    // Tags 1, 3 and 6 are retired: never reuse them, so that a stale one
+    // decodes to `BadTag` instead of to another kind.
     match spec {
         BandwidthSpec::Paper { stay } => {
             w.u8(0);
             w.f64(*stay);
         }
-        BandwidthSpec::Ladder { levels, stay } => {
-            w.u8(1);
-            w.seq(levels.len());
-            for &level in levels {
-                w.f64(level);
-            }
-            w.f64(*stay);
-        }
         BandwidthSpec::Constant(level) => {
             w.u8(2);
             w.f64(*level);
-        }
-        BandwidthSpec::RandomWalk { initial, min, max, step, move_prob } => {
-            w.u8(3);
-            w.f64(*initial);
-            w.f64(*min);
-            w.f64(*max);
-            w.f64(*step);
-            w.f64(*move_prob);
         }
         BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
             w.u8(4);
@@ -522,13 +508,6 @@ fn put_bandwidth_spec(w: &mut WireWriter, spec: &BandwidthSpec) {
             w.f64(*before);
             w.f64(*after);
             w.u64(*at);
-        }
-        BandwidthSpec::Trace(samples) => {
-            w.u8(6);
-            w.seq(samples.len());
-            for &sample in samples {
-                w.f64(sample);
-            }
         }
     }
 }
@@ -545,15 +524,7 @@ fn get_f64_vec(r: &mut WireReader<'_>) -> Result<Vec<f64>, WireError> {
 fn get_bandwidth_spec(r: &mut WireReader<'_>) -> Result<BandwidthSpec, WireError> {
     Ok(match r.u8()? {
         0 => BandwidthSpec::Paper { stay: r.f64()? },
-        1 => BandwidthSpec::Ladder { levels: get_f64_vec(r)?, stay: r.f64()? },
         2 => BandwidthSpec::Constant(r.f64()?),
-        3 => BandwidthSpec::RandomWalk {
-            initial: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-            step: r.f64()?,
-            move_prob: r.f64()?,
-        },
         4 => BandwidthSpec::GilbertElliott {
             good: r.f64()?,
             bad: r.f64()?,
@@ -561,7 +532,6 @@ fn get_bandwidth_spec(r: &mut WireReader<'_>) -> Result<BandwidthSpec, WireError
             p_bg: r.f64()?,
         },
         5 => BandwidthSpec::RegimeShift { before: r.f64()?, after: r.f64()?, at: r.u64()? },
-        6 => BandwidthSpec::Trace(get_f64_vec(r)?),
         tag => return Err(WireError::BadTag("BandwidthSpec", tag)),
     })
 }
@@ -1062,6 +1032,17 @@ mod tests {
             get_learner_spec(&mut r).expect_err("algorithm tag must fail"),
             WireError::BadTag("Algorithm", 2)
         ));
+        // The retired bandwidth tags: `ladder`, `random_walk` and `trace`.
+        for tag in [1, 3, 6] {
+            let mut w = WireWriter::new(0);
+            w.u8(tag);
+            let body = w.finish();
+            let (_, mut r) = WireReader::open(&body).unwrap();
+            assert!(matches!(
+                get_bandwidth_spec(&mut r).expect_err("bandwidth tag must fail"),
+                WireError::BadTag("BandwidthSpec", t) if t == tag
+            ));
+        }
     }
 
     #[test]
@@ -1109,7 +1090,17 @@ mod tests {
             .unwrap();
         let sim = SimConfig::builder(
             12,
-            vec![BandwidthSpec::Paper { stay: 0.98 }, BandwidthSpec::Trace(vec![100.0, 250.5])],
+            vec![
+                BandwidthSpec::Paper { stay: 0.98 },
+                BandwidthSpec::Constant(512.5),
+                BandwidthSpec::GilbertElliott {
+                    good: 900.0,
+                    bad: 150.0,
+                    p_gb: 0.05,
+                    p_bg: 0.4,
+                },
+                BandwidthSpec::RegimeShift { before: 850.0, after: 400.5, at: 30 },
+            ],
         )
         .demand(640.0)
         .seed(42)

@@ -4,16 +4,17 @@ use rths_core::{
     ConfigError, Exp3Config, Exp3Learner, Learner, RecencyMode, RthsConfig, SlabLearner,
 };
 use rths_stoch::bandwidth::{
-    BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RandomWalkBandwidth,
-    RegimeShiftBandwidth, TraceBandwidth,
+    BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RegimeShiftBandwidth,
 };
-use rths_stoch::markov::MarkovChain;
 use rths_stoch::process::ChurnProcess;
 
 use crate::impairment::ImpairmentPlan;
 
 /// Declarative description of one helper's bandwidth process, turned into
-/// a live process per helper at system construction.
+/// a live process per helper at system construction. `Paper` is the
+/// paper's model (§IV); `Constant` serves the equilibrium checks and the
+/// helper-cascade scenario, `GilbertElliott` the backend equivalence
+/// tests, and `RegimeShift` the tracking-vs-matching ablation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BandwidthSpec {
     /// The paper's `[700, 800, 900]` sticky Markov chain with the given
@@ -22,28 +23,8 @@ pub enum BandwidthSpec {
         /// Probability of remaining at the current level each epoch.
         stay: f64,
     },
-    /// A custom level ladder with a sticky birth–death chain.
-    Ladder {
-        /// Capacity levels (kbps), ordered low→high.
-        levels: Vec<f64>,
-        /// Stay probability per epoch.
-        stay: f64,
-    },
     /// Constant capacity (kbps).
     Constant(f64),
-    /// Bounded lazy random walk.
-    RandomWalk {
-        /// Initial level (kbps).
-        initial: f64,
-        /// Lower reflecting bound.
-        min: f64,
-        /// Upper reflecting bound.
-        max: f64,
-        /// Step magnitude per move.
-        step: f64,
-        /// Probability of moving each epoch.
-        move_prob: f64,
-    },
     /// Two-state Gilbert–Elliott burst model.
     GilbertElliott {
         /// Capacity in the good state.
@@ -64,9 +45,6 @@ pub enum BandwidthSpec {
         /// Epoch of the shift.
         at: u64,
     },
-    /// Replay of a recorded per-epoch capacity trace (loops at the end) —
-    /// for driving helpers with measured data.
-    Trace(Vec<f64>),
 }
 
 impl BandwidthSpec {
@@ -77,22 +55,13 @@ impl BandwidthSpec {
             BandwidthSpec::Paper { stay } => {
                 Box::new(MarkovBandwidth::paper_with_stay(rng, *stay))
             }
-            BandwidthSpec::Ladder { levels, stay } => {
-                let initial = rng.gen_range(0..levels.len());
-                let chain = MarkovChain::sticky_birth_death(levels.len(), *stay, initial);
-                Box::new(MarkovBandwidth::new(chain, levels.clone()))
-            }
             BandwidthSpec::Constant(level) => Box::new(ConstantBandwidth::new(*level)),
-            BandwidthSpec::RandomWalk { initial, min, max, step, move_prob } => {
-                Box::new(RandomWalkBandwidth::new(*initial, *min, *max, *step, *move_prob))
-            }
             BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
                 Box::new(GilbertElliott::new(*good, *bad, *p_gb, *p_bg))
             }
             BandwidthSpec::RegimeShift { before, after, at } => {
                 Box::new(RegimeShiftBandwidth::new(*before, *after, *at))
             }
-            BandwidthSpec::Trace(samples) => Box::new(TraceBandwidth::new(samples.clone())),
         }
     }
 
@@ -109,28 +78,7 @@ impl BandwidthSpec {
         const STAY: &str = "must be in [0, 1)";
         match self {
             BandwidthSpec::Paper { stay: s } if !stay(*s) => Err(("stay", STAY)),
-            BandwidthSpec::Ladder { levels, .. } if levels.is_empty() => {
-                Err(("levels", "needs at least one level"))
-            }
-            BandwidthSpec::Ladder { levels, .. } if !levels.iter().all(|&l| level(l)) => {
-                Err(("levels", "every level must be finite and ≥ 0"))
-            }
-            BandwidthSpec::Ladder { stay: s, .. } if !stay(*s) => Err(("stay", STAY)),
             BandwidthSpec::Constant(l) if !level(*l) => Err(("level", LEVEL)),
-            BandwidthSpec::RandomWalk { min, max, .. } if (*min..=*max).is_empty() => {
-                Err(("min", "must not exceed max"))
-            }
-            BandwidthSpec::RandomWalk { initial, min, max, .. }
-                if !(*min..=*max).contains(initial) =>
-            {
-                Err(("initial", "must lie in [min, max]"))
-            }
-            BandwidthSpec::RandomWalk { step, .. } if step.is_nan() || *step <= 0.0 => {
-                Err(("step", "must be positive"))
-            }
-            BandwidthSpec::RandomWalk { move_prob, .. } if !prob(*move_prob) => {
-                Err(("move_prob", PROB))
-            }
             BandwidthSpec::GilbertElliott { good, .. } if !level(*good) => Err(("good", LEVEL)),
             BandwidthSpec::GilbertElliott { bad, .. } if !level(*bad) => Err(("bad", LEVEL)),
             BandwidthSpec::GilbertElliott { p_gb, .. } if !prob(*p_gb) => Err(("p_gb", PROB)),
@@ -139,53 +87,24 @@ impl BandwidthSpec {
                 Err(("before", LEVEL))
             }
             BandwidthSpec::RegimeShift { after, .. } if !level(*after) => Err(("after", LEVEL)),
-            BandwidthSpec::Trace(samples) if samples.is_empty() => {
-                Err(("samples", "needs at least one sample"))
-            }
-            BandwidthSpec::Trace(samples) if !samples.iter().all(|&s| level(s)) => {
-                Err(("samples", "every sample must be finite and ≥ 0"))
-            }
             _ => Ok(()),
         }
     }
 
-    /// Long-run mean capacity if analytically known (calibrates `μ`).
-    pub fn mean_level(&self) -> Option<f64> {
+    /// Long-run mean capacity (calibrates `μ`).
+    pub fn mean_level(&self) -> f64 {
         match self {
-            BandwidthSpec::Paper { .. } => Some(800.0),
-            BandwidthSpec::Ladder { levels, .. } => {
-                // Sticky symmetric birth–death: stationary is proportional
-                // to [1, 2, 2, …, 2, 1] over interior/boundary states.
-                if levels.is_empty() {
-                    return None;
-                }
-                if levels.len() == 1 {
-                    return Some(levels[0]);
-                }
-                let mut weights = vec![2.0; levels.len()];
-                weights[0] = 1.0;
-                *weights.last_mut().expect("non-empty") = 1.0;
-                let total: f64 = weights.iter().sum();
-                Some(levels.iter().zip(&weights).map(|(l, w)| l * w / total).sum())
-            }
-            BandwidthSpec::Constant(level) => Some(*level),
-            BandwidthSpec::RandomWalk { min, max, .. } => Some(0.5 * (min + max)),
+            BandwidthSpec::Paper { .. } => 800.0,
+            BandwidthSpec::Constant(level) => *level,
             BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
                 let denom = p_gb + p_bg;
                 if denom == 0.0 {
-                    Some(*good)
+                    *good
                 } else {
-                    Some(good * p_bg / denom + bad * p_gb / denom)
+                    good * p_bg / denom + bad * p_gb / denom
                 }
             }
-            BandwidthSpec::RegimeShift { before, after, .. } => Some(0.5 * (before + after)),
-            BandwidthSpec::Trace(samples) => {
-                if samples.is_empty() {
-                    None
-                } else {
-                    Some(samples.iter().sum::<f64>() / samples.len() as f64)
-                }
-            }
+            BandwidthSpec::RegimeShift { before, after, .. } => 0.5 * (before + after),
         }
     }
 }
@@ -424,13 +343,13 @@ impl SimConfig {
         }
     }
 
-    /// Mean helper capacity across the configured specs (defaults any
-    /// unknown mean to 800 kbps, the paper's centre level).
+    /// Mean of the helpers' long-run mean capacities
+    /// ([`BandwidthSpec::mean_level`]); 0 with no helpers.
     pub fn mean_capacity(&self) -> f64 {
         if self.helpers.is_empty() {
             return 0.0;
         }
-        let total: f64 = self.helpers.iter().map(|h| h.mean_level().unwrap_or(800.0)).sum();
+        let total: f64 = self.helpers.iter().map(BandwidthSpec::mean_level).sum();
         total / self.helpers.len() as f64
     }
 
@@ -515,29 +434,7 @@ mod tests {
 
     #[test]
     fn paper_spec_mean_is_800() {
-        assert_eq!(BandwidthSpec::Paper { stay: 0.98 }.mean_level(), Some(800.0));
-    }
-
-    #[test]
-    fn ladder_mean_weights_boundaries_half() {
-        // Levels [0, 600]: stationary [1/2, 1/2] for 2 states -> 300.
-        let spec = BandwidthSpec::Ladder { levels: vec![0.0, 600.0], stay: 0.9 };
-        assert_eq!(spec.mean_level(), Some(300.0));
-        // 3 levels [0, 300, 600]: weights [1,2,1]/4 -> 300.
-        let spec3 = BandwidthSpec::Ladder { levels: vec![0.0, 300.0, 600.0], stay: 0.9 };
-        assert_eq!(spec3.mean_level(), Some(300.0));
-    }
-
-    #[test]
-    fn ladder_mean_matches_exact_stationary() {
-        // Cross-check the [1,2,…,2,1] weight claim against the chain's
-        // computed stationary distribution.
-        let levels = vec![100.0, 200.0, 300.0, 400.0];
-        let chain = MarkovChain::sticky_birth_death(4, 0.9, 0);
-        let pi = chain.stationary_distribution().unwrap();
-        let exact: f64 = levels.iter().zip(&pi).map(|(l, p)| l * p).sum();
-        let spec = BandwidthSpec::Ladder { levels, stay: 0.9 };
-        assert!((spec.mean_level().unwrap() - exact).abs() < 1e-9);
+        assert_eq!(BandwidthSpec::Paper { stay: 0.98 }.mean_level(), 800.0);
     }
 
     #[test]
@@ -546,16 +443,8 @@ mod tests {
         let specs = [
             BandwidthSpec::Paper { stay: 0.98 },
             BandwidthSpec::Constant(500.0),
-            BandwidthSpec::RandomWalk {
-                initial: 400.0,
-                min: 100.0,
-                max: 900.0,
-                step: 50.0,
-                move_prob: 0.5,
-            },
             BandwidthSpec::GilbertElliott { good: 900.0, bad: 200.0, p_gb: 0.05, p_bg: 0.2 },
             BandwidthSpec::RegimeShift { before: 800.0, after: 400.0, at: 10 },
-            BandwidthSpec::Trace(vec![500.0, 700.0, 600.0]),
         ];
         for spec in &specs {
             let mut p = spec.instantiate(&mut rng);

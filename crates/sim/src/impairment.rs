@@ -164,8 +164,8 @@ pub struct TokenBucketSpec {
 
 /// Per-link capacity ladder: each `(peer, helper)` link walks the level
 /// ladder with a sticky birth–death chain (stationary `[1, 2, …, 2, 1]`
-/// — the same dynamics as [`crate::BandwidthSpec::Ladder`]), capping the
-/// rate the link can carry that epoch.
+/// — the chain the paper's helper bandwidth walks over
+/// `[700, 800, 900]`), capping the rate the link can carry that epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkBandwidthSpec {
     /// Capacity levels (kbps), ordered low→high.

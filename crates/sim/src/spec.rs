@@ -76,6 +76,12 @@ const SCENARIO_SPEC_VERSION: i64 = 1;
 /// Stream id deriving the channel-surf RNG from the root seed.
 const SURF_STREAM: u64 = 0x5355_5246; // "SURF"
 
+/// The most expected arrivals per epoch a phase may hand the engine's
+/// Poisson sampler: each arrival spawns a peer, and peers have `u32` slots.
+const MAX_ARRIVALS: f64 = u32::MAX as f64;
+const ARRIVALS_BOUND: &str = "u32::MAX = 4294967295 expected arrivals per epoch \
+     (each arrival spawns a peer, and peers are indexed with u32 slots)";
+
 // ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
@@ -443,8 +449,11 @@ fn validate_single(s: &SingleSpec) -> Result<(), ScenarioError> {
         }
     }
     if let Some(churn) = s.churn {
-        if !(churn.arrival.is_finite() && churn.arrival >= 0.0) {
-            return Err(invalid("population.churn.arrival", "must be ≥ 0 and finite"));
+        if !(0.0..=MAX_ARRIVALS).contains(&churn.arrival) {
+            return Err(invalid(
+                "population.churn.arrival",
+                format!("must be ≥ 0 and at most {ARRIVALS_BOUND}"),
+            ));
         }
         if !(0.0..=1.0).contains(&churn.departure) {
             return Err(invalid("population.churn.departure", "must be in [0, 1]"));
@@ -506,6 +515,10 @@ fn validate_phase(
     population: &PopulationSpec,
 ) -> Result<(), ScenarioError> {
     let at = |field: &str| format!("phase[{index}].{field}");
+    let arrival = match population {
+        PopulationSpec::Single(s) => s.churn.map_or(0.0, |c| c.arrival),
+        PopulationSpec::Multi(_) => 0.0,
+    };
     if phase.epochs() == 0 {
         return Err(invalid(at("epochs"), "must be ≥ 1"));
     }
@@ -517,7 +530,6 @@ fn validate_phase(
                     "multi-channel phase in a single-channel scenario",
                 ));
             }
-            let arrival = s.churn.map_or(0.0, |c| c.arrival);
             if matches!(phase, WorkloadPhase::FlashCrowd { .. }) && arrival == 0.0 {
                 return Err(invalid(
                     at("kind"),
@@ -568,13 +580,23 @@ fn validate_phase(
             if !(surge.is_finite() && *surge >= 1.0) {
                 return Err(invalid(at("surge"), "must be ≥ 1 and finite"));
             }
+            let extra = arrival * (surge - 1.0);
+            if extra > MAX_ARRIVALS {
+                return Err(invalid(
+                    at("surge"),
+                    format!("arrival × (surge − 1) = {extra:e} exceeds {ARRIVALS_BOUND}"),
+                ));
+            }
         }
         WorkloadPhase::Diurnal { period, amplitude, .. } => {
             if *period == 0 {
                 return Err(invalid(at("period"), "must be ≥ 1"));
             }
-            if !(amplitude.is_finite() && *amplitude >= 0.0) {
-                return Err(invalid(at("amplitude"), "must be ≥ 0 and finite"));
+            if !(0.0..=MAX_ARRIVALS).contains(amplitude) {
+                return Err(invalid(
+                    at("amplitude"),
+                    format!("must be ≥ 0 and at most {ARRIVALS_BOUND}"),
+                ));
             }
         }
         WorkloadPhase::PopularityShift { epochs, at: shift_at, .. } if shift_at > epochs => {
@@ -823,30 +845,9 @@ fn parse_helper_group(tbl: &Tbl, path: &str) -> Result<HelperGroup, ScenarioErro
             check_keys(tbl, path, &["count", "kind", "stay"])?;
             BandwidthSpec::Paper { stay: req_f64(tbl, path, "stay")? }
         }
-        "ladder" => {
-            check_keys(tbl, path, &["count", "kind", "levels", "stay"])?;
-            BandwidthSpec::Ladder {
-                levels: as_f64_array(req(tbl, path, "levels")?, &format!("{path}.levels"))?,
-                stay: req_f64(tbl, path, "stay")?,
-            }
-        }
         "constant" => {
             check_keys(tbl, path, &["count", "kind", "level"])?;
             BandwidthSpec::Constant(req_f64(tbl, path, "level")?)
-        }
-        "random_walk" => {
-            check_keys(
-                tbl,
-                path,
-                &["count", "kind", "initial", "min", "max", "step", "move_prob"],
-            )?;
-            BandwidthSpec::RandomWalk {
-                initial: req_f64(tbl, path, "initial")?,
-                min: req_f64(tbl, path, "min")?,
-                max: req_f64(tbl, path, "max")?,
-                step: req_f64(tbl, path, "step")?,
-                move_prob: req_f64(tbl, path, "move_prob")?,
-            }
         }
         "gilbert_elliott" => {
             check_keys(tbl, path, &["count", "kind", "good", "bad", "p_gb", "p_bg"])?;
@@ -865,19 +866,12 @@ fn parse_helper_group(tbl: &Tbl, path: &str) -> Result<HelperGroup, ScenarioErro
                 at: req_u64(tbl, path, "at")?,
             }
         }
-        "trace" => {
-            check_keys(tbl, path, &["count", "kind", "samples"])?;
-            BandwidthSpec::Trace(as_f64_array(
-                req(tbl, path, "samples")?,
-                &format!("{path}.samples"),
-            )?)
-        }
         other => {
             return Err(invalid(
                 format!("{path}.kind"),
                 format!(
-                    "unknown bandwidth kind `{other}` (expected paper, ladder, constant, \
-                     random_walk, gilbert_elliott, regime_shift, trace)"
+                    "unknown bandwidth kind `{other}` (expected paper, constant, \
+                     gilbert_elliott, regime_shift)"
                 ),
             ));
         }
@@ -1127,20 +1121,13 @@ mod tests {
     fn bandwidth_bits(spec: &BandwidthSpec) -> (&'static str, Vec<u64>) {
         match spec {
             BandwidthSpec::Paper { stay } => ("paper", bits(&[*stay])),
-            BandwidthSpec::Ladder { levels, stay } => {
-                ("ladder", bits(&[levels.as_slice(), &[*stay]].concat()))
-            }
             BandwidthSpec::Constant(level) => ("constant", bits(&[*level])),
-            BandwidthSpec::RandomWalk { initial, min, max, step, move_prob } => {
-                ("random_walk", bits(&[*initial, *min, *max, *step, *move_prob]))
-            }
             BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
                 ("gilbert_elliott", bits(&[*good, *bad, *p_gb, *p_bg]))
             }
             BandwidthSpec::RegimeShift { before, after, at } => {
                 ("regime_shift", [bits(&[*before, *after]), vec![*at]].concat())
             }
-            BandwidthSpec::Trace(samples) => ("trace", bits(samples)),
         }
     }
 
@@ -1161,9 +1148,11 @@ mod tests {
 
             [[population.helpers]]
             count = 1
-            kind = "ladder"
-            levels = [400.0, 650.0]
-            stay = 0.9
+            kind = "gilbert_elliott"
+            good = 650.0
+            bad = 400.0
+            p_gb = 0.1
+            p_bg = 0.1
 
             [population.churn]
             arrival = 1.5
@@ -1216,24 +1205,9 @@ mod tests {
             stay = 0.97
 
             [[population.helpers]]
-            count = 2
-            kind = "ladder"
-            levels = [300.0, 650.5]
-            stay = 0.9
-
-            [[population.helpers]]
             count = 1
             kind = "constant"
             level = 720.25
-
-            [[population.helpers]]
-            count = 1
-            kind = "random_walk"
-            initial = 500.0
-            min = 200.0
-            max = 800.0
-            step = 25.5
-            move_prob = 0.3
 
             [[population.helpers]]
             count = 1
@@ -1249,11 +1223,6 @@ mod tests {
             before = 850.0
             after = 400.0
             at = 30
-
-            [[population.helpers]]
-            count = 1
-            kind = "trace"
-            samples = [700.0, 810.5, 640.0]
 
             [population.churn]
             arrival = 0.75
@@ -1309,7 +1278,7 @@ mod tests {
             [[phase]]
             kind = "helper_failure"
             epochs = 8
-            helpers = [0, 6]
+            helpers = [0, 3]
             online = false
             "#,
         )
@@ -1330,12 +1299,9 @@ mod tests {
             groups,
             [
                 (1, ("paper", bits(&[0.97]))),
-                (2, ("ladder", bits(&[300.0, 650.5, 0.9]))),
                 (1, ("constant", bits(&[720.25]))),
-                (1, ("random_walk", bits(&[500.0, 200.0, 800.0, 25.5, 0.3]))),
                 (1, ("gilbert_elliott", bits(&[900.0, 150.0, 0.05, 0.4]))),
                 (1, ("regime_shift", [bits(&[850.0, 400.0]), vec![30]].concat())),
-                (1, ("trace", bits(&[700.0, 810.5, 640.0]))),
             ]
         );
         let churn = single.churn.expect("churn parsed");
@@ -1371,7 +1337,7 @@ mod tests {
                 WorkloadPhase::Steady { epochs: 10 },
                 WorkloadPhase::FlashCrowd { epochs: 20, start: 5, end: 15, surge: 3.5 },
                 WorkloadPhase::Diurnal { epochs: 30, period: 12, amplitude: 1.25 },
-                WorkloadPhase::HelperFailure { epochs: 8, helpers: vec![0, 6], online: false },
+                WorkloadPhase::HelperFailure { epochs: 8, helpers: vec![0, 3], online: false },
             ]
         );
         let WorkloadPhase::FlashCrowd { surge, .. } = spec.phases[1] else { unreachable!() };
@@ -1565,20 +1531,25 @@ mod tests {
         };
         for (fields, field) in [
             ("kind = \"paper\"\nstay = 1.0", "stay"),
-            ("kind = \"ladder\"\nlevels = []\nstay = 0.9", "levels"),
-            ("kind = \"trace\"\nsamples = []", "samples"),
+            // Not bandwidth kinds: refused at `kind`, whatever their fields.
+            ("kind = \"ladder\"\nlevels = []\nstay = 0.9", "kind"),
+            ("kind = \"trace\"\nsamples = []", "kind"),
             (
                 "kind = \"random_walk\"\ninitial = 500.0\nmin = 900.0\nmax = 100.0\n\
                  step = 10.0\nmove_prob = 0.5",
-                "min",
+                "kind",
             ),
             (
                 "kind = \"gilbert_elliott\"\ngood = 900.0\nbad = 100.0\np_gb = 1.5\np_bg = 0.5",
                 "p_gb",
             ),
         ] {
-            let (path, _) = field_error(&group(fields));
+            let (path, message) = field_error(&group(fields));
             assert_eq!(path, format!("population.helpers[0].{field}"), "{fields}");
+            if field == "kind" {
+                let kinds = "(expected paper, constant, gilbert_elliott, regime_shift)";
+                assert!(message.ends_with(kinds), "{message}");
+            }
         }
         // A flash crowd multiplies the churn arrival rate: without churn,
         // or with no arrivals, it would run as a steady phase.
@@ -1587,6 +1558,35 @@ mod tests {
         for churn in ["", "[population.churn]\narrival = 0.0\ndeparture = 0.1\n"] {
             let (path, _) = field_error(&format!("{SMALL}{crowd}{churn}"));
             assert_eq!(path, "phase[1].kind", "{churn:?}");
+        }
+        // Each expected arrival spawns a peer, and peers are indexed with
+        // u32 slots: a phase never hands the sampler a rate above u32::MAX.
+        let churn = |arrival: &str| {
+            format!("[population.churn]\narrival = {arrival}\ndeparture = 0.1\n")
+        };
+        let surge = |surge: &str| {
+            format!(
+                "[[phase]]\nkind = \"flash_crowd\"\nepochs = 20\nstart = 0\nend = 10\n\
+                 surge = {surge}\n"
+            )
+        };
+        let diurnal = "[[phase]]\nkind = \"diurnal\"\nepochs = 20\nperiod = 4\n\
+                       amplitude = 1.7976931348623157e308\n";
+        for (body, key) in [
+            (churn("1e300"), "population.churn.arrival"),
+            (churn("4294967296.0"), "population.churn.arrival"),
+            (churn("1e300") + &surge("1e10"), "population.churn.arrival"),
+            (churn("1.0") + &surge("1.7976931348623157e308"), "phase[1].surge"),
+            (churn("2.0") + &surge("2147483649.0"), "phase[1].surge"),
+            (diurnal.to_owned(), "phase[1].amplitude"),
+        ] {
+            let (path, message) = field_error(&format!("{SMALL}{body}"));
+            assert_eq!(path, key, "{body}");
+            assert!(message.contains("u32::MAX = 4294967295"), "{message}");
+        }
+        // At the bound itself, each loads (and is not run here).
+        for body in [churn("4294967295.0"), churn("2.0") + &surge("2147483648.5")] {
+            assert!(parse(&format!("{SMALL}{body}")).is_ok(), "{body}");
         }
         // A learner the run's own check refuses is refused at load, at its
         // field, and never reaches the run.
@@ -1615,13 +1615,44 @@ mod tests {
         }
     }
 
-    /// The keys that reach the learner, at the edges of `f64`: a value the
-    /// loader accepts runs to completion, a value it refuses is a field
-    /// error at that key's path. Each row pins which values load.
+    /// The seven values every float key is tried at: both zeros, one, the
+    /// smallest subnormal, the largest finite value, infinity and NaN.
+    const BOUNDARY_VALUES: [&str; 7] =
+        ["0.0", "-0.0", "1.0", "5e-324", "1.7976931348623157e308", "inf", "nan"];
+
+    /// (key path, the spec with that key at a value, which values load)
+    type BoundaryRow = (&'static str, fn(&str) -> String, [bool; 7]);
+
+    /// Each row at each of [`BOUNDARY_VALUES`]: a value the loader accepts
+    /// runs `with_epoch_cap(2)` to completion, a value it refuses is an
+    /// error at that key's path (an impairment error by its plan field,
+    /// under `impairment.`).
+    fn check_boundary_rows(table: &[BoundaryRow]) {
+        for &(key, body, accepts) in table {
+            for (value, accepted) in BOUNDARY_VALUES.into_iter().zip(accepts) {
+                let (path, message) = match parse(&body(value)) {
+                    Ok(loaded) => {
+                        assert!(accepted, "{key} = {value} loaded");
+                        let report = loaded.with_epoch_cap(2).run();
+                        assert_eq!(report.epochs, 2, "{key} = {value}");
+                        continue;
+                    }
+                    Err(ScenarioError::Invalid { path, message }) => (path, message),
+                    Err(ScenarioError::Impairment(e)) => {
+                        (format!("impairment.{}", e.field()), e.to_string())
+                    }
+                    Err(other) => panic!("{key} = {value}: {other}"),
+                };
+                assert!(!accepted, "{key} = {value} refused: {message}");
+                assert_eq!(path, key, "{key} = {value}");
+            }
+        }
+    }
+
+    /// The keys that reach the learner, at the edges of `f64`. Each row
+    /// pins which values load.
     #[test]
     fn learner_inputs_at_float_boundaries_run_or_are_refused_at_their_path() {
-        const VALUES: [&str; 7] =
-            ["0.0", "-0.0", "1.0", "5e-324", "1.7976931348623157e308", "inf", "nan"];
         fn spec(demand: &str, level: &str, learner: &str) -> String {
             format!(
                 "[population]\npeers = 4\n{demand}\n\
@@ -1630,9 +1661,7 @@ mod tests {
                  [[phase]]\nkind = \"steady\"\nepochs = 5\n"
             )
         }
-        // (key path, the spec with that key at a value, which values load)
-        type Row = (&'static str, fn(&str) -> String, [bool; 7]);
-        let table: [Row; 5] = [
+        check_boundary_rows(&[
             (
                 "population.learner.epsilon",
                 |v| spec("", "800.0", &format!("epsilon = {v}")),
@@ -1660,22 +1689,133 @@ mod tests {
                 |v| spec("", v, "mu = 1000.0"),
                 [true, true, true, true, true, false, false],
             ),
-        ];
-        for (key, body, accepts) in table {
-            for (value, accepted) in VALUES.into_iter().zip(accepts) {
-                match parse(&body(value)) {
-                    Ok(loaded) => {
-                        assert!(accepted, "{key} = {value} loaded");
-                        assert_eq!(loaded.with_epoch_cap(2).run().epochs, 2, "{key} = {value}");
-                    }
-                    Err(ScenarioError::Invalid { path, message }) => {
-                        assert!(!accepted, "{key} = {value} refused: {message}");
-                        assert_eq!(path, key, "{key} = {value}");
-                    }
-                    Err(other) => panic!("{key} = {value}: {other}"),
-                }
-            }
+        ]);
+    }
+
+    /// Every other float key of a scenario file, at the same values and
+    /// under the same rules. Each row pins which values load.
+    #[test]
+    fn every_float_key_at_boundaries_runs_or_is_refused_at_its_path() {
+        const PROB: [bool; 7] = [true, true, true, true, false, false, false];
+        const STAY: [bool; 7] = [true, true, false, true, false, false, false];
+        const LEVEL: [bool; 7] = [true, true, true, true, true, false, false];
+        const POSITIVE: [bool; 7] = [false, false, true, true, true, false, false];
+        // Up to u32::MAX expected arrivals per epoch.
+        const ARRIVALS: [bool; 7] = [true, true, true, true, false, false, false];
+        // `mu` is given, so the helper's parameter alone decides.
+        fn helper(kind: &str, fields: &str) -> String {
+            format!(
+                "[population]\npeers = 4\n\
+                 [[population.helpers]]\ncount = 2\nkind = \"{kind}\"\n{fields}\n\
+                 [population.learner]\nmu = 1000.0\n[[phase]]\nkind = \"steady\"\nepochs = 5\n"
+            )
         }
+        fn ge(good: &str, bad: &str, p_gb: &str, p_bg: &str) -> String {
+            let fields = format!("good = {good}\nbad = {bad}\np_gb = {p_gb}\np_bg = {p_bg}");
+            helper("gilbert_elliott", &fields)
+        }
+        fn shift(before: &str, after: &str) -> String {
+            helper("regime_shift", &format!("before = {before}\nafter = {after}\nat = 1"))
+        }
+        fn churn(arrival: &str, departure: &str, phase: &str) -> String {
+            format!(
+                "{SMALL}{phase}[population.churn]\narrival = {arrival}\n\
+                 departure = {departure}\n"
+            )
+        }
+        fn crowd(surge: &str) -> String {
+            format!(
+                "[[phase]]\nkind = \"flash_crowd\"\nepochs = 4\nstart = 0\nend = 4\n\
+                 surge = {surge}\n"
+            )
+        }
+        fn multi(bitrate: &str, zipf_s: &str) -> String {
+            format!(
+                "[multichannel]\nchannels = 2\nbitrate = {bitrate}\nhelpers = 4\n\
+                 channels_per_helper = 1\nviewers = 8\nzipf_s = {zipf_s}\n\
+                 [[phase]]\nkind = \"steady\"\nepochs = 5\n"
+            )
+        }
+        fn impairment(table: &str, fields: &str) -> String {
+            format!("{SMALL}[impairment]\nseed = 1\n[impairment.{table}]\n{fields}\n")
+        }
+        fn loss(p_enter_bad: &str, p_exit_bad: &str, bad: &str, good: &str) -> String {
+            let fields = format!(
+                "kind = \"gilbert_elliott\"\np_enter_bad = {p_enter_bad}\n\
+                 p_exit_bad = {p_exit_bad}\nbad_loss = {bad}\ngood_loss = {good}"
+            );
+            impairment("loss", &fields)
+        }
+        check_boundary_rows(&[
+            ("population.helpers[0].stay", |v| helper("paper", &format!("stay = {v}")), STAY),
+            ("population.helpers[0].good", |v| ge(v, "100.0", "0.1", "0.1"), LEVEL),
+            ("population.helpers[0].bad", |v| ge("900.0", v, "0.1", "0.1"), LEVEL),
+            ("population.helpers[0].p_gb", |v| ge("900.0", "100.0", v, "0.1"), PROB),
+            ("population.helpers[0].p_bg", |v| ge("900.0", "100.0", "0.1", v), PROB),
+            ("population.helpers[0].before", |v| shift(v, "400.0"), LEVEL),
+            ("population.helpers[0].after", |v| shift("900.0", v), LEVEL),
+            ("population.churn.arrival", |v| churn(v, "0.1", ""), ARRIVALS),
+            ("population.churn.departure", |v| churn("1.0", v, ""), PROB),
+            ("multichannel.bitrate", |v| multi(v, "1.0"), POSITIVE),
+            ("multichannel.zipf_s", |v| multi("400.0", v), LEVEL),
+            // The uniform model's `loss` key: the plan names it `loss`.
+            (
+                "impairment.loss",
+                |v| impairment("loss", &format!("kind = \"uniform\"\nloss = {v}")),
+                PROB,
+            ),
+            ("impairment.loss.p_enter_bad", |v| loss(v, "0.3", "0.8", "0.01"), PROB),
+            ("impairment.loss.p_exit_bad", |v| loss("0.05", v, "0.8", "0.01"), PROB),
+            ("impairment.loss.bad_loss", |v| loss("0.05", "0.3", v, "0.01"), PROB),
+            ("impairment.loss.good_loss", |v| loss("0.05", "0.3", "0.8", v), PROB),
+            (
+                "impairment.token_bucket.rate_kbps",
+                |v| {
+                    impairment("token_bucket", &format!("rate_kbps = {v}\nburst_kbits = 900.0"))
+                },
+                POSITIVE,
+            ),
+            (
+                "impairment.token_bucket.burst_kbits",
+                |v| {
+                    impairment("token_bucket", &format!("rate_kbps = 500.0\nburst_kbits = {v}"))
+                },
+                POSITIVE,
+            ),
+            (
+                "impairment.link_bandwidth.levels",
+                |v| impairment("link_bandwidth", &format!("levels = [300.0, {v}]\nstay = 0.9")),
+                LEVEL,
+            ),
+            (
+                "impairment.link_bandwidth.stay",
+                |v| {
+                    impairment(
+                        "link_bandwidth",
+                        &format!("levels = [300.0, 600.0]\nstay = {v}"),
+                    )
+                },
+                STAY,
+            ),
+            (
+                "impairment.latency.stay",
+                |v| impairment("latency", &format!("ticks = [1, 2]\nstay = {v}")),
+                STAY,
+            ),
+            // `arrival × (surge − 1)` expected extra arrivals per epoch.
+            (
+                "phase[1].surge",
+                |v| churn("1.0", "0.1", &crowd(v)),
+                [false, false, true, false, false, false, false],
+            ),
+            (
+                "phase[1].amplitude",
+                |v| {
+                    format!("{SMALL}[[phase]]\nkind = \"diurnal\"\nepochs = 4\nperiod = 4\namplitude = {v}\n")
+                },
+                ARRIVALS,
+            ),
+        ]);
     }
 
     #[test]

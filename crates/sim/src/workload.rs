@@ -120,6 +120,12 @@ impl WorkloadPhase {
     /// validator's call ([`crate::spec`]); the engine itself only insists
     /// on valid indices.
     ///
+    /// Each epoch a flash crowd hands [`System::inject_arrivals`]
+    /// `λ = arrival · (surge − 1)` and a diurnal phase at most `amplitude`.
+    /// Each of the `Poisson(λ)` arrivals spawns a peer in a store with `u32`
+    /// slots, so the scenario loader refuses a λ above `u32::MAX`: past it
+    /// the run allocates until it aborts, and an infinite λ panics here.
+    ///
     /// # Panics
     ///
     /// Panics on out-of-range helper or channel indices, a zero `period`

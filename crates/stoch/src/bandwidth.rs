@@ -1,10 +1,13 @@
 //! Helper upload-bandwidth processes.
 //!
 //! The paper's evaluation drives helper capacity with a slowly changing
-//! Markov chain over `[700, 800, 900]` kbps. Other processes are provided
-//! for robustness experiments: constant capacity, a bounded random walk, a
-//! two-state Gilbert–Elliott burst model, and a deterministic regime shift
-//! used by the tracking-vs-matching ablation.
+//! Markov chain over `[700, 800, 900]` kbps ([`MarkovBandwidth`]). Three
+//! other processes serve the experiments beside it: constant capacity
+//! ([`ConstantBandwidth`]: unit tests, the equilibrium checks and the
+//! helper-cascade scenario), a two-state Gilbert–Elliott burst model
+//! ([`GilbertElliott`]: the backend equivalence tests), and a
+//! deterministic regime shift ([`RegimeShiftBandwidth`]: the
+//! tracking-vs-matching ablation).
 
 use rand::Rng;
 
@@ -150,56 +153,6 @@ impl BandwidthProcess for ConstantBandwidth {
     }
 }
 
-/// Bounded lazy random walk: each epoch the capacity moves by `±step_size`
-/// with probability `move_prob/2` each, reflecting at `[min, max]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RandomWalkBandwidth {
-    level: f64,
-    min: f64,
-    max: f64,
-    step_size: f64,
-    move_prob: f64,
-}
-
-impl RandomWalkBandwidth {
-    /// Creates a walk starting at `initial` within `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are inverted, `initial` lies outside them,
-    /// `step_size <= 0`, or `move_prob` is outside `[0, 1]`.
-    pub fn new(initial: f64, min: f64, max: f64, step_size: f64, move_prob: f64) -> Self {
-        assert!(min <= max, "min must not exceed max");
-        assert!((min..=max).contains(&initial), "initial outside bounds");
-        assert!(step_size > 0.0, "step size must be positive");
-        assert!((0.0..=1.0).contains(&move_prob), "move_prob must be a probability");
-        Self { level: initial, min, max, step_size, move_prob }
-    }
-}
-
-impl BandwidthProcess for RandomWalkBandwidth {
-    fn level(&self) -> f64 {
-        self.level
-    }
-
-    fn step(&mut self, rng: &mut dyn rand::RngCore) {
-        let u: f64 = rand::Rng::gen(rng);
-        if u < self.move_prob {
-            let up: bool = rand::Rng::gen(rng);
-            let delta = if up { self.step_size } else { -self.step_size };
-            self.level = (self.level + delta).clamp(self.min, self.max);
-        }
-    }
-
-    fn min_level(&self) -> f64 {
-        self.min
-    }
-
-    fn max_level(&self) -> f64 {
-        self.max
-    }
-}
-
 /// Two-state Gilbert–Elliott burst model: a `good` capacity and a degraded
 /// `bad` capacity with asymmetric switching probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -267,54 +220,6 @@ impl BandwidthProcess for GilbertElliott {
         }
         let pi_good = self.p_bad_to_good / denom;
         Some(pi_good * self.good_level + (1.0 - pi_good) * self.bad_level)
-    }
-}
-
-/// Replays a recorded capacity trace (looping at the end) — the bridge
-/// for driving helpers with measured bandwidth data instead of synthetic
-/// processes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceBandwidth {
-    samples: Vec<f64>,
-    cursor: usize,
-}
-
-impl TraceBandwidth {
-    /// Creates a trace process from per-epoch capacity samples (kbps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or contains negative/non-finite
-    /// values.
-    pub fn new(samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "trace must have at least one sample");
-        assert!(
-            samples.iter().all(|s| s.is_finite() && *s >= 0.0),
-            "trace samples must be finite and non-negative"
-        );
-        Self { samples, cursor: 0 }
-    }
-}
-
-impl BandwidthProcess for TraceBandwidth {
-    fn level(&self) -> f64 {
-        self.samples[self.cursor]
-    }
-
-    fn step(&mut self, _rng: &mut dyn rand::RngCore) {
-        self.cursor = (self.cursor + 1) % self.samples.len();
-    }
-
-    fn min_level(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    fn max_level(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn mean_level(&self) -> Option<f64> {
-        Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
     }
 }
 
@@ -429,16 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn random_walk_respects_bounds() {
-        let mut rng = seeded_rng(5);
-        let mut bw = RandomWalkBandwidth::new(500.0, 200.0, 800.0, 100.0, 0.8);
-        for _ in 0..10_000 {
-            bw.step(&mut rng);
-            assert!(bw.level() >= 200.0 && bw.level() <= 800.0, "escaped: {}", bw.level());
-        }
-    }
-
-    #[test]
     fn gilbert_elliott_stationary_mean() {
         let ge = GilbertElliott::new(1000.0, 200.0, 0.1, 0.3);
         // pi_good = 0.3/0.4 = 0.75 -> mean = 0.75*1000 + 0.25*200 = 800.
@@ -477,33 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_replays_and_loops() {
-        let mut rng = seeded_rng(9);
-        let mut bw = TraceBandwidth::new(vec![100.0, 200.0, 300.0]);
-        let mut seen = Vec::new();
-        for _ in 0..7 {
-            seen.push(bw.level());
-            bw.step(&mut rng);
-        }
-        assert_eq!(seen, vec![100.0, 200.0, 300.0, 100.0, 200.0, 300.0, 100.0]);
-        assert_eq!(bw.min_level(), 100.0);
-        assert_eq!(bw.max_level(), 300.0);
-        assert_eq!(bw.mean_level(), Some(200.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn empty_trace_rejected() {
-        let _ = TraceBandwidth::new(vec![]);
-    }
-
-    #[test]
     fn processes_are_object_safe() {
         let mut rng = seeded_rng(8);
         let mut procs: Vec<Box<dyn BandwidthProcess>> = vec![
             Box::new(ConstantBandwidth::new(100.0)),
             Box::new(MarkovBandwidth::paper_with_stay(&mut rng, 0.98)),
-            Box::new(RandomWalkBandwidth::new(500.0, 0.0, 1000.0, 50.0, 0.5)),
             Box::new(GilbertElliott::new(900.0, 100.0, 0.05, 0.2)),
             Box::new(RegimeShiftBandwidth::new(800.0, 400.0, 100)),
         ];
