@@ -76,11 +76,6 @@ impl Helper {
         self.process.min_level()
     }
 
-    /// Long-run mean capacity, if the process knows it.
-    pub fn mean_capacity(&self) -> Option<f64> {
-        self.process.mean_level()
-    }
-
     /// Takes the helper offline (failure injection); capacity reads 0.
     pub fn set_online(&mut self, online: bool) {
         self.online = online;
@@ -145,7 +140,6 @@ mod tests {
             assert!([700.0, 800.0, 900.0].contains(&h.capacity()));
         }
         assert_eq!(h.min_capacity(), 700.0);
-        assert_eq!(h.mean_capacity(), Some(800.0));
     }
 
     #[test]

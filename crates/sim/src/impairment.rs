@@ -270,7 +270,7 @@ impl ImpairmentPlanBuilder {
         let plan = self.plan;
         match plan.loss {
             LossModel::None => {}
-            LossModel::Uniform { loss } => probability("loss", loss)?,
+            LossModel::Uniform { loss } => probability("loss.loss", loss)?,
             LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
                 probability("loss.p_enter_bad", p_enter_bad)?;
                 probability("loss.p_exit_bad", p_exit_bad)?;
@@ -1103,13 +1103,13 @@ mod tests {
     #[test]
     fn rejects_uniform_loss_above_one() {
         let err = ImpairmentPlan::builder(0).uniform_loss(1.5).build().unwrap_err();
-        assert_eq!(err.field(), "loss");
+        assert_eq!(err.field(), "loss.loss");
     }
 
     #[test]
     fn rejects_negative_uniform_loss() {
         let err = ImpairmentPlan::builder(0).uniform_loss(-0.1).build().unwrap_err();
-        assert_eq!(err.field(), "loss");
+        assert_eq!(err.field(), "loss.loss");
     }
 
     #[test]

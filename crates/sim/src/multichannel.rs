@@ -23,7 +23,6 @@ use rths_stoch::Zipf;
 
 use crate::channel::Channel;
 use crate::config::{BandwidthSpec, LearnerSpec};
-use crate::helper::Helper;
 use crate::impairment::ImpairmentPlan;
 use crate::system::{Blueprint, System};
 
@@ -94,7 +93,7 @@ impl AllocationPolicy {
 }
 
 /// Configuration of the multi-channel system.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiChannelConfig {
     /// The channels (id + bitrate = per-viewer demand).
     pub channels: Vec<Channel>,
@@ -223,28 +222,22 @@ impl MultiChannelSystem {
         let total_viewers: usize = config.viewers.iter().sum();
         let min_bitrate =
             config.channels.iter().map(Channel::bitrate).fold(f64::INFINITY, f64::min);
-        let rate_scale = |helpers: &[Helper]| {
-            let total_cap: f64 =
-                helpers.iter().map(|h| h.mean_capacity().unwrap_or(800.0)).sum();
-            (total_cap / total_viewers.max(1) as f64).min(min_bitrate)
-        };
-        let engine = System::assemble(
-            Blueprint {
-                seed: config.seed,
-                helpers: config.helpers,
-                helper_channels: config.helper_channels,
-                demands: config.channels.iter().map(|c| Some(c.bitrate())).collect(),
-                viewers: config.viewers,
-                allocation: config.allocation,
-                learner: config.learner,
-                churn: ChurnProcess::none(),
-                impairment: ImpairmentPlan::none(),
-                diagnostics: false,
-                record_joint_from: 0,
-                record_peer_rates: false,
-            },
-            rate_scale,
-        );
+        let total_cap: f64 = config.helpers.iter().map(BandwidthSpec::mean_level).sum();
+        let engine = System::assemble(Blueprint {
+            seed: config.seed,
+            helpers: config.helpers,
+            helper_channels: config.helper_channels,
+            demands: config.channels.iter().map(|c| Some(c.bitrate())).collect(),
+            viewers: config.viewers,
+            allocation: config.allocation,
+            learner: config.learner,
+            rate_scale: (total_cap / total_viewers.max(1) as f64).min(min_bitrate),
+            churn: ChurnProcess::none(),
+            impairment: ImpairmentPlan::none(),
+            diagnostics: false,
+            record_joint_from: 0,
+            record_peer_rates: false,
+        });
         Self { engine }
     }
 

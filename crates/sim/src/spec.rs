@@ -18,11 +18,18 @@
 //!    yields bit-identical trajectories.
 //!
 //! A spec is read from TOML ([`ScenarioSpec::from_toml_str`],
-//! [`ScenarioSpec::load`]) and validated on the way in: an unknown key,
-//! a missing one, or a value that would make a run panic or silently do
+//! [`ScenarioSpec::load`]). The parse functions below are the grammar,
+//! and they build the configuration the run uses: a [`SimConfig`]
+//! (carrying the impairment plan) or a [`MultiChannelConfig`], once per
+//! load. Each key is checked where it is read; the checks that compare
+//! keys (the learner against the helpers, a phase against the
+//! population) then read the built configuration. An unknown key, a
+//! missing one, or a value that would make a run panic or silently do
 //! nothing is a [`ScenarioError`] naming its dotted field path
-//! (`population.helpers[0].stay`, `phase[1].kind`). The parse functions
-//! below are the grammar.
+//! (`population.helpers[0].stay`, `phase[1].kind`). Counts of what the
+//! engine indexes with `u32` (peers, viewers, helpers, channels) are at
+//! most `u32::MAX`; that bounds the index width, not the memory a run
+//! needs.
 //!
 //! ```
 //! use rths_sim::ScenarioSpec;
@@ -82,6 +89,14 @@ const MAX_ARRIVALS: f64 = u32::MAX as f64;
 const ARRIVALS_BOUND: &str = "u32::MAX = 4294967295 expected arrivals per epoch \
      (each arrival spawns a peer, and peers are indexed with u32 slots)";
 
+/// The most peers, helpers or channels a scenario may declare: the engine
+/// indexes peer slots, helper ids and a peer's channel with `u32`s.
+const MAX_INDEXED: u64 = u32::MAX as u64;
+const PEERS_BOUND: &str = "u32::MAX = 4294967295 peers (peers are indexed with u32 slots)";
+const HELPERS_BOUND: &str = "u32::MAX = 4294967295 helpers (helpers are indexed with u32 ids)";
+const CHANNELS_BOUND: &str =
+    "u32::MAX = 4294967295 channels (a peer's channel is stored as a u32)";
+
 // ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
@@ -139,68 +154,21 @@ fn invalid(path: impl Into<String>, message: impl Into<String>) -> ScenarioError
 // Spec data model
 // ---------------------------------------------------------------------------
 
-/// Peer churn as an arrival/departure pair (a declarative
-/// [`ChurnProcess`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ChurnSpec {
-    /// Expected Poisson arrivals per epoch.
-    arrival: f64,
-    /// Per-peer departure probability per epoch.
-    departure: f64,
-}
-
-/// A group of identical helpers.
-#[derive(Debug, Clone, PartialEq)]
-struct HelperGroup {
-    /// How many helpers share this bandwidth process.
-    count: usize,
-    /// The bandwidth process each runs.
-    bandwidth: BandwidthSpec,
-}
-
-/// A single-channel population (the paper's §IV system).
-#[derive(Debug, Clone, PartialEq)]
-struct SingleSpec {
-    /// Initial peer count.
-    peers: usize,
-    /// Helper groups, flattened in order into the helper list.
-    helpers: Vec<HelperGroup>,
-    /// Per-peer streaming demand (kbps); `None` = unbounded.
-    demand: Option<f64>,
-    /// Churn; `None` = a fixed population.
-    churn: Option<ChurnSpec>,
-    /// Learner configuration for every peer.
-    learner: LearnerSpec,
-}
-
-/// A multi-channel deployment (the paper's setting), mapping onto
-/// [`MultiChannelConfig::standard`].
-#[derive(Debug, Clone, PartialEq)]
-struct MultiSpec {
-    /// Number of channels.
-    channels: usize,
-    /// Per-channel bitrate (kbps).
-    bitrate: f64,
-    /// Helper count.
-    helpers: usize,
-    /// Channels served per helper (staggered assignment).
-    channels_per_helper: usize,
-    /// Total viewers, split over channels by Zipf popularity.
-    viewers: usize,
-    /// Zipf popularity exponent.
-    zipf_s: f64,
-    /// How helpers split capacity across their channels.
-    allocation: AllocationPolicy,
-}
-
-/// Which configuration of the engine a scenario drives.
+/// The configuration a scenario's run is built from, as parsed.
 #[derive(Debug, Clone, PartialEq)]
 enum PopulationSpec {
-    /// One channel: [`System::new`] over a [`SimConfig`].
-    Single(SingleSpec),
-    /// Many channels: [`MultiChannelSystem::new`] over a
-    /// [`MultiChannelConfig`].
-    Multi(MultiSpec),
+    /// One channel: [`System::new`] over this [`SimConfig`], which carries
+    /// the `[impairment]` plan.
+    Single(SimConfig),
+    /// Many channels: [`MultiChannelSystem::new`] over `config`; `zipf_s`
+    /// is the popularity exponent `channel_surf` samples destinations
+    /// with.
+    Multi {
+        /// [`MultiChannelConfig::standard`] of the `[multichannel]` keys.
+        config: MultiChannelConfig,
+        /// Zipf popularity exponent.
+        zipf_s: f64,
+    },
 }
 
 /// A complete, validated scenario description. See the [module
@@ -211,7 +179,6 @@ pub struct ScenarioSpec {
     description: String,
     seed: u64,
     population: PopulationSpec,
-    impairment: ImpairmentPlan,
     phases: Vec<WorkloadPhase>,
     /// Enable `rths_obs` tracing for the duration of [`Self::run`]
     /// (bit-exact neutral — see the `rths_obs` determinism contract).
@@ -310,19 +277,9 @@ impl ScenarioSpec {
         }
         let (mut system, zipf_s) = match &self.population {
             // No phase that reads `zipf_s` validates on a single population.
-            PopulationSpec::Single(single) => (System::new(self.sim_config(single)), 0.0),
-            PopulationSpec::Multi(multi) => {
-                let config = MultiChannelConfig::standard(
-                    multi.channels,
-                    multi.bitrate,
-                    multi.helpers,
-                    multi.channels_per_helper,
-                    multi.viewers,
-                    multi.zipf_s,
-                    multi.allocation,
-                    self.seed,
-                );
-                (MultiChannelSystem::new(config).into_engine(), multi.zipf_s)
+            PopulationSpec::Single(config) => (System::new(config.clone()), 0.0),
+            PopulationSpec::Multi { config, zipf_s } => {
+                (MultiChannelSystem::new(config.clone()).into_engine(), *zipf_s)
             }
         };
         let mut surf_rng = seeded_rng(derive_seed(self.seed, SURF_STREAM));
@@ -342,57 +299,12 @@ impl ScenarioSpec {
         }
     }
 
-    /// The [`SimConfig`] a single-channel scenario runs under.
-    fn sim_config(&self, single: &SingleSpec) -> SimConfig {
-        let helpers: Vec<BandwidthSpec> = single
-            .helpers
-            .iter()
-            .flat_map(|g| std::iter::repeat_n(g.bandwidth.clone(), g.count))
-            .collect();
-        let mut builder = SimConfig::builder(single.peers, helpers)
-            .seed(self.seed)
-            .learner(single.learner.clone())
-            .impairment(self.impairment.clone());
-        if let Some(demand) = single.demand {
-            builder = builder.demand(demand);
-        }
-        if let Some(churn) = single.churn {
-            builder = builder.churn(ChurnProcess::new(churn.arrival, churn.departure));
-        }
-        builder.build()
-    }
-
     // -- Validation -----------------------------------------------------
 
+    /// The checks that compare keys, on the built configuration.
     fn validate(&self) -> Result<(), ScenarioError> {
-        if self.name.is_empty()
-            || !self
-                .name
-                .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-')
-        {
-            return Err(invalid(
-                "name",
-                "must be non-empty [a-z0-9_-] (it names output files)",
-            ));
-        }
-        if self.phases.is_empty() {
-            return Err(invalid("phase", "at least one [[phase]] is required"));
-        }
-        match &self.population {
-            PopulationSpec::Single(s) => {
-                validate_single(s)?;
-                validate_learner(&self.sim_config(s))?;
-            }
-            PopulationSpec::Multi(m) => {
-                validate_multi(m)?;
-                if !self.impairment.is_none() {
-                    return Err(invalid(
-                        "impairment",
-                        "impairments are only wired into single-channel populations",
-                    ));
-                }
-            }
+        if let PopulationSpec::Single(config) = &self.population {
+            validate_learner(config)?;
         }
         for (i, phase) in self.phases.iter().enumerate() {
             validate_phase(phase, i, &self.population)?;
@@ -428,40 +340,6 @@ pub struct ScenarioReport {
 // Validation helpers
 // ---------------------------------------------------------------------------
 
-fn validate_single(s: &SingleSpec) -> Result<(), ScenarioError> {
-    if s.peers == 0 {
-        return Err(invalid("population.peers", "must be ≥ 1"));
-    }
-    if s.helpers.is_empty() {
-        return Err(invalid("population.helpers", "at least one helper group is required"));
-    }
-    for (i, group) in s.helpers.iter().enumerate() {
-        if group.count == 0 {
-            return Err(invalid(format!("population.helpers[{i}].count"), "must be ≥ 1"));
-        }
-        group.bandwidth.check().map_err(|(field, message)| {
-            invalid(format!("population.helpers[{i}].{field}"), message)
-        })?;
-    }
-    if let Some(demand) = s.demand {
-        if !(demand.is_finite() && demand > 0.0) {
-            return Err(invalid("population.demand", "must be positive and finite"));
-        }
-    }
-    if let Some(churn) = s.churn {
-        if !(0.0..=MAX_ARRIVALS).contains(&churn.arrival) {
-            return Err(invalid(
-                "population.churn.arrival",
-                format!("must be ≥ 0 and at most {ARRIVALS_BOUND}"),
-            ));
-        }
-        if !(0.0..=1.0).contains(&churn.departure) {
-            return Err(invalid("population.churn.departure", "must be in [0, 1]"));
-        }
-    }
-    Ok(())
-}
-
 /// Checks the learner with the run's own check: the
 /// [`LearnerSpec::rths_config`] call the peer store makes, on the inputs
 /// it makes it with (`config` is the [`SimConfig`] the run builds).
@@ -487,125 +365,74 @@ fn validate_learner(config: &SimConfig) -> Result<(), ScenarioError> {
     Err(invalid(path, message))
 }
 
-fn validate_multi(m: &MultiSpec) -> Result<(), ScenarioError> {
-    if m.channels == 0 {
-        return Err(invalid("multichannel.channels", "must be ≥ 1"));
-    }
-    if !(m.bitrate.is_finite() && m.bitrate > 0.0) {
-        return Err(invalid("multichannel.bitrate", "must be positive and finite"));
-    }
-    if m.helpers == 0 {
-        return Err(invalid("multichannel.helpers", "must be ≥ 1"));
-    }
-    if m.channels_per_helper == 0 || m.channels_per_helper > m.channels {
-        return Err(invalid("multichannel.channels_per_helper", "must be in [1, channels]"));
-    }
-    if m.viewers == 0 {
-        return Err(invalid("multichannel.viewers", "must be ≥ 1"));
-    }
-    if !(m.zipf_s.is_finite() && m.zipf_s >= 0.0) {
-        return Err(invalid("multichannel.zipf_s", "must be ≥ 0 and finite"));
-    }
-    Ok(())
-}
-
+/// Checks a phase against the configuration it runs on: its kind, the
+/// helpers and channels it names, and the arrival rate it multiplies.
 fn validate_phase(
     phase: &WorkloadPhase,
     index: usize,
     population: &PopulationSpec,
 ) -> Result<(), ScenarioError> {
     let at = |field: &str| format!("phase[{index}].{field}");
-    let arrival = match population {
-        PopulationSpec::Single(s) => s.churn.map_or(0.0, |c| c.arrival),
-        PopulationSpec::Multi(_) => 0.0,
-    };
-    if phase.epochs() == 0 {
-        return Err(invalid(at("epochs"), "must be ≥ 1"));
-    }
     match population {
-        PopulationSpec::Single(s) => {
+        PopulationSpec::Single(config) => {
             if phase.is_multichannel() {
                 return Err(invalid(
                     at("kind"),
                     "multi-channel phase in a single-channel scenario",
                 ));
             }
-            if matches!(phase, WorkloadPhase::FlashCrowd { .. }) && arrival == 0.0 {
-                return Err(invalid(
-                    at("kind"),
-                    "a flash crowd multiplies the churn arrival rate, which is 0 here \
-                     (set [population.churn] arrival > 0)",
-                ));
-            }
-            if let WorkloadPhase::HelperFailure { helpers, .. } = phase {
-                let total: usize = s.helpers.iter().map(|g| g.count).sum();
-                if helpers.is_empty() {
-                    return Err(invalid(at("helpers"), "must name at least one helper"));
-                }
-                if let Some(&bad) = helpers.iter().find(|&&h| h >= total) {
-                    return Err(invalid(
-                        at("helpers"),
-                        format!("helper index {bad} out of range (scenario has {total})"),
-                    ));
-                }
-            }
-        }
-        PopulationSpec::Multi(m) => {
+            let arrival = config.churn.arrival_rate();
             match phase {
-                WorkloadPhase::Steady { .. }
-                | WorkloadPhase::PopularityShift { .. }
-                | WorkloadPhase::ChannelSurf { .. } => {}
-                _ => {
+                WorkloadPhase::FlashCrowd { .. } if arrival == 0.0 => {
                     return Err(invalid(
                         at("kind"),
-                        "only steady/popularity_shift/channel_surf run on a multi-channel scenario",
+                        "a flash crowd multiplies the churn arrival rate, which is 0 here \
+                         (set [population.churn] arrival > 0)",
                     ));
                 }
+                WorkloadPhase::FlashCrowd { surge, .. } => {
+                    let extra = arrival * (surge - 1.0);
+                    if extra > MAX_ARRIVALS {
+                        return Err(invalid(
+                            at("surge"),
+                            format!(
+                                "arrival × (surge − 1) = {extra:e} exceeds {ARRIVALS_BOUND}"
+                            ),
+                        ));
+                    }
+                }
+                WorkloadPhase::HelperFailure { helpers, .. } => {
+                    let total = config.helpers.len();
+                    if let Some(&bad) = helpers.iter().find(|&&h| h >= total) {
+                        return Err(invalid(
+                            at("helpers"),
+                            format!("helper index {bad} out of range (scenario has {total})"),
+                        ));
+                    }
+                }
+                _ => {}
             }
-            if let WorkloadPhase::PopularityShift { from, to, .. } = phase {
-                if *from >= m.channels || *to >= m.channels {
-                    return Err(invalid(
-                        at("from/to"),
-                        format!("channel out of range (scenario has {})", m.channels),
-                    ));
+        }
+        PopulationSpec::Multi { config, .. } => match phase {
+            WorkloadPhase::Steady { .. } | WorkloadPhase::ChannelSurf { .. } => {}
+            WorkloadPhase::PopularityShift { from, to, .. } => {
+                let channels = config.channels.len();
+                for (key, channel) in [("from", from), ("to", to)] {
+                    if *channel >= channels {
+                        return Err(invalid(
+                            at(key),
+                            format!("channel out of range (scenario has {channels})"),
+                        ));
+                    }
                 }
             }
-        }
-    }
-    match phase {
-        WorkloadPhase::FlashCrowd { epochs, start, end, surge } => {
-            if !(start <= end && end <= epochs) {
-                return Err(invalid(at("start/end"), "need start ≤ end ≤ epochs"));
-            }
-            if !(surge.is_finite() && *surge >= 1.0) {
-                return Err(invalid(at("surge"), "must be ≥ 1 and finite"));
-            }
-            let extra = arrival * (surge - 1.0);
-            if extra > MAX_ARRIVALS {
+            _ => {
                 return Err(invalid(
-                    at("surge"),
-                    format!("arrival × (surge − 1) = {extra:e} exceeds {ARRIVALS_BOUND}"),
+                    at("kind"),
+                    "only steady/popularity_shift/channel_surf run on a multi-channel scenario",
                 ));
             }
-        }
-        WorkloadPhase::Diurnal { period, amplitude, .. } => {
-            if *period == 0 {
-                return Err(invalid(at("period"), "must be ≥ 1"));
-            }
-            if !(0.0..=MAX_ARRIVALS).contains(amplitude) {
-                return Err(invalid(
-                    at("amplitude"),
-                    format!("must be ≥ 0 and at most {ARRIVALS_BOUND}"),
-                ));
-            }
-        }
-        WorkloadPhase::PopularityShift { epochs, at: shift_at, .. } if shift_at > epochs => {
-            return Err(invalid(at("at"), "must be ≤ epochs"));
-        }
-        WorkloadPhase::ChannelSurf { period, .. } if *period == 0 => {
-            return Err(invalid(at("period"), "must be ≥ 1"));
-        }
-        _ => {}
+        },
     }
     Ok(())
 }
@@ -641,11 +468,20 @@ fn clamp_phase(phase: WorkloadPhase, epochs: u64) -> WorkloadPhase {
 
 type Tbl = BTreeMap<String, Value>;
 
+/// The dotted path of `key` in the table at `path` (`""` is the root).
+fn dotted(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_owned()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
 fn check_keys(tbl: &Tbl, path: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
     for key in tbl.keys() {
         if !allowed.contains(&key.as_str()) {
             return Err(invalid(
-                format!("{path}{}{key}", if path.is_empty() { "" } else { "." }),
+                dotted(path, key),
                 format!("unknown key (expected one of: {})", allowed.join(", ")),
             ));
         }
@@ -654,7 +490,7 @@ fn check_keys(tbl: &Tbl, path: &str, allowed: &[&str]) -> Result<(), ScenarioErr
 }
 
 fn req<'a>(tbl: &'a Tbl, path: &str, key: &str) -> Result<&'a Value, ScenarioError> {
-    tbl.get(key).ok_or_else(|| invalid(format!("{path}.{key}"), "missing required key"))
+    tbl.get(key).ok_or_else(|| invalid(dotted(path, key), "missing required key"))
 }
 
 fn as_str(v: &Value, path: &str) -> Result<String, ScenarioError> {
@@ -695,30 +531,49 @@ fn as_u64_array(v: &Value, path: &str) -> Result<Vec<u64>, ScenarioError> {
 }
 
 fn opt_f64(tbl: &Tbl, path: &str, key: &str) -> Result<Option<f64>, ScenarioError> {
-    tbl.get(key).map(|v| as_f64(v, &format!("{path}.{key}"))).transpose()
+    tbl.get(key).map(|v| as_f64(v, &dotted(path, key))).transpose()
 }
 
 fn opt_u64_or(tbl: &Tbl, path: &str, key: &str, default: u64) -> Result<u64, ScenarioError> {
     match tbl.get(key) {
-        Some(v) => as_u64(v, &format!("{path}.{key}")),
+        Some(v) => as_u64(v, &dotted(path, key)),
         None => Ok(default),
     }
 }
 
 fn req_f64(tbl: &Tbl, path: &str, key: &str) -> Result<f64, ScenarioError> {
-    as_f64(req(tbl, path, key)?, &format!("{path}.{key}"))
+    as_f64(req(tbl, path, key)?, &dotted(path, key))
 }
 
 fn req_u64(tbl: &Tbl, path: &str, key: &str) -> Result<u64, ScenarioError> {
-    as_u64(req(tbl, path, key)?, &format!("{path}.{key}"))
+    as_u64(req(tbl, path, key)?, &dotted(path, key))
 }
 
 fn req_usize(tbl: &Tbl, path: &str, key: &str) -> Result<usize, ScenarioError> {
-    as_usize(req(tbl, path, key)?, &format!("{path}.{key}"))
+    as_usize(req(tbl, path, key)?, &dotted(path, key))
+}
+
+/// A required integer key that must be ≥ 1.
+fn req_positive(tbl: &Tbl, path: &str, key: &str) -> Result<u64, ScenarioError> {
+    match req_u64(tbl, path, key)? {
+        0 => Err(invalid(dotted(path, key), "must be ≥ 1")),
+        n => Ok(n),
+    }
+}
+
+/// A required count of what the engine indexes with `u32`: ≥ 1 and at
+/// most `u32::MAX` (`bound` says so in the error).
+fn req_indexed(tbl: &Tbl, path: &str, key: &str, bound: &str) -> Result<usize, ScenarioError> {
+    match req_positive(tbl, path, key)? {
+        n if n > MAX_INDEXED => {
+            Err(invalid(dotted(path, key), format!("must be at most {bound}")))
+        }
+        n => Ok(n as usize),
+    }
 }
 
 fn req_str(tbl: &Tbl, path: &str, key: &str) -> Result<String, ScenarioError> {
-    as_str(req(tbl, path, key)?, &format!("{path}.{key}"))
+    as_str(req(tbl, path, key)?, &dotted(path, key))
 }
 
 fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
@@ -747,6 +602,13 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         ));
     }
     let name = req_str(root, "", "name")?;
+    if name.is_empty()
+        || !name
+            .bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'-')
+    {
+        return Err(invalid("name", "must be non-empty [a-z0-9_-] (it names output files)"));
+    }
     let description = match root.get("description") {
         Some(v) => as_str(v, "description")?,
         None => String::new(),
@@ -757,6 +619,10 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         None => false,
     };
 
+    let impairment = match root.get("impairment") {
+        Some(v) => parse_impairment(as_tbl(v, "impairment")?)?,
+        None => ImpairmentPlan::none(),
+    };
     let population = match (root.get("population"), root.get("multichannel")) {
         (Some(_), Some(_)) => {
             return Err(invalid(
@@ -764,8 +630,19 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
                 "declare either [population] or [multichannel], not both",
             ));
         }
-        (Some(v), None) => PopulationSpec::Single(parse_single(as_tbl(v, "population")?)?),
-        (None, Some(v)) => PopulationSpec::Multi(parse_multi(as_tbl(v, "multichannel")?)?),
+        (Some(v), None) => {
+            PopulationSpec::Single(parse_single(as_tbl(v, "population")?, seed, impairment)?)
+        }
+        (None, Some(v)) => {
+            if !impairment.is_none() {
+                return Err(invalid(
+                    "impairment",
+                    "impairments are only wired into single-channel populations",
+                ));
+            }
+            let (config, zipf_s) = parse_multi(as_tbl(v, "multichannel")?, seed)?;
+            PopulationSpec::Multi { config, zipf_s }
+        }
         (None, None) => {
             return Err(invalid(
                 "population",
@@ -774,71 +651,93 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         }
     };
 
-    let impairment = match root.get("impairment") {
-        Some(v) => parse_impairment(as_tbl(v, "impairment")?)?,
-        None => ImpairmentPlan::none(),
-    };
-
-    let phases = match root.get("phase") {
+    let items = match root.get("phase") {
         Some(v) => {
-            let items =
-                v.as_array().ok_or_else(|| invalid("phase", "expected [[phase]] entries"))?;
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let path = format!("phase[{i}]");
-                    parse_phase(as_tbl(item, &path)?, &path)
-                })
-                .collect::<Result<Vec<_>, _>>()?
+            v.as_array().ok_or_else(|| invalid("phase", "expected [[phase]] entries"))?
         }
-        None => Vec::new(),
+        None => &[],
     };
+    if items.is_empty() {
+        return Err(invalid("phase", "at least one [[phase]] is required"));
+    }
+    let phases = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let path = format!("phase[{i}]");
+            parse_phase(as_tbl(item, &path)?, &path)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    Ok(ScenarioSpec { name, description, seed, population, impairment, phases, trace })
+    Ok(ScenarioSpec { name, description, seed, population, phases, trace })
 }
 
-fn parse_single(tbl: &Tbl) -> Result<SingleSpec, ScenarioError> {
+fn parse_single(
+    tbl: &Tbl,
+    seed: u64,
+    impairment: ImpairmentPlan,
+) -> Result<SimConfig, ScenarioError> {
     let path = "population";
     check_keys(tbl, path, &["peers", "demand", "helpers", "churn", "learner"])?;
-    let peers = req_usize(tbl, path, "peers")?;
-    let demand = opt_f64(tbl, path, "demand")?;
-    let helpers = match tbl.get("helpers") {
-        Some(v) => {
-            let items = v.as_array().ok_or_else(|| {
-                invalid("population.helpers", "expected [[population.helpers]] entries")
-            })?;
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let gpath = format!("population.helpers[{i}]");
-                    parse_helper_group(as_tbl(item, &gpath)?, &gpath)
-                })
-                .collect::<Result<Vec<_>, _>>()?
+    let peers = req_indexed(tbl, path, "peers", PEERS_BOUND)?;
+    let groups = match tbl.get("helpers") {
+        Some(v) => v.as_array().ok_or_else(|| {
+            invalid("population.helpers", "expected [[population.helpers]] entries")
+        })?,
+        None => &[],
+    };
+    if groups.is_empty() {
+        return Err(invalid("population.helpers", "at least one helper group is required"));
+    }
+    let groups = groups
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let gpath = format!("population.helpers[{i}]");
+            parse_helper_group(as_tbl(item, &gpath)?, &gpath)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let total: u64 = groups.iter().map(|&(count, _)| count as u64).sum();
+    if total > MAX_INDEXED {
+        return Err(invalid(
+            "population.helpers",
+            format!("the groups' counts sum to {total}, more than {HELPERS_BOUND}"),
+        ));
+    }
+    let helpers =
+        groups.into_iter().flat_map(|(count, spec)| std::iter::repeat_n(spec, count)).collect();
+    let mut builder = SimConfig::builder(peers, helpers).seed(seed).impairment(impairment);
+    if let Some(demand) = opt_f64(tbl, path, "demand")? {
+        if !(demand.is_finite() && demand > 0.0) {
+            return Err(invalid("population.demand", "must be positive and finite"));
         }
-        None => Vec::new(),
-    };
-    let churn = match tbl.get("churn") {
-        Some(v) => {
-            let cpath = "population.churn";
-            let ctbl = as_tbl(v, cpath)?;
-            check_keys(ctbl, cpath, &["arrival", "departure"])?;
-            Some(ChurnSpec {
-                arrival: req_f64(ctbl, cpath, "arrival")?,
-                departure: req_f64(ctbl, cpath, "departure")?,
-            })
+        builder = builder.demand(demand);
+    }
+    if let Some(v) = tbl.get("churn") {
+        let cpath = "population.churn";
+        let ctbl = as_tbl(v, cpath)?;
+        check_keys(ctbl, cpath, &["arrival", "departure"])?;
+        let arrival = req_f64(ctbl, cpath, "arrival")?;
+        if !(0.0..=MAX_ARRIVALS).contains(&arrival) {
+            return Err(invalid(
+                "population.churn.arrival",
+                format!("must be ≥ 0 and at most {ARRIVALS_BOUND}"),
+            ));
         }
-        None => None,
-    };
-    let learner = match tbl.get("learner") {
-        Some(v) => parse_learner(as_tbl(v, "population.learner")?)?,
-        None => LearnerSpec::default(),
-    };
-    Ok(SingleSpec { peers, helpers, demand, churn, learner })
+        let departure = req_f64(ctbl, cpath, "departure")?;
+        if !(0.0..=1.0).contains(&departure) {
+            return Err(invalid("population.churn.departure", "must be in [0, 1]"));
+        }
+        builder = builder.churn(ChurnProcess::new(arrival, departure));
+    }
+    if let Some(v) = tbl.get("learner") {
+        builder = builder.learner(parse_learner(as_tbl(v, "population.learner")?)?);
+    }
+    Ok(builder.build())
 }
 
-fn parse_helper_group(tbl: &Tbl, path: &str) -> Result<HelperGroup, ScenarioError> {
+/// One `[[population.helpers]]` group: its count and bandwidth process.
+fn parse_helper_group(tbl: &Tbl, path: &str) -> Result<(usize, BandwidthSpec), ScenarioError> {
     let kind = req_str(tbl, path, "kind")?;
     let bandwidth = match kind.as_str() {
         "paper" => {
@@ -876,7 +775,11 @@ fn parse_helper_group(tbl: &Tbl, path: &str) -> Result<HelperGroup, ScenarioErro
             ));
         }
     };
-    Ok(HelperGroup { count: req_usize(tbl, path, "count")?, bandwidth })
+    let count = req_indexed(tbl, path, "count", HELPERS_BOUND)?;
+    bandwidth
+        .check()
+        .map_err(|(field, message)| invalid(format!("{path}.{field}"), message))?;
+    Ok((count, bandwidth))
 }
 
 fn parse_learner(tbl: &Tbl) -> Result<LearnerSpec, ScenarioError> {
@@ -909,7 +812,9 @@ fn parse_learner(tbl: &Tbl) -> Result<LearnerSpec, ScenarioError> {
     Ok(LearnerSpec { algorithm, epsilon, delta, mu, conditional })
 }
 
-fn parse_multi(tbl: &Tbl) -> Result<MultiSpec, ScenarioError> {
+/// The `[multichannel]` table: the [`MultiChannelConfig::standard`] it
+/// names, and its Zipf exponent.
+fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(MultiChannelConfig, f64), ScenarioError> {
     let path = "multichannel";
     check_keys(
         tbl,
@@ -941,15 +846,48 @@ fn parse_multi(tbl: &Tbl) -> Result<MultiSpec, ScenarioError> {
         },
         None => AllocationPolicy::default(),
     };
-    Ok(MultiSpec {
-        channels: req_usize(tbl, path, "channels")?,
-        bitrate: req_f64(tbl, path, "bitrate")?,
-        helpers: req_usize(tbl, path, "helpers")?,
-        channels_per_helper: req_usize(tbl, path, "channels_per_helper")?,
-        viewers: req_usize(tbl, path, "viewers")?,
-        zipf_s: req_f64(tbl, path, "zipf_s")?,
+    let channels = req_indexed(tbl, path, "channels", CHANNELS_BOUND)?;
+    let bitrate = req_f64(tbl, path, "bitrate")?;
+    if !(bitrate.is_finite() && bitrate > 0.0) {
+        return Err(invalid("multichannel.bitrate", "must be positive and finite"));
+    }
+    let helpers = req_indexed(tbl, path, "helpers", HELPERS_BOUND)?;
+    let channels_per_helper = req_usize(tbl, path, "channels_per_helper")?;
+    if channels_per_helper == 0 || channels_per_helper > channels {
+        return Err(invalid("multichannel.channels_per_helper", "must be in [1, channels]"));
+    }
+    let viewers = req_indexed(tbl, path, "viewers", PEERS_BOUND)?;
+    let zipf_s = req_f64(tbl, path, "zipf_s")?;
+    if !(zipf_s.is_finite() && zipf_s >= 0.0) {
+        return Err(invalid("multichannel.zipf_s", "must be ≥ 0 and finite"));
+    }
+    let config = MultiChannelConfig::standard(
+        channels,
+        bitrate,
+        helpers,
+        channels_per_helper,
+        viewers,
+        zipf_s,
         allocation,
-    })
+        seed,
+    );
+    // The run refuses a channel with viewers and no helper; which channels
+    // have viewers is the Zipf split's call.
+    let mut served = vec![false; channels];
+    for &c in config.helper_channels.iter().flatten() {
+        served[c] = true;
+    }
+    if let Some(c) = (0..channels).find(|&c| config.viewers[c] > 0 && !served[c]) {
+        return Err(invalid(
+            "multichannel.helpers",
+            format!(
+                "channel {c} has viewers but no helper (helper j serves channels j to \
+                 j + channels_per_helper − 1, so helpers + channels_per_helper − 1 ≥ \
+                 channels serves them all)"
+            ),
+        ));
+    }
+    Ok((config, zipf_s))
 }
 
 fn parse_impairment(tbl: &Tbl) -> Result<ImpairmentPlan, ScenarioError> {
@@ -1017,52 +955,67 @@ fn parse_impairment(tbl: &Tbl) -> Result<ImpairmentPlan, ScenarioError> {
             req_f64(ltbl, lpath, "stay")?,
         );
     }
-    let plan = builder.build()?;
-    let jitter_us = opt_u64_or(tbl, path, "jitter_us", 0)?;
-    Ok(if jitter_us > 0 { plan.with_jitter(jitter_us) } else { plan })
+    Ok(builder.jitter_us(opt_u64_or(tbl, path, "jitter_us", 0)?).build()?)
 }
 
 fn parse_phase(tbl: &Tbl, path: &str) -> Result<WorkloadPhase, ScenarioError> {
     let kind = req_str(tbl, path, "kind")?;
+    let at = |key: &str| format!("{path}.{key}");
     let phase = match kind.as_str() {
         "steady" => {
             check_keys(tbl, path, &["kind", "epochs"])?;
-            WorkloadPhase::Steady { epochs: req_u64(tbl, path, "epochs")? }
+            WorkloadPhase::Steady { epochs: req_positive(tbl, path, "epochs")? }
         }
         "flash_crowd" => {
             check_keys(tbl, path, &["kind", "epochs", "start", "end", "surge"])?;
-            WorkloadPhase::FlashCrowd {
-                epochs: req_u64(tbl, path, "epochs")?,
-                start: req_u64(tbl, path, "start")?,
-                end: req_u64(tbl, path, "end")?,
-                surge: req_f64(tbl, path, "surge")?,
+            let epochs = req_positive(tbl, path, "epochs")?;
+            let start = req_u64(tbl, path, "start")?;
+            let end = req_u64(tbl, path, "end")?;
+            if !(start <= end && end <= epochs) {
+                return Err(invalid(at("start/end"), "need start ≤ end ≤ epochs"));
             }
+            let surge = req_f64(tbl, path, "surge")?;
+            if !(surge.is_finite() && surge >= 1.0) {
+                return Err(invalid(at("surge"), "must be ≥ 1 and finite"));
+            }
+            WorkloadPhase::FlashCrowd { epochs, start, end, surge }
         }
         "diurnal" => {
             check_keys(tbl, path, &["kind", "epochs", "period", "amplitude"])?;
-            WorkloadPhase::Diurnal {
-                epochs: req_u64(tbl, path, "epochs")?,
-                period: req_u64(tbl, path, "period")?,
-                amplitude: req_f64(tbl, path, "amplitude")?,
+            let epochs = req_positive(tbl, path, "epochs")?;
+            let period = req_positive(tbl, path, "period")?;
+            let amplitude = req_f64(tbl, path, "amplitude")?;
+            if !(0.0..=MAX_ARRIVALS).contains(&amplitude) {
+                return Err(invalid(
+                    at("amplitude"),
+                    format!("must be ≥ 0 and at most {ARRIVALS_BOUND}"),
+                ));
             }
+            WorkloadPhase::Diurnal { epochs, period, amplitude }
         }
         "helper_failure" => {
             check_keys(tbl, path, &["kind", "epochs", "helpers", "online"])?;
-            let helpers = as_u64_array(req(tbl, path, "helpers")?, &format!("{path}.helpers"))?
+            let epochs = req_positive(tbl, path, "epochs")?;
+            let helpers: Vec<usize> = as_u64_array(req(tbl, path, "helpers")?, &at("helpers"))?
                 .into_iter()
                 .map(|h| h as usize)
                 .collect();
-            WorkloadPhase::HelperFailure {
-                epochs: req_u64(tbl, path, "epochs")?,
-                helpers,
-                online: as_bool(req(tbl, path, "online")?, &format!("{path}.online"))?,
+            if helpers.is_empty() {
+                return Err(invalid(at("helpers"), "must name at least one helper"));
             }
+            let online = as_bool(req(tbl, path, "online")?, &at("online"))?;
+            WorkloadPhase::HelperFailure { epochs, helpers, online }
         }
         "popularity_shift" => {
             check_keys(tbl, path, &["kind", "epochs", "at", "from", "to", "count"])?;
+            let epochs = req_positive(tbl, path, "epochs")?;
+            let shift_at = req_u64(tbl, path, "at")?;
+            if shift_at > epochs {
+                return Err(invalid(at("at"), "must be ≤ epochs"));
+            }
             WorkloadPhase::PopularityShift {
-                epochs: req_u64(tbl, path, "epochs")?,
-                at: req_u64(tbl, path, "at")?,
+                epochs,
+                at: shift_at,
                 from: req_usize(tbl, path, "from")?,
                 to: req_usize(tbl, path, "to")?,
                 count: req_usize(tbl, path, "count")?,
@@ -1071,8 +1024,8 @@ fn parse_phase(tbl: &Tbl, path: &str) -> Result<WorkloadPhase, ScenarioError> {
         "channel_surf" => {
             check_keys(tbl, path, &["kind", "epochs", "period", "moves"])?;
             WorkloadPhase::ChannelSurf {
-                epochs: req_u64(tbl, path, "epochs")?,
-                period: req_u64(tbl, path, "period")?,
+                epochs: req_positive(tbl, path, "epochs")?,
+                period: req_positive(tbl, path, "period")?,
                 moves: req_usize(tbl, path, "moves")?,
             }
         }
@@ -1110,6 +1063,14 @@ mod tests {
         match parse(body) {
             Err(ScenarioError::Invalid { path, message }) => (path, message),
             other => panic!("expected a field error, got {other:?}"),
+        }
+    }
+
+    /// The single-channel configuration `spec` runs.
+    fn sim(spec: &ScenarioSpec) -> &SimConfig {
+        match &spec.population {
+            PopulationSpec::Single(config) => config,
+            other => panic!("expected a single-channel population, got {other:?}"),
         }
     }
 
@@ -1288,30 +1249,27 @@ mod tests {
             ("x", "every field", 17, true)
         );
 
-        let PopulationSpec::Single(single) = &spec.population else {
-            panic!("expected a single-channel population");
-        };
-        assert_eq!(single.peers, 6);
-        assert_eq!(single.demand.map(f64::to_bits), Some(375.5f64.to_bits()));
-        let groups: Vec<_> =
-            single.helpers.iter().map(|g| (g.count, bandwidth_bits(&g.bandwidth))).collect();
+        let config = sim(&spec);
+        assert_eq!((config.num_peers, config.seed), (6, 17));
+        assert_eq!(config.demand.map(f64::to_bits), Some(375.5f64.to_bits()));
+        let helpers: Vec<_> = config.helpers.iter().map(bandwidth_bits).collect();
         assert_eq!(
-            groups,
+            helpers,
             [
-                (1, ("paper", bits(&[0.97]))),
-                (1, ("constant", bits(&[720.25]))),
-                (1, ("gilbert_elliott", bits(&[900.0, 150.0, 0.05, 0.4]))),
-                (1, ("regime_shift", [bits(&[850.0, 400.0]), vec![30]].concat())),
+                ("paper", bits(&[0.97])),
+                ("constant", bits(&[720.25])),
+                ("gilbert_elliott", bits(&[900.0, 150.0, 0.05, 0.4])),
+                ("regime_shift", [bits(&[850.0, 400.0]), vec![30]].concat()),
             ]
         );
-        let churn = single.churn.expect("churn parsed");
-        assert_eq!(bits(&[churn.arrival, churn.departure]), bits(&[0.75, 0.015]));
-        let learner = &single.learner;
+        let churn = &config.churn;
+        assert_eq!(bits(&[churn.arrival_rate(), churn.departure_prob()]), bits(&[0.75, 0.015]));
+        let learner = &config.learner;
         assert_eq!((learner.algorithm, learner.conditional), (Algorithm::RegretMatching, true));
         assert_eq!(bits(&[learner.epsilon, learner.delta]), bits(&[0.02, 0.15]));
         assert_eq!(learner.mu.map(f64::to_bits), Some(1280f64.to_bits()));
 
-        let plan = &spec.impairment;
+        let plan = &config.impairment;
         assert_eq!((plan.seed(), plan.jitter_us()), (23, 120));
         match plan.loss() {
             LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
@@ -1362,15 +1320,25 @@ mod tests {
                  from = 0\nto = 3\ncount = 5\n"
             ))
             .unwrap();
-            let PopulationSpec::Multi(multi) = &spec.population else {
+            let PopulationSpec::Multi { config, zipf_s } = &spec.population else {
                 panic!("expected a multi-channel population");
             };
+            assert_eq!(zipf_s.to_bits(), 1.1f64.to_bits());
+            let channels: Vec<_> =
+                config.channels.iter().map(|c| (c.id(), c.bitrate().to_bits())).collect();
+            assert_eq!(channels, (0..4).map(|c| (c, 350.5f64.to_bits())).collect::<Vec<_>>());
+            // 8 helpers, each serving 2 consecutive channels (wrapping).
             assert_eq!(
-                (multi.channels, multi.helpers, multi.channels_per_helper, multi.viewers),
-                (4, 8, 2, 60)
+                config.helper_channels,
+                (0..8).map(|j| vec![j % 4, (j + 1) % 4]).collect::<Vec<_>>()
             );
-            assert_eq!(bits(&[multi.bitrate, multi.zipf_s]), bits(&[350.5, 1.1]));
-            assert_eq!(multi.allocation, allocation, "{keyword}");
+            assert_eq!(config.viewers, MultiChannelConfig::zipf_population(4, 60, 1.1));
+            assert_eq!(config.viewers.iter().sum::<usize>(), 60);
+            assert_eq!((config.allocation, config.seed), (allocation, 3), "{keyword}");
+            assert_eq!(
+                *config,
+                MultiChannelConfig::standard(4, 350.5, 8, 2, 60, 1.1, allocation, 3)
+            );
             assert_eq!(
                 spec.phases,
                 [
@@ -1397,14 +1365,13 @@ mod tests {
             let spec =
                 parse(&format!("{SMALL}[population.learner]\nalgorithm = \"{keyword}\"\n"))
                     .unwrap();
-            let PopulationSpec::Single(single) = &spec.population else { unreachable!() };
-            assert_eq!(single.learner.algorithm, algorithm, "{keyword}");
+            assert_eq!(sim(&spec).learner.algorithm, algorithm, "{keyword}");
         }
         let spec = parse(&format!(
             "{SMALL}[impairment]\nseed = 2\n[impairment.loss]\nkind = \"uniform\"\nloss = 0.25\n"
         ))
         .unwrap();
-        match spec.impairment.loss() {
+        match sim(&spec).impairment.loss() {
             LossModel::Uniform { loss } => assert_eq!(loss.to_bits(), 0.25f64.to_bits()),
             other => panic!("expected uniform loss, got {other:?}"),
         }
@@ -1503,7 +1470,7 @@ mod tests {
         ))
         .unwrap_err();
         match err {
-            ScenarioError::Impairment(e) => assert_eq!(e.field(), "loss"),
+            ScenarioError::Impairment(e) => assert_eq!(e.field(), "loss.loss"),
             other => panic!("expected impairment error, got {other}"),
         }
     }
@@ -1758,9 +1725,8 @@ mod tests {
             ("population.churn.departure", |v| churn("1.0", v, ""), PROB),
             ("multichannel.bitrate", |v| multi(v, "1.0"), POSITIVE),
             ("multichannel.zipf_s", |v| multi("400.0", v), LEVEL),
-            // The uniform model's `loss` key: the plan names it `loss`.
             (
-                "impairment.loss",
+                "impairment.loss.loss",
                 |v| impairment("loss", &format!("kind = \"uniform\"\nloss = {v}")),
                 PROB,
             ),
@@ -1816,6 +1782,237 @@ mod tests {
                 ARRIVALS,
             ),
         ]);
+    }
+
+    /// The five values every integer key is tried at: −1, 0, 1, one past
+    /// `u32::MAX`, and `i64::MAX` (the largest TOML integer).
+    const INTEGER_VALUES: [&str; 5] = ["-1", "0", "1", "4294967296", "9223372036854775807"];
+
+    /// (the whole spec with one key at a value, the path each value is
+    /// refused at: `None` where it loads)
+    type IntegerRow = (fn(&str) -> String, [Option<&'static str>; 5]);
+
+    /// Every integer key of a scenario file at each of [`INTEGER_VALUES`]:
+    /// a value the loader accepts runs `with_epoch_cap(2)` to completion, a
+    /// value it refuses is an error at its row's path.
+    #[test]
+    fn every_integer_key_at_boundaries_runs_or_is_refused_at_its_path() {
+        /// Loads at every value but −1, which is no `u64`.
+        fn any(key: &'static str) -> [Option<&'static str>; 5] {
+            [Some(key), None, None, None, None]
+        }
+        /// Loads at 1 and above.
+        fn positive(key: &'static str) -> [Option<&'static str>; 5] {
+            [Some(key), Some(key), None, None, None]
+        }
+        /// Loads at 1 only: a count in `[1, u32::MAX]` (peers, helpers,
+        /// channels), or `channels_per_helper` in `[1, channels]`.
+        fn one(key: &'static str) -> [Option<&'static str>; 5] {
+            [Some(key), Some(key), None, Some(key), Some(key)]
+        }
+        /// Loads at 0 and 1 only: a channel index below 2, or an epoch
+        /// within a 4-epoch phase.
+        fn small(key: &'static str) -> [Option<&'static str>; 5] {
+            [Some(key), None, None, Some(key), Some(key)]
+        }
+        fn doc(body: &str) -> String {
+            format!("version = 1\nname = \"x\"\n{body}")
+        }
+        fn small_with(old: &str, new: &str) -> String {
+            doc(&SMALL.replace(old, new))
+        }
+        fn impairment(fields: &str) -> String {
+            doc(&format!("{SMALL}[impairment]\n{fields}\n"))
+        }
+        fn crowd(epochs: &str, start: &str, end: &str) -> String {
+            doc(&format!(
+                "{SMALL}[[phase]]\nkind = \"flash_crowd\"\nepochs = {epochs}\nstart = {start}\n\
+                 end = {end}\nsurge = 2.0\n[population.churn]\narrival = 1.0\ndeparture = 0.1\n"
+            ))
+        }
+        fn diurnal(epochs: &str, period: &str) -> String {
+            doc(&format!(
+                "{SMALL}[[phase]]\nkind = \"diurnal\"\nepochs = {epochs}\nperiod = {period}\n\
+                 amplitude = 1.0\n"
+            ))
+        }
+        fn failure(epochs: &str, helper: &str) -> String {
+            doc(&format!(
+                "[population]\npeers = 4\n\
+                 [[population.helpers]]\ncount = 2\nkind = \"paper\"\nstay = 0.9\n\
+                 [[phase]]\nkind = \"helper_failure\"\nepochs = {epochs}\nhelpers = [{helper}]\n\
+                 online = false\n"
+            ))
+        }
+        fn multi(channels: &str, helpers: &str, per_helper: &str, viewers: &str) -> String {
+            multi_phase(channels, helpers, per_helper, viewers, "kind = \"steady\"\nepochs = 5")
+        }
+        fn multi_phase(
+            channels: &str,
+            helpers: &str,
+            per_helper: &str,
+            viewers: &str,
+            phase: &str,
+        ) -> String {
+            doc(&format!(
+                "[multichannel]\nchannels = {channels}\nbitrate = 400.0\nhelpers = {helpers}\n\
+                 channels_per_helper = {per_helper}\nviewers = {viewers}\nzipf_s = 1.0\n\
+                 [[phase]]\n{phase}\n"
+            ))
+        }
+        fn shift(epochs: &str, at: &str, from: &str, to: &str, count: &str) -> String {
+            let phase = format!(
+                "kind = \"popularity_shift\"\nepochs = {epochs}\nat = {at}\nfrom = {from}\n\
+                 to = {to}\ncount = {count}"
+            );
+            multi_phase("2", "4", "1", "8", &phase)
+        }
+        fn surf(epochs: &str, period: &str, moves: &str) -> String {
+            let phase = format!(
+                "kind = \"channel_surf\"\nepochs = {epochs}\nperiod = {period}\nmoves = {moves}"
+            );
+            multi_phase("2", "4", "1", "8", &phase)
+        }
+        let version = |v: &str| format!("version = {v}\nname = \"x\"\n{SMALL}");
+        let start_end = Some("phase[1].start/end");
+        let rows: [IntegerRow; 29] = [
+            (
+                version,
+                [Some("version"), Some("version"), None, Some("version"), Some("version")],
+            ),
+            (|v| doc(&format!("seed = {v}\n{SMALL}")), any("seed")),
+            (|v| small_with("peers = 4", &format!("peers = {v}")), one("population.peers")),
+            (
+                |v| small_with("count = 1", &format!("count = {v}")),
+                one("population.helpers[0].count"),
+            ),
+            (
+                |v| {
+                    small_with(
+                        "kind = \"paper\"\nstay = 0.9",
+                        &format!(
+                            "kind = \"regime_shift\"\nbefore = 900.0\nafter = 400.0\nat = {v}"
+                        ),
+                    )
+                },
+                any("population.helpers[0].at"),
+            ),
+            (|v| multi(v, "4", "1", "8"), one("multichannel.channels")),
+            (|v| multi("2", v, "2", "8"), one("multichannel.helpers")),
+            (|v| multi("2", "4", v, "8"), one("multichannel.channels_per_helper")),
+            (|v| multi("2", "4", "1", v), one("multichannel.viewers")),
+            (|v| impairment(&format!("seed = {v}")), any("impairment.seed")),
+            (
+                |v| impairment(&format!("seed = 1\njitter_us = {v}")),
+                any("impairment.jitter_us"),
+            ),
+            (
+                |v| {
+                    impairment(&format!(
+                        "seed = 1\n[impairment.latency]\nticks = [1, {v}]\nstay = 0.9"
+                    ))
+                },
+                any("impairment.latency.ticks[1]"),
+            ),
+            (
+                |v| small_with("epochs = 5", &format!("epochs = {v}")),
+                positive("phase[0].epochs"),
+            ),
+            (|v| crowd(v, "0", "0"), positive("phase[1].epochs")),
+            (
+                |v| crowd("4", v, "4"),
+                [Some("phase[1].start"), None, None, start_end, start_end],
+            ),
+            (|v| crowd("4", "0", v), [Some("phase[1].end"), None, None, start_end, start_end]),
+            (|v| diurnal(v, "4"), positive("phase[1].epochs")),
+            (|v| diurnal("4", v), positive("phase[1].period")),
+            (|v| failure(v, "1"), positive("phase[0].epochs")),
+            (
+                |v| failure("4", v),
+                [
+                    Some("phase[0].helpers[0]"),
+                    None,
+                    None,
+                    Some("phase[0].helpers"),
+                    Some("phase[0].helpers"),
+                ],
+            ),
+            (|v| shift(v, "0", "0", "1", "1"), positive("phase[0].epochs")),
+            (|v| shift("4", v, "0", "1", "1"), small("phase[0].at")),
+            (|v| shift("4", "1", v, "1", "1"), small("phase[0].from")),
+            (|v| shift("4", "1", "0", v, "1"), small("phase[0].to")),
+            (|v| shift("4", "1", "0", "1", v), any("phase[0].count")),
+            (|v| surf(v, "1", "1"), positive("phase[0].epochs")),
+            (|v| surf("4", v, "1"), positive("phase[0].period")),
+            // `moves` is work asked of each surf event, not an index: the
+            // capped run ends before the first event at `period = 2`, and
+            // an uncapped one does what it asks, however long that takes.
+            (|v| surf("4", "2", v), any("phase[0].moves")),
+            // A second group's count is checked like the first.
+            (
+                |v| {
+                    small_with(
+                        "[[phase]]",
+                        &format!(
+                            "[[population.helpers]]\ncount = {v}\nkind = \"paper\"\nstay = 0.9\n\
+                             [[phase]]"
+                        ),
+                    )
+                },
+                one("population.helpers[1].count"),
+            ),
+        ];
+        for (body, refused_at) in rows {
+            for (value, refused_at) in INTEGER_VALUES.into_iter().zip(refused_at) {
+                let text = body(value);
+                match (ScenarioSpec::from_toml_str(&text), refused_at) {
+                    (Ok(spec), None) => {
+                        // Two epochs, or one where the key is a one-epoch phase.
+                        let capped = spec.with_epoch_cap(2);
+                        assert_eq!(capped.run().epochs, capped.total_epochs(), "{text}");
+                    }
+                    (Err(ScenarioError::Invalid { path, .. }), Some(key)) => {
+                        assert_eq!(path, key, "{text}");
+                    }
+                    (Ok(_), Some(key)) => {
+                        panic!("loaded, but should be refused at {key}:\n{text}")
+                    }
+                    (Err(e), _) => panic!("{e}:\n{text}"),
+                }
+            }
+        }
+        // Past the index width, the message names the bound.
+        for (text, key) in [
+            (small_with("peers = 4", "peers = 4294967296"), "population.peers"),
+            (multi("4294967296", "4", "1", "8"), "multichannel.channels"),
+            (multi("2", "4294967296", "1", "8"), "multichannel.helpers"),
+            (multi("2", "4", "1", "4294967296"), "multichannel.viewers"),
+        ] {
+            let Err(ScenarioError::Invalid { path, message }) =
+                ScenarioSpec::from_toml_str(&text)
+            else {
+                panic!("{text} loaded");
+            };
+            assert_eq!(path, key);
+            assert!(message.starts_with("must be at most u32::MAX = 4294967295 "), "{message}");
+        }
+        // A channel with viewers needs a helper: one helper serving one of
+        // four channels leaves three uncovered. Under a steep Zipf split
+        // they have no viewers, and the spec runs.
+        let (path, message) =
+            field_error(&multi("4", "1", "1", "40").replace("version = 1\nname = \"x\"\n", ""));
+        assert_eq!(path, "multichannel.helpers");
+        assert!(message.starts_with("channel 1 has viewers but no helper"), "{message}");
+        let steep = multi("4", "1", "1", "8").replace("zipf_s = 1.0", "zipf_s = 50.0");
+        assert_eq!(ScenarioSpec::from_toml_str(&steep).unwrap().run().epochs, 5);
+        // Two groups each within the bound, summing past it: refused at the
+        // list, before a helper is built.
+        let group =
+            "[[population.helpers]]\ncount = 2147483648\nkind = \"paper\"\nstay = 0.9\n";
+        let (path, message) =
+            field_error(&SMALL.replace("[[phase]]", &format!("{group}{group}[[phase]]")));
+        assert_eq!(path, "population.helpers");
+        assert!(message.contains("sum to 4294967297, more than u32::MAX"), "{message}");
     }
 
     #[test]

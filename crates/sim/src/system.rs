@@ -70,6 +70,8 @@ pub(crate) struct Blueprint {
     /// How a helper splits its capacity over the channels it serves.
     pub allocation: AllocationPolicy,
     pub learner: LearnerSpec,
+    /// The typical per-peer rate that calibrates the learners' `μ`.
+    pub rate_scale: f64,
     pub churn: ChurnProcess,
     pub impairment: ImpairmentPlan,
     /// Record what only [`Outcome`] reports: the joint action
@@ -166,37 +168,33 @@ impl System {
     pub fn new(config: SimConfig) -> Self {
         let rate_scale = config.rate_scale();
         let num_helpers = config.helpers.len();
-        Self::assemble(
-            Blueprint {
-                seed: config.seed,
-                helpers: config.helpers,
-                helper_channels: vec![vec![0]; num_helpers],
-                demands: vec![config.demand],
-                viewers: vec![config.num_peers],
-                allocation: AllocationPolicy::EvenSplit,
-                learner: config.learner,
-                churn: config.churn,
-                impairment: config.impairment,
-                diagnostics: true,
-                record_joint_from: config.record_joint_from,
-                record_peer_rates: config.record_peer_rates,
-            },
-            |_| rate_scale,
-        )
+        Self::assemble(Blueprint {
+            seed: config.seed,
+            helpers: config.helpers,
+            helper_channels: vec![vec![0]; num_helpers],
+            demands: vec![config.demand],
+            viewers: vec![config.num_peers],
+            allocation: AllocationPolicy::EvenSplit,
+            learner: config.learner,
+            rate_scale,
+            churn: config.churn,
+            impairment: config.impairment,
+            diagnostics: true,
+            record_joint_from: config.record_joint_from,
+            record_peer_rates: config.record_peer_rates,
+        })
     }
 
     /// The one instantiation path: helper bandwidth processes (drawing
     /// their initial states from the master stream in helper order), the
     /// channel → helpers map, the peer store with one learner action set
     /// per channel, and the initial population channel by channel.
-    /// `rate_scale` maps the live helpers to the typical per-peer rate
-    /// that calibrates the learners' `μ`.
     ///
     /// # Panics
     ///
     /// Panics if an uncapped channel meets
     /// [`AllocationPolicy::WaterFilling`], which splits by demand.
-    pub(crate) fn assemble(plan: Blueprint, rate_scale: impl FnOnce(&[Helper]) -> f64) -> Self {
+    pub(crate) fn assemble(plan: Blueprint) -> Self {
         assert!(
             plan.allocation != AllocationPolicy::WaterFilling
                 || plan.demands.iter().all(Option::is_some),
@@ -225,7 +223,7 @@ impl System {
         let mut peers = PeerStore::new(
             plan.seed,
             plan.learner.clone(),
-            rate_scale(&helpers),
+            plan.rate_scale,
             &actions_per_channel,
         );
         peers.reserve(plan.viewers.iter().sum());

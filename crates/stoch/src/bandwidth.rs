@@ -35,12 +35,6 @@ pub trait BandwidthProcess: Send {
 
     /// Largest capacity the process can ever produce.
     fn max_level(&self) -> f64;
-
-    /// Long-run mean capacity if known analytically (used to calibrate the
-    /// learners' normalisation constant μ).
-    fn mean_level(&self) -> Option<f64> {
-        None
-    }
 }
 
 /// Markov-modulated bandwidth: a [`MarkovChain`] over a fixed ladder of
@@ -108,10 +102,6 @@ impl BandwidthProcess for MarkovBandwidth {
     fn max_level(&self) -> f64 {
         self.levels.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
-
-    fn mean_level(&self) -> Option<f64> {
-        self.chain.stationary_mean(&self.levels).ok()
-    }
 }
 
 /// Constant capacity — the degenerate baseline used in unit tests and the
@@ -146,10 +136,6 @@ impl BandwidthProcess for ConstantBandwidth {
 
     fn max_level(&self) -> f64 {
         self.level
-    }
-
-    fn mean_level(&self) -> Option<f64> {
-        Some(self.level)
     }
 }
 
@@ -211,15 +197,6 @@ impl BandwidthProcess for GilbertElliott {
 
     fn max_level(&self) -> f64 {
         self.good_level.max(self.bad_level)
-    }
-
-    fn mean_level(&self) -> Option<f64> {
-        let denom = self.p_good_to_bad + self.p_bad_to_good;
-        if denom == 0.0 {
-            return Some(self.level());
-        }
-        let pi_good = self.p_bad_to_good / denom;
-        Some(pi_good * self.good_level + (1.0 - pi_good) * self.bad_level)
     }
 }
 
@@ -287,17 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_mean_is_center_level() {
-        // Birth-death over 3 states with symmetric moves has uniform-ish
-        // stationary distribution [1/4, 1/2, 1/4] (reflecting ends push
-        // mass to the middle), so the mean is exactly 800.
-        let mut rng = seeded_rng(2);
-        let bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
-        let mean = bw.mean_level().unwrap();
-        assert!((mean - 800.0).abs() < 1e-6, "mean = {mean}");
-    }
-
-    #[test]
     fn sticky_chain_changes_rarely() {
         let mut rng = seeded_rng(3);
         let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
@@ -324,20 +290,12 @@ mod tests {
             bw.step(&mut rng);
             assert_eq!(bw.level(), 500.0);
         }
-        assert_eq!(bw.mean_level(), Some(500.0));
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn constant_rejects_negative() {
         let _ = ConstantBandwidth::new(-1.0);
-    }
-
-    #[test]
-    fn gilbert_elliott_stationary_mean() {
-        let ge = GilbertElliott::new(1000.0, 200.0, 0.1, 0.3);
-        // pi_good = 0.3/0.4 = 0.75 -> mean = 0.75*1000 + 0.25*200 = 800.
-        assert!((ge.mean_level().unwrap() - 800.0).abs() < 1e-9);
     }
 
     #[test]

@@ -217,21 +217,6 @@ impl MarkovChain {
         }
         Err(MarkovError::NoConvergence)
     }
-
-    /// Expected value of `values[state]` under the stationary distribution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Self::stationary_distribution`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.num_states()`.
-    pub(crate) fn stationary_mean(&self, values: &[f64]) -> Result<f64, MarkovError> {
-        assert_eq!(values.len(), self.num_states(), "values length must match state count");
-        let pi = self.stationary_distribution()?;
-        Ok(rths_math::vector::dot(&pi, values))
-    }
 }
 
 #[cfg(test)]
@@ -334,14 +319,6 @@ mod tests {
         for &p in &pi {
             assert!((p - 0.25).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn stationary_mean_weights_values() {
-        let chain = two_state();
-        // pi = [2/3, 1/3]; values [0, 3] -> mean 1.
-        let m = chain.stationary_mean(&[0.0, 3.0]).unwrap();
-        assert!((m - 1.0).abs() < 1e-9);
     }
 
     #[test]
