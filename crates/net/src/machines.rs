@@ -1,12 +1,15 @@
 //! Transport-agnostic protocol state machines.
 //!
-//! The epoch protocol — tick, select, settle, observe — is one algorithm,
-//! written here once. Everything that determines *results* lives in this
-//! module or in the simulator code it calls: helper capacity dynamics,
-//! peer learning and demand capping here; the coordinator's metrics are
-//! the simulator's own [`EpochMetrics`] and regret record, fed the
-//! helpers' settlements and the peers' `(chosen, rate, estimate)`
-//! columns, which a host reports one contiguous block of peers at a time
+//! The epoch protocol — tick, select, settle, observe — is one algorithm.
+//! Everything that determines *results* is the simulator's own code,
+//! which these machines and their hosts call: helpers are built by
+//! `rths_sim::helper::instantiate` and step their own bandwidth
+//! processes; peers learn, cap their rate to the demand and count their
+//! switches in a `rths_sim::PeerStore` (the reactor gives each mailbox
+//! shard one); the coordinator's metrics are the simulator's own
+//! [`EpochMetrics`] and regret record, fed the helpers' settlements and
+//! the peers' `(chosen, rate, estimate, switches)`, which a host reports
+//! one contiguous block of peers at a time
 //! ([`CoordinatorMachine::on_shard_report`]). The coordinator never sits
 //! on a peer's path: it sends the peers nothing but one tick per mailbox
 //! shard, and the helpers settle without waiting on any peer's report.
@@ -19,33 +22,19 @@
 //! `tests/properties.rs` feeds them seeded permutations to hold that.
 
 use rths_sim::epoch_metrics::cap_to_demand;
-use rths_sim::helper::{Helper, HelperId};
+use rths_sim::helper::{self, Helper};
 use rths_sim::peer::{Peer, PeerId};
 use rths_sim::regret::RegretLedger;
-use rths_sim::store::NO_HELPER;
 use rths_sim::{EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics};
-use rths_stoch::rng::entity_rng;
+use rths_stoch::rng::{entity_rng, seeded_rng};
 
-/// Instantiates the helper set exactly as `rths_sim::System::new` does:
-/// processes drawn from the master RNG in helper-index order. Returns the
-/// helpers plus the summed minimum capacity (the Fig. 5 deficit bound).
+/// Instantiates the helper set exactly as `rths_sim::System::new` does
+/// (`rths_sim::helper::instantiate` on a fresh master stream). Returns
+/// the helpers plus the summed minimum capacity (the Fig. 5 deficit
+/// bound).
 pub fn instantiate_helpers(sim: &SimConfig) -> (Vec<Helper>, f64) {
-    let mut master_rng = rths_stoch::rng::seeded_rng(sim.seed);
-    let mut min_total = 0.0;
-    let helpers: Vec<Helper> = sim
-        .helpers
-        .iter()
-        .enumerate()
-        .map(|(j, spec)| {
-            let helper = Helper::with_seed(
-                HelperId(j as u32),
-                spec.instantiate(&mut master_rng),
-                sim.seed,
-            );
-            min_total += helper.min_capacity();
-            helper
-        })
-        .collect();
+    let helpers = helper::instantiate(&sim.helpers, sim.seed, &mut seeded_rng(sim.seed));
+    let min_total = helpers.iter().map(Helper::min_capacity).sum();
     (helpers, min_total)
 }
 
@@ -58,55 +47,9 @@ pub struct Selection {
     pub lost: bool,
 }
 
-/// A peer's end of its links under an impairment plan: the plan, the
-/// link state under it — token bucket, where its link's loss and
-/// bandwidth chains stand — and the `(helper, epoch)` of the in-flight
-/// request, which the rate delivery consumes: shaping decisions are
-/// per-link, so the peer must remember which link the reply rides.
-#[derive(Debug)]
-pub(crate) struct Link {
-    plan: ImpairmentPlan,
-    shaper: LinkShaper,
-    inflight: Option<(u32, u64)>,
-}
-
-impl Link {
-    /// A peer's link under `plan` — `None` unless the plan
-    /// [affects rates](ImpairmentPlan::affects_rates), the one case that
-    /// reads it: the clean-link swarms (10⁵ peers a process) carry
-    /// neither the plan nor the state.
-    pub(crate) fn under(plan: &ImpairmentPlan) -> Option<Link> {
-        plan.affects_rates().then(|| Link {
-            plan: plan.clone(),
-            shaper: LinkShaper::new(),
-            inflight: None,
-        })
-    }
-
-    /// Peer `peer` requests from `helper` in `epoch`: remembers the
-    /// request and returns whether its payload is lost (deterministic per
-    /// `(peer, helper, epoch)` link; the peer's own RNG stream is never
-    /// drawn).
-    pub(crate) fn request(&mut self, peer: u64, helper: usize, epoch: u64) -> bool {
-        self.inflight = Some((helper as u32, epoch));
-        self.shaper.is_lost(&self.plan, peer, helper, epoch)
-    }
-
-    /// Shapes the reply to peer `peer`'s in-flight request through the
-    /// link's impairments (bandwidth cap, token bucket).
-    pub(crate) fn shape(&mut self, peer: u64, kbps: f64) -> f64 {
-        match self.inflight.take() {
-            Some((helper, epoch)) => {
-                self.shaper.shape(&self.plan, peer, helper as usize, epoch, kbps)
-            }
-            None => kbps,
-        }
-    }
-}
-
 /// The peer-side state machine for one peer on its own: owns the learner,
 /// its RNG stream, the demand cap, and the edge end of the impairment
-/// layer (its link). Feedback is strictly local — a rate per epoch.
+/// layer. Feedback is strictly local — a rate per epoch.
 ///
 /// The reactor does not host its peers this way: each mailbox shard
 /// drives its peers' learners through one `rths_sim::PeerStore` (see
@@ -117,13 +60,20 @@ impl Link {
 pub struct PeerMachine {
     peer: Peer,
     demand: Option<f64>,
-    link: Option<Box<Link>>,
+    /// The plan and the peer's link state under it; `None` unless the
+    /// plan [affects rates](ImpairmentPlan::affects_rates).
+    impaired: Option<Box<(ImpairmentPlan, LinkShaper)>>,
+    /// The helper and epoch of the last [`on_tick`](Self::on_tick), whose
+    /// link shapes the rate.
+    selection: Option<(usize, u64)>,
 }
 
 impl PeerMachine {
     /// Wraps a live peer under the given impairment plan.
     pub fn new(peer: Peer, demand: Option<f64>, impairments: ImpairmentPlan) -> Self {
-        Self { peer, demand, link: Link::under(&impairments).map(Box::new) }
+        let impaired =
+            impairments.affects_rates().then(|| Box::new((impairments, LinkShaper::new())));
+        Self { peer, demand, impaired, selection: None }
     }
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same
@@ -148,12 +98,17 @@ impl PeerMachine {
     }
 
     /// Epoch start: samples the learner and decides whether this epoch's
-    /// payload is lost (deterministic per `(peer, helper, epoch)` link).
+    /// payload is lost (deterministic per `(peer, helper, epoch)` link;
+    /// the peer's own RNG stream is never drawn for it).
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
         let helper = self.peer.choose_helper();
-        let id = self.peer.id().0;
+        let id = self.id();
+        self.selection = Some((helper, epoch));
         // A plan that affects no rate loses nothing.
-        let lost = self.link.as_deref_mut().is_some_and(|link| link.request(id, helper, epoch));
+        let lost = self
+            .impaired
+            .as_deref_mut()
+            .is_some_and(|(plan, shaper)| shaper.is_lost(plan, id, helper, epoch));
         Selection { helper, lost }
     }
 
@@ -164,8 +119,13 @@ impl PeerMachine {
     /// `rths_sim::System::step_epoch`, which is what keeps impaired runs
     /// bit-identical across backends.
     pub fn on_rate(&mut self, kbps: f64) -> f64 {
-        let id = self.peer.id().0;
-        let kbps = self.link.as_deref_mut().map_or(kbps, |link| link.shape(id, kbps));
+        let id = self.id();
+        let kbps = match (self.impaired.as_deref_mut(), self.selection.take()) {
+            (Some((plan, shaper)), Some((helper, epoch))) => {
+                shaper.shape(plan, id, helper, epoch, kbps)
+            }
+            _ => kbps,
+        };
         let (rate, satisfied) = cap_to_demand(kbps, self.demand);
         self.peer.deliver(rate, satisfied);
         rate
@@ -235,9 +195,10 @@ impl<T> HelperMachine<T> {
     }
 }
 
-/// The columns the coordinator's messages fill each epoch — cleared and
-/// refilled in place so steady-state epochs allocate nothing.
-#[derive(Debug, Default)]
+/// The columns the coordinator's messages fill each epoch — sized once,
+/// and every entry overwritten by every complete epoch, so steady-state
+/// epochs neither allocate nor clear.
+#[derive(Debug)]
 struct CoordScratch {
     /// Chosen helper per peer.
     chosen: Vec<u32>,
@@ -259,8 +220,6 @@ struct CoordScratch {
 /// the blocks are cut and in whatever order they arrive.
 #[derive(Debug)]
 pub struct CoordinatorMachine {
-    num_peers: usize,
-    num_helpers: usize,
     /// The metric half of every epoch, over one channel that every helper
     /// serves with its whole capacity.
     metrics: EpochMetrics,
@@ -274,9 +233,8 @@ pub struct CoordinatorMachine {
     /// Epoch fold of the learner-reported internal regret estimates
     /// (order-insensitive max over non-negatives).
     worst_estimate: f64,
-    /// Each peer's helper of the previous epoch ([`NO_HELPER`] before
-    /// its first).
-    last_helper: Vec<u32>,
+    /// The epoch's helper switches, summed over the reported blocks.
+    switches: u64,
     scratch: CoordScratch,
     reports: usize,
     /// Peers whose `(chosen, rate, estimate)` is in for this epoch.
@@ -293,14 +251,17 @@ impl CoordinatorMachine {
             regret.add_peer();
         }
         Self {
-            num_peers: n,
-            num_helpers: h,
             metrics: EpochMetrics::new(h, helper_min, vec![sim.demand], vec![(0..h).collect()]),
             regret,
             shard_max: Vec::new(),
             worst_estimate: 0.0,
-            last_helper: vec![NO_HELPER; n],
-            scratch: CoordScratch::default(),
+            switches: 0,
+            scratch: CoordScratch {
+                chosen: vec![0; n],
+                loads: vec![0; h],
+                capacities: vec![0.0; h],
+                rates: vec![0.0; n],
+            },
             reports: 0,
             reported: 0,
         }
@@ -311,27 +272,21 @@ impl CoordinatorMachine {
         self.metrics.series().epochs() as u64
     }
 
-    /// Resets per-epoch progress and scratch (no allocation in steady
-    /// state: buffers retain their capacity across epochs).
+    /// Resets per-epoch progress. The columns are not cleared: a complete
+    /// epoch overwrites every entry.
     pub fn begin_epoch(&mut self) {
-        let CoordScratch { chosen, loads, capacities, rates } = &mut self.scratch;
-        chosen.clear();
-        chosen.resize(self.num_peers, 0);
-        loads.clear();
-        loads.resize(self.num_helpers, 0);
-        capacities.clear();
-        capacities.resize(self.num_helpers, 0.0);
-        rates.clear();
-        rates.resize(self.num_peers, 0.0);
         self.reports = 0;
         self.reported = 0;
         self.worst_estimate = 0.0;
+        self.switches = 0;
     }
 
     /// A peer committed to a helper. The mesh reports the choice with the
     /// realized rate instead ([`on_shard_report`](Self::on_shard_report));
     /// this per-peer entry stays for the benchmark's coordinator probe,
-    /// which prices one message per peer. The peer counts as reported
+    /// which prices one message per peer. It carries no switch count:
+    /// switches are counted where the peers choose, and an epoch fed
+    /// only per-peer entries records none. The peer counts as reported
     /// once its [`on_observed`](Self::on_observed) arrives.
     pub fn on_selected(&mut self, peer: u64, helper: usize) {
         self.scratch.chosen[peer as usize] = helper as u32;
@@ -350,7 +305,8 @@ impl CoordinatorMachine {
     /// the epoch's `worst_regret_estimate` with an order-insensitive max
     /// over non-negatives, so arrival order cannot perturb the series.
     /// Like [`on_selected`](Self::on_selected), the mesh no longer sends
-    /// it: it stays for the benchmark's coordinator probe.
+    /// it, and it carries no switch count: it stays for the benchmark's
+    /// coordinator probe.
     pub fn on_observed(&mut self, peer: u64, rate: f64, estimate: f64) {
         self.scratch.rates[peer as usize] = rate;
         self.worst_estimate = self.worst_estimate.max(estimate);
@@ -359,10 +315,12 @@ impl CoordinatorMachine {
 
     /// Peers `first .. first + chosen.len()` report their epoch at once:
     /// peer `first + k` chose helper `chosen[k]` and realized `rates[k]`,
-    /// and `estimate` is the largest internal regret estimate among them
-    /// — the fold [`on_observed`](Self::on_observed) applies per peer,
-    /// so any cut of the population into blocks, arriving in any order,
-    /// records the same bits.
+    /// `estimate` is the largest internal regret estimate among them —
+    /// the fold [`on_observed`](Self::on_observed) applies per peer — and
+    /// `switches` is how many of them switched helper this epoch (their
+    /// store's `new_switches`). Maxima and integer sums, so any cut of the
+    /// population into blocks, arriving in any order, records the same
+    /// bits.
     ///
     /// # Panics
     ///
@@ -374,12 +332,14 @@ impl CoordinatorMachine {
         chosen: &[u32],
         rates: &[f64],
         estimate: f64,
+        switches: u64,
     ) {
         assert_eq!(chosen.len(), rates.len(), "a block reports both columns");
         let block = first..first + chosen.len();
         self.scratch.chosen[block.clone()].copy_from_slice(chosen);
         self.scratch.rates[block].copy_from_slice(rates);
         self.worst_estimate = self.worst_estimate.max(estimate);
+        self.switches += switches;
         self.reported += chosen.len();
     }
 
@@ -395,7 +355,7 @@ impl CoordinatorMachine {
 
     /// Every helper report and every peer's epoch is in.
     pub fn epoch_complete(&self) -> bool {
-        self.reports == self.num_helpers && self.reported == self.num_peers
+        self.reports == self.scratch.loads.len() && self.reported == self.scratch.chosen.len()
     }
 
     /// Records the epoch: the stretch-folded regret record (the function
@@ -417,21 +377,14 @@ impl CoordinatorMachine {
         // shard amortizes its spawn (`rths_par::MIN_ITEMS_PER_WORKER`);
         // the result is bit-identical at any shard count.
         let shards =
-            rths_par::threads().min(self.num_peers / rths_par::MIN_ITEMS_PER_WORKER).max(1);
+            rths_par::threads().min(chosen.len() / rths_par::MIN_ITEMS_PER_WORKER).max(1);
         let emp = self.regret.record_all_max(chosen, rates, shards, &mut self.shard_max);
         self.metrics.settle(rates, |_| 0, capacities.iter().sum());
-        let mut switched = 0;
-        for (last, &now) in self.last_helper.iter_mut().zip(chosen.iter()) {
-            if *last != NO_HELPER && *last != now {
-                switched += 1;
-            }
-            *last = now;
-        }
         // The estimate series is the learner-reported virtual-play `Q`
         // maxima the peers attach to their reports — the same
         // derivation the simulator's observe phase uses, not a copy of
         // the empirical series (the two agree only in the limit).
-        self.metrics.record(emp, Some(self.worst_estimate), switched);
+        self.metrics.record(emp, Some(self.worst_estimate), self.switches);
     }
 
     /// The metric bundle the simulator returns: the recorded series plus
@@ -503,10 +456,10 @@ mod tests {
         let sim = small_sim();
         let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
         for plan in [ImpairmentPlan::none(), delays.with_jitter(5)] {
-            assert!(PeerMachine::from_config(&sim, 0, 2, plan).link.is_none());
+            assert!(PeerMachine::from_config(&sim, 0, 2, plan).impaired.is_none());
         }
         let lossy = ImpairmentPlan::builder(9).uniform_loss(0.1).build().unwrap();
-        assert!(PeerMachine::from_config(&sim, 0, 2, lossy).link.is_some());
+        assert!(PeerMachine::from_config(&sim, 0, 2, lossy).impaired.is_some());
     }
 
     #[test]

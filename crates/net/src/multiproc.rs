@@ -445,6 +445,8 @@ mod tests {
     #[test]
     fn workers_of_another_wire_version_are_refused() {
         assert!(check_version(1, WIRE_VERSION).is_ok());
+        // Version 3 shard reports carry no switch count.
+        assert!(check_version(1, 3).is_err(), "a version-3 worker is admitted");
         let skew = check_version(3, WIRE_VERSION - 1).expect_err("a stale worker is refused");
         assert!(skew.contains("rank 3"), "{skew}");
         assert!(skew.contains(&format!("version {}", WIRE_VERSION - 1)), "{skew}");

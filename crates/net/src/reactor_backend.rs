@@ -15,17 +15,19 @@
 //!   ([`TrackerNode`]) during a bootstrap handshake — a directory, not a
 //!   controller: it never sees a payoff and never assigns a peer;
 //! * each mailbox shard's peers are one [`PeerShard`] — a
-//!   `rths_sim::PeerStore` block of their learners, RNG streams and
-//!   accounting, and their links — that the reactor lends to the handling
-//!   actor ([`Ctx::shard`]; no lock). The shard's one `Tick` of an epoch
-//!   runs the store's choose phase and sends every `Request`; the `Rate`
-//!   that fills its last slot runs the observe phase — the passes
-//!   `rths_sim::System` runs — and sends the coordinator the block as one
-//!   [`NetMsg::ShardReport`]. A peer actor keeps protocol state only;
-//! * [`ImpairmentPlan`] drops ride the `lost` flag of the request, rate
-//!   shaping happens on the peer's link before the demand cap, and
-//!   jitter/latency are *timer-wheel delivery delays*: each `Request` and
-//!   helper `Tick` is delayed by the plan's seeded per-`(actor, epoch)` draw.
+//!   `rths_sim::PeerStore` block of their learners, RNG streams,
+//!   accounting and switch counts, and a `LinkShaper` per peer if the plan
+//!   affects rates — that the reactor lends to the handling actor
+//!   ([`Ctx::shard`]; no lock). The shard's one `Tick` of an epoch runs
+//!   the store's choose phase and sends every `Request`; the `Rate` that
+//!   fills its last slot runs the observe phase, demand cap included — the
+//!   passes `rths_sim::System` runs — and sends the coordinator the block
+//!   and its switch count as one [`NetMsg::ShardReport`]. A peer actor
+//!   keeps protocol state only;
+//! * [`ImpairmentPlan`] drops ride the `lost` flag of the request, a rate
+//!   is shaped by its slot's shaper as it arrives, and jitter/latency are
+//!   *timer-wheel delivery delays*: each `Request` and helper `Tick` is
+//!   delayed by the plan's seeded per-`(actor, epoch)` draw.
 //!
 //! A peer-epoch is therefore two messages, `Request` and `Rate`, plus its
 //! share of the shard's `Tick`. Slot-ordered passes give the bits arrival
@@ -44,9 +46,9 @@ use rths_obs::{self as obs, ObsScratch};
 use rths_reactor::{Actor, ActorId, Ctx, Reactor, ReactorStats, SHARD_SPAN};
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::store::{PeerStore, ShardScratch};
-use rths_sim::ImpairmentPlan;
+use rths_sim::{ImpairmentPlan, LinkShaper};
 
-use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, Link};
+use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
 
 /// Jitter stream offset for helper actors: helper `j` draws its delays as
@@ -177,6 +179,8 @@ pub struct ShardReport {
     /// The largest internal regret estimate the block's learners reported
     /// after their observations (`0.0` when tracking is disabled).
     pub estimate: f64,
+    /// Helper switches the block's peers made this epoch.
+    pub switches: u64,
 }
 
 /// The peers of one mailbox shard — slot `k` is peer `first + k` — and
@@ -190,20 +194,19 @@ pub struct PeerShard {
     first_actor: usize,
     demand: Option<f64>,
     track_estimate: bool,
-    /// The requests' delay plan, and each slot's end of its links (none
-    /// unless the plan affects rates: a clean mesh carries nothing).
+    /// The run's impairment plan, and each slot's link state under it
+    /// (none unless the plan affects rates: a clean mesh carries nothing).
     impairments: ImpairmentPlan,
-    links: Vec<Link>,
+    shapers: Vec<LinkShaper>,
     /// The epoch `chosen` was sampled for.
     chosen_epoch: Option<u64>,
     /// The choose phase's columns: helper per slot (the report's), and
     /// an unused side column (one channel: the action is the helper).
     chosen: Vec<u32>,
     aux: Vec<u32>,
-    /// Demand-capped rate per slot and whether it met the demand, as the
-    /// rates arrive; the rates the learners observed (the report's).
+    /// Shaped rate per slot, as the rates arrive; the demand-capped rates
+    /// the learners observed (the report's).
     rates: Vec<f64>,
-    satisfied: Vec<bool>,
     delivered: Vec<f64>,
     /// Slots rated this epoch.
     filled: usize,
@@ -233,12 +236,14 @@ impl PeerShard {
             demand: sim.demand,
             track_estimate: config.track_estimate,
             impairments: sim.impairment.clone(),
-            links: (0..len).filter_map(|_| Link::under(&sim.impairment)).collect(),
+            shapers: vec![
+                LinkShaper::new();
+                if sim.impairment.affects_rates() { len } else { 0 }
+            ],
             chosen_epoch: None,
             chosen: vec![0; len],
             aux: vec![0; len],
             rates: vec![0.0; len],
-            satisfied: vec![false; len],
             delivered: vec![0.0; len],
             filled: 0,
             loads: Vec::new(),
@@ -266,11 +271,11 @@ impl PeerShard {
     /// The request of the peer in `slot` for `epoch`, once chosen: its
     /// delay, its helper's index and the message.
     fn request(&mut self, slot: usize, epoch: u64) -> (u64, usize, NetMsg) {
-        let peer = self.store.id(slot);
-        let helper = self.chosen[slot] as usize;
-        let lost = self.links.get_mut(slot).is_some_and(|l| l.request(peer, helper, epoch));
-        let delay = self.impairments.jitter_ticks(peer, epoch);
-        (delay, helper, NetMsg::Request { peer, epoch, lost })
+        let (peer, helper) = (self.store.id(slot), self.chosen[slot] as usize);
+        let plan = &self.impairments;
+        let lost =
+            self.shapers.get_mut(slot).is_some_and(|s| s.is_lost(plan, peer, helper, epoch));
+        (plan.jitter_ticks(peer, epoch), helper, NetMsg::Request { peer, epoch, lost })
     }
 
     /// Peer actor `actor` received `kbps` in `epoch`, which its link
@@ -283,9 +288,11 @@ impl PeerShard {
         obs: &mut ObsScratch,
     ) -> Option<Box<ShardReport>> {
         let slot = actor.0 - self.first_actor;
-        let peer = self.store.id(slot);
-        let kbps = self.links.get_mut(slot).map_or(kbps, |link| link.shape(peer, kbps));
-        (self.rates[slot], self.satisfied[slot]) = cap_to_demand(kbps, self.demand);
+        let (peer, helper, plan) = (self.store.id(slot), self.chosen[slot], &self.impairments);
+        self.rates[slot] = match self.shapers.get_mut(slot) {
+            Some(link) => link.shape(plan, peer, helper as usize, epoch, kbps),
+            None => kbps,
+        };
         self.filled += 1;
         if self.filled < self.chosen.len() {
             return None;
@@ -299,7 +306,7 @@ impl PeerShard {
     #[inline(never)]
     fn observe(&mut self, epoch: u64, obs: &mut ObsScratch) -> Box<ShardReport> {
         self.filled = 0;
-        let (rates, satisfied) = (&self.rates, &self.satisfied);
+        let (rates, demand) = (&self.rates, self.demand);
         let (estimate, _) = self.store.observe_phase(
             &self.chosen,
             &mut self.delivered,
@@ -307,7 +314,7 @@ impl PeerShard {
             &[],
             &mut self.scratch,
             self.track_estimate,
-            |slot, _, _| (rates[slot], satisfied[slot]),
+            |slot, _, _| cap_to_demand(rates[slot], demand),
         );
         self.hand_obs_to(obs);
         Box::new(ShardReport {
@@ -316,6 +323,7 @@ impl PeerShard {
             chosen: self.chosen.clone(),
             rates: self.delivered.clone(),
             estimate,
+            switches: self.store.new_switches(),
         })
     }
 
@@ -436,8 +444,8 @@ impl HelperNode {
     }
 }
 
-/// A peer actor: protocol state only (its learner and its links are a
-/// slot of its shard's [`PeerShard`]).
+/// A peer actor: protocol state only (its learner and its link state are
+/// a slot of its shard's [`PeerShard`]).
 #[derive(Debug)]
 pub struct PeerNode {
     /// Actor id of helper 0, learned from the tracker at bootstrap.
@@ -500,6 +508,7 @@ impl Actor<Option<Box<PeerShard>>> for NetActor {
                         &report.chosen,
                         &report.rates,
                         report.estimate,
+                        report.switches,
                     );
                     node.maybe_finish_epoch(ctx);
                 }
@@ -927,7 +936,8 @@ mod tests {
 
     /// Like `PeerMachine`'s `clean_links_hold_neither_plan_nor_link_state`:
     /// a plan that shapes no rate — none, or delivery delays only — leaves
-    /// every shard's links column empty; a lossy one gives each slot a link.
+    /// every shard's shapers column empty; a lossy one gives each slot a
+    /// shaper.
     #[test]
     fn clean_links_cost_the_shard_nothing() {
         let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
@@ -941,7 +951,7 @@ mod tests {
             let rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
             for shard in rt.reactor.shard_states().flatten() {
                 let links = if linked { shard.store.len() } else { 0 };
-                assert_eq!(shard.links.len(), links, "linked: {linked}");
+                assert_eq!(shard.shapers.len(), links, "linked: {linked}");
             }
         }
     }
@@ -1007,8 +1017,8 @@ mod tests {
     /// shard, so each shard tick sends exactly one request: a tick per
     /// peer. Shards of 8 actors cut the 45 peers into seven
     /// blocks, the first and last partial, so a block ingested at the
-    /// wrong `first` leaves slots at their reset value and breaks the
-    /// chooser counts. A latency ladder delays requests past the jitter
+    /// wrong `first` leaves slots at the previous epoch's values and breaks
+    /// the chooser counts. A latency ladder delays requests past the jitter
     /// bound, and both spans must hand the coordinator the same columns,
     /// bit for bit, every epoch.
     #[test]

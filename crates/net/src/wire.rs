@@ -44,7 +44,7 @@ use crate::reactor_backend::{NetMsg, ShardReport};
 use crate::runtime::NetConfig;
 
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// Upper bound on a frame body (bytes). A drain batch for a 10⁵-actor
 /// mesh is a few megabytes; anything near this cap is corruption.
@@ -401,6 +401,7 @@ fn put_net_msg(w: &mut WireWriter, msg: &NetMsg) {
                 w.f64(rate);
             }
             w.f64(report.estimate);
+            w.u64(report.switches);
         }
     }
 }
@@ -411,7 +412,8 @@ fn get_shard_report(r: &mut WireReader<'_>) -> Result<ShardReport, WireError> {
     let n = r.seq()?;
     let chosen = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
     let rates = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    Ok(ShardReport { epoch, first, chosen, rates, estimate: r.f64()? })
+    let estimate = r.f64()?;
+    Ok(ShardReport { epoch, first, chosen, rates, estimate, switches: r.u64()? })
 }
 
 fn get_net_msg(r: &mut WireReader<'_>) -> Result<NetMsg, WireError> {

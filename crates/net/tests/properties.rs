@@ -161,7 +161,14 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
         let stream = |phase: u64| schedule.map(|s| derive_seed(s, epoch * 3 + phase));
         coord.begin_epoch();
         helpers.iter_mut().for_each(HelperMachine::on_tick);
-        let selections: Vec<_> = peers.iter_mut().map(|p| p.on_tick(epoch)).collect();
+        // Each peer's switch this epoch (0 or 1), which its block reports.
+        let (selections, switched): (Vec<_>, Vec<u64>) = peers
+            .iter_mut()
+            .map(|p| {
+                let before = p.peer().switches();
+                (p.on_tick(epoch), p.peer().switches() - before)
+            })
+            .unzip();
 
         for (position, &i) in arrival_order(n, stream(0)).iter().enumerate() {
             helpers[selections[i].helper].on_request(i as u64, selections[i].lost, position);
@@ -201,8 +208,9 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
                     coord.on_shard_report(
                         peers.start,
                         &chosen[peers.clone()],
-                        &rates[peers],
+                        &rates[peers.clone()],
                         estimate,
+                        switched[peers].iter().sum(),
                     );
                 }
             }

@@ -56,6 +56,7 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
                 chosen: vec![c as u32, (c >> 32) as u32],
                 rates: vec![f64::from_bits(c), f64::from_bits(d)],
                 estimate: f64::from_bits(d),
+                switches: a ^ c,
             })),
         },
     )
@@ -86,7 +87,7 @@ fn arb_shard_report() -> impl Strategy<Value = ShardReport> {
                 })
                 .unzip();
             let estimate = f64::from_bits(AWKWARD_RATES[(epoch % 6) as usize]);
-            ShardReport { epoch, first, chosen, rates, estimate }
+            ShardReport { epoch, first, chosen, rates, estimate, switches: first ^ epoch }
         })
 }
 
@@ -194,7 +195,7 @@ proptest! {
     }
 
     /// A shard report of any block size comes back field for field, every
-    /// rate and the estimate by their bits.
+    /// rate and the estimate by their bits, and the switch count.
     #[test]
     fn shard_report_survives_bitwise(report in arb_shard_report()) {
         let body = encode_frame(&drain_of(NetMsg::ShardReport(Box::new(report.clone()))));
@@ -210,6 +211,7 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got.rates), bits(&report.rates));
         prop_assert_eq!(got.estimate.to_bits(), report.estimate.to_bits());
+        prop_assert_eq!(got.switches, report.switches);
     }
 
     /// A shard report cut anywhere short of its end is an error, never a
@@ -234,6 +236,7 @@ fn oversized_shard_report_count_is_an_error() {
         chosen: vec![1; 4],
         rates: vec![0.5; 4],
         estimate: 0.0,
+        switches: 2,
     };
     let body = encode_frame(&drain_of(NetMsg::ShardReport(Box::new(report))));
     // Header, Drain's count and address, the NetMsg tag, epoch and first:

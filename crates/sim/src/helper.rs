@@ -3,6 +3,8 @@
 use rand::rngs::StdRng;
 use rths_stoch::bandwidth::BandwidthProcess;
 
+use crate::config::BandwidthSpec;
+
 /// Derivation offset for per-helper RNG streams (see
 /// [`rths_stoch::rng::entity_rng`]); keeps helper randomness disjoint
 /// from peer streams so the message-passing runtimes (`rths-net`)
@@ -21,9 +23,10 @@ impl std::fmt::Display for HelperId {
 
 /// A helper node: a peer with surplus upload bandwidth acting as a
 /// micro-server. Its capacity follows a [`BandwidthProcess`]; each epoch
-/// the capacity is split evenly across connected peers (§III.A). Owns a
-/// private RNG stream so that helper dynamics are independent of peer
-/// population changes.
+/// the capacity is split over the channels it serves by the run's
+/// [`AllocationPolicy`](crate::AllocationPolicy), then evenly over each
+/// channel's viewers (§III.A). Owns a private RNG stream so that helper
+/// dynamics are independent of peer population changes.
 pub struct Helper {
     id: HelperId,
     process: Box<dyn BandwidthProcess>,
@@ -97,6 +100,17 @@ impl Helper {
             self.capacity() / load as f64
         }
     }
+}
+
+/// The helper set of a run seeded `seed`, as every engine builds it:
+/// helper `j` runs `specs[j]`, its initial state drawn from the run's
+/// master stream in helper order, and steps on its own stream.
+pub fn instantiate(specs: &[BandwidthSpec], seed: u64, master: &mut StdRng) -> Vec<Helper> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(j, spec)| Helper::with_seed(HelperId(j as u32), spec.instantiate(master), seed))
+        .collect()
 }
 
 #[cfg(test)]

@@ -207,6 +207,8 @@ pub struct PeerStore {
     /// Last chosen helper ([`NO_HELPER`] before the first choice).
     last_helper: Vec<u32>,
     switches: Vec<u64>,
+    /// The largest total of `switches` that `new_switches` has seen.
+    switches_reported: u64,
 }
 
 impl PeerStore {
@@ -258,6 +260,7 @@ impl PeerStore {
             satisfied_epochs: Vec::new(),
             last_helper: Vec::new(),
             switches: Vec::new(),
+            switches_reported: 0,
         }
     }
 
@@ -812,9 +815,15 @@ impl PeerStore {
         self.switches[slot]
     }
 
-    /// Total helper switches across the population.
-    pub fn total_switches(&self) -> u64 {
-        self.switches.iter().sum()
+    /// The `switches` series' entry for the epoch: how far the peers'
+    /// total of [`switches`](Self::switches) has grown past the largest
+    /// total an earlier call saw. Departures take their counts with them,
+    /// so the total can dip; no switch is counted twice.
+    pub fn new_switches(&mut self) -> u64 {
+        let total: u64 = self.switches.iter().sum();
+        let new = total.saturating_sub(self.switches_reported);
+        self.switches_reported += new;
+        new
     }
 
     /// Time-averaged worst true regret of the peer in `slot`.

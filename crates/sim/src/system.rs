@@ -27,7 +27,7 @@ use rths_stoch::rng::seeded_rng;
 
 use crate::config::{BandwidthSpec, LearnerSpec, SimConfig};
 use crate::epoch_metrics::{cap_to_demand, EpochMetrics};
-use crate::helper::{Helper, HelperId};
+use crate::helper::{self, Helper};
 use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::metrics::SimMetrics;
 use crate::multichannel::AllocationPolicy;
@@ -43,13 +43,15 @@ pub struct Outcome {
     pub metrics: SimMetrics,
     /// Peers online at the end.
     pub final_population: usize,
-    /// Joint action distribution (recorded only for churn-free runs,
-    /// where profiles have a fixed player set).
+    /// Joint action distribution. Profiles need a fixed player set, so it
+    /// is recorded only on a churn-free run, and is `None` once a peer
+    /// has departed or arrived ([`System::depart_peer`],
+    /// [`System::inject_arrivals`]).
     pub joint: Option<JointDistribution>,
-    /// Per-peer delivered-rate series (only when
-    /// `record_peer_rates` was set on a churn-free run); outer index =
-    /// peer, inner = epoch. Feed to [`crate::playback::PlaybackBuffer`]
-    /// for QoE analysis.
+    /// Per-peer delivered-rate series (only when `record_peer_rates` was
+    /// set, and under the same fixed-player-set rule as
+    /// [`joint`](Self::joint)); outer index = peer, inner = epoch. Feed to
+    /// [`crate::playback::PlaybackBuffer`] for QoE analysis.
     pub peer_rate_series: Option<Vec<Vec<f64>>>,
 }
 
@@ -136,8 +138,6 @@ pub struct System {
     metrics: EpochMetrics,
     joint: Option<JointDistribution>,
     peer_rate_series: Option<Vec<Vec<f64>>>,
-    /// Sum of the `switches` series so far (integer counts, kept exact).
-    switches_recorded: u64,
     epoch: u64,
     master_rng: StdRng,
     scratch: EpochScratch,
@@ -201,18 +201,7 @@ impl System {
             "water-filling needs a finite demand on every channel"
         );
         let mut master_rng = seeded_rng(plan.seed);
-        let helpers: Vec<Helper> = plan
-            .helpers
-            .iter()
-            .enumerate()
-            .map(|(j, spec)| {
-                Helper::with_seed(
-                    HelperId(j as u32),
-                    spec.instantiate(&mut master_rng),
-                    plan.seed,
-                )
-            })
-            .collect();
+        let helpers = helper::instantiate(&plan.helpers, plan.seed, &mut master_rng);
         let mut channel_helpers = vec![Vec::new(); plan.demands.len()];
         for (j, served) in plan.helper_channels.iter().enumerate() {
             for &c in served {
@@ -247,7 +236,6 @@ impl System {
             peer_rate_series: track_rates.then(|| vec![Vec::new(); peers.len()]),
             helpers,
             peers,
-            switches_recorded: 0,
             epoch: 0,
             master_rng,
             scratch: EpochScratch::default(),
@@ -331,6 +319,9 @@ impl System {
         for _ in 0..extra {
             self.peers.spawn(0, self.epoch);
         }
+        if extra > 0 {
+            self.players_changed();
+        }
     }
 
     /// Removes the peer with stable id `id` immediately (scripted
@@ -344,10 +335,19 @@ impl System {
                 self.scratch.removing.clear();
                 self.scratch.removing.push(slot as u32);
                 self.peers.remove_slots(&mut self.scratch.removing);
+                self.players_changed();
                 true
             }
             None => false,
         }
+    }
+
+    /// The player set changed: a profile of the new set is not one of the
+    /// recorded game's, and the per-peer series would no longer line up
+    /// with the peers, so both recordings stop.
+    fn players_changed(&mut self) {
+        self.joint = None;
+        self.peer_rate_series = None;
     }
 
     /// Moves `count` viewers from one channel to another (popularity
@@ -599,15 +599,10 @@ impl System {
             obs::span_end(Phase::Settle, ep, t);
         }
 
-        // 9. Metrics. Per-epoch switches = growth of the population's
-        // cumulative count past what the series already holds (departures
-        // take their counts with them, so the total can dip; the series
-        // never does).
+        // 9. Metrics.
         let t = obs::span_start();
-        let new_switches = self.peers.total_switches().saturating_sub(self.switches_recorded);
-        self.switches_recorded += new_switches;
         let estimate = self.plan.diagnostics.then_some(worst_est);
-        self.metrics.record(worst_emp, estimate, new_switches);
+        self.metrics.record(worst_emp, estimate, self.peers.new_switches());
         if let Some(joint) = &mut self.joint {
             if self.epoch >= self.plan.record_joint_from {
                 profile_usize.clear();
@@ -874,6 +869,32 @@ mod tests {
         assert_eq!(sys.peers().slot_of(4), Some(3));
         let out = sys.run(5);
         assert_eq!(out.final_population, 9);
+    }
+
+    /// A departure, then arrivals, on a churn-free run that records both
+    /// per-player views: neither may go on over a changed player set.
+    #[test]
+    fn a_changed_player_set_stops_the_per_player_records() {
+        let config = || {
+            SimConfig::builder(4, vec![BandwidthSpec::Paper { stay: 0.98 }; 2])
+                .record_peer_rates(true)
+                .seed(5)
+        };
+        let mut sys = System::new(config().build());
+        let out = sys.run(5);
+        assert_eq!(out.peer_rate_series.map(|s| s.len()), Some(4));
+        assert!(out.joint.is_some());
+        assert!(sys.depart_peer(1));
+        let out = sys.run(5);
+        assert!(out.peer_rate_series.is_none(), "series recorded over 3 of 4 peers");
+        assert!(out.joint.is_none(), "joint recorded over 3 of 4 peers");
+
+        let mut sys = System::new(config().build());
+        let _ = sys.run(5);
+        sys.inject_arrivals(20.0);
+        assert!(sys.num_peers() > 4);
+        let out = sys.run(5);
+        assert!(out.peer_rate_series.is_none() && out.joint.is_none());
     }
 
     #[test]

@@ -53,20 +53,22 @@ fn assert_outcome_matches_sim(
 ) {
     let tag = format!("{backend} backend, RTHS_THREADS={threads}");
     assert_eq!(sim_out.epochs, net_out.epochs, "{tag}: epoch counts diverged");
+    let (sim, net) = (&sim_out.metrics, &net_out.metrics);
+    for (name, a, b) in [
+        ("welfare", &sim.welfare, &net.welfare),
+        ("server load", &sim.server_load, &net.server_load),
+        ("Jain fairness", &sim.jain, &net.jain),
+        ("switches", &sim.switches, &net.switches),
+        ("population", &sim.population, &net.population),
+        ("minimum deficit", &sim.min_deficit, &net.min_deficit),
+        ("current deficit", &sim.current_deficit, &net.current_deficit),
+    ] {
+        assert_eq!(bits(a.values()), bits(b.values()), "{tag}: {name} series diverged");
+    }
     assert_eq!(
-        bits(sim_out.metrics.welfare.values()),
-        bits(net_out.metrics.welfare.values()),
-        "{tag}: welfare trajectory diverged"
-    );
-    assert_eq!(
-        bits(sim_out.metrics.server_load.values()),
-        bits(net_out.metrics.server_load.values()),
-        "{tag}: server load series diverged"
-    );
-    assert_eq!(
-        bits(sim_out.metrics.jain.values()),
-        bits(net_out.metrics.jain.values()),
-        "{tag}: Jain fairness series diverged"
+        bits(&sim.mean_helper_loads),
+        bits(&net.mean_helper_loads),
+        "{tag}: mean helper loads diverged"
     );
     for (j, (a, b)) in
         sim_out.metrics.helper_loads.iter().zip(&net_out.metrics.helper_loads).enumerate()
@@ -185,6 +187,41 @@ fn equivalent_on_a_reactor_scale_population() {
         .seed(1234)
         .build();
     assert_equivalent(config, 12);
+}
+
+/// Helper 0 goes offline at epoch 50 and comes back at epoch 120: the
+/// reactor's failure path (a `SetOnline` message to the helper actor)
+/// must give the simulator's `set_helper_online` trajectory, every series
+/// bit for bit, at either worker count.
+#[test]
+fn helper_failure_is_equivalent() {
+    const PHASES: [(u64, Option<bool>); 3] = [(50, Some(false)), (70, Some(true)), (80, None)];
+    let config = Scenario::paper_server_load().seed(19).build();
+    for threads in [1usize, 2] {
+        with_threads(threads, || {
+            let mut sim = System::new(config.clone());
+            let mut reactor = ReactorRuntime::new(NetConfig::from_sim(config.clone()));
+            for (epochs, online) in PHASES {
+                let _ = sim.run(epochs);
+                reactor.run_epochs(epochs);
+                if let Some(online) = online {
+                    sim.set_helper_online(0, online);
+                    reactor.set_helper_online(0, online);
+                }
+            }
+            let sim_out = sim.outcome();
+            // Not vacuous: the failure shows in the welfare series.
+            let welfare = sim_out.metrics.welfare.values();
+            assert!(welfare[50..120].iter().sum::<f64>() < welfare[120..190].iter().sum());
+            assert_outcome_matches_sim(
+                "reactor, helper 0 offline at 50..120",
+                threads,
+                &sim_out,
+                &reactor.finish(),
+                true,
+            );
+        });
+    }
 }
 
 #[test]
