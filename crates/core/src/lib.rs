@@ -99,6 +99,6 @@ pub use exp3::{Exp3Config, Exp3Learner};
 pub use learner::Learner;
 pub use metrics::ConvergenceSeries;
 pub use slab::{
-    for_each_survivor_move, LearnerSlab, SharedSlab, SlabCols, SlabLearner, StrategyCols,
-    OBSERVE_BATCH,
+    close_row_holes, compact_column, for_each_survivor_run, LearnerSlab, SharedSlab, SlabCols,
+    SlabLearner, StrategyCols, OBSERVE_BATCH,
 };

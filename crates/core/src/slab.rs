@@ -8,33 +8,53 @@
 //! structure-of-arrays counterpart of `rths_sim`'s `PeerStore`:
 //!
 //! ```text
-//!            slot 0                    slot 1                 …
-//!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]                stride s
-//!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]                stride s
-//!   best:  [ b₀ … bₛ | d₀ … dₛ ]   [ b₀ … bₛ | d₀ … dₛ ]      stride 2s, on demand
-//!   played:[ column bitmask ]      [ column bitmask ]         ⌈s/64⌉ words
-//!   arity / stage / pending / scale / block: one scalar per slot
-//!                                     │
-//!            ┌────────────────────────┘  block[slot] = b
-//!            ▼
-//!            block b                   block b+1              …
-//!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]      stride s²
+//!   arity / stage / pending / scale / block / row: one scalar per slot
+//!                   │                            │
+//!    row[slot] = h  │                            │  block[slot] = b
+//!                   ▼                            │
+//!            row h                     row h+1   │             …
+//!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]   │             stride s
+//!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]   │             stride s
+//!   best:  [ b₀ … bₛ | d₀ … dₛ ]   [ b₀ … bₛ | d₀ … dₛ ]       stride 2s, on demand
+//!                                                ▼
+//!            block b                   block b+1               …
+//!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]       stride s²
 //!           └─ S(r,k) at c(k)·s + r  (column-major per block)
+//!   played:[ column bitmask ]        [ column bitmask ]        ⌈s/64⌉ words
 //!
 //!   c(k) = k                              s² · 8 B ≤ 4 KB (unpacked)
 //!   c(k) = #{played actions below k}      s² · 8 B > 4 KB (packed)
 //! ```
 //!
-//! The per-slot columns are **slot-addressed**; the T arena is
-//! **block-addressed**: slot `i`'s `S` lives in block `block[i]` of `t`,
-//! wherever slot `i` itself sits. A block is handed to a slot when the
-//! slot is created and follows it for life, so moving a slot moves a
-//! 4-byte handle, never `s²` floats. Per-slot calls look the handle up;
-//! a sharded phase ([`LearnerSlab::split`]) reads all of them once and
-//! hands each shard the blocks its slots own — the arena prefix as it
-//! stands while every handle still equals its slot, a vector of per-slot
-//! block views gathered through the handles once churn has permuted
-//! them (`chunks_exact_mut` proves the views disjoint; no `unsafe`).
+//! Only the scalars are **slot-addressed**. Every column whose rows are
+//! as long as the stride (or its square) keeps them in an arena that a
+//! slot reaches through a 4-byte handle, wherever the slot itself sits,
+//! so moving a slot moves six scalars and never a row:
+//!
+//! * The T arena and the bitmasks are **block-addressed**: slot `i`'s
+//!   `S` is block `block[i]` of `t`, handed to the slot when it is
+//!   created and followed for life. A departed slot's block is wiped and
+//!   handed to the next arrival, so the arena never outgrows the peak
+//!   population, and after churn the handles are any permutation: a
+//!   sweep meets the blocks out of order, as it meets their columns.
+//! * The strategy, frequency and estimate rows are **row-addressed**:
+//!   slot `i`'s rows are row `row[i]` of `probs`, `freq` and `best`. An
+//!   arrival takes the row past every handed-out one and a departure
+//!   leaves a hole, so the row handles stay strictly increasing and a
+//!   sweep streams these rows in arena order, as it reads them every
+//!   epoch. (Handing departed rows to arrivals, as blocks are, measured
+//!   slower than moving them: the sweep then missed on every row.) Once
+//!   the holes outnumber a sixteenth of the slots,
+//!   [`LearnerSlab::remove_slots`] closes them in one ascending pass
+//!   ([`close_row_holes`]).
+//!
+//! Per-slot calls look a handle up; a sharded phase
+//! ([`LearnerSlab::split`]) reads them once and hands each shard a view
+//! of its slots' rows ([`Rows`]): the arena prefix itself while every
+//! handle still equals its slot, the arena and the handles while the
+//! phase runs as one shard, and one view per slot gathered through the
+//! handles once the phase splits it (`chunks_exact_mut` proves the
+//! views disjoint; no `unsafe`).
 //!
 //! One stage of the learner (Eq. 3-5/3-6) decays `T`, adds a rank-1
 //! update to **one** column and reads **one** row. At 10⁴+ slots of
@@ -110,7 +130,7 @@
 //!   commutes with all three: it is the same expression evaluated once,
 //!   at `best[r] = max_k S(r,k)` (a never-played column counting as the
 //!   `+0.0` it holds). A slab that is asked for estimates keeps `best`
-//!   and, beside it in the same slot-addressed row, the diagonal
+//!   and, beside it in the same row, the diagonal
 //!   `diag[r] = S(r,r)` — `2m` scalars per slot, laid out like `probs` at
 //!   twice the stride — exact wherever `S` changes. The rank-1 update
 //!   with a coefficient `≥ 0` only raises column `j`, so `best[r] =
@@ -120,9 +140,10 @@
 //!   one diagonal entry the update wrote. Renormalisation applies its
 //!   exact 2⁻²⁵⁶ scale and subnormal flush (monotone too) to the whole
 //!   row, as it does to the `S` entries the row mirrors; a wipe, a reset
-//!   and `alloc` zero it; a clone copies it; compaction moves it with the
-//!   slot's other rows. The query is one `shifted_regret_max(best, diag,
-//!   f)` over two slot-addressed rows — it never touches T, where the scan
+//!   and `alloc` zero it; a clone copies it; it follows the slot's row
+//!   handle like the strategy row. The query is one `shifted_regret_max(
+//!   best, diag, f)` over the two halves of that row — it never touches
+//!   T, where the scan
 //!   of the played columns loads `O(played · m)` scattered lines and even
 //!   the diagonal alone is one line per played column, and `System` asks
 //!   it of every peer every epoch. **Demand-driven, not a setting:** the column
@@ -146,7 +167,7 @@
 //!   column — the lines the rank-1 update and the row gather are about to
 //!   touch — ≈ 100 independent loads in flight together, after which the
 //!   eight updates find their T lines in cache (`probs`, `freq` and `best`
-//!   rows are slot-addressed and stream). The loaded bits are folded into a
+//!   rows lie in slot order and stream). The loaded bits are folded into a
 //!   word that goes to [`std::hint::black_box`] and nowhere else, and
 //!   nothing is stored: no float of any trajectory can depend on the pass,
 //!   on the batch size or on whether it ran. The store's observe sweep —
@@ -173,8 +194,8 @@
 //!   when the other operand is NaN, plus `δ/m`, so `p(k) ≥ δ/m > 0`; the
 //!   one entry rounding could take below zero, `p(j) = 1 − off`, is an
 //!   `assert!` per observe (it holds unless `δ/m` is below the rounding
-//!   error of the off-mass sum, ≈ m · 2⁻⁵³). Compaction and clones copy
-//!   whole rows. A per-sample guard, a running-max count and a
+//!   error of the off-mass sum, ≈ m · 2⁻⁵³). Clones and the passes that
+//!   close row holes copy whole rows. A per-sample guard, a running-max count and a
 //!   first-crossing bitmask would each not need the invariant, but each
 //!   measured slower than the early exit at m ≥ 32.
 //!
@@ -194,18 +215,20 @@
 //! * **slot-aligned mode** (`rths_sim`'s `PeerStore`, in the simulator
 //!   and in each of the reactor's mailbox shards): slab slot ==
 //!   store slot; departures go through [`LearnerSlab::remove_slots`]'s
-//!   order-preserving compaction of the *per-slot* columns (mirroring the
-//!   store's column compaction). Compaction moves handles, not T columns:
-//!   a departed slot's block is wiped and pushed on the block free list,
+//!   order-preserving compaction of the *per-slot* scalars (mirroring the
+//!   store's column compaction). Compaction moves handles, not rows: a
+//!   departed slot's block is wiped and pushed on the block free list,
 //!   which [`alloc`](LearnerSlab::alloc) pops before it touches fresh
-//!   arena, and no survivor's T data moves — churn costs
-//!   `O(departed · played · s + population)`, not `O(population · s²)`,
-//!   and the arena never outgrows the peak population. After churn the
-//!   handles are a non-identity permutation; nothing depends on which
-//!   block a slot holds.
+//!   arena, and its rows become holes — churn costs `O(departed · played
+//!   · s + population)` an epoch, plus one pass over the rows per
+//!   sixteenth of the population departed, not `O(population · s)` an
+//!   epoch. After churn the block handles are a non-identity permutation
+//!   and the row handles have gaps; nothing depends on which block or
+//!   row a slot holds.
 //! * **free-list mode** ([`SlabLearner`]s): [`alloc`](LearnerSlab::alloc)
 //!   / [`release`](LearnerSlab::release) with stable slots; a released
-//!   slot keeps its (wiped) block, so the handle stays the identity. A
+//!   slot keeps its (wiped) block and its rows, so both handles stay the
+//!   identity. A
 //!   `SlabLearner` wraps one slot behind the [`Learner`] trait for owners
 //!   that hold their learner by value; its per-slot calls index
 //!   `block[slot]` directly and are `O(1)` in the slab size.
@@ -215,7 +238,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::RngCore;
 use rths_math::kernels;
-use rths_par::{ShardCols, Strided};
+use rths_par::{increasing_aligned, Rows, ShardCols, Strided};
 
 use crate::config::{RecencyMode, RthsConfig};
 use crate::lazy::{self, Decay};
@@ -482,33 +505,85 @@ fn rebuild_row_maxima(t: &[f64], played: &[u64], stride: usize, best: &mut [f64]
     for_each_column(played, stride, |_, c| kernels::max_assign(best, &t[c..c + m]));
 }
 
-/// Calls `mv(read, write)` for every surviving slot of `0..n` that an
-/// **order-preserving** removal of the `sorted` slots (strictly
-/// increasing, all `< n` — callers validate) relocates, in ascending
-/// order, and returns the survivor count. Survivors keep their relative
-/// order, so `write < read` always and each `mv` may overwrite `write`
-/// freely: whatever lived there has already moved or departed. This is
-/// the one write-cursor walk behind every slot-aligned column compaction
-/// (the slab's per-slot columns, `PeerStore`'s, the regret ledger's).
-pub fn for_each_survivor_move(
+/// Calls `mv(run, to)` for every run of consecutive surviving slots of
+/// `0..n` that an **order-preserving** removal of the `sorted` slots
+/// (strictly increasing, all `< n` — callers validate) relocates: the
+/// slots `run` move to `to..`, in ascending order. Returns the survivor
+/// count. Survivors keep their relative order, so `to < run.start`
+/// always and each `mv` may overwrite `to..` freely: whatever lived there
+/// has already moved or departed. This is the one write-cursor walk
+/// behind every slot-aligned column compaction (the slab's per-slot
+/// columns, `PeerStore`'s, the regret ledger's).
+pub fn for_each_survivor_run(
     n: usize,
     sorted: &[u32],
-    mut mv: impl FnMut(usize, usize),
+    mut mv: impl FnMut(std::ops::Range<usize>, usize),
 ) -> usize {
     // Slots before the first departure stay where they are.
     let Some(&first) = sorted.first() else { return n };
-    let first = first as usize;
-    let mut next = 0;
-    let mut write = first;
-    for read in first..n {
-        if next < sorted.len() && sorted[next] as usize == read {
-            next += 1;
-            continue;
+    let mut to = first as usize;
+    for (k, &gone) in sorted.iter().enumerate() {
+        let end = sorted.get(k + 1).map_or(n, |&next| next as usize);
+        let run = gone as usize + 1..end;
+        if !run.is_empty() {
+            to += run.len();
+            mv(run.clone(), to - run.len());
         }
-        mv(read, write);
-        write += 1;
     }
-    write
+    to
+}
+
+/// Removes the `sorted` slots from one column of `Copy` scalars,
+/// order-preservingly ([`for_each_survivor_run`]): each run of survivors
+/// moves as one block.
+pub fn compact_column<T: Copy>(column: &mut Vec<T>, sorted: &[u32]) {
+    let kept =
+        for_each_survivor_run(column.len(), sorted, |run, to| column.copy_within(run, to));
+    column.truncate(kept);
+}
+
+/// Bytes of one slot's slot-addressed scalars — `arity`, `stage`,
+/// `pending`, `scale`, `block` and `row` — all that a compaction copies
+/// for a relocated slot.
+const SLOT_SCALAR_BYTES: usize = 4 * size_of::<u32>() + size_of::<u64>() + size_of::<f64>();
+
+/// Row `r` of an arena of `width`-scalar rows, as a one-slot view.
+fn one_row<T>(arena: &mut [T], width: usize, r: usize) -> Rows<'_, T> {
+    Rows::Aligned(Strided::new(width, &mut arena[r * width..(r + 1) * width]))
+}
+
+/// Closes the holes of a row arena whose items reach their rows through
+/// `handles` — strictly increasing, as an arena gets them when departed
+/// items leave their rows behind and arrivals append — once the holes
+/// (`used` rows handed out, less the live ones) outnumber a sixteenth of
+/// the live items. Then every handle is made its item's index, calling
+/// `mv(from, to)` for each row that has to move, in ascending order, and
+/// the number of moves comes back; else `None`, and nothing changes.
+///
+/// A strictly increasing handle is at least its index, so each row moves
+/// to a place an earlier one has already left. A sweep over an arena that
+/// is not closed skips at most one row in seventeen, still in arena
+/// order; a steady churn of `d` departures an epoch pays one pass over
+/// the rows every `population / 16d` epochs, where moving them at every
+/// departure paid one an epoch.
+pub fn close_row_holes(
+    handles: &mut [u32],
+    used: usize,
+    mut mv: impl FnMut(usize, usize),
+) -> Option<usize> {
+    if used - handles.len() <= handles.len() / 16 {
+        return None;
+    }
+    let mut moved = 0;
+    for (to, handle) in handles.iter_mut().enumerate() {
+        let from = *handle as usize;
+        if from != to {
+            mv(from, to);
+            moved += 1;
+            *handle = to as u32;
+        }
+    }
+    Some(moved)
 }
 
 /// An arena of learner slots sharing flat columns (see the module docs
@@ -522,10 +597,15 @@ pub struct LearnerSlab {
     words: usize,
     /// The T arena, `stride²` scalars per block. Blocks
     /// `..block.len() + free_blocks.len()` have been handed out; the
-    /// rest is untouched zeroed backing.
+    /// rest is untouched zeroed backing. Indexed by `block[slot]`, like
+    /// `played`.
     t: Vec<f64>,
+    /// Strategy rows, `stride` scalars each. Rows `..rows_used` have been
+    /// handed out. Indexed by `row[slot]`, like `freq` and `best`.
     probs: Vec<f64>,
+    /// Play-frequency rows, `stride` scalars each.
     freq: Vec<f64>,
+    /// Played-column bitmasks, `words` per block.
     played: Vec<u64>,
     arity: Vec<u32>,
     stage: Vec<u64>,
@@ -535,9 +615,22 @@ pub struct LearnerSlab {
     /// batched decay does not skip those); `alloc` restarts it at 1.
     scale: Vec<f64>,
     /// Block handle per slot: the slot's `S` is block `block[slot]` of
-    /// `t`. Every handed-out block is owned by exactly one slot or sits
-    /// on `free_blocks` — no two slots ever share one.
+    /// `t`, its bitmask word row `block[slot]` of `played`. Every
+    /// handed-out block is owned by exactly one slot or sits on
+    /// `free_blocks` — no two slots ever share one.
     block: Vec<u32>,
+    /// Whether a departure has ever moved a slot off its block's index:
+    /// until then every `block[slot] == slot`.
+    blocks_permuted: bool,
+    /// Row handle per slot: the slot's rows of `probs`, `freq` and `best`
+    /// are row `row[slot]` of theirs. Strictly increasing in slot order,
+    /// so a sweep over the slots streams these rows as the arenas' own
+    /// order, holes aside.
+    row: Vec<u32>,
+    /// Rows handed out: every live slot's, plus the holes departed slots
+    /// left behind, which [`remove_slots`](Self::remove_slots) closes
+    /// once they outnumber a sixteenth of the live slots.
+    rows_used: usize,
     /// Released slots (free-list mode); each keeps its wiped block.
     free: Vec<u32>,
     /// Wiped blocks of slots compacted away by
@@ -547,9 +640,9 @@ pub struct LearnerSlab {
     /// block — either free list — instead of fresh arena (observability:
     /// churn is not costing allocator traffic or new pages).
     reuses: u64,
-    /// Maintained estimate rows of every live slot, `2 · stride` scalars
-    /// each, slot-addressed: the row maxima `best[r] = max_k S(r, k)`,
-    /// then the diagonal `diag[r] = S(r, r)` at offset `stride`. `None`
+    /// Maintained estimate rows, `2 · stride` scalars each: the row
+    /// maxima `best[r] = max_k S(r, k)`, then the diagonal `diag[r] =
+    /// S(r, r)` at offset `stride`. `None`
     /// until someone asks for a regret estimate
     /// ([`track_estimates`](Self::track_estimates)).
     best: Option<Vec<f64>>,
@@ -587,6 +680,9 @@ impl LearnerSlab {
             pending: Vec::with_capacity(slots),
             scale: Vec::with_capacity(slots),
             block: Vec::with_capacity(slots),
+            blocks_permuted: false,
+            row: Vec::with_capacity(slots),
+            rows_used: 0,
             free: Vec::new(),
             free_blocks: Vec::new(),
             reuses: 0,
@@ -606,19 +702,24 @@ impl LearnerSlab {
         }
         if self.arity.is_empty() {
             self.t = vec![0.0; target * self.stride * self.stride];
-            self.probs = vec![0.0; target * self.stride];
-            self.freq = vec![0.0; target * self.stride];
             self.played = vec![0; target * self.words];
-            if let Some(best) = &mut self.best {
-                *best = vec![0.0; target * 2 * self.stride];
-            }
         } else {
             self.t.resize(target * self.stride * self.stride, 0.0);
-            self.probs.resize(target * self.stride, 0.0);
-            self.freq.resize(target * self.stride, 0.0);
             self.played.resize(target * self.words, 0);
+        }
+        // The rows of a live slab may have holes: reserve past them.
+        let rows = target + self.rows_used - self.arity.len();
+        if self.rows_used == 0 {
+            self.probs = vec![0.0; rows * self.stride];
+            self.freq = vec![0.0; rows * self.stride];
             if let Some(best) = &mut self.best {
-                best.resize(target * 2 * self.stride, 0.0);
+                *best = vec![0.0; rows * 2 * self.stride];
+            }
+        } else {
+            self.probs.resize(rows * self.stride, 0.0);
+            self.freq.resize(rows * self.stride, 0.0);
+            if let Some(best) = &mut self.best {
+                best.resize(rows * 2 * self.stride, 0.0);
             }
         }
         self.arity.reserve(target - self.arity.len());
@@ -626,6 +727,7 @@ impl LearnerSlab {
         self.pending.reserve(target - self.pending.len());
         self.scale.reserve(target - self.scale.len());
         self.block.reserve(target - self.block.len());
+        self.row.reserve(target - self.row.len());
     }
 
     /// The fixed per-slot stride (maximum hostable arity).
@@ -673,6 +775,7 @@ impl LearnerSlab {
                 let block = match self.free_blocks.pop() {
                     Some(b) => {
                         self.reuses += 1;
+                        self.blocks_permuted |= b as usize != s;
                         b
                     }
                     None => {
@@ -684,41 +787,53 @@ impl LearnerSlab {
                         // storage already exists, untouched and zero.
                         if (s + 1) * self.stride * self.stride > self.t.len() {
                             self.t.resize((s + 1) * self.stride * self.stride, 0.0);
-                            self.probs.resize((s + 1) * self.stride, 0.0);
-                            self.freq.resize((s + 1) * self.stride, 0.0);
                             self.played.resize((s + 1) * self.words, 0);
-                            if let Some(best) = &mut self.best {
-                                best.resize((s + 1) * 2 * self.stride, 0.0);
-                            }
                         }
                         s as u32
                     }
                 };
+                // A new slot comes last in slot order, so it takes the
+                // row past every handed-out one.
+                let row = self.rows_used;
+                self.rows_used += 1;
+                if self.rows_used * self.stride > self.probs.len() {
+                    self.probs.resize(self.rows_used * self.stride, 0.0);
+                    self.freq.resize(self.rows_used * self.stride, 0.0);
+                    if let Some(best) = &mut self.best {
+                        best.resize(self.rows_used * 2 * self.stride, 0.0);
+                    }
+                }
                 self.arity.push(0);
                 self.stage.push(0);
                 self.pending.push(NO_PENDING);
                 self.scale.push(1.0);
                 self.block.push(block);
+                self.row.push(row as u32);
                 s
             }
         };
-        // Freed blocks were wiped when their slot departed and fresh
-        // ones are zero, and the slot's bitmask row is clear (wiped on
-        // release, cleared behind a compaction), so T and the mask need
-        // no work; only the uniform prefix, the lazy scale and the
-        // estimate row (a departed learner's may linger in it) do.
+        // A freed block's T columns and bitmask were wiped when its slot
+        // departed or was released, and a fresh block is zero, so they
+        // need no work; only the uniform prefix, the lazy scale and the
+        // estimate row (a departed learner's may linger in its rows) do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
         self.scale[slot] = 1.0;
-        let base = slot * self.stride;
+        self.restart_rows(slot, num_actions);
+        slot as u32
+    }
+
+    /// Writes `slot`'s fresh-learner rows: `p = f = 1/m` on their first
+    /// `num_actions` entries, a zero estimate row.
+    fn restart_rows(&mut self, slot: usize, num_actions: usize) {
+        let base = self.row[slot] as usize * self.stride;
         let p = 1.0 / num_actions as f64;
         self.probs[base..base + num_actions].fill(p);
         self.freq[base..base + num_actions].fill(p);
         if let Some(best) = &mut self.best {
             best[2 * base..2 * (base + self.stride)].fill(0.0);
         }
-        slot as u32
     }
 
     /// Returns a slot to the free list, restoring the all-zero T /
@@ -753,15 +868,17 @@ impl LearnerSlab {
         assert!(m > 0, "cannot clone a freed slot");
         let dst = self.alloc(m) as usize;
         let (stride, words) = (self.stride, self.words);
-        let (from, to) = (self.block_range(src).start, self.block_range(dst).start);
-        self.played.copy_within(src * words..(src + 1) * words, dst * words);
-        for_each_column(&self.played[dst * words..(dst + 1) * words], stride, |_, c| {
-            self.t.copy_within(from + c..from + c + stride, to + c);
+        let (from, to) = (self.block[src] as usize, self.block[dst] as usize);
+        self.played.copy_within(from * words..(from + 1) * words, to * words);
+        let area = stride * stride;
+        for_each_column(&self.played[to * words..(to + 1) * words], stride, |_, c| {
+            self.t.copy_within(from * area + c..from * area + c + stride, to * area + c);
         });
-        self.probs.copy_within(src * stride..(src + 1) * stride, dst * stride);
-        self.freq.copy_within(src * stride..(src + 1) * stride, dst * stride);
+        let (from, to) = (self.row[src] as usize, self.row[dst] as usize);
+        self.probs.copy_within(from * stride..(from + 1) * stride, to * stride);
+        self.freq.copy_within(from * stride..(from + 1) * stride, to * stride);
         if let Some(best) = &mut self.best {
-            best.copy_within(2 * src * stride..2 * (src + 1) * stride, 2 * dst * stride);
+            best.copy_within(2 * from * stride..2 * (from + 1) * stride, 2 * to * stride);
         }
         self.stage[dst] = self.stage[src];
         self.pending[dst] = self.pending[src];
@@ -770,20 +887,24 @@ impl LearnerSlab {
     }
 
     /// Removes the given slots with an **order-preserving compaction**
-    /// of the per-slot columns, mirroring `PeerStore::remove_slots` so
-    /// slab slots stay aligned with store slots. No T data moves: each
-    /// survivor carries its block handle down with it, and each departed
-    /// slot's block is wiped (played columns only) and pushed on the
-    /// block free list for [`alloc`](Self::alloc) to reuse.
+    /// of the per-slot scalars, mirroring `PeerStore::remove_slots` so
+    /// slab slots stay aligned with store slots. Each survivor carries
+    /// its two handles down with it, so no row of it moves: each departed
+    /// slot's block is wiped (played columns and bitmask) and pushed on
+    /// the block free list for [`alloc`](Self::alloc) to reuse, and its
+    /// rows are left as holes. Once the holes outnumber a sixteenth of
+    /// the survivors, one ascending pass closes them (the module docs).
+    /// Returns the bytes copied: six scalars per relocated slot, and the
+    /// rows such a pass moved.
     ///
     /// # Panics
     ///
     /// Panics if `sorted` is not strictly increasing, any slot is out of
     /// range, or the slab has free-listed slots (compaction and the slot
     /// free list are the two mutually exclusive usage modes).
-    pub fn remove_slots(&mut self, sorted: &[u32]) {
+    pub fn remove_slots(&mut self, sorted: &[u32]) -> usize {
         if sorted.is_empty() {
-            return;
+            return 0;
         }
         assert!(self.free.is_empty(), "cannot compact a slab with free-listed slots");
         assert!(sorted.windows(2).all(|w| w[0] < w[1]), "slots must be sorted and unique");
@@ -793,34 +914,31 @@ impl LearnerSlab {
             self.wipe_t(slot as usize);
             self.free_blocks.push(self.block[slot as usize]);
         }
-        let (stride, words) = (self.stride, self.words);
-        let Self { probs, freq, played, arity, stage, pending, scale, block, best, .. } = self;
-        let kept = for_each_survivor_move(n, sorted, |read, write| {
-            probs.copy_within(read * stride..(read + 1) * stride, write * stride);
-            freq.copy_within(read * stride..(read + 1) * stride, write * stride);
+        compact_column(&mut self.arity, sorted);
+        compact_column(&mut self.stage, sorted);
+        compact_column(&mut self.pending, sorted);
+        compact_column(&mut self.scale, sorted);
+        compact_column(&mut self.block, sorted);
+        compact_column(&mut self.row, sorted);
+        let kept = self.arity.len();
+        // Everything from the first departure on was relocated.
+        self.blocks_permuted |= kept > sorted[0] as usize;
+        let mut moved = (kept - sorted[0] as usize) * SLOT_SCALAR_BYTES;
+        let stride = self.stride;
+        let Self { probs, freq, best, row, rows_used, .. } = self;
+        let closed = close_row_holes(row, *rows_used, |from, to| {
+            probs.copy_within(from * stride..(from + 1) * stride, to * stride);
+            freq.copy_within(from * stride..(from + 1) * stride, to * stride);
             if let Some(best) = best {
-                best.copy_within(
-                    2 * read * stride..2 * (read + 1) * stride,
-                    2 * write * stride,
-                );
+                best.copy_within(2 * from * stride..2 * (from + 1) * stride, 2 * to * stride);
             }
-            played.copy_within(read * words..(read + 1) * words, write * words);
-            arity[write] = arity[read];
-            stage[write] = stage[read];
-            pending[write] = pending[read];
-            scale[write] = scale[read];
-            block[write] = block[read];
         });
-        // The rows past `kept` are reusable backing, not live slots:
-        // the bitmask rows go back to the all-clear state `alloc` relies
-        // on; probs/freq/best may keep stale copies — `alloc` refills
-        // what it hands out.
-        played[kept * words..n * words].fill(0);
-        arity.truncate(kept);
-        stage.truncate(kept);
-        pending.truncate(kept);
-        scale.truncate(kept);
-        block.truncate(kept);
+        if let Some(rows) = closed {
+            *rows_used = kept;
+            let widths = if best.is_some() { 4 } else { 2 };
+            moved += rows * widths * stride * size_of::<f64>();
+        }
+        moved
     }
 
     /// Reinitialises a slot for a new action count (channel switch) —
@@ -837,13 +955,7 @@ impl LearnerSlab {
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.scale[slot] = 1.0;
-        let base = slot * self.stride;
-        let p = 1.0 / num_actions as f64;
-        self.probs[base..base + num_actions].fill(p);
-        self.freq[base..base + num_actions].fill(p);
-        if let Some(best) = &mut self.best {
-            best[2 * base..2 * (base + self.stride)].fill(0.0);
-        }
+        self.restart_rows(slot, num_actions);
     }
 
     /// Starts maintaining every slot's row maxima and diagonal (see the
@@ -857,16 +969,14 @@ impl LearnerSlab {
         if self.best.is_some() {
             return;
         }
-        let (stride, words) = (self.stride, self.words);
+        let stride = self.stride;
         let mut best = vec![0.0; 2 * self.probs.len()];
         for slot in 0..self.arity.len() {
             // A free-listed slot has arity 0: an empty row, nothing built.
             let m = self.arity[slot] as usize;
-            let (t, played) = (
-                &self.t[self.block_range(slot)],
-                &self.played[slot * words..(slot + 1) * words],
-            );
-            let (maxima, diag) = best[2 * slot * stride..].split_at_mut(stride);
+            let (t, played) = (&self.t[self.block_range(slot)], self.played_row(slot));
+            let r = self.row[slot] as usize;
+            let (maxima, diag) = best[2 * r * stride..].split_at_mut(stride);
             rebuild_row_maxima(t, played, stride, &mut maxima[..m]);
             gather_diagonal(t, played, stride, &mut diag[..m]);
         }
@@ -880,13 +990,19 @@ impl LearnerSlab {
         start..start + area
     }
 
+    /// The slot's played-column bitmask.
+    fn played_row(&self, slot: usize) -> &[u64] {
+        let b = self.block[slot] as usize;
+        &self.played[b * self.words..(b + 1) * self.words]
+    }
+
     /// Zeroes the played columns of the slot's T block and clears its
     /// bitmask.
     fn wipe_t(&mut self, slot: usize) {
-        let block = self.block_range(slot);
+        let (b, words, block) = (self.block[slot] as usize, self.words, self.block_range(slot));
         wipe_columns(
             &mut self.t[block],
-            &mut self.played[slot * self.words..(slot + 1) * self.words],
+            &mut self.played[b * words..(b + 1) * words],
             self.stride,
         );
     }
@@ -896,23 +1012,18 @@ impl LearnerSlab {
     /// slab's size, so per-slot callers share the sharded phases' update
     /// without gathering anything.
     fn slot_cols(&mut self, slot: usize) -> SlabCols<'_> {
-        let block = self.block_range(slot);
+        let (b, r) = (self.block[slot] as usize, self.row[slot] as usize);
         let (stride, words) = (self.stride, self.words);
         SlabCols {
             stride,
-            t: Blocks::Aligned(Strided::new(stride * stride, &mut self.t[block])),
-            freq: Strided::new(stride, &mut self.freq[slot * stride..(slot + 1) * stride]),
-            played: Strided::new(words, &mut self.played[slot * words..(slot + 1) * words]),
+            t: one_row(&mut self.t, stride * stride, b),
+            freq: one_row(&mut self.freq, stride, r),
+            played: one_row(&mut self.played, words, b),
             stage: &mut self.stage[slot..=slot],
             scale: &mut self.scale[slot..=slot],
-            best: self.best.as_mut().map(|best| {
-                Strided::new(2 * stride, &mut best[2 * slot * stride..2 * (slot + 1) * stride])
-            }),
+            best: self.best.as_mut().map(|best| one_row(best, 2 * stride, r)),
             strategy: StrategyCols {
-                probs: Strided::new(
-                    stride,
-                    &mut self.probs[slot * stride..(slot + 1) * stride],
-                ),
+                probs: one_row(&mut self.probs, stride, r),
                 arity: &mut self.arity[slot..=slot],
                 pending: &mut self.pending[slot..=slot],
             },
@@ -926,7 +1037,7 @@ impl LearnerSlab {
 
     /// The slot's current mixed strategy.
     pub fn probabilities(&self, slot: usize) -> &[f64] {
-        let base = slot * self.stride;
+        let base = self.row[slot] as usize * self.stride;
         &self.probs[base..base + self.arity[slot] as usize]
     }
 
@@ -936,7 +1047,7 @@ impl LearnerSlab {
     /// `1/m` that `alloc` and `reset_actions` wrote.
     #[cfg(test)]
     pub fn play_frequencies(&self, slot: usize) -> &[f64] {
-        let base = slot * self.stride;
+        let base = self.row[slot] as usize * self.stride;
         &self.freq[base..base + self.arity[slot] as usize]
     }
 
@@ -953,7 +1064,7 @@ impl LearnerSlab {
 
     /// Stored entry `S(j, k)` of a slot: `+0.0` in a never-played column.
     fn stored_entry(&self, slot: usize, j: usize, k: usize) -> f64 {
-        let played = &self.played[slot * self.words..(slot + 1) * self.words];
+        let played = self.played_row(slot);
         if played[k / 64] >> (k % 64) & 1 == 0 {
             return 0.0;
         }
@@ -981,48 +1092,35 @@ impl LearnerSlab {
 
     /// Borrows every column as a [`SlabCols`] bundle for a sharded
     /// parallel phase. `O(slots)`: the handles are read to find each
-    /// slot's T block, so that a shard can be given the blocks of its
-    /// slot range wherever they lie in the arena. Per-slot callers use
-    /// the methods on the slab itself, which look up one handle.
+    /// slot's block, so that a shard can be given the rows of its slot
+    /// range wherever they lie in the arenas ([`Rows::by_handle`]: the
+    /// arena prefixes themselves while every handle still equals its
+    /// slot). Per-slot callers use the methods on the slab itself, which
+    /// look up one handle.
     ///
     /// # Panics
     ///
-    /// Panics if two slots share a block (a broken slab invariant).
+    /// Splitting the bundle between shards panics if two slots share a
+    /// block or a row (a broken slab invariant).
     pub fn split(&mut self) -> SlabCols<'_> {
-        // Only the live-slot prefix is handed out — the flat columns may
-        // carry extra pre-zeroed backing beyond `num_slots()`.
-        let n = self.arity.len();
-        let area = self.stride * self.stride;
-        let t = if self.block.iter().enumerate().all(|(slot, &b)| b as usize == slot) {
-            Blocks::Aligned(Strided::new(area, &mut self.t[..n * area]))
-        } else {
-            // `chunks_exact_mut` proves the blocks disjoint; `take` moves
-            // each one out to the slot that owns it, at most once.
-            let mut arena: Vec<Option<&mut [f64]>> = self.t
-                [..(n + self.free_blocks.len()) * area]
-                .chunks_exact_mut(area)
-                .map(Some)
-                .collect();
-            Blocks::Gathered(
-                self.block
-                    .iter()
-                    .map(|&b| arena[b as usize].take().expect("two slab slots share a T block"))
-                    .collect(),
-            )
-        };
+        // Only the handed-out blocks and rows are viewed — the arenas may
+        // carry extra pre-zeroed backing beyond them.
+        let (stride, words, area) = (self.stride, self.words, self.stride * self.stride);
+        let (blocks, rows) = (self.block.len() + self.free_blocks.len(), self.rows_used);
+        let (block, row) = (&self.block, &self.row);
+        let (by_block, by_row) = (!self.blocks_permuted, increasing_aligned(row));
         SlabCols {
-            stride: self.stride,
-            t,
-            freq: Strided::new(self.stride, &mut self.freq[..n * self.stride]),
-            played: Strided::new(self.words, &mut self.played[..n * self.words]),
+            stride,
+            t: Rows::by_handle(area, &mut self.t[..blocks * area], block, by_block),
+            freq: Rows::by_handle(stride, &mut self.freq[..rows * stride], row, by_row),
+            played: Rows::by_handle(words, &mut self.played[..blocks * words], block, by_block),
             stage: &mut self.stage,
             scale: &mut self.scale,
-            best: self
-                .best
-                .as_mut()
-                .map(|best| Strided::new(2 * self.stride, &mut best[..2 * n * self.stride])),
+            best: self.best.as_mut().map(|best| {
+                Rows::by_handle(2 * stride, &mut best[..2 * rows * stride], row, by_row)
+            }),
             strategy: StrategyCols {
-                probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
+                probs: Rows::by_handle(stride, &mut self.probs[..rows * stride], row, by_row),
                 arity: &mut self.arity,
                 pending: &mut self.pending,
             },
@@ -1031,11 +1129,16 @@ impl LearnerSlab {
 
     /// Borrows only the columns sampling an action touches, for a
     /// sharded phase that selects but never updates: no T views are
-    /// gathered.
+    /// formed.
     pub fn split_strategy(&mut self) -> StrategyCols<'_> {
-        let n = self.arity.len();
+        let (stride, rows) = (self.stride, self.rows_used);
         StrategyCols {
-            probs: Strided::new(self.stride, &mut self.probs[..n * self.stride]),
+            probs: Rows::by_handle(
+                stride,
+                &mut self.probs[..rows * stride],
+                &self.row,
+                increasing_aligned(&self.row),
+            ),
             arity: &mut self.arity,
             pending: &mut self.pending,
         }
@@ -1047,8 +1150,7 @@ impl LearnerSlab {
     ///
     /// Panics if an observation is already pending.
     pub fn select_action<R: RngCore + ?Sized>(&mut self, slot: usize, rng: &mut R) -> usize {
-        // Sampling reads the strategy columns only: no T view is formed.
-        self.split_strategy().select_action(slot, rng)
+        self.slot_cols(slot).select_action(0, rng)
     }
 
     /// Feeds a slot's pending utility through the full update (see
@@ -1084,7 +1186,7 @@ impl LearnerSlab {
 /// chunk**, like `Strided::row`.
 #[derive(Debug)]
 pub struct StrategyCols<'a> {
-    probs: Strided<'a, f64>,
+    probs: Rows<'a, f64>,
     arity: &'a mut [u32],
     pending: &'a mut [u32],
 }
@@ -1147,45 +1249,6 @@ impl StrategyCols<'_> {
     }
 }
 
-/// The T blocks of a [`SlabCols`] chunk, one per slot in slot order.
-/// Which form a phase gets follows from the handles alone: a population
-/// that has only grown still has `block[slot] == slot`, and a store
-/// that churns has paid for one departure already.
-#[derive(Debug)]
-enum Blocks<'a> {
-    /// Every slot holds the block of its own index: the arena prefix
-    /// itself, strided — nothing gathered, nothing allocated.
-    Aligned(Strided<'a, f64>),
-    /// Compaction has permuted the handles: one view per slot of the
-    /// block it owns, wherever that lies in the arena.
-    Gathered(Vec<&'a mut [f64]>),
-}
-
-impl Blocks<'_> {
-    /// The block of slot `i` **relative to this chunk**.
-    fn of(&mut self, i: usize) -> &mut [f64] {
-        match self {
-            Blocks::Aligned(arena) => arena.row(i),
-            Blocks::Gathered(views) => views[i],
-        }
-    }
-}
-
-impl ShardCols for Blocks<'_> {
-    fn shard_split(self, mid: usize) -> (Self, Self) {
-        match self {
-            Blocks::Aligned(arena) => {
-                let (head, tail) = arena.shard_split(mid);
-                (Blocks::Aligned(head), Blocks::Aligned(tail))
-            }
-            Blocks::Gathered(mut views) => {
-                let tail = views.split_off(mid);
-                (Blocks::Gathered(views), Blocks::Gathered(tail))
-            }
-        }
-    }
-}
-
 /// All of a [`LearnerSlab`]'s columns borrowed as a splittable bundle:
 /// the [`ShardCols`] implementation hands each parallel shard a disjoint
 /// contiguous slot range of **every** per-slot column and the T blocks
@@ -1196,14 +1259,14 @@ impl ShardCols for Blocks<'_> {
 #[derive(Debug)]
 pub struct SlabCols<'a> {
     stride: usize,
-    t: Blocks<'a>,
-    freq: Strided<'a, f64>,
-    played: Strided<'a, u64>,
+    t: Rows<'a, f64>,
+    freq: Rows<'a, f64>,
+    played: Rows<'a, u64>,
     stage: &'a mut [u64],
     scale: &'a mut [f64],
     /// The maintained estimate rows (row maxima, then diagonal), when the
     /// slab keeps them.
-    best: Option<Strided<'a, f64>>,
+    best: Option<Rows<'a, f64>>,
     strategy: StrategyCols<'a>,
 }
 
@@ -1273,7 +1336,7 @@ impl SlabCols<'_> {
             if step != Decay::Keep {
                 let best = self.best.as_mut().map(|best| best.row(i));
                 touched +=
-                    apply_decay(step, self.t.of(i), self.played.row(i), self.stride, best);
+                    apply_decay(step, self.t.row(i), self.played.row(i), self.stride, best);
             }
         }
         touched
@@ -1303,7 +1366,7 @@ impl SlabCols<'_> {
             let j = self.strategy.pending[i];
             if j != NO_PENDING {
                 let m = self.strategy.arity[i] as usize;
-                fold ^= touch(self.t.of(i), self.played.row(i), self.stride, m, j as usize);
+                fold ^= touch(self.t.row(i), self.played.row(i), self.stride, m, j as usize);
             }
         }
         std::hint::black_box(fold);
@@ -1368,7 +1431,7 @@ impl SlabCols<'_> {
         let m = arity[i] as usize;
         debug_assert_eq!(m, config.num_actions(), "slot arity and config disagree");
         let stride = self.stride;
-        let t = self.t.of(i);
+        let t = self.t.row(i);
         let probs = probs.row(i);
         let freq = self.freq.row(i);
         let played = self.played.row(i);
@@ -1475,7 +1538,7 @@ impl SlabCols<'_> {
         let m = self.strategy.arity[i] as usize;
         let factor = factor_for(config, self.stage[i]) * self.scale[i];
         let Some(best) = &mut self.best else {
-            let (t, played) = (self.t.of(i), self.played.row(i));
+            let (t, played) = (self.t.row(i), self.played.row(i));
             return max_regret_in(t, played, self.stride, m, factor, diag);
         };
         let (best, diag) = best.row(i).split_at(self.stride);
@@ -1713,7 +1776,7 @@ mod tests {
             let best = cols.best.as_mut().map(|best| best.row(0));
             apply_decay(
                 Decay::Renormalise,
-                cols.t.of(0),
+                cols.t.row(0),
                 cols.played.row(0),
                 cols.stride,
                 best,
@@ -1726,7 +1789,7 @@ mod tests {
         fn scan_max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
             max_regret_in(
                 &self.t[self.block_range(slot)],
-                &self.played[slot * self.words..(slot + 1) * self.words],
+                self.played_row(slot),
                 self.stride,
                 self.arity[slot] as usize,
                 factor_for(config, self.stage[slot]) * self.scale[slot],
@@ -1750,19 +1813,20 @@ mod tests {
             let mut rebuilt = vec![0.0; m];
             rebuild_row_maxima(
                 &self.t[self.block_range(slot)],
-                &self.played[slot * self.words..(slot + 1) * self.words],
+                self.played_row(slot),
                 stride,
                 &mut rebuilt,
             );
             let mut gathered = vec![0.0; m];
             gather_diagonal(
                 &self.t[self.block_range(slot)],
-                &self.played[slot * self.words..(slot + 1) * self.words],
+                self.played_row(slot),
                 stride,
                 &mut gathered,
             );
             let best = self.best.as_ref().expect("max_regret turns the rows on");
-            let row = &best[2 * slot * stride..2 * (slot + 1) * stride];
+            let r = self.row[slot] as usize;
+            let row = &best[2 * r * stride..2 * (r + 1) * stride];
             assert_bitwise(&row[..m], &rebuilt, "row maxima");
             assert_bitwise(&row[stride..stride + m], &gathered, "diagonal");
             kept
@@ -2049,7 +2113,7 @@ mod tests {
         assert_eq!((slot, slab.block[slot]), (2, departed), "the departed block is reused");
         assert_eq!(slab.free_list_reuses(), 1);
         assert!(slab.stored(slot).iter().all(|&x| x.to_bits() == 0), "block not wiped");
-        assert_eq!(slab.played[slot * slab.words..(slot + 1) * slab.words], [0]);
+        assert_eq!(slab.played_row(slot), [0]);
         assert_eq!(slab.scale[slot], 1.0);
     }
 
@@ -2116,6 +2180,13 @@ mod tests {
                 "blocks shared or lost"
             );
             assert!(handed_out * self.stride * self.stride <= self.t.len());
+            // Row handles: strictly increasing, inside the handed-out rows,
+            // with no more holes than a pass would have closed.
+            assert!(self.row.windows(2).all(|w| w[0] < w[1]), "row handles out of order");
+            let n = self.row.len();
+            assert!(self.row.last().is_none_or(|&r| (r as usize) < self.rows_used));
+            assert!(self.rows_used - n <= n / 16 + 1, "{} holes left open", self.rows_used - n);
+            assert!(self.rows_used * self.stride <= self.probs.len());
         }
     }
 
@@ -2225,7 +2296,7 @@ mod tests {
             assert_eq!(slot, peers.len(), "slots stay aligned");
             // Fresh or inherited, the block reads as a new learner's.
             assert!(slab.stored(slot).iter().all(|&x| x.to_bits() == 0), "dirty block");
-            assert_eq!(slab.played[slot], 0);
+            assert_eq!(slab.played_row(slot), [0]);
             assert_eq!(slab.scale[slot], 1.0);
             peers.push(OraclePeer::new(next_id, &base));
             next_id += 1;
@@ -2289,6 +2360,153 @@ mod tests {
         for (slot, peer) in peers.iter().enumerate().take(2) {
             assert_eq!(peer.id, slot as u64);
             assert_renormalised(&slab, slot, &peer.cfg);
+        }
+    }
+
+    /// Departures leave every survivor's rows where they are, until one
+    /// pass closes the holes; whichever state the rows are in, each
+    /// survivor reads and updates exactly as its twin in a slab that never
+    /// compacts (same id, same RNG stream), `to_bits`: strategies, the
+    /// whole proxy matrix and the maintained estimate — with the rounds
+    /// run through shard-split `split_strategy()` and `split()` views,
+    /// which gather their rows through the handles. At stride 10 blocks
+    /// are unpacked, at 32 packed. Arrivals reuse departed blocks with
+    /// three actions fewer than their previous owners played, and must
+    /// read as fresh learners.
+    #[test]
+    fn compaction_keeps_rows_in_place_and_matches_a_never_compacted_twin() {
+        use rand::Rng;
+        for stride in [10, 32] {
+            let big = config_eps(stride, FAST_EPS, RecencyMode::Exponential, false);
+            let small = big.with_num_actions(stride - 3).unwrap();
+            let (mut slab, mut twin) = (LearnerSlab::new(stride), LearnerSlab::new(stride));
+            slab.track_estimates();
+            twin.track_estimates();
+            // Slot order of `slab`, as twin slots; by twin slot, the config
+            // and one RNG stream for each slab.
+            let mut ids: Vec<usize> = Vec::new();
+            let mut by_id: Vec<(RthsConfig, rand::rngs::StdRng, rand::rngs::StdRng)> =
+                Vec::new();
+            // An arrival in both slabs: returns its slot in `slab`.
+            let arrive = |slab: &mut LearnerSlab,
+                          twin: &mut LearnerSlab,
+                          ids: &mut Vec<usize>,
+                          by_id: &mut Vec<_>,
+                          cfg: &RthsConfig| {
+                let id = twin.alloc(cfg.num_actions()) as usize;
+                let rng = rand::rngs::StdRng::seed_from_u64(300 + id as u64);
+                ids.push(id);
+                by_id.push((cfg.clone(), rng.clone(), rng));
+                slab.alloc(cfg.num_actions()) as usize
+            };
+            for _ in 0..48 {
+                arrive(&mut slab, &mut twin, &mut ids, &mut by_id, &big);
+            }
+            let mut script = rand::rngs::StdRng::seed_from_u64(stride as u64);
+            let (mut closed, mut gathered, mut smaller) = (0, 0, 0);
+            // The arity each freed block's last owner had.
+            let mut owner_arity = std::collections::BTreeMap::new();
+            for round in 0..150u64 {
+                if round % 4 == 3 {
+                    let mut gone: Vec<u32> = (0..ids.len() as u32)
+                        .filter(|_| script.gen_range(0..12) == 0)
+                        .collect();
+                    gone.truncate(4);
+                    let rows: Vec<u32> = (0..ids.len())
+                        .filter(|s| !gone.contains(&(*s as u32)))
+                        .map(|s| slab.row[s])
+                        .collect();
+                    for &slot in &gone {
+                        owner_arity
+                            .insert(slab.block[slot as usize], slab.num_actions(slot as usize));
+                    }
+                    slab.remove_slots(&gone);
+                    if slab.rows_used == slab.num_slots() && !gone.is_empty() {
+                        closed += 1;
+                    } else {
+                        assert_eq!(slab.row, rows, "a survivor's rows moved");
+                    }
+                    for &slot in gone.iter().rev() {
+                        ids.remove(slot as usize);
+                    }
+                    for _ in 0..gone.len() {
+                        let m = small.num_actions();
+                        let prior = slab.free_blocks.last().map(|b| owner_arity[b] > m);
+                        let slot = arrive(&mut slab, &mut twin, &mut ids, &mut by_id, &small);
+                        assert_bitwise(
+                            slab.probabilities(slot),
+                            &vec![1.0 / m as f64; m],
+                            "arrival",
+                        );
+                        let (r, best) = (slab.row[slot] as usize, slab.best.as_ref().unwrap());
+                        assert!(best[2 * r * stride..2 * (r + 1) * stride]
+                            .iter()
+                            .all(|x| x.to_bits() == 0));
+                        assert_eq!(slab.max_regret(slot, &small).to_bits(), 0);
+                        smaller += usize::from(prior == Some(true));
+                    }
+                    slab.assert_blocks_disjoint();
+                }
+                let mid = ids.len() / 2;
+                let picks: Vec<usize> = {
+                    let (mut head, mut tail) = slab.split_strategy().shard_split(mid);
+                    gathered += usize::from(matches!(head.probs, Rows::Gathered(_)));
+                    (0..ids.len())
+                        .map(|slot| {
+                            let (cols, i) = if slot < mid {
+                                (&mut head, slot)
+                            } else {
+                                (&mut tail, slot - mid)
+                            };
+                            cols.select_action(i, &mut by_id[ids[slot]].1)
+                        })
+                        .collect()
+                };
+                let utility = |id: usize, a: usize| {
+                    ((a as u64 * 7 + id as u64 + round) % 11) as f64 * 9.0
+                };
+                let mut estimates = Vec::new();
+                {
+                    let (mut head, mut tail) = slab.split().shard_split(mid);
+                    head.decay(1.0 - FAST_EPS);
+                    tail.decay(1.0 - FAST_EPS);
+                    for (slot, &id) in ids.iter().enumerate() {
+                        let (cols, i) = if slot < mid {
+                            (&mut head, slot)
+                        } else {
+                            (&mut tail, slot - mid)
+                        };
+                        let cfg = &by_id[id].0;
+                        cols.observe_predecayed(
+                            i,
+                            cfg,
+                            utility(id, picks[slot]),
+                            &mut Vec::new(),
+                        );
+                        estimates.push(cols.max_regret(i, cfg, &mut Vec::new()).to_bits());
+                    }
+                }
+                for (slot, &id) in ids.iter().enumerate() {
+                    let what = format!("stride {stride} round {round} id {id}");
+                    let (cfg, _, rng) = &mut by_id[id];
+                    assert_eq!(twin.select_action(id, rng), picks[slot], "{what}");
+                    twin.observe(id, cfg, utility(id, picks[slot]), &mut Vec::new());
+                    assert_bitwise(slab.probabilities(slot), twin.probabilities(id), &what);
+                    let want = twin.max_regret(id, cfg).to_bits();
+                    assert_eq!(estimates[slot], want, "{what}");
+                    assert_eq!(slab.max_regret(slot, cfg).to_bits(), want, "{what}");
+                    let m = cfg.num_actions();
+                    for (j, k) in (0..m).flat_map(|j| (0..m).map(move |k| (j, k))) {
+                        assert_eq!(
+                            slab.proxy(slot, j, k).to_bits(),
+                            twin.proxy(id, j, k).to_bits()
+                        );
+                    }
+                }
+            }
+            assert!(closed > 0, "stride {stride}: no pass closed the holes");
+            assert!(gathered > 0, "stride {stride}: no round ran on gathered rows");
+            assert!(smaller > 0, "stride {stride}: no arrival took a larger learner's block");
         }
     }
 
@@ -2456,14 +2674,17 @@ mod tests {
     fn survivor_walk_visits_exactly_the_relocated_slots() {
         let walk = |n, sorted: &[u32]| {
             let mut moves = Vec::new();
-            let kept =
-                for_each_survivor_move(n, sorted, |read, write| moves.push((read, write)));
+            let kept = for_each_survivor_run(n, sorted, |run, to| moves.push((run, to)));
             (kept, moves)
         };
         assert_eq!(walk(5, &[]), (5, vec![]));
         assert_eq!(walk(5, &[4]), (4, vec![]));
-        assert_eq!(walk(6, &[1, 2, 4]), (3, vec![(3, 1), (5, 2)]));
+        assert_eq!(walk(6, &[1, 2, 4]), (3, vec![(3..4, 1), (5..6, 2)]));
         assert_eq!(walk(3, &[0, 1, 2]), (0, vec![]));
+        assert_eq!(walk(9, &[2, 6]), (7, vec![(3..6, 2), (7..9, 5)]));
+        let mut column: Vec<u32> = (0..9).collect();
+        compact_column(&mut column, &[0, 2, 3, 8]);
+        assert_eq!(column, [1, 4, 5, 6, 7]);
     }
 
     /// A clone carries the source's lazy scale (renormalised by then)
@@ -2518,7 +2739,7 @@ mod tests {
     /// them packed: each of the first `n` columns is non-zero and no
     /// float past them is.
     fn assert_packed(slab: &LearnerSlab, slot: usize, n: usize) {
-        let words = &slab.played[slot * slab.words..(slot + 1) * slab.words];
+        let words = slab.played_row(slot);
         assert_eq!(played_count(words), n, "slot {slot}: played count");
         let (front, rest) = slab.stored(slot).split_at(n * slab.stride);
         for (c, col) in front.chunks_exact(slab.stride).enumerate() {

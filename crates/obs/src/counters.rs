@@ -38,6 +38,10 @@ pub enum Counter {
     /// read because the peer's `O(1)` bound exceeded the running max
     /// (`rths_sim::regret::record_max`); every other peer-epoch skipped it.
     RegretExactReads,
+    /// Bytes that departures' order-preserving compactions copied, over
+    /// the peer store's, the learner slab's and the regret ledger's
+    /// columns (`rths_sim::PeerStore::remove_slots`).
+    DepartureBytesMoved,
 }
 
 impl Counter {
@@ -51,10 +55,11 @@ impl Counter {
         Counter::SlabColumnsOpened,
         Counter::StretchFolds,
         Counter::RegretExactReads,
+        Counter::DepartureBytesMoved,
     ];
 
     /// Number of counters.
-    pub(crate) const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 9;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -67,6 +72,7 @@ impl Counter {
             Counter::SlabColumnsOpened => "slab_columns_opened",
             Counter::StretchFolds => "stretch_folds",
             Counter::RegretExactReads => "regret_exact_reads",
+            Counter::DepartureBytesMoved => "departure_bytes_moved",
         }
     }
 

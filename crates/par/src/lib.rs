@@ -327,6 +327,108 @@ impl<T: Send> ShardCols for Strided<'_, T> {
     }
 }
 
+/// The rows of a flat arena as items see them through per-item row
+/// handles: item `i` owns row `handles[i]`, wherever that lies. A column
+/// whose items can leave while their rows stay put (a departure moves a
+/// 4-byte handle, not the row) hands a phase this view. Which form it
+/// takes follows from the handles and from how the phase splits it.
+#[derive(Debug)]
+pub enum Rows<'a, T> {
+    /// Every item holds the row of its own index: the arena prefix
+    /// itself, strided — nothing gathered, nothing allocated.
+    Aligned(Strided<'a, T>),
+    /// The handles are not the identity, and the view is still whole:
+    /// the arena and the handles, each row looked up when asked for.
+    Indexed {
+        /// Scalars per row.
+        stride: usize,
+        /// Every row the handles can name.
+        arena: &'a mut [T],
+        /// Row of each item.
+        handles: &'a [u32],
+    },
+    /// An indexed view split between shards: one view per item of the row
+    /// it owns, in item order.
+    Gathered(Vec<&'a mut [T]>),
+}
+
+impl<'a, T> Rows<'a, T> {
+    /// The rows of `arena` (`stride` scalars each) that `handles` point
+    /// to, one per handle: [`Rows::Aligned`] over the arena prefix when
+    /// the caller knows every handle equals its index (`aligned`, which
+    /// the owner of the handles tracks so that no phase scans them), else
+    /// [`Rows::Indexed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is not a whole number of rows of a non-zero
+    /// `stride`, or it has fewer rows than handles; in a debug build,
+    /// also if `aligned` is claimed for handles that are not.
+    pub fn by_handle(
+        stride: usize,
+        arena: &'a mut [T],
+        handles: &'a [u32],
+        aligned: bool,
+    ) -> Self {
+        let arena = Strided::new(stride, arena).data;
+        if aligned {
+            debug_assert!(handles.iter().enumerate().all(|(i, &h)| h as usize == i));
+            return Rows::Aligned(Strided::new(stride, &mut arena[..handles.len() * stride]));
+        }
+        Rows::Indexed { stride, arena, handles }
+    }
+
+    /// The row of item `i` **relative to this chunk**.
+    #[inline(always)]
+    pub fn row(&mut self, i: usize) -> &mut [T] {
+        match self {
+            Rows::Aligned(arena) => arena.row(i),
+            Rows::Indexed { stride, arena, handles } => {
+                let start = handles[i] as usize * *stride;
+                &mut arena[start..start + *stride]
+            }
+            Rows::Gathered(rows) => rows[i],
+        }
+    }
+}
+
+/// Whether strictly increasing row `handles` are each their own index:
+/// exactly when the last one is, since none can be below its index.
+pub fn increasing_aligned(handles: &[u32]) -> bool {
+    handles.last().is_none_or(|&h| h as usize + 1 == handles.len())
+}
+
+impl<T: Send> ShardCols for Rows<'_, T> {
+    fn shard_split(self, mid: usize) -> (Self, Self) {
+        let rows = match self {
+            Rows::Aligned(arena) => {
+                let (head, tail) = arena.shard_split(mid);
+                return (Rows::Aligned(head), Rows::Aligned(tail));
+            }
+            // The whole view to one side: nothing to gather (a phase that
+            // runs as one shard splits off an empty tail).
+            Rows::Indexed { stride, handles, .. } if mid == handles.len() => {
+                let tail = Rows::Indexed { stride, arena: &mut [], handles: &[] };
+                return (self, tail);
+            }
+            // `chunks_exact_mut` proves the rows disjoint, and `take` moves
+            // each one out to its item at most once.
+            Rows::Indexed { stride, arena, handles } => {
+                let mut rows: Vec<Option<&mut [T]>> =
+                    arena.chunks_exact_mut(stride).map(Some).collect();
+                handles
+                    .iter()
+                    .map(|&h| rows[h as usize].take().expect("two items share a row"))
+                    .collect()
+            }
+            Rows::Gathered(rows) => rows,
+        };
+        let mut head = rows;
+        let tail = head.split_off(mid);
+        (Rows::Gathered(head), Rows::Gathered(tail))
+    }
+}
+
 /// A shard's identity inside [`par_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
@@ -591,6 +693,43 @@ mod tests {
                 assert_eq!(flat[i * stride], i as u64);
             }
         }
+    }
+
+    #[test]
+    fn rows_follow_their_handles_through_any_split() {
+        // Identity handles view the arena prefix in place; permuted ones
+        // look rows up until a split gathers one row per item. Either way
+        // item `i` reads row `handles[i]`, in every shard of every split.
+        let stride = 2;
+        for handles in [vec![0u32, 1, 2, 3], vec![4, 0, 3, 1], vec![0, 1, 2]] {
+            let mut arena: Vec<u32> = (0..10).collect();
+            let identity = handles.iter().enumerate().all(|(i, &h)| h as usize == i);
+            let rows = Rows::by_handle(stride, &mut arena, &handles, identity);
+            assert_eq!(matches!(rows, Rows::Aligned(_)), identity);
+            // Splitting off an empty tail gathers nothing.
+            let (whole, _) = rows.shard_split(handles.len());
+            assert!(!matches!(whole, Rows::Gathered(_)));
+            for mid in 0..=handles.len() {
+                let mut arena: Vec<u32> = (0..10).collect();
+                let (mut head, mut tail) =
+                    Rows::by_handle(stride, &mut arena, &handles, identity).shard_split(mid);
+                for (i, &h) in handles.iter().enumerate() {
+                    let row = if i < mid { head.row(i) } else { tail.row(i - mid) };
+                    assert_eq!(row, [2 * h, 2 * h + 1], "item {i}, split at {mid}");
+                    row[0] = 100 + i as u32;
+                }
+                for (i, &h) in handles.iter().enumerate() {
+                    assert_eq!(arena[2 * h as usize], 100 + i as u32);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two items share a row")]
+    fn rows_reject_a_shared_handle() {
+        let mut arena = [0u8; 6];
+        let _ = Rows::by_handle(2, &mut arena, &[1, 1], false).shard_split(1);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //! the ledger stores only
 //!
 //! * the *folded row* `row_i[k]` — `E_i[k]` over all **closed**
-//!   stretches (`stride` f64s, `stride = max` channel arity),
+//!   stretches (`stride` f64s, `stride = max` channel arity), one row of
+//!   a row arena that the peer reaches through a 4-byte handle,
 //! * the open stretch: current arm, entry epoch, and the rate sum at
 //!   entry (`tr_entry`), plus the running rate sum `tr`,
 //!
@@ -113,15 +114,26 @@
 //!
 //! # Churn
 //!
-//! Per-peer state is slot-aligned with the owning store's columns and
-//! carries no slot-dependent references (the ring is global, entries are
-//! epochs), so removal is a plain order-preserving column compaction:
-//! survivors' open stretches stay valid verbatim, and a departed peer's
-//! stretch needs no fold — its row leaves the population with it.
+//! Per-peer scalars are slot-aligned with the owning store's columns and
+//! carry no slot-dependent references (the ring is global, entries are
+//! epochs), so removal is a plain order-preserving compaction of the
+//! scalars: survivors' open stretches stay valid verbatim, and a departed
+//! peer's stretch needs no fold — its row leaves the population with it.
+//! The rows themselves stay put. A survivor carries its row handle down
+//! with its scalars, a departed peer's row stays behind as a hole, and
+//! an arrival appends a zeroed row, so the handles stay strictly
+//! increasing and the record phase still meets the rows in arena order.
+//! A departure copies 52 bytes per relocated survivor instead of
+//! `stride` f64s more; once the holes outnumber a sixteenth of the
+//! peers, one ascending pass moves every row down to its peer's index
+//! ([`rths_core::close_row_holes`], the rule the learner slab's rows
+//! follow too). A split hands a phase the rows through their handles
+//! ([`rths_par::Rows`]): the arena itself while every handle equals its
+//! slot, as in a population that never lost a peer.
 
-use rths_core::for_each_survivor_move;
+use rths_core::{close_row_holes, compact_column};
 use rths_obs::{self as obs, Counter};
-use rths_par::{par_sharded, Shard, ShardCols, Strided};
+use rths_par::{increasing_aligned, par_sharded, Rows, Shard, ShardCols};
 
 /// Sentinel arm index: no open stretch.
 pub const NO_ARM: u32 = u32::MAX;
@@ -136,6 +148,12 @@ pub const STRETCH_WINDOW: u64 = 64;
 pub const SNAPSHOT_SLOTS: usize = 128;
 
 const SLOT_MASK: u64 = SNAPSHOT_SLOTS as u64 - 1;
+
+/// Bytes of one peer's per-peer scalars — `arm`, `entry`, `tr_entry`,
+/// `tr`, `stages`, `arity`, `rowmax` and the row handle — all that a
+/// compaction copies for a relocated peer.
+const PEER_SCALAR_BYTES: usize =
+    3 * size_of::<u32>() + 2 * size_of::<u64>() + 3 * size_of::<f64>();
 
 /// Stretch-folded true-regret accounting for one peer population.
 ///
@@ -176,9 +194,17 @@ pub struct RegretLedger {
     /// channel migration back to the original arity keeps its
     /// accumulated regret history.
     arity: Vec<u32>,
-    /// Max of `rows[..arity]` per peer (`+0.0` before the first record).
+    /// Max of the peer's row's first `arity` entries (`+0.0` before the
+    /// first record).
     rowmax: Vec<f64>,
-    /// Folded rows, `stride` scalars per peer (trailing slack is zero).
+    /// Row handle per peer: the peer's folded row is row `handle[slot]` of
+    /// `rows`, wherever the peer's slot moves. Strictly increasing in slot
+    /// order.
+    handle: Vec<u32>,
+    // === end of the per-peer columns ===
+    /// Folded rows, `stride` scalars each, addressed through `handle`
+    /// (trailing slack is zero): the peers' rows and the holes departed
+    /// peers left, in slot order.
     rows: Vec<f64>,
 }
 
@@ -207,7 +233,7 @@ pub struct LedgerCols<'a> {
     stages: &'a mut [u64],
     arity: &'a mut [u32],
     rowmax: &'a mut [f64],
-    rows: Strided<'a, f64>,
+    rows: Rows<'a, f64>,
 }
 
 impl ShardCols for LedgerCols<'_> {
@@ -291,6 +317,7 @@ impl RegretLedger {
             stages: Vec::new(),
             arity: Vec::new(),
             rowmax: Vec::new(),
+            handle: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -310,8 +337,8 @@ impl RegretLedger {
         self.stages[slot]
     }
 
-    /// Appends a fresh peer row (call in the same order as the owning
-    /// store's spawn).
+    /// Appends a fresh peer (call in the same order as the owning store's
+    /// spawn), on a zeroed row past every other.
     pub fn add_peer(&mut self) {
         self.arm.push(NO_ARM);
         self.entry.push(0);
@@ -320,7 +347,13 @@ impl RegretLedger {
         self.stages.push(0);
         self.arity.push(0);
         self.rowmax.push(0.0);
+        self.handle.push((self.rows.len() / self.stride) as u32);
         self.rows.extend(std::iter::repeat_n(0.0, self.stride));
+    }
+
+    /// Peer `slot`'s folded row.
+    fn row(&self, slot: usize) -> &[f64] {
+        &self.rows[self.handle[slot] as usize * self.stride..][..self.stride]
     }
 
     /// Number of peer rows.
@@ -334,30 +367,34 @@ impl RegretLedger {
     }
 
     /// Removes the peers in `slots` (**sorted, unique, in range** — the
-    /// owning store validates), compacting every column
-    /// order-preservingly. Survivors' open stretches stay valid: the
-    /// ledger's global state is slot-independent, so no fold is needed.
-    pub fn remove_slots(&mut self, slots: &[u32]) {
-        let stride = self.stride;
-        let Self { arm, entry, tr_entry, tr, stages, arity, rowmax, rows, .. } = self;
-        let kept = for_each_survivor_move(arm.len(), slots, |read, write| {
-            arm.swap(write, read);
-            entry.swap(write, read);
-            tr_entry.swap(write, read);
-            tr.swap(write, read);
-            stages.swap(write, read);
-            arity.swap(write, read);
-            rowmax.swap(write, read);
-            rows.copy_within(read * stride..(read + 1) * stride, write * stride);
+    /// owning store validates), compacting every per-peer column
+    /// order-preservingly; the departed peers' rows stay behind as holes,
+    /// until they outnumber a sixteenth of the survivors and one pass
+    /// closes them ([`close_row_holes`]). Survivors' open stretches stay
+    /// valid: the ledger's global state is slot-independent, so no fold is
+    /// needed. Returns the bytes copied: eight scalars per relocated peer,
+    /// and the rows such a pass moved.
+    pub fn remove_slots(&mut self, slots: &[u32]) -> usize {
+        let Some(&first) = slots.first() else { return 0 };
+        compact_column(&mut self.arm, slots);
+        compact_column(&mut self.entry, slots);
+        compact_column(&mut self.tr_entry, slots);
+        compact_column(&mut self.tr, slots);
+        compact_column(&mut self.stages, slots);
+        compact_column(&mut self.arity, slots);
+        compact_column(&mut self.rowmax, slots);
+        compact_column(&mut self.handle, slots);
+        let kept = self.arm.len();
+        let mut moved = (kept - first as usize) * PEER_SCALAR_BYTES;
+        let (stride, rows) = (self.stride, &mut self.rows);
+        let closed = close_row_holes(&mut self.handle, rows.len() / stride, |from, to| {
+            rows.copy_within(from * stride..(from + 1) * stride, to * stride);
         });
-        arm.truncate(kept);
-        entry.truncate(kept);
-        tr_entry.truncate(kept);
-        tr.truncate(kept);
-        stages.truncate(kept);
-        arity.truncate(kept);
-        rowmax.truncate(kept);
-        rows.truncate(kept * stride);
+        if let Some(moved_rows) = closed {
+            rows.truncate(kept * stride);
+            moved += moved_rows * stride * size_of::<f64>();
+        }
+        moved
     }
 
     /// Channel migration hook: folds peer `slot`'s open stretch against
@@ -381,7 +418,7 @@ impl RegretLedger {
         let ring_off = (entry & SLOT_MASK) as usize * self.g.len();
         let snap_entry = &self.ring[ring_off + off..ring_off + off + m];
         let dtr = self.tr[slot] - self.tr_entry[slot];
-        let row = &mut self.rows[slot * self.stride..slot * self.stride + m];
+        let row = &mut self.rows[self.handle[slot] as usize * self.stride..][..m];
         let mut top = f64::NEG_INFINITY;
         for (k, r) in row.iter_mut().enumerate() {
             if k != arm as usize {
@@ -444,7 +481,12 @@ impl RegretLedger {
             stages: &mut self.stages,
             arity: &mut self.arity,
             rowmax: &mut self.rowmax,
-            rows: Strided::new(self.stride, &mut self.rows),
+            rows: Rows::by_handle(
+                self.stride,
+                &mut self.rows,
+                &self.handle,
+                increasing_aligned(&self.handle),
+            ),
         };
         let ctx = LedgerCtx {
             offsets: &self.offsets,
@@ -471,7 +513,7 @@ impl RegretLedger {
             let (off, m) = channel_span(&self.offsets, channel);
             let ring_off = (self.entry[slot] & SLOT_MASK) as usize * self.g.len() + off;
             row_max(
-                &self.rows[slot * self.stride..][..m],
+                &self.row(slot)[..m],
                 arm as usize,
                 &self.g[off..off + m],
                 &self.ring[ring_off..ring_off + m],
@@ -715,15 +757,12 @@ impl DenseRegret {
     /// Mirrors [`RegretLedger::remove_slots`].
     pub fn remove_slots(&mut self, slots: &[u32]) {
         let stride = self.stride;
-        let Self { stages, arity, rows, .. } = self;
-        let kept = for_each_survivor_move(stages.len(), slots, |read, write| {
-            stages.swap(write, read);
-            arity.swap(write, read);
-            rows.copy_within(read * stride..(read + 1) * stride, write * stride);
-        });
-        stages.truncate(kept);
-        arity.truncate(kept);
-        rows.truncate(kept * stride);
+        compact_column(&mut self.stages, slots);
+        compact_column(&mut self.arity, slots);
+        for &slot in slots.iter().rev() {
+            let slot = slot as usize;
+            self.rows.drain(slot * stride..(slot + 1) * stride);
+        }
     }
 
     /// Records one peer-epoch densely and returns the peer's updated
@@ -921,7 +960,7 @@ mod tests {
         /// recompute from the rows, `g` and the ring gives — `to_bits`.
         fn assert_maintained(&self, what: &str) {
             for slot in 0..self.len() {
-                let row = &self.rows[slot * self.stride..][..self.arity[slot] as usize];
+                let row = &self.row(slot)[..self.arity[slot] as usize];
                 let want = if row.is_empty() {
                     0.0
                 } else {
@@ -1164,6 +1203,71 @@ mod tests {
             run(7, 24, &[5], Script { twins: true, ..base });
             run(8, 16, &[4, 2, 5], Script { twins: true, hunt_worst: true, ..churned });
         }
+    }
+
+    /// Departures leave their rows behind as holes and arrivals append
+    /// zeroed rows, until the holes outnumber a sixteenth of the peers and
+    /// one pass closes them: over 600 epochs of random departures and
+    /// arrivals on two channels, every record and every `peer_max` equals
+    /// the dense oracle's `to_bits`, a fresh arrival's `peer_max` is 0, the
+    /// row handles stay strictly increasing, and the holes never outgrow
+    /// their bound. Both states — holes open, holes just closed — occur.
+    #[test]
+    fn departed_rows_stay_holes_until_one_pass_closes_them() {
+        let arities = [5, 3];
+        let offsets = [0, 5, 8];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let mut folded = RegretLedger::new(&arities);
+        let mut dense = DenseRegret::new(&arities);
+        let mut channels: Vec<usize> = Vec::new();
+        let arrive = |folded: &mut RegretLedger,
+                      dense: &mut DenseRegret,
+                      channels: &mut Vec<usize>,
+                      c| {
+            folded.add_peer();
+            dense.add_peer();
+            channels.push(c);
+            assert_eq!(folded.peer_max(channels.len() - 1, c).to_bits(), 0, "fresh arrival");
+        };
+        for p in 0..64 {
+            arrive(&mut folded, &mut dense, &mut channels, p % 2);
+        }
+        let (mut open, mut closed) = (0, 0);
+        for e in 0..600 {
+            let join: Vec<f64> = (0..8).map(|_| rng.gen_range(0..900) as f64).collect();
+            folded.advance_epoch(&offsets, &join);
+            let (mut cols, ctx) = folded.split();
+            for (i, &c) in channels.iter().enumerate() {
+                let played = rng.gen_range(0..arities[c]);
+                let rate = rng.gen_range(0..800) as f64;
+                let f = record(&mut cols, &ctx, i, c, played, rate);
+                let d = dense.record(i, c, played, rate, &join);
+                assert_eq!(f.to_bits(), d.to_bits(), "peer {i} at epoch {e}");
+            }
+            let gone: Vec<u32> =
+                (0..channels.len() as u32).filter(|_| rng.gen_range(0..20) == 0).collect();
+            folded.remove_slots(&gone);
+            dense.remove_slots(&gone);
+            for &slot in gone.iter().rev() {
+                channels.remove(slot as usize);
+            }
+            let (n, rows) = (folded.len(), folded.rows.len() / folded.stride);
+            assert!(rows - n <= n / 16, "epoch {e}: {} holes left open", rows - n);
+            assert!(folded.handle.windows(2).all(|w| w[0] < w[1]), "epoch {e}: handles");
+            if rows > n {
+                open += 1;
+            } else if !gone.is_empty() {
+                closed += 1;
+            }
+            for _ in 0..rng.gen_range(0..5) {
+                arrive(&mut folded, &mut dense, &mut channels, rng.gen_range(0..2));
+            }
+            for (i, &c) in channels.iter().enumerate() {
+                let (f, d) = (folded.peer_max(i, c), dense.peer_max(i));
+                assert_eq!(f.to_bits(), d.to_bits(), "peer_max {i} after epoch {e}");
+            }
+        }
+        assert!(open > 0 && closed > 0, "holes open {open}, closed {closed}");
     }
 
     #[test]

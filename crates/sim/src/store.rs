@@ -46,19 +46,23 @@
 //! departure-stability test in `tests/churn_and_failures.rs` pins the
 //! fixed behaviour.
 //!
-//! What a departure moves is small: each survivor's row of the columns
-//! here and, in the learner slab, its `O(m)` strategy rows and a 4-byte
-//! block handle. The `m²` T-matrix stays where it is —
-//! the slab addresses it through the handle, wipes the departed peers'
-//! blocks and hands them to the next arrivals — so churn costs
-//! `O(departed · m² + population · m)` per epoch, not
-//! `O(population · m²)`, and slot order, ids and every float reduction
-//! order are what they would be had the matrices moved.
+//! What a departure moves is scalars only: each survivor's row of the
+//! columns here (96 bytes), five scalars of its learner slot and eight of
+//! its regret-ledger entry — 176 bytes in all, whatever the helper count.
+//! Every row whose length is the stride stays where it is: the learner's
+//! `m²` T block and its strategy, frequency, bitmask and estimate rows
+//! follow the slot's 4-byte block handle, the folded regret row its row
+//! handle. The departed peers' blocks and rows are wiped and handed to
+//! the next arrivals, so churn costs `O(departed · m² + population)` per
+//! epoch, not `O(population · m)`, and slot order, ids and every float
+//! reduction order are what they would be had the rows moved. A traced
+//! run counts the copied bytes (`Counter::DepartureBytesMoved`).
 
 use rand::rngs::StdRng;
 
 use rths_core::{
-    for_each_survivor_move, Learner, LearnerSlab, RecencyMode, RthsConfig, OBSERVE_BATCH,
+    compact_column, for_each_survivor_run, Learner, LearnerSlab, RecencyMode, RthsConfig,
+    OBSERVE_BATCH,
 };
 use rths_obs::{self as obs, Counter, Gauge, ObsScratch, Phase};
 use rths_par::{par_sharded, ShardCols};
@@ -70,6 +74,21 @@ use crate::regret::{self, RegretLedger};
 /// Sentinel for "no helper chosen yet" in the `last_helper` column.
 pub const NO_HELPER: u32 = u32::MAX;
 
+/// Bytes of one peer's row of the store's own columns: what a departure
+/// copies for each relocated survivor, before the learners and the ledger.
+const ROW_BYTES: usize = 2 * size_of::<u32>() + 7 * size_of::<u64>() + size_of::<StdRng>();
+
+/// [`compact_column`] for a column of values that are not `Copy`: each
+/// survivor is swapped down into place.
+fn compact_swapping<T>(column: &mut Vec<T>, sorted: &[u32]) {
+    let kept = for_each_survivor_run(column.len(), sorted, |run, to| {
+        for (k, read) in run.enumerate() {
+            column.swap(to + k, read);
+        }
+    });
+    column.truncate(kept);
+}
+
 /// Where a store's learners live — one fact for the whole population,
 /// fixed by the spec's algorithm at construction.
 // One value per store, so the variants' size difference costs nothing.
@@ -79,8 +98,9 @@ enum Learners {
     /// A [slab-hosted](crate::Algorithm::slab_hosted) algorithm: the
     /// arena in **slot-aligned mode** — slab slot `i` is peer slot `i`,
     /// and departures run the slab's order-preserving compaction of its
-    /// per-slot columns alongside the store's (T blocks are reached
-    /// through per-slot handles and never move). The shared per-channel
+    /// per-slot scalars alongside the store's (T blocks and every other
+    /// stride-sized row are reached through per-slot block handles and
+    /// never move). The shared per-channel
     /// [`RthsConfig`] lives once on the store.
     Slab(LearnerSlab),
     /// Any other algorithm: one self-contained learner per peer, in slot
@@ -361,7 +381,8 @@ impl PeerStore {
     /// duplicates), compacting every column **order-preservingly**:
     /// surviving peers keep their relative order and their entire row —
     /// id, RNG stream, learner state, regret row, accounting — exactly as
-    /// it was. `slots` is sorted in place.
+    /// it was. `slots` is sorted in place. When tracing, the bytes the
+    /// compactions copied go to `Counter::DepartureBytesMoved`.
     ///
     /// # Panics
     ///
@@ -375,58 +396,39 @@ impl PeerStore {
         assert!((slots[slots.len() - 1] as usize) < n, "slot out of range");
         assert!(slots.windows(2).all(|w| w[0] != w[1]), "duplicate slot");
 
-        let PeerStore {
-            ids,
-            channels,
-            joined_at,
-            rngs,
-            total_rate,
-            epochs_online,
-            epochs_served,
-            satisfied_epochs,
-            last_helper,
-            switches,
-            ..
-        } = self;
-        let kept = for_each_survivor_move(n, slots, |read, write| {
-            ids.swap(write, read);
-            channels.swap(write, read);
-            joined_at.swap(write, read);
-            rngs.swap(write, read);
-            total_rate.swap(write, read);
-            epochs_online.swap(write, read);
-            epochs_served.swap(write, read);
-            satisfied_epochs.swap(write, read);
-            last_helper.swap(write, read);
-            switches.swap(write, read);
-        });
-        ids.truncate(kept);
-        channels.truncate(kept);
-        joined_at.truncate(kept);
-        rngs.truncate(kept);
-        total_rate.truncate(kept);
-        epochs_online.truncate(kept);
-        epochs_served.truncate(kept);
-        satisfied_epochs.truncate(kept);
-        last_helper.truncate(kept);
-        switches.truncate(kept);
-        match &mut self.learners {
+        compact_column(&mut self.ids, slots);
+        compact_column(&mut self.channels, slots);
+        compact_column(&mut self.joined_at, slots);
+        compact_column(&mut self.total_rate, slots);
+        compact_column(&mut self.epochs_online, slots);
+        compact_column(&mut self.epochs_served, slots);
+        compact_column(&mut self.satisfied_epochs, slots);
+        compact_column(&mut self.last_helper, slots);
+        compact_column(&mut self.switches, slots);
+        compact_swapping(&mut self.rngs, slots);
+        let kept = self.ids.len();
+        // Every slot from the first departure on was relocated.
+        let relocated = kept - slots[0] as usize;
+        let mut moved = relocated * ROW_BYTES;
+        moved += match &mut self.learners {
             // The slab mirrors the column compaction on its per-slot
-            // columns (same order-preserving walk), keeping slab slots ==
-            // store slots; T blocks stay where they are and follow their
-            // handles.
+            // scalars (same order-preserving walk), keeping slab slots ==
+            // store slots; a slot's rows stay put behind its block and
+            // row handles.
             Learners::Slab(slab) => slab.remove_slots(slots),
             Learners::PerPeer(learners) => {
-                for_each_survivor_move(n, slots, |read, write| learners.swap(write, read));
-                learners.truncate(kept);
+                compact_swapping(learners, slots);
+                relocated * size_of::<AnyLearner>()
             }
-        }
-        // The ledger compacts its own columns (open stretches fold into
+        };
+        // The ledger compacts its own scalars (open stretches fold into
         // nothing for departed peers and stay valid for survivors — the
-        // ledger's global prefix/ring state is slot-independent).
+        // ledger's global prefix/ring state is slot-independent); its
+        // rows stay put behind their handles.
         if let Some(regret) = &mut self.regret {
-            regret.remove_slots(slots);
+            moved += regret.remove_slots(slots);
         }
+        obs::counter_add(Counter::DepartureBytesMoved, moved as u64);
     }
 
     /// Moves peer `slot` to `channel`, restarting its learner on the new
