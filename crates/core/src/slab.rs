@@ -894,24 +894,25 @@ impl LearnerSlab {
     /// the block free list for [`alloc`](Self::alloc) to reuse, and its
     /// rows are left as holes. Once the holes outnumber a sixteenth of
     /// the survivors, one ascending pass closes them (the module docs).
-    /// Returns the bytes copied: six scalars per relocated slot, and the
-    /// rows such a pass moved.
+    /// Returns the bytes copied — six scalars per relocated slot, and the
+    /// rows such a pass moved — and the T columns the wipes zeroed.
     ///
     /// # Panics
     ///
     /// Panics if `sorted` is not strictly increasing, any slot is out of
     /// range, or the slab has free-listed slots (compaction and the slot
     /// free list are the two mutually exclusive usage modes).
-    pub fn remove_slots(&mut self, sorted: &[u32]) -> usize {
+    pub fn remove_slots(&mut self, sorted: &[u32]) -> (usize, u64) {
         if sorted.is_empty() {
-            return 0;
+            return (0, 0);
         }
         assert!(self.free.is_empty(), "cannot compact a slab with free-listed slots");
         assert!(sorted.windows(2).all(|w| w[0] < w[1]), "slots must be sorted and unique");
         let n = self.arity.len();
         assert!((sorted[sorted.len() - 1] as usize) < n, "slot out of range");
+        let mut wiped = 0;
         for &slot in sorted {
-            self.wipe_t(slot as usize);
+            wiped += self.wipe_t(slot as usize);
             self.free_blocks.push(self.block[slot as usize]);
         }
         compact_column(&mut self.arity, sorted);
@@ -938,7 +939,7 @@ impl LearnerSlab {
             let widths = if best.is_some() { 4 } else { 2 };
             moved += rows * widths * stride * size_of::<f64>();
         }
-        moved
+        (moved, wiped)
     }
 
     /// Reinitialises a slot for a new action count (channel switch) —
@@ -997,14 +998,14 @@ impl LearnerSlab {
     }
 
     /// Zeroes the played columns of the slot's T block and clears its
-    /// bitmask.
-    fn wipe_t(&mut self, slot: usize) {
+    /// bitmask; returns the number of columns zeroed.
+    fn wipe_t(&mut self, slot: usize) -> u64 {
         let (b, words, block) = (self.block[slot] as usize, self.words, self.block_range(slot));
         wipe_columns(
             &mut self.t[block],
             &mut self.played[b * words..(b + 1) * words],
             self.stride,
-        );
+        )
     }
 
     /// Borrows one slot as a single-slot [`SlabCols`] chunk (the slot is

@@ -1,31 +1,29 @@
 //! Transport-agnostic protocol state machines.
 //!
-//! The epoch protocol — tick, select, settle, observe — is one algorithm.
-//! Everything that determines *results* is the simulator's own code,
-//! which these machines and their hosts call: helpers are built by
-//! `rths_sim::helper::instantiate` and step their own bandwidth
-//! processes; peers learn, cap their rate to the demand and count their
-//! switches in a `rths_sim::PeerStore` (the reactor gives each mailbox
-//! shard one); the coordinator's metrics are the simulator's own
-//! [`EpochMetrics`] and regret record, fed the helpers' settlements and
-//! the peers' `(chosen, rate, estimate, switches)`, which a host reports
-//! one contiguous block of peers at a time
-//! ([`CoordinatorMachine::on_shard_report`]). The coordinator never sits
-//! on a peer's path: it sends the peers nothing but one tick per mailbox
-//! shard, and the helpers settle without waiting on any peer's report.
-//! The hosts — the reactor ([`crate::reactor_backend`]), in one process
-//! or sharded over several ([`crate::multiproc`]) — are thin shells that
-//! move these machines' inputs and outputs through mailboxes and
-//! sockets, which is what makes the bit-for-bit equivalence with the
-//! simulator structural rather than coincidental. No result may depend
-//! on the order in which an epoch's messages reach a machine;
+//! The epoch protocol — tick, select, settle, observe — is one algorithm,
+//! and everything that determines *results* is the simulator's own code,
+//! phase for phase (the table in `rths_sim::system`): helpers are built
+//! by `rths_sim::helper::instantiate`, step their own bandwidth processes
+//! and split their capacity with `rths_sim::helper::allocate`; peers
+//! choose, shape their links and learn in a `rths_sim::PeerStore` (the
+//! reactor gives each mailbox shard one); the coordinator records through
+//! [`EpochMetrics`] and the regret ledger, one block of peers at a time
+//! ([`CoordinatorMachine::on_shard_report`]). It sends the peers nothing
+//! but one tick per mailbox shard, and helpers settle without waiting on
+//! any peer's report. The hosts — the reactor ([`crate::reactor_backend`]),
+//! in one process or several ([`crate::multiproc`]) — only move these
+//! machines' inputs and outputs, which is what makes the bit-for-bit
+//! equivalence with the simulator structural. No result may depend on the
+//! order in which an epoch's messages reach a machine;
 //! `tests/properties.rs` feeds them seeded permutations to hold that.
 
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{self, Helper};
 use rths_sim::peer::{Peer, PeerId};
 use rths_sim::regret::RegretLedger;
-use rths_sim::{EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics};
+use rths_sim::{
+    AllocationPolicy, EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics,
+};
 use rths_stoch::rng::{entity_rng, seeded_rng};
 
 /// Instantiates the helper set exactly as `rths_sim::System::new` does
@@ -151,10 +149,11 @@ pub struct Settlement {
     pub capacity: f64,
 }
 
-/// The helper-side state machine: a bandwidth process plus the even-split
-/// allocation over whatever requests arrived. Generic over a per-request
-/// attachment `T` handed back with the reply: the reactor addresses by
-/// peer id and attaches nothing, tests attach an arrival tag.
+/// The helper-side state machine: a bandwidth process plus the
+/// simulator's allocate phase ([`helper::allocate`]) over the requests
+/// that arrived, on one channel (the K = 1 `rths_sim::System::new`).
+/// Generic over a per-request attachment `T` handed back with the reply:
+/// the reactor attaches nothing, tests attach an arrival tag.
 #[derive(Debug)]
 pub struct HelperMachine<T = ()> {
     helper: Helper,
@@ -181,8 +180,10 @@ impl<T> HelperMachine<T> {
     /// invoking `reply(peer, kbps, attachment)` per requester in arrival
     /// order (0 kbps when the payload was lost), and returns the summary.
     pub fn on_settle(&mut self, mut reply: impl FnMut(u64, f64, T)) -> Settlement {
-        let load = self.pending.len();
-        let share = self.helper.share(load);
+        let (load, mut share) = (self.pending.len(), 0.0);
+        // The even split ignores the channel's demand.
+        let (cap, policy) = (self.helper.capacity(), AllocationPolicy::EvenSplit);
+        helper::allocate(policy, cap, &[0], &[load], &[None], |_, _, s| share = s);
         for (peer, lost, attachment) in self.pending.drain(..) {
             reply(peer, if lost { 0.0 } else { share }, attachment);
         }
@@ -281,13 +282,11 @@ impl CoordinatorMachine {
         self.switches = 0;
     }
 
-    /// A peer committed to a helper. The mesh reports the choice with the
-    /// realized rate instead ([`on_shard_report`](Self::on_shard_report));
-    /// this per-peer entry stays for the benchmark's coordinator probe,
-    /// which prices one message per peer. It carries no switch count:
-    /// switches are counted where the peers choose, and an epoch fed
-    /// only per-peer entries records none. The peer counts as reported
-    /// once its [`on_observed`](Self::on_observed) arrives.
+    /// A peer committed to a helper: a per-peer entry the mesh no longer
+    /// sends ([`on_shard_report`](Self::on_shard_report) carries it), kept
+    /// for the benchmark's coordinator probe. It counts no switch; the
+    /// peer counts as reported once its [`on_observed`](Self::on_observed)
+    /// arrives.
     pub fn on_selected(&mut self, peer: u64, helper: usize) {
         self.scratch.chosen[peer as usize] = helper as u32;
     }
@@ -299,14 +298,10 @@ impl CoordinatorMachine {
         self.reports += 1;
     }
 
-    /// A peer observed its realized rate. `estimate` is the peer's
-    /// learner-reported internal regret estimate (its virtual-play `Q`
-    /// maximum; `0.0` when estimate tracking is disabled) — folded into
-    /// the epoch's `worst_regret_estimate` with an order-insensitive max
-    /// over non-negatives, so arrival order cannot perturb the series.
-    /// Like [`on_selected`](Self::on_selected), the mesh no longer sends
-    /// it, and it carries no switch count: it stays for the benchmark's
-    /// coordinator probe.
+    /// A peer observed its realized rate; `estimate`, its learner's
+    /// internal regret estimate (`0.0` untracked), is folded into the
+    /// epoch's `worst_regret_estimate` by an order-insensitive max. Like
+    /// [`on_selected`](Self::on_selected), kept for the benchmark's probe.
     pub fn on_observed(&mut self, peer: u64, rate: f64, estimate: f64) {
         self.scratch.rates[peer as usize] = rate;
         self.worst_estimate = self.worst_estimate.max(estimate);

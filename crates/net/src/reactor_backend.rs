@@ -1,33 +1,30 @@
 //! The event-loop backend: the whole actor mesh on one `rths_reactor`.
 //!
 //! Every peer, every helper, the tracker and the coordinator is a
-//! poll-driven [`Actor`] hosted by a single [`Reactor`], so one process
-//! (indeed, one thread — plus optional `RTHS_THREADS` workers the reactor
-//! shards rounds across) hosts thousands of actors.
-//!
-//! The protocol and all result-bearing arithmetic are the shared
-//! [`crate::machines`] and the simulator's own peer store; this module
-//! only adds addressing:
+//! poll-driven [`Actor`] on a single [`Reactor`]: one thread (plus
+//! optional `RTHS_THREADS` workers the reactor shards rounds across) hosts
+//! thousands of actors. All result-bearing arithmetic is the simulator's
+//! own, through [`crate::machines`] and the peer store; this module only
+//! adds addressing:
 //!
 //! * actor 0 is the coordinator, actor 1 the tracker, then `h` helpers,
 //!   then `n` peers (ids dense, in that order);
 //! * peers learn the helper address range from the tracker
-//!   ([`TrackerNode`]) during a bootstrap handshake — a directory, not a
-//!   controller: it never sees a payoff and never assigns a peer;
-//! * each mailbox shard's peers are one [`PeerShard`] — a
-//!   `rths_sim::PeerStore` block of their learners, RNG streams,
-//!   accounting and switch counts, and a `LinkShaper` per peer if the plan
-//!   affects rates — that the reactor lends to the handling actor
-//!   ([`Ctx::shard`]; no lock). The shard's one `Tick` of an epoch runs
-//!   the store's choose phase and sends every `Request`; the `Rate` that
-//!   fills its last slot runs the observe phase, demand cap included — the
-//!   passes `rths_sim::System` runs — and sends the coordinator the block
-//!   and its switch count as one [`NetMsg::ShardReport`]. A peer actor
-//!   keeps protocol state only;
-//! * [`ImpairmentPlan`] drops ride the `lost` flag of the request, a rate
-//!   is shaped by its slot's shaper as it arrives, and jitter/latency are
-//!   *timer-wheel delivery delays*: each `Request` and helper `Tick` is
-//!   delayed by the plan's seeded per-`(actor, epoch)` draw.
+//!   ([`TrackerNode`]) at bootstrap — a directory, not a controller;
+//! * each mailbox shard's peers are one [`PeerShard`], a
+//!   `rths_sim::PeerStore` block (learners, RNG streams, accounting,
+//!   switch counts, link state) that the reactor lends to the handling
+//!   actor ([`Ctx::shard`]; no lock). The shard's one `Tick` of an epoch
+//!   runs the store's choose phase and sends every `Request`; the `Rate`
+//!   that fills its last slot runs its shape and observe phases and sends
+//!   the coordinator one [`NetMsg::ShardReport`]. A peer actor keeps
+//!   protocol state only;
+//! * a helper actor splits its capacity over its requests with the
+//!   simulator's allocate phase ([`HelperMachine`]);
+//! * [`ImpairmentPlan`] drops ride the request's `lost` flag (the store's
+//!   loss decision for the link); jitter and latency are timer-wheel
+//!   delays of each `Request` and helper `Tick`, the plan's seeded
+//!   per-`(actor, epoch)` draw.
 //!
 //! A peer-epoch is therefore two messages, `Request` and `Rate`, plus its
 //! share of the shard's `Tick`. Slot-ordered passes give the bits arrival
@@ -46,7 +43,7 @@ use rths_obs::{self as obs, ObsScratch};
 use rths_reactor::{Actor, ActorId, Ctx, Reactor, ReactorStats, SHARD_SPAN};
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::store::{PeerStore, ShardScratch};
-use rths_sim::{ImpairmentPlan, LinkShaper};
+use rths_sim::ImpairmentPlan;
 
 use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
@@ -194,19 +191,17 @@ pub struct PeerShard {
     first_actor: usize,
     demand: Option<f64>,
     track_estimate: bool,
-    /// The run's impairment plan, and each slot's link state under it
-    /// (none unless the plan affects rates: a clean mesh carries nothing).
-    impairments: ImpairmentPlan,
-    shapers: Vec<LinkShaper>,
     /// The epoch `chosen` was sampled for.
     chosen_epoch: Option<u64>,
     /// The choose phase's columns: helper per slot (the report's), and
     /// an unused side column (one channel: the action is the helper).
     chosen: Vec<u32>,
     aux: Vec<u32>,
-    /// Shaped rate per slot, as the rates arrive; the demand-capped rates
-    /// the learners observed (the report's).
+    /// Rate per slot as it arrives; the shape phase's output (empty on
+    /// clean links); the demand-capped rates the learners observed (the
+    /// report's).
     rates: Vec<f64>,
+    shaped: Vec<f64>,
     delivered: Vec<f64>,
     /// Slots rated this epoch.
     filled: usize,
@@ -224,7 +219,8 @@ impl PeerShard {
         let helpers = [sim.helpers.len()];
         let mut store =
             PeerStore::new(sim.seed, sim.learner.clone(), sim.rate_scale(), &helpers)
-                .into_block(first);
+                .into_block(first)
+                .with_impairment(sim.impairment.clone());
         store.set_shards(Some(1));
         store.reserve(len);
         for _ in 0..len {
@@ -235,15 +231,11 @@ impl PeerShard {
             first_actor,
             demand: sim.demand,
             track_estimate: config.track_estimate,
-            impairments: sim.impairment.clone(),
-            shapers: vec![
-                LinkShaper::new();
-                if sim.impairment.affects_rates() { len } else { 0 }
-            ],
             chosen_epoch: None,
             chosen: vec![0; len],
             aux: vec![0; len],
             rates: vec![0.0; len],
+            shaped: Vec::new(),
             delivered: vec![0.0; len],
             filled: 0,
             loads: Vec::new(),
@@ -272,14 +264,13 @@ impl PeerShard {
     /// delay, its helper's index and the message.
     fn request(&mut self, slot: usize, epoch: u64) -> (u64, usize, NetMsg) {
         let (peer, helper) = (self.store.id(slot), self.chosen[slot] as usize);
-        let plan = &self.impairments;
-        let lost =
-            self.shapers.get_mut(slot).is_some_and(|s| s.is_lost(plan, peer, helper, epoch));
-        (plan.jitter_ticks(peer, epoch), helper, NetMsg::Request { peer, epoch, lost })
+        let lost = self.store.is_lost(slot, helper, epoch);
+        let delay = self.store.impairment().jitter_ticks(peer, epoch);
+        (delay, helper, NetMsg::Request { peer, epoch, lost })
     }
 
-    /// Peer actor `actor` received `kbps` in `epoch`, which its link
-    /// shapes; the rate that fills the last slot returns the report.
+    /// Peer actor `actor` received `kbps` in `epoch`; the rate that fills
+    /// the last slot returns the report.
     fn rated(
         &mut self,
         actor: ActorId,
@@ -287,12 +278,7 @@ impl PeerShard {
         kbps: f64,
         obs: &mut ObsScratch,
     ) -> Option<Box<ShardReport>> {
-        let slot = actor.0 - self.first_actor;
-        let (peer, helper, plan) = (self.store.id(slot), self.chosen[slot], &self.impairments);
-        self.rates[slot] = match self.shapers.get_mut(slot) {
-            Some(link) => link.shape(plan, peer, helper as usize, epoch, kbps),
-            None => kbps,
-        };
+        self.rates[actor.0 - self.first_actor] = kbps;
         self.filled += 1;
         if self.filled < self.chosen.len() {
             return None;
@@ -300,13 +286,19 @@ impl PeerShard {
         Some(self.observe(epoch, obs))
     }
 
-    /// The observe phase over every slot — bandit feedback, accounting,
-    /// the estimate — and the report. Kept out of line: one `Rate` in a
-    /// shard's thousand runs it, and the others stay a few instructions.
+    /// The shape phase (a lost payload arrived as 0 kbps, and the pass
+    /// decides the same loss again), then the observe phase over every
+    /// slot — bandit feedback, accounting, the estimate — and the report.
+    /// Kept out of line: one `Rate` in a shard's thousand runs it, and the
+    /// others stay a few instructions.
     #[inline(never)]
     fn observe(&mut self, epoch: u64, obs: &mut ObsScratch) -> Box<ShardReport> {
         self.filled = 0;
-        let (rates, demand) = (&self.rates, self.demand);
+        let arrived = &self.rates;
+        let shaped =
+            self.store
+                .shape_phase(&self.chosen, epoch, &mut self.shaped, |slot, _, _| arrived[slot]);
+        let (rates, demand) = (if shaped { &self.shaped } else { arrived }, self.demand);
         let (estimate, _) = self.store.observe_phase(
             &self.chosen,
             &mut self.delivered,
@@ -935,9 +927,10 @@ mod tests {
     }
 
     /// Like `PeerMachine`'s `clean_links_hold_neither_plan_nor_link_state`:
-    /// a plan that shapes no rate — none, or delivery delays only — leaves
-    /// every shard's shapers column empty; a lossy one gives each slot a
-    /// shaper.
+    /// under a plan that shapes no rate — none, or delivery delays only —
+    /// an epoch leaves every shard's shaped column empty (its store's
+    /// shape phase has no link to shape); under a lossy one, each slot's
+    /// rate went through its link.
     #[test]
     fn clean_links_cost_the_shard_nothing() {
         let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
@@ -948,10 +941,11 @@ mod tests {
             let sim = SimConfig::builder(20, vec![BandwidthSpec::Constant(800.0); 2])
                 .impairment(plan)
                 .build();
-            let rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
+            let mut rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
+            rt.run_epochs(1);
             for shard in rt.reactor.shard_states().flatten() {
                 let links = if linked { shard.store.len() } else { 0 };
-                assert_eq!(shard.shapers.len(), links, "linked: {linked}");
+                assert_eq!(shard.shaped.len(), links, "linked: {linked}");
             }
         }
     }

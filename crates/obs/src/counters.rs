@@ -42,6 +42,9 @@ pub enum Counter {
     /// the peer store's, the learner slab's and the regret ledger's
     /// columns (`rths_sim::PeerStore::remove_slots`).
     DepartureBytesMoved,
+    /// Learner-slab T columns that departures zeroed: the played columns
+    /// of departed slots' blocks (`rths_core::LearnerSlab::remove_slots`).
+    DepartureColumnsWiped,
 }
 
 impl Counter {
@@ -56,10 +59,11 @@ impl Counter {
         Counter::StretchFolds,
         Counter::RegretExactReads,
         Counter::DepartureBytesMoved,
+        Counter::DepartureColumnsWiped,
     ];
 
     /// Number of counters.
-    pub(crate) const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = 10;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -73,6 +77,7 @@ impl Counter {
             Counter::StretchFolds => "stretch_folds",
             Counter::RegretExactReads => "regret_exact_reads",
             Counter::DepartureBytesMoved => "departure_bytes_moved",
+            Counter::DepartureColumnsWiped => "departure_columns_wiped",
         }
     }
 

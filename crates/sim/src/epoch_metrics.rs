@@ -102,6 +102,11 @@ impl EpochMetrics {
             }));
         }
         self.total_demand = total_demand;
+        self.join_rates()
+    }
+
+    /// The join rates the last [`allocation`](Self::allocation) returned.
+    pub fn join_rates(&self) -> (&[usize], &[f64]) {
         (&self.join_offsets, &self.join_rates)
     }
 

@@ -4,6 +4,7 @@ use rand::rngs::StdRng;
 use rths_stoch::bandwidth::BandwidthProcess;
 
 use crate::config::BandwidthSpec;
+use crate::multichannel::AllocationPolicy;
 
 /// Derivation offset for per-helper RNG streams (see
 /// [`rths_stoch::rng::entity_rng`]); keeps helper randomness disjoint
@@ -23,10 +24,10 @@ impl std::fmt::Display for HelperId {
 
 /// A helper node: a peer with surplus upload bandwidth acting as a
 /// micro-server. Its capacity follows a [`BandwidthProcess`]; each epoch
-/// the capacity is split over the channels it serves by the run's
-/// [`AllocationPolicy`](crate::AllocationPolicy), then evenly over each
-/// channel's viewers (§III.A). Owns a private RNG stream so that helper
-/// dynamics are independent of peer population changes.
+/// [`allocate`] splits the capacity over the channels it serves by the
+/// run's [`AllocationPolicy`], then evenly over each channel's viewers
+/// (§III.A). Owns a private RNG stream so that helper dynamics are
+/// independent of peer population changes.
 pub struct Helper {
     id: HelperId,
     process: Box<dyn BandwidthProcess>,
@@ -90,15 +91,40 @@ impl Helper {
         self.process.step(&mut self.rng);
         self.capacity = self.process.level();
     }
+}
 
-    /// Per-peer rate when `load` peers are connected (even split, 0 for an
-    /// empty helper or while offline).
-    pub fn share(&self, load: usize) -> f64 {
-        if load == 0 || !self.online {
-            0.0
-        } else {
-            self.capacity() / load as f64
+/// The allocate phase of one helper, as every engine runs it: `cap` is
+/// split over the channels it `serves` by `policy` (`loads[c]` viewers on
+/// channel `c`, each demanding `demands[c]`, `None` = uncapped), each
+/// budget evenly over its viewers. `emit(c, budget, share)` gets each
+/// served channel in order, the share `0` where nobody chose it.
+pub fn allocate(
+    policy: AllocationPolicy,
+    cap: f64,
+    serves: &[usize],
+    loads: &[usize],
+    demands: &[Option<f64>],
+    mut emit: impl FnMut(usize, f64, f64),
+) {
+    let even = cap / serves.len() as f64;
+    let demand = |c: usize| demands[c].unwrap_or(f64::INFINITY);
+    let viewers: usize = serves.iter().map(|&c| loads[c]).sum();
+    let wanted: f64 = match policy {
+        AllocationPolicy::WaterFilling => {
+            serves.iter().map(|&c| loads[c] as f64 * demand(c)).sum()
         }
+        _ => 0.0,
+    };
+    for &c in serves {
+        let n = loads[c];
+        let budget = match policy {
+            AllocationPolicy::EvenSplit => even,
+            AllocationPolicy::LoadProportional if viewers == 0 => even,
+            AllocationPolicy::LoadProportional => cap * n as f64 / viewers as f64,
+            AllocationPolicy::WaterFilling if wanted <= 0.0 => even,
+            AllocationPolicy::WaterFilling => n as f64 * demand(c) * (cap / wanted).min(1.0),
+        };
+        emit(c, budget, if n == 0 { 0.0 } else { budget / n as f64 });
     }
 }
 
@@ -123,12 +149,23 @@ mod tests {
         Helper::with_seed(HelperId(1), Box::new(ConstantBandwidth::new(cap)), 0)
     }
 
+    /// The per-viewer share of helper `h` when `load` viewers chose its
+    /// one channel, under the even split `System::new` configures.
+    fn even_share(h: &Helper, load: usize) -> f64 {
+        let mut got = Vec::new();
+        let policy = AllocationPolicy::EvenSplit;
+        allocate(policy, h.capacity(), &[0], &[load], &[None], |c, b, s| got.push((c, b, s)));
+        let [(0, budget, share)] = got[..] else { panic!("one channel, got {got:?}") };
+        assert_eq!(budget, h.capacity(), "one channel gets the whole capacity");
+        share
+    }
+
     #[test]
     fn share_divides_capacity() {
         let h = helper(800.0);
-        assert_eq!(h.share(0), 0.0);
-        assert_eq!(h.share(1), 800.0);
-        assert_eq!(h.share(4), 200.0);
+        assert_eq!(even_share(&h, 0), 0.0);
+        assert_eq!(even_share(&h, 1), 800.0);
+        assert_eq!(even_share(&h, 4), 200.0);
     }
 
     #[test]
@@ -136,7 +173,7 @@ mod tests {
         let mut h = helper(800.0);
         h.set_online(false);
         assert_eq!(h.capacity(), 0.0);
-        assert_eq!(h.share(3), 0.0);
+        assert_eq!(even_share(&h, 3).to_bits(), 0.0f64.to_bits());
         h.set_online(true);
         assert_eq!(h.capacity(), 800.0);
     }

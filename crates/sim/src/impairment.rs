@@ -646,7 +646,7 @@ struct LinkMemo {
 /// epoch gap, falls back to the seek). It is not part of the link's state
 /// — two shapers with equal buckets are the same link whatever each was
 /// last asked — which is why the type offers no `==` that could see it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LinkShaper {
     tokens: f64,
     primed: bool,

@@ -12,26 +12,14 @@
 //! evaluation of §IV); [`MultiChannelSystem::new`] builds a K-channel
 //! deployment from a [`MultiChannelConfig`] and reports it per channel.
 //!
-//! Per epoch the engine:
-//!
-//! 1. advances every helper's bandwidth process (the paper's slowly
-//!    changing `[700, 800, 900]` chain by default);
-//! 2. applies churn (Poisson joins, geometric departures);
-//! 3. lets every peer select a helper of its channel by sampling its
-//!    learner's mixed strategy — peers never see other peers' actions or
-//!    payoffs;
-//! 4. splits each helper's capacity over the channels it serves (the
-//!    [`AllocationPolicy`]; with one channel, all of it), then each
-//!    channel budget evenly over the connected viewers;
-//! 5. shapes the offered rates through the link impairments, if any
-//!    (loss, link caps, token buckets);
-//! 6. delivers `min(demand, share)` and feeds the realized rates back to
-//!    the learners (bandit feedback);
-//! 7. routes every peer's residual demand to the streaming server
-//!    (`server load = Σ_i max(0, d_i − r_i)`, Fig. 5);
-//! 8. records metrics (regret, welfare, loads, fairness, server load,
-//!    helper-switch counts) into one [`SimMetrics`] — steps 7 and 8 are
-//!    [`EpochMetrics`], which `rths_net`'s coordinator records through too.
+//! Per epoch the engine steps every helper's bandwidth process (the
+//! paper's `[700, 800, 900]` chain by default), applies churn, lets every
+//! peer pick a helper of its channel from its learner alone, splits each
+//! helper's capacity over its channels and viewers, shapes the rates
+//! through the link impairments, feeds `min(demand, rate)` back to the
+//! learners (bandit feedback), routes residual demand to the server and
+//! records [`SimMetrics`]: the phases tabled in the [`system`] module docs,
+//! with what `rths_net`'s actors run of each.
 //!
 //! # Example
 //!

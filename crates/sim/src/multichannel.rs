@@ -26,7 +26,8 @@ use crate::config::{BandwidthSpec, LearnerSpec};
 use crate::impairment::ImpairmentPlan;
 use crate::system::{Blueprint, System};
 
-/// How a helper divides its upload capacity among the channels it serves.
+/// How a helper divides its upload capacity among the channels it serves
+/// ([`helper::allocate`](crate::helper::allocate) applies it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocationPolicy {
     /// Equal share per served channel regardless of viewership — the
@@ -40,56 +41,6 @@ pub enum AllocationPolicy {
     /// maximum feasible total. **Default.**
     #[default]
     WaterFilling,
-}
-
-impl AllocationPolicy {
-    /// Splits capacity `cap` over channels with viewer counts `loads` and
-    /// per-viewer demands `bitrates`. Returns per-channel bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` and `bitrates` differ in length.
-    pub fn split(&self, cap: f64, loads: &[usize], bitrates: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(loads.len());
-        self.split_into(cap, loads, bitrates, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`split`](Self::split): appends the
-    /// per-channel bandwidths to `out` (cleared first), reusing its
-    /// capacity — the engine's per-epoch path.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`split`](Self::split).
-    pub fn split_into(&self, cap: f64, loads: &[usize], bitrates: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(loads.len(), bitrates.len(), "loads/bitrates length mismatch");
-        out.clear();
-        let k = loads.len();
-        if k == 0 {
-            return;
-        }
-        match self {
-            AllocationPolicy::EvenSplit => out.resize(k, cap / k as f64),
-            AllocationPolicy::LoadProportional => {
-                let total: usize = loads.iter().sum();
-                if total == 0 {
-                    out.resize(k, cap / k as f64);
-                } else {
-                    out.extend(loads.iter().map(|&n| cap * n as f64 / total as f64));
-                }
-            }
-            AllocationPolicy::WaterFilling => {
-                let total: f64 = loads.iter().zip(bitrates).map(|(&n, &b)| n as f64 * b).sum();
-                if total <= 0.0 {
-                    out.resize(k, cap / k as f64);
-                } else {
-                    let scale = (cap / total).min(1.0);
-                    out.extend(loads.iter().zip(bitrates).map(|(&n, &b)| n as f64 * b * scale));
-                }
-            }
-        }
-    }
 }
 
 /// Configuration of the multi-channel system.
@@ -306,6 +257,23 @@ impl std::ops::DerefMut for MultiChannelSystem {
 mod tests {
     use super::*;
 
+    /// The budgets `policy` gives channels `0..loads.len()` of a helper
+    /// with capacity `cap`.
+    fn split(
+        policy: AllocationPolicy,
+        cap: f64,
+        loads: &[usize],
+        bitrates: &[f64],
+    ) -> Vec<f64> {
+        let (serves, demands): (Vec<usize>, Vec<_>) =
+            bitrates.iter().enumerate().map(|(c, &b)| (c, Some(b))).unzip();
+        let mut budgets = Vec::new();
+        crate::helper::allocate(policy, cap, &serves, loads, &demands, |_, b, _| {
+            budgets.push(b)
+        });
+        budgets
+    }
+
     fn standard(alloc: AllocationPolicy, seed: u64) -> MultiChannelSystem {
         MultiChannelSystem::new(MultiChannelConfig::standard(
             4, 400.0, 8, 2, 80, 1.0, alloc, seed,
@@ -319,7 +287,7 @@ mod tests {
             AllocationPolicy::LoadProportional,
             AllocationPolicy::WaterFilling,
         ] {
-            let split = policy.split(900.0, &[3, 1, 0], &[400.0, 400.0, 400.0]);
+            let split = split(policy, 900.0, &[3, 1, 0], &[400.0, 400.0, 400.0]);
             let total: f64 = split.iter().sum();
             assert!(total <= 900.0 + 1e-9, "{policy:?} oversubscribed: {total}");
             assert!(split.iter().all(|&b| b >= 0.0));
@@ -328,7 +296,7 @@ mod tests {
 
     #[test]
     fn water_filling_caps_at_demand() {
-        let split = AllocationPolicy::WaterFilling.split(10_000.0, &[2, 1], &[400.0, 300.0]);
+        let split = split(AllocationPolicy::WaterFilling, 10_000.0, &[2, 1], &[400.0, 300.0]);
         // Demands are 800 and 300; capacity is abundant so split == demand.
         assert!((split[0] - 800.0).abs() < 1e-9);
         assert!((split[1] - 300.0).abs() < 1e-9);
@@ -336,7 +304,7 @@ mod tests {
 
     #[test]
     fn water_filling_scales_down_proportionally() {
-        let split = AllocationPolicy::WaterFilling.split(550.0, &[2, 1], &[400.0, 300.0]);
+        let split = split(AllocationPolicy::WaterFilling, 550.0, &[2, 1], &[400.0, 300.0]);
         // Total demand 1100, capacity 550 -> scale 0.5.
         assert!((split[0] - 400.0).abs() < 1e-9);
         assert!((split[1] - 150.0).abs() < 1e-9);

@@ -1,62 +1,52 @@
 //! The sharded structure-of-arrays peer store.
 //!
-//! The engine ([`crate::System`]) keeps its peer population here instead
-//! of a `Vec<Peer>`. The store
-//! holds one flat column per field — stable `u64` ids, `u32` channel and
-//! helper indices, the per-entity RNG streams, the learners (for the
-//! slab-hosted algorithms a shared [`RthsConfig`] per channel + one slot
-//! of the store's [`LearnerSlab`] per peer, see `rths_core::slab` for the
-//! column-major arena layout and its batched kernels; for the others a
-//! column of self-contained learners), the accounting scalars, and the
-//! stretch-folded
-//! true-regret ledger (one `O(m)` folded row per peer plus a global
-//! join-rate prefix, see [`crate::regret`]) — so a million-peer
-//! population is a handful of large allocations with unit-stride hot
-//! loops instead of a million scattered structs.
+//! The engine ([`crate::System`]) keeps its peer population here, one flat
+//! column per field: stable `u64` ids, `u32` channel and helper indices,
+//! the per-entity RNG streams, the learners (for the slab-hosted
+//! algorithms a shared [`RthsConfig`] per channel + one slot of the
+//! store's [`LearnerSlab`] per peer, see `rths_core::slab`; for the others
+//! a column of self-contained learners), the accounting scalars, each
+//! peer's link state under the run's impairment plan, and the
+//! stretch-folded true-regret ledger (see [`crate::regret`]) — so a
+//! million-peer population is a handful of large allocations with
+//! unit-stride hot loops instead of a million scattered structs.
 //!
 //! The reactor backend (`rths_net`) drives its peers through the same
-//! two phases: each mailbox shard owns a block store of its peers
-//! ([`PeerStore::into_block`]: ids from the shard's first peer, no
-//! ledger — the coordinator records true regret for everybody), so the
-//! engines run one learner routine.
+//! choose, shape and observe phases: each mailbox shard owns a block store
+//! of its peers ([`PeerStore::into_block`]: ids from the shard's first
+//! peer, no ledger — the coordinator records true regret for everybody).
 //!
 //! # Sharding
 //!
-//! The per-peer phases of an epoch (choose a helper, observe the realized
-//! rate) run shard-parallel through [`rths_par::par_sharded`]: peers are
-//! partitioned into contiguous index ranges, each shard gets the matching
-//! range of **every** column plus its own [`ShardScratch`] (thread-affine
-//! load histogram, metric maxima) and the slice of
-//! the per-entity RNG streams its range covers. All order-sensitive float
-//! reductions stay index-ordered — either sequentially after the phase or
-//! by merging per-shard accumulators that are order-insensitive (integer
-//! histograms, `max` folds over non-negative values) in shard order — so
-//! the engine is **bit-for-bit identical at any shard count and any
-//! `RTHS_THREADS`**.
+//! The choose and observe phases run shard-parallel through
+//! [`rths_par::par_sharded`]: peers are partitioned into contiguous index
+//! ranges, each shard gets the matching range of **every** column plus
+//! its own [`ShardScratch`] (thread-affine load histogram, metric maxima).
+//! All order-sensitive float reductions stay index-ordered — either
+//! sequentially after the phase or by merging per-shard accumulators that
+//! are order-insensitive (integer histograms, `max` folds over
+//! non-negative values) in shard order — so the engine is **bit-for-bit
+//! identical at any shard count and any `RTHS_THREADS`**. The shape phase
+//! is sequential: a token bucket is state.
 //!
 //! # Stable identity under churn
 //!
 //! Peer ids are monotone `u64`s, never reused, and travel with their row.
 //! Departures compact every column **order-preservingly** (survivors keep
 //! their relative order), so a removal can never alias one peer's slot —
-//! and therefore its RNG stream, learner state, or regret row — onto
-//! another's. The historical `Vec::swap_remove` churn path moved the last
-//! peer into the departed peer's index, a re-aliasing hazard that a
-//! column store would have turned into silent state corruption; the
-//! departure-stability test in `tests/churn_and_failures.rs` pins the
-//! fixed behaviour.
+//! its RNG stream, learner, link or regret row — onto another's
+//! (`tests/churn_and_failures.rs` pins it).
 //!
-//! What a departure moves is scalars only: each survivor's row of the
-//! columns here (96 bytes), five scalars of its learner slot and eight of
-//! its regret-ledger entry — 176 bytes in all, whatever the helper count.
-//! Every row whose length is the stride stays where it is: the learner's
-//! `m²` T block and its strategy, frequency, bitmask and estimate rows
-//! follow the slot's 4-byte block handle, the folded regret row its row
-//! handle. The departed peers' blocks and rows are wiped and handed to
-//! the next arrivals, so churn costs `O(departed · m² + population)` per
-//! epoch, not `O(population · m)`, and slot order, ids and every float
-//! reduction order are what they would be had the rows moved. A traced
-//! run counts the copied bytes (`Counter::DepartureBytesMoved`).
+//! What a departure moves is scalars only: per relocated survivor, its row
+//! of the columns here (96 bytes, and its 88-byte link state when the plan
+//! affects rates), six scalars of its learner slot and its ledger entry.
+//! T blocks follow the slot's block handle and are wiped for the next
+//! arrivals; strategy, frequency, estimate and folded-regret rows follow
+//! increasing row handles, whose holes one pass closes once they
+//! outnumber a sixteenth of the population. Slot order, ids and every
+//! float reduction order are what they would be had the rows moved. A
+//! traced run counts the copied bytes (`Counter::DepartureBytesMoved`) and
+//! the wiped T columns (`Counter::DepartureColumnsWiped`).
 
 use rand::rngs::StdRng;
 
@@ -69,6 +59,7 @@ use rths_par::{par_sharded, ShardCols};
 use rths_stoch::rng::entity_rng;
 
 use crate::config::{AnyLearner, LearnerSpec};
+use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::regret::{self, RegretLedger};
 
 /// Sentinel for "no helper chosen yet" in the `last_helper` column.
@@ -227,8 +218,11 @@ pub struct PeerStore {
     /// Last chosen helper ([`NO_HELPER`] before the first choice).
     last_helper: Vec<u32>,
     switches: Vec<u64>,
+    /// Link state under `impairment`; empty unless it affects rates.
+    links: Vec<LinkShaper>,
     /// The largest total of `switches` that `new_switches` has seen.
     switches_reported: u64,
+    impairment: ImpairmentPlan,
 }
 
 impl PeerStore {
@@ -280,7 +274,9 @@ impl PeerStore {
             satisfied_epochs: Vec::new(),
             last_helper: Vec::new(),
             switches: Vec::new(),
+            links: Vec::new(),
             switches_reported: 0,
+            impairment: ImpairmentPlan::none(),
         }
     }
 
@@ -299,6 +295,20 @@ impl PeerStore {
         assert!(self.is_empty(), "only an empty store becomes a block");
         self.regret = None;
         self.next_id = first_id;
+        self
+    }
+
+    /// Makes this empty store's links impaired by `plan`. If the plan
+    /// affects rates, each peer spawned gets a fresh [`LinkShaper`] (its
+    /// bucket full) in a column that departures compact with the others;
+    /// otherwise the column stays empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store already holds peers.
+    pub fn with_impairment(mut self, plan: ImpairmentPlan) -> Self {
+        assert!(self.is_empty(), "only an empty store takes a link plan");
+        self.impairment = plan;
         self
     }
 
@@ -371,6 +381,9 @@ impl PeerStore {
         self.satisfied_epochs.push(0);
         self.last_helper.push(NO_HELPER);
         self.switches.push(0);
+        if self.impairment.affects_rates() {
+            self.links.push(LinkShaper::new());
+        }
         if let Some(regret) = &mut self.regret {
             regret.add_peer();
         }
@@ -382,7 +395,9 @@ impl PeerStore {
     /// surviving peers keep their relative order and their entire row —
     /// id, RNG stream, learner state, regret row, accounting — exactly as
     /// it was. `slots` is sorted in place. When tracing, the bytes the
-    /// compactions copied go to `Counter::DepartureBytesMoved`.
+    /// compactions copied go to `Counter::DepartureBytesMoved`, and the T
+    /// columns the departed learners' wipes zeroed to
+    /// `Counter::DepartureColumnsWiped`.
     ///
     /// # Panics
     ///
@@ -410,17 +425,22 @@ impl PeerStore {
         // Every slot from the first departure on was relocated.
         let relocated = kept - slots[0] as usize;
         let mut moved = relocated * ROW_BYTES;
-        moved += match &mut self.learners {
+        if !self.links.is_empty() {
+            compact_column(&mut self.links, slots);
+            moved += relocated * size_of::<LinkShaper>();
+        }
+        let (learner_bytes, wiped) = match &mut self.learners {
             // The slab mirrors the column compaction on its per-slot
             // scalars (same order-preserving walk), keeping slab slots ==
             // store slots; a slot's rows stay put behind its block and
-            // row handles.
+            // row handles, and the departed blocks are wiped.
             Learners::Slab(slab) => slab.remove_slots(slots),
             Learners::PerPeer(learners) => {
                 compact_swapping(learners, slots);
-                relocated * size_of::<AnyLearner>()
+                (relocated * size_of::<AnyLearner>(), 0)
             }
         };
+        moved += learner_bytes;
         // The ledger compacts its own scalars (open stretches fold into
         // nothing for departed peers and stay valid for survivors — the
         // ledger's global prefix/ring state is slot-independent); its
@@ -429,6 +449,7 @@ impl PeerStore {
             moved += regret.remove_slots(slots);
         }
         obs::counter_add(Counter::DepartureBytesMoved, moved as u64);
+        obs::counter_add(Counter::DepartureColumnsWiped, wiped);
     }
 
     /// Moves peer `slot` to `channel`, restarting its learner on the new
@@ -764,7 +785,54 @@ impl PeerStore {
         (worst_estimate, worst_empirical)
     }
 
+    /// The **shape** phase: in slot order, each peer's link to helper
+    /// `helpers[slot]` decides whether the epoch's payload is lost and
+    /// shapes `offered(slot, helper, channel)` (`0` if lost) into
+    /// `shaped[slot]` ([`LinkShaper`]). Sequential — the token bucket is
+    /// state — and once an epoch. Returns `false`, leaving `shaped` alone,
+    /// when the plan affects no rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `helpers` is not index-aligned.
+    pub fn shape_phase(
+        &mut self,
+        helpers: &[u32],
+        epoch: u64,
+        shaped: &mut Vec<f64>,
+        offered: impl Fn(usize, usize, usize) -> f64,
+    ) -> bool {
+        if !self.impairment.affects_rates() {
+            return false;
+        }
+        assert_eq!(helpers.len(), self.len(), "helper column must be index-aligned");
+        let plan = &self.impairment;
+        shaped.clear();
+        for (slot, link) in self.links.iter_mut().enumerate() {
+            let (id, helper) = (self.ids[slot], helpers[slot] as usize);
+            let rate = if link.is_lost(plan, id, helper, epoch) {
+                0.0
+            } else {
+                offered(slot, helper, self.channels[slot] as usize)
+            };
+            shaped.push(link.shape(plan, id, helper, epoch, rate));
+        }
+        true
+    }
+
+    /// The loss [`shape_phase`](Self::shape_phase) decides for the link
+    /// from the peer in `slot` to `helper` at `epoch`, asked ahead.
+    pub fn is_lost(&mut self, slot: usize, helper: usize, epoch: u64) -> bool {
+        let (id, plan) = (self.ids[slot], &self.impairment);
+        self.links.get_mut(slot).is_some_and(|link| link.is_lost(plan, id, helper, epoch))
+    }
+
     // === per-peer accessors (final reporting, tests) ===
+
+    /// The store's link impairments (none by default).
+    pub fn impairment(&self) -> &ImpairmentPlan {
+        &self.impairment
+    }
 
     /// Stable id of the peer in `slot`.
     pub fn id(&self, slot: usize) -> u64 {
@@ -972,6 +1040,92 @@ mod tests {
         step(&mut s, &[0.0, 0.0, 0.0, 0.0, 900.0, 500.0, 100.0, 50.0]);
         // One fresh stage on the new 4-action row.
         assert_eq!(s.regret_stages(0), 1, "arity change must restart the stage clock");
+    }
+
+    /// A peer's link state lives in its slot of the store's link column
+    /// and moves with it. Under `sim_churn_impaired`'s plan (Gilbert–Elliott
+    /// loss, a token bucket, a link-bandwidth ladder), a store that loses
+    /// peers and a twin that never did must give each survivor the same
+    /// loss decision and shaped rate, `to_bits`, every epoch. An arrival
+    /// gets a fresh `LinkShaper`, so its first shaped rate comes out of a
+    /// full bucket, and it goes on shaping like a fresh shaper fed alone.
+    #[test]
+    fn link_state_follows_its_peer() {
+        let plan = ImpairmentPlan::builder(99)
+            .gilbert_loss(0.04, 0.3, 0.8, 0.01)
+            .token_bucket(500.0, 1000.0)
+            .link_bandwidth(vec![300.0, 600.0, 900.0], 0.92)
+            .build()
+            .unwrap();
+        let twin = || {
+            let mut s = store(&[3]).with_impairment(plan.clone());
+            for _ in 0..12 {
+                s.spawn(0, 0);
+            }
+            s
+        };
+        let (mut churned, mut whole) = (twin(), twin());
+        // Peers stay with a helper for four epochs (the chains step from
+        // their memo), then move on (they seek); every offer exceeds the
+        // refill, so buckets drain wherever the link carries more.
+        let helper = |id: u64, epoch: u64| ((id + epoch / 4) % 3) as u32;
+        let offer = |id: u64, epoch: u64| 850.0 + ((id * 31 + epoch * 17) % 100) as f64;
+        let mut fresh = Vec::new();
+        for epoch in 0..40u64 {
+            if epoch == 20 {
+                churned.remove_slots(&mut [9, 1, 4, 5]);
+            }
+            if epoch == 20 || epoch == 30 {
+                let id = churned.spawn(0, epoch);
+                assert_eq!(whole.spawn(0, epoch), id);
+                let new = format!("{:?}", LinkShaper::new());
+                assert_eq!(format!("{:?}", churned.links.last().unwrap()), new, "peer {id}");
+                fresh.push((id, LinkShaper::new()));
+            }
+            let mut shaped = [Vec::new(), Vec::new()];
+            let mut lost = [Vec::new(), Vec::new()];
+            for (s, (shaped, lost)) in
+                [&mut churned, &mut whole].into_iter().zip(shaped.iter_mut().zip(&mut lost))
+            {
+                let ids = s.ids().to_vec();
+                let helpers: Vec<u32> = ids.iter().map(|&id| helper(id, epoch)).collect();
+                let offers: Vec<f64> = ids.iter().map(|&id| offer(id, epoch)).collect();
+                for (slot, &h) in helpers.iter().enumerate() {
+                    lost.push(s.is_lost(slot, h as usize, epoch));
+                }
+                assert!(s.shape_phase(&helpers, epoch, shaped, |slot, _, _| offers[slot]));
+            }
+            for (slot, &id) in churned.ids().iter().enumerate() {
+                let at = format!("epoch {epoch}, peer {id}");
+                assert_eq!(lost[0][slot], lost[1][id as usize], "{at}: loss");
+                assert_eq!(shaped[0][slot].to_bits(), shaped[1][id as usize].to_bits(), "{at}");
+            }
+            for (id, reference) in &mut fresh {
+                let (slot, h) = (churned.slot_of(*id).unwrap(), helper(*id, epoch) as usize);
+                let offered = if lost[0][slot] { 0.0 } else { offer(*id, epoch) };
+                let want = reference.shape(&plan, *id, h, epoch, offered);
+                assert_eq!(shaped[0][slot].to_bits(), want.to_bits(), "epoch {epoch}, {id}");
+                if churned.joined_at(slot) == epoch {
+                    let full = 1000.0 - shaped[0][slot];
+                    assert_eq!(churned.links[slot].tokens(), full, "arrival {id}'s bucket");
+                }
+            }
+        }
+        assert_eq!(churned.ids(), &[0, 2, 3, 6, 7, 8, 10, 11, 12, 13]);
+    }
+
+    /// A plan that affects no rate gives the store no link column: the
+    /// shape phase declines, and nothing is ever lost.
+    #[test]
+    fn clean_plans_shape_nothing() {
+        let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
+        for plan in [ImpairmentPlan::none(), delays.with_jitter(5)] {
+            let mut s = store(&[2]).with_impairment(plan);
+            s.spawn(0, 0);
+            let mut shaped = Vec::new();
+            assert!(!s.shape_phase(&[1], 0, &mut shaped, |_, _, _| 7.0));
+            assert!(shaped.is_empty() && s.links.is_empty() && !s.is_lost(0, 1, 0));
+        }
     }
 
     /// The production record against the dense oracle, under churn and at

@@ -15,6 +15,23 @@
 //! settlement, fairness, switches, helper loads — is [`EpochMetrics`],
 //! which the decentralized runtime's coordinator records through too.
 //!
+//! # The epoch's phases
+//!
+//! [`System::step_epoch`] is the list of its phases, each a method over
+//! the columns the previous one left. The reactor backend (`rths_net`)
+//! runs the same code for the phases it has, split over its actors:
+//!
+//! | phase | `System` | reactor peer shard | reactor helper actor | reactor coordinator |
+//! |---|---|---|---|---|
+//! | helper dynamics | [`Helper::step`], every helper | — | `Helper::step` | — |
+//! | churn | churn draw, [`PeerStore::remove_slots`], [`PeerStore::spawn`] | — | — | — (fixed population) |
+//! | choose | [`PeerStore::choose_phase`], routed into per-(helper, channel) loads | `choose_phase`, routed as one `Request` per peer | counts the requests | — |
+//! | allocate | [`helper::allocate`] per helper, then [`EpochMetrics::allocation`] | — | `helper::allocate` on its one channel | `EpochMetrics::allocation` |
+//! | shape | [`PeerStore::shape_phase`] | [`PeerStore::is_lost`] at `Request`, `shape_phase` once every rate is in | — | — |
+//! | observe | [`PeerStore::observe_phase`] | `observe_phase` | — | the regret record |
+//! | settle | [`EpochMetrics::settle`] | — | — | `EpochMetrics::settle` |
+//! | record | [`EpochMetrics::record`], the joint distribution | [`PeerStore::new_switches`], reported | — | `EpochMetrics::record` |
+//!
 //! Peers live in the sharded structure-of-arrays [`PeerStore`]; the
 //! per-peer choose/observe phases run shard-parallel with index-ordered
 //! reductions, so results are bit-for-bit identical at any shard count
@@ -28,7 +45,7 @@ use rths_stoch::rng::seeded_rng;
 use crate::config::{BandwidthSpec, LearnerSpec, SimConfig};
 use crate::epoch_metrics::{cap_to_demand, EpochMetrics};
 use crate::helper::{self, Helper};
-use crate::impairment::{ImpairmentPlan, LinkShaper};
+use crate::impairment::ImpairmentPlan;
 use crate::metrics::SimMetrics;
 use crate::multichannel::AllocationPolicy;
 use crate::store::{self, PeerStore, ShardScratch};
@@ -75,6 +92,7 @@ pub(crate) struct Blueprint {
     /// The typical per-peer rate that calibrates the learners' `μ`.
     pub rate_scale: f64,
     pub churn: ChurnProcess,
+    /// The link impairments, which `assemble` hands to the peer store.
     pub impairment: ImpairmentPlan,
     /// Record what only [`Outcome`] reports: the joint action
     /// distribution (churn-free runs) and the learners' internal regret
@@ -90,8 +108,9 @@ pub(crate) struct Blueprint {
 /// Reusable per-epoch buffers, hoisted out of [`System::step_epoch`] so
 /// steady-state epochs allocate nothing: each buffer is cleared and
 /// refilled in place every epoch (capacity is retained across epochs).
-/// Tables over (helper, channel) are flattened row-major
-/// (`index = helper * num_channels + channel`).
+/// They are the columns one phase hands the next. Tables over (helper,
+/// channel) are flattened row-major (`index = helper * num_channels +
+/// channel`).
 #[derive(Debug, Default)]
 struct EpochScratch {
     /// Chosen action per peer: an index into its channel's helper list
@@ -107,10 +126,6 @@ struct EpochScratch {
     /// Realized per-connection share on (helper `j`, channel `c`),
     /// flattened.
     shares: Vec<f64>,
-    /// Per-helper split inputs/outputs (reused across helpers).
-    served_loads: Vec<usize>,
-    served_rates: Vec<f64>,
-    split: Vec<f64>,
     /// Delivered rate per peer.
     delivered: Vec<f64>,
     /// Per-shard thread-affine scratch.
@@ -141,11 +156,6 @@ pub struct System {
     epoch: u64,
     master_rng: StdRng,
     scratch: EpochScratch,
-    /// Per-peer link state (token bucket, memoised link chains),
-    /// slot-aligned with the peer store and keyed by stable id so churn
-    /// can evict departed peers without touching survivors. Empty unless
-    /// the impairment plan affects rates.
-    links: Vec<(u64, LinkShaper)>,
 }
 
 impl std::fmt::Debug for System {
@@ -194,7 +204,7 @@ impl System {
     ///
     /// Panics if an uncapped channel meets
     /// [`AllocationPolicy::WaterFilling`], which splits by demand.
-    pub(crate) fn assemble(plan: Blueprint) -> Self {
+    pub(crate) fn assemble(mut plan: Blueprint) -> Self {
         assert!(
             plan.allocation != AllocationPolicy::WaterFilling
                 || plan.demands.iter().all(Option::is_some),
@@ -214,7 +224,8 @@ impl System {
             plan.learner.clone(),
             plan.rate_scale,
             &actions_per_channel,
-        );
+        )
+        .with_impairment(std::mem::take(&mut plan.impairment));
         peers.reserve(plan.viewers.iter().sum());
         for (c, &count) in plan.viewers.iter().enumerate() {
             for _ in 0..count {
@@ -239,7 +250,6 @@ impl System {
             epoch: 0,
             master_rng,
             scratch: EpochScratch::default(),
-            links: Vec::new(),
         }
     }
 
@@ -380,34 +390,52 @@ impl System {
         self.outcome()
     }
 
-    /// Executes exactly one epoch.
+    /// Executes exactly one epoch: the phases of the [module docs](self),
+    /// each inside its `rths_obs` span. Spans only read the clock, so
+    /// traced trajectories are bit-identical (pinned by `obs_neutrality`).
     pub fn step_epoch(&mut self) {
-        let h = self.helpers.len();
-        let k = self.num_channels();
-        // Observability: tag the epoch for layers below the epoch
-        // protocol and open the whole-epoch span. Spans only read the
-        // monotonic clock into side buffers, so traced trajectories are
-        // bit-identical to untraced ones (pinned by `obs_neutrality`).
         let ep = self.epoch;
         if obs::enabled() {
+            // Tag the epoch for the layers below the epoch protocol.
             obs::set_epoch(ep);
         }
         let t_epoch = obs::span_start();
+        self.timed(Phase::HelperDynamics, Self::helper_dynamics);
+        self.timed(Phase::Churn, Self::churn);
+        self.timed(Phase::Choose, Self::choose);
+        self.timed(Phase::RateAlloc, Self::allocate);
+        let shaped = self.timed(Phase::Impairment, Self::shape);
+        let worst = self.timed(Phase::Observe, |sys| sys.observe(shaped));
+        self.timed(Phase::Settle, Self::settle);
+        self.timed(Phase::Metrics, |sys| sys.record(worst));
+        if let Some(t) = t_epoch {
+            obs::span_end(Phase::Epoch, ep, t);
+        }
+        self.epoch += 1;
+    }
 
-        // 1. Helper bandwidth dynamics (each on its own RNG stream).
+    /// Runs one phase of the epoch inside its span.
+    fn timed<R>(&mut self, phase: Phase, run: impl FnOnce(&mut Self) -> R) -> R {
         let t = obs::span_start();
+        let out = run(self);
+        if let Some(t) = t {
+            obs::span_end(phase, self.epoch, t);
+        }
+        out
+    }
+
+    /// Helper bandwidth dynamics, each helper on its own RNG stream.
+    fn helper_dynamics(&mut self) {
         for helper in &mut self.helpers {
             helper.step();
         }
-        if let Some(t) = t {
-            obs::span_end(Phase::HelperDynamics, ep, t);
-        }
+    }
 
-        // 2. Churn. Departure slots are drawn with the historical
-        // swap-remove sequence against a mirror vector (so the master RNG
-        // stream is unchanged), then removed in one order-preserving
-        // compaction: survivors keep their slot order and identity.
-        let t = obs::span_start();
+    /// Churn. Departure slots are drawn with the historical swap-remove
+    /// sequence against a mirror vector (so the master RNG stream is
+    /// unchanged), then removed in one order-preserving compaction:
+    /// survivors keep their slot order, identity and link state.
+    fn churn(&mut self) {
         let events = self.plan.churn.sample_epoch(&mut self.master_rng, self.peers.len());
         if events.departures > 0 {
             let EpochScratch { alive, removing, .. } = &mut self.scratch;
@@ -423,40 +451,21 @@ impl System {
         for _ in 0..events.arrivals {
             self.peers.spawn(0, self.epoch);
         }
-        if let Some(t) = t {
-            obs::span_end(Phase::Churn, ep, t);
-        }
+    }
 
-        // 3. Decentralized helper selection (a local action index into
-        // the channel's helper list), shard-parallel over the peer store:
-        // each peer samples from its own RNG stream, so the choice
-        // profile is independent of the shard partition. Each shard
-        // resolves the global helper index into `globals` and accumulates
-        // its own loads[j*k + c] histogram; the histograms merge in shard
-        // order (integer counts — order-insensitive).
-        let n = self.peers.len();
-        let Blueprint { demands, helper_channels, allocation, impairment, .. } = &self.plan;
+    /// Decentralized helper selection (a local action index into the
+    /// channel's helper list; each peer samples from its own RNG stream),
+    /// shard-parallel, routed into per-(helper, channel) loads: each shard
+    /// resolves the global helper index into `globals` and counts its own
+    /// `loads[j*k + c]` histogram; the histograms merge in shard order.
+    fn choose(&mut self) {
+        let (n, h, k) = (self.peers.len(), self.helpers.len(), self.num_channels());
         let channel_helpers = self.metrics.channel_helpers();
-        let EpochScratch {
-            profile,
-            globals,
-            loads,
-            bandwidth,
-            shares,
-            served_loads,
-            served_rates,
-            split,
-            delivered,
-            shards,
-            profile_usize,
-            shaped,
-            ..
-        } = &mut self.scratch;
+        let EpochScratch { profile, globals, loads, shards, .. } = &mut self.scratch;
         // resize without clear: choose_phase writes every slot of both
         // columns, so no per-epoch memset is needed.
         profile.resize(n, 0);
         globals.resize(n, 0);
-        let t = obs::span_start();
         self.peers.choose_phase(
             profile,
             globals,
@@ -469,154 +478,112 @@ impl System {
                 loads[global * k + c as usize] += 1;
             },
         );
-        if let Some(t) = t {
+        if obs::enabled() {
             store::absorb_obs(shards);
-            obs::span_end(Phase::Choose, ep, t);
         }
+    }
 
-        // 4. Helper-level bandwidth allocation across channels, then the
-        // even split of each (helper, channel) budget over its viewers.
-        let t = obs::span_start();
+    /// Every helper's [`helper::allocate`], then the helper loads, the
+    /// total demand and the per-channel counterfactual join rates (one
+    /// evaluation serves every viewer of a channel).
+    fn allocate(&mut self) {
+        let (h, k) = (self.helpers.len(), self.num_channels());
+        let Blueprint { demands, helper_channels, allocation, .. } = &self.plan;
+        let EpochScratch { loads, bandwidth, shares, .. } = &mut self.scratch;
         bandwidth.clear();
         bandwidth.resize(h * k, 0.0);
         shares.clear();
         shares.resize(h * k, 0.0);
-        for j in 0..h {
-            let served = &helper_channels[j];
-            let cap = self.helpers[j].capacity();
-            served_loads.clear();
-            served_loads.extend(served.iter().map(|&c| loads[j * k + c]));
+        for (j, serves) in helper_channels.iter().enumerate() {
+            let (cap, row) = (self.helpers[j].capacity(), j * k);
             // An uncapped channel never meets water-filling (see
             // `assemble`); the other policies ignore demand.
-            served_rates.clear();
-            served_rates.extend(served.iter().map(|&c| demands[c].unwrap_or(f64::INFINITY)));
-            allocation.split_into(cap, served_loads, served_rates, split);
-            for (&c, &b) in served.iter().zip(split.iter()) {
-                let viewers = loads[j * k + c];
-                bandwidth[j * k + c] = b;
-                shares[j * k + c] = if viewers == 0 { 0.0 } else { b / viewers as f64 };
-            }
-        }
-
-        // 5. Helper loads, total demand and the counterfactual join rates,
-        // grouped per channel: they depend only on the channel (loads
-        // count the incumbent peers), so one evaluation serves every
-        // viewer of the channel.
-        let (join_offsets, join_rates) = self.metrics.allocation(loads, bandwidth);
-        if let Some(t) = t {
-            obs::span_end(Phase::RateAlloc, ep, t);
-        }
-
-        // 6. Link impairments (loss, per-link bandwidth caps, token-bucket
-        // shaping) are applied between the helper's even split and the
-        // demand cap — the same pipeline order as the `rths_net`
-        // machines, so trajectories stay bit-identical across backends.
-        // The token bucket is stateful, so the shaped column is computed
-        // sequentially here (the observe phase's rate closure runs
-        // shard-parallel and must stay pure).
-        let t = obs::span_start();
-        let shaped_rates: Option<&[f64]> = if impairment.affects_rates() {
-            let ids = self.peers.ids();
-            // Sync shaper slots with the population: survivors keep
-            // their bucket state (the store preserves ascending-id slot
-            // order through churn; arrivals always get larger ids, so
-            // the retained prefix stays slot-aligned). Both sequences
-            // ascend by id, so one cursor over `ids` follows the walk.
-            let mut live = 0;
-            self.links.retain(|&(id, _)| {
-                while live < ids.len() && ids[live] < id {
-                    live += 1;
-                }
-                live < ids.len() && ids[live] == id
-            });
-            for &id in &ids[self.links.len()..] {
-                self.links.push((id, LinkShaper::new()));
-            }
-            shaped.clear();
-            for slot in 0..n {
-                let helper = globals[slot] as usize;
-                let id = ids[slot];
-                // The shaper steps the link's loss and bandwidth chains
-                // from last epoch's state while the peer stays with its
-                // helper (see `impairment`).
-                let link = &mut self.links[slot].1;
-                let offered = if link.is_lost(impairment, id, helper, self.epoch) {
-                    0.0
-                } else {
-                    shares[helper * k + self.peers.channel(slot)]
-                };
-                shaped.push(link.shape(impairment, id, helper, self.epoch, offered));
-            }
-            Some(&**shaped)
-        } else {
-            None
-        };
-        if let Some(t) = t {
-            obs::span_end(Phase::Impairment, ep, t);
-        }
-
-        // 7. Delivery and bandit feedback (shard-parallel). Each peer's
-        // rate lands in an index-aligned slot; every order-sensitive
-        // float reduction happens below in peer order, so results are
-        // bit-identical at any shard count.
-        delivered.resize(n, 0.0);
-        let t = obs::span_start();
-        let (worst_est, worst_emp) = {
-            let globals = &*globals;
-            let shares = &*shares;
-            self.peers.observe_phase(
-                profile,
-                delivered,
-                join_offsets,
-                join_rates,
-                shards,
-                self.plan.diagnostics,
-                move |slot, _, c| {
-                    let c = c as usize;
-                    let rate = match shaped_rates {
-                        Some(s) => s[slot],
-                        None => shares[globals[slot] as usize * k + c],
-                    };
-                    cap_to_demand(rate, demands[c])
+            helper::allocate(
+                *allocation,
+                cap,
+                serves,
+                &loads[row..row + k],
+                demands,
+                |c, b, s| {
+                    bandwidth[row + c] = b;
+                    shares[row + c] = s;
                 },
-            )
-        };
-        if let Some(t) = t {
+            );
+        }
+        self.metrics.allocation(loads, bandwidth);
+    }
+
+    /// Link impairments between the helpers' split and the demand cap:
+    /// the store's shaping pass, which the reactor's peer shards run too.
+    /// Returns whether the plan shaped anything.
+    fn shape(&mut self) -> bool {
+        let k = self.num_channels();
+        let EpochScratch { globals, shares, shaped, .. } = &mut self.scratch;
+        let shares = &*shares;
+        self.peers
+            .shape_phase(globals, self.epoch, shaped, |_, helper, c| shares[helper * k + c])
+    }
+
+    /// Delivery and bandit feedback (shard-parallel): each peer observes
+    /// its shaped rate (its share, on clean links) capped to its
+    /// channel's demand. Returns the epoch's worst `(regret estimate,
+    /// empirical regret)`.
+    fn observe(&mut self, shaped: bool) -> (f64, f64) {
+        let (n, k) = (self.peers.len(), self.num_channels());
+        let demands = &self.plan.demands;
+        let EpochScratch {
+            profile, globals, shares, delivered, shards, shaped: column, ..
+        } = &mut self.scratch;
+        delivered.resize(n, 0.0);
+        let (join_offsets, join_rates) = self.metrics.join_rates();
+        let (globals, shares, shaped) = (&*globals, &*shares, shaped.then_some(&column[..]));
+        let worst = self.peers.observe_phase(
+            profile,
+            delivered,
+            join_offsets,
+            join_rates,
+            shards,
+            self.plan.diagnostics,
+            move |slot, _, c| {
+                let c = c as usize;
+                let rate = match shaped {
+                    Some(s) => s[slot],
+                    None => shares[globals[slot] as usize * k + c],
+                };
+                cap_to_demand(rate, demands[c])
+            },
+        );
+        if obs::enabled() {
             store::absorb_obs(shards);
-            obs::span_end(Phase::Observe, ep, t);
         }
         if let Some(series) = &mut self.peer_rate_series {
             for (s, &r) in series.iter_mut().zip(delivered.iter()) {
                 s.push(r);
             }
         }
-        // 8. Welfare, and the server settles residual demand.
-        let t = obs::span_start();
+        worst
+    }
+
+    /// Welfare, and the server settles residual demand.
+    fn settle(&mut self) {
         let helper_now: f64 = self.helpers.iter().map(Helper::capacity).sum();
         let peers = &self.peers;
-        self.metrics.settle(delivered, |i| peers.channel(i), helper_now);
-        if let Some(t) = t {
-            obs::span_end(Phase::Settle, ep, t);
-        }
+        self.metrics.settle(&self.scratch.delivered, |i| peers.channel(i), helper_now);
+    }
 
-        // 9. Metrics.
-        let t = obs::span_start();
+    /// Records the epoch's regret maxima and switches, and the joint
+    /// action distribution.
+    fn record(&mut self, (worst_est, worst_emp): (f64, f64)) {
         let estimate = self.plan.diagnostics.then_some(worst_est);
         self.metrics.record(worst_emp, estimate, self.peers.new_switches());
         if let Some(joint) = &mut self.joint {
             if self.epoch >= self.plan.record_joint_from {
+                let EpochScratch { profile, profile_usize, .. } = &mut self.scratch;
                 profile_usize.clear();
                 profile_usize.extend(profile.iter().map(|&a| a as usize));
                 joint.record(profile_usize);
             }
         }
-        if let Some(t) = t {
-            obs::span_end(Phase::Metrics, ep, t);
-        }
-        if let Some(t) = t_epoch {
-            obs::span_end(Phase::Epoch, ep, t);
-        }
-        self.epoch += 1;
     }
 
     /// Snapshot of cumulative results.

@@ -1,6 +1,7 @@
 //! Property-based tests for the streaming-system simulator.
 
 use proptest::prelude::*;
+use rths_sim::helper::allocate;
 use rths_sim::{
     AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelConfig, MultiChannelSystem,
     SimConfig, System,
@@ -91,7 +92,10 @@ proptest! {
             AllocationPolicy::LoadProportional,
             AllocationPolicy::WaterFilling,
         ] {
-            let split = policy.split(cap, &loads, &bitrates);
+            let serves: Vec<usize> = (0..loads.len()).collect();
+            let demands: Vec<Option<f64>> = bitrates.iter().copied().map(Some).collect();
+            let mut split = Vec::new();
+            allocate(policy, cap, &serves, &loads, &demands, |_, b, _| split.push(b));
             prop_assert_eq!(split.len(), loads.len());
             let total: f64 = split.iter().sum();
             prop_assert!(total <= cap + 1e-6, "{policy:?} oversubscribed");

@@ -70,7 +70,7 @@ fn churn_impaired_system_does_the_pinned_work() {
             assert_eq!(out.epochs, 45);
             obs::take_report()
         });
-        let expected: [(&str, u64); 12] = [
+        let expected: [(&str, u64); 13] = [
             ("messages_enqueued", 0),
             ("messages_delivered", 0),
             ("ring_grow_events", 0),
@@ -79,13 +79,14 @@ fn churn_impaired_system_does_the_pinned_work() {
             ("slab_columns_opened", 1899),
             ("stretch_folds", 1472),
             ("regret_exact_reads", 620),
-            // 10,054 survivor relocations × 180 bytes of scalars (96 of
-            // the store's columns, 32 of the slab slot's, 52 of the
-            // ledger entry's): 1,809,720. The rest, 2,508,800, is the
-            // passes that closed the row holes departures left. Moving
-            // every survivor's stride-sized rows at each departure reads
-            // 14,527,800.
-            ("departure_bytes_moved", 4_318_520),
+            // 10,054 survivor relocations × 268 bytes of scalars (96 of
+            // the store's columns, 88 of its link column's `LinkShaper`,
+            // 32 of the slab slot's, 52 of the ledger entry's):
+            // 2,694,472. The rest, 2,508,800, is the passes that closed
+            // the row holes departures left.
+            ("departure_bytes_moved", 5_203_272),
+            // The played T columns of the departed peers' blocks.
+            ("departure_columns_wiped", 370),
             ("ring_capacity_hwm", 0),
             ("ring_occupancy_hwm", 0),
             ("slab_rows_hwm", 370),
@@ -128,7 +129,7 @@ fn multichannel_system_does_the_pinned_work() {
         // Each worker's shard keeps its own running maximum, so a second
         // shard reads more rows exactly before its maximum catches up.
         let exact_reads = if threads == 1 { 2104 } else { 2229 };
-        let expected: [(&str, u64); 12] = [
+        let expected: [(&str, u64); 13] = [
             ("messages_enqueued", 0),
             ("messages_delivered", 0),
             ("ring_grow_events", 0),
@@ -138,6 +139,7 @@ fn multichannel_system_does_the_pinned_work() {
             ("stretch_folds", 10702),
             ("regret_exact_reads", exact_reads),
             ("departure_bytes_moved", 0),
+            ("departure_columns_wiped", 0),
             ("ring_capacity_hwm", 0),
             ("ring_occupancy_hwm", 0),
             ("slab_rows_hwm", 5000),
@@ -160,7 +162,7 @@ fn wide_reactor_does_the_pinned_work() {
             assert_eq!(out.epochs, 20);
             (obs::take_report(), out.messages)
         });
-        let expected: [(&str, u64); 12] = [
+        let expected: [(&str, u64); 13] = [
             ("messages_enqueued", 41214),
             ("messages_delivered", 41214),
             ("ring_grow_events", 1),
@@ -170,6 +172,7 @@ fn wide_reactor_does_the_pinned_work() {
             ("stretch_folds", 0),
             ("regret_exact_reads", 139),
             ("departure_bytes_moved", 0),
+            ("departure_columns_wiped", 0),
             ("ring_capacity_hwm", 1024),
             ("ring_occupancy_hwm", 1000),
             ("slab_rows_hwm", 992),
@@ -197,7 +200,7 @@ fn dense_reactor_does_the_pinned_work() {
             assert_eq!(out.epochs, 20);
             (obs::take_report(), out.messages)
         });
-        let expected: [(&str, u64); 12] = [
+        let expected: [(&str, u64); 13] = [
             ("messages_enqueued", 45926),
             ("messages_delivered", 45926),
             ("ring_grow_events", 1),
@@ -207,6 +210,7 @@ fn dense_reactor_does_the_pinned_work() {
             ("stretch_folds", 0),
             ("regret_exact_reads", 716),
             ("departure_bytes_moved", 0),
+            ("departure_columns_wiped", 0),
             ("ring_capacity_hwm", 1024),
             ("ring_occupancy_hwm", 1024),
             ("slab_rows_hwm", 958),
