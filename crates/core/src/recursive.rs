@@ -257,7 +257,7 @@ mod tests {
             l.observe(if a == 1 { 100.0 } else { 1.0 });
         }
         let slab = slab.lock().unwrap();
-        let f = slab.play_frequencies(l.slot() as usize);
+        let f = slab.play_frequencies(l.slot() as usize).expect("a conditional learner's");
         assert!(f[1] > 0.6, "frequencies did not follow play: {f:?}");
         assert!((f[0] + f[1] - 1.0).abs() < 1e-6, "frequencies not normalised: {f:?}");
     }

@@ -14,7 +14,7 @@
 //!                   ▼                            │
 //!            row h                     row h+1   │             …
 //!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]   │             stride s
-//!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]   │             stride s
+//!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]   │             stride s, conditional only
 //!   best:  [ b₀ … bₛ | d₀ … dₛ ]   [ b₀ … bₛ | d₀ … dₛ ]       stride 2s, on demand
 //!                                                ▼
 //!            block b                   block b+1               …
@@ -120,8 +120,15 @@
 //!   `m` densely — chosen by the slab's fixed geometry, not a setting.
 //! * **Play frequencies only where they are read.** Conditional
 //!   normalisation (`f_j` above) is the one reader of the `freq` row, so
-//!   only a conditional learner's observe writes it; any other learner's
-//!   stays at the `1/m` that `alloc` and `reset_actions` wrote.
+//!   only a conditional learner's observe writes it, and only a slab
+//!   that hosts one keeps the column: it does not exist until the first
+//!   conditional observe ([`LearnerSlab::track_frequencies`]; the slab's
+//!   own observe and the store's observe phase make it), which builds
+//!   every live slot's row at the `1/m` that nothing but such an observe
+//!   ever changes. From then on `alloc` and `reset_actions` write `1/m`,
+//!   and clones and hole-closing passes copy the row, as they do the
+//!   strategy row. A slab of unconditional learners (the default) never
+//!   allocates the column, which would commit `stride · 8` bytes a slot.
 //! * **`max_regret` from maintained row maxima.** The estimate is
 //!   `max(0, max_{r,k} fl(f · fl(S(r,k) − S(r,r))))`, `f ≥ 0` being the
 //!   averaging factor times `scale`. Rounding to nearest is monotone, so
@@ -552,6 +559,19 @@ fn one_row<T>(arena: &mut [T], width: usize, r: usize) -> Rows<'_, T> {
     Rows::Aligned(Strided::new(width, &mut arena[r * width..(r + 1) * width]))
 }
 
+/// The row-addressed arenas a slab keeps, each with its row width in
+/// scalars: `probs`, then `freq` and `best` when they exist.
+fn row_arenas<'a>(
+    probs: &'a mut Vec<f64>,
+    freq: &'a mut Option<Vec<f64>>,
+    best: &'a mut Option<Vec<f64>>,
+    stride: usize,
+) -> impl Iterator<Item = (&'a mut Vec<f64>, usize)> {
+    let optional = [(freq.as_mut(), stride), (best.as_mut(), 2 * stride)];
+    std::iter::once((probs, stride))
+        .chain(optional.into_iter().filter_map(|(arena, width)| Some((arena?, width))))
+}
+
 /// Closes the holes of a row arena whose items reach their rows through
 /// `handles` — strictly increasing, as an arena gets them when departed
 /// items leave their rows behind and arrivals append — once the holes
@@ -603,8 +623,10 @@ pub struct LearnerSlab {
     /// Strategy rows, `stride` scalars each. Rows `..rows_used` have been
     /// handed out. Indexed by `row[slot]`, like `freq` and `best`.
     probs: Vec<f64>,
-    /// Play-frequency rows, `stride` scalars each.
-    freq: Vec<f64>,
+    /// Play-frequency rows, `stride` scalars each. `None` until a
+    /// conditional learner first observes
+    /// ([`track_frequencies`](Self::track_frequencies)).
+    freq: Option<Vec<f64>>,
     /// Played-column bitmasks, `words` per block.
     played: Vec<u64>,
     arity: Vec<u32>,
@@ -673,7 +695,7 @@ impl LearnerSlab {
             words,
             t: vec![0.0; slots * stride * stride],
             probs: vec![0.0; slots * stride],
-            freq: vec![0.0; slots * stride],
+            freq: None,
             played: vec![0; slots * words],
             arity: Vec::with_capacity(slots),
             stage: Vec::with_capacity(slots),
@@ -708,18 +730,13 @@ impl LearnerSlab {
             self.played.resize(target * self.words, 0);
         }
         // The rows of a live slab may have holes: reserve past them.
-        let rows = target + self.rows_used - self.arity.len();
-        if self.rows_used == 0 {
-            self.probs = vec![0.0; rows * self.stride];
-            self.freq = vec![0.0; rows * self.stride];
-            if let Some(best) = &mut self.best {
-                *best = vec![0.0; rows * 2 * self.stride];
-            }
-        } else {
-            self.probs.resize(rows * self.stride, 0.0);
-            self.freq.resize(rows * self.stride, 0.0);
-            if let Some(best) = &mut self.best {
-                best.resize(rows * 2 * self.stride, 0.0);
+        let (used, rows) = (self.rows_used, target + self.rows_used - self.arity.len());
+        let Self { probs, freq, best, stride, .. } = self;
+        for (arena, width) in row_arenas(probs, freq, best, *stride) {
+            if used == 0 {
+                *arena = vec![0.0; rows * width];
+            } else {
+                arena.resize(rows * width, 0.0);
             }
         }
         self.arity.reserve(target - self.arity.len());
@@ -797,10 +814,9 @@ impl LearnerSlab {
                 let row = self.rows_used;
                 self.rows_used += 1;
                 if self.rows_used * self.stride > self.probs.len() {
-                    self.probs.resize(self.rows_used * self.stride, 0.0);
-                    self.freq.resize(self.rows_used * self.stride, 0.0);
-                    if let Some(best) = &mut self.best {
-                        best.resize(self.rows_used * 2 * self.stride, 0.0);
+                    let Self { probs, freq, best, stride, rows_used, .. } = self;
+                    for (arena, width) in row_arenas(probs, freq, best, *stride) {
+                        arena.resize(*rows_used * width, 0.0);
                     }
                 }
                 self.arity.push(0);
@@ -830,7 +846,9 @@ impl LearnerSlab {
         let base = self.row[slot] as usize * self.stride;
         let p = 1.0 / num_actions as f64;
         self.probs[base..base + num_actions].fill(p);
-        self.freq[base..base + num_actions].fill(p);
+        if let Some(freq) = &mut self.freq {
+            freq[base..base + num_actions].fill(p);
+        }
         if let Some(best) = &mut self.best {
             best[2 * base..2 * (base + self.stride)].fill(0.0);
         }
@@ -875,10 +893,10 @@ impl LearnerSlab {
             self.t.copy_within(from * area + c..from * area + c + stride, to * area + c);
         });
         let (from, to) = (self.row[src] as usize, self.row[dst] as usize);
-        self.probs.copy_within(from * stride..(from + 1) * stride, to * stride);
-        self.freq.copy_within(from * stride..(from + 1) * stride, to * stride);
-        if let Some(best) = &mut self.best {
-            best.copy_within(2 * from * stride..2 * (from + 1) * stride, 2 * to * stride);
+        for (arena, width) in
+            row_arenas(&mut self.probs, &mut self.freq, &mut self.best, stride)
+        {
+            arena.copy_within(from * width..(from + 1) * width, to * width);
         }
         self.stage[dst] = self.stage[src];
         self.pending[dst] = self.pending[src];
@@ -925,19 +943,15 @@ impl LearnerSlab {
         // Everything from the first departure on was relocated.
         self.blocks_permuted |= kept > sorted[0] as usize;
         let mut moved = (kept - sorted[0] as usize) * SLOT_SCALAR_BYTES;
-        let stride = self.stride;
-        let Self { probs, freq, best, row, rows_used, .. } = self;
+        let Self { probs, freq, best, row, rows_used, stride, .. } = self;
         let closed = close_row_holes(row, *rows_used, |from, to| {
-            probs.copy_within(from * stride..(from + 1) * stride, to * stride);
-            freq.copy_within(from * stride..(from + 1) * stride, to * stride);
-            if let Some(best) = best {
-                best.copy_within(2 * from * stride..2 * (from + 1) * stride, 2 * to * stride);
+            for (arena, width) in row_arenas(probs, freq, best, *stride) {
+                arena.copy_within(from * width..(from + 1) * width, to * width);
+                moved += width * size_of::<f64>();
             }
         });
-        if let Some(rows) = closed {
+        if closed.is_some() {
             *rows_used = kept;
-            let widths = if best.is_some() { 4 } else { 2 };
-            moved += rows * widths * stride * size_of::<f64>();
         }
         (moved, wiped)
     }
@@ -984,6 +998,28 @@ impl LearnerSlab {
         self.best = Some(best);
     }
 
+    /// Starts keeping every slot's play frequencies, the rows conditional
+    /// normalisation reads (module docs). Until a conditional learner
+    /// observes, nothing changes them from the `1/m` that
+    /// [`alloc`](Self::alloc) and [`reset_actions`](Self::reset_actions)
+    /// would have written, so that is what the rows are built with. A
+    /// conditional observe through [`observe`](Self::observe) makes them;
+    /// one through [`split`](Self::split) needs them made first.
+    /// Idempotent and free when already on.
+    pub fn track_frequencies(&mut self) {
+        if self.freq.is_some() {
+            return;
+        }
+        let stride = self.stride;
+        let mut freq = vec![0.0; self.probs.len()];
+        for (&m, &r) in self.arity.iter().zip(&self.row) {
+            // A free-listed slot has arity 0: an empty row, nothing built.
+            let base = r as usize * stride;
+            freq[base..base + m as usize].fill(1.0 / m as f64);
+        }
+        self.freq = Some(freq);
+    }
+
     /// Where slot `slot`'s T block lies in the arena.
     fn block_range(&self, slot: usize) -> std::ops::Range<usize> {
         let area = self.stride * self.stride;
@@ -1018,7 +1054,7 @@ impl LearnerSlab {
         SlabCols {
             stride,
             t: one_row(&mut self.t, stride * stride, b),
-            freq: one_row(&mut self.freq, stride, r),
+            freq: self.freq.as_mut().map(|freq| one_row(freq, stride, r)),
             played: one_row(&mut self.played, words, b),
             stage: &mut self.stage[slot..=slot],
             scale: &mut self.scale[slot..=slot],
@@ -1042,14 +1078,15 @@ impl LearnerSlab {
         &self.probs[base..base + self.arity[slot] as usize]
     }
 
-    /// The slot's recency-weighted play frequencies. Only a conditional
-    /// learner keeps them: its observe updates them because conditional
+    /// The slot's recency-weighted play frequencies, if the slab keeps
+    /// them ([`track_frequencies`](Self::track_frequencies)). Only a
+    /// conditional learner updates them, because conditional
     /// normalisation reads them; any other learner's stay at the uniform
-    /// `1/m` that `alloc` and `reset_actions` wrote.
+    /// `1/m`.
     #[cfg(test)]
-    pub fn play_frequencies(&self, slot: usize) -> &[f64] {
+    pub fn play_frequencies(&self, slot: usize) -> Option<&[f64]> {
         let base = self.row[slot] as usize * self.stride;
-        &self.freq[base..base + self.arity[slot] as usize]
+        Some(&self.freq.as_ref()?[base..base + self.arity[slot] as usize])
     }
 
     /// Stages the slot has observed.
@@ -1113,7 +1150,10 @@ impl LearnerSlab {
         SlabCols {
             stride,
             t: Rows::by_handle(area, &mut self.t[..blocks * area], block, by_block),
-            freq: Rows::by_handle(stride, &mut self.freq[..rows * stride], row, by_row),
+            freq: self
+                .freq
+                .as_mut()
+                .map(|freq| Rows::by_handle(stride, &mut freq[..rows * stride], row, by_row)),
             played: Rows::by_handle(words, &mut self.played[..blocks * words], block, by_block),
             stage: &mut self.stage,
             scale: &mut self.scale,
@@ -1157,7 +1197,9 @@ impl LearnerSlab {
     /// Feeds a slot's pending utility through the full update (see
     /// `RthsState::observe`). Returns whether it opened a packed column
     /// (see [`SlabCols::observe`]). `_row_scratch` is unused, as in
-    /// [`SlabCols::observe`].
+    /// [`SlabCols::observe`]. A conditional learner's first observe turns
+    /// on the slab's play frequencies
+    /// ([`track_frequencies`](Self::track_frequencies)).
     ///
     /// # Panics
     ///
@@ -1169,6 +1211,9 @@ impl LearnerSlab {
         utility: f64,
         _row_scratch: &mut Vec<f64>,
     ) -> bool {
+        if config.conditional() {
+            self.track_frequencies();
+        }
         self.slot_cols(slot).observe_inner(0, config, utility, false)
     }
 
@@ -1261,7 +1306,8 @@ impl StrategyCols<'_> {
 pub struct SlabCols<'a> {
     stride: usize,
     t: Rows<'a, f64>,
-    freq: Rows<'a, f64>,
+    /// The play-frequency rows, when the slab keeps them.
+    freq: Option<Rows<'a, f64>>,
     played: Rows<'a, u64>,
     stage: &'a mut [u64],
     scale: &'a mut [f64],
@@ -1274,7 +1320,7 @@ pub struct SlabCols<'a> {
 impl ShardCols for SlabCols<'_> {
     fn shard_split(self, mid: usize) -> (Self, Self) {
         let (t0, t1) = self.t.shard_split(mid);
-        let (f0, f1) = self.freq.shard_split(mid);
+        let (f0, f1) = self.freq.map(|freq| freq.shard_split(mid)).unzip();
         let (w0, w1) = self.played.shard_split(mid);
         let (s0, s1) = self.stage.split_at_mut(mid);
         let (c0, c1) = self.scale.split_at_mut(mid);
@@ -1377,7 +1423,9 @@ impl SlabCols<'_> {
     /// `RthsState::observe`, bit-for-bit: the rank-1 update, then the
     /// played row of Eq. (3-6) and the next strategy in one pass over the
     /// played columns (module docs). The play frequencies are updated only
-    /// for a conditional learner, the one reader of them.
+    /// for a conditional learner, the one reader of them, and only such an
+    /// observe needs the slab to keep them
+    /// ([`LearnerSlab::track_frequencies`]).
     ///
     /// Returns whether it opened a packed column: the first play of an
     /// action in a slab whose blocks are packed (module docs), which
@@ -1390,7 +1438,8 @@ impl SlabCols<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if no action is pending or `utility` is not finite.
+    /// Panics if no action is pending or `utility` is not finite, or if
+    /// `config` is conditional and the slab keeps no play frequencies.
     pub fn observe(
         &mut self,
         i: usize,
@@ -1403,8 +1452,8 @@ impl SlabCols<'_> {
 
     /// Observe for a slot whose exponential decay was already applied by
     /// a batched [`decay`](Self::decay) this round; returns what
-    /// [`observe`](Self::observe) does, and leaves `_row_scratch` unused
-    /// as it does.
+    /// [`observe`](Self::observe) does, panics where it does, and leaves
+    /// `_row_scratch` unused as it does.
     pub fn observe_predecayed(
         &mut self,
         i: usize,
@@ -1434,7 +1483,11 @@ impl SlabCols<'_> {
         let stride = self.stride;
         let t = self.t.row(i);
         let probs = probs.row(i);
-        let freq = self.freq.row(i);
+        let mut freq = config.conditional().then(|| {
+            let freq =
+                self.freq.as_mut().expect("a conditional observe needs play frequencies");
+            freq.row(i)
+        });
         let played = self.played.row(i);
         let scale = &mut self.scale[i];
 
@@ -1470,7 +1523,7 @@ impl SlabCols<'_> {
         // Play-frequency average (same weighting scheme as T). Only
         // conditional normalisation reads it, so only a conditional
         // learner keeps it.
-        if config.conditional() {
+        if let Some(freq) = &mut freq {
             match config.recency() {
                 RecencyMode::Exponential => {
                     let eps = config.epsilon();
@@ -1497,7 +1550,7 @@ impl SlabCols<'_> {
         let s_jj = t[cj + j];
         let cap = 1.0 / (m as f64 - 1.0);
         let floor = policy::exploration_floor(m, delta);
-        let f_j = config.conditional().then(|| freq[j].max(floor));
+        let f_j = freq.map(|freq| freq[j].max(floor));
         let prob = |s_jk: f64| {
             let mut q = (factor * (s_jk - s_jj)).max(0.0);
             if let Some(f_j) = f_j {
@@ -1836,6 +1889,26 @@ mod tests {
         /// Slot `slot`'s stored `S` entries (all `stride²` of them).
         fn stored(&self, slot: usize) -> &[f64] {
             &self.t[self.block_range(slot)]
+        }
+
+        /// Test hook: [`remove_slots`](Self::remove_slots), its byte count
+        /// held to what moved — the slot scalars of every slot from the
+        /// first departure on, and, for each survivor whose row handle
+        /// changed, one row of every row arena the slab keeps.
+        fn checked_remove_slots(&mut self, sorted: &[u32]) -> (usize, u64) {
+            let kept: Vec<u32> = (0..self.num_slots())
+                .filter(|&slot| !sorted.contains(&(slot as u32)))
+                .map(|slot| self.row[slot])
+                .collect();
+            let (moved, wiped) = self.remove_slots(sorted);
+            let relocated =
+                sorted.first().map_or(0, |&first| self.num_slots() - first as usize);
+            let rows = kept.iter().zip(&self.row).filter(|(was, now)| was != now).count();
+            let arenas =
+                1 + usize::from(self.freq.is_some()) + 2 * usize::from(self.best.is_some());
+            let row_bytes = arenas * self.stride * size_of::<f64>();
+            assert_eq!(moved, relocated * SLOT_SCALAR_BYTES + rows * row_bytes, "bytes moved");
+            (moved, wiped)
         }
     }
 
@@ -2306,6 +2379,14 @@ mod tests {
         for _ in 0..12 {
             spawn(&mut slab, &mut peers);
         }
+        // Before anybody observes, a slot changes arity and is cloned: the
+        // frequency rows the first observe builds must read as both of
+        // their fresh learners'.
+        slab.reset_actions(5, 3);
+        let narrow = base.with_num_actions(3).unwrap();
+        peers[5] = OraclePeer::new(peers[5].id, &narrow);
+        assert_eq!(slab.clone_slot(5) as usize, peers.len());
+        peers.push(OraclePeer::new(10_000, &narrow));
         let mut script = rand::rngs::StdRng::seed_from_u64(4242);
         let mut inherited = 0;
         for round in 0..700u64 {
@@ -2315,7 +2396,7 @@ mod tests {
                 let mut gone: Vec<u32> =
                     (2..peers.len() as u32).filter(|_| script.gen_range(0..4) == 0).collect();
                 gone.truncate(3);
-                slab.remove_slots(&gone);
+                slab.checked_remove_slots(&gone);
                 for &slot in gone.iter().rev() {
                     peers.remove(slot as usize);
                 }
@@ -2341,6 +2422,8 @@ mod tests {
                 slab.track_estimates();
             }
             assert_eq!(slab.best.is_some(), round >= track_estimates_from);
+            // The first observe (per slot: round 0 is even) makes them.
+            assert_eq!(slab.freq.is_some(), round > 0, "round {round}");
             churn_round(&mut slab, &mut peers, round);
             if round % 50 == 49 {
                 for (slot, peer) in peers.iter().enumerate() {
@@ -2421,7 +2504,7 @@ mod tests {
                         owner_arity
                             .insert(slab.block[slot as usize], slab.num_actions(slot as usize));
                     }
-                    slab.remove_slots(&gone);
+                    slab.checked_remove_slots(&gone);
                     if slab.rows_used == slab.num_slots() && !gone.is_empty() {
                         closed += 1;
                     } else {
@@ -2507,6 +2590,7 @@ mod tests {
             }
             assert!(closed > 0, "stride {stride}: no pass closed the holes");
             assert!(gathered > 0, "stride {stride}: no round ran on gathered rows");
+            assert!(slab.freq.is_none() && twin.freq.is_none(), "unconditional frequencies");
             assert!(smaller > 0, "stride {stride}: no arrival took a larger learner's block");
         }
     }
@@ -2546,7 +2630,7 @@ mod tests {
                 .filter(|(slot, _)| !gone.contains(&(*slot as u32)))
                 .map(|(slot, peer)| (peer.id, slab.block[slot]))
                 .collect();
-            slab.remove_slots(&gone);
+            slab.checked_remove_slots(&gone);
             for &slot in gone.iter().rev() {
                 peers.remove(slot as usize);
             }
@@ -2564,6 +2648,58 @@ mod tests {
         }
         slab.assert_blocks_disjoint();
         assert_eq!(slab.free_list_reuses(), next_id - 50, "every arrival reused a block");
+    }
+
+    /// A slab of unconditional learners never allocates play-frequency
+    /// rows, whatever it goes through: allocations past its pre-zeroed
+    /// backing, a reserve, observes per slot and through shard-split
+    /// views, clones, resets and departures whose holes a pass closes —
+    /// with the estimate rows on and off.
+    #[test]
+    fn unconditional_slab_never_allocates_frequency_rows() {
+        let cfg = config_eps(4, FAST_EPS, RecencyMode::Exponential, false);
+        for estimates in [false, true] {
+            let mut slab = LearnerSlab::with_capacity(5, 8);
+            if estimates {
+                slab.track_estimates();
+            }
+            for _ in 0..40 {
+                slab.alloc(4);
+            }
+            slab.reserve(10);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            let mut closed = 0;
+            for round in 0..30usize {
+                let n = slab.num_slots();
+                let picks: Vec<usize> =
+                    (0..n).map(|i| slab.select_action(i, &mut rng)).collect();
+                let utility = |a: usize| 5.0 * (a + round % 3) as f64;
+                if round.is_multiple_of(2) {
+                    for (i, &a) in picks.iter().enumerate() {
+                        slab.observe(i, &cfg, utility(a), &mut Vec::new());
+                    }
+                } else {
+                    let (mut head, mut tail) = slab.split().shard_split(n / 2);
+                    for (i, &a) in picks.iter().enumerate() {
+                        let (cols, i) =
+                            if i < n / 2 { (&mut head, i) } else { (&mut tail, i - n / 2) };
+                        cols.observe(i, &cfg, utility(a), &mut Vec::new());
+                    }
+                }
+                slab.clone_slot((round % n) as u32);
+                slab.reset_actions((3 * round) % n, 4);
+                let gone: Vec<u32> = (0..slab.num_slots() as u32)
+                    .filter(|s| (*s as usize + round).is_multiple_of(5))
+                    .collect();
+                slab.checked_remove_slots(&gone);
+                closed += usize::from(slab.rows_used == slab.num_slots());
+                slab.assert_blocks_disjoint();
+                assert!(slab.freq.is_none(), "round {round}: frequency rows allocated");
+                assert_eq!(slab.play_frequencies(0), None);
+            }
+            assert!(closed > 0, "no pass closed the holes");
+            assert_eq!(slab.best.is_some(), estimates);
+        }
     }
 
     /// The maintained estimate — row maxima and diagonal — against the
@@ -2817,7 +2953,7 @@ mod tests {
         assert_eq!(slab.stage(slot), 0);
         assert_eq!(slab.scale[slot], 1.0);
         assert_eq!(slab.probabilities(slot), &[0.2; 5]);
-        assert_eq!(slab.play_frequencies(slot), &[0.2; 5]);
+        assert_eq!(slab.play_frequencies(slot), None, "an unconditional slab keeps none");
         for j in 0..5 {
             for k in 0..5 {
                 assert_eq!(slab.proxy(slot, j, k), 0.0);
@@ -3026,6 +3162,11 @@ mod tests {
                             (0..3).map(|_| RthsState::new(&cfg)).collect();
                         for _ in &oracles {
                             slab.alloc(m);
+                        }
+                        // A sharded observe needs the rows made first, as
+                        // the store's observe phase makes them.
+                        if conditional {
+                            slab.track_frequencies();
                         }
                         let mut rngs_a: Vec<_> =
                             (0..3).map(|p| rand::rngs::StdRng::seed_from_u64(17 + p)).collect();

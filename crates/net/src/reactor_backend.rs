@@ -39,7 +39,7 @@
 //! `RTHS_THREADS` and under any such schedule; the workspace-level
 //! `sim_net_equivalence` test pins both.
 
-use rths_obs::{self as obs, ObsScratch};
+use rths_obs::{self as obs, ObsScratch, Phase};
 use rths_reactor::{Actor, ActorId, Ctx, Reactor, ReactorStats, SHARD_SPAN};
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::store::{PeerStore, ShardScratch};
@@ -287,8 +287,9 @@ impl PeerShard {
     }
 
     /// The shape phase (a lost payload arrived as 0 kbps, and the pass
-    /// decides the same loss again), then the observe phase over every
-    /// slot — bandit feedback, accounting, the estimate — and the report.
+    /// reads the loss its request carried back from each link's memo),
+    /// then the observe phase over every slot — bandit feedback,
+    /// accounting, the estimate — and the report.
     /// Kept out of line: one `Rate` in a shard's thousand runs it, and the
     /// others stay a few instructions.
     #[inline(never)]
@@ -381,7 +382,12 @@ impl CoordNode {
         if !self.machine.epoch_complete() {
             return;
         }
+        // The epoch's close, named inside the drain that runs it.
+        let t_settle = obs::span_start();
         self.machine.finish_epoch();
+        if let Some(t) = t_settle {
+            ctx.shard().1.spans.record(Phase::Settle, t);
+        }
         self.remaining -= 1;
         if self.remaining > 0 {
             // Next epoch one logical tick later: the barrier is a timer.
@@ -417,7 +423,11 @@ pub struct HelperNode {
 }
 
 impl HelperNode {
+    /// Splits the helper's capacity over its requests, sends each peer its
+    /// rate and the coordinator the helper's report, all inside one
+    /// `RateAlloc` span of the draining worker.
     fn settle(&mut self, epoch: u64, ctx: &mut MeshCtx<'_>) {
+        let t_alloc = obs::span_start();
         let HelperNode { machine, peer_base, data, .. } = self;
         let settlement = machine.on_settle(|peer, kbps, ()| {
             *data += 1;
@@ -433,6 +443,9 @@ impl HelperNode {
                 capacity: settlement.capacity,
             },
         );
+        if let Some(t) = t_alloc {
+            ctx.shard().1.spans.record(Phase::RateAlloc, t);
+        }
     }
 }
 

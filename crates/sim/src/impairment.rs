@@ -614,7 +614,8 @@ fn follow<S: Copy>(
     state
 }
 
-/// Where a [`LinkShaper`] last left the chains of one link. Derived
+/// Where a [`LinkShaper`] last left the chains of one link, and its last
+/// loss decision. Derived
 /// state only: dropping it changes no answer, only what the next one
 /// costs.
 #[derive(Debug, Clone, Copy)]
@@ -623,8 +624,10 @@ struct LinkMemo {
     key: (u64, u64, usize),
     /// The link's decision-stream seed ([`link_seed`] of `key`).
     seed: u64,
-    /// The Gilbert–Elliott chain: `(epoch, in the bad state)`.
-    ge: Option<(u64, bool)>,
+    /// The loss decision: `(epoch, (in the Gilbert–Elliott bad state,
+    /// payload lost))`. A uniform model has no chain and leaves the state
+    /// `false`.
+    loss: Option<(u64, (bool, bool))>,
     /// The bandwidth ladder: `(epoch, level)`.
     ladder: Option<(u64, usize)>,
 }
@@ -641,7 +644,8 @@ struct LinkMemo {
 /// [`ImpairmentPlan::link_cap_kbps`]: [`is_lost`](Self::is_lost) and
 /// `shape` return exactly what those return, whatever was asked before,
 /// and asking about the same link one epoch on costs one hashed
-/// transition instead of a walk from the regeneration boundary. It
+/// transition instead of a walk from the regeneration boundary; asking
+/// again at the same epoch costs no hash at all. It
 /// follows one link under one plan at a time (a helper switch, like an
 /// epoch gap, falls back to the seek). It is not part of the link's state
 /// — two shapers with equal buckets are the same link whatever each was
@@ -674,14 +678,17 @@ impl LinkShaper {
         self.memo.get_or_insert_with(|| LinkMemo {
             key,
             seed: link_seed(plan.seed, peer, helper),
-            ge: None,
+            loss: None,
             ladder: None,
         })
     }
 
     /// Whether the payload on link `(peer, helper)` is lost at `epoch`:
     /// [`ImpairmentPlan::is_lost`], stepping the link's Gilbert–Elliott
-    /// chain from where this shaper last left it when it can.
+    /// chain from where this shaper last left it when it can. The answer
+    /// is remembered, so asking about the same link and epoch again (the
+    /// reactor asks when it sends a request and again when it shapes the
+    /// rate) draws nothing.
     pub fn is_lost(
         &mut self,
         plan: &ImpairmentPlan,
@@ -689,21 +696,28 @@ impl LinkShaper {
         helper: usize,
         epoch: u64,
     ) -> bool {
-        let LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } =
-            plan.loss
-        else {
-            // The other models keep no state between epochs.
-            return plan.is_lost(peer, helper, epoch);
-        };
+        if plan.loss == LossModel::None {
+            return false;
+        }
         let link = self.link(plan, peer, helper);
         let seed = link.seed;
-        let bad = follow(
-            &mut link.ge,
-            epoch,
-            |bad, t| ge_step(seed, p_enter_bad, p_exit_bad, bad, t),
-            || ge_bad_at(seed, p_enter_bad, p_exit_bad, epoch),
-        );
-        ge_drops(seed, bad, bad_loss, good_loss, epoch)
+        let (_, lost) = match plan.loss {
+            LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
+                let drops = |bad, at| (bad, ge_drops(seed, bad, bad_loss, good_loss, at));
+                follow(
+                    &mut link.loss,
+                    epoch,
+                    |(bad, _), t| drops(ge_step(seed, p_enter_bad, p_exit_bad, bad, t), t + 1),
+                    || drops(ge_bad_at(seed, p_enter_bad, p_exit_bad, epoch), epoch),
+                )
+            }
+            // Memoryless: the next epoch's decision is a fresh draw.
+            _ => {
+                let draw = || (false, plan.is_lost(peer, helper, epoch));
+                follow(&mut link.loss, epoch, |_, _| draw(), draw)
+            }
+        };
+        lost
     }
 
     /// Applies the plan's shaping pipeline to one epoch's offered rate:
@@ -1020,8 +1034,11 @@ mod tests {
             let what = format!("query {query}: link ({peer}, {helper}) at epoch {epoch}");
             let ask = script.gen_range(0..3);
             if ask != 0 {
-                let lost = shaper.is_lost(plan, peer, helper, epoch);
-                assert_eq!(lost, plan.is_lost(peer, helper, epoch), "{what}");
+                // Asked twice, as the reactor asks at its request and again
+                // when it shapes: the second answer comes from the memo.
+                let want = plan.is_lost(peer, helper, epoch);
+                assert_eq!(shaper.is_lost(plan, peer, helper, epoch), want, "{what}");
+                assert_eq!(shaper.is_lost(plan, peer, helper, epoch), want, "{what} (again)");
             }
             if ask != 1 {
                 let offered = 100.0 * script.gen_range(0..12) as f64;
@@ -1083,17 +1100,24 @@ mod tests {
         let memo = shaper.memo.expect("a Markov plan is remembered");
         assert_eq!(memo.key, (3, 4, 1));
         assert_eq!(memo.seed, link_seed(3, 4, 1));
-        assert_eq!(memo.ge.map(|(at, _)| at), Some(9));
+        assert_eq!(memo.loss.map(|(at, _)| at), Some(9));
         assert_eq!(memo.ladder.map(|(at, _)| at), Some(9));
         // Another helper is another link: both chains start over.
         shaper.is_lost(&plan, 4, 2, 10);
         let memo = shaper.memo.expect("still a Markov plan");
         assert_eq!((memo.key, memo.ladder), ((3, 4, 2), None));
-        // A plan without chains leaves no memo at all.
+        // Memoryless loss keeps the epoch's decision, and nothing else.
         let mut plain = LinkShaper::new();
-        let bucket = ImpairmentPlan::builder(1).uniform_loss(0.2).token_bucket(300.0, 900.0);
-        let bucket = bucket.build().unwrap();
-        plain.is_lost(&bucket, 0, 0, 0);
+        let uniform = ImpairmentPlan::builder(1).uniform_loss(0.2).token_bucket(300.0, 900.0);
+        let uniform = uniform.build().unwrap();
+        let lost = plain.is_lost(&uniform, 0, 0, 0);
+        plain.shape(&uniform, 0, 0, 0, 640.0);
+        let memo = plain.memo.expect("a loss decision is remembered");
+        assert_eq!((memo.loss, memo.ladder), (Some((0, (false, lost))), None));
+        // A plan with neither loss nor a ladder leaves no memo at all.
+        let mut plain = LinkShaper::new();
+        let bucket = ImpairmentPlan::builder(1).token_bucket(300.0, 900.0).build().unwrap();
+        assert!(!plain.is_lost(&bucket, 0, 0, 0));
         plain.shape(&bucket, 0, 0, 0, 640.0);
         assert!(plain.memo.is_none());
     }

@@ -38,10 +38,11 @@
 //! (`tests/churn_and_failures.rs` pins it).
 //!
 //! What a departure moves is scalars only: per relocated survivor, its row
-//! of the columns here (96 bytes, and its 88-byte link state when the plan
+//! of the columns here (88 bytes, and its 88-byte link state when the plan
 //! affects rates), six scalars of its learner slot and its ledger entry.
 //! T blocks follow the slot's block handle and are wiped for the next
-//! arrivals; strategy, frequency, estimate and folded-regret rows follow
+//! arrivals; strategy, estimate and folded-regret rows (and frequency
+//! rows, which only a slab of conditional learners keeps) follow
 //! increasing row handles, whose holes one pass closes once they
 //! outnumber a sixteenth of the population. Slot order, ids and every
 //! float reduction order are what they would be had the rows moved. A
@@ -67,7 +68,7 @@ pub const NO_HELPER: u32 = u32::MAX;
 
 /// Bytes of one peer's row of the store's own columns: what a departure
 /// copies for each relocated survivor, before the learners and the ledger.
-const ROW_BYTES: usize = 2 * size_of::<u32>() + 7 * size_of::<u64>() + size_of::<StdRng>();
+const ROW_BYTES: usize = 2 * size_of::<u32>() + 6 * size_of::<u64>() + size_of::<StdRng>();
 
 /// [`compact_column`] for a column of values that are not `Copy`: each
 /// survivor is swapped down into place.
@@ -213,7 +214,6 @@ pub struct PeerStore {
     rngs: Vec<StdRng>,
     total_rate: Vec<f64>,
     epochs_online: Vec<u64>,
-    epochs_served: Vec<u64>,
     satisfied_epochs: Vec<u64>,
     /// Last chosen helper ([`NO_HELPER`] before the first choice).
     last_helper: Vec<u32>,
@@ -270,7 +270,6 @@ impl PeerStore {
             rngs: Vec::new(),
             total_rate: Vec::new(),
             epochs_online: Vec::new(),
-            epochs_served: Vec::new(),
             satisfied_epochs: Vec::new(),
             last_helper: Vec::new(),
             switches: Vec::new(),
@@ -314,7 +313,7 @@ impl PeerStore {
 
     /// Pre-creates zeroed backing storage for `additional` more peers.
     /// Call on a freshly built store before the bulk spawn loop: the
-    /// learner slab gets its whole T/probs/freq region as one lazily
+    /// learner slab gets its whole T and strategy region as one lazily
     /// mapped `alloc_zeroed` (pages commit only as columns are written),
     /// so constructing 10⁵ peers is a handful of large allocations
     /// instead of a per-peer allocation storm.
@@ -329,7 +328,6 @@ impl PeerStore {
         self.rngs.reserve(additional);
         self.total_rate.reserve(additional);
         self.epochs_online.reserve(additional);
-        self.epochs_served.reserve(additional);
         self.satisfied_epochs.reserve(additional);
         self.last_helper.reserve(additional);
         self.switches.reserve(additional);
@@ -377,7 +375,6 @@ impl PeerStore {
         self.rngs.push(entity_rng(self.seed, id));
         self.total_rate.push(0.0);
         self.epochs_online.push(0);
-        self.epochs_served.push(0);
         self.satisfied_epochs.push(0);
         self.last_helper.push(NO_HELPER);
         self.switches.push(0);
@@ -416,7 +413,6 @@ impl PeerStore {
         compact_column(&mut self.joined_at, slots);
         compact_column(&mut self.total_rate, slots);
         compact_column(&mut self.epochs_online, slots);
-        compact_column(&mut self.epochs_served, slots);
         compact_column(&mut self.satisfied_epochs, slots);
         compact_column(&mut self.last_helper, slots);
         compact_column(&mut self.switches, slots);
@@ -602,7 +598,10 @@ impl PeerStore {
     /// ([`LearnerSlab::track_estimates`]: one scan of every T block,
     /// `2m` more scalars per peer); from then on an estimate reads two
     /// `O(m)` slot-addressed rows per peer per epoch and no T line. A
-    /// store never asked pays neither.
+    /// store never asked pays neither. Likewise, the first call on a
+    /// store with a conditional channel makes the slab keep its play
+    /// frequencies ([`LearnerSlab::track_frequencies`]), which only
+    /// conditional normalisation reads.
     ///
     /// Slab-hosted learners update in blocks of [`OBSERVE_BATCH`] peers:
     /// before a block, one pass loads the T cache lines its updates are
@@ -644,7 +643,6 @@ impl PeerStore {
             learners,
             total_rate,
             epochs_online,
-            epochs_served,
             satisfied_epochs,
             regret,
             channels,
@@ -657,6 +655,9 @@ impl PeerStore {
             Learners::Slab(slab) => {
                 if track_estimate {
                     slab.track_estimates();
+                }
+                if configs.iter().any(RthsConfig::conditional) {
+                    slab.track_frequencies();
                 }
                 LearnerCols::Slab(slab.split())
             }
@@ -682,12 +683,12 @@ impl PeerStore {
             n,
             shards,
             (
-                (learner_cols, &mut total_rate[..], &mut epochs_online[..]),
-                (&mut epochs_served[..], &mut satisfied_epochs[..], delivered),
+                (learner_cols, &mut total_rate[..]),
+                (&mut epochs_online[..], &mut satisfied_epochs[..], delivered),
                 ledger_cols,
             ),
             &mut scratch[..],
-            |shard, ((mut learners, total, online), (served, sat, out), mut ledger), s| {
+            |shard, ((mut learners, total), (online, sat, out), mut ledger), s| {
                 if let (true, LearnerCols::Slab(slab)) = (batch_decay, &mut learners) {
                     let t_decay = obs::span_start();
                     let touched = slab.decay(keep);
@@ -725,9 +726,6 @@ impl PeerStore {
                     });
                     total[i] += rate;
                     online[i] += 1;
-                    if rate > 0.0 {
-                        served[i] += 1;
-                    }
                     if satisfied {
                         sat[i] += 1;
                     }

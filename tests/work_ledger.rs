@@ -79,12 +79,15 @@ fn churn_impaired_system_does_the_pinned_work() {
             ("slab_columns_opened", 1899),
             ("stretch_folds", 1472),
             ("regret_exact_reads", 620),
-            // 10,054 survivor relocations × 268 bytes of scalars (96 of
+            // 10,054 survivor relocations × 260 bytes of scalars (88 of
             // the store's columns, 88 of its link column's `LinkShaper`,
             // 32 of the slab slot's, 52 of the ledger entry's):
-            // 2,694,472. The rest, 2,508,800, is the passes that closed
-            // the row holes departures left.
-            ("departure_bytes_moved", 5_203_272),
+            // 2,614,040. The rest, 2,007,040, is the passes that closed
+            // the row holes departures left: 1,960 rows of the slab's
+            // (a 256-byte strategy row and a 512-byte estimate row; these
+            // learners are unconditional, so no frequency row) and 1,960
+            // of the ledger's (256 bytes each).
+            ("departure_bytes_moved", 4_621_080),
             // The played T columns of the departed peers' blocks.
             ("departure_columns_wiped", 370),
             ("ring_capacity_hwm", 0),
