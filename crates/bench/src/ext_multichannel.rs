@@ -2,7 +2,7 @@
 //! allocation policies × peer-level helper selection.
 
 use crate::harness::write_csv;
-use rths_sim::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
+use rths_sim::{AllocationPolicy, MultiChannelSystem, SimConfig};
 
 pub(crate) fn run() -> Result<(), String> {
     println!("Extension — multi-channel joint allocation: K=4 channels (Zipf 1.5),");
@@ -18,7 +18,7 @@ pub(crate) fn run() -> Result<(), String> {
     ];
     // One allocation policy per worker.
     let outs = rths_par::par_map(&policies, |_, &(_, policy)| {
-        let config = MultiChannelConfig::standard(4, 400.0, 12, 2, 240, 1.5, policy, 13);
+        let config = SimConfig::standard(4, 400.0, 12, 2, 240, 1.5, policy, 13);
         let mut system = MultiChannelSystem::new(config);
         system.run(2500)
     });
@@ -40,16 +40,8 @@ pub(crate) fn run() -> Result<(), String> {
     );
 
     println!("\nper-channel view under water filling:");
-    let config = MultiChannelConfig::standard(
-        4,
-        400.0,
-        12,
-        2,
-        240,
-        1.5,
-        AllocationPolicy::WaterFilling,
-        13,
-    );
+    let config =
+        SimConfig::standard(4, 400.0, 12, 2, 240, 1.5, AllocationPolicy::WaterFilling, 13);
     let viewers = config.viewers.clone();
     let mut system = MultiChannelSystem::new(config);
     let out = system.run(2500);

@@ -245,7 +245,7 @@ pub struct CoordinatorMachine {
 impl CoordinatorMachine {
     /// Creates the coordinator for a fixed population.
     pub fn new(sim: &SimConfig, helper_min: f64) -> Self {
-        let n = sim.num_peers;
+        let n = sim.num_peers();
         let h = sim.helpers.len();
         let mut regret = RegretLedger::new(&[h]);
         for _ in 0..n {

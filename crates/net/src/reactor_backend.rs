@@ -224,7 +224,7 @@ impl PeerShard {
         store.set_shards(Some(1));
         store.reserve(len);
         for _ in 0..len {
-            store.spawn(0, 0);
+            store.join(0);
         }
         Self {
             store,
@@ -606,7 +606,7 @@ impl std::fmt::Debug for ReactorRuntime {
 /// Total actor count of the mesh `config` describes: coordinator,
 /// tracker, helpers, peers — ids dense, in that order.
 pub(crate) fn mesh_total(config: &NetConfig) -> usize {
-    2 + config.sim.helpers.len() + config.sim.num_peers
+    2 + config.sim.helpers.len() + config.sim.num_peers()
 }
 
 /// Adds the actors with global ids `base .. base + len` to `reactor`,
@@ -629,7 +629,7 @@ pub(crate) fn populate_mesh(
     let sim = &config.sim;
     let impairments = &sim.impairment;
     let h = sim.helpers.len();
-    let n = sim.num_peers;
+    let n = sim.num_peers();
     let helper_base = 2;
     let peer_base = helper_base + h;
     let end = base + len;
@@ -773,7 +773,7 @@ impl ReactorRuntime {
     /// [`new`](Self::new) with `span`-actor mailbox shards.
     fn with_span(config: NetConfig, span: usize) -> Self {
         let h = config.sim.helpers.len();
-        let n = config.sim.num_peers;
+        let n = config.sim.num_peers();
         let mut reactor = Reactor::with_shard_span(span);
         let total = mesh_total(&config);
         populate_mesh(&mut reactor, &config, span, 0, total);

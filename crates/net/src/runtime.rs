@@ -7,8 +7,7 @@
 //! `rths_sim::System` bit-for-bit (see the `sim_net_equivalence`
 //! integration test).
 
-use rths_sim::SimConfig;
-use rths_sim::SimMetrics;
+use rths_sim::{AllocationPolicy, SimConfig, SimMetrics};
 
 /// Which runtime hosts the actor mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,11 +65,17 @@ impl NetConfig {
     ///
     /// Panics if the configuration has churn enabled — the decentralized
     /// runtimes keep a fixed actor population (dynamic membership is the
-    /// simulator's job).
+    /// simulator's job) — or is not the one-channel layout of
+    /// [`SimConfig::builder`]: a helper actor serves one channel and
+    /// splits it evenly.
     pub fn from_sim(sim: SimConfig) -> Self {
         assert!(
             sim.churn.arrival_rate() == 0.0 && sim.churn.departure_prob() == 0.0,
             "the decentralized runtimes require a churn-free configuration"
+        );
+        assert!(
+            sim.viewers.len() == 1 && sim.allocation == AllocationPolicy::EvenSplit,
+            "the decentralized runtimes run one channel (K = 1) under the even split"
         );
         Self { sim, backend: Backend::default(), track_estimate: true, trace: false }
     }
@@ -192,9 +197,13 @@ mod tests {
         }
     }
 
+    /// A churning configuration, and before it one of K = 2 channels.
     #[test]
     #[should_panic(expected = "churn-free")]
     fn churny_config_rejected() {
+        let k2 = SimConfig::standard(2, 400.0, 2, 1, 10, 1.0, AllocationPolicy::EvenSplit, 1);
+        let refused = std::panic::catch_unwind(|| NetConfig::from_sim(k2)).unwrap_err();
+        assert!(refused.downcast_ref::<&str>().is_some_and(|m| m.contains("K = 1")));
         let sim = Scenario::churn().seed(1).build();
         let _ = NetConfig::from_sim(sim);
     }

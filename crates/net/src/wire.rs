@@ -668,7 +668,7 @@ fn put_worker_config(w: &mut WireWriter, wc: &WorkerConfig) {
     w.usize(wc.span);
     w.usize(wc.processes);
     w.bool(wc.config.track_estimate);
-    w.usize(sim.num_peers);
+    w.usize(sim.num_peers());
     w.seq(sim.helpers.len());
     for spec in &sim.helpers {
         put_bandwidth_spec(w, spec);

@@ -143,7 +143,7 @@ fn metric_bits(m: &SimMetrics) -> Vec<Vec<u64>> {
 /// settles after its requests, a peer observes after its helper settled,
 /// and a block is reported once all of its peers have observed.
 fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> MachineTrace {
-    let n = sim.num_peers;
+    let n = sim.num_peers();
     let (helpers, helper_min_total) = instantiate_helpers(sim);
     let h = helpers.len();
     // The arrival position rides along as the request's attachment.

@@ -7,8 +7,10 @@ use rths_stoch::bandwidth::{
     BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RegimeShiftBandwidth,
 };
 use rths_stoch::process::ChurnProcess;
+use rths_stoch::Zipf;
 
 use crate::impairment::ImpairmentPlan;
+use crate::multichannel::AllocationPolicy;
 
 /// Declarative description of one helper's bandwidth process, turned into
 /// a live process per helper at system construction. `Paper` is the
@@ -283,29 +285,49 @@ impl LearnerSpec {
             Algorithm::Rths | Algorithm::RegretMatching => {
                 AnyLearner::SlabRths(SlabLearner::standalone(config))
             }
-            Algorithm::Exp3 => AnyLearner::Exp3(Box::new(Exp3Learner::new(Exp3Config {
-                num_actions,
-                gamma: self.delta.max(0.01),
-                // Rewards are rates; scale by a few fair shares.
-                reward_scale: 4.0 * rate_scale,
-                forgetting: self.epsilon,
-            }))),
+            Algorithm::Exp3 => AnyLearner::Exp3(Box::new(Exp3Learner::new(
+                self.exp3_config(num_actions, rate_scale),
+            ))),
         })
+    }
+
+    /// The [`Exp3Config`] an EXP3 learner of this spec runs over
+    /// `num_actions` actions: exploration `max(δ, 0.01)`, forgetting `ε`,
+    /// and rewards scaled by four `rate_scale`s (rewards are rates; a few
+    /// fair shares bound them). The peer store builds this once per
+    /// channel.
+    pub fn exp3_config(&self, num_actions: usize, rate_scale: f64) -> Exp3Config {
+        Exp3Config {
+            num_actions,
+            gamma: self.delta.max(0.01),
+            reward_scale: 4.0 * rate_scale,
+            forgetting: self.epsilon,
+        }
     }
 }
 
-/// Full simulation configuration. Build with [`SimConfig::builder`] or the
-/// canned [`Scenario`](crate::Scenario)s.
+/// The run configuration: K channels, the helpers that serve them, the
+/// viewers that watch them, and how peers learn, churn and lose packets.
+/// The paper's system is multi-channel; [`SimConfig::builder`] lays out
+/// its K = 1 case (the single-channel evaluation of §IV, and the canned
+/// [`Scenario`](crate::Scenario)s) and [`SimConfig::standard`] a K-channel
+/// deployment. [`System::new`](crate::System::new) and
+/// [`MultiChannelSystem::new`](crate::MultiChannelSystem::new) both run
+/// it; `assemble` checks the layout once for both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Initial number of peers.
-    pub num_peers: usize,
+    /// Initial viewers per channel; its length is the channel count K.
+    pub viewers: Vec<usize>,
     /// One bandwidth spec per helper.
     pub helpers: Vec<BandwidthSpec>,
-    /// Per-peer streaming demand (kbps); `None` = uncapped utilities
-    /// (the paper's default game).
+    /// `helper_channels[j]` — the channels helper `j` serves.
+    pub helper_channels: Vec<Vec<usize>>,
+    /// How a helper splits its capacity over the channels it serves.
+    pub allocation: AllocationPolicy,
+    /// Every channel's per-viewer streaming demand (kbps); `None` =
+    /// uncapped utilities (the paper's default game).
     pub demand: Option<f64>,
-    /// Peer churn process.
+    /// Peer churn process. Arrivals join channel 0.
     pub churn: ChurnProcess,
     /// Learner parameters.
     pub learner: LearnerSpec,
@@ -323,24 +345,93 @@ pub struct SimConfig {
     /// `rths_net` runtimes: `NetConfig::from_sim` inherits this plan, and
     /// the simulator and both net backends apply it bit-identically.
     pub impairment: ImpairmentPlan,
+    /// The sum of `viewers`, which every constructor keeps and `assemble`
+    /// checks; read [`SimConfig::num_peers()`] instead.
+    #[doc(hidden)]
+    pub num_peers: usize, // benchmark shim (ROADMAP 23): its tests read the field
 }
 
 impl SimConfig {
-    /// Starts a builder for `num_peers` peers over `helpers`.
+    /// Starts a builder for the K = 1 layout: `num_peers` viewers of
+    /// channel 0, which every helper serves and splits evenly (`cap / 1`,
+    /// its whole capacity).
     pub fn builder(num_peers: usize, helpers: Vec<BandwidthSpec>) -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig {
-                num_peers,
-                helpers,
-                demand: None,
-                churn: ChurnProcess::none(),
-                learner: LearnerSpec::default(),
-                seed: 0,
-                record_joint_from: 0,
-                record_peer_rates: false,
-                impairment: ImpairmentPlan::none(),
-            },
+        let helper_channels = vec![vec![0]; helpers.len()];
+        let config = Self::layout(
+            vec![num_peers],
+            helpers,
+            helper_channels,
+            AllocationPolicy::EvenSplit,
+        );
+        SimConfigBuilder { config }
+    }
+
+    /// Builds a standard K-channel instance: `k` channels at `bitrate`
+    /// kbps, `num_helpers` paper-chain helpers each serving a contiguous
+    /// block of channels (wrap-around) of size `channels_per_helper`, and
+    /// `num_viewers` viewers allocated by Zipf(`zipf_s`) popularity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any count is zero, `channels_per_helper > k`, or
+    /// `bitrate` is not positive and finite.
+    #[allow(clippy::too_many_arguments)]
+    pub fn standard(
+        k: usize,
+        bitrate: f64,
+        num_helpers: usize,
+        channels_per_helper: usize,
+        num_viewers: usize,
+        zipf_s: f64,
+        allocation: AllocationPolicy,
+        seed: u64,
+    ) -> Self {
+        assert!(k > 0 && num_helpers > 0 && channels_per_helper > 0, "counts must be positive");
+        assert!(channels_per_helper <= k, "helpers cannot serve more channels than exist");
+        assert!(bitrate > 0.0 && bitrate.is_finite(), "bitrate must be positive and finite");
+        let helper_channels: Vec<Vec<usize>> = (0..num_helpers)
+            .map(|j| (0..channels_per_helper).map(|o| (j + o) % k).collect())
+            .collect();
+        let viewers = Self::zipf_population(k, num_viewers, zipf_s);
+        let helpers = vec![BandwidthSpec::Paper { stay: 0.98 }; num_helpers];
+        Self {
+            demand: Some(bitrate),
+            seed,
+            ..Self::layout(viewers, helpers, helper_channels, allocation)
         }
+    }
+
+    /// Splits `total` viewers over `k` channels with Zipf(`s`) popularity.
+    pub fn zipf_population(k: usize, total: usize, s: f64) -> Vec<usize> {
+        Zipf::new(k, s).allocate(total)
+    }
+
+    /// A layout with every other value at its default.
+    fn layout(
+        viewers: Vec<usize>,
+        helpers: Vec<BandwidthSpec>,
+        helper_channels: Vec<Vec<usize>>,
+        allocation: AllocationPolicy,
+    ) -> Self {
+        SimConfig {
+            num_peers: viewers.iter().sum(),
+            viewers,
+            helpers,
+            helper_channels,
+            allocation,
+            demand: None,
+            churn: ChurnProcess::none(),
+            learner: LearnerSpec::default(),
+            seed: 0,
+            record_joint_from: 0,
+            record_peer_rates: false,
+            impairment: ImpairmentPlan::none(),
+        }
+    }
+
+    /// Initial population: the viewers of every channel.
+    pub fn num_peers(&self) -> usize {
+        self.viewers.iter().sum()
     }
 
     /// Mean of the helpers' long-run mean capacities
@@ -355,11 +446,11 @@ impl SimConfig {
 
     /// Typical per-peer received rate: the fair share of total mean
     /// helper capacity over the initial population, capped by the demand
-    /// if one is set. Used to derive `μ` (see
+    /// if one is set. Calibrates every channel's learners' `μ` (see
     /// [`LearnerSpec::instantiate`]).
     pub fn rate_scale(&self) -> f64 {
         let total_cap = self.mean_capacity() * self.helpers.len() as f64;
-        let fair = total_cap / self.num_peers.max(1) as f64;
+        let fair = total_cap / self.num_peers().max(1) as f64;
         match self.demand {
             Some(d) => fair.min(d),
             None => fair,
@@ -513,11 +604,19 @@ mod tests {
     #[test]
     fn builder_defaults() {
         let c = SimConfig::builder(10, vec![BandwidthSpec::Paper { stay: 0.98 }; 4]).build();
-        assert_eq!(c.num_peers, 10);
+        assert_eq!((c.num_peers(), &c.viewers[..]), (10, &[10][..]));
+        assert_eq!(c.helper_channels, vec![vec![0]; 4]);
+        assert_eq!(c.allocation, AllocationPolicy::EvenSplit);
         assert_eq!(c.helpers.len(), 4);
         assert_eq!(c.demand, None);
         assert_eq!(c.seed, 0);
         assert_eq!(c.mean_capacity(), 800.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bitrate must be positive and finite")]
+    fn standard_rejects_a_bad_bitrate() {
+        let _ = SimConfig::standard(2, 0.0, 2, 1, 10, 1.0, AllocationPolicy::EvenSplit, 0);
     }
 
     #[test]

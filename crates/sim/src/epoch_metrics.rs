@@ -67,6 +67,11 @@ impl EpochMetrics {
         &self.channel_helpers
     }
 
+    /// Per-viewer demand of each channel (kbps); `None` = uncapped.
+    pub fn demands(&self) -> &[Option<f64>] {
+        &self.demands
+    }
+
     /// The series so far (without the [`summary`](Self::summary) fields).
     pub fn series(&self) -> &SimMetrics {
         &self.series

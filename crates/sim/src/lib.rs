@@ -6,11 +6,13 @@
 //! they serve, **peers** running decentralized learners with only local
 //! information, per-viewer streaming **demand**, and peer **churn**.
 //!
-//! There is **one engine, K channels**: [`System`] runs the epoch
-//! pipeline below for any number of channels. [`System::new`] builds the
-//! K = 1 configuration from a [`SimConfig`] (the single-channel
-//! evaluation of §IV); [`MultiChannelSystem::new`] builds a K-channel
-//! deployment from a [`MultiChannelConfig`] and reports it per channel.
+//! There is **one configuration, one engine, K channels**: a
+//! [`SimConfig`] describes a run over any number of channels
+//! ([`SimConfig::builder`] lays out the single-channel evaluation of §IV,
+//! [`SimConfig::standard`] a K-channel deployment), and [`System`] runs
+//! the epoch pipeline below for it. [`MultiChannelSystem::new`] builds the
+//! same engine without the single-channel diagnostics and reports it per
+//! channel.
 //!
 //! Per epoch the engine steps every helper's bandwidth process (the
 //! paper's `[700, 800, 900]` chain by default), applies churn, lets every
@@ -37,7 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod channel;
 pub mod config;
 pub mod epoch_metrics;
 pub mod helper;
@@ -62,9 +63,7 @@ pub use config::{
 pub use epoch_metrics::EpochMetrics;
 pub use impairment::{ImpairmentError, ImpairmentPlan, LinkShaper, LossModel};
 pub use metrics::SimMetrics;
-pub use multichannel::{
-    AllocationPolicy, MultiChannelConfig, MultiChannelOutcome, MultiChannelSystem,
-};
+pub use multichannel::{AllocationPolicy, MultiChannelOutcome, MultiChannelSystem};
 pub use playback::{PlaybackBuffer, PlaybackStats};
 pub use scenario::Scenario;
 pub use spec::{ScenarioError, ScenarioReport, ScenarioSpec};
@@ -72,3 +71,7 @@ pub use store::{LearnerRef, PeerStore};
 pub use strategy::JointDistribution;
 pub use system::{Outcome, System};
 pub use workload::WorkloadPhase;
+
+/// The run configuration under its former K-channel name.
+#[doc(hidden)]
+pub type MultiChannelConfig = SimConfig; // benchmark shim (ROADMAP 23)

@@ -3,28 +3,22 @@
 //! The paper's setting is a multi-channel system — every helper serves a
 //! subset of channels and balances its (stochastic) upload capacity
 //! across them, while every viewer runs an RTHS learner over the helpers
-//! serving *its* channel with bandit feedback. [`crate::System`] runs
-//! that two-level pipeline for any K; this module holds only what is
-//! genuinely multi-channel *policy*:
+//! serving *its* channel with bandit feedback. [`SimConfig`] describes
+//! such a run for any K (a Zipf-distributed audience by
+//! [`SimConfig::standard`], matching measurements of deployed systems),
+//! and [`crate::System`] runs it. This module holds what is genuinely
+//! multi-channel:
 //!
 //! * [`AllocationPolicy`] — how a helper splits capacity over the
 //!   channels it serves. The three informed/static policies are the
 //!   paper's setting; demand-aware water-filling is the default;
-//! * [`MultiChannelConfig`] — channels, the helper → channels map and the
-//!   initial audience (Zipf-distributed by default,
-//!   [`MultiChannelConfig::zipf_population`], matching measurements of
-//!   deployed systems);
-//! * [`MultiChannelSystem`] — the constructor from that configuration
-//!   plus the per-channel [`MultiChannelOutcome`] view over the engine.
+//! * [`MultiChannelSystem`] — the engine without the single-channel
+//!   diagnostics, plus the per-channel [`MultiChannelOutcome`] view.
 
 use rths_core::ConvergenceSeries;
-use rths_stoch::process::ChurnProcess;
-use rths_stoch::Zipf;
 
-use crate::channel::Channel;
-use crate::config::{BandwidthSpec, LearnerSpec};
-use crate::impairment::ImpairmentPlan;
-use crate::system::{Blueprint, System};
+use crate::config::SimConfig;
+use crate::system::System;
 
 /// How a helper divides its upload capacity among the channels it serves
 /// ([`helper::allocate`](crate::helper::allocate) applies it).
@@ -41,95 +35,6 @@ pub enum AllocationPolicy {
     /// maximum feasible total. **Default.**
     #[default]
     WaterFilling,
-}
-
-/// Configuration of the multi-channel system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiChannelConfig {
-    /// The channels (id + bitrate = per-viewer demand).
-    pub channels: Vec<Channel>,
-    /// Helper bandwidth processes.
-    pub helpers: Vec<BandwidthSpec>,
-    /// `helper_channels[j]` — channel ids helper `j` serves.
-    pub helper_channels: Vec<Vec<usize>>,
-    /// Initial viewers per channel.
-    pub viewers: Vec<usize>,
-    /// Capacity split policy at helpers.
-    pub allocation: AllocationPolicy,
-    /// Learner parameters for viewers.
-    pub learner: LearnerSpec,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl MultiChannelConfig {
-    /// Builds a standard instance: `k` channels at `bitrate` kbps,
-    /// `num_helpers` paper-chain helpers each serving a contiguous block
-    /// of channels (wrap-around) of size `channels_per_helper`, and
-    /// `num_viewers` viewers allocated by Zipf(`zipf_s`) popularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero or `channels_per_helper > k`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn standard(
-        k: usize,
-        bitrate: f64,
-        num_helpers: usize,
-        channels_per_helper: usize,
-        num_viewers: usize,
-        zipf_s: f64,
-        allocation: AllocationPolicy,
-        seed: u64,
-    ) -> Self {
-        assert!(k > 0 && num_helpers > 0 && channels_per_helper > 0, "counts must be positive");
-        assert!(channels_per_helper <= k, "helpers cannot serve more channels than exist");
-        let channels = crate::channel::uniform_channels(k, bitrate);
-        let helper_channels: Vec<Vec<usize>> = (0..num_helpers)
-            .map(|j| (0..channels_per_helper).map(|o| (j + o) % k).collect())
-            .collect();
-        let viewers = Self::zipf_population(k, num_viewers, zipf_s);
-        Self {
-            channels,
-            helpers: vec![BandwidthSpec::Paper { stay: 0.98 }; num_helpers],
-            helper_channels,
-            viewers,
-            allocation,
-            learner: LearnerSpec::default(),
-            seed,
-        }
-    }
-
-    /// Splits `total` viewers over `k` channels with Zipf(`s`) popularity.
-    pub fn zipf_population(k: usize, total: usize, s: f64) -> Vec<usize> {
-        Zipf::new(k, s).allocate(total)
-    }
-
-    fn validate(&self) {
-        assert!(!self.channels.is_empty(), "need at least one channel");
-        assert_eq!(
-            self.helpers.len(),
-            self.helper_channels.len(),
-            "one channel set per helper"
-        );
-        assert_eq!(self.viewers.len(), self.channels.len(), "one viewer count per channel");
-        for (j, chans) in self.helper_channels.iter().enumerate() {
-            assert!(!chans.is_empty(), "helper {j} serves no channels");
-            assert!(
-                chans.iter().all(|&c| c < self.channels.len()),
-                "helper {j} serves an unknown channel"
-            );
-        }
-        // Every channel with viewers needs at least one helper.
-        for (c, &v) in self.viewers.iter().enumerate() {
-            if v > 0 {
-                assert!(
-                    self.helper_channels.iter().any(|chans| chans.contains(&c)),
-                    "channel {c} has viewers but no helper"
-                );
-            }
-        }
-    }
 }
 
 /// Per-epoch and summary results of a multi-channel run.
@@ -151,9 +56,10 @@ pub struct MultiChannelOutcome {
     pub worst_empirical_regret: ConvergenceSeries,
 }
 
-/// A K-channel deployment: the engine built from a
-/// [`MultiChannelConfig`], reported per channel. It owns nothing but the
-/// [`System`] and derefs to it — every epoch is [`System::step_epoch`].
+/// A K-channel deployment: the engine built from a [`SimConfig`] without
+/// the diagnostics only [`Outcome`](crate::Outcome) reports, reported per
+/// channel. It owns nothing but the [`System`] and derefs to it — every
+/// epoch is [`System::step_epoch`].
 #[derive(Debug)]
 pub struct MultiChannelSystem {
     engine: System,
@@ -165,31 +71,9 @@ impl MultiChannelSystem {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`MultiChannelConfig`] invariants).
-    pub fn new(config: MultiChannelConfig) -> Self {
-        config.validate();
-        // Rate scale for μ derivation: the system-wide fair share,
-        // capped by the smallest channel bitrate.
-        let total_viewers: usize = config.viewers.iter().sum();
-        let min_bitrate =
-            config.channels.iter().map(Channel::bitrate).fold(f64::INFINITY, f64::min);
-        let total_cap: f64 = config.helpers.iter().map(BandwidthSpec::mean_level).sum();
-        let engine = System::assemble(Blueprint {
-            seed: config.seed,
-            helpers: config.helpers,
-            helper_channels: config.helper_channels,
-            demands: config.channels.iter().map(|c| Some(c.bitrate())).collect(),
-            viewers: config.viewers,
-            allocation: config.allocation,
-            learner: config.learner,
-            rate_scale: (total_cap / total_viewers.max(1) as f64).min(min_bitrate),
-            churn: ChurnProcess::none(),
-            impairment: ImpairmentPlan::none(),
-            diagnostics: false,
-            record_joint_from: 0,
-            record_peer_rates: false,
-        });
-        Self { engine }
+    /// [`System::new`]).
+    pub fn new(config: SimConfig) -> Self {
+        Self { engine: System::assemble(config, false) }
     }
 
     /// Unwraps the engine, e.g. to drive it through
@@ -275,9 +159,7 @@ mod tests {
     }
 
     fn standard(alloc: AllocationPolicy, seed: u64) -> MultiChannelSystem {
-        MultiChannelSystem::new(MultiChannelConfig::standard(
-            4, 400.0, 8, 2, 80, 1.0, alloc, seed,
-        ))
+        MultiChannelSystem::new(SimConfig::standard(4, 400.0, 8, 2, 80, 1.0, alloc, seed))
     }
 
     #[test]
@@ -312,7 +194,7 @@ mod tests {
 
     #[test]
     fn zipf_population_sums() {
-        let pop = MultiChannelConfig::zipf_population(5, 100, 1.0);
+        let pop = SimConfig::zipf_population(5, 100, 1.0);
         assert_eq!(pop.iter().sum::<usize>(), 100);
         assert!(pop[0] >= pop[4], "popularity should be rank-ordered: {pop:?}");
     }
@@ -345,9 +227,8 @@ mod tests {
         // allocation delivers more than the naive static split. The gap
         // widens with popularity skew, so use Zipf(1.5).
         let run = |alloc| {
-            let mut sys = MultiChannelSystem::new(MultiChannelConfig::standard(
-                4, 400.0, 8, 2, 80, 1.5, alloc, 3,
-            ));
+            let mut sys =
+                MultiChannelSystem::new(SimConfig::standard(4, 400.0, 8, 2, 80, 1.5, alloc, 3));
             sys.run(1500).welfare.tail_mean(300)
         };
         let tail_even = run(AllocationPolicy::EvenSplit);
@@ -376,16 +257,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "has viewers but no helper")]
     fn uncovered_channel_rejected() {
-        let mut config = MultiChannelConfig::standard(
-            3,
-            400.0,
-            2,
-            1,
-            30,
-            1.0,
-            AllocationPolicy::EvenSplit,
-            0,
-        );
+        let mut config =
+            SimConfig::standard(3, 400.0, 2, 1, 30, 1.0, AllocationPolicy::EvenSplit, 0);
         // Helpers serve channels 0 and 1 only; channel 2 has viewers.
         config.helper_channels = vec![vec![0], vec![1]];
         let _ = MultiChannelSystem::new(config);

@@ -40,7 +40,6 @@ pub struct Peer {
     channel: u32,
     joined_at: u64,
     total_rate: f64,
-    epochs_served: u64,
     epochs_online: u64,
     satisfied_epochs: u64,
     last_helper: Option<u32>,
@@ -63,7 +62,6 @@ impl Peer {
             channel: channel as u32,
             joined_at,
             total_rate: 0.0,
-            epochs_served: 0,
             epochs_online: 0,
             satisfied_epochs: 0,
             last_helper: None,
@@ -119,9 +117,6 @@ impl Peer {
         self.learner.observe(rate);
         self.total_rate += rate;
         self.epochs_online += 1;
-        if rate > 0.0 {
-            self.epochs_served += 1;
-        }
         if satisfied {
             self.satisfied_epochs += 1;
         }

@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn paper_small_shape() {
         let c = Scenario::paper_small().build();
-        assert_eq!(c.num_peers, 10);
+        assert_eq!(c.num_peers(), 10);
         assert_eq!(c.helpers.len(), 4);
         assert_eq!(c.demand, None);
     }
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn paper_large_shape() {
         let c = Scenario::paper_large().build();
-        assert_eq!(c.num_peers, 200);
+        assert_eq!(c.num_peers(), 200);
         assert_eq!(c.helpers.len(), 20);
     }
 

@@ -19,9 +19,11 @@
 //!
 //! A spec is read from TOML ([`ScenarioSpec::from_toml_str`],
 //! [`ScenarioSpec::load`]). The parse functions below are the grammar,
-//! and they build the configuration the run uses: a [`SimConfig`]
-//! (carrying the impairment plan) or a [`MultiChannelConfig`], once per
-//! load. Each key is checked where it is read; the checks that compare
+//! and they build the configuration the run uses, a [`SimConfig`], once
+//! per load: `[population]` lays out one channel (and carries the
+//! impairment plan), `[multichannel]` a [`SimConfig::standard`] deployment
+//! whose Zipf exponent the spec keeps for `channel_surf`. Each key is
+//! checked where it is read; the checks that compare
 //! keys (the learner against the helpers, a phase against the
 //! population) then read the built configuration. An unknown key, a
 //! missing one, or a value that would make a run panic or silently do
@@ -73,7 +75,7 @@ use rths_stoch::rng::{derive_seed, seeded_rng};
 use crate::config::{Algorithm, BandwidthSpec, LearnerSpec, SimConfig};
 use crate::impairment::{ImpairmentError, ImpairmentPlan};
 use crate::minitoml::{self, TomlError, Value};
-use crate::multichannel::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
+use crate::multichannel::{AllocationPolicy, MultiChannelSystem};
 use crate::system::System;
 use crate::workload::WorkloadPhase;
 
@@ -154,23 +156,6 @@ fn invalid(path: impl Into<String>, message: impl Into<String>) -> ScenarioError
 // Spec data model
 // ---------------------------------------------------------------------------
 
-/// The configuration a scenario's run is built from, as parsed.
-#[derive(Debug, Clone, PartialEq)]
-enum PopulationSpec {
-    /// One channel: [`System::new`] over this [`SimConfig`], which carries
-    /// the `[impairment]` plan.
-    Single(SimConfig),
-    /// Many channels: [`MultiChannelSystem::new`] over `config`; `zipf_s`
-    /// is the popularity exponent `channel_surf` samples destinations
-    /// with.
-    Multi {
-        /// [`MultiChannelConfig::standard`] of the `[multichannel]` keys.
-        config: MultiChannelConfig,
-        /// Zipf popularity exponent.
-        zipf_s: f64,
-    },
-}
-
 /// A complete, validated scenario description. See the [module
 /// docs](self) for the TOML schema.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +163,12 @@ pub struct ScenarioSpec {
     name: String,
     description: String,
     seed: u64,
-    population: PopulationSpec,
+    /// The run's configuration, as parsed.
+    config: SimConfig,
+    /// `[multichannel]`'s Zipf popularity exponent, which `channel_surf`
+    /// samples destinations with; `Some` runs [`MultiChannelSystem::new`],
+    /// `None` (a `[population]`) runs [`System::new`].
+    zipf_s: Option<f64>,
     phases: Vec<WorkloadPhase>,
     /// Enable `rths_obs` tracing for the duration of [`Self::run`]
     /// (bit-exact neutral — see the `rths_obs` determinism contract).
@@ -275,12 +265,11 @@ impl ScenarioSpec {
         if obs::enabled() {
             obs::begin_run(&self.name);
         }
-        let (mut system, zipf_s) = match &self.population {
+        let config = self.config.clone();
+        let (mut system, zipf_s) = match self.zipf_s {
+            Some(zipf_s) => (MultiChannelSystem::new(config).into_engine(), zipf_s),
             // No phase that reads `zipf_s` validates on a single population.
-            PopulationSpec::Single(config) => (System::new(config.clone()), 0.0),
-            PopulationSpec::Multi { config, zipf_s } => {
-                (MultiChannelSystem::new(config.clone()).into_engine(), *zipf_s)
-            }
+            None => (System::new(config), 0.0),
         };
         let mut surf_rng = seeded_rng(derive_seed(self.seed, SURF_STREAM));
         for phase in &self.phases {
@@ -303,11 +292,12 @@ impl ScenarioSpec {
 
     /// The checks that compare keys, on the built configuration.
     fn validate(&self) -> Result<(), ScenarioError> {
-        if let PopulationSpec::Single(config) = &self.population {
-            validate_learner(config)?;
+        let multichannel = self.zipf_s.is_some();
+        if !multichannel {
+            validate_learner(&self.config)?;
         }
         for (i, phase) in self.phases.iter().enumerate() {
-            validate_phase(phase, i, &self.population)?;
+            validate_phase(phase, i, &self.config, multichannel)?;
         }
         Ok(())
     }
@@ -365,58 +355,21 @@ fn validate_learner(config: &SimConfig) -> Result<(), ScenarioError> {
     Err(invalid(path, message))
 }
 
-/// Checks a phase against the configuration it runs on: its kind, the
-/// helpers and channels it names, and the arrival rate it multiplies.
+/// Checks a phase against the configuration it runs on (a
+/// `[multichannel]` one or not): its kind, the helpers and channels it
+/// names, and the arrival rate it multiplies.
 fn validate_phase(
     phase: &WorkloadPhase,
     index: usize,
-    population: &PopulationSpec,
+    config: &SimConfig,
+    multichannel: bool,
 ) -> Result<(), ScenarioError> {
     let at = |field: &str| format!("phase[{index}].{field}");
-    match population {
-        PopulationSpec::Single(config) => {
-            if phase.is_multichannel() {
-                return Err(invalid(
-                    at("kind"),
-                    "multi-channel phase in a single-channel scenario",
-                ));
-            }
-            let arrival = config.churn.arrival_rate();
-            match phase {
-                WorkloadPhase::FlashCrowd { .. } if arrival == 0.0 => {
-                    return Err(invalid(
-                        at("kind"),
-                        "a flash crowd multiplies the churn arrival rate, which is 0 here \
-                         (set [population.churn] arrival > 0)",
-                    ));
-                }
-                WorkloadPhase::FlashCrowd { surge, .. } => {
-                    let extra = arrival * (surge - 1.0);
-                    if extra > MAX_ARRIVALS {
-                        return Err(invalid(
-                            at("surge"),
-                            format!(
-                                "arrival × (surge − 1) = {extra:e} exceeds {ARRIVALS_BOUND}"
-                            ),
-                        ));
-                    }
-                }
-                WorkloadPhase::HelperFailure { helpers, .. } => {
-                    let total = config.helpers.len();
-                    if let Some(&bad) = helpers.iter().find(|&&h| h >= total) {
-                        return Err(invalid(
-                            at("helpers"),
-                            format!("helper index {bad} out of range (scenario has {total})"),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-        PopulationSpec::Multi { config, .. } => match phase {
+    if multichannel {
+        match phase {
             WorkloadPhase::Steady { .. } | WorkloadPhase::ChannelSurf { .. } => {}
             WorkloadPhase::PopularityShift { from, to, .. } => {
-                let channels = config.channels.len();
+                let channels = config.viewers.len();
                 for (key, channel) in [("from", from), ("to", to)] {
                     if *channel >= channels {
                         return Err(invalid(
@@ -432,7 +385,40 @@ fn validate_phase(
                     "only steady/popularity_shift/channel_surf run on a multi-channel scenario",
                 ));
             }
-        },
+        }
+        return Ok(());
+    }
+    if phase.is_multichannel() {
+        return Err(invalid(at("kind"), "multi-channel phase in a single-channel scenario"));
+    }
+    let arrival = config.churn.arrival_rate();
+    match phase {
+        WorkloadPhase::FlashCrowd { .. } if arrival == 0.0 => {
+            return Err(invalid(
+                at("kind"),
+                "a flash crowd multiplies the churn arrival rate, which is 0 here \
+                 (set [population.churn] arrival > 0)",
+            ));
+        }
+        WorkloadPhase::FlashCrowd { surge, .. } => {
+            let extra = arrival * (surge - 1.0);
+            if extra > MAX_ARRIVALS {
+                return Err(invalid(
+                    at("surge"),
+                    format!("arrival × (surge − 1) = {extra:e} exceeds {ARRIVALS_BOUND}"),
+                ));
+            }
+        }
+        WorkloadPhase::HelperFailure { helpers, .. } => {
+            let total = config.helpers.len();
+            if let Some(&bad) = helpers.iter().find(|&&h| h >= total) {
+                return Err(invalid(
+                    at("helpers"),
+                    format!("helper index {bad} out of range (scenario has {total})"),
+                ));
+            }
+        }
+        _ => {}
     }
     Ok(())
 }
@@ -623,16 +609,14 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         Some(v) => parse_impairment(as_tbl(v, "impairment")?)?,
         None => ImpairmentPlan::none(),
     };
-    let population = match (root.get("population"), root.get("multichannel")) {
+    let (config, zipf_s) = match (root.get("population"), root.get("multichannel")) {
         (Some(_), Some(_)) => {
             return Err(invalid(
                 "population",
                 "declare either [population] or [multichannel], not both",
             ));
         }
-        (Some(v), None) => {
-            PopulationSpec::Single(parse_single(as_tbl(v, "population")?, seed, impairment)?)
-        }
+        (Some(v), None) => (parse_single(as_tbl(v, "population")?, seed, impairment)?, None),
         (None, Some(v)) => {
             if !impairment.is_none() {
                 return Err(invalid(
@@ -641,7 +625,7 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
                 ));
             }
             let (config, zipf_s) = parse_multi(as_tbl(v, "multichannel")?, seed)?;
-            PopulationSpec::Multi { config, zipf_s }
+            (config, Some(zipf_s))
         }
         (None, None) => {
             return Err(invalid(
@@ -669,7 +653,7 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    Ok(ScenarioSpec { name, description, seed, population, phases, trace })
+    Ok(ScenarioSpec { name, description, seed, config, zipf_s, phases, trace })
 }
 
 fn parse_single(
@@ -812,9 +796,9 @@ fn parse_learner(tbl: &Tbl) -> Result<LearnerSpec, ScenarioError> {
     Ok(LearnerSpec { algorithm, epsilon, delta, mu, conditional })
 }
 
-/// The `[multichannel]` table: the [`MultiChannelConfig::standard`] it
-/// names, and its Zipf exponent.
-fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(MultiChannelConfig, f64), ScenarioError> {
+/// The `[multichannel]` table: the [`SimConfig::standard`] it names, and
+/// its Zipf exponent.
+fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(SimConfig, f64), ScenarioError> {
     let path = "multichannel";
     check_keys(
         tbl,
@@ -861,7 +845,7 @@ fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(MultiChannelConfig, f64), Scenar
     if !(zipf_s.is_finite() && zipf_s >= 0.0) {
         return Err(invalid("multichannel.zipf_s", "must be ≥ 0 and finite"));
     }
-    let config = MultiChannelConfig::standard(
+    let config = SimConfig::standard(
         channels,
         bitrate,
         helpers,
@@ -1068,10 +1052,8 @@ mod tests {
 
     /// The single-channel configuration `spec` runs.
     fn sim(spec: &ScenarioSpec) -> &SimConfig {
-        match &spec.population {
-            PopulationSpec::Single(config) => config,
-            other => panic!("expected a single-channel population, got {other:?}"),
-        }
+        assert_eq!(spec.zipf_s, None, "expected a single-channel population");
+        &spec.config
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1250,7 +1232,7 @@ mod tests {
         );
 
         let config = sim(&spec);
-        assert_eq!((config.num_peers, config.seed), (6, 17));
+        assert_eq!((&config.viewers[..], config.seed), (&[6][..], 17));
         assert_eq!(config.demand.map(f64::to_bits), Some(375.5f64.to_bits()));
         let helpers: Vec<_> = config.helpers.iter().map(bandwidth_bits).collect();
         assert_eq!(
@@ -1320,25 +1302,19 @@ mod tests {
                  from = 0\nto = 3\ncount = 5\n"
             ))
             .unwrap();
-            let PopulationSpec::Multi { config, zipf_s } = &spec.population else {
-                panic!("expected a multi-channel population");
-            };
+            let (config, zipf_s) =
+                (&spec.config, spec.zipf_s.expect("a multi-channel population"));
             assert_eq!(zipf_s.to_bits(), 1.1f64.to_bits());
-            let channels: Vec<_> =
-                config.channels.iter().map(|c| (c.id(), c.bitrate().to_bits())).collect();
-            assert_eq!(channels, (0..4).map(|c| (c, 350.5f64.to_bits())).collect::<Vec<_>>());
+            assert_eq!(config.demand.map(f64::to_bits), Some(350.5f64.to_bits()));
             // 8 helpers, each serving 2 consecutive channels (wrapping).
             assert_eq!(
                 config.helper_channels,
                 (0..8).map(|j| vec![j % 4, (j + 1) % 4]).collect::<Vec<_>>()
             );
-            assert_eq!(config.viewers, MultiChannelConfig::zipf_population(4, 60, 1.1));
+            assert_eq!(config.viewers, SimConfig::zipf_population(4, 60, 1.1));
             assert_eq!(config.viewers.iter().sum::<usize>(), 60);
             assert_eq!((config.allocation, config.seed), (allocation, 3), "{keyword}");
-            assert_eq!(
-                *config,
-                MultiChannelConfig::standard(4, 350.5, 8, 2, 60, 1.1, allocation, 3)
-            );
+            assert_eq!(*config, SimConfig::standard(4, 350.5, 8, 2, 60, 1.1, allocation, 3));
             assert_eq!(
                 spec.phases,
                 [

@@ -4,8 +4,8 @@
 //! column per field: stable `u64` ids, `u32` channel and helper indices,
 //! the per-entity RNG streams, the learners (for the slab-hosted
 //! algorithms a shared [`RthsConfig`] per channel + one slot of the
-//! store's [`LearnerSlab`] per peer, see `rths_core::slab`; for the others
-//! a column of self-contained learners), the accounting scalars, each
+//! store's [`LearnerSlab`] per peer, see `rths_core::slab`; for EXP3 a
+//! column of self-contained learners), the accounting scalars, each
 //! peer's link state under the run's impairment plan, and the
 //! stretch-folded true-regret ledger (see [`crate::regret`]) — so a
 //! million-peer population is a handful of large allocations with
@@ -38,7 +38,7 @@
 //! (`tests/churn_and_failures.rs` pins it).
 //!
 //! What a departure moves is scalars only: per relocated survivor, its row
-//! of the columns here (88 bytes, and its 88-byte link state when the plan
+//! of the columns here (80 bytes, and its 88-byte link state when the plan
 //! affects rates), six scalars of its learner slot and its ledger entry.
 //! T blocks follow the slot's block handle and are wiped for the next
 //! arrivals; strategy, estimate and folded-regret rows (and frequency
@@ -52,14 +52,14 @@
 use rand::rngs::StdRng;
 
 use rths_core::{
-    compact_column, for_each_survivor_run, Learner, LearnerSlab, RecencyMode, RthsConfig,
-    OBSERVE_BATCH,
+    compact_column, for_each_survivor_run, Exp3Config, Exp3Learner, Learner, LearnerSlab,
+    RecencyMode, RthsConfig, OBSERVE_BATCH,
 };
 use rths_obs::{self as obs, Counter, Gauge, ObsScratch, Phase};
 use rths_par::{par_sharded, ShardCols};
 use rths_stoch::rng::entity_rng;
 
-use crate::config::{AnyLearner, LearnerSpec};
+use crate::config::LearnerSpec;
 use crate::impairment::{ImpairmentPlan, LinkShaper};
 use crate::regret::{self, RegretLedger};
 
@@ -68,7 +68,7 @@ pub const NO_HELPER: u32 = u32::MAX;
 
 /// Bytes of one peer's row of the store's own columns: what a departure
 /// copies for each relocated survivor, before the learners and the ledger.
-const ROW_BYTES: usize = 2 * size_of::<u32>() + 6 * size_of::<u64>() + size_of::<StdRng>();
+const ROW_BYTES: usize = 2 * size_of::<u32>() + 5 * size_of::<u64>() + size_of::<StdRng>();
 
 /// [`compact_column`] for a column of values that are not `Copy`: each
 /// survivor is swapped down into place.
@@ -95,16 +95,16 @@ enum Learners {
     /// never move). The shared per-channel
     /// [`RthsConfig`] lives once on the store.
     Slab(LearnerSlab),
-    /// Any other algorithm: one self-contained learner per peer, in slot
-    /// order.
-    PerPeer(Vec<AnyLearner>),
+    /// EXP3, which keeps its state by value: one learner per peer, in
+    /// slot order, each started from its channel's entry of `configs`.
+    Exp3 { configs: Vec<Exp3Config>, learners: Vec<Exp3Learner> },
 }
 
 /// A shard's view of the learners for one phase: the slab columns the
 /// phase needs (`S`), or the matching range of the per-peer column.
 enum LearnerCols<'a, S> {
     Slab(S),
-    PerPeer(&'a mut [AnyLearner]),
+    Exp3(&'a mut [Exp3Learner]),
 }
 
 impl<S: ShardCols> ShardCols for LearnerCols<'_, S> {
@@ -114,9 +114,9 @@ impl<S: ShardCols> ShardCols for LearnerCols<'_, S> {
                 let (head, tail) = cols.shard_split(mid);
                 (LearnerCols::Slab(head), LearnerCols::Slab(tail))
             }
-            LearnerCols::PerPeer(learners) => {
+            LearnerCols::Exp3(learners) => {
                 let (head, tail) = learners.split_at_mut(mid);
-                (LearnerCols::PerPeer(head), LearnerCols::PerPeer(tail))
+                (LearnerCols::Exp3(head), LearnerCols::Exp3(tail))
             }
         }
     }
@@ -134,7 +134,7 @@ impl LearnerRef<'_> {
     pub fn probabilities(&self) -> &[f64] {
         match self.learners {
             Learners::Slab(slab) => slab.probabilities(self.slot),
-            Learners::PerPeer(learners) => learners[self.slot].probabilities(),
+            Learners::Exp3 { learners, .. } => learners[self.slot].probabilities(),
         }
     }
 
@@ -142,7 +142,7 @@ impl LearnerRef<'_> {
     pub fn stage(&self) -> u64 {
         match self.learners {
             Learners::Slab(slab) => slab.stage(self.slot),
-            Learners::PerPeer(learners) => learners[self.slot].stage(),
+            Learners::Exp3 { learners, .. } => learners[self.slot].stage(),
         }
     }
 }
@@ -183,8 +183,6 @@ pub fn absorb_obs(scratch: &mut [ShardScratch]) {
 #[derive(Debug)]
 pub struct PeerStore {
     seed: u64,
-    spec: LearnerSpec,
-    rate_scale: f64,
     /// Learner action count per channel (`max(1)`-floored, matching the
     /// engine's historical instantiation).
     actions: Vec<u32>,
@@ -210,7 +208,6 @@ pub struct PeerStore {
     // === index-aligned SoA columns ===
     ids: Vec<u64>,
     channels: Vec<u32>,
-    joined_at: Vec<u64>,
     rngs: Vec<StdRng>,
     total_rate: Vec<f64>,
     epochs_online: Vec<u64>,
@@ -231,7 +228,8 @@ impl PeerStore {
     ///
     /// # Panics
     ///
-    /// Panics if the learner spec is invalid or no channel is given.
+    /// Panics, naming the [`ConfigError`](rths_core::ConfigError), if the
+    /// learner spec is invalid; or if no channel is given.
     pub fn new(
         seed: u64,
         spec: LearnerSpec,
@@ -242,21 +240,19 @@ impl PeerStore {
         let actions: Vec<u32> = actions_per_channel.iter().map(|&m| m.max(1) as u32).collect();
         let configs: Vec<RthsConfig> = actions
             .iter()
-            .map(|&m| {
-                spec.rths_config(m as usize, rate_scale)
-                    .expect("learner spec validated by construction")
-            })
-            .collect();
+            .map(|&m| spec.rths_config(m as usize, rate_scale))
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("invalid learner spec: {e}"));
         let learners = if spec.algorithm.slab_hosted() {
             let stride = actions.iter().copied().max().unwrap_or(1) as usize;
             Learners::Slab(LearnerSlab::new(stride))
         } else {
-            Learners::PerPeer(Vec::new())
+            let configs =
+                actions.iter().map(|&m| spec.exp3_config(m as usize, rate_scale)).collect();
+            Learners::Exp3 { configs, learners: Vec::new() }
         };
         Self {
             seed,
-            spec,
-            rate_scale,
             actions,
             configs,
             regret: Some(RegretLedger::new(actions_per_channel)),
@@ -266,7 +262,6 @@ impl PeerStore {
             reuses_reported: 0,
             ids: Vec::new(),
             channels: Vec::new(),
-            joined_at: Vec::new(),
             rngs: Vec::new(),
             total_rate: Vec::new(),
             epochs_online: Vec::new(),
@@ -320,11 +315,10 @@ impl PeerStore {
     pub fn reserve(&mut self, additional: usize) {
         match &mut self.learners {
             Learners::Slab(slab) => slab.reserve(additional),
-            Learners::PerPeer(learners) => learners.reserve(additional),
+            Learners::Exp3 { learners, .. } => learners.reserve(additional),
         }
         self.ids.reserve(additional);
         self.channels.reserve(additional);
-        self.joined_at.reserve(additional);
         self.rngs.reserve(additional);
         self.total_rate.reserve(additional);
         self.epochs_online.reserve(additional);
@@ -351,27 +345,23 @@ impl PeerStore {
         self.shard_override = shards;
     }
 
-    /// Spawns a peer on `channel` at `epoch`, returning its stable id.
-    /// The peer's RNG stream is derived from `(seed, id)`, so it is
-    /// independent of slot position and churn history.
-    pub fn spawn(&mut self, channel: usize, epoch: u64) -> u64 {
+    /// A peer joins `channel`; returns its stable id. The peer's RNG
+    /// stream is derived from `(seed, id)`, so it is independent of slot
+    /// position and churn history.
+    pub fn join(&mut self, channel: usize) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let m = self.actions[channel] as usize;
         match &mut self.learners {
             Learners::Slab(slab) => {
-                let slab_slot = slab.alloc(m);
+                let slab_slot = slab.alloc(self.actions[channel] as usize);
                 debug_assert_eq!(slab_slot as usize, self.ids.len(), "slab slot misaligned");
             }
-            Learners::PerPeer(learners) => learners.push(
-                self.spec
-                    .instantiate(m, self.rate_scale)
-                    .expect("learner spec validated by construction"),
-            ),
+            Learners::Exp3 { configs, learners } => {
+                learners.push(Exp3Learner::new(configs[channel].clone()));
+            }
         }
         self.ids.push(id);
         self.channels.push(channel as u32);
-        self.joined_at.push(epoch);
         self.rngs.push(entity_rng(self.seed, id));
         self.total_rate.push(0.0);
         self.epochs_online.push(0);
@@ -385,6 +375,12 @@ impl PeerStore {
             regret.add_peer();
         }
         id
+    }
+
+    /// [`join`](Self::join); the store keeps no join epoch.
+    #[doc(hidden)]
+    pub fn spawn(&mut self, channel: usize, _epoch: u64) -> u64 {
+        self.join(channel) // benchmark shim (ROADMAP 23)
     }
 
     /// Removes the peers in `slots` (slot indices, any order, no
@@ -410,7 +406,6 @@ impl PeerStore {
 
         compact_column(&mut self.ids, slots);
         compact_column(&mut self.channels, slots);
-        compact_column(&mut self.joined_at, slots);
         compact_column(&mut self.total_rate, slots);
         compact_column(&mut self.epochs_online, slots);
         compact_column(&mut self.satisfied_epochs, slots);
@@ -431,9 +426,9 @@ impl PeerStore {
             // store slots; a slot's rows stay put behind its block and
             // row handles, and the departed blocks are wiped.
             Learners::Slab(slab) => slab.remove_slots(slots),
-            Learners::PerPeer(learners) => {
+            Learners::Exp3 { learners, .. } => {
                 compact_swapping(learners, slots);
-                (relocated * size_of::<AnyLearner>(), 0)
+                (relocated * size_of::<Exp3Learner>(), 0)
             }
         };
         moved += learner_bytes;
@@ -465,7 +460,7 @@ impl PeerStore {
         self.channels[slot] = channel as u32;
         match &mut self.learners {
             Learners::Slab(slab) => slab.reset_actions(slot, new_m),
-            Learners::PerPeer(learners) => learners[slot].reset_actions(new_m),
+            Learners::Exp3 { learners, .. } => learners[slot].reset_actions(new_m),
         }
         self.last_helper[slot] = NO_HELPER;
     }
@@ -529,7 +524,7 @@ impl PeerStore {
         let learners = match learners {
             // Sampling reads strategies only: no T views gathered.
             Learners::Slab(slab) => LearnerCols::Slab(slab.split_strategy()),
-            Learners::PerPeer(learners) => LearnerCols::PerPeer(learners),
+            Learners::Exp3 { learners, .. } => LearnerCols::Exp3(learners),
         };
         par_sharded(
             n,
@@ -548,7 +543,7 @@ impl PeerStore {
                 for i in 0..shard.len() {
                     let choice = match &mut learners {
                         LearnerCols::Slab(slab) => slab.select_action(i, &mut rngs[i]),
-                        LearnerCols::PerPeer(l) => l[i].select_action(&mut rngs[i]),
+                        LearnerCols::Exp3(l) => l[i].select_action(&mut rngs[i]),
                     } as u32;
                     if last[i] != NO_HELPER && last[i] != choice {
                         switches[i] += 1;
@@ -661,7 +656,7 @@ impl PeerStore {
                 }
                 LearnerCols::Slab(slab.split())
             }
-            Learners::PerPeer(learners) => LearnerCols::PerPeer(learners),
+            Learners::Exp3 { learners, .. } => LearnerCols::Exp3(learners),
         };
         // One global prefix update for the whole population, then the
         // per-peer record is O(1) amortized (an O(m) row write only when
@@ -719,7 +714,7 @@ impl PeerStore {
                         LearnerCols::Slab(slab) => {
                             slab.observe(i, config, rate, &mut Vec::new())
                         }
-                        LearnerCols::PerPeer(l) => {
+                        LearnerCols::Exp3(l) => {
                             l[i].observe(rate);
                             false
                         }
@@ -752,7 +747,7 @@ impl PeerStore {
                             LearnerCols::Slab(slab) => {
                                 slab.max_regret(i, config, &mut Vec::new())
                             }
-                            LearnerCols::PerPeer(l) => l[i].max_regret(),
+                            LearnerCols::Exp3(l) => l[i].max_regret(),
                         };
                         s.worst_estimate = s.worst_estimate.max(estimate);
                     }
@@ -837,7 +832,7 @@ impl PeerStore {
         self.ids[slot]
     }
 
-    /// Slot of the peer with `id`, if online. Ids are monotone at spawn
+    /// Slot of the peer with `id`, if online. Ids are monotone at join
     /// and removal is order-preserving, so the column is always sorted —
     /// this is a binary search.
     pub fn slot_of(&self, id: u64) -> Option<usize> {
@@ -853,11 +848,6 @@ impl PeerStore {
     /// Channel of the peer in `slot`.
     pub fn channel(&self, slot: usize) -> usize {
         self.channels[slot] as usize
-    }
-
-    /// Epoch the peer in `slot` joined.
-    pub fn joined_at(&self, slot: usize) -> u64 {
-        self.joined_at[slot]
     }
 
     /// Lifetime mean received rate of the peer in `slot` (kbps).
@@ -941,12 +931,11 @@ mod tests {
     fn spawn_assigns_monotone_ids_and_fresh_state() {
         let mut s = store(&[3]);
         assert!(s.is_empty());
-        let a = s.spawn(0, 0);
-        let b = s.spawn(0, 5);
+        let a = s.join(0);
+        let b = s.join(0);
         assert_eq!((a, b), (0, 1));
         assert_eq!(s.len(), 2);
         assert_eq!(s.ids(), &[0, 1]);
-        assert_eq!(s.joined_at(1), 5);
         assert_eq!(s.mean_rate(0), 0.0);
         assert_eq!(s.continuity(0), 1.0);
         assert_eq!(s.switches(0), 0);
@@ -957,7 +946,7 @@ mod tests {
     fn remove_slots_preserves_survivor_order_and_identity() {
         let mut s = store(&[2]);
         for _ in 0..6 {
-            s.spawn(0, 0);
+            s.join(0);
         }
         let mut slots = vec![4u32, 1, 2];
         s.remove_slots(&mut slots);
@@ -966,7 +955,7 @@ mod tests {
         assert_eq!(s.slot_of(3), Some(1));
         assert_eq!(s.slot_of(4), None);
         // Spawning after churn continues the id sequence (never reuses).
-        let next = s.spawn(0, 9);
+        let next = s.join(0);
         assert_eq!(next, 6);
     }
 
@@ -974,7 +963,7 @@ mod tests {
     #[should_panic(expected = "slot out of range")]
     fn remove_slots_rejects_bad_slot() {
         let mut s = store(&[2]);
-        s.spawn(0, 0);
+        s.join(0);
         s.remove_slots(&mut [3]);
     }
 
@@ -982,15 +971,15 @@ mod tests {
     #[should_panic(expected = "duplicate slot")]
     fn remove_slots_rejects_duplicates() {
         let mut s = store(&[2]);
-        s.spawn(0, 0);
-        s.spawn(0, 0);
+        s.join(0);
+        s.join(0);
         s.remove_slots(&mut [1, 1]);
     }
 
     #[test]
     fn set_channel_resets_learner_lazily_keeps_same_arity_regret() {
         let mut s = store(&[2, 2, 4]);
-        s.spawn(0, 0);
+        s.join(0);
         // Record one epoch of regret on channel 0 by driving the phases.
         let mut profile = vec![0u32; 1];
         let mut aux = vec![0u32; 1];
@@ -1058,7 +1047,7 @@ mod tests {
         let twin = || {
             let mut s = store(&[3]).with_impairment(plan.clone());
             for _ in 0..12 {
-                s.spawn(0, 0);
+                s.join(0);
             }
             s
         };
@@ -1074,11 +1063,11 @@ mod tests {
                 churned.remove_slots(&mut [9, 1, 4, 5]);
             }
             if epoch == 20 || epoch == 30 {
-                let id = churned.spawn(0, epoch);
-                assert_eq!(whole.spawn(0, epoch), id);
+                let id = churned.join(0);
+                assert_eq!(whole.join(0), id);
                 let new = format!("{:?}", LinkShaper::new());
                 assert_eq!(format!("{:?}", churned.links.last().unwrap()), new, "peer {id}");
-                fresh.push((id, LinkShaper::new()));
+                fresh.push((id, epoch, LinkShaper::new()));
             }
             let mut shaped = [Vec::new(), Vec::new()];
             let mut lost = [Vec::new(), Vec::new()];
@@ -1098,12 +1087,12 @@ mod tests {
                 assert_eq!(lost[0][slot], lost[1][id as usize], "{at}: loss");
                 assert_eq!(shaped[0][slot].to_bits(), shaped[1][id as usize].to_bits(), "{at}");
             }
-            for (id, reference) in &mut fresh {
+            for (id, joined, reference) in &mut fresh {
                 let (slot, h) = (churned.slot_of(*id).unwrap(), helper(*id, epoch) as usize);
                 let offered = if lost[0][slot] { 0.0 } else { offer(*id, epoch) };
                 let want = reference.shape(&plan, *id, h, epoch, offered);
                 assert_eq!(shaped[0][slot].to_bits(), want.to_bits(), "epoch {epoch}, {id}");
-                if churned.joined_at(slot) == epoch {
+                if *joined == epoch {
                     let full = 1000.0 - shaped[0][slot];
                     assert_eq!(churned.links[slot].tokens(), full, "arrival {id}'s bucket");
                 }
@@ -1119,7 +1108,7 @@ mod tests {
         let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
         for plan in [ImpairmentPlan::none(), delays.with_jitter(5)] {
             let mut s = store(&[2]).with_impairment(plan);
-            s.spawn(0, 0);
+            s.join(0);
             let mut shaped = Vec::new();
             assert!(!s.shape_phase(&[1], 0, &mut shaped, |_, _, _| 7.0));
             assert!(shaped.is_empty() && s.links.is_empty() && !s.is_lost(0, 1, 0));
@@ -1132,7 +1121,7 @@ mod tests {
     /// `worst_empirical` must be every epoch, `to_bits`, the largest
     /// `DenseRegret::record` over the population, and every peer's
     /// `empirical_regret` its `peer_max` — after the epoch and again
-    /// after the departures (`remove_slots`), arrivals (`spawn`) and
+    /// after the departures (`remove_slots`), arrivals (`join`) and
     /// channel migrations (`set_channel`) between epochs. Rates and join
     /// rates are integral, where the stretch fold is exact.
     #[test]
@@ -1145,7 +1134,7 @@ mod tests {
             s.set_shards(Some(shards));
             let mut dense = DenseRegret::new(&ARITIES);
             for p in 0..30 {
-                s.spawn(p % 3, 0);
+                s.join(p % 3);
                 dense.add_peer();
             }
             let mut draw = {
@@ -1206,7 +1195,7 @@ mod tests {
                     }
                     1 => {
                         for _ in 0..2 {
-                            s.spawn(draw(3), epoch);
+                            s.join(draw(3));
                             dense.add_peer();
                         }
                     }
@@ -1239,7 +1228,7 @@ mod tests {
         let spec = LearnerSpec { algorithm, ..LearnerSpec::default() };
         let mut s = PeerStore::new(7, spec, 400.0, &[actions]);
         for _ in 0..40 {
-            s.spawn(0, 0);
+            s.join(0);
         }
         s.set_shards(Some(shards));
         let (mut profile, mut aux, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
@@ -1254,7 +1243,7 @@ mod tests {
                 gone.dedup();
                 s.remove_slots(&mut gone);
                 for _ in 0..epoch % 7 {
-                    s.spawn(0, u64::from(epoch));
+                    s.join(0);
                 }
             }
             profile.resize(s.len(), 0);

@@ -3,13 +3,12 @@
 //! The paper's system is multi-channel — helpers balance their upload
 //! bandwidth across channel overlays while every viewer picks a helper of
 //! *its* channel — and a lone channel is the K = 1 special case. So there
-//! is one engine, [`System`], with two constructors: [`System::new`]
-//! builds the K = 1 topology from a [`SimConfig`], and
-//! [`MultiChannelSystem::new`](crate::MultiChannelSystem::new) builds K
-//! channels from a [`MultiChannelConfig`](crate::MultiChannelConfig) and
-//! adds a per-channel outcome view. Both hand a `Blueprint` to the one
-//! instantiation path (`System::assemble`) and step the one
-//! [`System::step_epoch`].
+//! is one run configuration, [`SimConfig`], over K channels, and one
+//! engine, [`System`], with two constructors: [`System::new`] and
+//! [`MultiChannelSystem::new`](crate::MultiChannelSystem::new), which adds
+//! a per-channel outcome view and leaves the diagnostics only
+//! [`Outcome`] reports off. Both hand the config to the one instantiation
+//! path (`System::assemble`) and step the one [`System::step_epoch`].
 //!
 //! The epoch's metric half — join rates, welfare, the server's
 //! settlement, fairness, switches, helper loads — is [`EpochMetrics`],
@@ -24,7 +23,7 @@
 //! | phase | `System` | reactor peer shard | reactor helper actor | reactor coordinator |
 //! |---|---|---|---|---|
 //! | helper dynamics | [`Helper::step`], every helper | — | `Helper::step` | — |
-//! | churn | churn draw, [`PeerStore::remove_slots`], [`PeerStore::spawn`] | — | — | — (fixed population) |
+//! | churn | churn draw, [`PeerStore::remove_slots`], [`PeerStore::join`] | — | — | — (fixed population) |
 //! | choose | [`PeerStore::choose_phase`], routed into per-(helper, channel) loads | `choose_phase`, routed as one `Request` per peer | counts the requests | — |
 //! | allocate | [`helper::allocate`] per helper, then [`EpochMetrics::allocation`] | — | `helper::allocate` on its one channel | `EpochMetrics::allocation` |
 //! | shape | [`PeerStore::shape_phase`] | [`PeerStore::is_lost`] at `Request`, `shape_phase` once every rate is in | — | — |
@@ -39,13 +38,11 @@
 
 use rand::rngs::StdRng;
 use rths_obs::{self as obs, Phase};
-use rths_stoch::process::ChurnProcess;
 use rths_stoch::rng::seeded_rng;
 
-use crate::config::{BandwidthSpec, LearnerSpec, SimConfig};
+use crate::config::SimConfig;
 use crate::epoch_metrics::{cap_to_demand, EpochMetrics};
 use crate::helper::{self, Helper};
-use crate::impairment::ImpairmentPlan;
 use crate::metrics::SimMetrics;
 use crate::multichannel::AllocationPolicy;
 use crate::store::{self, PeerStore, ShardScratch};
@@ -70,39 +67,6 @@ pub struct Outcome {
     /// [`joint`](Self::joint)); outer index = peer, inner = epoch. Feed to
     /// [`crate::playback::PlaybackBuffer`] for QoE analysis.
     pub peer_rate_series: Option<Vec<Vec<f64>>>,
-}
-
-/// What a constructor hands to [`System::assemble`], and the engine keeps:
-/// the topology and the behaviours the public configuration switches on.
-/// Crate private — none of it is a knob beyond what [`SimConfig`] and
-/// [`MultiChannelConfig`](crate::MultiChannelConfig) already expose.
-pub(crate) struct Blueprint {
-    pub seed: u64,
-    /// One bandwidth process per helper.
-    pub helpers: Vec<BandwidthSpec>,
-    /// `helper_channels[j]` — channels helper `j` serves.
-    pub helper_channels: Vec<Vec<usize>>,
-    /// Per-viewer demand of each channel (kbps); `None` = uncapped.
-    pub demands: Vec<Option<f64>>,
-    /// Initial viewers per channel.
-    pub viewers: Vec<usize>,
-    /// How a helper splits its capacity over the channels it serves.
-    pub allocation: AllocationPolicy,
-    pub learner: LearnerSpec,
-    /// The typical per-peer rate that calibrates the learners' `μ`.
-    pub rate_scale: f64,
-    pub churn: ChurnProcess,
-    /// The link impairments, which `assemble` hands to the peer store.
-    pub impairment: ImpairmentPlan,
-    /// Record what only [`Outcome`] reports: the joint action
-    /// distribution (churn-free runs) and the learners' internal regret
-    /// estimate — `m` more scalars and an `O(m)` read per peer per epoch
-    /// that the per-channel
-    /// [`MultiChannelOutcome`](crate::MultiChannelOutcome) view never
-    /// shows.
-    pub diagnostics: bool,
-    pub record_joint_from: u64,
-    pub record_peer_rates: bool,
 }
 
 /// Reusable per-epoch buffers, hoisted out of [`System::step_epoch`] so
@@ -145,7 +109,17 @@ struct EpochScratch {
 /// The helper-assisted streaming system over K channels (K = 1 when built
 /// by [`System::new`]). See the [module docs](self).
 pub struct System {
-    plan: Blueprint,
+    /// The run's configuration, less its impairment plan, which the peer
+    /// store holds.
+    config: SimConfig,
+    /// Record what only [`Outcome`] reports: the joint action
+    /// distribution (churn-free runs) and the learners' internal regret
+    /// estimate — `m` more scalars and an `O(m)` read per peer per epoch
+    /// that the per-channel
+    /// [`MultiChannelOutcome`](crate::MultiChannelOutcome) view never
+    /// shows. On for [`System::new`], off for
+    /// [`MultiChannelSystem::new`](crate::MultiChannelSystem::new).
+    diagnostics: bool,
     helpers: Vec<Helper>,
     peers: PeerStore,
     /// The metric half of every epoch, and the channel → helpers layout
@@ -170,79 +144,84 @@ impl std::fmt::Debug for System {
 }
 
 impl System {
-    /// Builds the single-channel system — the K = 1 configuration of the
-    /// engine: every helper serves channel 0 and gives it its whole
-    /// capacity (the even split over one channel, `cap / 1`), all peers
-    /// watch it, and `config.demand` is the channel's per-viewer demand.
-    /// Everything is seeded deterministically from `config.seed`.
-    pub fn new(config: SimConfig) -> Self {
-        let rate_scale = config.rate_scale();
-        let num_helpers = config.helpers.len();
-        Self::assemble(Blueprint {
-            seed: config.seed,
-            helpers: config.helpers,
-            helper_channels: vec![vec![0]; num_helpers],
-            demands: vec![config.demand],
-            viewers: vec![config.num_peers],
-            allocation: AllocationPolicy::EvenSplit,
-            learner: config.learner,
-            rate_scale,
-            churn: config.churn,
-            impairment: config.impairment,
-            diagnostics: true,
-            record_joint_from: config.record_joint_from,
-            record_peer_rates: config.record_peer_rates,
-        })
-    }
-
-    /// The one instantiation path: helper bandwidth processes (drawing
-    /// their initial states from the master stream in helper order), the
-    /// channel → helpers map, the peer store with one learner action set
-    /// per channel, and the initial population channel by channel.
+    /// Builds the system `config` describes, with the diagnostics that
+    /// only [`Outcome`] reports on. Everything is seeded deterministically
+    /// from `config.seed`.
     ///
     /// # Panics
     ///
-    /// Panics if an uncapped channel meets
-    /// [`AllocationPolicy::WaterFilling`], which splits by demand.
-    pub(crate) fn assemble(mut plan: Blueprint) -> Self {
-        assert!(
-            plan.allocation != AllocationPolicy::WaterFilling
-                || plan.demands.iter().all(Option::is_some),
-            "water-filling needs a finite demand on every channel"
+    /// Panics if the layout is inconsistent (no channel, a helper without
+    /// a channel set, serving none, an unknown one or one twice, a
+    /// channel with viewers but no helper), if an uncapped run meets
+    /// [`AllocationPolicy::WaterFilling`], which splits by demand, or if
+    /// the learner spec is invalid.
+    pub fn new(config: SimConfig) -> Self {
+        Self::assemble(config, true)
+    }
+
+    /// The one instantiation path, for both constructors: the checks
+    /// [`System::new`] lists, then helper bandwidth processes (drawing
+    /// their initial states from the master stream in helper order), the
+    /// channel → helpers map, the peer store with one learner action set
+    /// per channel, and the initial population channel by channel.
+    pub(crate) fn assemble(mut config: SimConfig, diagnostics: bool) -> Self {
+        let k = config.viewers.len();
+        assert!(k > 0, "need at least one channel");
+        assert_eq!(config.num_peers, config.num_peers(), "num_peers must sum the viewers");
+        assert_eq!(
+            config.helpers.len(),
+            config.helper_channels.len(),
+            "one channel set per helper"
         );
-        let mut master_rng = seeded_rng(plan.seed);
-        let helpers = helper::instantiate(&plan.helpers, plan.seed, &mut master_rng);
-        let mut channel_helpers = vec![Vec::new(); plan.demands.len()];
-        for (j, served) in plan.helper_channels.iter().enumerate() {
+        let mut channel_helpers = vec![Vec::new(); k];
+        for (j, served) in config.helper_channels.iter().enumerate() {
+            assert!(!served.is_empty(), "helper {j} serves no channels");
+            assert!(served.iter().all(|&c| c < k), "helper {j} serves an unknown channel");
             for &c in served {
+                // Helpers are pushed in order, so a repeat is the last entry.
+                assert!(channel_helpers[c].last() != Some(&j), "helper {j} serves {c} twice");
                 channel_helpers[c].push(j);
             }
         }
+        for (c, &v) in config.viewers.iter().enumerate() {
+            assert!(
+                v == 0 || !channel_helpers[c].is_empty(),
+                "channel {c} has viewers but no helper"
+            );
+        }
+        assert!(
+            config.allocation != AllocationPolicy::WaterFilling || config.demand.is_some(),
+            "water-filling needs a per-viewer demand"
+        );
+        let mut master_rng = seeded_rng(config.seed);
+        let helpers = helper::instantiate(&config.helpers, config.seed, &mut master_rng);
         let actions_per_channel: Vec<usize> = channel_helpers.iter().map(Vec::len).collect();
         let mut peers = PeerStore::new(
-            plan.seed,
-            plan.learner.clone(),
-            plan.rate_scale,
+            config.seed,
+            config.learner.clone(),
+            config.rate_scale(),
             &actions_per_channel,
         )
-        .with_impairment(std::mem::take(&mut plan.impairment));
-        peers.reserve(plan.viewers.iter().sum());
-        for (c, &count) in plan.viewers.iter().enumerate() {
+        .with_impairment(std::mem::take(&mut config.impairment));
+        peers.reserve(config.num_peers());
+        for (c, &count) in config.viewers.iter().enumerate() {
             for _ in 0..count {
-                peers.spawn(c, 0);
+                peers.join(c);
             }
         }
-        let churn_free = plan.churn.arrival_rate() == 0.0 && plan.churn.departure_prob() == 0.0;
-        let track_joint = plan.diagnostics && churn_free;
-        let track_rates = churn_free && plan.record_peer_rates;
+        let churn = &config.churn;
+        let churn_free = churn.arrival_rate() == 0.0 && churn.departure_prob() == 0.0;
+        let track_joint = diagnostics && churn_free;
+        let track_rates = churn_free && config.record_peer_rates;
         Self {
             metrics: EpochMetrics::new(
                 helpers.len(),
                 helpers.iter().map(Helper::min_capacity).sum(),
-                plan.demands.clone(),
+                vec![config.demand; k],
                 channel_helpers,
             ),
-            plan,
+            config,
+            diagnostics,
             joint: track_joint.then(JointDistribution::new),
             peer_rate_series: track_rates.then(|| vec![Vec::new(); peers.len()]),
             helpers,
@@ -316,18 +295,16 @@ impl System {
     /// The configured baseline churn arrival rate (used by workload
     /// generators to scale surges).
     pub fn config_arrival_rate(&self) -> f64 {
-        self.plan.churn.arrival_rate()
+        self.config.churn.arrival_rate()
     }
 
     /// Adds `Poisson(lambda)` extra peers immediately (flash-crowd /
     /// diurnal workload injection, on top of the configured churn).
-    /// Arrivals — these and the churn process's — join channel 0: churn
-    /// and surges are configured through [`SimConfig`] only, where it is
-    /// the one channel.
+    /// Arrivals — these and the churn process's — join channel 0.
     pub fn inject_arrivals(&mut self, lambda: f64) {
         let extra = rths_stoch::process::sample_poisson(&mut self.master_rng, lambda);
         for _ in 0..extra {
-            self.peers.spawn(0, self.epoch);
+            self.peers.join(0);
         }
         if extra > 0 {
             self.players_changed();
@@ -436,7 +413,7 @@ impl System {
     /// unchanged), then removed in one order-preserving compaction:
     /// survivors keep their slot order, identity and link state.
     fn churn(&mut self) {
-        let events = self.plan.churn.sample_epoch(&mut self.master_rng, self.peers.len());
+        let events = self.config.churn.sample_epoch(&mut self.master_rng, self.peers.len());
         if events.departures > 0 {
             let EpochScratch { alive, removing, .. } = &mut self.scratch;
             alive.clear();
@@ -449,7 +426,7 @@ impl System {
             self.peers.remove_slots(removing);
         }
         for _ in 0..events.arrivals {
-            self.peers.spawn(0, self.epoch);
+            self.peers.join(0);
         }
     }
 
@@ -488,7 +465,8 @@ impl System {
     /// evaluation serves every viewer of a channel).
     fn allocate(&mut self) {
         let (h, k) = (self.helpers.len(), self.num_channels());
-        let Blueprint { demands, helper_channels, allocation, .. } = &self.plan;
+        let SimConfig { helper_channels, allocation, .. } = &self.config;
+        let demands = self.metrics.demands();
         let EpochScratch { loads, bandwidth, shares, .. } = &mut self.scratch;
         bandwidth.clear();
         bandwidth.resize(h * k, 0.0);
@@ -530,7 +508,7 @@ impl System {
     /// empirical regret)`.
     fn observe(&mut self, shaped: bool) -> (f64, f64) {
         let (n, k) = (self.peers.len(), self.num_channels());
-        let demands = &self.plan.demands;
+        let demand = self.config.demand;
         let EpochScratch {
             profile, globals, shares, delivered, shards, shaped: column, ..
         } = &mut self.scratch;
@@ -543,14 +521,14 @@ impl System {
             join_offsets,
             join_rates,
             shards,
-            self.plan.diagnostics,
+            self.diagnostics,
             move |slot, _, c| {
                 let c = c as usize;
                 let rate = match shaped {
                     Some(s) => s[slot],
                     None => shares[globals[slot] as usize * k + c],
                 };
-                cap_to_demand(rate, demands[c])
+                cap_to_demand(rate, demand)
             },
         );
         if obs::enabled() {
@@ -574,10 +552,10 @@ impl System {
     /// Records the epoch's regret maxima and switches, and the joint
     /// action distribution.
     fn record(&mut self, (worst_est, worst_emp): (f64, f64)) {
-        let estimate = self.plan.diagnostics.then_some(worst_est);
+        let estimate = self.diagnostics.then_some(worst_est);
         self.metrics.record(worst_emp, estimate, self.peers.new_switches());
         if let Some(joint) = &mut self.joint {
-            if self.epoch >= self.plan.record_joint_from {
+            if self.epoch >= self.config.record_joint_from {
                 let EpochScratch { profile, profile_usize, .. } = &mut self.scratch;
                 profile_usize.clear();
                 profile_usize.extend(profile.iter().map(|&a| a as usize));
@@ -605,7 +583,8 @@ impl System {
 mod tests {
     use super::*;
     use crate::config::{BandwidthSpec, SimConfig};
-    use crate::multichannel::{MultiChannelConfig, MultiChannelSystem};
+    use crate::impairment::ImpairmentPlan;
+    use crate::multichannel::MultiChannelSystem;
     use rths_stoch::process::ChurnProcess;
 
     fn small_config(seed: u64) -> SimConfig {
@@ -706,8 +685,7 @@ mod tests {
                     AllocationPolicy::WaterFilling,
                 ] {
                     for seed in 0..8 {
-                        let config =
-                            MultiChannelConfig::standard(3, 400.0, 4, 2, 36, 1.0, policy, seed);
+                        let config = SimConfig::standard(3, 400.0, 4, 2, 36, 1.0, policy, seed);
                         let delta = config.learner.delta;
                         let mut sys = MultiChannelSystem::new(config).into_engine();
                         for epoch in 0..30 {
@@ -901,6 +879,31 @@ mod tests {
         let early = rths_math::stats::mean(&series.values()[20..120]);
         let late = series.tail_mean(300);
         assert!(late < early * 0.6, "no decay: early {early}, late {late}");
+    }
+
+    /// A helper that lists a channel twice would split its capacity over
+    /// both entries and hand out half of it, and its viewers would learn
+    /// over it as two helpers.
+    #[test]
+    #[should_panic(expected = "helper 0 serves 0 twice")]
+    fn a_channel_served_twice_is_refused() {
+        let mut config = small_config(1);
+        config.helper_channels[0] = vec![0, 0];
+        let _ = System::new(config);
+    }
+
+    /// The peer store refuses an invalid learner spec at construction,
+    /// naming the field.
+    #[test]
+    #[should_panic(expected = "epsilon must be in (0, 1]")]
+    fn invalid_learner_spec_names_its_field() {
+        let config = SimConfig::builder(4, vec![BandwidthSpec::Paper { stay: 0.98 }; 2])
+            .learner(crate::config::LearnerSpec {
+                epsilon: 0.0,
+                ..crate::config::LearnerSpec::default()
+            })
+            .build();
+        let _ = System::new(config);
     }
 
     #[test]

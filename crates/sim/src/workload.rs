@@ -213,7 +213,7 @@ impl WorkloadPhase {
 mod tests {
     use super::*;
     use crate::config::{BandwidthSpec, SimConfig};
-    use crate::multichannel::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
+    use crate::multichannel::{AllocationPolicy, MultiChannelSystem};
     use rths_stoch::process::ChurnProcess;
     use rths_stoch::rng::seeded_rng;
 
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn popularity_shift_rebalances_channels() {
-        let mut sys = MultiChannelSystem::new(MultiChannelConfig::standard(
+        let mut sys = MultiChannelSystem::new(SimConfig::standard(
             3,
             400.0,
             6,
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn channel_surf_phase_keeps_serving() {
-        let mut sys = MultiChannelSystem::new(MultiChannelConfig::standard(
+        let mut sys = MultiChannelSystem::new(SimConfig::standard(
             3,
             400.0,
             6,

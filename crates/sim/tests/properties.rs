@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use rths_sim::helper::allocate;
 use rths_sim::{
-    AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelConfig, MultiChannelSystem,
-    SimConfig, System,
+    AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelSystem, SimConfig, System,
 };
 use rths_stoch::process::ChurnProcess;
 
@@ -109,7 +108,7 @@ proptest! {
         k in 2usize..5,
         viewers in 10usize..60,
     ) {
-        let mut sys = MultiChannelSystem::new(MultiChannelConfig::standard(
+        let mut sys = MultiChannelSystem::new(SimConfig::standard(
             k, 400.0, k + 2, 2, viewers, 1.0, AllocationPolicy::WaterFilling, seed,
         ));
         let out = sys.run(40);

@@ -8,7 +8,7 @@
 use rths_suite::prelude::*;
 
 fn run(policy: AllocationPolicy) -> rths_sim::multichannel::MultiChannelOutcome {
-    let config = MultiChannelConfig::standard(
+    let config = SimConfig::standard(
         /* channels */ 4, /* bitrate  */ 400.0, /* helpers  */ 8,
         /* channels per helper */ 2, /* viewers  */ 80, /* zipf s   */ 1.5,
         policy, /* seed */ 5,
@@ -44,7 +44,7 @@ fn main() {
     let out = run(AllocationPolicy::WaterFilling);
     println!("\nper-channel detail (water filling):");
     println!("{:<9} {:>9} {:>12} {:>11}", "channel", "viewers", "delivered", "continuity");
-    let viewers = MultiChannelConfig::zipf_population(4, 80, 1.5);
+    let viewers = SimConfig::zipf_population(4, 80, 1.5);
     for (c, &v) in viewers.iter().enumerate() {
         println!(
             "{c:<9} {v:>9} {:>10.0}k {:>11.2}",

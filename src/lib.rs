@@ -64,8 +64,8 @@ pub mod prelude {
     pub use rths_oracle::{HelperSelectionGame, MdpBenchmark};
     pub use rths_sim::{
         Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, JointDistribution,
-        LearnerSpec, MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig,
-        System, WorkloadPhase,
+        LearnerSpec, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,
+        WorkloadPhase,
     };
 }
 

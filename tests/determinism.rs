@@ -11,8 +11,7 @@
 
 use rths_net::NetConfig;
 use rths_sim::{
-    AllocationPolicy, BandwidthSpec, MultiChannelConfig, MultiChannelSystem, Scenario,
-    SimConfig, System,
+    AllocationPolicy, BandwidthSpec, MultiChannelSystem, Scenario, SimConfig, System,
 };
 
 #[test]
@@ -60,16 +59,8 @@ fn net_runtime_is_deterministic_per_epoch() {
 #[test]
 fn multichannel_engine_is_deterministic_per_epoch() {
     let run = || {
-        let config = MultiChannelConfig::standard(
-            4,
-            400.0,
-            6,
-            2,
-            30,
-            1.0,
-            AllocationPolicy::WaterFilling,
-            13,
-        );
+        let config =
+            SimConfig::standard(4, 400.0, 6, 2, 30, 1.0, AllocationPolicy::WaterFilling, 13);
         MultiChannelSystem::new(config).run(25)
     };
     let (a, b) = (run(), run());

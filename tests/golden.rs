@@ -10,7 +10,7 @@
 use rths_net::NetConfig;
 use rths_sim::{
     Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
-    MultiChannelConfig, MultiChannelSystem, Scenario, SimConfig, SimMetrics, System,
+    MultiChannelSystem, Scenario, SimConfig, SimMetrics, System,
 };
 use rths_stoch::process::ChurnProcess;
 
@@ -66,9 +66,8 @@ fn golden_fingerprint_is_stable_across_runs() {
 /// viewers migrate from channel 0 to channel 3, 120 more — exercising the
 /// `set_channel` / regret-ledger migration path.
 fn multichannel_signature(policy: AllocationPolicy) -> [u64; 3] {
-    let mut system = MultiChannelSystem::new(MultiChannelConfig::standard(
-        4, 400.0, 8, 2, 80, 1.2, policy, 42,
-    ));
+    let mut system =
+        MultiChannelSystem::new(SimConfig::standard(4, 400.0, 8, 2, 80, 1.2, policy, 42));
     let _ = system.run(120);
     system.migrate_viewers(0, 3, 5);
     let out = system.run(120);
@@ -201,7 +200,7 @@ fn golden_every_metric_series() {
     let out = system.run(60);
     let k1 = fold_metrics(&out.metrics, system.channel_rate_sums());
 
-    let mut system = MultiChannelSystem::new(MultiChannelConfig::standard(
+    let mut system = MultiChannelSystem::new(SimConfig::standard(
         4,
         400.0,
         8,

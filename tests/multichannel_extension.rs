@@ -1,12 +1,12 @@
 //! Tests of the multi-channel future-work extension.
 
-use rths_sim::{AllocationPolicy, MultiChannelConfig, MultiChannelSystem};
+use rths_sim::{AllocationPolicy, MultiChannelSystem, SimConfig};
 
 /// A *provisioned* instance: 24 viewers × 300 kbps = 7200 kbps demand
 /// against 12 helpers × ~800 kbps ≈ 9600 kbps supply, so full continuity
 /// is achievable and continuity assertions are meaningful.
 fn standard(alloc: AllocationPolicy, seed: u64) -> MultiChannelSystem {
-    MultiChannelSystem::new(MultiChannelConfig::standard(4, 300.0, 12, 2, 24, 1.0, alloc, seed))
+    MultiChannelSystem::new(SimConfig::standard(4, 300.0, 12, 2, 24, 1.0, alloc, seed))
 }
 
 /// Allocation-policy ordering: water-filling ≥ load-proportional ≥
@@ -19,9 +19,8 @@ fn allocation_policy_ordering() {
         AllocationPolicy::LoadProportional,
         AllocationPolicy::WaterFilling,
     ] {
-        let mut sys = MultiChannelSystem::new(MultiChannelConfig::standard(
-            4, 400.0, 8, 2, 80, 1.5, policy, 31,
-        ));
+        let mut sys =
+            MultiChannelSystem::new(SimConfig::standard(4, 400.0, 8, 2, 80, 1.5, policy, 31));
         let out = sys.run(2000);
         results.push((policy, out.welfare.tail_mean(400)));
     }
@@ -95,23 +94,25 @@ fn unpopular_channels_not_starved() {
 /// so the K = 1 deployment and the demand-capped single-channel
 /// `SimConfig` must produce the same trajectory to the bit — both
 /// constructors feed the same epoch pipeline, and this guards against
-/// them drifting apart.
+/// them drifting apart. Under the even split the two are one
+/// configuration, as a value.
 #[test]
 fn k1_multichannel_is_the_single_channel_system() {
-    use rths_sim::{BandwidthSpec, SimConfig, System};
+    use rths_sim::{BandwidthSpec, System};
     let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let single = System::new(
-        SimConfig::builder(30, vec![BandwidthSpec::Paper { stay: 0.98 }; 6])
-            .demand(400.0)
-            .seed(42)
-            .build(),
-    )
-    .run(300);
+    let config = SimConfig::builder(30, vec![BandwidthSpec::Paper { stay: 0.98 }; 6])
+        .demand(400.0)
+        .seed(42)
+        .build();
+    assert_eq!(
+        SimConfig::standard(1, 400.0, 6, 1, 30, 1.0, AllocationPolicy::EvenSplit, 42),
+        config
+    );
+    let single = System::new(config).run(300);
     for policy in [AllocationPolicy::EvenSplit, AllocationPolicy::LoadProportional] {
-        let multi = MultiChannelSystem::new(MultiChannelConfig::standard(
-            1, 400.0, 6, 1, 30, 1.0, policy, 42,
-        ))
-        .run(300);
+        let multi =
+            MultiChannelSystem::new(SimConfig::standard(1, 400.0, 6, 1, 30, 1.0, policy, 42))
+                .run(300);
         assert_eq!(
             bits(multi.welfare.values()),
             bits(single.metrics.welfare.values()),

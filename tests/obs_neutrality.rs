@@ -13,7 +13,7 @@
 use rths_net::{Backend, NetConfig};
 use rths_obs as obs;
 use rths_sim::{
-    AllocationPolicy, MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, System,
+    AllocationPolicy, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,
 };
 
 /// Pins `RTHS_THREADS` for the duration of `f` via the workspace's one
@@ -141,7 +141,7 @@ fn multichannel_system_is_bit_neutral_under_tracing() {
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let run = || {
-                let config = MultiChannelConfig::standard(
+                let config = SimConfig::standard(
                     4,
                     400.0,
                     8,

@@ -16,8 +16,8 @@
 
 use rths_suite::par::with_threads;
 use rths_suite::sim::{
-    AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelConfig, MultiChannelSystem,
-    Outcome, SimConfig, System,
+    AllocationPolicy, BandwidthSpec, LearnerSpec, MultiChannelSystem, Outcome, SimConfig,
+    System,
 };
 use rths_suite::stoch::process::ChurnProcess;
 
@@ -101,7 +101,7 @@ fn system_outcome_is_thread_count_invariant() {
 }
 
 fn multi_channel_outcome(policy: AllocationPolicy) -> rths_suite::sim::MultiChannelOutcome {
-    let config = MultiChannelConfig::standard(8, 400.0, 24, 3, 240, 1.2, policy, 99);
+    let config = SimConfig::standard(8, 400.0, 24, 3, 240, 1.2, policy, 99);
     MultiChannelSystem::new(config).run(300)
 }
 
@@ -129,16 +129,8 @@ fn engines_are_shard_count_invariant() {
         )
     };
     let multi = |shards: usize| {
-        let config = MultiChannelConfig::standard(
-            6,
-            400.0,
-            18,
-            2,
-            180,
-            1.3,
-            AllocationPolicy::WaterFilling,
-            55,
-        );
+        let config =
+            SimConfig::standard(6, 400.0, 18, 2, 180, 1.3, AllocationPolicy::WaterFilling, 55);
         let mut sys = MultiChannelSystem::new(config);
         sys.set_shards(Some(shards));
         let out = sys.run(200);
