@@ -5,12 +5,14 @@
 //! phase for phase (the table in `rths_sim::system`): helpers are built
 //! by `rths_sim::helper::instantiate`, step their own bandwidth processes
 //! and split their capacity with `rths_sim::helper::allocate`; peers
-//! choose, shape their links and learn in a `rths_sim::PeerStore` (the
-//! reactor gives each mailbox shard one); the coordinator records through
-//! [`EpochMetrics`] and the regret ledger, one block of peers at a time
-//! ([`CoordinatorMachine::on_shard_report`]). It sends the peers nothing
-//! but one tick per mailbox shard, and helpers settle without waiting on
-//! any peer's report. The hosts — the reactor ([`crate::reactor_backend`]),
+//! choose, shape their links, learn and record their true regret in a
+//! `rths_sim::PeerStore` (the reactor gives each mailbox shard one); the
+//! coordinator records through [`EpochMetrics`], one block of peers at a
+//! time ([`CoordinatorMachine::on_shard_report`]). It sends each mailbox
+//! shard one tick and, once every helper has reported, the epoch's join
+//! rates ([`CoordinatorMachine::on_helper_report`]) — what a peer's regret
+//! is measured against — and helpers settle without waiting on any peer's
+//! report. The hosts — the reactor ([`crate::reactor_backend`]),
 //! in one process or several ([`crate::multiproc`]) — only move these
 //! machines' inputs and outputs, which is what makes the bit-for-bit
 //! equivalence with the simulator structural. No result may depend on the
@@ -20,7 +22,6 @@
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{self, Helper};
 use rths_sim::peer::{Peer, PeerId};
-use rths_sim::regret::RegretLedger;
 use rths_sim::{
     AllocationPolicy, EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics,
 };
@@ -76,6 +77,11 @@ impl PeerMachine {
 
     /// Builds peer `id` exactly as `rths_sim::System::new` does (same
     /// learner spec, same per-entity RNG stream).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the [`ConfigError`](rths_core::ConfigError), if the
+    /// learner spec is invalid.
     pub fn from_config(
         sim: &SimConfig,
         id: u64,
@@ -85,7 +91,7 @@ impl PeerMachine {
         let learner = sim
             .learner
             .instantiate(num_helpers, sim.rate_scale())
-            .expect("learner spec validated by construction");
+            .unwrap_or_else(|e| panic!("invalid learner spec: {e}"));
         let peer = Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0);
         Self::new(peer, sim.demand, impairments)
     }
@@ -201,8 +207,6 @@ impl<T> HelperMachine<T> {
 /// epochs neither allocate nor clear.
 #[derive(Debug)]
 struct CoordScratch {
-    /// Chosen helper per peer.
-    chosen: Vec<u32>,
     /// Reported load per helper.
     loads: Vec<usize>,
     /// Reported capacity per helper.
@@ -215,30 +219,27 @@ struct CoordScratch {
 /// gathers, purely from observability-plane reports, what the simulator
 /// knows of an epoch, and records it through the simulator's own
 /// [`EpochMetrics`]. It observes but never instructs — no assignment
-/// decision flows through it. Peers report in contiguous blocks
-/// ([`on_shard_report`](Self::on_shard_report)) into index-addressed
-/// columns, so the record sees the same inputs in the same order however
-/// the blocks are cut and in whatever order they arrive.
+/// decision flows through it; the join rates it derives from the helper
+/// reports are what every peer measures its regret against. Peers report
+/// in contiguous blocks ([`on_shard_report`](Self::on_shard_report)) into
+/// index-addressed columns and maxima, so the record sees the same inputs
+/// in the same order however the blocks are cut and in whatever order
+/// they arrive.
 #[derive(Debug)]
 pub struct CoordinatorMachine {
     /// The metric half of every epoch, over one channel that every helper
     /// serves with its whole capacity.
     metrics: EpochMetrics,
-    /// Stretch-folded true-regret accounting — `O(n·h)` memory instead
-    /// of the historical dense `n·h²` table (~650 MB at 2×10⁴ peers ×
-    /// 64 helpers, ~3.3 GB at 10⁵), sharing the exact record arithmetic
-    /// of the simulator's peer store (see `rths_sim::regret`).
-    regret: RegretLedger,
-    /// Per-shard maxima scratch for the sharded regret record phase.
-    shard_max: Vec<f64>,
-    /// Epoch fold of the learner-reported internal regret estimates
-    /// (order-insensitive max over non-negatives).
+    /// Epoch folds of the learner-reported internal regret estimates and
+    /// of the blocks' worst true regrets (order-insensitive maxima over
+    /// non-negatives).
     worst_estimate: f64,
+    worst_empirical: f64,
     /// The epoch's helper switches, summed over the reported blocks.
     switches: u64,
     scratch: CoordScratch,
     reports: usize,
-    /// Peers whose `(chosen, rate, estimate)` is in for this epoch.
+    /// Peers whose `(rate, estimate)` is in for this epoch.
     reported: usize,
 }
 
@@ -247,18 +248,12 @@ impl CoordinatorMachine {
     pub fn new(sim: &SimConfig, helper_min: f64) -> Self {
         let n = sim.num_peers();
         let h = sim.helpers.len();
-        let mut regret = RegretLedger::new(&[h]);
-        for _ in 0..n {
-            regret.add_peer();
-        }
         Self {
             metrics: EpochMetrics::new(h, helper_min, vec![sim.demand], vec![(0..h).collect()]),
-            regret,
-            shard_max: Vec::new(),
             worst_estimate: 0.0,
+            worst_empirical: 0.0,
             switches: 0,
             scratch: CoordScratch {
-                chosen: vec![0; n],
                 loads: vec![0; h],
                 capacities: vec![0.0; h],
                 rates: vec![0.0; n],
@@ -279,23 +274,32 @@ impl CoordinatorMachine {
         self.reports = 0;
         self.reported = 0;
         self.worst_estimate = 0.0;
+        self.worst_empirical = 0.0;
         self.switches = 0;
     }
 
     /// A peer committed to a helper: a per-peer entry the mesh no longer
-    /// sends ([`on_shard_report`](Self::on_shard_report) carries it), kept
-    /// for the benchmark's coordinator probe. It counts no switch; the
-    /// peer counts as reported once its [`on_observed`](Self::on_observed)
-    /// arrives.
-    pub fn on_selected(&mut self, peer: u64, helper: usize) {
-        self.scratch.chosen[peer as usize] = helper as u32;
-    }
+    /// sends, and which nothing records (a peer's regret is recorded in
+    /// its own store). Kept for the benchmark's coordinator probe.
+    #[doc(hidden)]
+    pub fn on_selected(&mut self, _peer: u64, _helper: usize) {} // benchmark shim (ROADMAP 23)
 
-    /// A helper settled the epoch.
-    pub fn on_helper_report(&mut self, helper: usize, load: usize, capacity: f64) {
-        self.scratch.loads[helper] = load;
-        self.scratch.capacities[helper] = capacity;
+    /// A helper settled the epoch. The last of the epoch's reports runs
+    /// the allocation record ([`EpochMetrics::allocation`]) and returns
+    /// the epoch's join rates, `min(d, capacity / (load + 1))` per helper:
+    /// what each peer's regret is measured against, for the host to hand
+    /// every block of peers.
+    pub fn on_helper_report(
+        &mut self,
+        helper: usize,
+        load: usize,
+        capacity: f64,
+    ) -> Option<&[f64]> {
+        let CoordScratch { loads, capacities, .. } = &mut self.scratch;
+        loads[helper] = load;
+        capacities[helper] = capacity;
         self.reports += 1;
+        (self.reports == loads.len()).then(|| self.metrics.allocation(loads, capacities).1)
     }
 
     /// A peer observed its realized rate; `estimate`, its learner's
@@ -308,78 +312,68 @@ impl CoordinatorMachine {
         self.reported += 1;
     }
 
-    /// Peers `first .. first + chosen.len()` report their epoch at once:
-    /// peer `first + k` chose helper `chosen[k]` and realized `rates[k]`,
-    /// `estimate` is the largest internal regret estimate among them —
-    /// the fold [`on_observed`](Self::on_observed) applies per peer — and
-    /// `switches` is how many of them switched helper this epoch (their
+    /// Peers `first .. first + rates.len()` report their epoch at once:
+    /// peer `first + k` realized `rates[k]`, `estimate` is the largest
+    /// internal regret estimate among them — the fold
+    /// [`on_observed`](Self::on_observed) applies per peer — `empirical`
+    /// their largest time-averaged true regret after this epoch's record
+    /// (their store's observe phase, fed the join rates
+    /// [`on_helper_report`](Self::on_helper_report) returned), and
+    /// `switches` how many of them switched helper this epoch (their
     /// store's `new_switches`). Maxima and integer sums, so any cut of the
     /// population into blocks, arriving in any order, records the same
     /// bits.
     ///
     /// # Panics
     ///
-    /// Panics if the columns differ in length or the block runs past the
-    /// population.
+    /// Panics if the block runs past the population.
     pub fn on_shard_report(
         &mut self,
         first: usize,
-        chosen: &[u32],
         rates: &[f64],
         estimate: f64,
+        empirical: f64,
         switches: u64,
     ) {
-        assert_eq!(chosen.len(), rates.len(), "a block reports both columns");
-        let block = first..first + chosen.len();
-        self.scratch.chosen[block.clone()].copy_from_slice(chosen);
-        self.scratch.rates[block].copy_from_slice(rates);
+        self.scratch.rates[first..first + rates.len()].copy_from_slice(rates);
         self.worst_estimate = self.worst_estimate.max(estimate);
+        self.worst_empirical = self.worst_empirical.max(empirical);
         self.switches += switches;
-        self.reported += chosen.len();
+        self.reported += rates.len();
     }
 
-    /// The epoch's columns as ingested — chosen helper and realized rate
-    /// per peer, reported load and capacity per helper — for the
-    /// allocation invariant tests. Between epochs they hold the last
-    /// finished one.
+    /// The epoch's columns as ingested — realized rate per peer, reported
+    /// load and capacity per helper — for the allocation invariant tests.
+    /// Between epochs they hold the last finished one.
     #[cfg(test)]
-    pub(crate) fn columns(&self) -> (&[u32], &[f64], &[usize], &[f64]) {
-        let CoordScratch { chosen, loads, capacities, rates } = &self.scratch;
-        (chosen, rates, loads, capacities)
+    pub(crate) fn columns(&self) -> (&[f64], &[usize], &[f64]) {
+        let CoordScratch { loads, capacities, rates } = &self.scratch;
+        (rates, loads, capacities)
     }
 
     /// Every helper report and every peer's epoch is in.
     pub fn epoch_complete(&self) -> bool {
-        self.reports == self.scratch.loads.len() && self.reported == self.scratch.chosen.len()
+        self.reports == self.scratch.loads.len() && self.reported == self.scratch.rates.len()
     }
 
-    /// Records the epoch: the stretch-folded regret record (the function
-    /// the simulator's observe phase calls, see `rths_sim::regret`), then
-    /// [`EpochMetrics`] fed what the messages reported. With one channel
-    /// the per-helper columns are the (helper, channel) tables, and a
-    /// helper's reported capacity is its channel's bandwidth.
+    /// Records the epoch: [`EpochMetrics`]' settle and record, fed what
+    /// the messages reported (the allocation ran at the last helper
+    /// report). With one channel the per-helper columns are the (helper,
+    /// channel) tables, and a helper's reported capacity is its channel's
+    /// bandwidth.
     ///
     /// # Panics
     ///
     /// Panics if the epoch is not [`complete`](Self::epoch_complete).
     pub fn finish_epoch(&mut self) {
         assert!(self.epoch_complete(), "finish_epoch before all reports arrived");
-        let CoordScratch { chosen, loads, capacities, rates } = &self.scratch;
-        let (offsets, join_rates) = self.metrics.allocation(loads, capacities);
-        self.regret.advance_epoch(offsets, join_rates);
-        // The record is sharded over contiguous peer ranges with a
-        // shard-ordered max reduction. The worker count is capped so each
-        // shard amortizes its spawn (`rths_par::MIN_ITEMS_PER_WORKER`);
-        // the result is bit-identical at any shard count.
-        let shards =
-            rths_par::threads().min(chosen.len() / rths_par::MIN_ITEMS_PER_WORKER).max(1);
-        let emp = self.regret.record_all_max(chosen, rates, shards, &mut self.shard_max);
+        let CoordScratch { capacities, rates, .. } = &self.scratch;
         self.metrics.settle(rates, |_| 0, capacities.iter().sum());
         // The estimate series is the learner-reported virtual-play `Q`
         // maxima the peers attach to their reports — the same
         // derivation the simulator's observe phase uses, not a copy of
         // the empirical series (the two agree only in the limit).
-        self.metrics.record(emp, Some(self.worst_estimate), self.switches);
+        self.metrics.record(self.worst_empirical, Some(self.worst_estimate), self.switches);
     }
 
     /// The metric bundle the simulator returns: the recorded series plus
@@ -397,7 +391,7 @@ impl CoordinatorMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rths_sim::{BandwidthSpec, Scenario, SimConfig};
+    use rths_sim::{BandwidthSpec, LearnerSpec, Scenario, SimConfig};
 
     fn small_sim() -> SimConfig {
         SimConfig::builder(4, vec![BandwidthSpec::Constant(800.0); 2]).seed(3).build()
@@ -429,6 +423,16 @@ mod tests {
         let _ = m.on_tick(1);
         assert_eq!(m.on_rate(100.0), 100.0);
         assert_eq!(m.into_peer().continuity(), 0.5);
+    }
+
+    /// A spec the learner refuses is named, not reported as a broken
+    /// construction invariant.
+    #[test]
+    #[should_panic(expected = "invalid learner spec: epsilon must be in (0, 1]")]
+    fn an_invalid_learner_spec_is_named() {
+        let learner = LearnerSpec { epsilon: 0.0, ..LearnerSpec::default() };
+        let sim = SimConfig { learner, ..small_sim() };
+        let _ = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none());
     }
 
     #[test]
@@ -508,8 +512,9 @@ mod tests {
             c.on_selected(p, (p % 2) as usize);
         }
         assert!(!c.epoch_complete());
-        c.on_helper_report(0, 2, 800.0);
-        c.on_helper_report(1, 2, 800.0);
+        assert_eq!(c.on_helper_report(0, 2, 800.0), None);
+        // The last report brings the join rates: 800 / (2 + 1) each.
+        assert_eq!(c.on_helper_report(1, 2, 800.0), Some(&[800.0 / 3.0; 2][..]));
         for p in 0..4 {
             c.on_observed(p, 400.0, 0.5 + p as f64 / 10.0);
         }

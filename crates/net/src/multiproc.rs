@@ -31,8 +31,9 @@
 //! whole determinism argument. The epoch barriers need no new machinery:
 //! the coordinator's `Settle` and `NextEpoch` timers ride rank 0's wheel,
 //! which fires only once every rank has fenced with nothing pending. Per
-//! epoch, a rank ships the coordinator one `ShardReport` per mailbox
-//! shard it hosts, not a message per peer.
+//! epoch, the coordinator sends each mailbox shard one `JoinRates`, and a
+//! rank ships it one `ShardReport` per mailbox shard it hosts, not a
+//! message per peer.
 //!
 //! Frames are encoded by [`crate::wire`]; floats travel as
 //! `f64::to_bits`, so the N-process trajectory is `to_bits`-identical to

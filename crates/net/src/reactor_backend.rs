@@ -15,23 +15,27 @@
 //!   `rths_sim::PeerStore` block (learners, RNG streams, accounting,
 //!   switch counts, link state) that the reactor lends to the handling
 //!   actor ([`Ctx::shard`]; no lock). The shard's one `Tick` of an epoch
-//!   runs the store's choose phase and sends every `Request`; the `Rate`
-//!   that fills its last slot runs its shape and observe phases and sends
-//!   the coordinator one [`NetMsg::ShardReport`]. A peer actor keeps
-//!   protocol state only;
+//!   runs the store's choose phase and sends every `Request`. Once the
+//!   `Rate` of its last slot and the coordinator's [`NetMsg::JoinRates`]
+//!   are both in, in either order, it runs its shape and observe phases —
+//!   the observe records its peers' true regret against those join rates —
+//!   and sends the coordinator one [`NetMsg::ShardReport`]. A peer actor
+//!   keeps protocol state only;
 //! * a helper actor splits its capacity over its requests with the
-//!   simulator's allocate phase ([`HelperMachine`]);
+//!   simulator's allocate phase ([`HelperMachine`]); the coordinator turns
+//!   the helpers' reports into the epoch's join rates and sends them to
+//!   every mailbox shard that hosts peers;
 //! * [`ImpairmentPlan`] drops ride the request's `lost` flag (the store's
 //!   loss decision for the link); jitter and latency are timer-wheel
 //!   delays of each `Request` and helper `Tick`, the plan's seeded
 //!   per-`(actor, epoch)` draw.
 //!
 //! A peer-epoch is therefore two messages, `Request` and `Rate`, plus its
-//! share of the shard's `Tick`. Slot-ordered passes give the bits arrival
-//! order gave: per-slot updates are independent, and the coordinator
-//! starts epoch `e + 1` only once every shard has reported `e`. Timers
-//! fire only when the mesh is otherwise quiescent, so the plan seed
-//! permutes the order in which requests reach a helper. The settle
+//! share of the shard's `Tick` and `JoinRates`. Slot-ordered passes give
+//! the bits arrival order gave: per-slot updates are independent, and the
+//! coordinator starts epoch `e + 1` only once every shard has reported
+//! `e`. Timers fire only when the mesh is otherwise quiescent, so the
+//! plan seed permutes the order in which requests reach a helper. The settle
 //! barrier is a timer as well: each helper's `Settle` fires one logical
 //! tick after the plan's largest delay, by which time every request has
 //! been delivered. None of the schedule may show in the outcome. With
@@ -155,6 +159,15 @@ pub enum NetMsg {
     },
     /// Driver → helper: availability change (failure injection).
     SetOnline(bool),
+    /// Coordinator → mailbox shard (its first peer), once every helper has
+    /// reported: the epoch's join rates, one per helper — what each of the
+    /// shard's peers measures its true regret against.
+    JoinRates {
+        /// Epoch number.
+        epoch: u64,
+        /// Join rate per helper (kbps).
+        rates: Vec<f64>,
+    },
     /// Peer → coordinator: every peer of one mailbox shard has observed
     /// its rate. Boxed, so the enum stays the size of its per-peer
     /// variants.
@@ -169,13 +182,15 @@ pub struct ShardReport {
     pub epoch: u64,
     /// Peer index of the block's first peer.
     pub first: u64,
-    /// Chosen helper of each peer of the block, from `first` on.
-    pub chosen: Vec<u32>,
-    /// Realized (demand-capped) rate of each peer of the block.
+    /// Realized (demand-capped) rate of each peer of the block, from
+    /// `first` on.
     pub rates: Vec<f64>,
     /// The largest internal regret estimate the block's learners reported
     /// after their observations (`0.0` when tracking is disabled).
     pub estimate: f64,
+    /// The largest time-averaged true regret among the block's peers
+    /// after this epoch's record.
+    pub empirical: f64,
     /// Helper switches the block's peers made this epoch.
     pub switches: u64,
 }
@@ -185,7 +200,8 @@ pub struct ShardReport {
 #[derive(Debug)]
 pub struct PeerShard {
     /// A single-shard [`PeerStore::into_block`]: the reactor already
-    /// spreads its shards over the `rths_par` workers.
+    /// spreads its shards over the `rths_par` workers. Its ledger records
+    /// the block's true regret.
     store: PeerStore,
     /// Actor id of slot 0's peer.
     first_actor: usize,
@@ -205,6 +221,9 @@ pub struct PeerShard {
     delivered: Vec<f64>,
     /// Slots rated this epoch.
     filled: usize,
+    /// The epoch's join rates, one per helper, once the coordinator's
+    /// arrived.
+    join_rates: Option<Vec<f64>>,
     /// The (empty) load histogram and the phases' scratch.
     loads: Vec<usize>,
     scratch: Vec<ShardScratch>,
@@ -238,6 +257,7 @@ impl PeerShard {
             shaped: Vec::new(),
             delivered: vec![0.0; len],
             filled: 0,
+            join_rates: None,
             loads: Vec::new(),
             scratch: Vec::new(),
         }
@@ -269,8 +289,8 @@ impl PeerShard {
         (delay, helper, NetMsg::Request { peer, epoch, lost })
     }
 
-    /// Peer actor `actor` received `kbps` in `epoch`; the rate that fills
-    /// the last slot returns the report.
+    /// Peer actor `actor` received `kbps` in `epoch`; returns the report
+    /// if that completes the shard's epoch.
     fn rated(
         &mut self,
         actor: ActorId,
@@ -280,31 +300,56 @@ impl PeerShard {
     ) -> Option<Box<ShardReport>> {
         self.rates[actor.0 - self.first_actor] = kbps;
         self.filled += 1;
+        self.complete(epoch, obs)
+    }
+
+    /// The coordinator's join rates for `epoch` arrived; returns the
+    /// report if that completes the shard's epoch.
+    fn joined(
+        &mut self,
+        epoch: u64,
+        rates: Vec<f64>,
+        obs: &mut ObsScratch,
+    ) -> Option<Box<ShardReport>> {
+        assert!(self.join_rates.replace(rates).is_none(), "join rates arrived twice");
+        self.complete(epoch, obs)
+    }
+
+    /// The epoch's report, once every slot is rated and the join rates
+    /// are in, whichever came last.
+    fn complete(&mut self, epoch: u64, obs: &mut ObsScratch) -> Option<Box<ShardReport>> {
         if self.filled < self.chosen.len() {
             return None;
         }
-        Some(self.observe(epoch, obs))
+        let join_rates = self.join_rates.take()?;
+        Some(self.observe(epoch, &join_rates, obs))
     }
 
     /// The shape phase (a lost payload arrived as 0 kbps, and the pass
     /// reads the loss its request carried back from each link's memo),
     /// then the observe phase over every slot — bandit feedback,
-    /// accounting, the estimate — and the report.
-    /// Kept out of line: one `Rate` in a shard's thousand runs it, and the
-    /// others stay a few instructions.
+    /// accounting, the true-regret record against `join_rates`, the
+    /// estimate — and the report.
+    /// Kept out of line: one message in a shard's thousand runs it, and
+    /// the others stay a few instructions.
     #[inline(never)]
-    fn observe(&mut self, epoch: u64, obs: &mut ObsScratch) -> Box<ShardReport> {
+    fn observe(
+        &mut self,
+        epoch: u64,
+        join_rates: &[f64],
+        obs: &mut ObsScratch,
+    ) -> Box<ShardReport> {
         self.filled = 0;
         let arrived = &self.rates;
         let shaped =
             self.store
                 .shape_phase(&self.chosen, epoch, &mut self.shaped, |slot, _, _| arrived[slot]);
         let (rates, demand) = (if shaped { &self.shaped } else { arrived }, self.demand);
-        let (estimate, _) = self.store.observe_phase(
+        let (estimate, empirical) = self.store.observe_phase(
             &self.chosen,
             &mut self.delivered,
-            &[],
-            &[],
+            &[0, join_rates.len()],
+            join_rates,
             &mut self.scratch,
             self.track_estimate,
             |slot, _, _| cap_to_demand(rates[slot], demand),
@@ -313,9 +358,9 @@ impl PeerShard {
         Box::new(ShardReport {
             epoch,
             first: self.store.id(0),
-            chosen: self.chosen.clone(),
             rates: self.delivered.clone(),
             estimate,
+            empirical,
             switches: self.store.new_switches(),
         })
     }
@@ -347,6 +392,30 @@ pub struct CoordNode {
 }
 
 impl CoordNode {
+    /// Takes a helper's report; the last one's join rates go to every
+    /// mailbox shard that hosts peers, inside one `RateAlloc` span of the
+    /// draining worker. Uncounted like the shard ticks: their number is
+    /// the span's.
+    fn on_helper_report(
+        &mut self,
+        helper: usize,
+        load: usize,
+        capacity: f64,
+        ctx: &mut MeshCtx<'_>,
+    ) {
+        let t_alloc = obs::span_start();
+        let epoch = self.machine.epoch();
+        let Some(rates) = self.machine.on_helper_report(helper, load, capacity) else {
+            return;
+        };
+        for &first in &self.shards {
+            ctx.send(first, NetMsg::JoinRates { epoch, rates: rates.to_vec() });
+        }
+        if let Some(t) = t_alloc {
+            ctx.shard().1.spans.record(Phase::RateAlloc, t);
+        }
+    }
+
     fn start_epoch(&mut self, ctx: &mut MeshCtx<'_>) {
         self.machine.begin_epoch();
         let epoch = self.machine.epoch();
@@ -503,16 +572,16 @@ impl Actor<Option<Box<PeerShard>>> for NetActor {
                 NetMsg::NextEpoch => node.start_epoch(ctx),
                 NetMsg::HelperReport { helper, load, capacity, epoch } => {
                     debug_assert_eq!(epoch, node.machine.epoch());
-                    node.machine.on_helper_report(helper, load, capacity);
+                    node.on_helper_report(helper, load, capacity, ctx);
                     node.maybe_finish_epoch(ctx);
                 }
                 NetMsg::ShardReport(report) => {
                     debug_assert_eq!(report.epoch, node.machine.epoch());
                     node.machine.on_shard_report(
                         report.first as usize,
-                        &report.chosen,
                         &report.rates,
                         report.estimate,
+                        report.empirical,
                         report.switches,
                     );
                     node.maybe_finish_epoch(ctx);
@@ -570,6 +639,12 @@ impl Actor<Option<Box<PeerShard>>> for NetActor {
                     let me = ctx.me();
                     let (shard, obs) = peer_shard(ctx);
                     if let Some(report) = shard.rated(me, epoch, kbps, obs) {
+                        ctx.send(COORDINATOR, NetMsg::ShardReport(report));
+                    }
+                }
+                NetMsg::JoinRates { epoch, rates } => {
+                    let (shard, obs) = peer_shard(ctx);
+                    if let Some(report) = shard.joined(epoch, rates, obs) {
                         ctx.send(COORDINATOR, NetMsg::ShardReport(report));
                     }
                 }
@@ -885,16 +960,16 @@ mod tests {
         // The paper's low-overhead claim, quantified. Per epoch and peer:
         // a Request (control) and one Rate (data); per helper: Tick,
         // Settle and HelperReport (control). So control = (n + 3h)·E and
-        // data = n·E. The coordinator's one tick and one report per
-        // mailbox shard that hosts peers are left out: how many there are
-        // depends on the shard span, not on the protocol.
+        // data = n·E. The coordinator's one tick, one `JoinRates` and one
+        // report per mailbox shard that hosts peers are left out: how many
+        // there are depends on the shard span, not on the protocol.
         //
         // The reactor counts every delivery. With S such shards an epoch
         // delivers h helper Ticks, S shard Ticks, n Requests, h Settles,
-        // n Rates, h HelperReports and S ShardReports, and every epoch but
-        // the last a NextEpoch; bootstrap delivers the injected Run, a
-        // Publish, n Directories and a Published. So the reactor delivers
-        // (2n + 3h + 2S + 1)·E − 1 + n + 3 messages: ticks are per shard.
+        // n Rates, h HelperReports, S JoinRates and S ShardReports, and
+        // every epoch but the last a NextEpoch; bootstrap delivers the
+        // injected Run, a Publish, n Directories and a Published. So the
+        // reactor delivers (2n + 3h + 3S + 1)·E − 1 + n + 3 messages.
         const EPOCHS: u64 = 100;
         for (scenario, n, h) in
             [(Scenario::paper_small(), 10, 4), (Scenario::paper_large(), 200, 20)]
@@ -906,7 +981,7 @@ mod tests {
                 let first = 2 + h as usize;
                 let shards = ((first + n as usize - 1) / span - first / span + 1) as u64;
                 let at = format!("n = {n}, span {span}");
-                let messages = (2 * n + 3 * h + 2 * shards + 1) * EPOCHS + n + 2;
+                let messages = (2 * n + 3 * h + 3 * shards + 1) * EPOCHS + n + 2;
                 assert_eq!(rt.stats().messages, messages, "{at}: reactor deliveries");
                 let out = rt.finish();
                 assert_eq!(out.messages.data, n * EPOCHS, "{at}: data");
@@ -933,10 +1008,49 @@ mod tests {
         let mut shard = PeerShard::new(&config, 6, 0, 10);
         let mut obs = ObsScratch::default();
         shard.choose(0, &mut obs);
+        assert!(shard.joined(0, vec![200.0; 4], &mut obs).is_none());
         for actor in 6..16 {
             let _ = shard.rated(ActorId(actor), 0, 100.0, &mut obs);
         }
         shard.choose(0, &mut obs);
+    }
+
+    /// A shard observes and reports exactly once per epoch: at the later
+    /// of its last slot's `Rate` and the coordinator's `JoinRates`,
+    /// whichever arrives last — and the two orders record the same epoch.
+    #[test]
+    fn a_shard_reports_once_whichever_of_join_rates_and_its_last_rate_comes_last() {
+        let config = NetConfig::from_sim(Scenario::paper_small().seed(1).build());
+        let run = |join_first: fn(u64) -> bool| {
+            let mut shard = PeerShard::new(&config, 6, 0, 10);
+            let mut obs = ObsScratch::default();
+            let mut reports = Vec::new();
+            for epoch in 0..6u64 {
+                shard.choose(epoch, &mut obs);
+                let join = vec![(100 + 40 * epoch) as f64, 150.0, 90.0, 300.0];
+                let mut arrivals = Vec::new();
+                if join_first(epoch) {
+                    arrivals.push(shard.joined(epoch, join.clone(), &mut obs));
+                }
+                for actor in 6..16u64 {
+                    let kbps = (10 * actor + epoch) as f64;
+                    arrivals.push(shard.rated(ActorId(actor as usize), epoch, kbps, &mut obs));
+                }
+                if !join_first(epoch) {
+                    arrivals.push(shard.joined(epoch, join, &mut obs));
+                }
+                let last = arrivals.pop().flatten().expect("the last arrival reports");
+                assert!(arrivals.iter().all(Option::is_none), "epoch {epoch}: early report");
+                assert_eq!((last.epoch, last.first), (epoch, 0));
+                assert!(last.empirical > 0.0, "epoch {epoch}: no regret recorded");
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                reports.push((bits(&last.rates), last.estimate.to_bits(), last.empirical));
+            }
+            reports
+        };
+        let joins_first = run(|_| true);
+        assert_eq!(run(|_| false), joins_first);
+        assert_eq!(run(|epoch| epoch % 2 == 0), joins_first);
     }
 
     /// Like `PeerMachine`'s `clean_links_hold_neither_plan_nor_link_state`:
@@ -963,8 +1077,9 @@ mod tests {
         }
     }
 
-    /// The coordinator's columns after an epoch — chosen helpers, rates
-    /// (as bits), loads, capacities (as bits) — once every invariant of
+    /// The epoch's columns — the shards' chosen helpers, and the rates
+    /// (as bits), loads and capacities (as bits) the coordinator ingested
+    /// — once every invariant of
     /// `every_epoch_allocates_within_helper_capacity` holds on them.
     fn checked_columns(
         rt: &ReactorRuntime,
@@ -975,7 +1090,10 @@ mod tests {
         let NetActor::Coordinator(coord) = rt.reactor.actor(COORDINATOR) else {
             unreachable!("actor 0 is the coordinator")
         };
-        let (chosen, rates, loads, capacities) = coord.machine.columns();
+        let (rates, loads, capacities) = coord.machine.columns();
+        // Shards in order, slots in order: ascending peer id.
+        let chosen: Vec<u32> =
+            rt.reactor.shard_states().flatten().flat_map(|s| s.chosen.clone()).collect();
         assert_eq!(loads.iter().sum::<usize>(), peers, "{at}: loads");
         for (j, (&load, &capacity)) in loads.iter().zip(capacities).enumerate() {
             let mut choosers = 0;
@@ -1007,7 +1125,7 @@ mod tests {
             }
         }
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
-        (chosen.to_vec(), bits(rates), loads.to_vec(), bits(capacities))
+        (chosen, bits(rates), loads.to_vec(), bits(capacities))
     }
 
     /// Every epoch, in the columns the coordinator ingested: the loads sum
@@ -1024,8 +1142,8 @@ mod tests {
     /// shard, so each shard tick sends exactly one request: a tick per
     /// peer. Shards of 8 actors cut the 45 peers into seven
     /// blocks, the first and last partial, so a block ingested at the
-    /// wrong `first` leaves slots at the previous epoch's values and breaks
-    /// the chooser counts. A latency ladder delays requests past the jitter
+    /// wrong `first` leaves rates at the previous epoch's values, out of
+    /// line with the shards' choices. A latency ladder delays requests past the jitter
     /// bound, and both spans must hand the coordinator the same columns,
     /// bit for bit, every epoch.
     #[test]

@@ -120,9 +120,9 @@ pub fn run(config: NetConfig, epochs: u64) -> NetOutcome {
 /// implementation complexity and low communication overhead" claim.
 /// Counted at every protocol send site across all actors, so the totals
 /// are the same however the mesh is partitioned over processes. Bootstrap
-/// traffic is left out, and so are the coordinator's one tick and one
-/// report per peer-hosting mailbox shard and epoch: how many there are
-/// depends on the shard span, not on the protocol.
+/// traffic is left out, and so are the coordinator's one tick, one
+/// `JoinRates` and one report per peer-hosting mailbox shard and epoch:
+/// how many there are depends on the shard span, not on the protocol.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MessageTotals {
     /// Control-plane messages: ticks, requests, settles, coordinator

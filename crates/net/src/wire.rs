@@ -44,7 +44,7 @@ use crate::reactor_backend::{NetMsg, ShardReport};
 use crate::runtime::NetConfig;
 
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Upper bound on a frame body (bytes). A drain batch for a 10⁵-actor
 /// mesh is a few megabytes; anything near this cap is corruption.
@@ -129,11 +129,6 @@ impl WireWriter {
     /// Raw byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Little-endian u32.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Little-endian u64.
@@ -238,16 +233,6 @@ impl<'a> WireReader<'a> {
     /// [`WireError::Truncated`] at end of frame.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Little-endian u32.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at end of frame.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
     }
 
     /// Little-endian u64.
@@ -389,31 +374,31 @@ fn put_net_msg(w: &mut WireWriter, msg: &NetMsg) {
             w.bool(*online);
         }
         NetMsg::ShardReport(report) => {
-            assert_eq!(report.chosen.len(), report.rates.len(), "ragged shard report");
             w.u8(13);
             w.u64(report.epoch);
             w.u64(report.first);
-            w.seq(report.chosen.len());
-            for &helper in &report.chosen {
-                w.u32(helper);
-            }
-            for &rate in &report.rates {
-                w.f64(rate);
-            }
+            put_f64_vec(w, &report.rates);
             w.f64(report.estimate);
+            w.f64(report.empirical);
             w.u64(report.switches);
+        }
+        NetMsg::JoinRates { epoch, rates } => {
+            w.u8(14);
+            w.u64(*epoch);
+            put_f64_vec(w, rates);
         }
     }
 }
 
 fn get_shard_report(r: &mut WireReader<'_>) -> Result<ShardReport, WireError> {
-    let epoch = r.u64()?;
-    let first = r.u64()?;
-    let n = r.seq()?;
-    let chosen = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-    let rates = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-    let estimate = r.f64()?;
-    Ok(ShardReport { epoch, first, chosen, rates, estimate, switches: r.u64()? })
+    Ok(ShardReport {
+        epoch: r.u64()?,
+        first: r.u64()?,
+        rates: get_f64_vec(r)?,
+        estimate: r.f64()?,
+        empirical: r.f64()?,
+        switches: r.u64()?,
+    })
 }
 
 fn get_net_msg(r: &mut WireReader<'_>) -> Result<NetMsg, WireError> {
@@ -442,6 +427,7 @@ fn get_net_msg(r: &mut WireReader<'_>) -> Result<NetMsg, WireError> {
         },
         12 => NetMsg::SetOnline(r.bool()?),
         13 => NetMsg::ShardReport(Box::new(get_shard_report(r)?)),
+        14 => NetMsg::JoinRates { epoch: r.u64()?, rates: get_f64_vec(r)? },
         tag => return Err(WireError::BadTag("NetMsg", tag)),
     })
 }
@@ -511,6 +497,13 @@ fn put_bandwidth_spec(w: &mut WireWriter, spec: &BandwidthSpec) {
             w.f64(*after);
             w.u64(*at);
         }
+    }
+}
+
+fn put_f64_vec(w: &mut WireWriter, values: &[f64]) {
+    w.seq(values.len());
+    for &v in values {
+        w.f64(v);
     }
 }
 
@@ -610,10 +603,7 @@ fn put_impairments(w: &mut WireWriter, plan: &ImpairmentPlan) {
         None => w.bool(false),
         Some(bw) => {
             w.bool(true);
-            w.seq(bw.levels.len());
-            for &level in &bw.levels {
-                w.f64(level);
-            }
+            put_f64_vec(w, &bw.levels);
             w.f64(bw.stay);
         }
     }

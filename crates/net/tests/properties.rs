@@ -5,7 +5,8 @@ use rths_net::machines::{
     instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine, Settlement,
 };
 use rths_net::NetConfig;
-use rths_sim::regret::{DenseRegret, SNAPSHOT_SLOTS};
+use rths_sim::regret::{self, DenseRegret, RegretLedger, SNAPSHOT_SLOTS};
+use rths_sim::store::PeerStore;
 use rths_sim::{BandwidthSpec, ImpairmentPlan, SimConfig, SimMetrics, System};
 use rths_stoch::rng::derive_seed;
 
@@ -134,14 +135,18 @@ fn metric_bits(m: &SimMetrics) -> Vec<Vec<u64>> {
 }
 
 /// Drives the protocol machines by hand for `epochs` epochs. Each epoch's
-/// requests and the coordinator's settle-phase events (`HelperReport`s
-/// and the peers' report blocks interleaved) arrive in index order
-/// (`schedule = None`) or each in a permutation of its own drawn from
-/// `schedule`. The peers report in one block in index order and in
-/// blocks of 1 to 5 peers under a schedule, as mailbox shards of any
-/// span would. Only what the protocol itself orders is kept: a helper
-/// settles after its requests, a peer observes after its helper settled,
-/// and a block is reported once all of its peers have observed.
+/// requests, the coordinator's `HelperReport`s and the peers' report
+/// blocks arrive in index order (`schedule = None`) or each in a
+/// permutation of its own drawn from `schedule`. The peers report in one
+/// block in index order and in blocks of 1 to 5 peers under a schedule,
+/// as mailbox shards of any span would. A block's report carries its
+/// worst true regret: the harness's ledger records its peers through
+/// `regret::record_max` against the join rates the last helper report
+/// returned, the block's own running max starting at zero, as a block
+/// store's observe phase does. Only what the protocol itself orders is
+/// kept: a helper settles after its requests, a peer observes after its
+/// helper settled, and a block is reported once all of its peers have
+/// observed and the join rates are in.
 fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> MachineTrace {
     let n = sim.num_peers();
     let (helpers, helper_min_total) = instantiate_helpers(sim);
@@ -153,6 +158,8 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
         .map(|id| PeerMachine::from_config(sim, id, h, sim.impairment.clone()))
         .collect();
     let mut coord = CoordinatorMachine::new(sim, helper_min_total);
+    let mut ledger = RegretLedger::new(&[h]);
+    (0..n).for_each(|_| ledger.add_peer());
     let block = schedule.map_or(n, |s| 1 + (s % 5) as usize);
     let mut settlements = Vec::new();
     let mut delivered = Vec::new();
@@ -174,13 +181,7 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
             helpers[selections[i].helper].on_request(i as u64, selections[i].lost, position);
         }
 
-        // Settle-phase events in arrival order: helper reports, and the
-        // peer blocks whose columns the helpers' replies fill.
-        enum Event {
-            Report(usize, Settlement),
-            Block(usize),
-        }
-        let mut events: Vec<Event> = (0..n.div_ceil(block)).map(Event::Block).collect();
+        let mut reports: Vec<(usize, Settlement)> = Vec::with_capacity(h);
         let mut kbps_bits = vec![0u64; n];
         let mut rates = vec![0.0; n];
         let mut estimates = vec![0.0f64; n];
@@ -195,25 +196,43 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
                 estimates[i] = peers[i].peer().max_regret();
             });
             settlements.push((settlement.load, settlement.capacity.to_bits()));
-            events.push(Event::Report(j, settlement));
+            reports.push((j, settlement));
         }
         delivered.extend(kbps_bits);
-        let chosen: Vec<u32> = selections.iter().map(|s| s.helper as u32).collect();
-        for &k in &arrival_order(events.len(), stream(2)) {
-            match events[k] {
-                Event::Report(j, s) => coord.on_helper_report(j, s.load, s.capacity),
-                Event::Block(b) => {
-                    let peers = b * block..n.min((b + 1) * block);
-                    let estimate = estimates[peers.clone()].iter().copied().fold(0.0, f64::max);
-                    coord.on_shard_report(
-                        peers.start,
-                        &chosen[peers.clone()],
-                        &rates[peers.clone()],
-                        estimate,
-                        switched[peers].iter().sum(),
-                    );
-                }
+
+        // Helper reports in arrival order: the last brings the join rates.
+        let mut join = None;
+        for (k, &j) in arrival_order(h, stream(1)).iter().enumerate() {
+            let (helper, s) = reports[j];
+            join = coord.on_helper_report(helper, s.load, s.capacity).map(<[f64]>::to_vec);
+            assert_eq!(join.is_some(), k + 1 == h, "join rates before the last report");
+        }
+        ledger.advance_epoch(&[0, h], &join.expect("every helper reported"));
+        let (mut cols, ctx) = ledger.split();
+        for &b in &arrival_order(n.div_ceil(block), stream(2)) {
+            let peers = b * block..n.min((b + 1) * block);
+            let (mut empirical, mut folds) = (0.0, 0);
+            for i in peers.clone() {
+                let played = selections[i].helper;
+                regret::record_max(
+                    &mut cols,
+                    &ctx,
+                    i,
+                    0,
+                    played,
+                    rates[i],
+                    &mut folds,
+                    &mut empirical,
+                );
             }
+            let estimate = estimates[peers.clone()].iter().copied().fold(0.0, f64::max);
+            coord.on_shard_report(
+                peers.start,
+                &rates[peers.clone()],
+                estimate,
+                empirical,
+                switched[peers].iter().sum(),
+            );
         }
         coord.finish_epoch();
     }
@@ -254,19 +273,34 @@ fn machines_are_arrival_order_independent() {
     }
 }
 
-/// The reactor's Fig. 1 series against the dense oracle: the coordinator's
-/// `worst_empirical_regret` — stretch-folded, sharded, and read only where
-/// a peer's bound exceeds the running max — must be, every epoch and
-/// `to_bits`, the max over peers of `DenseRegret::record` fed the same
-/// seeded selections (a quarter of the peers switching each epoch),
-/// integral rates and integral helper reports, for more than
-/// `SNAPSHOT_SLOTS` epochs so window folds and ring wrap run. 4,200 peers
-/// shard the record at `RTHS_THREADS=2`.
+/// The reactor's Fig. 1 series against the dense oracle. Block stores of
+/// 1,024 peers (a mailbox shard's span) are fed the join rates the
+/// coordinator derives from its helper reports and record their peers'
+/// true regret in their observe phase — stretch-folded, and read only where
+/// a peer's bound exceeds its block's running max — and the coordinator
+/// folds the blocks' maxima. Every epoch, `to_bits`, the series must be
+/// the max over peers of `DenseRegret::record` fed the same seeded
+/// selections (a quarter of the peers switching each epoch), integral
+/// rates and integral helper reports, for more than `SNAPSHOT_SLOTS`
+/// epochs so window folds and ring wrap run. 4,200 peers make four full
+/// blocks and a partial one.
 #[test]
 fn coordinator_regret_series_matches_dense_oracle() {
     const EPOCHS: u64 = 2 * SNAPSHOT_SLOTS as u64 + 44;
+    const BLOCK: usize = 1024;
     let (n, h) = (4200, 6);
-    let mut coord = CoordinatorMachine::new(&config(n, h, 5, None), 0.0);
+    let sim = config(n, h, 5, None);
+    let mut coord = CoordinatorMachine::new(&sim, 0.0);
+    let mut blocks: Vec<PeerStore> = (0..n)
+        .step_by(BLOCK)
+        .map(|first| {
+            let mut store =
+                PeerStore::new(sim.seed, sim.learner.clone(), sim.rate_scale(), &[h])
+                    .into_block(first as u64);
+            (first..n.min(first + BLOCK)).for_each(|_| _ = store.join(0));
+            store
+        })
+        .collect();
     let mut dense = DenseRegret::new(&[h]);
     (0..n).for_each(|_| dense.add_peer());
     let mut draw = {
@@ -276,30 +310,61 @@ fn coordinator_regret_series_matches_dense_oracle() {
             derive_seed(2014, counter) % below
         }
     };
-    let mut chosen: Vec<usize> = (0..n).map(|p| p % h).collect();
+    let mut chosen: Vec<u32> = (0..n).map(|p| (p % h) as u32).collect();
+    let (mut aux, mut delivered, mut loads, mut scratch) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut profile = Vec::new();
     let mut want = Vec::new();
     for _ in 0..EPOCHS {
         coord.begin_epoch();
-        for (p, helper) in chosen.iter_mut().enumerate() {
+        for helper in chosen.iter_mut() {
             if draw(4) == 0 {
-                *helper = draw(h as u64) as usize;
+                *helper = draw(h as u64) as u32;
             }
-            coord.on_selected(p as u64, *helper);
         }
         // A report of `load` and `(load + 1) · j` gives join rate `j`
         // exactly.
         let join: Vec<f64> = (0..h).map(|_| draw(600) as f64).collect();
+        let mut broadcast = None;
         for (j, &rate) in join.iter().enumerate() {
             let load = draw(n as u64) as usize;
-            coord.on_helper_report(j, load, rate * (load + 1) as f64);
+            broadcast =
+                coord.on_helper_report(j, load, rate * (load + 1) as f64).map(<[f64]>::to_vec);
         }
-        let mut worst = 0.0f64;
-        for (p, &helper) in chosen.iter().enumerate() {
-            let rate = draw(800) as f64;
-            coord.on_observed(p as u64, rate, 0.0);
-            worst = worst.max(dense.record(p, 0, helper, rate, &join));
-        }
+        let broadcast = broadcast.expect("the last report brings the join rates");
+        assert_eq!(broadcast, join);
+        let rates: Vec<f64> = (0..n).map(|_| draw(800) as f64).collect();
+        let worst = (0..n).fold(0.0f64, |worst, p| {
+            worst.max(dense.record(p, 0, chosen[p] as usize, rates[p], &join))
+        });
         want.push(worst.to_bits());
+        for (store, first) in blocks.iter_mut().zip((0..n).step_by(BLOCK)) {
+            let len = store.len();
+            profile.resize(len, 0);
+            aux.resize(len, 0);
+            delivered.resize(len, 0.0);
+            store.choose_phase(
+                &mut profile,
+                &mut aux,
+                &mut loads,
+                0,
+                &mut scratch,
+                |_, _, _, _, _| {},
+            );
+            // The learners drew their own helpers; the record is fed the
+            // script's selections instead.
+            profile.copy_from_slice(&chosen[first..first + len]);
+            let (_, empirical) = store.observe_phase(
+                &profile,
+                &mut delivered,
+                &[0, h],
+                &broadcast,
+                &mut scratch,
+                false,
+                |slot, _, _| (rates[first + slot], true),
+            );
+            coord.on_shard_report(first, &delivered, 0.0, empirical, 0);
+        }
         coord.finish_epoch();
     }
     let metrics = coord.finalize_summaries([]);
@@ -310,7 +375,7 @@ fn coordinator_regret_series_matches_dense_oracle() {
         assert_eq!(
             got,
             want,
-            "epoch {e}: ledger {} vs dense {}",
+            "epoch {e}: block stores {} vs dense {}",
             f64::from_bits(*got),
             f64::from_bits(*want)
         );

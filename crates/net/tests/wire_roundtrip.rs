@@ -25,7 +25,7 @@ use rths_reactor::{ActorId, RemoteBatch};
 
 /// One message, any variant, fields drawn from the raw pool.
 fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
-    (0u8..14, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+    (0u8..15, any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
         |(tag, a, b, c, d, flag)| match tag {
             0 => NetMsg::Run { epochs: a },
             1 => NetMsg::Publish,
@@ -50,14 +50,22 @@ fn arb_net_msg() -> impl Strategy<Value = NetMsg> {
                 estimate: f64::from_bits(d),
             },
             12 => NetMsg::SetOnline(flag),
-            _ => NetMsg::ShardReport(Box::new(ShardReport {
+            13 => NetMsg::ShardReport(Box::new(ShardReport {
                 epoch: a,
                 first: b,
-                chosen: vec![c as u32, (c >> 32) as u32],
                 rates: vec![f64::from_bits(c), f64::from_bits(d)],
                 estimate: f64::from_bits(d),
+                empirical: f64::from_bits(c ^ d),
                 switches: a ^ c,
             })),
+            _ => NetMsg::JoinRates {
+                epoch: a,
+                rates: [b, c, d]
+                    .into_iter()
+                    .take(1 + (a % 3) as usize)
+                    .map(f64::from_bits)
+                    .collect(),
+            },
         },
     )
 }
@@ -73,22 +81,30 @@ const AWKWARD_RATES: [u64; 6] = [
     0x0000_0000_0000_0000,
 ];
 
-/// A shard report of any block size, its rates drawn from the whole bit
-/// domain with the awkward patterns mixed in.
+/// Rates of any count, drawn from the whole bit domain with the awkward
+/// patterns mixed in.
+fn arb_rates(max: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(any::<u64>(), 0..max).prop_map(|raw| {
+        raw.iter()
+            .enumerate()
+            .map(|(k, &bits)| {
+                f64::from_bits(if k % 3 == 0 { AWKWARD_RATES[k / 3 % 6] } else { bits })
+            })
+            .collect()
+    })
+}
+
+/// A shard report of any block size.
 fn arb_shard_report() -> impl Strategy<Value = ShardReport> {
-    (any::<u64>(), any::<u64>(), prop::collection::vec((any::<u32>(), any::<u64>()), 0..300))
-        .prop_map(|(epoch, first, slots)| {
-            let (chosen, rates) = slots
-                .iter()
-                .enumerate()
-                .map(|(k, &(helper, bits))| {
-                    let bits = if k % 3 == 0 { AWKWARD_RATES[k / 3 % 6] } else { bits };
-                    (helper, f64::from_bits(bits))
-                })
-                .unzip();
-            let estimate = f64::from_bits(AWKWARD_RATES[(epoch % 6) as usize]);
-            ShardReport { epoch, first, chosen, rates, estimate, switches: first ^ epoch }
-        })
+    (any::<u64>(), any::<u64>(), arb_rates(300)).prop_map(|(epoch, first, rates)| {
+        let estimate = f64::from_bits(AWKWARD_RATES[(epoch % 6) as usize]);
+        let empirical = f64::from_bits(AWKWARD_RATES[(first % 6) as usize]);
+        ShardReport { epoch, first, rates, estimate, empirical, switches: first ^ epoch }
+    })
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
 fn drain_of(msg: NetMsg) -> Frame {
@@ -207,11 +223,29 @@ proptest! {
         };
         prop_assert_eq!(to.0, 0);
         prop_assert_eq!((got.epoch, got.first), (report.epoch, report.first));
-        prop_assert_eq!(&got.chosen, &report.chosen);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&got.rates), bits(&report.rates));
         prop_assert_eq!(got.estimate.to_bits(), report.estimate.to_bits());
+        prop_assert_eq!(got.empirical.to_bits(), report.empirical.to_bits());
         prop_assert_eq!(got.switches, report.switches);
+    }
+
+    /// The coordinator's join rates come back for any helper count, every
+    /// rate by its bits; cut anywhere short of the end, they are an error.
+    #[test]
+    fn join_rates_survive_bitwise(epoch in any::<u64>(), rates in arb_rates(80)) {
+        let sent = NetMsg::JoinRates { epoch, rates: rates.clone() };
+        let body = encode_frame(&drain_of(sent));
+        let Frame::Step(Step::Drain { staged }) = decode_frame(&body).expect("decodes") else {
+            panic!("decoded another frame kind");
+        };
+        let [(_, NetMsg::JoinRates { epoch: got_epoch, rates: got })] = &staged[..] else {
+            panic!("decoded {staged:?}");
+        };
+        prop_assert_eq!(*got_epoch, epoch);
+        prop_assert_eq!(bits(got), bits(&rates));
+        for cut in 0..body.len() {
+            prop_assert!(decode_frame(&body[..cut]).is_err(), "prefix of length {} decoded", cut);
+        }
     }
 
     /// A shard report cut anywhere short of its end is an error, never a
@@ -233,9 +267,9 @@ fn oversized_shard_report_count_is_an_error() {
     let report = ShardReport {
         epoch: 3,
         first: 8,
-        chosen: vec![1; 4],
         rates: vec![0.5; 4],
         estimate: 0.0,
+        empirical: 1.5,
         switches: 2,
     };
     let body = encode_frame(&drain_of(NetMsg::ShardReport(Box::new(report))));

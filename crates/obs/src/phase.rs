@@ -30,7 +30,8 @@ pub enum Phase {
     /// Per-shard learner observe sweep (slab observe kernels plus the
     /// per-peer regret record).
     SlabObserve,
-    /// Stretch-fold closes in the regret ledger.
+    /// The regret ledger's epoch advance: join-rate prefix, snapshot and
+    /// bound table (the per-peer stretch folds run inside `SlabObserve`).
     RegretFold,
     /// Link-impairment shaping (loss, policing, link processes).
     Impairment,

@@ -1,8 +1,9 @@
 //! Stretch-folded true-regret accounting.
 //!
-//! The engine (and `rths_net`'s coordinator machine) reports the
-//! paper's Fig. 1 series: the worst peer's time-averaged **true regret**
-//! against every fixed alternative helper,
+//! Both engines report the paper's Fig. 1 series from the peer store's
+//! observe phase ([`crate::PeerStore::observe_phase`]; the reactor's
+//! mailbox shards each hold a block store): the worst peer's
+//! time-averaged **true regret** against every fixed alternative helper,
 //!
 //! ```text
 //! E_i[k] = Σ_{t : played_i(t) ≠ k} ( jr_t[k] − rate_i(t) )
@@ -68,9 +69,10 @@
 //! configurations (switches, window folds, migrations, churn). On
 //! non-integral workloads the two groupings may differ in the last ulp;
 //! what stays exact *unconditionally* is cross-engine equality, because
-//! the simulator and both net backends call the **same**
-//! [`record`] function with the same inputs at the same epochs (the
-//! `sim_net_equivalence` suite pins that bit-for-bit).
+//! the simulator's store and each reactor shard's block store run the
+//! **same** observe phase, with the same join rates, over the same
+//! inputs at the same epochs (the `sim_net_equivalence` suite pins that
+//! bit-for-bit).
 //!
 //! # The epoch's worst peer: bound, then read
 //!
@@ -109,8 +111,9 @@
 //!   test and takes the exact read.
 //!
 //! Each shard folds its own running max, so the result stays the same at
-//! any shard count. [`record_counted`] (and [`record`]) always read: they
-//! return the peer's own value, which the oracle tests compare.
+//! any shard count, and so does the max over block stores the reactor's
+//! coordinator folds. [`record_counted`] (and [`record`]) always read:
+//! they return the peer's own value, which the oracle tests compare.
 //!
 //! # Churn
 //!
@@ -132,8 +135,7 @@
 //! slot, as in a population that never lost a peer.
 
 use rths_core::{close_row_holes, compact_column};
-use rths_obs::{self as obs, Counter};
-use rths_par::{increasing_aligned, par_sharded, Rows, Shard, ShardCols};
+use rths_par::{increasing_aligned, Rows, ShardCols};
 
 /// Sentinel arm index: no open stretch.
 pub const NO_ARM: u32 = u32::MAX;
@@ -157,8 +159,8 @@ const PEER_SCALAR_BYTES: usize =
 
 /// Stretch-folded true-regret accounting for one peer population.
 ///
-/// Columns are index-aligned with the owning store (or coordinator
-/// peer-id order); the global prefix/ring state is shared by every peer.
+/// Columns are index-aligned with the owning store; the global
+/// prefix/ring state is shared by every peer.
 #[derive(Debug, Clone)]
 pub struct RegretLedger {
     /// `offsets[c]..offsets[c + 1]` is channel `c`'s slice of `g`.
@@ -522,55 +524,6 @@ impl RegretLedger {
         };
         max / self.stages[slot] as f64
     }
-
-    /// Runs the coordinator-style record phase over the whole
-    /// population: `chosen[i]`/`rates[i]` give peer `i`'s arm and
-    /// observed rate (single channel), sharded across `shards`
-    /// contiguous ranges with a shard-ordered max reduction. Returns the
-    /// epoch's worst time-averaged regret — bit-identical at any shard
-    /// count (per-peer values are independent, and the merge is a max
-    /// over non-negatives). Each shard reads only the rows its running
-    /// max cannot bound ([`record_max`]); when tracing, their number goes
-    /// to [`Counter::RegretExactReads`].
-    pub fn record_all_max(
-        &mut self,
-        chosen: &[u32],
-        rates: &[f64],
-        shards: usize,
-        shard_max: &mut Vec<f64>,
-    ) -> f64 {
-        let n = self.len();
-        assert_eq!(chosen.len(), n, "chosen column must be index-aligned");
-        assert_eq!(rates.len(), n, "rates column must be index-aligned");
-        if n == 0 {
-            return 0.0;
-        }
-        let used = shards.clamp(1, n);
-        shard_max.clear();
-        shard_max.resize(used, 0.0);
-        let tracing = obs::enabled();
-        let (cols, ctx) = self.split();
-        par_sharded(n, used, cols, &mut shard_max[..], |shard: Shard, mut cols, max| {
-            let (mut folds, mut reads) = (0u64, 0u64);
-            for i in 0..shard.len() {
-                let abs = shard.start + i;
-                reads += u64::from(record_max(
-                    &mut cols,
-                    &ctx,
-                    i,
-                    0,
-                    chosen[abs] as usize,
-                    rates[abs],
-                    &mut folds,
-                    max,
-                ));
-            }
-            if tracing {
-                obs::counter_add(Counter::RegretExactReads, reads);
-            }
-        });
-        shard_max.iter().copied().fold(0.0f64, f64::max)
-    }
 }
 
 /// Records one peer-epoch into a split ledger and returns the peer's
@@ -578,9 +531,9 @@ impl RegretLedger {
 /// to the shard's column chunk**; `channel` selects the join-rate slice;
 /// `played`/`rate` are the peer's arm and observed (demand-capped) rate.
 ///
-/// This is the one function the engine and the net coordinator call —
-/// the cross-engine bit-equality of the regret series is structural, not
-/// coincidental.
+/// Every record goes through this arithmetic ([`record_max`] in the
+/// store's observe phase on both engines) — the cross-engine
+/// bit-equality of the regret series is structural, not coincidental.
 #[inline]
 pub fn record(
     cols: &mut LedgerCols<'_>,
@@ -810,6 +763,7 @@ impl DenseRegret {
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+    use rths_par::par_sharded;
 
     /// Drives a folded ledger and the dense oracle through the same
     /// integral-rate trajectory and asserts bitwise equality of every
@@ -909,34 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn record_all_max_is_shard_count_invariant() {
-        let run = |shards: usize| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-            let mut ledger = RegretLedger::new(&[5]);
-            for _ in 0..90 {
-                ledger.add_peer();
-            }
-            let mut shard_max = Vec::new();
-            let mut out = Vec::new();
-            for _ in 0..120 {
-                let join: Vec<f64> = (0..5).map(|_| rng.gen_range(0..900) as f64).collect();
-                let chosen: Vec<u32> =
-                    (0..90).map(|_| rng.gen_range(0..5usize) as u32).collect();
-                let rates: Vec<f64> = (0..90).map(|_| rng.gen_range(0..800) as f64).collect();
-                ledger.advance_epoch(&[0, 5], &join);
-                out.push(
-                    ledger.record_all_max(&chosen, &rates, shards, &mut shard_max).to_bits(),
-                );
-            }
-            out
-        };
-        let base = run(1);
-        for shards in [2usize, 4, 7] {
-            assert_eq!(run(shards), base, "diverged at {shards} shards");
-        }
-    }
-
-    #[test]
     fn long_stretches_survive_ring_wraparound() {
         // One peer pinned to one arm for 500 epochs: forced folds every
         // STRETCH_WINDOW keep the entry snapshot inside the ring while
@@ -1027,8 +953,7 @@ mod tests {
     }
 
     /// Drives one ledger through [`record_counted`] and, in lockstep, one
-    /// per shard count through the pruned fold (plus one through
-    /// [`RegretLedger::record_all_max`] on single-channel runs): every
+    /// per shard count through the pruned fold: every
     /// epoch's pruned max must be the max of the exact per-peer values, the
     /// ledgers must stay equal peer by peer, and `rowmax`/`dmax` must equal
     /// a recompute after every operation. Returns `(reads, records)`.
@@ -1048,7 +973,6 @@ mod tests {
             channels.push(if s.identical { 0 } else { rng.gen_range(0..arities.len()) });
         }
         let mut pruned = vec![exact.clone(); SHARDS.len()];
-        let mut all = (arities.len() == 1).then(|| exact.clone());
         let offsets: Vec<usize> = std::iter::once(0)
             .chain(arities.iter().scan(0, |t, &m| {
                 *t += m;
@@ -1103,16 +1027,7 @@ mod tests {
                     records += moves.len() as u64;
                 }
             }
-            if let Some(ledger) = &mut all {
-                ledger.advance_epoch(&offsets, &join);
-                let (chosen, rates): (Vec<u32>, Vec<f64>) =
-                    moves.iter().map(|&(_, p, r)| (p as u32, r)).unzip();
-                let shards = SHARDS[e as usize % SHARDS.len()];
-                let got = ledger.record_all_max(&chosen, &rates, shards, &mut Vec::new());
-                assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}, record_all_max");
-            }
-            let mut others: Vec<&mut RegretLedger> =
-                pruned.iter_mut().chain(&mut all).collect();
+            let mut others: Vec<&mut RegretLedger> = pruned.iter_mut().collect();
             check(&exact, &others, &channels, &format!("epoch {e}"));
             let worst = values
                 .iter()
@@ -1275,9 +1190,8 @@ mod tests {
         let mut ledger = RegretLedger::new(&[4]);
         assert!(ledger.is_empty());
         ledger.advance_epoch(&[0, 4], &[1.0, 2.0, 3.0, 4.0]);
-        let mut shard_max = Vec::new();
-        assert_eq!(ledger.record_all_max(&[], &[], 4, &mut shard_max), 0.0);
-        ledger.remove_slots(&[]);
+        assert_eq!(pruned_max(&mut ledger, &[], 4), (0.0, 0));
+        assert_eq!(ledger.remove_slots(&[]), 0);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! The reactor backend (`rths_net`) drives its peers through the same
 //! choose, shape and observe phases: each mailbox shard owns a block store
 //! of its peers ([`PeerStore::into_block`]: ids from the shard's first
-//! peer, no ledger — the coordinator records true regret for everybody).
+//! peer), whose observe phase records its peers' true regret against the
+//! join rates the coordinator broadcasts, as `System`'s does.
 //!
 //! # Sharding
 //!
@@ -192,10 +193,8 @@ pub struct PeerStore {
     /// Stretch-folded true-regret accounting (slot-aligned columns plus
     /// the global per-channel join-rate prefix and snapshot ring) — see
     /// [`crate::regret`] for the invariant. Replaces the historical
-    /// dense `O(n·m²)` per-peer regret matrices. `None` in a block store
-    /// ([`into_block`](Self::into_block)), whose population's regret is
-    /// recorded by whoever sees every helper's report.
-    regret: Option<RegretLedger>,
+    /// dense `O(n·m²)` per-peer regret matrices.
+    regret: RegretLedger,
     /// Fixed shard count for tests/benches; `None` derives it from
     /// [`rths_par::threads`] per phase.
     shard_override: Option<usize>,
@@ -255,7 +254,7 @@ impl PeerStore {
             seed,
             actions,
             configs,
-            regret: Some(RegretLedger::new(actions_per_channel)),
+            regret: RegretLedger::new(actions_per_channel),
             shard_override: None,
             next_id: 0,
             learners,
@@ -276,18 +275,16 @@ impl PeerStore {
 
     /// Makes this empty store the block of a population whose ids start
     /// at `first_id` — so the peer spawned `k`-th gets id `first_id + k`
-    /// and the RNG stream the whole population's store would give it —
-    /// and whose true regret is recorded elsewhere: the store drops its
-    /// ledger, and [`observe_phase`](Self::observe_phase) then ignores its
-    /// join rates. The reactor backend gives each mailbox shard's peers
-    /// one; its coordinator records regret for everybody.
+    /// and the RNG stream the whole population's store would give it. Fed
+    /// the population's join rates, its ledger records each of its peers
+    /// as the whole population's store would. The reactor backend gives
+    /// each mailbox shard's peers one.
     ///
     /// # Panics
     ///
     /// Panics if the store already holds peers.
     pub fn into_block(mut self, first_id: u64) -> Self {
         assert!(self.is_empty(), "only an empty store becomes a block");
-        self.regret = None;
         self.next_id = first_id;
         self
     }
@@ -371,9 +368,7 @@ impl PeerStore {
         if self.impairment.affects_rates() {
             self.links.push(LinkShaper::new());
         }
-        if let Some(regret) = &mut self.regret {
-            regret.add_peer();
-        }
+        self.regret.add_peer();
         id
     }
 
@@ -436,9 +431,7 @@ impl PeerStore {
         // nothing for departed peers and stay valid for survivors — the
         // ledger's global prefix/ring state is slot-independent); its
         // rows stay put behind their handles.
-        if let Some(regret) = &mut self.regret {
-            moved += regret.remove_slots(slots);
-        }
+        moved += self.regret.remove_slots(slots);
         obs::counter_add(Counter::DepartureBytesMoved, moved as u64);
         obs::counter_add(Counter::DepartureColumnsWiped, wiped);
     }
@@ -454,9 +447,7 @@ impl PeerStore {
         let new_m = self.actions[channel] as usize;
         // Fold the open stretch against the *old* channel's join-rate
         // prefix before the move — the stretch was accumulated there.
-        if let Some(regret) = &mut self.regret {
-            regret.migrate(slot, self.channels[slot] as usize);
-        }
+        self.regret.migrate(slot, self.channels[slot] as usize);
         self.channels[slot] = channel as u32;
         match &mut self.learners {
             Learners::Slab(slab) => slab.reset_actions(slot, new_m),
@@ -581,10 +572,8 @@ impl PeerStore {
     /// `O(1)` bound exceeds the shard's running max
     /// ([`regret::record_max`]) — same bits as reading every row; when
     /// tracing, the shard counts the rows it read
-    /// (`Counter::RegretExactReads`). A block store
-    /// ([`into_block`](Self::into_block)) has no ledger: it ignores
-    /// `join_offsets` and `join_rates` and returns `0.0` as the empirical
-    /// maximum.
+    /// (`Counter::RegretExactReads`), and `scratch[0]` keeps the span of
+    /// the ledger's epoch advance (`Phase::RegretFold`).
     ///
     /// `track_estimate` controls the first element; callers that do not
     /// record the series (multi-channel deployments) pass `false` and
@@ -662,18 +651,12 @@ impl PeerStore {
         // per-peer record is O(1) amortized (an O(m) row write only when
         // a stretch closes — arm switch or window fold).
         let tracing = obs::enabled();
-        let (ledger_cols, ledger_ctx) = match regret {
-            Some(regret) => {
-                let t_fold = obs::span_start();
-                regret.advance_epoch(join_offsets, join_rates);
-                if let Some(t) = t_fold {
-                    obs::span_end(Phase::RegretFold, obs::current_epoch(), t);
-                }
-                let (cols, ctx) = regret.split();
-                (Some(cols), Some(ctx))
-            }
-            None => (None, None),
-        };
+        let t_fold = obs::span_start();
+        regret.advance_epoch(join_offsets, join_rates);
+        if let Some(t) = t_fold {
+            scratch[0].obs.spans.record(Phase::RegretFold, t);
+        }
+        let (ledger_cols, ledger_ctx) = regret.split();
         par_sharded(
             n,
             shards,
@@ -729,18 +712,16 @@ impl PeerStore {
                     // channel migration — the historical semantics),
                     // folded into the shard's running max; the row is
                     // read only when the peer's bound exceeds it.
-                    if let (Some(ledger), Some(ledger_ctx)) = (&mut ledger, &ledger_ctx) {
-                        reads += u64::from(regret::record_max(
-                            ledger,
-                            ledger_ctx,
-                            i,
-                            channel as usize,
-                            profile[abs] as usize,
-                            rate,
-                            &mut folds,
-                            &mut s.worst_empirical,
-                        ));
-                    }
+                    reads += u64::from(regret::record_max(
+                        &mut ledger,
+                        &ledger_ctx,
+                        i,
+                        channel as usize,
+                        profile[abs] as usize,
+                        rate,
+                        &mut folds,
+                        &mut s.worst_empirical,
+                    ));
                     // Shard-affine metric fold (non-negative maxima).
                     if track_estimate {
                         let estimate = match &mut learners {
@@ -885,28 +866,14 @@ impl PeerStore {
     }
 
     /// Time-averaged worst true regret of the peer in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a block store ([`into_block`](Self::into_block)), which
-    /// records none.
     pub fn empirical_regret(&self, slot: usize) -> f64 {
-        self.ledger().peer_max(slot, self.channels[slot] as usize)
+        self.regret.peer_max(slot, self.channels[slot] as usize)
     }
 
     /// Recorded regret epochs of the peer in `slot` (the time-average
     /// divisor; resets when the action-set arity changes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a block store ([`into_block`](Self::into_block)), which
-    /// records none.
     pub fn regret_stages(&self, slot: usize) -> u64 {
-        self.ledger().stages(slot)
-    }
-
-    fn ledger(&self) -> &RegretLedger {
-        self.regret.as_ref().expect("a block store records no regret")
+        self.regret.stages(slot)
     }
 
     /// The learner of the peer in `slot`.
@@ -1208,6 +1175,61 @@ mod tests {
                 }
                 check(&s, &dense, &format!("after {at}'s moves"));
             }
+        }
+    }
+
+    /// A block store, fed the population's join rates, records its peers'
+    /// true regret as the whole population's store does: every epoch the
+    /// blocks choose what the whole store chooses, their worst regrets
+    /// folded by `max` are its worst, and each peer's `empirical_regret` is
+    /// its counterpart's, `to_bits`, for more than `SNAPSHOT_SLOTS` epochs.
+    #[test]
+    fn block_stores_record_the_regret_of_the_whole_store() {
+        const H: usize = 4;
+        let mut whole = store(&[H]);
+        let mut blocks = [store(&[H]).into_block(0), store(&[H]).into_block(7)];
+        (0..12).for_each(|_| _ = whole.join(0));
+        (0..7).for_each(|_| _ = blocks[0].join(0));
+        (0..5).for_each(|_| _ = blocks[1].join(0));
+        let mut scratch = Vec::new();
+        // One epoch of `s`: its choices and its worst empirical regret.
+        let mut step = |s: &mut PeerStore, join: &[f64], epoch: u64| {
+            let n = s.len();
+            let (mut profile, mut aux, mut loads) = (vec![0; n], vec![0; n], Vec::new());
+            s.choose_phase(
+                &mut profile,
+                &mut aux,
+                &mut loads,
+                0,
+                &mut scratch,
+                |_, _, _, _, _| {},
+            );
+            let ids = s.ids().to_vec();
+            let (_, worst) = s.observe_phase(
+                &profile,
+                &mut vec![0.0; n],
+                &[0, H],
+                join,
+                &mut scratch,
+                false,
+                |slot, _, _| (((ids[slot] * 31 + epoch * 17) % 400) as f64, true),
+            );
+            (profile, worst)
+        };
+        for epoch in 0..2 * SNAPSHOT_SLOTS as u64 {
+            let join: Vec<f64> =
+                (0..H as u64).map(|k| ((epoch * 7 + k * 13) % 500) as f64).collect();
+            let (profile, worst) = step(&mut whole, &join, epoch);
+            let (head, head_worst) = step(&mut blocks[0], &join, epoch);
+            let (tail, tail_worst) = step(&mut blocks[1], &join, epoch);
+            assert_eq!(profile, [head, tail].concat(), "epoch {epoch}: choices");
+            assert_eq!(worst.to_bits(), head_worst.max(tail_worst).to_bits(), "epoch {epoch}");
+        }
+        let peers = blocks.iter().flat_map(|b| (0..b.len()).map(move |slot| (b, slot)));
+        for (slot, (block, b_slot)) in peers.enumerate() {
+            let (got, want) = (block.empirical_regret(b_slot), whole.empirical_regret(slot));
+            assert_eq!(got.to_bits(), want.to_bits(), "peer {slot}");
+            assert!(want > 0.0, "peer {slot}: no regret recorded");
         }
     }
 

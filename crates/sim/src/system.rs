@@ -25,9 +25,9 @@
 //! | helper dynamics | [`Helper::step`], every helper | — | `Helper::step` | — |
 //! | churn | churn draw, [`PeerStore::remove_slots`], [`PeerStore::join`] | — | — | — (fixed population) |
 //! | choose | [`PeerStore::choose_phase`], routed into per-(helper, channel) loads | `choose_phase`, routed as one `Request` per peer | counts the requests | — |
-//! | allocate | [`helper::allocate`] per helper, then [`EpochMetrics::allocation`] | — | `helper::allocate` on its one channel | `EpochMetrics::allocation` |
-//! | shape | [`PeerStore::shape_phase`] | [`PeerStore::is_lost`] at `Request`, `shape_phase` once every rate is in | — | — |
-//! | observe | [`PeerStore::observe_phase`] | `observe_phase` | — | the regret record |
+//! | allocate | [`helper::allocate`] per helper, then [`EpochMetrics::allocation`] | — | `helper::allocate` on its one channel | `EpochMetrics::allocation` at the last helper report; join rates to each shard |
+//! | shape | [`PeerStore::shape_phase`] | [`PeerStore::is_lost`] at `Request`, `shape_phase` once every rate and the join rates are in | — | — |
+//! | observe | [`PeerStore::observe_phase`] | `observe_phase`, against the join rates; its worst regret reported | — | — |
 //! | settle | [`EpochMetrics::settle`] | — | — | `EpochMetrics::settle` |
 //! | record | [`EpochMetrics::record`], the joint distribution | [`PeerStore::new_switches`], reported | — | `EpochMetrics::record` |
 //!

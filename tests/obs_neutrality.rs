@@ -175,8 +175,8 @@ fn phase_ns(report: &obs::TraceReport, phase: obs::Phase) -> u64 {
 }
 
 /// The reactor under tracing: bit-neutral, and its mailbox shards'
-/// learner passes show up as `choose` and `slab_observe` time (recorded on
-/// the draining worker, inside its `mailbox_drain`).
+/// learner passes show up as `choose`, `slab_observe` and `regret_fold`
+/// time (recorded on the draining worker, inside its `mailbox_drain`).
 #[test]
 fn reactor_backend_is_bit_neutral_under_tracing() {
     for threads in [1usize, 2] {
@@ -190,7 +190,7 @@ fn reactor_backend_is_bit_neutral_under_tracing() {
             let report = obs::take_report();
             let at = format!("reactor RTHS_THREADS={threads}");
             assert!(!report.spans.is_empty(), "{at}: traced run recorded no spans");
-            for phase in [obs::Phase::Choose, obs::Phase::SlabObserve] {
+            for phase in [obs::Phase::Choose, obs::Phase::SlabObserve, obs::Phase::RegretFold] {
                 assert!(phase_ns(&report, phase) > 0, "{at}: no {} time", phase.name());
             }
             assert_eq!(

@@ -17,9 +17,13 @@
 //! Each pins `TraceReport::counters` and `TraceReport::gauges`; the
 //! reactor runs pin `NetOutcome::messages` too. At these sizes only one
 //! count depends on the thread count: the multichannel run's
-//! `regret_exact_reads`, whose store phases split in two. The obs registry is process-global, so
-//! every run sits inside one `rths_par::env::with_var` window, which
-//! serialises the tests of this binary.
+//! `regret_exact_reads`, whose store phases split in two. A reactor
+//! records true regret in its mailbox shards' stores, so it folds exactly
+//! the stretches `System` folds on the same run, and reads the regret rows
+//! that each shard's own running maximum cannot bound. The obs registry
+//! is process-global, so every run sits inside one
+//! `rths_par::env::with_var` window, which serialises the tests of this
+//! binary.
 
 use rths_net::{MessageTotals, NetConfig};
 use rths_obs::{self as obs, Counter, Gauge, TraceReport};
@@ -151,28 +155,43 @@ fn multichannel_system_does_the_pinned_work() {
     }
 }
 
-/// 992 peers × 8 helpers on the reactor, estimates off, as in
-/// `reactor_wide`.
+/// `reactor_wide`'s shape: 992 peers × 8 helpers.
+fn wide_config() -> SimConfig {
+    SimConfig::builder(992, vec![BandwidthSpec::Paper { stay: 0.98 }; 8]).seed(7).build()
+}
+
+/// `reactor_dense`'s shape: 1,024 peers × 64 helpers.
+fn dense_config() -> SimConfig {
+    SimConfig::builder(1024, vec![BandwidthSpec::Paper { stay: 0.98 }; 64]).seed(7).build()
+}
+
+/// `sim` on the reactor for 20 epochs, estimates off, traced.
+fn traced_reactor(sim: SimConfig) -> (TraceReport, MessageTotals) {
+    let config = NetConfig::from_sim(sim).with_track_estimate(false).with_trace(true);
+    let out = rths_net::run(config, 20);
+    assert_eq!(out.epochs, 20);
+    (obs::take_report(), out.messages)
+}
+
+/// The wide config on the reactor, estimates off, as in `reactor_wide`.
+/// Its 992 peers are actors 10–1001, one mailbox shard: one running
+/// maximum, as when the coordinator recorded for everybody.
 #[test]
 fn wide_reactor_does_the_pinned_work() {
     for threads in [1usize, 2] {
-        let (report, messages) = with_threads(threads, || {
-            let sim = SimConfig::builder(992, vec![BandwidthSpec::Paper { stay: 0.98 }; 8])
-                .seed(7)
-                .build();
-            let config = NetConfig::from_sim(sim).with_track_estimate(false).with_trace(true);
-            let out = rths_net::run(config, 20);
-            assert_eq!(out.epochs, 20);
-            (obs::take_report(), out.messages)
-        });
+        let (report, messages) = with_threads(threads, || traced_reactor(wide_config()));
         let expected: [(&str, u64); 13] = [
-            ("messages_enqueued", 41214),
-            ("messages_delivered", 41214),
+            // 20 of them `JoinRates`: one to the one mailbox shard per
+            // epoch.
+            ("messages_enqueued", 41234),
+            ("messages_delivered", 41234),
             ("ring_grow_events", 1),
             ("slab_columns_touched", 0),
             ("free_list_reuse", 0),
             ("slab_columns_opened", 0),
-            ("stretch_folds", 0),
+            // `System`'s count on the same run (see
+            // `reactor_folds_the_stretches_system_folds`).
+            ("stretch_folds", 1780),
             ("regret_exact_reads", 139),
             ("departure_bytes_moved", 0),
             ("departure_columns_wiped", 0),
@@ -189,29 +208,27 @@ fn wide_reactor_does_the_pinned_work() {
     }
 }
 
-/// 1,024 peers × 64 helpers on the reactor, estimates off, as in
-/// `reactor_dense`: T blocks are packed, so first plays open columns.
+/// The dense config on the reactor, estimates off, as in
+/// `reactor_dense`: T blocks are packed, so first plays open columns. Its
+/// 1,024 peers are actors 66–1089, two mailbox shards of 958 and 66 peers.
 #[test]
 fn dense_reactor_does_the_pinned_work() {
     for threads in [1usize, 2] {
-        let (report, messages) = with_threads(threads, || {
-            let sim = SimConfig::builder(1024, vec![BandwidthSpec::Paper { stay: 0.98 }; 64])
-                .seed(7)
-                .build();
-            let config = NetConfig::from_sim(sim).with_track_estimate(false).with_trace(true);
-            let out = rths_net::run(config, 20);
-            assert_eq!(out.epochs, 20);
-            (obs::take_report(), out.messages)
-        });
+        let (report, messages) = with_threads(threads, || traced_reactor(dense_config()));
         let expected: [(&str, u64); 13] = [
-            ("messages_enqueued", 45926),
-            ("messages_delivered", 45926),
+            // 40 of them `JoinRates`: one to each of the two mailbox
+            // shards per epoch.
+            ("messages_enqueued", 45966),
+            ("messages_delivered", 45966),
             ("ring_grow_events", 1),
             ("slab_columns_touched", 0),
             ("free_list_reuse", 0),
             ("slab_columns_opened", 2948),
-            ("stretch_folds", 0),
-            ("regret_exact_reads", 716),
+            // `System`'s count on the same run.
+            ("stretch_folds", 1954),
+            // Each shard folds its own running maximum from zero, so the
+            // second shard reads rows the first one's maximum would bound.
+            ("regret_exact_reads", 872),
             ("departure_bytes_moved", 0),
             ("departure_columns_wiped", 0),
             ("ring_capacity_hwm", 1024),
@@ -224,5 +241,27 @@ fn dense_reactor_does_the_pinned_work() {
             MessageTotals { control: 24_320, data: 20_480 },
             "RTHS_THREADS={threads}"
         );
+    }
+}
+
+/// Both engines record true regret in the store's observe phase, so on a
+/// K = 1 churn-free run the reactor folds exactly the stretches `System`
+/// folds — the count follows the peers' selections alone.
+#[test]
+fn reactor_folds_the_stretches_system_folds() {
+    let folds = |report: &TraceReport| report.counters[Counter::StretchFolds.index()];
+    for threads in [1usize, 2] {
+        for sim in [wide_config(), dense_config()] {
+            let (system, reactor) = with_threads(threads, || {
+                let _on = obs::scoped_enable(true);
+                obs::begin_run("ledger_folds_sim");
+                System::new(sim.clone()).run(20);
+                let system = obs::take_report();
+                (system, traced_reactor(sim.clone()).0)
+            });
+            let at = format!("{} helpers, RTHS_THREADS={threads}", sim.helpers.len());
+            assert!(folds(&system) > 0, "{at}: no stretch folded");
+            assert_eq!(folds(&reactor), folds(&system), "{at}");
+        }
     }
 }
