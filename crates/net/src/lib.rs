@@ -24,8 +24,8 @@
 //!
 //! * [`Backend::Reactor`] ([`reactor_backend::ReactorRuntime`], the
 //!   default) — every actor as a poll-driven state machine on an
-//!   `rths_reactor` event loop: thousands of actors per thread,
-//!   impairment jitter mapped to timer-wheel delays;
+//!   `rths_reactor` event loop: thousands of actors per thread, with
+//!   optional seeded delivery delays on its timer wheel;
 //! * [`Backend::Multiproc`] ([`multiproc`]) — the same mesh sharded
 //!   across OS processes: the [`wire`] codec serializes the reactor's
 //!   per-shard send buffers into length-prefixed frames, and a star of
@@ -38,13 +38,13 @@
 //! process count (asserted by the `sim_net_equivalence` integration
 //! test). Link impairments come from `rths_sim`'s shared
 //! `ImpairmentPlan` (Gilbert-Elliott bursty loss, token-bucket policing,
-//! Markov link bandwidth/latency, timing jitter), set on the
-//! [`SimConfig`](rths_sim::SimConfig) the run wraps; every impairment
-//! decision is a pure function of `(plan seed, link, epoch)`, so
-//! impaired runs stay bit-identical too. Jitter and latency delay each
-//! peer's request and each helper's tick through the timer wheel by a
-//! seeded draw — the same test sweeps plan seeds and bounds to show that
-//! no delivery schedule can move a bit of the outcome.
+//! Markov link bandwidth), set on the [`SimConfig`](rths_sim::SimConfig)
+//! the run wraps; every impairment decision is a pure function of
+//! `(plan seed, link, epoch)`, so impaired runs stay bit-identical too.
+//! [`NetConfig::delivery_jitter`] delays each peer's request and each
+//! helper's tick through the timer wheel by a draw keyed on the plan
+//! seed — the same test sweeps plan seeds and bounds to show that no
+//! delivery schedule can move a bit of the outcome.
 //!
 //! # Example
 //!

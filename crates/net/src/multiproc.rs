@@ -476,14 +476,11 @@ mod tests {
 
     #[test]
     fn impaired_runs_cross_process_boundaries_identically() {
-        let plan = rths_sim::ImpairmentPlan::builder(11)
-            .uniform_loss(0.2)
-            .jitter_us(5)
-            .build()
-            .unwrap();
+        let plan = rths_sim::ImpairmentPlan::builder(11).uniform_loss(0.2).build().unwrap();
         let sim = Scenario::paper_small().seed(33).impairment(plan).build();
-        let single = ReactorRuntime::new(NetConfig::from_sim(sim.clone())).run(30);
-        let multi = run_multiproc_with_span(NetConfig::from_sim(sim), 30, 3, 4);
+        let config = NetConfig::from_sim(sim).with_delivery_jitter(5);
+        let single = ReactorRuntime::new(config.clone()).run(30);
+        let multi = run_multiproc_with_span(config, 30, 3, 4);
         assert_outcomes_identical(&multi.outcome, &single);
     }
 

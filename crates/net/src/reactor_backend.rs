@@ -25,37 +25,49 @@
 //!   simulator's allocate phase ([`HelperMachine`]); the coordinator turns
 //!   the helpers' reports into the epoch's join rates and sends them to
 //!   every mailbox shard that hosts peers;
-//! * [`ImpairmentPlan`] drops ride the request's `lost` flag (the store's
-//!   loss decision for the link); jitter and latency are timer-wheel
-//!   delays of each `Request` and helper `Tick`, the plan's seeded
-//!   per-`(actor, epoch)` draw.
+//! * impairment-plan drops ride the request's `lost` flag (the store's
+//!   loss decision for the link);
+//! * [`NetConfig::delivery_jitter`] turns into timer-wheel delays of each
+//!   `Request` and helper `Tick`, a draw per `(actor, epoch)` keyed on the
+//!   plan seed (`delivery_delay`).
 //!
 //! A peer-epoch is therefore two messages, `Request` and `Rate`, plus its
 //! share of the shard's `Tick` and `JoinRates`. Slot-ordered passes give
 //! the bits arrival order gave: per-slot updates are independent, and the
 //! coordinator starts epoch `e + 1` only once every shard has reported
 //! `e`. Timers fire only when the mesh is otherwise quiescent, so the
-//! plan seed permutes the order in which requests reach a helper. The settle
-//! barrier is a timer as well: each helper's `Settle` fires one logical
-//! tick after the plan's largest delay, by which time every request has
-//! been delivered. None of the schedule may show in the outcome. With
-//! equal seeds the backend reproduces the simulator bit-for-bit at any
-//! `RTHS_THREADS` and under any such schedule; the workspace-level
-//! `sim_net_equivalence` test pins both.
+//! plan seed permutes the order in which delayed requests reach a helper.
+//! The settle barrier is a timer as well: each helper's `Settle` fires
+//! one logical tick after the largest possible delay, by which time every
+//! request has been delivered. None of the schedule may show in the
+//! outcome. With equal seeds the backend reproduces the simulator
+//! bit-for-bit at any `RTHS_THREADS` and under any such schedule; the
+//! workspace-level `sim_net_equivalence` test pins both.
 
 use rths_obs::{self as obs, ObsScratch, Phase};
 use rths_reactor::{Actor, ActorId, Ctx, Reactor, ReactorStats, SHARD_SPAN};
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::store::{PeerStore, ShardScratch};
-use rths_sim::ImpairmentPlan;
+use rths_stoch::rng::derive_seed;
 
 use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
 
-/// Jitter stream offset for helper actors: helper `j` draws its delays as
+/// Delay stream offset for helper actors: helper `j` draws its delays as
 /// actor `HELPER_JITTER_BASE + j`, disjoint from the peers' (peer id)
 /// streams.
 const HELPER_JITTER_BASE: u64 = 0x4000_0000;
+
+/// The delay, in logical ticks, of `actor`'s message in `epoch` under a
+/// [`NetConfig::delivery_jitter`] of `bound`: a hash of the impairment
+/// plan's `seed`, the actor and the epoch, uniform in `0..bound` (0 when
+/// the bound is).
+fn delivery_delay(bound: u64, seed: u64, actor: u64, epoch: u64) -> u64 {
+    if bound == 0 {
+        return 0;
+    }
+    derive_seed(seed ^ 0xDEAD_BEEF, derive_seed(actor, epoch)) % bound
+}
 
 /// The coordinator's address: actor 0 of every mesh.
 const COORDINATOR: ActorId = ActorId(0);
@@ -110,7 +122,7 @@ pub enum NetMsg {
         lost: bool,
     },
     /// Coordinator → helper (via the timer wheel, one tick after the
-    /// plan's largest delay): all requests are in; allocate and reply.
+    /// largest possible delay): all requests are in; allocate and reply.
     Settle {
         /// Epoch number.
         epoch: u64,
@@ -207,6 +219,8 @@ pub struct PeerShard {
     first_actor: usize,
     demand: Option<f64>,
     track_estimate: bool,
+    /// [`NetConfig::delivery_jitter`].
+    delivery_jitter: u64,
     /// The epoch `chosen` was sampled for.
     chosen_epoch: Option<u64>,
     /// The choose phase's columns: helper per slot (the report's), and
@@ -250,6 +264,7 @@ impl PeerShard {
             first_actor,
             demand: sim.demand,
             track_estimate: config.track_estimate,
+            delivery_jitter: config.delivery_jitter,
             chosen_epoch: None,
             chosen: vec![0; len],
             aux: vec![0; len],
@@ -285,7 +300,8 @@ impl PeerShard {
     fn request(&mut self, slot: usize, epoch: u64) -> (u64, usize, NetMsg) {
         let (peer, helper) = (self.store.id(slot), self.chosen[slot] as usize);
         let lost = self.store.is_lost(slot, helper, epoch);
-        let delay = self.store.impairment().jitter_ticks(peer, epoch);
+        let seed = self.store.impairment().seed();
+        let delay = delivery_delay(self.delivery_jitter, seed, peer, epoch);
         (delay, helper, NetMsg::Request { peer, epoch, lost })
     }
 
@@ -387,7 +403,9 @@ pub struct CoordNode {
     num_helpers: usize,
     /// The first peer of each mailbox shard that hosts peers.
     shards: Vec<ActorId>,
-    impairments: ImpairmentPlan,
+    /// [`NetConfig::delivery_jitter`], and the plan seed its draws key on.
+    delivery_jitter: u64,
+    plan_seed: u64,
     control: u64,
 }
 
@@ -426,24 +444,23 @@ impl CoordNode {
             // boundary carries the previous epoch's tag.
             obs::set_epoch(epoch);
         }
-        let plan = &self.impairments;
+        let (bound, seed) = (self.delivery_jitter, self.plan_seed);
         for j in 0..self.num_helpers {
             self.control += 1;
-            let delay = plan.jitter_ticks(HELPER_JITTER_BASE + j as u64, epoch);
+            let delay = delivery_delay(bound, seed, HELPER_JITTER_BASE + j as u64, epoch);
             ctx.send_after(delay, ActorId(self.helper_base + j), NetMsg::Tick { epoch });
         }
         // Uncounted like the shards' reports: their number is the span's.
         for &first in &self.shards {
             ctx.send(first, NetMsg::Tick { epoch });
         }
-        // The settle barrier: nothing is delayed past the plan's largest
-        // draw, and a timer fires only once the mesh is quiescent, so one
-        // tick later every request has reached its helper.
-        let latest = plan.jitter_us().saturating_sub(1)
-            + plan.latency().map_or(0, |lat| lat.ticks.iter().copied().max().unwrap_or(0));
+        // The settle barrier: no draw exceeds `bound − 1`, and a timer
+        // fires only once the mesh is quiescent, so one tick after the
+        // largest draw every request has reached its helper.
+        let settle = bound.max(1);
         for j in 0..self.num_helpers {
             self.control += 1;
-            ctx.send_after(latest + 1, ActorId(self.helper_base + j), NetMsg::Settle { epoch });
+            ctx.send_after(settle, ActorId(self.helper_base + j), NetMsg::Settle { epoch });
         }
     }
 
@@ -477,7 +494,7 @@ pub struct TrackerNode {
 
 /// A helper actor wrapping the shared [`HelperMachine`].
 ///
-/// Its `Settle` is a timer one logical tick after the plan's largest
+/// Its `Settle` is a timer one logical tick after the largest possible
 /// delay, so it never overtakes the helper's own (delayed) tick: capacity
 /// steps before allocation in every schedule.
 #[derive(Debug)]
@@ -702,7 +719,6 @@ pub(crate) fn populate_mesh(
     len: usize,
 ) {
     let sim = &config.sim;
-    let impairments = &sim.impairment;
     let h = sim.helpers.len();
     let n = sim.num_peers();
     let helper_base = 2;
@@ -726,7 +742,8 @@ pub(crate) fn populate_mesh(
                         .filter(|&a| a == peer_base || a % span == 0)
                         .map(ActorId)
                         .collect(),
-                    impairments: impairments.clone(),
+                    delivery_jitter: config.delivery_jitter,
+                    plan_seed: sim.impairment.seed(),
                     control: 0,
                 })));
             }
@@ -908,7 +925,37 @@ impl ReactorRuntime {
 mod tests {
     use super::*;
     use crate::runtime::NetConfig;
-    use rths_sim::{BandwidthSpec, Scenario, SimConfig};
+    use rths_sim::{BandwidthSpec, ImpairmentPlan, Scenario, SimConfig};
+
+    /// The delay stream: the seeded hash, reduced below the bound.
+    #[test]
+    fn legacy_jitter_stream_is_preserved() {
+        for actor in 0..50u64 {
+            let h = derive_seed(9 ^ 0xDEAD_BEEF, derive_seed(actor, 5));
+            assert_eq!(delivery_delay(200, 9, actor, 5), h % 200);
+            assert_eq!(delivery_delay(0, 9, actor, 5), 0);
+        }
+    }
+
+    #[test]
+    fn legacy_fault_plan_jitter_vectors() {
+        // `(peer, epoch) → delay ticks` recorded from
+        // `rths_net::FaultPlan::with_loss(0.35, 99).with_jitter(250)`
+        // before that module was deleted: delivery delays under seed 99
+        // and bound 250 still land in the order they did.
+        for (peer, epoch, delay) in [
+            (0u64, 0u64, 153u64),
+            (2, 1, 177),
+            (7, 13, 157),
+            (3, 5, 66),
+            (11, 64, 180),
+            (42, 999, 80),
+            (5000, 123_456, 132),
+            (u64::MAX, 2, 18),
+        ] {
+            assert_eq!(delivery_delay(250, 99, peer, epoch), delay, "at ({peer}, {epoch})");
+        }
+    }
 
     #[test]
     fn reactor_runs_without_threads() {
@@ -1054,21 +1101,22 @@ mod tests {
     }
 
     /// Like `PeerMachine`'s `clean_links_hold_neither_plan_nor_link_state`:
-    /// under a plan that shapes no rate — none, or delivery delays only —
-    /// an epoch leaves every shard's shaped column empty (its store's
-    /// shape phase has no link to shape); under a lossy one, each slot's
-    /// rate went through its link.
+    /// under a plan that shapes no rate — none, or a seeded empty one with
+    /// delivery delays on — an epoch leaves every shard's shaped column
+    /// empty (its store's shape phase has no link to shape); under a lossy
+    /// one, each slot's rate went through its link.
     #[test]
     fn clean_links_cost_the_shard_nothing() {
-        let delays = ImpairmentPlan::builder(9).latency(vec![1, 3], 0.8).build().unwrap();
+        let seeded = ImpairmentPlan::builder(9).build().unwrap();
         let lossy = ImpairmentPlan::builder(9).uniform_loss(0.1).build().unwrap();
-        for (plan, linked) in
-            [(ImpairmentPlan::none(), false), (delays.with_jitter(5), false), (lossy, true)]
+        for (plan, jitter, linked) in
+            [(ImpairmentPlan::none(), 0, false), (seeded, 5, false), (lossy, 0, true)]
         {
             let sim = SimConfig::builder(20, vec![BandwidthSpec::Constant(800.0); 2])
                 .impairment(plan)
                 .build();
-            let mut rt = ReactorRuntime::with_span(NetConfig::from_sim(sim), 8);
+            let config = NetConfig::from_sim(sim).with_delivery_jitter(jitter);
+            let mut rt = ReactorRuntime::with_span(config, 8);
             rt.run_epochs(1);
             for shard in rt.reactor.shard_states().flatten() {
                 let links = if linked { shard.store.len() } else { 0 };
@@ -1143,9 +1191,9 @@ mod tests {
     /// peer. Shards of 8 actors cut the 45 peers into seven
     /// blocks, the first and last partial, so a block ingested at the
     /// wrong `first` leaves rates at the previous epoch's values, out of
-    /// line with the shards' choices. A latency ladder delays requests past the jitter
-    /// bound, and both spans must hand the coordinator the same columns,
-    /// bit for bit, every epoch.
+    /// line with the shards' choices. Requests and helper ticks are
+    /// delayed by up to 9 to 15 ticks, and both spans must hand the
+    /// coordinator the same columns, bit for bit, every epoch.
     #[test]
     fn every_epoch_allocates_within_helper_capacity() {
         const PEERS: usize = 45;
@@ -1158,8 +1206,6 @@ mod tests {
                     let plan = ImpairmentPlan::builder(seed)
                         .gilbert_loss(0.1, 0.3, 0.8, 0.05)
                         .token_bucket(300.0, 700.0)
-                        .jitter_us(1 + seed % 7)
-                        .latency(vec![0, 3, 9], 0.7)
                         .build()
                         .expect("valid impairment plan");
                     let sim = SimConfig::builder(
@@ -1171,12 +1217,9 @@ mod tests {
                     .impairment(plan)
                     .build();
                     let delta = sim.learner.delta;
-                    let mut runtimes = SPANS.map(|span| {
-                        (
-                            span,
-                            ReactorRuntime::with_span(NetConfig::from_sim(sim.clone()), span),
-                        )
-                    });
+                    let config = NetConfig::from_sim(sim).with_delivery_jitter(10 + seed % 7);
+                    let mut runtimes = SPANS
+                        .map(|span| (span, ReactorRuntime::with_span(config.clone(), span)));
                     for epoch in 0..EPOCHS {
                         let at = format!("threads {threads}, plan seed {seed}, epoch {epoch}");
                         let [narrow, wide] = runtimes.each_mut().map(|(span, rt)| {

@@ -33,12 +33,21 @@ pub enum Backend {
 pub struct NetConfig {
     /// The underlying system configuration (must be churn-free: actor
     /// population is fixed at startup). Its
-    /// [`impairment`](SimConfig::impairment) plan (loss, shaping,
-    /// jitter/latency) is the run's: one plan for the simulator and both
-    /// backends, so impaired runs stay bit-identical across all three.
+    /// [`impairment`](SimConfig::impairment) plan (loss and shaping) is
+    /// the run's: one plan for the simulator and both backends, so
+    /// impaired runs stay bit-identical across all three.
     pub sim: SimConfig,
     /// Hosting runtime.
     pub backend: Backend,
+    /// Exclusive bound, in logical ticks of the timer wheel, of the delay
+    /// put on every peer's `Request` and every helper's `Tick`. An
+    /// actor's delay in an epoch is a hash of the impairment plan's seed,
+    /// the actor and the epoch, so the plan seed picks the order in which
+    /// the epoch's messages land. A test tool: the protocol is
+    /// epoch-synchronous, so no such schedule may show in the outcome
+    /// (the `sim_net_equivalence` test sweeps it). **Default: 0**, no
+    /// delay.
+    pub delivery_jitter: u64,
     /// Whether peers attach their learner's internal regret estimate to
     /// every observation (the `worst_regret_estimate` series). The first
     /// estimate a shard's learner slab is asked for makes it maintain its
@@ -77,7 +86,13 @@ impl NetConfig {
             sim.viewers.len() == 1 && sim.allocation == AllocationPolicy::EvenSplit,
             "the decentralized runtimes run one channel (K = 1) under the even split"
         );
-        Self { sim, backend: Backend::default(), track_estimate: true, trace: false }
+        Self {
+            sim,
+            backend: Backend::default(),
+            delivery_jitter: 0,
+            track_estimate: true,
+            trace: false,
+        }
     }
 
     /// Enables/disables per-peer internal regret estimates (see
@@ -92,6 +107,14 @@ impl NetConfig {
     #[must_use]
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
+        self
+    }
+
+    /// Delays every request and helper tick by a seeded draw below
+    /// `bound` ticks (see [`delivery_jitter`](Self::delivery_jitter)).
+    #[must_use]
+    pub fn with_delivery_jitter(mut self, bound: u64) -> Self {
+        self.delivery_jitter = bound;
         self
     }
 

@@ -44,7 +44,7 @@ use crate::reactor_backend::{NetMsg, ShardReport};
 use crate::runtime::NetConfig;
 
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// Upper bound on a frame body (bytes). A drain batch for a 10⁵-actor
 /// mesh is a few megabytes; anything near this cap is corruption.
@@ -579,18 +579,6 @@ fn put_impairments(w: &mut WireWriter, plan: &ImpairmentPlan) {
             w.f64(*good_loss);
         }
     }
-    w.u64(plan.jitter_us());
-    match plan.latency() {
-        None => w.bool(false),
-        Some(lat) => {
-            w.bool(true);
-            w.seq(lat.ticks.len());
-            for &t in &lat.ticks {
-                w.u64(t);
-            }
-            w.f64(lat.stay);
-        }
-    }
     match plan.token_bucket() {
         None => w.bool(false),
         Some(tb) => {
@@ -617,18 +605,6 @@ fn get_impairments(r: &mut WireReader<'_>) -> Result<ImpairmentPlan, WireError> 
         1 => builder = builder.uniform_loss(r.f64()?),
         2 => builder = builder.gilbert_loss(r.f64()?, r.f64()?, r.f64()?, r.f64()?),
         tag => return Err(WireError::BadTag("LossModel", tag)),
-    }
-    let jitter_us = r.u64()?;
-    if jitter_us > 0 {
-        builder = builder.jitter_us(jitter_us);
-    }
-    if r.bool()? {
-        let n = r.seq()?;
-        let mut ticks = Vec::with_capacity(n);
-        for _ in 0..n {
-            ticks.push(r.u64()?);
-        }
-        builder = builder.latency(ticks, r.f64()?);
     }
     if r.bool()? {
         builder = builder.token_bucket(r.f64()?, r.f64()?);
@@ -658,6 +634,7 @@ fn put_worker_config(w: &mut WireWriter, wc: &WorkerConfig) {
     w.usize(wc.span);
     w.usize(wc.processes);
     w.bool(wc.config.track_estimate);
+    w.u64(wc.config.delivery_jitter);
     w.usize(sim.num_peers());
     w.seq(sim.helpers.len());
     for spec in &sim.helpers {
@@ -675,6 +652,7 @@ fn get_worker_config(r: &mut WireReader<'_>) -> Result<WorkerConfig, WireError> 
     let span = r.usize()?;
     let processes = r.usize()?;
     let track_estimate = r.bool()?;
+    let delivery_jitter = r.u64()?;
     let num_peers = r.usize()?;
     let n = r.seq()?;
     let mut helpers = Vec::with_capacity(n);
@@ -699,7 +677,9 @@ fn get_worker_config(r: &mut WireReader<'_>) -> Result<WorkerConfig, WireError> 
     if let Some(demand) = demand {
         builder = builder.demand(demand);
     }
-    let config = NetConfig::from_sim(builder.build()).with_track_estimate(track_estimate);
+    let config = NetConfig::from_sim(builder.build())
+        .with_track_estimate(track_estimate)
+        .with_delivery_jitter(delivery_jitter);
     Ok(WorkerConfig { config, span, processes })
 }
 
@@ -1074,8 +1054,6 @@ mod tests {
     fn worker_config_roundtrips_exactly() {
         let plan = ImpairmentPlan::builder(77)
             .gilbert_loss(0.05, 0.4, 0.9, 0.01)
-            .jitter_us(250)
-            .latency(vec![0, 2, 5], 0.8)
             .token_bucket(900.0, 1800.0)
             .link_bandwidth(vec![300.0, 600.0, 900.0], 0.7)
             .build()
@@ -1100,16 +1078,21 @@ mod tests {
         .record_peer_rates(true)
         .impairment(plan)
         .build();
-        let config = NetConfig::from_sim(sim).with_track_estimate(false);
-        let wc = WorkerConfig { config, span: 8, processes: 4 };
-        match roundtrip(&Frame::Config(Box::new(wc.clone()))) {
-            Frame::Config(got) => {
-                assert_eq!(got.span, 8);
-                assert_eq!(got.processes, 4);
-                assert_eq!(got.config.sim, wc.config.sim);
-                assert!(!got.config.track_estimate);
+        for jitter in [0, 250] {
+            let config = NetConfig::from_sim(sim.clone())
+                .with_track_estimate(false)
+                .with_delivery_jitter(jitter);
+            let wc = WorkerConfig { config, span: 8, processes: 4 };
+            match roundtrip(&Frame::Config(Box::new(wc.clone()))) {
+                Frame::Config(got) => {
+                    assert_eq!(got.span, 8);
+                    assert_eq!(got.processes, 4);
+                    assert_eq!(got.config.sim, wc.config.sim);
+                    assert!(!got.config.track_estimate);
+                    assert_eq!(got.config.delivery_jitter, jitter);
+                }
+                other => panic!("decoded {other:?}"),
             }
-            other => panic!("decoded {other:?}"),
         }
     }
 

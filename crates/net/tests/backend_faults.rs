@@ -131,12 +131,12 @@ fn full_loss_starves_everyone_on_the_reactor() {
 
 #[test]
 fn loss_and_jitter_compose_on_the_reactor() {
-    // Jitter delays deliveries through the timer wheel; loss drops
-    // payloads. Jitter must still change nothing, even combined with
-    // loss.
+    // Delivery jitter delays deliveries through the timer wheel; loss
+    // drops payloads. Jitter must still change nothing, even combined
+    // with loss.
     let plain = rths_net::run(lossy_config(5, 0.3).with_backend(Backend::Reactor), 80);
-    let mut jittery_config = lossy_config(5, 0.3).with_backend(Backend::Reactor);
-    jittery_config.sim.impairment = jittery_config.sim.impairment.with_jitter(150);
+    let jittery_config =
+        lossy_config(5, 0.3).with_backend(Backend::Reactor).with_delivery_jitter(150);
     let jittery = rths_net::run(jittery_config, 80);
     assert_eq!(
         bits(plain.metrics.welfare.values()),

@@ -340,10 +340,11 @@ pub struct SimConfig {
     /// f64s; churn-free runs only). Feeds the playback-buffer QoE
     /// analysis ([`crate::playback`]).
     pub record_peer_rates: bool,
-    /// Link impairments (loss, rate limiting, bandwidth/latency
-    /// processes); [`ImpairmentPlan::none`] by default. Shared with the
-    /// `rths_net` runtimes: `NetConfig::from_sim` inherits this plan, and
-    /// the simulator and both net backends apply it bit-identically.
+    /// Link impairments: loss, rate limiting and link bandwidth, each of
+    /// which shapes the rate a peer receives; [`ImpairmentPlan::none`] by
+    /// default. Shared with the `rths_net` runtimes: `NetConfig::from_sim`
+    /// inherits this plan, and the simulator and both net backends apply
+    /// it bit-identically.
     pub impairment: ImpairmentPlan,
     /// The sum of `viewers`, which every constructor keeps and `assemble`
     /// checks; read [`SimConfig::num_peers()`] instead.

@@ -1,6 +1,5 @@
 //! Per-link impairments: bursty loss, rate limiting, and time-varying
-//! link bandwidth/latency — shared by the simulator and the `rths_net`
-//! backends.
+//! link bandwidth — shared by the simulator and the `rths_net` backends.
 //!
 //! The paper's evaluation assumes clean links; the deployments motivating
 //! it (PPLive/UUSee-style swarms) see bursty loss, rate-limited last
@@ -16,10 +15,11 @@
 //!   clipped to the refill rate);
 //! * [`LinkBandwidthSpec`] — a per-link capacity ladder driven by the
 //!   same sticky birth–death Markov chain the helpers' bandwidth
-//!   processes use ([`rths_stoch::markov`]);
-//! * [`LatencySpec`] — a Markov-modulated extra delivery delay, layered
-//!   on the legacy uniform jitter. Like jitter, latency is absorbed by
-//!   the epoch barrier and must never change results.
+//!   processes use ([`rths_stoch::markov`]).
+//!
+//! Each of them shapes the rate a peer receives. The plan holds nothing
+//! else: the protocol is epoch-synchronous, so a delivery delay could
+//! reorder an epoch's messages but never change an outcome.
 //!
 //! # Determinism across backends
 //!
@@ -86,8 +86,6 @@ const SALT_GE_STEP: u64 = 0x6E_1B_AD_02;
 const SALT_GE_DROP: u64 = 0x6E_1B_AD_03;
 const SALT_BW_INIT: u64 = 0xBA_4D_01;
 const SALT_BW_STEP: u64 = 0xBA_4D_02;
-const SALT_LAT_INIT: u64 = 0x1A_7E_4C_01;
-const SALT_LAT_STEP: u64 = 0x1A_7E_4C_02;
 
 /// A rejected [`ImpairmentPlan`] field: which field, what it must
 /// satisfy, and the offending value. Returned (never panicked) by
@@ -175,26 +173,12 @@ pub struct LinkBandwidthSpec {
     pub stay: f64,
 }
 
-/// Markov-modulated extra delivery delay per actor, in logical ticks on
-/// the reactor's timer wheel. Latency, like jitter, is absorbed by the
-/// epoch barrier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencySpec {
-    /// Delay levels (ticks), ordered low→high.
-    pub ticks: Vec<u64>,
-    /// Probability of staying at the current level each epoch,
-    /// in `[0, 1)`.
-    pub stay: f64,
-}
-
 /// A validated, declarative link-impairment plan. Construct with
 /// [`ImpairmentPlan::none`] or [`ImpairmentPlan::builder`]; invalid
 /// parameters surface as [`ImpairmentError`]s, never panics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ImpairmentPlan {
     loss: LossModel,
-    jitter_us: u64,
-    latency: Option<LatencySpec>,
     token_bucket: Option<TokenBucketSpec>,
     link_bandwidth: Option<LinkBandwidthSpec>,
     seed: u64,
@@ -227,22 +211,6 @@ impl ImpairmentPlanBuilder {
     ) -> Self {
         self.plan.loss =
             LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss };
-        self
-    }
-
-    /// Uniform timing jitter: a delay in `0..jitter_us` logical ticks of
-    /// the reactor's timer wheel per tick message. (The name is the
-    /// scenario files' `jitter_us` key; the wheel has no wall clock.)
-    #[must_use]
-    pub fn jitter_us(mut self, jitter_us: u64) -> Self {
-        self.plan.jitter_us = jitter_us;
-        self
-    }
-
-    /// Markov-modulated extra delivery latency.
-    #[must_use]
-    pub fn latency(mut self, ticks: Vec<u64>, stay: f64) -> Self {
-        self.plan.latency = Some(LatencySpec { ticks, stay });
         self
     }
 
@@ -300,16 +268,6 @@ impl ImpairmentPlanBuilder {
                 }
             }
             stay_probability("link_bandwidth.stay", bw.stay)?;
-        }
-        if let Some(lat) = &plan.latency {
-            if lat.ticks.is_empty() {
-                return Err(ImpairmentError::new(
-                    "latency.ticks",
-                    "must list at least one level",
-                    &lat.ticks,
-                ));
-            }
-            stay_probability("latency.stay", lat.stay)?;
         }
         Ok(plan)
     }
@@ -393,9 +351,9 @@ fn ge_drops(seed: u64, bad: bool, bad_loss: f64, good_loss: f64, epoch: u64) -> 
 /// One sticky birth–death transition over `n ≥ 2` levels: the state at
 /// epoch `t + 1` given `state` at epoch `t` (shared by the seek loop and
 /// the stepping [`LinkShaper`], like [`ge_step`]).
-fn ladder_step(seed: u64, step_salt: u64, stay: f64, n: usize, state: usize, t: u64) -> usize {
+fn ladder_step(seed: u64, stay: f64, n: usize, state: usize, t: u64) -> usize {
     debug_assert!(n >= 2, "a one-level ladder has no transitions");
-    let u = unit(seed ^ step_salt, t);
+    let u = unit(seed ^ SALT_BW_STEP, t);
     if u < stay {
         return state;
     }
@@ -414,14 +372,7 @@ fn ladder_step(seed: u64, step_salt: u64, stay: f64, n: usize, state: usize, t: 
 /// Seekable sticky birth–death ladder state over `n` levels (stationary
 /// weights `[1, 2, …, 2, 1]`, matching
 /// [`rths_stoch::markov::MarkovChain::sticky_birth_death`]).
-fn ladder_state_at(
-    seed: u64,
-    init_salt: u64,
-    step_salt: u64,
-    stay: f64,
-    n: usize,
-    epoch: u64,
-) -> usize {
+fn ladder_state_at(seed: u64, stay: f64, n: usize, epoch: u64) -> usize {
     if n <= 1 {
         return 0;
     }
@@ -429,7 +380,7 @@ fn ladder_state_at(
     let start = block * REGEN_BLOCK;
     // Stationary draw at the block boundary.
     let total = (2 * n - 2) as f64;
-    let mut acc = unit(seed ^ init_salt, block) * total;
+    let mut acc = unit(seed ^ SALT_BW_INIT, block) * total;
     let mut state = 0usize;
     for s in 0..n {
         let w = if s == 0 || s == n - 1 { 1.0 } else { 2.0 };
@@ -442,7 +393,7 @@ fn ladder_state_at(
     }
     // Transition steps to the queried epoch.
     for t in start..epoch {
-        state = ladder_step(seed, step_salt, stay, n, state, t);
+        state = ladder_step(seed, stay, n, state, t);
     }
     state
 }
@@ -459,19 +410,8 @@ impl ImpairmentPlan {
         ImpairmentPlanBuilder { plan: ImpairmentPlan { seed, ..ImpairmentPlan::default() } }
     }
 
-    /// Whether the plan impairs nothing (jitter and latency count: they
-    /// perturb timing, never results).
-    pub fn is_none(&self) -> bool {
-        matches!(self.loss, LossModel::None)
-            && self.jitter_us == 0
-            && self.latency.is_none()
-            && self.token_bucket.is_none()
-            && self.link_bandwidth.is_none()
-    }
-
-    /// Whether the plan can change *results* (loss or shaping — as
-    /// opposed to timing-only jitter/latency, which the epoch barrier
-    /// absorbs).
+    /// Whether the plan impairs anything: loss, the token bucket or the
+    /// link bandwidth, each of which can change the rate a peer receives.
     pub fn affects_rates(&self) -> bool {
         !matches!(self.loss, LossModel::None)
             || self.token_bucket.is_some()
@@ -488,17 +428,6 @@ impl ImpairmentPlan {
         &self.loss
     }
 
-    /// Exclusive upper bound of the uniform per-message jitter (logical
-    /// ticks; 0 = disabled).
-    pub fn jitter_us(&self) -> u64 {
-        self.jitter_us
-    }
-
-    /// The latency process, if any.
-    pub fn latency(&self) -> Option<&LatencySpec> {
-        self.latency.as_ref()
-    }
-
     /// The token-bucket limiter, if any.
     pub fn token_bucket(&self) -> Option<&TokenBucketSpec> {
         self.token_bucket.as_ref()
@@ -507,14 +436,6 @@ impl ImpairmentPlan {
     /// The link-bandwidth process, if any.
     pub fn link_bandwidth(&self) -> Option<&LinkBandwidthSpec> {
         self.link_bandwidth.as_ref()
-    }
-
-    /// Adds uniform timing jitter of `0..jitter_us` logical ticks per
-    /// message (infallible).
-    #[must_use]
-    pub fn with_jitter(mut self, jitter_us: u64) -> Self {
-        self.jitter_us = jitter_us;
-        self
     }
 
     /// Whether the payload on link `(peer, helper)` is lost at `epoch`.
@@ -548,44 +469,8 @@ impl ImpairmentPlan {
     pub fn link_cap_kbps(&self, peer: u64, helper: usize, epoch: u64) -> Option<f64> {
         self.link_bandwidth.as_ref().map(|bw| {
             let ls = link_seed(self.seed, peer, helper);
-            let state = ladder_state_at(
-                ls,
-                SALT_BW_INIT,
-                SALT_BW_STEP,
-                bw.stay,
-                bw.levels.len(),
-                epoch,
-            );
-            bw.levels[state]
+            bw.levels[ladder_state_at(ls, bw.stay, bw.levels.len(), epoch)]
         })
-    }
-
-    /// The deterministic delivery delay for `(actor, epoch)`: the legacy
-    /// uniform jitter draw (the legacy fault-plan stream) plus the
-    /// Markov-modulated latency level. The reactor delays the actor's
-    /// message (a peer's request, a helper's tick) through its timer wheel
-    /// by this many logical ticks, so the plan seed decides the order in
-    /// which an epoch's messages land. The epoch barrier absorbs it:
-    /// delays must never change results.
-    pub fn jitter_ticks(&self, actor: u64, epoch: u64) -> u64 {
-        let mut total = 0;
-        if self.jitter_us > 0 {
-            let h = derive_seed(self.seed ^ 0xDEAD_BEEF, derive_seed(actor, epoch));
-            total += h % self.jitter_us;
-        }
-        if let Some(lat) = &self.latency {
-            let seed = derive_seed(self.seed ^ SALT_LAT_INIT, actor);
-            let state = ladder_state_at(
-                seed,
-                SALT_LAT_INIT,
-                SALT_LAT_STEP,
-                lat.stay,
-                lat.ticks.len(),
-                epoch,
-            );
-            total += lat.ticks[state];
-        }
-        total
     }
 }
 
@@ -745,8 +630,8 @@ impl LinkShaper {
                 follow(
                     &mut link.ladder,
                     epoch,
-                    |level, t| ladder_step(seed, SALT_BW_STEP, bw.stay, n, level, t),
-                    || ladder_state_at(seed, SALT_BW_INIT, SALT_BW_STEP, bw.stay, n, epoch),
+                    |level, t| ladder_step(seed, bw.stay, n, level, t),
+                    || ladder_state_at(seed, bw.stay, n, epoch),
                 )
             };
             rate = rate.min(bw.levels[level]);
@@ -777,11 +662,9 @@ mod tests {
     #[test]
     fn none_plan_is_inert() {
         let plan = ImpairmentPlan::none();
-        assert!(plan.is_none());
         assert!(!plan.affects_rates());
         for peer in 0..20 {
             assert!(!plan.is_lost(peer, 0, peer));
-            assert_eq!(plan.jitter_ticks(peer, 3), 0);
             assert_eq!(plan.link_cap_kbps(peer, 0, 3), None);
         }
         let mut shaper = LinkShaper::new();
@@ -807,34 +690,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_jitter_stream_is_preserved() {
-        let plan = ImpairmentPlan::builder(9).build().unwrap().with_jitter(200);
-        for actor in 0..50u64 {
-            let h = derive_seed(9 ^ 0xDEAD_BEEF, derive_seed(actor, 5));
-            assert_eq!(plan.jitter_ticks(actor, 5), h % 200);
-        }
-    }
-
-    #[test]
     fn legacy_fault_plan_golden_vectors() {
-        // `(peer, epoch) → (lost, jitter ticks)` recorded from
-        // `rths_net::FaultPlan::with_loss(0.35, 99).with_jitter(250)`
-        // before that module was deleted: lossy configs written against
-        // it keep reproducing their runs bit-for-bit.
-        let plan =
-            ImpairmentPlan::builder(99).uniform_loss(0.35).build().unwrap().with_jitter(250);
-        for (peer, epoch, lost, jitter) in [
-            (0u64, 0u64, false, 153u64),
-            (2, 1, true, 177),
-            (7, 13, false, 157),
-            (3, 5, true, 66),
-            (11, 64, false, 180),
-            (42, 999, false, 80),
-            (5000, 123_456, true, 132),
-            (u64::MAX, 2, false, 18),
+        // `(peer, epoch) → lost` recorded from
+        // `rths_net::FaultPlan::with_loss(0.35, 99)` before that module
+        // was deleted: lossy configs written against it keep reproducing
+        // their runs bit-for-bit. (Its delay column is pinned beside the
+        // reactor's delivery delays, in `rths_net`.)
+        let plan = ImpairmentPlan::builder(99).uniform_loss(0.35).build().unwrap();
+        for (peer, epoch, lost) in [
+            (0u64, 0u64, false),
+            (2, 1, true),
+            (7, 13, false),
+            (3, 5, true),
+            (11, 64, false),
+            (42, 999, false),
+            (5000, 123_456, true),
+            (u64::MAX, 2, false),
         ] {
             assert_eq!(plan.is_lost(peer, 0, epoch), lost, "loss at ({peer}, {epoch})");
-            assert_eq!(plan.jitter_ticks(peer, epoch), jitter, "jitter at ({peer}, {epoch})");
         }
         // The boundary probabilities never consult the hash.
         let always = ImpairmentPlan::builder(7).uniform_loss(1.0).build().unwrap();
@@ -908,14 +781,7 @@ mod tests {
         let n = 40_000u64;
         let mut counts = [0u64; 3];
         for i in 0..n {
-            counts[ladder_state_at(
-                derive_seed(5, i % 100),
-                SALT_BW_INIT,
-                SALT_BW_STEP,
-                0.9,
-                3,
-                i / 100,
-            )] += 1;
+            counts[ladder_state_at(derive_seed(5, i % 100), 0.9, 3, i / 100)] += 1;
         }
         let mid = counts[1] as f64 / n as f64;
         assert!((mid - 0.5).abs() < 0.03, "middle-state mass {mid}");
@@ -932,7 +798,7 @@ mod tests {
                 if epoch % REGEN_BLOCK == 0 {
                     continue;
                 }
-                let s = |e| ladder_state_at(link, SALT_BW_INIT, SALT_BW_STEP, 0.95, 5, e);
+                let s = |e| ladder_state_at(link, 0.95, 5, e);
                 total += 1;
                 if s(epoch) == s(epoch - 1) {
                     same += 1;
@@ -1198,17 +1064,5 @@ mod tests {
         let err =
             ImpairmentPlan::builder(0).link_bandwidth(vec![100.0], 1.0).build().unwrap_err();
         assert_eq!(err.field(), "link_bandwidth.stay");
-    }
-
-    #[test]
-    fn rejects_empty_latency_ladder() {
-        let err = ImpairmentPlan::builder(0).latency(vec![], 0.9).build().unwrap_err();
-        assert_eq!(err.field(), "latency.ticks");
-    }
-
-    #[test]
-    fn rejects_latency_stay_out_of_range() {
-        let err = ImpairmentPlan::builder(0).latency(vec![0, 5], 1.5).build().unwrap_err();
-        assert_eq!(err.field(), "latency.stay");
     }
 }

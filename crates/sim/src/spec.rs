@@ -8,9 +8,9 @@
 //!    `[population.churn]`, `[population.learner]`) or a multi-channel
 //!    deployment (`[multichannel]`: channels, bitrate, viewers, Zipf
 //!    popularity, allocation policy);
-//! 2. **Impairment** — an [`ImpairmentPlan`] (`[impairment]` with
-//!    `loss`, `token_bucket`, `link_bandwidth` and `latency` sub-tables,
-//!    plus `jitter_us`);
+//! 2. **Impairment** — an [`ImpairmentPlan`] (`[impairment]`: a `seed`
+//!    and the `loss`, `token_bucket` and `link_bandwidth` sub-tables, each
+//!    of which shapes the rates peers receive);
 //! 3. **Workload phases** — an ordered list of [`WorkloadPhase`]s
 //!    (`[[phase]]`: steady, flash crowd, diurnal, helper failure,
 //!    popularity shift, channel surfing);
@@ -618,7 +618,7 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         }
         (Some(v), None) => (parse_single(as_tbl(v, "population")?, seed, impairment)?, None),
         (None, Some(v)) => {
-            if !impairment.is_none() {
+            if impairment.affects_rates() {
                 return Err(invalid(
                     "impairment",
                     "impairments are only wired into single-channel populations",
@@ -876,11 +876,7 @@ fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(SimConfig, f64), ScenarioError> 
 
 fn parse_impairment(tbl: &Tbl) -> Result<ImpairmentPlan, ScenarioError> {
     let path = "impairment";
-    check_keys(
-        tbl,
-        path,
-        &["seed", "jitter_us", "loss", "token_bucket", "link_bandwidth", "latency"],
-    )?;
+    check_keys(tbl, path, &["seed", "loss", "token_bucket", "link_bandwidth"])?;
     let seed = req_u64(tbl, path, "seed")?;
     let mut builder = ImpairmentPlan::builder(seed);
     if let Some(v) = tbl.get("loss") {
@@ -930,16 +926,7 @@ fn parse_impairment(tbl: &Tbl) -> Result<ImpairmentPlan, ScenarioError> {
             req_f64(btbl, bpath, "stay")?,
         );
     }
-    if let Some(v) = tbl.get("latency") {
-        let lpath = "impairment.latency";
-        let ltbl = as_tbl(v, lpath)?;
-        check_keys(ltbl, lpath, &["ticks", "stay"])?;
-        builder = builder.latency(
-            as_u64_array(req(ltbl, lpath, "ticks")?, &format!("{lpath}.ticks"))?,
-            req_f64(ltbl, lpath, "stay")?,
-        );
-    }
-    Ok(builder.jitter_us(opt_u64_or(tbl, path, "jitter_us", 0)?).build()?)
+    Ok(builder.build()?)
 }
 
 fn parse_phase(tbl: &Tbl, path: &str) -> Result<WorkloadPhase, ScenarioError> {
@@ -1180,7 +1167,6 @@ mod tests {
 
             [impairment]
             seed = 23
-            jitter_us = 120
 
             [impairment.loss]
             kind = "gilbert_elliott"
@@ -1196,10 +1182,6 @@ mod tests {
             [impairment.link_bandwidth]
             levels = [300.0, 600.0, 900.0]
             stay = 0.92
-
-            [impairment.latency]
-            ticks = [1, 2, 4]
-            stay = 0.85
 
             [[phase]]
             kind = "steady"
@@ -1252,7 +1234,7 @@ mod tests {
         assert_eq!(learner.mu.map(f64::to_bits), Some(1280f64.to_bits()));
 
         let plan = &config.impairment;
-        assert_eq!((plan.seed(), plan.jitter_us()), (23, 120));
+        assert_eq!(plan.seed(), 23);
         match plan.loss() {
             LossModel::GilbertElliott { p_enter_bad, p_exit_bad, bad_loss, good_loss } => {
                 assert_eq!(
@@ -1267,9 +1249,6 @@ mod tests {
         let link = plan.link_bandwidth().expect("link bandwidth parsed");
         assert_eq!(bits(&link.levels), bits(&[300.0, 600.0, 900.0]));
         assert_eq!(link.stay.to_bits(), 0.92f64.to_bits());
-        let latency = plan.latency().expect("latency parsed");
-        assert_eq!(latency.ticks, [1, 2, 4]);
-        assert_eq!(latency.stay.to_bits(), 0.85f64.to_bits());
 
         assert_eq!(
             spec.phases,
@@ -1739,10 +1718,11 @@ mod tests {
                 },
                 STAY,
             ),
+            // A table the loader does not know is refused at every value.
             (
-                "impairment.latency.stay",
+                "impairment.latency",
                 |v| impairment("latency", &format!("ticks = [1, 2]\nstay = {v}")),
-                STAY,
+                [false; 7],
             ),
             // `arrival × (surge − 1)` expected extra arrivals per epoch.
             (
@@ -1790,6 +1770,10 @@ mod tests {
         /// within a 4-epoch phase.
         fn small(key: &'static str) -> [Option<&'static str>; 5] {
             [Some(key), None, None, Some(key), Some(key)]
+        }
+        /// Loads at no value: a key the loader does not know.
+        fn unknown(key: &'static str) -> [Option<&'static str>; 5] {
+            [Some(key); 5]
         }
         fn doc(body: &str) -> String {
             format!("version = 1\nname = \"x\"\n{body}")
@@ -1880,7 +1864,7 @@ mod tests {
             (|v| impairment(&format!("seed = {v}")), any("impairment.seed")),
             (
                 |v| impairment(&format!("seed = 1\njitter_us = {v}")),
-                any("impairment.jitter_us"),
+                unknown("impairment.jitter_us"),
             ),
             (
                 |v| {
@@ -1888,7 +1872,7 @@ mod tests {
                         "seed = 1\n[impairment.latency]\nticks = [1, {v}]\nstay = 0.9"
                     ))
                 },
-                any("impairment.latency.ticks[1]"),
+                unknown("impairment.latency"),
             ),
             (
                 |v| small_with("epochs = 5", &format!("epochs = {v}")),

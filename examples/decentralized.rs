@@ -2,8 +2,8 @@
 //! actor of its own on the event-loop runtime (the default backend), and
 //! the only communication is message passing — bootstrap via a tracker,
 //! per-epoch requests and rate replies. An impairment plan injects
-//! data-plane loss and timing jitter (seeded delivery delays through the
-//! timer wheel).
+//! data-plane loss, and the runtime's delivery jitter delays messages
+//! (seeded delays through the timer wheel).
 //!
 //! A fault-free run reproduces the monolithic simulator bit-for-bit —
 //! checked live at the end.
@@ -22,10 +22,10 @@ fn main() {
     let clean = rths_suite::net::run(config(), epochs);
     println!("clean run      welfare {}", sparkline(clean.metrics.welfare.values(), 56));
 
-    let lossy_plan =
-        ImpairmentPlan::builder(77).uniform_loss(0.2).build().unwrap().with_jitter(50);
+    let lossy_plan = ImpairmentPlan::builder(77).uniform_loss(0.2).build().unwrap();
     let lossy_sim = SimConfig { impairment: lossy_plan, ..sim_config.clone() };
-    let lossy = rths_suite::net::run(NetConfig::from_sim(lossy_sim), epochs);
+    let lossy_config = NetConfig::from_sim(lossy_sim).with_delivery_jitter(50);
+    let lossy = rths_suite::net::run(lossy_config, epochs);
     println!("20% loss+jitter welfare {}", sparkline(lossy.metrics.welfare.values(), 56));
 
     println!(

@@ -14,10 +14,11 @@
 //!
 //! The protocol must also be independent of the *order* in which an
 //! epoch's messages are delivered. The reactor has a seeded scheduler on
-//! its production path — an impairment plan's jitter and latency delay
-//! every request and helper tick through the timer wheel — and
-//! [`jitter_does_not_change_results`] sweeps it over plan seeds and
-//! bounds, holding every schedule to the simulator's trajectory.
+//! its production path — `NetConfig::delivery_jitter` delays every
+//! request and helper tick through the timer wheel, by draws keyed on the
+//! impairment plan's seed — and [`jitter_does_not_change_results`] sweeps
+//! it over plan seeds and bounds, holding every schedule to the
+//! simulator's trajectory.
 //!
 //! This is the strongest cross-implementation test in the workspace: any
 //! divergence in learner updates, rate allocation, or metric arithmetic
@@ -120,15 +121,21 @@ const MULTIPROC_SPAN: usize = 4;
 /// (2 and 4 processes) must produce identical trajectories at every
 /// tested worker count.
 fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
+    assert_equivalent_jittered(sim_config, epochs, 0);
+}
+
+/// [`assert_equivalent`], the net backends under a delivery-jitter bound.
+fn assert_equivalent_jittered(sim_config: SimConfig, epochs: u64, jitter: u64) {
+    let net = NetConfig::from_sim(sim_config.clone()).with_delivery_jitter(jitter);
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let mut sim = System::new(sim_config.clone());
             let sim_out = sim.run(epochs);
-            let reactor = rths_net::run(NetConfig::from_sim(sim_config.clone()), epochs);
+            let reactor = rths_net::run(net.clone(), epochs);
             assert_outcome_matches_sim("reactor", threads, &sim_out, &reactor, true);
             for processes in [2usize, 4] {
                 let report = rths_net::run_multiproc_with_span(
-                    NetConfig::from_sim(sim_config.clone()),
+                    net.clone(),
                     epochs,
                     processes,
                     MULTIPROC_SPAN,
@@ -181,8 +188,9 @@ fn equivalent_with_heterogeneous_processes() {
 fn equivalent_on_a_reactor_scale_population() {
     // Large enough to shard everywhere at `RTHS_THREADS=2`: more than
     // 2 × `rths_par::MIN_ITEMS_PER_WORKER` peers, so the simulator's store
-    // phases and the coordinator's regret record split in two, and five
-    // default-span mailbox shards, so a reactor round is multi-shard.
+    // phases (the observe phase's regret record among them) split in two,
+    // and five default-span mailbox shards, so a reactor round is
+    // multi-shard and five block stores record the peers' regret.
     let config = SimConfig::builder(4_200, vec![BandwidthSpec::Paper { stay: 0.95 }; 8])
         .seed(1234)
         .build();
@@ -232,7 +240,7 @@ fn jitter_does_not_change_results() {
     // land in delay order: the plan seed permutes the order in which they
     // reach each helper, and how many rounds and timer steps the epoch
     // takes before the helpers' `Settle` timers fire, one tick after the
-    // plan's largest possible delay.
+    // largest possible delay.
     // The barrier protocol must absorb every such schedule: each run is
     // held to the simulator under the same plan, every series and both
     // per-peer summaries.
@@ -240,14 +248,15 @@ fn jitter_does_not_change_results() {
     const JITTER_BOUNDS: [u64; 5] = [0, 2, 5, 17, 200];
     const EPOCHS: u64 = 30;
     let clean = |seed| ImpairmentPlan::builder(seed).build().expect("empty plan is valid");
-    // The full rate-affecting stack, plus a latency ladder whose level 0
-    // keeps some actors undelayed while others are not.
+    // The full rate-affecting stack. Its runs take the bound
+    // `2·bound + 10`, so every one of them delays (a draw of 0 still
+    // leaves some actors undelayed while others are not), and its
+    // schedules spread away from the clean runs' at the same bound.
     let impaired = |seed| {
         ImpairmentPlan::builder(seed)
             .gilbert_loss(0.05, 0.3, 0.85, 0.05)
             .token_bucket(450.0, 1000.0)
             .link_bandwidth(vec![250.0, 500.0, 900.0], 0.9)
-            .latency(vec![0, 1, 4, 9], 0.7)
             .build()
             .expect("valid impairment plan")
     };
@@ -255,19 +264,22 @@ fn jitter_does_not_change_results() {
     let mut schedules = BTreeSet::new();
     for seed in 0..PLAN_SEEDS {
         for bound in JITTER_BOUNDS {
-            for (variant, plan) in [("clean", clean(seed)), ("impaired", impaired(seed))] {
+            for (variant, plan, jitter) in
+                [("clean", clean(seed), bound), ("impaired", impaired(seed), 2 * bound + 10)]
+            {
                 let config =
                     SimConfig::builder(24, vec![BandwidthSpec::Paper { stay: 0.9 }; 3])
                         .demand(400.0)
                         .seed(5)
-                        .impairment(plan.with_jitter(bound))
+                        .impairment(plan)
                         .build();
                 let sim_out = System::new(config.clone()).run(EPOCHS);
-                let mut reactor = ReactorRuntime::new(NetConfig::from_sim(config));
+                let net = NetConfig::from_sim(config).with_delivery_jitter(jitter);
+                let mut reactor = ReactorRuntime::new(net);
                 reactor.run_epochs(EPOCHS);
                 schedules.insert(reactor.stats().protocol());
                 assert_outcome_matches_sim(
-                    &format!("reactor, {variant} plan seed {seed}, jitter bound {bound}"),
+                    &format!("reactor, {variant} plan seed {seed}, jitter bound {jitter}"),
                     rths_par::threads(),
                     &sim_out,
                     &reactor.finish(),
@@ -311,24 +323,23 @@ fn equivalent_under_gilbert_elliott_and_token_bucket() {
 
 #[test]
 fn equivalent_under_full_impairment_stack() {
-    // Everything at once: bursty loss, a link-bandwidth Markov chain,
-    // token-bucket policing, latency, and jitter. Latency and jitter are
-    // absorbed by the epoch barrier; the rest must shape rates
-    // identically in the sequential simulator and both net backends.
+    // Everything at once: bursty loss, a link-bandwidth Markov chain and
+    // token-bucket policing must shape rates identically in the
+    // sequential simulator and both net backends, while the runtime's
+    // delivery jitter reorders the net backends' messages, which the
+    // epoch barrier absorbs.
     let plan = ImpairmentPlan::builder(77)
         .gilbert_loss(0.02, 0.25, 0.9, 0.15)
         .token_bucket(500.0, 1200.0)
         .link_bandwidth(vec![250.0, 500.0, 900.0], 0.9)
-        .latency(vec![1, 3], 0.8)
         .build()
-        .expect("valid impairment plan")
-        .with_jitter(150);
+        .expect("valid impairment plan");
     let config = SimConfig::builder(8, vec![BandwidthSpec::Paper { stay: 0.9 }; 3])
         .demand(400.0)
         .seed(29)
         .impairment(plan)
         .build();
-    assert_equivalent(config, 90);
+    assert_equivalent_jittered(config, 90, 153);
 }
 
 /// The configuration the throughput workloads run — peers attach no
@@ -343,12 +354,14 @@ fn equivalent_under_full_impairment_stack() {
 /// are read through the played mask. The second name is historical (it
 /// dates from the slab's observe queue, since removed) and is kept so the
 /// test keeps its id.
-fn assert_equivalent_without_estimates(sim_config: SimConfig, epochs: u64) {
+fn assert_equivalent_without_estimates(sim_config: SimConfig, epochs: u64, jitter: u64) {
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let sim_out = System::new(sim_config.clone()).run(epochs);
             assert!(sim_out.metrics.worst_regret_estimate.values().iter().all(|&e| e > 0.0));
-            let config = NetConfig::from_sim(sim_config.clone()).with_track_estimate(false);
+            let config = NetConfig::from_sim(sim_config.clone())
+                .with_track_estimate(false)
+                .with_delivery_jitter(jitter);
             let reactor = rths_net::run(config.clone(), epochs);
             assert_outcome_matches_sim(
                 "reactor, no estimates",
@@ -370,27 +383,26 @@ fn assert_equivalent_without_estimates(sim_config: SimConfig, epochs: u64) {
     }
 }
 
-/// 45 peers over `helpers` helpers, clean and under the full impairment
-/// stack. The reactor holds all 45 in one mailbox shard, so its observe
-/// phase runs five full blocks of eight and one of five; at a shard span
-/// of 32 each of the two processes holds one shard — 14 and 31 peers at
-/// 16 helpers, so one and three full blocks and partial ones of 6 and 7.
+/// 45 peers over `helpers` helpers, clean, and under the full impairment
+/// stack with delivery jitter. The reactor holds all 45 in one mailbox
+/// shard, so its observe phase runs five full blocks of eight and one of
+/// five; at a shard span of 32 each of the two processes holds one shard —
+/// 14 and 31 peers at 16 helpers, so one and three full blocks and
+/// partial ones of 6 and 7.
 fn without_estimates(helpers: usize) {
     let plan = ImpairmentPlan::builder(77)
         .gilbert_loss(0.02, 0.25, 0.9, 0.15)
         .token_bucket(500.0, 1200.0)
         .link_bandwidth(vec![250.0, 500.0, 900.0], 0.9)
-        .latency(vec![1, 3], 0.8)
         .build()
-        .expect("valid impairment plan")
-        .with_jitter(150);
+        .expect("valid impairment plan");
     let config = || {
         SimConfig::builder(45, vec![BandwidthSpec::Paper { stay: 0.9 }; helpers])
             .demand(400.0)
             .seed(31)
     };
-    assert_equivalent_without_estimates(config().build(), 40);
-    assert_equivalent_without_estimates(config().impairment(plan).build(), 40);
+    assert_equivalent_without_estimates(config().build(), 40, 0);
+    assert_equivalent_without_estimates(config().impairment(plan).build(), 40, 153);
 }
 
 #[test]
