@@ -69,27 +69,6 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl RthsConfig {
-    /// Paper-calibrated defaults for a game over `num_actions` helpers
-    /// where a peer's typical (fair-share) streaming rate is `rate_scale`
-    /// kbps: `ε = 0.01`, `δ = 0.1`, `μ = 4·rate_scale`.
-    ///
-    /// `μ` must be commensurate with the **per-peer rate**, not the raw
-    /// helper capacity: regrets are differences of received rates, and
-    /// `Q/μ` is the per-alternative switching probability. A `μ` that is
-    /// orders of magnitude above the rate scale freezes the dynamics into
-    /// pure inertia. The `ε`/`δ` pair balances the proxy-regret
-    /// estimator's noise (variance scales like `ε·m/δ`) against tracking
-    /// speed (effective memory `1/ε` stages). `rths_bench ablation_params`
-    /// sweeps all three.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if `num_actions == 0` or `rate_scale`
-    /// makes `μ` non-positive.
-    pub fn for_rate_scale(num_actions: usize, rate_scale: f64) -> Result<Self, ConfigError> {
-        Self::builder(num_actions).mu(4.0 * rate_scale).build()
-    }
-
     /// Starts a builder with defaults `ε = 0.01`, `δ = 0.1`, `μ = 1280`
     /// (4× the 320 kbps fair share of the paper's N=10/H=4 evaluation).
     pub fn builder(num_actions: usize) -> RthsConfigBuilder {
@@ -151,7 +130,7 @@ impl RthsConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::NoActions`] if `num_actions == 0`.
-    pub fn with_num_actions(&self, num_actions: usize) -> Result<Self, ConfigError> {
+    pub(crate) fn with_num_actions(&self, num_actions: usize) -> Result<Self, ConfigError> {
         if num_actions == 0 {
             return Err(ConfigError::NoActions);
         }
@@ -248,8 +227,9 @@ mod tests {
 
     #[test]
     fn for_rate_scale_scales_mu() {
-        let c = RthsConfig::for_rate_scale(3, 320.0).unwrap();
-        assert_eq!(c.mu(), 1280.0);
+        // The default μ is 4× the paper's 320 kbps fair share.
+        let c = RthsConfig::builder(3).build().unwrap();
+        assert_eq!(c.mu(), 4.0 * 320.0);
     }
 
     #[test]

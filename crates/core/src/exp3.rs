@@ -39,7 +39,7 @@ impl Exp3Config {
     /// # Panics
     ///
     /// Panics on out-of-range parameters.
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         assert!(self.num_actions > 0, "need at least one action");
         assert!(self.gamma > 0.0 && self.gamma <= 1.0, "gamma must be in (0,1]");
         assert!(
@@ -87,7 +87,7 @@ impl Exp3Learner {
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
-    /// [`Exp3Config::validated`]).
+    /// `Exp3Config::validated`).
     pub fn new(config: Exp3Config) -> Self {
         let config = config.validated();
         let m = config.num_actions;
@@ -100,11 +100,6 @@ impl Exp3Learner {
         };
         learner.refresh_probs();
         learner
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &Exp3Config {
-        &self.config
     }
 
     fn refresh_probs(&mut self) {

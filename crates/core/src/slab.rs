@@ -748,17 +748,17 @@ impl LearnerSlab {
     }
 
     /// The fixed per-slot stride (maximum hostable arity).
-    pub fn stride(&self) -> usize {
+    pub(crate) fn stride(&self) -> usize {
         self.stride
     }
 
     /// Total slots, including free-listed ones.
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         self.arity.len()
     }
 
     /// Slots currently on the free list.
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.free.len()
     }
 
@@ -879,7 +879,7 @@ impl LearnerSlab {
     /// # Panics
     ///
     /// Panics if `src` is out of range or free.
-    pub fn clone_slot(&mut self, src: u32) -> u32 {
+    pub(crate) fn clone_slot(&mut self, src: u32) -> u32 {
         let src = src as usize;
         assert!(src < self.arity.len(), "slot out of range");
         let m = self.arity[src] as usize;
@@ -974,7 +974,7 @@ impl LearnerSlab {
     }
 
     /// Starts maintaining every slot's row maxima and diagonal (see the
-    /// module docs), so that [`max_regret`](Self::max_regret) and
+    /// module docs), so that `max_regret` and
     /// [`SlabCols::max_regret`] read two `O(m)` rows instead of scanning
     /// the played columns. The rows are built once, by that scan and a
     /// diagonal gather; from then on every operation that writes `S`
@@ -1003,7 +1003,7 @@ impl LearnerSlab {
     /// observes, nothing changes them from the `1/m` that
     /// [`alloc`](Self::alloc) and [`reset_actions`](Self::reset_actions)
     /// would have written, so that is what the rows are built with. A
-    /// conditional observe through [`observe`](Self::observe) makes them;
+    /// conditional observe through `observe` makes them;
     /// one through [`split`](Self::split) needs them made first.
     /// Idempotent and free when already on.
     pub fn track_frequencies(&mut self) {
@@ -1068,7 +1068,8 @@ impl LearnerSlab {
     }
 
     /// The slot's action count.
-    pub fn num_actions(&self, slot: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_actions(&self, slot: usize) -> usize {
         self.arity[slot] as usize
     }
 
@@ -1084,7 +1085,7 @@ impl LearnerSlab {
     /// normalisation reads them; any other learner's stay at the uniform
     /// `1/m`.
     #[cfg(test)]
-    pub fn play_frequencies(&self, slot: usize) -> Option<&[f64]> {
+    pub(crate) fn play_frequencies(&self, slot: usize) -> Option<&[f64]> {
         let base = self.row[slot] as usize * self.stride;
         Some(&self.freq.as_ref()?[base..base + self.arity[slot] as usize])
     }
@@ -1095,7 +1096,7 @@ impl LearnerSlab {
     }
 
     /// The slot's action awaiting observation, if any.
-    pub fn pending_action(&self, slot: usize) -> Option<usize> {
+    pub(crate) fn pending_action(&self, slot: usize) -> Option<usize> {
         let p = self.pending[slot];
         (p != NO_PENDING).then_some(p as usize)
     }
@@ -1109,8 +1110,9 @@ impl LearnerSlab {
         self.t[self.block_range(slot).start + column_start(played, self.stride, k) + j]
     }
 
-    /// Proxy-matrix entry `T(j, k)` of a slot (tests/diagnostics).
-    pub fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
+    /// Proxy-matrix entry `T(j, k)` of a slot.
+    #[cfg(test)]
+    pub(crate) fn proxy(&self, slot: usize, j: usize, k: usize) -> f64 {
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "proxy index out of range");
         self.scale[slot] * self.stored_entry(slot, j, k)
@@ -1118,7 +1120,7 @@ impl LearnerSlab {
 
     /// Regret `Qⁿ(j, k)` of a slot (Eq. 3-6; tests/diagnostics) — the
     /// expression of `RthsState::regret`.
-    pub fn regret(&self, slot: usize, config: &RthsConfig, j: usize, k: usize) -> f64 {
+    pub(crate) fn regret(&self, slot: usize, config: &RthsConfig, j: usize, k: usize) -> f64 {
         if j == k {
             return 0.0;
         }
@@ -1190,7 +1192,11 @@ impl LearnerSlab {
     /// # Panics
     ///
     /// Panics if an observation is already pending.
-    pub fn select_action<R: RngCore + ?Sized>(&mut self, slot: usize, rng: &mut R) -> usize {
+    pub(crate) fn select_action<R: RngCore + ?Sized>(
+        &mut self,
+        slot: usize,
+        rng: &mut R,
+    ) -> usize {
         self.slot_cols(slot).select_action(0, rng)
     }
 
@@ -1204,7 +1210,7 @@ impl LearnerSlab {
     /// # Panics
     ///
     /// Panics if no action is pending or `utility` is not finite.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         slot: usize,
         config: &RthsConfig,
@@ -1220,7 +1226,7 @@ impl LearnerSlab {
     /// Largest derived regret of a slot, read from the maintained row
     /// maxima and diagonal — which this first request turns on
     /// ([`track_estimates`](Self::track_estimates)).
-    pub fn max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
+    pub(crate) fn max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
         self.track_estimates();
         self.slot_cols(slot).max_regret(0, config, &mut Vec::new())
     }
@@ -1251,13 +1257,8 @@ impl ShardCols for StrategyCols<'_> {
 
 impl StrategyCols<'_> {
     /// Slots in this chunk.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.arity.len()
-    }
-
-    /// Whether the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arity.is_empty()
     }
 
     /// Samples an action from slot `i`'s strategy, recording it pending —
@@ -1286,12 +1287,6 @@ impl StrategyCols<'_> {
         let chosen = below.min(m - 1);
         self.pending[i] = chosen as u32;
         chosen
-    }
-
-    /// Slot `i`'s current mixed strategy.
-    pub fn probabilities(&mut self, i: usize) -> &[f64] {
-        let m = self.arity[i] as usize;
-        &self.probs.row(i)[..m]
     }
 }
 
@@ -1359,7 +1354,7 @@ impl SlabCols<'_> {
 
     /// Whether the chunk is empty.
     pub fn is_empty(&self) -> bool {
-        self.strategy.is_empty()
+        self.len() == 0
     }
 
     /// Decays every slot by `keep` once: `scale *= keep` per slot, no T
@@ -1598,11 +1593,6 @@ impl SlabCols<'_> {
         let (best, diag) = best.row(i).split_at(self.stride);
         finite_regret(kernels::shifted_regret_max(&best[..m], &diag[..m], factor))
     }
-
-    /// Slot `i`'s current mixed strategy.
-    pub fn probabilities(&mut self, i: usize) -> &[f64] {
-        self.strategy.probabilities(i)
-    }
 }
 
 /// A shared, mutex-guarded slab handle for [`SlabLearner`]s that share
@@ -1669,7 +1659,8 @@ impl SlabLearner {
     }
 
     /// The slab slot this learner owns.
-    pub fn slot(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn slot(&self) -> u32 {
         self.slot
     }
 

@@ -139,11 +139,6 @@ impl PeerMachine {
     pub fn peer(&self) -> &Peer {
         &self.peer
     }
-
-    /// Unwraps the peer (final reporting).
-    pub fn into_peer(self) -> Peer {
-        self.peer
-    }
 }
 
 /// A helper's per-epoch settlement summary.
@@ -197,7 +192,7 @@ impl<T> HelperMachine<T> {
     }
 
     /// Availability change (failure injection).
-    pub fn set_online(&mut self, online: bool) {
+    pub(crate) fn set_online(&mut self, online: bool) {
         self.helper.set_online(online);
     }
 }
@@ -264,7 +259,7 @@ impl CoordinatorMachine {
     }
 
     /// Epochs completed so far: the index of the epoch in flight.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.metrics.series().epochs() as u64
     }
 
@@ -352,7 +347,7 @@ impl CoordinatorMachine {
     }
 
     /// Every helper report and every peer's epoch is in.
-    pub fn epoch_complete(&self) -> bool {
+    pub(crate) fn epoch_complete(&self) -> bool {
         self.reports == self.scratch.loads.len() && self.reported == self.scratch.rates.len()
     }
 
@@ -364,7 +359,7 @@ impl CoordinatorMachine {
     ///
     /// # Panics
     ///
-    /// Panics if the epoch is not [`complete`](Self::epoch_complete).
+    /// Panics if a helper report or a peer's epoch is still missing.
     pub fn finish_epoch(&mut self) {
         assert!(self.epoch_complete(), "finish_epoch before all reports arrived");
         let CoordScratch { capacities, rates, .. } = &self.scratch;
@@ -422,7 +417,7 @@ mod tests {
         // Under the cap: unsatisfied epoch.
         let _ = m.on_tick(1);
         assert_eq!(m.on_rate(100.0), 100.0);
-        assert_eq!(m.into_peer().continuity(), 0.5);
+        assert_eq!(m.peer().continuity(), 0.5);
     }
 
     /// A spec the learner refuses is named, not reported as a broken

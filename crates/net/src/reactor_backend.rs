@@ -842,7 +842,7 @@ impl PartitionHarvest {
     /// The run's outcome, once this harvest holds every partition's
     /// messages and peers: the coordinator's metrics summarised over the
     /// peers.
-    pub fn into_outcome(self) -> NetOutcome {
+    pub(crate) fn into_outcome(self) -> NetOutcome {
         let coord = self.coordinator.expect("the harvest holds the coordinator");
         let metrics = coord.finalize_summaries(self.peers);
         NetOutcome {

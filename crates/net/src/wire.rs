@@ -117,42 +117,42 @@ pub struct WireWriter {
 
 impl WireWriter {
     /// Starts a frame body with the given outer tag.
-    pub fn new(tag: u8) -> Self {
+    pub(crate) fn new(tag: u8) -> Self {
         Self { buf: vec![WIRE_VERSION, tag] }
     }
 
     /// Finishes the body (no length prefix; see [`write_frame`]).
-    pub fn finish(self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
         self.buf
     }
 
     /// Raw byte.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Little-endian u64.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// `usize` as u64 (the format is 64-bit regardless of host).
-    pub fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// `f64` as its exact bit pattern.
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Strict boolean byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Option presence byte followed by the value when present.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
+    pub(crate) fn opt_u64(&mut self, v: Option<u64>) {
         match v {
             None => self.bool(false),
             Some(v) => {
@@ -163,7 +163,7 @@ impl WireWriter {
     }
 
     /// Option presence byte followed by the value when present.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
+    pub(crate) fn opt_f64(&mut self, v: Option<f64>) {
         match v {
             None => self.bool(false),
             Some(v) => {
@@ -174,7 +174,7 @@ impl WireWriter {
     }
 
     /// Sequence length header (u64 count; items follow).
-    pub fn seq(&mut self, len: usize) {
+    pub(crate) fn seq(&mut self, len: usize) {
         self.usize(len);
     }
 }
@@ -194,7 +194,7 @@ impl<'a> WireReader<'a> {
     ///
     /// [`WireError::Truncated`] on a short header, [`WireError::BadVersion`]
     /// on a version mismatch.
-    pub fn open(body: &'a [u8]) -> Result<(u8, Self), WireError> {
+    pub(crate) fn open(body: &'a [u8]) -> Result<(u8, Self), WireError> {
         if body.len() < 2 {
             return Err(WireError::Truncated);
         }
@@ -209,7 +209,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Trailing`] when bytes remain.
-    pub fn close(self) -> Result<(), WireError> {
+    pub(crate) fn close(self) -> Result<(), WireError> {
         let left = self.buf.len() - self.pos;
         if left != 0 {
             return Err(WireError::Trailing(left));
@@ -231,7 +231,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of frame.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
@@ -240,7 +240,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of frame.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
         let bytes = self.take(8)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
     }
@@ -251,7 +251,7 @@ impl<'a> WireReader<'a> {
     ///
     /// [`WireError::Truncated`] at end of frame, [`WireError::Oversize`]
     /// if the value does not fit a `usize`.
-    pub fn usize(&mut self) -> Result<usize, WireError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, WireError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| WireError::Oversize(v))
     }
@@ -261,7 +261,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::Truncated`] at end of frame.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
@@ -270,7 +270,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// [`WireError::BadBool`] on any byte other than 0/1.
-    pub fn bool(&mut self) -> Result<bool, WireError> {
+    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -283,7 +283,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Propagates the presence byte's and value's errors.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
+    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
         Ok(if self.bool()? { Some(self.u64()?) } else { None })
     }
 
@@ -292,7 +292,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Propagates the presence byte's and value's errors.
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
+    pub(crate) fn opt_f64(&mut self) -> Result<Option<f64>, WireError> {
         Ok(if self.bool()? { Some(self.f64()?) } else { None })
     }
 
@@ -303,7 +303,7 @@ impl<'a> WireReader<'a> {
     ///
     /// [`WireError::Oversize`] when the count exceeds the remaining
     /// frame bytes.
-    pub fn seq(&mut self) -> Result<usize, WireError> {
+    pub(crate) fn seq(&mut self) -> Result<usize, WireError> {
         let n = self.usize()?;
         if n > self.buf.len() - self.pos {
             return Err(WireError::Oversize(n as u64));

@@ -35,7 +35,7 @@ pub struct Allocation {
 
 /// Welfare contributed by one helper of capacity `cap` serving `load`
 /// peers under optional per-peer `demand`.
-pub fn helper_welfare(cap: f64, load: usize, demand: Option<f64>) -> f64 {
+pub(crate) fn helper_welfare(cap: f64, load: usize, demand: Option<f64>) -> f64 {
     if load == 0 {
         return 0.0;
     }

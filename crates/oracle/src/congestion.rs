@@ -13,15 +13,10 @@
 use crate::normal_form::Game;
 
 /// The paper's helper-selection stage game.
-///
-/// Optionally caps per-peer utility at a streaming `demand` (peers cannot
-/// consume more than the stream bitrate), which is the variant used by the
-/// server-workload experiment (Fig. 5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelperSelectionGame {
     capacities: Vec<f64>,
     num_peers: usize,
-    demand_cap: Option<f64>,
 }
 
 impl HelperSelectionGame {
@@ -36,26 +31,13 @@ impl HelperSelectionGame {
     /// entries.
     pub fn new(capacities: Vec<f64>) -> Self {
         crate::check_capacities(&capacities);
-        Self { capacities, num_peers: 0, demand_cap: None }
+        Self { capacities, num_peers: 0 }
     }
 
     /// Fixes the number of peers (players), enabling the [`Game`] trait.
     #[must_use]
     pub fn with_peers(mut self, num_peers: usize) -> Self {
         self.num_peers = num_peers;
-        self
-    }
-
-    /// Caps each peer's utility at `demand` kbps
-    /// (`u_i = min(demand, C_j / n_j)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand` is negative or non-finite.
-    #[must_use]
-    pub fn with_demand_cap(mut self, demand: f64) -> Self {
-        assert!(demand.is_finite() && demand >= 0.0, "demand must be finite and non-negative");
-        self.demand_cap = Some(demand);
         self
     }
 
@@ -85,17 +67,13 @@ impl HelperSelectionGame {
         if load == 0 {
             return 0.0;
         }
-        let raw = self.capacities[helper] / load as f64;
-        match self.demand_cap {
-            Some(d) => raw.min(d),
-            None => raw,
-        }
+        self.capacities[helper] / load as f64
     }
 
     /// Rosenthal potential `Φ = Σ_j Σ_{k=1}^{n_j} C_j/k` of a load vector.
     ///
     /// Any unilateral deviation changes a peer's utility by exactly the
-    /// change in `Φ` (when no demand cap is set), so sequential
+    /// change in `Φ`, so sequential
     /// best-response strictly increases `Φ` and must terminate.
     ///
     /// # Panics
@@ -166,14 +144,6 @@ mod tests {
         assert_eq!(g.utility(1, &profile), 400.0);
         assert_eq!(g.utility(2, &profile), 600.0);
         assert_eq!(g.social_welfare(&profile), 1400.0);
-    }
-
-    #[test]
-    fn demand_cap_limits_rate() {
-        let g = HelperSelectionGame::new(vec![800.0]).with_demand_cap(300.0);
-        assert_eq!(g.rate(0, 1), 300.0); // capped
-        assert_eq!(g.rate(0, 4), 200.0); // below cap
-        assert_eq!(g.rate(0, 0), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub fn enumerate_pure_nash<G: Game + ?Sized>(game: &G, tol: f64) -> Vec<Vec<usiz
 
 /// Checks the pure-Nash property of `profile` by testing every unilateral
 /// deviation.
-pub fn is_pure_nash<G: Game + ?Sized>(game: &G, profile: &[usize], tol: f64) -> bool {
+pub(crate) fn is_pure_nash<G: Game + ?Sized>(game: &G, profile: &[usize], tol: f64) -> bool {
     let mut scratch = profile.to_vec();
     for i in 0..game.num_players() {
         let current = game.utility(i, profile);

@@ -114,7 +114,7 @@ pub mod welfare;
 pub use benchmark::MdpBenchmark;
 pub use congestion::HelperSelectionGame;
 pub use normal_form::{Game, TableGame};
-pub use problem::{LinearProgram, Objective, Relation};
+pub use problem::{LinearProgram, Relation};
 pub use solution::{LpError, Solution};
 
 /// The capacity contract of the game and the assignment optimizers: at

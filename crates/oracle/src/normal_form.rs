@@ -149,7 +149,7 @@ impl TableGame {
     /// # Panics
     ///
     /// Panics if the profile is malformed.
-    pub fn profile_index(&self, profile: &[usize]) -> usize {
+    pub(crate) fn profile_index(&self, profile: &[usize]) -> usize {
         assert_eq!(profile.len(), self.action_counts.len(), "profile length mismatch");
         let mut idx = 0usize;
         for (a, &count) in profile.iter().zip(&self.action_counts) {

@@ -39,12 +39,12 @@ impl OccupationLp {
     }
 
     /// Number of joint helper states `|Y|`.
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.levels.iter().map(|l| l.len()).product()
     }
 
     /// Number of assignments `|X| = H^N`.
-    pub fn num_assignments(&self) -> usize {
+    pub(crate) fn num_assignments(&self) -> usize {
         self.levels.len().pow(self.num_peers as u32)
     }
 

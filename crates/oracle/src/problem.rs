@@ -3,15 +3,6 @@
 use crate::simplex;
 use crate::solution::{LpError, Solution};
 
-/// Direction of optimisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Objective {
-    /// Maximise the objective `c·x`.
-    Maximize,
-    /// Minimise the objective `c·x`.
-    Minimize,
-}
-
 /// Relation of a linear constraint row to its right-hand side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
@@ -30,7 +21,7 @@ pub(crate) struct Constraint {
     pub rhs: f64,
 }
 
-/// A linear program over non-negative variables.
+/// A linear program over non-negative variables, maximising `c·x`.
 ///
 /// All decision variables are implicitly constrained to `x ≥ 0`, which is
 /// the natural domain for occupation measures and mixed strategies — the
@@ -53,7 +44,6 @@ pub(crate) struct Constraint {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LinearProgram {
-    objective: Objective,
     costs: Vec<f64>,
     constraints: Vec<Constraint>,
 }
@@ -65,22 +55,9 @@ impl LinearProgram {
     ///
     /// Panics if `costs` is empty or contains non-finite values.
     pub fn maximize(costs: Vec<f64>) -> Self {
-        Self::new(Objective::Maximize, costs)
-    }
-
-    /// Starts a minimisation problem with objective coefficients `costs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `costs` is empty or contains non-finite values.
-    pub fn minimize(costs: Vec<f64>) -> Self {
-        Self::new(Objective::Minimize, costs)
-    }
-
-    fn new(objective: Objective, costs: Vec<f64>) -> Self {
         assert!(!costs.is_empty(), "need at least one variable");
         assert!(costs.iter().all(|c| c.is_finite()), "objective coefficients must be finite");
-        Self { objective, costs, constraints: Vec::new() }
+        Self { costs, constraints: Vec::new() }
     }
 
     /// Adds the constraint `coeffs · x <relation> rhs`.
@@ -110,22 +87,17 @@ impl LinearProgram {
     }
 
     /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.costs.len()
     }
 
     /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
+    pub(crate) fn num_constraints(&self) -> usize {
         self.constraints.len()
     }
 
-    /// Direction of optimisation.
-    pub fn objective(&self) -> Objective {
-        self.objective
-    }
-
     /// Objective coefficients.
-    pub fn costs(&self) -> &[f64] {
+    pub(crate) fn costs(&self) -> &[f64] {
         &self.costs
     }
 
@@ -145,19 +117,10 @@ impl LinearProgram {
         simplex::solve(self)
     }
 
-    /// Evaluates the objective at a given point (useful for verification).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the number of variables.
-    pub fn objective_value(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.costs.len(), "point has wrong dimension");
-        rths_math::vector::dot(&self.costs, x)
-    }
-
     /// Checks feasibility of a point within tolerance `tol`
     /// (including non-negativity).
-    pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
         if x.len() != self.costs.len() || x.iter().any(|&v| v < -tol) {
             return false;
         }
@@ -182,7 +145,6 @@ mod tests {
         lp.add_constraint(vec![1.0, 1.0, 1.0], Relation::Le, 10.0).unwrap();
         assert_eq!(lp.num_vars(), 3);
         assert_eq!(lp.num_constraints(), 1);
-        assert_eq!(lp.objective(), Objective::Maximize);
     }
 
     #[test]
@@ -223,7 +185,11 @@ mod tests {
 
     #[test]
     fn objective_value_is_dot_product() {
-        let lp = LinearProgram::minimize(vec![2.0, -1.0]);
-        assert_eq!(lp.objective_value(&[3.0, 4.0]), 2.0);
+        let costs = vec![2.0, -1.0];
+        let mut lp = LinearProgram::maximize(costs.clone());
+        lp.add_constraint(vec![1.0, 0.0], Relation::Le, 3.0).unwrap();
+        let s = lp.solve().unwrap();
+        assert_eq!(s.x(), &[3.0, 0.0]);
+        assert_eq!(s.objective(), rths_math::vector::dot(&costs, s.x()));
     }
 }

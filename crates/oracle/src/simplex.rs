@@ -16,7 +16,7 @@
 
 use rths_math::Matrix;
 
-use crate::problem::{LinearProgram, Objective, Relation};
+use crate::problem::{LinearProgram, Relation};
 use crate::solution::{LpError, Solution};
 
 const EPS: f64 = 1e-9;
@@ -26,12 +26,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
     let n = lp.num_vars();
     let m = lp.num_constraints();
 
-    // Normalise to maximisation internally.
-    let sign = match lp.objective() {
-        Objective::Maximize => 1.0,
-        Objective::Minimize => -1.0,
-    };
-    let costs: Vec<f64> = lp.costs().iter().map(|c| c * sign).collect();
+    let costs = lp.costs();
 
     // Count extra columns: one slack/surplus per inequality, one artificial
     // per `≥`/`=` row (and per `≤` row with negative rhs, handled by
@@ -169,7 +164,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
 
     // ---- Phase 2: maximise the real objective. ----
     let mut phase2_costs = vec![0.0; total_cols - 1];
-    phase2_costs[..n].copy_from_slice(&costs);
+    phase2_costs[..n].copy_from_slice(costs);
     let mut z_row = reduced_costs(&tableau, &basis, &phase2_costs);
     let mut bland = false;
     let mut stall = 0usize;
@@ -203,7 +198,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
             x[b] = tableau[(i, rhs_col)].max(0.0);
         }
     }
-    let objective = rths_math::vector::dot(&costs, &x) * sign;
+    let objective = rths_math::vector::dot(costs, &x);
     Ok(Solution::new(objective, x))
 }
 
@@ -342,12 +337,13 @@ mod tests {
 
     #[test]
     fn minimization_with_ge_constraints() {
-        // minimize 2x + 3y s.t. x + y >= 4, x >= 1 -> optimum at (4, 0): 8.
-        let mut lp = LinearProgram::minimize(vec![2.0, 3.0]);
+        // minimize 2x + 3y s.t. x + y >= 4, x >= 1 -> optimum at (4, 0): 8,
+        // as the maximum of -2x - 3y.
+        let mut lp = LinearProgram::maximize(vec![-2.0, -3.0]);
         lp.add_constraint(vec![1.0, 1.0], Relation::Ge, 4.0).unwrap();
         lp.add_constraint(vec![1.0, 0.0], Relation::Ge, 1.0).unwrap();
         let s = lp.solve().unwrap();
-        assert!((s.objective() - 8.0).abs() < 1e-9, "objective {}", s.objective());
+        assert!((s.objective() + 8.0).abs() < 1e-9, "objective {}", s.objective());
         assert!((s.x()[0] - 4.0).abs() < 1e-9);
         assert!(s.x()[1].abs() < 1e-9);
     }
@@ -382,7 +378,7 @@ mod tests {
     fn unbounded_without_constraints() {
         let lp = LinearProgram::maximize(vec![1.0]);
         assert_eq!(lp.solve().unwrap_err(), LpError::Unbounded);
-        let lp2 = LinearProgram::minimize(vec![1.0]);
+        let lp2 = LinearProgram::maximize(vec![-1.0]);
         let s = lp2.solve().unwrap();
         assert_eq!(s.objective(), 0.0);
     }
@@ -395,7 +391,7 @@ mod tests {
         assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
 
         // -x <= -1 (i.e. x >= 1) is fine.
-        let mut lp2 = LinearProgram::minimize(vec![1.0]);
+        let mut lp2 = LinearProgram::maximize(vec![-1.0]);
         lp2.add_constraint(vec![-1.0], Relation::Le, -1.0).unwrap();
         let s = lp2.solve().unwrap();
         assert!((s.x()[0] - 1.0).abs() < 1e-9);
@@ -419,8 +415,8 @@ mod tests {
         // [[1, 3], [2, 1]]. Optimal cost = 2*1 + 1*3 + 4*1 = 9? Check:
         // ship s1->d1: 2 (cost 2), s1->d2: 1 (cost 3), s2->d2: 4 (cost 4)
         // total 9. Alternative: s1->d2:3 (9), s2->d1:2 (4), s2->d2:2 (2) =
-        // 15. So 9 is optimal.
-        let mut lp = LinearProgram::minimize(vec![1.0, 3.0, 2.0, 1.0]);
+        // 15. So 9 is optimal: the maximum of the negated costs is -9.
+        let mut lp = LinearProgram::maximize(vec![-1.0, -3.0, -2.0, -1.0]);
         // x11 + x12 = 3
         lp.add_constraint(vec![1.0, 1.0, 0.0, 0.0], Relation::Eq, 3.0).unwrap();
         // x21 + x22 = 4
@@ -430,7 +426,7 @@ mod tests {
         // x12 + x22 = 5
         lp.add_constraint(vec![0.0, 1.0, 0.0, 1.0], Relation::Eq, 5.0).unwrap();
         let s = lp.solve().unwrap();
-        assert!((s.objective() - 9.0).abs() < 1e-9, "objective {}", s.objective());
+        assert!((s.objective() + 9.0).abs() < 1e-9, "objective {}", s.objective());
         assert!(lp.is_feasible(s.x(), 1e-9));
     }
 

@@ -76,7 +76,7 @@ pub fn expected_optimal_welfare_exact(
 ///
 /// Same shape contract as [`expected_optimal_welfare_exact`]; also panics
 /// if `samples == 0`.
-pub fn expected_optimal_welfare_mc<R: Rng + ?Sized>(
+pub(crate) fn expected_optimal_welfare_mc<R: Rng + ?Sized>(
     levels: &[Vec<f64>],
     stationary: &[Vec<f64>],
     num_peers: usize,
@@ -108,15 +108,6 @@ pub fn expected_optimal_welfare_mc<R: Rng + ?Sized>(
     total / samples as f64
 }
 
-/// Uncapped closed form when every helper is covered (`num_peers >= H`):
-/// the optimum is simply `Σ_j E[C_j]`.
-pub fn expected_optimal_welfare_uncapped_covered(
-    levels: &[Vec<f64>],
-    stationary: &[Vec<f64>],
-) -> f64 {
-    levels.iter().zip(stationary).map(|(l, pi)| rths_math::vector::dot(l, pi)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,10 +123,9 @@ mod tests {
     #[test]
     fn exact_matches_closed_form_when_covered() {
         let (levels, pi) = paper_ladders(4);
+        // Every helper is covered, so the optimum is Σ_j E[C_j] = 4 · 800.
         let exact = expected_optimal_welfare_exact(&levels, &pi, 10, None, 100);
-        let closed = expected_optimal_welfare_uncapped_covered(&levels, &pi);
-        assert!((exact - closed).abs() < 1e-9, "{exact} vs {closed}");
-        assert!((exact - 3200.0).abs() < 1e-9);
+        assert!((exact - 3200.0).abs() < 1e-9, "{exact}");
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! 2-variable problems.
 
 use proptest::prelude::*;
+use rths_math::vector::dot;
 use rths_oracle::assignment::{optimal_loads, optimal_loads_dp};
 use rths_oracle::best_response;
 use rths_oracle::equilibrium::{ce_residual, ce_residual_congestion, max_welfare_ce};
 use rths_oracle::normal_form::for_each_profile;
 use rths_oracle::occupation::OccupationLp;
-use rths_oracle::welfare::{
-    expected_optimal_welfare_exact, expected_optimal_welfare_uncapped_covered,
-};
+use rths_oracle::welfare::expected_optimal_welfare_exact;
 use rths_oracle::{Game, HelperSelectionGame, LinearProgram, LpError, Relation, TableGame};
 use rths_sim::JointDistribution;
 
@@ -169,6 +168,28 @@ proptest! {
 
 // The simplex solver.
 
+/// Whether `x ≥ −tol` satisfies every row `a·x (relation) b` within `tol`.
+fn feasible(rows: &[(Vec<f64>, Relation, f64)], x: &[f64], tol: f64) -> bool {
+    x.iter().all(|&v| v >= -tol)
+        && rows.iter().all(|(a, relation, b)| {
+            let lhs = dot(a, x);
+            match relation {
+                Relation::Le => lhs <= b + tol,
+                Relation::Ge => lhs >= b - tol,
+                Relation::Eq => (lhs - b).abs() <= tol,
+            }
+        })
+}
+
+/// The program `max costs·x` subject to `rows`.
+fn program(costs: Vec<f64>, rows: &[(Vec<f64>, Relation, f64)]) -> LinearProgram {
+    let mut lp = LinearProgram::maximize(costs);
+    for (a, relation, b) in rows {
+        lp.add_constraint(a.clone(), *relation, *b).unwrap();
+    }
+    lp
+}
+
 fn small_lp() -> impl Strategy<Value = (Vec<f64>, Vec<(Vec<f64>, f64)>)> {
     let costs = prop::collection::vec(-5.0..5.0f64, 2);
     let rows =
@@ -182,16 +203,15 @@ proptest! {
     #[test]
     fn simplex_beats_grid_search((costs, rows) in small_lp()) {
         // Ensure boundedness: add a box constraint.
-        let mut lp = LinearProgram::maximize(costs.clone());
-        for (coeffs, rhs) in &rows {
-            lp.add_constraint(coeffs.clone(), Relation::Le, *rhs).unwrap();
-        }
-        lp.add_constraint(vec![1.0, 0.0], Relation::Le, 10.0).unwrap();
-        lp.add_constraint(vec![0.0, 1.0], Relation::Le, 10.0).unwrap();
+        let mut rows: Vec<_> =
+            rows.into_iter().map(|(coeffs, rhs)| (coeffs, Relation::Le, rhs)).collect();
+        rows.push((vec![1.0, 0.0], Relation::Le, 10.0));
+        rows.push((vec![0.0, 1.0], Relation::Le, 10.0));
+        let lp = program(costs.clone(), &rows);
 
         let sol = lp.solve().expect("bounded, origin-feasible LP must solve");
-        prop_assert!(lp.is_feasible(sol.x(), 1e-7));
-        let obj = lp.objective_value(sol.x());
+        prop_assert!(feasible(&rows, sol.x(), 1e-7));
+        let obj = dot(&costs, sol.x());
         prop_assert!((obj - sol.objective()).abs() < 1e-7);
 
         // Grid search oracle.
@@ -200,8 +220,8 @@ proptest! {
         for i in 0..=steps {
             for j in 0..=steps {
                 let x = [10.0 * i as f64 / steps as f64, 10.0 * j as f64 / steps as f64];
-                if lp.is_feasible(&x, 1e-9) {
-                    best = best.max(lp.objective_value(&x));
+                if feasible(&rows, &x, 1e-9) {
+                    best = best.max(dot(&costs, &x));
                 }
             }
         }
@@ -223,16 +243,15 @@ proptest! {
         let pi: Vec<f64> = pi.iter().map(|p| p / total).collect();
         let costs: Vec<f64> = (0..n).map(|i| costs_raw[i % costs_raw.len()]).collect();
 
-        let mut lp = LinearProgram::maximize(costs.clone());
-        for (s, &mass) in pi.iter().enumerate() {
+        let rows: Vec<_> = pi.iter().enumerate().map(|(s, &mass)| {
             let mut row = vec![0.0; n];
             for a in 0..per_group {
                 row[s * per_group + a] = 1.0;
             }
-            lp.add_constraint(row, Relation::Eq, mass).unwrap();
-        }
-        let sol = lp.solve().expect("decomposable LP is feasible");
-        prop_assert!(lp.is_feasible(sol.x(), 1e-7));
+            (row, Relation::Eq, mass)
+        }).collect();
+        let sol = program(costs.clone(), &rows).solve().expect("decomposable LP is feasible");
+        prop_assert!(feasible(&rows, sol.x(), 1e-7));
 
         // The optimum is the pi-weighted max per group — check exactly.
         let expected: f64 = pi.iter().enumerate().map(|(s, &mass)| {
@@ -265,17 +284,16 @@ proptest! {
         // leaving-rule fix; now it must always terminate with a feasible
         // optimum.
         let n = costs.len();
-        let mut lp = LinearProgram::maximize(costs);
-        for row in rows {
+        let mut rows: Vec<_> = rows.into_iter().map(|row| {
             let mut r = vec![0.0; n];
             for (dst, &v) in r.iter_mut().zip(&row) {
                 *dst = v;
             }
-            lp.add_constraint(r, Relation::Le, 0.0).unwrap();
-        }
-        lp.add_constraint(vec![1.0; n], Relation::Eq, 1.0).unwrap();
-        match lp.solve() {
-            Ok(sol) => prop_assert!(lp.is_feasible(sol.x(), 1e-6)),
+            (r, Relation::Le, 0.0)
+        }).collect();
+        rows.push((vec![1.0; n], Relation::Eq, 1.0));
+        match program(costs, &rows).solve() {
+            Ok(sol) => prop_assert!(feasible(&rows, sol.x(), 1e-6)),
             // The random ≤-0 rows can make the simplex face infeasible
             // (e.g. all-positive row forces x=0, contradicting Σx=1).
             Err(LpError::Infeasible) => {}
@@ -362,7 +380,8 @@ proptest! {
         let pi = vec![vec![0.25, 0.5, 0.25]; h];
         let n = h + extra_peers; // coverage guaranteed
         let exact = expected_optimal_welfare_exact(&levels, &pi, n, None, 100_000);
-        let closed = expected_optimal_welfare_uncapped_covered(&levels, &pi);
+        // Every helper is covered, so the optimum is Σ_j E[C_j].
+        let closed: f64 = levels.iter().zip(&pi).map(|(l, p)| dot(l, p)).sum();
         prop_assert!((exact - closed).abs() < 1e-6);
     }
 }

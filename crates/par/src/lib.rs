@@ -315,7 +315,7 @@ impl<'a, T> Strided<'a, T> {
     }
 
     /// The row of item `i` **relative to this chunk**.
-    pub fn row(&mut self, i: usize) -> &mut [T] {
+    pub(crate) fn row(&mut self, i: usize) -> &mut [T] {
         &mut self.data[i * self.stride..(i + 1) * self.stride]
     }
 }

@@ -16,13 +16,13 @@
 //!
 //! * **Round** (some partition has pending mail):
 //!   [`Step::Drain`] carries routed remote deliveries to stage, every
-//!   rank runs [`Reactor::drain_phase`] and replies
+//!   rank runs `Reactor::drain_phase` and replies
 //!   [`Reply::DrainDone`] with its remote-destined batches; the
 //!   controller routes them by destination rank and issues
 //!   [`Step::Merge`], after which every rank runs
-//!   [`Reactor::merge_phase`] and fences with [`Reply::Fence`].
+//!   `Reactor::merge_phase` and fences with [`Reply::Fence`].
 //! * **Timers** (no mail anywhere): the controller picks the global
-//!   minimum wheel deadline, every rank runs [`Reactor::advance_to`],
+//!   minimum wheel deadline, every rank runs `Reactor::advance_to`,
 //!   and remotely owned fired messages come back in
 //!   [`Reply::TimersDone`] to be staged with the next round's
 //!   [`Step::Drain`].
@@ -37,7 +37,7 @@
 //! ordering decision is reproduced, not approximated:
 //!
 //! * remote batches keep their **global sender-shard index** and are
-//!   routed in ascending order, so [`Reactor::merge_phase`] interleaves
+//!   routed in ascending order, so `Reactor::merge_phase` interleaves
 //!   them into destination rings exactly where one big reactor's merge
 //!   loop would have visited those sending shards;
 //! * a sender shard's per-destination subsequences preserve send order,
@@ -58,7 +58,6 @@ use crate::reactor::{Actor, ActorId, Reactor, RemoteBatch};
 /// mailbox span, so no shard ever straddles two ranks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    span: usize,
     /// `ranks + 1` fence posts: `starts[r]` is rank `r`'s first global
     /// actor id, `starts[ranks]` the global actor total.
     starts: Vec<usize>,
@@ -86,21 +85,16 @@ impl ShardMap {
             shard_acc += per + usize::from(r < extra);
         }
         starts.push(global_total);
-        Self { span, starts }
+        Self { starts }
     }
 
     /// Number of ranks (processes) in the layout.
-    pub fn ranks(&self) -> usize {
+    pub(crate) fn ranks(&self) -> usize {
         self.starts.len() - 1
     }
 
-    /// Mailbox span the layout is aligned to.
-    pub fn span(&self) -> usize {
-        self.span
-    }
-
     /// Total actors across all ranks.
-    pub fn global_total(&self) -> usize {
+    pub(crate) fn global_total(&self) -> usize {
         self.starts[self.ranks()]
     }
 
@@ -114,18 +108,12 @@ impl ShardMap {
         self.starts[rank + 1] - self.starts[rank]
     }
 
-    /// Whether `rank` owns no actors (legal for high ranks of a small
-    /// mesh).
-    pub fn is_empty(&self, rank: usize) -> bool {
-        self.len(rank) == 0
-    }
-
     /// The rank owning global actor id `id`.
     ///
     /// # Panics
     ///
     /// Panics if `id` is outside the mesh.
-    pub fn rank_of(&self, id: ActorId) -> usize {
+    pub(crate) fn rank_of(&self, id: ActorId) -> usize {
         let ranks = self.ranks();
         for r in 0..ranks {
             if id.0 >= self.starts[r] && id.0 < self.starts[r + 1] {
@@ -141,13 +129,13 @@ impl ShardMap {
 #[derive(Debug)]
 pub enum Step<M> {
     /// Stage routed remote deliveries (possibly none), then run
-    /// [`Reactor::drain_phase`]; reply [`Reply::DrainDone`].
+    /// `Reactor::drain_phase`; reply [`Reply::DrainDone`].
     Drain {
         /// Remote-origin deliveries for this rank, in source-rank order
         /// (wheel order within a source).
         staged: Vec<(ActorId, M)>,
     },
-    /// Run [`Reactor::merge_phase`] with these routed batches; reply
+    /// Run `Reactor::merge_phase` with these routed batches; reply
     /// [`Reply::Fence`].
     Merge {
         /// Batches destined to this rank, ascending by global sender
@@ -475,7 +463,7 @@ mod tests {
     const SPAN: usize = 4;
 
     fn build(rank: usize, map: &ShardMap) -> Reactor<Mixer> {
-        let mut reactor = Reactor::partitioned(map.span(), map.start(rank), ACTORS);
+        let mut reactor = Reactor::partitioned(SPAN, map.start(rank), ACTORS);
         for i in map.start(rank)..map.start(rank) + map.len(rank) {
             reactor.add_actor(Mixer {
                 neighbour: ActorId((i * 11 + 1) % ACTORS),
@@ -588,7 +576,7 @@ mod tests {
         let map = ShardMap::contiguous(3, 4, 4);
         assert_eq!(map.len(0), 3);
         for r in 1..4 {
-            assert!(map.is_empty(r), "rank {r} should be empty");
+            assert_eq!(map.len(r), 0, "rank {r} should be empty");
         }
         assert_eq!(map.rank_of(ActorId(2)), 0);
     }

@@ -126,7 +126,8 @@ impl<M, S> Ctx<'_, M, S> {
     }
 
     /// Current logical time (advances only via the timer wheel).
-    pub fn now(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
@@ -374,11 +375,10 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     ///
     /// Actors registered with [`add_actor`](Self::add_actor) receive
     /// **global** ids (`base`, `base + 1`, …). Sends may target any
-    /// global id; a partitioned reactor must be driven through
-    /// [`drain_phase`](Self::drain_phase) /
-    /// [`merge_phase`](Self::merge_phase) /
-    /// [`advance_to`](Self::advance_to) so remote-destined messages can
-    /// be routed (see `bridge`), not through
+    /// global id; a partitioned reactor must be driven by
+    /// [`bridge::drive`](crate::bridge::drive) /
+    /// [`bridge::follow`](crate::bridge::follow), whose drain, merge and
+    /// advance phases route remote-destined messages, not through
     /// [`run_until_idle`](Self::run_until_idle).
     ///
     /// With `base == 0` and every actor local, the phase split is
@@ -438,35 +438,25 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     /// Whether `id` names an actor hosted by **this** reactor (always
     /// true for in-range ids of a plain reactor; a partition owns only
     /// `[base, base + len)`).
-    pub fn owns(&self, id: ActorId) -> bool {
+    pub(crate) fn owns(&self, id: ActorId) -> bool {
         id.0 >= self.base && id.0 < self.base + self.actors_total
     }
 
     /// First global actor id of this reactor's partition (0 for a plain
     /// reactor).
-    pub fn base(&self) -> usize {
+    pub(crate) fn base(&self) -> usize {
         self.base
     }
 
     /// Messages already delivered to local mailboxes and awaiting the
     /// next round (staged externals included).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending
     }
 
     /// Earliest deadline on the local timer wheel, if any.
-    pub fn next_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
         self.wheel.next_deadline()
-    }
-
-    /// Number of hosted actors.
-    pub fn len(&self) -> usize {
-        self.actors_total
-    }
-
-    /// Whether the reactor hosts no actors.
-    pub fn is_empty(&self) -> bool {
-        self.actors_total == 0
     }
 
     /// Current logical time.
@@ -498,7 +488,8 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     }
 
     /// Iterates actors in id order.
-    pub fn actors(&self) -> impl Iterator<Item = &A> {
+    #[cfg(test)]
+    pub(crate) fn actors(&self) -> impl Iterator<Item = &A> {
         self.shards.iter().flat_map(|s| s.actors.iter())
     }
 
@@ -551,30 +542,10 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     /// # Panics
     ///
     /// Panics if any destination is not owned by this reactor.
-    pub fn stage_external(&mut self, msgs: impl IntoIterator<Item = (ActorId, A::Msg)>) {
+    pub(crate) fn stage_external(&mut self, msgs: impl IntoIterator<Item = (ActorId, A::Msg)>) {
         for (to, msg) in msgs {
             self.inject(to, msg);
         }
-    }
-
-    /// Schedules `msg` for delivery to `to` after `delay` ticks, from
-    /// outside the actor graph. A zero delay is an [`inject`](Self::inject).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` does not name a registered actor.
-    pub fn schedule(&mut self, delay: u64, to: ActorId, msg: A::Msg) {
-        if delay == 0 {
-            self.inject(to, msg);
-            return;
-        }
-        assert!(
-            self.owns(to),
-            "schedule to unknown {to} (partition [{}, {}))",
-            self.base,
-            self.base + self.actors_total
-        );
-        self.wheel.schedule(self.now + delay, to, msg);
     }
 
     /// Packs the staged external deliveries (injections, fired timers)
@@ -611,10 +582,9 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     /// # Panics
     ///
     /// Panics on a partitioned reactor: remote-destined sends and fired
-    /// timers need a router, so partitions are driven through
-    /// [`drain_phase`](Self::drain_phase) /
-    /// [`merge_phase`](Self::merge_phase) /
-    /// [`advance_to`](Self::advance_to) instead (see `bridge`).
+    /// timers need a router, so partitions are driven by
+    /// [`bridge::drive`](crate::bridge::drive) /
+    /// [`bridge::follow`](crate::bridge::follow) instead.
     pub fn run_until_idle(&mut self) -> ReactorStats {
         assert!(
             !self.partitioned,
@@ -647,7 +617,7 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     ///
     /// The single-process idle loop is exactly `advance_to(next_deadline)`
     /// with an always-empty return value.
-    pub fn advance_to(&mut self, deadline: u64) -> Vec<(ActorId, A::Msg)> {
+    pub(crate) fn advance_to(&mut self, deadline: u64) -> Vec<(ActorId, A::Msg)> {
         debug_assert!(!self.mid_round, "advance_to during a split round");
         self.now = self.now.max(deadline);
         let mut remote = Vec::new();
@@ -688,7 +658,7 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     /// remote-destined subsequence of each as a [`RemoteBatch`] (global
     /// sender-shard order, send order within a batch). Plain reactors
     /// always return an empty vec.
-    pub fn drain_phase(&mut self) -> Vec<RemoteBatch<A::Msg>> {
+    pub(crate) fn drain_phase(&mut self) -> Vec<RemoteBatch<A::Msg>> {
         debug_assert!(!self.mid_round, "drain_phase while a round is already split open");
         let tracing = obs::enabled();
         let epoch = if tracing { obs::current_epoch() } else { 0 };
@@ -800,7 +770,7 @@ impl<A: Actor<S>, S: Default + Send> Reactor<A, S> {
     ///
     /// `remote` must be sorted by `sender_shard` and contain only
     /// locally owned destinations.
-    pub fn merge_phase(&mut self, remote: Vec<RemoteBatch<A::Msg>>) {
+    pub(crate) fn merge_phase(&mut self, remote: Vec<RemoteBatch<A::Msg>>) {
         debug_assert!(self.mid_round || remote.is_empty(), "merge_phase without a drain");
         let tracing = obs::enabled();
         let epoch = if tracing { obs::current_epoch() } else { 0 };
@@ -1000,15 +970,6 @@ mod tests {
         assert_eq!(reactor.actor(id).fired_at, vec![0, 3, 5, 6]);
         assert_eq!(reactor.now(), 6);
         assert_eq!(stats.timers_fired, 3);
-    }
-
-    #[test]
-    fn external_schedule_delivers_later() {
-        let mut reactor = mixer_ring(3, 1);
-        reactor.schedule(5, ActorId(2), Hop { value: 7, hops: 0 });
-        reactor.run_until_idle();
-        assert_eq!(reactor.actor(ActorId(2)).log, vec![7]);
-        assert_eq!(reactor.now(), 5);
     }
 
     #[test]
@@ -1317,7 +1278,5 @@ mod tests {
         let stats = reactor.run_until_idle();
         assert_eq!(stats, ReactorStats::default());
         assert_eq!(reactor.now(), 0);
-        assert_eq!(reactor.len(), 5);
-        assert!(!reactor.is_empty());
     }
 }

@@ -70,12 +70,14 @@ impl<M> TimerWheel<M> {
     }
 
     /// Number of pending timers.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.pending
     }
 
     /// Whether no timers are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending == 0
     }
 
@@ -101,7 +103,7 @@ impl<M> TimerWheel<M> {
     }
 
     /// Earliest pending deadline, if any.
-    pub fn next_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
         self.buckets.iter().flatten().map(|e| e.fire_at).min()
     }
 

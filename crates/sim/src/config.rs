@@ -52,7 +52,10 @@ pub enum BandwidthSpec {
 impl BandwidthSpec {
     /// Instantiates the live process (using `rng` for any random initial
     /// state).
-    pub fn instantiate<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Box<dyn BandwidthProcess> {
+    pub(crate) fn instantiate<R: rand::Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+    ) -> Box<dyn BandwidthProcess> {
         match self {
             BandwidthSpec::Paper { stay } => {
                 Box::new(MarkovBandwidth::paper_with_stay(rng, *stay))
@@ -94,7 +97,7 @@ impl BandwidthSpec {
     }
 
     /// Long-run mean capacity (calibrates `μ`).
-    pub fn mean_level(&self) -> f64 {
+    pub(crate) fn mean_level(&self) -> f64 {
         match self {
             BandwidthSpec::Paper { .. } => 800.0,
             BandwidthSpec::Constant(level) => *level,
@@ -134,7 +137,7 @@ pub struct LearnerSpec {
     /// Exploration `δ`.
     pub delta: f64,
     /// Normalisation `μ`; `None` derives `4 × the per-peer fair-share
-    /// rate` (see [`RthsConfig::for_rate_scale`]).
+    /// rate` (see [`SimConfig::rate_scale`](crate::SimConfig::rate_scale)).
     pub mu: Option<f64>,
     /// Enables conditional-regret normalisation (helper-failure
     /// recovery extension; see `rths_core::RthsConfig::conditional`).
@@ -159,7 +162,7 @@ impl Algorithm {
     /// [`RecencyMode::Uniform`]), whose state lives in a
     /// [`LearnerSlab`](rths_core::LearnerSlab) slot. The other one, EXP3,
     /// keeps its state in the learner value itself.
-    pub fn slab_hosted(self) -> bool {
+    pub(crate) fn slab_hosted(self) -> bool {
         matches!(self, Algorithm::Rths | Algorithm::RegretMatching)
     }
 }
@@ -268,7 +271,7 @@ impl LearnerSpec {
     /// Builds a live learner over `num_actions` actions, deriving `μ`
     /// from `rate_scale` — the typical per-peer received rate (fair
     /// share, possibly demand-capped) — when `mu` is unset. A
-    /// [slab-hosted](Algorithm::slab_hosted) learner gets a one-slot slab
+    /// slab-hosted learner gets a one-slot slab
     /// of its own (a population shares one through
     /// [`PeerStore`](crate::PeerStore)).
     ///
@@ -296,7 +299,7 @@ impl LearnerSpec {
     /// and rewards scaled by four `rate_scale`s (rewards are rates; a few
     /// fair shares bound them). The peer store builds this once per
     /// channel.
-    pub fn exp3_config(&self, num_actions: usize, rate_scale: f64) -> Exp3Config {
+    pub(crate) fn exp3_config(&self, num_actions: usize, rate_scale: f64) -> Exp3Config {
         Exp3Config {
             num_actions,
             gamma: self.delta.max(0.01),
@@ -437,7 +440,7 @@ impl SimConfig {
 
     /// Mean of the helpers' long-run mean capacities
     /// ([`BandwidthSpec::mean_level`]); 0 with no helpers.
-    pub fn mean_capacity(&self) -> f64 {
+    pub(crate) fn mean_capacity(&self) -> f64 {
         if self.helpers.is_empty() {
             return 0.0;
         }

@@ -63,12 +63,12 @@ impl EpochMetrics {
     }
 
     /// Global helper indices serving each channel.
-    pub fn channel_helpers(&self) -> &[Vec<usize>] {
+    pub(crate) fn channel_helpers(&self) -> &[Vec<usize>] {
         &self.channel_helpers
     }
 
     /// Per-viewer demand of each channel (kbps); `None` = uncapped.
-    pub fn demands(&self) -> &[Option<f64>] {
+    pub(crate) fn demands(&self) -> &[Option<f64>] {
         &self.demands
     }
 
@@ -78,7 +78,7 @@ impl EpochMetrics {
     }
 
     /// Delivered rate per channel, summed over all epochs so far.
-    pub fn channel_rate_sums(&self) -> &[f64] {
+    pub(crate) fn channel_rate_sums(&self) -> &[f64] {
         &self.channel_rate_sums
     }
 
@@ -111,7 +111,7 @@ impl EpochMetrics {
     }
 
     /// The join rates the last [`allocation`](Self::allocation) returned.
-    pub fn join_rates(&self) -> (&[usize], &[f64]) {
+    pub(crate) fn join_rates(&self) -> (&[usize], &[f64]) {
         (&self.join_offsets, &self.join_rates)
     }
 

@@ -48,7 +48,7 @@ impl std::fmt::Debug for Helper {
 
 impl Helper {
     /// Creates a helper driven by `process` with its own RNG stream.
-    pub fn new(id: HelperId, process: Box<dyn BandwidthProcess>, rng: StdRng) -> Self {
+    pub(crate) fn new(id: HelperId, process: Box<dyn BandwidthProcess>, rng: StdRng) -> Self {
         let capacity = process.level();
         Self { id, process, rng, capacity, online: true }
     }
@@ -58,11 +58,6 @@ impl Helper {
     pub fn with_seed(id: HelperId, process: Box<dyn BandwidthProcess>, sim_seed: u64) -> Self {
         let rng = rths_stoch::rng::entity_rng(sim_seed, HELPER_STREAM_BASE + id.0 as u64);
         Self::new(id, process, rng)
-    }
-
-    /// Stable id.
-    pub fn id(&self) -> HelperId {
-        self.id
     }
 
     /// Current upload capacity (kbps); 0 while offline.
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn display_and_debug() {
         let h = helper(100.0);
-        assert_eq!(h.id().to_string(), "helper-1");
+        assert_eq!(h.id.to_string(), "helper-1");
         assert!(format!("{h:?}").contains("capacity"));
     }
 }

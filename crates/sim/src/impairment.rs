@@ -107,7 +107,8 @@ impl ImpairmentError {
     }
 
     /// Dotted path of the rejected field (e.g. `"loss.bad_loss"`).
-    pub fn field(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn field(&self) -> &'static str {
         self.field
     }
 }
@@ -549,7 +550,8 @@ impl LinkShaper {
     }
 
     /// Current token level (kbits; meaningful after the first `shape`).
-    pub fn tokens(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tokens(&self) -> f64 {
         self.tokens
     }
 

@@ -10,7 +10,7 @@
 use rths_core::ConvergenceSeries;
 
 /// Time-series and summary metrics of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimMetrics {
     /// Worst-peer internal regret estimate per epoch.
     pub worst_regret_estimate: ConvergenceSeries,
@@ -43,23 +43,11 @@ pub struct SimMetrics {
 
 impl SimMetrics {
     /// Creates empty metrics for `num_helpers` helpers.
-    pub fn new(num_helpers: usize) -> Self {
+    pub(crate) fn new(num_helpers: usize) -> Self {
         Self {
-            worst_regret_estimate: ConvergenceSeries::new("worst_regret_estimate"),
-            worst_empirical_regret: ConvergenceSeries::new("worst_empirical_regret"),
-            welfare: ConvergenceSeries::new("welfare"),
-            server_load: ConvergenceSeries::new("server_load"),
-            min_deficit: ConvergenceSeries::new("min_deficit"),
-            current_deficit: ConvergenceSeries::new("current_deficit"),
-            switches: ConvergenceSeries::new("switches"),
-            jain: ConvergenceSeries::new("jain"),
-            population: ConvergenceSeries::new("population"),
-            helper_loads: (0..num_helpers)
-                .map(|j| ConvergenceSeries::new(format!("helper_{j}_load")))
-                .collect(),
+            helper_loads: vec![ConvergenceSeries::default(); num_helpers],
             mean_helper_loads: vec![0.0; num_helpers],
-            mean_peer_rates: Vec::new(),
-            peer_continuity: Vec::new(),
+            ..Self::default()
         }
     }
 

@@ -37,7 +37,7 @@ pub enum Value {
 
 impl Value {
     /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -45,7 +45,7 @@ impl Value {
     }
 
     /// The value as an integer, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             _ => None,
@@ -54,7 +54,7 @@ impl Value {
 
     /// The value as a float (integers widen losslessly for the i64
     /// range used here).
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(f) => Some(*f),
             Value::Int(i) => Some(*i as f64),
@@ -63,7 +63,7 @@ impl Value {
     }
 
     /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -71,7 +71,7 @@ impl Value {
     }
 
     /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub(crate) fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(items) => Some(items),
             _ => None,
@@ -79,7 +79,7 @@ impl Value {
     }
 
     /// The value as a table, if it is one.
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
+    pub(crate) fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Table(t) => Some(t),
             _ => None,
@@ -278,7 +278,7 @@ fn parse_key(raw: &str, line: usize) -> Result<String, TomlError> {
 /// # Errors
 ///
 /// Returns a [`TomlError`] with the offending line on malformed input.
-pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, TomlError> {
+pub(crate) fn parse(input: &str) -> Result<BTreeMap<String, Value>, TomlError> {
     let mut root = BTreeMap::new();
     let mut current_path: Vec<String> = Vec::new();
     for (idx, raw_line) in input.lines().enumerate() {

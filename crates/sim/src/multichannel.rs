@@ -78,7 +78,7 @@ impl MultiChannelSystem {
 
     /// Unwraps the engine, e.g. to drive it through
     /// [`WorkloadPhase`](crate::WorkloadPhase)s.
-    pub fn into_engine(self) -> System {
+    pub(crate) fn into_engine(self) -> System {
         self.engine
     }
 

@@ -29,7 +29,7 @@ impl std::fmt::Display for PeerId {
 /// stream (so churn never perturbs other peers' randomness), plus
 /// accumulators for per-peer reporting (Fig. 4).
 ///
-/// Channel and helper indices are stored as `u32`, as in the store's
+/// The last helper index is stored as a `u32`, as in the store's
 /// columns: a reactor hosts 10⁵ of these, and every byte is paid per
 /// peer.
 #[derive(Debug)]
@@ -37,8 +37,6 @@ pub struct Peer {
     id: PeerId,
     learner: AnyLearner,
     rng: StdRng,
-    channel: u32,
-    joined_at: u64,
     total_rate: f64,
     epochs_online: u64,
     satisfied_epochs: u64,
@@ -47,20 +45,14 @@ pub struct Peer {
 }
 
 impl Peer {
-    /// Creates a peer joining at `joined_at` on `channel`.
-    pub fn new(
-        id: PeerId,
-        learner: AnyLearner,
-        rng: StdRng,
-        channel: usize,
-        joined_at: u64,
-    ) -> Self {
+    /// Creates a peer. The last two parameters (channel, join epoch)
+    /// are ignored.
+    // benchmark shim (ROADMAP 23): `net_layers` calls the five-argument form.
+    pub fn new(id: PeerId, learner: AnyLearner, rng: StdRng, _: usize, _: u64) -> Self {
         Self {
             id,
             learner,
             rng,
-            channel: channel as u32,
-            joined_at,
             total_rate: 0.0,
             epochs_online: 0,
             satisfied_epochs: 0,
@@ -72,24 +64,6 @@ impl Peer {
     /// Stable id.
     pub fn id(&self) -> PeerId {
         self.id
-    }
-
-    /// The channel this peer watches (0 in single-channel systems).
-    pub fn channel(&self) -> usize {
-        self.channel as usize
-    }
-
-    /// Switches the peer to another channel, resetting its learner for
-    /// the new action set.
-    pub fn set_channel(&mut self, channel: usize, num_actions: usize) {
-        self.channel = channel as u32;
-        self.learner.reset_actions(num_actions);
-        self.last_helper = None;
-    }
-
-    /// Epoch the peer joined.
-    pub fn joined_at(&self) -> u64 {
-        self.joined_at
     }
 
     /// Immutable learner access.
@@ -146,11 +120,6 @@ impl Peer {
         self.switches
     }
 
-    /// Epochs the peer has been online.
-    pub fn epochs_online(&self) -> u64 {
-        self.epochs_online
-    }
-
     /// Largest internal regret estimate of the peer's learner.
     pub fn max_regret(&self) -> f64 {
         self.learner.max_regret()
@@ -172,7 +141,6 @@ mod tests {
     fn new_peer_accounting_is_zeroed() {
         let p = peer(1);
         assert_eq!(p.id(), PeerId(7));
-        assert_eq!(p.joined_at(), 5);
         assert_eq!(p.mean_rate(), 0.0);
         assert_eq!(p.continuity(), 1.0);
         assert_eq!(p.switches(), 0);
@@ -186,7 +154,7 @@ mod tests {
         p.deliver(400.0, true);
         assert_eq!(p.mean_rate(), 400.0);
         assert_eq!(p.continuity(), 1.0);
-        assert_eq!(p.epochs_online(), 1);
+        assert_eq!(p.epochs_online, 1);
     }
 
     #[test]
@@ -214,20 +182,6 @@ mod tests {
             p.deliver(100.0, i % 2 == 0);
         }
         assert_eq!(p.continuity(), 0.5);
-    }
-
-    #[test]
-    fn set_channel_resets_learner() {
-        let mut p = peer(5);
-        let _ = p.choose_helper();
-        p.deliver(10.0, true);
-        p.set_channel(2, 5);
-        assert_eq!(p.channel(), 2);
-        assert_eq!(rths_core::Learner::num_actions(p.learner()), 5);
-        // Switch counter must not fire on the first post-reset choice.
-        let _ = p.choose_helper();
-        p.deliver(10.0, true);
-        assert_eq!(p.switches(), 0);
     }
 
     #[test]

@@ -49,7 +49,12 @@ impl PlaybackBuffer {
     ///
     /// Panics unless `bitrate`, `epoch_seconds`, `startup_buffer` are
     /// positive and `max_buffer >= startup_buffer`.
-    pub fn new(bitrate: f64, epoch_seconds: f64, startup_buffer: f64, max_buffer: f64) -> Self {
+    pub(crate) fn new(
+        bitrate: f64,
+        epoch_seconds: f64,
+        startup_buffer: f64,
+        max_buffer: f64,
+    ) -> Self {
         assert!(bitrate > 0.0 && bitrate.is_finite(), "bitrate must be positive");
         assert!(epoch_seconds > 0.0, "epoch length must be positive");
         assert!(startup_buffer > 0.0, "startup buffer must be positive");

@@ -88,7 +88,7 @@
 //!
 //! from two maintained quantities — `rowmax`, the max of the peer's
 //! `row[..arity]` (kept where the row is written: the stretch close,
-//! [`RegretLedger::migrate`], the lazy arity reset, `add_peer` and
+//! `RegretLedger::migrate`, the lazy arity reset, `add_peer` and
 //! `remove_slots`), and `dmax[s][c] = max_k fl(g[k] − ring[s][k])`, which
 //! [`RegretLedger::advance_epoch`] computes for channel `c` and each of
 //! the ≤ [`STRETCH_WINDOW`] entry epochs `s` an open stretch can reference
@@ -112,8 +112,8 @@
 //!
 //! Each shard folds its own running max, so the result stays the same at
 //! any shard count, and so does the max over block stores the reactor's
-//! coordinator folds. [`record_counted`] (and [`record`]) always read:
-//! they return the peer's own value, which the oracle tests compare.
+//! coordinator folds. [`record_counted`] always reads: it returns the
+//! peer's own value, which the oracle tests compare.
 //!
 //! # Churn
 //!
@@ -324,18 +324,9 @@ impl RegretLedger {
         }
     }
 
-    /// Row stride (the largest channel arity).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Epochs advanced so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
     /// Recorded epochs of peer `slot`'s current row.
-    pub fn stages(&self, slot: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn stages(&self, slot: usize) -> u64 {
         self.stages[slot]
     }
 
@@ -358,16 +349,6 @@ impl RegretLedger {
         &self.rows[self.handle[slot] as usize * self.stride..][..self.stride]
     }
 
-    /// Number of peer rows.
-    pub fn len(&self) -> usize {
-        self.arm.len()
-    }
-
-    /// Whether the ledger holds no peer rows.
-    pub fn is_empty(&self) -> bool {
-        self.arm.is_empty()
-    }
-
     /// Removes the peers in `slots` (**sorted, unique, in range** — the
     /// owning store validates), compacting every per-peer column
     /// order-preservingly; the departed peers' rows stay behind as holes,
@@ -376,7 +357,7 @@ impl RegretLedger {
     /// valid: the ledger's global state is slot-independent, so no fold is
     /// needed. Returns the bytes copied: eight scalars per relocated peer,
     /// and the rows such a pass moved.
-    pub fn remove_slots(&mut self, slots: &[u32]) -> usize {
+    pub(crate) fn remove_slots(&mut self, slots: &[u32]) -> usize {
         let Some(&first) = slots.first() else { return 0 };
         compact_column(&mut self.arm, slots);
         compact_column(&mut self.entry, slots);
@@ -404,7 +385,7 @@ impl RegretLedger {
     /// leaves no stretch open. The row itself is *not* touched — it
     /// resets lazily at the next record if the arity actually changed
     /// (see `arity`), preserving the historical same-arity semantics.
-    pub fn migrate(&mut self, slot: usize, old_channel: usize) {
+    pub(crate) fn migrate(&mut self, slot: usize, old_channel: usize) {
         let arm = self.arm[slot];
         if arm == NO_ARM {
             return;
@@ -436,7 +417,7 @@ impl RegretLedger {
     /// adds this epoch's join rates to `g`, and refreshes the bound table
     /// for every entry epoch an open stretch can reference (`STRETCH_WINDOW
     /// · Σm` subtractions). Must be called exactly once per epoch, before
-    /// any [`record`] for it.
+    /// any [`record_counted`] for it.
     ///
     /// # Panics
     ///
@@ -501,7 +482,7 @@ impl RegretLedger {
     }
 
     /// Peer `slot`'s current time-averaged worst true regret (the same
-    /// value the epoch's [`record`] returned), for final reporting.
+    /// value the epoch's [`record_counted`] returned), for final reporting.
     pub fn peer_max(&self, slot: usize, channel: usize) -> f64 {
         if self.stages[slot] == 0 {
             return 0.0;
@@ -530,28 +511,14 @@ impl RegretLedger {
 /// updated time-averaged worst true regret. `i` is the index **relative
 /// to the shard's column chunk**; `channel` selects the join-rate slice;
 /// `played`/`rate` are the peer's arm and observed (demand-capped) rate.
+/// `folds` is incremented each time the call closes an open stretch with
+/// a row write (an arm switch or a bounded-window fold). The counter is
+/// pure observability — it is written only after the arithmetic is fully
+/// determined, so traced and untraced runs stay bit-identical.
 ///
 /// Every record goes through this arithmetic ([`record_max`] in the
 /// store's observe phase on both engines) — the cross-engine
 /// bit-equality of the regret series is structural, not coincidental.
-#[inline]
-pub fn record(
-    cols: &mut LedgerCols<'_>,
-    ctx: &LedgerCtx<'_>,
-    i: usize,
-    channel: usize,
-    played: usize,
-    rate: f64,
-) -> f64 {
-    let mut folds = 0u64;
-    record_counted(cols, ctx, i, channel, played, rate, &mut folds)
-}
-
-/// [`record`] with stretch-fold accounting: `folds` is incremented each
-/// time the call closes an open stretch with a row write (an arm switch
-/// or a bounded-window fold). The counter is pure observability — it is
-/// written only after the arithmetic is fully determined, so traced and
-/// untraced runs stay bit-identical.
 #[inline]
 pub fn record_counted(
     cols: &mut LedgerCols<'_>,
@@ -707,7 +674,7 @@ impl DenseRegret {
         self.arity.push(0);
     }
 
-    /// Mirrors [`RegretLedger::remove_slots`].
+    /// Mirrors `RegretLedger::remove_slots`.
     pub fn remove_slots(&mut self, slots: &[u32]) {
         let stride = self.stride;
         compact_column(&mut self.stages, slots);
@@ -806,7 +773,7 @@ mod tests {
                 let m = arities[c];
                 let played = rng.gen_range(0..m);
                 let rate = rng.gen_range(0..800) as f64;
-                let f = record(&mut cols, &ctx, i, c, played, rate);
+                let f = record_counted(&mut cols, &ctx, i, c, played, rate, &mut 0);
                 let d = dense.record(i, c, played, rate, &join);
                 assert_eq!(
                     f.to_bits(),
@@ -875,7 +842,7 @@ mod tests {
             let join = [((e * 7) % 11) as f64, ((e * 3) % 13) as f64, 5.0];
             folded.advance_epoch(&[0, 3], &join);
             let (mut cols, ctx) = folded.split();
-            let f = record(&mut cols, &ctx, 0, 0, 1, ((e * 5) % 9) as f64);
+            let f = record_counted(&mut cols, &ctx, 0, 0, 1, ((e * 5) % 9) as f64, &mut 0);
             let d = dense.record(0, 0, 1, ((e * 5) % 9) as f64, &join);
             assert_eq!(f.to_bits(), d.to_bits(), "diverged at epoch {e}");
         }
@@ -885,7 +852,7 @@ mod tests {
         /// Test hook: `rowmax` and the live bound table are what a
         /// recompute from the rows, `g` and the ring gives — `to_bits`.
         fn assert_maintained(&self, what: &str) {
-            for slot in 0..self.len() {
+            for slot in 0..self.arm.len() {
                 let row = &self.row(slot)[..self.arity[slot] as usize];
                 let want = if row.is_empty() {
                     0.0
@@ -937,7 +904,7 @@ mod tests {
         moves: &[(usize, usize, f64)],
         shards: usize,
     ) -> (f64, u64) {
-        let n = ledger.len();
+        let n = ledger.arm.len();
         let mut acc = vec![(0.0f64, 0u64); shards.clamp(1, n.max(1))];
         let (cols, ctx) = ledger.split();
         par_sharded(n, acc.len(), cols, &mut acc[..], |shard, mut cols, acc| {
@@ -1155,7 +1122,7 @@ mod tests {
             for (i, &c) in channels.iter().enumerate() {
                 let played = rng.gen_range(0..arities[c]);
                 let rate = rng.gen_range(0..800) as f64;
-                let f = record(&mut cols, &ctx, i, c, played, rate);
+                let f = record_counted(&mut cols, &ctx, i, c, played, rate, &mut 0);
                 let d = dense.record(i, c, played, rate, &join);
                 assert_eq!(f.to_bits(), d.to_bits(), "peer {i} at epoch {e}");
             }
@@ -1166,7 +1133,7 @@ mod tests {
             for &slot in gone.iter().rev() {
                 channels.remove(slot as usize);
             }
-            let (n, rows) = (folded.len(), folded.rows.len() / folded.stride);
+            let (n, rows) = (folded.arm.len(), folded.rows.len() / folded.stride);
             assert!(rows - n <= n / 16, "epoch {e}: {} holes left open", rows - n);
             assert!(folded.handle.windows(2).all(|w| w[0] < w[1]), "epoch {e}: handles");
             if rows > n {
@@ -1188,7 +1155,7 @@ mod tests {
     #[test]
     fn empty_ledger_is_inert() {
         let mut ledger = RegretLedger::new(&[4]);
-        assert!(ledger.is_empty());
+        assert!(ledger.arm.is_empty());
         ledger.advance_epoch(&[0, 4], &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(pruned_max(&mut ledger, &[], 4), (0.0, 0));
         assert_eq!(ledger.remove_slots(&[]), 0);

@@ -10,7 +10,7 @@
 //!    popularity, allocation policy);
 //! 2. **Impairment** — an [`ImpairmentPlan`] (`[impairment]`: a `seed`
 //!    and the `loss`, `token_bucket` and `link_bandwidth` sub-tables, each
-//!    of which shapes the rates peers receive);
+//!    of which shapes the rates peers receive, on either population);
 //! 3. **Workload phases** — an ordered list of [`WorkloadPhase`]s
 //!    (`[[phase]]`: steady, flash crowd, diurnal, helper failure,
 //!    popularity shift, channel surfing);
@@ -20,9 +20,9 @@
 //! A spec is read from TOML ([`ScenarioSpec::from_toml_str`],
 //! [`ScenarioSpec::load`]). The parse functions below are the grammar,
 //! and they build the configuration the run uses, a [`SimConfig`], once
-//! per load: `[population]` lays out one channel (and carries the
-//! impairment plan), `[multichannel]` a [`SimConfig::standard`] deployment
-//! whose Zipf exponent the spec keeps for `channel_surf`. Each key is
+//! per load: `[population]` lays out one channel, `[multichannel]` a
+//! [`SimConfig::standard`] deployment whose Zipf exponent the spec keeps
+//! for `channel_surf`; either carries the impairment plan. Each key is
 //! checked where it is read; the checks that compare
 //! keys (the learner against the helpers, a phase against the
 //! population) then read the built configuration. An unknown key, a
@@ -618,13 +618,7 @@ fn parse_spec(root: &Tbl) -> Result<ScenarioSpec, ScenarioError> {
         }
         (Some(v), None) => (parse_single(as_tbl(v, "population")?, seed, impairment)?, None),
         (None, Some(v)) => {
-            if impairment.affects_rates() {
-                return Err(invalid(
-                    "impairment",
-                    "impairments are only wired into single-channel populations",
-                ));
-            }
-            let (config, zipf_s) = parse_multi(as_tbl(v, "multichannel")?, seed)?;
+            let (config, zipf_s) = parse_multi(as_tbl(v, "multichannel")?, seed, impairment)?;
             (config, Some(zipf_s))
         }
         (None, None) => {
@@ -796,9 +790,13 @@ fn parse_learner(tbl: &Tbl) -> Result<LearnerSpec, ScenarioError> {
     Ok(LearnerSpec { algorithm, epsilon, delta, mu, conditional })
 }
 
-/// The `[multichannel]` table: the [`SimConfig::standard`] it names, and
-/// its Zipf exponent.
-fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(SimConfig, f64), ScenarioError> {
+/// The `[multichannel]` table: the [`SimConfig::standard`] it names,
+/// carrying `impairment`, and its Zipf exponent.
+fn parse_multi(
+    tbl: &Tbl,
+    seed: u64,
+    impairment: ImpairmentPlan,
+) -> Result<(SimConfig, f64), ScenarioError> {
     let path = "multichannel";
     check_keys(
         tbl,
@@ -845,16 +843,19 @@ fn parse_multi(tbl: &Tbl, seed: u64) -> Result<(SimConfig, f64), ScenarioError> 
     if !(zipf_s.is_finite() && zipf_s >= 0.0) {
         return Err(invalid("multichannel.zipf_s", "must be ≥ 0 and finite"));
     }
-    let config = SimConfig::standard(
-        channels,
-        bitrate,
-        helpers,
-        channels_per_helper,
-        viewers,
-        zipf_s,
-        allocation,
-        seed,
-    );
+    let config = SimConfig {
+        impairment,
+        ..SimConfig::standard(
+            channels,
+            bitrate,
+            helpers,
+            channels_per_helper,
+            viewers,
+            zipf_s,
+            allocation,
+            seed,
+        )
+    };
     // The run refuses a channel with viewers and no helper; which channels
     // have viewers is the Zipf split's call.
     let mut served = vec![false; channels];
@@ -1373,6 +1374,45 @@ mod tests {
             lossy_welfare < clean_welfare,
             "bursty loss should cost welfare: {lossy_welfare} vs {clean_welfare}"
         );
+    }
+
+    #[test]
+    fn multichannel_impairment_matches_direct_system() {
+        // A `[multichannel]` spec carries its `[impairment]` plan into the
+        // run: the report equals a direct `MultiChannelSystem` run under the
+        // same plan, and differs from the clean run.
+        let body = |impairment: &str| {
+            format!(
+                "seed = 5\n[multichannel]\nchannels = 3\nbitrate = 400.0\nhelpers = 6\n\
+                 channels_per_helper = 2\nviewers = 60\nzipf_s = 1.0\n\
+                 allocation = \"water_filling\"\n\
+                 {impairment}[[phase]]\nkind = \"steady\"\nepochs = 80\n"
+            )
+        };
+        let impaired = parse(&body(
+            "[impairment]\nseed = 2\n[impairment.loss]\nkind = \"gilbert_elliott\"\n\
+             p_enter_bad = 0.2\np_exit_bad = 0.3\nbad_loss = 0.9\ngood_loss = 0.0\n\
+             [impairment.token_bucket]\nrate_kbps = 300.0\nburst_kbits = 600.0\n\
+             [impairment.link_bandwidth]\nlevels = [200.0, 400.0, 600.0]\nstay = 0.9\n",
+        ))
+        .unwrap()
+        .run();
+        let plan = ImpairmentPlan::builder(2)
+            .gilbert_loss(0.2, 0.3, 0.9, 0.0)
+            .token_bucket(300.0, 600.0)
+            .link_bandwidth(vec![200.0, 400.0, 600.0], 0.9)
+            .build()
+            .unwrap();
+        let standard =
+            SimConfig::standard(3, 400.0, 6, 2, 60, 1.0, AllocationPolicy::WaterFilling, 5);
+        let direct =
+            MultiChannelSystem::new(SimConfig { impairment: plan, ..standard }).run(80);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(impaired.epochs, 80);
+        assert_eq!(bits(&impaired.welfare), bits(direct.welfare.values()));
+        assert_eq!(bits(&impaired.server_load), bits(direct.server_load.values()));
+        let clean = parse(&body("")).unwrap().run();
+        assert_ne!(bits(&impaired.welfare), bits(&clean.welfare));
     }
 
     #[test]

@@ -138,14 +138,6 @@ impl LearnerRef<'_> {
             Learners::Exp3 { learners, .. } => learners[self.slot].probabilities(),
         }
     }
-
-    /// Stages observed so far.
-    pub fn stage(&self) -> u64 {
-        match self.learners {
-            Learners::Slab(slab) => slab.stage(self.slot),
-            Learners::Exp3 { learners, .. } => learners[self.slot].stage(),
-        }
-    }
 }
 
 /// Thread-affine per-shard scratch, owned by one shard for the duration
@@ -162,7 +154,7 @@ pub struct ShardScratch {
     worst_empirical: f64,
     /// Shard-affine observability scratch: the spans and counter deltas
     /// a phase recorded for this shard, which the caller hands on after
-    /// the phase — [`absorb_obs`] on an orchestrating thread, or into the
+    /// the phase — `absorb_obs` on an orchestrating thread, or into the
     /// scratch of the `rths_par` worker it runs on. Only touched when
     /// tracing is enabled, so the disabled path stays byte-identical to
     /// the pre-observability store.
@@ -172,7 +164,7 @@ pub struct ShardScratch {
 /// Reduces every shard scratch's spans and counter deltas into the global
 /// registry, in shard order (worker 0 is the orchestrating thread): what
 /// an orchestrating caller does after each phase.
-pub fn absorb_obs(scratch: &mut [ShardScratch]) {
+pub(crate) fn absorb_obs(scratch: &mut [ShardScratch]) {
     let epoch = obs::current_epoch();
     for (i, s) in scratch.iter_mut().enumerate() {
         obs::absorb_scratch(i as u32 + 1, epoch, &mut s.obs);
@@ -443,7 +435,7 @@ impl PeerStore {
     /// (see `regret_len`), so a round-trip migration back to a
     /// same-arity channel keeps its regret history — the historical
     /// semantics.
-    pub fn set_channel(&mut self, slot: usize, channel: usize) {
+    pub(crate) fn set_channel(&mut self, slot: usize, channel: usize) {
         let new_m = self.actions[channel] as usize;
         // Fold the open stretch against the *old* channel's join-rate
         // prefix before the move — the stretch was accumulated there.
@@ -816,7 +808,7 @@ impl PeerStore {
     /// Slot of the peer with `id`, if online. Ids are monotone at join
     /// and removal is order-preserving, so the column is always sorted —
     /// this is a binary search.
-    pub fn slot_of(&self, id: u64) -> Option<usize> {
+    pub(crate) fn slot_of(&self, id: u64) -> Option<usize> {
         debug_assert!(self.ids.windows(2).all(|w| w[0] < w[1]), "ids column not sorted");
         self.ids.binary_search(&id).ok()
     }
@@ -827,7 +819,7 @@ impl PeerStore {
     }
 
     /// Channel of the peer in `slot`.
-    pub fn channel(&self, slot: usize) -> usize {
+    pub(crate) fn channel(&self, slot: usize) -> usize {
         self.channels[slot] as usize
     }
 
@@ -866,13 +858,15 @@ impl PeerStore {
     }
 
     /// Time-averaged worst true regret of the peer in `slot`.
-    pub fn empirical_regret(&self, slot: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn empirical_regret(&self, slot: usize) -> f64 {
         self.regret.peer_max(slot, self.channels[slot] as usize)
     }
 
     /// Recorded regret epochs of the peer in `slot` (the time-average
     /// divisor; resets when the action-set arity changes).
-    pub fn regret_stages(&self, slot: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn regret_stages(&self, slot: usize) -> u64 {
         self.regret.stages(slot)
     }
 

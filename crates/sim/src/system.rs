@@ -106,8 +106,8 @@ struct EpochScratch {
     shaped: Vec<f64>,
 }
 
-/// The helper-assisted streaming system over K channels (K = 1 when built
-/// by [`System::new`]). See the [module docs](self).
+/// The helper-assisted streaming system over the K channels its
+/// [`SimConfig`] describes. See the [module docs](self).
 pub struct System {
     /// The run's configuration, less its impairment plan, which the peer
     /// store holds.
@@ -238,19 +238,13 @@ impl System {
     }
 
     /// Online peers.
-    pub fn num_peers(&self) -> usize {
+    pub(crate) fn num_peers(&self) -> usize {
         self.peers.len()
     }
 
-    /// Number of channels (1 for a [`System::new`] system).
-    pub fn num_channels(&self) -> usize {
+    /// Number of channels (the K of the run's [`SimConfig`]).
+    pub(crate) fn num_channels(&self) -> usize {
         self.metrics.channel_helpers().len()
-    }
-
-    /// The helpers (e.g. for failure injection via
-    /// [`set_helper_online`](Self::set_helper_online)).
-    pub fn helpers(&self) -> &[Helper] {
-        &self.helpers
     }
 
     /// The sharded SoA peer store (stable ids, per-peer accounting).
@@ -260,7 +254,7 @@ impl System {
 
     /// The per-epoch series recorded so far (the summary fields are
     /// filled in by [`outcome`](Self::outcome) only).
-    pub fn metrics(&self) -> &SimMetrics {
+    pub(crate) fn metrics(&self) -> &SimMetrics {
         self.metrics.series()
     }
 
@@ -294,7 +288,7 @@ impl System {
 
     /// The configured baseline churn arrival rate (used by workload
     /// generators to scale surges).
-    pub fn config_arrival_rate(&self) -> f64 {
+    pub(crate) fn config_arrival_rate(&self) -> f64 {
         self.config.churn.arrival_rate()
     }
 

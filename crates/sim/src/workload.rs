@@ -92,7 +92,7 @@ pub enum WorkloadPhase {
 
 impl WorkloadPhase {
     /// Phase length in epochs.
-    pub fn epochs(&self) -> u64 {
+    pub(crate) fn epochs(&self) -> u64 {
         match self {
             WorkloadPhase::Steady { epochs }
             | WorkloadPhase::FlashCrowd { epochs, .. }
@@ -104,7 +104,7 @@ impl WorkloadPhase {
     }
 
     /// Whether the phase only makes sense on a K > 1 population.
-    pub fn is_multichannel(&self) -> bool {
+    pub(crate) fn is_multichannel(&self) -> bool {
         matches!(
             self,
             WorkloadPhase::PopularityShift { .. } | WorkloadPhase::ChannelSurf { .. }

@@ -160,7 +160,7 @@ proptest! {
             for (i, &c) in channels.iter().enumerate() {
                 let played = rng.gen_range(0..arities[c]);
                 let rate = rng.gen_range(0..800) as f64;
-                let f = regret::record(&mut cols, &ctx, i, c, played, rate);
+                let f = regret::record_counted(&mut cols, &ctx, i, c, played, rate, &mut 0);
                 let d = dense.record(i, c, played, rate, &join);
                 prop_assert_eq!(f.to_bits(), d.to_bits(),
                     "peer {} diverged: folded {} vs dense {}", i, f, d);

@@ -8,7 +8,10 @@
 # `mod tests` pair that opens its test module (all of them if it has
 # none). A module that a crate root declares `#[cfg(test)] mod name;`
 # is compiled only into tests, so its files count zero production lines.
-# Prints `total <lines>` and `production <lines>`; run it from anywhere.
+# The public surface is counted by the same rule: `pub_fns` is the number
+# of production lines that declare a `pub fn` or `pub const fn`.
+# Prints `total <lines>`, `production <lines>` and `pub_fns <count>`; run
+# it from anywhere.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -35,7 +38,10 @@ test_only=$(
 
 find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk -v skip="$test_only" '
     function finish() {
-        if (!(file in zero)) production += found ? before_tests : lines
+        if (!(file in zero)) {
+            production += found ? before_tests : lines
+            pub_fns += file_pub_fns
+        }
     }
     BEGIN {
         n = split(skip, files, "\n")
@@ -45,6 +51,7 @@ find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk -v skip="$test_only" 
         if (file != "") finish()
         file = FILENAME
         found = 0
+        file_pub_fns = 0
         previous = ""
     }
     {
@@ -55,11 +62,13 @@ find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk -v skip="$test_only" 
             found = 1
             before_tests = FNR - 2
         }
+        if (!found && $0 ~ /^[[:space:]]*pub (const )?fn /) file_pub_fns++
         previous = $0
     }
     END {
         if (file != "") finish()
         print "total " total
         print "production " production
+        print "pub_fns " pub_fns + 0
     }
 '
