@@ -15,14 +15,9 @@ pub(crate) fn run() -> Result<(), String> {
     let seeds = &SEEDS[..5];
     println!("Figure 2 — RTHS vs centralized MDP, N=10, H=4, {} seeds", seeds.len());
 
-    // Exact benchmark: every helper follows the paper ladder with
-    // stationary [0.25, 0.5, 0.25] -> optimum = Σ_j E[C_j] = 3200.
-    let bench = MdpBenchmark::from_parts(
-        vec![vec![700.0, 800.0, 900.0]; 4],
-        vec![vec![0.25, 0.5, 0.25]; 4],
-        10,
-        None,
-    );
+    // Exact benchmark: every helper follows the paper's chain, so the
+    // optimum is Σ_j E[C_j] = 4 × 800 = 3200.
+    let bench = MdpBenchmark::paper(4, 10, None);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let optimum = bench.optimal_welfare(&mut rng);
 

@@ -6,8 +6,8 @@
 //! * [`kernels`] — the slice kernels (`scale`, `axpy`, running maxima) the
 //!   learner slab (`rths-core`) runs over its T-matrix columns.
 //! * [`Matrix`] — a dense, row-major `f64` matrix used for the scalar
-//!   learner oracle's regret matrices (`rths-core`), Markov transition
-//!   kernels (`rths-stoch`), and simplex tableaus (`rths-lp`).
+//!   learner oracle's regret matrices (`rths-core`) and simplex tableaus
+//!   (`rths-oracle`).
 //! * [`vector`] — dot products and probability-vector helpers on slices.
 //! * [`stats`] — means, spread and [Jain's fairness
 //!   index](stats::jain_index) for the metrics and figures.
@@ -21,7 +21,7 @@
 //!
 //! let mut m = Matrix::zeros(2, 2);
 //! m[(0, 1)] = 3.0;
-//! assert_eq!(m.row(0), &[0.0, 3.0]);
+//! assert_eq!(m[(0, 1)], 3.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,10 @@
 //! A dense, row-major `f64` matrix.
 //!
 //! The workspace deliberately avoids heavyweight linear-algebra
-//! dependencies; every consumer (regret matrices, Markov kernels, simplex
-//! tableaus) needs only a handful of dense operations on small-to-medium
-//! matrices, which this module provides with predictable performance.
+//! dependencies; its consumers (the scalar learner oracle's regret
+//! matrices, simplex tableaus) need only a handful of dense operations on
+//! small-to-medium matrices, which this module provides with predictable
+//! performance.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -15,10 +16,11 @@ use std::ops::{Index, IndexMut};
 /// ```
 /// use rths_math::Matrix;
 ///
-/// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// assert_eq!(m[(1, 0)], 3.0);
-/// // Row vector times matrix: the first row, picked out.
-/// assert_eq!(m.vec_mul(&[1.0, 0.0]), vec![1.0, 2.0]);
+/// let mut m = Matrix::zeros(2, 2);
+/// m[(1, 0)] = 3.0;
+/// m.scale(2.0);
+/// assert_eq!(m[(1, 0)], 6.0);
+/// assert_eq!(m.rows(), 2);
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -38,41 +40,9 @@ impl Matrix {
         Self { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Builds a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or the rows have unequal lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        assert!(!rows.is_empty(), "need at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "need at least one column");
-        let mut m = Self::zeros(rows.len(), cols);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), cols, "row {i} has inconsistent length");
-            m.data[i * cols..(i + 1) * cols].copy_from_slice(row);
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
-    /// Borrow of row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row(&self, r: usize) -> &[f64] {
-        assert!(r < self.rows, "row index {r} out of bounds ({})", self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Fills every entry with `value`.
@@ -91,28 +61,6 @@ impl Matrix {
     pub fn scaled(&self, factor: f64) -> Self {
         let mut out = self.clone();
         out.scale(factor);
-        out
-    }
-
-    /// Row-vector–matrix product `v * self`.
-    ///
-    /// Useful for propagating probability distributions through a Markov
-    /// transition kernel (`π' = π P`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.rows()`.
-    pub fn vec_mul(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "vector length must equal matrix rows");
-        let mut out = vec![0.0; self.cols];
-        for (r, &vr) in v.iter().enumerate() {
-            if vr == 0.0 {
-                continue;
-            }
-            for (c, out_c) in out.iter_mut().enumerate() {
-                *out_c += vr * self[(r, c)];
-            }
-        }
         out
     }
 
@@ -169,11 +117,18 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
 
+    /// The `2 × 2` matrix with rows `[a, b]` and `[c, d]`.
+    fn two_by_two(a: f64, b: f64, c: f64, d: f64) -> Matrix {
+        let mut m = Matrix::zeros(2, 2);
+        (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]) = (a, b, c, d);
+        m
+    }
+
     #[test]
     fn zeros_has_requested_shape() {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.rows(), 3);
-        assert!((0..3).all(|r| m.row(r) == [0.0; 4]));
+        assert!((0..3).all(|r| (0..4).all(|c| m[(r, c)] == 0.0)));
     }
 
     #[test]
@@ -183,42 +138,19 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_round_trips_indexing() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(m[(0, 2)], 3.0);
-        assert_eq!(m[(1, 0)], 4.0);
-        assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent length")]
-    fn ragged_rows_panic() {
-        let _ = Matrix::from_rows(&[&[1.0, 2.0], &[3.0]]);
-    }
-
-    #[test]
-    fn vec_mul_propagates_distribution() {
-        // Doubly stochastic kernel keeps the uniform distribution invariant.
-        let p = Matrix::from_rows(&[&[0.5, 0.5], &[0.5, 0.5]]);
-        let pi = p.vec_mul(&[0.5, 0.5]);
-        assert!((pi[0] - 0.5).abs() < 1e-12);
-        assert!((pi[1] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn scale_and_scaled_agree() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = two_by_two(1.0, 2.0, 3.0, 4.0);
         let mut b = a.clone();
         b.scale(2.0);
         assert_eq!(b, a.scaled(2.0));
-        assert_eq!(b.row(1), &[6.0, 8.0]);
+        assert_eq!(b, two_by_two(2.0, 4.0, 6.0, 8.0));
     }
 
     #[test]
     fn map_inplace_applies_function() {
-        let mut m = Matrix::from_rows(&[&[-1.0, 2.0], &[-3.0, 4.0]]);
+        let mut m = two_by_two(-1.0, 2.0, -3.0, 4.0);
         m.map_inplace(|v| v.max(0.0));
-        assert_eq!(m, Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 4.0]]));
+        assert_eq!(m, two_by_two(0.0, 2.0, 0.0, 4.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the math substrate.
 
 use proptest::prelude::*;
-use rths_math::{stats, vector};
+use rths_math::stats;
 
 fn positive_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(1e-6..1e6f64, 1..max_len)
@@ -22,11 +22,5 @@ proptest! {
         let a = stats::jain_index(&v);
         let b = stats::jain_index(&scaled);
         prop_assert!((a - b).abs() < 1e-6, "jain not scale invariant: {a} vs {b}");
-    }
-
-    #[test]
-    fn normalize_yields_distribution(mut v in positive_vec(64)) {
-        vector::normalize(&mut v);
-        prop_assert!(vector::is_distribution(&v, 1e-9));
     }
 }

@@ -1,10 +1,11 @@
 //! High-level benchmark facade used by the figure harnesses.
 //!
-//! Wraps the Markov bandwidth models from `rths_stoch` and picks the right
-//! computation path (exact enumeration vs Monte Carlo) automatically.
+//! Weights the optimum by the helpers' stationary bandwidth laws (the
+//! paper's chain from `rths_stoch`, or explicit ladders) and picks the
+//! right computation path (exact enumeration vs Monte Carlo) automatically.
 
 use rand::Rng;
-use rths_stoch::bandwidth::MarkovBandwidth;
+use rths_stoch::bandwidth::{MarkovBandwidth, PAPER_LEVELS};
 
 use crate::welfare;
 
@@ -21,27 +22,21 @@ pub struct MdpBenchmark {
 }
 
 impl MdpBenchmark {
-    /// Builds the benchmark from per-helper Markov bandwidth processes.
+    /// The benchmark for `helpers` helpers that each follow the paper's
+    /// chain ([`MarkovBandwidth`]): the ladder [`PAPER_LEVELS`] weighted by
+    /// [`MarkovBandwidth::STATIONARY`].
     ///
     /// # Panics
     ///
-    /// Panics if a helper's chain has no stationary distribution
-    /// (reducible chain), or as [`from_parts`](Self::from_parts) does.
-    pub fn from_processes(
-        helpers: &[MarkovBandwidth],
-        num_peers: usize,
-        demand: Option<f64>,
-    ) -> Self {
-        let levels: Vec<Vec<f64>> = helpers.iter().map(|h| h.levels().to_vec()).collect();
-        let stationary: Vec<Vec<f64>> = helpers
-            .iter()
-            .map(|h| {
-                h.chain()
-                    .stationary_distribution()
-                    .expect("helper bandwidth chain must be irreducible")
-            })
-            .collect();
-        Self::from_parts(levels, stationary, num_peers, demand)
+    /// As [`from_parts`](Self::from_parts) does: if `helpers == 0` or
+    /// `demand` is non-positive.
+    pub fn paper(helpers: usize, num_peers: usize, demand: Option<f64>) -> Self {
+        Self::from_parts(
+            vec![PAPER_LEVELS.to_vec(); helpers],
+            vec![MarkovBandwidth::STATIONARY.to_vec(); helpers],
+            num_peers,
+            demand,
+        )
     }
 
     /// Builds the benchmark from explicit ladders and stationary vectors.
@@ -92,15 +87,11 @@ mod tests {
     use super::*;
     use crate::welfare::joint_states;
     use rand::SeedableRng;
-    use rths_stoch::rng::seeded_rng;
 
     #[test]
     fn paper_small_scale_benchmark() {
         // Fig. 2 configuration: N = 10 peers, H = 4 helpers.
-        let mut rng = seeded_rng(1);
-        let helpers: Vec<MarkovBandwidth> =
-            (0..4).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
-        let bench = MdpBenchmark::from_processes(&helpers, 10, None);
+        let bench = MdpBenchmark::paper(4, 10, None);
         assert_eq!(joint_states(&bench.levels), Some(81));
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(2);
         let w = bench.optimal_welfare(&mut rng2);
@@ -110,10 +101,7 @@ mod tests {
 
     #[test]
     fn large_scale_falls_back_to_monte_carlo() {
-        let mut rng = seeded_rng(3);
-        let helpers: Vec<MarkovBandwidth> =
-            (0..12).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
-        let bench = MdpBenchmark::from_processes(&helpers, 60, None);
+        let bench = MdpBenchmark::paper(12, 60, None);
         assert!(joint_states(&bench.levels).unwrap() > EXACT_STATE_LIMIT);
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(4);
         let w = bench.optimal_welfare(&mut rng2);
@@ -126,11 +114,8 @@ mod tests {
     /// read as "not small" (Monte Carlo), not wrap or panic.
     #[test]
     fn sixty_four_helpers_take_the_monte_carlo_path() {
-        let mut rng = seeded_rng(5);
-        let helpers: Vec<MarkovBandwidth> =
-            (0..64).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(6);
-        let w = MdpBenchmark::from_processes(&helpers, 640, None).optimal_welfare(&mut rng2);
+        let w = MdpBenchmark::paper(64, 640, None).optimal_welfare(&mut rng2);
         // Covered & uncapped: 64 × 800 in expectation.
         assert!((w - 51_200.0).abs() < 512.0, "welfare {w}");
     }
@@ -158,10 +143,7 @@ mod tests {
 
     #[test]
     fn capped_benchmark_bounded_by_total_demand() {
-        let mut rng = seeded_rng(5);
-        let helpers: Vec<MarkovBandwidth> =
-            (0..4).map(|_| MarkovBandwidth::paper_with_stay(&mut rng, 0.98)).collect();
-        let bench = MdpBenchmark::from_processes(&helpers, 6, Some(400.0));
+        let bench = MdpBenchmark::paper(4, 6, Some(400.0));
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(6);
         let w = bench.optimal_welfare(&mut rng2);
         assert!(w <= 2400.0 + 1e-9, "welfare {w} above total demand");

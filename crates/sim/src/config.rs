@@ -5,6 +5,7 @@ use rths_core::{
 };
 use rths_stoch::bandwidth::{
     BandwidthProcess, ConstantBandwidth, GilbertElliott, MarkovBandwidth, RegimeShiftBandwidth,
+    PAPER_LEVELS,
 };
 use rths_stoch::process::ChurnProcess;
 use rths_stoch::Zipf;
@@ -99,7 +100,10 @@ impl BandwidthSpec {
     /// Long-run mean capacity (calibrates `μ`).
     pub(crate) fn mean_level(&self) -> f64 {
         match self {
-            BandwidthSpec::Paper { .. } => 800.0,
+            // 800.0 exactly: every product and partial sum is exact.
+            BandwidthSpec::Paper { .. } => {
+                rths_math::vector::dot(&PAPER_LEVELS, &MarkovBandwidth::STATIONARY)
+            }
             BandwidthSpec::Constant(level) => *level,
             BandwidthSpec::GilbertElliott { good, bad, p_gb, p_bg } => {
                 let denom = p_gb + p_bg;

@@ -13,9 +13,10 @@
 //! * [`TokenBucketSpec`] — a per-peer token bucket shaping delivered
 //!   rates (an ISP-style rate limiter: bursts pass, sustained overuse is
 //!   clipped to the refill rate);
-//! * [`LinkBandwidthSpec`] — a per-link capacity ladder driven by the
-//!   same sticky birth–death Markov chain the helpers' bandwidth
-//!   processes use ([`rths_stoch::markov`]).
+//! * [`LinkBandwidthSpec`] — a per-link capacity ladder of any length,
+//!   driven by the sticky birth–death rule of the helpers' bandwidth
+//!   chain ([`rths_stoch::MarkovBandwidth`], which is its three-level
+//!   case).
 //!
 //! Each of them shapes the rate a peer receives. The plan holds nothing
 //! else: the protocol is epoch-synchronous, so a delivery delay could
@@ -370,9 +371,10 @@ fn ladder_step(seed: u64, stay: f64, n: usize, state: usize, t: u64) -> usize {
     }
 }
 
-/// Seekable sticky birth–death ladder state over `n` levels (stationary
-/// weights `[1, 2, …, 2, 1]`, matching
-/// [`rths_stoch::markov::MarkovChain::sticky_birth_death`]).
+/// Seekable sticky birth–death ladder state over `n` levels. Its
+/// stationary weights are `[1, 2, …, 2, 1]` by detailed balance (the ends
+/// move only inward, inner levels split their move mass); at `n = 3` that
+/// is `rths_stoch::MarkovBandwidth::STATIONARY`.
 fn ladder_state_at(seed: u64, stay: f64, n: usize, epoch: u64) -> usize {
     if n <= 1 {
         return 0;

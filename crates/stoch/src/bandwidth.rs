@@ -11,10 +11,8 @@
 
 use rand::Rng;
 
-use crate::markov::MarkovChain;
-
 /// The paper's bandwidth levels, in kbps (§IV).
-pub(crate) const PAPER_LEVELS: [f64; 3] = [700.0, 800.0, 900.0];
+pub const PAPER_LEVELS: [f64; 3] = [700.0, 800.0, 900.0];
 
 /// A discrete-time stochastic process describing one helper's upload
 /// capacity.
@@ -37,70 +35,76 @@ pub trait BandwidthProcess: Send {
     fn max_level(&self) -> f64;
 }
 
-/// Markov-modulated bandwidth: a [`MarkovChain`] over a fixed ladder of
-/// capacity levels. This is the paper's model.
+/// The paper's model: a sticky birth–death Markov chain over
+/// [`PAPER_LEVELS`]. With probability `stay` the level is unchanged;
+/// otherwise it moves to a uniformly chosen neighbour, reflecting at the
+/// ends. `stay` close to 1 makes the environment quasi-static between
+/// rare shifts — the workspace's reading of the paper's "slowly changing
+/// random process".
 #[derive(Debug, Clone)]
 pub struct MarkovBandwidth {
-    chain: MarkovChain,
-    levels: Vec<f64>,
+    /// Transition rows `P[i][j]`, built once from `stay`.
+    rows: [[f64; 3]; 3],
+    /// Index into [`PAPER_LEVELS`].
+    state: usize,
 }
 
 impl MarkovBandwidth {
-    /// Creates a Markov-modulated process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels.len() != chain.num_states()`, if `levels` is
-    /// empty, or if any level is negative or non-finite.
-    pub fn new(chain: MarkovChain, levels: Vec<f64>) -> Self {
-        assert_eq!(levels.len(), chain.num_states(), "one level per chain state");
-        assert!(!levels.is_empty(), "need at least one level");
-        assert!(
-            levels.iter().all(|&l| l.is_finite() && l >= 0.0),
-            "levels must be finite and non-negative"
-        );
-        Self { chain, levels }
-    }
+    /// The chain's stationary law `π` with `π P = π`, for every
+    /// `stay < 1`. By detailed balance: each end level sends all of its
+    /// move mass to the middle, and the middle sends half of its move
+    /// mass to each end, so `π₀ = π₁ / 2 = π₂`. The §IV.A MDP benchmark
+    /// weights the optimum by it.
+    pub const STATIONARY: [f64; 3] = [0.25, 0.5, 0.25];
 
-    /// The paper's process: a sticky birth–death chain over
-    /// `[700, 800, 900]` kbps with stay-probability `stay` (0.98 in every
+    /// The paper's process with stay-probability `stay` (0.98 in every
     /// scenario that does not set it), started in a uniformly random state.
     ///
     /// # Panics
     ///
     /// Panics if `stay` is outside `[0, 1)`.
     pub fn paper_with_stay<R: Rng + ?Sized>(rng: &mut R, stay: f64) -> Self {
-        let initial = rng.gen_range(0..PAPER_LEVELS.len());
-        let chain = MarkovChain::sticky_birth_death(PAPER_LEVELS.len(), stay, initial);
-        Self::new(chain, PAPER_LEVELS.to_vec())
-    }
-
-    /// The underlying chain (for stationary analysis in the MDP benchmark).
-    pub fn chain(&self) -> &MarkovChain {
-        &self.chain
-    }
-
-    /// The capacity ladder.
-    pub fn levels(&self) -> &[f64] {
-        &self.levels
+        let state = rng.gen_range(0..PAPER_LEVELS.len());
+        assert!((0.0..1.0).contains(&stay), "stay probability must be in [0,1)");
+        let move_mass = 1.0 - stay;
+        let rows = [
+            [stay, move_mass, 0.0],
+            [move_mass / 2.0, stay, move_mass / 2.0],
+            [0.0, move_mass, stay],
+        ];
+        Self { rows, state }
     }
 }
 
 impl BandwidthProcess for MarkovBandwidth {
     fn level(&self) -> f64 {
-        self.levels[self.chain.state()]
+        PAPER_LEVELS[self.state]
     }
 
+    /// One uniform draw against the cumulative sum of the current row, the
+    /// last state on a fall-through: every seeded trajectory is pinned to
+    /// this exact arithmetic.
     fn step(&mut self, rng: &mut dyn rand::RngCore) {
-        self.chain.step(rng);
+        let u: f64 = rand::Rng::gen(rng);
+        let row = &self.rows[self.state];
+        let mut acc = 0.0;
+        let mut next = row.len() - 1;
+        for (j, &p) in row.iter().enumerate() {
+            acc += p;
+            if u < acc {
+                next = j;
+                break;
+            }
+        }
+        self.state = next;
     }
 
     fn min_level(&self) -> f64 {
-        self.levels.iter().copied().fold(f64::INFINITY, f64::min)
+        PAPER_LEVELS[0]
     }
 
     fn max_level(&self) -> f64 {
-        self.levels.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        PAPER_LEVELS[PAPER_LEVELS.len() - 1]
     }
 }
 

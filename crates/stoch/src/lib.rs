@@ -3,10 +3,11 @@
 //! The paper's environment is driven by random processes:
 //!
 //! * helper upload bandwidth follows a **slowly changing finite Markov
-//!   chain** over the levels `[700, 800, 900]` kbps (§IV) — [`markov`] and
+//!   chain** over the levels `[700, 800, 900]` kbps (§IV) —
 //!   [`bandwidth`];
-//! * the centralized MDP benchmark needs **stationary distributions** of
-//!   those chains (§IV.A) — [`MarkovChain::stationary_distribution`];
+//! * the centralized MDP benchmark weights its optimum by that chain's
+//!   **stationary law** (§IV.A), which is closed-form —
+//!   [`MarkovBandwidth::STATIONARY`];
 //! * peers join and leave (churn) — [`process`];
 //! * multi-channel systems have **Zipf-distributed channel popularity** —
 //!   [`zipf`].
@@ -33,11 +34,9 @@
 #![forbid(unsafe_code)]
 
 pub mod bandwidth;
-pub mod markov;
 pub mod process;
 pub mod rng;
 pub mod zipf;
 
 pub use bandwidth::{BandwidthProcess, MarkovBandwidth};
-pub use markov::MarkovChain;
 pub use zipf::Zipf;

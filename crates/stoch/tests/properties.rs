@@ -1,40 +1,99 @@
 //! Property-based tests for the stochastic substrate.
 
 use proptest::prelude::*;
-use rths_stoch::bandwidth::{BandwidthProcess, MarkovBandwidth};
-use rths_stoch::markov::MarkovChain;
+use rand::{Rng, RngCore};
+use rths_stoch::bandwidth::{BandwidthProcess, MarkovBandwidth, PAPER_LEVELS};
 use rths_stoch::process::{sample_poisson, ChurnProcess};
 use rths_stoch::rng::{derive_seed, entity_rng, seeded_rng};
 use rths_stoch::zipf::Zipf;
 
-proptest! {
-    #[test]
-    fn stationary_distribution_is_invariant(n in 1usize..12, stay in 0.0..0.999f64) {
-        let chain = MarkovChain::sticky_birth_death(n, stay, 0);
-        let pi = chain.stationary_distribution().unwrap();
-        prop_assert!(rths_math::vector::is_distribution(&pi, 1e-9));
-        let pushed = chain.transition().vec_mul(&pi);
-        prop_assert!(rths_math::vector::max_abs_diff(&pi, &pushed) < 1e-8);
-    }
-
-    #[test]
-    fn sticky_birth_death_always_valid(n in 1usize..12, stay in 0.0..0.999f64) {
-        let chain = MarkovChain::sticky_birth_death(n, stay, 0);
-        for r in 0..n {
-            prop_assert!(rths_math::vector::is_distribution(chain.transition().row(r), 1e-9));
+/// The paper chain's kernel as a dense `3 × 3` matrix, built the way a
+/// general sticky birth–death chain over `n` states builds it: `stay` on
+/// the diagonal, the move mass `1 − stay` to the one neighbour of an end
+/// state and split in halves between the two neighbours of an inner one.
+fn dense_kernel(stay: f64) -> Vec<Vec<f64>> {
+    let n = PAPER_LEVELS.len();
+    let mut p = vec![vec![0.0; n]; n];
+    for i in 0..n {
+        p[i][i] = stay;
+        let move_mass = 1.0 - stay;
+        if i == 0 {
+            p[0][1] = move_mass;
+        } else if i == n - 1 {
+            p[n - 1][n - 2] = move_mass;
+        } else {
+            p[i][i - 1] = move_mass / 2.0;
+            p[i][i + 1] = move_mass / 2.0;
         }
-        prop_assert!(chain.stationary_distribution().is_ok());
+    }
+    p
+}
+
+/// One step of the dense row scan: a uniform draw against the cumulative
+/// sum of row `state`, the last state if the draw passes the row's total.
+fn dense_step(kernel: &[Vec<f64>], state: usize, rng: &mut dyn RngCore) -> usize {
+    let row = &kernel[state];
+    let u: f64 = rng.gen();
+    let mut acc = 0.0;
+    for (j, &p) in row.iter().enumerate() {
+        acc += p;
+        if u < acc {
+            return j;
+        }
+    }
+    row.len() - 1
+}
+
+/// Distance in units in the last place between two positive floats.
+fn ulps(a: f64, b: f64) -> u64 {
+    a.to_bits().abs_diff(b.to_bits())
+}
+
+#[test]
+fn empirical_frequencies_approach_stationary() {
+    let mut rng = seeded_rng(99);
+    let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.7);
+    let mut counts = [0usize; 3];
+    let steps = 200_000;
+    for _ in 0..steps {
+        bw.step(&mut rng);
+        counts[PAPER_LEVELS.iter().position(|&l| l == bw.level()).unwrap()] += 1;
+    }
+    for (i, &c) in counts.iter().enumerate() {
+        let freq = c as f64 / steps as f64;
+        let pi = MarkovBandwidth::STATIONARY[i];
+        assert!((freq - pi).abs() < 0.01, "state {i}: freq {freq} vs pi {pi}");
+    }
+}
+
+proptest! {
+    /// `MarkovBandwidth` draws the same levels, bit for bit, as the dense
+    /// row scan over [`dense_kernel`] fed by the same seeded stream.
+    #[test]
+    fn markov_bandwidth_steps_as_the_dense_row_scan(seed in any::<u64>(), stay in 0.0..1.0f64) {
+        let mut rng = seeded_rng(seed);
+        let mut reference_rng = seeded_rng(seed);
+        let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, stay);
+        let kernel = dense_kernel(stay);
+        let mut state = reference_rng.gen_range(0..PAPER_LEVELS.len());
+        for step in 0..2_500 {
+            prop_assert_eq!(bw.level(), PAPER_LEVELS[state], "step {} at stay {}", step, stay);
+            bw.step(&mut rng);
+            state = dense_step(&kernel, state, &mut reference_rng);
+        }
     }
 
+    /// The closed-form law is stationary: `π P = π` to within 4 ulps, and
+    /// every row of `P` is a distribution.
     #[test]
-    fn markov_step_stays_in_range(stay in 0.0..0.999f64, seed in any::<u64>()) {
-        let ladder = vec![0.0, 1.0, 2.0, 3.0, 4.0];
-        let chain = MarkovChain::sticky_birth_death(5, stay, 0);
-        let mut bw = MarkovBandwidth::new(chain, ladder.clone());
-        let mut rng = seeded_rng(seed);
-        for _ in 0..100 {
-            bw.step(&mut rng);
-            prop_assert!(ladder.contains(&bw.level()));
+    fn stationary_is_invariant_under_the_kernel(stay in 0.0..1.0f64) {
+        let kernel = dense_kernel(stay);
+        let pi = MarkovBandwidth::STATIONARY;
+        prop_assert!(rths_math::vector::is_distribution(&pi, 0.0));
+        for (j, &pi_j) in pi.iter().enumerate() {
+            prop_assert!(rths_math::vector::is_distribution(&kernel[j], 1e-12));
+            let pushed: f64 = pi.iter().zip(&kernel).map(|(p, row)| p * row[j]).sum();
+            prop_assert!(ulps(pushed, pi_j) <= 4, "state {j} at stay {stay}: {pushed} vs {pi_j}");
         }
     }
 

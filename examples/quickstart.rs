@@ -17,12 +17,7 @@ fn main() {
     let outcome = system.run(5000);
 
     // Centralized benchmark (§IV.A): expected optimum is Σ_j E[C_j].
-    let bench = MdpBenchmark::from_parts(
-        vec![vec![700.0, 800.0, 900.0]; 4],
-        vec![vec![0.25, 0.5, 0.25]; 4],
-        10,
-        None,
-    );
+    let bench = MdpBenchmark::paper(4, 10, None);
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let optimum = bench.optimal_welfare(&mut rng);
 

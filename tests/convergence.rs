@@ -6,7 +6,6 @@
 use rand::SeedableRng;
 use rths_oracle::MdpBenchmark;
 use rths_sim::{Scenario, System};
-use rths_stoch::bandwidth::MarkovBandwidth;
 
 /// Fig. 1: the worst peer's regret approaches zero in the large-scale
 /// scenario (N=200, H=20).
@@ -33,10 +32,7 @@ fn fig2_rths_near_mdp_optimum() {
     let out = system.run(6000);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let mut seed_rng = rths_stoch::rng::seeded_rng(999);
-    let helpers: Vec<MarkovBandwidth> =
-        (0..4).map(|_| MarkovBandwidth::paper_with_stay(&mut seed_rng, 0.98)).collect();
-    let bench = MdpBenchmark::from_processes(&helpers, 10, None);
+    let bench = MdpBenchmark::paper(4, 10, None);
     let optimum = bench.optimal_welfare(&mut rng);
     assert!((optimum - 3200.0).abs() < 1e-6);
 
