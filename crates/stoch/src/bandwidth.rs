@@ -287,6 +287,54 @@ mod tests {
     }
 
     #[test]
+    fn stationary_is_invariant_under_kernel() {
+        let mut rng = seeded_rng(2);
+        let bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.9);
+        let pi = MarkovBandwidth::STATIONARY;
+        for (j, &pi_j) in pi.iter().enumerate() {
+            let pushed: f64 = pi.iter().zip(&bw.rows).map(|(p, row)| p * row[j]).sum();
+            assert!((pushed - pi_j).abs() < 1e-9, "state {j}: {pushed} vs {pi_j}");
+        }
+    }
+
+    #[test]
+    fn sticky_chain_is_ergodic() {
+        let mut rng = seeded_rng(2);
+        let bw = MarkovBandwidth::paper_with_stay(&mut rng, 0.98);
+        let n = PAPER_LEVELS.len();
+        // Every state reaches every other along edges of positive mass.
+        for from in 0..n {
+            let mut reached = [false; 3];
+            reached[from] = true;
+            let mut frontier = vec![from];
+            while let Some(i) = frontier.pop() {
+                for (j, seen) in reached.iter_mut().enumerate() {
+                    if bw.rows[i][j] > 0.0 && !*seen {
+                        *seen = true;
+                        frontier.push(j);
+                    }
+                }
+            }
+            assert!(reached.iter().all(|&r| r), "state {from} reaches only {reached:?}");
+        }
+        // A self-loop on every state makes an irreducible chain aperiodic.
+        assert!((0..n).all(|i| bw.rows[i][i] > 0.0));
+    }
+
+    #[test]
+    fn step_is_deterministic_given_seed() {
+        let mut ra = seeded_rng(5);
+        let mut rb = seeded_rng(5);
+        let mut a = MarkovBandwidth::paper_with_stay(&mut ra, 0.7);
+        let mut b = MarkovBandwidth::paper_with_stay(&mut rb, 0.7);
+        for _ in 0..50 {
+            assert_eq!(a.level(), b.level());
+            a.step(&mut ra);
+            b.step(&mut rb);
+        }
+    }
+
+    #[test]
     fn constant_process_never_moves() {
         let mut rng = seeded_rng(4);
         let mut bw = ConstantBandwidth::new(500.0);

@@ -83,17 +83,34 @@ proptest! {
         }
     }
 
-    /// The closed-form law is stationary: `π P = π` to within 4 ulps, and
-    /// every row of `P` is a distribution.
+    /// Every row of the paper kernel is a distribution.
+    #[test]
+    fn paper_kernel_rows_are_distributions(stay in 0.0..1.0f64) {
+        for row in dense_kernel(stay) {
+            prop_assert!(rths_math::vector::is_distribution(&row, 1e-12), "row {row:?} at stay {stay}");
+        }
+    }
+
+    /// The closed-form law is a distribution and stationary: `π P = π` to
+    /// within 4 ulps.
     #[test]
     fn stationary_is_invariant_under_the_kernel(stay in 0.0..1.0f64) {
         let kernel = dense_kernel(stay);
         let pi = MarkovBandwidth::STATIONARY;
         prop_assert!(rths_math::vector::is_distribution(&pi, 0.0));
         for (j, &pi_j) in pi.iter().enumerate() {
-            prop_assert!(rths_math::vector::is_distribution(&kernel[j], 1e-12));
             let pushed: f64 = pi.iter().zip(&kernel).map(|(p, row)| p * row[j]).sum();
             prop_assert!(ulps(pushed, pi_j) <= 4, "state {j} at stay {stay}: {pushed} vs {pi_j}");
+        }
+    }
+
+    #[test]
+    fn markov_step_stays_in_range(stay in 0.0..1.0f64, seed in any::<u64>()) {
+        let mut rng = seeded_rng(seed);
+        let mut bw = MarkovBandwidth::paper_with_stay(&mut rng, stay);
+        for _ in 0..100 {
+            bw.step(&mut rng);
+            prop_assert!(PAPER_LEVELS.contains(&bw.level()));
         }
     }
 
