@@ -77,8 +77,8 @@
 //!   never-played action's column is exactly `+0.0` everywhere, and
 //!   nothing ever needs to load one: renormalisation, wipes and clones
 //!   walk the mask (compaction moves no column at all — see the block
-//!   handles above), and never-written pages of the one big
-//!   lazily-mapped zero allocation are never committed (the
+//!   handles above). In a packed slab (below) the never-written pages of
+//!   the one big lazily-mapped zero allocation are never committed (the
 //!   construction-time and peak-RSS win at the 10⁵-actor point).
 //! * **Played columns first.** In a block larger than one 4 KB page the
 //!   played columns are stored **packed** at its front in ascending action
@@ -98,9 +98,12 @@
 //!   action-indexed; wipes and renormalisation cover one `played · s`
 //!   prefix. **Geometry gate, not a setting:** a block of at most a page
 //!   (stride ≤ 22) shares its pages with its neighbours, all of which are
-//!   committed within the first epochs, so packing would buy nothing there
+//!   written within the first epochs, so packing would buy nothing there
 //!   and cost the rank arithmetic and the shifts; such a slab addresses
-//!   column `k` at `k · s`.
+//!   column `k` at `k · s`, and commits its whole T arena when
+//!   [`LearnerSlab::reserve`] creates it: the first epoch reads each block
+//!   before it writes it, so a lazy page took two faults (the shared zero
+//!   page, then a copy-on-write).
 //! * **Mask-driven row gather, fused with the strategy update.** The
 //!   played row `S(j, ·)` is one element of every column — a cache line
 //!   each — and each element gives one entry of the next strategy:
@@ -290,6 +293,17 @@ fn packs(stride: usize) -> bool {
 fn rank(played: &[u64], k: usize) -> usize {
     let below: u32 = played[..k / 64].iter().map(|w| w.count_ones()).sum();
     (below + (played[k / 64] & ((1 << (k % 64)) - 1)).count_ones()) as usize
+}
+
+/// Writes zeros over a fresh zeroed arena, split across the workers, so
+/// that each of its pages faults once, here. The zero is opaque: on
+/// memory it saw come zeroed the compiler could drop a plain zero fill.
+fn commit(arena: &mut [f64]) {
+    let pages = arena.len() / PAGE;
+    let shards = rths_par::threads().min(pages / rths_par::MIN_ITEMS_PER_WORKER).max(1);
+    let zero = std::hint::black_box(0.0);
+    let fill = |_, chunk: &mut [f64], _: &mut ()| chunk.fill(zero);
+    rths_par::par_sharded(arena.len(), shards, arena, &mut vec![(); shards], fill);
 }
 
 /// Where action `k`'s column starts in one slot's block — or, if `k` has
@@ -677,33 +691,21 @@ impl LearnerSlab {
     ///
     /// Panics if `stride` is zero.
     pub fn new(stride: usize) -> Self {
-        Self::with_capacity(stride, 0)
-    }
-
-    /// An empty slab with **zeroed backing storage** for `slots` slots
-    /// created up front. This is the fast construction path: one
-    /// `alloc_zeroed` per column (the kernel maps the pages lazily, so
-    /// nothing is committed until a column is actually written), and
-    /// [`alloc`](Self::alloc) then only initialises the tiny per-slot
-    /// probability prefix — no per-peer heap allocation, no eager
-    /// `O(m²)` zero-fill per peer.
-    pub fn with_capacity(stride: usize, slots: usize) -> Self {
         assert!(stride > 0, "slab stride must be positive");
-        let words = stride.div_ceil(64);
         Self {
             stride,
-            words,
-            t: vec![0.0; slots * stride * stride],
-            probs: vec![0.0; slots * stride],
+            words: stride.div_ceil(64),
+            t: Vec::new(),
+            probs: Vec::new(),
             freq: None,
-            played: vec![0; slots * words],
-            arity: Vec::with_capacity(slots),
-            stage: Vec::with_capacity(slots),
-            pending: Vec::with_capacity(slots),
-            scale: Vec::with_capacity(slots),
-            block: Vec::with_capacity(slots),
+            played: Vec::new(),
+            arity: Vec::new(),
+            stage: Vec::new(),
+            pending: Vec::new(),
+            scale: Vec::new(),
+            block: Vec::new(),
             blocks_permuted: false,
-            row: Vec::with_capacity(slots),
+            row: Vec::new(),
             rows_used: 0,
             free: Vec::new(),
             free_blocks: Vec::new(),
@@ -712,11 +714,21 @@ impl LearnerSlab {
         }
     }
 
+    /// An empty slab with zeroed backing storage for `slots` slots:
+    /// [`new`](Self::new), then [`reserve`](Self::reserve).
+    pub fn with_capacity(stride: usize, slots: usize) -> Self {
+        let mut slab = Self::new(stride);
+        slab.reserve(slots);
+        slab
+    }
+
     /// Ensures zeroed backing storage for `additional` more slots beyond
-    /// the current count. On an **empty** slab this replaces the backing
-    /// columns with one fresh `alloc_zeroed` each (lazily-mapped pages —
-    /// the same fast path as [`with_capacity`](Self::with_capacity));
-    /// on a live slab it falls back to an explicit zero-extending resize.
+    /// the current count: on an **empty** slab one fresh `alloc_zeroed`
+    /// per column, so that [`alloc`](Self::alloc) only initialises a
+    /// slot's probability prefix; on a live slab a zero-extending resize.
+    /// A fresh T arena that does not pack (stride ≤ 22) is committed here
+    /// across the workers, each page once (lazy, the first epoch faulted
+    /// it twice: module docs); a packed one stays lazy.
     pub fn reserve(&mut self, additional: usize) {
         let target = self.arity.len() + additional;
         if target * self.stride * self.stride <= self.t.len() {
@@ -724,6 +736,9 @@ impl LearnerSlab {
         }
         if self.arity.is_empty() {
             self.t = vec![0.0; target * self.stride * self.stride];
+            if !packs(self.stride) {
+                commit(&mut self.t);
+            }
             self.played = vec![0; target * self.words];
         } else {
             self.t.resize(target * self.stride * self.stride, 0.0);

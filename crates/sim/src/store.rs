@@ -297,10 +297,11 @@ impl PeerStore {
 
     /// Pre-creates zeroed backing storage for `additional` more peers.
     /// Call on a freshly built store before the bulk spawn loop: the
-    /// learner slab gets its whole T and strategy region as one lazily
-    /// mapped `alloc_zeroed` (pages commit only as columns are written),
-    /// so constructing 10⁵ peers is a handful of large allocations
-    /// instead of a per-peer allocation storm.
+    /// learner slab gets its T and strategy regions as one `alloc_zeroed`
+    /// each, so constructing 10⁵ peers is a handful of large allocations
+    /// instead of a per-peer allocation storm. A slab of at most 22
+    /// actions commits its T arena here: left lazy, the first epoch
+    /// faulted each page twice (a read, then a copy-on-write).
     pub fn reserve(&mut self, additional: usize) {
         match &mut self.learners {
             Learners::Slab(slab) => slab.reserve(additional),
