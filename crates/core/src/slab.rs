@@ -79,7 +79,8 @@
 //!   walk the mask (compaction moves no column at all — see the block
 //!   handles above). In a packed slab (below) the never-written pages of
 //!   the one big lazily-mapped zero allocation are never committed (the
-//!   construction-time and peak-RSS win at the 10⁵-actor point).
+//!   construction-time and peak-RSS win at the 10⁵-actor point), and
+//!   nothing reads one before its first write (the load pass below).
 //! * **Played columns first.** In a block larger than one 4 KB page the
 //!   played columns are stored **packed** at its front in ascending action
 //!   order: action `k`'s column sits at position `rank(k)`, the number of
@@ -100,10 +101,10 @@
 //!   (stride ≤ 22) shares its pages with its neighbours, all of which are
 //!   written within the first epochs, so packing would buy nothing there
 //!   and cost the rank arithmetic and the shifts; such a slab addresses
-//!   column `k` at `k · s`, and commits its whole T arena when
-//!   [`LearnerSlab::reserve`] creates it: the first epoch reads each block
-//!   before it writes it, so a lazy page took two faults (the shared zero
-//!   page, then a copy-on-write).
+//!   column `k` at `k · s`, and commits every whole page of its T arena
+//!   when [`LearnerSlab::reserve`] creates it: the first epoch reads each
+//!   block before it writes it, so a lazy page took two faults (the shared
+//!   zero page, then a copy-on-write).
 //! * **Mask-driven row gather, fused with the strategy update.** The
 //!   played row `S(j, ·)` is one element of every column — a cache line
 //!   each — and each element gives one entry of the next strategy:
@@ -184,10 +185,15 @@
 //!   `rths_sim`'s `PeerStore`, which both the simulator and the reactor's
 //!   mailbox shards drive — calls [`SlabCols::touch`] on each block of a
 //!   shard; every slot's action has been pending since the choose phase. A
-//!   lone [`SlabLearner`] observes at once, with no pass. **Geometry gate,
-//!   not a setting:** at a stride of at most 8 a block is eight consecutive
-//!   lines, which the hardware already streams; the pass measured slower
-//!   than no pass there, and does not run.
+//!   lone [`SlabLearner`] observes at once, with no pass. The pass reads
+//!   stored lines only: in a packed block a never-played pending action's
+//!   column does not exist yet, and the one its first play opens lies past
+//!   the stored prefix, on a page that may be unwritten, so its loads are
+//!   skipped (loading it took each packed page two faults in the first
+//!   epoch, not one). **Geometry gate, not a setting:** at a stride of at
+//!   most 8 a block is eight consecutive lines, which the hardware already
+//!   streams; the pass measured slower than no pass there, and does not
+//!   run.
 //! * **Sampling without a data-dependent exit.** A choose draws one `u`
 //!   and forms the prefix sums `acc_k = acc_{k−1} + p(k)` in ascending
 //!   `k`, as the scalar oracle does; the oracle stops at the first `k`
@@ -295,15 +301,21 @@ fn rank(played: &[u64], k: usize) -> usize {
     (below + (played[k / 64] & ((1 << (k % 64)) - 1)).count_ones()) as usize
 }
 
-/// Writes zeros over a fresh zeroed arena, split across the workers, so
-/// that each of its pages faults once, here. The zero is opaque: on
-/// memory it saw come zeroed the compiler could drop a plain zero fill.
+/// Writes zeros over the whole 4 KB pages of a fresh zeroed arena, split
+/// across the workers, so that each of them faults once, here. The partial
+/// page at its head already holds the allocator's chunk header; the one at
+/// its tail stays lazy, as it would in a slab that never committed (a
+/// page-multiple arena starts past a boundary and spills its last bytes
+/// onto one more page). The zero is opaque: on memory it saw come zeroed
+/// the compiler could drop a plain zero fill.
 fn commit(arena: &mut [f64]) {
-    let pages = arena.len() / PAGE;
+    let head = arena.as_ptr().align_offset(PAGE * 8).min(arena.len());
+    let pages = (arena.len() - head) / PAGE;
+    let whole = &mut arena[head..head + pages * PAGE];
     let shards = rths_par::threads().min(pages / rths_par::MIN_ITEMS_PER_WORKER).max(1);
     let zero = std::hint::black_box(0.0);
     let fill = |_, chunk: &mut [f64], _: &mut ()| chunk.fill(zero);
-    rths_par::par_sharded(arena.len(), shards, arena, &mut vec![(); shards], fill);
+    rths_par::par_sharded(whole.len(), shards, whole, &mut vec![(); shards], fill);
 }
 
 /// Where action `k`'s column starts in one slot's block — or, if `k` has
@@ -342,6 +354,13 @@ pub const OBSERVE_BATCH: usize = 8;
 /// arithmetic, so a batch of slots has all of them in flight at once and
 /// the updates that follow find their lines in cache.
 ///
+/// It reads stored lines only. In a packed block the column a first play
+/// of `j` opens lies past the stored prefix, maybe on a page nothing has
+/// written, where a read would map the shared zero page for the opening
+/// write to copy (two faults where the write alone takes one), so an
+/// unplayed `j`'s column loads are skipped. An unpacked arena is committed
+/// at [`LearnerSlab::reserve`].
+///
 /// Nothing is stored, and the caller hands the fold to
 /// [`std::hint::black_box`] and drops it: no float of any trajectory can
 /// depend on this routine or on whether it ran.
@@ -351,12 +370,12 @@ pub const OBSERVE_BATCH: usize = 8;
 /// per observe on a 2-vCPU x86-64 host.
 #[inline(always)]
 fn touch(t: &[f64], played: &[u64], stride: usize, m: usize, j: usize) -> u64 {
-    // Before a first play of `j` in a packed block, the lines at `rank(j)`
-    // are the ones the shift and the update are about to rewrite.
-    let at = column_start(played, stride, j);
     let mut fold = 0;
-    for r in (0..m).step_by(LINE) {
-        fold ^= t[at + r].to_bits();
+    if !packs(stride) || played[j / 64] & 1 << (j % 64) != 0 {
+        let at = column_start(played, stride, j);
+        for r in (0..m).step_by(LINE) {
+            fold ^= t[at + r].to_bits();
+        }
     }
     for_each_column(played, stride, |_, c| fold ^= t[c + j].to_bits());
     fold
@@ -726,9 +745,9 @@ impl LearnerSlab {
     /// the current count: on an **empty** slab one fresh `alloc_zeroed`
     /// per column, so that [`alloc`](Self::alloc) only initialises a
     /// slot's probability prefix; on a live slab a zero-extending resize.
-    /// A fresh T arena that does not pack (stride ≤ 22) is committed here
-    /// across the workers, each page once (lazy, the first epoch faulted
-    /// it twice: module docs); a packed one stays lazy.
+    /// A fresh T arena that does not pack (stride ≤ 22) has its whole
+    /// pages committed here across the workers, each once (lazy, the first
+    /// epoch faulted them twice: module docs); a packed one stays lazy.
     pub fn reserve(&mut self, additional: usize) {
         let target = self.arity.len() + additional;
         if target * self.stride * self.stride <= self.t.len() {
@@ -1413,7 +1432,9 @@ impl SlabCols<'_> {
     /// action pending: call it on a block of up to [`OBSERVE_BATCH`] slots
     /// right before observing them in turn. Changes nothing, so calling it
     /// or not is invisible to every float; at a stride whose blocks the
-    /// hardware already streams it does nothing.
+    /// hardware already streams it does nothing. It reads stored lines
+    /// only, never a packed block's column that a first play is about to
+    /// open, so each lazily mapped page faults once, on its first write.
     pub fn touch(&mut self, slots: std::ops::Range<usize>) {
         if self.stride <= DENSE_GATHER_MAX_STRIDE {
             return;

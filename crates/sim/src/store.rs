@@ -300,8 +300,8 @@ impl PeerStore {
     /// learner slab gets its T and strategy regions as one `alloc_zeroed`
     /// each, so constructing 10⁵ peers is a handful of large allocations
     /// instead of a per-peer allocation storm. A slab of at most 22
-    /// actions commits its T arena here: left lazy, the first epoch
-    /// faulted each page twice (a read, then a copy-on-write).
+    /// actions commits its T arena's whole pages here: left lazy, the
+    /// first epoch faulted each page twice (a read, then a copy-on-write).
     pub fn reserve(&mut self, additional: usize) {
         match &mut self.learners {
             Learners::Slab(slab) => slab.reserve(additional),
