@@ -6,7 +6,6 @@
 //! `Σ_y π(y)·W*(y)` computed by `rths_oracle::MdpBenchmark`.
 
 use crate::harness::{mean_series, per_seed, print_series, sample_points, write_csv, SEEDS};
-use rand::SeedableRng;
 use rths_oracle::MdpBenchmark;
 use rths_sim::{Scenario, System};
 
@@ -18,8 +17,7 @@ pub(crate) fn run() -> Result<(), String> {
     // Exact benchmark: every helper follows the paper's chain, so the
     // optimum is Σ_j E[C_j] = 4 × 800 = 3200.
     let bench = MdpBenchmark::paper(4, 10, None);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let optimum = bench.optimal_welfare(&mut rng);
+    let optimum = bench.optimal_welfare();
 
     let runs = per_seed(seeds, |seed| {
         let mut system = System::new(Scenario::paper_small().seed(seed).build());

@@ -80,9 +80,10 @@
 //! (Fig. 2's reference line); the other modules are its computation paths
 //! and the references they are tested against:
 //!
-//! 1. [`welfare`] — the expected optimum `Σ_y π(y)·W*(y)`, computed by
-//!    exact enumeration of the joint state space when it is small and by
-//!    stationary Monte Carlo otherwise;
+//! 1. [`welfare`] — the expected optimum `Σ_y π(y)·W*(y)`, exact at any
+//!    number of helpers: it sums over the laws of helper level *counts*
+//!    (`W*` depends only on the multiset of capacities), not over joint
+//!    states;
 //! 2. [`assignment`] — exact per-state optimal load vectors via greedy
 //!    marginal allocation (optimal because per-helper welfare is concave
 //!    in load), cross-checked against an `O(H·N²)` dynamic program;

@@ -123,17 +123,11 @@ impl OccupationLp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::welfare::expected_optimal_welfare_exact;
+    use crate::welfare::expected_optimal_welfare;
 
     /// The decomposed optimum of the same instance.
     fn decomposed(lp: &OccupationLp) -> f64 {
-        expected_optimal_welfare_exact(
-            &lp.levels,
-            &lp.stationary,
-            lp.num_peers,
-            lp.demand,
-            1000,
-        )
+        expected_optimal_welfare(&lp.levels, &lp.stationary, lp.num_peers, lp.demand)
     }
 
     fn two_helper_instance(num_peers: usize, demand: Option<f64>) -> OccupationLp {

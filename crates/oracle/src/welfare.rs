@@ -1,23 +1,22 @@
-//! Expected optimal welfare `Σ_y π(y)·W*(y)` at scale.
+//! Expected optimal welfare `Σ_y π(y)·W*(y)`, exact at any scale.
 //!
-//! When the joint state space `|Y| = Π_j L_j` is small we enumerate it
-//! exactly; otherwise we estimate by Monte Carlo over the (independent)
-//! stationary distributions. Both paths reuse the per-state greedy
-//! assignment optimum from [`crate::assignment`].
+//! The per-state optimum `W*(y)` ([`crate::assignment`]'s greedy) depends
+//! only on the *multiset* of capacities in `y`, not on which helper holds
+//! which. So [`expected_optimal_welfare`] does not enumerate the
+//! `Π_j L_j` joint states: it folds the (independent) helpers in one at a
+//! time and keeps the law of the level *counts*, how many helpers sit at
+//! each distinct capacity value. `h` identical helpers with `L` levels
+//! give `C(h + L − 1, L − 1)` count vectors (2,145 at `h = 64`, `L = 3`,
+//! against `3^64` joint states); helpers whose ladders share no value
+//! give the `Π_j L_j` joint states again.
 
-use rand::Rng;
+use std::collections::BTreeMap;
 
 use crate::assignment::{check_demand, optimal_loads};
 
-/// The joint state space size `|Y| = Π_j L_j`, or `None` when it
-/// overflows `usize` (three-level ladders do from 41 helpers on).
-pub(crate) fn joint_states(levels: &[Vec<f64>]) -> Option<usize> {
-    levels.iter().try_fold(1usize, |acc, l| acc.checked_mul(l.len()))
-}
-
-/// The input contract of every path: at least one helper; per helper a
-/// stationary vector as long as its ladder that is a distribution; a
-/// positive, finite demand if any.
+/// The input contract of the expected optimum: at least one helper; per
+/// helper a stationary vector as long as its ladder that is a
+/// distribution; a positive, finite demand if any.
 ///
 /// # Panics
 ///
@@ -35,83 +34,57 @@ pub(crate) fn validate(levels: &[Vec<f64>], stationary: &[Vec<f64>], demand: Opt
     check_demand(demand);
 }
 
-/// Exact expected optimum by full enumeration of the joint state space.
+/// The exact expected optimum `Σ_y π(y)·W*(y)` over helpers that move
+/// independently, helper `j` on `levels[j]` with law `stationary[j]`.
+///
+/// Maps each count vector over the sorted distinct capacity values to its
+/// probability, adding one helper at a time
+/// (`P'[s + e_c] += P[s]·π_j[c]`), then sums `P(s)·W*(s)` in map order.
+/// The cost is one [`optimal_loads`] per distinct capacity multiset.
 ///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent, a stationary vector is not a
-/// distribution, `demand` is non-positive, or `|Y|` exceeds `limit`.
-pub fn expected_optimal_welfare_exact(
+/// distribution, `demand` is non-positive, or a capacity is negative or
+/// non-finite.
+pub fn expected_optimal_welfare(
     levels: &[Vec<f64>],
     stationary: &[Vec<f64>],
     num_peers: usize,
     demand: Option<f64>,
-    limit: usize,
 ) -> f64 {
     validate(levels, stationary, demand);
-    let num_y = joint_states(levels)
-        .filter(|&n| n <= limit)
-        .unwrap_or_else(|| panic!("joint state space exceeds limit {limit}"));
-    let h = levels.len();
-    let mut total = 0.0;
-    let mut caps = vec![0.0; h];
-    for y in 0..num_y {
-        let mut prob = 1.0;
-        let mut rem = y;
-        for j in (0..h).rev() {
-            let s = rem % levels[j].len();
-            rem /= levels[j].len();
-            prob *= stationary[j][s];
-            caps[j] = levels[j][s];
-        }
-        total += prob * optimal_loads(&caps, num_peers, demand).welfare;
-    }
-    total
-}
-
-/// Monte Carlo estimate of the expected optimum: sample each helper's
-/// state independently from its stationary distribution, `samples` times.
-///
-/// # Panics
-///
-/// Same shape contract as [`expected_optimal_welfare_exact`]; also panics
-/// if `samples == 0`.
-pub(crate) fn expected_optimal_welfare_mc<R: Rng + ?Sized>(
-    levels: &[Vec<f64>],
-    stationary: &[Vec<f64>],
-    num_peers: usize,
-    demand: Option<f64>,
-    samples: usize,
-    rng: &mut R,
-) -> f64 {
-    validate(levels, stationary, demand);
-    assert!(samples > 0, "need at least one sample");
-    let h = levels.len();
-    let mut caps = vec![0.0; h];
-    let mut total = 0.0;
-    for _ in 0..samples {
-        for j in 0..h {
-            let u: f64 = rng.gen();
-            let mut acc = 0.0;
-            let mut state = levels[j].len() - 1;
-            for (s, &p) in stationary[j].iter().enumerate() {
-                acc += p;
-                if u < acc {
-                    state = s;
-                    break;
-                }
+    let mut values: Vec<f64> = levels.iter().flatten().copied().collect();
+    values.sort_by(f64::total_cmp);
+    values.dedup_by(|a, b| a.total_cmp(b).is_eq());
+    let mut law = BTreeMap::from([(vec![0usize; values.len()], 1.0)]);
+    for (ladder, pi) in levels.iter().zip(stationary) {
+        let mut next = BTreeMap::new();
+        for (counts, p) in &law {
+            for (c, q) in ladder.iter().zip(pi) {
+                let mut counts = counts.clone();
+                counts[values.binary_search_by(|v| v.total_cmp(c)).unwrap()] += 1;
+                *next.entry(counts).or_insert(0.0) += p * q;
             }
-            caps[j] = levels[j][state];
         }
-        total += optimal_loads(&caps, num_peers, demand).welfare;
+        law = next;
     }
-    total / samples as f64
+    let mut caps = Vec::with_capacity(levels.len());
+    law.iter()
+        .map(|(counts, p)| {
+            caps.clear();
+            for (&v, &k) in values.iter().zip(counts) {
+                caps.extend(std::iter::repeat_n(v, k));
+            }
+            p * optimal_loads(&caps, num_peers, demand).welfare
+        })
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
 
     fn paper_ladders(h: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let levels = vec![vec![700.0, 800.0, 900.0]; h];
@@ -120,28 +93,44 @@ mod tests {
         (levels, stationary)
     }
 
+    /// The joint-state reference: `Σ_y π(y)·W*(y)` over all `Π_j L_j`
+    /// states `y`, helper `j`'s state a digit of a mixed-radix counter.
+    fn enumerated(
+        levels: &[Vec<f64>],
+        stationary: &[Vec<f64>],
+        num_peers: usize,
+        demand: Option<f64>,
+    ) -> f64 {
+        let num_y: usize = levels.iter().map(Vec::len).product();
+        let mut caps = vec![0.0; levels.len()];
+        (0..num_y)
+            .map(|y| {
+                let mut prob = 1.0;
+                let mut rem = y;
+                for j in (0..levels.len()).rev() {
+                    let s = rem % levels[j].len();
+                    rem /= levels[j].len();
+                    prob *= stationary[j][s];
+                    caps[j] = levels[j][s];
+                }
+                prob * optimal_loads(&caps, num_peers, demand).welfare
+            })
+            .sum()
+    }
+
     #[test]
     fn exact_matches_closed_form_when_covered() {
         let (levels, pi) = paper_ladders(4);
         // Every helper is covered, so the optimum is Σ_j E[C_j] = 4 · 800.
-        let exact = expected_optimal_welfare_exact(&levels, &pi, 10, None, 100);
+        let exact = expected_optimal_welfare(&levels, &pi, 10, None);
         assert!((exact - 3200.0).abs() < 1e-9, "{exact}");
-    }
-
-    #[test]
-    fn monte_carlo_approximates_exact() {
-        let (levels, pi) = paper_ladders(3);
-        let exact = expected_optimal_welfare_exact(&levels, &pi, 5, Some(400.0), 100);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let mc = expected_optimal_welfare_mc(&levels, &pi, 5, Some(400.0), 40_000, &mut rng);
-        assert!((mc - exact).abs() < 0.01 * exact, "mc {mc} vs exact {exact}");
     }
 
     #[test]
     fn capped_expected_welfare_is_below_uncapped() {
         let (levels, pi) = paper_ladders(3);
-        let capped = expected_optimal_welfare_exact(&levels, &pi, 4, Some(400.0), 100);
-        let uncapped = expected_optimal_welfare_exact(&levels, &pi, 4, None, 100);
+        let capped = expected_optimal_welfare(&levels, &pi, 4, Some(400.0));
+        let uncapped = expected_optimal_welfare(&levels, &pi, 4, None);
         assert!(capped <= uncapped + 1e-9);
         // 4 peers at 400 kbps each can use at most 1600.
         assert!(capped <= 1600.0 + 1e-9);
@@ -152,15 +141,50 @@ mod tests {
         // 1 peer over 2 iid helpers: E[max(C1, C2)].
         let levels = vec![vec![700.0, 900.0]; 2];
         let pi = vec![vec![0.5, 0.5]; 2];
-        let exact = expected_optimal_welfare_exact(&levels, &pi, 1, None, 10);
+        let exact = expected_optimal_welfare(&levels, &pi, 1, None);
         // max: 700 w.p. 0.25, else 900 -> 850.
         assert!((exact - 850.0).abs() < 1e-9);
     }
 
-    #[test]
-    #[should_panic(expected = "exceeds limit")]
-    fn limit_is_enforced() {
-        let (levels, pi) = paper_ladders(8);
-        let _ = expected_optimal_welfare_exact(&levels, &pi, 10, None, 100);
+    /// Up to six helpers, each a ladder of one to three values drawn from
+    /// a pool of four, so helpers share values under different laws (and
+    /// a ladder may repeat one); the law is positive weights, normalised.
+    fn instance() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Vec<f64>>)> {
+        let level = (0usize..4, 0.05..1.0f64);
+        prop::collection::vec(prop::collection::vec(level, 1..4), 1..7).prop_map(|helpers| {
+            const POOL: [f64; 4] = [200.0, 350.0, 700.0, 800.0];
+            helpers
+                .into_iter()
+                .map(|ladder| {
+                    let total: f64 = ladder.iter().map(|&(_, w)| w).sum();
+                    ladder.into_iter().map(|(v, w)| (POOL[v], w / total)).unzip()
+                })
+                .unzip()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn counts_match_joint_state_enumeration(
+            (levels, pi) in instance(),
+            num_peers in 0usize..12,
+            demand in prop::option::of(100.0..600.0f64),
+        ) {
+            let counts = expected_optimal_welfare(&levels, &pi, num_peers, demand);
+            let reference = enumerated(&levels, &pi, num_peers, demand);
+            // Both add non-negative terms `π(y)·W*(y)` (at most `|Y|` of
+            // them), each a product of `h` probabilities and a welfare
+            // summed over `h` helpers, in different orders. Each is within
+            // `|Y| + 2h` roundoff units of the true value, so the two are
+            // within twice that many ulps of each other.
+            let num_y: usize = levels.iter().map(Vec::len).product();
+            let ulps = 2.0 * (num_y + 2 * levels.len()) as f64;
+            prop_assert!(
+                (counts - reference).abs() <= ulps * f64::EPSILON * reference,
+                "counts {counts} vs enumerated {reference}"
+            );
+        }
     }
 }

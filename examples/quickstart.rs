@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use rand::SeedableRng;
 use rths_suite::prelude::*;
 use rths_suite::sparkline;
 
@@ -18,8 +17,7 @@ fn main() {
 
     // Centralized benchmark (§IV.A): expected optimum is Σ_j E[C_j].
     let bench = MdpBenchmark::paper(4, 10, None);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let optimum = bench.optimal_welfare(&mut rng);
+    let optimum = bench.optimal_welfare();
 
     let regret = &outcome.metrics.worst_empirical_regret;
     let welfare = &outcome.metrics.welfare;

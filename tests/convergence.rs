@@ -3,7 +3,6 @@
 //! Each test asserts the *shape* the corresponding figure reports; the
 //! `rths_bench fig1` … `rths_bench fig5` regenerate the full series.
 
-use rand::SeedableRng;
 use rths_oracle::MdpBenchmark;
 use rths_sim::{Scenario, System};
 
@@ -31,9 +30,8 @@ fn fig2_rths_near_mdp_optimum() {
     let mut system = System::new(Scenario::paper_small().seed(202).build());
     let out = system.run(6000);
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let bench = MdpBenchmark::paper(4, 10, None);
-    let optimum = bench.optimal_welfare(&mut rng);
+    let optimum = bench.optimal_welfare();
     assert!((optimum - 3200.0).abs() < 1e-6);
 
     let achieved = out.metrics.tail_welfare(1000);
