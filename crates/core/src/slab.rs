@@ -585,7 +585,7 @@ pub fn compact_column<T: Copy>(column: &mut Vec<T>, sorted: &[u32]) {
 /// Bytes of one slot's slot-addressed scalars — `arity`, `stage`,
 /// `pending`, `scale`, `block` and `row` — all that a compaction copies
 /// for a relocated slot.
-const SLOT_SCALAR_BYTES: usize = 4 * size_of::<u32>() + size_of::<u64>() + size_of::<f64>();
+const SLOT_SCALAR_BYTES: usize = 5 * size_of::<u32>() + size_of::<f64>();
 
 /// Row `r` of an arena of `width`-scalar rows, as a one-slot view.
 fn one_row<T>(arena: &mut [T], width: usize, r: usize) -> Rows<'_, T> {
@@ -663,7 +663,9 @@ pub struct LearnerSlab {
     /// Played-column bitmasks, `words` per block.
     played: Vec<u64>,
     arity: Vec<u32>,
-    stage: Vec<u64>,
+    /// Stages observed per slot, `u32`: an observe that would pass
+    /// `u32::MAX` panics instead.
+    stage: Vec<u32>,
     pending: Vec<u32>,
     /// Lazy decay factor per slot: the proxy matrix is `scale · S`
     /// (see [`crate::lazy`]). Meaningless on a free-listed slot (a
@@ -1126,7 +1128,7 @@ impl LearnerSlab {
 
     /// Stages the slot has observed.
     pub fn stage(&self, slot: usize) -> u64 {
-        self.stage[slot]
+        u64::from(self.stage[slot])
     }
 
     /// The slot's action awaiting observation, if any.
@@ -1160,7 +1162,7 @@ impl LearnerSlab {
         }
         let m = self.arity[slot] as usize;
         assert!(j < m && k < m, "regret index out of range");
-        let factor = factor_for(config, self.stage[slot]) * self.scale[slot];
+        let factor = factor_for(config, u64::from(self.stage[slot])) * self.scale[slot];
         (factor * (self.stored_entry(slot, j, k) - self.stored_entry(slot, j, j))).max(0.0)
     }
 
@@ -1338,7 +1340,7 @@ pub struct SlabCols<'a> {
     /// The play-frequency rows, when the slab keeps them.
     freq: Option<Rows<'a, f64>>,
     played: Rows<'a, u64>,
-    stage: &'a mut [u64],
+    stage: &'a mut [u32],
     scale: &'a mut [f64],
     /// The maintained estimate rows (row maxima, then diagonal), when the
     /// slab keeps them.
@@ -1507,8 +1509,8 @@ impl SlabCols<'_> {
         assert!(pending[i] != NO_PENDING, "observe called without a pending action");
         let j = pending[i] as usize;
         pending[i] = NO_PENDING;
-        self.stage[i] += 1;
-        let stage = self.stage[i];
+        self.stage[i] = self.stage[i].checked_add(1).expect("a slot's stage passed u32::MAX");
+        let stage = u64::from(self.stage[i]);
         let m = arity[i] as usize;
         debug_assert_eq!(m, config.num_actions(), "slot arity and config disagree");
         let stride = self.stride;
@@ -1621,7 +1623,7 @@ impl SlabCols<'_> {
     /// same bits either way.
     pub fn max_regret(&mut self, i: usize, config: &RthsConfig, diag: &mut Vec<f64>) -> f64 {
         let m = self.strategy.arity[i] as usize;
-        let factor = factor_for(config, self.stage[i]) * self.scale[i];
+        let factor = factor_for(config, u64::from(self.stage[i])) * self.scale[i];
         let Some(best) = &mut self.best else {
             let (t, played) = (self.t.row(i), self.played.row(i));
             return max_regret_in(t, played, self.stride, m, factor, diag);
@@ -1873,7 +1875,7 @@ mod tests {
                 self.played_row(slot),
                 self.stride,
                 self.arity[slot] as usize,
-                factor_for(config, self.stage[slot]) * self.scale[slot],
+                factor_for(config, u64::from(self.stage[slot])) * self.scale[slot],
                 &mut Vec::new(),
             )
         }
@@ -3111,6 +3113,24 @@ mod tests {
         let slot = slab.alloc(10) as usize;
         slab.pending[slot] = 3;
         slab.observe(slot, &cfg, -1e6, &mut Vec::new());
+    }
+
+    /// A slot counts its stages in a `u32`: one below the bound it still
+    /// observes, and at the bound it refuses rather than wrap to stage 0,
+    /// which `RecencyMode::Uniform`'s `1/n` average would read as fresh.
+    #[test]
+    #[should_panic(expected = "stage passed u32::MAX")]
+    fn observe_refuses_a_stage_past_the_u32_bound() {
+        let cfg = config(2, RecencyMode::Uniform, false);
+        let mut slab = LearnerSlab::new(2);
+        let slot = slab.alloc(2) as usize;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        slab.stage[slot] = u32::MAX - 1;
+        slab.select_action(slot, &mut rng);
+        slab.observe(slot, &cfg, 1.0, &mut Vec::new());
+        assert_eq!(slab.stage(slot), u64::from(u32::MAX));
+        slab.select_action(slot, &mut rng);
+        slab.observe(slot, &cfg, 1.0, &mut Vec::new());
     }
 
     #[test]

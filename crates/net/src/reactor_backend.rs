@@ -177,7 +177,8 @@ pub enum NetMsg {
     JoinRates {
         /// Epoch number.
         epoch: u64,
-        /// Join rate per helper (kbps).
+        /// Join rate per helper (kbps), in a returned
+        /// [`ShardReport::rates`] buffer where the coordinator has one.
         rates: Vec<f64>,
     },
     /// Peer → coordinator: every peer of one mailbox shard has observed
@@ -195,7 +196,9 @@ pub struct ShardReport {
     /// Peer index of the block's first peer.
     pub first: u64,
     /// Realized (demand-capped) rate of each peer of the block, from
-    /// `first` on.
+    /// `first` on, in the buffer that brought the epoch's
+    /// [`NetMsg::JoinRates`]: the coordinator sends it out again in a
+    /// later one, so a steady epoch allocates no rate buffer.
     pub rates: Vec<f64>,
     /// The largest internal regret estimate the block's learners reported
     /// after their observations (`0.0` when tracking is disabled).
@@ -228,16 +231,18 @@ pub struct PeerShard {
     chosen: Vec<u32>,
     aux: Vec<u32>,
     /// Rate per slot as it arrives; the shape phase's output (empty on
-    /// clean links); the demand-capped rates the learners observed (the
-    /// report's).
+    /// clean links).
     rates: Vec<f64>,
     shaped: Vec<f64>,
-    delivered: Vec<f64>,
     /// Slots rated this epoch.
     filled: usize,
-    /// The epoch's join rates, one per helper, once the coordinator's
-    /// arrived.
-    join_rates: Option<Vec<f64>>,
+    /// The epoch's join rates, one per helper, copied out of the
+    /// coordinator's message.
+    join_rates: Vec<f64>,
+    /// That message's buffer, once it arrived, sized to the slot count:
+    /// the observe phase writes the demand-capped rates the learners
+    /// observed into it, and it leaves as the report's `rates`.
+    report_rates: Option<Vec<f64>>,
     /// The (empty) load histogram and the phases' scratch.
     loads: Vec<usize>,
     scratch: Vec<ShardScratch>,
@@ -270,9 +275,9 @@ impl PeerShard {
             aux: vec![0; len],
             rates: vec![0.0; len],
             shaped: Vec::new(),
-            delivered: vec![0.0; len],
             filled: 0,
-            join_rates: None,
+            join_rates: Vec::new(),
+            report_rates: None,
             loads: Vec::new(),
             scratch: Vec::new(),
         }
@@ -320,14 +325,20 @@ impl PeerShard {
     }
 
     /// The coordinator's join rates for `epoch` arrived; returns the
-    /// report if that completes the shard's epoch.
+    /// report if that completes the shard's epoch. The rates are copied
+    /// out, and their buffer becomes the report's.
     fn joined(
         &mut self,
         epoch: u64,
-        rates: Vec<f64>,
+        mut rates: Vec<f64>,
         obs: &mut ObsScratch,
     ) -> Option<Box<ShardReport>> {
-        assert!(self.join_rates.replace(rates).is_none(), "join rates arrived twice");
+        assert!(self.report_rates.is_none(), "join rates arrived twice");
+        self.join_rates.clear();
+        self.join_rates.extend_from_slice(&rates);
+        rates.clear();
+        rates.resize(self.chosen.len(), 0.0);
+        self.report_rates = Some(rates);
         self.complete(epoch, obs)
     }
 
@@ -337,22 +348,22 @@ impl PeerShard {
         if self.filled < self.chosen.len() {
             return None;
         }
-        let join_rates = self.join_rates.take()?;
-        Some(self.observe(epoch, &join_rates, obs))
+        let delivered = self.report_rates.take()?;
+        Some(self.observe(epoch, delivered, obs))
     }
 
     /// The shape phase (a lost payload arrived as 0 kbps, and the pass
     /// reads the loss its request carried back from each link's memo),
     /// then the observe phase over every slot — bandit feedback,
-    /// accounting, the true-regret record against `join_rates`, the
-    /// estimate — and the report.
+    /// accounting, the true-regret record against the join rates, the
+    /// estimate — and the report, whose rates are `delivered`.
     /// Kept out of line: one message in a shard's thousand runs it, and
     /// the others stay a few instructions.
     #[inline(never)]
     fn observe(
         &mut self,
         epoch: u64,
-        join_rates: &[f64],
+        mut delivered: Vec<f64>,
         obs: &mut ObsScratch,
     ) -> Box<ShardReport> {
         self.filled = 0;
@@ -361,9 +372,10 @@ impl PeerShard {
             self.store
                 .shape_phase(&self.chosen, epoch, &mut self.shaped, |slot, _, _| arrived[slot]);
         let (rates, demand) = (if shaped { &self.shaped } else { arrived }, self.demand);
+        let join_rates = &self.join_rates;
         let (estimate, empirical) = self.store.observe_phase(
             &self.chosen,
-            &mut self.delivered,
+            &mut delivered,
             &[0, join_rates.len()],
             join_rates,
             &mut self.scratch,
@@ -374,7 +386,7 @@ impl PeerShard {
         Box::new(ShardReport {
             epoch,
             first: self.store.id(0),
-            rates: self.delivered.clone(),
+            rates: delivered,
             estimate,
             empirical,
             switches: self.store.new_switches(),
@@ -403,6 +415,9 @@ pub struct CoordNode {
     num_helpers: usize,
     /// The first peer of each mailbox shard that hosts peers.
     shards: Vec<ActorId>,
+    /// Rate buffers of ingested [`ShardReport`]s, which carry the next
+    /// epoch's [`NetMsg::JoinRates`]: at most one per shard.
+    spare_rates: Vec<Vec<f64>>,
     /// [`NetConfig::delivery_jitter`], and the plan seed its draws key on.
     delivery_jitter: u64,
     plan_seed: u64,
@@ -427,7 +442,10 @@ impl CoordNode {
             return;
         };
         for &first in &self.shards {
-            ctx.send(first, NetMsg::JoinRates { epoch, rates: rates.to_vec() });
+            let mut buffer = self.spare_rates.pop().unwrap_or_default();
+            buffer.clear();
+            buffer.extend_from_slice(rates);
+            ctx.send(first, NetMsg::JoinRates { epoch, rates: buffer });
         }
         if let Some(t) = t_alloc {
             ctx.shard().1.spans.record(Phase::RateAlloc, t);
@@ -601,6 +619,7 @@ impl Actor<Option<Box<PeerShard>>> for NetActor {
                         report.empirical,
                         report.switches,
                     );
+                    node.spare_rates.push(report.rates);
                     node.maybe_finish_epoch(ctx);
                 }
                 other => unreachable!("coordinator got {other:?}"),
@@ -742,6 +761,7 @@ pub(crate) fn populate_mesh(
                         .filter(|&a| a == peer_base || a % span == 0)
                         .map(ActorId)
                         .collect(),
+                    spare_rates: Vec::new(),
                     delivery_jitter: config.delivery_jitter,
                     plan_seed: sim.impairment.seed(),
                     control: 0,

@@ -126,7 +126,7 @@
 //! with its scalars, a departed peer's row stays behind as a hole, and
 //! an arrival appends a zeroed row, so the handles stay strictly
 //! increasing and the record phase still meets the rows in arena order.
-//! A departure copies 52 bytes per relocated survivor instead of
+//! A departure copies 44 bytes per relocated survivor instead of
 //! `stride` f64s more; once the holes outnumber a sixteenth of the
 //! peers, one ascending pass moves every row down to its peer's index
 //! ([`rths_core::close_row_holes`], the rule the learner slab's rows
@@ -154,8 +154,13 @@ const SLOT_MASK: u64 = SNAPSHOT_SLOTS as u64 - 1;
 /// Bytes of one peer's per-peer scalars — `arm`, `entry`, `tr_entry`,
 /// `tr`, `stages`, `arity`, `rowmax` and the row handle — all that a
 /// compaction copies for a relocated peer.
-const PEER_SCALAR_BYTES: usize =
-    3 * size_of::<u32>() + 2 * size_of::<u64>() + 3 * size_of::<f64>();
+const PEER_SCALAR_BYTES: usize = 5 * size_of::<u32>() + 3 * size_of::<f64>();
+
+/// The epoch count [`RegretLedger::advance_epoch`] refuses to pass: below
+/// it, every epoch fits the `u32` columns that count or name epochs (the
+/// ledger's `entry` and `stages`, and the owning store's counters, which
+/// grow at most once per advance).
+const EPOCH_BOUND: u64 = u32::MAX as u64;
 
 /// Stretch-folded true-regret accounting for one peer population.
 ///
@@ -182,14 +187,16 @@ pub struct RegretLedger {
     // === per-peer columns (slot-aligned with the owning store) ===
     /// Open-stretch arm ([`NO_ARM`] when none).
     arm: Vec<u32>,
-    /// Open-stretch entry epoch.
-    entry: Vec<u64>,
+    /// Open-stretch entry epoch, `u32`: below the ledger's epoch bound
+    /// (`u32::MAX`, which [`advance_epoch`](Self::advance_epoch) asserts).
+    entry: Vec<u32>,
     /// Value of `tr` when the open stretch was entered.
     tr_entry: Vec<f64>,
     /// Total observed rate over all recorded epochs of the current row.
     tr: Vec<f64>,
-    /// Recorded epochs of the current row (the time-average divisor).
-    stages: Vec<u64>,
+    /// Recorded epochs of the current row (the time-average divisor),
+    /// `u32`: one per epoch at most, so below the same bound as `entry`.
+    stages: Vec<u32>,
     /// Arity the row currently represents (0 before the first record).
     /// The row resets **lazily** at the next record when the arity
     /// changed — the historical semantics, under which a round-trip
@@ -229,10 +236,10 @@ pub struct LedgerCtx<'a> {
 #[derive(Debug)]
 pub struct LedgerCols<'a> {
     arm: &'a mut [u32],
-    entry: &'a mut [u64],
+    entry: &'a mut [u32],
     tr_entry: &'a mut [f64],
     tr: &'a mut [f64],
-    stages: &'a mut [u64],
+    stages: &'a mut [u32],
     arity: &'a mut [u32],
     rowmax: &'a mut [f64],
     rows: Rows<'a, f64>,
@@ -327,7 +334,7 @@ impl RegretLedger {
     /// Recorded epochs of peer `slot`'s current row.
     #[cfg(test)]
     pub(crate) fn stages(&self, slot: usize) -> u64 {
-        self.stages[slot]
+        u64::from(self.stages[slot])
     }
 
     /// Appends a fresh peer (call in the same order as the owning store's
@@ -395,7 +402,7 @@ impl RegretLedger {
             self.arity[slot] as usize, m,
             "migrating from a channel never recorded"
         );
-        let entry = self.entry[slot];
+        let entry = u64::from(self.entry[slot]);
         // The stretch covers every recorded epoch up to `epochs − 1`,
         // whose inclusive prefix is the live `g` itself.
         let ring_off = (entry & SLOT_MASK) as usize * self.g.len();
@@ -421,8 +428,11 @@ impl RegretLedger {
     ///
     /// # Panics
     ///
-    /// Panics if the join-rate layout does not match the ledger's.
+    /// Panics if the join-rate layout does not match the ledger's, or if
+    /// `u32::MAX` epochs have been advanced: the per-peer columns count
+    /// epochs in `u32`.
     pub fn advance_epoch(&mut self, join_offsets: &[usize], join_rates: &[f64]) {
+        assert!(self.epochs < EPOCH_BOUND, "epoch count reached the u32 bound of the ledger");
         assert_eq!(join_offsets, &self.offsets[..], "join-rate layout drifted");
         assert_eq!(join_rates.len(), self.g.len(), "join-rate length drifted");
         let glen = self.g.len();
@@ -484,7 +494,8 @@ impl RegretLedger {
     /// Peer `slot`'s current time-averaged worst true regret (the same
     /// value the epoch's [`record_counted`] returned), for final reporting.
     pub fn peer_max(&self, slot: usize, channel: usize) -> f64 {
-        if self.stages[slot] == 0 {
+        let stages = u64::from(self.stages[slot]);
+        if stages == 0 {
             return 0.0;
         }
         let arm = self.arm[slot];
@@ -494,7 +505,8 @@ impl RegretLedger {
             self.rowmax[slot].max(0.0)
         } else {
             let (off, m) = channel_span(&self.offsets, channel);
-            let ring_off = (self.entry[slot] & SLOT_MASK) as usize * self.g.len() + off;
+            let ring_off =
+                (u64::from(self.entry[slot]) & SLOT_MASK) as usize * self.g.len() + off;
             row_max(
                 &self.row(slot)[..m],
                 arm as usize,
@@ -503,7 +515,7 @@ impl RegretLedger {
                 self.tr[slot] - self.tr_entry[slot],
             )
         };
-        max / self.stages[slot] as f64
+        max / stages as f64
     }
 }
 
@@ -554,11 +566,12 @@ pub fn record_max(
     let (off, m) = update(cols, ctx, i, channel, played, rate, folds);
     let rowmax = cols.rowmax[i];
     let channels = ctx.offsets.len() - 1;
-    let dmax = ctx.dmax[(cols.entry[i] % STRETCH_WINDOW) as usize * channels + channel];
+    let dmax =
+        ctx.dmax[(u64::from(cols.entry[i]) % STRETCH_WINDOW) as usize * channels + channel];
     let open = rowmax + dmax - (cols.tr[i] - cols.tr_entry[i]);
     // `f64::max` would drop a NaN `open`; keep it, so it fails the test.
     let ub = if open.is_nan() { open } else { open.max(rowmax).max(0.0) };
-    if ub / cols.stages[i] as f64 <= *worst {
+    if ub / u64::from(cols.stages[i]) as f64 <= *worst {
         return false;
     }
     *worst = worst.max(read(cols, ctx, i, off, m));
@@ -595,13 +608,14 @@ fn update(
         cols.arity[i] = m as u32;
     }
     let e = ctx.epoch;
+    let entry = u64::from(cols.entry[i]);
     // Close the open stretch on an arm switch or when it hits the
     // bounded window (so its entry snapshot can retire from the ring).
-    if cols.arm[i] != played as u32 || e - cols.entry[i] >= STRETCH_WINDOW {
-        if cols.arm[i] != NO_ARM && e > cols.entry[i] {
+    if cols.arm[i] != played as u32 || e - entry >= STRETCH_WINDOW {
+        if cols.arm[i] != NO_ARM && e > entry {
             *folds += 1;
             let arm = cols.arm[i] as usize;
-            let entry_off = (cols.entry[i] & SLOT_MASK) as usize * glen + off;
+            let entry_off = (entry & SLOT_MASK) as usize * glen + off;
             let now_off = (e & SLOT_MASK) as usize * glen + off;
             let snap_entry = &ctx.ring[entry_off..entry_off + m];
             let snap_now = &ctx.ring[now_off..now_off + m];
@@ -616,7 +630,8 @@ fn update(
             cols.rowmax[i] = top;
         }
         cols.arm[i] = played as u32;
-        cols.entry[i] = e;
+        // `e < EPOCH_BOUND`, which `advance_epoch` holds.
+        cols.entry[i] = e as u32;
         cols.tr_entry[i] = cols.tr[i];
     }
     cols.tr[i] += rate;
@@ -629,7 +644,7 @@ fn update(
 /// from the row.
 #[inline]
 fn read(cols: &mut LedgerCols<'_>, ctx: &LedgerCtx<'_>, i: usize, off: usize, m: usize) -> f64 {
-    let entry_off = (cols.entry[i] & SLOT_MASK) as usize * ctx.g.len() + off;
+    let entry_off = (u64::from(cols.entry[i]) & SLOT_MASK) as usize * ctx.g.len() + off;
     let max = row_max(
         &cols.rows.row(i)[..m],
         cols.arm[i] as usize,
@@ -637,7 +652,7 @@ fn read(cols: &mut LedgerCols<'_>, ctx: &LedgerCtx<'_>, i: usize, off: usize, m:
         &ctx.ring[entry_off..entry_off + m],
         cols.tr[i] - cols.tr_entry[i],
     );
-    max / cols.stages[i] as f64
+    max / u64::from(cols.stages[i]) as f64
 }
 
 /// Dense reference implementation of the same accounting: one row per
@@ -1159,6 +1174,24 @@ mod tests {
         ledger.advance_epoch(&[0, 4], &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(pruned_max(&mut ledger, &[], 4), (0.0, 0));
         assert_eq!(ledger.remove_slots(&[]), 0);
+    }
+
+    /// The ledger's per-peer columns hold epochs in `u32`: the last epoch
+    /// below the bound records (its entry epoch is `u32::MAX − 1`, its
+    /// stage count 1), and a ledger whose epoch count is at the bound
+    /// refuses the next epoch.
+    #[test]
+    #[should_panic(expected = "u32 bound")]
+    fn advance_refuses_an_epoch_count_at_the_u32_bound() {
+        let mut ledger = RegretLedger::new(&[2]);
+        ledger.add_peer();
+        ledger.epochs = EPOCH_BOUND - 1;
+        ledger.advance_epoch(&[0, 2], &[3.0, 5.0]);
+        let (mut cols, ctx) = ledger.split();
+        assert_eq!(record_counted(&mut cols, &ctx, 0, 0, 1, 1.0, &mut 0), 2.0);
+        assert_eq!((ledger.entry[0], ledger.stages(0)), (u32::MAX - 1, 1));
+        assert_eq!(ledger.epochs, EPOCH_BOUND);
+        ledger.advance_epoch(&[0, 2], &[3.0, 5.0]);
     }
 
     #[test]

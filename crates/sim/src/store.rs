@@ -39,7 +39,7 @@
 //! (`tests/churn_and_failures.rs` pins it).
 //!
 //! What a departure moves is scalars only: per relocated survivor, its row
-//! of the columns here (80 bytes, and its 88-byte link state when the plan
+//! of the columns here (68 bytes, and its 88-byte link state when the plan
 //! affects rates), six scalars of its learner slot and its ledger entry.
 //! T blocks follow the slot's block handle and are wiped for the next
 //! arrivals; strategy, estimate and folded-regret rows (and frequency
@@ -67,9 +67,11 @@ use crate::regret::{self, RegretLedger};
 /// Sentinel for "no helper chosen yet" in the `last_helper` column.
 pub const NO_HELPER: u32 = u32::MAX;
 
-/// Bytes of one peer's row of the store's own columns: what a departure
-/// copies for each relocated survivor, before the learners and the ledger.
-const ROW_BYTES: usize = 2 * size_of::<u32>() + 5 * size_of::<u64>() + size_of::<StdRng>();
+/// Bytes of one peer's row of the store's own columns — `channels`,
+/// `last_helper` and the three `u32` counters, `ids`, `total_rate` and the
+/// RNG stream: what a departure copies for each relocated survivor, before
+/// the learners and the ledger.
+const ROW_BYTES: usize = 5 * size_of::<u32>() + 2 * size_of::<u64>() + size_of::<StdRng>();
 
 /// [`compact_column`] for a column of values that are not `Copy`: each
 /// survivor is swapped down into place.
@@ -201,11 +203,17 @@ pub struct PeerStore {
     channels: Vec<u32>,
     rngs: Vec<StdRng>,
     total_rate: Vec<f64>,
-    epochs_online: Vec<u64>,
-    satisfied_epochs: Vec<u64>,
+    /// Observed epochs, `u32`: it grows once per observe phase, whose
+    /// ledger refuses an epoch count of `u32::MAX`
+    /// ([`RegretLedger::advance_epoch`]).
+    epochs_online: Vec<u32>,
+    /// Epochs whose rate met the demand, `u32`: at most `epochs_online`.
+    satisfied_epochs: Vec<u32>,
     /// Last chosen helper ([`NO_HELPER`] before the first choice).
     last_helper: Vec<u32>,
-    switches: Vec<u64>,
+    /// Helper switches, `u32`: at most one per choose phase, which runs
+    /// once per observe phase, so bounded like `epochs_online`.
+    switches: Vec<u32>,
     /// Link state under `impairment`; empty unless it affects rates.
     links: Vec<LinkShaper>,
     /// The largest total of `switches` that `new_switches` has seen.
@@ -826,25 +834,23 @@ impl PeerStore {
 
     /// Lifetime mean received rate of the peer in `slot` (kbps).
     pub fn mean_rate(&self, slot: usize) -> f64 {
-        if self.epochs_online[slot] == 0 {
-            0.0
-        } else {
-            self.total_rate[slot] / self.epochs_online[slot] as f64
+        match u64::from(self.epochs_online[slot]) {
+            0 => 0.0,
+            online => self.total_rate[slot] / online as f64,
         }
     }
 
     /// Streaming continuity index of the peer in `slot`.
     pub fn continuity(&self, slot: usize) -> f64 {
-        if self.epochs_online[slot] == 0 {
-            1.0
-        } else {
-            self.satisfied_epochs[slot] as f64 / self.epochs_online[slot] as f64
+        match u64::from(self.epochs_online[slot]) {
+            0 => 1.0,
+            online => u64::from(self.satisfied_epochs[slot]) as f64 / online as f64,
         }
     }
 
     /// Helper switches of the peer in `slot` (QoE interruption proxy).
     pub fn switches(&self, slot: usize) -> u64 {
-        self.switches[slot]
+        u64::from(self.switches[slot])
     }
 
     /// The `switches` series' entry for the epoch: how far the peers'
@@ -852,7 +858,7 @@ impl PeerStore {
     /// total an earlier call saw. Departures take their counts with them,
     /// so the total can dip; no switch is counted twice.
     pub fn new_switches(&mut self) -> u64 {
-        let total: u64 = self.switches.iter().sum();
+        let total: u64 = self.switches.iter().copied().map(u64::from).sum();
         let new = total.saturating_sub(self.switches_reported);
         self.switches_reported += new;
         new

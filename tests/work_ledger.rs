@@ -83,15 +83,16 @@ fn churn_impaired_system_does_the_pinned_work() {
             ("slab_columns_opened", 1899),
             ("stretch_folds", 1472),
             ("regret_exact_reads", 620),
-            // 10,054 survivor relocations × 252 bytes of scalars (80 of
+            // 10,054 survivor relocations × 228 bytes of scalars (68 of
             // the store's columns, 88 of its link column's `LinkShaper`,
-            // 32 of the slab slot's, 52 of the ledger entry's):
-            // 2,533,608. The rest, 2,007,040, is the passes that closed
-            // the row holes departures left: 1,960 rows of the slab's
-            // (a 256-byte strategy row and a 512-byte estimate row; these
-            // learners are unconditional, so no frequency row) and 1,960
-            // of the ledger's (256 bytes each).
-            ("departure_bytes_moved", 4_540_648),
+            // 28 of the slab slot's, 44 of the ledger entry's; every
+            // per-peer epoch counter is a `u32`): 2,292,312. The rest,
+            // 2,007,040, is the passes that closed the row holes
+            // departures left: 1,960 rows of the slab's (a 256-byte
+            // strategy row and a 512-byte estimate row; these learners
+            // are unconditional, so no frequency row) and 1,960 of the
+            // ledger's (256 bytes each).
+            ("departure_bytes_moved", 4_299_352),
             // The played T columns of the departed peers' blocks.
             ("departure_columns_wiped", 370),
             ("ring_capacity_hwm", 0),
