@@ -36,12 +36,16 @@ pub(crate) fn run() -> Result<(), String> {
     // RTHS in the simulator, recording per-peer rates.
     let config = SimConfig::builder(n, vec![BandwidthSpec::Constant(800.0); 2])
         .demand(bitrate)
-        .record_peer_rates(true)
         .seed(8)
         .build();
     let mut system = System::new(config);
-    let out = system.run(epochs as u64);
-    let rths_rates = out.peer_rate_series.expect("recording enabled");
+    let mut rths_rates = vec![Vec::new(); n];
+    for _ in 0..epochs {
+        system.step_epoch();
+        for (series, &rate) in rths_rates.iter_mut().zip(system.delivered()) {
+            series.push(rate);
+        }
+    }
 
     let buffer = PlaybackBuffer::live_default(bitrate);
     let mut rows = Vec::new();

@@ -6,7 +6,7 @@
 
 use crate::harness::write_csv;
 use rths_oracle::equilibrium::{
-    cce_residual_congestion, ce_residual_congestion, max_welfare_ce,
+    cce_residual_congestion, ce_residual_congestion, max_welfare_ce, JointDistribution,
 };
 use rths_oracle::HelperSelectionGame;
 use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
@@ -30,10 +30,16 @@ pub(crate) fn run() -> Result<(), String> {
                 ..LearnerSpec::default()
             })
             .seed(17)
-            .record_joint_from(2000)
             .build();
-    let result = System::new(config).run(10_000);
-    let joint = result.joint.expect("a churn-free run records its joint play");
+    let mut system = System::new(config);
+    let mut joint = JointDistribution::new();
+    for epoch in 0..10_000 {
+        system.step_epoch();
+        if epoch >= 2000 {
+            joint.record(&system.profile().iter().map(|&a| a as usize).collect::<Vec<_>>());
+        }
+    }
+    let result = system.outcome();
 
     let report = ce_residual_congestion(&game, &joint);
     let cce = cce_residual_congestion(&game, &joint);

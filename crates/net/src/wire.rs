@@ -44,7 +44,7 @@ use crate::reactor_backend::{NetMsg, ShardReport};
 use crate::runtime::NetConfig;
 
 /// Wire format version; bumped on any layout change.
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 
 /// Upper bound on a frame body (bytes). A drain batch for a 10⁵-actor
 /// mesh is a few megabytes; anything near this cap is corruption.
@@ -643,8 +643,6 @@ fn put_worker_config(w: &mut WireWriter, wc: &WorkerConfig) {
     w.opt_f64(sim.demand);
     put_learner_spec(w, &sim.learner);
     w.u64(sim.seed);
-    w.u64(sim.record_joint_from);
-    w.bool(sim.record_peer_rates);
     put_impairments(w, &sim.impairment);
 }
 
@@ -665,14 +663,10 @@ fn get_worker_config(r: &mut WireReader<'_>) -> Result<WorkerConfig, WireError> 
     let demand = r.opt_f64()?;
     let learner = get_learner_spec(r)?;
     let seed = r.u64()?;
-    let record_joint_from = r.u64()?;
-    let record_peer_rates = r.bool()?;
     let impairment = get_impairments(r)?;
     let mut builder = SimConfig::builder(num_peers, helpers)
         .learner(learner)
         .seed(seed)
-        .record_joint_from(record_joint_from)
-        .record_peer_rates(record_peer_rates)
         .impairment(impairment);
     if let Some(demand) = demand {
         builder = builder.demand(demand);
@@ -1074,8 +1068,6 @@ mod tests {
         )
         .demand(640.0)
         .seed(42)
-        .record_joint_from(5)
-        .record_peer_rates(true)
         .impairment(plan)
         .build();
         for jitter in [0, 250] {

@@ -97,9 +97,9 @@ pub fn max_welfare_ce<G: Game + ?Sized>(game: &G) -> Result<CorrelatedEquilibriu
 mod tests {
     use super::*;
     use crate::congestion::HelperSelectionGame;
+    use crate::equilibrium::joint::JointDistribution;
     use crate::equilibrium::verify::ce_residual;
     use crate::normal_form::TableGame;
-    use rths_sim::JointDistribution;
 
     /// The game of Chicken: the classic example where CE strictly expands
     /// the equilibrium set. Payoffs (row, col):

@@ -1,5 +1,7 @@
-//! Joint (correlated) distributions of play: what [`System`](crate::System)
-//! records on a churn-free run for the correlated-equilibrium checks.
+//! Joint (correlated) distributions of play: the record of a learning
+//! run that [`verify`](super::verify) judges. A caller builds it from
+//! [`System::profile`](rths_sim::System::profile) after each
+//! [`step_epoch`](rths_sim::System::step_epoch) it wants counted.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +31,22 @@ impl JointDistribution {
     }
 
     /// Records one observation of `profile`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `profile`'s length differs from the profiles already
+    /// recorded: a profile of another player set is not one of this
+    /// game's.
     pub fn record(&mut self, profile: &[usize]) {
+        if let Some((first, _)) = self.counts.first_key_value() {
+            assert_eq!(
+                profile.len(),
+                first.len(),
+                "a profile of {} players recorded into a distribution over {}",
+                profile.len(),
+                first.len()
+            );
+        }
         *self.counts.entry(profile.to_vec()).or_insert(0) += 1;
         self.total += 1;
     }
@@ -81,6 +98,18 @@ mod tests {
         assert_eq!(d.total(), 0);
         assert_eq!(d.support_size(), 0);
         assert_eq!(d.iter().count(), 0);
+    }
+
+    /// A profile of another player set is refused; the first profile
+    /// fixes the set, and more profiles of it still record.
+    #[test]
+    #[should_panic(expected = "a profile of 3 players recorded into a distribution over 2")]
+    fn a_profile_of_another_length_is_refused() {
+        let mut d = JointDistribution::new();
+        d.record(&[0, 1]);
+        d.record(&[1, 1]);
+        assert_eq!(d.total(), 2);
+        d.record(&[0, 1, 0]);
     }
 
     #[test]

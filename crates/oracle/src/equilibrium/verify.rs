@@ -15,8 +15,8 @@
 //! zero.
 
 use crate::congestion::HelperSelectionGame;
+use crate::equilibrium::joint::JointDistribution;
 use crate::normal_form::Game;
-use rths_sim::JointDistribution;
 
 /// Result of a CE verification.
 #[derive(Debug, Clone, PartialEq)]

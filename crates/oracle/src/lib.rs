@@ -6,7 +6,9 @@
 //! depends on it: `rths_core`, `rths_sim`, `rths_net` and `rths_reactor`
 //! build without it, so no run compiles the reference it is judged by.
 //! The checks run learners on the production engine
-//! ([`System`](rths_sim::System)) and judge what it records here.
+//! ([`System`](rths_sim::System)), record what they judge from its
+//! per-epoch views ([`System::profile`](rths_sim::System::profile),
+//! [`System::delivered`](rths_sim::System::delivered)) and judge it here.
 //!
 //! # The game (§III)
 //!
@@ -27,7 +29,7 @@
 //!   counter-example that motivates learning instead of myopic switching.
 //! * [`equilibrium`] — pure Nash enumeration, the exact welfare-maximising
 //!   correlated equilibrium via linear programming, and *empirical* CE
-//!   verification of the [`JointDistribution`](rths_sim::JointDistribution)
+//!   verification of the [`JointDistribution`](equilibrium::JointDistribution)
 //!   a learning run records, used to check that learned play converges to
 //!   the CE set (the paper's central claim).
 //!
@@ -36,7 +38,7 @@
 //! their joint play settles into the CE set.
 //!
 //! ```
-//! use rths_oracle::equilibrium::ce_residual_congestion;
+//! use rths_oracle::equilibrium::{ce_residual_congestion, JointDistribution};
 //! use rths_oracle::HelperSelectionGame;
 //! use rths_sim::{BandwidthSpec, LearnerSpec, SimConfig, System};
 //!
@@ -46,10 +48,17 @@
 //! let config = SimConfig::builder(6, helpers)
 //!     .learner(LearnerSpec { mu: Some(3200.0), ..LearnerSpec::default() })
 //!     .seed(7)
-//!     .record_joint_from(1000)
 //!     .build();
-//! let outcome = System::new(config).run(3000);
-//! let joint = outcome.joint.expect("a churn-free run records its joint play");
+//! let mut system = System::new(config);
+//! // The joint play of epochs 1000..3000, the transient left out.
+//! let mut joint = JointDistribution::new();
+//! for epoch in 0..3000 {
+//!     system.step_epoch();
+//!     if epoch >= 1000 {
+//!         joint.record(&system.profile().iter().map(|&a| a as usize).collect::<Vec<_>>());
+//!     }
+//! }
+//! let outcome = system.outcome();
 //!
 //! // Play is an approximate correlated equilibrium…
 //! let report = ce_residual_congestion(&HelperSelectionGame::new(caps), &joint);

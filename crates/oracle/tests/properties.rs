@@ -13,12 +13,13 @@ use proptest::prelude::*;
 use rths_math::vector::dot;
 use rths_oracle::assignment::{optimal_loads, optimal_loads_dp};
 use rths_oracle::best_response;
-use rths_oracle::equilibrium::{ce_residual, ce_residual_congestion, max_welfare_ce};
+use rths_oracle::equilibrium::{
+    ce_residual, ce_residual_congestion, max_welfare_ce, JointDistribution,
+};
 use rths_oracle::normal_form::for_each_profile;
 use rths_oracle::occupation::OccupationLp;
 use rths_oracle::welfare::expected_optimal_welfare;
 use rths_oracle::{Game, HelperSelectionGame, LinearProgram, LpError, Relation, TableGame};
-use rths_sim::JointDistribution;
 
 // The game.
 

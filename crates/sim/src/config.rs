@@ -340,13 +340,6 @@ pub struct SimConfig {
     pub learner: LearnerSpec,
     /// RNG seed; every run with the same config is bit-identical.
     pub seed: u64,
-    /// Record the joint action distribution from this epoch onward
-    /// (0 = from the start).
-    pub record_joint_from: u64,
-    /// Record every peer's per-epoch delivered rate (memory: N×epochs
-    /// f64s; churn-free runs only). Feeds the playback-buffer QoE
-    /// analysis ([`crate::playback`]).
-    pub record_peer_rates: bool,
     /// Link impairments: loss, rate limiting and link bandwidth, each of
     /// which shapes the rate a peer receives; [`ImpairmentPlan::none`] by
     /// default. Shared with the `rths_net` runtimes: `NetConfig::from_sim`
@@ -431,8 +424,6 @@ impl SimConfig {
             churn: ChurnProcess::none(),
             learner: LearnerSpec::default(),
             seed: 0,
-            record_joint_from: 0,
-            record_peer_rates: false,
             impairment: ImpairmentPlan::none(),
         }
     }
@@ -494,18 +485,6 @@ impl SimConfigBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Discards the first `epoch` epochs from the joint distribution.
-    pub fn record_joint_from(mut self, epoch: u64) -> Self {
-        self.config.record_joint_from = epoch;
-        self
-    }
-
-    /// Enables per-peer rate-series recording (churn-free runs only).
-    pub fn record_peer_rates(mut self, record: bool) -> Self {
-        self.config.record_peer_rates = record;
         self
     }
 

@@ -53,7 +53,6 @@ pub mod scenario;
 mod server;
 pub mod spec;
 pub mod store;
-mod strategy;
 pub mod system;
 pub mod workload;
 
@@ -68,7 +67,6 @@ pub use playback::{PlaybackBuffer, PlaybackStats};
 pub use scenario::Scenario;
 pub use spec::{ScenarioError, ScenarioReport, ScenarioSpec};
 pub use store::{LearnerRef, PeerStore};
-pub use strategy::JointDistribution;
 pub use system::{Outcome, System};
 pub use workload::WorkloadPhase;
 

@@ -3,7 +3,8 @@
 //! The paper motivates stability with quality of experience: "switching
 //! back and forth between helpers will result in frequent interruption
 //! in the streaming flow" (§III.B). This module turns a peer's per-epoch
-//! delivered-rate series into the QoE quantities a player actually
+//! delivered-rate series (its entries of
+//! [`System::delivered`](crate::System::delivered), epoch by epoch) into the QoE quantities a player actually
 //! exposes: **startup delay**, **stall (rebuffering) events**, and the
 //! **rebuffer ratio**, using the standard fluid buffer model:
 //!

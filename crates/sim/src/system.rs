@@ -29,7 +29,13 @@
 //! | shape | [`PeerStore::shape_phase`] | [`PeerStore::is_lost`] at `Request`, `shape_phase` once every rate and the join rates are in | — | — |
 //! | observe | [`PeerStore::observe_phase`] | `observe_phase`, against the join rates; its worst regret reported | — | — |
 //! | settle | [`EpochMetrics::settle`] | — | — | `EpochMetrics::settle` |
-//! | record | [`EpochMetrics::record`], the joint distribution | [`PeerStore::new_switches`], reported | — | `EpochMetrics::record` |
+//! | record | [`EpochMetrics::record`] | [`PeerStore::new_switches`], reported | — | `EpochMetrics::record` |
+//!
+//! The engine records only its metrics. A caller that wants more of an
+//! epoch — the joint play the correlated-equilibrium checks judge, a
+//! peer's rate trace for a playback model — reads it after
+//! [`System::step_epoch`] from two views of the epoch just stepped:
+//! [`System::profile`] and [`System::delivered`].
 //!
 //! Peers live in the sharded structure-of-arrays [`PeerStore`]; the
 //! per-peer choose/observe phases run shard-parallel with index-ordered
@@ -46,9 +52,10 @@ use crate::helper::{self, Helper};
 use crate::metrics::SimMetrics;
 use crate::multichannel::AllocationPolicy;
 use crate::store::{self, PeerStore, ShardScratch};
-use crate::strategy::JointDistribution;
 
-/// Result of (so far) running a [`System`].
+/// Result of (so far) running a [`System`]: its metrics. A per-epoch
+/// record of play or of rates is its caller's to keep (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// Total epochs executed.
@@ -57,16 +64,6 @@ pub struct Outcome {
     pub metrics: SimMetrics,
     /// Peers online at the end.
     pub final_population: usize,
-    /// Joint action distribution. Profiles need a fixed player set, so it
-    /// is recorded only on a churn-free run, and is `None` once a peer
-    /// has departed or arrived ([`System::depart_peer`],
-    /// [`System::inject_arrivals`]).
-    pub joint: Option<JointDistribution>,
-    /// Per-peer delivered-rate series (only when `record_peer_rates` was
-    /// set, and under the same fixed-player-set rule as
-    /// [`joint`](Self::joint)); outer index = peer, inner = epoch. Feed to
-    /// [`crate::playback::PlaybackBuffer`] for QoE analysis.
-    pub peer_rate_series: Option<Vec<Vec<f64>>>,
 }
 
 /// Reusable per-epoch buffers, hoisted out of [`System::step_epoch`] so
@@ -98,8 +95,6 @@ struct EpochScratch {
     alive: Vec<u32>,
     /// Churn: slots departing this epoch.
     removing: Vec<u32>,
-    /// Profile widened to `usize` for joint-distribution recording.
-    profile_usize: Vec<usize>,
     /// Impairment-shaped delivered rate per peer (loss + link cap +
     /// token bucket, before the demand cap). Only filled when the
     /// impairment plan affects rates.
@@ -112,10 +107,9 @@ pub struct System {
     /// The run's configuration, less its impairment plan, which the peer
     /// store holds.
     config: SimConfig,
-    /// Record what only [`Outcome`] reports: the joint action
-    /// distribution (churn-free runs) and the learners' internal regret
-    /// estimate — `m` more scalars and an `O(m)` read per peer per epoch
-    /// that the per-channel
+    /// Record what only [`Outcome`] reports: the learners' internal
+    /// regret estimate — `m` more scalars and an `O(m)` read per peer per
+    /// epoch that the per-channel
     /// [`MultiChannelOutcome`](crate::MultiChannelOutcome) view never
     /// shows. On for [`System::new`], off for
     /// [`MultiChannelSystem::new`](crate::MultiChannelSystem::new).
@@ -125,8 +119,6 @@ pub struct System {
     /// The metric half of every epoch, and the channel → helpers layout
     /// (a viewer's learner action indexes its channel's list).
     metrics: EpochMetrics,
-    joint: Option<JointDistribution>,
-    peer_rate_series: Option<Vec<Vec<f64>>>,
     epoch: u64,
     master_rng: StdRng,
     scratch: EpochScratch,
@@ -209,10 +201,6 @@ impl System {
                 peers.join(c);
             }
         }
-        let churn = &config.churn;
-        let churn_free = churn.arrival_rate() == 0.0 && churn.departure_prob() == 0.0;
-        let track_joint = diagnostics && churn_free;
-        let track_rates = churn_free && config.record_peer_rates;
         Self {
             metrics: EpochMetrics::new(
                 helpers.len(),
@@ -222,8 +210,6 @@ impl System {
             ),
             config,
             diagnostics,
-            joint: track_joint.then(JointDistribution::new),
-            peer_rate_series: track_rates.then(|| vec![Vec::new(); peers.len()]),
             helpers,
             peers,
             epoch: 0,
@@ -250,6 +236,22 @@ impl System {
     /// The sharded SoA peer store (stable ids, per-peer accounting).
     pub fn peers(&self) -> &PeerStore {
         &self.peers
+    }
+
+    /// Every peer's action in the epoch [`step_epoch`](Self::step_epoch)
+    /// last stepped, in that epoch's slot order: an index into its
+    /// channel's helper list. Empty before the first epoch.
+    pub fn profile(&self) -> &[u32] {
+        &self.scratch.profile
+    }
+
+    /// Every peer's delivered rate in the epoch
+    /// [`step_epoch`](Self::step_epoch) last stepped, in the slot order
+    /// of [`profile`](Self::profile): its share of its helper, shaped by
+    /// the link impairments and capped to its channel's demand — the rate
+    /// its learner observed. Empty before the first epoch.
+    pub fn delivered(&self) -> &[f64] {
+        &self.scratch.delivered
     }
 
     /// The per-epoch series recorded so far (the summary fields are
@@ -300,9 +302,6 @@ impl System {
         for _ in 0..extra {
             self.peers.join(0);
         }
-        if extra > 0 {
-            self.players_changed();
-        }
     }
 
     /// Removes the peer with stable id `id` immediately (scripted
@@ -316,19 +315,10 @@ impl System {
                 self.scratch.removing.clear();
                 self.scratch.removing.push(slot as u32);
                 self.peers.remove_slots(&mut self.scratch.removing);
-                self.players_changed();
                 true
             }
             None => false,
         }
-    }
-
-    /// The player set changed: a profile of the new set is not one of the
-    /// recorded game's, and the per-peer series would no longer line up
-    /// with the peers, so both recordings stop.
-    fn players_changed(&mut self) {
-        self.joint = None;
-        self.peer_rate_series = None;
     }
 
     /// Moves `count` viewers from one channel to another (popularity
@@ -528,11 +518,6 @@ impl System {
         if obs::enabled() {
             store::absorb_obs(shards);
         }
-        if let Some(series) = &mut self.peer_rate_series {
-            for (s, &r) in series.iter_mut().zip(delivered.iter()) {
-                s.push(r);
-            }
-        }
         worst
     }
 
@@ -543,19 +528,10 @@ impl System {
         self.metrics.settle(&self.scratch.delivered, |i| peers.channel(i), helper_now);
     }
 
-    /// Records the epoch's regret maxima and switches, and the joint
-    /// action distribution.
+    /// Records the epoch's regret maxima and switches.
     fn record(&mut self, (worst_est, worst_emp): (f64, f64)) {
         let estimate = self.diagnostics.then_some(worst_est);
         self.metrics.record(worst_emp, estimate, self.peers.new_switches());
-        if let Some(joint) = &mut self.joint {
-            if self.epoch >= self.config.record_joint_from {
-                let EpochScratch { profile, profile_usize, .. } = &mut self.scratch;
-                profile_usize.clear();
-                profile_usize.extend(profile.iter().map(|&a| a as usize));
-                joint.record(profile_usize);
-            }
-        }
     }
 
     /// Snapshot of cumulative results.
@@ -567,8 +543,6 @@ impl System {
                 .metrics
                 .summary((0..peers.len()).map(|i| (peers.mean_rate(i), peers.continuity(i)))),
             final_population: self.peers.len(),
-            joint: self.joint.clone(),
-            peer_rate_series: self.peer_rate_series.clone(),
         }
     }
 }
@@ -713,7 +687,6 @@ mod tests {
         assert_eq!(out.final_population, 10);
         assert_eq!(out.metrics.mean_peer_rates.len(), 10);
         assert_eq!(out.metrics.mean_helper_loads.len(), 4);
-        assert!(out.joint.is_some());
     }
 
     #[test]
@@ -779,8 +752,6 @@ mod tests {
         let min = pops.iter().copied().fold(f64::INFINITY, f64::min);
         let max = pops.iter().copied().fold(0.0f64, f64::max);
         assert!(max > min, "population never changed under churn");
-        // Joint distribution is disabled under churn.
-        assert!(out.joint.is_none());
     }
 
     #[test]
@@ -808,32 +779,6 @@ mod tests {
         assert_eq!(sys.peers().slot_of(4), Some(3));
         let out = sys.run(5);
         assert_eq!(out.final_population, 9);
-    }
-
-    /// A departure, then arrivals, on a churn-free run that records both
-    /// per-player views: neither may go on over a changed player set.
-    #[test]
-    fn a_changed_player_set_stops_the_per_player_records() {
-        let config = || {
-            SimConfig::builder(4, vec![BandwidthSpec::Paper { stay: 0.98 }; 2])
-                .record_peer_rates(true)
-                .seed(5)
-        };
-        let mut sys = System::new(config().build());
-        let out = sys.run(5);
-        assert_eq!(out.peer_rate_series.map(|s| s.len()), Some(4));
-        assert!(out.joint.is_some());
-        assert!(sys.depart_peer(1));
-        let out = sys.run(5);
-        assert!(out.peer_rate_series.is_none(), "series recorded over 3 of 4 peers");
-        assert!(out.joint.is_none(), "joint recorded over 3 of 4 peers");
-
-        let mut sys = System::new(config().build());
-        let _ = sys.run(5);
-        sys.inject_arrivals(20.0);
-        assert!(sys.num_peers() > 4);
-        let out = sys.run(5);
-        assert!(out.peer_rate_series.is_none() && out.joint.is_none());
     }
 
     #[test]

@@ -61,11 +61,10 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 pub mod prelude {
     pub use rths_core::{Learner, RecencyMode, RthsConfig, SlabLearner};
     pub use rths_net::{Backend, NetConfig, ReactorRuntime};
-    pub use rths_oracle::{HelperSelectionGame, MdpBenchmark};
+    pub use rths_oracle::{equilibrium::JointDistribution, HelperSelectionGame, MdpBenchmark};
     pub use rths_sim::{
-        Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, JointDistribution,
-        LearnerSpec, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,
-        WorkloadPhase,
+        Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
+        MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System, WorkloadPhase,
     };
 }
 

@@ -10,11 +10,12 @@
 //! that RTHS passes, at every seed: a bound that the null can pass does
 //! not test learning.
 
-use rths_oracle::equilibrium::{ce_residual_congestion, max_welfare_ce, nash_loads};
+use rths_oracle::equilibrium::{
+    ce_residual_congestion, max_welfare_ce, nash_loads, JointDistribution,
+};
 use rths_oracle::{best_response, Game, HelperSelectionGame};
 use rths_sim::{
-    Algorithm, BandwidthSpec, JointDistribution, LearnerSpec, Outcome, SimConfig,
-    SimConfigBuilder, System,
+    Algorithm, BandwidthSpec, LearnerSpec, Outcome, SimConfig, SimConfigBuilder, System,
 };
 
 /// Seeds per check: the first one and the next four.
@@ -46,6 +47,12 @@ fn null(caps: &[f64], n: usize, mu: f64, seed: u64) -> SimConfigBuilder {
     })
 }
 
+/// The profile of the epoch `system` just stepped, as the game's players'
+/// actions.
+fn profile(system: &System) -> Vec<usize> {
+    system.profile().iter().map(|&a| a as usize).collect()
+}
+
 /// Runs `epochs` epochs of `config` with the joint distribution recorded
 /// from epoch `record_from`, and checks that it holds exactly those
 /// epochs: an empty record would pass every CE bound vacuously.
@@ -54,10 +61,16 @@ fn run(
     record_from: u64,
     epochs: u64,
 ) -> (Outcome, JointDistribution) {
-    let mut out = System::new(config.record_joint_from(record_from).build()).run(epochs);
-    let joint = out.joint.take().expect("a churn-free run records its joint play");
+    let mut system = System::new(config.build());
+    let mut joint = JointDistribution::new();
+    for epoch in 0..epochs {
+        system.step_epoch();
+        if epoch >= record_from {
+            joint.record(&profile(&system));
+        }
+    }
     assert_eq!(joint.total(), epochs - record_from, "joint records the wrong epochs");
-    (out, joint)
+    (system.outcome(), joint)
 }
 
 /// The game's stage payoff is what the engine delivers: at static
@@ -69,19 +82,22 @@ fn stage_payoff_is_the_engines_realized_rate() {
     let caps = [700.0, 500.0, 900.0];
     let n = 7;
     let game = HelperSelectionGame::new(caps.to_vec()).with_peers(n);
-    for t in 1..=60u64 {
-        // Recording from epoch t − 1 over t epochs leaves exactly epoch
-        // t − 1's profile in the joint distribution.
-        let builder = config(&caps, n, 4.0 * 2100.0 / n as f64, 21).record_peer_rates(true);
-        let (out, joint) = run(builder, t - 1, t);
-        let (profile, _) = joint.iter().next().expect("one recorded profile");
-        let rates = out.peer_rate_series.as_ref().expect("peer rates recorded");
-        let e = (t - 1) as usize;
-        for (i, series) in rates.iter().enumerate() {
-            let (got, want) = (series[e], game.utility(i, profile));
+    let mut system = System::new(config(&caps, n, 4.0 * 2100.0 / n as f64, 21).build());
+    let mut profiles = Vec::new();
+    for e in 0..60 {
+        system.step_epoch();
+        let profile = profile(&system);
+        assert_eq!(system.delivered().len(), n, "epoch {e}: one rate per peer");
+        for (i, &got) in system.delivered().iter().enumerate() {
+            let want = game.utility(i, &profile);
             assert_eq!(got.to_bits(), want.to_bits(), "epoch {e}, peer {i}: {got} != {want}");
         }
-        let (got, want) = (out.metrics.welfare.values()[e], game.social_welfare(profile));
+        profiles.push(profile);
+    }
+    let welfare = system.outcome().metrics.welfare;
+    assert_eq!(welfare.values().len(), profiles.len());
+    for (e, profile) in profiles.iter().enumerate() {
+        let (got, want) = (welfare.values()[e], game.social_welfare(profile));
         assert_eq!(got.to_bits(), want.to_bits(), "epoch {e} welfare: {got} != {want}");
     }
 }

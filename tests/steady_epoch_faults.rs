@@ -71,10 +71,10 @@ fn steady_epochs_take_almost_no_page_faults() {
         let reactor_faults = per_epoch(&mut |epochs| reactor.run_epochs(epochs));
         drop(reactor);
 
-        // Recording the joint action distribution keeps a copy of every
-        // epoch's profile (8 bytes a peer): memory that grows by design,
-        // so the counted epochs record none.
-        let mut system = System::new(SimConfig { record_joint_from: u64::MAX, ..config() });
+        // The engine records only its metrics, so the default `System`
+        // keeps no per-epoch copy of its peers' play: it is the one
+        // measured.
+        let mut system = System::new(config());
         let system_faults = per_epoch(&mut |epochs| {
             for _ in 0..epochs {
                 system.step_epoch();
