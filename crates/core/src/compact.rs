@@ -585,10 +585,10 @@ mod tests {
             track_from in 0usize..80,
         ) {
             // Each action's first play comes below every action played before
-            // it, so in a packed block every first play opens its column at
-            // position 0 and shifts all the stored ones up — the order that
-            // shifts the most. The other stages replay an action already
-            // played. Slot 1 of 2, so the block is not the arena's first; the
+            // it, so in a packed slab the pool hands out columns in the
+            // reverse of the mask walks' ascending action order, and every
+            // walk has to follow the handles. The other stages replay an
+            // action already played. Slot 1 of 2, so the block is not the arena's first; the
             // estimate is read by the scan until stage `track_from` and from
             // the maintained rows after it.
             let m = cfg.num_actions();

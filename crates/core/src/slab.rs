@@ -18,12 +18,14 @@
 //!   best:  [ b₀ … bₛ | d₀ … dₛ ]   [ b₀ … bₛ | d₀ … dₛ ]       stride 2s, on demand
 //!                                                ▼
 //!            block b                   block b+1               …
-//!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]       stride s²
-//!           └─ S(r,k) at c(k)·s + r  (column-major per block)
+//!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]       stride s², if s² · 8 B ≤ 4 KB
+//!           └─ S(r,k) at k·s + r  (column-major per block)
+//!   or t:  [ h₀ h₁ … hₛ ]            [ h₀ h₁ … hₛ ]            stride s, if s² · 8 B > 4 KB
+//!           └─ S(r,k) at hₖ·s + r of the pool, while bit k is set
 //!   played:[ column bitmask ]        [ column bitmask ]        ⌈s/64⌉ words
 //!
-//!   c(k) = k                              s² · 8 B ≤ 4 KB (unpacked)
-//!   c(k) = #{played actions below k}      s² · 8 B > 4 KB (packed)
+//!   pool:  [ col | col | col | … ]   one column of s per played action
+//!                                    of any slot, freed ones reused first
 //! ```
 //!
 //! Only the scalars are **slot-addressed**. Every column whose rows are
@@ -32,7 +34,8 @@
 //! so moving a slot moves six scalars and never a row:
 //!
 //! * The T arena and the bitmasks are **block-addressed**: slot `i`'s
-//!   `S` is block `block[i]` of `t`, handed to the slot when it is
+//!   `S` is block `block[i]` of `t` (in a packed slab, of the handle rows
+//!   that lead to its pool columns), handed to the slot when it is
 //!   created and followed for life. A departed slot's block is wiped and
 //!   handed to the next arrival, so the arena never outgrows the peak
 //!   population, and after churn the handles are any permutation: a
@@ -77,34 +80,38 @@
 //!   never-played action's column is exactly `+0.0` everywhere, and
 //!   nothing ever needs to load one: renormalisation, wipes and clones
 //!   walk the mask (compaction moves no column at all — see the block
-//!   handles above). In a packed slab (below) the never-written pages of
-//!   the one big lazily-mapped zero allocation are never committed (the
-//!   construction-time and peak-RSS win at the 10⁵-actor point), and
-//!   nothing reads one before its first write (the load pass below).
-//! * **Played columns first.** In a block larger than one 4 KB page the
-//!   played columns are stored **packed** at its front in ascending action
-//!   order: action `k`'s column sits at position `rank(k)`, the number of
-//!   played actions below `k`, read off the bitmask. The slab invariant is
-//!   then that every position at or past the played count is `+0.0` (in an
-//!   unpacked block: every never-played action's column). Under regret
-//!   tracking a slot settles on a few of its `m` actions, and column-`k`
-//!   addressing would commit a page for every distinct `k / 8` at m = 64;
-//!   packed, a slot commits `⌈played · s · 8 B / 4 KB⌉` pages. The first
-//!   play of `j` opens its column: the stored columns at positions
-//!   `≥ rank(j)` shift up one inside the block, the opened one is zeroed,
-//!   and the rank-1 update runs on it as on any other. Only the address of
-//!   `S(·, k)` changes, never a float expression or its order. Mask walks
-//!   still visit played actions in ascending `k`, so the `n`-th one is at
-//!   position `n`; `best`, `diag` and the regret row stay
-//!   action-indexed; wipes and renormalisation cover one `played · s`
-//!   prefix. **Geometry gate, not a setting:** a block of at most a page
-//!   (stride ≤ 22) shares its pages with its neighbours, all of which are
-//!   written within the first epochs, so packing would buy nothing there
-//!   and cost the rank arithmetic and the shifts; such a slab addresses
-//!   column `k` at `k · s`, and commits every whole page of its T arena
-//!   when [`LearnerSlab::reserve`] creates it: the first epoch reads each
-//!   block before it writes it, so a lazy page took two faults (the shared
-//!   zero page, then a copy-on-write).
+//!   handles above). In a packed slab (below) a never-played action has
+//!   no column at all, and nothing reads a column before its first write
+//!   (the load pass below).
+//! * **One pool column per played action.** Where a block of `s²` floats
+//!   would be larger than one 4 KB page (stride ≥ 23), the slab is
+//!   **packed**: a block is a row of `s` column handles, and each played
+//!   action's column, `s` floats, lives in one **column pool** for the
+//!   whole slab, an arena that [`LearnerSlab::reserve`] reserves at `s`
+//!   columns a slot and that only opening columns writes. The first play
+//!   of `j` opens its column — the last one freed, or a new one at the
+//!   arena's end, zeroed either way — writes its index into handle `j`
+//!   and sets bit `j`; the rank-1 update then runs on it as on any other.
+//!   A wipe (departure, release, reset, `ε = 1`) zeroes the slot's
+//!   columns and frees them. So the pool holds exactly the played
+//!   columns, the arena's length is their peak count, and resident T
+//!   follows play: `played · s · 8 B` of columns and `s · 4 B` of handles
+//!   a slot. Under regret tracking a slot settles on a few of its `m`
+//!   actions, and a block of pages of its own commits at least one page
+//!   however few it plays. Only the address of `S(·, k)` changes, never a
+//!   float expression or its order; `best`, `diag` and the regret row
+//!   stay action-indexed. A view split between shards holds no pool: the
+//!   split gathers each slot's open columns, in ascending action order,
+//!   into its shard's view, so the columns a phase's pending actions need
+//!   are opened first ([`LearnerSlab::open_pending_columns`], in the
+//!   order the observes would open them). **Geometry gate, not a
+//!   setting:** a block of at most a page (stride ≤ 22) shares its pages
+//!   with its neighbours, all of which are written within the first
+//!   epochs, so a pool would buy nothing there and cost a handle load per
+//!   column; such a slab addresses column `k` at `k · s` of its block, and
+//!   commits every whole page of its T arena when `reserve` creates it:
+//!   the first epoch reads each block before it writes it, so a lazy page
+//!   took two faults (the shared zero page, then a copy-on-write).
 //! * **Mask-driven row gather, fused with the strategy update.** The
 //!   played row `S(j, ·)` is one element of every column — a cache line
 //!   each — and each element gives one entry of the next strategy:
@@ -185,15 +192,15 @@
 //!   `rths_sim`'s `PeerStore`, which both the simulator and the reactor's
 //!   mailbox shards drive — calls [`SlabCols::touch`] on each block of a
 //!   shard; every slot's action has been pending since the choose phase. A
-//!   lone [`SlabLearner`] observes at once, with no pass. The pass reads
-//!   stored lines only: in a packed block a never-played pending action's
-//!   column does not exist yet, and the one its first play opens lies past
-//!   the stored prefix, on a page that may be unwritten, so its loads are
-//!   skipped (loading it took each packed page two faults in the first
-//!   epoch, not one). **Geometry gate, not a setting:** at a stride of at
-//!   most 8 a block is eight consecutive lines, which the hardware already
-//!   streams; the pass measured slower than no pass there, and does not
-//!   run.
+//!   lone [`SlabLearner`] observes at once, with no pass. In a packed slab
+//!   the pass also reads the slot's handles, one sequential row, and it
+//!   reads open columns only: a never-played pending action has no column
+//!   yet, and the one its first play opens may lie at the arena's end, on
+//!   a page nothing has written, which a load would map twice (the shared
+//!   zero page, then a copy-on-write). **Geometry gate, not a setting:**
+//!   at a stride of at most 8 a block is eight consecutive lines, which
+//!   the hardware already streams; the pass measured slower than no pass
+//!   there, and does not run.
 //! * **Sampling without a data-dependent exit.** A choose draws one `u`
 //!   and forms the prefix sums `acc_k = acc_{k−1} + p(k)` in ascending
 //!   `k`, as the scalar oracle does; the oracle stops at the first `k`
@@ -285,16 +292,16 @@ const PAGE: usize = 512;
 /// skip: the played-row gather then reads all `m` columns densely.
 const DENSE_GATHER_MAX_STRIDE: usize = LINE;
 
-/// Whether a slab of this stride keeps each block's played columns packed
-/// at its front (see the module docs): only a block larger than a page
-/// has pages of its own to leave uncommitted.
+/// Whether a slab of this stride keeps its played columns in a column
+/// pool (see the module docs): only a block larger than a page has pages
+/// of its own to leave uncommitted.
 #[inline]
 fn packs(stride: usize) -> bool {
     stride * stride > PAGE
 }
 
 /// How many actions below `k` a played-column bitmask has set: the
-/// position of column `k` in a packed block.
+/// position of column `k` among a split view's gathered columns.
 #[inline]
 fn rank(played: &[u64], k: usize) -> usize {
     let below: u32 = played[..k / 64].iter().map(|w| w.count_ones()).sum();
@@ -318,68 +325,9 @@ fn commit(arena: &mut [f64]) {
     rths_par::par_sharded(whole.len(), shards, whole, &mut vec![(); shards], fill);
 }
 
-/// Where action `k`'s column starts in one slot's block — or, if `k` has
-/// never been played, where opening it would put it.
-#[inline(always)]
-fn column_start(played: &[u64], stride: usize, k: usize) -> usize {
-    (if packs(stride) { rank(played, k) } else { k }) * stride
-}
-
-/// Opens action `j`'s column for a rank-1 update and returns where it
-/// starts, and whether this opened a packed column. The first play of `j`
-/// sets its bit; in a packed block it also shifts the stored columns at
-/// positions `≥ rank(j)` up one and zeroes the column at `rank(j)`.
-fn open_column(t: &mut [f64], played: &mut [u64], stride: usize, j: usize) -> (usize, bool) {
-    let bit = 1 << (j % 64);
-    let opened = played[j / 64] & bit == 0 && packs(stride);
-    played[j / 64] |= bit;
-    let at = column_start(played, stride, j);
-    if opened {
-        let stored = played_count(played) * stride - stride;
-        t.copy_within(at..stored, at + stride);
-        t[at..at + stride].fill(0.0);
-    }
-    (at, opened)
-}
-
 /// Observes that run behind one pass of loads (see the module docs): the
 /// block size of the store's observe sweep.
 pub const OBSERVE_BATCH: usize = 8;
-
-/// The load pass for one slot about to observe action `j`: reads one
-/// scalar from each cache line of column `j`'s first `m` entries (what the
-/// rank-1 update reads and writes) and element `j` of every played column
-/// (what the Eq. 3-6 row gather reads), and returns their bits folded
-/// together. The loads are independent of one another and of any
-/// arithmetic, so a batch of slots has all of them in flight at once and
-/// the updates that follow find their lines in cache.
-///
-/// It reads stored lines only. In a packed block the column a first play
-/// of `j` opens lies past the stored prefix, maybe on a page nothing has
-/// written, where a read would map the shared zero page for the opening
-/// write to copy (two faults where the write alone takes one), so an
-/// unplayed `j`'s column loads are skipped. An unpacked arena is committed
-/// at [`LearnerSlab::reserve`].
-///
-/// Nothing is stored, and the caller hands the fold to
-/// [`std::hint::black_box`] and drops it: no float of any trajectory can
-/// depend on this routine or on whether it ran.
-///
-/// Forced inline, with the two addressing helpers it calls: left to the
-/// inliner, it made a slab sweep at m = 10 (unpacked blocks) ≈ 5 % slower
-/// per observe on a 2-vCPU x86-64 host.
-#[inline(always)]
-fn touch(t: &[f64], played: &[u64], stride: usize, m: usize, j: usize) -> u64 {
-    let mut fold = 0;
-    if !packs(stride) || played[j / 64] & 1 << (j % 64) != 0 {
-        let at = column_start(played, stride, j);
-        for r in (0..m).step_by(LINE) {
-            fold ^= t[at + r].to_bits();
-        }
-    }
-    for_each_column(played, stride, |_, c| fold ^= t[c + j].to_bits());
-    fold
-}
 
 /// Calls `f(k)` for every set bit `k` of a played-column bitmask, in
 /// ascending order.
@@ -394,38 +342,224 @@ fn for_each_played(played: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// Calls `f(k, c)` for every played action `k` of one slot, in ascending
-/// order, with `c` where its column starts in the slot's block: `k ·
-/// stride` in an unpacked block, the next position in a packed one.
-#[inline(always)]
-fn for_each_column(played: &[u64], stride: usize, mut f: impl FnMut(usize, usize)) {
-    if packs(stride) {
-        let mut c = 0;
-        for_each_played(played, |k| {
-            f(k, c);
-            c += stride;
-        });
-    } else {
-        for_each_played(played, |k| f(k, k * stride));
-    }
-}
-
 /// The number of actions a slot has played.
 fn played_count(played: &[u64]) -> usize {
     played.iter().map(|w| w.count_ones()).sum::<u32>() as usize
 }
 
-/// Zeroes one slot's played `S` columns — in a packed block, the prefix
-/// they fill — and clears its bitmask; returns the number of columns
-/// written.
-fn wipe_columns(t: &mut [f64], played: &mut [u64], stride: usize) -> u64 {
-    let mut written = 0;
-    for_each_column(played, stride, |_, c| {
-        t[c..c + stride].fill(0.0);
-        written += 1;
-    });
-    played.fill(0);
-    written
+/// A packed slab's column arena: the `stride`-long `S` columns of every
+/// slot, each reached through its slot's handle row (module docs).
+#[derive(Debug, Clone, Default)]
+struct ColumnPool {
+    /// The columns handed out, `stride` floats each: the open ones and
+    /// the wiped ones on `free`. The capacity past them is reserved and
+    /// never written, so its pages stay unmapped.
+    cols: Vec<f64>,
+    /// Wiped columns, handed out again (the last freed first) before the
+    /// arena grows.
+    free: Vec<u32>,
+}
+
+impl ColumnPool {
+    /// Hands out a zeroed column: the last one freed, else a new one at
+    /// the arena's end, whose zeros are the first write its page sees.
+    fn open(&mut self, stride: usize) -> u32 {
+        if let Some(h) = self.free.pop() {
+            return h;
+        }
+        let h = u32::try_from(self.cols.len() / stride).expect("column pool passed u32::MAX");
+        self.cols.resize(self.cols.len() + stride, 0.0);
+        h
+    }
+
+    /// Zeroes column `h` and frees it.
+    fn close(&mut self, h: u32, stride: usize) {
+        self.cols[h as usize * stride..][..stride].fill(0.0);
+        self.free.push(h);
+    }
+}
+
+/// Where one slot's `S` columns are.
+enum Columns<'s, 'a> {
+    /// An unpacked block: action `k`'s column at `k · stride`, for every
+    /// `k`.
+    Block(&'s mut [f64]),
+    /// A packed slot's handle row, and the pool that opens and frees its
+    /// columns.
+    Pool(&'s mut [u32], &'s mut ColumnPool),
+    /// A packed slot in a split view: its played columns in ascending
+    /// action order. It can neither open a column nor free one.
+    Gathered(&'s mut [&'a mut [f64]]),
+}
+
+/// One slot's stored `S`: where its columns are and which actions it has
+/// played. A never-played action's column is `+0.0` everywhere (module
+/// docs); only an unpacked block stores one.
+struct SlotS<'s, 'a> {
+    cols: Columns<'s, 'a>,
+    played: &'s mut [u64],
+    stride: usize,
+}
+
+impl SlotS<'_, '_> {
+    #[inline(always)]
+    fn is_played(&self, k: usize) -> bool {
+        self.played[k / 64] >> (k % 64) & 1 != 0
+    }
+
+    /// Played action `k`'s column (in an unpacked block, any `k`'s).
+    #[inline(always)]
+    fn column(&self, k: usize) -> &[f64] {
+        let stride = self.stride;
+        match &self.cols {
+            Columns::Block(t) => &t[k * stride..(k + 1) * stride],
+            Columns::Pool(handles, pool) => {
+                &pool.cols[handles[k] as usize * stride..][..stride]
+            }
+            Columns::Gathered(cols) => cols[rank(self.played, k)],
+        }
+    }
+
+    /// Played action `k`'s column, writable.
+    #[inline(always)]
+    fn column_mut(&mut self, k: usize) -> &mut [f64] {
+        let stride = self.stride;
+        match &mut self.cols {
+            Columns::Block(t) => &mut t[k * stride..(k + 1) * stride],
+            Columns::Pool(handles, pool) => {
+                &mut pool.cols[handles[k] as usize * stride..][..stride]
+            }
+            Columns::Gathered(cols) => cols[rank(self.played, k)],
+        }
+    }
+
+    /// Calls `f(k, column)` for every played action `k`, in ascending
+    /// order.
+    #[inline(always)]
+    fn for_each(&self, mut f: impl FnMut(usize, &[f64])) {
+        let stride = self.stride;
+        match &self.cols {
+            Columns::Block(t) => {
+                for_each_played(self.played, |k| f(k, &t[k * stride..(k + 1) * stride]));
+            }
+            Columns::Pool(handles, pool) => for_each_played(self.played, |k| {
+                f(k, &pool.cols[handles[k] as usize * stride..][..stride]);
+            }),
+            Columns::Gathered(cols) => {
+                let mut n = 0;
+                for_each_played(self.played, |k| {
+                    f(k, cols[n]);
+                    n += 1;
+                });
+            }
+        }
+    }
+
+    /// Calls `f` on every played column; returns how many there are.
+    #[inline(always)]
+    fn for_each_mut(&mut self, mut f: impl FnMut(&mut [f64])) -> u64 {
+        let stride = self.stride;
+        match &mut self.cols {
+            Columns::Block(t) => {
+                for_each_played(self.played, |k| f(&mut t[k * stride..(k + 1) * stride]));
+            }
+            Columns::Pool(handles, pool) => for_each_played(self.played, |k| {
+                f(&mut pool.cols[handles[k] as usize * stride..][..stride]);
+            }),
+            Columns::Gathered(cols) => cols.iter_mut().for_each(|column| f(column)),
+        }
+        played_count(self.played) as u64
+    }
+
+    /// Opens action `j`'s column for a rank-1 update; returns whether this
+    /// took a column from the pool. The first play of `j` sets its bit
+    /// and, in a packed slot, writes one handle: a zeroed column from the
+    /// pool. A split view has no pool, so it holds the columns that were
+    /// open when it was split, and a first play through it panics
+    /// ([`LearnerSlab::open_pending_columns`] opens them before a split).
+    #[inline(always)]
+    fn open(&mut self, j: usize) -> bool {
+        let first = !self.is_played(j);
+        self.played[j / 64] |= 1 << (j % 64);
+        match &mut self.cols {
+            Columns::Pool(handles, pool) if first => {
+                handles[j] = pool.open(self.stride);
+                true
+            }
+            Columns::Gathered(_) => {
+                assert!(!first, "a split slab view cannot open a column: open it first");
+                false
+            }
+            _ => false,
+        }
+    }
+
+    /// Zeroes the slot's played columns and clears its bitmask; returns
+    /// the number of columns wiped. A packed slot's columns go back to
+    /// the pool. A split view cannot free them: it zeroes them and leaves
+    /// them open, bits set, where they read as the `+0.0` of a
+    /// never-played column, until the slot's next departure, reset or
+    /// whole-view wipe frees them.
+    #[inline(always)]
+    fn wipe(&mut self) -> u64 {
+        let stride = self.stride;
+        let wiped = match &mut self.cols {
+            Columns::Pool(handles, pool) => {
+                for_each_played(self.played, |k| pool.close(handles[k], stride));
+                played_count(self.played) as u64
+            }
+            _ => self.for_each_mut(|column| column.fill(0.0)),
+        };
+        if !matches!(self.cols, Columns::Gathered(_)) {
+            self.played.fill(0);
+        }
+        wiped
+    }
+
+    /// The load pass for this slot about to observe action `j`: reads one
+    /// scalar from each cache line of column `j`'s first `m` entries (what
+    /// the rank-1 update reads and writes) and element `j` of every played
+    /// column (what the Eq. 3-6 row gather reads), and returns their bits
+    /// folded together. The loads are independent of one another and of
+    /// any arithmetic, so a batch of slots has all of them in flight at
+    /// once and the updates that follow find their lines in cache.
+    ///
+    /// It reads open columns only. In a packed slot an unplayed `j` has no
+    /// column yet: the one its first play opens may be a new one at the
+    /// arena's end, on a page nothing has written, where a read would map
+    /// the shared zero page for the opening write to copy (two faults
+    /// where the write alone takes one). An unpacked arena is committed at
+    /// [`LearnerSlab::reserve`].
+    ///
+    /// Nothing is stored, and the caller hands the fold to
+    /// [`std::hint::black_box`] and drops it: no float of any trajectory
+    /// can depend on this routine or on whether it ran.
+    ///
+    /// Forced inline, with the walks it calls: left to the inliner, it
+    /// made a slab sweep at m = 10 (unpacked blocks) ≈ 5 % slower per
+    /// observe on a 2-vCPU x86-64 host.
+    #[inline(always)]
+    fn touch(&self, m: usize, j: usize) -> u64 {
+        let (stride, mut fold) = (self.stride, 0);
+        if let Columns::Block(t) = &self.cols {
+            // Offsets into the block, not column slices: with a bounds
+            // check per slice the pass measured ≈ 5 % slower end to end
+            // at m = 10.
+            for r in (0..m).step_by(LINE) {
+                fold ^= t[j * stride + r].to_bits();
+            }
+            for_each_played(self.played, |k| fold ^= t[k * stride + j].to_bits());
+            return fold;
+        }
+        if self.is_played(j) {
+            let column = self.column(j);
+            for r in (0..m).step_by(LINE) {
+                fold ^= column[r].to_bits();
+            }
+        }
+        self.for_each(|_, column| fold ^= column[j].to_bits());
+        fold
+    }
 }
 
 /// Multiplies stored entries by the exact power of two
@@ -437,17 +571,6 @@ fn renormalise(xs: &mut [f64]) {
     }
 }
 
-/// The stored-entry half of a renormalisation: [`renormalise`]s one
-/// slot's played `S` columns; returns the number of columns written.
-fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
-    let mut written = 0;
-    for_each_column(played, stride, |_, c| {
-        renormalise(&mut t[c..c + stride]);
-        written += 1;
-    });
-    written
-}
-
 /// Does to one slot's stored columns what a [`lazy::decay`] of its
 /// `scale` asked for — nothing, unless `scale` crossed its renormalisation
 /// threshold (or `keep` was zero). Unflagged columns are exactly `+0.0`
@@ -457,26 +580,20 @@ fn renormalise_columns(t: &mut [f64], played: &[u64], stride: usize) -> u64 {
 /// gets the same map: the diagonal copies stored entries, and the map is
 /// monotone, so it commutes with the maxima. Returns the number of
 /// columns written.
-fn apply_decay(
-    step: Decay,
-    t: &mut [f64],
-    played: &mut [u64],
-    stride: usize,
-    best: Option<&mut [f64]>,
-) -> u64 {
+fn apply_decay(step: Decay, t: &mut SlotS, best: Option<&mut [f64]>) -> u64 {
     match step {
         Decay::Keep => 0,
         Decay::Renormalise => {
             if let Some(best) = best {
                 renormalise(best);
             }
-            renormalise_columns(t, played, stride)
+            t.for_each_mut(renormalise)
         }
         Decay::Wipe => {
             if let Some(best) = best {
                 best.fill(0.0);
             }
-            wipe_columns(t, played, stride)
+            t.wipe()
         }
     }
 }
@@ -484,9 +601,9 @@ fn apply_decay(
 /// Gathers one slot's diagonal `S(r, r)`, `r < diag.len()`, into `diag`:
 /// the played entries are loaded, a never-played column's is the `+0.0`
 /// it holds.
-fn gather_diagonal(t: &[f64], played: &[u64], stride: usize, diag: &mut [f64]) {
+fn gather_diagonal(t: &SlotS, diag: &mut [f64]) {
     diag.fill(0.0);
-    for_each_column(played, stride, |k, c| diag[k] = t[c + k]);
+    t.for_each(|k, column| diag[k] = column[k]);
 }
 
 /// Whether every one of a slot's `m` columns has been played.
@@ -513,22 +630,15 @@ fn finite_regret(max: f64) -> f64 {
 ///
 /// This is the `O(played · m)` scan: the query of a slab that keeps no
 /// row maxima, and the oracle the maintained form is tested against.
-fn max_regret_in(
-    t: &[f64],
-    played: &[u64],
-    stride: usize,
-    m: usize,
-    factor: f64,
-    diag: &mut Vec<f64>,
-) -> f64 {
+fn max_regret_in(t: &SlotS, m: usize, factor: f64, diag: &mut Vec<f64>) -> f64 {
     diag.clear();
     diag.resize(m, 0.0);
-    gather_diagonal(t, played, stride, diag);
+    gather_diagonal(t, diag);
     let mut max = f64::NEG_INFINITY;
-    for_each_column(played, stride, |_, c| {
-        max = max.max(kernels::shifted_regret_max(&t[c..c + m], diag, factor));
+    t.for_each(|_, column| {
+        max = max.max(kernels::shifted_regret_max(&column[..m], diag, factor));
     });
-    if !all_played(played, m) {
+    if !all_played(t.played, m) {
         for &d in diag.iter() {
             max = max.max((factor * (0.0 - d)).max(0.0));
         }
@@ -539,10 +649,10 @@ fn max_regret_in(
 /// Builds one slot's row maxima from nothing: `best[r] = max_k S(r, k)`
 /// over its `m = best.len()` columns, by a scan of the played ones; the
 /// never-played ones count as the `+0.0` they hold.
-fn rebuild_row_maxima(t: &[f64], played: &[u64], stride: usize, best: &mut [f64]) {
+fn rebuild_row_maxima(t: &SlotS, best: &mut [f64]) {
     let m = best.len();
-    best.fill(if all_played(played, m) { f64::NEG_INFINITY } else { 0.0 });
-    for_each_column(played, stride, |_, c| kernels::max_assign(best, &t[c..c + m]));
+    best.fill(if all_played(t.played, m) { f64::NEG_INFINITY } else { 0.0 });
+    t.for_each(|_, column| kernels::max_assign(best, &column[..m]));
 }
 
 /// Calls `mv(run, to)` for every run of consecutive surviving slots of
@@ -639,6 +749,98 @@ pub fn close_row_holes(
     Some(moved)
 }
 
+/// Where a slab keeps its slots' `S`, one block per slot: fixed at
+/// construction by the geometry gate (module docs).
+#[derive(Debug, Clone)]
+enum TStore {
+    /// Stride ≤ 22: `stride²` floats per block, action `k`'s column at
+    /// `k · stride`.
+    Blocks(Vec<f64>),
+    /// Stride ≥ 23: `stride` column handles per block, entry `k` naming
+    /// action `k`'s column of `pool` while bit `k` of the block's mask is
+    /// set (meaningless otherwise).
+    Packed { handles: Vec<u32>, pool: ColumnPool },
+}
+
+impl TStore {
+    fn new(stride: usize) -> Self {
+        if packs(stride) {
+            TStore::Packed { handles: Vec::new(), pool: ColumnPool::default() }
+        } else {
+            TStore::Blocks(Vec::new())
+        }
+    }
+
+    /// Makes room for `blocks` blocks in a slab that has no slots. An
+    /// unpacked arena is created zeroed and committed, a packed one
+    /// reserves its column arena for `stride` columns a block and leaves
+    /// it unmapped.
+    fn create(&mut self, blocks: usize, stride: usize) {
+        match self {
+            TStore::Blocks(t) => {
+                *t = vec![0.0; blocks * stride * stride];
+                commit(t);
+            }
+            TStore::Packed { handles, pool } => {
+                *handles = vec![0; blocks * stride];
+                let want = blocks * stride * stride;
+                pool.cols.reserve_exact(want.saturating_sub(pool.cols.len()));
+            }
+        }
+    }
+
+    /// Grows a live slab's arena to `blocks` blocks (a packed one grows
+    /// its handle rows and reserves its pool; columns grow as they open).
+    fn grow(&mut self, blocks: usize, stride: usize) {
+        match self {
+            TStore::Blocks(t) => t.resize(blocks * stride * stride, 0.0),
+            TStore::Packed { handles, pool } => {
+                handles.resize(blocks * stride, 0);
+                pool.cols.reserve((blocks * stride * stride).saturating_sub(pool.cols.len()));
+            }
+        }
+    }
+
+    /// Block `b`'s `S`, whose bitmask is `played`.
+    fn slot<'s>(&'s mut self, b: usize, played: &'s mut [u64], stride: usize) -> SlotS<'s, 's> {
+        let cols = match self {
+            TStore::Blocks(t) => {
+                Columns::Block(&mut t[b * stride * stride..][..stride * stride])
+            }
+            TStore::Packed { handles, pool } => {
+                Columns::Pool(&mut handles[b * stride..][..stride], pool)
+            }
+        };
+        SlotS { cols, played, stride }
+    }
+
+    /// The first `blocks` blocks as a phase's view: block `handles[i]` is
+    /// item `i`'s ([`Rows::by_handle`]).
+    fn view<'s>(
+        &'s mut self,
+        blocks: usize,
+        stride: usize,
+        handles: &'s [u32],
+        aligned: bool,
+    ) -> TCols<'s> {
+        match self {
+            TStore::Blocks(t) => {
+                let area = stride * stride;
+                TCols::Blocks(Rows::by_handle(area, &mut t[..blocks * area], handles, aligned))
+            }
+            TStore::Packed { handles: rows, pool } => TCols::Pool {
+                handles: Rows::by_handle(
+                    stride,
+                    &mut rows[..blocks * stride],
+                    handles,
+                    aligned,
+                ),
+                pool,
+            },
+        }
+    }
+}
+
 /// An arena of learner slots sharing flat columns (see the module docs
 /// for the layout and the two usage modes).
 #[derive(Debug, Clone)]
@@ -648,11 +850,11 @@ pub struct LearnerSlab {
     stride: usize,
     /// Bitmask words per slot (`⌈stride / 64⌉`).
     words: usize,
-    /// The T arena, `stride²` scalars per block. Blocks
-    /// `..block.len() + free_blocks.len()` have been handed out; the
-    /// rest is untouched zeroed backing. Indexed by `block[slot]`, like
-    /// `played`.
-    t: Vec<f64>,
+    /// The slots' `S`, one block each: `stride²` floats, or `stride`
+    /// column handles into a column pool. Blocks `..block.len() +
+    /// free_blocks.len()` have been handed out; the rest is untouched
+    /// zeroed backing. Indexed by `block[slot]`, like `played`.
+    t: TStore,
     /// Strategy rows, `stride` scalars each. Rows `..rows_used` have been
     /// handed out. Indexed by `row[slot]`, like `freq` and `best`.
     probs: Vec<f64>,
@@ -716,7 +918,7 @@ impl LearnerSlab {
         Self {
             stride,
             words: stride.div_ceil(64),
-            t: Vec::new(),
+            t: TStore::new(stride),
             probs: Vec::new(),
             freq: None,
             played: Vec::new(),
@@ -749,20 +951,19 @@ impl LearnerSlab {
     /// slot's probability prefix; on a live slab a zero-extending resize.
     /// A fresh T arena that does not pack (stride ≤ 22) has its whole
     /// pages committed here across the workers, each once (lazy, the first
-    /// epoch faulted them twice: module docs); a packed one stays lazy.
+    /// epoch faulted them twice: module docs). A packed slab reserves room
+    /// for `stride` columns a slot in its column arena and writes none of
+    /// it: a column's page is mapped when the column first opens.
     pub fn reserve(&mut self, additional: usize) {
         let target = self.arity.len() + additional;
-        if target * self.stride * self.stride <= self.t.len() {
+        if target * self.words <= self.played.len() {
             return;
         }
         if self.arity.is_empty() {
-            self.t = vec![0.0; target * self.stride * self.stride];
-            if !packs(self.stride) {
-                commit(&mut self.t);
-            }
+            self.t.create(target, self.stride);
             self.played = vec![0; target * self.words];
         } else {
-            self.t.resize(target * self.stride * self.stride, 0.0);
+            self.t.grow(target, self.stride);
             self.played.resize(target * self.words, 0);
         }
         // The rows of a live slab may have holes: reserve past them.
@@ -810,7 +1011,9 @@ impl LearnerSlab {
     /// (`T = 0`, `p = f = 1/m`, stage 0, nothing pending). Reuses the
     /// most recently released slot if one exists; otherwise appends a
     /// slot, giving it the most recently freed block before any fresh
-    /// arena — so the arena's high-water mark is the peak population.
+    /// arena — so the arena's high-water mark is the peak population. A
+    /// slot starts with no column open: in a packed slab its first play
+    /// of each action takes one from the column pool.
     ///
     /// # Panics
     ///
@@ -838,8 +1041,8 @@ impl LearnerSlab {
                         // past the pre-zeroed region
                         // ([`with_capacity`]/[`reserve`]); inside it the
                         // storage already exists, untouched and zero.
-                        if (s + 1) * self.stride * self.stride > self.t.len() {
-                            self.t.resize((s + 1) * self.stride * self.stride, 0.0);
+                        if (s + 1) * self.words > self.played.len() {
+                            self.t.grow(s + 1, self.stride);
                             self.played.resize((s + 1) * self.words, 0);
                         }
                         s as u32
@@ -864,10 +1067,11 @@ impl LearnerSlab {
                 s
             }
         };
-        // A freed block's T columns and bitmask were wiped when its slot
-        // departed or was released, and a fresh block is zero, so they
-        // need no work; only the uniform prefix, the lazy scale and the
-        // estimate row (a departed learner's may linger in its rows) do.
+        // A freed block's T columns and bitmask were wiped (a packed
+        // slot's columns freed) when its slot departed or was released,
+        // and a fresh block is zero, so they need no work; only the
+        // uniform prefix, the lazy scale and the estimate row (a departed
+        // learner's may linger in its rows) do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
@@ -891,8 +1095,9 @@ impl LearnerSlab {
     }
 
     /// Returns a slot to the free list, restoring the all-zero T /
-    /// cleared-bitmask invariant `alloc` relies on. The slot keeps its
-    /// block.
+    /// cleared-bitmask invariant `alloc` relies on: a packed slot's
+    /// columns are zeroed and go back to the column pool. The slot keeps
+    /// its block.
     ///
     /// # Panics
     ///
@@ -910,7 +1115,7 @@ impl LearnerSlab {
 
     /// Allocates a new slot carrying an exact copy of `src`'s state,
     /// copying played T columns only (`O(played · stride)`, not
-    /// `O(stride²)`).
+    /// `O(stride²)`; a packed copy opens a pool column for each).
     ///
     /// # Panics
     ///
@@ -924,10 +1129,21 @@ impl LearnerSlab {
         let (stride, words) = (self.stride, self.words);
         let (from, to) = (self.block[src] as usize, self.block[dst] as usize);
         self.played.copy_within(from * words..(from + 1) * words, to * words);
-        let area = stride * stride;
-        for_each_column(&self.played[to * words..(to + 1) * words], stride, |_, c| {
-            self.t.copy_within(from * area + c..from * area + c + stride, to * area + c);
-        });
+        let played = &self.played[to * words..(to + 1) * words];
+        match &mut self.t {
+            TStore::Blocks(t) => {
+                let area = stride * stride;
+                for_each_played(played, |k| {
+                    let c = k * stride;
+                    t.copy_within(from * area + c..from * area + c + stride, to * area + c);
+                });
+            }
+            TStore::Packed { handles, pool } => for_each_played(played, |k| {
+                let (h, c) = (pool.open(stride) as usize, handles[from * stride + k] as usize);
+                pool.cols.copy_within(c * stride..(c + 1) * stride, h * stride);
+                handles[to * stride + k] = h as u32;
+            }),
+        }
         let (from, to) = (self.row[src] as usize, self.row[dst] as usize);
         for (arena, width) in
             row_arenas(&mut self.probs, &mut self.freq, &mut self.best, stride)
@@ -994,7 +1210,8 @@ impl LearnerSlab {
 
     /// Reinitialises a slot for a new action count (channel switch) —
     /// same semantics (and panics) as `RthsState::reset_actions`. The
-    /// slot keeps its block, wiped in place.
+    /// slot keeps its block, wiped in place (a packed slot's columns go
+    /// back to the pool).
     pub fn reset_actions(&mut self, slot: usize, num_actions: usize) {
         assert!(
             self.pending[slot] == NO_PENDING,
@@ -1025,11 +1242,11 @@ impl LearnerSlab {
         for slot in 0..self.arity.len() {
             // A free-listed slot has arity 0: an empty row, nothing built.
             let m = self.arity[slot] as usize;
-            let (t, played) = (&self.t[self.block_range(slot)], self.played_row(slot));
             let r = self.row[slot] as usize;
+            let t = self.slot_s(slot);
             let (maxima, diag) = best[2 * r * stride..].split_at_mut(stride);
-            rebuild_row_maxima(t, played, stride, &mut maxima[..m]);
-            gather_diagonal(t, played, stride, &mut diag[..m]);
+            rebuild_row_maxima(&t, &mut maxima[..m]);
+            gather_diagonal(&t, &mut diag[..m]);
         }
         self.best = Some(best);
     }
@@ -1056,28 +1273,17 @@ impl LearnerSlab {
         self.freq = Some(freq);
     }
 
-    /// Where slot `slot`'s T block lies in the arena.
-    fn block_range(&self, slot: usize) -> std::ops::Range<usize> {
-        let area = self.stride * self.stride;
-        let start = self.block[slot] as usize * area;
-        start..start + area
+    /// The slot's stored `S`.
+    fn slot_s(&mut self, slot: usize) -> SlotS<'_, '_> {
+        let (b, words) = (self.block[slot] as usize, self.words);
+        self.t.slot(b, &mut self.played[b * words..(b + 1) * words], self.stride)
     }
 
-    /// The slot's played-column bitmask.
-    fn played_row(&self, slot: usize) -> &[u64] {
-        let b = self.block[slot] as usize;
-        &self.played[b * self.words..(b + 1) * self.words]
-    }
-
-    /// Zeroes the played columns of the slot's T block and clears its
-    /// bitmask; returns the number of columns zeroed.
+    /// Zeroes the slot's played columns and clears its bitmask (a packed
+    /// slot's columns go back to the pool); returns the number of columns
+    /// zeroed.
     fn wipe_t(&mut self, slot: usize) -> u64 {
-        let (b, words, block) = (self.block[slot] as usize, self.words, self.block_range(slot));
-        wipe_columns(
-            &mut self.t[block],
-            &mut self.played[b * words..(b + 1) * words],
-            self.stride,
-        )
+        self.slot_s(slot).wipe()
     }
 
     /// Borrows one slot as a single-slot [`SlabCols`] chunk (the slot is
@@ -1087,9 +1293,10 @@ impl LearnerSlab {
     fn slot_cols(&mut self, slot: usize) -> SlabCols<'_> {
         let (b, r) = (self.block[slot] as usize, self.row[slot] as usize);
         let (stride, words) = (self.stride, self.words);
+        let blocks = self.block.len() + self.free_blocks.len();
         SlabCols {
             stride,
-            t: one_row(&mut self.t, stride * stride, b),
+            t: self.t.view(blocks, stride, &self.block[slot..=slot], false),
             freq: self.freq.as_mut().map(|freq| one_row(freq, stride, r)),
             played: one_row(&mut self.played, words, b),
             stage: &mut self.stage[slot..=slot],
@@ -1139,11 +1346,16 @@ impl LearnerSlab {
 
     /// Stored entry `S(j, k)` of a slot: `+0.0` in a never-played column.
     fn stored_entry(&self, slot: usize, j: usize, k: usize) -> f64 {
-        let played = self.played_row(slot);
-        if played[k / 64] >> (k % 64) & 1 == 0 {
+        let (b, stride) = (self.block[slot] as usize, self.stride);
+        if self.played[b * self.words + k / 64] >> (k % 64) & 1 == 0 {
             return 0.0;
         }
-        self.t[self.block_range(slot).start + column_start(played, self.stride, k) + j]
+        match &self.t {
+            TStore::Blocks(t) => t[(b * stride + k) * stride + j],
+            TStore::Packed { handles, pool } => {
+                pool.cols[handles[b * stride + k] as usize * stride + j]
+            }
+        }
     }
 
     /// Proxy-matrix entry `T(j, k)` of a slot.
@@ -1174,20 +1386,27 @@ impl LearnerSlab {
     /// slot). Per-slot callers use the methods on the slab itself, which
     /// look up one handle.
     ///
+    /// The whole view opens columns itself, from the slab's column pool.
+    /// A view split between shards holds no pool: each shard gets the
+    /// columns its slots have open (gathered once, at the split), so the
+    /// columns a pending action needs have to be open before it is split
+    /// ([`open_pending_columns`](Self::open_pending_columns)).
+    ///
     /// # Panics
     ///
     /// Splitting the bundle between shards panics if two slots share a
-    /// block or a row (a broken slab invariant).
+    /// block, a row or a column (a broken slab invariant). Observing an
+    /// action whose column is not open through a split view panics.
     pub fn split(&mut self) -> SlabCols<'_> {
         // Only the handed-out blocks and rows are viewed — the arenas may
         // carry extra pre-zeroed backing beyond them.
-        let (stride, words, area) = (self.stride, self.words, self.stride * self.stride);
+        let (stride, words) = (self.stride, self.words);
         let (blocks, rows) = (self.block.len() + self.free_blocks.len(), self.rows_used);
         let (block, row) = (&self.block, &self.row);
         let (by_block, by_row) = (!self.blocks_permuted, increasing_aligned(row));
         SlabCols {
             stride,
-            t: Rows::by_handle(area, &mut self.t[..blocks * area], block, by_block),
+            t: self.t.view(blocks, stride, block, by_block),
             freq: self
                 .freq
                 .as_mut()
@@ -1221,6 +1440,26 @@ impl LearnerSlab {
             arity: &mut self.arity,
             pending: &mut self.pending,
         }
+    }
+
+    /// Opens the column of every slot's pending action that has none, in
+    /// slot order, as the slot's observe would: so that a view split
+    /// between shards, which cannot open one, finds each open. The floats
+    /// are those of the observes opening them; the column handles too,
+    /// since the observes would open them in the same order. Returns the
+    /// number of columns opened; an unpacked slab, whose blocks hold
+    /// every column, opens none.
+    pub fn open_pending_columns(&mut self) -> u64 {
+        if !packs(self.stride) {
+            return 0;
+        }
+        let mut opened = 0;
+        for slot in 0..self.pending.len() {
+            if let Some(j) = self.pending_action(slot) {
+                opened += u64::from(self.slot_s(slot).open(j));
+            }
+        }
+        opened
     }
 
     /// Samples an action for a slot (see `RthsState::select_action`).
@@ -1326,17 +1565,239 @@ impl StrategyCols<'_> {
     }
 }
 
+/// One slot's state beside its `S`, as an observe reaches it: its
+/// strategy (`m` entries), its play frequencies (`m`, when the observe is
+/// conditional), its estimate row (when the slab keeps them), its lazy
+/// scale and its stage (already advanced).
+struct SlotRows<'s> {
+    probs: &'s mut [f64],
+    freq: Option<&'s mut [f64]>,
+    best: Option<&'s mut [f64]>,
+    scale: &'s mut f64,
+    stage: u64,
+}
+
+/// The body of [`SlabCols::observe`] for one slot that played `j`: the
+/// rank-1 update, then the played row of Eq. (3-6) and the next strategy
+/// in one pass over the played columns (module docs). Returns whether it
+/// opened a pool column. Forced inline into each layout's arm of
+/// `on_slot!`, so that no layout branch runs inside it.
+#[inline(always)]
+fn observe_slot(
+    mut t: SlotS,
+    rows: SlotRows,
+    j: usize,
+    config: &RthsConfig,
+    utility: f64,
+    predecayed: bool,
+) -> bool {
+    let SlotRows { probs, mut freq, mut best, scale, stage } = rows;
+    let (m, stride) = (probs.len(), t.stride);
+    // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ — with
+    // T = scale · S the decay goes into `scale` and the rank-1
+    // coefficient is divided by it.
+    if !predecayed && config.recency() == RecencyMode::Exponential {
+        let step = lazy::decay(scale, 1.0 - config.epsilon());
+        if step != Decay::Keep {
+            apply_decay(step, &mut t, best.as_deref_mut());
+        }
+    }
+    let p_j = probs[j];
+    debug_assert!(p_j > 0.0, "played action had zero probability");
+    let coef = utility / p_j / *scale;
+    let opened = t.open(j);
+    kernels::axpy(&mut t.column_mut(j)[..m], coef, &probs[..m]);
+    let column_j = t.column(j);
+    if let Some(best) = best {
+        let (best, diag) = best.split_at_mut(stride);
+        if coef >= 0.0 {
+            // `coef ≥ 0` lowers no entry of column j (probabilities
+            // are positive), so each row's maximum is its old one or
+            // the new entry.
+            kernels::max_assign(&mut best[..m], &column_j[..m]);
+        } else {
+            rebuild_row_maxima(&t, &mut best[..m]);
+        }
+        // The one diagonal entry the update wrote.
+        diag[j] = column_j[j];
+    }
+
+    // Play-frequency average (same weighting scheme as T). Only
+    // conditional normalisation reads it, so only a conditional
+    // learner keeps it.
+    if let Some(freq) = &mut freq {
+        match config.recency() {
+            RecencyMode::Exponential => {
+                let eps = config.epsilon();
+                for (a, f) in freq[..m].iter_mut().enumerate() {
+                    *f = (1.0 - eps) * *f + if a == j { eps } else { 0.0 };
+                }
+            }
+            RecencyMode::PaperLiteral | RecencyMode::Uniform => {
+                let n = stage as f64;
+                for (a, f) in freq[..m].iter_mut().enumerate() {
+                    let count = *f * (n - 1.0) + if a == j { 1.0 } else { 0.0 };
+                    *f = count / n;
+                }
+            }
+        }
+    }
+
+    // Eq. (3-6) for the played row, fused with the expressions of
+    // `policy::update_probabilities` (module docs): each `p(k)` is
+    // computed where the gather reads `S(j, k)`, one `p` for all the
+    // never-played columns, unless a column is a single cache line.
+    let (delta, mu) = (config.delta(), config.mu());
+    let factor = factor_for(config, stage) * *scale;
+    let s_jj = column_j[j];
+    let cap = 1.0 / (m as f64 - 1.0);
+    let floor = policy::exploration_floor(m, delta);
+    let f_j = freq.map(|freq| freq[j].max(floor));
+    let prob = |s_jk: f64| {
+        let mut q = (factor * (s_jk - s_jj)).max(0.0);
+        if let Some(f_j) = f_j {
+            q /= f_j;
+        }
+        (1.0 - delta) * (q.max(0.0) / mu).min(cap) + floor
+    };
+    match &t.cols {
+        Columns::Block(block) if stride <= DENSE_GATHER_MAX_STRIDE => {
+            for (k, p) in probs.iter_mut().enumerate() {
+                *p = prob(block[k * stride + j]);
+            }
+        }
+        _ => {
+            probs.fill(prob(0.0));
+            t.for_each(|k, column| probs[k] = prob(column[j]));
+        }
+    }
+    // `p(j) = 1 − Σ_{k≠j} p(k)`, summed in ascending `k`; with one
+    // action the sum is empty and `p(j) = 1`.
+    let mut off_mass = 0.0;
+    for (k, &p) in probs.iter().enumerate() {
+        if k != j {
+            off_mass += p;
+        }
+    }
+    probs[j] = 1.0 - off_mass;
+    // The one entry the row invariant of `select_action` cannot take
+    // from the clamps (module docs): one compare per observe.
+    assert!(probs[j] >= 0.0, "played-action probability {} is below zero", probs[j]);
+    opened
+}
+
+/// Runs `$run` with `$t` bound to slot `$i`'s [`SlotS`] in whichever
+/// layout the phase view `$view` holds, `$played` its bitmask. Each arm
+/// builds its slot with a known layout, so once `$run` is inlined no
+/// layout branch runs inside it (one `SlotS` built behind a merged match
+/// left them all in: an unpacked observe measured ≈ 10 % slower).
+macro_rules! on_slot {
+    ($view:expr, $i:expr, $played:expr, $stride:expr, $t:ident => $run:expr) => {
+        match $view {
+            TCols::Blocks(rows) => {
+                #[allow(unused_mut)]
+                let mut $t = SlotS {
+                    cols: Columns::Block(rows.row($i)),
+                    played: $played,
+                    stride: $stride,
+                };
+                $run
+            }
+            TCols::Pool { handles, pool } => {
+                let cols = Columns::Pool(handles.row($i), &mut **pool);
+                #[allow(unused_mut)]
+                let mut $t = SlotS { cols, played: $played, stride: $stride };
+                $run
+            }
+            TCols::Gathered { cols, ends, base } => {
+                let start = if $i == 0 { *base } else { ends[$i - 1] };
+                let cols = Columns::Gathered(&mut cols[start - *base..ends[$i] - *base]);
+                #[allow(unused_mut)]
+                let mut $t = SlotS { cols, played: $played, stride: $stride };
+                $run
+            }
+        }
+    };
+}
+
+/// A phase's view of the slots' `S`.
+#[derive(Debug)]
+enum TCols<'a> {
+    /// Unpacked: each slot's block.
+    Blocks(Rows<'a, f64>),
+    /// Packed, whole: each slot's handle row, and the column pool, which
+    /// opens and frees columns.
+    Pool { handles: Rows<'a, u32>, pool: &'a mut ColumnPool },
+    /// Packed, split between shards: every slot's played columns in slot
+    /// order, each slot's in ascending action order. `ends[i]` is where
+    /// slot `i`'s end, counted from the first column of the whole view,
+    /// whose index is `base` (slot `i` starts where slot `i − 1` ends, the
+    /// first slot at `base`).
+    Gathered { cols: Vec<&'a mut [f64]>, ends: Vec<usize>, base: usize },
+}
+
+impl TCols<'_> {
+    /// Splits a view of `len` slots, whose bitmasks are `played`, at slot
+    /// `mid`. A packed view split between shards gathers each slot's
+    /// played columns first: the shards then share no pool.
+    fn shard_split(
+        self,
+        mid: usize,
+        played: &mut Rows<'_, u64>,
+        len: usize,
+        stride: usize,
+    ) -> (Self, Self) {
+        match self {
+            TCols::Blocks(rows) => {
+                let (head, tail) = rows.shard_split(mid);
+                (TCols::Blocks(head), TCols::Blocks(tail))
+            }
+            // The whole view to one side: nothing to gather (a phase that
+            // runs as one shard splits off an empty tail).
+            whole @ TCols::Pool { .. } if mid == len => {
+                (whole, TCols::Gathered { cols: Vec::new(), ends: Vec::new(), base: 0 })
+            }
+            // `chunks_exact_mut` proves the columns disjoint, and `take`
+            // moves each one out to its slot at most once.
+            TCols::Pool { mut handles, pool } => {
+                let open = pool.cols.len() / stride - pool.free.len();
+                let mut arena: Vec<Option<&mut [f64]>> =
+                    pool.cols.chunks_exact_mut(stride).map(Some).collect();
+                let (mut cols, mut ends) = (Vec::with_capacity(open), Vec::with_capacity(len));
+                for i in 0..len {
+                    let row = handles.row(i);
+                    for_each_played(played.row(i), |k| {
+                        let column = arena[row[k] as usize].take();
+                        cols.push(column.expect("two slots share a column"));
+                    });
+                    ends.push(cols.len());
+                }
+                TCols::Gathered { cols, ends, base: 0 }.shard_split(mid, played, len, stride)
+            }
+            TCols::Gathered { mut cols, mut ends, base } => {
+                let tail_ends = ends.split_off(mid);
+                let at = ends.last().copied().unwrap_or(base);
+                let tail = cols.split_off(at - base);
+                (
+                    TCols::Gathered { cols, ends, base },
+                    TCols::Gathered { cols: tail, ends: tail_ends, base: at },
+                )
+            }
+        }
+    }
+}
+
 /// All of a [`LearnerSlab`]'s columns borrowed as a splittable bundle:
 /// the [`ShardCols`] implementation hands each parallel shard a disjoint
 /// contiguous slot range of **every** per-slot column and the T blocks
-/// those slots own, so the store's phases can run slab-backed learners
+/// (in a packed slab, the pool columns) those slots own, so the store's phases can run slab-backed learners
 /// with the same zero-sharing contract as the rest of the SoA columns.
 /// Slot indices on the methods are **relative to the chunk**
 /// (shard-local), like `Strided::row`.
 #[derive(Debug)]
 pub struct SlabCols<'a> {
     stride: usize,
-    t: Rows<'a, f64>,
+    t: TCols<'a>,
     /// The play-frequency rows, when the slab keeps them.
     freq: Option<Rows<'a, f64>>,
     played: Rows<'a, u64>,
@@ -1349,8 +1810,9 @@ pub struct SlabCols<'a> {
 }
 
 impl ShardCols for SlabCols<'_> {
-    fn shard_split(self, mid: usize) -> (Self, Self) {
-        let (t0, t1) = self.t.shard_split(mid);
+    fn shard_split(mut self, mid: usize) -> (Self, Self) {
+        let len = self.len();
+        let (t0, t1) = self.t.shard_split(mid, &mut self.played, len, self.stride);
         let (f0, f1) = self.freq.map(|freq| freq.shard_split(mid)).unzip();
         let (w0, w1) = self.played.shard_split(mid);
         let (s0, s1) = self.stage.split_at_mut(mid);
@@ -1412,12 +1874,21 @@ impl SlabCols<'_> {
         for i in 0..self.scale.len() {
             let step = lazy::decay(&mut self.scale[i], keep);
             if step != Decay::Keep {
-                let best = self.best.as_mut().map(|best| best.row(i));
-                touched +=
-                    apply_decay(step, self.t.row(i), self.played.row(i), self.stride, best);
+                touched += self.decay_columns(i, step);
             }
         }
         touched
+    }
+
+    /// The column half of slot `i`'s decay step ([`apply_decay`]): out of
+    /// line, so the batched decay's loop over the scales stays tight.
+    #[cold]
+    #[inline(never)]
+    fn decay_columns(&mut self, i: usize, step: Decay) -> u64 {
+        let best = self.best.as_mut().map(|best| best.row(i));
+        on_slot!(&mut self.t, i, self.played.row(i), self.stride, t => {
+            apply_decay(step, &mut t, best)
+        })
     }
 
     /// Samples an action from slot `i`'s strategy, recording it pending —
@@ -1434,9 +1905,9 @@ impl SlabCols<'_> {
     /// action pending: call it on a block of up to [`OBSERVE_BATCH`] slots
     /// right before observing them in turn. Changes nothing, so calling it
     /// or not is invisible to every float; at a stride whose blocks the
-    /// hardware already streams it does nothing. It reads stored lines
-    /// only, never a packed block's column that a first play is about to
-    /// open, so each lazily mapped page faults once, on its first write.
+    /// hardware already streams it does nothing. It reads open columns
+    /// only, never the pool column a first play is about to open, so each
+    /// lazily mapped page faults once, on its first write.
     pub fn touch(&mut self, slots: std::ops::Range<usize>) {
         if self.stride <= DENSE_GATHER_MAX_STRIDE {
             return;
@@ -1446,7 +1917,9 @@ impl SlabCols<'_> {
             let j = self.strategy.pending[i];
             if j != NO_PENDING {
                 let m = self.strategy.arity[i] as usize;
-                fold ^= touch(self.t.row(i), self.played.row(i), self.stride, m, j as usize);
+                fold ^= on_slot!(&mut self.t, i, self.played.row(i), self.stride, t => {
+                    t.touch(m, j as usize)
+                });
             }
         }
         std::hint::black_box(fold);
@@ -1461,8 +1934,8 @@ impl SlabCols<'_> {
     /// ([`LearnerSlab::track_frequencies`]).
     ///
     /// Returns whether it opened a packed column: the first play of an
-    /// action in a slab whose blocks are packed (module docs), which
-    /// shifts the slot's later columns up one — the per-shard
+    /// action in a packed slab (module docs), which takes a column from
+    /// the slab's pool — the per-shard
     /// `slab_columns_opened` observability counter. The flag is derived
     /// state, never an input: ignoring it changes nothing.
     ///
@@ -1510,109 +1983,22 @@ impl SlabCols<'_> {
         let j = pending[i] as usize;
         pending[i] = NO_PENDING;
         self.stage[i] = self.stage[i].checked_add(1).expect("a slot's stage passed u32::MAX");
-        let stage = u64::from(self.stage[i]);
         let m = arity[i] as usize;
         debug_assert_eq!(m, config.num_actions(), "slot arity and config disagree");
-        let stride = self.stride;
-        let t = self.t.row(i);
-        let probs = probs.row(i);
-        let mut freq = config.conditional().then(|| {
-            let freq =
-                self.freq.as_mut().expect("a conditional observe needs play frequencies");
-            freq.row(i)
-        });
-        let played = self.played.row(i);
-        let scale = &mut self.scale[i];
-
-        // Eq. (3-5): T ← decay(T); column j += (u/pⁿ(j)) · pⁿ — with
-        // T = scale · S the decay goes into `scale` and the rank-1
-        // coefficient is divided by it.
-        if !predecayed && config.recency() == RecencyMode::Exponential {
-            let step = lazy::decay(scale, 1.0 - config.epsilon());
-            if step != Decay::Keep {
-                let best = self.best.as_mut().map(|best| best.row(i));
-                apply_decay(step, t, played, stride, best);
-            }
-        }
-        let p_j = probs[j];
-        debug_assert!(p_j > 0.0, "played action had zero probability");
-        let coef = utility / p_j / *scale;
-        let (cj, opened) = open_column(t, played, stride, j);
-        kernels::axpy(&mut t[cj..cj + m], coef, &probs[..m]);
-        if let Some(best) = &mut self.best {
-            let (best, diag) = best.row(i).split_at_mut(stride);
-            if coef >= 0.0 {
-                // `coef ≥ 0` lowers no entry of column j (probabilities
-                // are positive), so each row's maximum is its old one or
-                // the new entry.
-                kernels::max_assign(&mut best[..m], &t[cj..cj + m]);
-            } else {
-                rebuild_row_maxima(t, played, stride, &mut best[..m]);
-            }
-            // The one diagonal entry the update wrote.
-            diag[j] = t[cj + j];
-        }
-
-        // Play-frequency average (same weighting scheme as T). Only
-        // conditional normalisation reads it, so only a conditional
-        // learner keeps it.
-        if let Some(freq) = &mut freq {
-            match config.recency() {
-                RecencyMode::Exponential => {
-                    let eps = config.epsilon();
-                    for (a, f) in freq[..m].iter_mut().enumerate() {
-                        *f = (1.0 - eps) * *f + if a == j { eps } else { 0.0 };
-                    }
-                }
-                RecencyMode::PaperLiteral | RecencyMode::Uniform => {
-                    let n = stage as f64;
-                    for (a, f) in freq[..m].iter_mut().enumerate() {
-                        let count = *f * (n - 1.0) + if a == j { 1.0 } else { 0.0 };
-                        *f = count / n;
-                    }
-                }
-            }
-        }
-
-        // Eq. (3-6) for the played row, fused with the expressions of
-        // `policy::update_probabilities` (module docs): each `p(k)` is
-        // computed where the gather reads `S(j, k)`, one `p` for all the
-        // never-played columns, unless a column is a single cache line.
-        let (delta, mu) = (config.delta(), config.mu());
-        let factor = factor_for(config, stage) * *scale;
-        let s_jj = t[cj + j];
-        let cap = 1.0 / (m as f64 - 1.0);
-        let floor = policy::exploration_floor(m, delta);
-        let f_j = freq.map(|freq| freq[j].max(floor));
-        let prob = |s_jk: f64| {
-            let mut q = (factor * (s_jk - s_jj)).max(0.0);
-            if let Some(f_j) = f_j {
-                q /= f_j;
-            }
-            (1.0 - delta) * (q.max(0.0) / mu).min(cap) + floor
+        let rows = SlotRows {
+            probs: &mut probs.row(i)[..m],
+            freq: config.conditional().then(|| {
+                let freq =
+                    self.freq.as_mut().expect("a conditional observe needs play frequencies");
+                &mut freq.row(i)[..m]
+            }),
+            best: self.best.as_mut().map(|best| best.row(i)),
+            scale: &mut self.scale[i],
+            stage: u64::from(self.stage[i]),
         };
-        let probs = &mut probs[..m];
-        if stride <= DENSE_GATHER_MAX_STRIDE {
-            for (k, p) in probs.iter_mut().enumerate() {
-                *p = prob(t[k * stride + j]);
-            }
-        } else {
-            probs.fill(prob(0.0));
-            for_each_column(played, stride, |k, c| probs[k] = prob(t[c + j]));
-        }
-        // `p(j) = 1 − Σ_{k≠j} p(k)`, summed in ascending `k`; with one
-        // action the sum is empty and `p(j) = 1`.
-        let mut off_mass = 0.0;
-        for (k, &p) in probs.iter().enumerate() {
-            if k != j {
-                off_mass += p;
-            }
-        }
-        probs[j] = 1.0 - off_mass;
-        // The one entry the row invariant of `select_action` cannot take
-        // from the clamps (module docs): one compare per observe.
-        assert!(probs[j] >= 0.0, "played-action probability {} is below zero", probs[j]);
-        opened
+        on_slot!(&mut self.t, i, self.played.row(i), self.stride, t => {
+            observe_slot(t, rows, j, config, utility, predecayed)
+        })
     }
 
     /// Largest derived regret of slot `i`. On a slab that [tracks
@@ -1625,8 +2011,9 @@ impl SlabCols<'_> {
         let m = self.strategy.arity[i] as usize;
         let factor = factor_for(config, u64::from(self.stage[i])) * self.scale[i];
         let Some(best) = &mut self.best else {
-            let (t, played) = (self.t.row(i), self.played.row(i));
-            return max_regret_in(t, played, self.stride, m, factor, diag);
+            return on_slot!(&mut self.t, i, self.played.row(i), self.stride, t => {
+                max_regret_in(&t, m, factor, diag)
+            });
         };
         let (best, diag) = best.row(i).split_at(self.stride);
         finite_regret(kernels::shifted_regret_max(&best[..m], &diag[..m], factor))
@@ -1857,27 +2244,18 @@ mod tests {
         fn force_renormalise(&mut self, slot: usize) {
             let mut cols = self.slot_cols(slot);
             let best = cols.best.as_mut().map(|best| best.row(0));
-            apply_decay(
-                Decay::Renormalise,
-                cols.t.row(0),
-                cols.played.row(0),
-                cols.stride,
-                best,
-            );
+            on_slot!(&mut cols.t, 0, cols.played.row(0), cols.stride, t => {
+                apply_decay(Decay::Renormalise, &mut t, best)
+            });
             self.scale[slot] *= lazy::RENORM_UP;
         }
 
         /// Test hook: the slot's estimate by the `O(played · m)` scan,
         /// whatever the slab maintains.
-        fn scan_max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
-            max_regret_in(
-                &self.t[self.block_range(slot)],
-                self.played_row(slot),
-                self.stride,
-                self.arity[slot] as usize,
-                factor_for(config, u64::from(self.stage[slot])) * self.scale[slot],
-                &mut Vec::new(),
-            )
+        fn scan_max_regret(&mut self, slot: usize, config: &RthsConfig) -> f64 {
+            let m = self.arity[slot] as usize;
+            let factor = factor_for(config, u64::from(self.stage[slot])) * self.scale[slot];
+            max_regret_in(&self.slot_s(slot), m, factor, &mut Vec::new())
         }
 
         /// Test hook: the slot's estimate from the maintained rows (turned
@@ -1894,19 +2272,9 @@ mod tests {
             );
             let (stride, m) = (self.stride, self.arity[slot] as usize);
             let mut rebuilt = vec![0.0; m];
-            rebuild_row_maxima(
-                &self.t[self.block_range(slot)],
-                self.played_row(slot),
-                stride,
-                &mut rebuilt,
-            );
+            rebuild_row_maxima(&self.slot_s(slot), &mut rebuilt);
             let mut gathered = vec![0.0; m];
-            gather_diagonal(
-                &self.t[self.block_range(slot)],
-                self.played_row(slot),
-                stride,
-                &mut gathered,
-            );
+            gather_diagonal(&self.slot_s(slot), &mut gathered);
             let best = self.best.as_ref().expect("max_regret turns the rows on");
             let r = self.row[slot] as usize;
             let row = &best[2 * r * stride..2 * (r + 1) * stride];
@@ -1915,9 +2283,63 @@ mod tests {
             kept
         }
 
-        /// Slot `slot`'s stored `S` entries (all `stride²` of them).
-        fn stored(&self, slot: usize) -> &[f64] {
-            &self.t[self.block_range(slot)]
+        /// Slot `slot`'s stored `S` entries, all `stride²` of them,
+        /// column-major: an unpacked block as it lies, a packed slot's
+        /// columns read through its handles (`+0.0` where none is open).
+        fn stored(&self, slot: usize) -> Vec<f64> {
+            let (b, stride) = (self.block[slot] as usize, self.stride);
+            match &self.t {
+                TStore::Blocks(t) => t[b * stride * stride..(b + 1) * stride * stride].to_vec(),
+                TStore::Packed { .. } => (0..stride * stride)
+                    .map(|e| self.stored_entry(slot, e % stride, e / stride))
+                    .collect(),
+            }
+        }
+
+        /// The slot's played-column bitmask.
+        fn played_row(&self, slot: usize) -> &[u64] {
+            let b = self.block[slot] as usize;
+            &self.played[b * self.words..(b + 1) * self.words]
+        }
+
+        /// Test hook: a packed slab's column pool holds exactly the played
+        /// columns — each open column named by one played action of one
+        /// handed-out block, every other one on the free list and `+0.0`.
+        fn assert_pool_holds_the_played_columns(&self) {
+            let TStore::Packed { handles, pool } = &self.t else { return };
+            let (stride, words) = (self.stride, self.words);
+            let mut seen = vec![false; pool.cols.len() / stride];
+            let blocks = self.block.len() + self.free_blocks.len();
+            for b in 0..blocks {
+                for_each_played(&self.played[b * words..(b + 1) * words], |k| {
+                    let h = handles[b * stride + k] as usize;
+                    assert!(!std::mem::replace(&mut seen[h], true), "column {h} open twice");
+                });
+            }
+            for &h in &pool.free {
+                let h = h as usize;
+                assert!(!std::mem::replace(&mut seen[h], true), "free column {h} is open");
+                let column = &pool.cols[h * stride..(h + 1) * stride];
+                assert!(column.iter().all(|x| x.to_bits() == 0), "free column {h} is dirty");
+            }
+            assert!(seen.iter().all(|&s| s), "a column is neither open nor free");
+        }
+
+        /// A packed slab's open columns and the arena's high-water mark,
+        /// in columns.
+        fn pool_columns(&self) -> (usize, usize) {
+            let TStore::Packed { pool, .. } = &self.t else { panic!("an unpacked slab") };
+            let hwm = pool.cols.len() / self.stride;
+            (hwm - pool.free.len(), hwm)
+        }
+
+        /// Floats of the T arena: a packed slab's column arena holds the
+        /// columns ever open at once, at most.
+        fn arena_len(&self) -> usize {
+            match &self.t {
+                TStore::Blocks(t) => t.len(),
+                TStore::Packed { pool, .. } => pool.cols.len(),
+            }
         }
 
         /// Test hook: [`remove_slots`](Self::remove_slots), its byte count
@@ -2282,7 +2704,14 @@ mod tests {
                 (0..handed_out as u32).collect::<Vec<_>>(),
                 "blocks shared or lost"
             );
-            assert!(handed_out * self.stride * self.stride <= self.t.len());
+            assert!(handed_out * self.words <= self.played.len());
+            match &self.t {
+                TStore::Blocks(t) => assert!(handed_out * self.stride * self.stride <= t.len()),
+                TStore::Packed { handles, .. } => {
+                    assert!(handed_out * self.stride <= handles.len());
+                    self.assert_pool_holds_the_played_columns();
+                }
+            }
             // Row handles: strictly increasing, inside the handed-out rows,
             // with no more holes than a pass would have closed.
             assert!(self.row.windows(2).all(|w| w[0] < w[1]), "row handles out of order");
@@ -2580,6 +3009,9 @@ mod tests {
                 };
                 let mut estimates = Vec::new();
                 {
+                    // A split view cannot open a column: the phase opens
+                    // the pending ones first, as the store's does.
+                    slab.open_pending_columns();
                     let (mut head, mut tail) = slab.split().shard_split(mid);
                     head.decay(1.0 - FAST_EPS);
                     tail.decay(1.0 - FAST_EPS);
@@ -2640,7 +3072,7 @@ mod tests {
             peers.push(OraclePeer::new(id, &cfg));
         }
         slab.track_estimates();
-        let arena = slab.t.len();
+        let arena = slab.arena_len();
         assert_eq!(arena, 50 * 16);
         let mut script = rand::rngs::StdRng::seed_from_u64(77);
         let mut next_id = 50;
@@ -2671,7 +3103,7 @@ mod tests {
                 peers.push(OraclePeer::new(next_id, &cfg));
                 next_id += 1;
             }
-            assert_eq!(slab.t.len(), arena, "epoch {epoch}: the arena grew");
+            assert_eq!(slab.arena_len(), arena, "epoch {epoch}: the arena grew");
             assert!(slab.free_blocks.is_empty());
             churn_round(&mut slab, &mut peers, epoch);
         }
@@ -2901,25 +3333,24 @@ mod tests {
         }
     }
 
-    /// Asserts that `slot` has played `n` actions and that its block holds
-    /// them packed: each of the first `n` columns is non-zero and no
-    /// float past them is.
-    fn assert_packed(slab: &LearnerSlab, slot: usize, n: usize) {
+    /// Asserts that `slot` has played `n` actions, each with a non-zero
+    /// column of its own, and that the pool holds the played columns.
+    fn assert_columns(slab: &mut LearnerSlab, slot: usize, n: usize) {
         let words = slab.played_row(slot);
         assert_eq!(played_count(words), n, "slot {slot}: played count");
-        let (front, rest) = slab.stored(slot).split_at(n * slab.stride);
-        for (c, col) in front.chunks_exact(slab.stride).enumerate() {
-            assert!(col.iter().any(|&x| x != 0.0), "slot {slot}: column {c} empty");
-        }
-        assert!(rest.iter().all(|&x| x.to_bits() == 0), "slot {slot}: a float past the front");
+        slab.slot_s(slot).for_each(|k, column| {
+            assert!(column.iter().any(|&x| x != 0.0), "slot {slot}: column {k} empty");
+        });
+        slab.assert_pool_holds_the_played_columns();
     }
 
-    /// At stride 64 a block is 8 pages and packs: 8 distinct actions fill
-    /// its first `8 · 64` floats and nothing past them, through a
-    /// renormalisation and a clone; every wipe (release, compaction,
-    /// reset) leaves the block all zero, and its next owner packs again.
+    /// At stride 64 a slot's first play of an action opens one 512-byte
+    /// column of the pool and writes one handle: 8 distinct actions hold 8
+    /// columns, through a renormalisation, and a clone opens 8 more. Every
+    /// wipe (release, compaction, reset) frees the slot's columns, which
+    /// the next plays reuse before the arena grows.
     #[test]
-    fn packed_block_keeps_played_columns_at_its_front() {
+    fn packed_slab_keeps_one_pool_column_per_played_action() {
         const STRIDE: usize = 64;
         assert!(packs(STRIDE) && !packs(22) && packs(23));
         let cfg = config(STRIDE, RecencyMode::Exponential, false);
@@ -2927,39 +3358,216 @@ mod tests {
         for _ in 0..3 {
             slab.alloc(STRIDE);
         }
+        assert_eq!(slab.pool_columns(), (0, 0), "a slot opens nothing until it plays");
         play(&mut slab, 1, &cfg, &[40, 3, 63, 17, 8, 0, 52, 29, 3, 40, 63]);
-        assert_packed(&slab, 1, 8);
+        assert_columns(&mut slab, 1, 8);
+        assert_eq!(slab.arena_len(), 8 * STRIDE, "the arena holds the played columns only");
         slab.force_renormalise(1);
-        assert_packed(&slab, 1, 8);
+        assert_columns(&mut slab, 1, 8);
         let copy = slab.clone_slot(1) as usize;
-        assert_packed(&slab, copy, 8);
+        assert_columns(&mut slab, copy, 8);
+        assert_eq!(slab.pool_columns(), (16, 16));
         for (j, k) in (0..STRIDE).flat_map(|j| (0..STRIDE).map(move |k| (j, k))) {
             assert_eq!(slab.proxy(copy, j, k).to_bits(), slab.proxy(1, j, k).to_bits());
         }
         assert_eq!(slab.proxy(1, 5, 6), 0.0, "a never-played column reads +0.0");
 
         slab.release(copy as u32);
-        assert_packed(&slab, copy, 0);
+        assert_columns(&mut slab, copy, 0);
+        assert_eq!(slab.pool_columns(), (8, 16));
         assert_eq!(slab.alloc(STRIDE) as usize, copy);
         play(&mut slab, copy, &cfg, &[9, 2]);
-        assert_packed(&slab, copy, 2);
+        assert_columns(&mut slab, copy, 2);
 
         let departed = slab.block[1] as usize;
         slab.remove_slots(&[1]);
-        let area = STRIDE * STRIDE;
-        let wiped = &slab.t[departed * area..(departed + 1) * area];
-        assert!(wiped.iter().all(|&x| x.to_bits() == 0), "departed block not wiped");
+        assert_eq!(slab.played[departed], 0, "departed block's mask not cleared");
+        assert_eq!(slab.pool_columns(), (2, 16));
         let arrival = slab.alloc(STRIDE) as usize;
         assert_eq!(slab.block[arrival] as usize, departed);
         play(&mut slab, arrival, &cfg, &[33, 1, 62]);
-        assert_packed(&slab, arrival, 3);
+        assert_columns(&mut slab, arrival, 3);
 
         play(&mut slab, 0, &cfg, &[7, 6, 5, 4, 3]);
-        assert_packed(&slab, 0, 5);
+        assert_columns(&mut slab, 0, 5);
         slab.reset_actions(0, STRIDE);
-        assert_packed(&slab, 0, 0);
+        assert_columns(&mut slab, 0, 0);
         play(&mut slab, 0, &cfg, &[50, 10, 30, 20]);
-        assert_packed(&slab, 0, 4);
+        assert_columns(&mut slab, 0, 4);
+        assert_eq!(slab.pool_columns(), (9, 16), "freed columns are reused first");
+    }
+
+    /// At stride 32 and 64, through first plays, `release`,
+    /// `remove_slots`, `reset_actions`, `clone_slot` and `Decay::Wipe`s —
+    /// per slot at ε = 1, and through a whole view's batched decay — the
+    /// pool's open columns are the slots' played counts summed, its
+    /// high-water mark is that sum's peak, and every free column reads
+    /// `+0.0`.
+    #[test]
+    fn pool_columns_follow_the_played_counts() {
+        use rand::Rng;
+        for stride in [32, 64] {
+            let cfg = config_eps(stride, FAST_EPS, RecencyMode::Exponential, false);
+            let forget = config_eps(stride, 1.0, RecencyMode::Exponential, false);
+            let mut slab = LearnerSlab::with_capacity(stride, 16);
+            for _ in 0..16 {
+                slab.alloc(stride);
+            }
+            let mut script = rand::rngs::StdRng::seed_from_u64(stride as u64);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let mut peak = 0;
+            let mut check = |slab: &LearnerSlab, what: &str| {
+                let played: usize =
+                    (0..slab.num_slots()).map(|s| played_count(slab.played_row(s))).sum();
+                peak = peak.max(played);
+                assert_eq!(slab.pool_columns(), (played, peak), "stride {stride}: {what}");
+                slab.assert_blocks_disjoint();
+            };
+            for round in 0..60u64 {
+                let n = slab.num_slots();
+                for slot in 0..n {
+                    let a = slab.select_action(slot, &mut rng);
+                    let cfg = if slot % 5 == (round % 5) as usize { &forget } else { &cfg };
+                    slab.observe(slot, cfg, 20.0 + (a % 7) as f64, &mut Vec::new());
+                    check(&slab, "an observe");
+                }
+                match round % 6 {
+                    0 => {
+                        let slot = script.gen_range(0..n);
+                        slab.release(slot as u32);
+                        check(&slab, "release");
+                        assert_eq!(slab.alloc(stride), slot as u32);
+                    }
+                    1 => {
+                        let gone: Vec<u32> =
+                            (0..n as u32).filter(|_| script.gen_range(0..4) == 0).collect();
+                        slab.remove_slots(&gone);
+                        check(&slab, "remove_slots");
+                        for _ in 0..gone.len() {
+                            slab.alloc(stride);
+                        }
+                    }
+                    2 => slab.reset_actions(script.gen_range(0..n), stride),
+                    3 => {
+                        slab.clone_slot(script.gen_range(0..n) as u32);
+                    }
+                    4 => {
+                        let wiped = slab.split().decay(0.0);
+                        assert!(wiped > 0, "stride {stride}: the wipe freed nothing");
+                        check(&slab, "a whole view's wipe");
+                        assert_eq!(slab.pool_columns().0, 0);
+                    }
+                    _ => {}
+                }
+                check(&slab, "round end");
+            }
+            assert!(peak > slab.pool_columns().0, "stride {stride}: the sum never fell");
+        }
+    }
+
+    /// A packed store's observe phase — select, open the pending columns,
+    /// then a batched decay and observes per shard — split into two
+    /// shards is bitwise equal to the same phase run as one shard, whose
+    /// whole view opens columns as it goes: strategies, estimates, masks,
+    /// handles and the column arena itself, the pre-opened columns
+    /// included. Churn between rounds permutes the blocks and fills the
+    /// pool's free list.
+    #[test]
+    fn split_packed_observe_phase_matches_one_shard_bitwise() {
+        use rand::Rng;
+        for stride in [32, 64] {
+            let cfg = config_eps(stride, FAST_EPS, RecencyMode::Exponential, true);
+            let (mut split, mut whole) = (LearnerSlab::new(stride), LearnerSlab::new(stride));
+            for slab in [&mut split, &mut whole] {
+                slab.track_estimates();
+                slab.track_frequencies();
+                for _ in 0..40 {
+                    slab.alloc(stride);
+                }
+            }
+            let mut script = rand::rngs::StdRng::seed_from_u64(11);
+            let mut rngs: Vec<_> =
+                (0..40).map(|p| rand::rngs::StdRng::seed_from_u64(700 + p)).collect();
+            let (mut opened_split, mut opened_whole, mut preopened) = (0, 0, 0);
+            for round in 0..120u64 {
+                if round % 10 == 9 {
+                    let gone: Vec<u32> =
+                        (0..40).filter(|_| script.gen_range(0..8) == 0).collect();
+                    for slab in [&mut split, &mut whole] {
+                        slab.remove_slots(&gone);
+                        for _ in 0..gone.len() {
+                            slab.alloc(stride);
+                        }
+                    }
+                    for &slot in gone.iter().rev() {
+                        rngs.remove(slot as usize);
+                    }
+                    for _ in 0..gone.len() {
+                        rngs.push(rand::rngs::StdRng::seed_from_u64(900 + round));
+                    }
+                }
+                let utility = |slot: usize, a: usize| ((a * 3 + slot) % 13) as f64 * 11.0;
+                let mut picks = Vec::new();
+                for (slot, rng) in rngs.iter_mut().enumerate() {
+                    let mut replay = rng.clone();
+                    picks.push(split.select_action(slot, rng));
+                    assert_eq!(whole.select_action(slot, &mut replay), picks[slot]);
+                }
+                let pre = split.open_pending_columns();
+                preopened += pre;
+                opened_split += pre;
+                let (mut estimates_split, mut estimates_whole) = (Vec::new(), Vec::new());
+                {
+                    let (mut head, mut tail) = split.split().shard_split(17);
+                    assert!(matches!(head.t, TCols::Gathered { .. }));
+                    head.decay(1.0 - FAST_EPS);
+                    tail.decay(1.0 - FAST_EPS);
+                    for (slot, &a) in picks.iter().enumerate() {
+                        let (cols, i) =
+                            if slot < 17 { (&mut head, slot) } else { (&mut tail, slot - 17) };
+                        let opened =
+                            cols.observe_predecayed(i, &cfg, utility(slot, a), &mut Vec::new());
+                        assert!(!opened, "a split view opened a column");
+                        estimates_split
+                            .push(cols.max_regret(i, &cfg, &mut Vec::new()).to_bits());
+                    }
+                }
+                {
+                    let (mut cols, rest) = whole.split().shard_split(picks.len());
+                    assert!(rest.is_empty() && matches!(cols.t, TCols::Pool { .. }));
+                    cols.decay(1.0 - FAST_EPS);
+                    for (slot, &a) in picks.iter().enumerate() {
+                        opened_whole += u64::from(cols.observe_predecayed(
+                            slot,
+                            &cfg,
+                            utility(slot, a),
+                            &mut Vec::new(),
+                        ));
+                        estimates_whole
+                            .push(cols.max_regret(slot, &cfg, &mut Vec::new()).to_bits());
+                    }
+                }
+                assert_eq!(estimates_split, estimates_whole, "stride {stride} round {round}");
+                for slot in 0..picks.len() {
+                    let what = format!("stride {stride} round {round} slot {slot}");
+                    assert_bitwise(split.probabilities(slot), whole.probabilities(slot), &what);
+                    assert_eq!(split.played_row(slot), whole.played_row(slot), "{what}");
+                }
+                let (
+                    TStore::Packed { handles: h0, pool: p0 },
+                    TStore::Packed { handles: h1, pool: p1 },
+                ) = (&split.t, &whole.t)
+                else {
+                    unreachable!("stride {stride} packs")
+                };
+                assert_eq!((h0, &p0.free), (h1, &p1.free), "stride {stride} round {round}");
+                assert_bitwise(&p0.cols, &p1.cols, "column arena");
+                split.assert_blocks_disjoint();
+            }
+            assert_eq!(opened_split, opened_whole, "stride {stride}: columns opened");
+            assert!(preopened > 40, "stride {stride}: only {preopened} columns pre-opened");
+            assert!(split.blocks_permuted, "stride {stride}: churn left the blocks in order");
+        }
     }
 
     /// A reset slot — its scale had left 1 and been renormalised — is a
@@ -3415,7 +4023,7 @@ mod tests {
         run_against_eager(&cfg, 9, 1_000_000, utility, |s, slab, _, eager| {
             let scale = slab.scale[0];
             assert!((lazy::RENORM_BELOW..=1.0).contains(&scale), "stage {s}: scale {scale}");
-            for &x in slab.stored(0) {
+            for x in slab.stored(0) {
                 assert!(x == 0.0 || x.is_normal(), "stage {s}: S holds {x:e}");
             }
             for (x, y) in slab.probabilities(0).iter().zip(&eager.probs) {
@@ -3506,7 +4114,7 @@ mod tests {
                 slab.checked_max_regret(0, &cfg).to_bits(),
                 oracle.max_regret(&cfg).to_bits()
             );
-            for &x in slab.stored(0) {
+            for x in slab.stored(0) {
                 assert!(x == 0.0 || x.is_normal(), "stage {s}: S holds {x:e}");
             }
             // Column 0 is played (its bit is set) yet reads all-zero.

@@ -27,9 +27,10 @@ pub enum Counter {
     /// (a released slot's or a compacted-away slot's) instead of fresh
     /// arena.
     FreeListReuse,
-    /// Learner-slab columns opened in a packed T block: first plays of an
-    /// action, each of which shifted the slot's later columns up one
-    /// (`rths_core::SlabCols::observe`).
+    /// Learner-slab columns opened in a packed slab's column pool: first
+    /// plays of an action, each of which takes a column from the pool
+    /// (`rths_core::SlabCols::observe`, or
+    /// `rths_core::LearnerSlab::open_pending_columns` before a split).
     SlabColumnsOpened,
     /// Regret-ledger stretch closes (arm switches, window folds,
     /// migrations).

@@ -331,6 +331,20 @@ impl RegretLedger {
         }
     }
 
+    /// Reserves room for `additional` more peers: their eight per-peer
+    /// scalars and their rows, so that a bulk join grows no column.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.arm.reserve(additional);
+        self.entry.reserve(additional);
+        self.tr_entry.reserve(additional);
+        self.tr.reserve(additional);
+        self.stages.reserve(additional);
+        self.arity.reserve(additional);
+        self.rowmax.reserve(additional);
+        self.handle.reserve(additional);
+        self.rows.reserve(additional * self.stride);
+    }
+
     /// Recorded epochs of peer `slot`'s current row.
     #[cfg(test)]
     pub(crate) fn stages(&self, slot: usize) -> u64 {

@@ -306,15 +306,19 @@ impl PeerStore {
     /// Pre-creates zeroed backing storage for `additional` more peers.
     /// Call on a freshly built store before the bulk spawn loop: the
     /// learner slab gets its T and strategy regions as one `alloc_zeroed`
-    /// each, so constructing 10⁵ peers is a handful of large allocations
-    /// instead of a per-peer allocation storm. A slab of at most 22
-    /// actions commits its T arena's whole pages here: left lazy, the
-    /// first epoch faulted each page twice (a read, then a copy-on-write).
+    /// each, and the regret ledger its eight per-peer columns and its
+    /// rows, so constructing 10⁵ peers is a handful of large allocations
+    /// instead of a per-peer allocation storm and no column grows by
+    /// doubling. A slab of at most 22 actions commits its T arena's whole
+    /// pages here: left lazy, the first epoch faulted each page twice (a
+    /// read, then a copy-on-write). A wider slab only reserves its column
+    /// pool, whose pages its peers' first plays map.
     pub fn reserve(&mut self, additional: usize) {
         match &mut self.learners {
             Learners::Slab(slab) => slab.reserve(additional),
             Learners::Exp3 { learners, .. } => learners.reserve(additional),
         }
+        self.regret.reserve(additional);
         self.ids.reserve(additional);
         self.channels.reserve(additional);
         self.rngs.reserve(additional);
@@ -597,8 +601,10 @@ impl PeerStore {
     /// the same order as without it, so no result depends on it; a slab
     /// whose learners span at most 8 actions skips it. When tracing, the
     /// shard also counts the packed T columns its observes opened
-    /// (`Counter::SlabColumnsOpened`); its spans and counters stay in its
-    /// `scratch` slot for the caller to hand on, as in the choose phase.
+    /// (`Counter::SlabColumnsOpened`; a phase split between shards opens
+    /// them all before the split, and `scratch[0]` counts them); its spans
+    /// and counters stay in its `scratch` slot for the caller to hand on,
+    /// as in the choose phase.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
@@ -643,6 +649,16 @@ impl PeerStore {
                 }
                 if configs.iter().any(RthsConfig::conditional) {
                     slab.track_frequencies();
+                }
+                // A view split between shards cannot open a T column, so
+                // the columns the pending actions (fixed by the choose
+                // phase) need are opened first, in slot order, as the
+                // observes would open them.
+                if shards > 1 {
+                    let opened = slab.open_pending_columns();
+                    if obs::enabled() {
+                        scratch[0].obs.add(Counter::SlabColumnsOpened, opened);
+                    }
                 }
                 LearnerCols::Slab(slab.split())
             }
