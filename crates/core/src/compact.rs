@@ -553,8 +553,8 @@ mod tests {
                 prop_assert_eq!(a, scanned.select_action(slot, &mut replay));
                 // Every third stage pays nothing (a lost payload).
                 let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
-                slab.observe(slot, &cfg, u, &mut scratch);
-                scanned.observe(slot, &cfg, u, &mut scratch);
+                slab.observe(slot, &cfg, u);
+                scanned.observe(slot, &cfg, u);
                 oracle.observe(&cfg, u, &mut scratch);
                 for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
                     prop_assert_eq!(
@@ -610,7 +610,7 @@ mod tests {
                 prop_assert_eq!(b, a, "m={} stride={} stage {}: scripted draw missed", m, stride, s);
                 prop_assert_eq!(oracle.select_action(&mut Picks::action(oracle.probabilities(), a)), a);
                 let u = if s % 3 == 0 { 0.0 } else { u + a as f64 };
-                opened += usize::from(slab.observe(slot, &cfg, u, &mut scratch));
+                opened += usize::from(slab.observe(slot, &cfg, u));
                 oracle.observe(&cfg, u, &mut scratch);
                 for (x, y) in slab.probabilities(slot).iter().zip(oracle.probabilities()) {
                     prop_assert_eq!(

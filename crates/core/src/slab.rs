@@ -1477,21 +1477,14 @@ impl LearnerSlab {
 
     /// Feeds a slot's pending utility through the full update (see
     /// `RthsState::observe`). Returns whether it opened a packed column
-    /// (see [`SlabCols::observe`]). `_row_scratch` is unused, as in
-    /// [`SlabCols::observe`]. A conditional learner's first observe turns
+    /// (see [`SlabCols::observe`]). A conditional learner's first observe turns
     /// on the slab's play frequencies
     /// ([`track_frequencies`](Self::track_frequencies)).
     ///
     /// # Panics
     ///
     /// Panics if no action is pending or `utility` is not finite.
-    pub(crate) fn observe(
-        &mut self,
-        slot: usize,
-        config: &RthsConfig,
-        utility: f64,
-        _row_scratch: &mut Vec<f64>,
-    ) -> bool {
+    pub(crate) fn observe(&mut self, slot: usize, config: &RthsConfig, utility: f64) -> bool {
         if config.conditional() {
             self.track_frequencies();
         }
@@ -2144,7 +2137,7 @@ impl Learner for SlabLearner {
     }
 
     fn observe(&mut self, utility: f64) {
-        self.lock().observe(self.slot as usize, &self.config, utility, &mut Vec::new());
+        self.lock().observe(self.slot as usize, &self.config, utility);
         self.strategy.take();
     }
 
@@ -2382,7 +2375,7 @@ mod tests {
                 let a = slab.select_action(i, &mut rngs[i]);
                 assert_eq!(a, mirror.select_action(&mut replay), "slot {i} stage {s}");
                 let u = ((a + s as usize) % 9) as f64 * 7.0;
-                slab.observe(i, cfg, u, &mut scratch);
+                slab.observe(i, cfg, u);
                 mirror.observe(cfg, u, &mut scratch);
                 let want = mirror.max_regret(cfg).to_bits();
                 assert_eq!(slab.scan_max_regret(i, cfg).to_bits(), want, "slot {i} stage {s}");
@@ -2470,7 +2463,6 @@ mod tests {
                     (0..3).map(|p| rand::rngs::StdRng::seed_from_u64(9 + p)).collect();
                 let mut rngs_b: Vec<_> =
                     (0..3).map(|p| rand::rngs::StdRng::seed_from_u64(9 + p)).collect();
-                let mut scratch = Vec::new();
                 let mut oracle_scratch = Vec::new();
                 for s in 0..200u64 {
                     for (p, &slot) in slots.iter().enumerate() {
@@ -2478,7 +2470,7 @@ mod tests {
                         let b = oracles[p].select_action(&mut rngs_b[p]);
                         assert_eq!(a, b, "{recency:?} action diverged at stage {s}");
                         let u = ((a * 37 + (s as usize) * (p + 1)) % 11) as f64 * 13.0;
-                        slab.observe(slot as usize, &cfg, u, &mut scratch);
+                        slab.observe(slot as usize, &cfg, u);
                         oracles[p].observe(&cfg, u, &mut oracle_scratch);
                         for (k, (x, y)) in slab
                             .probabilities(slot as usize)
@@ -2548,7 +2540,7 @@ mod tests {
             }
             for (i, &pick) in picks.iter().enumerate() {
                 let u = ((pick * 13 + round as usize) % 7) as f64 * 21.0;
-                inline.observe(i, &cfg, u, &mut scratch);
+                inline.observe(i, &cfg, u);
                 for (x, y) in inline.probabilities(i).iter().zip(batched.probabilities(i)) {
                     assert_eq!(x.to_bits(), y.to_bits(), "diverged at round {round} slot {i}");
                 }
@@ -2767,7 +2759,7 @@ mod tests {
         }
         if round.is_multiple_of(2) {
             for (slot, peer) in peers.iter().enumerate() {
-                slab.observe(slot, &peer.cfg, utility(peer.id, picks[slot]), &mut scratch);
+                slab.observe(slot, &peer.cfg, utility(peer.id, picks[slot]));
             }
         } else {
             let mid = peers.len() / 2;
@@ -3035,7 +3027,7 @@ mod tests {
                     let what = format!("stride {stride} round {round} id {id}");
                     let (cfg, _, rng) = &mut by_id[id];
                     assert_eq!(twin.select_action(id, rng), picks[slot], "{what}");
-                    twin.observe(id, cfg, utility(id, picks[slot]), &mut Vec::new());
+                    twin.observe(id, cfg, utility(id, picks[slot]));
                     assert_bitwise(slab.probabilities(slot), twin.probabilities(id), &what);
                     let want = twin.max_regret(id, cfg).to_bits();
                     assert_eq!(estimates[slot], want, "{what}");
@@ -3137,7 +3129,7 @@ mod tests {
                 let utility = |a: usize| 5.0 * (a + round % 3) as f64;
                 if round.is_multiple_of(2) {
                     for (i, &a) in picks.iter().enumerate() {
-                        slab.observe(i, &cfg, utility(a), &mut Vec::new());
+                        slab.observe(i, &cfg, utility(a));
                     }
                 } else {
                     let (mut head, mut tail) = slab.split().shard_split(n / 2);
@@ -3198,7 +3190,7 @@ mod tests {
                     assert_eq!(j, oracle.select_action(&mut replay), "stage {s}");
                     let u = ((j * 37 + s as usize) % 11) as f64 * 13.0 - 40.0;
                     lowered += u64::from(u < 0.0 && s >= track_from);
-                    slab.observe(slot, &cfg, u, &mut scratch);
+                    slab.observe(slot, &cfg, u);
                     oracle.observe(&cfg, u, &mut scratch);
                     let what = format!("{recency:?}/{conditional} ε={eps} m={m} stage {s}");
                     let want = oracle.max_regret(&cfg).to_bits();
@@ -3256,7 +3248,7 @@ mod tests {
                 }
                 _ => 50.0 + 10.0 * j as f64,
             };
-            slab.observe(slot, &cfg, u, &mut scratch);
+            slab.observe(slot, &cfg, u);
             oracle.observe(&cfg, u, &mut scratch);
             let got = slab.checked_max_regret(slot, &cfg);
             assert_eq!(got.to_bits(), oracle.max_regret(&cfg).to_bits(), "stage {s}");
@@ -3293,10 +3285,9 @@ mod tests {
         let mut slab = LearnerSlab::new(3);
         let a = slab.alloc(3) as usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let mut scratch = Vec::new();
         for s in 0..300u64 {
             let act = slab.select_action(a, &mut rng);
-            slab.observe(a, &cfg, ((act + s as usize) % 4) as f64 * 5.0, &mut scratch);
+            slab.observe(a, &cfg, ((act + s as usize) % 4) as f64 * 5.0);
         }
         assert_renormalised(&slab, a, &cfg);
         slab.track_estimates();
@@ -3320,8 +3311,8 @@ mod tests {
             let act = slab.select_action(a, &mut rng);
             assert_eq!(act, slab.select_action(b, &mut rng_b));
             let u = ((act + s as usize) % 4) as f64 * 5.0;
-            slab.observe(a, &cfg, u, &mut scratch);
-            slab.observe(b, &cfg, u, &mut scratch);
+            slab.observe(a, &cfg, u);
+            slab.observe(b, &cfg, u);
         }
     }
 
@@ -3329,7 +3320,7 @@ mod tests {
     fn play(slab: &mut LearnerSlab, slot: usize, cfg: &RthsConfig, actions: &[usize]) {
         for &a in actions {
             slab.pending[slot] = a as u32;
-            slab.observe(slot, cfg, 10.0 + a as f64, &mut Vec::new());
+            slab.observe(slot, cfg, 10.0 + a as f64);
         }
     }
 
@@ -3428,7 +3419,7 @@ mod tests {
                 for slot in 0..n {
                     let a = slab.select_action(slot, &mut rng);
                     let cfg = if slot % 5 == (round % 5) as usize { &forget } else { &cfg };
-                    slab.observe(slot, cfg, 20.0 + (a % 7) as f64, &mut Vec::new());
+                    slab.observe(slot, cfg, 20.0 + (a % 7) as f64);
                     check(&slab, "an observe");
                 }
                 match round % 6 {
@@ -3578,10 +3569,9 @@ mod tests {
         let mut slab = LearnerSlab::new(5);
         let slot = slab.alloc(3) as usize;
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut scratch = Vec::new();
         for _ in 0..300 {
             let _ = slab.select_action(slot, &mut rng);
-            slab.observe(slot, &cfg, 5.0, &mut scratch);
+            slab.observe(slot, &cfg, 5.0);
         }
         assert_renormalised(&slab, slot, &cfg);
         assert!(slab.checked_max_regret(slot, &cfg) > 0.0);
@@ -3683,7 +3673,7 @@ mod tests {
                 // action but the played one sits at δ/m.
                 let j = slab.select_action(slot, &mut Draw(1 << 52));
                 assert_eq!(j, oracle.select_action(&mut Draw(1 << 52)), "{what}");
-                slab.observe(slot, &cfg, 40.0, &mut Vec::new());
+                slab.observe(slot, &cfg, 40.0);
                 oracle.observe(&cfg, 40.0, &mut Vec::new());
                 let floor = policy::exploration_floor(m, cfg.delta());
                 let at_floor = slab.probabilities(slot).iter().filter(|&&p| p == floor).count();
@@ -3696,7 +3686,7 @@ mod tests {
                     let a = slab.select_action(slot, &mut rng_a);
                     assert_eq!(a, oracle.select_action(&mut rng_b), "{what} stage {s}");
                     let u = ((a * 37 + s as usize * 11) % 13) as f64 * 25.0;
-                    slab.observe(slot, &cfg, u, &mut Vec::new());
+                    slab.observe(slot, &cfg, u);
                     oracle.observe(&cfg, u, &mut Vec::new());
                     assert_edges_sample_like_oracle(
                         &mut slab, slot, &oracle, &what, &mut edges,
@@ -3720,7 +3710,7 @@ mod tests {
         let mut slab = LearnerSlab::new(10);
         let slot = slab.alloc(10) as usize;
         slab.pending[slot] = 3;
-        slab.observe(slot, &cfg, -1e6, &mut Vec::new());
+        slab.observe(slot, &cfg, -1e6);
     }
 
     /// A slot counts its stages in a `u32`: one below the bound it still
@@ -3735,10 +3725,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         slab.stage[slot] = u32::MAX - 1;
         slab.select_action(slot, &mut rng);
-        slab.observe(slot, &cfg, 1.0, &mut Vec::new());
+        slab.observe(slot, &cfg, 1.0);
         assert_eq!(slab.stage(slot), u64::from(u32::MAX));
         slab.select_action(slot, &mut rng);
-        slab.observe(slot, &cfg, 1.0, &mut Vec::new());
+        slab.observe(slot, &cfg, 1.0);
     }
 
     #[test]
@@ -3757,7 +3747,7 @@ mod tests {
         let cfg = config(2, RecencyMode::Exponential, false);
         let mut slab = LearnerSlab::new(2);
         let slot = slab.alloc(2) as usize;
-        slab.observe(slot, &cfg, 1.0, &mut Vec::new());
+        slab.observe(slot, &cfg, 1.0);
     }
 
     #[test]
@@ -3960,7 +3950,7 @@ mod tests {
             let j = slab.select_action(slot, &mut rng);
             assert_eq!(j, oracle.select_action(&mut replay), "stage {s}");
             let u = utility(s, j);
-            slab.observe(slot, cfg, u, &mut scratch);
+            slab.observe(slot, cfg, u);
             oracle.observe(cfg, u, &mut scratch);
             eager.observe(cfg, j, u);
             check(s, &mut slab, &oracle, &eager);
@@ -4067,7 +4057,6 @@ mod tests {
         let mut forced = LearnerSlab::new(9);
         assert_eq!((natural.alloc(4), forced.alloc(4)), (0, 0));
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut scratch = Vec::new();
         let mut split_stages = 0;
         for s in 0..2000u64 {
             if [3, 300, 700, 1111, 1500].contains(&s) {
@@ -4077,8 +4066,8 @@ mod tests {
             let j = natural.select_action(0, &mut rng);
             assert_eq!(j, forced.select_action(0, &mut replay), "stage {s}");
             let u = 20.0 + ((j * 31 + s as usize) % 13) as f64 * 9.0;
-            natural.observe(0, &cfg, u, &mut scratch);
-            forced.observe(0, &cfg, u, &mut scratch);
+            natural.observe(0, &cfg, u);
+            forced.observe(0, &cfg, u);
             split_stages += u64::from(natural.scale[0] != forced.scale[0]);
             assert_bitwise(natural.probabilities(0), forced.probabilities(0), "strategy");
             assert_eq!(

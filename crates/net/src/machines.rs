@@ -21,11 +21,11 @@
 
 use rths_sim::epoch_metrics::cap_to_demand;
 use rths_sim::helper::{self, Helper};
-use rths_sim::peer::{Peer, PeerId};
+use rths_sim::peer::Peer;
 use rths_sim::{
     AllocationPolicy, EpochMetrics, ImpairmentPlan, LinkShaper, SimConfig, SimMetrics,
 };
-use rths_stoch::rng::{entity_rng, seeded_rng};
+use rths_stoch::rng::seeded_rng;
 
 /// Instantiates the helper set exactly as `rths_sim::System::new` does
 /// (`rths_sim::helper::instantiate` on a fresh master stream). Returns
@@ -48,7 +48,10 @@ pub struct Selection {
 
 /// The peer-side state machine for one peer on its own: owns the learner,
 /// its RNG stream, the demand cap, and the edge end of the impairment
-/// layer. Feedback is strictly local — a rate per epoch.
+/// layer. Feedback is strictly local — a rate per epoch: what the machine
+/// decides is the [`Selection`] that [`on_tick`](Self::on_tick) returns,
+/// and what its learner observed is the rate [`on_rate`](Self::on_rate)
+/// returns.
 ///
 /// The reactor does not host its peers this way: each mailbox shard
 /// drives its peers' learners through one `rths_sim::PeerStore` (see
@@ -75,29 +78,8 @@ impl PeerMachine {
         Self { peer, demand, impaired, selection: None }
     }
 
-    /// Builds peer `id` exactly as `rths_sim::System::new` does (same
-    /// learner spec, same per-entity RNG stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics, naming the [`ConfigError`](rths_core::ConfigError), if the
-    /// learner spec is invalid.
-    pub fn from_config(
-        sim: &SimConfig,
-        id: u64,
-        num_helpers: usize,
-        impairments: ImpairmentPlan,
-    ) -> Self {
-        let learner = sim
-            .learner
-            .instantiate(num_helpers, sim.rate_scale())
-            .unwrap_or_else(|e| panic!("invalid learner spec: {e}"));
-        let peer = Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0);
-        Self::new(peer, sim.demand, impairments)
-    }
-
     /// Stable peer id.
-    pub fn id(&self) -> u64 {
+    fn id(&self) -> u64 {
         self.peer.id().0
     }
 
@@ -130,14 +112,9 @@ impl PeerMachine {
             }
             _ => kbps,
         };
-        let (rate, satisfied) = cap_to_demand(kbps, self.demand);
-        self.peer.deliver(rate, satisfied);
+        let (rate, _) = cap_to_demand(kbps, self.demand);
+        self.peer.deliver(rate);
         rate
-    }
-
-    /// The wrapped peer (final reporting).
-    pub fn peer(&self) -> &Peer {
-        &self.peer
     }
 }
 
@@ -386,10 +363,25 @@ impl CoordinatorMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rths_sim::{BandwidthSpec, LearnerSpec, Scenario, SimConfig};
+    use rths_core::{LearnerSlab, SlabLearner};
+    use rths_sim::peer::PeerId;
+    use rths_sim::{AnyLearner, BandwidthSpec, Scenario, SimConfig};
+    use rths_stoch::rng::entity_rng;
+    use std::sync::{Arc, Mutex};
 
     fn small_sim() -> SimConfig {
         SimConfig::builder(4, vec![BandwidthSpec::Constant(800.0); 2]).seed(3).build()
+    }
+
+    /// Peer `id` over two helpers as `rths_sim::System::new` builds its
+    /// peers: the run's learner spec and the peer's own RNG stream.
+    fn peer_machine(sim: &SimConfig, id: u64, plan: ImpairmentPlan) -> PeerMachine {
+        let learner = sim.learner.instantiate(2, sim.rate_scale()).expect("valid learner spec");
+        PeerMachine::new(
+            Peer::new(PeerId(id), learner, entity_rng(sim.seed, id), 0, 0),
+            sim.demand,
+            plan,
+        )
     }
 
     #[test]
@@ -407,36 +399,28 @@ mod tests {
             .demand(300.0)
             .seed(1)
             .build();
-        let mut m = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none());
+        // The learner sits on a slab the test keeps, to read its stage.
+        let slab = Arc::new(Mutex::new(LearnerSlab::new(2)));
+        let config = sim.learner.rths_config(2, sim.rate_scale()).expect("valid learner spec");
+        let learner = AnyLearner::SlabRths(SlabLearner::new(Arc::clone(&slab), config));
+        let peer = Peer::new(PeerId(0), learner, entity_rng(sim.seed, 0), 0, 0);
+        let mut m = PeerMachine::new(peer, sim.demand, ImpairmentPlan::none());
         let sel = m.on_tick(0);
         assert!(sel.helper < 2);
         assert!(!sel.lost);
         assert_eq!(m.on_rate(800.0), 300.0);
-        assert_eq!(m.peer().mean_rate(), 300.0);
-        assert_eq!(m.peer().continuity(), 1.0);
-        // Under the cap: unsatisfied epoch.
+        // Under the cap, the rate passes as it is.
         let _ = m.on_tick(1);
         assert_eq!(m.on_rate(100.0), 100.0);
-        assert_eq!(m.peer().continuity(), 0.5);
-    }
-
-    /// A spec the learner refuses is named, not reported as a broken
-    /// construction invariant.
-    #[test]
-    #[should_panic(expected = "invalid learner spec: epsilon must be in (0, 1]")]
-    fn an_invalid_learner_spec_is_named() {
-        let learner = LearnerSpec { epsilon: 0.0, ..LearnerSpec::default() };
-        let sim = SimConfig { learner, ..small_sim() };
-        let _ = PeerMachine::from_config(&sim, 0, 2, ImpairmentPlan::none());
+        assert_eq!(slab.lock().unwrap().stage(0), 2, "the learner observed both epochs");
     }
 
     #[test]
     fn peer_machine_marks_lost_epochs() {
         let sim = small_sim();
-        let mut m = PeerMachine::from_config(
+        let mut m = peer_machine(
             &sim,
             1,
-            2,
             ImpairmentPlan::builder(9).uniform_loss(1.0).build().unwrap(),
         );
         assert!(m.on_tick(0).lost);
@@ -449,10 +433,10 @@ mod tests {
     fn clean_links_hold_neither_plan_nor_link_state() {
         let sim = small_sim();
         for plan in [ImpairmentPlan::none(), ImpairmentPlan::builder(9).build().unwrap()] {
-            assert!(PeerMachine::from_config(&sim, 0, 2, plan).impaired.is_none());
+            assert!(peer_machine(&sim, 0, plan).impaired.is_none());
         }
         let lossy = ImpairmentPlan::builder(9).uniform_loss(0.1).build().unwrap();
-        assert!(PeerMachine::from_config(&sim, 0, 2, lossy).impaired.is_some());
+        assert!(peer_machine(&sim, 0, lossy).impaired.is_some());
     }
 
     #[test]
@@ -466,7 +450,7 @@ mod tests {
             .build()
             .unwrap();
         let sim = small_sim();
-        let mut m = PeerMachine::from_config(&sim, 0, 2, plan.clone());
+        let mut m = peer_machine(&sim, 0, plan.clone());
         let mut reference = LinkShaper::new();
         for epoch in 0..40 {
             let sel = m.on_tick(epoch);

@@ -14,8 +14,9 @@
 //! carry (pinned by golden vectors in `rths_sim::impairment`'s tests), so
 //! these runs reproduce the pre-migration ones exactly.
 
-use rths_core::Learner;
-use rths_net::machines::{HelperMachine, PeerMachine};
+mod common;
+
+use rths_net::machines::HelperMachine;
 use rths_net::{Backend, NetConfig};
 use rths_sim::helper::{Helper, HelperId};
 use rths_sim::{BandwidthSpec, ImpairmentPlan, Scenario, SimConfig, System};
@@ -45,10 +46,12 @@ fn lossy_config(seed: u64, loss: f64) -> NetConfig {
 fn dropped_reply_is_exactly_a_zero_rate_observation() {
     // Twin peers with identical RNG streams: one is served through a
     // helper that drops its payload, the other observes an explicit 0.0.
-    // Their learner states must end bit-identical.
+    // Their learner states (slots 0 and 1 of the twins' slab) must end
+    // bit-identical.
     let sim = Scenario::paper_small().seed(31).build();
-    let mut dropped = PeerMachine::from_config(&sim, 4, 2, uniform_loss(1.0, 1));
-    let mut explicit = PeerMachine::from_config(&sim, 4, 2, ImpairmentPlan::none());
+    let twins = [(4, uniform_loss(1.0, 1)), (4, ImpairmentPlan::none())];
+    let (machines, slab, _) = common::peer_machines(&sim, 2, twins);
+    let [mut dropped, mut explicit] = <[_; 2]>::try_from(machines).expect("two twins");
     let mut helper: HelperMachine<()> = HelperMachine::new(Helper::with_seed(
         HelperId(0),
         Box::new(ConstantBandwidth::new(800.0)),
@@ -59,22 +62,23 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
         let sel = dropped.on_tick(epoch);
         assert!(sel.lost, "loss=1.0 must drop every epoch");
         helper.on_tick();
-        helper.on_request(dropped.id(), sel.lost, ());
+        helper.on_request(4, sel.lost, ());
         let mut delivered = f64::NAN;
         let _ = helper.on_settle(|_, kbps, ()| delivered = kbps);
         assert_eq!(delivered, 0.0, "lost payload must surface as rate 0");
         let observed = dropped.on_rate(delivered);
+        assert_eq!(observed, 0.0, "a lost payload is observed as rate 0");
 
         let _ = explicit.on_tick(epoch);
         let twin_observed = explicit.on_rate(0.0);
         assert_eq!(observed.to_bits(), twin_observed.to_bits());
     }
+    let slab = slab.lock().expect("learner slab mutex");
     assert_eq!(
-        bits(dropped.peer().learner().probabilities()),
-        bits(explicit.peer().learner().probabilities()),
+        bits(slab.probabilities(0)),
+        bits(slab.probabilities(1)),
         "learner state diverged from the explicit zero-rate twin"
     );
-    assert_eq!(dropped.peer().mean_rate(), 0.0);
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests for the decentralized runtime.
 
+mod common;
+
 use proptest::prelude::*;
-use rths_net::machines::{
-    instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine, Settlement,
-};
+use rths_net::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, Settlement};
 use rths_net::NetConfig;
-use rths_sim::regret::{self, DenseRegret, RegretLedger, SNAPSHOT_SLOTS};
+use rths_sim::epoch_metrics::cap_to_demand;
+use rths_sim::regret::{self, RegretLedger, SNAPSHOT_SLOTS};
 use rths_sim::store::PeerStore;
 use rths_sim::{BandwidthSpec, ImpairmentPlan, SimConfig, SimMetrics, System};
 use rths_stoch::rng::derive_seed;
@@ -143,10 +144,14 @@ fn metric_bits(m: &SimMetrics) -> Vec<Vec<u64>> {
 /// worst true regret: the harness's ledger records its peers through
 /// `regret::record_max` against the join rates the last helper report
 /// returned, the block's own running max starting at zero, as a block
-/// store's observe phase does. Only what the protocol itself orders is
-/// kept: a helper settles after its requests, a peer observes after its
-/// helper settled, and a block is reported once all of its peers have
-/// observed and the join rates are in.
+/// store's observe phase does. What else a report and the run's
+/// summaries carry the harness derives from what it drives: a switch
+/// from the helpers `on_tick` selects, mean rate and continuity from the
+/// rates `on_rate` returns, and the internal regret estimate from the
+/// peers' learner slab. Only what the protocol itself orders is kept: a
+/// helper settles after its requests, a peer observes after its helper
+/// settled, and a block is reported once all of its peers have observed
+/// and the join rates are in.
 fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> MachineTrace {
     let n = sim.num_peers();
     let (helpers, helper_min_total) = instantiate_helpers(sim);
@@ -154,28 +159,31 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
     // The arrival position rides along as the request's attachment.
     let mut helpers: Vec<HelperMachine<usize>> =
         helpers.into_iter().map(HelperMachine::new).collect();
-    let mut peers: Vec<PeerMachine> = (0..n as u64)
-        .map(|id| PeerMachine::from_config(sim, id, h, sim.impairment.clone()))
-        .collect();
+    let (mut peers, slab, learner) =
+        common::peer_machines(sim, h, (0..n as u64).map(|id| (id, sim.impairment.clone())));
     let mut coord = CoordinatorMachine::new(sim, helper_min_total);
     let mut ledger = RegretLedger::new(&[h]);
     (0..n).for_each(|_| ledger.add_peer());
     let block = schedule.map_or(n, |s| 1 + (s % 5) as usize);
     let mut settlements = Vec::new();
     let mut delivered = Vec::new();
+    let mut last_helper: Vec<Option<usize>> = vec![None; n];
+    let (mut total_rate, mut satisfied) = (vec![0.0; n], vec![0u64; n]);
+    let mut diag = Vec::new();
 
     for epoch in 0..epochs {
         let stream = |phase: u64| schedule.map(|s| derive_seed(s, epoch * 3 + phase));
         coord.begin_epoch();
         helpers.iter_mut().for_each(HelperMachine::on_tick);
+        let selections: Vec<_> = peers.iter_mut().map(|p| p.on_tick(epoch)).collect();
         // Each peer's switch this epoch (0 or 1), which its block reports.
-        let (selections, switched): (Vec<_>, Vec<u64>) = peers
-            .iter_mut()
-            .map(|p| {
-                let before = p.peer().switches();
-                (p.on_tick(epoch), p.peer().switches() - before)
+        let switched: Vec<u64> = selections
+            .iter()
+            .zip(&mut last_helper)
+            .map(|(sel, last)| {
+                u64::from(last.replace(sel.helper).is_some_and(|l| l != sel.helper))
             })
-            .unzip();
+            .collect();
 
         for (position, &i) in arrival_order(n, stream(0)).iter().enumerate() {
             helpers[selections[i].helper].on_request(i as u64, selections[i].lost, position);
@@ -184,7 +192,6 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
         let mut reports: Vec<(usize, Settlement)> = Vec::with_capacity(h);
         let mut kbps_bits = vec![0u64; n];
         let mut rates = vec![0.0; n];
-        let mut estimates = vec![0.0f64; n];
         for (j, helper) in helpers.iter_mut().enumerate() {
             let mut last_position = None;
             let settlement = helper.on_settle(|peer, kbps, position| {
@@ -193,12 +200,20 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
                 let i = peer as usize;
                 kbps_bits[i] = kbps.to_bits();
                 rates[i] = peers[i].on_rate(kbps);
-                estimates[i] = peers[i].peer().max_regret();
             });
             settlements.push((settlement.load, settlement.capacity.to_bits()));
             reports.push((j, settlement));
         }
         delivered.extend(kbps_bits);
+        for (i, &rate) in rates.iter().enumerate() {
+            total_rate[i] += rate;
+            satisfied[i] += u64::from(cap_to_demand(rate, sim.demand).1);
+        }
+        let estimates: Vec<f64> = {
+            let mut slab = slab.lock().expect("learner slab mutex");
+            let mut cols = slab.split();
+            (0..n).map(|i| cols.max_regret(i, &learner, &mut diag)).collect()
+        };
 
         // Helper reports in arrival order: the last brings the join rates.
         let mut join = None;
@@ -237,7 +252,10 @@ fn drive_machines(sim: &SimConfig, epochs: u64, schedule: Option<u64>) -> Machin
         coord.finish_epoch();
     }
 
-    let summaries = peers.iter().map(|p| (p.peer().mean_rate(), p.peer().continuity()));
+    let summaries = total_rate
+        .iter()
+        .zip(&satisfied)
+        .map(|(&total, &met)| (total / epochs as f64, met as f64 / epochs as f64));
     let metrics = coord.finalize_summaries(summaries);
     MachineTrace { settlements, delivered, metrics: metric_bits(&metrics) }
 }
@@ -279,11 +297,13 @@ fn machines_are_arrival_order_independent() {
 /// true regret in their observe phase — stretch-folded, and read only where
 /// a peer's bound exceeds its block's running max — and the coordinator
 /// folds the blocks' maxima. Every epoch, `to_bits`, the series must be
-/// the max over peers of `DenseRegret::record` fed the same seeded
-/// selections (a quarter of the peers switching each epoch), integral
-/// rates and integral helper reports, for more than `SNAPSHOT_SLOTS`
-/// epochs so window folds and ring wrap run. 4,200 peers make four full
-/// blocks and a partial one.
+/// the max over peers of `regret::record_counted` on one unsharded
+/// ledger, which reads every peer and which `rths_sim`'s unit tests pin
+/// bit for bit to the dense per-epoch oracle. Both are fed the same
+/// seeded selections (a quarter of the peers switching each epoch),
+/// integral rates and integral helper reports, for more than
+/// `SNAPSHOT_SLOTS` epochs so window folds and ring wrap run. 4,200 peers
+/// make four full blocks and a partial one.
 #[test]
 fn coordinator_regret_series_matches_dense_oracle() {
     const EPOCHS: u64 = 2 * SNAPSHOT_SLOTS as u64 + 44;
@@ -301,8 +321,8 @@ fn coordinator_regret_series_matches_dense_oracle() {
             store
         })
         .collect();
-    let mut dense = DenseRegret::new(&[h]);
-    (0..n).for_each(|_| dense.add_peer());
+    let mut reference = RegretLedger::new(&[h]);
+    (0..n).for_each(|_| reference.add_peer());
     let mut draw = {
         let mut counter = 0u64;
         move |below: u64| {
@@ -334,8 +354,11 @@ fn coordinator_regret_series_matches_dense_oracle() {
         let broadcast = broadcast.expect("the last report brings the join rates");
         assert_eq!(broadcast, join);
         let rates: Vec<f64> = (0..n).map(|_| draw(800) as f64).collect();
+        reference.advance_epoch(&[0, h], &join);
+        let (mut cols, ctx) = reference.split();
         let worst = (0..n).fold(0.0f64, |worst, p| {
-            worst.max(dense.record(p, 0, chosen[p] as usize, rates[p], &join))
+            let played = chosen[p] as usize;
+            worst.max(regret::record_counted(&mut cols, &ctx, p, 0, played, rates[p], &mut 0))
         });
         want.push(worst.to_bits());
         for (store, first) in blocks.iter_mut().zip((0..n).step_by(BLOCK)) {
@@ -375,7 +398,7 @@ fn coordinator_regret_series_matches_dense_oracle() {
         assert_eq!(
             got,
             want,
-            "epoch {e}: block stores {} vs dense {}",
+            "epoch {e}: block stores {} vs one ledger {}",
             f64::from_bits(*got),
             f64::from_bits(*want)
         );

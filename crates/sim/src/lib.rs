@@ -40,6 +40,8 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+#[cfg(test)]
+mod dense_regret;
 pub mod epoch_metrics;
 pub mod helper;
 pub mod impairment;

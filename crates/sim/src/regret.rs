@@ -65,8 +65,9 @@
 //! but every workload this repository records uses **integral** rates
 //! and join-rate sums far below 2⁵³, where f64 arithmetic is exact and
 //! any grouping yields identical bits — `fold_matches_dense_bitwise` in
-//! this module proves folded == dense bit-for-bit on randomized
-//! configurations (switches, window folds, migrations, churn). On
+//! this module's tests proves folded == dense bit-for-bit on randomized
+//! configurations (switches, window folds, migrations, churn), against a
+//! dense per-epoch oracle that the crate compiles into tests only. On
 //! non-integral workloads the two groupings may differ in the last ulp;
 //! what stays exact *unconditionally* is cross-engine equality, because
 //! the simulator's store and each reactor shard's block store run the
@@ -345,12 +346,6 @@ impl RegretLedger {
         self.rows.reserve(additional * self.stride);
     }
 
-    /// Recorded epochs of peer `slot`'s current row.
-    #[cfg(test)]
-    pub(crate) fn stages(&self, slot: usize) -> u64 {
-        u64::from(self.stages[slot])
-    }
-
     /// Appends a fresh peer (call in the same order as the owning store's
     /// spawn), on a zeroed row past every other.
     pub fn add_peer(&mut self) {
@@ -363,11 +358,6 @@ impl RegretLedger {
         self.rowmax.push(0.0);
         self.handle.push((self.rows.len() / self.stride) as u32);
         self.rows.extend(std::iter::repeat_n(0.0, self.stride));
-    }
-
-    /// Peer `slot`'s folded row.
-    fn row(&self, slot: usize) -> &[f64] {
-        &self.rows[self.handle[slot] as usize * self.stride..][..self.stride]
     }
 
     /// Removes the peers in `slots` (**sorted, unique, in range** — the
@@ -503,33 +493,6 @@ impl RegretLedger {
             epoch: self.epochs - 1,
         };
         (cols, ctx)
-    }
-
-    /// Peer `slot`'s current time-averaged worst true regret (the same
-    /// value the epoch's [`record_counted`] returned), for final reporting.
-    pub fn peer_max(&self, slot: usize, channel: usize) -> f64 {
-        let stages = u64::from(self.stages[slot]);
-        if stages == 0 {
-            return 0.0;
-        }
-        let arm = self.arm[slot];
-        let max = if arm == NO_ARM {
-            // No stretch open (a migration closed it): the row alone,
-            // whose slack past the arity is zero.
-            self.rowmax[slot].max(0.0)
-        } else {
-            let (off, m) = channel_span(&self.offsets, channel);
-            let ring_off =
-                (u64::from(self.entry[slot]) & SLOT_MASK) as usize * self.g.len() + off;
-            row_max(
-                &self.row(slot)[..m],
-                arm as usize,
-                &self.g[off..off + m],
-                &self.ring[ring_off..ring_off + m],
-                self.tr[slot] - self.tr_entry[slot],
-            )
-        };
-        max / stages as f64
     }
 }
 
@@ -669,97 +632,54 @@ fn read(cols: &mut LedgerCols<'_>, ctx: &LedgerCtx<'_>, i: usize, off: usize, m:
     max / u64::from(cols.stages[i]) as f64
 }
 
-/// Dense reference implementation of the same accounting: one row per
-/// peer updated `O(h)` every epoch. Exists as the oracle the
-/// stretch-folding property tests compare against bit-for-bit (on
-/// integral workloads, see the module docs) — not for production use.
-#[derive(Debug, Clone)]
-pub struct DenseRegret {
-    offsets: Vec<usize>,
-    stride: usize,
-    rows: Vec<f64>,
-    stages: Vec<u64>,
-    arity: Vec<u32>,
-}
-
-impl DenseRegret {
-    /// Mirrors [`RegretLedger::new`].
-    pub fn new(actions_per_channel: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(actions_per_channel.len() + 1);
-        let mut total = 0usize;
-        offsets.push(0);
-        for &m in actions_per_channel {
-            total += m;
-            offsets.push(total);
-        }
-        let stride = actions_per_channel.iter().copied().max().unwrap_or(1).max(1);
-        Self { offsets, stride, rows: Vec::new(), stages: Vec::new(), arity: Vec::new() }
-    }
-
-    /// Mirrors [`RegretLedger::add_peer`].
-    pub fn add_peer(&mut self) {
-        self.rows.extend(std::iter::repeat_n(0.0, self.stride));
-        self.stages.push(0);
-        self.arity.push(0);
-    }
-
-    /// Mirrors `RegretLedger::remove_slots`.
-    pub fn remove_slots(&mut self, slots: &[u32]) {
-        let stride = self.stride;
-        compact_column(&mut self.stages, slots);
-        compact_column(&mut self.arity, slots);
-        for &slot in slots.iter().rev() {
-            let slot = slot as usize;
-            self.rows.drain(slot * stride..(slot + 1) * stride);
-        }
-    }
-
-    /// Records one peer-epoch densely and returns the peer's updated
-    /// time-averaged worst true regret.
-    pub fn record(
-        &mut self,
-        slot: usize,
-        channel: usize,
-        played: usize,
-        rate: f64,
-        join_rates: &[f64],
-    ) -> f64 {
-        let off = self.offsets[channel];
-        let m = self.offsets[channel + 1] - off;
-        let jr = &join_rates[off..off + m];
-        let row = &mut self.rows[slot * self.stride..(slot + 1) * self.stride];
-        if self.arity[slot] != m as u32 {
-            if self.arity[slot] != 0 {
-                row.fill(0.0);
-                self.stages[slot] = 0;
-            }
-            self.arity[slot] = m as u32;
-        }
-        for (k, &join) in jr.iter().enumerate() {
-            if k != played {
-                row[k] += join - rate;
-            }
-        }
-        self.stages[slot] += 1;
-        let max = row[..m].iter().copied().fold(0.0f64, f64::max);
-        max / self.stages[slot] as f64
-    }
-
-    /// Mirrors [`RegretLedger::peer_max`].
-    pub fn peer_max(&self, slot: usize) -> f64 {
-        if self.stages[slot] == 0 {
-            return 0.0;
-        }
-        let row = &self.rows[slot * self.stride..(slot + 1) * self.stride];
-        row.iter().copied().fold(0.0f64, f64::max) / self.stages[slot] as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense_regret::DenseRegret;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rths_par::par_sharded;
+
+    /// The test readers of a ledger: they need its private columns, so
+    /// they sit in this child module instead of the ledger's own impl.
+    impl RegretLedger {
+        /// Recorded epochs of peer `slot`'s current row.
+        pub(crate) fn stages(&self, slot: usize) -> u64 {
+            u64::from(self.stages[slot])
+        }
+
+        /// Peer `slot`'s folded row.
+        fn row(&self, slot: usize) -> &[f64] {
+            &self.rows[self.handle[slot] as usize * self.stride..][..self.stride]
+        }
+
+        /// Peer `slot`'s current time-averaged worst true regret (the same
+        /// value the epoch's [`record_counted`] returned), as the oracles read it.
+        pub(crate) fn peer_max(&self, slot: usize, channel: usize) -> f64 {
+            let stages = u64::from(self.stages[slot]);
+            if stages == 0 {
+                return 0.0;
+            }
+            let arm = self.arm[slot];
+            let max = if arm == NO_ARM {
+                // No stretch open (a migration closed it): the row alone,
+                // whose slack past the arity is zero.
+                self.rowmax[slot].max(0.0)
+            } else {
+                let (off, m) = channel_span(&self.offsets, channel);
+                let ring_off =
+                    (u64::from(self.entry[slot]) & SLOT_MASK) as usize * self.g.len() + off;
+                row_max(
+                    &self.row(slot)[..m],
+                    arm as usize,
+                    &self.g[off..off + m],
+                    &self.ring[ring_off..ring_off + m],
+                    self.tr[slot] - self.tr_entry[slot],
+                )
+            };
+            max / stages as f64
+        }
+    }
 
     /// Drives a folded ledger and the dense oracle through the same
     /// integral-rate trajectory and asserts bitwise equality of every
@@ -1213,5 +1133,55 @@ mod tests {
     fn advance_rejects_layout_drift() {
         let mut ledger = RegretLedger::new(&[4]);
         ledger.advance_epoch(&[0, 3], &[1.0, 2.0, 3.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn stretch_folded_regret_matches_dense_bitwise(
+            peers in 1usize..9,
+            arity in 1usize..6,
+            second_arity in 0usize..6,
+            epochs in 1u64..200,
+            seed in any::<u64>(),
+        ) {
+            // The stretch-folded ledger must equal a dense per-epoch row
+            // update bit-for-bit on integral workloads (where f64 addition
+            // is exact under any grouping — the regime every recorded
+            // trajectory lives in). Randomized arms, rates, and join rates;
+            // epoch counts cross STRETCH_WINDOW so forced folds run too.
+            let arities: Vec<usize> =
+                if second_arity == 0 { vec![arity] } else { vec![arity, second_arity] };
+            let offsets: Vec<usize> = std::iter::once(0)
+                .chain(arities.iter().scan(0, |acc, &m| { *acc += m; Some(*acc) }))
+                .collect();
+            let total: usize = arities.iter().sum();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut folded = RegretLedger::new(&arities);
+            let mut dense = DenseRegret::new(&arities);
+            let channels: Vec<usize> =
+                (0..peers).map(|_| rng.gen_range(0..arities.len())).collect();
+            for _ in 0..peers {
+                folded.add_peer();
+                dense.add_peer();
+            }
+            for _ in 0..epochs {
+                let join: Vec<f64> = (0..total).map(|_| rng.gen_range(0..900) as f64).collect();
+                folded.advance_epoch(&offsets, &join);
+                let (mut cols, ctx) = folded.split();
+                for (i, &c) in channels.iter().enumerate() {
+                    let played = rng.gen_range(0..arities[c]);
+                    let rate = rng.gen_range(0..800) as f64;
+                    let f = record_counted(&mut cols, &ctx, i, c, played, rate, &mut 0);
+                    let d = dense.record(i, c, played, rate, &join);
+                    prop_assert_eq!(f.to_bits(), d.to_bits(),
+                        "peer {} diverged: folded {} vs dense {}", i, f, d);
+                }
+            }
+            for (i, &c) in channels.iter().enumerate() {
+                prop_assert_eq!(folded.peer_max(i, c).to_bits(), dense.peer_max(i).to_bits());
+            }
+        }
     }
 }

@@ -880,19 +880,6 @@ impl PeerStore {
         new
     }
 
-    /// Time-averaged worst true regret of the peer in `slot`.
-    #[cfg(test)]
-    pub(crate) fn empirical_regret(&self, slot: usize) -> f64 {
-        self.regret.peer_max(slot, self.channels[slot] as usize)
-    }
-
-    /// Recorded regret epochs of the peer in `slot` (the time-average
-    /// divisor; resets when the action-set arity changes).
-    #[cfg(test)]
-    pub(crate) fn regret_stages(&self, slot: usize) -> u64 {
-        self.regret.stages(slot)
-    }
-
     /// The learner of the peer in `slot`.
     pub fn learner(&self, slot: usize) -> LearnerRef<'_> {
         assert!(slot < self.len(), "slot out of range");
@@ -904,8 +891,24 @@ impl PeerStore {
 mod tests {
     use super::*;
     use crate::config::{Algorithm, LearnerSpec};
-    use crate::regret::{DenseRegret, SNAPSHOT_SLOTS};
+    use crate::dense_regret::DenseRegret;
+    use crate::regret::SNAPSHOT_SLOTS;
     use rths_stoch::rng::derive_seed;
+
+    /// The regret readers of a store, over its private ledger and
+    /// channel columns.
+    impl PeerStore {
+        /// Time-averaged worst true regret of the peer in `slot`.
+        fn empirical_regret(&self, slot: usize) -> f64 {
+            self.regret.peer_max(slot, self.channels[slot] as usize)
+        }
+
+        /// Recorded regret epochs of the peer in `slot` (the time-average
+        /// divisor; resets when the action-set arity changes).
+        fn regret_stages(&self, slot: usize) -> u64 {
+            self.regret.stages(slot)
+        }
+    }
 
     fn store(channels: &[usize]) -> PeerStore {
         PeerStore::new(7, LearnerSpec::default(), 400.0, channels)

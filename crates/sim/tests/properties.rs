@@ -124,54 +124,6 @@ proptest! {
     }
 
     #[test]
-    fn stretch_folded_regret_matches_dense_bitwise(
-        peers in 1usize..9,
-        arity in 1usize..6,
-        second_arity in 0usize..6,
-        epochs in 1u64..200,
-        seed in any::<u64>(),
-    ) {
-        // The stretch-folded ledger must equal a dense per-epoch row
-        // update bit-for-bit on integral workloads (where f64 addition
-        // is exact under any grouping — the regime every recorded
-        // trajectory lives in). Randomized arms, rates, and join rates;
-        // epoch counts cross STRETCH_WINDOW so forced folds run too.
-        use rand::{Rng, SeedableRng};
-        use rths_sim::regret::{self, DenseRegret, RegretLedger};
-        let arities: Vec<usize> =
-            if second_arity == 0 { vec![arity] } else { vec![arity, second_arity] };
-        let offsets: Vec<usize> = std::iter::once(0)
-            .chain(arities.iter().scan(0, |acc, &m| { *acc += m; Some(*acc) }))
-            .collect();
-        let total: usize = arities.iter().sum();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut folded = RegretLedger::new(&arities);
-        let mut dense = DenseRegret::new(&arities);
-        let channels: Vec<usize> =
-            (0..peers).map(|_| rng.gen_range(0..arities.len())).collect();
-        for _ in 0..peers {
-            folded.add_peer();
-            dense.add_peer();
-        }
-        for _ in 0..epochs {
-            let join: Vec<f64> = (0..total).map(|_| rng.gen_range(0..900) as f64).collect();
-            folded.advance_epoch(&offsets, &join);
-            let (mut cols, ctx) = folded.split();
-            for (i, &c) in channels.iter().enumerate() {
-                let played = rng.gen_range(0..arities[c]);
-                let rate = rng.gen_range(0..800) as f64;
-                let f = regret::record_counted(&mut cols, &ctx, i, c, played, rate, &mut 0);
-                let d = dense.record(i, c, played, rate, &join);
-                prop_assert_eq!(f.to_bits(), d.to_bits(),
-                    "peer {} diverged: folded {} vs dense {}", i, f, d);
-            }
-        }
-        for (i, &c) in channels.iter().enumerate() {
-            prop_assert_eq!(folded.peer_max(i, c).to_bits(), dense.peer_max(i).to_bits());
-        }
-    }
-
-    #[test]
     fn learner_spec_mu_derivation_positive(
         n in 1usize..300,
         h in 1usize..30,

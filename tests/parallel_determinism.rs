@@ -109,15 +109,19 @@ fn multi_channel_outcome(policy: AllocationPolicy) -> rths_suite::sim::MultiChan
 /// change results either, independently of the worker count executing the
 /// shards. Sweeps both engines at 1, 2 and 4 shards (worker count left at
 /// the ambient default, so CI's `RTHS_THREADS=2` leg exercises
-/// shards ≠ workers).
+/// shards ≠ workers). The single-channel sweep runs at 8 helpers, whose
+/// learner slab keeps whole T blocks, and at 32, whose slab packs its
+/// played columns into a pool and hands each shard the columns it gathered
+/// (opened before the split, `LearnerSlab::open_pending_columns`).
 #[test]
 fn engines_are_shard_count_invariant() {
-    let single = |shards: usize| {
-        let config = SimConfig::builder(150, vec![BandwidthSpec::Paper { stay: 0.98 }; 8])
-            .demand(80.0)
-            .churn(ChurnProcess::new(0.6, 0.004))
-            .seed(1717)
-            .build();
+    let single = |helpers: usize, shards: usize| {
+        let config =
+            SimConfig::builder(150, vec![BandwidthSpec::Paper { stay: 0.98 }; helpers])
+                .demand(80.0)
+                .churn(ChurnProcess::new(0.6, 0.004))
+                .seed(1717)
+                .build();
         let mut sys = System::new(config);
         sys.set_shards(Some(shards));
         let out = sys.run(250);
@@ -141,14 +145,19 @@ fn engines_are_shard_count_invariant() {
             out.viewer_fairness,
         )
     };
-    let single_base = single(1);
+    for helpers in [8usize, 32] {
+        let base = single(helpers, 1);
+        for shards in [2usize, 4] {
+            let s = single(helpers, shards);
+            let label = |series: &str| format!("single/{helpers} helpers/{series}");
+            assert_bit_identical(&label("welfare"), shards, &s.0, &base.0);
+            assert_bit_identical(&label("worst_emp"), shards, &s.1, &base.1);
+            assert_bit_identical(&label("mean_peer_rates"), shards, &s.2, &base.2);
+            assert_bit_identical(&label("population"), shards, &s.3, &base.3);
+        }
+    }
     let multi_base = multi(1);
     for shards in [2usize, 4] {
-        let s = single(shards);
-        assert_bit_identical("single/welfare", shards, &s.0, &single_base.0);
-        assert_bit_identical("single/worst_emp", shards, &s.1, &single_base.1);
-        assert_bit_identical("single/mean_peer_rates", shards, &s.2, &single_base.2);
-        assert_bit_identical("single/population", shards, &s.3, &single_base.3);
         let m = multi(shards);
         assert_bit_identical("multi/welfare", shards, &m.0, &multi_base.0);
         assert_bit_identical("multi/worst_emp", shards, &m.1, &multi_base.1);
