@@ -8,16 +8,14 @@
 //! structure-of-arrays counterpart of `rths_sim`'s `PeerStore`:
 //!
 //! ```text
-//!   arity / stage / pending / scale / block / row: one scalar per slot
-//!                   │                            │
-//!    row[slot] = h  │                            │  block[slot] = b
-//!                   ▼                            │
-//!            row h                     row h+1   │             …
-//!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]   │             stride s
-//!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]   │             stride s, conditional only
+//!   arity / stage / pending / scale / row: one scalar per slot
+//!                   │
+//!    row[slot] = h  │
+//!                   ▼
+//!            row h                     row h+1                 …
+//!   probs: [ p₀ … pₛ ]             [ p₀ … pₛ ]                 stride s
+//!   freq:  [ f₀ … fₛ ]             [ f₀ … fₛ ]                 stride s, conditional only
 //!   best:  [ b₀ … bₛ | d₀ … dₛ ]   [ b₀ … bₛ | d₀ … dₛ ]       stride 2s, on demand
-//!                                                ▼
-//!            block b                   block b+1               …
 //!   t:     [ col₀ | col₁ | … | colₛ ][ col₀ | col₁ | … ]       stride s², if s² · 8 B ≤ 4 KB
 //!           └─ S(r,k) at k·s + r  (column-major per block)
 //!   or t:  [ h₀ h₁ … hₛ ]            [ h₀ h₁ … hₛ ]            stride s, if s² · 8 B > 4 KB
@@ -28,37 +26,34 @@
 //!                                    of any slot, freed ones reused first
 //! ```
 //!
-//! Only the scalars are **slot-addressed**. Every column whose rows are
-//! as long as the stride (or its square) keeps them in an arena that a
-//! slot reaches through a 4-byte handle, wherever the slot itself sits,
-//! so moving a slot moves six scalars and never a row:
+//! Only the scalars are **slot-addressed**. Every other column keeps one
+//! row per slot in an arena that the slot reaches through one 4-byte
+//! handle, `row[slot]`: its strategy, frequency and estimate rows, its
+//! `S` (an unpacked block of `s²` floats, or a packed row of `s` column
+//! handles) and its played-column bitmask are row `row[i]` of theirs. An
+//! arrival takes the row past every handed-out one and a departure wipes
+//! its `S` and leaves its row as a hole, so the handles stay strictly
+//! increasing and a sweep streams every arena in its own order, as it
+//! reads them every epoch. (Handing departed rows to arrivals measured
+//! slower than moving survivors: the sweep then missed on every row.)
+//! Once the holes outnumber a sixteenth of the slots,
+//! [`LearnerSlab::remove_slots`] closes them in one ascending pass
+//! ([`close_row_holes`]) that moves each survivor's rows, `S` and mask
+//! together: an unpacked block's played columns (the mask walk), a packed
+//! slot's handle row. A hole, and every row at or past the ones handed
+//! out, reads as a fresh learner's block — mask clear, every column
+//! `+0.0` — so an arrival on a row a pass has just emptied starts fresh.
 //!
-//! * The T arena and the bitmasks are **block-addressed**: slot `i`'s
-//!   `S` is block `block[i]` of `t` (in a packed slab, of the handle rows
-//!   that lead to its pool columns), handed to the slot when it is
-//!   created and followed for life. A departed slot's block is wiped and
-//!   handed to the next arrival, so the arena never outgrows the peak
-//!   population, and after churn the handles are any permutation: a
-//!   sweep meets the blocks out of order, as it meets their columns.
-//! * The strategy, frequency and estimate rows are **row-addressed**:
-//!   slot `i`'s rows are row `row[i]` of `probs`, `freq` and `best`. An
-//!   arrival takes the row past every handed-out one and a departure
-//!   leaves a hole, so the row handles stay strictly increasing and a
-//!   sweep streams these rows in arena order, as it reads them every
-//!   epoch. (Handing departed rows to arrivals, as blocks are, measured
-//!   slower than moving them: the sweep then missed on every row.) Once
-//!   the holes outnumber a sixteenth of the slots,
-//!   [`LearnerSlab::remove_slots`] closes them in one ascending pass
-//!   ([`close_row_holes`]).
-//!
-//! Per-slot calls look a handle up; a sharded phase
-//! ([`LearnerSlab::split`]) reads them once and hands each shard a view
-//! of its slots' rows ([`Rows`]): the arena prefix itself while every
-//! handle still equals its slot, the arena and the handles while the
-//! phase runs as one shard, and one view per slot gathered through the
-//! handles once the phase splits it (`chunks_exact_mut` proves the
-//! views disjoint; no `unsafe`).
-//!
+//! Per-slot calls look the handle up; a sharded phase
+//! ([`LearnerSlab::split`]) hands each shard a view of its slots' rows
+//! ([`Rows`]): the arena prefix itself while every handle still equals
+//! its slot, else the arena and the handles. Because the handles
+//! increase, a split at slot `mid` cuts every arena where row
+//! `row[mid]` starts (`split_at_mut` proves the halves disjoint; no
+//! `unsafe`, nothing gathered). The one thing a split gathers is a packed
+//! slab's pool columns: a column's place in the pool follows the order of
+//! first plays, not slot order (below).
+
 //! One stage of the learner (Eq. 3-5/3-6) decays `T`, adds a rank-1
 //! update to **one** column and reads **one** row. At 10⁴+ slots of
 //! m = 64 the slab lives in DRAM and an observe costs cache lines, not
@@ -79,10 +74,9 @@
 //!   renormalisation and wipes, which map `+0.0` to `+0.0`. So a
 //!   never-played action's column is exactly `+0.0` everywhere, and
 //!   nothing ever needs to load one: renormalisation, wipes and clones
-//!   walk the mask (compaction moves no column at all — see the block
-//!   handles above). In a packed slab (below) a never-played action has
-//!   no column at all, and nothing reads a column before its first write
-//!   (the load pass below).
+//!   walk the mask, and so does the pass that closes row holes. In a
+//!   packed slab (below) a never-played action has no column at all, and
+//!   nothing reads a column before its first write (the load pass below).
 //! * **One pool column per played action.** Where a block of `s²` floats
 //!   would be larger than one 4 KB page (stride ≥ 23), the slab is
 //!   **packed**: a block is a row of `s` column handles, and each played
@@ -100,9 +94,12 @@
 //!   actions, and a block of pages of its own commits at least one page
 //!   however few it plays. Only the address of `S(·, k)` changes, never a
 //!   float expression or its order; `best`, `diag` and the regret row
-//!   stay action-indexed. A view split between shards holds no pool: the
-//!   split gathers each slot's open columns, in ascending action order,
-//!   into its shard's view, so the columns a phase's pending actions need
+//!   stay action-indexed. A view split between shards holds no pool: a
+//!   column's place in the pool follows the order in which the slab's
+//!   slots first played their actions, not slot order, so no slice of the
+//!   pool belongs to one shard, and the split gathers each slot's open
+//!   columns, in ascending action order, into its shard's view (the one
+//!   gather left in the slab). So the columns a phase's pending actions need
 //!   are opened first ([`LearnerSlab::open_pending_columns`], in the
 //!   order the observes would open them). **Geometry gate, not a
 //!   setting:** a block of at most a page (stride ≤ 22) shares its pages
@@ -239,22 +236,19 @@
 //!   and in each of the reactor's mailbox shards): slab slot ==
 //!   store slot; departures go through [`LearnerSlab::remove_slots`]'s
 //!   order-preserving compaction of the *per-slot* scalars (mirroring the
-//!   store's column compaction). Compaction moves handles, not rows: a
-//!   departed slot's block is wiped and pushed on the block free list,
-//!   which [`alloc`](LearnerSlab::alloc) pops before it touches fresh
-//!   arena, and its rows become holes — churn costs `O(departed · played
-//!   · s + population)` an epoch, plus one pass over the rows per
+//!   store's column compaction). Compaction moves the row handle, not the
+//!   rows: a departed slot's `S` is wiped (a packed slot's columns go back
+//!   to the pool) and its row becomes a hole — churn costs `O(departed ·
+//!   played · s + population)` an epoch, plus one pass over the rows per
 //!   sixteenth of the population departed, not `O(population · s)` an
-//!   epoch. After churn the block handles are a non-identity permutation
-//!   and the row handles have gaps; nothing depends on which block or
-//!   row a slot holds.
+//!   epoch. After churn the row handles have gaps; nothing depends on
+//!   which row a slot holds.
 //! * **free-list mode** ([`SlabLearner`]s): [`alloc`](LearnerSlab::alloc)
 //!   / [`release`](LearnerSlab::release) with stable slots; a released
-//!   slot keeps its (wiped) block and its rows, so both handles stay the
-//!   identity. A
+//!   slot keeps its row, `S` wiped, so the handles stay the identity. A
 //!   `SlabLearner` wraps one slot behind the [`Learner`] trait for owners
 //!   that hold their learner by value; its per-slot calls index
-//!   `block[slot]` directly and are `O(1)` in the slab size.
+//!   `row[slot]` directly and are `O(1)` in the slab size.
 
 use std::cell::OnceCell;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -693,9 +687,9 @@ pub fn compact_column<T: Copy>(column: &mut Vec<T>, sorted: &[u32]) {
 }
 
 /// Bytes of one slot's slot-addressed scalars — `arity`, `stage`,
-/// `pending`, `scale`, `block` and `row` — all that a compaction copies
-/// for a relocated slot.
-const SLOT_SCALAR_BYTES: usize = 5 * size_of::<u32>() + size_of::<f64>();
+/// `pending`, `scale` and `row` — all that a compaction copies for a
+/// relocated slot.
+const SLOT_SCALAR_BYTES: usize = 4 * size_of::<u32>() + size_of::<f64>();
 
 /// Row `r` of an arena of `width`-scalar rows, as a one-slot view.
 fn one_row<T>(arena: &mut [T], width: usize, r: usize) -> Rows<'_, T> {
@@ -749,7 +743,7 @@ pub fn close_row_holes(
     Some(moved)
 }
 
-/// Where a slab keeps its slots' `S`, one block per slot: fixed at
+/// Where a slab keeps its slots' `S`, one block per row: fixed at
 /// construction by the geometry gate (module docs).
 #[derive(Debug, Clone)]
 enum TStore {
@@ -771,54 +765,77 @@ impl TStore {
         }
     }
 
-    /// Makes room for `blocks` blocks in a slab that has no slots. An
-    /// unpacked arena is created zeroed and committed, a packed one
+    /// Makes room for `rows` blocks in a slab that has handed out no row.
+    /// An unpacked arena is created zeroed and committed, a packed one
     /// reserves its column arena for `stride` columns a block and leaves
     /// it unmapped.
-    fn create(&mut self, blocks: usize, stride: usize) {
+    fn create(&mut self, rows: usize, stride: usize) {
         match self {
             TStore::Blocks(t) => {
-                *t = vec![0.0; blocks * stride * stride];
+                *t = vec![0.0; rows * stride * stride];
                 commit(t);
             }
             TStore::Packed { handles, pool } => {
-                *handles = vec![0; blocks * stride];
-                let want = blocks * stride * stride;
+                *handles = vec![0; rows * stride];
+                let want = rows * stride * stride;
                 pool.cols.reserve_exact(want.saturating_sub(pool.cols.len()));
             }
         }
     }
 
-    /// Grows a live slab's arena to `blocks` blocks (a packed one grows
-    /// its handle rows and reserves its pool; columns grow as they open).
-    fn grow(&mut self, blocks: usize, stride: usize) {
+    /// Grows a live slab's arena to `rows` blocks (a packed one grows its
+    /// handle rows and reserves its pool; columns grow as they open).
+    fn grow(&mut self, rows: usize, stride: usize) {
         match self {
-            TStore::Blocks(t) => t.resize(blocks * stride * stride, 0.0),
+            TStore::Blocks(t) => t.resize(rows * stride * stride, 0.0),
             TStore::Packed { handles, pool } => {
-                handles.resize(blocks * stride, 0);
-                pool.cols.reserve((blocks * stride * stride).saturating_sub(pool.cols.len()));
+                handles.resize(rows * stride, 0);
+                pool.cols.reserve((rows * stride * stride).saturating_sub(pool.cols.len()));
             }
         }
     }
 
-    /// Block `b`'s `S`, whose bitmask is `played`.
-    fn slot<'s>(&'s mut self, b: usize, played: &'s mut [u64], stride: usize) -> SlotS<'s, 's> {
+    /// Row `r`'s `S`, whose bitmask is `played`.
+    fn slot<'s>(&'s mut self, r: usize, played: &'s mut [u64], stride: usize) -> SlotS<'s, 's> {
         let cols = match self {
             TStore::Blocks(t) => {
-                Columns::Block(&mut t[b * stride * stride..][..stride * stride])
+                Columns::Block(&mut t[r * stride * stride..][..stride * stride])
             }
             TStore::Packed { handles, pool } => {
-                Columns::Pool(&mut handles[b * stride..][..stride], pool)
+                Columns::Pool(&mut handles[r * stride..][..stride], pool)
             }
         };
         SlotS { cols, played, stride }
     }
 
-    /// The first `blocks` blocks as a phase's view: block `handles[i]` is
+    /// Moves row `from`'s `S`, whose bitmask is `played`, to row `to`,
+    /// which reads as a fresh block, and leaves `from` reading as one
+    /// once the caller clears its mask: an unpacked block's played columns
+    /// are copied and zeroed (the mask walk, not all `stride²` floats), a
+    /// packed block's handle row is copied. Returns the bytes copied.
+    fn move_row(&mut self, from: usize, to: usize, played: &[u64], stride: usize) -> usize {
+        match self {
+            TStore::Blocks(t) => {
+                let area = stride * stride;
+                for_each_played(played, |k| {
+                    let column = from * area + k * stride..from * area + (k + 1) * stride;
+                    t.copy_within(column.clone(), to * area + k * stride);
+                    t[column].fill(0.0);
+                });
+                played_count(played) * stride * size_of::<f64>()
+            }
+            TStore::Packed { handles, .. } => {
+                handles.copy_within(from * stride..(from + 1) * stride, to * stride);
+                stride * size_of::<u32>()
+            }
+        }
+    }
+
+    /// The first `rows` blocks as a phase's view: block `handles[i]` is
     /// item `i`'s ([`Rows::by_handle`]).
     fn view<'s>(
         &'s mut self,
-        blocks: usize,
+        rows: usize,
         stride: usize,
         handles: &'s [u32],
         aligned: bool,
@@ -826,12 +843,12 @@ impl TStore {
         match self {
             TStore::Blocks(t) => {
                 let area = stride * stride;
-                TCols::Blocks(Rows::by_handle(area, &mut t[..blocks * area], handles, aligned))
+                TCols::Blocks(Rows::by_handle(area, &mut t[..rows * area], handles, aligned))
             }
-            TStore::Packed { handles: rows, pool } => TCols::Pool {
+            TStore::Packed { handles: handle_rows, pool } => TCols::Pool {
                 handles: Rows::by_handle(
                     stride,
-                    &mut rows[..blocks * stride],
+                    &mut handle_rows[..rows * stride],
                     handles,
                     aligned,
                 ),
@@ -850,19 +867,17 @@ pub struct LearnerSlab {
     stride: usize,
     /// Bitmask words per slot (`⌈stride / 64⌉`).
     words: usize,
-    /// The slots' `S`, one block each: `stride²` floats, or `stride`
-    /// column handles into a column pool. Blocks `..block.len() +
-    /// free_blocks.len()` have been handed out; the rest is untouched
-    /// zeroed backing. Indexed by `block[slot]`, like `played`.
+    /// The slots' `S`, one block per row: `stride²` floats, or `stride`
+    /// column handles into a column pool. Indexed by `row[slot]`, like
+    /// `played`, `probs`, `freq` and `best`.
     t: TStore,
-    /// Strategy rows, `stride` scalars each. Rows `..rows_used` have been
-    /// handed out. Indexed by `row[slot]`, like `freq` and `best`.
+    /// Strategy rows, `stride` scalars each.
     probs: Vec<f64>,
     /// Play-frequency rows, `stride` scalars each. `None` until a
     /// conditional learner first observes
     /// ([`track_frequencies`](Self::track_frequencies)).
     freq: Option<Vec<f64>>,
-    /// Played-column bitmasks, `words` per block.
+    /// Played-column bitmasks, `words` per row.
     played: Vec<u64>,
     arity: Vec<u32>,
     /// Stages observed per slot, `u32`: an observe that would pass
@@ -873,32 +888,20 @@ pub struct LearnerSlab {
     /// (see [`crate::lazy`]). Meaningless on a free-listed slot (a
     /// batched decay does not skip those); `alloc` restarts it at 1.
     scale: Vec<f64>,
-    /// Block handle per slot: the slot's `S` is block `block[slot]` of
-    /// `t`, its bitmask word row `block[slot]` of `played`. Every
-    /// handed-out block is owned by exactly one slot or sits on
-    /// `free_blocks` — no two slots ever share one.
-    block: Vec<u32>,
-    /// Whether a departure has ever moved a slot off its block's index:
-    /// until then every `block[slot] == slot`.
-    blocks_permuted: bool,
-    /// Row handle per slot: the slot's rows of `probs`, `freq` and `best`
-    /// are row `row[slot]` of theirs. Strictly increasing in slot order,
-    /// so a sweep over the slots streams these rows as the arenas' own
-    /// order, holes aside.
+    /// Row handle per slot: the slot's `S`, bitmask and rows of `probs`,
+    /// `freq` and `best` are row `row[slot]` of theirs. Strictly
+    /// increasing in slot order, so a sweep over the slots streams every
+    /// arena in its own order, holes aside.
     row: Vec<u32>,
     /// Rows handed out: every live slot's, plus the holes departed slots
     /// left behind, which [`remove_slots`](Self::remove_slots) closes
-    /// once they outnumber a sixteenth of the live slots.
+    /// once they outnumber a sixteenth of the live slots. Every arena is
+    /// as long as the same number of rows, and a hole or a row at or past
+    /// `rows_used` reads as a fresh learner's block: mask clear, columns
+    /// `+0.0`.
     rows_used: usize,
-    /// Released slots (free-list mode); each keeps its wiped block.
+    /// Released slots (free-list mode); each keeps its row, `S` wiped.
     free: Vec<u32>,
-    /// Wiped blocks of slots compacted away by
-    /// [`remove_slots`](Self::remove_slots) (slot-aligned mode).
-    free_blocks: Vec<u32>,
-    /// [`alloc`](Self::alloc) calls served from a departed learner's
-    /// block — either free list — instead of fresh arena (observability:
-    /// churn is not costing allocator traffic or new pages).
-    reuses: u64,
     /// Maintained estimate rows, `2 · stride` scalars each: the row
     /// maxima `best[r] = max_k S(r, k)`, then the diagonal `diag[r] =
     /// S(r, r)` at offset `stride`. `None`
@@ -926,13 +929,9 @@ impl LearnerSlab {
             stage: Vec::new(),
             pending: Vec::new(),
             scale: Vec::new(),
-            block: Vec::new(),
-            blocks_permuted: false,
             row: Vec::new(),
             rows_used: 0,
             free: Vec::new(),
-            free_blocks: Vec::new(),
-            reuses: 0,
             best: None,
         }
     }
@@ -946,42 +945,48 @@ impl LearnerSlab {
     }
 
     /// Ensures zeroed backing storage for `additional` more slots beyond
-    /// the current count: on an **empty** slab one fresh `alloc_zeroed`
-    /// per column, so that [`alloc`](Self::alloc) only initialises a
-    /// slot's probability prefix; on a live slab a zero-extending resize.
-    /// A fresh T arena that does not pack (stride ≤ 22) has its whole
-    /// pages committed here across the workers, each once (lazy, the first
-    /// epoch faulted them twice: module docs). A packed slab reserves room
-    /// for `stride` columns a slot in its column arena and writes none of
-    /// it: a column's page is mapped when the column first opens.
+    /// the rows handed out (the live slots and the holes, which arrivals
+    /// do not fill): on a slab that has handed out none, one fresh
+    /// `alloc_zeroed` per column, so that [`alloc`](Self::alloc) only
+    /// initialises a slot's probability prefix; on a live slab a
+    /// zero-extending resize. A fresh T arena that does not pack (stride
+    /// ≤ 22) has its whole pages committed here across the workers, each
+    /// once (lazy, the first epoch faulted them twice: module docs). A
+    /// packed slab reserves room for `stride` columns a slot in its column
+    /// arena and writes none of it: a column's page is mapped when the
+    /// column first opens.
     pub fn reserve(&mut self, additional: usize) {
-        let target = self.arity.len() + additional;
-        if target * self.words <= self.played.len() {
+        let rows = self.rows_used + additional;
+        if rows * self.words <= self.played.len() {
             return;
         }
-        if self.arity.is_empty() {
-            self.t.create(target, self.stride);
-            self.played = vec![0; target * self.words];
-        } else {
-            self.t.grow(target, self.stride);
-            self.played.resize(target * self.words, 0);
-        }
-        // The rows of a live slab may have holes: reserve past them.
-        let (used, rows) = (self.rows_used, target + self.rows_used - self.arity.len());
-        let Self { probs, freq, best, stride, .. } = self;
-        for (arena, width) in row_arenas(probs, freq, best, *stride) {
-            if used == 0 {
+        if self.rows_used == 0 {
+            self.t.create(rows, self.stride);
+            self.played = vec![0; rows * self.words];
+            let Self { probs, freq, best, stride, .. } = self;
+            for (arena, width) in row_arenas(probs, freq, best, *stride) {
                 *arena = vec![0.0; rows * width];
-            } else {
-                arena.resize(rows * width, 0.0);
             }
+        } else {
+            self.grow_rows(rows);
         }
+        let target = self.arity.len() + additional;
         self.arity.reserve(target - self.arity.len());
         self.stage.reserve(target - self.stage.len());
         self.pending.reserve(target - self.pending.len());
         self.scale.reserve(target - self.scale.len());
-        self.block.reserve(target - self.block.len());
         self.row.reserve(target - self.row.len());
+    }
+
+    /// Zero-extends every row-addressed arena — T, the masks, `probs`,
+    /// `freq` and `best` — to `rows` rows.
+    fn grow_rows(&mut self, rows: usize) {
+        self.t.grow(rows, self.stride);
+        self.played.resize(rows * self.words, 0);
+        let Self { probs, freq, best, stride, .. } = self;
+        for (arena, width) in row_arenas(probs, freq, best, *stride) {
+            arena.resize(rows * width, 0.0);
+        }
     }
 
     /// The fixed per-slot stride (maximum hostable arity).
@@ -999,21 +1004,13 @@ impl LearnerSlab {
         self.free.len()
     }
 
-    /// Cumulative count of [`alloc`](Self::alloc) calls served from a
-    /// departed learner's T block — a released slot's (free-list mode)
-    /// or a compacted-away slot's (slot-aligned mode) — so no fresh
-    /// arena was touched.
-    pub fn free_list_reuses(&self) -> u64 {
-        self.reuses
-    }
-
     /// Allocates a slot initialised to the uniform fresh-learner state
     /// (`T = 0`, `p = f = 1/m`, stage 0, nothing pending). Reuses the
-    /// most recently released slot if one exists; otherwise appends a
-    /// slot, giving it the most recently freed block before any fresh
-    /// arena — so the arena's high-water mark is the peak population. A
-    /// slot starts with no column open: in a packed slab its first play
-    /// of each action takes one from the column pool.
+    /// most recently released slot, and its row, if one exists; otherwise
+    /// appends a slot on the row past every handed-out one, growing the
+    /// arenas only past their pre-zeroed backing. A slot starts with no
+    /// column open: in a packed slab its first play of each action takes
+    /// one from the column pool.
     ///
     /// # Panics
     ///
@@ -1022,56 +1019,30 @@ impl LearnerSlab {
         assert!(num_actions > 0, "slab slot needs at least one action");
         assert!(num_actions <= self.stride, "action count {num_actions} exceeds slab stride");
         let slot = match self.free.pop() {
-            Some(s) => {
-                self.reuses += 1;
-                s as usize
-            }
+            Some(s) => s as usize,
             None => {
-                let s = self.arity.len();
-                let block = match self.free_blocks.pop() {
-                    Some(b) => {
-                        self.reuses += 1;
-                        self.blocks_permuted |= b as usize != s;
-                        b
-                    }
-                    None => {
-                        // Every block handed out so far belongs to one
-                        // of the `s` slots, so block `s` is the first
-                        // untouched one. Grow the backing columns only
-                        // past the pre-zeroed region
-                        // ([`with_capacity`]/[`reserve`]); inside it the
-                        // storage already exists, untouched and zero.
-                        if (s + 1) * self.words > self.played.len() {
-                            self.t.grow(s + 1, self.stride);
-                            self.played.resize((s + 1) * self.words, 0);
-                        }
-                        s as u32
-                    }
-                };
                 // A new slot comes last in slot order, so it takes the
-                // row past every handed-out one.
-                let row = self.rows_used;
+                // row past every handed-out one. Inside the pre-zeroed
+                // region ([`with_capacity`]/[`reserve`]) the storage
+                // already exists.
+                let (s, row) = (self.arity.len(), self.rows_used);
                 self.rows_used += 1;
-                if self.rows_used * self.stride > self.probs.len() {
-                    let Self { probs, freq, best, stride, rows_used, .. } = self;
-                    for (arena, width) in row_arenas(probs, freq, best, *stride) {
-                        arena.resize(*rows_used * width, 0.0);
-                    }
+                if self.rows_used * self.words > self.played.len() {
+                    self.grow_rows(self.rows_used);
                 }
                 self.arity.push(0);
                 self.stage.push(0);
                 self.pending.push(NO_PENDING);
                 self.scale.push(1.0);
-                self.block.push(block);
                 self.row.push(row as u32);
                 s
             }
         };
-        // A freed block's T columns and bitmask were wiped (a packed
-        // slot's columns freed) when its slot departed or was released,
-        // and a fresh block is zero, so they need no work; only the
+        // A released slot's T columns and bitmask were wiped (a packed
+        // slot's columns freed), and a row past `rows_used` reads as a
+        // fresh block (module docs), so they need no work; only the
         // uniform prefix, the lazy scale and the estimate row (a departed
-        // learner's may linger in its rows) do.
+        // learner's may linger in a row a pass vacated) do.
         self.arity[slot] = num_actions as u32;
         self.stage[slot] = 0;
         self.pending[slot] = NO_PENDING;
@@ -1097,7 +1068,7 @@ impl LearnerSlab {
     /// Returns a slot to the free list, restoring the all-zero T /
     /// cleared-bitmask invariant `alloc` relies on: a packed slot's
     /// columns are zeroed and go back to the column pool. The slot keeps
-    /// its block.
+    /// its row.
     ///
     /// # Panics
     ///
@@ -1127,7 +1098,7 @@ impl LearnerSlab {
         assert!(m > 0, "cannot clone a freed slot");
         let dst = self.alloc(m) as usize;
         let (stride, words) = (self.stride, self.words);
-        let (from, to) = (self.block[src] as usize, self.block[dst] as usize);
+        let (from, to) = (self.row[src] as usize, self.row[dst] as usize);
         self.played.copy_within(from * words..(from + 1) * words, to * words);
         let played = &self.played[to * words..(to + 1) * words];
         match &mut self.t {
@@ -1144,7 +1115,6 @@ impl LearnerSlab {
                 handles[to * stride + k] = h as u32;
             }),
         }
-        let (from, to) = (self.row[src] as usize, self.row[dst] as usize);
         for (arena, width) in
             row_arenas(&mut self.probs, &mut self.freq, &mut self.best, stride)
         {
@@ -1159,13 +1129,14 @@ impl LearnerSlab {
     /// Removes the given slots with an **order-preserving compaction**
     /// of the per-slot scalars, mirroring `PeerStore::remove_slots` so
     /// slab slots stay aligned with store slots. Each survivor carries
-    /// its two handles down with it, so no row of it moves: each departed
-    /// slot's block is wiped (played columns and bitmask) and pushed on
-    /// the block free list for [`alloc`](Self::alloc) to reuse, and its
-    /// rows are left as holes. Once the holes outnumber a sixteenth of
-    /// the survivors, one ascending pass closes them (the module docs).
-    /// Returns the bytes copied — six scalars per relocated slot, and the
-    /// rows such a pass moved — and the T columns the wipes zeroed.
+    /// its row handle down with it, so no row of it moves: each departed
+    /// slot's `S` is wiped (played columns and bitmask; a packed slot's
+    /// columns go back to the pool) and its row is left as a hole. Once
+    /// the holes outnumber a sixteenth of the survivors, one ascending
+    /// pass closes them (the module docs), moving each survivor's rows,
+    /// its `S` and its bitmask together. Returns the bytes copied — five
+    /// scalars per relocated slot, and what such a pass moved — and the T
+    /// columns the wipes zeroed.
     ///
     /// # Panics
     ///
@@ -1183,24 +1154,26 @@ impl LearnerSlab {
         let mut wiped = 0;
         for &slot in sorted {
             wiped += self.wipe_t(slot as usize);
-            self.free_blocks.push(self.block[slot as usize]);
         }
         compact_column(&mut self.arity, sorted);
         compact_column(&mut self.stage, sorted);
         compact_column(&mut self.pending, sorted);
         compact_column(&mut self.scale, sorted);
-        compact_column(&mut self.block, sorted);
         compact_column(&mut self.row, sorted);
         let kept = self.arity.len();
         // Everything from the first departure on was relocated.
-        self.blocks_permuted |= kept > sorted[0] as usize;
         let mut moved = (kept - sorted[0] as usize) * SLOT_SCALAR_BYTES;
-        let Self { probs, freq, best, row, rows_used, stride, .. } = self;
+        let Self { t, played, probs, freq, best, row, rows_used, stride, words, .. } = self;
         let closed = close_row_holes(row, *rows_used, |from, to| {
             for (arena, width) in row_arenas(probs, freq, best, *stride) {
                 arena.copy_within(from * width..(from + 1) * width, to * width);
                 moved += width * size_of::<f64>();
             }
+            let mask = from * *words..(from + 1) * *words;
+            moved += t.move_row(from, to, &played[mask.clone()], *stride);
+            played.copy_within(mask.clone(), to * *words);
+            played[mask].fill(0);
+            moved += *words * size_of::<u64>();
         });
         if closed.is_some() {
             *rows_used = kept;
@@ -1210,7 +1183,7 @@ impl LearnerSlab {
 
     /// Reinitialises a slot for a new action count (channel switch) —
     /// same semantics (and panics) as `RthsState::reset_actions`. The
-    /// slot keeps its block, wiped in place (a packed slot's columns go
+    /// slot keeps its row, `S` wiped in place (a packed slot's columns go
     /// back to the pool).
     pub fn reset_actions(&mut self, slot: usize, num_actions: usize) {
         assert!(
@@ -1275,8 +1248,8 @@ impl LearnerSlab {
 
     /// The slot's stored `S`.
     fn slot_s(&mut self, slot: usize) -> SlotS<'_, '_> {
-        let (b, words) = (self.block[slot] as usize, self.words);
-        self.t.slot(b, &mut self.played[b * words..(b + 1) * words], self.stride)
+        let (r, words) = (self.row[slot] as usize, self.words);
+        self.t.slot(r, &mut self.played[r * words..(r + 1) * words], self.stride)
     }
 
     /// Zeroes the slot's played columns and clears its bitmask (a packed
@@ -1287,18 +1260,15 @@ impl LearnerSlab {
     }
 
     /// Borrows one slot as a single-slot [`SlabCols`] chunk (the slot is
-    /// index 0 of it), through its block handle — `O(1)` whatever the
-    /// slab's size, so per-slot callers share the sharded phases' update
-    /// without gathering anything.
+    /// index 0 of it), through its row handle — `O(1)` whatever the
+    /// slab's size, so per-slot callers share the sharded phases' update.
     fn slot_cols(&mut self, slot: usize) -> SlabCols<'_> {
-        let (b, r) = (self.block[slot] as usize, self.row[slot] as usize);
-        let (stride, words) = (self.stride, self.words);
-        let blocks = self.block.len() + self.free_blocks.len();
+        let (r, stride, words) = (self.row[slot] as usize, self.stride, self.words);
         SlabCols {
             stride,
-            t: self.t.view(blocks, stride, &self.block[slot..=slot], false),
+            t: self.t.view(self.rows_used, stride, &self.row[slot..=slot], false),
             freq: self.freq.as_mut().map(|freq| one_row(freq, stride, r)),
-            played: one_row(&mut self.played, words, b),
+            played: one_row(&mut self.played, words, r),
             stage: &mut self.stage[slot..=slot],
             scale: &mut self.scale[slot..=slot],
             best: self.best.as_mut().map(|best| one_row(best, 2 * stride, r)),
@@ -1346,14 +1316,14 @@ impl LearnerSlab {
 
     /// Stored entry `S(j, k)` of a slot: `+0.0` in a never-played column.
     fn stored_entry(&self, slot: usize, j: usize, k: usize) -> f64 {
-        let (b, stride) = (self.block[slot] as usize, self.stride);
-        if self.played[b * self.words + k / 64] >> (k % 64) & 1 == 0 {
+        let (r, stride) = (self.row[slot] as usize, self.stride);
+        if self.played[r * self.words + k / 64] >> (k % 64) & 1 == 0 {
             return 0.0;
         }
         match &self.t {
-            TStore::Blocks(t) => t[(b * stride + k) * stride + j],
+            TStore::Blocks(t) => t[(r * stride + k) * stride + j],
             TStore::Packed { handles, pool } => {
-                pool.cols[handles[b * stride + k] as usize * stride + j]
+                pool.cols[handles[r * stride + k] as usize * stride + j]
             }
         }
     }
@@ -1379,46 +1349,45 @@ impl LearnerSlab {
     }
 
     /// Borrows every column as a [`SlabCols`] bundle for a sharded
-    /// parallel phase. `O(slots)`: the handles are read to find each
-    /// slot's block, so that a shard can be given the rows of its slot
-    /// range wherever they lie in the arenas ([`Rows::by_handle`]: the
-    /// arena prefixes themselves while every handle still equals its
-    /// slot). Per-slot callers use the methods on the slab itself, which
-    /// look up one handle.
+    /// parallel phase. `O(1)`: every arena is handed over with the row
+    /// handles, and a shard gets the rows of its slot range by slicing
+    /// ([`Rows::by_handle`]: the arena prefixes themselves while every
+    /// handle still equals its slot). Per-slot callers use the methods on
+    /// the slab itself, which look up one handle.
     ///
     /// The whole view opens columns itself, from the slab's column pool.
     /// A view split between shards holds no pool: each shard gets the
-    /// columns its slots have open (gathered once, at the split), so the
-    /// columns a pending action needs have to be open before it is split
+    /// columns its slots have open, gathered once, at the split — a pool
+    /// column's place follows the order of first plays, not slot order,
+    /// so no slice of the pool belongs to one shard. The columns a
+    /// pending action needs have to be open before the view is split
     /// ([`open_pending_columns`](Self::open_pending_columns)).
     ///
     /// # Panics
     ///
     /// Splitting the bundle between shards panics if two slots share a
-    /// block, a row or a column (a broken slab invariant). Observing an
-    /// action whose column is not open through a split view panics.
+    /// row or a column (a broken slab invariant). Observing an action
+    /// whose column is not open through a split view panics.
     pub fn split(&mut self) -> SlabCols<'_> {
-        // Only the handed-out blocks and rows are viewed — the arenas may
-        // carry extra pre-zeroed backing beyond them.
-        let (stride, words) = (self.stride, self.words);
-        let (blocks, rows) = (self.block.len() + self.free_blocks.len(), self.rows_used);
-        let (block, row) = (&self.block, &self.row);
-        let (by_block, by_row) = (!self.blocks_permuted, increasing_aligned(row));
+        // Only the handed-out rows are viewed — the arenas may carry extra
+        // pre-zeroed backing beyond them.
+        let (stride, words, rows, row) = (self.stride, self.words, self.rows_used, &self.row);
+        let aligned = increasing_aligned(row);
         SlabCols {
             stride,
-            t: self.t.view(blocks, stride, block, by_block),
+            t: self.t.view(rows, stride, row, aligned),
             freq: self
                 .freq
                 .as_mut()
-                .map(|freq| Rows::by_handle(stride, &mut freq[..rows * stride], row, by_row)),
-            played: Rows::by_handle(words, &mut self.played[..blocks * words], block, by_block),
+                .map(|freq| Rows::by_handle(stride, &mut freq[..rows * stride], row, aligned)),
+            played: Rows::by_handle(words, &mut self.played[..rows * words], row, aligned),
             stage: &mut self.stage,
             scale: &mut self.scale,
             best: self.best.as_mut().map(|best| {
-                Rows::by_handle(2 * stride, &mut best[..2 * rows * stride], row, by_row)
+                Rows::by_handle(2 * stride, &mut best[..2 * rows * stride], row, aligned)
             }),
             strategy: StrategyCols {
-                probs: Rows::by_handle(stride, &mut self.probs[..rows * stride], row, by_row),
+                probs: Rows::by_handle(stride, &mut self.probs[..rows * stride], row, aligned),
                 arity: &mut self.arity,
                 pending: &mut self.pending,
             },
@@ -1722,7 +1691,8 @@ enum TCols<'a> {
     /// opens and frees columns.
     Pool { handles: Rows<'a, u32>, pool: &'a mut ColumnPool },
     /// Packed, split between shards: every slot's played columns in slot
-    /// order, each slot's in ascending action order. `ends[i]` is where
+    /// order, each slot's in ascending action order — gathered, because a
+    /// pool column's place follows first-play order, not slot order. `ends[i]` is where
     /// slot `i`'s end, counted from the first column of the whole view,
     /// whose index is `base` (slot `i` starts where slot `i − 1` ends, the
     /// first slot at `base`).
@@ -2280,9 +2250,9 @@ mod tests {
         /// column-major: an unpacked block as it lies, a packed slot's
         /// columns read through its handles (`+0.0` where none is open).
         fn stored(&self, slot: usize) -> Vec<f64> {
-            let (b, stride) = (self.block[slot] as usize, self.stride);
+            let (r, stride) = (self.row[slot] as usize, self.stride);
             match &self.t {
-                TStore::Blocks(t) => t[b * stride * stride..(b + 1) * stride * stride].to_vec(),
+                TStore::Blocks(t) => t[r * stride * stride..(r + 1) * stride * stride].to_vec(),
                 TStore::Packed { .. } => (0..stride * stride)
                     .map(|e| self.stored_entry(slot, e % stride, e / stride))
                     .collect(),
@@ -2291,21 +2261,20 @@ mod tests {
 
         /// The slot's played-column bitmask.
         fn played_row(&self, slot: usize) -> &[u64] {
-            let b = self.block[slot] as usize;
-            &self.played[b * self.words..(b + 1) * self.words]
+            let r = self.row[slot] as usize;
+            &self.played[r * self.words..(r + 1) * self.words]
         }
 
         /// Test hook: a packed slab's column pool holds exactly the played
         /// columns — each open column named by one played action of one
-        /// handed-out block, every other one on the free list and `+0.0`.
+        /// row, every other one on the free list and `+0.0`.
         fn assert_pool_holds_the_played_columns(&self) {
             let TStore::Packed { handles, pool } = &self.t else { return };
             let (stride, words) = (self.stride, self.words);
             let mut seen = vec![false; pool.cols.len() / stride];
-            let blocks = self.block.len() + self.free_blocks.len();
-            for b in 0..blocks {
-                for_each_played(&self.played[b * words..(b + 1) * words], |k| {
-                    let h = handles[b * stride + k] as usize;
+            for (r, mask) in self.played.chunks_exact(words).enumerate() {
+                for_each_played(mask, |k| {
+                    let h = handles[r * stride + k] as usize;
                     assert!(!std::mem::replace(&mut seen[h], true), "column {h} open twice");
                 });
             }
@@ -2316,6 +2285,47 @@ mod tests {
                 assert!(column.iter().all(|x| x.to_bits() == 0), "free column {h} is dirty");
             }
             assert!(seen.iter().all(|&s| s), "a column is neither open nor free");
+        }
+
+        /// Test hook: the slab's one-handle layout holds. Row handles
+        /// strictly increase inside the handed-out rows, with no more
+        /// holes than a pass would have closed; every arena is as long as
+        /// the same number of rows; every never-played column of a slot
+        /// is `+0.0`; a hole, and every row at or past `rows_used`, reads
+        /// as a fresh learner's block — mask clear, all `+0.0` — so an
+        /// arrival on a row a pass has just emptied starts fresh; and a
+        /// packed pool holds exactly the played columns.
+        fn assert_layout(&self) {
+            let (stride, words) = (self.stride, self.words);
+            assert!(self.row.windows(2).all(|w| w[0] < w[1]), "row handles out of order");
+            let n = self.row.len();
+            assert!(self.row.last().is_none_or(|&r| (r as usize) < self.rows_used));
+            assert!(self.rows_used - n <= n / 16 + 1, "{} holes left open", self.rows_used - n);
+            let rows = self.played.len() / words;
+            assert!(self.rows_used <= rows);
+            assert_eq!(self.probs.len(), rows * stride);
+            match &self.t {
+                TStore::Blocks(t) => assert_eq!(t.len(), rows * stride * stride),
+                TStore::Packed { handles, .. } => assert_eq!(handles.len(), rows * stride),
+            }
+            let mut owned = vec![false; rows];
+            for &r in &self.row {
+                owned[r as usize] = true;
+            }
+            for (r, mask) in self.played.chunks_exact(words).enumerate() {
+                assert!(
+                    owned[r] || mask.iter().all(|&w| w == 0),
+                    "row {r}: a hole's mask is set"
+                );
+                if let TStore::Blocks(t) = &self.t {
+                    for k in (0..stride).filter(|&k| mask[k / 64] >> (k % 64) & 1 == 0) {
+                        let column = &t[(r * stride + k) * stride..][..stride];
+                        let what = format!("row {r}: never-played column {k}");
+                        assert!(column.iter().all(|x| x.to_bits() == 0), "{what} is dirty");
+                    }
+                }
+            }
+            self.assert_pool_holds_the_played_columns();
         }
 
         /// A packed slab's open columns and the arena's high-water mark,
@@ -2335,23 +2345,43 @@ mod tests {
             }
         }
 
-        /// Test hook: [`remove_slots`](Self::remove_slots), its byte count
-        /// held to what moved — the slot scalars of every slot from the
-        /// first departure on, and, for each survivor whose row handle
-        /// changed, one row of every row arena the slab keeps.
+        /// Test hook: [`remove_slots`](Self::remove_slots), with every
+        /// survivor's `S` and bitmask held bit for bit across it, and its
+        /// byte count held to what moved — the slot scalars of every slot
+        /// from the first departure on and, for each survivor whose row
+        /// handle changed, one row of every row arena the slab keeps, its
+        /// bitmask, and its `S`: the handle row of a packed slot, the
+        /// played columns of an unpacked one.
         fn checked_remove_slots(&mut self, sorted: &[u32]) -> (usize, u64) {
-            let kept: Vec<u32> = (0..self.num_slots())
+            let survivors: Vec<usize> = (0..self.num_slots())
                 .filter(|&slot| !sorted.contains(&(slot as u32)))
-                .map(|slot| self.row[slot])
+                .collect();
+            let before: Vec<(u32, Vec<u64>, Vec<u64>)> = survivors
+                .iter()
+                .map(|&slot| {
+                    let bits = self.stored(slot).iter().map(|x| x.to_bits()).collect();
+                    (self.row[slot], self.played_row(slot).to_vec(), bits)
+                })
                 .collect();
             let (moved, wiped) = self.remove_slots(sorted);
             let relocated =
                 sorted.first().map_or(0, |&first| self.num_slots() - first as usize);
-            let rows = kept.iter().zip(&self.row).filter(|(was, now)| was != now).count();
             let arenas =
                 1 + usize::from(self.freq.is_some()) + 2 * usize::from(self.best.is_some());
-            let row_bytes = arenas * self.stride * size_of::<f64>();
-            assert_eq!(moved, relocated * SLOT_SCALAR_BYTES + rows * row_bytes, "bytes moved");
+            let (stride, words) = (self.stride, self.words);
+            let mut want = relocated * SLOT_SCALAR_BYTES;
+            for (slot, (row, mask, bits)) in before.iter().enumerate() {
+                let now: Vec<u64> = self.stored(slot).iter().map(|x| x.to_bits()).collect();
+                assert!(now == *bits && self.played_row(slot) == mask, "slot {slot}: S moved");
+                if self.row[slot] != *row {
+                    want += (arenas * stride + words) * size_of::<f64>();
+                    want += match &self.t {
+                        TStore::Blocks(_) => played_count(mask) * stride * size_of::<f64>(),
+                        TStore::Packed { .. } => stride * size_of::<u32>(),
+                    };
+                }
+            }
+            assert_eq!(moved, want, "bytes moved");
             (moved, wiped)
         }
     }
@@ -2608,9 +2638,11 @@ mod tests {
         assert_eq!(slab.scale[slot as usize], 1.0);
     }
 
-    /// The same through the block free list: a slot compacted away while
-    /// a batched decay runs hands its block — played columns wiped, mask
-    /// cleared, `scale` back at 1 — to the next arrival.
+    /// The same through a departure: slot 1 is compacted away — its `S`
+    /// wiped, and with one hole beside two survivors a pass moves slot 2's
+    /// rows, `S` and mask down onto it, emptying row 2 — while a batched
+    /// decay runs; the next arrival takes the emptied row and finds a
+    /// fresh block: played columns `+0.0`, mask clear, `scale` back at 1.
     #[test]
     fn batched_decay_does_not_leak_into_a_reused_block() {
         let cfg = config_eps(3, FAST_EPS, RecencyMode::Exponential, false);
@@ -2622,16 +2654,16 @@ mod tests {
         let mut rngs: Vec<_> =
             (0..3).map(|p| rand::rngs::StdRng::seed_from_u64(60 + p)).collect();
         drive_with_mirrors(&mut slab, &mut mirrors, &mut rngs, &cfg, 40);
-        assert!(slab.stored(1).iter().any(|&x| x != 0.0) && slab.scale[1] != 1.0);
-        let departed = slab.block[1];
-        slab.remove_slots(&[1]);
+        assert!(slab.stored(2).iter().any(|&x| x != 0.0) && slab.scale[2] != 1.0);
+        slab.checked_remove_slots(&[1]);
+        assert_eq!((slab.rows_used, slab.row[1]), (2, 1), "no pass moved slot 2 down");
         slab.split().decay(0.5);
         let slot = slab.alloc(3) as usize;
-        assert_eq!((slot, slab.block[slot]), (2, departed), "the departed block is reused");
-        assert_eq!(slab.free_list_reuses(), 1);
+        assert_eq!((slot, slab.row[slot]), (2, 2), "the arrival takes the emptied row");
         assert!(slab.stored(slot).iter().all(|&x| x.to_bits() == 0), "block not wiped");
         assert_eq!(slab.played_row(slot), [0]);
         assert_eq!(slab.scale[slot], 1.0);
+        slab.assert_layout();
     }
 
     /// Order-preserving compaction: survivors keep their exact state
@@ -2680,37 +2712,6 @@ mod tests {
                 slab.checked_max_regret(slot, &cfg).to_bits(),
                 mirror.max_regret(&cfg).to_bits()
             );
-        }
-    }
-
-    impl LearnerSlab {
-        /// Test hook: every handed-out block is owned by exactly one slot
-        /// or free — no two live slots share one.
-        fn assert_blocks_disjoint(&self) {
-            let mut seen: Vec<u32> =
-                self.block.iter().chain(&self.free_blocks).copied().collect();
-            seen.sort_unstable();
-            let handed_out = self.block.len() + self.free_blocks.len();
-            assert_eq!(
-                seen,
-                (0..handed_out as u32).collect::<Vec<_>>(),
-                "blocks shared or lost"
-            );
-            assert!(handed_out * self.words <= self.played.len());
-            match &self.t {
-                TStore::Blocks(t) => assert!(handed_out * self.stride * self.stride <= t.len()),
-                TStore::Packed { handles, .. } => {
-                    assert!(handed_out * self.stride <= handles.len());
-                    self.assert_pool_holds_the_played_columns();
-                }
-            }
-            // Row handles: strictly increasing, inside the handed-out rows,
-            // with no more holes than a pass would have closed.
-            assert!(self.row.windows(2).all(|w| w[0] < w[1]), "row handles out of order");
-            let n = self.row.len();
-            assert!(self.row.last().is_none_or(|&r| (r as usize) < self.rows_used));
-            assert!(self.rows_used - n <= n / 16 + 1, "{} holes left open", self.rows_used - n);
-            assert!(self.rows_used * self.stride <= self.probs.len());
         }
     }
 
@@ -2795,13 +2796,14 @@ mod tests {
 
     /// Arrivals, order-preserving departures and channel switches
     /// interleaved with play at ε = 0.5 (every long-lived `scale ≠ 1`,
-    /// renormalised once 257 stages old): block handles become a
-    /// non-identity permutation, arrivals inherit departed peers' blocks,
-    /// and every peer keeps replaying its own scalar oracle
-    /// `to_bits`-exactly — strategies, regrets and the materialised `T`.
-    /// The row maxima are turned on before the first round, and in a
-    /// second run only once churn has permuted the handles and freed
-    /// blocks have been reused.
+    /// renormalised once 257 stages old): at a population below 32 every
+    /// departure's hole passes the rule's sixteenth, so a pass moves the
+    /// survivors' rows and `S` at once; arrivals take rows a pass has
+    /// emptied, and every peer
+    /// keeps replaying its own scalar oracle `to_bits`-exactly —
+    /// strategies, regrets and the materialised `T`. The row maxima are
+    /// turned on before the first round, and in a second run only once
+    /// arrivals have taken emptied rows.
     #[test]
     fn interleaved_churn_replays_per_id_oracles_bitwise() {
         interleaved_churn(0);
@@ -2815,10 +2817,12 @@ mod tests {
         let mut next_id = 0u64;
         let mut peers: Vec<OraclePeer> = Vec::new();
         let mut spawn = |slab: &mut LearnerSlab, peers: &mut Vec<OraclePeer>| {
-            let reused = !slab.free_blocks.is_empty();
+            // The slab has no pre-zeroed backing: its arenas are as long as
+            // the most rows ever handed out at once.
+            let reused = slab.rows_used * slab.words < slab.played.len();
             let slot = slab.alloc(4) as usize;
             assert_eq!(slot, peers.len(), "slots stay aligned");
-            // Fresh or inherited, the block reads as a new learner's.
+            // Fresh or emptied by a pass, the row reads as a new learner's.
             assert!(slab.stored(slot).iter().all(|&x| x.to_bits() == 0), "dirty block");
             assert_eq!(slab.played_row(slot), [0]);
             assert_eq!(slab.scale[slot], 1.0);
@@ -2864,11 +2868,9 @@ mod tests {
                 peer.cfg = base.with_num_actions(m).unwrap();
                 peer.state.reset_actions(m);
             }
-            slab.assert_blocks_disjoint();
+            slab.assert_layout();
             if round == track_estimates_from {
-                let permuted =
-                    slab.block.iter().enumerate().any(|(slot, &b)| b as usize != slot);
-                assert_eq!(permuted, round > 0);
+                assert_eq!(inherited > 0, round > 0);
                 slab.track_estimates();
             }
             assert_eq!(slab.best.is_some(), round >= track_estimates_from);
@@ -2885,12 +2887,7 @@ mod tests {
                 }
             }
         }
-        assert!(inherited > 50, "only {inherited} arrivals inherited a departed block");
-        assert_eq!(slab.free_list_reuses(), inherited as u64);
-        assert!(
-            slab.block.iter().enumerate().any(|(slot, &b)| b as usize != slot),
-            "handles are still the identity"
-        );
+        assert!(inherited > 50, "only {inherited} arrivals took an emptied row");
         for (slot, peer) in peers.iter().enumerate().take(2) {
             assert_eq!(peer.id, slot as u64);
             assert_renormalised(&slab, slot, &peer.cfg);
@@ -2903,10 +2900,10 @@ mod tests {
     /// compacts (same id, same RNG stream), `to_bits`: strategies, the
     /// whole proxy matrix and the maintained estimate — with the rounds
     /// run through shard-split `split_strategy()` and `split()` views,
-    /// which gather their rows through the handles. At stride 10 blocks
-    /// are unpacked, at 32 packed. Arrivals reuse departed blocks with
-    /// three actions fewer than their previous owners played, and must
-    /// read as fresh learners.
+    /// which slice their rows at the handles, holes and all. At stride 10
+    /// blocks are unpacked, at 32 packed. Arrivals take rows a pass has
+    /// emptied with three actions fewer than the rows' last owners played,
+    /// and must read as fresh learners.
     #[test]
     fn compaction_keeps_rows_in_place_and_matches_a_never_compacted_twin() {
         use rand::Rng;
@@ -2937,8 +2934,8 @@ mod tests {
                 arrive(&mut slab, &mut twin, &mut ids, &mut by_id, &big);
             }
             let mut script = rand::rngs::StdRng::seed_from_u64(stride as u64);
-            let (mut closed, mut gathered, mut smaller) = (0, 0, 0);
-            // The arity each freed block's last owner had.
+            let (mut closed, mut unaligned, mut smaller) = (0, 0, 0);
+            // The arity each row's last owner had.
             let mut owner_arity = std::collections::BTreeMap::new();
             for round in 0..150u64 {
                 if round % 4 == 3 {
@@ -2950,9 +2947,8 @@ mod tests {
                         .filter(|s| !gone.contains(&(*s as u32)))
                         .map(|s| slab.row[s])
                         .collect();
-                    for &slot in &gone {
-                        owner_arity
-                            .insert(slab.block[slot as usize], slab.num_actions(slot as usize));
+                    for slot in 0..ids.len() {
+                        owner_arity.insert(slab.row[slot], slab.num_actions(slot));
                     }
                     slab.checked_remove_slots(&gone);
                     if slab.rows_used == slab.num_slots() && !gone.is_empty() {
@@ -2965,8 +2961,10 @@ mod tests {
                     }
                     for _ in 0..gone.len() {
                         let m = small.num_actions();
-                        let prior = slab.free_blocks.last().map(|b| owner_arity[b] > m);
+                        let prior = owner_arity.get(&(slab.rows_used as u32)).map(|&a| a > m);
                         let slot = arrive(&mut slab, &mut twin, &mut ids, &mut by_id, &small);
+                        assert!(slab.stored(slot).iter().all(|x| x.to_bits() == 0), "dirty S");
+                        assert!(slab.played_row(slot).iter().all(|&w| w == 0), "dirty mask");
                         assert_bitwise(
                             slab.probabilities(slot),
                             &vec![1.0 / m as f64; m],
@@ -2979,12 +2977,12 @@ mod tests {
                         assert_eq!(slab.max_regret(slot, &small).to_bits(), 0);
                         smaller += usize::from(prior == Some(true));
                     }
-                    slab.assert_blocks_disjoint();
+                    slab.assert_layout();
                 }
                 let mid = ids.len() / 2;
                 let picks: Vec<usize> = {
                     let (mut head, mut tail) = slab.split_strategy().shard_split(mid);
-                    gathered += usize::from(matches!(head.probs, Rows::Gathered(_)));
+                    unaligned += usize::from(matches!(head.probs, Rows::Indexed { .. }));
                     (0..ids.len())
                         .map(|slot| {
                             let (cols, i) = if slot < mid {
@@ -3042,36 +3040,39 @@ mod tests {
                 }
             }
             assert!(closed > 0, "stride {stride}: no pass closed the holes");
-            assert!(gathered > 0, "stride {stride}: no round ran on gathered rows");
+            assert!(unaligned > 0, "stride {stride}: no round ran on rows with holes");
             assert!(slab.freq.is_none() && twin.freq.is_none(), "unconditional frequencies");
-            assert!(smaller > 0, "stride {stride}: no arrival took a larger learner's block");
+            assert!(smaller > 0, "stride {stride}: no arrival took a larger learner's row");
         }
     }
 
     /// 2,000 epochs of balanced churn (departures, then as many
-    /// arrivals, as `System::step_epoch` orders them): departed blocks are
-    /// reused before any fresh arena, so the arena stays at the length
-    /// the first population gave it; and a compaction moves no T data —
-    /// every survivor still holds the block it held before.
+    /// arrivals, as `System::step_epoch` orders them): the holes never
+    /// pass the rule's sixteenth of the survivors, so the rows handed out,
+    /// and the arena, stay within the population plus that; and a
+    /// departure moves no survivor's `S` except in a pass that closes the
+    /// holes, which moves it bit for bit (`checked_remove_slots`) — every
+    /// other epoch each survivor still holds the row it held before.
     #[test]
-    fn balanced_churn_neither_grows_the_arena_nor_moves_t() {
+    fn balanced_churn_bounds_the_arena_by_the_hole_rule_and_moves_t_only_in_a_pass() {
         use rand::Rng;
+        const PEERS: usize = 50;
         let cfg = config_eps(4, FAST_EPS, RecencyMode::Exponential, false);
         let mut slab = LearnerSlab::new(4);
         let mut peers: Vec<OraclePeer> = Vec::new();
-        for id in 0..50 {
+        for id in 0..PEERS as u64 {
             slab.alloc(4);
             peers.push(OraclePeer::new(id, &cfg));
         }
         slab.track_estimates();
-        let arena = slab.arena_len();
-        assert_eq!(arena, 50 * 16);
+        assert_eq!(slab.arena_len(), PEERS * 16);
+        let most_rows = PEERS + PEERS / 16;
         let mut script = rand::rngs::StdRng::seed_from_u64(77);
-        let mut next_id = 50;
+        let (mut next_id, mut passes, mut holed) = (PEERS as u64, 0, 0);
         for epoch in 0..2000u64 {
             let mut gone: Vec<u32> = Vec::new();
             for _ in 0..script.gen_range(0..4) {
-                let slot = script.gen_range(0..50);
+                let slot = script.gen_range(0..PEERS as u32);
                 if !gone.contains(&slot) {
                     gone.push(slot);
                 }
@@ -3081,26 +3082,31 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|(slot, _)| !gone.contains(&(*slot as u32)))
-                .map(|(slot, peer)| (peer.id, slab.block[slot]))
+                .map(|(slot, peer)| (peer.id, slab.row[slot]))
                 .collect();
             slab.checked_remove_slots(&gone);
             for &slot in gone.iter().rev() {
                 peers.remove(slot as usize);
             }
             let now: Vec<(u64, u32)> =
-                peers.iter().enumerate().map(|(slot, p)| (p.id, slab.block[slot])).collect();
-            assert_eq!(now, held, "epoch {epoch}: a survivor's T block moved");
+                peers.iter().enumerate().map(|(slot, p)| (p.id, slab.row[slot])).collect();
+            if !gone.is_empty() && slab.rows_used == peers.len() {
+                passes += 1;
+            } else {
+                assert_eq!(now, held, "epoch {epoch}: a survivor moved outside a pass");
+            }
             for _ in 0..gone.len() {
                 slab.alloc(4);
                 peers.push(OraclePeer::new(next_id, &cfg));
                 next_id += 1;
             }
-            assert_eq!(slab.arena_len(), arena, "epoch {epoch}: the arena grew");
-            assert!(slab.free_blocks.is_empty());
+            holed += usize::from(slab.rows_used > PEERS);
+            assert!(slab.rows_used <= most_rows, "epoch {epoch}: {} rows", slab.rows_used);
+            assert!(slab.arena_len() <= most_rows * 16, "epoch {epoch}: the arena grew");
+            slab.assert_layout();
             churn_round(&mut slab, &mut peers, epoch);
         }
-        slab.assert_blocks_disjoint();
-        assert_eq!(slab.free_list_reuses(), next_id - 50, "every arrival reused a block");
+        assert!(passes > 100 && holed > 100, "{passes} passes, {holed} epochs with holes");
     }
 
     /// A slab of unconditional learners never allocates play-frequency
@@ -3146,7 +3152,7 @@ mod tests {
                     .collect();
                 slab.checked_remove_slots(&gone);
                 closed += usize::from(slab.rows_used == slab.num_slots());
-                slab.assert_blocks_disjoint();
+                slab.assert_layout();
                 assert!(slab.freq.is_none(), "round {round}: frequency rows allocated");
                 assert_eq!(slab.play_frequencies(0), None);
             }
@@ -3370,12 +3376,15 @@ mod tests {
         play(&mut slab, copy, &cfg, &[9, 2]);
         assert_columns(&mut slab, copy, 2);
 
-        let departed = slab.block[1] as usize;
+        // One hole beside three survivors: a pass moves slot 2 and the
+        // copy (handle rows and masks) down a row, and row 3 reads as a
+        // fresh block.
         slab.remove_slots(&[1]);
-        assert_eq!(slab.played[departed], 0, "departed block's mask not cleared");
+        assert_eq!((slab.row.as_slice(), slab.played[3]), (&[0, 1, 2][..], 0));
         assert_eq!(slab.pool_columns(), (2, 16));
+        assert_columns(&mut slab, 2, 2);
         let arrival = slab.alloc(STRIDE) as usize;
-        assert_eq!(slab.block[arrival] as usize, departed);
+        assert_eq!(slab.row[arrival], 3);
         play(&mut slab, arrival, &cfg, &[33, 1, 62]);
         assert_columns(&mut slab, arrival, 3);
 
@@ -3412,7 +3421,7 @@ mod tests {
                     (0..slab.num_slots()).map(|s| played_count(slab.played_row(s))).sum();
                 peak = peak.max(played);
                 assert_eq!(slab.pool_columns(), (played, peak), "stride {stride}: {what}");
-                slab.assert_blocks_disjoint();
+                slab.assert_layout();
             };
             for round in 0..60u64 {
                 let n = slab.num_slots();
@@ -3461,8 +3470,8 @@ mod tests {
     /// shards is bitwise equal to the same phase run as one shard, whose
     /// whole view opens columns as it goes: strategies, estimates, masks,
     /// handles and the column arena itself, the pre-opened columns
-    /// included. Churn between rounds permutes the blocks and fills the
-    /// pool's free list.
+    /// included. Churn between rounds leaves holes among the rows and
+    /// fills the pool's free list.
     #[test]
     fn split_packed_observe_phase_matches_one_shard_bitwise() {
         use rand::Rng;
@@ -3480,10 +3489,11 @@ mod tests {
             let mut rngs: Vec<_> =
                 (0..40).map(|p| rand::rngs::StdRng::seed_from_u64(700 + p)).collect();
             let (mut opened_split, mut opened_whole, mut preopened) = (0, 0, 0);
+            let mut unaligned = 0;
             for round in 0..120u64 {
                 if round % 10 == 9 {
                     let gone: Vec<u32> =
-                        (0..40).filter(|_| script.gen_range(0..8) == 0).collect();
+                        (0..40).filter(|_| script.gen_range(0..16) == 0).collect();
                     for slab in [&mut split, &mut whole] {
                         slab.remove_slots(&gone);
                         for _ in 0..gone.len() {
@@ -3504,6 +3514,7 @@ mod tests {
                     picks.push(split.select_action(slot, rng));
                     assert_eq!(whole.select_action(slot, &mut replay), picks[slot]);
                 }
+                unaligned += usize::from(!increasing_aligned(&split.row));
                 let pre = split.open_pending_columns();
                 preopened += pre;
                 opened_split += pre;
@@ -3553,11 +3564,11 @@ mod tests {
                 };
                 assert_eq!((h0, &p0.free), (h1, &p1.free), "stride {stride} round {round}");
                 assert_bitwise(&p0.cols, &p1.cols, "column arena");
-                split.assert_blocks_disjoint();
+                split.assert_layout();
             }
             assert_eq!(opened_split, opened_whole, "stride {stride}: columns opened");
             assert!(preopened > 40, "stride {stride}: only {preopened} columns pre-opened");
-            assert!(split.blocks_permuted, "stride {stride}: churn left the blocks in order");
+            assert!(unaligned > 0, "stride {stride}: churn left no hole open");
         }
     }
 

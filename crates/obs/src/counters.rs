@@ -23,10 +23,6 @@ pub enum Counter {
     /// Learner-slab T columns rewritten by the batched lazy decay: the
     /// played columns of the slots it renormalised (zero on most epochs).
     SlabColumnsTouched,
-    /// Learner-slab allocations served from a departed learner's T block
-    /// (a released slot's or a compacted-away slot's) instead of fresh
-    /// arena.
-    FreeListReuse,
     /// Learner-slab columns opened in a packed slab's column pool: first
     /// plays of an action, each of which takes a column from the pool
     /// (`rths_core::SlabCols::observe`, or
@@ -44,7 +40,7 @@ pub enum Counter {
     /// columns (`rths_sim::PeerStore::remove_slots`).
     DepartureBytesMoved,
     /// Learner-slab T columns that departures zeroed: the played columns
-    /// of departed slots' blocks (`rths_core::LearnerSlab::remove_slots`).
+    /// of departed slots (`rths_core::LearnerSlab::remove_slots`).
     DepartureColumnsWiped,
 }
 
@@ -55,7 +51,6 @@ impl Counter {
         Counter::MessagesDelivered,
         Counter::RingGrowEvents,
         Counter::SlabColumnsTouched,
-        Counter::FreeListReuse,
         Counter::SlabColumnsOpened,
         Counter::StretchFolds,
         Counter::RegretExactReads,
@@ -64,7 +59,7 @@ impl Counter {
     ];
 
     /// Number of counters.
-    pub(crate) const COUNT: usize = 10;
+    pub(crate) const COUNT: usize = 9;
 
     /// Stable snake_case name used in every export format.
     pub fn name(self) -> &'static str {
@@ -73,7 +68,6 @@ impl Counter {
             Counter::MessagesDelivered => "messages_delivered",
             Counter::RingGrowEvents => "ring_grow_events",
             Counter::SlabColumnsTouched => "slab_columns_touched",
-            Counter::FreeListReuse => "free_list_reuse",
             Counter::SlabColumnsOpened => "slab_columns_opened",
             Counter::StretchFolds => "stretch_folds",
             Counter::RegretExactReads => "regret_exact_reads",

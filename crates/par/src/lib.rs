@@ -328,28 +328,32 @@ impl<T: Send> ShardCols for Strided<'_, T> {
 }
 
 /// The rows of a flat arena as items see them through per-item row
-/// handles: item `i` owns row `handles[i]`, wherever that lies. A column
-/// whose items can leave while their rows stay put (a departure moves a
-/// 4-byte handle, not the row) hands a phase this view. Which form it
-/// takes follows from the handles and from how the phase splits it.
+/// handles: item `i` owns row `handles[i]`. The handles strictly increase
+/// in item order: an arena whose items leave their rows behind as holes
+/// and whose arrivals take the row past every handed-out one keeps them
+/// so, and only a pass that closes the holes moves a row. A split at item
+/// `mid` therefore cuts the arena where row `handles[mid]` starts: each
+/// half keeps exactly the rows its own items can name, and
+/// `split_at_mut` proves the halves disjoint (no `unsafe`, nothing
+/// gathered, nothing allocated).
 #[derive(Debug)]
 pub enum Rows<'a, T> {
     /// Every item holds the row of its own index: the arena prefix
-    /// itself, strided — nothing gathered, nothing allocated.
+    /// itself, strided, with no handle to read.
     Aligned(Strided<'a, T>),
-    /// The handles are not the identity, and the view is still whole:
-    /// the arena and the handles, each row looked up when asked for.
+    /// The handles are not the identity: the arena from row `base` on,
+    /// and the handles, each row looked up when asked for.
     Indexed {
         /// Scalars per row.
         stride: usize,
-        /// Every row the handles can name.
+        /// Arena rows `base..`: every row the handles can name.
         arena: &'a mut [T],
-        /// Row of each item.
+        /// The arena row `arena` starts at: `0` for a whole view, the
+        /// first item's row for the tail of a split.
+        base: usize,
+        /// Row of each item, strictly increasing.
         handles: &'a [u32],
     },
-    /// An indexed view split between shards: one view per item of the row
-    /// it owns, in item order.
-    Gathered(Vec<&'a mut [T]>),
 }
 
 impl<'a, T> Rows<'a, T> {
@@ -363,7 +367,8 @@ impl<'a, T> Rows<'a, T> {
     ///
     /// Panics if the arena is not a whole number of rows of a non-zero
     /// `stride`, or it has fewer rows than handles; in a debug build,
-    /// also if `aligned` is claimed for handles that are not.
+    /// also if the handles do not strictly increase, or `aligned` is
+    /// claimed for handles that are not.
     pub fn by_handle(
         stride: usize,
         arena: &'a mut [T],
@@ -371,11 +376,12 @@ impl<'a, T> Rows<'a, T> {
         aligned: bool,
     ) -> Self {
         let arena = Strided::new(stride, arena).data;
+        debug_assert!(handles.windows(2).all(|w| w[0] < w[1]), "{INCREASING}");
         if aligned {
             debug_assert!(handles.iter().enumerate().all(|(i, &h)| h as usize == i));
             return Rows::Aligned(Strided::new(stride, &mut arena[..handles.len() * stride]));
         }
-        Rows::Indexed { stride, arena, handles }
+        Rows::Indexed { stride, arena, base: 0, handles }
     }
 
     /// The row of item `i` **relative to this chunk**.
@@ -383,14 +389,17 @@ impl<'a, T> Rows<'a, T> {
     pub fn row(&mut self, i: usize) -> &mut [T] {
         match self {
             Rows::Aligned(arena) => arena.row(i),
-            Rows::Indexed { stride, arena, handles } => {
-                let start = handles[i] as usize * *stride;
+            Rows::Indexed { stride, arena, base, handles } => {
+                let start = (handles[i] as usize - *base) * *stride;
                 &mut arena[start..start + *stride]
             }
-            Rows::Gathered(rows) => rows[i],
         }
     }
 }
+
+/// What a split of [`Rows`] panics with when two items share a row or
+/// the handles fall.
+const INCREASING: &str = "row handles must strictly increase";
 
 /// Whether strictly increasing row `handles` are each their own index:
 /// exactly when the last one is, since none can be below its index.
@@ -400,32 +409,24 @@ pub fn increasing_aligned(handles: &[u32]) -> bool {
 
 impl<T: Send> ShardCols for Rows<'_, T> {
     fn shard_split(self, mid: usize) -> (Self, Self) {
-        let rows = match self {
+        match self {
             Rows::Aligned(arena) => {
                 let (head, tail) = arena.shard_split(mid);
-                return (Rows::Aligned(head), Rows::Aligned(tail));
+                (Rows::Aligned(head), Rows::Aligned(tail))
             }
-            // The whole view to one side: nothing to gather (a phase that
-            // runs as one shard splits off an empty tail).
-            Rows::Indexed { stride, handles, .. } if mid == handles.len() => {
-                let tail = Rows::Indexed { stride, arena: &mut [], handles: &[] };
-                return (self, tail);
+            Rows::Indexed { stride, arena, base, handles } => {
+                let (head, tail) = handles.split_at(mid);
+                // The tail's rows start at its first item's; a tail with
+                // no item takes the empty end of the arena.
+                let cut = tail.first().map_or(base + arena.len() / stride, |&h| h as usize);
+                assert!(head.last().is_none_or(|&h| (h as usize) < cut), "{INCREASING}");
+                let (rows, rest) = arena.split_at_mut((cut - base) * stride);
+                (
+                    Rows::Indexed { stride, arena: rows, base, handles: head },
+                    Rows::Indexed { stride, arena: rest, base: cut, handles: tail },
+                )
             }
-            // `chunks_exact_mut` proves the rows disjoint, and `take` moves
-            // each one out to its item at most once.
-            Rows::Indexed { stride, arena, handles } => {
-                let mut rows: Vec<Option<&mut [T]>> =
-                    arena.chunks_exact_mut(stride).map(Some).collect();
-                handles
-                    .iter()
-                    .map(|&h| rows[h as usize].take().expect("two items share a row"))
-                    .collect()
-            }
-            Rows::Gathered(rows) => rows,
-        };
-        let mut head = rows;
-        let tail = head.split_off(mid);
-        (Rows::Gathered(head), Rows::Gathered(tail))
+        }
     }
 }
 
@@ -695,38 +696,52 @@ mod tests {
         }
     }
 
+    /// Splits `rows` at `plan[0]`, then each half by the rest of the plan
+    /// (a `mid` past a half's end takes all of it), and checks at the
+    /// leaves that item `i` is the memory at `want[i]`.
+    fn split_by(rows: Rows<'_, u32>, want: &[*const u32], plan: &[usize]) {
+        let Some((&mid, plan)) = plan.split_first() else {
+            let mut rows = rows;
+            for (i, &row) in want.iter().enumerate() {
+                assert_eq!(rows.row(i).as_ptr(), row, "item {i}");
+            }
+            return;
+        };
+        let mid = mid.min(want.len());
+        let (head, tail) = rows.shard_split(mid);
+        split_by(head, &want[..mid], plan);
+        split_by(tail, &want[mid..], plan);
+    }
+
     #[test]
     fn rows_follow_their_handles_through_any_split() {
-        // Identity handles view the arena prefix in place; permuted ones
-        // look rows up until a split gathers one row per item. Either way
-        // item `i` reads row `handles[i]`, in every shard of every split.
+        // Identity handles view the arena prefix in place; increasing ones
+        // with holes look each row up, and a split cuts the arena where the
+        // tail's first row starts. Either way item `i` of every part of
+        // every split, split again at every `mid`, is the very memory of
+        // the whole view's row `i`: row `handles[i]` of the arena.
         let stride = 2;
-        for handles in [vec![0u32, 1, 2, 3], vec![4, 0, 3, 1], vec![0, 1, 2]] {
-            let mut arena: Vec<u32> = (0..10).collect();
+        for handles in [vec![0u32, 1, 2, 3], vec![0, 1, 2], vec![1, 2, 4, 7], vec![0, 3, 4]] {
+            let mut arena: Vec<u32> = (0..20).collect();
             let identity = handles.iter().enumerate().all(|(i, &h)| h as usize == i);
-            let rows = Rows::by_handle(stride, &mut arena, &handles, identity);
+            let want: Vec<*const u32> =
+                handles.iter().map(|&h| &raw const arena[h as usize * stride]).collect();
+            let mut rows = Rows::by_handle(stride, &mut arena, &handles, identity);
             assert_eq!(matches!(rows, Rows::Aligned(_)), identity);
-            // Splitting off an empty tail gathers nothing.
-            let (whole, _) = rows.shard_split(handles.len());
-            assert!(!matches!(whole, Rows::Gathered(_)));
-            for mid in 0..=handles.len() {
-                let mut arena: Vec<u32> = (0..10).collect();
-                let (mut head, mut tail) =
-                    Rows::by_handle(stride, &mut arena, &handles, identity).shard_split(mid);
-                for (i, &h) in handles.iter().enumerate() {
-                    let row = if i < mid { head.row(i) } else { tail.row(i - mid) };
-                    assert_eq!(row, [2 * h, 2 * h + 1], "item {i}, split at {mid}");
-                    row[0] = 100 + i as u32;
-                }
-                for (i, &h) in handles.iter().enumerate() {
-                    assert_eq!(arena[2 * h as usize], 100 + i as u32);
-                }
+            for (i, &h) in handles.iter().enumerate() {
+                assert_eq!(rows.row(i), [2 * h, 2 * h + 1], "item {i}");
+            }
+            let n = handles.len();
+            for plan in (0..(n + 1).pow(3))
+                .map(|p| [p % (n + 1), p / (n + 1) % (n + 1), p / (n + 1) / (n + 1)])
+            {
+                split_by(Rows::by_handle(stride, &mut arena, &handles, identity), &want, &plan);
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "two items share a row")]
+    #[should_panic(expected = "row handles must strictly increase")]
     fn rows_reject_a_shared_handle() {
         let mut arena = [0u8; 6];
         let _ = Rows::by_handle(2, &mut arena, &[1, 1], false).shard_split(1);

@@ -133,7 +133,9 @@
 //! ([`rths_core::close_row_holes`], the rule the learner slab's rows
 //! follow too). A split hands a phase the rows through their handles
 //! ([`rths_par::Rows`]): the arena itself while every handle equals its
-//! slot, as in a population that never lost a peer.
+//! slot, as in a population that never lost a peer, else the arena and
+//! the handles. The handles increase, so a split between shards cuts the
+//! arena where the tail's first row starts and gathers nothing.
 
 use rths_core::{close_row_holes, compact_column};
 use rths_par::{increasing_aligned, Rows, ShardCols};

@@ -40,15 +40,19 @@
 //!
 //! What a departure moves is scalars only: per relocated survivor, its row
 //! of the columns here (68 bytes, and its 88-byte link state when the plan
-//! affects rates), six scalars of its learner slot and its ledger entry.
-//! T blocks follow the slot's block handle and are wiped for the next
-//! arrivals; strategy, estimate and folded-regret rows (and frequency
-//! rows, which only a slab of conditional learners keeps) follow
-//! increasing row handles, whose holes one pass closes once they
-//! outnumber a sixteenth of the population. Slot order, ids and every
-//! float reduction order are what they would be had the rows moved. A
-//! traced run counts the copied bytes (`Counter::DepartureBytesMoved`) and
-//! the wiped T columns (`Counter::DepartureColumnsWiped`).
+//! affects rates), five scalars of its learner slot and its ledger entry.
+//! A departed peer's learner `S` is wiped (a packed slab's columns go back
+//! to its pool), and every row it held — its learner's strategy, estimate
+//! and frequency rows (which only a slab of conditional learners keeps),
+//! its `S` and played mask, its folded-regret row — stays behind as a
+//! hole: each survivor reaches its rows through one increasing row handle
+//! per arena owner, and one pass closes the holes once they outnumber a
+//! sixteenth of the population, moving a survivor's `S` with its other
+//! rows (a packed slab's handle row, an unpacked one's played columns).
+//! Slot order, ids and every float reduction order are what they would
+//! be had the rows moved. A traced run counts the copied bytes
+//! (`Counter::DepartureBytesMoved`) and the wiped T columns
+//! (`Counter::DepartureColumnsWiped`).
 
 use rand::rngs::StdRng;
 
@@ -93,9 +97,10 @@ enum Learners {
     /// A [slab-hosted](crate::Algorithm::slab_hosted) algorithm: the
     /// arena in **slot-aligned mode** — slab slot `i` is peer slot `i`,
     /// and departures run the slab's order-preserving compaction of its
-    /// per-slot scalars alongside the store's (T blocks and every other
-    /// stride-sized row are reached through per-slot block handles and
-    /// never move). The shared per-channel
+    /// per-slot scalars alongside the store's (T and every other
+    /// stride-sized row are reached through one increasing row handle per
+    /// slot, and move only in a pass that closes the holes departures
+    /// left). The shared per-channel
     /// [`RthsConfig`] lives once on the store.
     Slab(LearnerSlab),
     /// EXP3, which keeps its state by value: one learner per peer, in
@@ -194,10 +199,6 @@ pub struct PeerStore {
     shard_override: Option<usize>,
     next_id: u64,
     learners: Learners,
-    /// T-block reuses (arrivals served from a departed peer's block)
-    /// already mirrored into the observability registry (the slab's
-    /// counter is cumulative; the registry wants per-run deltas).
-    reuses_reported: u64,
     // === index-aligned SoA columns ===
     ids: Vec<u64>,
     channels: Vec<u32>,
@@ -258,7 +259,6 @@ impl PeerStore {
             shard_override: None,
             next_id: 0,
             learners,
-            reuses_reported: 0,
             ids: Vec::new(),
             channels: Vec::new(),
             rngs: Vec::new(),
@@ -423,8 +423,8 @@ impl PeerStore {
         let (learner_bytes, wiped) = match &mut self.learners {
             // The slab mirrors the column compaction on its per-slot
             // scalars (same order-preserving walk), keeping slab slots ==
-            // store slots; a slot's rows stay put behind its block and
-            // row handles, and the departed blocks are wiped.
+            // store slots; a slot's rows stay put behind its row handle,
+            // and the departed slots' T is wiped.
             Learners::Slab(slab) => slab.remove_slots(slots),
             Learners::Exp3 { learners, .. } => {
                 compact_swapping(learners, slots);
@@ -518,7 +518,7 @@ impl PeerStore {
         let PeerStore { learners, rngs, last_helper, switches, channels, .. } = self;
         let channels = &*channels;
         let learners = match learners {
-            // Sampling reads strategies only: no T views gathered.
+            // Sampling reads strategies only: no T views formed.
             Learners::Slab(slab) => LearnerCols::Slab(slab.split_strategy()),
             Learners::Exp3 { learners, .. } => LearnerCols::Exp3(learners),
         };
@@ -627,7 +627,9 @@ impl PeerStore {
         // (bit-identical — pinned by the slab's oracle tests). The decay
         // is lazy: the pass multiplies one `scale` per slot and touches T
         // columns only for the slots it renormalises (once in
-        // 256·ln 2 / ε epochs each).
+        // 256·ln 2 / ε epochs each). Every slot then observes predecayed:
+        // under any other recency an observe decays nothing, and every
+        // channel shares the one learner spec.
         let batch_decay = self.configs[0].recency() == RecencyMode::Exponential;
         let keep = 1.0 - self.configs[0].epsilon();
         let PeerStore {
@@ -708,11 +710,8 @@ impl PeerStore {
                     let (rate, satisfied) = rate_of(abs, profile[abs], channel);
                     // Bandit feedback + accounting (Peer::deliver order).
                     opened += u64::from(match &mut learners {
-                        LearnerCols::Slab(slab) if batch_decay => {
-                            slab.observe_predecayed(i, config, rate, &mut Vec::new())
-                        }
                         LearnerCols::Slab(slab) => {
-                            slab.observe(i, config, rate, &mut Vec::new())
+                            slab.observe_predecayed(i, config, rate, &mut Vec::new())
                         }
                         LearnerCols::Exp3(l) => {
                             l[i].observe(rate);
@@ -761,10 +760,7 @@ impl PeerStore {
                 }
             },
         );
-        if let (true, Learners::Slab(slab)) = (tracing, &self.learners) {
-            let reuses = slab.free_list_reuses();
-            scratch[0].obs.add(Counter::FreeListReuse, reuses - self.reuses_reported);
-            self.reuses_reported = reuses;
+        if let (true, Learners::Slab(_)) = (tracing, &self.learners) {
             scratch[0].obs.raise(Gauge::SlabRowsHwm, n as u64);
         }
         let mut worst_estimate = 0.0f64;
@@ -1254,8 +1250,8 @@ mod tests {
 
     /// A miniature epoch loop driven straight against the store, its
     /// peers learning over `actions` helpers; with `churn`, peers leave
-    /// and join between epochs, so the slab's block handles are a
-    /// non-identity permutation of the slots each shard is handed. The
+    /// and join between epochs, so the slab's row handles have holes
+    /// between the slots each shard is handed. The
     /// regret estimate is asked for from epoch `track_from` on (which is
     /// when a slab starts maintaining its row maxima). Returns everything
     /// an epoch computes, as bits.
@@ -1344,13 +1340,12 @@ mod tests {
     }
 
     /// Under churn too, wherever the store hosts the algorithm: tracking
-    /// and matching in the slab (batch-decayed and inline; the observe
-    /// blocks then reach their T lines through gathered block views), EXP3
-    /// in the per-peer column, which compacts alongside the others. The
-    /// estimate series comes from the slab's maintained row maxima; asking
-    /// for it only once churn has permuted the block handles (and arrivals
-    /// have reused departed peers' blocks) yields the same bits from there
-    /// on.
+    /// and matching in the slab (batch-decayed or not; the observe blocks
+    /// then reach their rows and T lines through views split at the row
+    /// handles), EXP3 in the per-peer column, which compacts alongside the
+    /// others. The estimate series comes from the slab's maintained row
+    /// maxima; asking for it only once churn has left holes among the rows
+    /// (and passes have closed some) yields the same bits from there on.
     #[test]
     fn phases_run_identically_at_any_shard_count_under_churn() {
         for actions in ARITIES {

@@ -112,9 +112,12 @@ while read -r file line kind name; do
 done < "$tmp/items"
 
 # The `file:line` of every place an error's notes name (its first span,
-# the site that failed, is left out), one a line; and `@crates/<c> Name`
-# for an error that names a path `rths_<c>::..::Name` (a private type in
-# a signature, which rustc reports without a note).
+# the site that failed, is left out), one a line; `@crates/<c> Name` for
+# an error that names a path `rths_<c>::..::Name` (a private type in a
+# signature, which rustc reports without a note); and `@mod <module>
+# Name` for a private type that an error names by its path inside its
+# own crate (`impairment::TokenBucketSpec`); and `@field name` for a
+# field an error finds on no type (see `restore`).
 error_places() {
     awk -v tree="$tree/" '
         /^(error|warning)(\[[A-Z0-9]+\])?:/ {
@@ -124,6 +127,15 @@ error_places() {
                 c = path; sub(/::.*/, "", c)
                 sub(/.*::/, "", path)
                 print "@crates/" c " " path
+            } else if (err && match($0, /type `[a-z0-9_]+(::[a-z0-9_]+)*::[A-Za-z0-9_]+` is private/)) {
+                # A private type named by its module path in its own crate.
+                path = substr($0, RSTART + 6, RLENGTH - 18)
+                name = path; sub(/.*::/, "", name)
+                sub(/::[A-Za-z0-9_]+$/, "", path); sub(/.*::/, "", path)
+                print "@mod " path " " name
+            } else if (err && match($0, /no field `[A-Za-z0-9_]+` on type/)) {
+                # A field reached through a `Deref` to a demoted struct.
+                print "@field " substr($0, RSTART + 10, RLENGTH - 19)
             }
             next
         }
@@ -138,12 +150,44 @@ error_places() {
     ' "$1" | LC_ALL=C sort -u
 }
 
+# The structs that declare a `pub` field named in the newline-separated
+# list $1, one name a line.
+structs_with() {
+    find crates -path '*/src/*' -name '*.rs' | LC_ALL=C sort | xargs awk -v fields="$1" '
+        BEGIN { n = split(fields, f, "\n"); for (i = 1; i <= n; i++) want[f[i]] = 1 }
+        match($0, /struct [A-Za-z0-9_]+/) { name = substr($0, RSTART + 7, RLENGTH - 7) }
+        match($0, /^[[:space:]]*pub [a-z0-9_]+:/) {
+            x = substr($0, RSTART, RLENGTH)
+            sub(/^[[:space:]]*pub /, "", x)
+            sub(/:$/, "", x)
+            if (x in want) print name
+        }
+    ' | LC_ALL=C sort -u
+}
+
 # Restores the demoted items at the places in file $1, giving them
 # verdict $2; prints how many it restored.
 restore() {
     restored=0
+    # A field that an error finds on no type was hidden by a `Deref`: the
+    # struct that declares it, or the method returning that struct, is
+    # demoted (`MultiChannelSystem::outcome`, whose demotion lets
+    # `System::outcome` answer instead).
+    fields=$(sed -n 's/^@field //p' "$1")
+    owners=
+    if [ -n "$fields" ]; then
+        owners=$(structs_with "$fields" | paste -sd '|' -)
+    fi
     while read -r file line kind name; do
-        if grep -Fqx -e "$file:$line" -e "@${file%%/src/*} $name" "$1" \
+        module=${file##*/}
+        if { grep -Fqx -e "$file:$line" -e "@${file%%/src/*} $name" \
+            -e "@mod ${module%.rs} $name" "$1" \
+            || { [ -n "$owners" ] && case $kind in
+                struct) echo "$name" | grep -Eqx "$owners" ;;
+                fn) sed -n "${line}p" "$file" \
+                    | grep -Eq -- "-> &?(mut )?($owners)([^A-Za-z0-9_]|\$)" ;;
+                *) false ;;
+            esac; }; } \
             && ! grep -Fq "	$file:$line	" "$tmp/verdicts"; then
             sed -i "${line}s/^\\([[:space:]]*\\)pub(crate) /\\1pub /" "$file"
             printf '%s\t%s:%s\t%s %s\n' "$2" "$file" "$line" "$kind" "$name" >> "$tmp/verdicts"

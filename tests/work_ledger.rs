@@ -74,26 +74,26 @@ fn churn_impaired_system_does_the_pinned_work() {
             assert_eq!(out.epochs, 45);
             obs::take_report()
         });
-        let expected: [(&str, u64); 13] = [
+        let expected: [(&str, u64); 12] = [
             ("messages_enqueued", 0),
             ("messages_delivered", 0),
             ("ring_grow_events", 0),
             ("slab_columns_touched", 1129),
-            ("free_list_reuse", 132),
             ("slab_columns_opened", 1899),
             ("stretch_folds", 1472),
             ("regret_exact_reads", 620),
-            // 10,054 survivor relocations × 228 bytes of scalars (68 of
+            // 10,054 survivor relocations × 224 bytes of scalars (68 of
             // the store's columns, 88 of its link column's `LinkShaper`,
-            // 28 of the slab slot's, 44 of the ledger entry's; every
-            // per-peer epoch counter is a `u32`): 2,292,312. The rest,
-            // 2,007,040, is the passes that closed the row holes
-            // departures left: 1,960 rows of the slab's (a 256-byte
-            // strategy row and a 512-byte estimate row; these learners
-            // are unconditional, so no frequency row) and 1,960 of the
-            // ledger's (256 bytes each).
-            ("departure_bytes_moved", 4_299_352),
-            // The played T columns of the departed peers' blocks.
+            // 24 of the slab slot's, 44 of the ledger entry's; every
+            // per-peer epoch counter is a `u32`): 2,252,096. The rest,
+            // 2,273,600, is the passes that closed the row holes
+            // departures left: 1,960 rows of the slab's, 904 bytes each
+            // (a 256-byte strategy row, a 512-byte estimate row, the
+            // 128-byte row of 32 column handles and the 8-byte mask;
+            // these learners are unconditional, so no frequency row), and
+            // 1,960 of the ledger's (256 bytes each).
+            ("departure_bytes_moved", 4_525_696),
+            // The played T columns of the departed peers.
             ("departure_columns_wiped", 370),
             ("ring_capacity_hwm", 0),
             ("ring_occupancy_hwm", 0),
@@ -137,12 +137,11 @@ fn multichannel_system_does_the_pinned_work() {
         // Each worker's shard keeps its own running maximum, so a second
         // shard reads more rows exactly before its maximum catches up.
         let exact_reads = if threads == 1 { 2104 } else { 2229 };
-        let expected: [(&str, u64); 13] = [
+        let expected: [(&str, u64); 12] = [
             ("messages_enqueued", 0),
             ("messages_delivered", 0),
             ("ring_grow_events", 0),
             ("slab_columns_touched", 0),
-            ("free_list_reuse", 0),
             ("slab_columns_opened", 0),
             ("stretch_folds", 10702),
             ("regret_exact_reads", exact_reads),
@@ -181,14 +180,13 @@ fn traced_reactor(sim: SimConfig) -> (TraceReport, MessageTotals) {
 fn wide_reactor_does_the_pinned_work() {
     for threads in [1usize, 2] {
         let (report, messages) = with_threads(threads, || traced_reactor(wide_config()));
-        let expected: [(&str, u64); 13] = [
+        let expected: [(&str, u64); 12] = [
             // 20 of them `JoinRates`: one to the one mailbox shard per
             // epoch.
             ("messages_enqueued", 41234),
             ("messages_delivered", 41234),
             ("ring_grow_events", 1),
             ("slab_columns_touched", 0),
-            ("free_list_reuse", 0),
             ("slab_columns_opened", 0),
             // `System`'s count on the same run (see
             // `reactor_folds_the_stretches_system_folds`).
@@ -216,14 +214,13 @@ fn wide_reactor_does_the_pinned_work() {
 fn dense_reactor_does_the_pinned_work() {
     for threads in [1usize, 2] {
         let (report, messages) = with_threads(threads, || traced_reactor(dense_config()));
-        let expected: [(&str, u64); 13] = [
+        let expected: [(&str, u64); 12] = [
             // 40 of them `JoinRates`: one to each of the two mailbox
             // shards per epoch.
             ("messages_enqueued", 45966),
             ("messages_delivered", 45966),
             ("ring_grow_events", 1),
             ("slab_columns_touched", 0),
-            ("free_list_reuse", 0),
             ("slab_columns_opened", 2948),
             // `System`'s count on the same run.
             ("stretch_folds", 1954),
