@@ -1,5 +1,5 @@
 //! The probability update rule of Algorithms 1 & 2. The slab's observe
-//! (`SlabCols::observe`) mirrors it expression for expression, fused with
+//! (`SlabCols::observe_predecayed`) mirrors it expression for expression, fused with
 //! its gather of the played row; the test-only scalar oracles
 //! (`RthsState`, `HistoryRths`) call it, so `update_probabilities` is
 //! compiled in test builds only.

@@ -1446,8 +1446,8 @@ impl LearnerSlab {
 
     /// Feeds a slot's pending utility through the full update (see
     /// `RthsState::observe`). Returns whether it opened a packed column
-    /// (see [`SlabCols::observe`]). A conditional learner's first observe turns
-    /// on the slab's play frequencies
+    /// (see [`SlabCols::observe_predecayed`]). A conditional learner's
+    /// first observe turns on the slab's play frequencies
     /// ([`track_frequencies`](Self::track_frequencies)).
     ///
     /// # Panics
@@ -1539,11 +1539,11 @@ struct SlotRows<'s> {
     stage: u64,
 }
 
-/// The body of [`SlabCols::observe`] for one slot that played `j`: the
-/// rank-1 update, then the played row of Eq. (3-6) and the next strategy
-/// in one pass over the played columns (module docs). Returns whether it
-/// opened a pool column. Forced inline into each layout's arm of
-/// `on_slot!`, so that no layout branch runs inside it.
+/// The body of [`SlabCols::observe_predecayed`] for one slot that played
+/// `j`: the rank-1 update, then the played row of Eq. (3-6) and the next
+/// strategy in one pass over the played columns (module docs). Returns
+/// whether it opened a pool column. Forced inline into each layout's arm
+/// of `on_slot!`, so that no layout branch runs inside it.
 #[inline(always)]
 fn observe_slot(
     mut t: SlotS,
@@ -1692,10 +1692,10 @@ enum TCols<'a> {
     Pool { handles: Rows<'a, u32>, pool: &'a mut ColumnPool },
     /// Packed, split between shards: every slot's played columns in slot
     /// order, each slot's in ascending action order — gathered, because a
-    /// pool column's place follows first-play order, not slot order. `ends[i]` is where
-    /// slot `i`'s end, counted from the first column of the whole view,
-    /// whose index is `base` (slot `i` starts where slot `i − 1` ends, the
-    /// first slot at `base`).
+    /// pool column's place follows first-play order, not slot order.
+    /// `ends[i]` is where slot `i`'s end, counted from the first column of
+    /// the whole view, whose index is `base` (slot `i` starts where slot
+    /// `i − 1` ends, the first slot at `base`).
     Gathered { cols: Vec<&'a mut [f64]>, ends: Vec<usize>, base: usize },
 }
 
@@ -1896,6 +1896,10 @@ impl SlabCols<'_> {
     /// observe needs the slab to keep them
     /// ([`LearnerSlab::track_frequencies`]).
     ///
+    /// The slot's exponential decay is the batched [`decay`](Self::decay)
+    /// of this round, run before the observes (a no-op unless recency is
+    /// exponential); the update itself applies none.
+    ///
     /// Returns whether it opened a packed column: the first play of an
     /// action in a packed slab (module docs), which takes a column from
     /// the slab's pool — the per-shard
@@ -1909,20 +1913,6 @@ impl SlabCols<'_> {
     ///
     /// Panics if no action is pending or `utility` is not finite, or if
     /// `config` is conditional and the slab keeps no play frequencies.
-    pub fn observe(
-        &mut self,
-        i: usize,
-        config: &RthsConfig,
-        utility: f64,
-        _row_scratch: &mut Vec<f64>,
-    ) -> bool {
-        self.observe_inner(i, config, utility, false)
-    }
-
-    /// Observe for a slot whose exponential decay was already applied by
-    /// a batched [`decay`](Self::decay) this round; returns what
-    /// [`observe`](Self::observe) does, panics where it does, and leaves
-    /// `_row_scratch` unused as it does.
     pub fn observe_predecayed(
         &mut self,
         i: usize,
@@ -3139,10 +3129,12 @@ mod tests {
                     }
                 } else {
                     let (mut head, mut tail) = slab.split().shard_split(n / 2);
+                    head.decay(1.0 - cfg.epsilon());
+                    tail.decay(1.0 - cfg.epsilon());
                     for (i, &a) in picks.iter().enumerate() {
                         let (cols, i) =
                             if i < n / 2 { (&mut head, i) } else { (&mut tail, i - n / 2) };
-                        cols.observe(i, &cfg, utility(a), &mut Vec::new());
+                        cols.observe_predecayed(i, &cfg, utility(a), &mut Vec::new());
                     }
                 }
                 slab.clone_slot((round % n) as u32);
@@ -3836,11 +3828,7 @@ mod tests {
                             }
                             for (i, &a) in picks.iter().enumerate() {
                                 let u = utility(a, s + i as u64);
-                                if recency == RecencyMode::Exponential {
-                                    cols.observe_predecayed(i, &cfg, u, &mut scratch);
-                                } else {
-                                    cols.observe(i, &cfg, u, &mut scratch);
-                                }
+                                cols.observe_predecayed(i, &cfg, u, &mut scratch);
                             }
                             for (i, (oracle, &a)) in oracles.iter_mut().zip(&picks).enumerate()
                             {

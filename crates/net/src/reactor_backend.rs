@@ -1180,7 +1180,7 @@ mod tests {
             );
         }
         // Every peer's strategy is a distribution with the exploration
-        // floor δ/m (see `SlabCols::observe`).
+        // floor δ/m (see `SlabCols::observe_predecayed`).
         for shard in rt.reactor.shard_states().flatten() {
             for slot in 0..shard.store.len() {
                 let learner = shard.store.learner(slot);

@@ -25,7 +25,7 @@ pub enum Counter {
     SlabColumnsTouched,
     /// Learner-slab columns opened in a packed slab's column pool: first
     /// plays of an action, each of which takes a column from the pool
-    /// (`rths_core::SlabCols::observe`, or
+    /// (`rths_core::SlabCols::observe_predecayed`, or
     /// `rths_core::LearnerSlab::open_pending_columns` before a split).
     SlabColumnsOpened,
     /// Regret-ledger stretch closes (arm switches, window folds,

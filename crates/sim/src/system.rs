@@ -590,7 +590,7 @@ mod tests {
     /// Every peer's strategy after the epoch `sys` just stepped is a
     /// distribution with the exploration floor: its `m` entries sum to 1
     /// within `m·ε`, and none is below `δ/m` (less the `1e-12` that the
-    /// slab's observe, `SlabCols::observe`, allows in its own check).
+    /// slab's observe, `SlabCols::observe_predecayed`, allows in its own check).
     fn assert_rows_are_distributions(sys: &System, delta: f64, at: &str) {
         let peers = sys.peers();
         for slot in 0..peers.len() {

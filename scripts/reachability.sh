@@ -127,9 +127,10 @@ error_places() {
                 c = path; sub(/::.*/, "", c)
                 sub(/.*::/, "", path)
                 print "@crates/" c " " path
-            } else if (err && match($0, /type `[a-z0-9_]+(::[a-z0-9_]+)*::[A-Za-z0-9_]+` is private/)) {
+            } else if (err && match($0, /type `[a-z0-9_]+(::[a-z0-9_]+)*::[A-Za-z0-9_]+(<[^`]*>)?` is private/)) {
                 # A private type named by its module path in its own crate.
                 path = substr($0, RSTART + 6, RLENGTH - 18)
+                sub(/<.*/, "", path)
                 name = path; sub(/.*::/, "", name)
                 sub(/::[A-Za-z0-9_]+$/, "", path); sub(/.*::/, "", path)
                 print "@mod " path " " name
