@@ -970,12 +970,11 @@ impl LearnerSlab {
         } else {
             self.grow_rows(rows);
         }
-        let target = self.arity.len() + additional;
-        self.arity.reserve(target - self.arity.len());
-        self.stage.reserve(target - self.stage.len());
-        self.pending.reserve(target - self.pending.len());
-        self.scale.reserve(target - self.scale.len());
-        self.row.reserve(target - self.row.len());
+        self.arity.reserve(additional);
+        self.stage.reserve(additional);
+        self.pending.reserve(additional);
+        self.scale.reserve(additional);
+        self.row.reserve(additional);
     }
 
     /// Zero-extends every row-addressed arena — T, the masks, `probs`,

@@ -760,7 +760,7 @@ impl PeerStore {
                 }
             },
         );
-        if let (true, Learners::Slab(_)) = (tracing, &self.learners) {
+        if tracing && matches!(self.learners, Learners::Slab(_)) {
             scratch[0].obs.raise(Gauge::SlabRowsHwm, n as u64);
         }
         let mut worst_estimate = 0.0f64;
